@@ -176,7 +176,7 @@ func TestEagerOptionValidation(t *testing.T) {
 		WithRefineRounds(4), WithMaxStages(8), WithBatches(2),
 		WithEpsilonMax(4), WithTolerance(1),
 		WithMultilevel(CoarsenTo(16), CoarsenLevels(4), CoarsenSeed(9)),
-		WithSolver("revised"), WithObserver(func(Event) {})); err != nil {
+		WithSolver("dense"), WithObserver(func(Event) {})); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }
@@ -520,59 +520,6 @@ func ExampleWithObserver() {
 	}
 	// Output:
 	// stage 1: ε=1 moved=2
-}
-
-// TestWithFullRefreshEquivalence: through the public API, the escape
-// hatch must change only the work accounting, never the result.
-func TestWithFullRefreshEquivalence(t *testing.T) {
-	gI, aI := grownMesh(t, 400, 8, 30, 23)
-	gF, aF := grownMesh(t, 400, 8, 30, 23)
-	eI, err := NewEngine(gI, WithRefine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eF, err := NewEngine(gF, WithRefine(), WithFullRefresh())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		stI, errI := eI.Repartition(context.Background(), aI)
-		stF, errF := eF.Repartition(context.Background(), aF)
-		if (errI == nil) != (errF == nil) {
-			t.Fatalf("step %d: error mismatch: %v vs %v", step, errI, errF)
-		}
-		if errI != nil {
-			t.Skipf("step %d: infeasible: %v", step, errI)
-		}
-		for v := range aI.Part {
-			if aI.Part[v] != aF.Part[v] {
-				t.Fatalf("step %d: assignments diverge at %d", step, v)
-			}
-		}
-		if stI.CutAfter.Total != stF.CutAfter.Total || stI.CutAfter.TotalWeight != stF.CutAfter.TotalWeight {
-			t.Fatalf("step %d: cuts diverge: %+v vs %+v", step, stI.CutAfter, stF.CutAfter)
-		}
-		if stF.CSRPatched != 0 || stF.CutIncremental != 0 {
-			t.Fatalf("step %d: WithFullRefresh reported incremental work: %d/%d",
-				step, stF.CSRPatched, stF.CutIncremental)
-		}
-		if stI.CutIncremental == 0 {
-			t.Fatalf("step %d: incremental engine never served an incremental cut", step)
-		}
-		// Grow both meshes identically for the next warm call.
-		for i := 0; i < 5; i++ {
-			vI, vF := gI.AddVertex(1), gF.AddVertex(1)
-			if vI != vF {
-				t.Fatal("meshes desynchronized")
-			}
-			if err := gI.AddEdge(vI, vI-1, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := gF.AddEdge(vF, vF-1, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 }
 
 // TestPublicStatsClone: the public clone must deep-copy every

@@ -5,9 +5,8 @@
 //	BenchmarkFig14_*       — Figure 14 rows (mesh B, -short skips)
 //	BenchmarkSpeedup_*     — §4 parallel-speedup claim (simulated CM-5)
 //	BenchmarkLPSize        — §4 LP-size independence claim
-//	BenchmarkSimplex_*     — ablation A1: dense vs bounded vs revised
+//	BenchmarkSimplex_*     — ablation A1: dense vs bounded
 //	BenchmarkRefine_*      — ablation A2: LP refinement vs greedy KL/FM
-//	BenchmarkMultilevel    — ablation A3: multilevel (coarsened) IGP
 //	BenchmarkPhase_*       — per-phase costs (assign/layer/balance)
 //	BenchmarkMeshGen       — workload generation (Figures 10/12/13)
 package igp
@@ -236,7 +235,6 @@ func benchSimplex(b *testing.B, s lp.Solver) {
 
 func BenchmarkSimplex_Dense(b *testing.B)   { benchSimplex(b, lp.Dense{}) }
 func BenchmarkSimplex_Bounded(b *testing.B) { benchSimplex(b, lp.Bounded{}) }
-func BenchmarkSimplex_Revised(b *testing.B) { benchSimplex(b, lp.Revised{}) }
 
 // --- Ablation A2/A4: refinement variants -------------------------------------
 
@@ -271,23 +269,6 @@ func BenchmarkRefine_Greedy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := a0.Clone()
 		refine.Greedy(g, a, 0, 1)
-		b.ReportMetric(partition.Cut(g, a).TotalWeight, "cut")
-	}
-}
-
-// --- Ablation A3: multilevel IGP ---------------------------------------------
-
-func BenchmarkMultilevel(b *testing.B) {
-	f := meshA(b)
-	g := f.seq.Steps[0].Graph
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := f.base.Clone()
-		st, err := core.MultilevelRepartition(context.Background(), g, a, core.MultilevelOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = st
 		b.ReportMetric(partition.Cut(g, a).TotalWeight, "cut")
 	}
 }

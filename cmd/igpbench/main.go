@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Int64("seed", 1994, "workload seed")
 	p := flag.Int("p", 32, "number of partitions")
 	ranks := flag.Int("ranks", 32, "simulated machine size")
-	solver := flag.String("solver", "bounded", "sequential simplex: "+strings.Join(igp.SolverNames(), "|"))
+	solver := flag.String("solver", lp.DefaultSolverName, "sequential simplex: "+strings.Join(igp.SolverNames(), "|"))
 	procs := flag.Int("procs", 0, "worker count for the engine's sharded kernels (0 = GOMAXPROCS, 1 = sequential)")
 	skipSim := flag.Bool("skipsim", false, "skip simulated parallel runs (no Time-p/Speedup)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (tables: incremental, solvers, serve, multilevel)")
@@ -227,14 +227,12 @@ func incrementalJSON(name string, g *igp.Graph, rows []bench.EditRow, p int) str
 
 // solversJSON renders the per-solver comparison as one JSON object, the
 // record scripts/bench.sh folds into BENCH_<n>.json: per registered
-// solver, the IGPR wall clock, LP iteration total, cut quality and —
-// for the approximate "mwu" solver — how many solves fell back to the
-// exact path.
+// solver, the IGPR wall clock, LP iteration total and cut quality.
 func solversJSON(rows []bench.SolverRow, p int) string {
 	parts := make([]string, len(rows))
 	for i, r := range rows {
-		parts[i] = fmt.Sprintf(`{"solver": %q, "time_ns": %d, "stages": %d, "lp_iterations": %d, "mwu_fallbacks": %d, "cut_total": %d, "balanced": %v}`,
-			r.Name, r.Time.Nanoseconds(), r.Stages, r.LPIterations, r.MWUFallbacks, r.Cut.Total, r.Balanced)
+		parts[i] = fmt.Sprintf(`{"solver": %q, "time_ns": %d, "stages": %d, "lp_iterations": %d, "cut_total": %d, "balanced": %v}`,
+			r.Name, r.Time.Nanoseconds(), r.Stages, r.LPIterations, r.Cut.Total, r.Balanced)
 	}
 	return fmt.Sprintf(`{"workload": "meshA-step1-igpr", "p": %d, "rows": [%s]}`,
 		p, strings.Join(parts, ", "))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,29 +57,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPublicAPISolverNames pins the built-in set to the default, the
+// warm-started production solver and the dense oracle: every one
+// constructs, and anything else — the retired names included — is an
+// eager error that lists what is registered.
 func TestPublicAPISolverNames(t *testing.T) {
-	names := SolverNames()
-	for _, want := range []string{"bounded", "dense", "revised", "dual-warm"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("built-in solver %q missing from registry %v", want, names)
-		}
+	// Tests in this package register "test-…" names; the rest are built in.
+	builtins := slices.DeleteFunc(SolverNames(), func(n string) bool { return strings.HasPrefix(n, "test-") })
+	if want := []string{"bounded", "dense", "dual-warm"}; !slices.Equal(builtins, want) {
+		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
 	}
-	if _, err := NewEngine(NewGraphWithVertices(2), WithSolver("nope")); err == nil {
-		t.Fatal("unknown solver must error at NewEngine")
-	}
-	if _, err := Repartition(context.Background(), NewGraphWithVertices(2),
-		&Assignment{Part: []int32{0, 0}, P: 1}, WithSolver("nope")); err == nil {
-		t.Fatal("unknown solver must error at Repartition")
-	}
-	for _, name := range []string{"dense", "bounded", "revised", "dual-warm"} {
+	for _, name := range builtins {
 		if _, err := NewEngine(NewGraphWithVertices(2), WithSolver(name)); err != nil {
 			t.Fatalf("%q: %v", name, err)
+		}
+	}
+	for _, name := range []string{"nope", "mwu", "revised"} {
+		_, err := NewEngine(NewGraphWithVertices(2), WithSolver(name))
+		if err == nil {
+			t.Fatalf("%q must error at NewEngine", name)
+		}
+		if listing := fmt.Sprint(SolverNames()); !strings.Contains(err.Error(), listing) {
+			t.Fatalf("%q: error %q does not list the registered names %s", name, err, listing)
+		}
+		if _, err := Repartition(context.Background(), NewGraphWithVertices(2),
+			&Assignment{Part: []int32{0, 0}, P: 1}, WithSolver(name)); err == nil {
+			t.Fatalf("%q must error at Repartition", name)
 		}
 	}
 }
@@ -199,54 +204,6 @@ func TestPublicAPIBatches(t *testing.T) {
 	}
 	if got := Imbalance(g, a); got > 1.05 {
 		t.Fatalf("imbalance %g", got)
-	}
-}
-
-// TestPublicAPIDeprecatedWrappers keeps the legacy struct-options surface
-// working: the wrappers must delegate to the new pipeline (including the
-// eager solver-name check) without behavioral drift.
-func TestPublicAPIDeprecatedWrappers(t *testing.T) {
-	g, err := NewMeshGraph(300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := PartitionRSB(g, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := []Vertex{0}
-	for i := 0; i < 24; i++ {
-		v := g.AddVertex(1)
-		_ = g.AddEdge(v, prev[len(prev)-1], 1)
-		prev = append(prev, v)
-	}
-	aW := a.Clone()
-	stW, err := RepartitionWithOptions(g, aW, Options{Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stW.NewAssigned != 24 {
-		t.Fatalf("wrapper assigned %d, want 24", stW.NewAssigned)
-	}
-	aB := a.Clone()
-	if _, err := RepartitionInBatches(g, aB, Options{}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := Imbalance(g, aB); got > 1.05 {
-		t.Fatalf("imbalance %g", got)
-	}
-	if _, err := RepartitionInBatches(g, a.Clone(), Options{}, 0); err == nil {
-		t.Fatal("0 batches must error")
-	}
-	if _, err := RepartitionWithOptions(g, a.Clone(), Options{Solver: "nope"}); err == nil {
-		t.Fatal("unknown solver must propagate through the wrapper")
-	}
-	eng, err := NewEngineWithOptions(g, Options{Refine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Repartition(context.Background(), a.Clone()); err != nil {
-		t.Fatal(err)
 	}
 }
 

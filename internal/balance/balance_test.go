@@ -107,7 +107,7 @@ func TestFormulateShape(t *testing.T) {
 }
 
 func TestStepBalancesStripes(t *testing.T) {
-	for _, solver := range []lp.Solver{lp.Dense{}, lp.Bounded{}, lp.Revised{}} {
+	for _, solver := range []lp.Solver{lp.Dense{}, lp.Bounded{}, lp.NewDualWarm()} {
 		g, a := unbalancedStripes()
 		lay, err := layering.Layer(g, a)
 		if err != nil {

@@ -65,7 +65,7 @@ func (c Config) withDefaults() Config {
 		c.Ranks = 32
 	}
 	if c.Solver == nil {
-		c.Solver = lp.Bounded{}
+		c.Solver = lp.Default()
 	}
 	return c
 }
@@ -447,10 +447,6 @@ type SolverRow struct {
 	Time         time.Duration
 	Stages       int
 	LPIterations int
-	// MWUFallbacks counts the LP solves the approximate "mwu" solver
-	// delegated to its exact fallback during the run; 0 for the exact
-	// solvers.
-	MWUFallbacks int
 	StagePivots  []int
 	RoundPivots  []int
 	Cut          partition.CutStats
@@ -488,7 +484,6 @@ func SolverComparison(seq *mesh.Sequence, cfg Config, names []string) ([]SolverR
 			Time:         dur,
 			Stages:       len(st.Stages),
 			LPIterations: st.LPIterations,
-			MWUFallbacks: st.MWUFallbacks,
 			Cut:          partition.Cut(g, a),
 			Balanced:     partition.Balanced(a.Sizes(g)),
 		}
@@ -507,11 +502,11 @@ func SolverComparison(seq *mesh.Sequence, cfg Config, names []string) ([]SolverR
 func FormatSolvers(rows []SolverRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Per-solver LP pivots — IGPR, mesh A first refinement (P = %d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %10s %7s %8s %9s %6s %9s  %s\n",
-		"Solver", "Time-s", "Stages", "LPIters", "Fallbacks", "Cut", "Balanced", "Round pivots")
+	fmt.Fprintf(&b, "  %-10s %10s %7s %8s %6s %9s  %s\n",
+		"Solver", "Time-s", "Stages", "LPIters", "Cut", "Balanced", "Round pivots")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %10s %7d %8d %9d %6d %9v  %v\n",
-			r.Name, fmtDur(r.Time), r.Stages, r.LPIterations, r.MWUFallbacks, r.Cut.Total, r.Balanced, r.RoundPivots)
+		fmt.Fprintf(&b, "  %-10s %10s %7d %8d %6d %9v  %v\n",
+			r.Name, fmtDur(r.Time), r.Stages, r.LPIterations, r.Cut.Total, r.Balanced, r.RoundPivots)
 	}
 	return b.String()
 }

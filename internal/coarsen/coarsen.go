@@ -17,12 +17,10 @@
 // with single decisions, shrinking the number of fine-level stages and
 // refinement rounds on large incremental changes.
 //
-// Two entry points build on these kernels. The one-shot two-level cycle
-// lives in core.MultilevelRepartition (it needs the fine-level engine for
-// its polish pass, which this package must not import). The full V-cycle
-// for large graphs is Hierarchy (hierarchy.go): a journal-repairable
-// stack of coarse graphs the engine keeps alive across Repartition calls
-// behind igp.WithMultilevel.
+// The entry point built on these kernels is Hierarchy (hierarchy.go):
+// the full V-cycle for large graphs, a journal-repairable stack of
+// coarse graphs the engine keeps alive across Repartition calls behind
+// igp.WithMultilevel.
 package coarsen
 
 import (

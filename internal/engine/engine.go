@@ -76,7 +76,7 @@ var ErrClosed = errors.New("core: engine closed; create a new engine")
 
 // Options configures an Engine (and the core.Repartition wrapper).
 type Options struct {
-	// Solver is the simplex implementation (nil = lp.Bounded{}). A
+	// Solver is the simplex implementation (nil = lp.Default()). A
 	// stateful solver implementing lp.SessionSolver (e.g. "dual-warm")
 	// is forked at New: the engine session holds a private instance so
 	// retained warm-start bases live exactly as long as the engine.
@@ -90,11 +90,6 @@ type Options struct {
 	// up to this many vertices (0 = the paper's exact balance). Positive
 	// values trade residual imbalance for less vertex movement.
 	Tolerance int
-	// Accuracy is the target accuracy for approximate LP solvers (the
-	// registered "mwu" multiplicative-weight solver): Optimal objectives
-	// are guaranteed within a (1+Accuracy) factor of the true optimum.
-	// 0 keeps the solver's default (0.05); exact solvers ignore it.
-	Accuracy float64
 	// Refine enables phase 4 (the IGPR variant).
 	Refine bool
 	// RefineOptions tunes phase 4 when enabled.
@@ -132,7 +127,7 @@ type Options struct {
 
 func (o Options) solver() lp.Solver {
 	if o.Solver == nil {
-		return lp.Bounded{}
+		return lp.Default()
 	}
 	return o.Solver
 }
@@ -200,11 +195,6 @@ type Stats struct {
 	// work threshold); zero on the sequential path and for LPs too small
 	// to be worth sharding. Results are bit-identical either way.
 	LPParallel int
-	// MWUFallbacks counts LP solves during this call that the
-	// approximate "mwu" solver delegated to its exact fallback (the
-	// instance was not graph shaped, or its quality bracket did not
-	// close within the iteration budget). Always zero for exact solvers.
-	MWUFallbacks int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
 	// scans, pool sorts); index w is worker w. Empty on the sequential
@@ -361,10 +351,8 @@ type Engine struct {
 	ml *coarsen.Hierarchy
 
 	// The engine's sessionized LP solvers (deduplicated): polled for
-	// Stats.LPParallel in Repartition. lpFallback is the subset that
-	// delegates to an exact fallback, polled for Stats.MWUFallbacks.
-	lpSolvers  []lp.ParallelSolver
-	lpFallback []lp.FallbackSolver
+	// Stats.LPParallel in Repartition.
+	lpSolvers []lp.ParallelSolver
 
 	// Worker pool for the sharded kernels (see parallel.go): one
 	// fork-join group shared with the layering and gains scratches so
@@ -401,39 +389,25 @@ const neverSeen int32 = -2
 // can warm a structurally identical later solve and vice versa.
 func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{g: g, procs: opt.procs()}
-	base := opt.Solver
-	if base == nil {
-		base = lp.Bounded{}
-	}
+	base := opt.solver()
 	// Sessions get the engine's worker group: WithParallelism covers the
-	// LP kernels with zero call-site changes (see lp/parallel.go). The
-	// accuracy option configures approximate session solvers ("mwu");
-	// exact solvers ignore it.
-	sessOpts := []lp.SessionOption{lp.WithWorkers(&e.group, e.procs)}
-	if opt.Accuracy > 0 {
-		sessOpts = append(sessOpts, lp.WithAccuracy(opt.Accuracy))
-	}
-	session := lp.Session(base, sessOpts...)
+	// LP kernels with zero call-site changes (see lp/parallel.go).
+	workers := lp.WithWorkers(&e.group, e.procs)
+	session := lp.Session(base, workers)
 	opt.Solver = session
 	switch rs := opt.RefineOptions.Solver; {
 	case rs == nil || sameSolverInstance(rs, base):
 		opt.RefineOptions.Solver = session
 	default:
-		opt.RefineOptions.Solver = lp.Session(rs, sessOpts...)
+		opt.RefineOptions.Solver = lp.Session(rs, workers)
 	}
 	e.opt = opt
 	if ps, ok := session.(lp.ParallelSolver); ok {
 		e.lpSolvers = append(e.lpSolvers, ps)
 	}
-	if fs, ok := session.(lp.FallbackSolver); ok {
-		e.lpFallback = append(e.lpFallback, fs)
-	}
 	if rs := opt.RefineOptions.Solver; !sameSolverInstance(rs, session) {
 		if ps, ok := rs.(lp.ParallelSolver); ok {
 			e.lpSolvers = append(e.lpSolvers, ps)
-		}
-		if fs, ok := rs.(lp.FallbackSolver); ok {
-			e.lpFallback = append(e.lpFallback, fs)
 		}
 	}
 	// The layering and gains scratches shard over the same worker count
@@ -452,17 +426,6 @@ func (e *Engine) lpParallel() int {
 	total := 0
 	for _, ps := range e.lpSolvers {
 		total += ps.ParallelSolves()
-	}
-	return total
-}
-
-// lpFallbacks sums the exact-fallback counters of the engine's
-// approximate LP sessions (lifetime totals; Repartition reports
-// per-call deltas as Stats.MWUFallbacks).
-func (e *Engine) lpFallbacks() int {
-	total := 0
-	for _, fs := range e.lpFallback {
-		total += fs.Fallbacks()
 	}
 	return total
 }
@@ -851,14 +814,12 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	e.group.Reset()
 	basePatched, baseCutInc := e.csrPatched, e.cutIncremental
 	baseLPPar := e.lpParallel()
-	baseLPFall := e.lpFallbacks()
 	tStart := time.Now()
 	defer func() {
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
 		st.CutIncremental = e.cutIncremental - baseCutInc
 		st.LPParallel = e.lpParallel() - baseLPPar
-		st.MWUFallbacks = e.lpFallbacks() - baseLPFall
 		for _, sg := range st.Stages {
 			st.LPIterations += sg.LPPivots
 		}

@@ -395,76 +395,6 @@ func TestSteadyStateRefineFormulateAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateMWURepartitionAllocs locks the approximate solver's
-// session-arena contract end to end: steady-state Repartition cycles
-// through a warm engine running the "mwu" solver must allocate nothing,
-// at every worker count — mirroring the SteadyRepartitionPar locks the
-// exact solvers carry (like them, refinement — whose Drive reports
-// allocate by design — stays off; the balance LPs are MWU-shaped, so
-// the native ladder, its arenas and the fallback's warm dual-warm path
-// are all inside the measured region).
-func TestSteadyStateMWURepartitionAllocs(t *testing.T) {
-	for _, procs := range []int{1, 2, 8} {
-		g, base := editableGraph(t, 500, 8, 5)
-		e := New(g, Options{Solver: lp.NewMWU(), Parallelism: procs})
-		a := base.Clone()
-		if _, err := e.Repartition(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			copy(a.Part, base.Part)
-			if _, err := e.Repartition(context.Background(), a); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("procs=%d: steady-state mwu Repartition allocates %.1f objects/op, want 0",
-				procs, allocs)
-		}
-	}
-}
-
-// TestEngineMWUFallbackStats: the per-call Stats.MWUFallbacks delta must
-// reflect the session's fallback counter — nonzero only when the mwu
-// session actually delegated, and zero for exact solvers.
-func TestEngineMWUFallbackStats(t *testing.T) {
-	g, base := editableGraph(t, 300, 6, 42)
-	tmpl := lp.NewMWU()
-	e := New(g, Options{Solver: tmpl, Refine: true})
-	total := 0
-	for call := 0; call < 3; call++ {
-		a := base.Clone()
-		st, err := e.Repartition(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.MWUFallbacks < 0 {
-			t.Fatalf("call %d: negative MWUFallbacks %d", call, st.MWUFallbacks)
-		}
-		total += st.MWUFallbacks
-	}
-	ses, ok := e.opt.Solver.(*lp.MWU)
-	if !ok {
-		t.Fatalf("engine solver is %T, want *lp.MWU", e.opt.Solver)
-	}
-	if _, fb := ses.Counts(); fb != total {
-		t.Fatalf("session fallbacks %d, per-call deltas sum to %d", fb, total)
-	}
-	if tmpl.Fallbacks() != 0 {
-		t.Fatal("engine solves leaked fallback counts into the registered template")
-	}
-
-	gx, bx := editableGraph(t, 300, 6, 42)
-	ex := New(gx, Options{Refine: true})
-	st, err := ex.Repartition(context.Background(), bx.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MWUFallbacks != 0 {
-		t.Fatalf("exact solver reported MWUFallbacks %d, want 0", st.MWUFallbacks)
-	}
-}
-
 // TestEngineForksSessionSolvers: New must give each engine a private
 // instance of a stateful solver (basis lifetime = engine session), and
 // share that one session between the balance and refine phases when
@@ -517,8 +447,8 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 		t.Fatalf("refine session lost its configuration: MaxIter %d, want 1234", rf.MaxIter)
 	}
 	// Stateless solvers pass through untouched.
-	e4 := New(g1, Options{Solver: lp.Revised{}})
-	if e4.opt.Solver != (lp.Revised{}) {
+	e4 := New(g1, Options{Solver: lp.Dense{}})
+	if e4.opt.Solver != (lp.Dense{}) {
 		t.Fatalf("stateless solver was wrapped: %T", e4.opt.Solver)
 	}
 }

@@ -208,8 +208,8 @@ func (c *CSR) appendSlot(g *Graph, v Vertex) {
 }
 
 // RebuildCSRInto is ToCSRInto with the journal-driven patch bypassed:
-// it always performs the full rebuild. The engine's WithFullRefresh
-// escape hatch and the patch-equivalence tests use it as the oracle.
+// it always performs the full rebuild. The engine's Options.FullRefresh
+// reference path and the patch-equivalence tests use it as the oracle.
 func (g *Graph) RebuildCSRInto(c *CSR) *CSR { return g.buildCSR(c) }
 
 // buildCSR is the full rebuild: every slot re-packed in vertex order

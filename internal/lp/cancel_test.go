@@ -3,6 +3,9 @@ package lp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cancel"
@@ -33,12 +36,20 @@ func TestSolveCanceled(t *testing.T) {
 	}
 }
 
-// TestRegistryRoundTrip: built-ins resolve by name (and by the empty
-// default), unknowns fail with a listing. Rejected registrations —
+// TestRegistryRoundTrip: the built-in set is exactly the default, the
+// warm-started production solver and the dense oracle; built-ins resolve
+// by name (and by the empty default), unknowns — the retired solver
+// names included — fail with a listing. Rejected registrations —
 // including MustRegister's panic contract — are covered by the table in
 // TestRegisterRejections (registry_test.go).
 func TestRegistryRoundTrip(t *testing.T) {
-	for _, name := range []string{"dense", "bounded", "revised", "dual-warm", ""} {
+	// Other tests leave throwaway "test-…" registrations behind (the
+	// registry has no unregister); everything else is a built-in.
+	builtins := slices.DeleteFunc(Names(), func(n string) bool { return strings.HasPrefix(n, "test-") })
+	if want := []string{"bounded", "dense", "dual-warm"}; !slices.Equal(builtins, want) {
+		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
+	}
+	for _, name := range []string{"dense", "bounded", "dual-warm", ""} {
 		s, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
@@ -51,10 +62,16 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Name() != DefaultSolverName {
-		t.Fatalf("default solver is %q, want %q", def.Name(), DefaultSolverName)
+	if def.Name() != DefaultSolverName || Default() != def {
+		t.Fatalf("default solver is %q (Default() %q), want %q", def.Name(), Default().Name(), DefaultSolverName)
 	}
-	if _, err := Lookup("no-such-solver"); err == nil {
-		t.Fatal("unknown name must error")
+	for _, name := range []string{"no-such-solver", "mwu", "revised"} {
+		_, err := Lookup(name)
+		if err == nil {
+			t.Fatalf("%q must not resolve", name)
+		}
+		if listing := fmt.Sprint(Names()); !strings.Contains(err.Error(), listing) {
+			t.Fatalf("%q: error %q does not list the registered names %s", name, err, listing)
+		}
 	}
 }

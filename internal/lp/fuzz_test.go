@@ -9,11 +9,12 @@ import (
 
 // FuzzSolverAgreement feeds randomized small LPs (decoded from raw bytes)
 // to every solver in the registry — not a hard-coded list, so new
-// registrations are covered automatically — and checks they agree on
-// status and optimum, and that reported optima are feasible. The
-// "dual-warm" solver is additionally run twice back-to-back through one
-// session on a same-structure perturbed problem, proving warm-start
-// resumption from a retained basis agrees with cold solves.
+// registrations are covered automatically — and checks they agree with
+// the "dense" oracle on status and optimum, and that reported optima are
+// feasible. The "dual-warm" solver is additionally run twice
+// back-to-back through one session on a same-structure perturbed
+// problem, proving warm-start resumption from a retained basis agrees
+// with cold solves.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 200, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{3, 2, 0, 0, 9, 9, 9, 1, 1, 1, 0, 0, 0, 5})
@@ -44,29 +45,13 @@ func FuzzSolverAgreement(f *testing.F) {
 				t.Fatalf("%s: objective %g, want %g", label, sol.Objective, ref.Objective)
 			}
 		}
-		// Approximate solvers promise status agreement but only a bounded
-		// suboptimality window around the exact optimum: one-sided (an
-		// Optimal answer cannot beat the true optimum) plus a (1+acc)
-		// factor in the solver's sense.
-		agreeApprox := func(label string, sol, ref *Solution, acc float64) {
-			if sol.Status != ref.Status {
-				t.Fatalf("%s: status %v, want %v", label, sol.Status, ref.Status)
-			}
-			if ref.Status != Optimal {
-				return
-			}
-			tol := 1e-5 * (1 + math.Abs(ref.Objective))
-			lo, hi := ref.Objective-tol, ref.Objective+acc*math.Abs(ref.Objective)+tol
-			if p.Sense == Maximize {
-				lo, hi = ref.Objective-acc*math.Abs(ref.Objective)-tol, ref.Objective+tol
-			}
-			if sol.Objective < lo || sol.Objective > hi {
-				t.Fatalf("%s: objective %g outside [%g, %g] (exact %g, acc %g)",
-					label, sol.Objective, lo, hi, ref.Objective, acc)
-			}
+		// dense — the paper's tableau simplex, sharing no pivoting code
+		// with the bounded-variable solvers — is the oracle every
+		// registered solver is held to.
+		ref := solve("dense/oracle", Dense{}, p)
+		if ref.Status == IterLimit {
+			return // bounded work budget exceeded; skip comparisons
 		}
-
-		var ref *Solution
 		for _, name := range Names() {
 			// Tests run before fuzz seed corpora and may leave throwaway
 			// "test-…" registrations behind (the registry has no
@@ -83,13 +68,7 @@ func FuzzSolverAgreement(f *testing.F) {
 			if sol.Status == IterLimit {
 				return // bounded work budget exceeded; skip comparisons
 			}
-			if ref == nil {
-				ref = sol
-			} else if as, ok := s.(ApproximateSolver); ok {
-				agreeApprox(name, sol, ref, as.TargetAccuracy())
-			} else {
-				agree(name, sol, ref)
-			}
+			agree(name, sol, ref)
 		}
 
 		// Warm-start round trip: one dual-warm session solves p (cold,
@@ -172,131 +151,6 @@ func perturbLP(p *Problem, data []byte, costs bool) *Problem {
 		q.Cons[i].RHS = float64(int(next()%13) - 4)
 	}
 	return q
-}
-
-// FuzzMWUQualityBound feeds randomized balance/refine-shaped LPs — the
-// interval-node/±1-arc instances the pipeline's balance and refinement
-// phases emit — to the approximate "mwu" solver and pins its quality
-// contract against the exact dual-warm optimum: statuses agree exactly,
-// Optimal solutions are primal-feasible, native (certified) answers lie
-// within the solver's (1+eps) window, and fallback answers are exact.
-// Both the default accuracy and a tighter WithAccuracy(0.01) session are
-// exercised on every input.
-func FuzzMWUQualityBound(f *testing.F) {
-	f.Add([]byte{3, 4, 0, 1, 2, 0, 1, 3, 1, 2, 0, 2, 1, 1, 0, 3, 2, 1})
-	f.Add([]byte{2, 5, 1, 1, 4, 0, 1, 3, 1, 0, 2, 2, 0, 1, 1, 1, 2, 0, 4})
-	f.Add([]byte{4, 6, 0, 2, 1, 0, 1, 2, 3, 0, 0, 2, 1, 3, 2, 9, 9, 1, 0, 5, 2})
-	f.Add([]byte{1, 1, 1, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := decodeGraphLP(data)
-		if p == nil {
-			return
-		}
-		ref, err := Session(NewDualWarm()).Solve(context.Background(), p)
-		if err != nil {
-			t.Fatalf("dual-warm: %v", err)
-		}
-		if ref.Status == IterLimit {
-			return // bounded work budget exceeded; no reference optimum
-		}
-		for _, eps := range []float64{0, 0.01} { // 0 = solver default
-			ses, ok := Session(NewMWU(), WithAccuracy(eps)).(*MWU)
-			if !ok {
-				t.Fatalf("mwu session is %T, want *MWU", Session(NewMWU()))
-			}
-			sol, err := ses.Solve(context.Background(), p)
-			if err != nil {
-				t.Fatalf("mwu(eps=%g): %v", eps, err)
-			}
-			if sol.Status != ref.Status {
-				t.Fatalf("mwu(eps=%g): status %v, want %v", eps, sol.Status, ref.Status)
-			}
-			if ref.Status != Optimal {
-				continue
-			}
-			if err := CheckFeasible(p, sol.X, 1e-6); err != nil {
-				t.Fatalf("mwu(eps=%g): optimal but infeasible: %v", eps, err)
-			}
-			acc := ses.TargetAccuracy()
-			native, fallbacks := ses.Counts()
-			if native+fallbacks != 1 {
-				t.Fatalf("mwu(eps=%g): counts native=%d fallbacks=%d after one solve",
-					eps, native, fallbacks)
-			}
-			if fallbacks == 1 {
-				acc = 0 // the fallback path is exact
-			}
-			tol := 1e-5 * (1 + math.Abs(ref.Objective))
-			lo, hi := ref.Objective-tol, ref.Objective+acc*math.Abs(ref.Objective)+tol
-			if p.Sense == Maximize {
-				lo, hi = ref.Objective-acc*math.Abs(ref.Objective)-tol, ref.Objective+tol
-			}
-			if sol.Objective < lo || sol.Objective > hi {
-				t.Fatalf("mwu(eps=%g, fallbacks=%d): objective %g outside [%g, %g] (exact %g)",
-					eps, fallbacks, sol.Objective, lo, hi, ref.Objective)
-			}
-		}
-	})
-}
-
-// decodeGraphLP deterministically builds a balance/refine-shaped LP from
-// fuzz bytes: a uniform non-negative objective over integral-bounded arc
-// variables, and per-node rows whose terms are ±1 arc incidences — EQ
-// rows (the refine phase's shape), LE rows, and adjacent GE/LE pairs
-// sharing one term slice (the balance phase's interval shape). Some arcs
-// deliberately dangle (missing endpoints) and some inputs produce
-// degenerate or contradictory rows, so the instances cover the native
-// MWU path, both exact fast paths and the fallback detector. Returns nil
-// when there is not enough entropy.
-func decodeGraphLP(data []byte) *Problem {
-	if len(data) < 6 {
-		return nil
-	}
-	next := func() int {
-		if len(data) == 0 {
-			return 1
-		}
-		v := int(data[0])
-		data = data[1:]
-		return v
-	}
-	nodes := 1 + next()%4
-	narcs := 1 + next()%6
-	sense := Minimize
-	if next()%2 == 1 {
-		sense = Maximize
-	}
-	gamma := float64(next() % 3) // uniform objective coefficient ≥ 0
-	p := NewProblem(sense, narcs)
-	rows := make([][]Term, nodes)
-	for a := 0; a < narcs; a++ {
-		p.SetObjective(a, gamma)
-		p.SetUpper(a, float64(next()%5)) // integral, finite
-		tl := next() % (nodes + 1)       // nodes = dangling endpoint
-		hd := next() % (nodes + 1)
-		if tl < nodes {
-			rows[tl] = append(rows[tl], Term{Var: a, Coef: 1})
-		}
-		if hd < nodes && hd != tl {
-			rows[hd] = append(rows[hd], Term{Var: a, Coef: -1})
-		}
-	}
-	for g := 0; g < nodes; g++ {
-		if len(rows[g]) == 0 {
-			continue
-		}
-		switch next() % 3 {
-		case 0: // refine shape: conservation-style equality
-			p.AddConstraint(rows[g], EQ, float64(next()%4-1))
-		case 1:
-			p.AddConstraint(rows[g], LE, float64(next()%4))
-		default: // balance shape: GE/LE interval pair on one term slice
-			lo := float64(next()%3 - 1)
-			p.AddConstraint(rows[g], GE, lo)
-			p.AddConstraint(rows[g], LE, lo+float64(next()%3))
-		}
-	}
-	return p
 }
 
 // decodeLP deterministically builds a small LP from fuzz bytes, or nil if

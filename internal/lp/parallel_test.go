@@ -19,9 +19,6 @@ func forcePar(t testing.TB, s Solver, grp *par.Group, procs int) Solver {
 		ps.pp.minWork = 1
 	case *boundedSession:
 		ps.pp.minWork = 1
-	case *MWU:
-		ps.pp.minWork = 1
-		ps.inner.pp.minWork = 1
 	default:
 		t.Fatalf("unexpected session type %T", ses)
 	}
@@ -155,7 +152,7 @@ func TestSessionWithWorkers(t *testing.T) {
 		t.Fatal("WithWorkers leaked into the registered template")
 	}
 	// Stateless, non-parallel solver: option silently ignored.
-	if s := Session(Revised{}, WithWorkers(&grp, 4)); s != (Revised{}) {
+	if s := Session(Dense{}, WithWorkers(&grp, 4)); s != (Dense{}) {
 		t.Fatalf("stateless solver changed by WithWorkers: %T", s)
 	}
 }

@@ -1,22 +1,23 @@
 // Package lp implements the linear-programming layer of the incremental
-// partitioner: a small modeling API plus four simplex solvers.
+// partitioner: a small modeling API plus three simplex solvers, each
+// registered under a stable name (see registry.go).
 //
-//   - Dense: the classical two-phase dense-tableau simplex. This is the
+//   - Bounded ("bounded", the default): a bounded-variable simplex that
+//     keeps 0 ≤ x ≤ u implicit instead of materializing upper bounds as
+//     rows — the natural improvement for the paper's LPs, whose constraint
+//     count is dominated by bounds. It is also DualWarm's delegate for
+//     problems with no dual-feasible start.
+//   - DualWarm ("dual-warm"): a warm-started bounded-variable dual simplex
+//     that retains the optimal basis of each LP structure it solves and
+//     resumes from it when a later problem differs only in RHS, bounds or
+//     costs — the incremental shape of the pipeline's successive balance
+//     stages and refinement rounds.
+//   - Dense ("dense"): the classical two-phase dense-tableau simplex, the
 //     solver the paper uses ("We have used a dense version of simplex
-//     algorithm").
-//   - Bounded: a bounded-variable simplex that keeps 0 ≤ x ≤ u implicit
-//     instead of materializing upper bounds as rows — the natural
-//     improvement for the paper's LPs, whose constraint count is dominated
-//     by bounds.
-//   - Revised: a sparse revised simplex with an explicit basis inverse,
-//     realizing the paper's observation that "the matrix is highly sparse
-//     [and] this cost can be substantially reduced by using a sparse
-//     representation".
-//   - DualWarm: a warm-started bounded-variable dual simplex that retains
-//     the optimal basis of each LP structure it solves and resumes from it
-//     when a later problem differs only in RHS, bounds or costs — the
-//     incremental shape of the pipeline's successive balance stages and
-//     refinement rounds.
+//     algorithm"). It is 3–4× slower than Bounded on every measured row
+//     and stays as the oracle: it materializes bounds as rows and shares
+//     no pivoting code with the other two, so FuzzSolverAgreement holds
+//     every registered solver to it.
 //
 // All solvers return basic optimal solutions; on the network-flow-shaped
 // problems built by the balance and refine phases those are integral by

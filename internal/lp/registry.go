@@ -21,9 +21,17 @@ const DefaultSolverName = "bounded"
 func init() {
 	MustRegister("dense", Dense{})
 	MustRegister("bounded", Bounded{})
-	MustRegister("revised", Revised{})
 	MustRegister("dual-warm", NewDualWarm())
-	MustRegister("mwu", NewMWU())
+}
+
+// Default returns the registered default solver ([DefaultSolverName]):
+// the one fallback every nil-solver call site resolves through.
+func Default() Solver {
+	s, err := Lookup(DefaultSolverName)
+	if err != nil {
+		panic(err) // unreachable: the default is registered in init
+	}
+	return s
 }
 
 // SessionSolver is implemented by stateful solvers whose state should

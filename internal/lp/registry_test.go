@@ -110,7 +110,7 @@ func TestRegistryConcurrentLookupDuringRegister(t *testing.T) {
 					t.Errorf("Lookup: %v", err)
 					return
 				}
-				if names := Names(); len(names) < 4 {
+				if names := Names(); len(names) < 3 {
 					t.Errorf("Names() lost entries: %v", names)
 					return
 				}

@@ -424,7 +424,7 @@ func (o Options) StrictAfterRounds() int {
 // ResolveSolver returns Solver with the default applied.
 func (o Options) ResolveSolver() lp.Solver {
 	if o.Solver == nil {
-		return lp.Bounded{}
+		return lp.Default()
 	}
 	return o.Solver
 }

@@ -140,7 +140,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 }
 
 func TestRefineSolverChoiceEquivalent(t *testing.T) {
-	for _, s := range []lp.Solver{lp.Dense{}, lp.Bounded{}, lp.Revised{}} {
+	for _, s := range []lp.Solver{lp.Dense{}, lp.Bounded{}, lp.NewDualWarm()} {
 		g, a := jaggedStripes()
 		_, err := Refine(g, a, Options{Solver: s})
 		if err != nil {

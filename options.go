@@ -51,8 +51,6 @@ type config struct {
 	tolerance    int
 	batches      int
 	parallelism  int
-	accuracy     float64
-	fullRefresh  bool
 	observer     func(Event)
 	multilevel   engine.MultilevelOptions
 }
@@ -76,11 +74,7 @@ func buildConfig(opts []Option) (*config, error) {
 		}
 	}
 	if cfg.solver == nil {
-		s, err := lp.Lookup("")
-		if err != nil {
-			return nil, err
-		}
-		cfg.solver = s
+		cfg.solver = lp.Default()
 	}
 	return cfg, nil
 }
@@ -107,9 +101,8 @@ func WithRefineRounds(n int) Option {
 }
 
 // WithSolver selects the LP solver by registry name: "bounded" (the
-// default), "dense", "revised", "dual-warm", "mwu", or anything added
-// via [RegisterSolver]. Unknown names fail at NewEngine/Repartition
-// time.
+// default), "dense", "dual-warm", or anything added via
+// [RegisterSolver]. Unknown names fail at NewEngine/Repartition time.
 //
 // "dual-warm" is the warm-started dual simplex: it retains the optimal
 // basis of each LP structure it solves and resumes from it when a later
@@ -128,24 +121,6 @@ func WithSolver(name string) Option {
 			return fmt.Errorf("igp: WithSolver: %w", err)
 		}
 		c.solver = s
-		return nil
-	}
-}
-
-// WithAccuracy sets the target accuracy eps > 0 for approximate LP
-// solvers: an Optimal objective is guaranteed within a (1+eps) factor of
-// the true optimum. It configures the "mwu" multiplicative-weight solver
-// (see [WithSolver]); the exact simplex solvers ignore it. The default —
-// also used when WithAccuracy is not given — is 0.05. Looser targets
-// close the solver's quality bracket in fewer iterations; tighter ones
-// push more solves onto the exact fallback path (counted by
-// [Stats.MWUFallbacks]).
-func WithAccuracy(eps float64) Option {
-	return func(c *config) error {
-		if eps <= 0 {
-			return fmt.Errorf("igp: WithAccuracy(%g): accuracy target must be > 0", eps)
-		}
-		c.accuracy = eps
 		return nil
 	}
 }
@@ -220,24 +195,6 @@ func WithParallelism(n int) Option {
 			return fmt.Errorf("igp: WithParallelism(%d): workers must be ≥ 1", n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithFullRefresh disables every delta shortcut in the engine's
-// derived-state pipeline: CSR snapshots are fully rebuilt instead of
-// patched from the graph's edit journal, the partition-boundary set is
-// rebuilt from scratch on every sync, cutset statistics come from a full
-// arc rescan, and phase 1 runs the one-shot flood-fill assignment
-// instead of the touched-set-seeded form. Results are bit-identical
-// either way — the incremental paths are fuzz-verified against these
-// full recomputations — so the option exists as an escape hatch and a
-// divergence-debugging lever, at the cost of making every call pay
-// O(n+m) regardless of how little changed. [Stats.CSRPatched] and
-// [Stats.CutIncremental] report zero under it.
-func WithFullRefresh() Option {
-	return func(c *config) error {
-		c.fullRefresh = true
 		return nil
 	}
 }
@@ -332,26 +289,6 @@ func CoarsenSeed(seed int64) MultilevelOption {
 	}
 }
 
-// WithOptions merges a legacy [Options] struct into the functional-option
-// world, with the legacy defaulting rules (zero values mean defaults,
-// non-positive caps fall back rather than erroring). New code should use
-// the individual With* options, which validate eagerly.
-func WithOptions(opt Options) Option {
-	return func(c *config) error {
-		s, err := lp.Lookup(string(opt.Solver))
-		if err != nil {
-			return fmt.Errorf("igp: %w", err)
-		}
-		c.solver = s
-		c.refine = opt.Refine
-		c.epsilonMax = opt.EpsilonMax
-		c.maxStages = opt.MaxStages
-		c.refineRounds = opt.RefineRounds
-		c.tolerance = opt.Tolerance
-		return nil
-	}
-}
-
 // coreOptions assembles the internal engine configuration.
 func (c *config) coreOptions() core.Options {
 	return core.Options{
@@ -361,8 +298,6 @@ func (c *config) coreOptions() core.Options {
 		Tolerance:   c.tolerance,
 		Refine:      c.refine,
 		Parallelism: c.parallelism,
-		Accuracy:    c.accuracy,
-		FullRefresh: c.fullRefresh,
 		Multilevel:  c.multilevel,
 		RefineOptions: refine.Options{
 			MaxRounds: c.refineRounds,
@@ -380,37 +315,4 @@ func (c *config) parallelOptions() parallel.Options {
 		Refine:       c.refine,
 		RefineRounds: c.refineRounds,
 	}
-}
-
-// SolverName selects a simplex implementation in the legacy [Options]
-// struct. See [WithSolver] for the functional form.
-type SolverName string
-
-// Available built-in simplex implementations.
-const (
-	SolverDense   SolverName = "dense"   // the paper's dense tableau
-	SolverBounded SolverName = "bounded" // implicit variable bounds (default)
-	SolverRevised SolverName = "revised" // sparse revised simplex
-)
-
-// Options is the legacy flat configuration struct.
-//
-// Deprecated: Use functional options ([WithRefine], [WithSolver],
-// [WithTolerance], …) with [Repartition] or [NewEngine]; bridge existing
-// structs with [WithOptions].
-type Options struct {
-	// Refine enables the cut-refinement phase (the paper's IGPR).
-	Refine bool
-	// Solver picks the simplex implementation (default bounded).
-	Solver SolverName
-	// EpsilonMax bounds the balance relaxation factor ε (default 8).
-	EpsilonMax float64
-	// MaxStages caps multi-stage balancing (default 16).
-	MaxStages int
-	// RefineRounds caps refinement LP rounds (default 8).
-	RefineRounds int
-	// Tolerance allows partition sizes to deviate from their ideal targets
-	// by up to this many vertices (default 0 = the paper's exact balance).
-	// Positive values trade residual imbalance for less vertex movement.
-	Tolerance int
 }

@@ -67,8 +67,7 @@ func runCore(ctx context.Context, g *Graph, a *Assignment, cfg *config) (*core.S
 // an unchanged region is never traversed, and reuses all phase scratch
 // memory — so a warm Repartition after a small edit costs work
 // proportional to the changed region and performs near-zero heap
-// allocation. [WithFullRefresh] disables the delta shortcuts
-// (bit-identical results, full-recomputation cost).
+// allocation.
 //
 // Typical use mirrors an adaptive-mesh application's loop:
 //

@@ -63,7 +63,7 @@ echo "$phases"
 # counts side by side. The bounded row reuses the record measured above.
 echo "== per-solver phase timings =="
 solver_rows="$phases"
-for s in dense revised dual-warm mwu; do
+for s in dense dual-warm; do
     row="$(go run ./cmd/igpbench -table phases -solver "$s")"
     echo "$row"
     solver_rows="$solver_rows,
@@ -106,16 +106,17 @@ while IFS= read -r row; do
 done < <(go run ./cmd/igpbench -table lp-procs)
 
 # Per-solver comparison table: the same IGPR workload once per
-# registered solver — wall clock, LP iteration totals, cut quality and
-# the approximate "mwu" solver's exact-fallback count side by side.
+# registered solver — wall clock, LP iteration totals and cut quality
+# side by side.
 echo "== solver comparison (igpbench -table solvers) =="
 solver_cmp="$(go run ./cmd/igpbench -table solvers -json)"
 echo "$solver_cmp"
 
 # Incremental-edit workload: warm k-edit Repartition cost vs delta size
-# on both mesh families, against the WithFullRefresh full-recomputation
-# baseline — the evidence that the journal-driven delta pipeline makes
-# warm refresh cost scale with the edit, not with n+m.
+# on both mesh families, against the Options.FullRefresh
+# full-recomputation baseline — the evidence that the journal-driven
+# delta pipeline makes warm refresh cost scale with the edit, not with
+# n+m.
 echo "== incremental-edit workload (igpbench -table incremental) =="
 incr="$(go run ./cmd/igpbench -table incremental -json)"
 echo "$incr"

@@ -92,19 +92,12 @@ type Stats struct {
 	// and for LPs too small to be worth sharding; solutions are
 	// bit-identical either way.
 	LPParallel int
-	// MWUFallbacks counts LP solves during this call that the
-	// approximate "mwu" solver handed to its exact fallback because the
-	// instance was not graph-shaped or its quality bracket did not close
-	// within the iteration budget (see [WithAccuracy]). It is zero for
-	// the exact solvers.
-	MWUFallbacks int
 	// CSRPatched counts snapshot refreshes during this call served by
 	// the journal-driven partial CSR patch (only the touched rows
 	// rewritten) rather than a full O(n+m) rebuild. On a warm [Engine]
 	// absorbing small edits it equals the number of refreshes; it is
-	// zero on the first call, after journal overflow, when churn or a
-	// slot overflow forced a compacting rebuild, or under
-	// [WithFullRefresh].
+	// zero on the first call, after journal overflow, and when churn or
+	// a slot overflow forced a compacting rebuild.
 	CSRPatched int
 	// Levels reports the [WithMultilevel] hierarchy bottom-up: sizes,
 	// repair-vs-rebuild outcome and timings of each coarse level. It is
@@ -129,8 +122,7 @@ type Stats struct {
 	// incrementally from the maintained partition-boundary set (cost
 	// proportional to the boundary, bit-identical to the full rescan)
 	// instead of scanning every arc. It covers the CutBefore/CutAfter
-	// reports and every refinement round's cut poll; it is zero under
-	// [WithFullRefresh].
+	// reports and every refinement round's cut poll.
 	CutIncremental int
 }
 
@@ -177,7 +169,6 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		Parallelism:       st.Parallelism,
 		WorkerBusy:        busy,
 		LPParallel:        st.LPParallel,
-		MWUFallbacks:      st.MWUFallbacks,
 		CSRPatched:        st.CSRPatched,
 		CutIncremental:    st.CutIncremental,
 		CutBefore:         st.CutBefore,
