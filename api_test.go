@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lp"
+	"repro/internal/partition"
 )
 
 // grownMesh builds a mesh with a localized burst of growth severe enough
@@ -554,5 +555,90 @@ func TestPublicStatsClone(t *testing.T) {
 	}
 	if fmt.Sprint(clone.CutAfter.PerPart) != fmt.Sprint(perPart) {
 		t.Fatal("clone PerPart overwritten by the next call")
+	}
+}
+
+// TestLPDelegated: under default options the "network" solver pivots
+// every LP the pipeline emits on the tree — flat with and without
+// refinement, and the V-cycle's coarsest solve plus fine polish — so
+// Stats.LPDelegated reads 0 while LPs are being solved. A balance
+// tolerance pairs every row into GE/LE, which is not a flow: those solves
+// go to the tableau delegate, are counted per call, and still deliver a
+// valid assignment within the tolerance.
+func TestLPDelegated(t *testing.T) {
+	ctx := context.Background()
+	grow := func(g *Graph, n int) {
+		prev := Vertex(0)
+		for i := 0; i < n; i++ {
+			v := g.AddVertex(1)
+			if err := g.AddEdge(v, prev, 1); err != nil {
+				t.Fatal(err)
+			}
+			prev = v
+		}
+	}
+	for name, opts := range map[string][]Option{
+		"flat":              nil,
+		"flat+refine":       {WithRefine()},
+		"multilevel":        {WithMultilevel()},
+		"multilevel+refine": {WithMultilevel(), WithRefine()},
+	} {
+		for _, p := range []int{4, 32} {
+			g, a := grownMesh(t, 900, p, 60, 5)
+			eng, err := NewEngine(g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pivots := 0
+			for call := 0; call < 4; call++ {
+				st, err := eng.Repartition(ctx, a)
+				if err != nil {
+					t.Fatalf("%s P=%d call %d: %v", name, p, call, err)
+				}
+				if st.LPDelegated != 0 {
+					t.Fatalf("%s P=%d call %d: %d LP solves left the network path", name, p, call, st.LPDelegated)
+				}
+				pivots += st.LPIterations
+				grow(g, 25)
+			}
+			if pivots == 0 {
+				t.Fatalf("%s P=%d: no LP pivoted; the check is vacuous", name, p)
+			}
+			eng.Close()
+		}
+	}
+
+	const tol = 2
+	g, a := grownMesh(t, 900, 8, 60, 5)
+	eng, err := NewEngine(g, WithTolerance(tol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	st, err := eng.Repartition(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LPDelegated == 0 || st.LPDelegated < st.Stages {
+		t.Fatalf("tolerance LPs: LPDelegated = %d over %d stages, want every solve counted", st.LPDelegated, st.Stages)
+	}
+	if err := a.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	targets := partition.Targets(g.NumVertices(), a.P)
+	for q, size := range a.Sizes(g) {
+		if d := size - targets[q]; d < -tol || d > tol {
+			t.Fatalf("partition %d has %d vertices, target %d ± %d", q, size, targets[q], tol)
+		}
+	}
+	// The count is a per-call delta in the reused arena: a call with
+	// nothing to balance solves no LP and reads 0, and a clone keeps the
+	// first call's value.
+	clone := st.Clone()
+	if st, err = eng.Repartition(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if st.LPDelegated != 0 || clone.LPDelegated == 0 {
+		t.Fatalf("LPDelegated is not a per-call delta: second call %d, clone of the first %d", st.LPDelegated, clone.LPDelegated)
 	}
 }

@@ -291,12 +291,14 @@ func printPhases(seed int64, p int, solver string, procs int) error {
 }
 
 // printLPProcs is the lp-procs table: the first mesh-B refinement at
-// P=128 — big enough that the balance/refine LPs clear the simplex
+// P=128 — big enough that the balance/refine LPs clear the tableau
 // kernels' sharding threshold — once per worker count, each emitted as
 // a phaseRecord row. bench.sh folds the rows into
 // phase_timings_by_procs, making the balance/refine wall clock versus
-// worker count (and the lp_parallel counter proving the kernels forked)
-// part of the BENCH trajectory.
+// worker count part of the BENCH trajectory. lp_parallel counts the
+// solves whose tableau kernels forked: 0 under the default "network"
+// solver (tree pivots are sequential), nonzero with -solver bounded or
+// dual-warm.
 func printLPProcs(seed int64, solver string) error {
 	seq, err := mesh.PaperSequenceB(seed)
 	if err != nil {

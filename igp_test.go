@@ -57,14 +57,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPISolverNames pins the built-in set to the default, the
-// warm-started production solver and the dense oracle: every one
-// constructs, and anything else — the retired names included — is an
+// TestPublicAPISolverNames pins the built-in set to the network default,
+// its tableau delegate, the warm-started dual simplex and the dense
+// oracle: every one constructs, and anything else — the retired names included — is an
 // eager error that lists what is registered.
 func TestPublicAPISolverNames(t *testing.T) {
 	// Tests in this package register "test-…" names; the rest are built in.
 	builtins := slices.DeleteFunc(SolverNames(), func(n string) bool { return strings.HasPrefix(n, "test-") })
-	if want := []string{"bounded", "dense", "dual-warm"}; !slices.Equal(builtins, want) {
+	if want := []string{"bounded", "dense", "dual-warm", "network"}; !slices.Equal(builtins, want) {
 		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
 	}
 	for _, name := range builtins {

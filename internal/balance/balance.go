@@ -101,7 +101,7 @@ type Arena struct {
 	pairs [][2]int32
 	rhs   []int
 	terms []lp.Term
-	spans []int // (start, end) offsets into terms, two per constraint
+	off   []int // partition j's row is terms[off[j]:off[j+1]]
 	cons  []lp.Constraint
 }
 
@@ -140,23 +140,11 @@ func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, 
 		prob.Upper[v] = float64(delta[pr[0]][pr[1]])
 	}
 
-	// Constraint rows are appended into one flat term buffer; the Terms
-	// subslices are bound after the loop so buffer growth cannot leave a
-	// row pointing at a stale backing array.
-	ar.terms = ar.terms[:0]
+	ar.terms, ar.off = fillRows(ar.terms, ar.off, pairs, p)
 	ar.cons = ar.cons[:0]
-	ar.spans = ar.spans[:0]
 	for j := 0; j < p; j++ {
-		start := len(ar.terms)
-		for v, pr := range pairs {
-			if int(pr[0]) == j {
-				ar.terms = append(ar.terms, lp.Term{Var: v, Coef: 1})
-			}
-			if int(pr[1]) == j {
-				ar.terms = append(ar.terms, lp.Term{Var: v, Coef: -1})
-			}
-		}
-		if len(ar.terms) == start {
+		terms := ar.terms[ar.off[j]:ar.off[j+1]]
+		if len(terms) == 0 {
 			if rhs[j] == 0 || abs(rhs[j]) <= slack {
 				continue
 			}
@@ -166,21 +154,52 @@ func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, 
 			// then relax or re-stage).
 		}
 		if slack == 0 {
-			ar.cons = append(ar.cons, lp.Constraint{Rel: lp.EQ, RHS: float64(rhs[j])})
-			ar.spans = append(ar.spans, start, len(ar.terms))
+			ar.cons = append(ar.cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: float64(rhs[j])})
 		} else {
-			ar.cons = append(ar.cons, lp.Constraint{Rel: lp.GE, RHS: float64(rhs[j] - slack)})
-			ar.spans = append(ar.spans, start, len(ar.terms))
-			ar.cons = append(ar.cons, lp.Constraint{Rel: lp.LE, RHS: float64(rhs[j] + slack)})
-			ar.spans = append(ar.spans, start, len(ar.terms))
+			ar.cons = append(ar.cons,
+				lp.Constraint{Terms: terms, Rel: lp.GE, RHS: float64(rhs[j] - slack)},
+				lp.Constraint{Terms: terms, Rel: lp.LE, RHS: float64(rhs[j] + slack)})
 		}
-	}
-	for k := range ar.cons {
-		ar.cons[k].Terms = ar.terms[ar.spans[2*k]:ar.spans[2*k+1]]
 	}
 	prob.Cons = ar.cons
 	ar.model = Model{Prob: prob, Pairs: pairs, RHS: rhs}
 	return &ar.model, nil
+}
+
+// fillRows writes the flow-conservation rows of the pair variables into
+// terms — +1 on the row of a pair's source partition, −1 on its target's —
+// and returns the buffer with the row offsets: partition j's row is
+// terms[off[j]:off[j+1]]. Two counting passes over the pairs, O(pairs + p):
+// the first sizes every row, the second writes the terms in variable
+// order, so each row lists its variables ascending.
+func fillRows(terms []lp.Term, off []int, pairs [][2]int32, p int) ([]lp.Term, []int) {
+	if cap(terms) < 2*len(pairs) {
+		terms = make([]lp.Term, 2*len(pairs))
+	}
+	terms = terms[:2*len(pairs)]
+	if cap(off) < p+2 {
+		off = make([]int, p+2)
+	}
+	off = off[:p+2]
+	for j := range off {
+		off[j] = 0
+	}
+	// off[j+2] counts row j, the running sum turns off[j+1] into its start,
+	// and filling advances off[j+1] to its end — the start of row j+1.
+	for _, pr := range pairs {
+		off[pr[0]+2]++
+		off[pr[1]+2]++
+	}
+	for j := 2; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	for v, pr := range pairs {
+		terms[off[pr[0]+1]] = lp.Term{Var: v, Coef: 1}
+		off[pr[0]+1]++
+		terms[off[pr[1]+1]] = lp.Term{Var: v, Coef: -1}
+		off[pr[1]+1]++
+	}
+	return terms, off
 }
 
 // Formulate builds the balance LP for the given layering δ, partition

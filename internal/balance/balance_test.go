@@ -455,3 +455,89 @@ func TestArenaFormulateSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state arena formulation allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// rescanRows is the formulation's old row construction, kept as the
+// reference the counting fill is held to: every partition's row is built
+// by rescanning all pairs, O(P·pairs).
+func rescanRows(pairs [][2]int32, rhs []int, slack int) []lp.Constraint {
+	var cons []lp.Constraint
+	for j := range rhs {
+		var terms []lp.Term
+		for v, pr := range pairs {
+			if int(pr[0]) == j {
+				terms = append(terms, lp.Term{Var: v, Coef: 1})
+			}
+			if int(pr[1]) == j {
+				terms = append(terms, lp.Term{Var: v, Coef: -1})
+			}
+		}
+		if len(terms) == 0 && (rhs[j] == 0 || abs(rhs[j]) <= slack) {
+			continue
+		}
+		if slack == 0 {
+			cons = append(cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: float64(rhs[j])})
+		} else {
+			cons = append(cons,
+				lp.Constraint{Terms: terms, Rel: lp.GE, RHS: float64(rhs[j] - slack)},
+				lp.Constraint{Terms: terms, Rel: lp.LE, RHS: float64(rhs[j] + slack)})
+		}
+	}
+	return cons
+}
+
+// TestFormulateMatchesRescanReference: the O(pairs + P) counting fill
+// emits the identical rows — same order, same term order, the same
+// skipped empty rows and the same contradiction rows — as the per-row
+// rescan, over sparse random δ (so partitions no pair touches occur with
+// zero, within-slack and contradicting surpluses) through one reused arena.
+func TestFormulateMatchesRescanReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var ar Arena
+	contradictions, skipped := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		p := 2 + rng.Intn(9)
+		delta := make([][]int, p)
+		sizes, targets := make([]int, p), make([]int, p)
+		for i := range delta {
+			delta[i] = make([]int, p)
+			for j := range delta[i] {
+				if rng.Intn(4) == 0 {
+					delta[i][j] = rng.Intn(6) // the diagonal and zeros must be ignored
+				}
+			}
+			sizes[i], targets[i] = 10+rng.Intn(5), 12
+		}
+		eps, slack := float64(1+rng.Intn(3)), rng.Intn(3)
+		m, err := ar.FormulateTol(delta, sizes, targets, eps, slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rescanRows(m.Pairs, m.RHS, slack)
+		got := m.Prob.Cons
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d rows, reference has %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].Rel != want[k].Rel || got[k].RHS != want[k].RHS ||
+				len(got[k].Terms) != len(want[k].Terms) {
+				t.Fatalf("trial %d row %d: %+v, reference %+v", trial, k, got[k], want[k])
+			}
+			for i := range want[k].Terms {
+				if got[k].Terms[i] != want[k].Terms[i] {
+					t.Fatalf("trial %d row %d term %d: %+v, reference %+v", trial, k, i, got[k].Terms[i], want[k].Terms[i])
+				}
+			}
+			if len(want[k].Terms) == 0 {
+				contradictions++
+			}
+		}
+		rows := len(want)
+		if slack > 0 {
+			rows /= 2
+		}
+		skipped += p - rows
+	}
+	if contradictions == 0 || skipped == 0 {
+		t.Fatalf("generator never produced an empty row of each kind (%d contradictions, %d skipped)", contradictions, skipped)
+	}
+}

@@ -42,7 +42,7 @@ type Config struct {
 	P int
 	// Ranks is the simulated machine size (paper: 32).
 	Ranks int
-	// Solver is the sequential simplex used by IGP/IGPR (nil = bounded;
+	// Solver is the sequential simplex used by IGP/IGPR (nil = lp.Default();
 	// the paper's own is lp.Dense).
 	Solver lp.Solver
 	// Parallelism is the worker count for the engine's sharded kernels

@@ -195,6 +195,11 @@ type Stats struct {
 	// work threshold); zero on the sequential path and for LPs too small
 	// to be worth sharding. Results are bit-identical either way.
 	LPParallel int
+	// LPDelegated counts LP solves during this call that the solver
+	// handed to its tableau delegate because the problem was not a pure
+	// network flow (lp.Network's recognizer said no). Zero on the paper's
+	// exact-balance LPs; a balance tolerance (paired GE/LE rows) delegates.
+	LPDelegated int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
 	// scans, pool sorts); index w is worker w. Empty on the sequential
@@ -351,8 +356,8 @@ type Engine struct {
 	ml *coarsen.Hierarchy
 
 	// The engine's sessionized LP solvers (deduplicated): polled for
-	// Stats.LPParallel in Repartition.
-	lpSolvers []lp.ParallelSolver
+	// Stats.LPParallel and Stats.LPDelegated in Repartition.
+	lpSolvers []lp.Solver
 
 	// Worker pool for the sharded kernels (see parallel.go): one
 	// fork-join group shared with the layering and gains scratches so
@@ -402,13 +407,9 @@ func New(g *graph.Graph, opt Options) *Engine {
 		opt.RefineOptions.Solver = lp.Session(rs, workers)
 	}
 	e.opt = opt
-	if ps, ok := session.(lp.ParallelSolver); ok {
-		e.lpSolvers = append(e.lpSolvers, ps)
-	}
+	e.lpSolvers = append(e.lpSolvers, session)
 	if rs := opt.RefineOptions.Solver; !sameSolverInstance(rs, session) {
-		if ps, ok := rs.(lp.ParallelSolver); ok {
-			e.lpSolvers = append(e.lpSolvers, ps)
-		}
+		e.lpSolvers = append(e.lpSolvers, rs)
 	}
 	// The layering and gains scratches shard over the same worker count
 	// and run their regions on the engine's fork-join group, so
@@ -420,14 +421,19 @@ func New(g *graph.Graph, opt Options) *Engine {
 	return e
 }
 
-// lpParallel sums the forked-solve counters of the engine's LP sessions
-// (the lifetime totals; Repartition reports per-call deltas).
-func (e *Engine) lpParallel() int {
-	total := 0
-	for _, ps := range e.lpSolvers {
-		total += ps.ParallelSolves()
+// lpCounts sums the forked-solve and delegated-solve counters of the
+// engine's LP sessions (the lifetime totals; Repartition reports per-call
+// deltas). Sessions without a counter contribute nothing.
+func (e *Engine) lpCounts() (parallel, delegated int) {
+	for _, s := range e.lpSolvers {
+		if ps, ok := s.(lp.ParallelSolver); ok {
+			parallel += ps.ParallelSolves()
+		}
+		if ds, ok := s.(interface{ DelegatedSolves() int }); ok {
+			delegated += ds.DelegatedSolves()
+		}
 	}
-	return total
+	return parallel, delegated
 }
 
 // sameSolverInstance reports whether a and b are the very same solver
@@ -813,13 +819,14 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	opt := e.opt
 	e.group.Reset()
 	basePatched, baseCutInc := e.csrPatched, e.cutIncremental
-	baseLPPar := e.lpParallel()
+	baseLPPar, baseLPDel := e.lpCounts()
 	tStart := time.Now()
 	defer func() {
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
 		st.CutIncremental = e.cutIncremental - baseCutInc
-		st.LPParallel = e.lpParallel() - baseLPPar
+		lpPar, lpDel := e.lpCounts()
+		st.LPParallel, st.LPDelegated = lpPar-baseLPPar, lpDel-baseLPDel
 		for _, sg := range st.Stages {
 			st.LPIterations += sg.LPPivots
 		}

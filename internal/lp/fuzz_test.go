@@ -11,19 +11,29 @@ import (
 // to every solver in the registry — not a hard-coded list, so new
 // registrations are covered automatically — and checks they agree with
 // the "dense" oracle on status and optimum, and that reported optima are
-// feasible. The "dual-warm" solver is additionally run twice
+// feasible. Inputs whose first byte has the high bit set decode to
+// flow-shaped LPs (decodeFlowLP) — the ones the "network" solver pivots
+// on a tree instead of delegating — and there every optimum must also be
+// exactly integral. The "dual-warm" solver is additionally run twice
 // back-to-back through one session on a same-structure perturbed
 // problem, proving warm-start resumption from a retained basis agrees
-// with cold solves.
+// with cold solves, and one "network" session solves all three problems.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 200, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{3, 2, 0, 0, 9, 9, 9, 1, 1, 1, 0, 0, 0, 5})
 	f.Add([]byte{1, 1, 255, 0, 0})
+	// Flow-shaped: flag, shape, rows, arcs, then (tail, head[, cost], cap)
+	// per arc and an RHS byte per row.
+	f.Add([]byte{0x80, 0, 2, 3, 0, 1, 4, 1, 2, 3, 2, 0, 5, 0, 2, 0, 5, 1, 3})          // balance-shaped
+	f.Add([]byte{0x80, 1, 3, 5, 0, 1, 3, 1, 2, 2, 2, 3, 4, 3, 0, 1, 0, 2, 0, 2, 1, 5}) // refine-shaped
+	f.Add([]byte{0x80, 2, 1, 3, 1, 0, 2, 6, 3, 2, 1, 1, 5, 0, 0, 6, 2, 1, 0, 2, 4, 6}) // root arcs, free costs
+	f.Add([]byte{0x80, 0, 4, 0, 0, 1, 2, 5, 3, 3, 0, 1})                               // rows no arc touches
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
 		if p == nil {
 			return
 		}
+		flow := data[0]&0x80 != 0
 		solve := func(label string, s Solver, q *Problem) *Solution {
 			sol, err := s.Solve(context.Background(), q)
 			if err != nil {
@@ -32,6 +42,13 @@ func FuzzSolverAgreement(f *testing.F) {
 			if sol.Status == Optimal {
 				if err := CheckFeasible(q, sol.X, 1e-5); err != nil {
 					t.Fatalf("%s: optimal but infeasible: %v", label, err)
+				}
+				for v, x := range sol.X {
+					// Integer flow data: pivots on a totally unimodular
+					// matrix never leave the integers, roundoff included.
+					if flow && x != math.Trunc(x) {
+						t.Fatalf("%s: x[%d] = %v is not integral", label, v, x)
+					}
 				}
 			}
 			return sol
@@ -113,6 +130,19 @@ func FuzzSolverAgreement(f *testing.F) {
 		if costWarm.Status != IterLimit && refP3.Status != IterLimit {
 			agree("dual-warm/session-cost-perturbed vs bounded", costWarm, refP3)
 		}
+
+		// One network session over the same three problems: nothing but
+		// arenas may cross its solves, whichever path each one takes.
+		net := Session(Network{})
+		for _, c := range []struct {
+			label string
+			q     *Problem
+			ref   *Solution
+		}{{"first", p, ref}, {"perturbed", p2, refP2}, {"cost-perturbed", p3, refP3}} {
+			if sol := solve("network/session-"+c.label, net, c.q); sol.Status != IterLimit && c.ref.Status != IterLimit {
+				agree("network/session-"+c.label, sol, c.ref)
+			}
+		}
 	})
 }
 
@@ -154,7 +184,8 @@ func perturbLP(p *Problem, data []byte, costs bool) *Problem {
 }
 
 // decodeLP deterministically builds a small LP from fuzz bytes, or nil if
-// there is not enough entropy.
+// there is not enough entropy. A set high bit in the first byte selects
+// the flow-shaped decoding.
 func decodeLP(data []byte) *Problem {
 	if len(data) < 5 {
 		return nil
@@ -166,6 +197,10 @@ func decodeLP(data []byte) *Problem {
 		v := int(data[0])
 		data = data[1:]
 		return v
+	}
+	if data[0]&0x80 != 0 {
+		next() // the flag byte
+		return decodeFlowLP(next)
 	}
 	n := 1 + next()%4
 	m := next() % 4
@@ -191,6 +226,50 @@ func decodeLP(data []byte) *Problem {
 		}
 		rel := []Rel{LE, GE, EQ}[next()%3]
 		p.AddConstraint(terms, rel, float64(next()%13-4))
+	}
+	return p
+}
+
+// decodeFlowLP builds a node-arc incidence LP — EQ rows, one +1 and/or
+// one −1 per column, integer capacities, costs and RHS — in the three
+// shapes the pipeline and the recognizer care about: balance (minimize Σx),
+// refine (maximize Σx over a circulation) and free integer costs. Arcs
+// whose other end is index m touch a single row (a root arc); capacities
+// include 0; rows no arc touches keep their RHS, and supplies need not
+// sum to zero, so infeasible instances are common.
+func decodeFlowLP(next func() int) *Problem {
+	shape := next() % 3
+	m := 1 + next()%5
+	n := 1 + next()%8
+	sense := Minimize
+	if shape == 1 || (shape == 2 && next()%2 == 1) {
+		sense = Maximize
+	}
+	p := NewProblem(sense, n)
+	rows := make([][]Term, m)
+	for v := 0; v < n; v++ {
+		tail, head := next()%(m+1), next()%(m+1)
+		if tail == head {
+			head = (tail + 1) % (m + 1)
+		}
+		if tail < m {
+			rows[tail] = append(rows[tail], Term{Var: v, Coef: 1})
+		}
+		if head < m {
+			rows[head] = append(rows[head], Term{Var: v, Coef: -1})
+		}
+		p.SetObjective(v, 1)
+		if shape == 2 {
+			p.SetObjective(v, float64(next()%7-3))
+		}
+		p.SetUpper(v, float64(next()%6))
+	}
+	for i := 0; i < m; i++ {
+		rhs := 0
+		if shape != 1 {
+			rhs = next()%7 - 3
+		}
+		p.AddConstraint(rows[i], EQ, float64(rhs))
 	}
 	return p
 }

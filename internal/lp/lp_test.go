@@ -11,7 +11,7 @@ import (
 // shared DualWarm deliberately persists across trials so repeated
 // same-structure problems exercise its warm path against the same
 // oracles as the cold solvers.
-var allSolvers = []Solver{Dense{}, Bounded{}, NewDualWarm()}
+var allSolvers = []Solver{Dense{}, Bounded{}, NewDualWarm(), Network{}}
 
 func solveAll(t *testing.T, p *Problem) []*Solution {
 	t.Helper()

@@ -1,12 +1,17 @@
 // Package lp implements the linear-programming layer of the incremental
-// partitioner: a small modeling API plus three simplex solvers, each
+// partitioner: a small modeling API plus four simplex solvers, each
 // registered under a stable name (see registry.go).
 //
-//   - Bounded ("bounded", the default): a bounded-variable simplex that
-//     keeps 0 ≤ x ≤ u implicit instead of materializing upper bounds as
-//     rows — the natural improvement for the paper's LPs, whose constraint
-//     count is dominated by bounds. It is also DualWarm's delegate for
-//     problems with no dual-feasible start.
+//   - Network ("network", the default): a bounded-variable network
+//     simplex. The balance and refine LPs are min-cost flows on the
+//     partition quotient graph; it recognizes that shape from the Problem
+//     and pivots on a spanning tree instead of a tableau. Anything that is
+//     not a flow goes to its private Bounded delegate.
+//   - Bounded ("bounded"): a bounded-variable tableau simplex that keeps
+//     0 ≤ x ≤ u implicit instead of materializing upper bounds as rows. It
+//     is the general-LP path: Network's delegate for problems that are not
+//     flows (a balance tolerance's GE/LE row pairs, for one) and
+//     DualWarm's for problems with no dual-feasible start.
 //   - DualWarm ("dual-warm"): a warm-started bounded-variable dual simplex
 //     that retains the optimal basis of each LP structure it solves and
 //     resumes from it when a later problem differs only in RHS, bounds or
@@ -14,10 +19,10 @@
 //     stages and refinement rounds.
 //   - Dense ("dense"): the classical two-phase dense-tableau simplex, the
 //     solver the paper uses ("We have used a dense version of simplex
-//     algorithm"). It is 3–4× slower than Bounded on every measured row
-//     and stays as the oracle: it materializes bounds as rows and shares
-//     no pivoting code with the other two, so FuzzSolverAgreement holds
-//     every registered solver to it.
+//     algorithm"). It is the slowest on every measured row and stays as
+//     the oracle: it materializes bounds as rows and shares no pivoting
+//     code with the others, so FuzzSolverAgreement holds every registered
+//     solver to it.
 //
 // All solvers return basic optimal solutions; on the network-flow-shaped
 // problems built by the balance and refine phases those are integral by

@@ -16,12 +16,13 @@ var (
 )
 
 // DefaultSolverName is the solver used when no name is given.
-const DefaultSolverName = "bounded"
+const DefaultSolverName = "network"
 
 func init() {
 	MustRegister("dense", Dense{})
 	MustRegister("bounded", Bounded{})
 	MustRegister("dual-warm", NewDualWarm())
+	MustRegister("network", Network{})
 }
 
 // Default returns the registered default solver ([DefaultSolverName]):
@@ -37,8 +38,9 @@ func Default() Solver {
 // SessionSolver is implemented by stateful solvers whose state should
 // be scoped to one solve stream — e.g. [DualWarm], whose basis cache is
 // only useful (and only contention-free) when it serves a single
-// sequence of related problems. NewSession returns a fresh instance
-// with the same configuration and empty state.
+// sequence of related problems, or [Network] and [Bounded], whose
+// sessions reuse their arenas. NewSession returns a fresh instance with
+// the same configuration and empty state.
 type SessionSolver interface {
 	Solver
 	// NewSession forks a private instance for one solve stream.

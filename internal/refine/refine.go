@@ -283,7 +283,7 @@ type LPArena struct {
 	prob  lp.Problem
 	pairs [][2]int32
 	terms []lp.Term
-	spans []int // (start, end) offsets into terms, two per constraint
+	off   []int // partition j's row is terms[off[j]:off[j+1]]
 	cons  []lp.Constraint
 }
 
@@ -310,31 +310,51 @@ func (ar *LPArena) Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 		prob.Obj[v] = 1
 		prob.Upper[v] = float64(c.B[pr[0]][pr[1]])
 	}
-	// Terms are appended into one flat buffer and the rows bound after
-	// the loop, so buffer growth cannot strand a row on old backing.
-	ar.terms = ar.terms[:0]
+	ar.terms, ar.off = fillRows(ar.terms, ar.off, pairs, c.P)
 	ar.cons = ar.cons[:0]
-	ar.spans = ar.spans[:0]
 	for j := 0; j < c.P; j++ {
-		start := len(ar.terms)
-		for v, pr := range pairs {
-			if int(pr[0]) == j {
-				ar.terms = append(ar.terms, lp.Term{Var: v, Coef: 1})
-			}
-			if int(pr[1]) == j {
-				ar.terms = append(ar.terms, lp.Term{Var: v, Coef: -1})
-			}
+		if terms := ar.terms[ar.off[j]:ar.off[j+1]]; len(terms) > 0 {
+			ar.cons = append(ar.cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: 0})
 		}
-		if len(ar.terms) > start {
-			ar.cons = append(ar.cons, lp.Constraint{Rel: lp.EQ, RHS: 0})
-			ar.spans = append(ar.spans, start, len(ar.terms))
-		}
-	}
-	for k := range ar.cons {
-		ar.cons[k].Terms = ar.terms[ar.spans[2*k]:ar.spans[2*k+1]]
 	}
 	prob.Cons = ar.cons
 	return prob, pairs
+}
+
+// fillRows writes the zero-net-flow rows of the pair variables into terms
+// — +1 on the row of a pair's source partition, −1 on its target's — and
+// returns the buffer with the row offsets: partition j's row is
+// terms[off[j]:off[j+1]]. Two counting passes over the pairs, O(pairs + p):
+// the first sizes every row, the second writes the terms in variable
+// order, so each row lists its variables ascending.
+func fillRows(terms []lp.Term, off []int, pairs [][2]int32, p int) ([]lp.Term, []int) {
+	if cap(terms) < 2*len(pairs) {
+		terms = make([]lp.Term, 2*len(pairs))
+	}
+	terms = terms[:2*len(pairs)]
+	if cap(off) < p+2 {
+		off = make([]int, p+2)
+	}
+	off = off[:p+2]
+	for j := range off {
+		off[j] = 0
+	}
+	// off[j+2] counts row j, the running sum turns off[j+1] into its start,
+	// and filling advances off[j+1] to its end — the start of row j+1.
+	for _, pr := range pairs {
+		off[pr[0]+2]++
+		off[pr[1]+2]++
+	}
+	for j := 2; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	for v, pr := range pairs {
+		terms[off[pr[0]+1]] = lp.Term{Var: v, Coef: 1}
+		off[pr[0]+1]++
+		terms[off[pr[1]+1]] = lp.Term{Var: v, Coef: -1}
+		off[pr[1]+1]++
+	}
+	return terms, off
 }
 
 // Formulate builds the refinement LP over pairs with b(i,j) > 0. This
@@ -386,7 +406,7 @@ type Options struct {
 	// this many rounds (0 = default 2; the paper recommends the switch
 	// "after a few steps").
 	StrictAfter int
-	// Solver picks the simplex implementation (nil = lp.Bounded).
+	// Solver picks the simplex implementation (nil = lp.Default()).
 	Solver lp.Solver
 	// OnRound, if non-nil, is invoked after each applied round with the
 	// 1-based round number and the vertices moved — the observability hook
@@ -471,6 +491,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	if cutWeight == nil {
 		cutWeight = func() float64 { return partition.Cut(g, a).TotalWeight }
 	}
+	solver := opt.ResolveSolver()
 	st := &Stats{}
 	st.CutBefore = cutWeight()
 	best := append(bestBuf[:0], a.Part...)
@@ -501,7 +522,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		if v, c := lp.DenseSize(prob); v > st.LPVars {
 			st.LPVars, st.LPCons = v, c
 		}
-		sol, err := opt.ResolveSolver().Solve(ctx, prob)
+		sol, err := solver.Solve(ctx, prob)
 		if err != nil {
 			abort = fmt.Errorf("refine: %w", err)
 			break

@@ -276,3 +276,54 @@ func TestLPArenaSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state arena formulation allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestFormulateMatchesRescanReference: the O(pairs + P) counting fill
+// emits the identical rows — same order, same term order, empty rows
+// skipped — as the old construction, which built each partition's row by
+// rescanning every pair (kept here as the reference), over sparse random
+// b(i,j) through one reused arena.
+func TestFormulateMatchesRescanReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var ar LPArena
+	skipped := 0
+	for trial := 0; trial < 400; trial++ {
+		p := 2 + rng.Intn(9)
+		c := &Candidates{P: p, B: make([][]int, p)}
+		for i := range c.B {
+			c.B[i] = make([]int, p)
+			for j := range c.B[i] {
+				if rng.Intn(4) == 0 {
+					c.B[i][j] = rng.Intn(6) // the diagonal and zeros must be ignored
+				}
+			}
+		}
+		prob, pairs := ar.Formulate(c)
+		var want [][]lp.Term
+		for j := 0; j < p; j++ {
+			var terms []lp.Term
+			for v, pr := range pairs {
+				if int(pr[0]) == j {
+					terms = append(terms, lp.Term{Var: v, Coef: 1})
+				}
+				if int(pr[1]) == j {
+					terms = append(terms, lp.Term{Var: v, Coef: -1})
+				}
+			}
+			if len(terms) > 0 {
+				want = append(want, terms)
+			}
+		}
+		skipped += p - len(want)
+		if len(prob.Cons) != len(want) {
+			t.Fatalf("trial %d: %d rows, reference has %d", trial, len(prob.Cons), len(want))
+		}
+		for k, row := range prob.Cons {
+			if row.Rel != lp.EQ || row.RHS != 0 || !reflect.DeepEqual(row.Terms, want[k]) {
+				t.Fatalf("trial %d row %d: %+v, reference terms %+v", trial, k, row, want[k])
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("generator never produced a partition no pair touches")
+	}
+}

@@ -100,9 +100,15 @@ func WithRefineRounds(n int) Option {
 	}
 }
 
-// WithSolver selects the LP solver by registry name: "bounded" (the
-// default), "dense", "dual-warm", or anything added via
+// WithSolver selects the LP solver by registry name: "network" (the
+// default), "bounded", "dual-warm", "dense", or anything added via
 // [RegisterSolver]. Unknown names fail at NewEngine/Repartition time.
+//
+// "network" pivots the balance and refinement LPs — min-cost flows on
+// the partition quotient graph — on a spanning tree rather than a
+// tableau, and hands anything that is not a flow (the GE/LE row pairs of
+// [WithTolerance], say) to "bounded", its tableau delegate;
+// [Stats.LPDelegated] counts those solves.
 //
 // "dual-warm" is the warm-started dual simplex: it retains the optimal
 // basis of each LP structure it solves and resumes from it when a later
@@ -178,10 +184,11 @@ func WithBatches(k int) Option {
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
 // multi-core kernels — the incremental boundary recompute, the layering
 // BFS level expansion, the refinement gain scan, the sorted cut report,
-// the orphan-cluster flood, and the LP simplex kernels (column-sharded
-// pricing, ratio test and tableau update inside the balance and refine
-// solves). The default is runtime.GOMAXPROCS(0); n = 1 selects the
-// exact sequential code path.
+// the orphan-cluster flood, and the tableau simplex kernels
+// (column-sharded pricing, ratio test and tableau update inside
+// "bounded" and "dual-warm" solves; the default "network" solver's tree
+// pivots are sequential). The default is runtime.GOMAXPROCS(0); n = 1
+// selects the exact sequential code path.
 //
 // Parallelism is purely a latency property: results are bit-identical
 // to the sequential engine's for every worker count (work is sharded

@@ -58,12 +58,22 @@ echo "== phase timings (igpbench -table phases) =="
 phases="$(go run ./cmd/igpbench -table phases)"
 echo "$phases"
 
-# Per-solver phase/pivot rows: the same workload under every built-in
-# simplex, so the trajectory records warm ("dual-warm") vs cold pivot
-# counts side by side. The bounded row reuses the record measured above.
+# Per-solver comparison table: the same IGPR workload once per
+# registered solver — wall clock, LP iteration totals and cut quality
+# side by side. It also names the registry for the loop below.
+echo "== solver comparison (igpbench -table solvers) =="
+solver_cmp="$(go run ./cmd/igpbench -table solvers -json)"
+echo "$solver_cmp"
+
+# Per-solver phase/pivot rows: the same workload under every registered
+# simplex, so the trajectory records tree, warm and cold pivot counts
+# side by side. The default solver's row is the record measured above;
+# every other name in the comparison table gets a run of its own.
 echo "== per-solver phase timings =="
+default_solver="$(sed -n 's/.*"solver": "\([^"]*\)".*/\1/p' <<<"$phases")"
 solver_rows="$phases"
-for s in dense dual-warm; do
+for s in $(grep -o '"solver": "[^"]*"' <<<"$solver_cmp" | cut -d'"' -f4); do
+    [ "$s" = "$default_solver" ] && continue
     row="$(go run ./cmd/igpbench -table phases -solver "$s")"
     echo "$row"
     solver_rows="$solver_rows,
@@ -92,25 +102,18 @@ echo "$phases"
 procs_rows="$procs_rows,
     $phases"
 
-# LP-phase scaling rows: the first mesh-B refinement at P=128 — LPs big
-# enough that the simplex kernels shard — once per worker count, so the
-# trajectory records balance/refine wall clock versus workers and the
-# lp_parallel counter proving the LP kernels forked. Appended to the
-# same phase_timings_by_procs list; the rows are distinguished by their
-# "workload" field.
+# LP-phase scaling rows: the first mesh-B refinement at P=128 — the
+# wide-LP regime — once per worker count, so the trajectory records
+# balance/refine wall clock versus workers. lp_parallel counts solves
+# whose tableau kernels forked; the default network solver pivots on a
+# tree and reads 0. Appended to the same phase_timings_by_procs list;
+# the rows are distinguished by their "workload" field.
 echo "== LP-phase scaling (igpbench -table lp-procs) =="
 while IFS= read -r row; do
     echo "$row"
     procs_rows="$procs_rows,
     $row"
 done < <(go run ./cmd/igpbench -table lp-procs)
-
-# Per-solver comparison table: the same IGPR workload once per
-# registered solver — wall clock, LP iteration totals and cut quality
-# side by side.
-echo "== solver comparison (igpbench -table solvers) =="
-solver_cmp="$(go run ./cmd/igpbench -table solvers -json)"
-echo "$solver_cmp"
 
 # Incremental-edit workload: warm k-edit Repartition cost vs delta size
 # on both mesh families, against the Options.FullRefresh

@@ -14,17 +14,18 @@ import (
 // develop alternate optima and different — equally optimal — solvers
 // may legitimately move different vertices; those configurations are
 // covered by the invariant test below instead.) The list was verified
-// against all the built-ins and is deterministic: mesh generation
+// against all four built-ins and is deterministic: mesh generation
 // (whose cavity construction once leaked map iteration order — see
 // mesh.TestGenerationDeterministicInSeed), RSB and every solver are
-// seed-stable.
+// seed-stable. {4,1}, {4,7} and {5,6} left the list when the network
+// simplex arrived: each has one LP on which it reaches a different vertex
+// of the same optimal face than the tableau solvers do.
 var equivalenceConfigs = []struct {
 	p    int
 	seed int64
 }{
 	{3, 1}, {3, 2}, {3, 3},
-	{4, 1}, {4, 3}, {4, 7},
-	{5, 6},
+	{4, 3},
 	{6, 6},
 }
 

@@ -88,10 +88,18 @@ type Stats struct {
 	WorkerBusy []time.Duration
 	// LPParallel counts LP solves during this call whose simplex kernels
 	// actually forked over the worker group (the solve's per-pivot work
-	// reached the sharding threshold). It is zero on the sequential path
-	// and for LPs too small to be worth sharding; solutions are
-	// bit-identical either way.
+	// reached the sharding threshold). It is zero on the sequential path,
+	// for LPs too small to be worth sharding, and for every LP the
+	// default "network" solver pivots on a tree instead of a tableau;
+	// solutions are bit-identical either way.
 	LPParallel int
+	// LPDelegated counts LP solves during this call that the solver
+	// handed to its tableau delegate because the problem was not a pure
+	// network flow. The default "network" solver pivots the paper's LPs on
+	// a spanning tree, so this reads zero under default options; a
+	// [WithTolerance] allowance turns each balance row into a GE/LE pair,
+	// which is not a flow, and every such solve counts here.
+	LPDelegated int
 	// CSRPatched counts snapshot refreshes during this call served by
 	// the journal-driven partial CSR patch (only the touched rows
 	// rewritten) rather than a full O(n+m) rebuild. On a warm [Engine]
@@ -169,6 +177,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		Parallelism:       st.Parallelism,
 		WorkerBusy:        busy,
 		LPParallel:        st.LPParallel,
+		LPDelegated:       st.LPDelegated,
 		CSRPatched:        st.CSRPatched,
 		CutIncremental:    st.CutIncremental,
 		CutBefore:         st.CutBefore,
