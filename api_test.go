@@ -535,8 +535,23 @@ func TestPublicStatsClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cut-vs-round curve: one running cut per applied round, none
+	// below the cut refinement kept; the rounds themselves evaluate
+	// nothing, so a refined flat call reads at most three evaluations.
+	if st.RefineRounds == 0 || len(st.RoundCuts) != st.RefineRounds {
+		t.Fatalf("%d refinement rounds, RoundCuts %v", st.RefineRounds, st.RoundCuts)
+	}
+	for r, c := range st.RoundCuts {
+		if c < st.CutAfter.TotalWeight {
+			t.Fatalf("round %d cut %g below the kept cut %g", r+1, c, st.CutAfter.TotalWeight)
+		}
+	}
+	if st.CutIncremental < 1 || st.CutIncremental > 3 {
+		t.Fatalf("CutIncremental = %d on a refined flat call, want 1..3", st.CutIncremental)
+	}
 	clone := st.Clone()
 	eps := append([]float64(nil), clone.EpsilonUsed...)
+	roundCuts := append([]float64(nil), clone.RoundCuts...)
 	perPart := append([]float64(nil), clone.CutAfter.PerPart...)
 	cutAfter := clone.CutAfter.Total
 	// Overwrite the arena with a warm second call.
@@ -555,6 +570,9 @@ func TestPublicStatsClone(t *testing.T) {
 	}
 	if fmt.Sprint(clone.CutAfter.PerPart) != fmt.Sprint(perPart) {
 		t.Fatal("clone PerPart overwritten by the next call")
+	}
+	if fmt.Sprint(clone.RoundCuts) != fmt.Sprint(roundCuts) {
+		t.Fatal("clone RoundCuts overwritten by the next call")
 	}
 }
 

@@ -14,6 +14,7 @@ package igp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -358,18 +359,32 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 	}
 }
 
-// BenchmarkPhase_Gains measures the steady-state refinement gain scan
-// (boundary-seeded, warm engine); BenchmarkPhase_GainsOneShot is the full
-// scan with fresh pools.
+// BenchmarkPhase_Gains measures the boundary-seeded gain scan through a
+// warm scratch (what a warm engine runs when it cannot patch);
+// BenchmarkPhase_GainsPatched is a warm engine's round after 32 balanced
+// moves — sync, then the pools patched from the re-examined vertices;
+// BenchmarkPhase_GainsOneShot is the full scan with fresh pools.
 func BenchmarkPhase_Gains(b *testing.B) {
 	g, a := unrefined(b)
+	benchGainsScanProcs(b, g, a, 1)
+}
+
+func BenchmarkPhase_GainsPatched(b *testing.B) {
+	g, a := unrefined(b)
+	a = a.Clone()
 	eng := engine.New(g, engine.Options{})
+	boundary := append([]graph.Vertex(nil), eng.Boundary(a)...)
+	slices.Sort(boundary)
 	if _, err := eng.Gains(a, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		for k := 0; k < 32; k++ { // swap partitions pairwise: sizes stay put
+			u, v := boundary[(i*64+2*k)%len(boundary)], boundary[(i*64+2*k+1)%len(boundary)]
+			a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
+		}
 		if _, err := eng.Gains(a, false); err != nil {
 			b.Fatal(err)
 		}
@@ -419,16 +434,18 @@ func benchEngineLayerProcs(b *testing.B, g *graph.Graph, base *partition.Assignm
 	}
 }
 
-func benchEngineGainsProcs(b *testing.B, g *graph.Graph, a *partition.Assignment, procs int) {
+func benchGainsScanProcs(b *testing.B, g *graph.Graph, a *partition.Assignment, procs int) {
 	b.Helper()
-	eng := engine.New(g, engine.Options{Parallelism: procs})
-	if _, err := eng.Gains(a, false); err != nil {
+	eng := engine.New(g, engine.Options{Parallelism: 1})
+	csr, boundary := eng.Snapshot(a), eng.Boundary(a)
+	scratch := refine.Scratch{Procs: procs}
+	if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Gains(a, false); err != nil {
+		if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -447,7 +464,7 @@ func BenchmarkPhase_GainsPar(b *testing.B) {
 	g, a := unrefined(b)
 	for _, procs := range benchProcs {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchEngineGainsProcs(b, g, a, procs)
+			benchGainsScanProcs(b, g, a, procs)
 		})
 	}
 }

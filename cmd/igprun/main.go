@@ -95,6 +95,10 @@ func main() {
 		pt := st.PhaseTimings
 		fmt.Fprintf(os.Stderr, "igprun: phases: assign=%v layer=%v balance=%v refine=%v\n",
 			pt.Assign, pt.Layer, pt.Balance, pt.Refine)
+		if *verbose && len(st.RoundCuts) > 0 {
+			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g\n",
+				st.RoundCuts, st.CutAfter.TotalWeight)
+		}
 	default:
 		fail("unknown mode " + *mode)
 	}

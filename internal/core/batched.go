@@ -116,6 +116,8 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 				agg.Refine.Moved += st.Refine.Moved
 				agg.Refine.Rounds += st.Refine.Rounds
 				agg.Refine.Iterations += st.Refine.Iterations
+				agg.Refine.RoundPivots = append(agg.Refine.RoundPivots, st.Refine.RoundPivots...)
+				agg.Refine.RoundCuts = append(agg.Refine.RoundCuts, st.Refine.RoundCuts...)
 				if st.Refine.LPVars > agg.Refine.LPVars {
 					agg.Refine.LPVars, agg.Refine.LPCons = st.Refine.LPVars, st.Refine.LPCons
 				}

@@ -26,6 +26,19 @@
 //     from this set, so their level-0/candidate passes never scan the full
 //     arc array.
 //
+//   - The refinement candidate pools are derived state of the same kind,
+//     kept from the first Gains call on: the vertices a sync re-examines
+//     (journaled, partition changed, or next to one whose partition
+//     changed) and finds in the boundary, before or after, are exactly
+//     those whose gain class can have changed, so sync logs them and the
+//     next Gains re-classifies only those and
+//     rebuilds only the pair pools they entered or left
+//     (refine.Scratch.GainsPatched). A boundary rebuild, or a log longer
+//     than the boundary itself, falls back to the boundary-seeded scan.
+//     A refinement round therefore costs O(Σ deg(moved ∪ N(moved))): the
+//     driver follows the cut by delta (refine.Drive) and evaluates it only
+//     at its endpoints, the second of which is the call's CutAfter report.
+//
 // # Scratch reuse rules
 //
 // The layering result, the refinement candidate pools, the balance size
@@ -37,9 +50,10 @@
 // each own one.
 //
 // Correctness does not depend on the incrementality: the boundary set is
-// kept exact (equivalence-fuzzed against the full scan in the tests), and
-// a seeded layering of an exact boundary is bit-identical to the one-shot
-// full-scan layering.
+// kept exact (equivalence-fuzzed against the full scan in the tests), a
+// seeded layering of an exact boundary is bit-identical to the one-shot
+// full-scan layering, and patched candidate pools equal a fresh scan's
+// (FuzzRefineIncremental).
 package engine
 
 import (
@@ -118,7 +132,9 @@ type Options struct {
 	// pipeline: CSR snapshots are fully rebuilt instead of patched from
 	// the edit journal, the boundary set is rebuilt from scratch on
 	// every sync, cutset statistics come from partition.Cut's full arc
-	// rescan, and phase 1 runs the one-shot Assign oracle. Results are
+	// rescan, the refinement candidate pools are rescanned from the
+	// boundary every round instead of patched, and phase 1 runs the
+	// one-shot Assign oracle. Results are
 	// bit-identical either way (the incremental paths are fuzz-verified
 	// against these oracles); the switch exists as an escape hatch and a
 	// divergence-debugging lever.
@@ -214,9 +230,10 @@ type Stats struct {
 	CSRPatched int
 	// CutIncremental counts cutset evaluations during this call served
 	// from the maintained boundary set (cost proportional to the
-	// boundary) instead of partition.Cut's full arc rescan. It covers
-	// the CutBefore/CutAfter reports and every refinement round's cut
-	// poll.
+	// boundary) instead of partition.Cut's full arc rescan: the
+	// CutBefore report, refinement's evaluation on entry, and the
+	// CutAfter report (shared with refinement's closing evaluation) —
+	// at most 3 per call; refinement rounds follow the cut by delta.
 	CutIncremental int
 	// V-cycle reporting (zero unless Options.Multilevel is enabled).
 	// Levels holds per-level hierarchy statistics, coarsest level last;
@@ -257,6 +274,7 @@ func (s *Stats) Clone() *Stats {
 	if s.Refine != nil {
 		r := *s.Refine
 		r.RoundPivots = append([]int(nil), s.Refine.RoundPivots...)
+		r.RoundCuts = append([]float64(nil), s.Refine.RoundCuts...)
 		c.Refine = &r
 	}
 	return &c
@@ -337,6 +355,16 @@ type Engine struct {
 	pendingNew []graph.Vertex
 	inPending  []bool
 	asg        assignScratch
+
+	// Candidate-pool cache. Once Gains has run, gainsValid says e.gain
+	// still holds the pools of the state Gains last saw, and gainDirty
+	// logs every vertex sync has re-examined since that was in the
+	// boundary before or after — a candidate is a boundary vertex, so
+	// these are exactly the vertices whose class can have changed — and
+	// the next Gains patches the pools instead of rescanning the boundary.
+	// Nothing is logged (or allocated) before the first Gains call.
+	gainsValid bool
+	gainDirty  []graph.Vertex
 
 	// Scratch arenas.
 	lay      layering.Scratch
@@ -591,6 +619,7 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	}
 	e.boundary = e.boundary[:0]
 	e.listDirty = false
+	e.gainsValid = false // nothing was diffed: the pools need a full scan
 	if e.procs > 1 && n >= parBoundaryMin {
 		e.rebuildBoundaryPar(a)
 	} else {
@@ -684,6 +713,9 @@ func (e *Engine) recompute(v graph.Vertex, a *partition.Assignment) {
 	e.moveAttr(v, a, e.partSizes)
 	e.collectPending(v, a, &e.pendingNew)
 	now := e.isBoundary(v, a)
+	if e.gainsValid && (now || e.inBoundary[v]) {
+		e.gainDirty = append(e.gainDirty, v)
+	}
 	if now == e.inBoundary[v] {
 		return
 	}
@@ -706,15 +738,35 @@ func (e *Engine) diffAssignment(a *partition.Assignment) {
 		return
 	}
 	n := e.csr.Order()
-	for v := 0; v < n; v++ {
-		if a.Part[v] == e.prevPart[v] {
-			continue
-		}
+	for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
 		e.recompute(graph.Vertex(v), a)
 		for _, u := range e.csr.Row(graph.Vertex(v)) {
 			e.recompute(u, a)
 		}
 	}
+}
+
+// diffBlock is how many assignment slots nextMoved compares at a time:
+// a fixed-size array comparison compiles to one memequal, so the
+// unchanged bulk of the assignment is skipped at memory speed.
+const diffBlock = 64
+
+// nextMoved returns the first vertex in [lo, hi) whose partition differs
+// from the last sync's, or hi.
+func (e *Engine) nextMoved(a *partition.Assignment, lo, hi int) int {
+	part, prev := a.Part, e.prevPart
+	for lo < hi {
+		if hi-lo >= diffBlock && *(*[diffBlock]int32)(part[lo:]) == *(*[diffBlock]int32)(prev[lo:]) {
+			lo += diffBlock
+			continue
+		}
+		for end := min(lo+diffBlock, hi); lo < end; lo++ {
+			if part[lo] != prev[lo] {
+				return lo
+			}
+		}
+	}
+	return hi
 }
 
 // finishSync compacts the boundary list and records the assignment.
@@ -731,6 +783,13 @@ func (e *Engine) finishSync(a *partition.Assignment) {
 	}
 	n := e.csr.Order()
 	copy(e.prevPart[:n], a.Part[:n])
+	if len(e.gainDirty) > len(e.boundary) {
+		// Patching would classify more vertices than the boundary-seeded
+		// scan visits: let the next Gains rescan, and stop logging until
+		// it has.
+		e.gainsValid = false
+		e.gainDirty = e.gainDirty[:0]
+	}
 }
 
 // cutStatsInto syncs and fills dst with cutset statistics served from
@@ -742,16 +801,6 @@ func (e *Engine) cutStatsInto(dst *partition.CutStats, perPart *[]float64, a *pa
 	seeds := e.sortedBoundary()
 	*perPart = partition.CutSeededInto(dst, *perPart, e.csr, a, seeds, e.partSizes)
 	e.cutIncremental++
-}
-
-// cutWeight syncs and returns the current total cut weight from the
-// boundary set — the refinement driver's per-round poll, bit-identical
-// to partition.Cut(e.g, a).TotalWeight.
-func (e *Engine) cutWeight(a *partition.Assignment) float64 {
-	e.sync(a)
-	seeds := e.sortedBoundary()
-	e.cutIncremental++
-	return partition.CutSeededWeight(e.csr, a, seeds)
 }
 
 // Cut syncs and reports cutset statistics for the engine's graph under
@@ -783,15 +832,31 @@ func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.
 	return e.lay.LayerSeeded(ctx, e.csr, a, e.boundary)
 }
 
-// Gains runs the boundary-seeded refinement gains kernel over the engine's
-// snapshot. The result is owned by the engine's scratch and invalidated by
-// the next Gains call.
+// Gains returns the refinement candidate pools for a over the engine's
+// snapshot — always exactly what a boundary-seeded scan would build. The
+// first call (and any call after a boundary rebuild, a dirty log longer
+// than the boundary, with vertices pending assignment, or under
+// Options.FullRefresh) is that scan; otherwise
+// the pools of the previous call are patched from the vertices sync has
+// re-examined since. The result is owned by the engine's scratch and
+// invalidated by the next Gains call.
 func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
 	e.sync(a)
-	return e.gain.GainsSeeded(e.csr, a, strict, e.boundary)
+	var c *refine.Candidates
+	var err error
+	// A pending (live-unassigned or dead-but-assigned) vertex need not be
+	// in the log; the scan's full validation is what rejects it.
+	if e.gainsValid && len(e.pendingNew) == 0 {
+		c, err = e.gain.GainsPatched(e.csr, a, strict, e.gainDirty)
+	} else {
+		c, err = e.gain.GainsSeeded(e.csr, a, strict, e.boundary)
+	}
+	e.gainDirty = e.gainDirty[:0]
+	e.gainsValid = err == nil && !e.opt.FullRefresh
+	return c, err
 }
 
 // Repartition updates assignment a in place so it covers the engine's
@@ -949,7 +1014,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}
 	if e.opt.FullRefresh {
 		st.CutAfter = partition.Cut(e.g, a)
-	} else {
+	} else if !opt.Refine { // else runRefine's closing evaluation was it
 		e.cutStatsInto(&st.CutAfter, &e.cutPPA, a)
 	}
 	return st, nil
@@ -1003,13 +1068,19 @@ func balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Re
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed
-// with boundary-seeded gain scans and boundary-seeded per-round cut
-// polls, formulating into the engine's reused LP arena and keeping the
-// best-seen assignment in the engine's reused best-part arena.
+// with the engine's patched candidate pools, formulating into the
+// engine's reused LP arena and keeping the best-seen assignment in the
+// engine's reused best-part arena. Drive evaluates the cut only at its
+// endpoints; the evaluator reports into the CutAfter slot, so the last
+// evaluation — made once the assignment Drive leaves behind is in place —
+// is the call's CutAfter report.
 func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) (*refine.Stats, error) {
 	opt.Arena = &e.refArena
 	if !e.opt.FullRefresh {
-		opt.CutWeight = func() float64 { return e.cutWeight(a) }
+		opt.CutWeight = func() float64 {
+			e.cutStatsInto(&e.stats.CutAfter, &e.cutPPA, a)
+			return e.stats.CutAfter.TotalWeight
+		}
 	}
 	st, best, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
 		return e.Gains(a, strict)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/refine"
 )
 
 // FuzzBoundaryExact is the fuzz form of the PR 1 boundary-exactness
@@ -345,5 +346,107 @@ func FuzzVCycleValidity(f *testing.F) {
 			}
 		}
 		check()
+	})
+}
+
+// FuzzRefineIncremental is the differential fuzz of the refinement
+// round's two pieces of derived state. A warm engine (procs 1 and the
+// fuzzed count, side by side) absorbs random edits, random balanced move
+// batches and the loose→strict switch, and after every step its Gains
+// must equal a fresh scan over the brute-force boundary — pools, order, B
+// and Gain, or fail when the scan does. Interleaved full IGPR calls check the cut the driver follows
+// by delta against partition.Cut after every applied round: exactly on
+// unit weights, to 1e-9 relative on the fractional weights frac turns on.
+func FuzzRefineIncremental(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(0), false)
+	f.Add(int64(42), uint8(40), uint8(3), true)
+	f.Add(int64(7), uint8(25), uint8(6), false)
+	f.Add(int64(311), uint8(30), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8, procs uint8, frac bool) {
+		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin
+		p := 3 + int(uint64(seed)%5)
+		g0, a0 := editableGraph(t, n, p, seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x6a17))
+		if frac {
+			for v := 0; v < g0.Order(); v++ {
+				for _, u := range append([]graph.Vertex(nil), g0.Neighbors(graph.Vertex(v))...) {
+					if graph.Vertex(v) < u {
+						_ = g0.RemoveEdge(graph.Vertex(v), u)
+						_ = g0.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
+					}
+				}
+			}
+		}
+		for _, workers := range []int{1, 2 + int(procs%7)} {
+			g, a := g0.Clone(), a0.Clone()
+			var exact []float64
+			e := New(g, Options{Refine: true, Parallelism: workers, RefineOptions: refine.Options{
+				OnRound: func(int, int) { exact = append(exact, partition.Cut(g, a).TotalWeight) },
+			}})
+			rng := rand.New(rand.NewSource(seed ^ 0x1c3))
+			checkGains := func(step int, strict bool) {
+				got, err := e.Gains(a, strict)
+				var seeds []graph.Vertex
+				for v := range bruteBoundary(g, a) {
+					seeds = append(seeds, v)
+				}
+				var fresh refine.Scratch
+				want, errW := fresh.GainsSeeded(g.RebuildCSRInto(nil), a, strict, seeds)
+				if (err == nil) != (errW == nil) {
+					t.Fatalf("workers=%d step %d: gains error mismatch: %v vs %v", workers, step, err, errW)
+				}
+				if err == nil {
+					requireSameGains(t, got, want, a.P)
+				}
+			}
+			checkGains(-1, false)
+			for i := 0; i < int(steps); i++ {
+				switch i % 4 {
+				case 0:
+					randomEdit(g, a, rng)
+				case 1:
+					// Every other time the new vertices stay unassigned
+					// until the next Repartition: Gains must then fail,
+					// patched or not.
+					randomGrowthEdit(g, a, rng)
+					if i%8 == 1 {
+						if _, _, err := e.assign(a); err != nil {
+							return // nothing assigned left to grow from
+						}
+					}
+				case 2:
+					// A balanced batch: swap the partitions of vertex pairs.
+					for k := rng.Intn(12); k > 0; k-- {
+						u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
+						if g.Alive(u) && g.Alive(v) && a.Part[u] >= 0 && a.Part[v] >= 0 {
+							a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
+						}
+					}
+				default:
+					exact = exact[:0]
+					st, err := e.Repartition(context.Background(), a)
+					if err != nil {
+						if errors.Is(err, ErrNeedRepartition) || errors.Is(err, errNoOldVertices) {
+							continue
+						}
+						t.Fatalf("workers=%d step %d: %v", workers, i, err)
+					}
+					if len(st.Refine.RoundCuts) != len(exact) {
+						t.Fatalf("workers=%d step %d: %d running cuts for %d rounds", workers, i, len(st.Refine.RoundCuts), len(exact))
+					}
+					for r, want := range exact {
+						got := st.Refine.RoundCuts[r]
+						if d := got - want; (!frac && d != 0) || d > 1e-9*want || d < -1e-9*want {
+							t.Fatalf("workers=%d step %d round %d: running cut %g, partition.Cut %g", workers, i, r+1, got, want)
+						}
+					}
+					if want := partition.Cut(g, a); st.CutAfter.TotalWeight != want.TotalWeight || st.Refine.CutAfter != want.TotalWeight {
+						t.Fatalf("workers=%d step %d: CutAfter %g / refine %g, partition.Cut %g",
+							workers, i, st.CutAfter.TotalWeight, st.Refine.CutAfter, want.TotalWeight)
+					}
+				}
+				checkGains(i, i%8 >= 4) // loose for four steps, strict for four
+			}
+		}
 	})
 }

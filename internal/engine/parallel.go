@@ -39,6 +39,7 @@ const parBoundaryMin = 256
 // boundaryWorker is one worker's private arena for boundary passes.
 type boundaryWorker struct {
 	add   []graph.Vertex // vertices that entered the boundary
+	seen  []graph.Vertex // boundary vertices re-examined (Gains' patch log)
 	pend  []graph.Vertex // vertices newly collected for phase 1
 	psize []int          // per-partition size deltas (rebuild: counts)
 	dirty bool           // a vertex left the boundary (list needs compaction)
@@ -65,6 +66,7 @@ func (e *Engine) joinBoundaryWorkers(workers int) {
 		ws := &e.bws[w]
 		e.boundary = append(e.boundary, ws.add...)
 		e.pendingNew = append(e.pendingNew, ws.pend...)
+		e.gainDirty = append(e.gainDirty, ws.seen...)
 		for q, d := range ws.psize {
 			e.partSizes[q] += d
 		}
@@ -98,6 +100,7 @@ func (t *rebuildTask) Do(w int) {
 	ws := &e.bws[w]
 	ws.add = ws.add[:0]
 	ws.pend = ws.pend[:0]
+	ws.seen = ws.seen[:0]
 	for q := range ws.psize {
 		ws.psize[q] = 0
 	}
@@ -140,15 +143,13 @@ func (t *diffTask) Do(w int) {
 	ws := &e.bws[w]
 	ws.add = ws.add[:0]
 	ws.pend = ws.pend[:0]
+	ws.seen = ws.seen[:0]
 	for q := range ws.psize {
 		ws.psize[q] = 0
 	}
 	ws.dirty = false
 	sh := e.shards[w]
-	for v := sh.Lo; v < sh.Hi; v++ {
-		if t.a.Part[v] == e.prevPart[v] {
-			continue
-		}
+	for v := e.nextMoved(t.a, sh.Lo, sh.Hi); v < sh.Hi; v = e.nextMoved(t.a, v+1, sh.Hi) {
 		e.recomputePar(ws, graph.Vertex(v), t.a)
 		for _, u := range e.csr.Row(graph.Vertex(v)) {
 			e.recomputePar(ws, u, t.a)
@@ -170,7 +171,7 @@ func (t *cutSortTask) Do(w int) {
 
 // sortedBoundary copies the (unordered, duplicate-free) boundary set
 // into the engine's cut scratch and sorts it ascending — the seed order
-// partition.CutSeededInto/CutSeededWeight expect. Large boundaries sort
+// partition.CutSeededInto expects. Large boundaries sort
 // per-shard on the worker group and k-way merge sequentially; sorted
 // ascending order is a canonical property of the *set*, so the result is
 // bit-identical to the sequential slices.Sort for every worker count.
@@ -236,6 +237,9 @@ func (e *Engine) recomputePar(ws *boundaryWorker, v graph.Vertex, a *partition.A
 	e.moveAttr(v, a, ws.psize)
 	e.collectPending(v, a, &ws.pend)
 	now := e.isBoundary(v, a)
+	if e.gainsValid && (now || e.inBoundary[v]) {
+		ws.seen = append(ws.seen, v)
+	}
 	if now == e.inBoundary[v] {
 		return
 	}

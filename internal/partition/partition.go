@@ -257,29 +257,6 @@ func CutSeededInto(dst *CutStats, perPart []float64, c *graph.CSR, a *Assignment
 	return perPart
 }
 
-// CutSeededWeight returns only the total cut weight from a sorted
-// boundary seed set — the quantity the refinement driver polls every
-// round. Bit-identical to Cut(g, a).TotalWeight under the CutSeededInto
-// preconditions, at O(Σ deg(boundary)) cost.
-func CutSeededWeight(c *graph.CSR, a *Assignment, boundary []graph.Vertex) float64 {
-	var total float64
-	for _, v := range boundary {
-		pv := a.Of(v)
-		if pv < 0 {
-			continue
-		}
-		ws := c.RowWeights(v)
-		for i, u := range c.Row(v) {
-			if v < u {
-				if pu := a.Of(u); pu >= 0 && pu != pv {
-					total += ws[i]
-				}
-			}
-		}
-	}
-	return total
-}
-
 // Imbalance returns max(weight)/mean(weight) over partitions; 1.0 is
 // perfectly balanced. An assignment with an empty partition still gets a
 // finite value (its max is over the others). Degenerate inputs — an

@@ -12,270 +12,32 @@
 // candidate test switches from ≥ to > (the paper's "strict inequality"
 // guard against vertices with zero net gain oscillating between
 // partitions).
+//
+// A round costs what it moves (the FM gain-update rule): Apply logs the
+// vertices it moves with the partitions they left; Drive follows the cut
+// from that log by the exact change the moved vertices' arcs cause
+// (evaluating it only on entry and for the assignment it leaves behind)
+// and undoes a regressing tail by rolling the log back; and because only
+// the moved vertices and their neighbours can change class, the
+// candidate pools of the previous round are patched rather than rebuilt
+// (Scratch.GainsPatched; see gains.go) — with results identical to a
+// from-scratch scan's.
 package refine
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/lp"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
 
-// Candidates holds the per-pair movable vertex pools of one refinement
-// round.
-type Candidates struct {
-	P int
-	// B[i][j] = b(i,j): number of candidate vertices in partition i whose
-	// move to j does not increase (loose) or strictly decreases (strict)
-	// the cut.
-	B [][]int
-	// pools[i][j] lists those candidates, best gain first.
-	pools [][][]graph.Vertex
-	// Gain[v] is out(v, best j) − in(v) for bookkeeping (0 for
-	// non-candidates).
-	Gain []float64
-}
-
-// Pool returns the candidates for the (i,j) pair, best gain first.
-func (c *Candidates) Pool(i, j int32) []graph.Vertex { return c.pools[i][j] }
-
-type cand struct {
-	v    graph.Vertex
-	gain float64
-}
-
-// Scratch holds the reusable state of the gains kernel. The zero value is
-// ready to use; buffers grow to the largest graph seen and are reused, so
-// steady-state gain scans allocate nothing. The Candidates returned by
-// its methods are owned by the Scratch and invalidated by the next call.
-//
-// Procs > 1 switches GainsSeeded to its sharded parallel form (see
-// parallel.go): the deduped seed list is split into contiguous shards,
-// workers classify into private pair buckets, and the join concatenates
-// buckets in worker order before the total-order sort — so the produced
-// Candidates are bit-identical to the sequential scan's for every
-// worker count. Group, when non-nil, is the shared fork-join executor
-// (the engine passes its own so per-worker busy times roll up across
-// kernels); nil uses a private one.
-type Scratch struct {
-	cands   Candidates
-	buckets [][]cand
-	out     []float64
-	touched []int32
-	sorter  candSorter
-	stamp   []uint32 // per-call vertex dedup marker (duplicate seeds)
-	gen     uint32
-
-	// Parallel state; see parallel.go.
-	Procs    int
-	Group    *par.Group
-	ownGroup par.Group
-	gws      []gainWorker
-	seedBuf  []graph.Vertex
-	shards   []par.Range
-	task     gainsTask
-}
-
-// candSorter orders candidates best gain first, vertex id as tiebreak — a
-// total order, so the result is independent of insertion order. It is a
-// reused sort.Interface so sorting costs no per-call allocation.
-type candSorter struct{ cs []cand }
-
-func (s *candSorter) Len() int { return len(s.cs) }
-func (s *candSorter) Less(i, j int) bool {
-	if s.cs[i].gain != s.cs[j].gain {
-		return s.cs[i].gain > s.cs[j].gain
-	}
-	return s.cs[i].v < s.cs[j].v
-}
-func (s *candSorter) Swap(i, j int) { s.cs[i], s.cs[j] = s.cs[j], s.cs[i] }
-
-// Gains scans all boundary vertices and builds the candidate pools.
-// strict selects the > 0 test instead of ≥ 0.
-func Gains(g *graph.Graph, a *partition.Assignment, strict bool) (*Candidates, error) {
-	var s Scratch
-	return s.Gains(g, a, strict)
-}
-
-// Gains is the scratch-reusing form of the package-level Gains.
-func (s *Scratch) Gains(g *graph.Graph, a *partition.Assignment, strict bool) (*Candidates, error) {
-	if err := a.Validate(g); err != nil {
-		return nil, fmt.Errorf("refine: %w", err)
-	}
-	c := s.grow(g.Order(), a.P)
-	for vi := 0; vi < g.Order(); vi++ {
-		v := graph.Vertex(vi)
-		if !g.Alive(v) {
-			continue
-		}
-		s.consider(v, g.Neighbors(v), g.EdgeWeights(v), a, strict)
-	}
-	s.finish()
-	return c, nil
-}
-
-// GainsSeeded runs the gains kernel over a CSR snapshot, examining only
-// the seed vertices. Every candidate has at least one foreign edge, so a
-// seed list containing all boundary vertices (duplicates and extras are
-// harmless) yields exactly the candidates a full scan would find.
-func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool, seeds []graph.Vertex) (*Candidates, error) {
-	if err := a.ValidateCSR(c); err != nil {
-		return nil, fmt.Errorf("refine: %w", err)
-	}
-	if s.Procs > 1 {
-		return s.gainsSeededPar(c, a, strict, seeds), nil
-	}
-	out := s.grow(c.Order(), a.P)
-	for _, v := range seeds {
-		if !c.Live[v] {
-			continue
-		}
-		s.consider(v, c.Row(v), c.RowWeights(v), a, strict)
-	}
-	s.finish()
-	return out, nil
-}
-
-func (s *Scratch) grow(n, p int) *Candidates {
-	c := &s.cands
-	c.P = p
-	if cap(c.B) < p {
-		c.B = make([][]int, p)
-	}
-	c.B = c.B[:p]
-	if cap(c.pools) < p {
-		c.pools = make([][][]graph.Vertex, p)
-	}
-	c.pools = c.pools[:p]
-	for i := 0; i < p; i++ {
-		if cap(c.B[i]) < p {
-			c.B[i] = make([]int, p)
-		}
-		c.B[i] = c.B[i][:p]
-		for j := range c.B[i] {
-			c.B[i][j] = 0
-		}
-		if cap(c.pools[i]) < p {
-			c.pools[i] = make([][]graph.Vertex, p)
-		}
-		c.pools[i] = c.pools[i][:p]
-		for j := range c.pools[i] {
-			c.pools[i][j] = c.pools[i][j][:0]
-		}
-	}
-	if cap(c.Gain) < n {
-		c.Gain = make([]float64, n)
-	}
-	c.Gain = c.Gain[:n]
-	for i := range c.Gain {
-		c.Gain[i] = 0
-	}
-	if cap(s.buckets) < p*p {
-		s.buckets = make([][]cand, p*p)
-	}
-	s.buckets = s.buckets[:p*p]
-	for i := range s.buckets {
-		s.buckets[i] = s.buckets[i][:0]
-	}
-	if cap(s.out) < p {
-		s.out = make([]float64, p)
-	}
-	s.out = s.out[:p]
-	for i := range s.out {
-		s.out[i] = 0
-	}
-	s.touched = s.touched[:0]
-	if cap(s.stamp) < n {
-		s.stamp = make([]uint32, n)
-	}
-	s.stamp = s.stamp[:n]
-	s.gen++
-	if s.gen == 0 { // wrapped: the stale stamps are ambiguous, clear them
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-	return c
-}
-
-// consider classifies one vertex. A vertex may qualify toward several
-// foreign partitions; it joins only the pool of its best one (ties toward
-// the smaller id) so the pools are disjoint and Apply can realize any LP
-// flow without moving a vertex twice — which would silently break the
-// balance the zero-net-flow constraints guarantee.
-func (s *Scratch) consider(v graph.Vertex, adj []graph.Vertex, ws []float64, a *partition.Assignment, strict bool) {
-	if s.stamp[v] == s.gen {
-		return // duplicate seed: already classified this call
-	}
-	s.stamp[v] = s.gen
-	pv := a.Part[v]
-	var in float64
-	out := s.out
-	touched := s.touched[:0]
-	for k, u := range adj {
-		pu := a.Part[u]
-		if pu == pv {
-			in += ws[k]
-			continue
-		}
-		if out[pu] == 0 {
-			touched = append(touched, pu)
-		}
-		out[pu] += ws[k]
-	}
-	bestJ := int32(-1)
-	var bestGain float64
-	for _, j := range touched {
-		gain := out[j] - in
-		out[j] = 0
-		if gain < 0 || (strict && gain == 0) {
-			continue
-		}
-		if bestJ < 0 || gain > bestGain || (gain == bestGain && j < bestJ) {
-			bestJ, bestGain = j, gain
-		}
-	}
-	s.touched = touched[:0]
-	if bestJ >= 0 {
-		p := s.cands.P
-		s.buckets[int(pv)*p+int(bestJ)] = append(s.buckets[int(pv)*p+int(bestJ)], cand{v, bestGain})
-		s.cands.Gain[v] = bestGain
-	}
-}
-
-// finish sorts each pair's bucket into the pools.
-func (s *Scratch) finish() {
-	c := &s.cands
-	p := c.P
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			cs := s.buckets[i*p+j]
-			if len(cs) == 0 {
-				continue
-			}
-			s.sorter.cs = cs
-			sort.Sort(&s.sorter)
-			pool := c.pools[i][j]
-			for _, cd := range cs {
-				pool = append(pool, cd.v)
-			}
-			c.pools[i][j] = pool
-			c.B[i][j] = len(pool)
-		}
-	}
-	s.sorter.cs = nil
-}
-
-// LPArena owns the reusable buffers of the refinement-LP formulation:
+// LPArena owns the reusable buffers of the refinement-LP formulation —
 // the Problem's objective/bound/constraint storage and the pair
-// mapping. Buffers grow to the largest round seen and are then reused,
+// mapping — and of the driver's move log. Buffers grow to the largest round seen and are then reused,
 // so steady-state formulation through a warm engine allocates nothing.
 // The Problem and pair slice returned by Formulate are owned by the
 // arena and invalidated by its next call. The zero value is ready.
@@ -285,6 +47,7 @@ type LPArena struct {
 	terms []lp.Term
 	off   []int // partition j's row is terms[off[j]:off[j+1]]
 	cons  []lp.Constraint
+	undo  []move // Drive's move log (see Drive)
 }
 
 // Formulate is the arena-backed form of the package-level [Formulate]:
@@ -371,31 +134,62 @@ func Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 }
 
 // Apply moves the best-gain prefix of each pair's pool per the LP flows,
-// returning the number of vertices moved.
+// returning the number of vertices moved. The moves are logged in c (with
+// the partition each vertex left) for Drive's cut delta. A flow that is
+// fractional, negative or larger than its pool, or pools that share a
+// vertex, fail the whole round: on error nothing has moved.
 func Apply(a *partition.Assignment, c *Candidates, pairs [][2]int32, x []float64) (int, error) {
-	moved := 0
 	for v, amt := range x {
 		r := math.Round(amt)
-		if math.Abs(amt-r) > 1e-6 {
-			return moved, fmt.Errorf("refine: non-integral flow %g for pair %v", amt, pairs[v])
+		if !(math.Abs(amt-r) <= 1e-6) { // NaN included
+			return 0, fmt.Errorf("refine: non-integral flow %g for pair %v", amt, pairs[v])
 		}
-		k := int(r)
-		if k == 0 {
-			continue
-		}
-		pool := c.Pool(pairs[v][0], pairs[v][1])
-		if k > len(pool) {
-			return moved, fmt.Errorf("refine: flow %d exceeds pool %d for pair %v", k, len(pool), pairs[v])
-		}
-		for _, vert := range pool[:k] {
-			if a.Part[vert] != pairs[v][0] {
-				return moved, fmt.Errorf("refine: vertex %d moved twice in one round", vert)
-			}
-			a.Part[vert] = pairs[v][1]
-			moved++
+		if n := c.B[pairs[v][0]][pairs[v][1]]; r < 0 || r > float64(n) {
+			return 0, fmt.Errorf("refine: flow %g outside pool %d for pair %v", r, n, pairs[v])
 		}
 	}
-	return moved, nil
+	c.log = c.log[:0]
+	for v, amt := range x {
+		from, to := pairs[v][0], pairs[v][1]
+		for _, vert := range c.Pool(from, to)[:int(math.Round(amt))] {
+			if a.Part[vert] != from {
+				for _, m := range c.log {
+					a.Part[m.v] = m.from
+				}
+				c.log = c.log[:0]
+				return 0, fmt.Errorf("refine: vertex %d moved twice in one round", vert)
+			}
+			c.log = append(c.log, move{vert, from})
+			a.Part[vert] = to
+		}
+	}
+	return len(c.log), nil
+}
+
+// cutDelta returns the change in total cut weight caused by one round's
+// moves, exactly: every arc of a moved vertex is compared before and
+// after, an arc between two moved vertices once (at its lower endpoint).
+// prev is the assignment before the round — it differs from a exactly at
+// the moved vertices. The cost is O(Σ deg(moved)).
+func cutDelta(g *graph.Graph, a *partition.Assignment, prev []int32, moved []move) float64 {
+	var d float64
+	for _, m := range moved {
+		to := a.Part[m.v]
+		ws := g.EdgeWeights(m.v)
+		for k, u := range g.Neighbors(m.v) {
+			was, now := prev[u], a.Part[u]
+			if was != now && u < m.v {
+				continue
+			}
+			switch wasCut, isCut := was != m.from, now != to; {
+			case isCut && !wasCut:
+				d += ws[k]
+			case wasCut && !isCut:
+				d -= ws[k]
+			}
+		}
+	}
+	return d
 }
 
 // Options configures the iterative refinement driver.
@@ -412,16 +206,17 @@ type Options struct {
 	// 1-based round number and the vertices moved — the observability hook
 	// the engine turns into stage events.
 	OnRound func(round, moved int)
-	// Arena, if non-nil, receives the per-round LP formulations (reused
-	// buffers, zero steady-state allocation). The engine passes its own;
-	// one-shot callers leave it nil and get fresh formulations.
+	// Arena, if non-nil, receives the per-round LP formulations and the
+	// driver's move log (reused buffers, zero steady-state allocation).
+	// The engine passes its own; one-shot callers leave it nil and get
+	// fresh ones.
 	Arena *LPArena
-	// CutWeight, if non-nil, replaces the driver's per-round
-	// partition.Cut(g, a).TotalWeight rescan with an equivalent cheaper
-	// evaluation of the current assignment's cut weight. It must return a
-	// value bit-identical to the rescan's (the engine supplies its
-	// boundary-seeded incremental cut, which is); the driver's
-	// best-assignment tracking compares these floats exactly.
+	// CutWeight, if non-nil, replaces partition.Cut(g, a).TotalWeight as
+	// the exact evaluator of the current assignment's cut weight (the
+	// engine supplies its boundary-seeded cut, which is bit-identical). The
+	// driver calls it for the endpoints only — on entry, and once more on
+	// exit when any round was applied, after the assignment it leaves
+	// behind is in place; between rounds the cut is a running value.
 	CutWeight func() float64
 }
 
@@ -451,10 +246,15 @@ func (o Options) ResolveSolver() lp.Solver {
 
 // Stats reports what the refinement driver did.
 type Stats struct {
-	Rounds     int
-	Moved      int
-	CutBefore  float64
-	CutAfter   float64
+	Rounds int
+	Moved  int
+	// CutBefore and CutAfter are exact evaluations of the cut weight on
+	// entry and of the assignment left behind.
+	CutBefore float64
+	CutAfter  float64
+	// RoundCuts is the cut weight after every applied round — the
+	// running value the driver keeps (exact on integer weights).
+	RoundCuts  []float64
 	LPVars     int // columns of the largest round's dense formulation
 	LPCons     int
 	Iterations int // total simplex pivots
@@ -470,21 +270,29 @@ type Stats struct {
 // seen, so the result never has a worse cut than the input.
 func Refine(g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error) {
 	var scratch Scratch // one gains arena reused across rounds
+	c, seeds := g.ToCSR(), g.Vertices()
 	st, _, err := Drive(context.Background(), g, a, opt, func(strict bool) (*Candidates, error) {
-		return scratch.Gains(g, a, strict)
+		return scratch.GainsSeeded(c, a, strict, seeds)
 	}, nil)
 	return st, err
 }
 
 // Drive is the iterated refinement loop shared by the one-shot Refine and
 // the engine: each round it calls gains for the candidate pools, solves
-// the zero-net-flow LP, applies the moves, and tracks the best assignment
-// seen (restored at the end if a later round regressed). bestBuf, if
-// non-nil, is reused for the best-assignment snapshot; the (possibly
-// regrown) buffer is returned for the caller to keep.
+// the zero-net-flow LP and applies the moves, and at the end it leaves
+// the best assignment seen behind.
+//
+// A round costs what it moves. Every applied move is appended to a log
+// (vertex, partition it left); the cut is evaluated on entry and followed
+// from there by the exact change each round's moves cause (cutDelta), and
+// a later round that regressed is undone by rolling the log back to the
+// best round instead of copying assignments. bestBuf, if non-nil, is
+// reused for the driver's O(n) scratch (the assignment before the current
+// round); the (possibly regrown) buffer is returned for the caller to
+// keep. g must not change while Drive runs.
 //
 // The context is polled before every round and inside the LP solve. An
-// abort restores the best assignment seen so far, so a canceled
+// abort rolls back to the best assignment seen so far, so a canceled
 // refinement still leaves a valid (and never-worse) partition behind.
 func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Options, gains func(strict bool) (*Candidates, error), bestBuf []int32) (*Stats, []int32, error) {
 	cutWeight := opt.CutWeight
@@ -492,10 +300,14 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		cutWeight = func() float64 { return partition.Cut(g, a).TotalWeight }
 	}
 	solver := opt.ResolveSolver()
-	st := &Stats{}
+	st := &Stats{RoundCuts: make([]float64, 0, opt.Rounds())}
 	st.CutBefore = cutWeight()
-	best := append(bestBuf[:0], a.Part...)
-	bestCut := st.CutBefore
+	prev := append(bestBuf[:0], a.Part...)
+	var undo []move
+	if opt.Arena != nil {
+		undo = opt.Arena.undo[:0]
+	}
+	bestCut, bestLen := st.CutBefore, 0 // undo[:bestLen] leads to the best assignment
 	cur := st.CutBefore
 	var abort error
 	for round := 0; round < opt.Rounds(); round++ {
@@ -542,18 +354,30 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		if opt.OnRound != nil {
 			opt.OnRound(st.Rounds, moved)
 		}
-		cur = cutWeight()
+		cur += cutDelta(g, a, prev, cands.log)
+		st.RoundCuts = append(st.RoundCuts, cur)
+		for _, m := range cands.log {
+			prev[m.v] = a.Part[m.v]
+		}
+		undo = append(undo, cands.log...)
 		if cur < bestCut {
-			bestCut = cur
-			best = append(best[:0], a.Part...)
+			bestCut, bestLen = cur, len(undo)
 		}
 		if moved == 0 {
 			break
 		}
 	}
 	if cur > bestCut {
-		copy(a.Part, best)
+		for i := len(undo) - 1; i >= bestLen; i-- {
+			a.Part[undo[i].v] = undo[i].from
+		}
 	}
-	st.CutAfter = bestCut
-	return st, best, abort
+	if opt.Arena != nil {
+		opt.Arena.undo = undo
+	}
+	st.CutAfter = st.CutBefore
+	if st.Rounds > 0 {
+		st.CutAfter = cutWeight()
+	}
+	return st, prev, abort
 }

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -213,6 +214,185 @@ func TestApplyRejectsDoubleMove(t *testing.T) {
 	}
 	if _, err := Apply(a, c, pairs, x); err == nil {
 		t.Fatal("over-pool flow must error")
+	}
+}
+
+// TestApplyLeavesNoHalfAppliedRound: a round Apply rejects must move
+// nothing, whichever pair trips the check — a pool sharing a vertex with
+// an earlier pair's, or a bad flow behind pairs that were fine.
+func TestApplyLeavesNoHalfAppliedRound(t *testing.T) {
+	pool := func(p int, entries map[[2]int][]graph.Vertex) *Candidates {
+		c := &Candidates{P: p, B: make([][]int, p), pools: make([][][]graph.Vertex, p)}
+		for i := range c.B {
+			c.B[i] = make([]int, p)
+			c.pools[i] = make([][]graph.Vertex, p)
+		}
+		for ij, vs := range entries {
+			c.pools[ij[0]][ij[1]] = vs
+			c.B[ij[0]][ij[1]] = len(vs)
+		}
+		return c
+	}
+	pairs := [][2]int32{{0, 1}, {0, 2}}
+	for name, tc := range map[string]struct {
+		c *Candidates
+		x []float64
+	}{
+		"vertex in two pools":     {pool(3, map[[2]int][]graph.Vertex{{0, 1}: {0, 1}, {0, 2}: {2, 1}}), []float64{2, 2}},
+		"flow exceeds later pool": {pool(3, map[[2]int][]graph.Vertex{{0, 1}: {0, 1}, {0, 2}: {2}}), []float64{2, 3}},
+		"fractional later flow":   {pool(3, map[[2]int][]graph.Vertex{{0, 1}: {0, 1}, {0, 2}: {2}}), []float64{2, 0.5}},
+		"negative later flow":     {pool(3, map[[2]int][]graph.Vertex{{0, 1}: {0, 1}, {0, 2}: {2}}), []float64{2, -1}},
+	} {
+		a := &partition.Assignment{Part: make([]int32, 4), P: 3} // all in partition 0
+		moved, err := Apply(a, tc.c, pairs, tc.x)
+		if err == nil || moved != 0 {
+			t.Fatalf("%s: Apply = (%d, %v), want (0, error)", name, moved, err)
+		}
+		for v, p := range a.Part {
+			if p != 0 {
+				t.Fatalf("%s: vertex %d left in partition %d behind the error", name, v, p)
+			}
+		}
+	}
+}
+
+// halfSolver answers every LP with 0.5 on each variable — the fractional
+// flow a solver registered from outside could return.
+type halfSolver struct{}
+
+func (halfSolver) Name() string { return "half" }
+func (halfSolver) Solve(_ context.Context, p *lp.Problem) (*lp.Solution, error) {
+	x := make([]float64, len(p.Obj))
+	for i := range x {
+		x[i] = 0.5
+	}
+	return &lp.Solution{Status: lp.Optimal, X: x, Objective: 0.5 * float64(len(x))}, nil
+}
+
+// TestDriveRejectsFractionalRound: a fractional LP answer aborts
+// refinement with the assignment, the sizes and the reported cut exactly
+// as they were.
+func TestDriveRejectsFractionalRound(t *testing.T) {
+	g, a := jaggedStripes()
+	want := a.Clone()
+	st, err := Refine(g, a, Options{Solver: halfSolver{}})
+	if err == nil {
+		t.Fatal("fractional flow must abort refinement")
+	}
+	if !reflect.DeepEqual(a.Part, want.Part) {
+		t.Fatal("assignment changed behind the error")
+	}
+	if st.Rounds != 0 || st.Moved != 0 || st.CutAfter != st.CutBefore {
+		t.Fatalf("stats %+v count a round that was rejected", st)
+	}
+}
+
+// TestDriveRunningCutExact: the cut Drive follows by delta must equal
+// the full evaluation after every applied round, and a regressing tail
+// must be rolled back to the best round — on random assignments of
+// unit-weight grids (exact) and of fractionally weighted graphs (to
+// rounding).
+func TestDriveRunningCutExact(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.Grid(5+rng.Intn(6), 5+rng.Intn(6))
+		frac := seed%2 == 1
+		if frac {
+			for v := 0; v < g.Order(); v++ {
+				for _, u := range append([]graph.Vertex(nil), g.Neighbors(graph.Vertex(v))...) {
+					if graph.Vertex(v) < u {
+						_ = g.RemoveEdge(graph.Vertex(v), u)
+						_ = g.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
+					}
+				}
+			}
+		}
+		p := 2 + rng.Intn(4)
+		a := partition.New(g.Order(), p)
+		for v := range a.Part {
+			a.Part[v] = int32(rng.Intn(p))
+		}
+		var exact []float64
+		st, err := Refine(g, a, Options{OnRound: func(int, int) {
+			exact = append(exact, partition.Cut(g, a).TotalWeight)
+		}})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(st.RoundCuts) != st.Rounds || len(exact) != st.Rounds {
+			t.Fatalf("seed %d: %d rounds, %d running cuts, %d evaluations", seed, st.Rounds, len(st.RoundCuts), len(exact))
+		}
+		best := st.CutBefore
+		for i, want := range exact {
+			got := st.RoundCuts[i]
+			if frac {
+				if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
+					t.Fatalf("seed %d round %d: running cut %g, evaluated %g", seed, i+1, got, want)
+				}
+			} else if got != want {
+				t.Fatalf("seed %d round %d: running cut %g, evaluated %g", seed, i+1, got, want)
+			}
+			if !frac && want < best {
+				best = want
+			}
+		}
+		if after := partition.Cut(g, a).TotalWeight; st.CutAfter != after || (!frac && after != best) {
+			t.Fatalf("seed %d: CutAfter %g, assignment evaluates to %g, best round %g", seed, st.CutAfter, after, best)
+		}
+	}
+}
+
+// TestGainsPatchedMatchesSeeded: patching the pools from the moved
+// vertices and their neighbours must reproduce a from-scratch scan
+// exactly — pools, order, B and Gain — across move batches, both tests
+// and the switches between them, inline and sharded.
+func TestGainsPatchedMatchesSeeded(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		c, a, seeds := parallelFixture(t, 600, 7, 31)
+		rng := rand.New(rand.NewSource(32))
+		s := Scratch{Procs: procs}
+		if _, err := s.GainsSeeded(c, a, false, seeds); err != nil {
+			t.Fatal(err)
+		}
+		all := make([]graph.Vertex, c.Order())
+		for v := range all {
+			all[v] = graph.Vertex(v)
+		}
+		for iter := 0; iter < 60; iter++ {
+			var dirty []graph.Vertex
+			for k := rng.Intn(80); k > 0; k-- { // an empty batch now and then
+				v := graph.Vertex(rng.Intn(c.Order()))
+				a.Part[v] = int32(rng.Intn(a.P))
+				dirty = append(dirty, v)
+				dirty = append(dirty, c.Row(v)...)
+			}
+			strict := iter%3 == 2
+			got, err := s.GainsPatched(c, a, strict, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh Scratch
+			want, err := fresh.GainsSeeded(c, a, strict, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.B, want.B) || !reflect.DeepEqual(got.Gain, want.Gain) {
+				t.Fatalf("procs=%d iter %d strict=%v: B or Gain diverges", procs, iter, strict)
+			}
+			for i := int32(0); i < int32(a.P); i++ {
+				for j := int32(0); j < int32(a.P); j++ {
+					if !reflect.DeepEqual(got.Pool(i, j), want.Pool(i, j)) {
+						t.Fatalf("procs=%d iter %d strict=%v: pool(%d,%d) = %v, want %v",
+							procs, iter, strict, i, j, got.Pool(i, j), want.Pool(i, j))
+					}
+				}
+			}
+		}
+		// A scratch that never scanned this shape has nothing to patch.
+		var cold Scratch
+		if _, err := cold.GainsPatched(c, a, false, nil); err == nil {
+			t.Fatalf("procs=%d: patching an empty scratch must fail", procs)
+		}
 	}
 }
 

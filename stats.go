@@ -68,6 +68,12 @@ type Stats struct {
 	// per-solve decomposition of LPIterations.
 	StagePivots []int
 	RoundPivots []int
+	// RoundCuts is the cut weight after every applied refinement round,
+	// in round order (len == RefineRounds) — the cut-vs-round curve. It is
+	// the running value the refinement driver follows by exact per-move
+	// deltas (equal to a full evaluation on integer edge weights, to
+	// rounding otherwise); CutBefore/CutAfter are full evaluations.
+	RoundCuts []float64
 	// CutBefore and CutAfter report cutset quality around balancing and
 	// refinement.
 	CutBefore, CutAfter CutStats
@@ -129,8 +135,10 @@ type Stats struct {
 	// CutIncremental counts cutset evaluations during this call served
 	// incrementally from the maintained partition-boundary set (cost
 	// proportional to the boundary, bit-identical to the full rescan)
-	// instead of scanning every arc. It covers the CutBefore/CutAfter
-	// reports and every refinement round's cut poll.
+	// instead of scanning every arc: the CutBefore and CutAfter reports
+	// and, under [WithRefine], the evaluation refinement starts from — at
+	// most 3 per call. Refinement rounds evaluate nothing; they follow the
+	// cut by delta (see RoundCuts).
 	CutIncremental int
 }
 
@@ -143,6 +151,7 @@ func (s *Stats) Clone() *Stats {
 	c.EpsilonUsed = append([]float64(nil), s.EpsilonUsed...)
 	c.StagePivots = append([]int(nil), s.StagePivots...)
 	c.RoundPivots = append([]int(nil), s.RoundPivots...)
+	c.RoundCuts = append([]float64(nil), s.RoundCuts...)
 	c.WorkerBusy = append([]time.Duration(nil), s.WorkerBusy...)
 	c.Levels = append([]LevelStats(nil), s.Levels...)
 	c.CutBefore.PerPart = append([]float64(nil), s.CutBefore.PerPart...)
@@ -151,7 +160,7 @@ func (s *Stats) Clone() *Stats {
 }
 
 // convertStatsInto fills dst from the engine's internal stats, reusing
-// dst's EpsilonUsed capacity so steady-state conversion through a warm
+// dst's slice capacities so steady-state conversion through a warm
 // [Engine] allocates nothing.
 func convertStatsInto(dst *Stats, st *core.Stats) {
 	eps := dst.EpsilonUsed[:0]
@@ -160,9 +169,10 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		eps = append(eps, sg.Epsilon)
 		pivots = append(pivots, sg.LPPivots)
 	}
-	rounds := dst.RoundPivots[:0]
+	rounds, cuts := dst.RoundPivots[:0], dst.RoundCuts[:0]
 	if st.Refine != nil {
 		rounds = append(rounds, st.Refine.RoundPivots...)
+		cuts = append(cuts, st.Refine.RoundCuts...)
 	}
 	busy := append(dst.WorkerBusy[:0], st.WorkerBusy...)
 	levels := append(dst.Levels[:0], st.Levels...)
@@ -172,6 +182,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		EpsilonUsed:       eps,
 		StagePivots:       pivots,
 		RoundPivots:       rounds,
+		RoundCuts:         cuts,
 		BalanceMoved:      st.BalanceMoved,
 		LPIterations:      st.LPIterations,
 		Parallelism:       st.Parallelism,
