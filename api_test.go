@@ -185,9 +185,10 @@ func TestEagerOptionValidation(t *testing.T) {
 // TestWithMultilevelVCycle drives the public V-cycle surface end to end:
 // a cold multilevel Repartition on a grown mesh must build a hierarchy
 // (Stats.Levels populated, Coarsen/Uncoarsen timings plumbed through
-// PhaseTimings), a warm call after a small edit batch must journal-repair
-// it rather than recoarsen, and every call must leave an exactly
-// balanced assignment.
+// PhaseTimings), a warm call after a small growth batch must
+// journal-repair it rather than recoarsen, a call that arrives balanced
+// must skip the V-cycle (Stats.VCycleSkipped), and every call must leave
+// an exactly balanced assignment.
 func TestWithMultilevelVCycle(t *testing.T) {
 	g, a := grownMesh(t, 600, 4, 60, 3)
 	eng, err := NewEngine(g, WithRefine(), WithMultilevel(CoarsenTo(32), CoarsenSeed(7)))
@@ -255,8 +256,19 @@ func TestWithMultilevelVCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	balanced(st)
-	if !st.HierarchyRepaired {
-		t.Fatal("warm small-edit call recoarsened instead of repairing the hierarchy")
+	if !st.HierarchyRepaired || st.VCycleSkipped {
+		t.Fatalf("warm growth call: repaired=%v skipped=%v, want the hierarchy repaired", st.HierarchyRepaired, st.VCycleSkipped)
+	}
+
+	// A call that arrives balanced skips the V-cycle and says so.
+	st, err = eng.Repartition(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	balanced(st)
+	if !st.VCycleSkipped || len(st.Levels) != 0 || st.HierarchyRepaired || st.PhaseTimings.Coarsen != 0 {
+		t.Fatalf("balanced call: skipped=%v levels=%d repaired=%v coarsen=%v",
+			st.VCycleSkipped, len(st.Levels), st.HierarchyRepaired, st.PhaseTimings.Coarsen)
 	}
 }
 

@@ -161,10 +161,11 @@ func main() {
 	}
 	if run("multilevel") {
 		ok = true
-		// Large-graph tier: V-cycle cold/settle/warm rows per workload
+		// Large-graph tier: V-cycle cold/idle/warm rows per workload
 		// family, plus the flat RSB from-scratch baseline (minutes of wall
 		// clock) when not in -check mode. MultilevelTable's own assertions
-		// (validity, exact balance, grid warm hierarchy repair) make
+		// (validity, exact balance, the idle call skips the V-cycle, the
+		// cold and warm calls run it, grid warm hierarchy repair) make
 		// -check a CI gate: any violation exits nonzero via exitOn.
 		// -procslist repeats the tier at each worker count so one run
 		// records the scaling curve; the results are bit-identical across
@@ -241,13 +242,14 @@ func solversJSON(rows []bench.SolverRow, p int) string {
 // multilevelJSON renders the large-graph tier as one JSON object, the
 // record scripts/bench.sh folds into BENCH_<n>.json: per workload
 // family, mode and worker count, wall clock, resulting cut, hierarchy
-// depth and whether the warm path journal-repaired the hierarchy. The
-// procs field is the scaling axis benchdiff diffs along (-xprocs).
+// depth, whether the warm path journal-repaired the hierarchy and
+// whether the call arrived balanced and skipped the V-cycle. The procs
+// field is the scaling axis benchdiff diffs along (-xprocs).
 func multilevelJSON(rows []bench.MultilevelRow, p int) string {
 	parts := make([]string, len(rows))
 	for i, r := range rows {
-		parts[i] = fmt.Sprintf(`{"workload": %q, "n": %d, "m": %d, "mode": %q, "procs": %d, "time_ns": %d, "cut": %g, "levels": %d, "repaired": %v, "balanced": %v}`,
-			r.Workload, r.N, r.E, r.Mode, r.Procs, r.Time.Nanoseconds(), r.Cut, r.Levels, r.Repaired, r.Balanced)
+		parts[i] = fmt.Sprintf(`{"workload": %q, "n": %d, "m": %d, "mode": %q, "procs": %d, "time_ns": %d, "cut": %g, "levels": %d, "repaired": %v, "skipped": %v, "balanced": %v}`,
+			r.Workload, r.N, r.E, r.Mode, r.Procs, r.Time.Nanoseconds(), r.Cut, r.Levels, r.Repaired, r.Skipped, r.Balanced)
 	}
 	return fmt.Sprintf(`{"p": %d, "rows": [%s]}`, p, strings.Join(parts, ", "))
 }

@@ -95,6 +95,9 @@ func main() {
 		pt := st.PhaseTimings
 		fmt.Fprintf(os.Stderr, "igprun: phases: assign=%v layer=%v balance=%v refine=%v\n",
 			pt.Assign, pt.Layer, pt.Balance, pt.Refine)
+		if *verbose && st.VCycleSkipped {
+			fmt.Fprintln(os.Stderr, "igprun: v-cycle: skipped (balanced)")
+		}
 		if *verbose && len(st.RoundCuts) > 0 {
 			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g\n",
 				st.RoundCuts, st.CutAfter.TotalWeight)

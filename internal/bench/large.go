@@ -6,11 +6,14 @@ package bench
 // through the engine's V-cycle mode. Two workload families bracket the
 // coarsening behavior: a √n×√n grid (bounded degree, the paper's mesh
 // regime) and a Barabási–Albert power-law graph (heavy-tailed degrees,
-// adversarial for heavy-edge matching). Each family gets a cold V-cycle
-// row (degenerate flood-fill start, spectral coarsest init) and a warm
-// row (small edit burst, repaired hierarchy); the flat RSB
-// from-scratch baseline — minutes per run at 10⁵ — is opt-in and runs
-// on the grid only, which is enough to calibrate the speedup claim.
+// adversarial for heavy-edge matching). Each family gets the three
+// calls a user pays for: a cold V-cycle row (degenerate flood-fill
+// start, spectral coarsest init), an idle row (a size-preserving edit
+// burst: the call arrives balanced, so the V-cycle is skipped and the
+// hierarchy left alone) and a warm row (a growth burst: the call arrives
+// imbalanced and repairs the hierarchy); the flat RSB from-scratch
+// baseline — minutes per run at 10⁵ — is opt-in and runs on the grid
+// only, which is enough to calibrate the speedup claim.
 
 import (
 	"context"
@@ -31,12 +34,13 @@ import (
 type MultilevelRow struct {
 	Workload string        // "grid" or "powerlaw"
 	N, E     int           // graph size
-	Mode     string        // "vcycle-cold", "vcycle-warm", "flat-rsb"
+	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm", "flat-rsb"
 	Procs    int           // worker count the sharded kernels ran at
 	Time     time.Duration // wall clock of the run
 	Cut      float64       // resulting cut weight
-	Levels   int           // hierarchy depth (V-cycle rows)
+	Levels   int           // hierarchy depth (rows that ran the V-cycle)
 	Repaired bool          // hierarchy journal-repaired (warm rows)
+	Skipped  bool          // call arrived balanced: V-cycle not run (idle rows)
 	Balanced bool          // exact vertex-count balance achieved
 }
 
@@ -52,12 +56,28 @@ func largeWorkload(name string, n int, seed int64) (*graph.Graph, error) {
 	return nil, fmt.Errorf("bench: unknown large workload %q", name)
 }
 
+// growthBurst attaches k unassigned unit vertices to random live
+// vertices: phase 1 places them, the partition sizes drift off their
+// targets, and the call that follows runs the V-cycle.
+func growthBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int) {
+	n := g.Order()
+	for k > 0 {
+		if u := graph.Vertex(rng.Intn(n)); g.Alive(u) {
+			_ = g.AddEdge(g.AddVertex(1), u, 1)
+			k--
+		}
+	}
+	a.Grow(g.Order())
+}
+
 // MultilevelTable measures the V-cycle on the large-graph tier: for each
 // workload family it runs a cold multilevel Repartition from a
-// degenerate flood-fill assignment and a warm one after a small edit
-// burst, asserting validity, exact balance and (grid warm) hierarchy
-// repair — a failed assertion is an error, so the table doubles as the
-// CI check.
+// degenerate flood-fill assignment, an idle one after a small
+// size-preserving edit burst and a warm one after a growth burst,
+// asserting validity and exact balance on every row, that the idle call
+// skipped the V-cycle, that the cold and warm calls ran it over a real
+// hierarchy and (grid warm) repaired it — a failed assertion is an
+// error, so the table doubles as the CI check.
 // With includeFlat, the grid family also gets the flat RSB from-scratch
 // baseline row (minutes of wall clock at n = 10⁵).
 func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, error) {
@@ -82,61 +102,56 @@ func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, erro
 			Parallelism: cfg.Parallelism,
 			Multilevel:  engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
 		})
-
-		t0 := time.Now()
-		st, err := e.Repartition(context.Background(), a)
-		cold := time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s cold V-cycle: %w", name, err)
+		// call times one Repartition and checks the row's hard contract.
+		call := func(mode string) (MultilevelRow, error) {
+			t0 := time.Now()
+			st, err := e.Repartition(context.Background(), a)
+			d := time.Since(t0)
+			if err != nil {
+				return MultilevelRow{}, fmt.Errorf("bench: %s %s: %w", name, mode, err)
+			}
+			return multilevelRow(g, a, name, mode, procs, d, st)
 		}
-		row, err := multilevelRow(g, a, name, "vcycle-cold", procs, cold, len(st.Levels), st.HierarchyRepaired)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-
-		// Settle call: the cold rebalance moved a large share of the
-		// vertices after uncoarsening (stage loop + refinement), so the
-		// next Update pays a one-time purity sweep that dissolves and
-		// re-matches every group the polish split. One no-edit call
-		// absorbs that; the warm row then measures the steady state.
-		t0 = time.Now()
-		st, err = e.Repartition(context.Background(), a)
-		settle := time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s settle V-cycle: %w", name, err)
-		}
-		row, err = multilevelRow(g, a, name, "vcycle-settle", procs, settle, len(st.Levels), st.HierarchyRepaired)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-
 		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x1a26e))
-		editBurst(g, rng, 8)
-		t0 = time.Now()
-		st, err = e.Repartition(context.Background(), a)
-		warm := time.Since(t0)
+
+		row, err := call("vcycle-cold")
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s warm V-cycle: %w", name, err)
+			return nil, err
+		}
+		rows = append(rows, row)
+
+		editBurst(g, rng, 8)
+		if row, err = call("vcycle-idle"); err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+
+		// One unmeasured growth call first: the cold polish moved a large
+		// share of the vertices after uncoarsening (stage loop +
+		// refinement), so the first Update after it pays a one-time purity
+		// sweep that dissolves and re-matches every group the polish
+		// split. The warm row then measures the steady state.
+		growthBurst(g, a, rng, 64)
+		if _, err = call("vcycle-warm"); err != nil {
+			return nil, err
+		}
+		growthBurst(g, a, rng, 64)
+		if row, err = call("vcycle-warm"); err != nil {
+			return nil, err
 		}
 		// Full hierarchy repair is the mesh-regime contract: on power-law
 		// graphs a repair at level l dissolves every group adjacent to a
 		// dissolved hub's cluster, and the amplified wave can push an
 		// upper level past the stall or dead-slot guard — those (small,
 		// cheap) levels rebuild and the Repaired flag reports it honestly.
-		if name == "grid" && !st.HierarchyRepaired {
+		if name == "grid" && !row.Repaired {
 			return nil, fmt.Errorf("bench: %s warm V-cycle recoarsened instead of repairing the hierarchy", name)
-		}
-		row, err = multilevelRow(g, a, name, "vcycle-warm", procs, warm, len(st.Levels), st.HierarchyRepaired)
-		if err != nil {
-			return nil, err
 		}
 		rows = append(rows, row)
 		e.Close()
 
 		if includeFlat && name == "grid" {
-			t0 = time.Now()
+			t0 := time.Now()
 			parts, err := spectral.RSB(g, cfg.P, spectral.Options{Seed: cfg.Seed, Procs: procs})
 			flat := time.Since(t0)
 			if err != nil {
@@ -156,21 +171,27 @@ func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, erro
 }
 
 // multilevelRow validates the run's hard contract (valid assignment,
-// exact balance) and packages the measurement.
-func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode string, procs int, d time.Duration, levels int, repaired bool) (MultilevelRow, error) {
+// exact balance, and by mode: the idle call skipped the V-cycle, every
+// other call ran it over a hierarchy at least two levels deep) and
+// packages the measurement.
+func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode string, procs int, d time.Duration, st *engine.Stats) (MultilevelRow, error) {
 	if err := a.Validate(g); err != nil {
 		return MultilevelRow{}, fmt.Errorf("bench: %s %s left an invalid assignment: %w", workload, mode, err)
 	}
 	row := MultilevelRow{
 		Workload: workload, N: g.NumVertices(), E: g.NumEdges(),
 		Mode: mode, Procs: procs, Time: d, Cut: partition.Cut(g, a).TotalWeight,
-		Levels: levels, Repaired: repaired, Balanced: balancedExactly(g, a),
+		Levels: len(st.Levels), Repaired: st.HierarchyRepaired, Skipped: st.VCycleSkipped,
+		Balanced: balancedExactly(g, a),
 	}
 	if !row.Balanced {
 		return MultilevelRow{}, fmt.Errorf("bench: %s %s left imbalance: sizes %v", workload, mode, a.Sizes(g))
 	}
-	if levels < 2 {
-		return MultilevelRow{}, fmt.Errorf("bench: %s %s built only %d hierarchy levels", workload, mode, levels)
+	if idle := mode == "vcycle-idle"; row.Skipped != idle {
+		return MultilevelRow{}, fmt.Errorf("bench: %s %s: V-cycle skipped = %v", workload, mode, row.Skipped)
+	}
+	if !row.Skipped && row.Levels < 2 {
+		return MultilevelRow{}, fmt.Errorf("bench: %s %s built only %d hierarchy levels", workload, mode, row.Levels)
 	}
 	return row, nil
 }
@@ -192,11 +213,11 @@ func balancedExactly(g *graph.Graph, a *partition.Assignment) bool {
 func FormatMultilevel(rows []MultilevelRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Large-graph multilevel tier (P=%d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %6s %10s %9s %7s %9s\n",
-		"Workload", "N", "E", "Mode", "Procs", "Time", "Cut", "Levels", "Repaired")
+	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %6s %10s %9s %7s %9s %8s\n",
+		"Workload", "N", "E", "Mode", "Procs", "Time", "Cut", "Levels", "Repaired", "Skipped")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %6d %10s %9.0f %7d %9v\n",
-			r.Workload, r.N, r.E, r.Mode, r.Procs, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired)
+		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %6d %10s %9.0f %7d %9v %8v\n",
+			r.Workload, r.N, r.E, r.Mode, r.Procs, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped)
 	}
 	return b.String()
 }

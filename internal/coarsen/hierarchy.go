@@ -3,19 +3,24 @@ package coarsen
 // hierarchy.go is the V-cycle's coarse hierarchy: a stack of
 // heavy-edge-matched coarse graphs the engine keeps alive across
 // Repartition calls. The key property is that the hierarchy is
-// *incremental*: after a warm edit the hierarchy is repaired — only the
-// groups whose members were touched are dissolved and re-matched —
-// instead of recoarsened from scratch. Level 0 learns its touched set
-// from the base graph's edit journal (TouchedSince; user edits are the
-// only mutations there). Above that the journal is NOT used: a repair
-// wave on a big graph can dwarf the journal's bounded window, which
-// would force rebuilds exactly on the large warm graphs the hierarchy
-// exists for. Instead, since coarse graphs are mutated only by the
-// hierarchy's own repair, repair at level l records the exact set of
-// coarse vertices it touches (mirroring the journal's semantics:
-// removed vertex + its former neighbors per dissolve, new vertex + its
-// aggregated-edge endpoints per rematch) and Update hands that wave to
-// level l+1's repair as its touched set — exact at any scale.
+// *incremental*: a warm Update repairs it — only the groups whose
+// members were touched are dissolved and re-matched — instead of
+// recoarsening from scratch. It is also demand-driven: the engine
+// consults it only on calls that arrive unbalanced, and an Update
+// repairs everything since the last one — the journal back to the
+// consumed epoch plus every group whose members' partitions diverged
+// meanwhile (a window the bounded journal no longer covers is rebuilt).
+// Level 0 learns its touched set from the base graph's edit journal
+// (TouchedSince; user edits are the only mutations there). Above that
+// the journal is NOT used: a repair wave on a big graph can dwarf the
+// journal's bounded window, which would force rebuilds exactly on the
+// large warm graphs the hierarchy exists for. Instead, since coarse
+// graphs are mutated only by the hierarchy's own repair, repair at level
+// l records the exact set of coarse vertices it touches (mirroring the
+// journal's semantics: removed vertex + its former neighbors per
+// dissolve, new vertex + its aggregated-edge endpoints per rematch) and
+// Update hands that wave to level l+1's repair as its touched set —
+// exact at any scale.
 //
 // Weights: a coarse vertex's weight is the number of *level-0* vertices
 // it represents (every fine vertex counts 1, whatever its application
@@ -509,14 +514,17 @@ func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment, st *
 
 // connectGroups inserts the aggregated coarse adjacency of newly created
 // coarse vertices cvs (reps[i] is the smallest fine member of cvs[i]).
-// Each group's neighbor list is aggregated into a sorted run — never via
-// map iteration — so coarse adjacency order is deterministic. The
-// aggregation is per-group independent, so it shards over the group
-// list by arc weight with worker-private buffers; the insertions then
-// replay sequentially in ascending group order, producing the identical
-// coarse graph and wave log at every worker count. Edges between two
-// new groups are attempted from both sides with identical aggregate
-// weight, and AddEdgeIfAbsent keeps the first.
+// Each group's arcs are aggregated into a run sorted by coarse endpoint —
+// never via map iteration — sharded over the group list by arc weight
+// with worker-private buffers (connectTask); the insertions then replay
+// sequentially in ascending group order, so the coarse graph, its
+// adjacency order and the wave log are identical at every worker count.
+// Nothing is probed: a new vertex owns no edge yet and its run names each
+// neighbor once, so an arc to an old vertex goes in where it is met and
+// one between two new groups — met from both sides — once, from the lower
+// id (new ids are the contiguous tail from cvs[0] on: AddVertex only
+// appends). A new vertex ends with exactly its run's arcs, and the
+// aggregation has already reserved that capacity.
 func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.Vertex) {
 	if len(cvs) == 0 {
 		return
@@ -532,22 +540,20 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.
 		cum = append(cum, t)
 	}
 	h.cum = cum
-	w := 1
-	if h.opt.Procs > 1 && int(t) >= parConnectArcMin {
-		w = h.opt.Procs
-	}
-	h.shards = par.SplitByWeight(h.shards[:0], cum, w)
+	h.shards = par.SplitByWeight(h.shards[:0], cum, h.workers(int(t), parConnectArcMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.cgTask = connectTask{h: h, fg: fg, lv: lv, reps: reps}
 	h.group().Run(len(h.shards), &h.cgTask)
 	h.cgTask = connectTask{}
-	for wk := range h.shards {
+	for wk, sh := range h.shards {
 		ws := &h.sweeps[wk]
 		lo := int32(0)
 		for k, hi := range ws.runs {
-			cv := cvs[h.shards[wk].Lo+k]
+			cv := cvs[sh.Lo+k]
 			for _, pr := range ws.pairs[lo:hi] {
-				lv.gc.AddEdgeIfAbsent(cv, pr.cw, pr.w)
+				if pr.cw < cvs[0] || pr.cw > cv {
+					lv.gc.AddEdgeUnchecked(cv, pr.cw, pr.w)
+				}
 				if h.recordWave {
 					// An edge insertion touches both endpoints; cv itself
 					// was already recorded at AddVertex.

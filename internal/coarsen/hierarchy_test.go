@@ -400,3 +400,45 @@ func TestHierarchyPartitionCountChangeRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestHierarchyHubAggregation(t *testing.T) {
+	// Pins the coarse-arc aggregation where it is hardest: on a power-law
+	// graph a hub's group gathers hundreds of arcs that collapse onto far
+	// fewer coarse endpoints, and a repair wires new groups to old ones
+	// and to each other. The oracle recomputes every aggregated weight
+	// after the build and after each repair round (moves that split
+	// groups, edge flips), and the sharded aggregation must reproduce the
+	// inline one slot for slot — adjacency order and weights included.
+	ctx := context.Background()
+	run := func(procs int) *Hierarchy {
+		g, err := graph.PowerLaw(2000, 4, rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := partition.New(g.Order(), 4)
+		for v := range a.Part {
+			a.Part[v] = int32(v % 4)
+		}
+		h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16, Procs: procs})
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 20; round++ {
+			for k := 0; k < 25; k++ {
+				a.Part[rng.Intn(g.Order())] = int32(rng.Intn(a.P))
+			}
+			for k := 0; k < 10; k++ {
+				u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
+				if !g.AddEdgeIfAbsent(u, v, 1) && u != v {
+					_ = g.RemoveEdge(u, v)
+				}
+			}
+			if _, err := h.Update(ctx, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Check(a); err != nil {
+				t.Fatalf("procs %d round %d: %v", procs, round, err)
+			}
+		}
+		return h
+	}
+	requireHierarchiesEqual(t, run(1), run(4))
+}

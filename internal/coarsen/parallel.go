@@ -397,8 +397,12 @@ type sweepWorker struct {
 	total   float64
 	maxW    float64
 	pairs   []cwPair
-	scratch []cwPair
 	runs    []int32
+	// connectTask's dense accumulator: acc[cw] is the weight the current
+	// group (seen's generation) sends to coarse slot cw; verts lists the
+	// slots it hit.
+	acc  []float64
+	seen par.Stamps
 }
 
 func growSweeps(sw *[]sweepWorker, n int) {
@@ -741,27 +745,12 @@ func (h *Hierarchy) scanSeeds(fg *graph.Graph, fa *partition.Assignment, seeds [
 	}
 }
 
-// cwPairCmp is a total order on aggregation pairs (coarse endpoint,
-// then weight): with no distinct equal elements, any sorting algorithm
-// yields the same permutation, so run aggregation sums are identical
-// everywhere.
-func cwPairCmp(a, b cwPair) int {
-	if a.cw != b.cw {
-		return int(a.cw) - int(b.cw)
-	}
-	switch {
-	case a.w < b.w:
-		return -1
-	case a.w > b.w:
-		return 1
-	}
-	return 0
-}
-
 // connectTask aggregates the coarse adjacency of each new group in a
-// shard: gather both members' arcs, sort by coarse endpoint, collapse
-// runs into (endpoint, weight) pairs with per-group end offsets. All
-// output is worker-private; insertion replays sequentially afterwards.
+// shard on the worker's dense accumulator: each arc of either member adds
+// its weight at its coarse endpoint's slot (in adjacency order, a pure
+// function of the graph); the touched slots, sorted, become the group's
+// run of (endpoint, weight) pairs, with per-group end offsets. The run is
+// the new vertex's whole adjacency, reserved here, where it is sized.
 type connectTask struct {
 	h    *Hierarchy
 	fg   *graph.Graph
@@ -773,11 +762,17 @@ func (t *connectTask) Do(w int) {
 	h := t.h
 	r := h.shards[w]
 	ws := &h.sweeps[w]
-	pairs, runs := ws.pairs[:0], ws.runs[:0]
+	if n := t.lv.gc.Order(); len(ws.acc) < n {
+		n += n / 8 // headroom: every repair appends a few coarse slots
+		ws.acc = make([]float64, n)
+		ws.seen.Grow(n)
+	}
+	pairs, runs, ids := ws.pairs[:0], ws.runs[:0], ws.verts
 	for i := r.Lo; i < r.Hi; i++ {
 		v := t.reps[i]
 		cv := t.lv.f2c[v]
-		scratch := ws.scratch[:0]
+		ws.seen.Next()
+		ids = ids[:0]
 		members := [2]graph.Vertex{v, t.lv.match[v]}
 		cnt := 1
 		if members[1] != v {
@@ -790,22 +785,20 @@ func (t *connectTask) Do(w int) {
 				if cw == cv || cw < 0 {
 					continue
 				}
-				scratch = append(scratch, cwPair{cw, ews[j]})
+				if ws.seen.TryMark(cw) {
+					ws.acc[cw] = ews[j]
+					ids = append(ids, cw)
+				} else {
+					ws.acc[cw] += ews[j]
+				}
 			}
 		}
-		slices.SortFunc(scratch, cwPairCmp)
-		for j := 0; j < len(scratch); {
-			k := j + 1
-			wsum := scratch[j].w
-			for k < len(scratch) && scratch[k].cw == scratch[j].cw {
-				wsum += scratch[k].w
-				k++
-			}
-			pairs = append(pairs, cwPair{scratch[j].cw, wsum})
-			j = k
+		slices.Sort(ids)
+		t.lv.gc.ReserveAdjacency(cv, len(ids)) // cv is this group's alone
+		for _, cw := range ids {
+			pairs = append(pairs, cwPair{cw, ws.acc[cw]})
 		}
 		runs = append(runs, int32(len(pairs)))
-		ws.scratch = scratch[:0]
 	}
-	ws.pairs, ws.runs = pairs, runs
+	ws.pairs, ws.runs, ws.verts = pairs, runs, ids[:0]
 }

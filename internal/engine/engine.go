@@ -123,8 +123,10 @@ type Options struct {
 	// coarsest graph (weighted balance LP, or spectral init when the
 	// assignment is degenerate), then uncoarsen with per-level greedy
 	// refinement — all between phase 1 and the balancing stage loop,
-	// which becomes the fine polish. The hierarchy lives in the engine
-	// session and is journal-repaired on warm calls (see
+	// which becomes the fine polish. It is a balancing stage: a call that
+	// arrives within Tolerance of its targets skips it
+	// (Stats.VCycleSkipped). The hierarchy lives in the engine session
+	// and is journal-repaired by the calls that do consult it (see
 	// Stats.HierarchyRepaired). Disabled (the zero value), the flat
 	// pipeline is untouched.
 	Multilevel MultilevelOptions
@@ -236,6 +238,12 @@ type Stats struct {
 	// at most 3 per call; refinement rounds follow the cut by delta.
 	CutIncremental int
 	// V-cycle reporting (zero unless Options.Multilevel is enabled).
+	// VCycleSkipped reports that multilevel mode is on and the call
+	// arrived within Tolerance of its targets, so — like every other
+	// balancing stage — the V-cycle did not run: the hierarchy was left
+	// as it was, every field below is zero and no PhaseCoarsen or
+	// PhaseUncoarsen event was emitted.
+	VCycleSkipped bool
 	// Levels holds per-level hierarchy statistics, coarsest level last;
 	// like Stages it is an arena reused across calls.
 	Levels []LevelStats
@@ -246,9 +254,10 @@ type Stats struct {
 	UncoarsenTime time.Duration
 	// HierarchyRepaired reports that every pre-existing hierarchy level
 	// was journal-repaired this call — the warm V-cycle path. False on
-	// the first multilevel call (nothing to repair) and whenever a level
-	// had to be recoarsened (journal overflow, dead-slot bloat,
-	// partition-count change, coarsening stall).
+	// the first call that runs the V-cycle (nothing to repair) and
+	// whenever a level had to be recoarsened (the journal no longer
+	// covers the edits since the hierarchy was last consulted, dead-slot
+	// bloat, partition-count change, coarsening stall).
 	HierarchyRepaired bool
 	// CoarseMoved is the fine-vertex weight the coarsest solve moved;
 	// SpectralInit reports that the coarsest graph was partitioned from
@@ -378,8 +387,8 @@ type Engine struct {
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
 	stats    Stats          // reused result arena; see Repartition
 
-	// V-cycle hierarchy, created lazily on the first multilevel
-	// Repartition and journal-repaired on later calls (nil when
+	// V-cycle hierarchy, created by the first Repartition that runs the
+	// V-cycle and journal-repaired by later ones that do (nil when
 	// Options.Multilevel is disabled; dropped by Close).
 	ml *coarsen.Hierarchy
 
@@ -924,12 +933,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		e.cutStatsInto(&st.CutBefore, &e.cutPPB, a)
 	}
 
-	if opt.Multilevel.Enabled {
-		if err := e.runMultilevel(ctx, a, st); err != nil {
-			return st, err
-		}
-	}
-
 	if cap(e.targets) < a.P {
 		e.targets = make([]int, a.P)
 	}
@@ -937,6 +940,19 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	targets := e.targets
 	if cap(e.sizes) < a.P {
 		e.sizes = make([]int, a.P)
+	}
+	if opt.Multilevel.Enabled {
+		// The V-cycle is a balancing stage and sits under the stage loop's
+		// own test: a call that arrives within tolerance has nothing for the
+		// coarse LP to move, so the hierarchy is neither consulted nor
+		// repaired (see multilevel.go).
+		if maxAbsDev(a.SizesInto(e.sizes[:a.P], e.g), targets) > opt.Tolerance {
+			if err := e.runMultilevel(ctx, a, st); err != nil {
+				return st, err
+			}
+		} else {
+			st.VCycleSkipped = true
+		}
 	}
 	solver := opt.solver()
 	for stage := 0; stage < opt.maxStages(); stage++ {

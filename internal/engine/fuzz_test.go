@@ -280,7 +280,8 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 // FuzzVCycleValidity is the multilevel quality fuzz: random edit
 // histories drive a V-cycle engine (tiny CoarsenTo so even fuzz-sized
 // graphs build real hierarchies). Every multilevel Repartition must
-// leave a valid assignment no matter what, exactly balanced when it
+// leave a valid assignment no matter what, a hierarchy that passes its
+// structural oracle whenever the V-cycle ran, exact balance when it
 // succeeds, and its cut must stay within a generous bound (2x + 16) of
 // a flat-pipeline run cloned from the same pre-call state — same-state
 // comparison, because letting two pipelines evolve separately would
@@ -304,7 +305,8 @@ func FuzzVCycleValidity(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x7c1e))
 		check := func() {
 			gF, aF := g.Clone(), a.Clone()
-			_, err := e.Repartition(context.Background(), a)
+			st, err := e.Repartition(context.Background(), a)
+			ranVCycle := len(st.Levels) > 0
 			eF := New(gF, Options{Refine: true, Parallelism: workers})
 			_, errF := eF.Repartition(context.Background(), aF)
 			eF.Close()
@@ -322,6 +324,13 @@ func FuzzVCycleValidity(f *testing.F) {
 			}
 			if verr := a.Validate(g); verr != nil {
 				t.Fatalf("invalid multilevel assignment (err=%v): %v", err, verr)
+			}
+			if ranVCycle {
+				// Balanced calls skip the V-cycle, so this one repaired a
+				// deferred window of random length: it must have caught up
+				// with every edit and move since the hierarchy was last
+				// consulted.
+				requireHierarchy(t, e, a)
 			}
 			if err != nil || errF != nil {
 				return

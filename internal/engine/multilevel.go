@@ -4,12 +4,27 @@ package engine
 // is enabled, Repartition runs a coarsen → solve-coarsest → uncoarsen
 // cycle between phase 1 and the balancing stage loop. The hierarchy
 // (coarsen.Hierarchy) lives inside the engine session, so a warm call
-// after a small edit batch repairs it from the graph's journal instead
-// of recoarsening — the same journal/epoch contract the CSR patch and
-// boundary tracker already consume. The stage loop then acts as the fine
-// polish: the V-cycle leaves at most cluster-granularity imbalance, so
-// its LPs stay paper-sized, and the refinement phase (when enabled)
-// sees an already-good cut.
+// repairs it from the graph's journal instead of recoarsening — the same
+// journal/epoch contract the CSR patch and boundary tracker already
+// consume. The stage loop then acts as the fine polish: the V-cycle
+// leaves at most cluster-granularity imbalance, so its LPs stay
+// paper-sized, and the refinement phase (when enabled) sees an
+// already-good cut.
+//
+// The V-cycle is a balancing stage — the paper's §4 remark makes the
+// coarse pass a way to correct imbalance with cluster moves — and it is
+// demand-driven like the others: Repartition enters it only when the
+// partition sizes deviate from their targets by more than
+// Options.Tolerance, the test that guards every stage of the loop. On a
+// balanced call the coarsest LP has a zero right-hand side, nothing is
+// projected and nothing refined, so the call is reported as
+// Stats.VCycleSkipped and the hierarchy is not touched at all. Nothing
+// marks it stale: the next call that consults it repairs the whole
+// window since it was last consulted with what the hierarchy already
+// owns — level 0 reads the journal back to the epoch it consumed, the
+// purity sweep dissolves every group that refinement or the caller split
+// meanwhile, and a window the bounded journal no longer covers takes the
+// compacting rebuild.
 
 import (
 	"context"

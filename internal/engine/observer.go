@@ -71,7 +71,8 @@ func (k EventKind) String() string {
 // goroutine, with every EventEnd following its EventStart:
 //
 //	assign start/end,
-//	then if multilevel is enabled:
+//	then if multilevel is enabled and the call arrived unbalanced
+//	(nothing at all when Stats.VCycleSkipped):
 //	  coarsen start, per-level coarsen start/end pairs (Stage = 1-based
 //	  level, emitted back-to-back after the level's work with its
 //	  measured Elapsed), coarsen end,

@@ -240,6 +240,19 @@ func (g *Graph) AddEdgeIfAbsent(u, v Vertex, weight float64) bool {
 	return true
 }
 
+// ReserveAdjacency grows v's adjacency and edge-weight capacity to hold
+// at least n arcs, so a builder that knows a vertex's final degree
+// appends to it without regrowing. The graph's content is unchanged:
+// nothing is journaled and the epoch does not move. Only v's own rows
+// are written, so builders may reserve distinct vertices concurrently
+// (with no other mutation in flight).
+func (g *Graph) ReserveAdjacency(v Vertex, n int) {
+	if cap(g.adj[v]) < n {
+		g.adj[v] = append(make([]Vertex, 0, n), g.adj[v]...)
+		g.ew[v] = append(make([]float64, 0, n), g.ew[v]...)
+	}
+}
+
 func (g *Graph) addEdgeRaw(u, v Vertex, weight float64) {
 	g.adj[u] = append(g.adj[u], v)
 	g.ew[u] = append(g.ew[u], weight)

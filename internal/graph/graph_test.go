@@ -99,6 +99,32 @@ func TestRemoveVertex(t *testing.T) {
 	}
 }
 
+func TestReserveAdjacency(t *testing.T) {
+	g := NewWithVertices(3)
+	_ = g.AddEdge(0, 1, 2.5)
+	epoch := g.Epoch()
+	g.ReserveAdjacency(0, 8)
+	g.ReserveAdjacency(2, 0) // nothing to grow
+	if c, cw := cap(g.Neighbors(0)), cap(g.EdgeWeights(0)); c < 8 || cw < 8 {
+		t.Fatalf("capacity %d/%d after reserving 8", c, cw)
+	}
+	if touched, exact := g.TouchedSince(epoch, nil); g.Epoch() != epoch || !exact || len(touched) != 0 {
+		t.Fatalf("reservation journaled: epoch %d→%d, touched %v", epoch, g.Epoch(), touched)
+	}
+	if w, ok := g.EdgeWeight(0, 1); !ok || w != 2.5 || g.Degree(0) != 1 {
+		t.Fatalf("reservation changed the adjacency: degree %d, weight %g", g.Degree(0), w)
+	}
+	// Appends up to the reserved length stay in the reserved arrays.
+	row := g.Neighbors(0)[:1]
+	_ = g.AddEdge(0, 2, 1)
+	if &g.Neighbors(0)[0] != &row[0] {
+		t.Fatal("append within the reserved capacity reallocated")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCompact(t *testing.T) {
 	g := Complete(6)
 	if err := g.RemoveVertex(0); err != nil {

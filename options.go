@@ -31,7 +31,8 @@ const (
 )
 
 // The pipeline phases reported in events and PhaseTimings. PhaseCoarsen
-// and PhaseUncoarsen appear only under [WithMultilevel].
+// and PhaseUncoarsen appear only under [WithMultilevel], on calls that
+// run the V-cycle (see [Stats.VCycleSkipped]).
 const (
 	PhaseAssign    = engine.PhaseAssign
 	PhaseLayer     = engine.PhaseLayer
@@ -231,13 +232,22 @@ func WithObserver(fn func(Event)) Option {
 // partition into seconds while staying within a small factor of the flat
 // pipeline's cut.
 //
+// The V-cycle is a balancing stage and runs on demand, under the test
+// that guards every stage: a call that arrives balanced — every
+// partition within [WithTolerance] of its target, so with
+// WithTolerance(k) a call within ±k — skips it exactly as the stage loop
+// skips its stages ([Stats.VCycleSkipped]); size-preserving edits cost
+// what they cost the flat pipeline.
+//
 // Inside an [Engine] the coarse hierarchy is part of the session: a warm
-// Repartition after a small edit batch repairs it from the graph's edit
-// journal — only the clusters whose members were touched dissolve and
+// Repartition that does run the V-cycle repairs it from the graph's edit
+// journal — only the clusters whose members were touched, or split by
+// vertex moves, since the hierarchy was last consulted dissolve and
 // re-match — instead of recoarsening from scratch
-// ([Stats.HierarchyRepaired] reports which path ran). The V-cycle is a
-// sequential kernel: results are bit-identical at every
-// [WithParallelism] value for a fixed [CoarsenSeed].
+// ([Stats.HierarchyRepaired] reports which path ran; a window the
+// bounded journal no longer covers is rebuilt). Results are
+// bit-identical at every [WithParallelism] value for a fixed
+// [CoarsenSeed].
 //
 // Sub-options ([CoarsenTo], [CoarsenLevels], [CoarsenSeed]) tune the
 // hierarchy; WithMultilevel() alone picks sensible defaults.

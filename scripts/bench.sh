@@ -146,14 +146,16 @@ else
     done < <(go run ./cmd/igpbench -table serve -json)
 fi
 
-# Large-graph multilevel tier: V-cycle cold/settle/warm rows on the
-# paper-scale grid and power-law workloads at P=8, repeated at worker
-# counts 1 and 8 (-procslist) so the artifact records the V-cycle
-# scaling curve — the rows are bit-identical across counts, only the
-# wall clock moves. Full mode runs n = 10⁵ with the flat RSB
+# Large-graph multilevel tier: V-cycle cold/idle/warm rows on the
+# paper-scale grid and power-law workloads at P=8 — cold build, a
+# size-preserving 8-edit burst (arrives balanced: V-cycle skipped) and a
+# 64-vertex growth burst (arrives imbalanced: hierarchy repaired) —
+# repeated at worker counts 1 and 8 (-procslist) so the artifact records
+# the V-cycle scaling curve — the rows are bit-identical across counts,
+# only the wall clock moves. Full mode runs n = 10⁵ with the flat RSB
 # from-scratch baseline on the grid — the evidence that the V-cycle
-# beats flat at n ≥ 10⁵ and that a warm repaired Repartition costs
-# milliseconds. Smoke mode shrinks n and drops the flat baseline
+# beats flat at n ≥ 10⁵ and what an idle and a repairing warm
+# Repartition cost. Smoke mode shrinks n and drops the flat baseline
 # (minutes of wall clock) but keeps -check, so the tier's hard contract
 # still gates CI.
 if [ "${BENCH_SMOKE:-0}" = "1" ]; then

@@ -13,7 +13,8 @@ import (
 // solve + move, summed over stages), and phase 4 refinement. Under
 // [WithMultilevel], Coarsen (hierarchy update plus coarsest solve) and
 // Uncoarsen (projection plus per-level refinement) cover the V-cycle
-// legs run between assignment and balancing; both are zero otherwise.
+// legs run between assignment and balancing; both are zero otherwise,
+// and on a call that skipped the V-cycle ([Stats.VCycleSkipped]).
 // For a single-pass run their sum is within bookkeeping noise of
 // Stats.Elapsed; a WithBatches(k>1) run sums the per-batch pipelines,
 // which excludes the subgraph construction between batches.
@@ -113,14 +114,24 @@ type Stats struct {
 	// zero on the first call, after journal overflow, and when churn or
 	// a slot overflow forced a compacting rebuild.
 	CSRPatched int
+	// VCycleSkipped reports that [WithMultilevel] is on and the call
+	// arrived balanced (every partition within [WithTolerance] of its
+	// target), so the V-cycle — a balancing stage — did not run and the
+	// hierarchy was left untouched: Levels is empty, HierarchyRepaired
+	// and SpectralInit are false, the Coarsen/Uncoarsen timings are zero
+	// and no [PhaseCoarsen]/[PhaseUncoarsen] event was emitted.
+	VCycleSkipped bool
 	// Levels reports the [WithMultilevel] hierarchy bottom-up: sizes,
 	// repair-vs-rebuild outcome and timings of each coarse level. It is
-	// empty when the V-cycle is disabled. Like the rest of an engine's
-	// Stats arena it is overwritten by the next call; Clone detaches it.
+	// empty when the V-cycle is disabled or was skipped. Like the rest of
+	// an engine's Stats arena it is overwritten by the next call; Clone
+	// detaches it.
 	Levels []LevelStats
 	// HierarchyRepaired reports that a [WithMultilevel] call repaired
 	// every pre-existing hierarchy level from the graph's edit journal —
 	// the warm path — instead of recoarsening any of them from scratch.
+	// The repair covers everything since the hierarchy was last
+	// consulted, skipped calls included.
 	HierarchyRepaired bool
 	// SpectralInit reports that the coarsest level was partitioned by the
 	// spectral solve (degenerate incoming assignment) rather than the
@@ -193,6 +204,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		CutIncremental:    st.CutIncremental,
 		CutBefore:         st.CutBefore,
 		CutAfter:          st.CutAfter,
+		VCycleSkipped:     st.VCycleSkipped,
 		Levels:            levels,
 		HierarchyRepaired: st.HierarchyRepaired,
 		SpectralInit:      st.SpectralInit,
