@@ -593,8 +593,9 @@ func TestPublicStatsClone(t *testing.T) {
 // refinement, and the V-cycle's coarsest solve plus fine polish — so
 // Stats.LPDelegated reads 0 while LPs are being solved. A balance
 // tolerance pairs every row into GE/LE, which is not a flow: those solves
-// go to the tableau delegate, are counted per call, and still deliver a
-// valid assignment within the tolerance.
+// go to the tableau delegate, are counted per call — summed over the
+// batches of a batched call — and still deliver a valid assignment
+// within the tolerance.
 func TestLPDelegated(t *testing.T) {
 	ctx := context.Background()
 	grow := func(g *Graph, n int) {
@@ -645,20 +646,36 @@ func TestLPDelegated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	st, err := eng.Repartition(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LPDelegated == 0 || st.LPDelegated < st.Stages {
-		t.Fatalf("tolerance LPs: LPDelegated = %d over %d stages, want every solve counted", st.LPDelegated, st.Stages)
-	}
-	if err := a.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	targets := partition.Targets(g.NumVertices(), a.P)
-	for q, size := range a.Sizes(g) {
-		if d := size - targets[q]; d < -tol || d > tol {
-			t.Fatalf("partition %d has %d vertices, target %d ± %d", q, size, targets[q], tol)
+	gb, ab := grownMesh(t, 900, 8, 60, 5)
+	var st *Stats
+	for _, in := range []struct {
+		name string
+		g    *Graph
+		a    *Assignment
+		run  func() (*Stats, error)
+	}{
+		{"batched", gb, ab, func() (*Stats, error) {
+			return Repartition(ctx, gb, ab, WithTolerance(tol), WithBatches(2), WithRefine())
+		}},
+		{"engine", g, a, func() (*Stats, error) { return eng.Repartition(ctx, a) }},
+	} {
+		if st, err = in.run(); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if st.LPDelegated == 0 || st.LPDelegated < st.Stages {
+			t.Fatalf("%s: tolerance LPs: LPDelegated = %d over %d stages, want every solve counted", in.name, st.LPDelegated, st.Stages)
+		}
+		if st.Parallelism == 0 || st.CutIncremental == 0 {
+			t.Fatalf("%s: Parallelism = %d, CutIncremental = %d: the call's counters were dropped", in.name, st.Parallelism, st.CutIncremental)
+		}
+		if err := in.a.Validate(in.g); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		targets := partition.Targets(in.g.NumVertices(), in.a.P)
+		for q, size := range in.a.Sizes(in.g) {
+			if d := size - targets[q]; d < -tol || d > tol {
+				t.Fatalf("%s: partition %d has %d vertices, target %d ± %d", in.name, q, size, targets[q], tol)
+			}
 		}
 	}
 	// The count is a per-call delta in the reused arena: a call with

@@ -502,10 +502,8 @@ func BenchmarkEngine_SteadyRepartition(b *testing.B) {
 }
 
 // BenchmarkEngine_SteadyRepartitionPar is the steady-state cycle at each
-// worker count: with the LP kernels column-sharded behind the same
-// worker group, this is where the balance+refine wall clock scales —
-// and the allocs/op column must read 0 at every procs value (the
-// per-worker scratch is part of the engine's arenas).
+// worker count: the allocs/op column must read 0 at every procs value
+// (the per-worker scratch is part of the engine's arenas).
 func BenchmarkEngine_SteadyRepartitionPar(b *testing.B) {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph

@@ -8,14 +8,13 @@
 //	igpbench -table speedup               # §4 speedup claim (15–20× at 32)
 //	igpbench -table lpsize                # §4 LP-size independence claim
 //	igpbench -table refine                # refinement-quality ablation
-//	igpbench -table solvers               # per-solver pivots (warm vs cold)
+//	igpbench -table solvers               # per-solver pivots, time and cut
 //	igpbench -table serve                 # igpserve latency under load
 //	igpbench -table multilevel            # large-graph V-cycle tier (n=10^5)
 //	igpbench -table all                   # everything
 //
 // Flags -p, -ranks, -seed, -solver and -skipsim adjust the experiment.
-// See README.md for example output, including the "dual-warm"
-// warm-started dual simplex comparison row.
+// See README.md for example output.
 package main
 
 import (
@@ -32,7 +31,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "fig11", "table to regenerate: fig11|fig14|speedup|lpsize|baselines|refine|solvers|incremental|phases|lp-procs|serve|multilevel|all")
+	table := flag.String("table", "fig11", "table to regenerate: fig11|fig14|speedup|lpsize|baselines|refine|solvers|incremental|phases|serve|multilevel|all")
 	seed := flag.Int64("seed", 1994, "workload seed")
 	p := flag.Int("p", 32, "number of partitions")
 	ranks := flag.Int("ranks", 32, "simulated machine size")
@@ -66,15 +65,6 @@ func main() {
 		// one JSON object, mesh A first refinement under IGPR.
 		exitOn(printPhases(*seed, *p, *solver, *procs))
 		if *table == "phases" {
-			return
-		}
-	}
-	if run("lp-procs") {
-		ok = true
-		// Machine-readable LP-phase scaling rows (mesh B, P=128, IGPR, one
-		// row per worker count) for the bench.sh trajectory.
-		exitOn(printLPProcs(*seed, *solver))
-		if *table == "lp-procs" {
 			return
 		}
 	}
@@ -289,35 +279,6 @@ func printPhases(seed int64, p int, solver string, procs int) error {
 	if err != nil {
 		return err
 	}
-	return phaseRecord("meshA-step1-igpr", seq, seed, p, solver, procs)
-}
-
-// printLPProcs is the lp-procs table: the first mesh-B refinement at
-// P=128 — big enough that the balance/refine LPs clear the tableau
-// kernels' sharding threshold — once per worker count, each emitted as
-// a phaseRecord row. bench.sh folds the rows into
-// phase_timings_by_procs, making the balance/refine wall clock versus
-// worker count part of the BENCH trajectory. lp_parallel counts the
-// solves whose tableau kernels forked: 0 under the default "network"
-// solver (tree pivots are sequential), nonzero with -solver bounded or
-// dual-warm.
-func printLPProcs(seed int64, solver string) error {
-	seq, err := mesh.PaperSequenceB(seed)
-	if err != nil {
-		return err
-	}
-	const p = 128
-	for _, procs := range []int{1, 2, 4, 8} {
-		if err := phaseRecord("meshB-step1-igpr-p128", seq, seed, p, solver, procs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// phaseRecord runs one IGPR repartition of seq's first step and emits
-// the per-phase timing JSON record.
-func phaseRecord(workload string, seq *mesh.Sequence, seed int64, p int, solver string, procs int) error {
 	a, err := igp.PartitionRSB(seq.Base, p, seed)
 	if err != nil {
 		return err
@@ -336,13 +297,13 @@ func phaseRecord(workload string, seq *mesh.Sequence, seed int64, p int, solver 
 	for i, d := range st.WorkerBusy {
 		busy[i] = fmt.Sprintf("%d", d.Nanoseconds())
 	}
-	fmt.Printf(`{"workload": %q, "p": %d, "solver": %q, "procs": %d, `+
+	fmt.Printf(`{"workload": "meshA-step1-igpr", "p": %d, "solver": %q, "procs": %d, `+
 		`"assign_ns": %d, "layer_ns": %d, "balance_ns": %d, "refine_ns": %d, `+
-		`"elapsed_ns": %d, "stages": %d, "lp_iterations": %d, "lp_parallel": %d, "moved": %d, `+
+		`"elapsed_ns": %d, "stages": %d, "lp_iterations": %d, "moved": %d, `+
 		`"worker_busy_ns": [%s]}`+"\n",
-		workload, p, solver, st.Parallelism, pt.Assign.Nanoseconds(), pt.Layer.Nanoseconds(),
+		p, solver, st.Parallelism, pt.Assign.Nanoseconds(), pt.Layer.Nanoseconds(),
 		pt.Balance.Nanoseconds(), pt.Refine.Nanoseconds(), st.Elapsed.Nanoseconds(),
-		st.Stages, st.LPIterations, st.LPParallel, st.BalanceMoved+st.RefineMoved,
+		st.Stages, st.LPIterations, st.BalanceMoved+st.RefineMoved,
 		strings.Join(busy, ", "))
 	return nil
 }

@@ -13,9 +13,9 @@
 //     load balancing by linear programming, and LP-based cut refinement
 //     (the paper's IGP and IGPR variants);
 //   - three simplex implementations (dense tableau as in the paper,
-//     bounded-variable, and a warm-started bounded dual) behind a
-//     pluggable, named Solver registry, plus a column-distributed
-//     parallel simplex;
+//     bounded-variable tableau, and a network simplex on a spanning
+//     tree) behind a pluggable, named Solver registry, plus a
+//     column-distributed parallel simplex;
 //   - a message-passing machine simulator calibrated to a 32-node CM-5,
 //     with an SPMD parallel implementation of the whole pipeline; and
 //   - DIME-style adaptive triangular mesh generation (incremental

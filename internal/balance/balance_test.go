@@ -107,7 +107,7 @@ func TestFormulateShape(t *testing.T) {
 }
 
 func TestStepBalancesStripes(t *testing.T) {
-	for _, solver := range []lp.Solver{lp.Dense{}, lp.Bounded{}, lp.NewDualWarm()} {
+	for _, solver := range []lp.Solver{lp.Dense{}, lp.Bounded{}} {
 		g, a := unbalancedStripes()
 		lay, err := layering.Layer(g, a)
 		if err != nil {
@@ -414,17 +414,12 @@ func TestArenaFormulateMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(got.RHS, want.RHS) {
 			t.Fatalf("eps=%g slack=%d: RHS diverges", tc.eps, tc.slack)
 		}
-		if !lp.SameStructure(got.Prob, want.Prob) {
-			t.Fatalf("eps=%g slack=%d: problem structure diverges", tc.eps, tc.slack)
+		if got.Prob.Sense != want.Prob.Sense || !reflect.DeepEqual(got.Prob.Cons, want.Prob.Cons) {
+			t.Fatalf("eps=%g slack=%d: constraints diverge", tc.eps, tc.slack)
 		}
 		if !reflect.DeepEqual(got.Prob.Obj, want.Prob.Obj) ||
 			!reflect.DeepEqual(got.Prob.Upper, want.Prob.Upper) {
 			t.Fatalf("eps=%g slack=%d: objective/bounds diverge", tc.eps, tc.slack)
-		}
-		for i := range want.Prob.Cons {
-			if got.Prob.Cons[i].RHS != want.Prob.Cons[i].RHS {
-				t.Fatalf("eps=%g slack=%d: constraint %d RHS diverges", tc.eps, tc.slack, i)
-			}
 		}
 		if err := got.Prob.Validate(); err != nil {
 			t.Fatal(err)

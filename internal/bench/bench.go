@@ -439,9 +439,6 @@ func FormatBaselines(rows []BaselineRow, p int) string {
 // SolverRow is one row of the per-solver pivot/latency comparison: the
 // same IGPR workload run under one registered simplex, with the LP
 // iteration counts broken down per balance stage and refinement round.
-// Warm-started solvers ("dual-warm") show their gain here: stage and
-// round solves after the first resume from retained bases, so their
-// LPIterations total falls well below the cold solvers' at equal cut.
 type SolverRow struct {
 	Name         string
 	Time         time.Duration
@@ -455,7 +452,7 @@ type SolverRow struct {
 
 // SolverComparison runs IGPR on the first refinement of a sequence
 // under each named solver from the registry and reports the per-solver
-// pivot counts and cut quality — the warm-vs-cold evidence the bench
+// pivot counts and cut quality — the per-solver evidence the bench
 // trajectory records.
 func SolverComparison(seq *mesh.Sequence, cfg Config, names []string) ([]SolverRow, error) {
 	cfg = cfg.withDefaults()

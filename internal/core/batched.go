@@ -102,6 +102,16 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		agg.RefineTime += st.RefineTime
 		agg.Elapsed += st.Elapsed
 		agg.LPIterations += st.LPIterations
+		agg.LPDelegated += st.LPDelegated
+		agg.CutIncremental += st.CutIncremental
+		agg.CSRPatched += st.CSRPatched
+		agg.Parallelism = st.Parallelism
+		for w, d := range st.WorkerBusy {
+			if w == len(agg.WorkerBusy) {
+				agg.WorkerBusy = append(agg.WorkerBusy, 0)
+			}
+			agg.WorkerBusy[w] += d
+		}
 		if b == 0 {
 			agg.CutBefore = st.CutBefore
 		}

@@ -91,9 +91,9 @@ var ErrClosed = errors.New("core: engine closed; create a new engine")
 // Options configures an Engine (and the core.Repartition wrapper).
 type Options struct {
 	// Solver is the simplex implementation (nil = lp.Default()). A
-	// stateful solver implementing lp.SessionSolver (e.g. "dual-warm")
-	// is forked at New: the engine session holds a private instance so
-	// retained warm-start bases live exactly as long as the engine.
+	// solver implementing lp.SessionSolver is forked at New: the engine
+	// session holds a private instance whose arenas live exactly as long
+	// as the engine.
 	Solver lp.Solver
 	// EpsilonMax is the paper's upper bound C on the relaxation factor;
 	// stages try ε = 1, 2, … up to it (0 = default 8).
@@ -208,11 +208,6 @@ type Stats struct {
 	// Parallelism is the worker count the engine's sharded kernels ran
 	// with (1 = the sequential path).
 	Parallelism int
-	// LPParallel counts LP solves during this call that actually forked
-	// the simplex kernels over the worker group (reached the per-pivot
-	// work threshold); zero on the sequential path and for LPs too small
-	// to be worth sharding. Results are bit-identical either way.
-	LPParallel int
 	// LPDelegated counts LP solves during this call that the solver
 	// handed to its tableau delegate because the problem was not a pure
 	// network flow (lp.Network's recognizer said no). Zero on the paper's
@@ -393,7 +388,7 @@ type Engine struct {
 	ml *coarsen.Hierarchy
 
 	// The engine's sessionized LP solvers (deduplicated): polled for
-	// Stats.LPParallel and Stats.LPDelegated in Repartition.
+	// Stats.LPDelegated in Repartition.
 	lpSolvers []lp.Solver
 
 	// Worker pool for the sharded kernels (see parallel.go): one
@@ -420,28 +415,21 @@ const neverSeen int32 = -2
 // New returns an engine bound to g. The first Repartition (or Layer/Gains)
 // call pays a full snapshot build; later calls are incremental.
 //
-// Stateful solvers (lp.SessionSolver, e.g. the warm-started "dual-warm"
-// dual simplex) are forked here: the engine session owns a private
-// instance whose retained bases live exactly as long as the engine, so
-// the warm state of one engine's balance/refine LP stream is never
-// shared with — or evicted by — another engine, and a one-shot
-// core.Repartition (fresh engine per call) never reuses bases across
-// calls. When the refine solver is the balance solver (the default),
-// both phases share one session, so a basis retained by a balance stage
-// can warm a structurally identical later solve and vice versa.
+// Session solvers (lp.SessionSolver) are forked here: the engine session
+// owns a private instance whose arenas live exactly as long as the
+// engine, so the state of one engine's balance/refine LP stream is never
+// shared with another engine. When the refine solver is the balance
+// solver (the default), both phases share one session and its arenas.
 func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{g: g, procs: opt.procs()}
 	base := opt.solver()
-	// Sessions get the engine's worker group: WithParallelism covers the
-	// LP kernels with zero call-site changes (see lp/parallel.go).
-	workers := lp.WithWorkers(&e.group, e.procs)
-	session := lp.Session(base, workers)
+	session := lp.Session(base)
 	opt.Solver = session
 	switch rs := opt.RefineOptions.Solver; {
 	case rs == nil || sameSolverInstance(rs, base):
 		opt.RefineOptions.Solver = session
 	default:
-		opt.RefineOptions.Solver = lp.Session(rs, workers)
+		opt.RefineOptions.Solver = lp.Session(rs)
 	}
 	e.opt = opt
 	e.lpSolvers = append(e.lpSolvers, session)
@@ -458,19 +446,17 @@ func New(g *graph.Graph, opt Options) *Engine {
 	return e
 }
 
-// lpCounts sums the forked-solve and delegated-solve counters of the
-// engine's LP sessions (the lifetime totals; Repartition reports per-call
-// deltas). Sessions without a counter contribute nothing.
-func (e *Engine) lpCounts() (parallel, delegated int) {
+// lpDelegated sums the delegated-solve counters of the engine's LP
+// sessions (the lifetime total; Repartition reports per-call deltas).
+// Sessions without a counter contribute nothing.
+func (e *Engine) lpDelegated() int {
+	n := 0
 	for _, s := range e.lpSolvers {
-		if ps, ok := s.(lp.ParallelSolver); ok {
-			parallel += ps.ParallelSolves()
-		}
 		if ds, ok := s.(interface{ DelegatedSolves() int }); ok {
-			delegated += ds.DelegatedSolves()
+			n += ds.DelegatedSolves()
 		}
 	}
-	return parallel, delegated
+	return n
 }
 
 // sameSolverInstance reports whether a and b are the very same solver
@@ -491,7 +477,7 @@ func (e *Engine) Closed() bool { return e.closed }
 // Close ends the engine session and releases everything it owns: the
 // CSR snapshot, the boundary/size/pending trackers, every scratch
 // arena, the worker group, and the sessionized LP solvers with their
-// retained warm-start bases. A session pool evicting an idle engine
+// arenas. A session pool evicting an idle engine
 // calls Close so the memory is reclaimed deterministically rather than
 // when the GC happens to notice.
 //
@@ -507,9 +493,8 @@ func (e *Engine) Close() error {
 	if e.closed {
 		return nil
 	}
-	// Drop every arena and the LP sessions (whose basis caches can be
-	// large) in one sweep; keep only the graph binding, the identity
-	// bits, and the closed flag.
+	// Drop every arena and the LP sessions in one sweep; keep only the
+	// graph binding, the identity bits, and the closed flag.
 	*e = Engine{g: e.g, procs: e.procs, closed: true}
 	return nil
 }
@@ -893,14 +878,13 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	opt := e.opt
 	e.group.Reset()
 	basePatched, baseCutInc := e.csrPatched, e.cutIncremental
-	baseLPPar, baseLPDel := e.lpCounts()
+	baseLPDel := e.lpDelegated()
 	tStart := time.Now()
 	defer func() {
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
 		st.CutIncremental = e.cutIncremental - baseCutInc
-		lpPar, lpDel := e.lpCounts()
-		st.LPParallel, st.LPDelegated = lpPar-baseLPPar, lpDel-baseLPDel
+		st.LPDelegated = e.lpDelegated() - baseLPDel
 		for _, sg := range st.Stages {
 			st.LPIterations += sg.LPPivots
 		}
@@ -1038,10 +1022,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 
 // balanceStage runs one layer→LP→move stage, escalating ε until
 // feasible. Formulations go through the engine's reused arena, so a
-// steady-state stage allocates nothing building its LP — and because
-// the ε escalation and successive stages only change RHS and bounds
-// over an unchanged pair structure, a warm-started solver resumes each
-// of these solves from the previous basis.
+// steady-state stage allocates nothing building its LP.
 func balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int, solver lp.Solver, epsMax float64, tol int, ar *balance.Arena, flowBuf *[]balance.Flow) (StageStats, bool, error) {
 	for eps := 1.0; eps <= epsMax; eps++ {
 		m, err := ar.FormulateTol(lay.Delta, sizes, targets, eps, tol)

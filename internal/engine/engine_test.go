@@ -395,21 +395,41 @@ func TestSteadyStateRefineFormulateAllocs(t *testing.T) {
 	}
 }
 
+// sessionFake is a test-local lp.SessionSolver: a template counts its
+// NewSession calls and every fork remembers its template and carries
+// the template's configuration.
+type sessionFake struct {
+	tag      int // configuration a fork must keep
+	forks    int // NewSession calls on this template
+	template *sessionFake
+}
+
+func (s *sessionFake) Name() string { return "session-fake" }
+
+func (s *sessionFake) NewSession() lp.Solver {
+	s.forks++
+	return &sessionFake{tag: s.tag, template: s}
+}
+
+func (s *sessionFake) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
+	return lp.Bounded{}.Solve(ctx, p)
+}
+
 // TestEngineForksSessionSolvers: New must give each engine a private
-// instance of a stateful solver (basis lifetime = engine session), and
-// share that one session between the balance and refine phases when
-// they use the same solver.
+// instance of a session solver (its state lives and dies with the
+// engine), and share that one session between the balance and refine
+// phases when they use the same solver.
 func TestEngineForksSessionSolvers(t *testing.T) {
-	template := lp.NewDualWarm()
+	template := &sessionFake{}
 	g1, _ := editableGraph(t, 100, 4, 3)
 	g2, _ := editableGraph(t, 100, 4, 4)
 	e1 := New(g1, Options{Solver: template, Refine: true})
 	e2 := New(g2, Options{Solver: template, Refine: true})
-	s1, ok := e1.opt.Solver.(*lp.DualWarm)
+	s1, ok := e1.opt.Solver.(*sessionFake)
 	if !ok {
-		t.Fatalf("engine solver is %T, want *lp.DualWarm", e1.opt.Solver)
+		t.Fatalf("engine solver is %T, want *sessionFake", e1.opt.Solver)
 	}
-	if s1 == template {
+	if s1 == template || s1.template != template {
 		t.Fatal("engine did not fork the session solver")
 	}
 	if e1.opt.Solver == e2.opt.Solver {
@@ -417,6 +437,9 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 	}
 	if e1.opt.RefineOptions.Solver != e1.opt.Solver {
 		t.Fatal("refine phase does not share the engine's solver session")
+	}
+	if template.forks != 2 {
+		t.Fatalf("template forked %d sessions for two engines, want one each", template.forks)
 	}
 	// A distinct refine solver must be sessionized separately, not
 	// replaced by the balance session. (Bounded is session-capable too —
@@ -430,51 +453,26 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 	if got := e3.opt.RefineOptions.Solver.Name(); got != "bounded" {
 		t.Fatalf("refine session name %q, want %q", got, "bounded")
 	}
-	if _, ok := e3.opt.RefineOptions.Solver.(lp.ParallelSolver); !ok {
-		t.Fatalf("refine bounded session %T is not a ParallelSolver", e3.opt.RefineOptions.Solver)
+	if e3.opt.RefineOptions.Solver == lp.Solver(lp.Bounded{}) {
+		t.Fatal("refine bounded solver was passed through, not sessionized")
 	}
-	// Even one sharing the balance solver's name: only the *identical
+	// Even one sharing the balance solver's type: only the *identical
 	// instance* shares a session, so a differently configured refine
-	// DualWarm keeps its own fork (with its own limits).
-	tuned := &lp.DualWarm{MaxIter: 1234}
+	// solver keeps its own fork (with its own configuration).
+	tuned := &sessionFake{tag: 1234}
 	e5 := New(g1, Options{Solver: template, Refine: true,
 		RefineOptions: refine.Options{Solver: tuned}})
-	rf, ok := e5.opt.RefineOptions.Solver.(*lp.DualWarm)
-	if !ok || rf == e5.opt.Solver.(*lp.DualWarm) {
-		t.Fatal("same-name refine solver was collapsed into the balance session")
+	rf, ok := e5.opt.RefineOptions.Solver.(*sessionFake)
+	if !ok || rf == e5.opt.Solver.(*sessionFake) || rf.template != tuned {
+		t.Fatal("same-type refine solver was collapsed into the balance session")
 	}
-	if rf.MaxIter != 1234 {
-		t.Fatalf("refine session lost its configuration: MaxIter %d, want 1234", rf.MaxIter)
+	if rf.tag != 1234 {
+		t.Fatalf("refine session lost its configuration: tag %d, want 1234", rf.tag)
 	}
 	// Stateless solvers pass through untouched.
 	e4 := New(g1, Options{Solver: lp.Dense{}})
 	if e4.opt.Solver != (lp.Dense{}) {
 		t.Fatalf("stateless solver was wrapped: %T", e4.opt.Solver)
-	}
-}
-
-// TestEngineWarmSolverActuallyWarms: through a full engine Repartition
-// sequence, the session's warm counter must climb — the plumbing from
-// registry template to engine session to balance/refine solves is live.
-func TestEngineWarmSolverActuallyWarms(t *testing.T) {
-	g, a := editableGraph(t, 300, 6, 9)
-	e := New(g, Options{Refine: true, Solver: lp.NewDualWarm()})
-	for call := 0; call < 3; call++ {
-		// Unbalance deterministically, then repartition.
-		moved := 0
-		for v := range a.Part {
-			if a.Part[v] == 0 && moved < 20 {
-				a.Part[v] = 1
-				moved++
-			}
-		}
-		if _, err := e.Repartition(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm, cold := e.opt.Solver.(*lp.DualWarm).Counts()
-	if warm == 0 {
-		t.Fatalf("engine session never warm-started (warm=%d cold=%d)", warm, cold)
 	}
 }
 

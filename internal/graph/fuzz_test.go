@@ -15,6 +15,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("igp-graph 2 1\nv 0 1\nv 1 2\ne 0 1 3\n")
 	f.Add("igp-graph 0 0\n")
 	f.Add("bogus\n")
+	f.Add("igp-graph -1 0") // negative counts must be rejected before any make
 	f.Add("igp-graph 2 1\nv 0 1\n# comment\nv 1 1\ne 0 1 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))

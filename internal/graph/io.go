@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,6 +53,9 @@ func Read(r io.Reader) (*Graph, error) {
 	var order, edges int
 	if _, err := fmt.Sscanf(sc.Text(), "igp-graph %d %d", &order, &edges); err != nil {
 		return nil, fmt.Errorf("graph: read: bad header %q: %w", sc.Text(), err)
+	}
+	if order < 0 || order > math.MaxInt32 || edges < 0 {
+		return nil, fmt.Errorf("graph: read: bad header %q: counts out of range", sc.Text())
 	}
 	g := New(order)
 	live := make([]bool, order)

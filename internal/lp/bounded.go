@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/cancel"
-	"repro/internal/par"
 )
 
 // Bounded is a two-phase simplex with the upper-bound technique: variable
@@ -20,10 +19,9 @@ import (
 // Bounded is a stateless configuration value; Solve runs each problem
 // through a throwaway session, so the returned Solution is freshly
 // allocated and concurrent Solve calls are safe. It also implements
-// [SessionSolver]: NewSession returns a stateful instance whose tableau,
-// kernel and Solution arenas are reused across solves — the form the
-// engine holds, which makes warm steady-state solves allocation-free and
-// lets [WithWorkers] shard the simplex kernels over a worker group.
+// [SessionSolver]: NewSession returns a stateful instance whose tableau
+// and Solution arenas are reused across solves — the form the engine
+// holds, which makes warm steady-state solves allocation-free.
 type Bounded struct {
 	MaxIter    int // 0 = default 200000
 	BlandAfter int // 0 = default 5000
@@ -47,7 +45,7 @@ func (s Bounded) blandAfter() int {
 }
 
 // NewSession implements [SessionSolver]: a private stateful instance for
-// one solve stream, with reused arenas and optional kernel sharding.
+// one solve stream, with reused arenas.
 func (s Bounded) NewSession() Solver {
 	return &boundedSession{maxIter: s.maxIter(), blandAfter: s.blandAfter()}
 }
@@ -60,14 +58,12 @@ func (s Bounded) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 }
 
 // boundedSession is the stateful form of [Bounded]: one solve stream's
-// tableau state, column-sharded kernel plan and Solution arena. Not safe
-// for concurrent use — like every session solver it belongs to one
-// engine (or one goroutine).
+// tableau state and Solution arena. Not safe for concurrent use — like
+// every session solver it belongs to one engine (or one goroutine).
 type boundedSession struct {
 	maxIter    int
 	blandAfter int
 	st         boundedState
-	pp         lpPar // column-sharded kernel state (see parallel.go)
 
 	// Solution arena: Solve returns &sol, overwritten by the next Solve
 	// on this session.
@@ -77,14 +73,6 @@ type boundedSession struct {
 
 // Name implements Solver.
 func (s *boundedSession) Name() string { return "bounded" }
-
-// SetWorkers implements [ParallelSolver]; see DualWarm.SetWorkers.
-func (s *boundedSession) SetWorkers(grp *par.Group, workers int) {
-	s.pp.grp, s.pp.procs = grp, workers
-}
-
-// ParallelSolves implements [ParallelSolver].
-func (s *boundedSession) ParallelSolves() int { return s.pp.solves }
 
 type boundedState struct {
 	rows     [][]float64 // m × nCols, maintained as B⁻¹A
@@ -114,7 +102,6 @@ func (s *boundedSession) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	}
 	st := &s.st
 	st.build(p)
-	s.pp.begin(st.m, st.nCols, st.rows, st.d, st.upper, st.basic, st.atUpper)
 
 	// Phase 1.
 	needPhase1 := false
@@ -126,7 +113,7 @@ func (s *boundedSession) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	}
 	if needPhase1 {
 		st.cost = st.p1cost
-		status, err := st.iterate(ctx, s.maxIter, s.blandAfter, false, &s.pp)
+		status, err := st.iterate(ctx, s.maxIter, s.blandAfter, false)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +130,7 @@ func (s *boundedSession) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	}
 
 	st.cost = st.origCost
-	status, err := st.iterate(ctx, s.maxIter, s.blandAfter, true, &s.pp)
+	status, err := st.iterate(ctx, s.maxIter, s.blandAfter, true)
 	if err != nil {
 		return nil, err
 	}
@@ -271,26 +258,28 @@ func (st *boundedState) isBasic(j int) bool {
 }
 
 // iterate runs bounded-variable simplex pivots for the current cost.
-// The O(nCols) repricing, entering scan and O(m·nCols) tableau update
-// run through the column-sharded kernels (parallel.go); the O(m) ratio
-// test and basic-value updates stay sequential.
-func (st *boundedState) iterate(ctx context.Context, maxIter, blandAfter int, banArtificials bool, pp *lpPar) (Status, error) {
-	// Reduced costs d = c − c_B·B⁻¹A through the shared reprice kernel.
-	for i, bi := range st.basis[:st.m] {
-		pp.cbv[i] = st.cost[bi]
-	}
-	pp.cost = st.cost
-	pp.runReprice(st.nCols)
+func (st *boundedState) iterate(ctx context.Context, maxIter, blandAfter int, banArtificials bool) (Status, error) {
+	// Reduced costs d = c − c_B·B⁻¹A.
 	d := st.d
+	copy(d, st.cost)
+	for i, bi := range st.basis[:st.m] {
+		cb := st.cost[bi]
+		if cb == 0 {
+			continue
+		}
+		for j, a := range st.rows[i] {
+			d[j] -= cb * a
+		}
+	}
 	for j := 0; j < st.nCols; j++ {
 		st.basic[j] = false
 	}
 	for _, b := range st.basis[:st.m] {
 		st.basic[b] = true
 	}
-	pp.limit = st.nCols
+	limit := st.nCols
 	if banArtificials {
-		pp.limit = st.artStart
+		limit = st.artStart
 	}
 	for {
 		if st.iters >= maxIter {
@@ -301,10 +290,27 @@ func (st *boundedState) iterate(ctx context.Context, maxIter, blandAfter int, ba
 				return IterLimit, err
 			}
 		}
+		// Entering column: nonbasic at lower with d<0, or at upper with
+		// d>0. Dantzig keeps the strictly largest violation (ascending
+		// scan, so the smallest column among exact ties); Bland takes the
+		// first eligible column.
 		bland := st.iters >= blandAfter
-		// Entering column: nonbasic at lower with d<0, or at upper with d>0.
-		pp.bland = bland
-		enter := pp.runPrice()
+		enter, best := -1, 0.0
+		for j := 0; j < limit; j++ {
+			if st.basic[j] {
+				continue
+			}
+			viol := -d[j]
+			if st.atUpper[j] {
+				viol = d[j]
+			}
+			if viol > feasTol && viol > best {
+				enter, best = j, viol
+				if bland {
+					break
+				}
+			}
+		}
 		if enter < 0 {
 			return Optimal, nil
 		}
@@ -382,25 +388,30 @@ func (st *boundedState) iterate(ctx context.Context, maxIter, blandAfter int, ba
 		st.basic[enter] = true
 		st.atUpper[enter] = false
 
-		// Column-sharded row-eta update; see dualIterate for the fvec
-		// snapshot/patch-up protocol.
+		// Row-eta update: scale the pivot row, eliminate the entering
+		// column from every other row and from the reduced costs.
 		rowL := st.rows[leave]
-		fd := d[enter]
-		for i := 0; i < st.m; i++ {
-			pp.fvec[i] = st.rows[i][enter]
+		inv := 1 / rowL[enter]
+		for j := range rowL {
+			rowL[j] *= inv
 		}
-		pp.rowL, pp.skip, pp.inv, pp.fd, pp.withD = rowL, leave, 1/st.rows[leave][enter], fd, true
-		pp.runElim(st.nCols)
-		rowL[enter] = 1
-		for i := 0; i < st.m; i++ {
-			if i == leave || pp.fvec[i] == 0 {
+		for i, ri := range st.rows {
+			f := ri[enter]
+			if i == leave || f == 0 {
 				continue
 			}
-			st.rows[i][enter] = 0
+			for j, a := range rowL {
+				ri[j] -= f * a
+			}
+			ri[enter] = 0
 		}
-		if fd != 0 {
+		if fd := d[enter]; fd != 0 {
+			for j, a := range rowL {
+				d[j] -= fd * a
+			}
 			d[enter] = 0
 		}
+		rowL[enter] = 1
 		st.basis[leave] = enter
 		st.xB[leave] = entVal
 		st.iters++
@@ -495,4 +506,47 @@ func (s *boundedSession) finish(status Status) *Solution {
 	s.sol.X = x
 	s.sol.Objective = obj
 	return &s.sol
+}
+
+// GrowFloats resizes a reusable float slice to length n without
+// shrinking capacity, allocating only on growth. Shared by the solver
+// scratch here and the balance/refine formulation arenas — one copy,
+// so a future change to the growth policy cannot drift between them.
+// Values beyond a previous length are stale and must be overwritten.
+func GrowFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// growF/growI/growB/growRows resize reusable scratch slices without
+// shrinking capacity.
+func growF(s []float64, n int) []float64 { return GrowFloats(s, n) }
+
+func growI(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growB(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+func growRows(rows [][]float64, m, nCols int) [][]float64 {
+	if cap(rows) < m {
+		grown := make([][]float64, m)
+		copy(grown, rows[:cap(rows)])
+		rows = grown
+	}
+	rows = rows[:m]
+	for i := range rows {
+		rows[i] = growF(rows[i], nCols)
+	}
+	return rows
 }

@@ -97,19 +97,19 @@ func TestNetworkPollsContextBetweenPivots(t *testing.T) {
 }
 
 // TestRegistryRoundTrip: the built-in set is exactly the network default,
-// its tableau delegate, the warm-started dual simplex and the dense
-// oracle; built-ins resolve by name (and by the empty default), unknowns
-// — the retired solver names included — fail with a listing. Rejected
+// its tableau delegate and the dense oracle; built-ins resolve by name
+// (and by the empty default), unknowns — the retired solver names
+// included — fail with a listing. Rejected
 // registrations — including MustRegister's panic contract — are covered
 // by the table in TestRegisterRejections (registry_test.go).
 func TestRegistryRoundTrip(t *testing.T) {
 	// Other tests leave throwaway "test-…" registrations behind (the
 	// registry has no unregister); everything else is a built-in.
 	builtins := slices.DeleteFunc(Names(), func(n string) bool { return strings.HasPrefix(n, "test-") })
-	if want := []string{"bounded", "dense", "dual-warm", "network"}; !slices.Equal(builtins, want) {
+	if want := []string{"bounded", "dense", "network"}; !slices.Equal(builtins, want) {
 		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
 	}
-	for _, name := range []string{"dense", "bounded", "dual-warm", "network", ""} {
+	for _, name := range []string{"dense", "bounded", "network", ""} {
 		s, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
@@ -125,7 +125,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if def.Name() != DefaultSolverName || Default() != def {
 		t.Fatalf("default solver is %q (Default() %q), want %q", def.Name(), Default().Name(), DefaultSolverName)
 	}
-	for _, name := range []string{"no-such-solver", "mwu", "revised"} {
+	for _, name := range []string{"no-such-solver", "mwu", "revised", "dual-warm"} {
 		_, err := Lookup(name)
 		if err == nil {
 			t.Fatalf("%q must not resolve", name)

@@ -14,10 +14,10 @@ import (
 // feasible. Inputs whose first byte has the high bit set decode to
 // flow-shaped LPs (decodeFlowLP) — the ones the "network" solver pivots
 // on a tree instead of delegating — and there every optimum must also be
-// exactly integral. The "dual-warm" solver is additionally run twice
-// back-to-back through one session on a same-structure perturbed
-// problem, proving warm-start resumption from a retained basis agrees
-// with cold solves, and one "network" session solves all three problems.
+// exactly integral. One session of every registered [SessionSolver]
+// then solves the problem and two same-structure perturbations of it
+// back to back, each held to the oracle's answer for that problem:
+// nothing but arenas may cross a session's solves.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 200, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{3, 2, 0, 0, 9, 9, 9, 1, 1, 1, 0, 0, 0, 5})
@@ -69,6 +69,20 @@ func FuzzSolverAgreement(f *testing.F) {
 		if ref.Status == IterLimit {
 			return // bounded work budget exceeded; skip comparisons
 		}
+		// Two same-structure perturbations of p — the shape of the
+		// pipeline's successive balance stages and refinement rounds —
+		// for the session pass below.
+		p2 := perturbLP(p, data, false) // new RHS and bounds, same costs
+		p3 := perturbLP(p, data, true)  // new costs too
+		cases := []struct {
+			label string
+			q     *Problem
+			ref   *Solution
+		}{
+			{"first", p, ref},
+			{"perturbed", p2, solve("dense/perturbed", Dense{}, p2)},
+			{"cost-perturbed", p3, solve("dense/cost-perturbed", Dense{}, p3)},
+		}
 		for _, name := range Names() {
 			// Tests run before fuzz seed corpora and may leave throwaway
 			// "test-…" registrations behind (the registry has no
@@ -86,61 +100,19 @@ func FuzzSolverAgreement(f *testing.F) {
 				return // bounded work budget exceeded; skip comparisons
 			}
 			agree(name, sol, ref)
-		}
 
-		// Warm-start round trip: one dual-warm session solves p (cold,
-		// populating its basis cache) and then a same-structure
-		// perturbation of p (resuming from the retained basis). The warm
-		// result must agree with a cold solve of the perturbed problem.
-		dw, err := Lookup("dual-warm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ses, ok := Session(dw).(*DualWarm)
-		if !ok {
-			t.Fatalf("dual-warm session is %T, want *DualWarm", Session(dw))
-		}
-		p2 := perturbLP(p, data, false) // new RHS and bounds, same costs
-		p3 := perturbLP(p, data, true)  // new costs too
-		// Session solutions are arenas overwritten by the session's next
-		// Solve, so snapshot the first solve's status before re-solving.
-		firstStatus := solve("dual-warm/session-first", ses, p).Status
-		warm := solve("dual-warm/session-warm", ses, p2)
-		cold := solve("dual-warm/fresh-cold", Session(dw), p2)
-		refP2 := solve("bounded/perturbed", Bounded{MaxIter: 20000}, p2)
-		if firstStatus == IterLimit || warm.Status == IterLimit ||
-			cold.Status == IterLimit || refP2.Status == IterLimit {
-			return
-		}
-		agree("dual-warm/session-warm vs cold", warm, cold)
-		agree("dual-warm/session-warm vs bounded", warm, refP2)
-		if firstStatus == Optimal {
-			// Unchanged costs keep the retained basis dual feasible, so the
-			// second solve must have resumed from it rather than re-solving
-			// cold — this is the pipeline's successive-balance-stage shape.
-			if warmCount, _ := ses.Counts(); warmCount != 1 {
-				t.Fatalf("session did not warm-start: warm count %d", warmCount)
+			// One session over all three problems: nothing but arenas may
+			// cross a session's solves, whichever path (tree, tableau or
+			// delegate) each one takes.
+			if _, ok := s.(SessionSolver); !ok {
+				continue
 			}
-		}
-		// A cost perturbation may legitimately defeat the warm start (the
-		// solver falls back to cold when bound flips cannot repair dual
-		// feasibility), but the answer must still agree with a cold solver.
-		costWarm := solve("dual-warm/session-cost-perturbed", ses, p3)
-		refP3 := solve("bounded/cost-perturbed", Bounded{MaxIter: 20000}, p3)
-		if costWarm.Status != IterLimit && refP3.Status != IterLimit {
-			agree("dual-warm/session-cost-perturbed vs bounded", costWarm, refP3)
-		}
-
-		// One network session over the same three problems: nothing but
-		// arenas may cross its solves, whichever path each one takes.
-		net := Session(Network{})
-		for _, c := range []struct {
-			label string
-			q     *Problem
-			ref   *Solution
-		}{{"first", p, ref}, {"perturbed", p2, refP2}, {"cost-perturbed", p3, refP3}} {
-			if sol := solve("network/session-"+c.label, net, c.q); sol.Status != IterLimit && c.ref.Status != IterLimit {
-				agree("network/session-"+c.label, sol, c.ref)
+			ses := Session(s)
+			for _, c := range cases {
+				label := name + "/session-" + c.label
+				if sol := solve(label, ses, c.q); sol.Status != IterLimit && c.ref.Status != IterLimit {
+					agree(label, sol, c.ref)
+				}
 			}
 		}
 	})
@@ -150,8 +122,7 @@ func FuzzSolverAgreement(f *testing.F) {
 // matrix, different RHS and bound values (plus, when costs is set,
 // different objective coefficients) — deterministically from the fuzz
 // input. With costs false it reproduces the exact shape of the
-// pipeline's successive balance stages, where warm starting is
-// guaranteed to apply.
+// pipeline's successive balance stages.
 func perturbLP(p *Problem, data []byte, costs bool) *Problem {
 	seed := uint64(len(data)) + 0x9e3779b9
 	for _, b := range data {

@@ -7,11 +7,8 @@ import (
 	"testing"
 )
 
-// allSolvers holds one instance of every simplex implementation. The
-// shared DualWarm deliberately persists across trials so repeated
-// same-structure problems exercise its warm path against the same
-// oracles as the cold solvers.
-var allSolvers = []Solver{Dense{}, Bounded{}, NewDualWarm(), Network{}}
+// allSolvers holds one instance of every simplex implementation.
+var allSolvers = []Solver{Dense{}, Bounded{}, Network{}}
 
 func solveAll(t *testing.T, p *Problem) []*Solution {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/cancel"
-	"repro/internal/par"
 )
 
 // Network is a bounded-variable network simplex: the production solver
@@ -19,8 +18,7 @@ import (
 // instead of on a tableau, so a pivot costs the tree work of its cycle
 // and the subtree it re-hangs (at most O(rows)) plus one pricing block,
 // rather than an O(rows·columns) row-eta update. Anything else is handed
-// to a private [Bounded] session, exactly as [DualWarm] delegates
-// problems it cannot start.
+// to a private [Bounded] session.
 //
 // The method is the textbook one. The basis is a rooted spanning tree
 // (parent, predecessor arc and its direction, depth, node potential, and
@@ -108,15 +106,6 @@ type networkSession struct {
 
 // Name implements Solver.
 func (s *networkSession) Name() string { return "network" }
-
-// SetWorkers implements [ParallelSolver] for the delegate's tableau
-// kernels; the tree pivots themselves are sequential.
-func (s *networkSession) SetWorkers(grp *par.Group, workers int) {
-	s.tableau.SetWorkers(grp, workers)
-}
-
-// ParallelSolves implements [ParallelSolver].
-func (s *networkSession) ParallelSolves() int { return s.tableau.ParallelSolves() }
 
 // DelegatedSolves reports how many solves were not flow problems and went
 // to the tableau delegate; the engine surfaces it as Stats.LPDelegated.

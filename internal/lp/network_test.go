@@ -240,3 +240,26 @@ func TestNetworkWarmSolveAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// sameSolution asserts exact equality — bit-identical floats, not
+// approximate agreement.
+func sameSolution(t *testing.T, label string, got, want *Solution) {
+	t.Helper()
+	if got.Status != want.Status {
+		t.Fatalf("%s: status %v, want %v", label, got.Status, want.Status)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%s: iterations %d, want %d", label, got.Iterations, want.Iterations)
+	}
+	if got.Objective != want.Objective {
+		t.Fatalf("%s: objective %x, want %x (not bit-identical)", label, got.Objective, want.Objective)
+	}
+	if len(got.X) != len(want.X) {
+		t.Fatalf("%s: |X| %d, want %d", label, len(got.X), len(want.X))
+	}
+	for j := range got.X {
+		if got.X[j] != want.X[j] {
+			t.Fatalf("%s: X[%d] = %x, want %x (not bit-identical)", label, j, got.X[j], want.X[j])
+		}
+	}
+}

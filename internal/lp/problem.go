@@ -1,5 +1,5 @@
 // Package lp implements the linear-programming layer of the incremental
-// partitioner: a small modeling API plus four simplex solvers, each
+// partitioner: a small modeling API plus three simplex solvers, each
 // registered under a stable name (see registry.go).
 //
 //   - Network ("network", the default): a bounded-variable network
@@ -9,14 +9,8 @@
 //     not a flow goes to its private Bounded delegate.
 //   - Bounded ("bounded"): a bounded-variable tableau simplex that keeps
 //     0 ≤ x ≤ u implicit instead of materializing upper bounds as rows. It
-//     is the general-LP path: Network's delegate for problems that are not
-//     flows (a balance tolerance's GE/LE row pairs, for one) and
-//     DualWarm's for problems with no dual-feasible start.
-//   - DualWarm ("dual-warm"): a warm-started bounded-variable dual simplex
-//     that retains the optimal basis of each LP structure it solves and
-//     resumes from it when a later problem differs only in RHS, bounds or
-//     costs — the incremental shape of the pipeline's successive balance
-//     stages and refinement rounds.
+//     is the general-LP path, and Network's delegate for problems that
+//     are not flows (a balance tolerance's GE/LE row pairs, for one).
 //   - Dense ("dense"): the classical two-phase dense-tableau simplex, the
 //     solver the paper uses ("We have used a dense version of simplex
 //     algorithm"). It is the slowest on every measured row and stays as
@@ -143,94 +137,6 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// StructureHash hashes p's constraint-matrix structure: the sense, the
-// dimensions, every constraint's relation and sparse terms (indices and
-// coefficients), and the finiteness pattern of the upper bounds. The
-// objective, RHS and bound *values* are deliberately excluded: two
-// problems with equal structure (confirm with [SameStructure]) differ
-// only in data a warm-started solver can absorb by re-pricing a retained
-// basis, which is exactly how the "dual-warm" solver keys its basis
-// cache. The hash is FNV-1a over the structural fields.
-func (p *Problem) StructureHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	mix(uint64(p.Sense))
-	mix(uint64(p.NumVars()))
-	mix(uint64(len(p.Cons)))
-	for _, c := range p.Cons {
-		mix(uint64(c.Rel))
-		mix(uint64(len(c.Terms)))
-		for _, t := range c.Terms {
-			mix(uint64(t.Var))
-			mix(math.Float64bits(t.Coef))
-		}
-	}
-	for _, u := range p.Upper {
-		if math.IsInf(u, 1) {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	return h
-}
-
-// SameStructure reports whether p and q share constraint-matrix
-// structure: equal sense and dimensions, identical constraint relations
-// and sparse terms, and matching upper-bound finiteness. Objective, RHS
-// and finite bound values may differ — those are the perturbations a
-// warm-started solver absorbs. It is the exact check behind the hash
-// returned by [Problem.StructureHash].
-func SameStructure(p, q *Problem) bool {
-	if p.Sense != q.Sense || p.NumVars() != q.NumVars() || len(p.Cons) != len(q.Cons) {
-		return false
-	}
-	for i := range p.Cons {
-		cp, cq := &p.Cons[i], &q.Cons[i]
-		if cp.Rel != cq.Rel || len(cp.Terms) != len(cq.Terms) {
-			return false
-		}
-		for k := range cp.Terms {
-			if cp.Terms[k] != cq.Terms[k] {
-				return false
-			}
-		}
-	}
-	for v := range p.Upper {
-		if math.IsInf(p.Upper[v], 1) != math.IsInf(q.Upper[v], 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// structureSnapshot deep-copies the structural fields of p — everything
-// [SameStructure] compares — so a basis cache can verify a later problem
-// against the one that produced the basis without retaining the caller's
-// (possibly arena-reused) Problem.
-func (p *Problem) structureSnapshot() *Problem {
-	q := &Problem{
-		Sense: p.Sense,
-		Obj:   make([]float64, p.NumVars()),
-		Upper: append([]float64(nil), p.Upper...),
-		Cons:  make([]Constraint, len(p.Cons)),
-	}
-	for i, c := range p.Cons {
-		q.Cons[i] = Constraint{
-			Terms: append([]Term(nil), c.Terms...),
-			Rel:   c.Rel,
-		}
-	}
-	return q
 }
 
 // Status reports the outcome of a solve.

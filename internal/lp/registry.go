@@ -8,8 +8,8 @@ import (
 
 // The solver registry maps stable names to Solver implementations so
 // configuration surfaces (functional options, CLI flags, bench configs)
-// can select a simplex by name — and so out-of-tree solvers (e.g. a
-// warm-started dual simplex) can ship as drop-ins via Register.
+// can select a simplex by name — and so out-of-tree solvers can ship as
+// drop-ins via Register.
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Solver{}
@@ -21,7 +21,6 @@ const DefaultSolverName = "network"
 func init() {
 	MustRegister("dense", Dense{})
 	MustRegister("bounded", Bounded{})
-	MustRegister("dual-warm", NewDualWarm())
 	MustRegister("network", Network{})
 }
 
@@ -35,12 +34,11 @@ func Default() Solver {
 	return s
 }
 
-// SessionSolver is implemented by stateful solvers whose state should
-// be scoped to one solve stream — e.g. [DualWarm], whose basis cache is
-// only useful (and only contention-free) when it serves a single
-// sequence of related problems, or [Network] and [Bounded], whose
-// sessions reuse their arenas. NewSession returns a fresh instance with
-// the same configuration and empty state.
+// SessionSolver is implemented by solvers whose state should be scoped
+// to one solve stream — [Network] and [Bounded], whose sessions reuse
+// their tableau, tree and Solution arenas and are therefore not safe to
+// share. NewSession returns a fresh instance with the same configuration
+// and empty state.
 type SessionSolver interface {
 	Solver
 	// NewSession forks a private instance for one solve stream.
@@ -50,19 +48,11 @@ type SessionSolver interface {
 // Session returns a private instance of s for one solve stream: the
 // fork from NewSession when s is a [SessionSolver], otherwise s itself
 // (stateless solvers need no scoping). The engine calls this at
-// construction so a registered warm-started solver's basis lifetime is
-// tied to the engine session rather than shared process-globally.
-//
-// Options ([WithWorkers], …) configure the private instance; they are
-// applied to the forked session, never to the registered template, so
-// wiring a worker group into one engine's session cannot leak into
-// another's.
-func Session(s Solver, opts ...SessionOption) Solver {
+// construction so a solver's arenas live and die with the engine session
+// rather than being shared process-globally.
+func Session(s Solver) Solver {
 	if ss, ok := s.(SessionSolver); ok {
-		s = ss.NewSession()
-	}
-	for _, o := range opts {
-		o(s)
+		return ss.NewSession()
 	}
 	return s
 }

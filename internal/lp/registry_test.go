@@ -20,7 +20,6 @@ func TestRegisterRejections(t *testing.T) {
 		{"empty name", "", Bounded{}, "empty solver name"},
 		{"nil solver", "x-nil", nil, "nil solver"},
 		{"duplicate built-in", "dense", Dense{}, "already registered"},
-		{"duplicate dual-warm", "dual-warm", NewDualWarm(), "already registered"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +105,7 @@ func TestRegistryConcurrentLookupDuringRegister(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iterations; i++ {
-				if _, err := Lookup("dual-warm"); err != nil {
+				if _, err := Lookup("bounded"); err != nil {
 					t.Errorf("Lookup: %v", err)
 					return
 				}

@@ -259,9 +259,7 @@ type Stats struct {
 	LPCons     int
 	Iterations int // total simplex pivots
 	// RoundPivots lists the pivots of every LP solved, in round order
-	// (including a final round whose solution was not applied). With a
-	// warm-started solver, later rounds resume from earlier bases and
-	// these counts drop off sharply after round one.
+	// (including a final round whose solution was not applied).
 	RoundPivots []int
 }
 

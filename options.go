@@ -102,25 +102,15 @@ func WithRefineRounds(n int) Option {
 }
 
 // WithSolver selects the LP solver by registry name: "network" (the
-// default), "bounded", "dual-warm", "dense", or anything added via
+// default), "bounded", "dense", or anything added via
 // [RegisterSolver]. Unknown names fail at NewEngine/Repartition time.
 //
 // "network" pivots the balance and refinement LPs — min-cost flows on
 // the partition quotient graph — on a spanning tree rather than a
 // tableau, and hands anything that is not a flow (the GE/LE row pairs of
 // [WithTolerance], say) to "bounded", its tableau delegate;
-// [Stats.LPDelegated] counts those solves.
-//
-// "dual-warm" is the warm-started dual simplex: it retains the optimal
-// basis of each LP structure it solves and resumes from it when a later
-// balance stage or refinement round differs only in RHS and bounds,
-// cutting Stats.LPIterations on repeated stages well below the cold
-// solvers. Basis lifetime is the engine session: [NewEngine] forks a
-// private solver instance whose cache dies with the engine (a one-shot
-// [Repartition] therefore warms only across the stages within that one
-// call). A retained basis is keyed and verified by exact LP structure,
-// so graph edits between calls are safe — a changed pair structure
-// simply misses the cache and solves cold.
+// [Stats.LPDelegated] counts those solves. "dense" is the paper's
+// tableau simplex, kept as the oracle the others are tested against.
 func WithSolver(name string) Option {
 	return func(c *config) error {
 		s, err := lp.Lookup(name)
@@ -185,18 +175,15 @@ func WithBatches(k int) Option {
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
 // multi-core kernels — the incremental boundary recompute, the layering
 // BFS level expansion, the refinement gain scan, the sorted cut report,
-// the orphan-cluster flood, and the tableau simplex kernels
-// (column-sharded pricing, ratio test and tableau update inside
-// "bounded" and "dual-warm" solves; the default "network" solver's tree
-// pivots are sequential). The default is runtime.GOMAXPROCS(0); n = 1
+// the orphan-cluster flood and the V-cycle's coarsening. LP solves are
+// sequential whatever n is. The default is runtime.GOMAXPROCS(0); n = 1
 // selects the exact sequential code path.
 //
 // Parallelism is purely a latency property: results are bit-identical
 // to the sequential engine's for every worker count (work is sharded
-// deterministically and per-worker results merge in shard order, or by
-// a total order for the simplex argmin candidates — fuzz-verified).
-// Per-worker busy time is reported in [Stats.WorkerBusy], and
-// [Stats.LPParallel] counts the LP solves that actually forked.
+// deterministically and per-worker results merge in shard order —
+// fuzz-verified). Per-worker busy time is reported in
+// [Stats.WorkerBusy].
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

@@ -136,11 +136,10 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 func (e *Engine) Graph() *Graph { return e.eng.Graph() }
 
 // Close ends the engine session: every snapshot, scratch arena and
-// sessionized LP solver (with its retained warm-start bases) the engine
-// owns is released, so a pool multiplexing many engines can evict an
-// idle one and reclaim its memory deterministically. Close is
-// idempotent and always returns nil; the graph is caller-owned and is
-// not touched.
+// sessionized LP solver (with its arenas) the engine owns is released,
+// so a pool multiplexing many engines can evict an idle one and reclaim
+// its memory deterministically. Close is idempotent and always returns
+// nil; the graph is caller-owned and is not touched.
 //
 // Invalidation hazard: the *Stats returned by Repartition is an arena
 // owned by the engine, and Close releases it — [Stats.Clone] anything

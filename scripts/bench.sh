@@ -66,7 +66,7 @@ solver_cmp="$(go run ./cmd/igpbench -table solvers -json)"
 echo "$solver_cmp"
 
 # Per-solver phase/pivot rows: the same workload under every registered
-# simplex, so the trajectory records tree, warm and cold pivot counts
+# simplex, so the trajectory records tree and tableau pivot counts
 # side by side. The default solver's row is the record measured above;
 # every other name in the comparison table gets a run of its own.
 echo "== per-solver phase timings =="
@@ -101,19 +101,6 @@ done
 echo "$phases"
 procs_rows="$procs_rows,
     $phases"
-
-# LP-phase scaling rows: the first mesh-B refinement at P=128 — the
-# wide-LP regime — once per worker count, so the trajectory records
-# balance/refine wall clock versus workers. lp_parallel counts solves
-# whose tableau kernels forked; the default network solver pivots on a
-# tree and reads 0. Appended to the same phase_timings_by_procs list;
-# the rows are distinguished by their "workload" field.
-echo "== LP-phase scaling (igpbench -table lp-procs) =="
-while IFS= read -r row; do
-    echo "$row"
-    procs_rows="$procs_rows,
-    $row"
-done < <(go run ./cmd/igpbench -table lp-procs)
 
 # Incremental-edit workload: warm k-edit Repartition cost vs delta size
 # on both mesh families, against the Options.FullRefresh

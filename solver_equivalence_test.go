@@ -14,7 +14,7 @@ import (
 // develop alternate optima and different — equally optimal — solvers
 // may legitimately move different vertices; those configurations are
 // covered by the invariant test below instead.) The list was verified
-// against all four built-ins and is deterministic: mesh generation
+// against every built-in and is deterministic: mesh generation
 // (whose cavity construction once leaked map iteration order — see
 // mesh.TestGenerationDeterministicInSeed), RSB and every solver are
 // seed-stable. {4,1}, {4,7} and {5,6} left the list when the network
@@ -32,9 +32,8 @@ var equivalenceConfigs = []struct {
 // TestSolverEquivalenceEndToEnd runs the full four-phase pipeline under
 // every registered solver on seeded meshes and asserts identical
 // assignments and cuts — the engine-level counterpart of the lp-level
-// agreement fuzz, locking in that a solver swap (including the
-// warm-started "dual-warm") cannot change pipeline results where the
-// LP solutions are unique.
+// agreement fuzz, locking in that a solver swap cannot change pipeline
+// results where the LP solutions are unique.
 func TestSolverEquivalenceEndToEnd(t *testing.T) {
 	for _, cfg := range equivalenceConfigs {
 		seq, err := PaperMeshA(cfg.seed)
@@ -116,11 +115,10 @@ func TestSolverEquivalenceInvariants(t *testing.T) {
 // TestSolverEquivalenceAcrossProcs locks the worker-count half of the
 // determinism contract at the pipeline level: for every registered
 // solver, the end-to-end result under WithParallelism(n) must be
-// bit-identical to the sequential run — including the LP phases, whose
-// simplex kernels now shard over the same worker group. P=32 is the
-// paper workload with alternate LP optima; identical results across
-// procs (same solver) are still required, because sharding may never
-// change which optimum a given solver finds.
+// bit-identical to the sequential run. P=32 is the paper workload with
+// alternate LP optima; identical results across procs (same solver) are
+// still required, because the worker count may never change which LP a
+// solver is handed.
 func TestSolverEquivalenceAcrossProcs(t *testing.T) {
 	for _, seed := range []int64{1994, 7} {
 		seq, err := PaperMeshA(seed)
@@ -158,13 +156,12 @@ func TestSolverEquivalenceAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestDualWarmEnginePersistenceIsPerformanceOnly: a long-lived engine
-// with the warm-started solver (bases persisting across Repartition
-// calls) must produce exactly the assignments of one-shot calls (fresh
-// engine, fresh basis cache, every call) over a whole perturbation
-// sequence — warm-start resumption across calls is purely a
-// performance property.
-func TestDualWarmEnginePersistenceIsPerformanceOnly(t *testing.T) {
+// TestEnginePersistenceIsPerformanceOnly: for every registered solver, a
+// long-lived engine (one LP session whose arenas persist across
+// Repartition calls) must produce exactly the assignments of one-shot
+// calls (fresh engine, fresh session, every call) over a whole
+// perturbation sequence — nothing but capacity may survive a call.
+func TestEnginePersistenceIsPerformanceOnly(t *testing.T) {
 	for _, seed := range []int64{1994, 7, 42} {
 		seq, err := PaperMeshA(seed)
 		if err != nil {
@@ -175,76 +172,29 @@ func TestDualWarmEnginePersistenceIsPerformanceOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := seq.Steps[0].Graph
-		aWarm := base.Clone()
-		aCold := base.Clone()
-		eng, err := NewEngine(g, WithRefine(), WithSolver("dual-warm"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for call := 0; call < 5; call++ {
-			perturbAssignment(aWarm, 25)
-			perturbAssignment(aCold, 25)
-			_, errW := eng.Repartition(context.Background(), aWarm)
-			_, errC := Repartition(context.Background(), g, aCold,
-				WithRefine(), WithSolver("dual-warm"))
-			if (errW == nil) != (errC == nil) {
-				t.Fatalf("seed=%d call %d: error mismatch: %v vs %v", seed, call, errW, errC)
+		for _, name := range SolverNames() {
+			aWarm := base.Clone()
+			aCold := base.Clone()
+			eng, err := NewEngine(g, WithRefine(), WithSolver(name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if errW != nil {
-				t.Skipf("seed=%d call %d: infeasible on this sequence: %v", seed, call, errW)
+			for call := 0; call < 5; call++ {
+				perturbAssignment(aWarm, 25)
+				perturbAssignment(aCold, 25)
+				_, errW := eng.Repartition(context.Background(), aWarm)
+				_, errC := Repartition(context.Background(), g, aCold,
+					WithRefine(), WithSolver(name))
+				if (errW == nil) != (errC == nil) {
+					t.Fatalf("seed=%d %s call %d: error mismatch: %v vs %v", seed, name, call, errW, errC)
+				}
+				if errW != nil {
+					t.Skipf("seed=%d %s call %d: infeasible on this sequence: %v", seed, name, call, errW)
+				}
+				if !reflect.DeepEqual(aWarm.Part, aCold.Part) {
+					t.Fatalf("seed=%d %s call %d: persistent engine diverges from one-shot", seed, name, call)
+				}
 			}
-			if !reflect.DeepEqual(aWarm.Part, aCold.Part) {
-				t.Fatalf("seed=%d call %d: persistent warm engine diverges from one-shot", seed, call)
-			}
-		}
-	}
-}
-
-// TestDualWarmPivotRegressionGuard is the engine-level pivot guard: on
-// a static mesh, repeatedly perturbing the assignment the same way and
-// repartitioning through one warm engine must make later balance-stage
-// solves strictly cheaper than the first (cold) one, and cut the
-// call-total LP iteration count — the warm-start latency win the
-// BENCH trajectory records.
-func TestDualWarmPivotRegressionGuard(t *testing.T) {
-	seq, err := PaperMeshA(1994)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := PartitionRSB(seq.Base, 8, 1994)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := seq.Steps[0].Graph
-	a := base.Clone()
-	eng, err := NewEngine(g, WithRefine(), WithSolver("dual-warm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var firstStage, firstTotal int
-	for call := 0; call < 5; call++ {
-		perturbAssignment(a, 25)
-		st, err := eng.Repartition(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(st.StagePivots) == 0 {
-			t.Fatal("no balance stage ran; the perturbation is too small")
-		}
-		if call == 0 {
-			firstStage, firstTotal = st.StagePivots[0], st.LPIterations
-			if firstStage == 0 {
-				t.Fatal("cold stage-1 solve took 0 pivots; guard would be vacuous")
-			}
-			continue
-		}
-		if st.StagePivots[0] >= firstStage {
-			t.Fatalf("call %d: warm balance stage took %d pivots, cold stage-1 took %d — warm must be strictly cheaper",
-				call, st.StagePivots[0], firstStage)
-		}
-		if call == 4 && st.LPIterations >= firstTotal {
-			t.Fatalf("call %d: warm call total %d LP iterations, cold first call %d",
-				call, st.LPIterations, firstTotal)
 		}
 	}
 }

@@ -63,10 +63,7 @@ type Stats struct {
 	LPIterations int
 	// StagePivots lists the simplex pivots of each balance stage in
 	// stage order, and RoundPivots those of each refinement LP round.
-	// With the warm-started "dual-warm" solver, entries after the first
-	// drop sharply (later solves resume from a retained basis); with the
-	// cold solvers every entry pays a full pivot path. They are the
-	// per-solve decomposition of LPIterations.
+	// They are the per-solve decomposition of LPIterations.
 	StagePivots []int
 	RoundPivots []int
 	// RoundCuts is the cut weight after every applied refinement round,
@@ -89,17 +86,10 @@ type Stats struct {
 	Parallelism int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
-	// scans, pool sorts, LP simplex kernels); index w is worker w. It is
+	// scans, pool sorts); index w is worker w. It is
 	// empty on the sequential path. Comparing the sum against Elapsed
 	// shows how much of the pipeline actually fanned out.
 	WorkerBusy []time.Duration
-	// LPParallel counts LP solves during this call whose simplex kernels
-	// actually forked over the worker group (the solve's per-pivot work
-	// reached the sharding threshold). It is zero on the sequential path,
-	// for LPs too small to be worth sharding, and for every LP the
-	// default "network" solver pivots on a tree instead of a tableau;
-	// solutions are bit-identical either way.
-	LPParallel int
 	// LPDelegated counts LP solves during this call that the solver
 	// handed to its tableau delegate because the problem was not a pure
 	// network flow. The default "network" solver pivots the paper's LPs on
@@ -198,7 +188,6 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		LPIterations:      st.LPIterations,
 		Parallelism:       st.Parallelism,
 		WorkerBusy:        busy,
-		LPParallel:        st.LPParallel,
 		LPDelegated:       st.LPDelegated,
 		CSRPatched:        st.CSRPatched,
 		CutIncremental:    st.CutIncremental,
