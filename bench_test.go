@@ -406,8 +406,8 @@ func BenchmarkPhase_GainsOneShot(b *testing.B) {
 //
 // BenchmarkPhase_LayerPar / BenchmarkPhase_GainsPar measure the
 // steady-state sharded kernels at several worker counts on the mesh-A
-// workload (procs=1 is the exact sequential path, the baseline for the
-// wall-clock speedup the BENCH trajectory records). The *ParB variants
+// workload (procs=1 is the same kernel as one inline shard, the baseline
+// for the wall-clock speedup the BENCH trajectory records). The *ParB variants
 // run the 10k-vertex mesh B, where per-region fork-join overhead
 // amortizes over ~10× the vertex work. Note that the speedup rows are
 // only meaningful on a multi-core host: on a single-CPU machine the

@@ -36,7 +36,7 @@ func main() {
 	p := flag.Int("p", 32, "number of partitions")
 	ranks := flag.Int("ranks", 32, "simulated machine size")
 	solver := flag.String("solver", lp.DefaultSolverName, "sequential simplex: "+strings.Join(igp.SolverNames(), "|"))
-	procs := flag.Int("procs", 0, "worker count for the engine's sharded kernels (0 = GOMAXPROCS, 1 = sequential)")
+	procs := flag.Int("procs", 0, "worker count for the engine's sharded kernels (0 = GOMAXPROCS, 1 = one worker, inline)")
 	skipSim := flag.Bool("skipsim", false, "skip simulated parallel runs (no Time-p/Speedup)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (tables: incremental, solvers, serve, multilevel)")
 	largeN := flag.Int("n", 100000, "large-graph tier size (table: multilevel)")

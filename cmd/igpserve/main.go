@@ -44,7 +44,7 @@ func main() {
 	queue := flag.Int("queue", 0, "per-session queue depth (0 = default 64)")
 	inflight := flag.Int("inflight", 0, "server-wide in-flight request cap (0 = default 1024)")
 	idle := flag.Duration("idle", 0, "evict sessions idle this long (0 = never)")
-	procs := flag.Int("procs", 0, "engine worker count (0 = GOMAXPROCS, 1 = sequential)")
+	procs := flag.Int("procs", 0, "engine worker count (0 = GOMAXPROCS, 1 = one worker, inline)")
 	solver := flag.String("solver", "", "LP solver for the engines: "+strings.Join(igp.SolverNames(), "|")+" (empty = default)")
 	refine := flag.Bool("refine", false, "enable LP refinement (IGPR) in the engines")
 	smoke := flag.Duration("smoke", 0, "self-check mode: boot on 127.0.0.1:0, run loadgen this long, exit")

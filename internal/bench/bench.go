@@ -46,7 +46,7 @@ type Config struct {
 	// the paper's own is lp.Dense).
 	Solver lp.Solver
 	// Parallelism is the worker count for the engine's sharded kernels
-	// (0 = GOMAXPROCS, 1 = the sequential path). Results are
+	// (0 = GOMAXPROCS, 1 = one inline shard per region). Results are
 	// bit-identical for every value; only Time-s changes.
 	Parallelism int
 	// SkipSim disables the simulated parallel runs (faster; Time-p and

@@ -540,7 +540,7 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.
 		cum = append(cum, t)
 	}
 	h.cum = cum
-	h.shards = par.SplitByWeight(h.shards[:0], cum, h.workers(int(t), parConnectArcMin))
+	h.shards = par.SplitByWeight(h.shards[:0], cum, par.Workers(h.opt.Procs, int(t), parConnectArcMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.cgTask = connectTask{h: h, fg: fg, lv: lv, reps: reps}
 	h.group().Run(len(h.shards), &h.cgTask)

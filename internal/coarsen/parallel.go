@@ -140,19 +140,7 @@ func (m *matcher) g() *par.Group {
 	return &m.own
 }
 
-// workers picks the fork width for a region of the given size — a pure
-// function of the input size, never of scheduling.
-func (m *matcher) workers(units, min int) int {
-	if m.procs > 1 && units >= min {
-		return m.procs
-	}
-	return 1
-}
-
 func (m *matcher) grow(n int) {
-	if m.procs < 1 {
-		m.procs = 1
-	}
 	for len(m.prop) < n {
 		m.prop = append(m.prop, -1)
 		m.mate = append(m.mate, graph.Vertex(len(m.mate)))
@@ -182,7 +170,7 @@ func (m *matcher) run(fg *graph.Graph, part []int32, free []graph.Vertex) {
 		// 1. Re-propose: every dirty vertex recomputes its best free
 		// same-partition edge — a pure per-vertex function of shared
 		// frozen state, so any sharding is bitwise-equivalent.
-		m.shards, m.cum = splitByDeg(fg, dirty, m.workers(len(dirty), parMatchMin), m.shards, m.cum)
+		m.shards, m.cum = splitByDeg(fg, dirty, par.Workers(m.procs, len(dirty), parMatchMin), m.shards, m.cum)
 		m.ptask = proposeTask{m: m, fg: fg, part: part, list: dirty}
 		m.g().Run(len(m.shards), &m.ptask)
 		m.ptask = proposeTask{}
@@ -216,7 +204,7 @@ func (m *matcher) run(fg *graph.Graph, part []int32, free []graph.Vertex) {
 		// merge order.
 		m.stamps.Next()
 		next = next[:0]
-		m.shards, m.cum = splitByDeg(fg, matched, m.workers(len(matched), parMatchMin), m.shards, m.cum)
+		m.shards, m.cum = splitByDeg(fg, matched, par.Workers(m.procs, len(matched), parMatchMin), m.shards, m.cum)
 		growBufs(&m.bufs, len(m.shards))
 		m.ctask = collectTask{m: m, fg: fg, list: matched}
 		m.g().Run(len(m.shards), &m.ctask)
@@ -256,7 +244,7 @@ func (m *matcher) twoHop(fg *graph.Graph, part []int32, free []graph.Vertex) {
 	if len(singles) < 2 {
 		return
 	}
-	m.shards, m.cum = splitByDeg(fg, singles, m.workers(len(singles), parMatchMin), m.shards, m.cum)
+	m.shards, m.cum = splitByDeg(fg, singles, par.Workers(m.procs, len(singles), parMatchMin), m.shards, m.cum)
 	growBufs(&m.bufs, len(m.shards))
 	m.htask = hopTask{m: m, fg: fg, list: singles}
 	m.g().Run(len(m.shards), &m.htask)
@@ -568,20 +556,11 @@ func (h *Hierarchy) group() *par.Group {
 	return &h.mt.own
 }
 
-// workers picks the fork width for a region of the given size — a pure
-// function of the input size.
-func (h *Hierarchy) workers(units, min int) int {
-	if h.opt.Procs > 1 && units >= min {
-		return h.opt.Procs
-	}
-	return 1
-}
-
 // collectImpure returns the ascending list of group members whose
 // partner's partition diverged (arena: h.orderBuf).
 func (h *Hierarchy) collectImpure(lv *level, fg *graph.Graph, fa *partition.Assignment) []graph.Vertex {
 	n := fg.Order()
-	h.shards = par.Split(h.shards[:0], n, h.workers(n, parSweepMin))
+	h.shards = par.Split(h.shards[:0], n, par.Workers(h.opt.Procs, n, parSweepMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.swTask = sweepTask{h: h, kind: sweepPurity, fg: fg, part: fa.Part, lv: lv}
 	h.group().Run(len(h.shards), &h.swTask)
@@ -600,7 +579,7 @@ func (h *Hierarchy) collectImpure(lv *level, fg *graph.Graph, fa *partition.Assi
 // h.freeBuf).
 func (h *Hierarchy) collectFree(lv *level, fg *graph.Graph, fa *partition.Assignment) []graph.Vertex {
 	n := fg.Order()
-	h.shards = par.Split(h.shards[:0], n, h.workers(n, parSweepMin))
+	h.shards = par.Split(h.shards[:0], n, par.Workers(h.opt.Procs, n, parSweepMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.swTask = sweepTask{h: h, kind: sweepProject, fg: fg, part: fa.Part, lv: lv}
 	h.group().Run(len(h.shards), &h.swTask)
@@ -618,7 +597,7 @@ func (h *Hierarchy) collectFree(lv *level, fg *graph.Graph, fa *partition.Assign
 // returns the ascending list of changed vertices (arena: h.changeBuf).
 func (h *Hierarchy) projectDown(lv *level, fg *graph.Graph, fa *partition.Assignment) []graph.Vertex {
 	n := fg.Order()
-	h.shards = par.Split(h.shards[:0], n, h.workers(n, parSweepMin))
+	h.shards = par.Split(h.shards[:0], n, par.Workers(h.opt.Procs, n, parSweepMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.swTask = sweepTask{h: h, kind: sweepUncoarsen, fg: fg, part: fa.Part, lv: lv}
 	h.group().Run(len(h.shards), &h.swTask)
@@ -646,7 +625,7 @@ func (h *Hierarchy) levelWeights(l int, fg *graph.Graph, fa *partition.Assignmen
 		weights[q] = 0
 	}
 	n := fg.Order()
-	h.shards = par.Split(h.shards[:0], n, h.workers(n, parSweepMin))
+	h.shards = par.Split(h.shards[:0], n, par.Workers(h.opt.Procs, n, parSweepMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	for i := range h.shards {
 		ws := &h.sweeps[i]
@@ -703,10 +682,10 @@ func (h *Hierarchy) collectSeeds(fg *graph.Graph, changed []graph.Vertex) []grap
 	}
 	h.seedMarks.Grow(n)
 	h.seedMarks.Next()
-	h.shards, h.cum = splitByDeg(fg, changed, h.workers(len(changed), parSeedMin), h.shards, h.cum)
+	h.shards, h.cum = splitByDeg(fg, changed, par.Workers(h.opt.Procs, len(changed), parSeedMin), h.shards, h.cum)
 	h.swTask = sweepTask{h: h, kind: sweepSeedMark, fg: fg, list: changed}
 	h.group().Run(len(h.shards), &h.swTask)
-	h.shards = par.Split(h.shards[:0], n, h.workers(n, parSweepMin))
+	h.shards = par.Split(h.shards[:0], n, par.Workers(h.opt.Procs, n, parSweepMin))
 	growSweeps(&h.sweeps, len(h.shards))
 	h.swTask = sweepTask{h: h, kind: sweepSeedCollect, fg: fg}
 	h.group().Run(len(h.shards), &h.swTask)
@@ -725,7 +704,7 @@ func (h *Hierarchy) collectSeeds(fg *graph.Graph, changed []graph.Vertex) []grap
 // exact sequential push sequence, so the heap array is bit-identical at
 // every worker count.
 func (h *Hierarchy) scanSeeds(fg *graph.Graph, fa *partition.Assignment, seeds []graph.Vertex) {
-	h.shards, h.cum = splitByDeg(fg, seeds, h.workers(len(seeds), parSeedMin), h.shards, h.cum)
+	h.shards, h.cum = splitByDeg(fg, seeds, par.Workers(h.opt.Procs, len(seeds), parSeedMin), h.shards, h.cum)
 	growSweeps(&h.sweeps, len(h.shards))
 	for i := range h.shards {
 		ws := &h.sweeps[i]

@@ -30,10 +30,9 @@ import (
 	"repro/internal/partition"
 )
 
-// parAsgMin is the seed/frontier size below which phase-1 work runs
-// inline instead of forking the worker group (the layering kernel's
-// parLevelMin rule; the threshold depends only on input size, so worker
-// count never changes which path runs).
+// parAsgMin is the seed/frontier size below which phase-1 work runs as
+// one shard instead of forking the worker group (the layering kernel's
+// parLevelMin rule; the threshold depends only on input size).
 const parAsgMin = 48
 
 // asgCand is one claimed BFS candidate and its canonical discovery key:
@@ -159,14 +158,9 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 	// neighbor of a seed, deduped by claim and sorted ascending (the
 	// relative order the oracle's all-labeled initial queue gives them,
 	// since non-rim labeled vertices discover nothing).
-	procs := e.procs
-	s.grow(n, procs)
+	s.grow(n, e.procs)
 	s.stamps.Next()
-	srcProcs := procs
-	if len(seeds) < parAsgMin {
-		srcProcs = 1
-	}
-	s.shards = par.Split(s.shards[:0], len(seeds), srcProcs)
+	s.shards = par.Split(s.shards[:0], len(seeds), par.Workers(e.procs, len(seeds), parAsgMin))
 	s.srcT = srcTask{e: e, a: a}
 	e.group.Run(len(s.shards), &s.srcT)
 	s.srcT = srcTask{}
@@ -190,11 +184,7 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 			s.posStamps.TryMark(v)
 			s.posOf[v] = int32(i)
 		}
-		lvlProcs := procs
-		if len(frontier) < parAsgMin {
-			lvlProcs = 1
-		}
-		s.shards = par.Split(s.shards[:0], len(frontier), lvlProcs)
+		s.shards = par.Split(s.shards[:0], len(frontier), par.Workers(e.procs, len(frontier), parAsgMin))
 		s.lvlT = asgLevelTask{e: e, a: a, frontier: frontier}
 		e.group.Run(len(s.shards), &s.lvlT)
 		s.lvlT = asgLevelTask{}
@@ -249,22 +239,12 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 		for lo := 0; lo < len(comp); {
 			hi := len(comp)
 			frontier := comp[lo:hi]
-			if procs > 1 && len(frontier) >= parAsgMin {
-				s.shards = par.Split(s.shards[:0], len(frontier), procs)
-				s.orphT = orphanTask{e: e, a: a, frontier: frontier}
-				e.group.Run(len(s.shards), &s.orphT)
-				s.orphT = orphanTask{}
-				for w := range s.shards {
-					comp = append(comp, s.ws[w].srcs...)
-				}
-			} else {
-				for _, v := range frontier {
-					for _, u := range e.csr.Row(v) {
-						if a.Part[u] < 0 && s.stamps.TryMark(u) {
-							comp = append(comp, u)
-						}
-					}
-				}
+			s.shards = par.Split(s.shards[:0], len(frontier), par.Workers(e.procs, len(frontier), parAsgMin))
+			s.orphT = orphanTask{e: e, a: a, frontier: frontier}
+			e.group.Run(len(s.shards), &s.orphT)
+			s.orphT = orphanTask{}
+			for w := range s.shards {
+				comp = append(comp, s.ws[w].srcs...)
 			}
 			lo = hi
 		}

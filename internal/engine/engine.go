@@ -114,9 +114,9 @@ type Options struct {
 	// Parallelism is the worker count for the engine's sharded kernels:
 	// the incremental boundary recompute, the phase 1 nearest-labeled
 	// BFS, the layering BFS and the refinement gain scan. 0 means
-	// runtime.GOMAXPROCS(0); 1 selects the exact sequential code path.
-	// Results are bit-identical for every value — parallelism is purely
-	// a latency property.
+	// runtime.GOMAXPROCS(0); 1 runs the same kernels as one shard,
+	// inline. Results are bit-identical for every value — parallelism is
+	// purely a latency property.
 	Parallelism int
 	// Multilevel enables the V-cycle mode for large graphs: coarsen by
 	// same-partition heavy-edge matching down to a cheap size, solve the
@@ -206,7 +206,7 @@ type Stats struct {
 	// and refinement round.
 	LPIterations int
 	// Parallelism is the worker count the engine's sharded kernels ran
-	// with (1 = the sequential path).
+	// with (1 = every region one shard, run inline).
 	Parallelism int
 	// LPDelegated counts LP solves during this call that the solver
 	// handed to its tableau delegate because the problem was not a pure
@@ -215,8 +215,8 @@ type Stats struct {
 	LPDelegated int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
-	// scans, pool sorts); index w is worker w. Empty on the sequential
-	// path. Like Stages it is an arena reused across calls.
+	// scans, pool sorts); index w is worker w. Empty at one worker. Like
+	// Stages it is an arena reused across calls.
 	WorkerBusy []time.Duration
 	// CSRPatched counts snapshot refreshes during this call that were
 	// served by the journal-driven partial CSR patch (only touched rows
@@ -391,7 +391,7 @@ type Engine struct {
 	// Stats.LPDelegated in Repartition.
 	lpSolvers []lp.Solver
 
-	// Worker pool for the sharded kernels (see parallel.go): one
+	// Worker pool for the sharded kernels (see boundary.go): one
 	// fork-join group shared with the layering and gains scratches so
 	// per-worker busy times roll up in one place. Worker goroutines
 	// exist only inside a region — nothing outlives a call.
@@ -553,10 +553,14 @@ func (e *Engine) growSizes(p int) {
 // touched rows unless the journal overflowed or churn forced a rebuild.
 // Nothing is allocated once the arenas have grown.
 func (e *Engine) sync(a *partition.Assignment) {
-	n := e.g.Order()
-	a.Grow(n)
+	a.Grow(e.g.Order())
+	// With the graph unchanged nothing is journaled: only assignment
+	// moves can alter the boundary.
+	var touched []graph.Vertex
+	rebuild := a.P != e.trackedP
 	if !e.synced || e.g.Epoch() != e.epoch {
-		touched, exact := e.g.TouchedSince(e.epoch, e.touchBuf[:0])
+		var exact bool
+		touched, exact = e.g.TouchedSince(e.epoch, e.touchBuf[:0])
 		e.touchBuf = touched[:0]
 		if e.opt.FullRefresh {
 			e.csr = e.g.RebuildCSRInto(e.csr)
@@ -568,70 +572,15 @@ func (e *Engine) sync(a *partition.Assignment) {
 				e.csrPatched++
 			}
 		}
-		wasSynced := e.synced
+		rebuild = rebuild || !e.synced || !exact
 		e.epoch = e.g.Epoch()
 		e.synced = true
-		if !wasSynced || !exact || a.P != e.trackedP {
-			e.rebuildBoundary(a)
-			return
-		}
-		e.growTo(n)
-		e.stamps.Next()
-		// Structurally touched vertices re-examine themselves; an edge flip
-		// cannot change a non-endpoint's membership (size attribution and
-		// pending collection ride the same re-examination).
-		for _, v := range touched {
-			e.recompute(v, a)
-		}
-		e.diffAssignment(a)
-		e.finishSync(a)
-		return
 	}
-	if a.P != e.trackedP {
+	if rebuild {
 		e.rebuildBoundary(a)
-		return
-	}
-	// Graph unchanged: only assignment moves can alter the boundary.
-	e.growTo(n)
-	e.stamps.Next()
-	e.diffAssignment(a)
-	e.finishSync(a)
-}
-
-// rebuildBoundary recomputes the boundary set, the per-partition size
-// counters and the pending-unassigned set from scratch over the current
-// snapshot. With Parallelism > 1 the scan is sharded by arc count;
-// per-worker lists merged in shard order reproduce the sequential
-// ascending-id layout exactly (see parallel.go).
-func (e *Engine) rebuildBoundary(a *partition.Assignment) {
-	n := e.csr.Order()
-	e.growTo(n)
-	e.growSizes(a.P)
-	e.trackedP = a.P
-	for q := range e.partSizes {
-		e.partSizes[q] = 0
-	}
-	e.boundary = e.boundary[:0]
-	e.listDirty = false
-	e.gainsValid = false // nothing was diffed: the pools need a full scan
-	if e.procs > 1 && n >= parBoundaryMin {
-		e.rebuildBoundaryPar(a)
 	} else {
-		for v := 0; v < n; v++ {
-			member := e.isBoundary(graph.Vertex(v), a)
-			e.inBoundary[v] = member
-			if member {
-				e.boundary = append(e.boundary, graph.Vertex(v))
-			}
-			want := e.attrOf(graph.Vertex(v), a)
-			e.sizeAttr[v] = want
-			if want >= 0 {
-				e.partSizes[want]++
-			}
-			e.collectPending(graph.Vertex(v), a, &e.pendingNew)
-		}
+		e.resync(a, touched)
 	}
-	copy(e.prevPart[:n], a.Part[:n])
 }
 
 // attrOf returns the partition v should be size-counted under: its
@@ -648,10 +597,8 @@ func (e *Engine) attrOf(v graph.Vertex, a *partition.Assignment) int32 {
 }
 
 // moveAttr moves v's size attribution to its current partition,
-// applying the count adjustment to sizes — e.partSizes on the
-// sequential path, a worker-private delta array on the parallel one, so
-// the attribution rule has exactly one copy. The caller must own v
-// (sequential pass, disjoint shard, or won claim).
+// applying the count adjustment to sizes, the calling worker's private
+// delta array. The caller must own v (won claim).
 func (e *Engine) moveAttr(v graph.Vertex, a *partition.Assignment, sizes []int) {
 	want := e.attrOf(v, a)
 	if old := e.sizeAttr[v]; want != old {
@@ -665,12 +612,11 @@ func (e *Engine) moveAttr(v graph.Vertex, a *partition.Assignment, sizes []int) 
 	}
 }
 
-// collectPending records v into dst (e.pendingNew on the sequential
-// path, a worker-private buffer on the parallel one) for the next
-// delta-aware assign call when it needs phase-1 attention: live but
-// Unassigned (a new vertex), or dead with a stale assignment left
-// behind (to be normalized). The flag is cleared when assign consumes
-// the entry. The caller must own v (sequential pass, disjoint shard, or
+// collectPending records v into dst (the calling worker's private
+// buffer) for the next delta-aware assign call when it needs phase-1
+// attention: live but Unassigned (a new vertex), or dead with a stale
+// assignment left behind (to be normalized). The flag is cleared when
+// assign consumes the entry. The caller must own v (disjoint shard or
 // won claim).
 func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment, dst *[]graph.Vertex) {
 	if e.inPending[v] {
@@ -696,48 +642,6 @@ func (e *Engine) isBoundary(v graph.Vertex, a *partition.Assignment) bool {
 		}
 	}
 	return false
-}
-
-// recompute re-evaluates v's boundary membership, size attribution and
-// pending status, at most once per sync.
-func (e *Engine) recompute(v graph.Vertex, a *partition.Assignment) {
-	if !e.stamps.TryMark(v) {
-		return
-	}
-	e.moveAttr(v, a, e.partSizes)
-	e.collectPending(v, a, &e.pendingNew)
-	now := e.isBoundary(v, a)
-	if e.gainsValid && (now || e.inBoundary[v]) {
-		e.gainDirty = append(e.gainDirty, v)
-	}
-	if now == e.inBoundary[v] {
-		return
-	}
-	e.inBoundary[v] = now
-	if now {
-		e.boundary = append(e.boundary, v)
-	} else {
-		e.listDirty = true
-	}
-}
-
-// diffAssignment re-examines every vertex whose partition changed since
-// the last sync, plus its neighbors (whose boundary status depends on it).
-// With Parallelism > 1 the O(n) diff scan is sharded; vertices are
-// claimed through the atomic recompute stamp so each is re-examined by
-// exactly one worker (see parallel.go).
-func (e *Engine) diffAssignment(a *partition.Assignment) {
-	if e.procs > 1 && e.csr.Order() >= parBoundaryMin {
-		e.diffAssignmentPar(a)
-		return
-	}
-	n := e.csr.Order()
-	for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
-		e.recompute(graph.Vertex(v), a)
-		for _, u := range e.csr.Row(graph.Vertex(v)) {
-			e.recompute(u, a)
-		}
-	}
 }
 
 // diffBlock is how many assignment slots nextMoved compares at a time:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -289,66 +290,81 @@ func TestEngineRepartitionMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestSteadyStateLayerAllocs is the allocation regression: layering an
-// unchanged graph through a warm engine must not allocate.
-func TestSteadyStateLayerAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{})
-	if _, err := e.Layer(context.Background(), a); err != nil {
-		t.Fatal(err)
+// atAllocProcs runs body as a subtest on a warm-able engine at each
+// explicit worker count the steady-state allocation locks cover: one
+// shard inline and a forked group. Options{} would resolve to the host's
+// core count and leave it to the machine which of the two a test locks.
+func atAllocProcs(t *testing.T, body func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			g, a := editableGraph(t, 500, 8, 5)
+			body(t, g, a, New(g, Options{Parallelism: procs}))
+		})
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+}
+
+// TestSteadyStateLayerAllocs is the allocation regression: layering an
+// unchanged graph through a warm engine must not allocate — per-worker
+// scratch lives in the engine's arenas and goroutines are spawned
+// through pre-built thunks.
+func TestSteadyStateLayerAllocs(t *testing.T) {
+	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Layer(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Layer(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("steady-state Layer allocates %.1f objects/op, want 0", allocs)
+		}
 	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Layer allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestSteadyStateGainsAllocs: gain scans on an unchanged graph through a
 // warm engine must not allocate.
 func TestSteadyStateGainsAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{})
-	if _, err := e.Gains(a, false); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Gains(a, false); err != nil {
 			t.Fatal(err)
 		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Gains(a, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("steady-state Gains allocates %.1f objects/op, want 0", allocs)
+		}
 	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Gains allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestSteadyStateSmallEditAllocs: after a small edit, the engine resyncs
 // incrementally; the whole Layer call (sync + kernel) must stay within a
 // small constant allocation budget (the CSR refresh reuses its arrays).
 func TestSteadyStateSmallEditAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{})
-	if _, err := e.Layer(context.Background(), a); err != nil {
-		t.Fatal(err)
-	}
-	u, v := graph.Vertex(0), graph.Vertex(1)
-	allocs := testing.AllocsPerRun(20, func() {
-		// Flip one edge back and forth: a two-touch journal entry per run.
-		if g.HasEdge(u, v) {
-			_ = g.RemoveEdge(u, v)
-		} else {
-			_ = g.AddEdge(u, v, 1)
-		}
+	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Layer(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
+		u, v := graph.Vertex(0), graph.Vertex(1)
+		allocs := testing.AllocsPerRun(20, func() {
+			// Flip one edge back and forth: a two-touch journal entry per run.
+			if g.HasEdge(u, v) {
+				_ = g.RemoveEdge(u, v)
+			} else {
+				_ = g.AddEdge(u, v, 1)
+			}
+			if _, err := e.Layer(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("small-edit Layer allocates %.1f objects/op, want ≤ 4", allocs)
+		}
 	})
-	if allocs > 4 {
-		t.Fatalf("small-edit Layer allocates %.1f objects/op, want ≤ 4", allocs)
-	}
 }
 
 // TestSteadyStateBalanceFormulateAllocs locks the arena-backed balance

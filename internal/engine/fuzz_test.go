@@ -21,7 +21,7 @@ func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(7), uint8(25), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, edits uint8, procs uint8) {
 		workers := 1 + int(procs%8)
-		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin: both boundary paths get fuzzed
+		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin: forked and one-shard boundary passes both get fuzzed
 		p := 3 + int(uint64(seed)%4)
 		g, a := editableGraph(t, n, p, seed)
 		e := New(g, Options{Parallelism: workers})
@@ -37,18 +37,19 @@ func FuzzBoundaryExact(f *testing.F) {
 	})
 }
 
-// FuzzParallelEquivalence is the parallel-vs-sequential kernel
-// equivalence fuzz: the same random edit sequence drives a sequential
-// and a parallel engine, and the boundary set, the layering result, the
-// gain candidates and a full IGPR Repartition must stay bit-identical
-// for the fuzzed worker count.
+// FuzzParallelEquivalence is the worker-count kernel equivalence fuzz:
+// the same random edit sequence drives a one-worker and a multi-worker
+// engine — the same kernels as one inline shard and as forked shards —
+// and the boundary set, the layering result, the gain candidates and a
+// full IGPR Repartition must stay bit-identical for the fuzzed worker
+// count.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(2), false)
 	f.Add(int64(9), uint8(20), uint8(5), true)
 	f.Add(int64(23), uint8(14), uint8(15), false)
 	f.Fuzz(func(t *testing.T, seed int64, edits uint8, procs uint8, strict bool) {
 		workers := 2 + int(procs%15)
-		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin: both boundary paths get fuzzed
+		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin: forked and one-shard boundary passes both get fuzzed
 		p := 3 + int(uint64(seed)%5)
 		gSeq, aSeq := editableGraph(t, n, p, seed)
 		gPar := gSeq.Clone()
@@ -111,10 +112,10 @@ func FuzzParallelEquivalence(f *testing.F) {
 // FuzzVCycleParallelEquivalence is the multilevel parallel-equivalence
 // fuzz: the same edit history — growth edits plus deterministic
 // partition drift that forces hierarchy purity repairs — drives a
-// sequential (procs=1) and a parallel V-cycle engine, and every full
+// one-worker and a multi-worker V-cycle engine, and every full
 // multilevel Repartition must agree bit for bit: the assignment, the
-// hierarchy-repaired flag and the level count. procs=1 is the exact
-// sequential path; workers are drawn from {2,3,7,16}.
+// hierarchy-repaired flag and the level count. procs=1 runs every
+// kernel as one inline shard; workers are drawn from {2,3,7,16}.
 func FuzzVCycleParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(0))
 	f.Add(int64(42), uint8(30), uint8(1))

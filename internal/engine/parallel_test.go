@@ -84,7 +84,7 @@ func requireSameBoundary(t testing.TB, got []graph.Vertex, want map[graph.Vertex
 	}
 }
 
-// TestParallelEngineKernelEquivalence drives sequential and parallel
+// TestParallelEngineKernelEquivalence drives one-worker and multi-worker
 // engines through the same random edit sequence and requires
 // bit-identical boundary sets, layerings and gain candidates at every
 // step, for several worker counts.
@@ -128,9 +128,9 @@ func TestParallelEngineKernelEquivalence(t *testing.T) {
 }
 
 // TestParallelRepartitionMatchesSequential is the end-to-end criterion:
-// full IGPR repartitioning through parallel engines must produce the
-// exact assignments, cuts and movement stats of the sequential engine
-// across an evolving graph.
+// full IGPR repartitioning through multi-worker engines must produce
+// the exact assignments, cuts and movement stats of the one-worker
+// engine across an evolving graph.
 func TestParallelRepartitionMatchesSequential(t *testing.T) {
 	gBase, aBase := editableGraph(t, 300, 6, 83)
 	for _, procs := range []int{2, 7} {
@@ -139,7 +139,7 @@ func TestParallelRepartitionMatchesSequential(t *testing.T) {
 		ePar := New(gPar, Options{Refine: true, Parallelism: procs})
 		rngSeq := rand.New(rand.NewSource(89))
 		rngPar := rand.New(rand.NewSource(89))
-		gS := gBase.Clone() // private sequential copy per procs value
+		gS := gBase.Clone() // private one-worker copy per procs value
 		aS := aBase.Clone()
 		eS := New(gS, Options{Refine: true, Parallelism: 1})
 		for step := 0; step < 5; step++ {
@@ -194,7 +194,7 @@ func TestParallelWorkerBusyReported(t *testing.T) {
 	if st.WorkerBusy[0] <= 0 {
 		t.Fatal("worker 0 reported no busy time")
 	}
-	// Sequential engines report no per-worker breakdown.
+	// One-worker engines report no per-worker breakdown.
 	g2, a2 := editableGraph(t, 100, 4, 98)
 	e2 := New(g2, Options{Parallelism: 1})
 	st2, err := e2.Repartition(context.Background(), a2)
@@ -202,51 +202,14 @@ func TestParallelWorkerBusyReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2.Parallelism != 1 || len(st2.WorkerBusy) != 0 {
-		t.Fatalf("sequential stats: Parallelism=%d WorkerBusy=%v", st2.Parallelism, st2.WorkerBusy)
-	}
-}
-
-// TestSteadyStateParallelLayerAllocs locks the parallel layering kernel
-// at zero steady-state allocation: per-worker scratch lives in the
-// engine's arenas and goroutines are spawned through pre-built thunks.
-func TestSteadyStateParallelLayerAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{Parallelism: 4})
-	if _, err := e.Layer(context.Background(), a); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Layer(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state parallel Layer allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestSteadyStateParallelGainsAllocs: the parallel gain scan must also
-// stay 0 allocs/op through a warm engine.
-func TestSteadyStateParallelGainsAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{Parallelism: 4})
-	if _, err := e.Gains(a, false); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Gains(a, false); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state parallel Gains allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("one-worker stats: Parallelism=%d WorkerBusy=%v", st2.Parallelism, st2.WorkerBusy)
 	}
 }
 
 // TestParallelSortedBoundaryEquivalence: the sharded sort + k-way merge
-// behind the cut reports must reproduce the sequential ascending sort
-// exactly, on a boundary large enough to take the parallel path, and
-// keep doing so across calls (the two scratch buffers swap roles).
+// behind the cut reports must reproduce the plain ascending sort
+// exactly, on a boundary large enough to fork, and keep doing so across
+// calls (the two scratch buffers swap roles).
 func TestParallelSortedBoundaryEquivalence(t *testing.T) {
 	for _, procs := range []int{2, 3, 7} {
 		g, a := editableGraph(t, 3000, 8, 11)
@@ -255,13 +218,13 @@ func TestParallelSortedBoundaryEquivalence(t *testing.T) {
 		want := append([]graph.Vertex(nil), e.boundary...)
 		slices.Sort(want)
 		if len(want) < parCutSortMin {
-			t.Fatalf("boundary has %d vertices, below parCutSortMin=%d — the parallel path is untested",
+			t.Fatalf("boundary has %d vertices, below parCutSortMin=%d — the merge is untested",
 				len(want), parCutSortMin)
 		}
 		for call := 0; call < 3; call++ {
 			got := e.sortedBoundary()
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("procs=%d call %d: sorted boundary diverges from sequential sort", procs, call)
+				t.Fatalf("procs=%d call %d: sorted boundary diverges from slices.Sort", procs, call)
 			}
 		}
 	}
@@ -269,7 +232,7 @@ func TestParallelSortedBoundaryEquivalence(t *testing.T) {
 
 // TestParallelOrphanClusteringEquivalence: a large disconnected cluster
 // of new vertices floods level-synchronously over the worker group; the
-// resulting assignment and fallback count must match the sequential
+// resulting assignment and fallback count must match the one-worker
 // engine exactly.
 func TestParallelOrphanClusteringEquivalence(t *testing.T) {
 	build := func(procs int) (*partition.Assignment, int, int) {
@@ -299,7 +262,7 @@ func TestParallelOrphanClusteringEquivalence(t *testing.T) {
 	}
 	aSeq, nSeq, fSeq := build(1)
 	if fSeq != 1 {
-		t.Fatalf("sequential run placed %d fallback clusters, want 1", fSeq)
+		t.Fatalf("one-worker run placed %d fallback clusters, want 1", fSeq)
 	}
 	for _, procs := range []int{2, 3, 7} {
 		a, n, f := build(procs)
@@ -307,13 +270,13 @@ func TestParallelOrphanClusteringEquivalence(t *testing.T) {
 			t.Fatalf("procs=%d: assigned/fallbacks %d/%d, want %d/%d", procs, n, f, nSeq, fSeq)
 		}
 		if !reflect.DeepEqual(a.Part, aSeq.Part) {
-			t.Fatalf("procs=%d: orphan clustering assignment diverges from sequential", procs)
+			t.Fatalf("procs=%d: orphan clustering assignment diverges from the one-worker run", procs)
 		}
 	}
 }
 
 // TestParallelismResolution: 0 resolves to GOMAXPROCS, negatives clamp
-// to the sequential path.
+// to one worker.
 func TestParallelismResolution(t *testing.T) {
 	if got := (Options{}).procs(); got < 1 {
 		t.Fatalf("default procs = %d", got)

@@ -3,8 +3,11 @@ package layering
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -236,11 +239,11 @@ func TestLayerCanceled(t *testing.T) {
 	var s Scratch
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	if _, err := s.LayerCSR(ctx, csr, a); !errors.Is(err, cancel.ErrCanceled) {
+	if _, err := s.LayerSeeded(ctx, csr, a, g.Vertices()); !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	// The scratch must still produce a correct layering afterwards.
-	res, err := s.LayerCSR(context.Background(), csr, a)
+	res, err := s.LayerSeeded(context.Background(), csr, a, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,5 +256,217 @@ func TestLayerCanceled(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Label, want.Label) || !reflect.DeepEqual(res.Delta, want.Delta) {
 		t.Fatal("post-abort layering diverges from fresh layering")
+	}
+}
+
+// pollCtx is a context whose Err turns non-nil after a fixed number of
+// polls — a cancellation that lands between two chosen BFS levels.
+type pollCtx struct {
+	context.Context
+	left int
+}
+
+func (c *pollCtx) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestLayerCanceledMidBFS aborts the kernel after k completed levels —
+// labels half-written, claim stamps half-taken, worker buffers full —
+// and requires the next call on the same Scratch to equal a fresh
+// layering on every field.
+func TestLayerCanceledMidBFS(t *testing.T) {
+	g, a := stripes(40, 60, 3)
+	csr := g.ToCSR()
+	seeds := g.Vertices()
+	want, err := Layer(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		s := Scratch{Procs: procs}
+		for k := 0; k <= 11; k++ {
+			ctx := &pollCtx{Context: context.Background(), left: k}
+			if _, err := s.LayerSeeded(ctx, csr, a, seeds); !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("procs %d, cancel after %d polls: want ErrCanceled, got %v", procs, k, err)
+			}
+			got, err := s.LayerSeeded(context.Background(), csr, a, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("procs %d, after abort at poll %d", procs, k), got, want, a.P)
+		}
+	}
+}
+
+// refLayering is the naive reference's output: labels and levels of the
+// labeled vertices, and the ordered pool of each (partition, label) pair.
+type refLayering struct {
+	label, level map[graph.Vertex]int32
+	pools        map[[2]int32][]graph.Vertex
+}
+
+// figure3 is the paper's Figure 3 written as a specification over the
+// adjacency-list graph — no snapshot, no scratch, nothing shared with
+// the kernel. Level 0: a vertex with foreign neighbors takes the foreign
+// partition it touches most. Level ℓ+1: an unlabeled vertex takes the
+// label most common among its same-partition level-ℓ neighbors. Ties go
+// to the smaller partition id. Pools are ordered by level ascending,
+// then edges into the label partition descending, then id ascending.
+func figure3(g *graph.Graph, a *partition.Assignment) refLayering {
+	r := refLayering{
+		label: map[graph.Vertex]int32{},
+		level: map[graph.Vertex]int32{},
+		pools: map[[2]int32][]graph.Vertex{},
+	}
+	mostCommon := func(counts map[int32]int) int32 {
+		best := int32(-1)
+		for k, c := range counts {
+			if best < 0 || c > counts[best] || (c == counts[best] && k < best) {
+				best = k
+			}
+		}
+		return best
+	}
+	for l := int32(0); ; l++ {
+		found := map[graph.Vertex]int32{}
+		for _, v := range g.Vertices() {
+			if _, done := r.label[v]; done {
+				continue
+			}
+			counts := map[int32]int{}
+			for _, u := range g.Neighbors(v) {
+				if l == 0 && a.Part[u] != a.Part[v] {
+					counts[a.Part[u]]++
+				}
+				if lu, ok := r.level[u]; l > 0 && a.Part[u] == a.Part[v] && ok && lu == l-1 {
+					counts[r.label[u]]++
+				}
+			}
+			if len(counts) > 0 {
+				found[v] = mostCommon(counts)
+			}
+		}
+		if len(found) == 0 {
+			break
+		}
+		for v, lab := range found {
+			r.label[v], r.level[v] = lab, l
+		}
+	}
+	att := func(v graph.Vertex) int {
+		n := 0
+		for _, u := range g.Neighbors(v) {
+			if a.Part[u] == r.label[v] {
+				n++
+			}
+		}
+		return n
+	}
+	for v, lab := range r.label {
+		k := [2]int32{a.Part[v], lab}
+		r.pools[k] = append(r.pools[k], v)
+	}
+	for _, pool := range r.pools {
+		sort.Slice(pool, func(i, j int) bool {
+			x, y := pool[i], pool[j]
+			if r.level[x] != r.level[y] {
+				return r.level[x] < r.level[y]
+			}
+			if att(x) != att(y) {
+				return att(x) > att(y)
+			}
+			return x < y
+		})
+	}
+	return r
+}
+
+// requireMatchesFigure3 asserts Label, Level, Delta and every Pool of a
+// kernel result against the reference.
+func requireMatchesFigure3(t *testing.T, tag string, got *Result, want refLayering, n, p int) {
+	t.Helper()
+	for v := 0; v < n; v++ {
+		lab, lev := int32(-1), int32(-1)
+		if l, ok := want.label[graph.Vertex(v)]; ok {
+			lab, lev = l, want.level[graph.Vertex(v)]
+		}
+		if got.Label[v] != lab || got.Level[v] != lev {
+			t.Fatalf("%s: vertex %d has (label, level) = (%d, %d), reference (%d, %d)", tag, v, got.Label[v], got.Level[v], lab, lev)
+		}
+	}
+	for i := int32(0); i < int32(p); i++ {
+		for j := int32(0); j < int32(p); j++ {
+			pool := want.pools[[2]int32{i, j}]
+			if got.Delta[i][j] != len(pool) {
+				t.Fatalf("%s: δ(%d,%d) = %d, reference %d", tag, i, j, got.Delta[i][j], len(pool))
+			}
+			if gp := got.Pool(i, j); len(pool) > 0 && !reflect.DeepEqual(gp, pool) {
+				t.Fatalf("%s: pool(%d,%d) = %v, reference %v", tag, i, j, gp, pool)
+			}
+		}
+	}
+}
+
+// TestLayerMatchesFigure3Reference checks the kernel against the naive
+// reference on random G(n,m) graphs with deleted vertices and scattered
+// assignments, at several worker counts and for every shape of seed
+// list the contract allows: the exact boundary, every vertex (dead
+// slots included), and a shuffled boundary with duplicates.
+func TestLayerMatchesFigure3Reference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(300)
+		g, err := graph.RandomGNM(n, min(n/2+rng.Intn(3*n), n*(n-1)/2), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := rng.Intn(n / 5); i > 0; i-- {
+			if v := graph.Vertex(rng.Intn(n)); g.Alive(v) {
+				if err := g.RemoveVertex(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		p := 2 + rng.Intn(7)
+		a := partition.New(n, p)
+		for v := 0; v < n; v++ {
+			if g.Alive(graph.Vertex(v)) {
+				// Contiguous blocks with one vertex in five scattered.
+				a.Part[v] = int32(v * p / n)
+				if rng.Intn(5) == 0 {
+					a.Part[v] = int32(rng.Intn(p))
+				}
+			}
+		}
+		want := figure3(g, a)
+
+		var boundary, all, dup []graph.Vertex
+		for v := 0; v < n; v++ {
+			all = append(all, graph.Vertex(v))
+			for _, u := range g.Neighbors(graph.Vertex(v)) {
+				if a.Part[u] != a.Part[v] {
+					boundary = append(boundary, graph.Vertex(v))
+					break
+				}
+			}
+		}
+		dup = append(append(dup, boundary...), boundary...)
+		rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+
+		c := g.ToCSR()
+		for _, procs := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+			s := Scratch{Procs: procs}
+			for name, seeds := range map[string][]graph.Vertex{"boundary": boundary, "all": all, "dup": dup} {
+				got, err := s.LayerSeeded(context.Background(), c, a, seeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMatchesFigure3(t, fmt.Sprintf("seed %d, procs %d, %s seeds", seed, procs, name), got, want, n, p)
+			}
+		}
 	}
 }

@@ -58,8 +58,8 @@ func requireSameResult(t *testing.T, tag string, got, want *Result, p int) {
 	}
 }
 
-// TestParallelLayerEquivalence: the sharded kernel must be bit-identical
-// to the sequential one for every worker count, with and without seeds,
+// TestParallelLayerEquivalence: the kernel must be bit-identical for
+// every worker count, seeded with every vertex or with the boundary,
 // including duplicate seed lists.
 func TestParallelLayerEquivalence(t *testing.T) {
 	for _, cfg := range []struct {
@@ -71,7 +71,7 @@ func TestParallelLayerEquivalence(t *testing.T) {
 		g, a := randomPartitioned(t, cfg.n, cfg.p, cfg.seed)
 		c := g.ToCSR()
 		var seq Scratch
-		want, err := seq.LayerCSR(context.Background(), c, a)
+		want, err := seq.LayerSeeded(context.Background(), c, a, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestParallelLayerEquivalence(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 3, 7, 16, runtime.GOMAXPROCS(0)} {
 			par := Scratch{Procs: procs}
-			got, err := par.LayerCSR(context.Background(), c, a)
+			got, err := par.LayerSeeded(context.Background(), c, a, g.Vertices())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestParallelLayerEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelLayerScratchReuse drives one parallel scratch across
+// TestParallelLayerScratchReuse drives one four-worker scratch across
 // growing graphs and repeated calls — arena reuse must never leak state
 // between calls.
 func TestParallelLayerScratchReuse(t *testing.T) {
@@ -120,12 +120,12 @@ func TestParallelLayerScratchReuse(t *testing.T) {
 	} {
 		g, a := randomPartitioned(t, cfg.n, cfg.p, cfg.seed)
 		c := g.ToCSR()
-		got, err := s.LayerCSR(context.Background(), c, a)
+		got, err := s.LayerSeeded(context.Background(), c, a, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var seq Scratch
-		want, err := seq.LayerCSR(context.Background(), c, a)
+		want, err := seq.LayerSeeded(context.Background(), c, a, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}

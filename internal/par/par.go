@@ -1,7 +1,13 @@
 // Package par provides the deterministic fork-join primitives the
-// sharded engine kernels are built on: contiguous shard computation
-// (Split, SplitByWeight) and a reusable worker Group whose steady-state
-// Run costs zero heap allocations.
+// sharded engine kernels are built on: the fork gate (Workers),
+// contiguous shard computation (Split, SplitByWeight) and a reusable
+// worker Group whose steady-state Run costs zero heap allocations.
+//
+// Every kernel has one code path: it asks Workers how wide to fork a
+// region, shards its input that many ways and hands the shards to
+// Group.Run, which runs a single shard inline on the calling goroutine.
+// The worker count is a parameter, never a choice between two
+// implementations.
 //
 // # Determinism contract
 //
@@ -26,6 +32,19 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// Workers is the fork gate every sharded kernel shares: the number of
+// shards a region of the given size runs on — procs when more than one
+// worker is configured and the region has at least min units of work,
+// one otherwise (a region too small to repay the fork-join runs inline).
+// It is a pure function of the configured worker count and the input
+// size, never of scheduling, so which regions fork is reproducible.
+func Workers(procs, units, min int) int {
+	if procs <= 1 || units < min {
+		return 1
+	}
+	return procs
+}
 
 // Range is one contiguous shard: the half-open interval [Lo, Hi).
 type Range struct{ Lo, Hi int }
@@ -113,8 +132,8 @@ func SplitByWeight(dst []Range, cum []int32, workers int) []Range {
 //
 // Mixing the forms across phases of one generation is safe when the
 // sequential phase completes before the parallel region starts (the
-// fork establishes the happens-before edge) — the pattern the engine's
-// journal-then-diff boundary sync uses.
+// fork establishes the happens-before edge) — the pattern phase 1's
+// orphan flood uses to seed each component.
 type Stamps struct {
 	s   []uint32
 	gen uint32
@@ -212,8 +231,8 @@ func (g *Group) runWorker(w int) {
 
 // Run executes t.Do(w) for every w in [0, workers): workers-1 spawned
 // goroutines plus the calling goroutine as worker 0, returning after
-// all complete. workers <= 1 runs t.Do(0) inline with no goroutines —
-// the exact sequential path. A warm Run allocates nothing.
+// all complete. workers <= 1 runs t.Do(0) inline with no goroutines. A
+// warm Run allocates nothing.
 func (g *Group) Run(workers int, t Task) {
 	if workers < 1 {
 		workers = 1

@@ -48,6 +48,20 @@ func TestSplitCoversAndBalances(t *testing.T) {
 	}
 }
 
+// TestWorkersGate pins the fork gate: one worker configured, or a region
+// under its threshold, is one shard; anything else forks procs wide.
+func TestWorkersGate(t *testing.T) {
+	for _, tc := range []struct{ procs, units, min, want int }{
+		{-3, 1000, 48, 1}, {0, 1000, 48, 1}, {1, 1000, 48, 1}, // procs <= 1
+		{8, 47, 48, 1}, {8, 0, 48, 1}, {2, 255, 256, 1}, // units < min
+		{8, 48, 48, 8}, {8, 1000, 48, 8}, {2, 256, 256, 2}, {3, 0, 0, 3},
+	} {
+		if got := Workers(tc.procs, tc.units, tc.min); got != tc.want {
+			t.Errorf("Workers(%d, %d, %d) = %d, want %d", tc.procs, tc.units, tc.min, got, tc.want)
+		}
+	}
+}
+
 func TestSplitDeterministic(t *testing.T) {
 	a := Split(nil, 1234, 7)
 	b := Split(nil, 1234, 7)

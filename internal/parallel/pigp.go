@@ -133,9 +133,14 @@ func owner(q int32, ranks int) int { return int(q) % ranks }
 // repartitionRank is the per-rank SPMD body. Each rank owns a private
 // engine: replicated metadata, but snapshots, boundary sets and scratch
 // arenas are reused across the stages and refinement rounds of the run.
+// A rank models one processor of the paper's machine, so its engine runs
+// one worker: the default (GOMAXPROCS) would fork ranks × cores
+// goroutines inside every layering and gains region and oversubscribe
+// the host, while the simulated clock — flop-modelled through
+// comm.Advance — reads the same either way.
 func repartitionRank(ctx context.Context, c *comm.Comm, g *graph.Graph, a *partition.Assignment, opt Options) (*Result, error) {
 	res := &Result{}
-	eng := engine.New(g, engine.Options{})
+	eng := engine.New(g, engine.Options{Parallelism: 1})
 	t0 := c.Clock()
 	if err := passign(c, g, a); err != nil {
 		return nil, err

@@ -70,8 +70,9 @@ func cmpCand(a, b cand) int {
 	return cmp.Compare(a.v, b.v)
 }
 
-// parScanMin is the deduped vertex count below which the scan runs
-// inline instead of forking the worker group.
+// parScanMin is the deduped vertex count below which the scan runs as
+// one shard instead of forking the worker group. The cutoff depends only
+// on the list length, and the result is worker-count independent anyway.
 const parScanMin = 48
 
 // Scratch holds the state of the gains kernel. The zero value is ready
@@ -225,13 +226,7 @@ func (s *Scratch) scan(c *graph.CSR, a *partition.Assignment, strict bool, vs []
 	}
 	s.list = list
 
-	// The inline cutoff depends only on the list length, and the result
-	// is worker-count independent anyway.
-	procs := s.Procs
-	if len(list) < parScanMin {
-		procs = 1
-	}
-	s.shards = par.Split(s.shards[:0], len(list), procs)
+	s.shards = par.Split(s.shards[:0], len(list), par.Workers(s.Procs, len(list), parScanMin))
 	for len(s.gws) < len(s.shards) {
 		s.gws = append(s.gws, gainWorker{})
 	}

@@ -176,13 +176,13 @@ func WithBatches(k int) Option {
 // multi-core kernels — the incremental boundary recompute, the layering
 // BFS level expansion, the refinement gain scan, the sorted cut report,
 // the orphan-cluster flood and the V-cycle's coarsening. LP solves are
-// sequential whatever n is. The default is runtime.GOMAXPROCS(0); n = 1
-// selects the exact sequential code path.
+// sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
+// kernel has one code path with n as a parameter: n = 1 runs it as one
+// shard, inline on the calling goroutine, with no goroutine spawned.
 //
 // Parallelism is purely a latency property: results are bit-identical
-// to the sequential engine's for every worker count (work is sharded
-// deterministically and per-worker results merge in shard order —
-// fuzz-verified). Per-worker busy time is reported in
+// for every worker count (work is sharded deterministically and
+// per-worker results merge in shard order — fuzz-verified). Per-worker busy time is reported in
 // [Stats.WorkerBusy].
 func WithParallelism(n int) Option {
 	return func(c *config) error {

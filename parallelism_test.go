@@ -63,11 +63,11 @@ func TestParallelismEquivalenceEndToEnd(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(cut, refCut) {
-				t.Errorf("P=%d seed=%d procs=%d: cut %+v != sequential cut %+v",
+				t.Errorf("P=%d seed=%d procs=%d: cut %+v != one-worker cut %+v",
 					cfg.p, cfg.seed, procs, cut, refCut)
 			}
 			if !reflect.DeepEqual(refPart, a.Part) {
-				t.Errorf("P=%d seed=%d procs=%d: assignment diverges from sequential",
+				t.Errorf("P=%d seed=%d procs=%d: assignment diverges from the one-worker run",
 					cfg.p, cfg.seed, procs)
 			}
 		}
@@ -113,12 +113,12 @@ func TestParallelismStatsSurface(t *testing.T) {
 		t.Fatal("no worker busy time recorded on a parallel run")
 	}
 
-	// The sequential path reports Parallelism 1 and no breakdown.
+	// One worker reports Parallelism 1 and no breakdown.
 	st1, err := Repartition(context.Background(), g, base.Clone(), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.Parallelism != 1 || len(st1.WorkerBusy) != 0 {
-		t.Fatalf("sequential stats: Parallelism=%d, WorkerBusy=%v", st1.Parallelism, st1.WorkerBusy)
+		t.Fatalf("one-worker stats: Parallelism=%d, WorkerBusy=%v", st1.Parallelism, st1.WorkerBusy)
 	}
 }

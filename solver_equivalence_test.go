@@ -115,7 +115,7 @@ func TestSolverEquivalenceInvariants(t *testing.T) {
 // TestSolverEquivalenceAcrossProcs locks the worker-count half of the
 // determinism contract at the pipeline level: for every registered
 // solver, the end-to-end result under WithParallelism(n) must be
-// bit-identical to the sequential run. P=32 is the paper workload with
+// bit-identical to the one-worker run. P=32 is the paper workload with
 // alternate LP optima; identical results across procs (same solver) are
 // still required, because the worker count may never change which LP a
 // solver is handed.

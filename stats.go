@@ -81,13 +81,13 @@ type Stats struct {
 	// engine (it excludes callers' option conversion).
 	Elapsed time.Duration
 	// Parallelism is the worker count the engine's sharded kernels ran
-	// with — the resolved [WithParallelism] value (1 = the sequential
-	// path).
+	// with — the resolved [WithParallelism] value (1 = every region one
+	// shard, run inline).
 	Parallelism int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
 	// scans, pool sorts); index w is worker w. It is
-	// empty on the sequential path. Comparing the sum against Elapsed
+	// empty at one worker. Comparing the sum against Elapsed
 	// shows how much of the pipeline actually fanned out.
 	WorkerBusy []time.Duration
 	// LPDelegated counts LP solves during this call that the solver
