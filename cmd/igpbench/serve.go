@@ -19,8 +19,10 @@ type serveLevel struct {
 // printServe measures the service stack end to end: for each
 // concurrency level it boots a fresh in-process igpserve (real HTTP via
 // an ephemeral listener), drives the load generator through the
-// coalescing/admission path, and reports latency quantiles, throughput,
-// and the coalescing ratio (served requests per batch repartition).
+// batching/admission path, and reports latency quantiles, throughput,
+// and the coalescing ratio (served requests per batch repartition). The
+// service batches only what queues while a repartition runs, so the
+// ratio stays near 1 until the writers outpace the engine.
 // jsonOut emits one JSON row per level — the records scripts/bench.sh
 // folds into BENCH_<n>.json as serve_latency.
 func printServe(seed int64, jsonOut bool) error {

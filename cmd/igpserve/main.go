@@ -1,11 +1,13 @@
 // Command igpserve runs the incremental-graph-partitioning service: a
-// long-lived HTTP server multiplexing warm engine sessions with edit
-// coalescing and admission control (see internal/serve).
+// long-lived HTTP server multiplexing warm engine sessions with natural
+// batching, lock-free snapshot reads and admission control (see
+// internal/serve). An edit that finds its session idle is repartitioned
+// at once; edits that arrive while a repartition runs share the next one.
 //
 // Usage:
 //
 //	igpserve -addr :8080                       # serve until SIGINT/SIGTERM
-//	igpserve -batch 64 -maxwait 1ms -refine    # tune coalescing + quality
+//	igpserve -batch 64 -refine                 # cap a batch at 64 requests, refine the cut
 //	igpserve -smoke 3s                         # self-check: boot on a random
 //	                                           # port, drive loadgen against
 //	                                           # it, exit non-zero on failures
@@ -13,8 +15,8 @@
 // Endpoints:
 //
 //	POST   /graphs                  create a session (mesh_n/seed or vertices/edges, p)
-//	POST   /graphs/{id}/edits       submit edits; coalesced into one warm repartition
-//	GET    /graphs/{id}/assignment  read the published assignment snapshot
+//	POST   /graphs/{id}/edits       submit edits; what queues behind a running repartition shares the next
+//	GET    /graphs/{id}/assignment  read the published assignment snapshot (encoded once per version)
 //	DELETE /graphs/{id}             evict the session
 //	GET    /metrics                 server-wide counters + latency quantiles
 package main
@@ -40,7 +42,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	batch := flag.Int("batch", 0, "max requests coalesced into one repartition (0 = default 32)")
-	maxWait := flag.Duration("maxwait", 0, "straggler wait per batch (0 = default 2ms, negative = drain-only)")
 	queue := flag.Int("queue", 0, "per-session queue depth (0 = default 64)")
 	inflight := flag.Int("inflight", 0, "server-wide in-flight request cap (0 = default 1024)")
 	idle := flag.Duration("idle", 0, "evict sessions idle this long (0 = never)")
@@ -62,7 +63,6 @@ func main() {
 	}
 	cfg := serve.Config{
 		BatchSize:     *batch,
-		MaxWait:       *maxWait,
 		QueueDepth:    *queue,
 		MaxInFlight:   *inflight,
 		IdleTimeout:   *idle,

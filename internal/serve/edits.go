@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	igp "repro"
 )
@@ -46,43 +47,73 @@ func (e *Edit) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// vertexID converts id, the client-supplied value of field name in an
+// op edit, rejecting what does not fit a Vertex: the bare int → int32
+// conversion would alias such an id onto some other, possibly live,
+// vertex.
+func vertexID(op EditOp, name string, id int) (igp.Vertex, error) {
+	if id < 0 || id > math.MaxInt32 {
+		return 0, fmt.Errorf("serve: %s: %s=%d is not a vertex id", op, name, id)
+	}
+	return igp.Vertex(id), nil
+}
+
 // ApplyEdit applies one edit to g, returning an error (and mutating
-// nothing) when the edit is invalid against the graph's current state.
-// The serve session and the coalescing-equivalence tests share this
-// exact function, so "the session applied the batch" and "the edits
-// were applied directly" can never drift apart.
+// nothing) when the edit is malformed — an id its op uses outside
+// [0, MaxInt32] (attach_vertex's optional V may be -1), a negative or
+// non-finite weight — or invalid against the graph's current state. The
+// serve session and the coalescing-equivalence tests share this exact
+// function, so "the session applied the batch" and "the edits were
+// applied directly" can never drift apart.
 func ApplyEdit(g *igp.Graph, e Edit) error {
 	w := e.Weight
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("serve: %s: weight %g is negative or not finite", e.Op, w)
+	}
 	if w == 0 {
 		w = 1
 	}
-	switch e.Op {
-	case OpAddVertex:
+	if e.Op == OpAddVertex {
 		g.AddVertex(w)
 		return nil
+	}
+	// Every other op names a vertex in U.
+	u, err := vertexID(e.Op, "u", e.U)
+	if err != nil {
+		return err
+	}
+	switch e.Op {
 	case OpAttachVertex:
-		u := igp.Vertex(e.U)
 		if !g.Alive(u) {
 			return fmt.Errorf("serve: attach_vertex: u=%d is not a live vertex", e.U)
 		}
-		v := igp.Vertex(e.V)
-		if e.V >= 0 && !g.Alive(v) {
-			return fmt.Errorf("serve: attach_vertex: v=%d is not a live vertex", e.V)
+		v := igp.Vertex(-1)
+		if e.V != -1 {
+			if v, err = vertexID(e.Op, "v", e.V); err != nil {
+				return err
+			}
+			if !g.Alive(v) {
+				return fmt.Errorf("serve: attach_vertex: v=%d is not a live vertex", e.V)
+			}
 		}
 		nv := g.AddVertex(w)
 		g.AddEdgeIfAbsent(nv, u, w)
-		if e.V >= 0 && v != u {
+		if v >= 0 && v != u {
 			g.AddEdgeIfAbsent(nv, v, w)
 		}
 		return nil
 	case OpRemoveVertex:
-		return g.RemoveVertex(igp.Vertex(e.U))
-	case OpAddEdge:
-		return g.AddEdge(igp.Vertex(e.U), igp.Vertex(e.V), w)
-	case OpRemoveEdge:
-		return g.RemoveEdge(igp.Vertex(e.U), igp.Vertex(e.V))
+		return g.RemoveVertex(u)
+	case OpAddEdge, OpRemoveEdge:
+		v, err := vertexID(e.Op, "v", e.V)
+		if err != nil {
+			return err
+		}
+		if e.Op == OpRemoveEdge {
+			return g.RemoveEdge(u, v)
+		}
+		return g.AddEdge(u, v, w)
 	case OpSetVertexWeight:
-		u := igp.Vertex(e.U)
 		if !g.Alive(u) {
 			return fmt.Errorf("serve: set_vertex_weight: u=%d is not a live vertex", e.U)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -12,14 +13,15 @@ import (
 //
 //	POST   /graphs                  create a session       (GraphSpec → GraphInfo)
 //	POST   /graphs/{id}/edits       submit an edit batch   (editsRequest → Response)
-//	GET    /graphs/{id}/assignment  read the assignment    (assignmentReply)
+//	GET    /graphs/{id}/assignment  read the assignment    (assignmentReply, encoded once per version)
 //	DELETE /graphs/{id}             evict the session
 //	GET    /metrics                 server-wide counters   (MetricsSnapshot)
 //
 // Shed responses use distinct status codes so clients can back off
 // correctly: 429 for queue/in-flight sheds (retry later), 504 for
 // deadline sheds (the edits may already be applied; poll the
-// assignment version), 410 for a session that closed mid-request.
+// assignment version), 410 for a session that closed mid-request. A
+// POST body over maxBodyBytes answers 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /graphs", s.handleCreate)
@@ -72,10 +74,29 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorReply{Error: err.Error()})
 }
 
+// maxBodyBytes caps a POST body; reading past it fails the decode.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes r's size-capped JSON body into v. On failure it
+// writes the error reply — 413 for a body over the cap, 400 for one
+// that does not parse — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorReply{Error: "bad " + what + ": " + err.Error()})
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec GraphSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad graph spec: " + err.Error()})
+	if !decodeBody(w, r, "graph spec", &spec) {
 		return
 	}
 	info, err := s.CreateGraph(r.Context(), spec)
@@ -88,8 +109,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 	var req editsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad edits request: " + err.Error()})
+	if !decodeBody(w, r, "edits request", &req) {
 		return
 	}
 	if len(req.Edits) == 0 {
@@ -116,8 +136,11 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	version, p, parts := sess.Assignment()
-	writeJSON(w, http.StatusOK, assignmentReply{Version: version, P: p, Parts: parts})
+	body := sess.assignmentBody()
+	w.Header().Set("Content-Type", "application/json")
+	// Explicit, so a body past net/http's 2 kB sniff buffer is not chunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write is the client gone: nobody to tell
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {

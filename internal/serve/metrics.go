@@ -9,12 +9,16 @@ import (
 
 // RequestMetrics is the per-request observability record returned with
 // every served edit submission. It is built on the session goroutine
-// from the engine's Stats (deep-copied via Stats.Clone, so nothing here
-// aliases the engine's arenas) plus the batching layer's own counters —
-// the flat, JSON-ready shape a latency dashboard wants.
+// from scalars of the engine's Stats (copied before the next engine
+// call, so nothing here aliases the engine's arenas) plus the batching
+// layer's own counters — the flat, JSON-ready shape a latency dashboard
+// wants.
 type RequestMetrics struct {
-	// QueueWait is how long the request sat in the session queue before
-	// its batch started processing.
+	// QueueWait is the time the request spent behind the previous batch:
+	// from its admission to the moment the session goroutine, done with
+	// whatever repartition was running, started the request's own batch.
+	// Nothing else is waited for, so on an idle session it is the
+	// goroutine wake-up, microseconds.
 	QueueWait time.Duration `json:"queue_wait_ns"`
 	// BatchSize is the number of requests coalesced into the single
 	// warm repartition that answered this one.
@@ -108,6 +112,10 @@ type serverMetrics struct {
 	editsApplied  atomic.Int64
 	maxBatch      atomic.Int64
 	latency       latencyRing
+	// GET /assignment replies written, and how many of them had to
+	// encode their snapshot's body first.
+	assignmentReads atomic.Int64
+	snapshotEncodes atomic.Int64
 }
 
 func (m *serverMetrics) observeBatch(size int) {
@@ -138,8 +146,9 @@ type MetricsSnapshot struct {
 	ShedDeadline     int64 `json:"shed_deadline"`
 	// Coalescing evidence: RepartitionsRun counts engine repartitions
 	// (including each session's priming call), CoalescedBatches the
-	// batches that answered more than one request. A bursty workload
-	// shows RequestsServed well above RepartitionsRun.
+	// batches that answered more than one request. RequestsServed runs
+	// ahead of RepartitionsRun when requests arrive faster than the
+	// engine repartitions.
 	RepartitionsRun  int64 `json:"repartitions_run"`
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	EditsApplied     int64 `json:"edits_applied"`
@@ -149,6 +158,12 @@ type MetricsSnapshot struct {
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP90 time.Duration `json:"latency_p90_ns"`
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
+	// Snapshot reads: AssignmentReads counts GET /assignment replies,
+	// SnapshotEncodes the ones that encoded their version's body (the
+	// first read of each version read at all); reads per encode is the
+	// pre-encoded body's hit ratio.
+	AssignmentReads int64 `json:"assignment_reads"`
+	SnapshotEncodes int64 `json:"snapshot_encodes"`
 }
 
 func (m *serverMetrics) snapshot(sessions int) MetricsSnapshot {
@@ -169,5 +184,7 @@ func (m *serverMetrics) snapshot(sessions int) MetricsSnapshot {
 		LatencyP50:       p50,
 		LatencyP90:       p90,
 		LatencyP99:       p99,
+		AssignmentReads:  m.assignmentReads.Load(),
+		SnapshotEncodes:  m.snapshotEncodes.Load(),
 	}
 }

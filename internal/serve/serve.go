@@ -2,7 +2,7 @@
 // long-lived service that multiplexes many concurrent partitioning
 // sessions, one per graph, in front of the igp library.
 //
-// The three load-bearing ideas:
+// The four load-bearing ideas:
 //
 //   - Engine-session pool. Each graph id owns a Session — a graph, its
 //     assignment, and a warm igp.Engine — driven by a single goroutine,
@@ -10,13 +10,19 @@
 //     never meet concurrency. Idle sessions are evicted deterministically
 //     via igp's Engine.Close.
 //
-//   - Edit coalescing. Bursts of edit submissions against one graph are
-//     merged into a single batch (up to Config.BatchSize requests,
-//     waiting at most Config.MaxWait for stragglers): all their edits
+//   - Natural batching. A submission that finds its session idle is
+//     repartitioned at once; whatever queues while that repartition runs
+//     (up to Config.BatchSize requests) is the next batch: all its edits
 //     land in one journal window and are answered by ONE warm
 //     Repartition — the graph's edit journal makes the merged window
-//     exactly as cheap as the sum of its edits, so coalescing turns k
-//     bursty requests into one edit-proportional repair.
+//     exactly as cheap as the sum of its edits. Nothing ever waits on a
+//     timer, so batches form exactly when the engine is the bottleneck.
+//
+//   - Snapshot reads. Every successful repartition publishes an
+//     immutable, versioned copy of the assignment behind an atomic
+//     pointer. Reads load it without a lock and without the session
+//     goroutine, and GET /graphs/{id}/assignment writes a body encoded
+//     once per version.
 //
 //   - Admission control. Per-session queues are bounded (ErrQueueFull),
 //     a global in-flight cap sheds excess concurrent load
@@ -75,10 +81,6 @@ type Config struct {
 	// BatchSize is the maximum number of requests coalesced into one
 	// warm repartition (default 32, minimum 1).
 	BatchSize int
-	// MaxWait bounds how long a batch waits for stragglers after its
-	// first request arrives. 0 coalesces only what is already queued
-	// (no added latency); the default is 2ms.
-	MaxWait time.Duration
 	// QueueDepth bounds each session's request queue; a full queue
 	// sheds with ErrQueueFull (default 64).
 	QueueDepth int
@@ -94,36 +96,16 @@ type Config struct {
 	EngineOptions []igp.Option
 }
 
-func (c Config) batchSize() int {
-	if c.BatchSize < 1 {
-		return 32
-	}
-	return c.BatchSize
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth < 1 {
-		return 64
-	}
-	return c.QueueDepth
-}
-
-func (c Config) maxInFlight() int {
-	if c.MaxInFlight < 1 {
-		return 1024
-	}
-	return c.MaxInFlight
-}
-
 // withDefaults resolves the zero-value knobs once, at New.
 func (c Config) withDefaults() Config {
-	c.BatchSize = c.batchSize()
-	c.QueueDepth = c.queueDepth()
-	c.MaxInFlight = c.maxInFlight()
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	} else if c.MaxWait < 0 {
-		c.MaxWait = 0 // explicit "drain-only" coalescing
+	if c.BatchSize < 1 {
+		c.BatchSize = 32
+	}
+	if c.QueueDepth < 1 {
+		c.QueueDepth = 64
+	}
+	if c.MaxInFlight < 1 {
+		c.MaxInFlight = 1024
 	}
 	return c
 }
@@ -136,14 +118,13 @@ type Server struct {
 	inflight chan struct{}
 	metrics  serverMetrics
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	sessions map[string]*Session
 	closed   bool
 	nextID   atomic.Uint64
 }
 
-// New returns a Server with cfg's knobs (zero values = defaults; a
-// negative MaxWait selects drain-only coalescing with no added wait).
+// New returns a Server with cfg's knobs (zero values = defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
@@ -173,14 +154,26 @@ type GraphInfo struct {
 	Version  uint64 `json:"version"`
 }
 
+// maxGraphVertices caps the mesh_n / vertices a GraphSpec may ask for: a
+// few hundred MB of graph and engine at most, whatever the body says.
+const maxGraphVertices = 1 << 22
+
 // buildGraph materializes the spec.
 func buildGraph(spec GraphSpec) (*igp.Graph, error) {
+	if spec.MeshN > maxGraphVertices || spec.Vertices > maxGraphVertices {
+		return nil, fmt.Errorf("serve: graph spec: more than %d vertices", maxGraphVertices)
+	}
 	switch {
 	case spec.MeshN > 0:
 		return igp.NewMeshGraph(spec.MeshN, spec.Seed)
 	case spec.Vertices > 0:
 		g := igp.NewGraphWithVertices(spec.Vertices)
 		for _, e := range spec.Edges {
+			// Checked before the int → int32 conversion, which would
+			// alias an out-of-range id onto a real vertex.
+			if e[0] < 0 || e[0] >= spec.Vertices || e[1] < 0 || e[1] >= spec.Vertices {
+				return nil, fmt.Errorf("serve: graph spec: edge {%d,%d} names a vertex outside [0, %d)", e[0], e[1], spec.Vertices)
+			}
 			if err := g.AddEdge(igp.Vertex(e[0]), igp.Vertex(e[1]), 1); err != nil {
 				return nil, fmt.Errorf("serve: graph spec: %w", err)
 			}
@@ -191,30 +184,29 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 	}
 }
 
-// CreateGraph builds the spec'd graph, partitions it from scratch with
-// RSB, primes a fresh engine session with one repartition (bounded by
-// ctx), and registers the session in the pool. The priming call pays
-// the engine's first full snapshot build, so the session's first edit
-// batch is already warm.
-func (s *Server) CreateGraph(ctx context.Context, spec GraphSpec) (GraphInfo, error) {
+// newSession builds the spec'd graph, partitions it from scratch with
+// RSB and primes a fresh engine session with one repartition (bounded by
+// ctx), which pays the engine's first full snapshot build and publishes
+// assignment version 1. The session is neither registered nor running:
+// CreateGraph does both.
+func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
 	if spec.P < 2 {
-		return GraphInfo{}, fmt.Errorf("serve: graph spec: p must be ≥ 2, got %d", spec.P)
+		return nil, fmt.Errorf("serve: graph spec: p must be ≥ 2, got %d", spec.P)
 	}
 	g, err := buildGraph(spec)
 	if err != nil {
-		return GraphInfo{}, err
+		return nil, err
 	}
 	if g.NumVertices() < spec.P {
-		return GraphInfo{}, fmt.Errorf("serve: graph spec: %d vertices for p=%d partitions", g.NumVertices(), spec.P)
+		return nil, fmt.Errorf("serve: graph spec: %d vertices for p=%d partitions", g.NumVertices(), spec.P)
 	}
 	a, err := igp.PartitionRSB(g, spec.P, spec.Seed)
 	if err != nil {
-		return GraphInfo{}, fmt.Errorf("serve: initial partition: %w", err)
+		return nil, fmt.Errorf("serve: initial partition: %w", err)
 	}
 
-	id := fmt.Sprintf("g%d", s.nextID.Add(1))
 	sess := &Session{
-		id:    id,
+		id:    fmt.Sprintf("g%d", s.nextID.Add(1)),
 		srv:   s,
 		g:     g,
 		a:     a,
@@ -224,41 +216,53 @@ func (s *Server) CreateGraph(ctx context.Context, spec GraphSpec) (GraphInfo, er
 	}
 	opts := append(append([]igp.Option(nil), s.cfg.EngineOptions...),
 		igp.WithObserver(func(igp.Event) { sess.events++ }))
-	eng, err := igp.NewEngine(g, opts...)
+	sess.eng, err = igp.NewEngine(g, opts...)
 	if err != nil {
-		return GraphInfo{}, err
+		return nil, err
 	}
-	sess.eng = eng
-	if _, err := eng.Repartition(ctx, a); err != nil {
-		eng.Close()
-		return GraphInfo{}, fmt.Errorf("serve: priming repartition: %w", err)
+	if _, err := sess.eng.Repartition(ctx, a); err != nil {
+		sess.eng.Close()
+		return nil, fmt.Errorf("serve: priming repartition: %w", err)
 	}
 	s.metrics.repartitions.Add(1)
 	sess.publish()
+	return sess, nil
+}
 
+// CreateGraph creates the spec'd session (see newSession), registers it
+// in the pool and starts its goroutine; the session's first edit batch
+// is already warm.
+func (s *Server) CreateGraph(ctx context.Context, spec GraphSpec) (GraphInfo, error) {
+	sess, err := s.newSession(ctx, spec)
+	if err != nil {
+		return GraphInfo{}, err
+	}
+	// Read before the session is reachable: once registered, its
+	// goroutine owns the graph.
+	info := GraphInfo{
+		ID:       sess.id,
+		Vertices: sess.g.NumVertices(),
+		Edges:    sess.g.NumEdges(),
+		P:        sess.a.P,
+		Version:  1,
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		eng.Close()
+		sess.eng.Close()
 		return GraphInfo{}, ErrServerClosed
 	}
-	s.sessions[id] = sess
+	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	s.metrics.graphs.Add(1)
 	go sess.run()
-	return GraphInfo{
-		ID:       id,
-		Vertices: g.NumVertices(),
-		Edges:    g.NumEdges(),
-		P:        a.P,
-		Version:  1,
-	}, nil
+	return info, nil
 }
 
 // Session looks up a live session by graph id.
 func (s *Server) Session(id string) (*Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrServerClosed
 	}
@@ -355,8 +359,8 @@ func (s *Server) Close() {
 // Metrics returns a snapshot of the server-wide counters and latency
 // quantiles.
 func (s *Server) Metrics() MetricsSnapshot {
-	s.mu.Lock()
+	s.mu.RLock()
 	n := len(s.sessions)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	return s.metrics.snapshot(n)
 }

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	igp "repro"
@@ -64,16 +67,24 @@ type Session struct {
 	stopOnce sync.Once
 	done     chan struct{} // closed when the run goroutine has fully shut down
 
-	// Published assignment snapshot, readable without touching the
-	// engine: the run goroutine copies the assignment out of the
-	// session-owned arrays after every successful repartition.
-	pubMu     sync.RWMutex
-	version   uint64
-	p         int
-	published []int32
+	// The published assignment, the only copy outside the engine:
+	// publish stores a fresh snapshot after every successful repartition
+	// and readers load it without a lock and without the run goroutine.
+	snap atomic.Pointer[snapshot]
 
 	batchBuf []*request
 	liveBuf  []*request
+}
+
+// snapshot is one published assignment version. It is immutable once
+// stored, except that the first GET to ask for it encodes the reply
+// body, which every later GET of the same version then shares.
+type snapshot struct {
+	version uint64
+	p       int
+	parts   []int32
+	once    sync.Once
+	body    []byte
 }
 
 // ID returns the session's graph id.
@@ -84,19 +95,36 @@ func (s *Session) ID() string { return s.id }
 // copy of the per-vertex partition ids (index = vertex id; -1 =
 // unassigned/dead slot).
 func (s *Session) Assignment() (version uint64, p int, parts []int32) {
-	s.pubMu.RLock()
-	defer s.pubMu.RUnlock()
-	return s.version, s.p, append([]int32(nil), s.published...)
+	sn := s.snap.Load()
+	return sn.version, sn.p, append([]int32(nil), sn.parts...)
 }
 
-// publish copies the current assignment into the published snapshot and
-// bumps the version. Run-goroutine only.
-func (s *Session) publish() {
-	s.pubMu.Lock()
-	s.version++
-	s.p = s.a.P
-	s.published = append(s.published[:0], s.a.Part...)
-	s.pubMu.Unlock()
+// assignmentBody returns the GET /graphs/{id}/assignment reply for the
+// current snapshot, exactly what json.Encoder writes for its
+// assignmentReply. The slice is shared between readers: do not modify.
+func (s *Session) assignmentBody() []byte {
+	sn := s.snap.Load()
+	sn.once.Do(func() {
+		var buf bytes.Buffer
+		// Encoding integers into a buffer cannot fail.
+		_ = json.NewEncoder(&buf).Encode(assignmentReply{Version: sn.version, P: sn.p, Parts: sn.parts})
+		sn.body = buf.Bytes()
+		s.srv.metrics.snapshotEncodes.Add(1)
+	})
+	s.srv.metrics.assignmentReads.Add(1)
+	return sn.body
+}
+
+// publish stores the current assignment as the next snapshot version and
+// returns that version (the priming call publishes version 1).
+// Constructor and run goroutine only.
+func (s *Session) publish() uint64 {
+	version := uint64(1)
+	if prev := s.snap.Load(); prev != nil {
+		version = prev.version + 1
+	}
+	s.snap.Store(&snapshot{version: version, p: s.a.P, parts: append([]int32(nil), s.a.Part...)})
+	return version
 }
 
 // enqueue admits r into the session queue, shedding with ErrQueueFull
@@ -116,10 +144,10 @@ func (s *Session) enqueue(r *request) error {
 	}
 }
 
-// run is the session goroutine: wait for a request, coalesce the burst
-// behind it into one batch, process it with a single warm repartition,
-// repeat. Idle eviction and server shutdown both land here, so the
-// engine is always closed on the goroutine that owns it.
+// run is the session goroutine: wait for a request, take whatever else
+// queued behind it into one batch, process it with a single warm
+// repartition, repeat. Idle eviction and server shutdown both land
+// here, so the engine is always closed on the goroutine that owns it.
 func (s *Session) run() {
 	defer close(s.done)
 	var (
@@ -155,45 +183,18 @@ func (s *Session) run() {
 	}
 }
 
-// collect coalesces the burst behind first into one batch: up to
-// BatchSize requests, waiting at most MaxWait after the first arrival
-// for stragglers (MaxWait 0 drains only what is already queued). The
-// returned slice is the session's reused batch arena.
+// collect forms the batch behind first without waiting: up to BatchSize
+// requests, only those already queued. A request that finds the session
+// idle is a batch of one; a batch grows only with what arrived while the
+// previous batch's repartition ran. The returned slice is the session's
+// reused batch arena.
 func (s *Session) collect(first *request) []*request {
 	batch := append(s.batchBuf[:0], first)
-	size := s.srv.cfg.batchSize()
-	if size <= 1 {
-		s.batchBuf = batch
-		return batch
-	}
-	if s.srv.cfg.MaxWait <= 0 {
-		for len(batch) < size {
-			select {
-			case r := <-s.queue:
-				batch = append(batch, r)
-			default:
-				s.batchBuf = batch
-				return batch
-			}
-		}
-		s.batchBuf = batch
-		return batch
-	}
-	timer := time.NewTimer(s.srv.cfg.MaxWait)
-	defer timer.Stop()
-	for len(batch) < size {
-		select {
-		case r := <-s.queue:
-			batch = append(batch, r)
-		case <-timer.C:
-			s.batchBuf = batch
-			return batch
-		case <-s.stop:
-			// Shutting down: process what we have, the next loop
-			// iteration drains and closes.
-			s.batchBuf = batch
-			return batch
-		}
+	// The run goroutine is the queue's only receiver, so what len
+	// reports is there to take.
+	n := min(len(s.queue), s.srv.cfg.BatchSize-1)
+	for i := 0; i < n; i++ {
+		batch = append(batch, <-s.queue)
 	}
 	s.batchBuf = batch
 	return batch
@@ -250,37 +251,33 @@ func (s *Session) process(batch []*request) {
 		return
 	}
 
-	// Clone detaches the record from the engine arena (the arena is
-	// overwritten by the next batch, and Close releases it).
-	stats := st.Clone()
-	s.publish()
+	// st is the engine's reused arena: every field the responses carry is
+	// copied out here, before this goroutine's next engine call.
+	m := RequestMetrics{
+		BatchSize:      len(live),
+		BatchEdits:     batchEdits,
+		Repartition:    st.Elapsed,
+		Assign:         st.PhaseTimings.Assign,
+		Layer:          st.PhaseTimings.Layer,
+		Balance:        st.PhaseTimings.Balance,
+		Refine:         st.PhaseTimings.Refine,
+		Stages:         st.Stages,
+		LPIterations:   st.LPIterations,
+		NewAssigned:    st.NewAssigned,
+		Moved:          st.BalanceMoved + st.RefineMoved,
+		CSRPatched:     st.CSRPatched,
+		CutIncremental: st.CutIncremental,
+		Events:         s.events - eventsBefore,
+		CutAfter:       st.CutAfter.TotalWeight,
+	}
+	version := s.publish()
 	for _, r := range live {
 		if r.editErr != nil {
 			s.respond(r, nil, fmt.Errorf("serve: edit %d rejected: %w", r.applied, r.editErr))
 			continue
 		}
-		resp := &Response{
-			Version: s.version,
-			Metrics: RequestMetrics{
-				QueueWait:      start.Sub(r.enq),
-				BatchSize:      len(live),
-				BatchEdits:     batchEdits,
-				Repartition:    stats.Elapsed,
-				Assign:         stats.PhaseTimings.Assign,
-				Layer:          stats.PhaseTimings.Layer,
-				Balance:        stats.PhaseTimings.Balance,
-				Refine:         stats.PhaseTimings.Refine,
-				Stages:         stats.Stages,
-				LPIterations:   stats.LPIterations,
-				NewAssigned:    stats.NewAssigned,
-				Moved:          stats.BalanceMoved + stats.RefineMoved,
-				CSRPatched:     stats.CSRPatched,
-				CutIncremental: stats.CutIncremental,
-				Events:         s.events - eventsBefore,
-				CutAfter:       stats.CutAfter.TotalWeight,
-			},
-		}
-		s.respond(r, resp, nil)
+		m.QueueWait = start.Sub(r.enq)
+		s.respond(r, &Response{Version: version, Metrics: m}, nil)
 	}
 }
 
