@@ -308,6 +308,7 @@ func TestObserverEventOrdering(t *testing.T) {
 	balanceEnds := 0
 	var epsSeen []float64
 	refineStarted := false
+	cutEvals, cutReused := 0, 0
 	for i := 2; i < len(events); i++ {
 		ev := events[i]
 		switch ev.Kind {
@@ -352,7 +353,17 @@ func TestObserverEventOrdering(t *testing.T) {
 			if ev.Stage < 1 {
 				t.Fatalf("event %d: round %d", i, ev.Stage)
 			}
+		case EventCut:
+			if ev.Reused {
+				cutReused++
+			} else {
+				cutEvals++
+			}
 		}
+	}
+	if cutEvals != st.CutIncremental || cutReused != st.CutReused {
+		t.Fatalf("cut events: %d evaluated, %d reused; stats say %d, %d",
+			cutEvals, cutReused, st.CutIncremental, st.CutReused)
 	}
 	if open != nil {
 		t.Fatalf("span %+v never closed", open)
@@ -558,8 +569,9 @@ func TestPublicStatsClone(t *testing.T) {
 			t.Fatalf("round %d cut %g below the kept cut %g", r+1, c, st.CutAfter.TotalWeight)
 		}
 	}
-	if st.CutIncremental < 1 || st.CutIncremental > 3 {
-		t.Fatalf("CutIncremental = %d on a refined flat call, want 1..3", st.CutIncremental)
+	if st.CutIncremental < 1 || st.CutIncremental+st.CutReused != 3 {
+		t.Fatalf("a refined flat call made %d cut evaluations and %d reuses, want 3 reports, ≥ 1 evaluated",
+			st.CutIncremental, st.CutReused)
 	}
 	clone := st.Clone()
 	eps := append([]float64(nil), clone.EpsilonUsed...)

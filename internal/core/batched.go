@@ -104,6 +104,7 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		agg.LPIterations += st.LPIterations
 		agg.LPDelegated += st.LPDelegated
 		agg.CutIncremental += st.CutIncremental
+		agg.CutReused += st.CutReused
 		agg.CSRPatched += st.CSRPatched
 		agg.Parallelism = st.Parallelism
 		for w, d := range st.WorkerBusy {

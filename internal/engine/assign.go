@@ -101,10 +101,8 @@ func (s *assignScratch) grow(n, workers int) {
 
 // clearPending drops every pending entry (they have all been resolved).
 func (e *Engine) clearPending() {
-	for _, v := range e.pendingNew {
-		e.inPending[v] = false
-	}
-	e.pendingNew = e.pendingNew[:0]
+	e.pending.apply(nil, e.pending.list)
+	e.pending.list = e.pending.list[:0]
 }
 
 // assign is the engine's phase 1: it syncs (collecting the pending set
@@ -125,10 +123,12 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 
 	// Resolve the pending set: normalize dead vertices that still carry
 	// an assignment, drop entries the caller assigned meanwhile, keep
-	// the genuinely new. Entries are only cleared on success, so an
-	// errored call retries with nothing lost.
+	// the genuinely new (ascending, as the set lists them). Entries are only
+	// cleared on success, so an errored call retries with nothing lost.
+	// Phase 1 writes only when something is pending.
+	e.dirty = len(e.pending.list) > 0
 	seeds := s.seeds[:0]
-	for _, v := range e.pendingNew {
+	for _, v := range e.pending.list {
 		if !e.csr.Live[v] {
 			a.Part[v] = partition.Unassigned
 			continue
@@ -152,7 +152,6 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 		e.clearPending()
 		return 0, 0, nil
 	}
-	slices.Sort(seeds)
 
 	// Sources: the assigned rim of the unassigned region — every labeled
 	// neighbor of a seed, deduped by claim and sorted ascending (the

@@ -4,25 +4,22 @@
 // set and the gains patch log exact. Both O(n) passes are split into
 // arc-balanced contiguous vertex shards run on the engine's fork-join
 // group — one shard, inline, at one worker or on a small graph. The
-// rebuild writes each vertex's membership and size attribution from its
-// owning shard and merges per-worker lists in shard order, which yields
-// the ascending-id boundary. The incremental sync claims every
-// re-examined vertex through an atomic compare-and-swap on the engine's
-// recompute stamp, so each vertex's membership flip, size-attribution
-// move and pending-collect is decided and applied by exactly one worker;
-// membership and attribution (pure functions of graph + assignment) stay
-// deterministic even though the claim winner — and hence the unordered
-// boundary list's layout — is not. The boundary's documented contract is
-// an unordered duplicate-free set, and every downstream consumer (seeded
-// layering, seeded gains, the sorted cut report, the sorted phase-1
-// seed list) is order-independent, which FuzzParallelEquivalence
-// exercises. The per-partition size counters are summed from per-worker
-// integer deltas at the join — integer addition is order-free, so they
-// too are exact for every worker count.
+// incremental sync claims every re-examined vertex through an atomic
+// compare-and-swap on the engine's recompute stamp, so each vertex's
+// verdicts are decided by exactly one worker, into its private lists.
+//
+// The boundary and the pending set are id-ordered sets (idSet): a
+// membership bitset that workers only read and the sequential join alone
+// writes, and a member list regenerated ascending by a word walk whenever
+// a sync changed membership. Membership is a pure function of graph +
+// assignment and ascending order a property of the set, so both are the
+// same at every worker count though the claim winners are not; nothing
+// sorts. The size counters are summed from per-worker integer deltas at
+// the join — order-free, so exact for every worker count too.
 package engine
 
 import (
-	"slices"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -38,13 +35,53 @@ import (
 // both sides of this constant; keep that true if it changes.)
 const parBoundaryMin = 256
 
+// idSet is a vertex set kept in id order: one membership bit per vertex
+// and the members listed ascending.
+type idSet struct {
+	bits []uint64
+	list []graph.Vertex
+}
+
+// grow readies the bitset for an order-n graph.
+func (s *idSet) grow(n int) {
+	for len(s.bits) < (n+63)/64 {
+		s.bits = append(s.bits, 0)
+	}
+}
+
+func (s *idSet) has(v graph.Vertex) bool { return s.bits[v>>6]>>(uint(v)&63)&1 != 0 }
+
+// apply enters in and removes out — non-members and members respectively
+// — and reports whether that left the list stale (see relist).
+func (s *idSet) apply(in, out []graph.Vertex) bool {
+	for _, v := range in {
+		s.bits[v>>6] |= 1 << (uint(v) & 63)
+	}
+	for _, v := range out {
+		s.bits[v>>6] &^= 1 << (uint(v) & 63)
+	}
+	return len(in)+len(out) > 0
+}
+
+// relist regenerates the member list from the bitset: O(n/64 + members).
+func (s *idSet) relist() {
+	list := s.list[:0]
+	for i, w := range s.bits {
+		for ; w != 0; w &= w - 1 {
+			list = append(list, graph.Vertex(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	s.list = list
+}
+
 // boundaryWorker is one worker's private arena for boundary passes.
 type boundaryWorker struct {
-	add   []graph.Vertex // vertices that entered the boundary
-	seen  []graph.Vertex // boundary vertices re-examined (Gains' patch log)
-	pend  []graph.Vertex // vertices newly collected for phase 1
-	psize []int          // per-partition size deltas (rebuild: counts)
-	dirty bool           // a vertex left the boundary (list needs compaction)
+	add      []graph.Vertex // vertices that entered the boundary
+	left     []graph.Vertex // vertices that left it
+	seen     []graph.Vertex // boundary vertices re-examined (Gains' patch log)
+	pend     []graph.Vertex // vertices newly collected for phase 1
+	psize    []int          // per-partition size deltas (rebuild: counts)
+	examined bool           // re-examined a vertex: the kept cut report is stale
 }
 
 // shardBoundaryPass shards the snapshot's vertex range by arc count for
@@ -58,33 +95,40 @@ func (e *Engine) shardBoundaryPass(p int) {
 	for w := range e.bws[:len(e.shards)] {
 		ws := &e.bws[w]
 		ws.add = ws.add[:0]
+		ws.left = ws.left[:0]
 		ws.pend = ws.pend[:0]
 		ws.seen = ws.seen[:0]
 		if cap(ws.psize) < p {
 			ws.psize = make([]int, p)
 		}
 		ws.psize = ws.psize[:p]
-		for q := range ws.psize {
-			ws.psize[q] = 0
-		}
-		ws.dirty = false
+		clear(ws.psize)
+		ws.examined = false
 	}
 }
 
-// joinBoundaryWorkers merges the per-worker boundary additions, pending
-// collections, patch-log entries and size deltas in shard order.
+// joinBoundaryWorkers applies the per-worker verdicts in shard order: it
+// alone writes the two bitsets, relists a set whose membership moved, and
+// drops the kept cut report if any vertex was re-examined.
 func (e *Engine) joinBoundaryWorkers() {
+	moved, collected := false, false
 	for w := range e.shards {
 		ws := &e.bws[w]
-		e.boundary = append(e.boundary, ws.add...)
-		e.pendingNew = append(e.pendingNew, ws.pend...)
+		moved = e.bnd.apply(ws.add, ws.left) || moved
+		collected = e.pending.apply(ws.pend, nil) || collected
 		e.gainDirty = append(e.gainDirty, ws.seen...)
 		for q, d := range ws.psize {
 			e.partSizes[q] += d
 		}
-		if ws.dirty {
-			e.listDirty = true
+		if ws.examined {
+			e.cutValid = false
 		}
+	}
+	if moved {
+		e.bnd.relist()
+	}
+	if collected {
+		e.pending.relist()
 	}
 }
 
@@ -94,14 +138,16 @@ func (e *Engine) joinBoundaryWorkers() {
 func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	n := e.csr.Order()
 	e.growTo(n)
-	e.growSizes(a.P)
 	e.trackedP = a.P
-	for q := range e.partSizes {
-		e.partSizes[q] = 0
+	if cap(e.partSizes) < a.P {
+		e.partSizes = make([]int, a.P)
 	}
-	e.boundary = e.boundary[:0]
-	e.listDirty = false
+	e.partSizes = e.partSizes[:a.P]
+	clear(e.partSizes)
+	clear(e.bnd.bits)
+	e.bnd.list = e.bnd.list[:0]
 	e.gainsValid = false // nothing was diffed: the pools need a full scan
+	e.cutValid = false
 	e.shardBoundaryPass(a.P)
 	e.rb = rebuildTask{e: e, a: a}
 	e.group.Run(len(e.shards), &e.rb)
@@ -123,9 +169,7 @@ func (t *rebuildTask) Do(w int) {
 	ws := &e.bws[w]
 	sh := e.shards[w]
 	for v := sh.Lo; v < sh.Hi; v++ {
-		member := e.isBoundary(graph.Vertex(v), t.a)
-		e.inBoundary[v] = member
-		if member {
+		if e.isBoundary(graph.Vertex(v), t.a) {
 			ws.add = append(ws.add, graph.Vertex(v))
 		}
 		want := e.attrOf(graph.Vertex(v), t.a)
@@ -156,11 +200,18 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
 	e.group.Run(len(e.shards), &e.df)
 	e.df = diffTask{} // drop the assignment pointer after the region
 	e.joinBoundaryWorkers()
-	e.finishSync(a)
+	if len(e.gainDirty) > len(e.bnd.list) {
+		// Patching would classify more vertices than the boundary-seeded
+		// scan visits: let the next Gains rescan, and stop logging until
+		// it has.
+		e.gainsValid = false
+		e.gainDirty = e.gainDirty[:0]
+	}
 }
 
 // diffTask scans one vertex-range shard for assignment changes,
-// re-examining changed vertices and their neighbors.
+// re-examining changed vertices and their neighbors and recording each
+// changed slot — the only prevPart slots a resync has to write.
 type diffTask struct {
 	e *Engine
 	a *partition.Assignment
@@ -171,6 +222,7 @@ func (t *diffTask) Do(w int) {
 	ws := &e.bws[w]
 	sh := e.shards[w]
 	for v := e.nextMoved(t.a, sh.Lo, sh.Hi); v < sh.Hi; v = e.nextMoved(t.a, v+1, sh.Hi) {
+		e.prevPart[v] = t.a.Part[v]
 		e.recompute(ws, graph.Vertex(v), t.a)
 		for _, u := range e.csr.Row(graph.Vertex(v)) {
 			e.recompute(ws, u, t.a)
@@ -180,87 +232,23 @@ func (t *diffTask) Do(w int) {
 
 // recompute re-evaluates v's boundary membership, size attribution and
 // pending status into ws, at most once per sync: the stamp CAS admits
-// exactly one worker per vertex per sync, so the inBoundary, sizeAttr
-// and inPending reads and writes below are race-free.
+// exactly one worker per vertex per sync, so the sizeAttr write is
+// race-free; the membership bits are only read (they hold the last sync's).
 func (e *Engine) recompute(ws *boundaryWorker, v graph.Vertex, a *partition.Assignment) {
 	if !e.stamps.Claim(v) {
 		return
 	}
+	ws.examined = true
 	e.moveAttr(v, a, ws.psize)
 	e.collectPending(v, a, &ws.pend)
-	now := e.isBoundary(v, a)
-	if e.gainsValid && (now || e.inBoundary[v]) {
+	was, now := e.bnd.has(v), e.isBoundary(v, a)
+	if e.gainsValid && (now || was) {
 		ws.seen = append(ws.seen, v)
 	}
-	if now == e.inBoundary[v] {
-		return
-	}
-	e.inBoundary[v] = now
-	if now {
+	switch {
+	case now && !was:
 		ws.add = append(ws.add, v)
-	} else {
-		ws.dirty = true
+	case was && !now:
+		ws.left = append(ws.left, v)
 	}
-}
-
-// parCutSortMin is the boundary size below which the sorted cut report
-// sorts as one shard: sorting a small boundary is cheaper than a fork.
-const parCutSortMin = 1024
-
-// cutSortTask sorts one contiguous shard of the engine's cut buffer.
-type cutSortTask struct{ e *Engine }
-
-func (t *cutSortTask) Do(w int) {
-	sh := t.e.shards[w]
-	slices.Sort(t.e.cutBuf[sh.Lo:sh.Hi])
-}
-
-// sortedBoundary copies the (unordered, duplicate-free) boundary set
-// into the engine's cut scratch and sorts it ascending — the seed order
-// partition.CutSeededInto expects. The buffer sorts per-shard on the
-// worker group and, past one shard, k-way merges sequentially; sorted
-// ascending order is a canonical property of the *set*, so the result is
-// the same for every worker count. The returned slice is engine-owned
-// scratch, valid until the next call.
-func (e *Engine) sortedBoundary() []graph.Vertex {
-	e.cutBuf = append(e.cutBuf[:0], e.boundary...)
-	n := len(e.cutBuf)
-	e.shards = par.Split(e.shards[:0], n, par.Workers(e.procs, n, parCutSortMin))
-	e.cs = cutSortTask{e: e}
-	e.group.Run(len(e.shards), &e.cs)
-	e.cs = cutSortTask{}
-	if len(e.shards) == 1 {
-		return e.cutBuf
-	}
-
-	// Merge the sorted runs. The input is duplicate-free, so the minimum
-	// head is unique at every step and the merge order is forced.
-	if cap(e.cutBuf2) < n {
-		e.cutBuf2 = make([]graph.Vertex, 0, n)
-	}
-	if cap(e.cutHeads) < len(e.shards) {
-		e.cutHeads = make([]int, len(e.shards))
-	}
-	heads := e.cutHeads[:len(e.shards)]
-	for i, sh := range e.shards {
-		heads[i] = sh.Lo
-	}
-	out := e.cutBuf2[:0]
-	for len(out) < n {
-		best := -1
-		var bv graph.Vertex
-		for i, h := range heads {
-			if h >= e.shards[i].Hi {
-				continue
-			}
-			if v := e.cutBuf[h]; best < 0 || v < bv {
-				best, bv = i, v
-			}
-		}
-		out = append(out, bv)
-		heads[best]++
-	}
-	// Swap the buffers so the next call reuses both backing arrays.
-	e.cutBuf, e.cutBuf2 = out, e.cutBuf
-	return out
 }

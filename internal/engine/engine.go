@@ -22,9 +22,17 @@
 //     vertices, the vertices whose assignment changed since the engine
 //     last looked, and the neighbors of the moved ones are re-examined;
 //     a full O(n+m) boundary rebuild happens only on the first sync or
-//     after journal overflow. The layering and refinement kernels seed
-//     from this set, so their level-0/candidate passes never scan the full
-//     arc array.
+//     after journal overflow. The set is id-ordered (bitset + ascending
+//     list, see boundary.go), so nothing sorts it. The layering and
+//     refinement kernels seed from it, so their level-0/candidate passes
+//     never scan the full arc array.
+//
+//   - Per-call bookkeeping costs what the call changed: partition sizes
+//     are read from the sync tracker, a cut report is evaluated once per
+//     distinct state and copied at O(P) until a sync rebuilds or
+//     re-examines a vertex (Stats.CutIncremental / Stats.CutReused), and
+//     inside a call — where the engine alone writes the assignment, and
+//     marks its writes — a sync that follows a sync skips the O(n) diff.
 //
 //   - The refinement candidate pools are derived state of the same kind,
 //     kept from the first Gains call on: the vertices a sync re-examines
@@ -133,13 +141,13 @@ type Options struct {
 	// FullRefresh disables every delta shortcut in the derived-state
 	// pipeline: CSR snapshots are fully rebuilt instead of patched from
 	// the edit journal, the boundary set is rebuilt from scratch on
-	// every sync, cutset statistics come from partition.Cut's full arc
-	// rescan, the refinement candidate pools are rescanned from the
-	// boundary every round instead of patched, and phase 1 runs the
-	// one-shot Assign oracle. Results are
-	// bit-identical either way (the incremental paths are fuzz-verified
-	// against these oracles); the switch exists as an escape hatch and a
-	// divergence-debugging lever.
+	// every sync and no sync is skipped, cutset statistics and partition
+	// sizes come from partition.Cut's and Sizes' full rescans, the
+	// refinement candidate pools are rescanned from the boundary every
+	// round instead of patched, and phase 1 runs the one-shot Assign
+	// oracle. Results are bit-identical either way (the incremental paths
+	// are fuzz-verified against these oracles); the switch exists as an
+	// escape hatch and a divergence-debugging lever.
 	FullRefresh bool
 }
 
@@ -225,13 +233,14 @@ type Stats struct {
 	// refresh rebuilt (first call, journal overflow, slot overflow, high
 	// churn, or Options.FullRefresh).
 	CSRPatched int
-	// CutIncremental counts cutset evaluations during this call served
-	// from the maintained boundary set (cost proportional to the
-	// boundary) instead of partition.Cut's full arc rescan: the
-	// CutBefore report, refinement's evaluation on entry, and the
-	// CutAfter report (shared with refinement's closing evaluation) —
-	// at most 3 per call; refinement rounds follow the cut by delta.
+	// CutIncremental counts the cutset evaluations this call performed
+	// over the maintained boundary set (cost proportional to the boundary,
+	// not partition.Cut's full arc rescan), CutReused the reports it copied
+	// at O(P) from the kept one: CutBefore, refinement's entry evaluation
+	// and CutAfter (shared with refinement's closing one) — together at
+	// most 3 per call; refinement rounds follow the cut by delta.
 	CutIncremental int
+	CutReused      int
 	// V-cycle reporting (zero unless Options.Multilevel is enabled).
 	// VCycleSkipped reports that multilevel mode is on and the call
 	// arrived within Tolerance of its targets, so — like every other
@@ -324,41 +333,43 @@ type Engine struct {
 	csr    *graph.CSR
 
 	// Incremental boundary tracker.
-	prevPart   []int32 // assignment at the last sync (-2 = never seen)
-	inBoundary []bool
-	boundary   []graph.Vertex // exact list of the inBoundary members
-	listDirty  bool           // boundary contains stale entries to compact
-	stamps     par.Stamps     // per-sync recompute dedup / claim marker
+	prevPart []int32    // assignment at the last sync (-2 = never seen)
+	bnd      idSet      // the boundary set, listed ascending
+	stamps   par.Stamps // per-sync recompute dedup / claim marker
+	inCall   bool       // inside Repartition: only the engine writes a
+	dirty    bool       // a may differ from prevPart (see sync)
 
 	// Incremental partition-size and cut tracker: partSizes[q] is the
 	// live assigned-vertex count of partition q as of the last sync
 	// (exactly partition.SizesInto's definition), maintained through the
 	// same journal/diff re-examination that keeps the boundary exact;
 	// sizeAttr[v] is the partition v is currently counted under (-1 =
-	// none). Cut reports are then served from the sorted boundary set
-	// (partition.CutSeededInto) instead of a full arc rescan.
+	// none). Cut reports are evaluated over the boundary list
+	// (partition.CutSeededInto); cut keeps the last one, and cutValid holds
+	// until a sync rebuilds or re-examines a vertex.
 	trackedP  int // partition count the tracker was built for
 	partSizes []int
 	sizeAttr  []int32
-	cutBuf    []graph.Vertex // sorted-boundary scratch for cut reports
-	cutPPB    []float64      // PerPart arena for Stats.CutBefore
-	cutPPA    []float64      // PerPart arena for Stats.CutAfter
-	cutPPQ    []float64      // PerPart arena for the Cut accessor
+	cut       partition.CutStats
+	cutValid  bool
+	cutPPB    []float64 // PerPart arena for Stats.CutBefore
+	cutPPA    []float64 // PerPart arena for Stats.CutAfter
+	cutPPQ    []float64 // PerPart arena for the Cut accessor
 
 	// Running delta-pipeline counters since the engine was created;
 	// Repartition reports the per-call delta in Stats.CSRPatched /
-	// Stats.CutIncremental, so work done through the public accessors
+	// CutIncremental / CutReused, so work done through the public accessors
 	// between calls never mutates a previously returned Stats arena.
-	csrPatched     int
-	cutIncremental int
+	csrPatched int
+	cutEvals   int
+	cutReused  int
 
 	// Pending-unassigned tracker feeding the delta-aware phase 1: every
 	// vertex observed live-but-Unassigned (or dead with a stale
-	// assignment) by a sync re-examination, carried until the next
-	// assign call consumes it. See assign.go.
-	pendingNew []graph.Vertex
-	inPending  []bool
-	asg        assignScratch
+	// assignment) by a sync re-examination, carried — listed ascending —
+	// until the next assign call consumes it. See assign.go.
+	pending idSet
+	asg     assignScratch
 
 	// Candidate-pool cache. Once Gains has run, gainsValid says e.gain
 	// still holds the pools of the state Gains last saw, and gainDirty
@@ -376,7 +387,6 @@ type Engine struct {
 	balArena balance.Arena
 	refArena refine.LPArena
 	touchBuf []graph.Vertex
-	sizes    []int
 	targets  []int
 	bestPart []int32
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
@@ -401,11 +411,6 @@ type Engine struct {
 	bws    []boundaryWorker
 	rb     rebuildTask
 	df     diffTask
-
-	// Parallel sorted-boundary scratch (see sortedBoundary).
-	cutBuf2  []graph.Vertex
-	cutHeads []int
-	cs       cutSortTask
 }
 
 // neverSeen marks prevPart slots the engine has not synced yet; it never
@@ -511,14 +516,14 @@ func (e *Engine) Snapshot(a *partition.Assignment) *graph.CSR {
 }
 
 // Boundary syncs and returns the current partition-boundary vertex set.
-// The slice is owned by the engine, unordered, duplicate-free, and valid
+// The slice is owned by the engine, ascending, duplicate-free, and valid
 // until the next engine call; it is nil after Close.
 func (e *Engine) Boundary(a *partition.Assignment) []graph.Vertex {
 	if e.closed {
 		return nil
 	}
 	e.sync(a)
-	return e.boundary
+	return e.bnd.list
 }
 
 // growTo readies the tracker arrays for an order-n graph.
@@ -526,32 +531,23 @@ func (e *Engine) growTo(n int) {
 	for len(e.prevPart) < n {
 		e.prevPart = append(e.prevPart, neverSeen)
 	}
-	for len(e.inBoundary) < n {
-		e.inBoundary = append(e.inBoundary, false)
-	}
 	for len(e.sizeAttr) < n {
 		e.sizeAttr = append(e.sizeAttr, -1)
 	}
-	for len(e.inPending) < n {
-		e.inPending = append(e.inPending, false)
-	}
+	e.bnd.grow(n)
+	e.pending.grow(n)
 	e.stamps.Grow(n)
-}
-
-// growSizes readies the per-partition size counters for p partitions.
-func (e *Engine) growSizes(p int) {
-	if cap(e.partSizes) < p {
-		e.partSizes = make([]int, p)
-	}
-	e.partSizes = e.partSizes[:p]
 }
 
 // sync brings the CSR snapshot, the boundary set and the size/cut
 // tracker up to date with the graph and the given assignment. Cost is
-// O(changed region) plus one O(n) assignment diff; the snapshot refresh
-// is journal-driven (graph.RefreshCSR), so it too rewrites only the
-// touched rows unless the journal overflowed or churn forced a rebuild.
-// Nothing is allocated once the arenas have grown.
+// O(changed region) plus one O(n) assignment diff and, when membership
+// moved, the O(n/64 + boundary) relist; the snapshot refresh is
+// journal-driven (graph.RefreshCSR), so it too rewrites only the touched
+// rows unless the journal overflowed or churn forced a rebuild. Inside a
+// Repartition call a sync with nothing written since the last one (the
+// engine marks its writes: dirty) is O(1), except under FullRefresh, the
+// reference. Nothing is allocated once the arenas have grown.
 func (e *Engine) sync(a *partition.Assignment) {
 	a.Grow(e.g.Order())
 	// With the graph unchanged nothing is journaled: only assignment
@@ -575,12 +571,15 @@ func (e *Engine) sync(a *partition.Assignment) {
 		rebuild = rebuild || !e.synced || !exact
 		e.epoch = e.g.Epoch()
 		e.synced = true
+	} else if e.inCall && !e.dirty && !rebuild && !e.opt.FullRefresh {
+		return
 	}
 	if rebuild {
 		e.rebuildBoundary(a)
 	} else {
 		e.resync(a, touched)
 	}
+	e.dirty = false
 }
 
 // attrOf returns the partition v should be size-counted under: its
@@ -615,17 +614,16 @@ func (e *Engine) moveAttr(v graph.Vertex, a *partition.Assignment, sizes []int) 
 // collectPending records v into dst (the calling worker's private
 // buffer) for the next delta-aware assign call when it needs phase-1
 // attention: live but Unassigned (a new vertex), or dead with a stale
-// assignment left behind (to be normalized). The flag is cleared when
-// assign consumes the entry. The caller must own v (disjoint shard or
-// won claim).
+// assignment left behind (to be normalized). The join enters it into the
+// pending set; assign clears it when it consumes the entry. The caller
+// must own v (disjoint shard or won claim).
 func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment, dst *[]graph.Vertex) {
-	if e.inPending[v] {
+	if e.pending.has(v) {
 		return
 	}
 	live := e.csr.Live[v]
 	p := a.Part[v]
 	if (live && p < 0) || (!live && p >= 0) {
-		e.inPending[v] = true
 		*dst = append(*dst, v)
 	}
 }
@@ -667,38 +665,27 @@ func (e *Engine) nextMoved(a *partition.Assignment, lo, hi int) int {
 	return hi
 }
 
-// finishSync compacts the boundary list and records the assignment.
-func (e *Engine) finishSync(a *partition.Assignment) {
-	if e.listDirty {
-		kept := e.boundary[:0]
-		for _, v := range e.boundary {
-			if e.inBoundary[v] {
-				kept = append(kept, v)
-			}
-		}
-		e.boundary = kept
-		e.listDirty = false
-	}
-	n := e.csr.Order()
-	copy(e.prevPart[:n], a.Part[:n])
-	if len(e.gainDirty) > len(e.boundary) {
-		// Patching would classify more vertices than the boundary-seeded
-		// scan visits: let the next Gains rescan, and stop logging until
-		// it has.
-		e.gainsValid = false
-		e.gainDirty = e.gainDirty[:0]
-	}
-}
-
-// cutStatsInto syncs and fills dst with cutset statistics served from
-// the maintained boundary set — bit-identical to partition.Cut(e.g, a),
-// floats included, at O(Σ deg(boundary)) cost (see CutSeededInto).
-// perPart is the engine-owned PerPart arena for this report slot.
+// cutStatsInto syncs and fills dst with the cutset statistics of the
+// synced state — bit-identical to partition.Cut(e.g, a), floats included:
+// evaluated over the boundary list at O(Σ deg(boundary)) (see
+// CutSeededInto) unless a report of this state is kept, then copied.
+// perPart is the engine-owned PerPart arena of the report slot.
 func (e *Engine) cutStatsInto(dst *partition.CutStats, perPart *[]float64, a *partition.Assignment) {
 	e.sync(a)
-	seeds := e.sortedBoundary()
-	*perPart = partition.CutSeededInto(dst, *perPart, e.csr, a, seeds, e.partSizes)
-	e.cutIncremental++
+	reused := e.cutValid
+	if reused {
+		e.cutReused++
+	} else {
+		partition.CutSeededInto(&e.cut, e.csr, a, e.bnd.list, e.partSizes)
+		e.cutValid = true
+		e.cutEvals++
+	}
+	*perPart = append((*perPart)[:0], e.cut.PerPart...)
+	*dst = e.cut
+	dst.PerPart = *perPart
+	if e.inCall {
+		e.emit(Event{Kind: EventCut, Reused: reused})
+	}
 }
 
 // Cut syncs and reports cutset statistics for the engine's graph under
@@ -727,7 +714,7 @@ func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.
 		return nil, ErrClosed
 	}
 	e.sync(a)
-	return e.lay.LayerSeeded(ctx, e.csr, a, e.boundary)
+	return e.lay.LayerSeeded(ctx, e.csr, a, e.bnd.list)
 }
 
 // Gains returns the refinement candidate pools for a over the engine's
@@ -747,10 +734,10 @@ func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates
 	var err error
 	// A pending (live-unassigned or dead-but-assigned) vertex need not be
 	// in the log; the scan's full validation is what rejects it.
-	if e.gainsValid && len(e.pendingNew) == 0 {
+	if e.gainsValid && len(e.pending.list) == 0 {
 		c, err = e.gain.GainsPatched(e.csr, a, strict, e.gainDirty)
 	} else {
-		c, err = e.gain.GainsSeeded(e.csr, a, strict, e.boundary)
+		c, err = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.list)
 	}
 	e.gainDirty = e.gainDirty[:0]
 	e.gainsValid = err == nil && !e.opt.FullRefresh
@@ -781,13 +768,16 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	st := &e.stats
 	opt := e.opt
 	e.group.Reset()
-	basePatched, baseCutInc := e.csrPatched, e.cutIncremental
+	basePatched, baseEvals, baseReused := e.csrPatched, e.cutEvals, e.cutReused
 	baseLPDel := e.lpDelegated()
+	e.inCall, e.dirty = true, true // the caller may have edited a
 	tStart := time.Now()
 	defer func() {
+		e.inCall = false
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
-		st.CutIncremental = e.cutIncremental - baseCutInc
+		st.CutIncremental = e.cutEvals - baseEvals
+		st.CutReused = e.cutReused - baseReused
 		st.LPDelegated = e.lpDelegated() - baseLPDel
 		for _, sg := range st.Stages {
 			st.LPIterations += sg.LPPivots
@@ -826,15 +816,13 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}
 	e.targets = partition.TargetsInto(e.targets, e.g.NumVertices(), a.P)
 	targets := e.targets
-	if cap(e.sizes) < a.P {
-		e.sizes = make([]int, a.P)
-	}
 	if opt.Multilevel.Enabled {
 		// The V-cycle is a balancing stage and sits under the stage loop's
 		// own test: a call that arrives within tolerance has nothing for the
 		// coarse LP to move, so the hierarchy is neither consulted nor
 		// repaired (see multilevel.go).
-		if maxAbsDev(a.SizesInto(e.sizes[:a.P], e.g), targets) > opt.Tolerance {
+		if maxAbsDev(e.liveSizes(a), targets) > opt.Tolerance {
+			e.dirty = true
 			if err := e.runMultilevel(ctx, a, st); err != nil {
 				return st, err
 			}
@@ -847,7 +835,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		if err := cancel.Check(ctx, "balance stage"); err != nil {
 			return st, err
 		}
-		sizes := a.SizesInto(e.sizes[:a.P], e.g)
+		sizes := e.liveSizes(a)
 		if maxAbsDev(sizes, targets) <= opt.Tolerance {
 			break
 		}
@@ -867,6 +855,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		tB := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseBalance, Stage: stage + 1})
 		stageStat, ok, err := balanceStage(ctx, a, lay, sizes, targets, solver, opt.epsMax(), opt.Tolerance, &e.balArena, &e.flowBuf)
+		e.dirty = true
 		dB := time.Since(tB)
 		st.BalanceTime += dB
 		if err != nil || !ok {
@@ -888,7 +877,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 			break
 		}
 	}
-	sizes := a.SizesInto(e.sizes[:a.P], e.g)
+	sizes := e.liveSizes(a)
 	if maxAbsDev(sizes, targets) > opt.Tolerance {
 		return st, fmt.Errorf("%w (after %d stages, sizes %v)", ErrNeedRepartition, len(st.Stages), sizes)
 	}
@@ -922,6 +911,16 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		e.cutStatsInto(&st.CutAfter, &e.cutPPA, a)
 	}
 	return st, nil
+}
+
+// liveSizes returns each partition's live-vertex count under a: the sync
+// tracker's (valid until the next sync) or, under FullRefresh, a recount.
+func (e *Engine) liveSizes(a *partition.Assignment) []int {
+	if e.opt.FullRefresh {
+		return a.Sizes(e.g)
+	}
+	e.sync(a)
+	return e.partSizes
 }
 
 // balanceStage runs one layer→LP→move stage, escalating ε until
@@ -984,7 +983,9 @@ func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt ref
 		}
 	}
 	st, best, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
-		return e.Gains(a, strict)
+		c, err := e.Gains(a, strict)
+		e.dirty = true // Drive applies a round, or rolls rounds back, on these pools
+		return c, err
 	}, e.bestPart)
 	e.bestPart = best
 	return st, err

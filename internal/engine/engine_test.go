@@ -97,21 +97,7 @@ func TestBoundaryTrackerExact(t *testing.T) {
 		for k := 0; k < rng.Intn(4); k++ {
 			randomEdit(g, a, rng)
 		}
-		got := e.Boundary(a)
-		want := bruteBoundary(g, a)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: boundary has %d vertices, want %d", iter, len(got), len(want))
-		}
-		seen := map[graph.Vertex]bool{}
-		for _, v := range got {
-			if seen[v] {
-				t.Fatalf("iter %d: duplicate boundary vertex %d", iter, v)
-			}
-			seen[v] = true
-			if !want[v] {
-				t.Fatalf("iter %d: vertex %d wrongly in boundary", iter, v)
-			}
-		}
+		requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
 	}
 }
 
@@ -129,11 +115,7 @@ func TestBoundaryTrackerJournalOverflow(t *testing.T) {
 			g.SetVertexWeight(v, 1)
 		}
 	}
-	got := e.Boundary(a)
-	want := bruteBoundary(g, a)
-	if len(got) != len(want) {
-		t.Fatalf("after overflow: boundary has %d vertices, want %d", len(got), len(want))
-	}
+	requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
 }
 
 // TestSeededLayerEquivalence checks the acceptance criterion: across
@@ -646,28 +628,178 @@ func TestFullRefreshEquivalence(t *testing.T) {
 			t.Fatalf("step %d: FullRefresh diverges from incremental", step)
 		}
 		sameCut(t, "incremental CutAfter vs FullRefresh", stI.CutAfter, stF.CutAfter)
-		if stF.CSRPatched != 0 || stF.CutIncremental != 0 {
-			t.Fatalf("step %d: FullRefresh reported incremental work: patched=%d cutInc=%d",
-				step, stF.CSRPatched, stF.CutIncremental)
+		sameCut(t, "incremental CutBefore vs FullRefresh", stI.CutBefore, stF.CutBefore)
+		if stF.CSRPatched != 0 || stF.CutIncremental != 0 || stF.CutReused != 0 {
+			t.Fatalf("step %d: FullRefresh reported incremental work: patched=%d cut evaluations=%d reused=%d",
+				step, stF.CSRPatched, stF.CutIncremental, stF.CutReused)
 		}
 		if step > 0 && stI.CSRPatched == 0 {
 			t.Fatalf("step %d: warm incremental engine never patched its snapshot", step)
 		}
-		if stI.CutIncremental == 0 {
-			t.Fatalf("step %d: incremental engine never served an incremental cut", step)
+		if stI.CutIncremental == 0 || stI.CutIncremental+stI.CutReused > 3 {
+			t.Fatalf("step %d: an edited call made %d cut evaluations and %d reuses, want ≥ 1 and ≤ 3 reports",
+				step, stI.CutIncremental, stI.CutReused)
 		}
 	}
 }
 
-// TestSteadyStateCutAllocs: the incremental cut report on a warm engine
-// must not allocate.
+// TestSteadyStateCutAllocs: a cut evaluation on a warm engine must not
+// allocate. A vertex is flipped between runs so every run evaluates — an
+// unchanged state would only time the copy of the kept report.
 func TestSteadyStateCutAllocs(t *testing.T) {
-	g, a := editableGraph(t, 500, 8, 5)
-	e := New(g, Options{})
-	_ = e.Cut(a)
-	allocs := testing.AllocsPerRun(20, func() { _ = e.Cut(a) })
-	if allocs > 0 {
-		t.Fatalf("steady-state incremental cut allocates %.1f objects/op, want 0", allocs)
+	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+		v := graph.Vertex(0)
+		home, away := a.Part[v], (a.Part[v]+1)%int32(a.P)
+		flip := func() {
+			if a.Part[v] == home {
+				a.Part[v] = away
+			} else {
+				a.Part[v] = home
+			}
+			_ = e.Cut(a)
+		}
+		flip()
+		flip() // both boundary lists have reached their capacity
+		evals := e.cutEvals
+		allocs := testing.AllocsPerRun(20, flip)
+		if allocs > 0 {
+			t.Fatalf("steady-state cut evaluation allocates %.1f objects/op, want 0", allocs)
+		}
+		if got := e.cutEvals - evals; got < 20 {
+			t.Fatalf("%d evaluations over 20 flipped states, want one each", got)
+		}
+	})
+}
+
+// TestIdleRepartitionEvaluatesNothing: a Repartition that finds no edit
+// and moves no vertex serves both cut reports from the kept one and
+// stays on the arenas; one that finds an edit and moves nothing — a
+// meshB-smalledit op — evaluates once.
+func TestIdleRepartitionEvaluatesNothing(t *testing.T) {
+	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+		ctx := context.Background()
+		if _, err := e.Repartition(ctx, a); err != nil { // balances, and evaluates the result
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			st, err := e.Repartition(ctx, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.BalanceMoved != 0 || st.CutIncremental != 0 || st.CutReused != 2 {
+				t.Fatalf("idle call: moved %d, %d evaluations, %d reused; want 0, 0, 2",
+					st.BalanceMoved, st.CutIncremental, st.CutReused)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("idle Repartition allocates %.1f objects/op, want 0", allocs)
+		}
+		sameCut(t, "idle CutAfter vs oracle", e.stats.CutAfter, partition.Cut(g, a))
+		// A size-preserving edit that moves nothing: CutBefore is evaluated
+		// (the journaled endpoints were re-examined), CutAfter is its copy.
+		u, v := graph.Vertex(0), graph.Vertex(1)
+		if g.HasEdge(u, v) {
+			_ = g.RemoveEdge(u, v)
+		} else {
+			_ = g.AddEdge(u, v, 1)
+		}
+		st, err := e.Repartition(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BalanceMoved != 0 || st.CutIncremental != 1 || st.CutReused != 1 {
+			t.Fatalf("edited move-free call: moved %d, %d evaluations, %d reused; want 0, 1, 1",
+				st.BalanceMoved, st.CutIncremental, st.CutReused)
+		}
+		sameCut(t, "edited CutAfter vs oracle", st.CutAfter, partition.Cut(g, a))
+	})
+}
+
+// TestKeptCutInvalidation walks one warm engine through every way the
+// state under a kept cut report can change and requires Engine.Cut to
+// stay identical to partition.Cut. Every row but the first changes the
+// cut, so a report that is wrongly kept fails the comparison; the
+// counters say which path answered.
+func TestKeptCutInvalidation(t *testing.T) {
+	g, a := editableGraph(t, 400, 6, 19)
+	e := New(g, Options{Parallelism: 1})
+	// A cut edge and an interior vertex to edit around.
+	cutEdge := func() (graph.Vertex, graph.Vertex) {
+		for _, v := range e.Boundary(a) {
+			for _, u := range g.Neighbors(v) {
+				if a.Part[u] != a.Part[v] && a.Part[u] >= 0 {
+					return v, u
+				}
+			}
+		}
+		t.Fatal("no cut edge")
+		return 0, 0
+	}
+	reweigh := func(w float64) {
+		v, u := cutEdge()
+		if err := g.RemoveEdge(v, u); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(v, u, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name   string
+		change func()
+		reused bool
+	}{
+		{"nothing", func() {}, true},
+		{"edge weight only", func() { reweigh(2.75) }, false},
+		{"caller flips an interior vertex", func() {
+			bnd := bruteBoundary(g, a)
+			for v := 0; v < g.Order(); v++ {
+				if g.Alive(graph.Vertex(v)) && g.Degree(graph.Vertex(v)) > 0 && !bnd[graph.Vertex(v)] {
+					a.Part[v] = (a.Part[v] + 1) % int32(a.P)
+					return
+				}
+			}
+			t.Fatal("no interior vertex")
+		}, false},
+		{"vertex removal", func() {
+			v, _ := cutEdge()
+			if err := g.RemoveVertex(v); err != nil {
+				t.Fatal(err)
+			}
+			a.Part[v] = partition.Unassigned
+		}, false},
+		{"growth past the old order", func() {
+			v, u := cutEdge()
+			w := g.AddVertex(1)
+			a.Grow(g.Order())
+			a.Part[w] = a.Part[v]
+			_ = g.AddEdge(w, v, 1)
+			_ = g.AddEdge(w, u, 1.5)
+		}, false},
+		{"P change", func() { a.P++ }, false},
+		{"journal overflow", func() {
+			reweigh(0.375) // first: picking the edge syncs
+			for i := 0; i < 40000; i++ {
+				g.SetVertexWeight(graph.Vertex(i%g.Order()), 1)
+			}
+		}, false},
+	}
+	sameCut(t, "warm-up", e.Cut(a), partition.Cut(g, a))
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			before := partition.Cut(g, a)
+			row.change()
+			want := partition.Cut(g, a)
+			if !row.reused && reflect.DeepEqual(before, want) {
+				t.Fatal("the change left the cut as it was — the row proves nothing")
+			}
+			evals, reused := e.cutEvals, e.cutReused
+			sameCut(t, "Engine.Cut vs oracle", e.Cut(a), want)
+			if gotReuse := e.cutReused > reused; gotReuse != row.reused || e.cutEvals+e.cutReused != evals+reused+1 {
+				t.Fatalf("evaluations %d→%d, reuses %d→%d; want reused=%v",
+					evals, e.cutEvals, reused, e.cutReused, row.reused)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // FuzzBoundaryExact is the fuzz form of the PR 1 boundary-exactness
 // test: random edit sequences against random geometric graphs, with the
 // incremental tracker (at a fuzzed worker count) checked against the
-// brute-force boundary after every burst.
+// brute-force boundary, in strictly ascending order, after every burst.
 func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0))
 	f.Add(int64(42), uint8(40), uint8(3))
@@ -71,6 +71,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 			}
 		}
 
+		requireSameBoundary(t, eSeq.Boundary(aSeq), bruteBoundary(gSeq, aSeq))
 		requireSameBoundary(t, ePar.Boundary(aPar), bruteBoundary(gPar, aPar))
 		laySeq, errS := eSeq.Layer(context.Background(), aSeq)
 		layPar, errP := ePar.Layer(context.Background(), aPar)

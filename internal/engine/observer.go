@@ -52,6 +52,9 @@ const (
 	// EventRound reports one applied refinement round (Stage is the
 	// 1-based round, Moved the vertices it moved).
 	EventRound
+	// EventCut reports one cut report (see Stats.CutIncremental), Reused
+	// when it was a copy of the kept one; Phase is not meaningful.
+	EventCut
 )
 
 func (k EventKind) String() string {
@@ -62,6 +65,8 @@ func (k EventKind) String() string {
 		return "end"
 	case EventRound:
 		return "round"
+	case EventCut:
+		return "cut"
 	}
 	return "unknown"
 }
@@ -70,7 +75,7 @@ func (k EventKind) String() string {
 // during Repartition. Events arrive in pipeline order, on the calling
 // goroutine, with every EventEnd following its EventStart:
 //
-//	assign start/end,
+//	assign start/end, the CutBefore report's cut event,
 //	then if multilevel is enabled and the call arrived unbalanced
 //	(nothing at all when Stats.VCycleSkipped):
 //	  coarsen start, per-level coarsen start/end pairs (Stage = 1-based
@@ -80,7 +85,8 @@ func (k EventKind) String() string {
 //	  descending), uncoarsen end,
 //	then per balancing stage s: layer start/end (Stage=s),
 //	balance start/end (Stage=s, Epsilon, Moved),
-//	then if refinement is enabled: refine start, refine rounds, refine end.
+//	then if refinement is enabled: refine start, a cut event, refine
+//	rounds, a cut event if any was applied, refine end; else a cut event.
 //
 // The struct is passed by value and is free of engine-owned pointers, so
 // observers may retain it. Spans stay paired on error paths too: an
@@ -102,6 +108,7 @@ type Event struct {
 	// Elapsed is the wall-clock duration of the closed span (EventEnd
 	// only).
 	Elapsed time.Duration
+	Reused  bool // EventCut only: the report was a copy of the kept one
 }
 
 // emit delivers ev to the configured observer, if any. Observers run

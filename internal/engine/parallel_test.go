@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -65,19 +64,17 @@ func requireSameGains(t testing.TB, got, want *refine.Candidates, p int) {
 	}
 }
 
-// requireSameBoundary asserts a parallel engine's boundary equals the
-// brute-force set (the list itself is documented unordered).
+// requireSameBoundary asserts an engine's boundary list is the
+// brute-force set in strictly ascending id order.
 func requireSameBoundary(t testing.TB, got []graph.Vertex, want map[graph.Vertex]bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("boundary has %d vertices, want %d", len(got), len(want))
 	}
-	seen := map[graph.Vertex]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate boundary vertex %d", v)
+	for i, v := range got {
+		if i > 0 && got[i-1] >= v {
+			t.Fatalf("boundary not strictly ascending: %d then %d at %d", got[i-1], v, i)
 		}
-		seen[v] = true
 		if !want[v] {
 			t.Fatalf("vertex %d wrongly in boundary", v)
 		}
@@ -203,30 +200,6 @@ func TestParallelWorkerBusyReported(t *testing.T) {
 	}
 	if st2.Parallelism != 1 || len(st2.WorkerBusy) != 0 {
 		t.Fatalf("one-worker stats: Parallelism=%d WorkerBusy=%v", st2.Parallelism, st2.WorkerBusy)
-	}
-}
-
-// TestParallelSortedBoundaryEquivalence: the sharded sort + k-way merge
-// behind the cut reports must reproduce the plain ascending sort
-// exactly, on a boundary large enough to fork, and keep doing so across
-// calls (the two scratch buffers swap roles).
-func TestParallelSortedBoundaryEquivalence(t *testing.T) {
-	for _, procs := range []int{2, 3, 7} {
-		g, a := editableGraph(t, 3000, 8, 11)
-		e := New(g, Options{Parallelism: procs})
-		e.sync(a)
-		want := append([]graph.Vertex(nil), e.boundary...)
-		slices.Sort(want)
-		if len(want) < parCutSortMin {
-			t.Fatalf("boundary has %d vertices, below parCutSortMin=%d — the merge is untested",
-				len(want), parCutSortMin)
-		}
-		for call := 0; call < 3; call++ {
-			got := e.sortedBoundary()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("procs=%d call %d: sorted boundary diverges from slices.Sort", procs, call)
-			}
-		}
 	}
 }
 

@@ -195,8 +195,8 @@ func Cut(g *graph.Graph, a *Assignment) CutStats {
 }
 
 // CutSeededInto fills dst with cutset statistics computed from a
-// boundary seed set over a CSR snapshot, reusing perPart as the
-// PerPart arena (grown as needed and returned). boundary must be sorted
+// boundary seed set over a CSR snapshot, reusing dst.PerPart as the
+// PerPart arena (grown as needed). boundary must be sorted
 // ascending, duplicate-free, and contain every live vertex with at
 // least one neighbor in a different partition; sizes must hold each
 // partition's live assigned-vertex count (as SizesInto reports).
@@ -208,14 +208,13 @@ func Cut(g *graph.Graph, a *Assignment) CutStats {
 // same order. The cost is O(Σ deg(boundary) + P) instead of O(n + m),
 // which is what makes the engine's incremental cut maintenance
 // edit-proportional; Cut itself remains the brute-force oracle.
-func CutSeededInto(dst *CutStats, perPart []float64, c *graph.CSR, a *Assignment, boundary []graph.Vertex, sizes []int) []float64 {
+func CutSeededInto(dst *CutStats, c *graph.CSR, a *Assignment, boundary []graph.Vertex, sizes []int) {
+	perPart := dst.PerPart
 	if cap(perPart) < a.P {
 		perPart = make([]float64, a.P)
 	}
 	perPart = perPart[:a.P]
-	for i := range perPart {
-		perPart[i] = 0
-	}
+	clear(perPart)
 	st := CutStats{PerPart: perPart}
 	for _, v := range boundary {
 		pv := a.Of(v)
@@ -254,7 +253,6 @@ func CutSeededInto(dst *CutStats, perPart []float64, c *graph.CSR, a *Assignment
 		st.Max, st.Min = 0, 0
 	}
 	*dst = st
-	return perPart
 }
 
 // Imbalance returns max(weight)/mean(weight) over partitions; 1.0 is

@@ -33,14 +33,15 @@ type RequestMetrics struct {
 	Balance time.Duration `json:"balance_ns"`
 	Refine  time.Duration `json:"refine_ns"`
 	// Stages, LPIterations, NewAssigned and Moved summarize the
-	// pipeline's work; CSRPatched/CutIncremental report the delta
-	// shortcuts taken.
+	// pipeline's work; CSRPatched, CutIncremental and CutReused report the
+	// delta shortcuts taken (see igp.Stats).
 	Stages         int `json:"stages"`
 	LPIterations   int `json:"lp_iterations"`
 	NewAssigned    int `json:"new_assigned"`
 	Moved          int `json:"moved"`
 	CSRPatched     int `json:"csr_patched"`
 	CutIncremental int `json:"cut_incremental"`
+	CutReused      int `json:"cut_reused"`
 	// Events is the number of observer events the engine streamed
 	// during the batch's repartition (phase spans, ε stages, refinement
 	// rounds) — the WithObserver feed rolled up per request.

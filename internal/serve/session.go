@@ -267,6 +267,7 @@ func (s *Session) process(batch []*request) {
 		Moved:          st.BalanceMoved + st.RefineMoved,
 		CSRPatched:     st.CSRPatched,
 		CutIncremental: st.CutIncremental,
+		CutReused:      st.CutReused,
 		Events:         s.events - eventsBefore,
 		CutAfter:       st.CutAfter.TotalWeight,
 	}

@@ -12,9 +12,9 @@ import (
 
 // Event is one stage-level observation streamed to a [WithObserver]
 // callback during Repartition: phase start/end spans with wall-clock,
-// the ε and vertex count of every balance stage, and each applied
-// refinement round. Events arrive in pipeline order on the calling
-// goroutine; see the Kind/Phase fields for the exact contract.
+// the ε and vertex count of every balance stage, each applied refinement
+// round, and each cut report (evaluated or reused). Events arrive in
+// pipeline order on the calling goroutine; see the Kind/Phase fields.
 type Event = engine.Event
 
 // EventKind distinguishes observer events.
@@ -28,6 +28,7 @@ const (
 	EventStart = engine.EventStart
 	EventEnd   = engine.EventEnd
 	EventRound = engine.EventRound
+	EventCut   = engine.EventCut
 )
 
 // The pipeline phases reported in events and PhaseTimings. PhaseCoarsen

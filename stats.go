@@ -133,14 +133,16 @@ type Stats struct {
 	// BalanceMoved/RefineMoved count the fine polish separately).
 	CoarseMoved   int
 	VCycleRefined int
-	// CutIncremental counts cutset evaluations during this call served
-	// incrementally from the maintained partition-boundary set (cost
-	// proportional to the boundary, bit-identical to the full rescan)
-	// instead of scanning every arc: the CutBefore and CutAfter reports
-	// and, under [WithRefine], the evaluation refinement starts from — at
-	// most 3 per call. Refinement rounds evaluate nothing; they follow the
-	// cut by delta (see RoundCuts).
+	// CutIncremental counts the cutset evaluations this call performed
+	// over the maintained partition-boundary set (cost proportional to the
+	// boundary, bit-identical to the full rescan) and CutReused the cut
+	// reports it copied, at O(P), from the last evaluation because nothing
+	// they depend on had changed. The reports are CutBefore, CutAfter and,
+	// under [WithRefine], the evaluation refinement starts from, so the
+	// two sum to at most 3 per call; a call that moves no vertex evaluates
+	// at most once. Refinement rounds follow the cut by delta (RoundCuts).
 	CutIncremental int
+	CutReused      int
 }
 
 // Clone returns a deep copy of the Stats, detached from any engine
@@ -191,6 +193,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		LPDelegated:       st.LPDelegated,
 		CSRPatched:        st.CSRPatched,
 		CutIncremental:    st.CutIncremental,
+		CutReused:         st.CutReused,
 		CutBefore:         st.CutBefore,
 		CutAfter:          st.CutAfter,
 		VCycleSkipped:     st.VCycleSkipped,
