@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -597,6 +598,40 @@ func TestPublicStatsClone(t *testing.T) {
 	}
 	if fmt.Sprint(clone.RoundCuts) != fmt.Sprint(roundCuts) {
 		t.Fatal("clone RoundCuts overwritten by the next call")
+	}
+}
+
+// TestStageCountersExplainTheStage: Stats and the balance end events say
+// why each stage cost what it did — how many partitions it layered to
+// full depth and how many LPs it solved — and agree with each other; the
+// layering share covers the rim pass and the deepening, so the phases
+// still sum to no more than the call.
+func TestStageCountersExplainTheStage(t *testing.T) {
+	g, a := grownMesh(t, 500, 8, 60, 11)
+	var deepened, solves []int
+	eng, err := NewEngine(g, WithObserver(func(ev Event) {
+		if ev.Kind == EventEnd && ev.Phase == PhaseBalance {
+			deepened, solves = append(deepened, ev.Deepened), append(solves, ev.LPSolves)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.Repartition(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stages == 0 || !slices.Equal(st.StageDeepened, deepened) || !slices.Equal(st.StageLPSolves, solves) {
+		t.Fatalf("%d stages: Stats say deepened %v solves %v, the events %v %v",
+			st.Stages, st.StageDeepened, st.StageLPSolves, deepened, solves)
+	}
+	for s := range solves {
+		if solves[s] < 1 || deepened[s] < 0 || deepened[s] > a.P || (deepened[s] > 0) != (solves[s] > int(st.EpsilonUsed[s])) {
+			t.Fatalf("stage %d at ε=%g: %d of %d partitions deepened over %d LP solves", s+1, st.EpsilonUsed[s], deepened[s], a.P, solves[s])
+		}
+	}
+	if pt := st.PhaseTimings; pt.Layer <= 0 || pt.Balance <= 0 || pt.Total() > st.Elapsed {
+		t.Fatalf("phases %+v of a %v call", pt, st.Elapsed)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/comm"
@@ -526,6 +527,104 @@ func BenchmarkEngine_SteadyRepartitionPar(b *testing.B) {
 			}
 		})
 	}
+}
+
+// meshGrowth builds, once, the mesh-B growth sequence of the repo
+// benchmark's meshB-grow workload — a ~10166-vertex mesh refined 40 times
+// by +40 vertices in a drifting hotspot — and its 32-way RSB start.
+var meshGrowth = sync.OnceValues(func() (*mesh.Sequence, []int32) {
+	growth := make([]int, 40)
+	for i := range growth {
+		growth[i] = 40
+	}
+	seq, err := mesh.GenerateChained(10166, growth, 1994)
+	if err != nil {
+		panic(err)
+	}
+	part, err := spectral.RSB(seq.Base, 32, spectral.Options{Seed: 1994})
+	if err != nil {
+		panic(err)
+	}
+	return seq, part
+})
+
+// followStep edits g in place into the next graph of a chained mesh
+// sequence (vertices appended, the edge set reconciled), the way a caller
+// holding one long-lived engine follows a growing mesh.
+func followStep(b *testing.B, g, to *graph.Graph) {
+	b.Helper()
+	for g.Order() < to.Order() {
+		g.AddVertex(1)
+	}
+	for _, v := range to.Vertices() {
+		for _, u := range slices.Clone(g.Neighbors(v)) {
+			if v < u && !to.HasEdge(v, u) {
+				if err := g.RemoveEdge(v, u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, u := range to.Neighbors(v) {
+			if v < u {
+				g.AddEdgeIfAbsent(v, u, 1)
+			}
+		}
+	}
+}
+
+// BenchmarkEngine_GrowRepartition is the repo benchmark's meshB-grow op
+// (a ~10166-vertex mesh growing by +40 vertices per op, P = 32,
+// refinement on, one worker, one warm engine per 40-op pass) with the
+// layering share read off the product's own Stats — the harness's
+// layering.layer_ms times a shadow engine's full-depth Layer and cannot
+// see what a stage did not layer. layer-µs/op is PhaseTimings.Layer,
+// deepened/op the partitions layered to full depth and lp-solves/op the
+// balance LPs solved, each summed over the op's stages.
+func BenchmarkEngine_GrowRepartition(b *testing.B) {
+	if testing.Short() {
+		b.Skip("mesh B growth sequence (10k vertices) skipped in -short mode")
+	}
+	seq, part := meshGrowth()
+	var err error
+	ctx := context.Background()
+	var (
+		g             *graph.Graph
+		a             *partition.Assignment
+		eng           *Engine
+		layer         time.Duration
+		deepened, lps int
+	)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		step := i % len(seq.Steps)
+		if step == 0 {
+			if eng != nil {
+				eng.Close()
+			}
+			g, a = seq.Base.Clone(), &partition.Assignment{Part: slices.Clone(part), P: 32}
+			if eng, err = NewEngine(g, WithRefine(), WithParallelism(1)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Repartition(ctx, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		followStep(b, g, seq.Steps[step].Graph)
+		b.StartTimer()
+		st, err := eng.Repartition(ctx, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		layer += st.PhaseTimings.Layer
+		for s := range st.StageDeepened {
+			deepened += st.StageDeepened[s]
+			lps += st.StageLPSolves[s]
+		}
+	}
+	b.ReportMetric(float64(layer.Nanoseconds())/1e3/float64(b.N), "layer-µs/op")
+	b.ReportMetric(float64(deepened)/float64(b.N), "deepened/op")
+	b.ReportMetric(float64(lps)/float64(b.N), "lp-solves/op")
 }
 
 func BenchmarkPhase_BalanceLP(b *testing.B) {

@@ -73,8 +73,8 @@ func main() {
 		if *verbose {
 			opts = append(opts, igp.WithObserver(func(ev igp.Event) {
 				if ev.Kind == igp.EventEnd && ev.Phase == igp.PhaseBalance {
-					fmt.Fprintf(os.Stderr, "igprun: stage %d: ε=%g moved=%d in %v\n",
-						ev.Stage, ev.Epsilon, ev.Moved, ev.Elapsed)
+					fmt.Fprintf(os.Stderr, "igprun: stage %d: ε=%g moved=%d, %d partitions layered to full depth, %d LP solves, in %v\n",
+						ev.Stage, ev.Epsilon, ev.Moved, ev.Deepened, ev.LPSolves, ev.Elapsed)
 				}
 			}))
 		}

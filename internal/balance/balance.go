@@ -290,15 +290,22 @@ func SolveInto(ctx context.Context, m *Model, solver lp.Solver, buf []Flow) ([]F
 // Apply moves vertices to realize the flows, consuming each (i,j) pool
 // boundary-first, and returns the number of vertices moved. The
 // assignment is modified in place.
+//
+// Every flow's pool is resolved before the first vertex moves: a pool is
+// ordered when first asked for, by attachments counted under the
+// assignment as it is then, and one flow's moves change the attachment
+// counts of the next flow's candidates. A flow larger than its pool is
+// therefore rejected with nothing moved.
 func Apply(a *partition.Assignment, lay *layering.Result, flows []Flow) (int, error) {
-	moved := 0
 	for _, f := range flows {
-		pool := lay.Pool(f.From, f.To)
-		if f.Amount > len(pool) {
-			return moved, fmt.Errorf("balance: flow %d→%d wants %d vertices, pool has %d",
+		if pool := lay.Pool(f.From, f.To); f.Amount > len(pool) {
+			return 0, fmt.Errorf("balance: flow %d→%d wants %d vertices, pool has %d",
 				f.From, f.To, f.Amount, len(pool))
 		}
-		for _, v := range pool[:f.Amount] {
+	}
+	moved := 0
+	for _, f := range flows {
+		for _, v := range lay.Pool(f.From, f.To)[:f.Amount] {
 			if a.Part[v] != f.From {
 				return moved, fmt.Errorf("balance: vertex %d no longer in partition %d", v, f.From)
 			}

@@ -536,3 +536,34 @@ func TestFormulateMatchesRescanReference(t *testing.T) {
 		t.Fatalf("generator never produced an empty row of each kind (%d contradictions, %d skipped)", contradictions, skipped)
 	}
 }
+
+// TestApplyResolvesPoolsBeforeMoving: pools are ordered when first asked
+// for, by attachments counted under the assignment as it is then, so
+// Apply must ask for every flow's pool before it moves the first vertex.
+// Partition 2 has two rim vertices labeled 0: u (id 4) with two edges into
+// partition 0 and w (id 3) with one, so the pool reads [u, w]. Flow 0→1
+// moves x, one of u's two neighbors in partition 0; a mover that orders
+// pool(2,0) only after that move sees a 1–1 attachment tie, breaks it by
+// id and moves w instead.
+func TestApplyResolvesPoolsBeforeMoving(t *testing.T) {
+	const x, y, z, w, u, b = 0, 1, 2, 3, 4, 5
+	g := graph.NewWithVertices(6)
+	for _, e := range [][2]graph.Vertex{{x, b}, {u, x}, {u, y}, {w, z}} {
+		if err := g.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := partition.New(6, 3)
+	a.Part = []int32{x: 0, y: 0, z: 0, w: 2, u: 2, b: 1}
+	lay, err := layering.Layer(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := Apply(a, lay, []Flow{{From: 0, To: 1, Amount: 1}, {From: 2, To: 0, Amount: 1}})
+	if err != nil || moved != 2 {
+		t.Fatalf("moved %d, err %v", moved, err)
+	}
+	if want := []int32{x: 1, y: 0, z: 0, w: 2, u: 0, b: 1}; !reflect.DeepEqual(a.Part, want) {
+		t.Fatalf("assignment %v, want %v (x to 1, then u — not w — to 0)", a.Part, want)
+	}
+}

@@ -27,6 +27,11 @@
 //     refinement kernels seed from it, so their level-0/candidate passes
 //     never scan the full arc array.
 //
+//   - Layering is on demand: a balancing stage labels only the rim of
+//     every partition, solves its LP on those bounds and layers to full
+//     depth just the partitions whose bound the optimum touches
+//     (balanceStage); a pool is ordered when the mover first asks for it.
+//
 //   - Per-call bookkeeping costs what the call changed: partition sizes
 //     are read from the sync tracker, a cut report is evaluated once per
 //     distinct state and copied at O(P) until a sync rebuilds or
@@ -188,8 +193,14 @@ type StageStats struct {
 	Moved    int     // vertices moved
 	LPVars   int     // dense-formulation columns (the paper's v)
 	LPCons   int     // dense-formulation rows (the paper's c)
-	LPPivots int     // simplex iterations
-	MaxDelta int     // largest δ(i,j) this stage
+	LPPivots int     // simplex iterations of the accepted solve
+	// Deepened counts the partitions the stage layered to full depth (the
+	// rest stayed rim-only) and LPSolves the balance LPs it solved: one per
+	// ε tried, plus a re-solve each time the optimum touched an unfinished
+	// partition's bound or was infeasible short of full depth (see
+	// balanceStage), so LPSolves ≤ Deepened + the ε count.
+	Deepened int
+	LPSolves int
 }
 
 // Stats reports everything Repartition did; the benchmark harness turns
@@ -203,9 +214,12 @@ type Stats struct {
 	CutBefore        partition.CutStats
 	CutAfter         partition.CutStats
 	AssignTime       time.Duration
-	LayerTime        time.Duration
-	BalanceTime      time.Duration
-	RefineTime       time.Duration
+	// LayerTime covers every stage's rim pass and the partitions the
+	// balance stage then finished; BalanceTime is the rest of the stage
+	// (formulate, solve, move).
+	LayerTime   time.Duration
+	BalanceTime time.Duration
+	RefineTime  time.Duration
 	// Elapsed is the wall clock of the whole Repartition call, measured
 	// inside the engine so it covers exactly the pipeline (not callers'
 	// option conversion). It is set even when Repartition errors.
@@ -223,7 +237,7 @@ type Stats struct {
 	LPDelegated int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
-	// scans, pool sorts); index w is worker w. Empty at one worker. Like
+	// scans); index w is worker w. Empty at one worker. Like
 	// Stages it is an arena reused across calls.
 	WorkerBusy []time.Duration
 	// CSRPatched counts snapshot refreshes during this call that were
@@ -390,6 +404,7 @@ type Engine struct {
 	targets  []int
 	bestPart []int32
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
+	deepen   []int32        // partitions a stage is about to finish
 	stats    Stats          // reused result arena; see Repartition
 
 	// V-cycle hierarchy, created by the first Repartition that runs the
@@ -706,9 +721,10 @@ func (e *Engine) Cut(a *partition.Assignment) partition.CutStats {
 	return st
 }
 
-// Layer runs the boundary-seeded layering kernel over the engine's
-// snapshot. The result is owned by the engine's scratch and invalidated by
-// the next Layer call.
+// Layer runs the boundary-seeded layering kernel to full depth over the
+// engine's snapshot (Repartition's stages layer on demand instead, see
+// balanceStage). The result is owned by the engine's scratch and
+// invalidated by the next Layer or Repartition call.
 func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.Result, error) {
 	if e.closed {
 		return nil, ErrClosed
@@ -830,7 +846,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 			st.VCycleSkipped = true
 		}
 	}
-	solver := opt.solver()
 	for stage := 0; stage < opt.maxStages(); stage++ {
 		if err := cancel.Check(ctx, "balance stage"); err != nil {
 			return st, err
@@ -839,36 +854,38 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		if maxAbsDev(sizes, targets) <= opt.Tolerance {
 			break
 		}
+		// Layer on demand: the stage starts from the rim of every partition
+		// and finishes only those the balance LP asks for.
 		tL := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseLayer, Stage: stage + 1})
-		lay, err := e.Layer(ctx, a)
-		if err != nil {
-			// Close the span even on abort so observers pairing start/end
-			// events never leak an open span.
-			e.emit(Event{Kind: EventEnd, Phase: PhaseLayer, Stage: stage + 1, Elapsed: time.Since(tL)})
-			return st, err
-		}
+		e.sync(a)
+		lay, err := e.lay.Rim(e.csr, a, e.bnd.list)
 		dL := time.Since(tL)
 		st.LayerTime += dL
 		e.emit(Event{Kind: EventEnd, Phase: PhaseLayer, Stage: stage + 1, Elapsed: dL})
+		if err != nil {
+			return st, err
+		}
 
 		tB := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseBalance, Stage: stage + 1})
-		stageStat, ok, err := balanceStage(ctx, a, lay, sizes, targets, solver, opt.epsMax(), opt.Tolerance, &e.balArena, &e.flowBuf)
+		layered := st.LayerTime
+		stageStat, ok, err := e.balanceStage(ctx, a, lay, sizes, targets)
 		e.dirty = true
 		dB := time.Since(tB)
-		st.BalanceTime += dB
-		if err != nil || !ok {
-			e.emit(Event{Kind: EventEnd, Phase: PhaseBalance, Stage: stage + 1, Elapsed: dB})
-			if err != nil {
-				return st, err
-			}
+		st.BalanceTime += dB - (st.LayerTime - layered)
+		// The span closes on every path, so observers pairing start/end
+		// events never leak an open one.
+		e.emit(Event{Kind: EventEnd, Phase: PhaseBalance, Stage: stage + 1, Epsilon: stageStat.Epsilon,
+			Moved: stageStat.Moved, Deepened: stageStat.Deepened, LPSolves: stageStat.LPSolves, Elapsed: dB})
+		if err != nil {
+			return st, err
+		}
+		if !ok {
 			return st, fmt.Errorf("%w (stage %d, sizes %v)", ErrNeedRepartition, stage, sizes)
 		}
 		st.Stages = append(st.Stages, stageStat)
 		st.BalanceMoved += stageStat.Moved
-		e.emit(Event{Kind: EventEnd, Phase: PhaseBalance, Stage: stage + 1,
-			Epsilon: stageStat.Epsilon, Moved: stageStat.Moved, Elapsed: dB})
 		if stageStat.Moved == 0 {
 			// A feasible stage that moved nothing makes no progress: either
 			// the targets are met (checked at the top of the loop) or every
@@ -923,48 +940,69 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 	return e.partSizes
 }
 
-// balanceStage runs one layer→LP→move stage, escalating ε until
-// feasible. Formulations go through the engine's reused arena, so a
-// steady-state stage allocates nothing building its LP.
-func balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int, solver lp.Solver, epsMax float64, tol int, ar *balance.Arena, flowBuf *[]balance.Flow) (StageStats, bool, error) {
-	for eps := 1.0; eps <= epsMax; eps++ {
-		m, err := ar.FormulateTol(lay.Delta, sizes, targets, eps, tol)
-		if err != nil {
-			return StageStats{}, false, err
-		}
-		flows, sol, err := balance.SolveInto(ctx, m, solver, *flowBuf)
-		if flows != nil {
-			*flowBuf = flows // keep the grown backing array for the next stage
-		}
-		if err != nil {
-			return StageStats{}, false, err
-		}
-		if sol.Status != lp.Optimal {
-			continue // relax further
-		}
-		moved, err := balance.Apply(a, lay, flows)
-		if err != nil {
-			return StageStats{}, false, err
-		}
-		vars, cons := lp.DenseSize(m.Prob)
-		maxDelta := 0
-		for _, row := range lay.Delta {
-			for _, d := range row {
-				if d > maxDelta {
-					maxDelta = d
+// balanceStage runs one LP→move stage on lay, the rim layering of the
+// engine's scratch, escalating ε until feasible and deepening the
+// layering only where the LP demands it. The rim bounds are lower bounds
+// on the full-depth δ over the same pairs, so an optimum strictly below
+// every bound of an unfinished partition is optimal for the full-depth LP
+// too (an inactive bound can be dropped from a convex program) and is
+// accepted; otherwise exactly the source partitions whose bound is tight
+// are finished and the LP re-solved — every such round finishes at least
+// one more partition, so there are at most P of them. An infeasible solve
+// finishes everything, so ε escalates only on the full-depth LP's
+// verdict. The accepted flows have the full-depth stage's ε and
+// objective, and every pool prefix the mover consumes is the full
+// layering's. Formulations go through the engine's reused arena, so a
+// steady-state stage allocates nothing building its LP. The returned
+// counters are filled on every path; completion time goes to
+// Stats.LayerTime.
+func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (StageStats, bool, error) {
+	var st StageStats
+	for eps := 1.0; eps <= e.opt.epsMax(); eps++ {
+		for {
+			m, err := e.balArena.FormulateTol(lay.Delta, sizes, targets, eps, e.opt.Tolerance)
+			if err != nil {
+				return st, false, err
+			}
+			flows, sol, err := balance.SolveInto(ctx, m, e.opt.solver(), e.flowBuf)
+			if flows != nil {
+				e.flowBuf = flows // keep the grown backing array for the next stage
+			}
+			if err != nil {
+				return st, false, err
+			}
+			st.LPSolves++
+			var parts []int32
+			if sol.Status != lp.Optimal {
+				parts = e.lay.All()
+			} else {
+				parts = e.deepen[:0]
+				for _, f := range flows {
+					if !lay.Done(f.From) && f.Amount == lay.Delta[f.From][f.To] {
+						parts = append(parts, f.From)
+					}
+				}
+				e.deepen = parts
+				if len(parts) == 0 {
+					st.Epsilon, st.LPPivots = eps, sol.Iterations
+					st.LPVars, st.LPCons = lp.DenseSize(m.Prob)
+					st.Moved, err = balance.Apply(a, lay, flows)
+					return st, err == nil, err
 				}
 			}
+			tD := time.Now()
+			n, err := e.lay.Complete(ctx, parts)
+			e.stats.LayerTime += time.Since(tD)
+			if err != nil {
+				return st, false, err
+			}
+			st.Deepened += n
+			if n == 0 {
+				break // infeasible at full depth: relax further
+			}
 		}
-		return StageStats{
-			Epsilon:  eps,
-			Moved:    moved,
-			LPVars:   vars,
-			LPCons:   cons,
-			LPPivots: sol.Iterations,
-			MaxDelta: maxDelta,
-		}, true, nil
 	}
-	return StageStats{}, false, nil
+	return st, false, nil
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed

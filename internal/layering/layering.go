@@ -8,18 +8,36 @@
 // mover exactly which vertices realize a flow with the least damage to
 // partition shape.
 //
-// There is one kernel, Scratch.LayerSeeded: it runs over a caller-owned
-// CSR snapshot, examines only a seed list (any superset of the boundary)
-// for level-0 membership, and reuses every buffer across calls so
-// steady-state layering allocates nothing. Layer is the one-shot wrapper
-// that snapshots the graph and seeds with every live vertex.
+// # Layering on demand
+//
+// There is one kernel with two entry steps, both over a caller-owned CSR
+// snapshot and a Scratch whose buffers are reused across calls (steady
+// state allocates nothing). Scratch.Rim is the level-0 pass for every
+// partition: it examines only a seed list (any superset of the boundary),
+// labels the rim and counts δ₀. Scratch.Complete finishes chosen
+// partitions: the level-synchronous BFS of Figure 3 run from their rims
+// only, δ updated as levels join. A partition's BFS never leaves it and a
+// level-ℓ label never depends on a deeper level, so after any sequence of
+// steps every label, level and δ row of a finished partition — and every
+// rim label — is exactly the full layering's, δ of an unfinished
+// partition is a lower bound with the same nonzero pairs (interior labels
+// are inherited from the rim), and Pool(i,j) is an exact prefix of the
+// full pool. LayerSeeded is Rim followed by Complete of every partition;
+// Layer is the one-shot wrapper that snapshots the graph and seeds with
+// every live vertex. The engine's balance stage solves its LP on the rim
+// bounds and finishes only the partitions whose bound the optimum
+// touches.
+//
+// Pools are ordered lazily, one pair at a time, the first time Pool(i,j)
+// is asked for: only then are the pair's attachments (edges into the
+// label partition) counted and its levels sorted, so no step scans the
+// whole graph or sorts a vertex no flow will move.
 //
 // # Sharding and determinism
 //
-// Figure 3 is level-synchronous, so the kernel is sharded: vertex work is
-// split into contiguous shards (arc-balanced over the CSR for the
-// attachment scan, count-balanced for seed, frontier and sort lists),
-// every worker owns a private arena (layerWorker) and the join merges
+// Figure 3 is level-synchronous, so the kernel is sharded: seed and
+// frontier lists are split into contiguous count-balanced shards, every
+// worker owns a private arena (layerWorker) and the join merges
 // per-worker output in shard order. The worker count is a parameter of
 // that one path — par.Workers gates each region on its size, and one
 // shard runs inline on the calling goroutine. Determinism is structural,
@@ -29,14 +47,15 @@
 // stamps — decides membership (deterministic) rather than values. The
 // produced Result is therefore bit-identical for every worker count and
 // every seed order, a property the engine fuzzes
-// (FuzzParallelEquivalence) and the tests check against a naive
-// Figure-3 reference.
+// (FuzzParallelEquivalence) and the tests here check against a naive
+// Figure-3 reference (FuzzLayerOnDemand).
 package layering
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
@@ -44,26 +63,90 @@ import (
 	"repro/internal/partition"
 )
 
-// Result is the full layering of a partitioned graph.
+// Result is the layering of a partitioned graph: complete after
+// LayerSeeded, and after Rim complete only for the partitions Complete
+// has finished since (Done).
 type Result struct {
 	P int
-	// Label[v] is the closest foreign partition of v, or −1 when v is dead
-	// or cannot reach its partition's boundary.
+	// Label[v] is the closest foreign partition of v, or −1 when v is dead,
+	// cannot reach its partition's boundary, or lies in the interior of an
+	// unfinished partition.
 	Label []int32
 	// Level[v] is v's BFS distance from the boundary with Label[v]
 	// (0 = on the boundary), or −1 when Label[v] is −1.
 	Level []int32
 	// Delta[i][j] is δ(i,j): how many vertices of partition i are labeled
-	// with partition j.
+	// with partition j — so far, when partition i is unfinished.
 	Delta [][]int
-	// pools[i][j] lists partition i's vertices labeled j in increasing
-	// level order (boundary first), the order the balance mover consumes.
-	pools [][][]graph.Vertex
+	// pools[i][j] lists partition i's vertices labeled j in discovery
+	// order (levels never decrease along it); its first ordered[i*P+j]
+	// entries are already in pool order.
+	pools   [][][]graph.Vertex
+	ordered []int32
+	done    []bool
+	// The snapshot and assignment the labels describe: Pool counts
+	// attachments against them.
+	c    *graph.CSR
+	a    *partition.Assignment
+	keys []poolKey
 }
 
-// Pool returns partition i's vertices labeled j, boundary-first. The
-// returned slice is owned by the Result and must not be modified.
-func (r *Result) Pool(i, j int32) []graph.Vertex { return r.pools[i][j] }
+// poolKey is one pool entry with its sort key.
+type poolKey struct {
+	level, att int32
+	v          graph.Vertex
+}
+
+// Done reports whether partition i is finished: labeled to full depth.
+func (r *Result) Done(i int32) bool { return r.done[i] }
+
+// Pool returns partition i's vertices labeled j (so far, when i is
+// unfinished) in (level, attachment descending, id) order: vertices
+// closer to the boundary move first, and within a level those with the
+// most edges into the destination partition — realizing a flow this way
+// peels coherent boundary bands instead of scattering moves, which keeps
+// the cut low across repeated repartitionings. The order is established
+// on the first call per pair, counting attachments under the assignment
+// as it is then: a caller that moves vertices must ask for every pool it
+// will consume before the first move (balance.Apply does). The returned
+// slice is owned by the Result and must not be modified.
+func (r *Result) Pool(i, j int32) []graph.Vertex {
+	pool := r.pools[i][j]
+	if k := &r.ordered[int(i)*r.P+int(j)]; int(*k) < len(pool) {
+		// Complete appends only levels deeper than any already ordered, so
+		// the tail sorts on its own.
+		r.order(pool[*k:], j)
+		*k = int32(len(pool))
+	}
+	return pool
+}
+
+// order sorts vs, all labeled lab, into pool order.
+func (r *Result) order(vs []graph.Vertex, lab int32) {
+	keys := r.keys[:0]
+	for _, v := range vs {
+		var att int32
+		for _, u := range r.c.Row(v) {
+			if r.a.Part[u] == lab {
+				att++
+			}
+		}
+		keys = append(keys, poolKey{level: r.Level[v], att: att, v: v})
+	}
+	slices.SortFunc(keys, func(x, y poolKey) int {
+		if x.level != y.level {
+			return cmp.Compare(x.level, y.level)
+		}
+		if x.att != y.att {
+			return cmp.Compare(y.att, x.att)
+		}
+		return cmp.Compare(x.v, y.v)
+	})
+	for k, key := range keys {
+		vs[k] = key.v
+	}
+	r.keys = keys[:0]
+}
 
 // Neighbors returns the partitions j with δ(i,j) > 0, in increasing order.
 func (r *Result) Neighbors(i int32) []int32 {
@@ -79,34 +162,31 @@ func (r *Result) Neighbors(i int32) []int32 {
 // Scratch holds the reusable state of the layering kernel. The zero value
 // is ready to use; buffers grow to the largest graph seen and are then
 // reused, so repeated layering of a stable-size graph allocates nothing.
-// The Result returned by LayerSeeded is owned by the Scratch and is
-// invalidated by the next call.
+// The Result returned by Rim and LayerSeeded is owned by the Scratch,
+// extended in place by Complete and invalidated by the next Rim or
+// LayerSeeded; until then it keeps the snapshot and the assignment it
+// was given.
 //
-// Procs is the worker count the level-0 scan, each BFS level expansion,
-// the attachment scan and the per-level pool sorts shard over (<= 1: one
-// shard, run inline). Group, when non-nil, is the shared fork-join
-// executor to run regions on (the engine passes its own so per-worker
-// busy times roll up across kernels); nil uses a private one.
+// Procs is the worker count the level-0 scan and each BFS level expansion
+// shard over (<= 1: one shard, run inline). Group, when non-nil, is the
+// shared fork-join executor to run regions on (the engine passes its own
+// so per-worker busy times roll up across kernels); nil uses a private
+// one.
 type Scratch struct {
 	Procs int
 	Group *par.Group
 
 	res      Result
-	byLevel  [][]graph.Vertex
-	att      []int32
 	ownGroup par.Group
 	ws       []layerWorker
 	stamps   par.Stamps
 	seedBuf  []graph.Vertex
 	frontier []graph.Vertex
 	nextBuf  []graph.Vertex
-	mergeBuf []graph.Vertex
-	runEnds  []int
+	parts    []int32
 	shards   []par.Range
 	lz       levelZeroTask
 	lv       levelTask
-	at       attTask
-	srt      sortTask
 }
 
 // candLab is one claimed BFS candidate and its computed label.
@@ -115,34 +195,15 @@ type candLab struct {
 	lab int32
 }
 
-// layerWorker is one worker's private arena: label-count scratch,
-// frontier/candidate output buffers and a sorter for shard sorts. All
-// grow to the largest call seen and are then reused.
+// layerWorker is one worker's private arena: label-count scratch and
+// frontier/candidate output buffers. All grow to the largest call seen
+// and are then reused.
 type layerWorker struct {
 	counts   []int
 	touched  []int32
 	frontier []graph.Vertex
 	cands    []candLab
-	sorter   poolSorter
 }
-
-// poolSorter orders one level's vertices by attachment (descending) then
-// id — a total order, so the pool layout is independent of discovery
-// order. It is a reused sort.Interface so the sort costs no per-call
-// closure or swapper allocation.
-type poolSorter struct {
-	vs  []graph.Vertex
-	att []int32
-}
-
-func (s *poolSorter) Len() int { return len(s.vs) }
-func (s *poolSorter) Less(i, j int) bool {
-	if s.att[s.vs[i]] != s.att[s.vs[j]] {
-		return s.att[s.vs[i]] > s.att[s.vs[j]]
-	}
-	return s.vs[i] < s.vs[j]
-}
-func (s *poolSorter) Swap(i, j int) { s.vs[i], s.vs[j] = s.vs[j], s.vs[i] }
 
 // bestLabel picks the winning label from a non-empty candidate list:
 // the most-counted entry of touched, ties toward the smaller partition
@@ -162,8 +223,8 @@ func bestLabel(counts []int, touched []int32) int32 {
 	return best
 }
 
-// Layer runs the layering algorithm over a fresh snapshot of g, seeded
-// with every live vertex. Every live vertex must be assigned.
+// Layer runs the layering algorithm to full depth over a fresh snapshot
+// of g, seeded with every live vertex. Every live vertex must be assigned.
 func Layer(g *graph.Graph, a *partition.Assignment) (*Result, error) {
 	var s Scratch
 	return s.LayerSeeded(context.Background(), g.ToCSR(), a, g.Vertices())
@@ -181,29 +242,24 @@ func (s *Scratch) grow(n, p int) *Result {
 	}
 	if cap(r.Delta) < p {
 		r.Delta = make([][]int, p)
-	}
-	r.Delta = r.Delta[:p]
-	if cap(r.pools) < p {
 		r.pools = make([][][]graph.Vertex, p)
+		r.done = make([]bool, p)
 	}
-	r.pools = r.pools[:p]
+	r.Delta, r.pools, r.done = r.Delta[:p], r.pools[:p], r.done[:p]
+	r.ordered = growInt32(r.ordered, p*p)
+	clear(r.ordered)
+	clear(r.done)
 	for i := 0; i < p; i++ {
 		if cap(r.Delta[i]) < p {
 			r.Delta[i] = make([]int, p)
-		}
-		r.Delta[i] = r.Delta[i][:p]
-		for j := range r.Delta[i] {
-			r.Delta[i][j] = 0
-		}
-		if cap(r.pools[i]) < p {
 			r.pools[i] = make([][]graph.Vertex, p)
 		}
-		r.pools[i] = r.pools[i][:p]
+		r.Delta[i], r.pools[i] = r.Delta[i][:p], r.pools[i][:p]
+		clear(r.Delta[i])
 		for j := range r.pools[i] {
 			r.pools[i][j] = r.pools[i][j][:0]
 		}
 	}
-	s.att = growInt32(s.att, n)
 	s.stamps.Grow(n)
 	return r
 }
@@ -234,38 +290,57 @@ func (s *Scratch) fork(t par.Task) {
 	g.Run(len(s.shards), t)
 }
 
-// clearTasks drops the snapshot/assignment/seed pointers the reusable
-// task structs captured for the last call's regions, so a long-lived
-// scratch never pins a caller's dropped Assignment or CSR in memory.
-func (s *Scratch) clearTasks() {
-	s.lz = levelZeroTask{}
-	s.lv = levelTask{}
-	s.at = attTask{}
-	s.srt = sortTask{}
+// enter records v, just labeled, in its pair's pool and in δ.
+func (r *Result) enter(v graph.Vertex) {
+	i, j := r.a.Part[v], r.Label[v]
+	r.pools[i][j] = append(r.pools[i][j], v)
+	r.Delta[i][j]++
 }
 
-// LayerSeeded runs the layering kernel over a CSR snapshot, which must
-// reflect the graph the assignment covers. Only the seed vertices are
-// examined for level-0 membership, so the level-0 pass costs
+// LayerSeeded runs the kernel to full depth — Rim, then Complete of every
+// partition — under Rim's snapshot and seed contract. The context is
+// polled once per BFS level (the natural yield point of the
+// level-synchronous traversal); a done context aborts with an error
+// matching cancel.ErrCanceled and leaves the Scratch reusable.
+func (s *Scratch) LayerSeeded(ctx context.Context, c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) (*Result, error) {
+	r, err := s.Rim(c, a, seeds)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.Complete(ctx, s.All()); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// All lists every partition of the current Result, for Complete. The
+// slice is owned by the Scratch.
+func (s *Scratch) All() []int32 {
+	s.parts = s.parts[:0]
+	for i := 0; i < s.res.P; i++ {
+		s.parts = append(s.parts, int32(i))
+	}
+	return s.parts
+}
+
+// Rim is the level-0 step for every partition over a CSR snapshot, which
+// must reflect the graph the assignment covers: each boundary vertex is
+// labeled with the foreign partition it touches most and δ counts the
+// rim. Only the seed vertices are examined, so the pass costs
 // O(Σ deg(seed)) instead of a full scan of every arc: seeds must contain
 // every live vertex with at least one foreign neighbor (extra or
 // duplicate vertices are harmless), and the result then depends on the
-// graph and the assignment alone. The context is polled once per BFS
-// level (the natural yield point of the level-synchronous traversal); a
-// done context aborts with an error matching cancel.ErrCanceled and
-// leaves the Scratch reusable.
-func (s *Scratch) LayerSeeded(ctx context.Context, c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) (*Result, error) {
+// graph and the assignment alone.
+func (s *Scratch) Rim(c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) (*Result, error) {
 	if err := a.ValidateCSR(c); err != nil {
 		return nil, fmt.Errorf("layering: %w", err)
 	}
-	n := c.Order()
-	r := s.grow(n, a.P)
-	defer s.clearTasks()
+	r := s.grow(c.Order(), a.P)
+	r.c, r.a = c, a
 
-	// Level 0. The seed list is deduped first (a sharded pass must own
-	// each vertex exactly once), then sharded by count. Workers classify
-	// boundary vertices into private frontier buffers, merged in shard
-	// order.
+	// The seed list is deduped first (a sharded pass must own each vertex
+	// exactly once), then sharded by count. Workers classify boundary
+	// vertices into private frontier buffers, entered in shard order.
 	s.stamps.Next()
 	buf := s.seedBuf[:0]
 	for _, v := range seeds {
@@ -275,58 +350,67 @@ func (s *Scratch) LayerSeeded(ctx context.Context, c *graph.CSR, a *partition.As
 	}
 	s.seedBuf = buf
 	s.shards = par.Split(s.shards[:0], len(buf), par.Workers(s.Procs, len(buf), parLevelMin))
-	s.lz = levelZeroTask{s: s, c: c, a: a}
+	s.lz = levelZeroTask{s}
 	s.fork(&s.lz)
-	frontier := s.frontier[:0]
 	for w := range s.shards {
-		frontier = append(frontier, s.ws[w].frontier...)
+		for _, v := range s.ws[w].frontier {
+			r.enter(v)
+		}
 	}
+	return r, nil
+}
 
-	// Interior levels: workers shard the frontier, claim undiscovered
-	// same-partition neighbors through the atomic stamp, and compute
-	// each claimed vertex's label immediately — the label inputs are
-	// the completed level-ℓ labeling, which nothing writes during the
-	// region. The join then applies the labels and concatenates the
-	// next frontier in worker order. Which worker wins a claim decides
-	// only the frontier's order, and no Result field depends on that.
-	s.stamps.Next() // fresh generation: seed-dedup stamps must not mask claims
+// Complete finishes the listed partitions of the current Result (those
+// not finished yet) and returns how many that was: Figure 3's interior
+// levels, run from their rims only. Workers shard the frontier, claim
+// undiscovered same-partition neighbors through the atomic stamp, and
+// compute each claimed vertex's label immediately — the label inputs are
+// the completed level-ℓ labeling, which nothing writes during the region.
+// The join then applies the labels, enters them in pools and δ, and
+// concatenates the next frontier in worker order. Which worker wins a
+// claim decides only discovery order, and no Result field depends on
+// that. A canceled call leaves the Result unusable and the Scratch ready
+// for the next Rim.
+func (s *Scratch) Complete(ctx context.Context, parts []int32) (int, error) {
+	r := &s.res
+	frontier, finished := s.frontier[:0], 0
+	for _, i := range parts {
+		if r.done[i] {
+			continue
+		}
+		r.done[i] = true
+		finished++
+		for _, pool := range r.pools[i] { // an unfinished partition holds its rim only
+			frontier = append(frontier, pool...)
+		}
+	}
+	s.stamps.Next() // fresh generation: earlier marks must not mask claims
 	next := s.nextBuf[:0]
-	level := int32(0)
-	for len(frontier) > 0 {
-		if err := cancel.Check(ctx, "layering BFS"); err != nil {
-			// Hand the grown buffers back before aborting so the
-			// Scratch stays reusable after a canceled run.
-			s.frontier = frontier[:0]
-			s.nextBuf = next[:0]
-			return nil, err
+	var err error
+	for level := int32(0); len(frontier) > 0; level++ {
+		if err = cancel.Check(ctx, "layering BFS"); err != nil {
+			break
 		}
 		// A deep narrow layering must not pay a fork-join per ring:
 		// small frontiers are one shard.
 		s.shards = par.Split(s.shards[:0], len(frontier), par.Workers(s.Procs, len(frontier), parLevelMin))
-		s.lv = levelTask{s: s, c: c, a: a, frontier: frontier, level: level}
+		s.lv = levelTask{s: s, frontier: frontier, level: level}
 		s.fork(&s.lv)
 		next = next[:0]
 		for w := range s.shards {
 			for _, cl := range s.ws[w].cands {
 				r.Label[cl.v] = cl.lab
 				r.Level[cl.v] = level + 1
+				r.enter(cl.v)
 				next = append(next, cl.v)
 			}
 		}
 		frontier, next = next, frontier
-		level++
 	}
+	// Hand the grown buffers back (also on abort).
 	s.frontier = frontier[:0]
 	s.nextBuf = next[:0]
-
-	// Edges from v into its label partition, for the pool ordering:
-	// sharded by arc count.
-	s.shards = c.Shards(s.shards[:0], par.Workers(s.Procs, n, parOrderMin))
-	s.at = attTask{s: s, c: c, a: a}
-	s.fork(&s.at)
-
-	s.buildPools(c, a)
-	return r, nil
+	return finished, err
 }
 
 // levelZeroTask classifies one shard of the deduped seed list: a live
@@ -334,15 +418,12 @@ func (s *Scratch) LayerSeeded(ctx context.Context, c *graph.CSR, a *partition.As
 // most (ties toward the smaller partition id) at level 0 and joins the
 // worker's frontier. Each seed is owned by exactly one worker, so the
 // Label/Level writes are race-free.
-type levelZeroTask struct {
-	s *Scratch
-	c *graph.CSR
-	a *partition.Assignment
-}
+type levelZeroTask struct{ s *Scratch }
 
 func (t *levelZeroTask) Do(w int) {
-	s, c, a := t.s, t.c, t.a
+	s := t.s
 	r := &s.res
+	c, a := r.c, r.a
 	ws := &s.ws[w]
 	ws.frontier = ws.frontier[:0]
 	counts := ws.counts
@@ -375,8 +456,6 @@ func (t *levelZeroTask) Do(w int) {
 // levelTask expands one shard of the current frontier.
 type levelTask struct {
 	s        *Scratch
-	c        *graph.CSR
-	a        *partition.Assignment
 	frontier []graph.Vertex
 	level    int32
 }
@@ -386,14 +465,15 @@ func (t *levelTask) Do(w int) {
 	ws := &s.ws[w]
 	ws.cands = ws.cands[:0]
 	r := &s.res
+	part := r.a.Part
 	sh := s.shards[w]
 	for _, v := range t.frontier[sh.Lo:sh.Hi] {
-		pv := t.a.Part[v]
-		for _, u := range t.c.Row(v) {
-			if t.a.Part[u] != pv || r.Label[u] >= 0 || !s.stamps.Claim(u) {
+		pv := part[v]
+		for _, u := range r.c.Row(v) {
+			if part[u] != pv || r.Label[u] >= 0 || !s.stamps.Claim(u) {
 				continue
 			}
-			if lab := s.labelFor(ws, t.c, t.a, u, t.level); lab >= 0 {
+			if lab := s.labelFor(ws, u, t.level); lab >= 0 {
 				ws.cands = append(ws.cands, candLab{v: u, lab: lab})
 			}
 		}
@@ -405,13 +485,14 @@ func (t *levelTask) Do(w int) {
 // neighbors, ties toward the smaller partition id. It returns -1 when u
 // has no support at that level, which cannot happen for a genuinely
 // discovered candidate.
-func (s *Scratch) labelFor(ws *layerWorker, c *graph.CSR, a *partition.Assignment, u graph.Vertex, level int32) int32 {
+func (s *Scratch) labelFor(ws *layerWorker, u graph.Vertex, level int32) int32 {
 	r := &s.res
-	pu := a.Part[u]
+	part := r.a.Part
+	pu := part[u]
 	counts := ws.counts
 	touched := ws.touched[:0]
-	for _, nb := range c.Row(u) {
-		if a.Part[nb] != pu {
+	for _, nb := range r.c.Row(u) {
+		if part[nb] != pu {
 			continue
 		}
 		if r.Label[nb] >= 0 && r.Level[nb] == level {
@@ -429,173 +510,11 @@ func (s *Scratch) labelFor(ws *layerWorker, c *graph.CSR, a *partition.Assignmen
 	return bestLabel(counts, touched)
 }
 
-// attTask fills one vertex-range shard of the attachment array (edges
-// from v into its label partition). Reads the completed labeling only;
-// writes att[v] within the worker's own range.
-type attTask struct {
-	s *Scratch
-	c *graph.CSR
-	a *partition.Assignment
-}
-
-func (t *attTask) Do(w int) {
-	s := t.s
-	r := &s.res
-	sh := s.shards[w]
-	for v := sh.Lo; v < sh.Hi; v++ {
-		lab := r.Label[v]
-		if lab < 0 {
-			continue
-		}
-		var cnt int32
-		for _, u := range t.c.Row(graph.Vertex(v)) {
-			if t.a.Part[u] == lab {
-				cnt++
-			}
-		}
-		s.att[v] = cnt
-	}
-}
-
-// The fork thresholds below depend only on input size, so the worker
-// count never changes which regions fork for a given input — and every
-// shard count produces the same Result anyway.
-
-// parSortMin is the level size below which a shard-sort is not worth
-// the fork-join.
-const parSortMin = 256
-
 // parLevelMin is the seed/frontier size below which level work runs as
-// one shard.
+// one shard. It depends only on input size, so the worker count never
+// changes which regions fork for a given input — and every shard count
+// produces the same Result anyway.
 const parLevelMin = 48
-
-// parOrderMin is the snapshot order below which the attachment scan
-// runs as one shard — mirroring the engine's parBoundaryMin so a small
-// graph never pays fork-join overhead on any region at the default
-// parallelism.
-const parOrderMin = 256
-
-// buildPools fills Delta and the per-pair pools from the completed
-// labeling, in (level, attachment, vertex-id) order: vertices closer to
-// the boundary move first, and within a level the vertices with the
-// most edges into their destination partition move first — realizing a
-// flow this way peels coherent boundary bands instead of scattering
-// moves, which keeps the cut low across repeated repartitionings. The
-// attachment array s.att must already be computed.
-func (s *Scratch) buildPools(c *graph.CSR, a *partition.Assignment) {
-	r := &s.res
-	n := c.Order()
-	maxLevel := int32(-1)
-	for v := 0; v < n; v++ {
-		if r.Level[v] > maxLevel {
-			maxLevel = r.Level[v]
-		}
-	}
-	if cap(s.byLevel) < int(maxLevel+1) {
-		old := s.byLevel
-		s.byLevel = make([][]graph.Vertex, maxLevel+1)
-		copy(s.byLevel, old)
-	}
-	byLevel := s.byLevel[:maxLevel+1]
-	for l := range byLevel {
-		byLevel[l] = byLevel[l][:0]
-	}
-	for v := 0; v < n; v++ {
-		if l := r.Level[v]; l >= 0 {
-			byLevel[l] = append(byLevel[l], graph.Vertex(v))
-		}
-	}
-	for l, vs := range byLevel {
-		s.sortLevel(vs)
-		for _, v := range vs {
-			i, j := a.Part[v], r.Label[v]
-			r.pools[i][j] = append(r.pools[i][j], v)
-			r.Delta[i][j]++
-		}
-		byLevel[l] = vs[:0]
-	}
-}
-
-// sortTask sorts one contiguous shard of a level in place.
-type sortTask struct {
-	s  *Scratch
-	vs []graph.Vertex
-}
-
-func (t *sortTask) Do(w int) {
-	sh := t.s.shards[w]
-	ws := &t.s.ws[w]
-	ws.sorter.vs, ws.sorter.att = t.vs[sh.Lo:sh.Hi], t.s.att
-	sort.Sort(&ws.sorter)
-	ws.sorter.vs, ws.sorter.att = nil, nil
-}
-
-// sortLevel sorts vs into pool order (attachment descending, id
-// ascending) in place: concurrent shard-sorts followed by sequential
-// pairwise merge passes — none when the level is one shard. The
-// comparator is a total order over distinct ids, so the outcome is the
-// unique sorted permutation however the level was sharded.
-func (s *Scratch) sortLevel(vs []graph.Vertex) {
-	s.shards = par.Split(s.shards[:0], len(vs), par.Workers(s.Procs, len(vs), parSortMin))
-	s.srt = sortTask{s: s, vs: vs}
-	s.fork(&s.srt)
-	if len(s.shards) == 1 {
-		return
-	}
-
-	ends := s.runEnds[:0]
-	for _, sh := range s.shards {
-		ends = append(ends, sh.Hi)
-	}
-	if cap(s.mergeBuf) < len(vs) {
-		s.mergeBuf = make([]graph.Vertex, len(vs))
-	}
-	src, dst := vs, s.mergeBuf[:len(vs)]
-	for len(ends) > 1 {
-		lo, k := 0, 0
-		for i := 0; i+1 < len(ends); i += 2 {
-			s.mergeRuns(dst, src, lo, ends[i], ends[i+1])
-			lo = ends[i+1]
-			ends[k] = ends[i+1]
-			k++
-		}
-		if len(ends)%2 == 1 {
-			hi := ends[len(ends)-1]
-			copy(dst[lo:hi], src[lo:hi])
-			ends[k] = hi
-			k++
-		}
-		ends = ends[:k]
-		src, dst = dst, src
-	}
-	s.runEnds = ends[:0]
-	if &src[0] != &vs[0] {
-		copy(vs, src)
-	}
-}
-
-// mergeRuns merges the sorted runs src[lo:mid] and src[mid:hi] into
-// dst[lo:hi] under the pool order.
-func (s *Scratch) mergeRuns(dst, src []graph.Vertex, lo, mid, hi int) {
-	att := s.att
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		switch {
-		case i >= mid:
-			dst[k] = src[j]
-			j++
-		case j >= hi:
-			dst[k] = src[i]
-			i++
-		case att[src[i]] > att[src[j]] || (att[src[i]] == att[src[j]] && src[i] < src[j]):
-			dst[k] = src[i]
-			i++
-		default:
-			dst[k] = src[j]
-			j++
-		}
-	}
-}
 
 // Validate checks internal consistency of a layering against its graph
 // and assignment; it is used by tests and the property suite.

@@ -305,8 +305,8 @@ func TestLayerCanceledMidBFS(t *testing.T) {
 // refLayering is the naive reference's output: labels and levels of the
 // labeled vertices, and the ordered pool of each (partition, label) pair.
 type refLayering struct {
-	label, level map[graph.Vertex]int32
-	pools        map[[2]int32][]graph.Vertex
+	Label, Level map[graph.Vertex]int32
+	Pools        map[[2]int32][]graph.Vertex
 }
 
 // figure3 is the paper's Figure 3 written as a specification over the
@@ -318,9 +318,9 @@ type refLayering struct {
 // then edges into the label partition descending, then id ascending.
 func figure3(g *graph.Graph, a *partition.Assignment) refLayering {
 	r := refLayering{
-		label: map[graph.Vertex]int32{},
-		level: map[graph.Vertex]int32{},
-		pools: map[[2]int32][]graph.Vertex{},
+		Label: map[graph.Vertex]int32{},
+		Level: map[graph.Vertex]int32{},
+		Pools: map[[2]int32][]graph.Vertex{},
 	}
 	mostCommon := func(counts map[int32]int) int32 {
 		best := int32(-1)
@@ -334,7 +334,7 @@ func figure3(g *graph.Graph, a *partition.Assignment) refLayering {
 	for l := int32(0); ; l++ {
 		found := map[graph.Vertex]int32{}
 		for _, v := range g.Vertices() {
-			if _, done := r.label[v]; done {
+			if _, done := r.Label[v]; done {
 				continue
 			}
 			counts := map[int32]int{}
@@ -342,8 +342,8 @@ func figure3(g *graph.Graph, a *partition.Assignment) refLayering {
 				if l == 0 && a.Part[u] != a.Part[v] {
 					counts[a.Part[u]]++
 				}
-				if lu, ok := r.level[u]; l > 0 && a.Part[u] == a.Part[v] && ok && lu == l-1 {
-					counts[r.label[u]]++
+				if lu, ok := r.Level[u]; l > 0 && a.Part[u] == a.Part[v] && ok && lu == l-1 {
+					counts[r.Label[u]]++
 				}
 			}
 			if len(counts) > 0 {
@@ -354,27 +354,27 @@ func figure3(g *graph.Graph, a *partition.Assignment) refLayering {
 			break
 		}
 		for v, lab := range found {
-			r.label[v], r.level[v] = lab, l
+			r.Label[v], r.Level[v] = lab, l
 		}
 	}
 	att := func(v graph.Vertex) int {
 		n := 0
 		for _, u := range g.Neighbors(v) {
-			if a.Part[u] == r.label[v] {
+			if a.Part[u] == r.Label[v] {
 				n++
 			}
 		}
 		return n
 	}
-	for v, lab := range r.label {
+	for v, lab := range r.Label {
 		k := [2]int32{a.Part[v], lab}
-		r.pools[k] = append(r.pools[k], v)
+		r.Pools[k] = append(r.Pools[k], v)
 	}
-	for _, pool := range r.pools {
+	for _, pool := range r.Pools {
 		sort.Slice(pool, func(i, j int) bool {
 			x, y := pool[i], pool[j]
-			if r.level[x] != r.level[y] {
-				return r.level[x] < r.level[y]
+			if r.Level[x] != r.Level[y] {
+				return r.Level[x] < r.Level[y]
 			}
 			if att(x) != att(y) {
 				return att(x) > att(y)
@@ -391,8 +391,8 @@ func requireMatchesFigure3(t *testing.T, tag string, got *Result, want refLayeri
 	t.Helper()
 	for v := 0; v < n; v++ {
 		lab, lev := int32(-1), int32(-1)
-		if l, ok := want.label[graph.Vertex(v)]; ok {
-			lab, lev = l, want.level[graph.Vertex(v)]
+		if l, ok := want.Label[graph.Vertex(v)]; ok {
+			lab, lev = l, want.Level[graph.Vertex(v)]
 		}
 		if got.Label[v] != lab || got.Level[v] != lev {
 			t.Fatalf("%s: vertex %d has (label, level) = (%d, %d), reference (%d, %d)", tag, v, got.Label[v], got.Level[v], lab, lev)
@@ -400,7 +400,7 @@ func requireMatchesFigure3(t *testing.T, tag string, got *Result, want refLayeri
 	}
 	for i := int32(0); i < int32(p); i++ {
 		for j := int32(0); j < int32(p); j++ {
-			pool := want.pools[[2]int32{i, j}]
+			pool := want.Pools[[2]int32{i, j}]
 			if got.Delta[i][j] != len(pool) {
 				t.Fatalf("%s: δ(%d,%d) = %d, reference %d", tag, i, j, got.Delta[i][j], len(pool))
 			}

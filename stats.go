@@ -9,8 +9,9 @@ import (
 
 // PhaseTimings is the per-phase wall-clock breakdown of one Repartition
 // call: phase 1 nearest-partition assignment, phase 2 boundary layering
-// (summed over balancing stages), phase 3 LP balancing (formulate +
-// solve + move, summed over stages), and phase 4 refinement. Under
+// (every stage's rim pass plus the partitions its balance LP asked to
+// have finished), phase 3 LP balancing (formulate + solve + move, summed
+// over stages), and phase 4 refinement. Under
 // [WithMultilevel], Coarsen (hierarchy update plus coarsest solve) and
 // Uncoarsen (projection plus per-level refinement) cover the V-cycle
 // legs run between assignment and balancing; both are zero otherwise,
@@ -66,6 +67,19 @@ type Stats struct {
 	// They are the per-solve decomposition of LPIterations.
 	StagePivots []int
 	RoundPivots []int
+	// StageDeepened and StageLPSolves say, per balancing stage in stage
+	// order, why the stage cost what it did. Layering is on demand: a
+	// stage labels only the rim of every partition, solves the balance LP
+	// on those bounds, and layers to full depth just the partitions whose
+	// bound the optimum touches (everything, before ε may escalate on an
+	// infeasible solve), re-solving after each deepening, so a stage
+	// solves at most one LP per partition it finishes plus one per ε
+	// tried. StageDeepened counts the partitions a stage finished
+	// (0 = the rim was enough; P = a full layering), StageLPSolves its LPs
+	// (StagePivots are the accepted solve's). The accepted flows have the
+	// full-depth LP's ε and objective either way.
+	StageDeepened []int
+	StageLPSolves []int
 	// RoundCuts is the cut weight after every applied refinement round,
 	// in round order (len == RefineRounds) — the cut-vs-round curve. It is
 	// the running value the refinement driver follows by exact per-move
@@ -86,7 +100,7 @@ type Stats struct {
 	Parallelism int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
-	// scans, pool sorts); index w is worker w. It is
+	// scans); index w is worker w. It is
 	// empty at one worker. Comparing the sum against Elapsed
 	// shows how much of the pipeline actually fanned out.
 	WorkerBusy []time.Duration
@@ -153,6 +167,8 @@ func (s *Stats) Clone() *Stats {
 	c := *s
 	c.EpsilonUsed = append([]float64(nil), s.EpsilonUsed...)
 	c.StagePivots = append([]int(nil), s.StagePivots...)
+	c.StageDeepened = append([]int(nil), s.StageDeepened...)
+	c.StageLPSolves = append([]int(nil), s.StageLPSolves...)
 	c.RoundPivots = append([]int(nil), s.RoundPivots...)
 	c.RoundCuts = append([]float64(nil), s.RoundCuts...)
 	c.WorkerBusy = append([]time.Duration(nil), s.WorkerBusy...)
@@ -167,10 +183,12 @@ func (s *Stats) Clone() *Stats {
 // [Engine] allocates nothing.
 func convertStatsInto(dst *Stats, st *core.Stats) {
 	eps := dst.EpsilonUsed[:0]
-	pivots := dst.StagePivots[:0]
+	pivots, deepened, solves := dst.StagePivots[:0], dst.StageDeepened[:0], dst.StageLPSolves[:0]
 	for _, sg := range st.Stages {
 		eps = append(eps, sg.Epsilon)
 		pivots = append(pivots, sg.LPPivots)
+		deepened = append(deepened, sg.Deepened)
+		solves = append(solves, sg.LPSolves)
 	}
 	rounds, cuts := dst.RoundPivots[:0], dst.RoundCuts[:0]
 	if st.Refine != nil {
@@ -184,6 +202,8 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		Stages:            len(st.Stages),
 		EpsilonUsed:       eps,
 		StagePivots:       pivots,
+		StageDeepened:     deepened,
+		StageLPSolves:     solves,
 		RoundPivots:       rounds,
 		RoundCuts:         cuts,
 		BalanceMoved:      st.BalanceMoved,
