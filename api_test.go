@@ -559,24 +559,31 @@ func TestPublicStatsClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cut-vs-round curve: one running cut per applied round, none
-	// below the cut refinement kept; the rounds themselves evaluate
-	// nothing, so a refined flat call reads at most three evaluations.
-	if st.RefineRounds == 0 || len(st.RoundCuts) != st.RefineRounds {
-		t.Fatalf("%d refinement rounds, RoundCuts %v", st.RefineRounds, st.RoundCuts)
+	// The cut-vs-round and cost-vs-round curves: one report and one move
+	// count per applied round, no cut below the one refinement kept, the
+	// moves summing to RefineMoved. A refined flat call reports CutBefore,
+	// on entry to refinement, after every round and once more to close.
+	if st.RefineRounds == 0 || len(st.RoundCuts) != st.RefineRounds || len(st.RoundMoved) != st.RefineRounds {
+		t.Fatalf("%d refinement rounds, RoundCuts %v, RoundMoved %v", st.RefineRounds, st.RoundCuts, st.RoundMoved)
 	}
+	moved := 0
 	for r, c := range st.RoundCuts {
 		if c < st.CutAfter.TotalWeight {
 			t.Fatalf("round %d cut %g below the kept cut %g", r+1, c, st.CutAfter.TotalWeight)
 		}
+		moved += st.RoundMoved[r]
 	}
-	if st.CutIncremental < 1 || st.CutIncremental+st.CutReused != 3 {
-		t.Fatalf("a refined flat call made %d cut evaluations and %d reuses, want 3 reports, ≥ 1 evaluated",
-			st.CutIncremental, st.CutReused)
+	if moved != st.RefineMoved {
+		t.Fatalf("RoundMoved %v sums to %d, RefineMoved %d", st.RoundMoved, moved, st.RefineMoved)
+	}
+	if st.CutIncremental < 1 || st.CutIncremental+st.CutReused != st.RefineRounds+3 {
+		t.Fatalf("a refined flat call of %d rounds made %d cut evaluations and %d reuses, want %d reports, ≥ 1 evaluated",
+			st.RefineRounds, st.CutIncremental, st.CutReused, st.RefineRounds+3)
 	}
 	clone := st.Clone()
 	eps := append([]float64(nil), clone.EpsilonUsed...)
 	roundCuts := append([]float64(nil), clone.RoundCuts...)
+	roundMoved := append([]int(nil), clone.RoundMoved...)
 	perPart := append([]float64(nil), clone.CutAfter.PerPart...)
 	cutAfter := clone.CutAfter.Total
 	// Overwrite the arena with a warm second call.
@@ -596,8 +603,8 @@ func TestPublicStatsClone(t *testing.T) {
 	if fmt.Sprint(clone.CutAfter.PerPart) != fmt.Sprint(perPart) {
 		t.Fatal("clone PerPart overwritten by the next call")
 	}
-	if fmt.Sprint(clone.RoundCuts) != fmt.Sprint(roundCuts) {
-		t.Fatal("clone RoundCuts overwritten by the next call")
+	if fmt.Sprint(clone.RoundCuts) != fmt.Sprint(roundCuts) || fmt.Sprint(clone.RoundMoved) != fmt.Sprint(roundMoved) {
+		t.Fatal("clone RoundCuts / RoundMoved overwritten by the next call")
 	}
 }
 

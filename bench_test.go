@@ -14,6 +14,7 @@ package igp
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -626,6 +627,46 @@ func BenchmarkEngine_GrowRepartition(b *testing.B) {
 	b.ReportMetric(float64(deepened)/float64(b.N), "deepened/op")
 	b.ReportMetric(float64(lps)/float64(b.N), "lp-solves/op")
 }
+
+// BenchmarkEngine_CutReport is the repo benchmark's meshB-smalledit op
+// reduced to what it consists of: a 16-edit size-preserving burst on mesh
+// B (untimed), then one Engine.Cut at P = 32 and one worker — the CSR
+// patch, the sync of the touched rows and one report summed from the
+// stored cut terms. boundary/op is the length of the list a report walks.
+func BenchmarkEngine_CutReport(b *testing.B) {
+	if testing.Short() {
+		b.Skip("mesh B (10k vertices) skipped in -short mode")
+	}
+	seq, part := meshGrowth()
+	g, a := seq.Base.Clone(), &partition.Assignment{Part: slices.Clone(part), P: 32}
+	eng := engine.New(g, engine.Options{Parallelism: 1})
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(1994))
+	boundary := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < 16; k++ {
+			v := graph.Vertex(rng.Intn(g.Order()))
+			if k%3 == 0 || g.Degree(v) == 0 {
+				g.SetVertexWeight(v, 1+rng.Float64())
+				continue
+			}
+			u := g.Neighbors(v)[rng.Intn(g.Degree(v))]
+			w, _ := g.EdgeWeight(v, u)
+			_ = g.RemoveEdge(v, u)
+			_ = g.AddEdge(v, u, w)
+		}
+		b.StartTimer()
+		cutSink = eng.Cut(a)
+		b.StopTimer()
+		boundary += len(eng.Boundary(a))
+	}
+	b.ReportMetric(float64(boundary)/float64(b.N), "boundary/op")
+}
+
+var cutSink partition.CutStats
 
 func BenchmarkPhase_BalanceLP(b *testing.B) {
 	prob := balanceLP(b)

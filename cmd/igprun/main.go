@@ -103,8 +103,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "igprun: v-cycle: skipped (balanced)")
 		}
 		if *verbose && len(st.RoundCuts) > 0 {
-			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g\n",
-				st.RoundCuts, st.CutAfter.TotalWeight)
+			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g; vertices moved per round %v\n",
+				st.RoundCuts, st.CutAfter.TotalWeight, st.RoundMoved)
 		}
 	default:
 		fail("unknown mode " + *mode)

@@ -202,6 +202,14 @@ func TestPublicAPIBatches(t *testing.T) {
 	if st.NewAssigned != 36 {
 		t.Fatalf("assigned %d, want 36", st.NewAssigned)
 	}
+	// The per-round curves are rolled up across the batches too.
+	moved := 0
+	for _, m := range st.RoundMoved {
+		moved += m
+	}
+	if len(st.RoundMoved) != st.RefineRounds || len(st.RoundCuts) != st.RefineRounds || moved != st.RefineMoved {
+		t.Fatalf("%d rounds moving %d: RoundMoved %v, RoundCuts %v", st.RefineRounds, st.RefineMoved, st.RoundMoved, st.RoundCuts)
+	}
 	if got := Imbalance(g, a); got > 1.05 {
 		t.Fatalf("imbalance %g", got)
 	}

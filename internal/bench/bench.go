@@ -525,7 +525,7 @@ type EditRow struct {
 // never enters a balancing stage and the measurement isolates exactly
 // the derived-state refresh the delta pipeline makes edit-proportional:
 // the journal-driven CSR patch, the incremental boundary/size sync and
-// the boundary-seeded cut reports.
+// the cut reports summed from the tracked per-vertex terms.
 func editBurst(g *graph.Graph, rng *rand.Rand, k int) {
 	n := g.Order()
 	for i := 0; i < k; i++ {

@@ -129,6 +129,7 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 				agg.Refine.Iterations += st.Refine.Iterations
 				agg.Refine.RoundPivots = append(agg.Refine.RoundPivots, st.Refine.RoundPivots...)
 				agg.Refine.RoundCuts = append(agg.Refine.RoundCuts, st.Refine.RoundCuts...)
+				agg.Refine.RoundMoved = append(agg.Refine.RoundMoved, st.Refine.RoundMoved...)
 				if st.Refine.LPVars > agg.Refine.LPVars {
 					agg.Refine.LPVars, agg.Refine.LPCons = st.Refine.LPVars, st.Refine.LPCons
 				}

@@ -86,14 +86,7 @@ type assignScratch struct {
 func (s *assignScratch) grow(n, workers int) {
 	s.stamps.Grow(n)
 	s.posStamps.Grow(n)
-	if cap(s.winner) < n {
-		s.winner = make([]int32, n)
-	}
-	s.winner = s.winner[:n]
-	if cap(s.posOf) < n {
-		s.posOf = make([]int32, n)
-	}
-	s.posOf = s.posOf[:n]
+	s.winner, s.posOf = par.Sized(s.winner, n), par.Sized(s.posOf, n)
 	for len(s.ws) < workers {
 		s.ws = append(s.ws, asgWorker{})
 	}

@@ -1,9 +1,10 @@
 // The engine's boundary maintenance: the from-scratch rebuild and the
 // incremental sync (journal pass + assignment-diff scan) that keep the
-// boundary set, the per-partition size counters, the pending-unassigned
-// set and the gains patch log exact. Both O(n) passes are split into
-// arc-balanced contiguous vertex shards run on the engine's fork-join
-// group — one shard, inline, at one worker or on a small graph. The
+// boundary set, the per-vertex cut terms, the per-partition size counters,
+// the pending-unassigned set and the gains patch log exact. Both O(n)
+// passes are split into arc-balanced contiguous vertex shards run on the
+// engine's fork-join group — one shard, inline, at one worker or on a
+// small graph. The
 // incremental sync claims every re-examined vertex through an atomic
 // compare-and-swap on the engine's recompute stamp, so each vertex's
 // verdicts are decided by exactly one worker, into its private lists.
@@ -156,8 +157,8 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	copy(e.prevPart[:n], a.Part[:n])
 }
 
-// rebuildTask scans one vertex-range shard for boundary membership,
-// size attribution and pending collection. Shards are disjoint, so
+// rebuildTask scans one vertex-range shard for boundary membership, cut
+// terms, size attribution and pending collection. Shards are disjoint, so
 // every per-vertex write is owned by exactly one worker.
 type rebuildTask struct {
 	e *Engine
@@ -169,7 +170,9 @@ func (t *rebuildTask) Do(w int) {
 	ws := &e.bws[w]
 	sh := e.shards[w]
 	for v := sh.Lo; v < sh.Hi; v++ {
-		if e.isBoundary(graph.Vertex(v), t.a) {
+		now, ext, n := e.rowTerm(graph.Vertex(v), t.a)
+		e.ext[v], e.extN[v] = ext, n
+		if now {
 			ws.add = append(ws.add, graph.Vertex(v))
 		}
 		want := e.attrOf(graph.Vertex(v), t.a)
@@ -230,10 +233,11 @@ func (t *diffTask) Do(w int) {
 	}
 }
 
-// recompute re-evaluates v's boundary membership, size attribution and
-// pending status into ws, at most once per sync: the stamp CAS admits
-// exactly one worker per vertex per sync, so the sizeAttr write is
-// race-free; the membership bits are only read (they hold the last sync's).
+// recompute re-evaluates v's boundary membership, cut term, size
+// attribution and pending status into ws, at most once per sync: the stamp
+// CAS admits exactly one worker per vertex per sync, so the sizeAttr and
+// term writes are race-free (nobody reads a term before the join); the
+// membership bits are only read (they hold the last sync's).
 func (e *Engine) recompute(ws *boundaryWorker, v graph.Vertex, a *partition.Assignment) {
 	if !e.stamps.Claim(v) {
 		return
@@ -241,7 +245,9 @@ func (e *Engine) recompute(ws *boundaryWorker, v graph.Vertex, a *partition.Assi
 	ws.examined = true
 	e.moveAttr(v, a, ws.psize)
 	e.collectPending(v, a, &ws.pend)
-	was, now := e.bnd.has(v), e.isBoundary(v, a)
+	was := e.bnd.has(v)
+	now, ext, n := e.rowTerm(v, a)
+	e.ext[v], e.extN[v] = ext, n
 	if e.gainsValid && (now || was) {
 		ws.seen = append(ws.seen, v)
 	}

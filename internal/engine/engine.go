@@ -32,12 +32,21 @@
 //     depth just the partitions whose bound the optimum touches
 //     (balanceStage); a pool is ordered when the mover first asks for it.
 //
-//   - Per-call bookkeeping costs what the call changed: partition sizes
-//     are read from the sync tracker, a cut report is evaluated once per
-//     distinct state and copied at O(P) until a sync rebuilds or
-//     re-examines a vertex (Stats.CutIncremental / Stats.CutReused), and
-//     inside a call — where the engine alone writes the assignment, and
-//     marks its writes — a sync that follows a sync skips the O(n) diff.
+//   - The cut is tracked state. The row scan that decides an examined
+//     vertex's boundary membership also yields its cut term — the weights
+//     of its arcs to assigned vertices of another partition, summed in row
+//     order, and their count — stored by the worker that owns the vertex
+//     and read only after the join. A vertex's term can change only when
+//     its row, its partition or a neighbour's partition does, which is
+//     exactly when sync re-examines it, so a cut report is one pass over
+//     the ascending boundary list adding stored terms (evalCut) — the very
+//     additions partition.Cut performs, in its order, so the two agree bit
+//     for bit on any float weights. Partition sizes are read from the same
+//     tracker, the last report is kept and copied at O(P) until a sync
+//     rebuilds or re-examines a vertex (Stats.CutIncremental /
+//     Stats.CutReused), and inside a call — where the engine alone writes
+//     the assignment, and marks its writes — a sync that follows a sync
+//     skips the O(n) diff.
 //
 //   - The refinement candidate pools are derived state of the same kind,
 //     kept from the first Gains call on: the vertices a sync re-examines
@@ -48,15 +57,15 @@
 //     rebuilds only the pair pools they entered or left
 //     (refine.Scratch.GainsPatched). A boundary rebuild, or a log longer
 //     than the boundary itself, falls back to the boundary-seeded scan.
-//     A refinement round therefore costs O(Σ deg(moved ∪ N(moved))): the
-//     driver follows the cut by delta (refine.Drive) and evaluates it only
-//     at its endpoints, the second of which is the call's CutAfter report.
+//     A refinement round therefore costs O(Σ deg(moved ∪ N(moved))) plus
+//     one report: the driver (refine.Drive) reads the cut after every round
+//     from the tracked terms, and its last report is the call's CutAfter.
 //
 // # Scratch reuse rules
 //
 // The layering result, the refinement candidate pools, the balance size
-// and target vectors, and the best-assignment snapshot used by the
-// refinement driver are all arenas owned by the engine. They are grown to
+// and target vectors and the refinement driver's move log are all arenas
+// owned by the engine. They are grown to
 // the largest graph seen and then reused: results returned by Layer and
 // Gains are valid only until the engine's next call. An Engine is not safe
 // for concurrent use; independent goroutines (e.g. simulated SPMD ranks)
@@ -247,12 +256,12 @@ type Stats struct {
 	// refresh rebuilt (first call, journal overflow, slot overflow, high
 	// churn, or Options.FullRefresh).
 	CSRPatched int
-	// CutIncremental counts the cutset evaluations this call performed
-	// over the maintained boundary set (cost proportional to the boundary,
-	// not partition.Cut's full arc rescan), CutReused the reports it copied
-	// at O(P) from the kept one: CutBefore, refinement's entry evaluation
-	// and CutAfter (shared with refinement's closing one) — together at
-	// most 3 per call; refinement rounds follow the cut by delta.
+	// CutIncremental counts the cut reports this call summed from the
+	// stored per-vertex terms over the maintained boundary list (no arc
+	// visited; partition.Cut rescans them all), CutReused the reports it
+	// copied at O(P) from the kept one. The reports are CutBefore, CutAfter
+	// when refinement is off, and refinement's: entry, one per applied
+	// round, and the closing one (CutAfter) when any round was applied.
 	CutIncremental int
 	CutReused      int
 	// V-cycle reporting (zero unless Options.Multilevel is enabled).
@@ -302,6 +311,7 @@ func (s *Stats) Clone() *Stats {
 		r := *s.Refine
 		r.RoundPivots = append([]int(nil), s.Refine.RoundPivots...)
 		r.RoundCuts = append([]float64(nil), s.Refine.RoundCuts...)
+		r.RoundMoved = append([]int(nil), s.Refine.RoundMoved...)
 		c.Refine = &r
 	}
 	return &c
@@ -358,12 +368,16 @@ type Engine struct {
 	// (exactly partition.SizesInto's definition), maintained through the
 	// same journal/diff re-examination that keeps the boundary exact;
 	// sizeAttr[v] is the partition v is currently counted under (-1 =
-	// none). Cut reports are evaluated over the boundary list
-	// (partition.CutSeededInto); cut keeps the last one, and cutValid holds
-	// until a sync rebuilds or re-examines a vertex.
+	// none). ext[v] and extN[v] are v's cut term as of that examination:
+	// the weights of its arcs to assigned vertices of another partition,
+	// summed in row order, and their count (see rowTerm). A cut report is a
+	// sum of the terms over the boundary list (evalCut); cut keeps the last
+	// one, and cutValid holds until a sync rebuilds or re-examines a vertex.
 	trackedP  int // partition count the tracker was built for
 	partSizes []int
 	sizeAttr  []int32
+	ext       []float64
+	extN      []int32
 	cut       partition.CutStats
 	cutValid  bool
 	cutPPB    []float64 // PerPart arena for Stats.CutBefore
@@ -402,7 +416,6 @@ type Engine struct {
 	refArena refine.LPArena
 	touchBuf []graph.Vertex
 	targets  []int
-	bestPart []int32
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
 	deepen   []int32        // partitions a stage is about to finish
 	stats    Stats          // reused result arena; see Repartition
@@ -543,11 +556,12 @@ func (e *Engine) Boundary(a *partition.Assignment) []graph.Vertex {
 
 // growTo readies the tracker arrays for an order-n graph.
 func (e *Engine) growTo(n int) {
-	for len(e.prevPart) < n {
-		e.prevPart = append(e.prevPart, neverSeen)
-	}
-	for len(e.sizeAttr) < n {
-		e.sizeAttr = append(e.sizeAttr, -1)
+	if old := len(e.prevPart); old < n {
+		e.prevPart, e.sizeAttr = par.Sized(e.prevPart, n), par.Sized(e.sizeAttr, n)
+		for v := old; v < n; v++ {
+			e.prevPart[v], e.sizeAttr[v] = neverSeen, -1
+		}
+		e.ext, e.extN = par.Sized(e.ext, n), par.Sized(e.extN, n)
 	}
 	e.bnd.grow(n)
 	e.pending.grow(n)
@@ -643,18 +657,29 @@ func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment, dst *[]
 	}
 }
 
-// isBoundary reports whether v is live with ≥1 foreign neighbor.
-func (e *Engine) isBoundary(v graph.Vertex, a *partition.Assignment) bool {
+// rowTerm is the one row scan a sync pays per examined vertex: it reports
+// whether v is a boundary vertex (live with ≥1 neighbor in another
+// partition) and v's cut term — the weights of its arcs to assigned
+// vertices of another partition, added in row order, and their count;
+// zero for a dead or unassigned v.
+func (e *Engine) rowTerm(v graph.Vertex, a *partition.Assignment) (boundary bool, ext float64, n int32) {
 	if !e.csr.Live[v] {
-		return false
+		return false, 0, 0
 	}
 	pv := a.Part[v]
-	for _, u := range e.csr.Row(v) {
-		if a.Part[u] != pv {
-			return true
+	ws := e.csr.RowWeights(v)
+	for i, u := range e.csr.Row(v) {
+		pu := a.Part[u]
+		if pu == pv {
+			continue
+		}
+		boundary = true
+		if pu >= 0 && pv >= 0 {
+			ext += ws[i]
+			n++
 		}
 	}
-	return false
+	return boundary, ext, n
 }
 
 // diffBlock is how many assignment slots nextMoved compares at a time:
@@ -682,16 +707,16 @@ func (e *Engine) nextMoved(a *partition.Assignment, lo, hi int) int {
 
 // cutStatsInto syncs and fills dst with the cutset statistics of the
 // synced state — bit-identical to partition.Cut(e.g, a), floats included:
-// evaluated over the boundary list at O(Σ deg(boundary)) (see
-// CutSeededInto) unless a report of this state is kept, then copied.
-// perPart is the engine-owned PerPart arena of the report slot.
+// summed from the stored terms (evalCut) unless a report of this state is
+// kept, then copied. perPart is the engine-owned PerPart arena of the
+// report slot.
 func (e *Engine) cutStatsInto(dst *partition.CutStats, perPart *[]float64, a *partition.Assignment) {
 	e.sync(a)
 	reused := e.cutValid
 	if reused {
 		e.cutReused++
 	} else {
-		partition.CutSeededInto(&e.cut, e.csr, a, e.bnd.list, e.partSizes)
+		e.evalCut(a)
 		e.cutValid = true
 		e.cutEvals++
 	}
@@ -701,6 +726,26 @@ func (e *Engine) cutStatsInto(dst *partition.CutStats, perPart *[]float64, a *pa
 	if e.inCall {
 		e.emit(Event{Kind: EventCut, Reused: reused})
 	}
+}
+
+// evalCut sums the stored cut terms over the ascending boundary list into
+// e.cut: O(boundary) loads, no arc is visited. A vertex outside the list
+// has a zero term and every listed vertex's term was written by the sync
+// that last examined it, so these are partition.Cut's additions in
+// partition.Cut's order.
+func (e *Engine) evalCut(a *partition.Assignment) {
+	perPart := par.Sized(e.cut.PerPart, a.P)
+	clear(perPart)
+	arcs, weight := 0, 0.0
+	for _, v := range e.bnd.list {
+		if pv := a.Part[v]; pv >= 0 {
+			perPart[pv] += e.ext[v]
+			weight += e.ext[v]
+			arcs += int(e.extN[v])
+		}
+	}
+	e.cut.PerPart = perPart
+	e.cut.Finish(arcs, weight, e.partSizes)
 }
 
 // Cut syncs and reports cutset statistics for the engine's graph under
@@ -924,7 +969,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}
 	if e.opt.FullRefresh {
 		st.CutAfter = partition.Cut(e.g, a)
-	} else if !opt.Refine { // else runRefine's closing evaluation was it
+	} else if !opt.Refine { // else runRefine's last report was it
 		e.cutStatsInto(&st.CutAfter, &e.cutPPA, a)
 	}
 	return st, nil
@@ -1006,26 +1051,25 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed
-// with the engine's patched candidate pools, formulating into the
-// engine's reused LP arena and keeping the best-seen assignment in the
-// engine's reused best-part arena. Drive evaluates the cut only at its
-// endpoints; the evaluator reports into the CutAfter slot, so the last
-// evaluation — made once the assignment Drive leaves behind is in place —
-// is the call's CutAfter report.
+// with the engine's patched candidate pools and formulating into the
+// engine's reused LP arena. Drive asks for the cut on entry, after every
+// applied round and for the assignment it leaves behind; each report goes
+// into the CutAfter slot, so the last one is the call's CutAfter. Drive
+// writes a — a round, a rollback — only between two reports, so the
+// evaluator is the one place that marks the write; the sync it pays after
+// a round is the one the next Gains then skips.
 func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) (*refine.Stats, error) {
 	opt.Arena = &e.refArena
 	if !e.opt.FullRefresh {
 		opt.CutWeight = func() float64 {
+			e.dirty = true
 			e.cutStatsInto(&e.stats.CutAfter, &e.cutPPA, a)
 			return e.stats.CutAfter.TotalWeight
 		}
 	}
-	st, best, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
-		c, err := e.Gains(a, strict)
-		e.dirty = true // Drive applies a round, or rolls rounds back, on these pools
-		return c, err
-	}, e.bestPart)
-	e.bestPart = best
+	st, _, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
+		return e.Gains(a, strict)
+	}, nil)
 	return st, err
 }
 

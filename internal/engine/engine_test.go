@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
@@ -67,6 +69,42 @@ func randomEdit(g *graph.Graph, a *partition.Assignment, rng *rand.Rand) {
 			a.Part[v] = int32(rng.Intn(a.P))
 		}
 	}
+}
+
+// fractionalWeights re-weighs every edge of g to a random non-integer, so
+// cut sums stress float equality: a different summation order shows.
+func fractionalWeights(g *graph.Graph, rng *rand.Rand) {
+	for v := 0; v < g.Order(); v++ {
+		for _, u := range append([]graph.Vertex(nil), g.Neighbors(graph.Vertex(v))...) {
+			if graph.Vertex(v) < u {
+				_ = g.RemoveEdge(graph.Vertex(v), u)
+				_ = g.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
+			}
+		}
+	}
+}
+
+// requireTrackedCut asserts, after a sync, everything the engine tracks
+// for the cut: the boundary list is the brute-force set, every listed
+// vertex's stored term equals a fresh scan of its row in the graph, and
+// the report equals the partition.Cut oracle bit for bit.
+func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partition.Assignment) {
+	t.Helper()
+	bnd := e.Boundary(a)
+	requireSameBoundary(t, bnd, bruteBoundary(g, a))
+	for _, v := range bnd {
+		ext, n, ws := 0.0, int32(0), g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if a.Part[v] >= 0 && a.Part[u] >= 0 && a.Part[u] != a.Part[v] {
+				ext += ws[i]
+				n++
+			}
+		}
+		if e.ext[v] != ext || e.extN[v] != n {
+			t.Fatalf("%s: vertex %d stores term (%g, %d), its row scans to (%g, %d)", ctx, v, e.ext[v], e.extN[v], ext, n)
+		}
+	}
+	sameCut(t, ctx, e.Cut(a), partition.Cut(g, a))
 }
 
 // bruteBoundary recomputes the boundary set directly from the graph.
@@ -554,9 +592,9 @@ func TestAssignMatchesOracle(t *testing.T) {
 }
 
 // sameCut requires two cut reports to agree exactly — floats included,
-// which the boundary-seeded computation guarantees by performing the
-// oracle's additions in the oracle's order.
-func sameCut(t *testing.T, ctx string, got, want partition.CutStats) {
+// which the tracked cut guarantees by performing the oracle's additions
+// in the oracle's order.
+func sameCut(t testing.TB, ctx string, got, want partition.CutStats) {
 	t.Helper()
 	if got.Total != want.Total || got.TotalWeight != want.TotalWeight ||
 		got.Max != want.Max || got.Min != want.Min {
@@ -574,22 +612,14 @@ func sameCut(t *testing.T, ctx string, got, want partition.CutStats) {
 	}
 }
 
-// TestIncrementalCutExact checks the boundary-seeded cut against the
-// brute-force partition.Cut oracle across random edit sequences, with
-// fractional edge weights so float equality is actually stressed.
+// TestIncrementalCutExact checks the tracked cut against the brute-force
+// partition.Cut oracle across random edit sequences, with fractional edge
+// weights so float equality is actually stressed.
 func TestIncrementalCutExact(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		g, a := editableGraph(t, 350, 7, 83)
 		rng := rand.New(rand.NewSource(89))
-		// Perturb edge weights so cut sums exercise non-integral floats.
-		for v := 0; v < g.Order(); v++ {
-			for _, u := range g.Neighbors(graph.Vertex(v)) {
-				if graph.Vertex(v) < u {
-					_ = g.RemoveEdge(graph.Vertex(v), u)
-					_ = g.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
-				}
-			}
-		}
+		fractionalWeights(g, rng)
 		e := New(g, Options{Parallelism: procs})
 		for iter := 0; iter < 120; iter++ {
 			for k := 0; k <= rng.Intn(4); k++ {
@@ -636,9 +666,15 @@ func TestFullRefreshEquivalence(t *testing.T) {
 		if step > 0 && stI.CSRPatched == 0 {
 			t.Fatalf("step %d: warm incremental engine never patched its snapshot", step)
 		}
-		if stI.CutIncremental == 0 || stI.CutIncremental+stI.CutReused > 3 {
-			t.Fatalf("step %d: an edited call made %d cut evaluations and %d reuses, want ≥ 1 and ≤ 3 reports",
-				step, stI.CutIncremental, stI.CutReused)
+		// CutBefore, refinement's entry report, one per applied round and —
+		// when any was applied — the closing one, which is CutAfter.
+		want := 2 + stI.Refine.Rounds
+		if stI.Refine.Rounds > 0 {
+			want++
+		}
+		if stI.CutIncremental == 0 || stI.CutIncremental+stI.CutReused != want {
+			t.Fatalf("step %d: an edited call of %d rounds made %d cut evaluations and %d reuses, want ≥ 1 and %d reports",
+				step, stI.Refine.Rounds, stI.CutIncremental, stI.CutReused, want)
 		}
 	}
 }
@@ -668,6 +704,46 @@ func TestSteadyStateCutAllocs(t *testing.T) {
 		if got := e.cutEvals - evals; got < 20 {
 			t.Fatalf("%d evaluations over 20 flipped states, want one each", got)
 		}
+	})
+}
+
+// smallEditBurst applies 16 size-preserving edits the way the repo
+// benchmark's meshB-smalledit op does: vertex-weight jitter and edge flips
+// (remove + re-add at the same weight).
+func smallEditBurst(g *graph.Graph, rng *rand.Rand) {
+	for i := 0; i < 16; i++ {
+		v := graph.Vertex(rng.Intn(g.Order()))
+		if i%3 == 0 || g.Degree(v) == 0 {
+			g.SetVertexWeight(v, 1+rng.Float64())
+			continue
+		}
+		u := g.Neighbors(v)[rng.Intn(g.Degree(v))]
+		w, _ := g.EdgeWeight(v, u)
+		_ = g.RemoveEdge(v, u)
+		_ = g.AddEdge(v, u, w)
+	}
+}
+
+// TestCutReportAfterBurstAllocs: absorbing a 16-edit burst and reporting
+// the cut — CSR patch, sync of the touched rows, one pass over the
+// boundary list — stays on the arenas of a warm engine, and every burst
+// is answered by a fresh sum of the stored terms, not by the kept report.
+func TestCutReportAfterBurstAllocs(t *testing.T) {
+	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+		rng := rand.New(rand.NewSource(16))
+		burst := func() {
+			smallEditBurst(g, rng)
+			_ = e.Cut(a)
+		}
+		burst()
+		evals := e.cutEvals
+		if allocs := testing.AllocsPerRun(20, burst); allocs > 0 {
+			t.Fatalf("a warm cut report after a 16-edit burst allocates %.1f objects/op, want 0", allocs)
+		}
+		if got := e.cutEvals - evals; got < 20 {
+			t.Fatalf("%d evaluations over 20 bursts, want one each", got)
+		}
+		sameCut(t, "after the bursts", e.Cut(a), partition.Cut(g, a))
 	})
 }
 
@@ -803,6 +879,44 @@ func TestKeptCutInvalidation(t *testing.T) {
 	}
 }
 
+// TestRefineRollbackIsReported: Drive rolls a regressing tail back after
+// its last report of the loop — when a cancellation stops it right after
+// a regressing round (seeds 17, 18: round 2 and round 1 regress) and when
+// the round cap does (seed 13 ends 49 → 50) — and that write must reach
+// the closing report: CutAfter is the oracle's cut of the assignment left
+// behind, which is the best one any round produced.
+func TestRefineRollbackIsReported(t *testing.T) {
+	for _, row := range []struct {
+		seed   int64
+		cancel bool
+	}{{17, true}, {18, true}, {13, false}} {
+		g, a := editableGraph(t, 300, 6, row.seed)
+		if _, err := New(g, Options{}).Repartition(context.Background(), a); err != nil {
+			t.Fatal(err) // balances, so the refined call below starts refining at once
+		}
+		ctx, stop := context.WithCancel(context.Background())
+		best, bestCut, last := append([]int32(nil), a.Part...), partition.Cut(g, a).TotalWeight, 0.0
+		e := New(g, Options{Refine: true, RefineOptions: refine.Options{OnRound: func(int, int) {
+			last = partition.Cut(g, a).TotalWeight
+			if last < bestCut {
+				bestCut = last
+				copy(best, a.Part)
+			} else if last > bestCut && row.cancel {
+				stop()
+			}
+		}}})
+		st, err := e.Repartition(ctx, a)
+		stop()
+		if row.cancel != errors.Is(err, cancel.ErrCanceled) || last <= bestCut {
+			t.Fatalf("seed %d: err %v, last round cut %g, best %g: the row no longer regresses", row.seed, err, last, bestCut)
+		}
+		sameCut(t, "CutAfter of a rolled-back refinement", st.CutAfter, partition.Cut(g, a))
+		if st.Refine.CutAfter != bestCut || !reflect.DeepEqual(a.Part, best) {
+			t.Fatalf("seed %d: refinement left cut %g, the best round had %g", row.seed, st.Refine.CutAfter, bestCut)
+		}
+	}
+}
+
 // TestStatsClone: the clone must deep-copy every arena-backed field and
 // survive the engine's next call unchanged.
 func TestStatsClone(t *testing.T) {
@@ -846,5 +960,8 @@ func TestStatsClone(t *testing.T) {
 	}
 	if clone.Refine != nil && st.Refine != nil && clone.Refine == st.Refine {
 		t.Fatal("clone shares the Refine pointer with the arena")
+	}
+	if r := st.Refine; r.Rounds > 0 && &clone.Refine.RoundMoved[0] == &r.RoundMoved[0] {
+		t.Fatal("clone shares RoundMoved with the original")
 	}
 }

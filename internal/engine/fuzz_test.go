@@ -11,29 +11,65 @@ import (
 	"repro/internal/refine"
 )
 
-// FuzzBoundaryExact is the fuzz form of the PR 1 boundary-exactness
-// test: random edit sequences against random geometric graphs, with the
-// incremental tracker (at a fuzzed worker count) checked against the
-// brute-force boundary, in strictly ascending order, after every burst.
+// FuzzBoundaryExact is the differential fuzz of everything sync tracks:
+// random edit sequences over fractionally weighted random geometric
+// graphs, at 1, 2, 4 and a fuzzed number of workers. After every burst —
+// whichever way the sync went: journal patch, journal-overflow rebuild,
+// SortAdjacency, a partition-count change, vertex deletion, vertices left
+// unassigned — the boundary list must be the brute-force set in strictly
+// ascending order, every listed vertex's stored cut term must equal a fresh
+// scan of its row, and Engine.Cut must equal partition.Cut bit for bit.
 func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0))
 	f.Add(int64(42), uint8(40), uint8(3))
 	f.Add(int64(7), uint8(25), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, edits uint8, procs uint8) {
-		workers := 1 + int(procs%8)
 		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin: forked and one-shard boundary passes both get fuzzed
 		p := 3 + int(uint64(seed)%4)
-		g, a := editableGraph(t, n, p, seed)
-		e := New(g, Options{Parallelism: workers})
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
-		for i := 0; i < int(edits); i++ {
-			randomEdit(g, a, rng)
-			if i%3 == 0 {
-				requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
+		g0, a0 := editableGraph(t, n, p, seed)
+		fractionalWeights(g0, rand.New(rand.NewSource(seed^0xf7ac)))
+		for _, workers := range []int{1, 2, 4, 1 + int(procs%8)} {
+			g, a := g0.Clone(), a0.Clone()
+			e := New(g, Options{Parallelism: workers})
+			rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+			requireTrackedCut(t, "cold", e, g, a)
+			for i := 0; i < int(edits); i++ {
+				switch k := rng.Intn(24); {
+				case k == 0: // overflow the journal: the next sync rebuilds
+					for j := 0; j < 1<<14+1; j++ {
+						g.SetVertexWeight(graph.Vertex(j%g.Order()), 1)
+					}
+				case k == 1: // reorders rows and drops the journal
+					g.SortAdjacency()
+				case k == 2: // one more (empty) partition, or the last one folded away
+					if a.P > 3 && rng.Intn(2) == 0 {
+						a.P--
+						for v := range a.Part {
+							if a.Part[v] == int32(a.P) {
+								a.Part[v] = 0
+							}
+						}
+					} else {
+						a.P++
+					}
+				case k < 6: // re-weigh an edge to another non-integer
+					u := graph.Vertex(rng.Intn(g.Order()))
+					if g.Alive(u) && g.Degree(u) > 0 {
+						v := g.Neighbors(u)[rng.Intn(g.Degree(u))]
+						_ = g.RemoveEdge(u, v)
+						_ = g.AddEdge(u, v, 0.1+rng.Float64())
+					}
+				case k < 12: // unassigned vertices, deletions that leave a stale slot
+					randomGrowthEdit(g, a, rng)
+				default:
+					randomEdit(g, a, rng)
+				}
+				if i%3 == 0 {
+					requireTrackedCut(t, "after a burst", e, g, a)
+				}
 			}
+			requireTrackedCut(t, "final", e, g, a)
 		}
-		requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
 	})
 }
 
@@ -231,8 +267,8 @@ func requireSameSnapshot(t *testing.T, got, want *graph.CSR) {
 // FuzzCSRPatchEquivalence is the delta-pipeline exactness fuzz: random
 // edit scripts drive a warm engine, and after every burst the
 // journal-patched CSR snapshot must match a fresh full rebuild and the
-// boundary-seeded incremental cut must match the brute-force
-// partition.Cut — floats included.
+// tracked cut must match the brute-force partition.Cut — floats
+// included.
 func FuzzCSRPatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0))
 	f.Add(int64(42), uint8(40), uint8(3))
@@ -246,18 +282,7 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x9a7c))
 		check := func() {
 			requireSameSnapshot(t, e.Snapshot(a), g.RebuildCSRInto(nil))
-			got, want := e.Cut(a), partition.Cut(g, a)
-			if got.Total != want.Total || got.TotalWeight != want.TotalWeight ||
-				got.Max != want.Max || got.Min != want.Min {
-				t.Fatalf("cut diverges: got {%d %g %g %g} want {%d %g %g %g}",
-					got.Total, got.TotalWeight, got.Max, got.Min,
-					want.Total, want.TotalWeight, want.Max, want.Min)
-			}
-			for q := range want.PerPart {
-				if got.PerPart[q] != want.PerPart[q] {
-					t.Fatalf("PerPart[%d] = %g, want %g", q, got.PerPart[q], want.PerPart[q])
-				}
-			}
+			sameCut(t, "tracked cut vs oracle", e.Cut(a), partition.Cut(g, a))
 		}
 		check()
 		for i := 0; i < int(edits); i++ {
@@ -365,9 +390,10 @@ func FuzzVCycleValidity(f *testing.F) {
 // fuzzed count, side by side) absorbs random edits, random balanced move
 // batches and the loose→strict switch, and after every step its Gains
 // must equal a fresh scan over the brute-force boundary — pools, order, B
-// and Gain, or fail when the scan does. Interleaved full IGPR calls check the cut the driver follows
-// by delta against partition.Cut after every applied round: exactly on
-// unit weights, to 1e-9 relative on the fractional weights frac turns on.
+// and Gain, or fail when the scan does. Interleaved full IGPR calls check
+// the cut the driver reads after every applied round, and the CutAfter it
+// leaves, against partition.Cut: bit for bit, on unit weights and on the
+// fractional weights frac turns on alike.
 func FuzzRefineIncremental(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0), false)
 	f.Add(int64(42), uint8(40), uint8(3), true)
@@ -379,14 +405,7 @@ func FuzzRefineIncremental(f *testing.F) {
 		g0, a0 := editableGraph(t, n, p, seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x6a17))
 		if frac {
-			for v := 0; v < g0.Order(); v++ {
-				for _, u := range append([]graph.Vertex(nil), g0.Neighbors(graph.Vertex(v))...) {
-					if graph.Vertex(v) < u {
-						_ = g0.RemoveEdge(graph.Vertex(v), u)
-						_ = g0.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
-					}
-				}
-			}
+			fractionalWeights(g0, rng)
 		}
 		for _, workers := range []int{1, 2 + int(procs%7)} {
 			g, a := g0.Clone(), a0.Clone()
@@ -446,14 +465,14 @@ func FuzzRefineIncremental(f *testing.F) {
 						t.Fatalf("workers=%d step %d: %d running cuts for %d rounds", workers, i, len(st.Refine.RoundCuts), len(exact))
 					}
 					for r, want := range exact {
-						got := st.Refine.RoundCuts[r]
-						if d := got - want; (!frac && d != 0) || d > 1e-9*want || d < -1e-9*want {
-							t.Fatalf("workers=%d step %d round %d: running cut %g, partition.Cut %g", workers, i, r+1, got, want)
+						if got := st.Refine.RoundCuts[r]; got != want {
+							t.Fatalf("workers=%d step %d round %d: reported cut %g, partition.Cut %g", workers, i, r+1, got, want)
 						}
 					}
-					if want := partition.Cut(g, a); st.CutAfter.TotalWeight != want.TotalWeight || st.Refine.CutAfter != want.TotalWeight {
-						t.Fatalf("workers=%d step %d: CutAfter %g / refine %g, partition.Cut %g",
-							workers, i, st.CutAfter.TotalWeight, st.Refine.CutAfter, want.TotalWeight)
+					want := partition.Cut(g, a)
+					sameCut(t, "CutAfter vs oracle", st.CutAfter, want)
+					if st.Refine.CutAfter != want.TotalWeight {
+						t.Fatalf("workers=%d step %d: refine CutAfter %g, partition.Cut %g", workers, i, st.Refine.CutAfter, want.TotalWeight)
 					}
 				}
 				checkGains(i, i%8 >= 4) // loose for four steps, strict for four

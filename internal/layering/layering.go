@@ -234,8 +234,8 @@ func Layer(g *graph.Graph, a *partition.Assignment) (*Result, error) {
 func (s *Scratch) grow(n, p int) *Result {
 	r := &s.res
 	r.P = p
-	r.Label = growInt32(r.Label, n)
-	r.Level = growInt32(r.Level, n)
+	r.Label = par.Sized(r.Label, n)
+	r.Level = par.Sized(r.Level, n)
 	for i := range r.Label[:n] {
 		r.Label[i] = -1
 		r.Level[i] = -1
@@ -246,7 +246,7 @@ func (s *Scratch) grow(n, p int) *Result {
 		r.done = make([]bool, p)
 	}
 	r.Delta, r.pools, r.done = r.Delta[:p], r.pools[:p], r.done[:p]
-	r.ordered = growInt32(r.ordered, p*p)
+	r.ordered = par.Sized(r.ordered, p*p)
 	clear(r.ordered)
 	clear(r.done)
 	for i := 0; i < p; i++ {
@@ -262,13 +262,6 @@ func (s *Scratch) grow(n, p int) *Result {
 	}
 	s.stamps.Grow(n)
 	return r
-}
-
-func growInt32(b []int32, n int) []int32 {
-	if cap(b) < n {
-		return make([]int32, n)
-	}
-	return b[:n]
 }
 
 // fork runs t once per shard of s.shards on the worker group (a single

@@ -113,6 +113,28 @@ func SplitByWeight(dst []Range, cum []int32, workers int) []Range {
 	return dst
 }
 
+// Sized returns s with length n and its content kept — how every arena
+// indexed by vertex follows the graph's order. A reallocation past 1024
+// slots rounds the capacity up to the next multiple of 1024, so an arena
+// behind a mesh that grows by a few vertices per call is re-made once per
+// 1024 of them instead of on every call, and never holds more than that
+// beyond what is used; a smaller one (a small graph, P-indexed scratch)
+// is made exact — re-making it costs nothing and spare slots would show
+// in the live heap. Slots past the old length read zero unless s was
+// longer before; callers that need another initial value fill them.
+func Sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	c := n
+	if n > 1024 {
+		c = (n + 1023) &^ 1023
+	}
+	grown := make([]T, n, c)
+	copy(grown, s)
+	return grown
+}
+
 // Stamps is a reusable generation-stamped marker set over a dense index
 // range — the claim/dedup primitive every sharded kernel in this
 // repository is built on. Advancing the generation (Next) invalidates
@@ -141,14 +163,8 @@ type Stamps struct {
 
 // Grow extends the slot range to cover indices [0, n).
 func (st *Stamps) Grow(n int) {
-	if cap(st.s) < n {
-		s := make([]uint32, n)
-		copy(s, st.s)
-		st.s = s
-		return
-	}
-	for len(st.s) < n {
-		st.s = append(st.s, 0)
+	if len(st.s) < n {
+		st.s = Sized(st.s, n)
 	}
 }
 

@@ -145,114 +145,56 @@ type CutStats struct {
 	Max, Min float64
 }
 
-// Cut computes cutset statistics for assignment a on graph g. Vertices
+// Cut computes cutset statistics for assignment a on graph g by a full
+// rescan — the brute-force oracle of the engine's tracked cut. Vertices
 // that are Unassigned (including any beyond the assignment's coverage)
 // contribute no cut edges.
+//
+// The summation order is part of the contract, because the engine
+// reproduces it bit for bit on arbitrary float weights: each assigned live
+// vertex's cut term — the weights of its arcs to assigned vertices of
+// another partition, added in row order — is added, in ascending vertex
+// order, to its partition's PerPart entry and to the total, and the total
+// (every cut edge seen from both ends) is halved at the end.
 func Cut(g *graph.Graph, a *Assignment) CutStats {
 	st := CutStats{PerPart: make([]float64, a.P)}
+	arcs, weight := 0, 0.0
 	for vi := 0; vi < g.Order(); vi++ {
 		v := graph.Vertex(vi)
-		if !g.Alive(v) {
-			continue
-		}
 		pv := a.Of(v)
-		if pv < 0 {
+		if pv < 0 || !g.Alive(v) {
 			continue
 		}
 		ws := g.EdgeWeights(v)
+		var term float64
 		for i, u := range g.Neighbors(v) {
-			pu := a.Of(u)
-			if pu < 0 || pu == pv {
-				continue
-			}
-			st.PerPart[pv] += ws[i]
-			if v < u {
-				st.Total++
-				st.TotalWeight += ws[i]
+			if pu := a.Of(u); pu >= 0 && pu != pv {
+				term += ws[i]
+				arcs++
 			}
 		}
+		st.PerPart[pv] += term
+		weight += term
 	}
-	st.Max = math.Inf(-1)
-	st.Min = math.Inf(1)
-	empty := true
-	sizes := a.Sizes(g)
-	for q := 0; q < a.P; q++ {
-		if sizes[q] == 0 {
-			continue
-		}
-		empty = false
-		if st.PerPart[q] > st.Max {
-			st.Max = st.PerPart[q]
-		}
-		if st.PerPart[q] < st.Min {
-			st.Min = st.PerPart[q]
-		}
-	}
-	if empty {
-		st.Max, st.Min = 0, 0
-	}
+	st.Finish(arcs, weight, a.Sizes(g))
 	return st
 }
 
-// CutSeededInto fills dst with cutset statistics computed from a
-// boundary seed set over a CSR snapshot, reusing dst.PerPart as the
-// PerPart arena (grown as needed). boundary must be sorted
-// ascending, duplicate-free, and contain every live vertex with at
-// least one neighbor in a different partition; sizes must hold each
-// partition's live assigned-vertex count (as SizesInto reports).
-//
-// The result — floats included — is bit-identical to Cut(g, a) for the
-// graph the snapshot reflects: vertices outside the boundary contribute
-// no terms to any accumulator, so iterating only the boundary in
-// ascending order performs exactly the additions Cut performs, in the
-// same order. The cost is O(Σ deg(boundary) + P) instead of O(n + m),
-// which is what makes the engine's incremental cut maintenance
-// edit-proportional; Cut itself remains the brute-force oracle.
-func CutSeededInto(dst *CutStats, c *graph.CSR, a *Assignment, boundary []graph.Vertex, sizes []int) {
-	perPart := dst.PerPart
-	if cap(perPart) < a.P {
-		perPart = make([]float64, a.P)
-	}
-	perPart = perPart[:a.P]
-	clear(perPart)
-	st := CutStats{PerPart: perPart}
-	for _, v := range boundary {
-		pv := a.Of(v)
-		if pv < 0 {
-			continue
-		}
-		ws := c.RowWeights(v)
-		for i, u := range c.Row(v) {
-			pu := a.Of(u)
-			if pu < 0 || pu == pv {
-				continue
-			}
-			st.PerPart[pv] += ws[i]
-			if v < u {
-				st.Total++
-				st.TotalWeight += ws[i]
-			}
+// Finish completes a report whose PerPart holds the summed per-vertex cut
+// terms: arcs and weight are the count and weight of cut arcs over all
+// vertices — every cut edge from both ends, so both are halved — and Max
+// and Min range over the partitions sizes says are non-empty.
+func (st *CutStats) Finish(arcs int, weight float64, sizes []int) {
+	st.Total, st.TotalWeight = arcs/2, weight/2
+	st.Max, st.Min = math.Inf(-1), math.Inf(1)
+	for q, c := range st.PerPart {
+		if sizes[q] > 0 {
+			st.Max, st.Min = max(st.Max, c), min(st.Min, c)
 		}
 	}
-	st.Max = math.Inf(-1)
-	st.Min = math.Inf(1)
-	empty := true
-	for q := 0; q < a.P; q++ {
-		if sizes[q] == 0 {
-			continue
-		}
-		empty = false
-		if st.PerPart[q] > st.Max {
-			st.Max = st.PerPart[q]
-		}
-		if st.PerPart[q] < st.Min {
-			st.Min = st.PerPart[q]
-		}
-	}
-	if empty {
+	if math.IsInf(st.Max, -1) {
 		st.Max, st.Min = 0, 0
 	}
-	*dst = st
 }
 
 // Imbalance returns max(weight)/mean(weight) over partitions; 1.0 is

@@ -104,6 +104,30 @@ func TestCutWeighted(t *testing.T) {
 	}
 }
 
+// TestCutSummationOrder pins the order the engine's tracked cut
+// reproduces: a vertex's cut arcs are summed in row order first, the
+// per-vertex terms then go to PerPart and the total in ascending vertex
+// order, and the total is halved — on weights whose sum depends on it.
+func TestCutSummationOrder(t *testing.T) {
+	g := graph.NewWithVertices(4)
+	w := []float64{0.1, 0.2, 0.3, 1e16}
+	_ = g.AddEdge(0, 1, w[0])
+	_ = g.AddEdge(0, 2, w[1])
+	_ = g.AddEdge(0, 3, w[2])
+	_ = g.AddEdge(1, 2, w[3])
+	a := &Assignment{Part: []int32{0, 1, 1, 1}, P: 2}
+	t0 := (w[0] + w[1]) + w[2] // vertex 0's row
+	total := ((t0 + w[0]) + w[1]) + w[2]
+	per1 := (w[0] + w[1]) + w[2]
+	st := Cut(g, a)
+	if st.Total != 3 || st.TotalWeight != total/2 || st.PerPart[0] != t0 || st.PerPart[1] != per1 {
+		t.Fatalf("cut {%d %v %v}, want {3 %v [%v %v]}", st.Total, st.TotalWeight, st.PerPart, total/2, t0, per1)
+	}
+	if st.Max != max(t0, per1) || st.Min != min(t0, per1) {
+		t.Fatalf("extremes %v/%v of %v", st.Max, st.Min, st.PerPart)
+	}
+}
+
 func TestImbalance(t *testing.T) {
 	g := graph.NewWithVertices(4)
 	a := New(4, 2)

@@ -160,10 +160,11 @@ func (s *Scratch) GainsPatched(c *graph.CSR, a *partition.Assignment, strict boo
 		}
 	}
 	// New vertex slots start unclassified.
-	for len(s.pair) < n {
-		s.pair = append(s.pair, -1)
-		s.cands.Gain = append(s.cands.Gain, 0)
-		s.stamp = append(s.stamp, 0)
+	if old := len(s.pair); old < n {
+		s.pair, s.cands.Gain, s.stamp = par.Sized(s.pair, n), par.Sized(s.cands.Gain, n), par.Sized(s.stamp, n)
+		for v := old; v < n; v++ {
+			s.pair[v], s.cands.Gain[v], s.stamp[v] = -1, 0, 0
+		}
 	}
 	return s.scan(c, a, strict, dirty), nil
 }
@@ -189,21 +190,12 @@ func (s *Scratch) reset(n, p int, strict bool) {
 			c.pools[i][j] = c.pools[i][j][:0]
 		}
 	}
-	c.Gain, s.pair, s.stamp = sized(c.Gain, n), sized(s.pair, n), sized(s.stamp, n)
+	c.Gain, s.pair, s.stamp = par.Sized(c.Gain, n), par.Sized(s.pair, n), par.Sized(s.stamp, n)
 	for v := range c.Gain {
 		c.Gain[v] = 0
 		s.pair[v] = -1
 	}
-	s.isStale = sized(s.isStale, p*p)
-}
-
-// sized returns s with length n, reallocating only when it must (the
-// content is then lost; callers overwrite or do not care).
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	s.isStale = par.Sized(s.isStale, p*p)
 }
 
 // scan classifies vs against the recorded classes and rebuilds the pools

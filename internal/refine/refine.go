@@ -14,12 +14,12 @@
 // partitions).
 //
 // A round costs what it moves (the FM gain-update rule): Apply logs the
-// vertices it moves with the partitions they left; Drive follows the cut
-// from that log by the exact change the moved vertices' arcs cause
-// (evaluating it only on entry and for the assignment it leaves behind)
-// and undoes a regressing tail by rolling the log back; and because only
-// the moved vertices and their neighbours can change class, the
-// candidate pools of the previous round are patched rather than rebuilt
+// vertices it moves with the partitions they left; Drive asks its cut
+// evaluator after every applied round — the engine's answers from cut
+// terms it keeps per vertex, re-scanning only the moved vertices and
+// their neighbours — and undoes a regressing tail by rolling the log
+// back; and because only those vertices can change class, the candidate
+// pools of the previous round are patched rather than rebuilt
 // (Scratch.GainsPatched; see gains.go) — with results identical to a
 // from-scratch scan's.
 package refine
@@ -135,7 +135,7 @@ func Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 
 // Apply moves the best-gain prefix of each pair's pool per the LP flows,
 // returning the number of vertices moved. The moves are logged in c (with
-// the partition each vertex left) for Drive's cut delta. A flow that is
+// the partition each vertex left) for Drive's rollback. A flow that is
 // fractional, negative or larger than its pool, or pools that share a
 // vertex, fail the whole round: on error nothing has moved.
 func Apply(a *partition.Assignment, c *Candidates, pairs [][2]int32, x []float64) (int, error) {
@@ -166,32 +166,6 @@ func Apply(a *partition.Assignment, c *Candidates, pairs [][2]int32, x []float64
 	return len(c.log), nil
 }
 
-// cutDelta returns the change in total cut weight caused by one round's
-// moves, exactly: every arc of a moved vertex is compared before and
-// after, an arc between two moved vertices once (at its lower endpoint).
-// prev is the assignment before the round — it differs from a exactly at
-// the moved vertices. The cost is O(Σ deg(moved)).
-func cutDelta(g *graph.Graph, a *partition.Assignment, prev []int32, moved []move) float64 {
-	var d float64
-	for _, m := range moved {
-		to := a.Part[m.v]
-		ws := g.EdgeWeights(m.v)
-		for k, u := range g.Neighbors(m.v) {
-			was, now := prev[u], a.Part[u]
-			if was != now && u < m.v {
-				continue
-			}
-			switch wasCut, isCut := was != m.from, now != to; {
-			case isCut && !wasCut:
-				d += ws[k]
-			case wasCut && !isCut:
-				d -= ws[k]
-			}
-		}
-	}
-	return d
-}
-
 // Options configures the iterative refinement driver.
 type Options struct {
 	// MaxRounds caps LP refinement rounds (0 = default 8).
@@ -213,10 +187,10 @@ type Options struct {
 	Arena *LPArena
 	// CutWeight, if non-nil, replaces partition.Cut(g, a).TotalWeight as
 	// the exact evaluator of the current assignment's cut weight (the
-	// engine supplies its boundary-seeded cut, which is bit-identical). The
-	// driver calls it for the endpoints only — on entry, and once more on
-	// exit when any round was applied, after the assignment it leaves
-	// behind is in place; between rounds the cut is a running value.
+	// engine supplies its tracked cut, which is bit-identical and costs
+	// what the round moved). The driver calls it on entry, after every
+	// applied round, and once more on exit when any round was applied,
+	// after the assignment it leaves behind is in place.
 	CutWeight func() float64
 }
 
@@ -248,13 +222,14 @@ func (o Options) ResolveSolver() lp.Solver {
 type Stats struct {
 	Rounds int
 	Moved  int
-	// CutBefore and CutAfter are exact evaluations of the cut weight on
-	// entry and of the assignment left behind.
-	CutBefore float64
-	CutAfter  float64
-	// RoundCuts is the cut weight after every applied round — the
-	// running value the driver keeps (exact on integer weights).
+	// CutBefore and CutAfter are the cut weight on entry and of the
+	// assignment left behind; RoundCuts is the cut weight after every
+	// applied round and RoundMoved the vertices that round moved — all
+	// exact evaluations.
+	CutBefore  float64
+	CutAfter   float64
 	RoundCuts  []float64
+	RoundMoved []int
 	LPVars     int // columns of the largest round's dense formulation
 	LPCons     int
 	Iterations int // total simplex pivots
@@ -281,26 +256,30 @@ func Refine(g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error
 // the best assignment seen behind.
 //
 // A round costs what it moves. Every applied move is appended to a log
-// (vertex, partition it left); the cut is evaluated on entry and followed
-// from there by the exact change each round's moves cause (cutDelta), and
-// a later round that regressed is undone by rolling the log back to the
-// best round instead of copying assignments. bestBuf, if non-nil, is
-// reused for the driver's O(n) scratch (the assignment before the current
-// round); the (possibly regrown) buffer is returned for the caller to
-// keep. g must not change while Drive runs.
+// (vertex, partition it left); the cut is evaluated on entry and after
+// every applied round (Options.CutWeight), and a later round that
+// regressed is undone by rolling the log back to the best round instead of
+// copying assignments. buf is not used: it is returned as it came, for the
+// one caller outside the repository's root module that still passes its
+// arena (benchmarks/harness, until ROADMAP item 1(a) may edit it). g must
+// not change while Drive runs.
 //
 // The context is polled before every round and inside the LP solve. An
 // abort rolls back to the best assignment seen so far, so a canceled
 // refinement still leaves a valid (and never-worse) partition behind.
-func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Options, gains func(strict bool) (*Candidates, error), bestBuf []int32) (*Stats, []int32, error) {
+func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Options, gains func(strict bool) (*Candidates, error), buf []int32) (*Stats, []int32, error) {
 	cutWeight := opt.CutWeight
 	if cutWeight == nil {
 		cutWeight = func() float64 { return partition.Cut(g, a).TotalWeight }
 	}
 	solver := opt.ResolveSolver()
-	st := &Stats{RoundCuts: make([]float64, 0, opt.Rounds())}
+	// One allocation backs both per-round curves up to the default cap.
+	curves := new(struct {
+		cuts  [8]float64
+		moved [8]int
+	})
+	st := &Stats{RoundCuts: curves.cuts[:0], RoundMoved: curves.moved[:0]}
 	st.CutBefore = cutWeight()
-	prev := append(bestBuf[:0], a.Part...)
 	var undo []move
 	if opt.Arena != nil {
 		undo = opt.Arena.undo[:0]
@@ -352,11 +331,9 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		if opt.OnRound != nil {
 			opt.OnRound(st.Rounds, moved)
 		}
-		cur += cutDelta(g, a, prev, cands.log)
+		cur = cutWeight()
 		st.RoundCuts = append(st.RoundCuts, cur)
-		for _, m := range cands.log {
-			prev[m.v] = a.Part[m.v]
-		}
+		st.RoundMoved = append(st.RoundMoved, moved)
 		undo = append(undo, cands.log...)
 		if cur < bestCut {
 			bestCut, bestLen = cur, len(undo)
@@ -377,5 +354,5 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	if st.Rounds > 0 {
 		st.CutAfter = cutWeight()
 	}
-	return st, prev, abort
+	return st, buf, abort
 }

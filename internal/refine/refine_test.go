@@ -287,11 +287,11 @@ func TestDriveRejectsFractionalRound(t *testing.T) {
 	}
 }
 
-// TestDriveRunningCutExact: the cut Drive follows by delta must equal
-// the full evaluation after every applied round, and a regressing tail
-// must be rolled back to the best round — on random assignments of
-// unit-weight grids (exact) and of fractionally weighted graphs (to
-// rounding).
+// TestDriveRunningCutExact: RoundCuts must equal the full evaluation
+// after every applied round, RoundMoved must account for every move, and
+// a regressing tail must be rolled back to the best round — on random
+// assignments of unit-weight grids and of fractionally weighted graphs,
+// bit for bit on both.
 func TestDriveRunningCutExact(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -322,21 +322,18 @@ func TestDriveRunningCutExact(t *testing.T) {
 		if len(st.RoundCuts) != st.Rounds || len(exact) != st.Rounds {
 			t.Fatalf("seed %d: %d rounds, %d running cuts, %d evaluations", seed, st.Rounds, len(st.RoundCuts), len(exact))
 		}
-		best := st.CutBefore
+		best, moved := st.CutBefore, 0
 		for i, want := range exact {
-			got := st.RoundCuts[i]
-			if frac {
-				if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
-					t.Fatalf("seed %d round %d: running cut %g, evaluated %g", seed, i+1, got, want)
-				}
-			} else if got != want {
+			if got := st.RoundCuts[i]; got != want {
 				t.Fatalf("seed %d round %d: running cut %g, evaluated %g", seed, i+1, got, want)
 			}
-			if !frac && want < best {
-				best = want
-			}
+			best = min(best, want)
+			moved += st.RoundMoved[i]
 		}
-		if after := partition.Cut(g, a).TotalWeight; st.CutAfter != after || (!frac && after != best) {
+		if len(st.RoundMoved) != st.Rounds || moved != st.Moved {
+			t.Fatalf("seed %d: RoundMoved %v over %d rounds sums to %d, Moved %d", seed, st.RoundMoved, st.Rounds, moved, st.Moved)
+		}
+		if after := partition.Cut(g, a).TotalWeight; st.CutAfter != after || after != best {
 			t.Fatalf("seed %d: CutAfter %g, assignment evaluates to %g, best round %g", seed, st.CutAfter, after, best)
 		}
 	}
@@ -394,20 +391,6 @@ func TestGainsPatchedMatchesSeeded(t *testing.T) {
 			t.Fatalf("procs=%d: patching an empty scratch must fail", procs)
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestLPArenaFormulateMatchesOneShot: the arena-backed refinement LP

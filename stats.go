@@ -80,12 +80,13 @@ type Stats struct {
 	// full-depth LP's ε and objective either way.
 	StageDeepened []int
 	StageLPSolves []int
-	// RoundCuts is the cut weight after every applied refinement round,
-	// in round order (len == RefineRounds) — the cut-vs-round curve. It is
-	// the running value the refinement driver follows by exact per-move
-	// deltas (equal to a full evaluation on integer edge weights, to
-	// rounding otherwise); CutBefore/CutAfter are full evaluations.
-	RoundCuts []float64
+	// RoundCuts is the cut weight after every applied refinement round and
+	// RoundMoved the vertices that round moved, in round order (len ==
+	// RefineRounds; RoundMoved sums to RefineMoved) — the cut-vs-round and
+	// cost-vs-round curves. Every entry is an exact report of the engine's
+	// tracked cut, like CutBefore/CutAfter, whatever the edge weights.
+	RoundCuts  []float64
+	RoundMoved []int
 	// CutBefore and CutAfter report cutset quality around balancing and
 	// refinement.
 	CutBefore, CutAfter CutStats
@@ -147,14 +148,14 @@ type Stats struct {
 	// BalanceMoved/RefineMoved count the fine polish separately).
 	CoarseMoved   int
 	VCycleRefined int
-	// CutIncremental counts the cutset evaluations this call performed
-	// over the maintained partition-boundary set (cost proportional to the
-	// boundary, bit-identical to the full rescan) and CutReused the cut
-	// reports it copied, at O(P), from the last evaluation because nothing
-	// they depend on had changed. The reports are CutBefore, CutAfter and,
-	// under [WithRefine], the evaluation refinement starts from, so the
-	// two sum to at most 3 per call; a call that moves no vertex evaluates
-	// at most once. Refinement rounds follow the cut by delta (RoundCuts).
+	// CutIncremental counts the cut reports this call summed from the
+	// engine's tracked per-vertex cut terms — one pass over the maintained
+	// partition-boundary list, no arc visited, bit-identical to the full
+	// rescan — and CutReused the reports it copied, at O(P), from the last
+	// one because nothing they depend on had been re-examined. The reports
+	// are CutBefore and CutAfter and, under [WithRefine], one on entry to
+	// refinement, one after every applied round (RoundCuts) and the closing
+	// one, which is CutAfter; a call that moves no vertex sums at most once.
 	CutIncremental int
 	CutReused      int
 }
@@ -171,6 +172,7 @@ func (s *Stats) Clone() *Stats {
 	c.StageLPSolves = append([]int(nil), s.StageLPSolves...)
 	c.RoundPivots = append([]int(nil), s.RoundPivots...)
 	c.RoundCuts = append([]float64(nil), s.RoundCuts...)
+	c.RoundMoved = append([]int(nil), s.RoundMoved...)
 	c.WorkerBusy = append([]time.Duration(nil), s.WorkerBusy...)
 	c.Levels = append([]LevelStats(nil), s.Levels...)
 	c.CutBefore.PerPart = append([]float64(nil), s.CutBefore.PerPart...)
@@ -190,10 +192,11 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		deepened = append(deepened, sg.Deepened)
 		solves = append(solves, sg.LPSolves)
 	}
-	rounds, cuts := dst.RoundPivots[:0], dst.RoundCuts[:0]
+	rounds, cuts, moves := dst.RoundPivots[:0], dst.RoundCuts[:0], dst.RoundMoved[:0]
 	if st.Refine != nil {
 		rounds = append(rounds, st.Refine.RoundPivots...)
 		cuts = append(cuts, st.Refine.RoundCuts...)
+		moves = append(moves, st.Refine.RoundMoved...)
 	}
 	busy := append(dst.WorkerBusy[:0], st.WorkerBusy...)
 	levels := append(dst.Levels[:0], st.Levels...)
@@ -206,6 +209,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		StageLPSolves:     solves,
 		RoundPivots:       rounds,
 		RoundCuts:         cuts,
+		RoundMoved:        moves,
 		BalanceMoved:      st.BalanceMoved,
 		LPIterations:      st.LPIterations,
 		Parallelism:       st.Parallelism,
