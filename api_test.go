@@ -410,21 +410,32 @@ func TestPhaseTimingsSumToElapsed(t *testing.T) {
 	}
 }
 
-// countingSolver wraps the bounded simplex, counting solves — the
-// "drop-in out-of-tree solver" the registry seam exists for.
-type countingSolver struct{ calls *atomic.Int64 }
+// countingSolver wraps the network simplex, counting solves and the
+// shapes of the problems it is handed — the "drop-in out-of-tree solver"
+// the registry seam exists for.
+type countingSolver struct{ *lpRecord }
+
+// lpRecord counts solves, problems with a row that is not an equality,
+// and problems with zero-cost columns (a tolerance's slack arcs).
+type lpRecord struct{ calls, notEQ, ranged atomic.Int64 }
 
 func (s countingSolver) Name() string { return "test-counting" }
 
 func (s countingSolver) Solve(ctx context.Context, p *LPProblem) (*LPSolution, error) {
 	s.calls.Add(1)
-	return lp.Bounded{}.Solve(ctx, p)
+	if slices.ContainsFunc(p.Cons, func(c LPConstraint) bool { return c.Rel != lp.EQ }) {
+		s.notEQ.Add(1)
+	}
+	if slices.Contains(p.Obj, 0) {
+		s.ranged.Add(1)
+	}
+	return lp.Network{}.Solve(ctx, p)
 }
 
-var countingCalls atomic.Int64
+var counted lpRecord
 
 func init() {
-	if err := RegisterSolver("test-counting", countingSolver{calls: &countingCalls}); err != nil {
+	if err := RegisterSolver("test-counting", countingSolver{&counted}); err != nil {
 		panic(err)
 	}
 }
@@ -442,10 +453,10 @@ func TestCustomSolverRegistry(t *testing.T) {
 	if !found {
 		t.Fatalf("registered solver missing from SolverNames: %v", SolverNames())
 	}
-	if err := RegisterSolver("test-counting", countingSolver{calls: &countingCalls}); err == nil {
+	if err := RegisterSolver("test-counting", countingSolver{&counted}); err == nil {
 		t.Fatal("duplicate registration must error")
 	}
-	if err := RegisterSolver("", countingSolver{calls: &countingCalls}); err == nil {
+	if err := RegisterSolver("", countingSolver{&counted}); err == nil {
 		t.Fatal("empty name must error")
 	}
 
@@ -454,11 +465,11 @@ func TestCustomSolverRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := countingCalls.Load()
+	before := counted.calls.Load()
 	if _, err := eng.Repartition(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	if got := countingCalls.Load() - before; got == 0 {
+	if got := counted.calls.Load() - before; got == 0 {
 		t.Fatal("custom solver was selected but never invoked")
 	}
 	if err := a.Validate(g); err != nil {
@@ -642,16 +653,18 @@ func TestStageCountersExplainTheStage(t *testing.T) {
 	}
 }
 
-// TestLPDelegated: under default options the "network" solver pivots
-// every LP the pipeline emits on the tree — flat with and without
-// refinement, and the V-cycle's coarsest solve plus fine polish — so
-// Stats.LPDelegated reads 0 while LPs are being solved. A balance
-// tolerance pairs every row into GE/LE, which is not a flow: those solves
-// go to the tableau delegate, are counted per call — summed over the
-// batches of a batched call — and still deliver a valid assignment
-// within the tolerance.
-func TestLPDelegated(t *testing.T) {
+// TestEveryLPIsAFlow: every LP the pipeline formulates is a min-cost
+// flow, so the "network" solver — which has no fallback and refuses
+// anything else — carries every configuration: flat with and without
+// refinement, the V-cycle's coarsest solve plus fine polish, and a
+// balance tolerance, whose ranged supplies are one slack arc per
+// partition (one-shot engine, batched, multilevel). A recording solver
+// sees equality rows only, network never errors, tolerance calls do hand
+// it slack columns, and they deliver a valid assignment within the
+// tolerance.
+func TestEveryLPIsAFlow(t *testing.T) {
 	ctx := context.Background()
+	notEQ, exactRanged := counted.notEQ.Load(), counted.ranged.Load()
 	grow := func(g *Graph, n int) {
 		prev := Vertex(0)
 		for i := 0; i < n; i++ {
@@ -662,11 +675,12 @@ func TestLPDelegated(t *testing.T) {
 			prev = v
 		}
 	}
+	recorded := WithSolver("test-counting")
 	for name, opts := range map[string][]Option{
-		"flat":              nil,
-		"flat+refine":       {WithRefine()},
-		"multilevel":        {WithMultilevel()},
-		"multilevel+refine": {WithMultilevel(), WithRefine()},
+		"flat":              {recorded},
+		"flat+refine":       {recorded, WithRefine()},
+		"multilevel":        {recorded, WithMultilevel()},
+		"multilevel+refine": {recorded, WithMultilevel(), WithRefine()},
 	} {
 		for _, p := range []int{4, 32} {
 			g, a := grownMesh(t, 900, p, 60, 5)
@@ -674,72 +688,54 @@ func TestLPDelegated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pivots := 0
+			calls, pivots := counted.calls.Load(), 0
 			for call := 0; call < 4; call++ {
 				st, err := eng.Repartition(ctx, a)
 				if err != nil {
 					t.Fatalf("%s P=%d call %d: %v", name, p, call, err)
 				}
-				if st.LPDelegated != 0 {
-					t.Fatalf("%s P=%d call %d: %d LP solves left the network path", name, p, call, st.LPDelegated)
-				}
 				pivots += st.LPIterations
 				grow(g, 25)
 			}
-			if pivots == 0 {
+			if pivots == 0 || counted.calls.Load() == calls {
 				t.Fatalf("%s P=%d: no LP pivoted; the check is vacuous", name, p)
 			}
 			eng.Close()
 		}
 	}
+	if n := counted.ranged.Load() - exactRanged; n != 0 {
+		t.Fatalf("%d exact-balance LPs carried a zero-cost column", n)
+	}
 
 	const tol = 2
-	g, a := grownMesh(t, 900, 8, 60, 5)
-	eng, err := NewEngine(g, WithTolerance(tol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	gb, ab := grownMesh(t, 900, 8, 60, 5)
-	var st *Stats
-	for _, in := range []struct {
-		name string
-		g    *Graph
-		a    *Assignment
-		run  func() (*Stats, error)
-	}{
-		{"batched", gb, ab, func() (*Stats, error) {
-			return Repartition(ctx, gb, ab, WithTolerance(tol), WithBatches(2), WithRefine())
-		}},
-		{"engine", g, a, func() (*Stats, error) { return eng.Repartition(ctx, a) }},
+	for name, opts := range map[string][]Option{
+		"engine":     nil,
+		"batched":    {WithBatches(2), WithRefine()},
+		"multilevel": {WithMultilevel()},
 	} {
-		if st, err = in.run(); err != nil {
-			t.Fatalf("%s: %v", in.name, err)
+		g, a := grownMesh(t, 900, 8, 60, 5)
+		ranged := counted.ranged.Load()
+		st, err := Repartition(ctx, g, a, append(opts, recorded, WithTolerance(tol))...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if st.LPDelegated == 0 || st.LPDelegated < st.Stages {
-			t.Fatalf("%s: tolerance LPs: LPDelegated = %d over %d stages, want every solve counted", in.name, st.LPDelegated, st.Stages)
+		if counted.ranged.Load() == ranged {
+			t.Fatalf("%s: no tolerance LP reached the solver", name)
 		}
 		if st.Parallelism == 0 || st.CutIncremental == 0 {
-			t.Fatalf("%s: Parallelism = %d, CutIncremental = %d: the call's counters were dropped", in.name, st.Parallelism, st.CutIncremental)
+			t.Fatalf("%s: Parallelism = %d, CutIncremental = %d: the call's counters were dropped", name, st.Parallelism, st.CutIncremental)
 		}
-		if err := in.a.Validate(in.g); err != nil {
-			t.Fatalf("%s: %v", in.name, err)
+		if err := a.Validate(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		targets := partition.Targets(in.g.NumVertices(), in.a.P)
-		for q, size := range in.a.Sizes(in.g) {
+		targets := partition.Targets(g.NumVertices(), a.P)
+		for q, size := range a.Sizes(g) {
 			if d := size - targets[q]; d < -tol || d > tol {
-				t.Fatalf("%s: partition %d has %d vertices, target %d ± %d", in.name, q, size, targets[q], tol)
+				t.Fatalf("%s: partition %d has %d vertices, target %d ± %d", name, q, size, targets[q], tol)
 			}
 		}
 	}
-	// The count is a per-call delta in the reused arena: a call with
-	// nothing to balance solves no LP and reads 0, and a clone keeps the
-	// first call's value.
-	clone := st.Clone()
-	if st, err = eng.Repartition(ctx, a); err != nil {
-		t.Fatal(err)
-	}
-	if st.LPDelegated != 0 || clone.LPDelegated == 0 {
-		t.Fatalf("LPDelegated is not a per-call delta: second call %d, clone of the first %d", st.LPDelegated, clone.LPDelegated)
+	if n := counted.notEQ.Load() - notEQ; n != 0 {
+		t.Fatalf("%d LPs had a row that is not an equality", n)
 	}
 }

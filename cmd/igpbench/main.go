@@ -8,7 +8,7 @@
 //	igpbench -table speedup               # §4 speedup claim (15–20× at 32)
 //	igpbench -table lpsize                # §4 LP-size independence claim
 //	igpbench -table refine                # refinement-quality ablation
-//	igpbench -table solvers               # per-solver pivots, time and cut
+//	igpbench -table solvers               # network vs its dense oracle: pivots, time, cut
 //	igpbench -table serve                 # igpserve latency under load
 //	igpbench -table multilevel            # large-graph V-cycle tier (n=10^5)
 //	igpbench -table all                   # everything

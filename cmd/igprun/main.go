@@ -90,12 +90,8 @@ func main() {
 			os.Exit(3)
 		}
 		exitOn(err)
-		lpPath := ""
-		if st.LPDelegated > 0 {
-			lpPath = fmt.Sprintf(", LP solves delegated to the tableau: %d — -tol rows are not a flow", st.LPDelegated)
-		}
-		fmt.Fprintf(os.Stderr, "igprun: %d new vertices, %d stages, %d moved, LP v=%d c=%d (%d pivots%s), %v\n",
-			st.NewAssigned, st.Stages, st.BalanceMoved+st.RefineMoved, st.LPVars, st.LPCons, st.LPIterations, lpPath, st.Elapsed)
+		fmt.Fprintf(os.Stderr, "igprun: %d new vertices, %d stages, %d moved, LP v=%d c=%d (%d pivots), %v\n",
+			st.NewAssigned, st.Stages, st.BalanceMoved+st.RefineMoved, st.LPVars, st.LPCons, st.LPIterations, st.Elapsed)
 		pt := st.PhaseTimings
 		fmt.Fprintf(os.Stderr, "igprun: phases: assign=%v layer=%v balance=%v refine=%v\n",
 			pt.Assign, pt.Layer, pt.Balance, pt.Refine)

@@ -12,9 +12,9 @@
 //     assignment of new vertices, boundary layering, minimal-movement
 //     load balancing by linear programming, and LP-based cut refinement
 //     (the paper's IGP and IGPR variants);
-//   - three simplex implementations (dense tableau as in the paper,
-//     bounded-variable tableau, and a network simplex on a spanning
-//     tree) behind a pluggable, named Solver registry, plus a
+//   - two simplex implementations (a network simplex on a spanning
+//     tree for production, the paper's dense tableau as its oracle)
+//     behind a pluggable, named Solver registry, plus a
 //     column-distributed parallel simplex;
 //   - a message-passing machine simulator calibrated to a 32-node CM-5,
 //     with an SPMD parallel implementation of the whole pipeline; and

@@ -57,14 +57,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPISolverNames pins the built-in set to the network default,
-// its tableau delegate and the dense oracle: every one constructs, and
+// TestPublicAPISolverNames pins the built-in set to the network default
+// and the dense oracle: every one constructs, and
 // anything else — the retired names included — is an eager error that
 // lists what is registered.
 func TestPublicAPISolverNames(t *testing.T) {
 	// Tests in this package register "test-…" names; the rest are built in.
 	builtins := slices.DeleteFunc(SolverNames(), func(n string) bool { return strings.HasPrefix(n, "test-") })
-	if want := []string{"bounded", "dense", "network"}; !slices.Equal(builtins, want) {
+	if want := []string{"dense", "network"}; !slices.Equal(builtins, want) {
 		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
 	}
 	for _, name := range builtins {
@@ -72,7 +72,7 @@ func TestPublicAPISolverNames(t *testing.T) {
 			t.Fatalf("%q: %v", name, err)
 		}
 	}
-	for _, name := range []string{"nope", "mwu", "revised", "dual-warm"} {
+	for _, name := range []string{"nope", "mwu", "revised", "dual-warm", "bounded"} {
 		_, err := NewEngine(NewGraphWithVertices(2), WithSolver(name))
 		if err == nil {
 			t.Fatalf("%q must error at NewEngine", name)

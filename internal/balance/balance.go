@@ -14,6 +14,7 @@ package balance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -31,8 +32,10 @@ type Flow struct {
 
 // Model is a formulated balance LP plus the variable ↔ pair mapping.
 type Model struct {
-	Prob  *lp.Problem
-	Pairs [][2]int32 // Pairs[v] = (i,j) for LP variable v
+	Prob *lp.Problem
+	// Pairs[v] = (i,j) for LP variable v. Under a tolerance Prob has one
+	// slack column per partition after these; they carry no flow.
+	Pairs [][2]int32
 	// RHS is the per-partition net outflow requirement actually used
 	// (after ε division and zero-sum repair).
 	RHS []int
@@ -89,20 +92,16 @@ func relaxedRHS(surplus []int, eps float64) []int {
 }
 
 // Arena owns the reusable buffers of the balance-LP formulation: the
-// Problem's objective/bound/constraint storage, the pair mapping and
-// the RHS vector. Buffers grow to the largest formulation seen and are
-// then reused, so steady-state formulation through a warm engine
-// allocates nothing — mirroring the engine's CSR and scratch reuse.
-// The Model returned by FormulateTol is owned by the Arena and
+// shared quotient-flow builder (the Problem's storage and the pair
+// mapping) and the RHS vector. Buffers grow to the largest formulation
+// seen and are then reused, so steady-state formulation through a warm
+// engine allocates nothing — mirroring the engine's CSR and scratch
+// reuse. The Model returned by FormulateTol is owned by the Arena and
 // invalidated by its next call. The zero value is ready to use.
 type Arena struct {
+	flow  lp.QuotientFlow
 	model Model
-	prob  lp.Problem
-	pairs [][2]int32
 	rhs   []int
-	terms []lp.Term
-	off   []int // partition j's row is terms[off[j]:off[j+1]]
-	cons  []lp.Constraint
 }
 
 // FormulateTol is the arena-backed form of the package-level
@@ -118,88 +117,9 @@ func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, 
 		return nil, fmt.Errorf("balance: negative slack %d", slack)
 	}
 	ar.rhs = relaxedRHSInto(ar.rhs, sizes, targets, eps)
-	rhs := ar.rhs
-
-	ar.pairs = ar.pairs[:0]
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j && delta[i][j] > 0 {
-				ar.pairs = append(ar.pairs, [2]int32{int32(i), int32(j)})
-			}
-		}
-	}
-	pairs := ar.pairs
-	n := len(pairs)
-	prob := &ar.prob
-	prob.Sense = lp.Minimize
-	prob.Names = nil
-	prob.Obj = lp.GrowFloats(prob.Obj, n)
-	prob.Upper = lp.GrowFloats(prob.Upper, n)
-	for v, pr := range pairs {
-		prob.Obj[v] = 1
-		prob.Upper[v] = float64(delta[pr[0]][pr[1]])
-	}
-
-	ar.terms, ar.off = fillRows(ar.terms, ar.off, pairs, p)
-	ar.cons = ar.cons[:0]
-	for j := 0; j < p; j++ {
-		terms := ar.terms[ar.off[j]:ar.off[j+1]]
-		if len(terms) == 0 {
-			if rhs[j] == 0 || abs(rhs[j]) <= slack {
-				continue
-			}
-			// No movable vertex touches partition j but it must change
-			// size: encode the contradiction (an empty row with nonzero
-			// RHS) so the solver reports infeasibility (the driver will
-			// then relax or re-stage).
-		}
-		if slack == 0 {
-			ar.cons = append(ar.cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: float64(rhs[j])})
-		} else {
-			ar.cons = append(ar.cons,
-				lp.Constraint{Terms: terms, Rel: lp.GE, RHS: float64(rhs[j] - slack)},
-				lp.Constraint{Terms: terms, Rel: lp.LE, RHS: float64(rhs[j] + slack)})
-		}
-	}
-	prob.Cons = ar.cons
-	ar.model = Model{Prob: prob, Pairs: pairs, RHS: rhs}
+	prob, pairs := ar.flow.Formulate(lp.Minimize, delta, ar.rhs, slack)
+	ar.model = Model{Prob: prob, Pairs: pairs, RHS: ar.rhs}
 	return &ar.model, nil
-}
-
-// fillRows writes the flow-conservation rows of the pair variables into
-// terms — +1 on the row of a pair's source partition, −1 on its target's —
-// and returns the buffer with the row offsets: partition j's row is
-// terms[off[j]:off[j+1]]. Two counting passes over the pairs, O(pairs + p):
-// the first sizes every row, the second writes the terms in variable
-// order, so each row lists its variables ascending.
-func fillRows(terms []lp.Term, off []int, pairs [][2]int32, p int) ([]lp.Term, []int) {
-	if cap(terms) < 2*len(pairs) {
-		terms = make([]lp.Term, 2*len(pairs))
-	}
-	terms = terms[:2*len(pairs)]
-	if cap(off) < p+2 {
-		off = make([]int, p+2)
-	}
-	off = off[:p+2]
-	for j := range off {
-		off[j] = 0
-	}
-	// off[j+2] counts row j, the running sum turns off[j+1] into its start,
-	// and filling advances off[j+1] to its end — the start of row j+1.
-	for _, pr := range pairs {
-		off[pr[0]+2]++
-		off[pr[1]+2]++
-	}
-	for j := 2; j < len(off); j++ {
-		off[j] += off[j-1]
-	}
-	for v, pr := range pairs {
-		terms[off[pr[0]+1]] = lp.Term{Var: v, Coef: 1}
-		off[pr[0]+1]++
-		terms[off[pr[1]+1]] = lp.Term{Var: v, Coef: -1}
-		off[pr[1]+1]++
-	}
-	return terms, off
 }
 
 // Formulate builds the balance LP for the given layering δ, partition
@@ -211,9 +131,11 @@ func Formulate(delta [][]int, sizes, targets []int, eps float64) (*Model, error)
 
 // FormulateTol generalizes Formulate with a balance tolerance: each
 // partition's net outflow may deviate from its surplus by up to slack
-// vertices, turning the equality into a pair of inequalities. slack = 0
-// reproduces the paper exactly; slack > 0 (a ParMETIS-style imbalance
-// allowance) trades residual imbalance for less vertex movement.
+// vertices. slack = 0 reproduces the paper exactly; slack > 0 (a
+// ParMETIS-style imbalance allowance) trades residual imbalance for less
+// vertex movement. The allowance is a ranged node supply, which is still
+// a flow: Prob gains one zero-cost slack column per partition after the
+// pair columns (see [lp.QuotientFlow]) and keeps equality rows only.
 //
 // This one-shot form allocates a fresh formulation with diagnostic
 // variable names; the engine formulates through a reused [Arena]
@@ -231,13 +153,6 @@ func FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (
 	return m, nil
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Flows converts an optimal LP solution into integral flows, rejecting
 // non-integral values (which the totally unimodular formulation rules out
 // up to numerical noise).
@@ -250,7 +165,7 @@ func (m *Model) Flows(sol *lp.Solution) ([]Flow, error) {
 // without allocating.
 func (m *Model) FlowsInto(dst []Flow, sol *lp.Solution) ([]Flow, error) {
 	flows := dst[:0]
-	for v, x := range sol.X {
+	for v, x := range sol.X[:len(m.Pairs)] {
 		r := math.Round(x)
 		if math.Abs(x-r) > 1e-6 {
 			return nil, fmt.Errorf("balance: non-integral flow l(%d,%d) = %g", m.Pairs[v][0], m.Pairs[v][1], x)
@@ -262,10 +177,18 @@ func (m *Model) FlowsInto(dst []Flow, sol *lp.Solution) ([]Flow, error) {
 	return flows, nil
 }
 
+// ErrUnsolved is matched (errors.Is) by the error Solve and SolveInto
+// return when the solver stopped without settling the LP — it hit its
+// pivot cap or found the objective unbounded. That says nothing about the
+// partition: only lp.Infeasible means the correction does not fit the
+// layering's bounds, so only lp.Infeasible may be answered by relaxing ε.
+var ErrUnsolved = errors.New("balance: LP solve ended without an optimum")
+
 // Solve runs the solver and converts the LP solution to integral flows.
-// Status is passed through: callers must check it before using the flows.
-// A done context aborts the solve with an error matching
-// cancel.ErrCanceled; no flows are produced.
+// The status is Optimal (flows valid) or Infeasible (nil flows, nil
+// error): callers must check it before using the flows. Any other status
+// is an error matching [ErrUnsolved]. A done context aborts the solve with
+// an error matching cancel.ErrCanceled; no flows are produced.
 func Solve(ctx context.Context, m *Model, solver lp.Solver) ([]Flow, *lp.Solution, error) {
 	return SolveInto(ctx, m, solver, nil)
 }
@@ -277,8 +200,12 @@ func SolveInto(ctx context.Context, m *Model, solver lp.Solver, buf []Flow) ([]F
 	if err != nil {
 		return nil, nil, fmt.Errorf("balance: %w", err)
 	}
-	if sol.Status != lp.Optimal {
+	switch sol.Status {
+	case lp.Optimal:
+	case lp.Infeasible:
 		return nil, sol, nil
+	default:
+		return nil, sol, fmt.Errorf("%w: %s reports %s after %d pivots", ErrUnsolved, solver.Name(), sol.Status, sol.Iterations)
 	}
 	flows, err := m.FlowsInto(buf, sol)
 	if err != nil {

@@ -2,8 +2,10 @@ package balance
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -107,7 +109,7 @@ func TestFormulateShape(t *testing.T) {
 }
 
 func TestStepBalancesStripes(t *testing.T) {
-	for _, solver := range []lp.Solver{lp.Dense{}, lp.Bounded{}} {
+	for _, solver := range []lp.Solver{lp.Dense{}, lp.Network{}} {
 		g, a := unbalancedStripes()
 		lay, err := layering.Layer(g, a)
 		if err != nil {
@@ -149,7 +151,7 @@ func TestStepMovesBoundaryFirst(t *testing.T) {
 	}
 	before := a.Clone()
 	targets := partition.Targets(g.NumVertices(), 3)
-	_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Bounded{})
+	_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
 	if err != nil || !ok {
 		t.Fatalf("step failed: %v ok=%v", err, ok)
 	}
@@ -191,7 +193,7 @@ func TestStepInfeasibleWithoutAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := partition.Targets(8, 2)
-	_, sol, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Bounded{})
+	_, sol, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +233,11 @@ func TestEpsilonReducesMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, s1, err := Solve(context.Background(), m1, lp.Bounded{})
+	f1, s1, err := Solve(context.Background(), m1, lp.Network{})
 	if err != nil || s1.Status != lp.Optimal {
 		t.Fatalf("eps=1: %v %v", err, s1.Status)
 	}
-	f2, s2, err := Solve(context.Background(), m2, lp.Bounded{})
+	f2, s2, err := Solve(context.Background(), m2, lp.Network{})
 	if err != nil || s2.Status != lp.Optimal {
 		t.Fatalf("eps=2: %v %v", err, s2.Status)
 	}
@@ -283,7 +285,7 @@ func TestPropertyStepNeverWorsensBalance(t *testing.T) {
 		}
 		targets := partition.Targets(g.NumVertices(), p)
 		imbBefore := maxDev(a.Sizes(g), targets)
-		_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Bounded{})
+		_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -329,11 +331,11 @@ func TestFormulateTolReducesMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, se, err := Solve(context.Background(), exact, lp.Bounded{})
+	fe, se, err := Solve(context.Background(), exact, lp.Network{})
 	if err != nil || se.Status != lp.Optimal {
 		t.Fatalf("exact: %v %v", err, se)
 	}
-	fl, sl, err := Solve(context.Background(), loose, lp.Bounded{})
+	fl, sl, err := Solve(context.Background(), loose, lp.Network{})
 	if err != nil || sl.Status != lp.Optimal {
 		t.Fatalf("loose: %v %v", err, sl)
 	}
@@ -368,7 +370,7 @@ func TestFormulateTolSlackSatisfiesBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, sol, err := Solve(context.Background(), m, lp.Bounded{})
+	flows, sol, err := Solve(context.Background(), m, lp.Network{})
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, sol)
 	}
@@ -451,44 +453,72 @@ func TestArenaFormulateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// rescanRows is the formulation's old row construction, kept as the
-// reference the counting fill is held to: every partition's row is built
-// by rescanning all pairs, O(P·pairs).
-func rescanRows(pairs [][2]int32, rhs []int, slack int) []lp.Constraint {
-	var cons []lp.Constraint
+// referenceFormulate is the formulation as it was before the tolerance
+// became a slack arc, kept as the reference the shared builder is held
+// to: pairs by a plain scan, every partition's row by rescanning all
+// pairs (O(P·pairs)), and a tolerance as a GE/LE row pair per partition —
+// not a flow, so only the dense oracle solves it.
+func referenceFormulate(delta [][]int, rhs []int, slack int) *lp.Problem {
+	prob := &lp.Problem{Sense: lp.Minimize}
+	var pairs [][2]int
+	for i := range delta {
+		for j := range delta {
+			if i != j && delta[i][j] > 0 {
+				pairs = append(pairs, [2]int{i, j})
+				prob.Obj = append(prob.Obj, 1)
+				prob.Upper = append(prob.Upper, float64(delta[i][j]))
+			}
+		}
+	}
 	for j := range rhs {
 		var terms []lp.Term
 		for v, pr := range pairs {
-			if int(pr[0]) == j {
+			if pr[0] == j {
 				terms = append(terms, lp.Term{Var: v, Coef: 1})
 			}
-			if int(pr[1]) == j {
+			if pr[1] == j {
 				terms = append(terms, lp.Term{Var: v, Coef: -1})
 			}
 		}
-		if len(terms) == 0 && (rhs[j] == 0 || abs(rhs[j]) <= slack) {
+		if len(terms) == 0 && rhs[j] >= -slack && rhs[j] <= slack {
 			continue
 		}
 		if slack == 0 {
-			cons = append(cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: float64(rhs[j])})
+			prob.AddConstraint(terms, lp.EQ, float64(rhs[j]))
 		} else {
-			cons = append(cons,
-				lp.Constraint{Terms: terms, Rel: lp.GE, RHS: float64(rhs[j] - slack)},
-				lp.Constraint{Terms: terms, Rel: lp.LE, RHS: float64(rhs[j] + slack)})
+			prob.AddConstraint(terms, lp.GE, float64(rhs[j]-slack))
+			prob.AddConstraint(terms, lp.LE, float64(rhs[j]+slack))
 		}
 	}
-	return cons
+	return prob
 }
 
-// TestFormulateMatchesRescanReference: the O(pairs + P) counting fill
-// emits the identical rows — same order, same term order, the same
-// skipped empty rows and the same contradiction rows — as the per-row
-// rescan, over sparse random δ (so partitions no pair touches occur with
-// zero, within-slack and contradicting surpluses) through one reused arena.
+// canonical maps p's empty slices to nil, the one difference
+// reflect.DeepEqual sees between a reused arena and a fresh build.
+func canonical(p *lp.Problem) lp.Problem {
+	q := lp.Problem{Sense: p.Sense, Names: p.Names}
+	q.Obj = append(q.Obj, p.Obj...)
+	q.Upper = append(q.Upper, p.Upper...)
+	for _, c := range p.Cons {
+		q.Cons = append(q.Cons, lp.Constraint{Terms: append([]lp.Term(nil), c.Terms...), Rel: c.Rel, RHS: c.RHS})
+	}
+	return q
+}
+
+// TestFormulateMatchesRescanReference holds the shared quotient-flow builder to
+// the reference over sparse random δ (so partitions no pair touches occur
+// with zero, within-slack and contradicting surpluses) through one reused
+// arena. At slack 0 the Problem is the reference's exactly — same pairs,
+// rows, term order, skipped empty rows and contradiction rows. Under a
+// tolerance the slack-arc form has equality rows only and, solved by the
+// dense oracle, the reference's status and optimum; network pivots it to
+// the same optimum; and the pair flows of both satisfy the band.
 func TestFormulateMatchesRescanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	ctx := context.Background()
 	var ar Arena
-	contradictions, skipped := 0, 0
+	net := lp.Session(lp.Network{})
+	contradictions, skipped, infeasible, optimal := 0, 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		p := 2 + rng.Intn(9)
 		delta := make([][]int, p)
@@ -502,38 +532,108 @@ func TestFormulateMatchesRescanReference(t *testing.T) {
 			}
 			sizes[i], targets[i] = 10+rng.Intn(5), 12
 		}
-		eps, slack := float64(1+rng.Intn(3)), rng.Intn(3)
+		eps, slack := float64(1+rng.Intn(3)), []int{0, 1, 2, 5}[rng.Intn(4)]
 		m, err := ar.FormulateTol(delta, sizes, targets, eps, slack)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rescanRows(m.Pairs, m.RHS, slack)
-		got := m.Prob.Cons
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d rows, reference has %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			if got[k].Rel != want[k].Rel || got[k].RHS != want[k].RHS ||
-				len(got[k].Terms) != len(want[k].Terms) {
-				t.Fatalf("trial %d row %d: %+v, reference %+v", trial, k, got[k], want[k])
+		ref := referenceFormulate(delta, m.RHS, slack)
+		if slack == 0 {
+			if got, want := canonical(m.Prob), canonical(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Problem %+v, reference %+v", trial, got, want)
 			}
-			for i := range want[k].Terms {
-				if got[k].Terms[i] != want[k].Terms[i] {
-					t.Fatalf("trial %d row %d term %d: %+v, reference %+v", trial, k, i, got[k].Terms[i], want[k].Terms[i])
+			for _, c := range ref.Cons {
+				if len(c.Terms) == 0 {
+					contradictions++
 				}
 			}
-			if len(want[k].Terms) == 0 {
-				contradictions++
+			skipped += p - len(ref.Cons)
+		}
+		for i, c := range m.Prob.Cons {
+			if c.Rel != lp.EQ {
+				t.Fatalf("trial %d slack %d: row %d is a %v row", trial, slack, i, c.Rel)
 			}
 		}
-		rows := len(want)
-		if slack > 0 {
-			rows /= 2
+		want, err := lp.Dense{}.Solve(ctx, ref)
+		if err != nil {
+			t.Fatal(err)
 		}
-		skipped += p - rows
+		for _, solver := range []lp.Solver{lp.Dense{}, net} {
+			got, err := solver.Solve(ctx, m.Prob)
+			if err != nil {
+				t.Fatalf("trial %d slack %d %s: %v", trial, slack, solver.Name(), err)
+			}
+			if got.Status != want.Status {
+				t.Fatalf("trial %d slack %d %s: status %v, reference %v", trial, slack, solver.Name(), got.Status, want.Status)
+			}
+			if got.Status != lp.Optimal {
+				infeasible++
+				continue
+			}
+			optimal++
+			if got.Objective != want.Objective {
+				t.Fatalf("trial %d slack %d %s: objective %g, reference %g", trial, slack, solver.Name(), got.Objective, want.Objective)
+			}
+			flows, err := m.FlowsInto(nil, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shed := make([]int, p)
+			for _, f := range flows {
+				shed[f.From] += f.Amount
+				shed[f.To] -= f.Amount
+			}
+			for j, out := range shed {
+				if out < m.RHS[j]-slack || out > m.RHS[j]+slack {
+					t.Fatalf("trial %d slack %d %s: partition %d sheds %d, want %d ± %d", trial, slack, solver.Name(), j, out, m.RHS[j], slack)
+				}
+			}
+		}
 	}
-	if contradictions == 0 || skipped == 0 {
-		t.Fatalf("generator never produced an empty row of each kind (%d contradictions, %d skipped)", contradictions, skipped)
+	if contradictions == 0 || skipped == 0 || infeasible == 0 || optimal == 0 {
+		t.Fatalf("generator lost a branch: %d contradiction rows, %d skipped rows, %d infeasible and %d optimal solves",
+			contradictions, skipped, infeasible, optimal)
+	}
+}
+
+// statusSolver answers every problem with a fixed status.
+type statusSolver struct{ status lp.Status }
+
+func (s statusSolver) Name() string { return "status-fake" }
+func (s statusSolver) Solve(context.Context, *lp.Problem) (*lp.Solution, error) {
+	return &lp.Solution{Status: s.status, Iterations: 7}, nil
+}
+
+// TestSolveUnsolvedIsNotInfeasible: only lp.Infeasible is the partition's
+// verdict (nil flows, nil error — the caller relaxes ε). A solver that hit
+// its pivot cap or reports an unbounded objective has decided nothing, and
+// that is an error matching ErrUnsolved carrying status and pivots.
+func TestSolveUnsolvedIsNotInfeasible(t *testing.T) {
+	g, a := unbalancedStripes()
+	lay, err := layering.Layer(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Formulate(lay.Delta, a.Sizes(g), partition.Targets(g.NumVertices(), 3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, sol, err := Solve(context.Background(), m, statusSolver{lp.Infeasible})
+	if flows != nil || err != nil || sol.Status != lp.Infeasible {
+		t.Fatalf("infeasible: flows %v, sol %+v, err %v", flows, sol, err)
+	}
+	for _, tc := range []struct {
+		solver  lp.Solver
+		carries string // status and pivots, in the message
+	}{
+		{statusSolver{lp.IterLimit}, "iteration-limit after 7 pivots"},
+		{statusSolver{lp.Unbounded}, "unbounded after 7 pivots"},
+		{lp.Network{MaxIter: 1}, "network reports iteration-limit after 1 pivots"},
+	} {
+		flows, _, err := Solve(context.Background(), m, tc.solver)
+		if flows != nil || !errors.Is(err, ErrUnsolved) || !strings.Contains(err.Error(), tc.carries) {
+			t.Fatalf("%s: flows %v, err %v, want an error matching ErrUnsolved that says %q", tc.solver.Name(), flows, err, tc.carries)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func TestCoarseBalanceMovesWeight(t *testing.T) {
 	match := Match(g, a)
 	gc, _, ca := Contract(g, a, match)
 	targets := partition.Targets(g.NumVertices(), a.P)
-	moved, err := CoarseBalance(context.Background(), gc, ca, targets, lp.Bounded{}, 8)
+	moved, err := CoarseBalance(context.Background(), gc, ca, targets, lp.Network{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestHierarchySolveAndUncoarsen(t *testing.T) {
 	if _, err := h.Update(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	moved, spectralInit, err := h.SolveCoarsest(context.Background(), lp.Bounded{})
+	moved, spectralInit, err := h.SolveCoarsest(context.Background(), lp.Network{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestHierarchyCoarsestBalanceWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := maxDev(a.Weights(g), partition.Targets(g.NumVertices(), a.P))
-	moved, spectralInit, err := h.SolveCoarsest(context.Background(), lp.Bounded{})
+	moved, spectralInit, err := h.SolveCoarsest(context.Background(), lp.Network{})
 	if err != nil {
 		t.Fatal(err)
 	}

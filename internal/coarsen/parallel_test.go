@@ -128,7 +128,7 @@ func vcycleHistory(t *testing.T, procs int) (*Hierarchy, *partition.Assignment) 
 	if _, err := h.Update(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.SolveCoarsest(ctx, lp.Bounded{}); err != nil {
+	if _, _, err := h.SolveCoarsest(ctx, lp.Network{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Uncoarsen(ctx, a); err != nil {
@@ -166,7 +166,7 @@ func TestHierarchyWarmUpdateAllocs(t *testing.T) {
 		if _, err := h.Update(ctx, a); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := h.SolveCoarsest(ctx, lp.Bounded{}); err != nil {
+		if _, _, err := h.SolveCoarsest(ctx, lp.Network{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h.Uncoarsen(ctx, a); err != nil {

@@ -102,7 +102,6 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		agg.RefineTime += st.RefineTime
 		agg.Elapsed += st.Elapsed
 		agg.LPIterations += st.LPIterations
-		agg.LPDelegated += st.LPDelegated
 		agg.CutIncremental += st.CutIncremental
 		agg.CutReused += st.CutReused
 		agg.CSRPatched += st.CSRPatched

@@ -330,7 +330,7 @@ func TestPropertyRepartitionInvariants(t *testing.T) {
 }
 
 func TestRepartitionSolverEquivalence(t *testing.T) {
-	for _, s := range []lp.Solver{lp.Dense{}, lp.Bounded{}} {
+	for _, s := range []lp.Solver{lp.Dense{}, lp.Network{}} {
 		rng := rand.New(rand.NewSource(21))
 		g, a := grownGrid(8, 16, 4, 20, rng)
 		if _, err := Repartition(context.Background(), g, a, Options{Solver: s, Refine: true}); err != nil {

@@ -239,11 +239,6 @@ type Stats struct {
 	// Parallelism is the worker count the engine's sharded kernels ran
 	// with (1 = every region one shard, run inline).
 	Parallelism int
-	// LPDelegated counts LP solves during this call that the solver
-	// handed to its tableau delegate because the problem was not a pure
-	// network flow (lp.Network's recognizer said no). Zero on the paper's
-	// exact-balance LPs; a balance tolerance (paired GE/LE rows) delegates.
-	LPDelegated int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
 	// scans); index w is worker w. Empty at one worker. Like
@@ -425,10 +420,6 @@ type Engine struct {
 	// Options.Multilevel is disabled; dropped by Close).
 	ml *coarsen.Hierarchy
 
-	// The engine's sessionized LP solvers (deduplicated): polled for
-	// Stats.LPDelegated in Repartition.
-	lpSolvers []lp.Solver
-
 	// Worker pool for the sharded kernels (see boundary.go): one
 	// fork-join group shared with the layering and gains scratches so
 	// per-worker busy times roll up in one place. Worker goroutines
@@ -465,10 +456,6 @@ func New(g *graph.Graph, opt Options) *Engine {
 		opt.RefineOptions.Solver = lp.Session(rs)
 	}
 	e.opt = opt
-	e.lpSolvers = append(e.lpSolvers, session)
-	if rs := opt.RefineOptions.Solver; !sameSolverInstance(rs, session) {
-		e.lpSolvers = append(e.lpSolvers, rs)
-	}
 	// The layering and gains scratches shard over the same worker count
 	// and run their regions on the engine's fork-join group, so
 	// Stats.WorkerBusy aggregates every kernel's per-worker busy time.
@@ -477,19 +464,6 @@ func New(g *graph.Graph, opt Options) *Engine {
 	e.gain.Procs = e.procs
 	e.gain.Group = &e.group
 	return e
-}
-
-// lpDelegated sums the delegated-solve counters of the engine's LP
-// sessions (the lifetime total; Repartition reports per-call deltas).
-// Sessions without a counter contribute nothing.
-func (e *Engine) lpDelegated() int {
-	n := 0
-	for _, s := range e.lpSolvers {
-		if ds, ok := s.(interface{ DelegatedSolves() int }); ok {
-			n += ds.DelegatedSolves()
-		}
-	}
-	return n
 }
 
 // sameSolverInstance reports whether a and b are the very same solver
@@ -830,7 +804,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	opt := e.opt
 	e.group.Reset()
 	basePatched, baseEvals, baseReused := e.csrPatched, e.cutEvals, e.cutReused
-	baseLPDel := e.lpDelegated()
 	e.inCall, e.dirty = true, true // the caller may have edited a
 	tStart := time.Now()
 	defer func() {
@@ -839,7 +812,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		st.CSRPatched = e.csrPatched - basePatched
 		st.CutIncremental = e.cutEvals - baseEvals
 		st.CutReused = e.cutReused - baseReused
-		st.LPDelegated = e.lpDelegated() - baseLPDel
 		for _, sg := range st.Stages {
 			st.LPIterations += sg.LPPivots
 		}
@@ -1018,7 +990,7 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 			}
 			st.LPSolves++
 			var parts []int32
-			if sol.Status != lp.Optimal {
+			if sol.Status != lp.Optimal { // infeasible: SolveInto errors on anything else
 				parts = e.lay.All()
 			} else {
 				parts = e.deepen[:0]

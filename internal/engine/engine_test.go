@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/layering"
@@ -448,7 +450,7 @@ func (s *sessionFake) NewSession() lp.Solver {
 }
 
 func (s *sessionFake) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
-	return lp.Bounded{}.Solve(ctx, p)
+	return lp.Network{}.Solve(ctx, p)
 }
 
 // TestEngineForksSessionSolvers: New must give each engine a private
@@ -477,30 +479,17 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 	if template.forks != 2 {
 		t.Fatalf("template forked %d sessions for two engines, want one each", template.forks)
 	}
-	// A distinct refine solver must be sessionized separately, not
-	// replaced by the balance session. (Bounded is session-capable too —
-	// its session carries the tableau and Solution arenas — so the engine
-	// forks it rather than passing the bare value through.)
-	e3 := New(g1, Options{Solver: template, Refine: true,
-		RefineOptions: refine.Options{Solver: lp.Bounded{}}})
-	if e3.opt.RefineOptions.Solver == e3.opt.Solver {
-		t.Fatal("distinct refine solver was replaced by the balance session")
-	}
-	if got := e3.opt.RefineOptions.Solver.Name(); got != "bounded" {
-		t.Fatalf("refine session name %q, want %q", got, "bounded")
-	}
-	if e3.opt.RefineOptions.Solver == lp.Solver(lp.Bounded{}) {
-		t.Fatal("refine bounded solver was passed through, not sessionized")
-	}
-	// Even one sharing the balance solver's type: only the *identical
-	// instance* shares a session, so a differently configured refine
-	// solver keeps its own fork (with its own configuration).
+	// A distinct refine solver must be sessionized separately — forked,
+	// not passed through, and not replaced by the balance session — even
+	// one sharing the balance solver's type: only the *identical instance*
+	// shares a session, so a differently configured refine solver keeps
+	// its own fork (with its own configuration).
 	tuned := &sessionFake{tag: 1234}
 	e5 := New(g1, Options{Solver: template, Refine: true,
 		RefineOptions: refine.Options{Solver: tuned}})
 	rf, ok := e5.opt.RefineOptions.Solver.(*sessionFake)
-	if !ok || rf == e5.opt.Solver.(*sessionFake) || rf.template != tuned {
-		t.Fatal("same-type refine solver was collapsed into the balance session")
+	if !ok || rf == e5.opt.Solver.(*sessionFake) || rf.template != tuned || tuned.forks != 1 {
+		t.Fatal("same-type refine solver was passed through or collapsed into the balance session")
 	}
 	if rf.tag != 1234 {
 		t.Fatalf("refine session lost its configuration: tag %d, want 1234", rf.tag)
@@ -963,5 +952,53 @@ func TestStatsClone(t *testing.T) {
 	}
 	if r := st.Refine; r.Rounds > 0 && &clone.Refine.RoundMoved[0] == &r.RoundMoved[0] {
 		t.Fatal("clone shares RoundMoved with the original")
+	}
+}
+
+// TestPivotCapIsNotInfeasibility: an LP that stops at its pivot cap has
+// decided nothing about the partition. It used to be taken for an
+// infeasible stage — every partition layered to full depth, ε escalated
+// to its bound, ErrNeedRepartition returned ("repartition from scratch")
+// for an input the default solver balances in one stage. Only
+// lp.Infeasible may escalate ε; a capped solve is balance.ErrUnsolved,
+// with the assignment untouched.
+func TestPivotCapIsNotInfeasibility(t *testing.T) {
+	stripes := func() (*graph.Graph, *partition.Assignment) {
+		g := graph.Grid(20, 20)
+		a := partition.New(g.Order(), 4)
+		for v := range a.Part {
+			switch row := v / 20; {
+			case row < 8:
+				a.Part[v] = 0
+			case row < 10:
+				a.Part[v] = 1
+			case row < 15:
+				a.Part[v] = 2
+			default:
+				a.Part[v] = 3
+			}
+		}
+		return g, a
+	}
+	g, a := stripes()
+	if got, want := a.Sizes(g), []int{160, 40, 100, 100}; !slices.Equal(got, want) {
+		t.Fatalf("sizes %v, want %v", got, want)
+	}
+	st, err := New(g, Options{Parallelism: 1}).Repartition(context.Background(), a)
+	if err != nil || len(st.Stages) != 1 || !partition.Balanced(a.Sizes(g)) {
+		t.Fatalf("default solver: err %v, stats %+v, sizes %v; want one balancing stage", err, st, a.Sizes(g))
+	}
+
+	g, a = stripes()
+	before := a.Clone()
+	_, err = New(g, Options{Parallelism: 1, Solver: lp.Network{MaxIter: 1}}).Repartition(context.Background(), a)
+	if !errors.Is(err, balance.ErrUnsolved) || errors.Is(err, ErrNeedRepartition) {
+		t.Fatalf("capped solver: err %v, want balance.ErrUnsolved and not ErrNeedRepartition", err)
+	}
+	if !slices.Equal(a.Part, before.Part) {
+		t.Fatal("capped solver: the assignment changed")
+	}
+	if err := a.Validate(g); err != nil {
+		t.Fatal(err)
 	}
 }

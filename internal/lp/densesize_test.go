@@ -8,7 +8,7 @@ import (
 func TestDenseSizeMatchesTableau(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
-		p := randomBoundedLP(rng)
+		p := randomGenericLP(rng)
 		if rng.Intn(3) == 0 {
 			p.Upper[rng.Intn(p.NumVars())] = Inf
 		}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -12,12 +13,15 @@ import (
 // registrations are covered automatically — and checks they agree with
 // the "dense" oracle on status and optimum, and that reported optima are
 // feasible. Inputs whose first byte has the high bit set decode to
-// flow-shaped LPs (decodeFlowLP) — the ones the "network" solver pivots
-// on a tree instead of delegating — and there every optimum must also be
-// exactly integral. One session of every registered [SessionSolver]
-// then solves the problem and two same-structure perturbations of it
-// back to back, each held to the oracle's answer for that problem:
-// nothing but arenas may cross a session's solves.
+// flow-shaped LPs (decodeFlowLP), ranged supplies included — there the
+// "network" solver must pivot on its tree, never refuse, and every
+// optimum must also be exactly integral. The other inputs are generic
+// LPs, the oracle's alone: "network" has no path for them, so it either
+// agrees (the bytes happened to spell a flow) or refuses with ErrNotFlow
+// — never a wrong answer. One session of every registered
+// [SessionSolver] then solves the problem and two same-structure
+// perturbations of it back to back, each held to the oracle's answer for
+// that problem: nothing but arenas may cross a session's solves.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 200, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{3, 2, 0, 0, 9, 9, 9, 1, 1, 1, 0, 0, 0, 5})
@@ -28,14 +32,20 @@ func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{0x80, 1, 3, 5, 0, 1, 3, 1, 2, 2, 2, 3, 4, 3, 0, 1, 0, 2, 0, 2, 1, 5}) // refine-shaped
 	f.Add([]byte{0x80, 2, 1, 3, 1, 0, 2, 6, 3, 2, 1, 1, 5, 0, 0, 6, 2, 1, 0, 2, 4, 6}) // root arcs, free costs
 	f.Add([]byte{0x80, 0, 4, 0, 0, 1, 2, 5, 3, 3, 0, 1})                               // rows no arc touches
+	f.Add([]byte{0x80, 3, 2, 3, 1, 0, 1, 4, 1, 2, 3, 2, 0, 5, 6, 1, 2})                // ranged supplies: a slack arc per row
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
 		if p == nil {
 			return
 		}
 		flow := data[0]&0x80 != 0
+		// solve returns nil for the one refusal allowed: network's, of a
+		// generic LP.
 		solve := func(label string, s Solver, q *Problem) *Solution {
 			sol, err := s.Solve(context.Background(), q)
+			if !flow && s.Name() == "network" && errors.Is(err, ErrNotFlow) {
+				return nil
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -63,8 +73,8 @@ func FuzzSolverAgreement(f *testing.F) {
 			}
 		}
 		// dense — the paper's tableau simplex, sharing no pivoting code
-		// with the bounded-variable solvers — is the oracle every
-		// registered solver is held to.
+		// with the network simplex — is the oracle every registered
+		// solver is held to.
 		ref := solve("dense/oracle", Dense{}, p)
 		if ref.Status == IterLimit {
 			return // bounded work budget exceeded; skip comparisons
@@ -96,21 +106,23 @@ func FuzzSolverAgreement(f *testing.F) {
 				t.Fatal(err)
 			}
 			sol := solve(name, s, p)
+			if sol == nil {
+				continue
+			}
 			if sol.Status == IterLimit {
 				return // bounded work budget exceeded; skip comparisons
 			}
 			agree(name, sol, ref)
 
 			// One session over all three problems: nothing but arenas may
-			// cross a session's solves, whichever path (tree, tableau or
-			// delegate) each one takes.
+			// cross a session's solves.
 			if _, ok := s.(SessionSolver); !ok {
 				continue
 			}
 			ses := Session(s)
 			for _, c := range cases {
 				label := name + "/session-" + c.label
-				if sol := solve(label, ses, c.q); sol.Status != IterLimit && c.ref.Status != IterLimit {
+				if sol := solve(label, ses, c.q); sol != nil && sol.Status != IterLimit && c.ref.Status != IterLimit {
 					agree(label, sol, c.ref)
 				}
 			}
@@ -202,19 +214,25 @@ func decodeLP(data []byte) *Problem {
 }
 
 // decodeFlowLP builds a node-arc incidence LP — EQ rows, one +1 and/or
-// one −1 per column, integer capacities, costs and RHS — in the three
+// one −1 per column, integer capacities, costs and RHS — in the four
 // shapes the pipeline and the recognizer care about: balance (minimize Σx),
-// refine (maximize Σx over a circulation) and free integer costs. Arcs
+// refine (maximize Σx over a circulation), free integer costs, and
+// balance under a tolerance k — ranged supplies, i.e. on every row one
+// more zero-cost root arc of capacity 2k and k added to the RHS. Arcs
 // whose other end is index m touch a single row (a root arc); capacities
 // include 0; rows no arc touches keep their RHS, and supplies need not
 // sum to zero, so infeasible instances are common.
 func decodeFlowLP(next func() int) *Problem {
-	shape := next() % 3
+	shape := next() % 4
 	m := 1 + next()%5
 	n := 1 + next()%8
 	sense := Minimize
 	if shape == 1 || (shape == 2 && next()%2 == 1) {
 		sense = Maximize
+	}
+	band := 0
+	if shape == 3 {
+		band = 1 + next()%3
 	}
 	p := NewProblem(sense, n)
 	rows := make([][]Term, m)
@@ -240,7 +258,11 @@ func decodeFlowLP(next func() int) *Problem {
 		if shape != 1 {
 			rhs = next()%7 - 3
 		}
-		p.AddConstraint(rows[i], EQ, float64(rhs))
+		if band > 0 {
+			p.Obj, p.Upper = append(p.Obj, 0), append(p.Upper, float64(2*band))
+			rows[i] = append(rows[i], Term{Var: n + i, Coef: 1})
+		}
+		p.AddConstraint(rows[i], EQ, float64(rhs+band))
 	}
 	return p
 }

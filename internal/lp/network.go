@@ -2,23 +2,33 @@ package lp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/cancel"
 )
 
+// ErrNotFlow is matched (errors.Is) by the error [Network] returns for a
+// Problem that is not a min-cost flow it can pivot on a tree; the error
+// names the first offending row or column. There is no second solver
+// behind Network: every LP the pipeline formulates is a flow
+// ([QuotientFlow]), and anything else fails loud.
+var ErrNotFlow = errors.New("lp: network: not a min-cost flow")
+
 // Network is a bounded-variable network simplex: the production solver
 // for the pipeline's LPs, which are min-cost flows on the partition
 // quotient graph — every column of the balance and refine constraint
-// matrices is one +1 and one −1. Solve first recognizes that shape from
-// the Problem itself, in O(nnz): all rows EQ, every column ±1 in at most
-// two distinct rows (one of each sign), and no column that could run off
-// to infinity (negative cost without a finite upper bound). A recognized
-// problem is pivoted on a spanning tree over the rows plus a root node
-// instead of on a tableau, so a pivot costs the tree work of its cycle
-// and the subtree it re-hangs (at most O(rows)) plus one pricing block,
-// rather than an O(rows·columns) row-eta update. Anything else is handed
-// to a private [Bounded] session.
+// matrices is one +1 and one −1, or a single +1 for a tolerance's slack
+// arc to the root. Solve first checks that shape on the Problem itself,
+// in O(nnz): all rows EQ, every column ±1 in one or two distinct rows
+// (at most one of each sign), and no column that could run off to
+// infinity (negative cost without a finite upper bound); a Problem that
+// fails the check is refused with [ErrNotFlow]. A flow is pivoted on a
+// spanning tree over the rows plus a root node instead of on a tableau,
+// so a pivot costs the tree work of its cycle and the subtree it re-hangs
+// (at most O(rows)) plus one pricing block, rather than an
+// O(rows·columns) row-eta update.
 //
 // The method is the textbook one. The basis is a rooted spanning tree
 // (parent, predecessor arc and its direction, depth, node potential, and
@@ -37,9 +47,10 @@ import (
 // flow and potential stays an integer, so the returned vertex is exactly
 // integral.
 //
-// Like [Bounded], Network is a stateless configuration value whose Solve
-// runs through a throwaway session; NewSession returns the arena-reusing
-// form the engine holds (warm solves allocate nothing).
+// Network is a stateless configuration value whose Solve runs through a
+// throwaway session, so concurrent Solve calls are safe and the returned
+// Solution is freshly allocated; NewSession returns the arena-reusing form
+// the engine holds (warm solves allocate nothing).
 type Network struct {
 	MaxIter int // pivot cap (0 = default 200000)
 }
@@ -53,7 +64,6 @@ func (s Network) NewSession() Solver {
 	if ses.maxIter == 0 {
 		ses.maxIter = 200000
 	}
-	ses.tableau = Bounded{MaxIter: s.MaxIter}.NewSession().(*boundedSession)
 	return ses
 }
 
@@ -72,12 +82,9 @@ const (
 )
 
 // networkSession is the stateful form of [Network]: one solve stream's
-// graph, tree and Solution arenas plus the tableau delegate. Not safe for
-// concurrent use.
+// graph, tree and Solution arenas. Not safe for concurrent use.
 type networkSession struct {
-	maxIter   int
-	tableau   *boundedSession // delegate for problems that are not flows
-	delegated int             // solves handed to the delegate
+	maxIter int
 
 	// Arcs: structural columns 0..n-1, then one artificial root arc per
 	// row. Nodes: rows 0..m-1, then the root m.
@@ -107,19 +114,14 @@ type networkSession struct {
 // Name implements Solver.
 func (s *networkSession) Name() string { return "network" }
 
-// DelegatedSolves reports how many solves were not flow problems and went
-// to the tableau delegate; the engine surfaces it as Stats.LPDelegated.
-func (s *networkSession) DelegatedSolves() int { return s.delegated }
-
 // Solve implements Solver. The returned *Solution (including X) is an
 // arena overwritten by this session's next Solve.
 func (s *networkSession) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !s.build(p) {
-		s.delegated++
-		return s.tableau.Solve(ctx, p)
+	if err := s.build(p); err != nil {
+		return nil, err
 	}
 	status, iters, err := s.pivot(ctx)
 	if err != nil {
@@ -135,30 +137,28 @@ func (s *networkSession) Solve(ctx context.Context, p *Problem) (*Solution, erro
 			return &s.sol, nil
 		}
 	}
-	s.solX = growF(s.solX, s.n)
+	s.solX = grow(s.solX, s.n)
 	copy(s.solX, s.flow)
 	s.sol.X = s.solX
 	s.sol.Objective = Objective(p, s.solX)
 	return &s.sol, nil
 }
 
-// build recognizes p as a node-arc incidence problem and lays it out as a
-// flow network with the artificial start basis, or reports false (with
-// the arenas in an unspecified state) when p is anything else.
-func (s *networkSession) build(p *Problem) bool {
+// build checks that p is a node-arc incidence problem and lays it out as a
+// flow network with the artificial start basis, or returns an error
+// matching ErrNotFlow (with the arenas in an unspecified state) when p is
+// anything else.
+func (s *networkSession) build(p *Problem) error {
 	n, m := p.NumVars(), len(p.Cons)
 	arcs, nodes := n+m, m+1
 	root := int32(m)
 	s.n, s.m = n, m
-	s.tail = growI32(s.tail, arcs)
-	s.head = growI32(s.head, arcs)
-	s.cost = growF(s.cost, arcs)
-	s.capa = growF(s.capa, arcs)
-	s.flow = growF(s.flow, arcs)
-	if cap(s.state) < arcs {
-		s.state = make([]int8, arcs)
-	}
-	s.state = s.state[:arcs]
+	s.tail = grow(s.tail, arcs)
+	s.head = grow(s.head, arcs)
+	s.cost = grow(s.cost, arcs)
+	s.capa = grow(s.capa, arcs)
+	s.flow = grow(s.flow, arcs)
+	s.state = grow(s.state, arcs)
 
 	const unset = -1
 	for v := 0; v < n; v++ {
@@ -167,7 +167,7 @@ func (s *networkSession) build(p *Problem) bool {
 	for i := range p.Cons {
 		c := &p.Cons[i]
 		if c.Rel != EQ {
-			return false
+			return fmt.Errorf("%w: row %d is a %s row, not an equality", ErrNotFlow, i, c.Rel)
 		}
 		for _, t := range c.Terms {
 			end := s.tail
@@ -176,10 +176,10 @@ func (s *networkSession) build(p *Problem) bool {
 			case -1:
 				end = s.head
 			default:
-				return false
+				return fmt.Errorf("%w: row %d has coefficient %g on column %d, not ±1", ErrNotFlow, i, t.Coef, t.Var)
 			}
 			if end[t.Var] != unset {
-				return false // a second coefficient of the same sign
+				return fmt.Errorf("%w: column %d has a second %+g coefficient in row %d", ErrNotFlow, t.Var, t.Coef, i)
 			}
 			end[t.Var] = int32(i)
 		}
@@ -187,8 +187,10 @@ func (s *networkSession) build(p *Problem) bool {
 	bigM := 1.0
 	for v := 0; v < n; v++ {
 		switch {
-		case s.tail[v] == s.head[v]: // in no row, or twice in one row
-			return false
+		case s.tail[v] == unset && s.head[v] == unset:
+			return fmt.Errorf("%w: column %d is in no row", ErrNotFlow, v)
+		case s.tail[v] == s.head[v]:
+			return fmt.Errorf("%w: column %d has both signs in row %d", ErrNotFlow, v, s.tail[v])
 		case s.tail[v] == unset:
 			s.tail[v] = root
 		case s.head[v] == unset:
@@ -200,7 +202,7 @@ func (s *networkSession) build(p *Problem) bool {
 		}
 		u := p.Upper[v]
 		if c < 0 && math.IsInf(u, 1) {
-			return false
+			return fmt.Errorf("%w: column %d improves the objective without an upper bound", ErrNotFlow, v)
 		}
 		s.cost[v], s.capa[v], s.flow[v] = c, u, 0
 		s.state[v] = arcAtLower
@@ -210,15 +212,15 @@ func (s *networkSession) build(p *Problem) bool {
 		bigM += math.Abs(c)
 	}
 
-	s.parent = growI32(s.parent, nodes)
-	s.pred = growI32(s.pred, nodes)
-	s.depth = growI32(s.depth, nodes)
-	s.child = growI32(s.child, nodes)
-	s.next = growI32(s.next, nodes)
-	s.prev = growI32(s.prev, nodes)
-	s.stack = growI32(s.stack, nodes)
-	s.predUp = growB(s.predUp, nodes)
-	s.pi = growF(s.pi, nodes)
+	s.parent = grow(s.parent, nodes)
+	s.pred = grow(s.pred, nodes)
+	s.depth = grow(s.depth, nodes)
+	s.child = grow(s.child, nodes)
+	s.next = grow(s.next, nodes)
+	s.prev = grow(s.prev, nodes)
+	s.stack = grow(s.stack, nodes)
+	s.predUp = grow(s.predUp, nodes)
+	s.pi = grow(s.pi, nodes)
 	s.parent[root], s.pred[root], s.child[root] = unset, unset, unset
 	s.depth[root], s.pi[root] = 0, 0
 	for i := m - 1; i >= 0; i-- {
@@ -235,7 +237,7 @@ func (s *networkSession) build(p *Problem) bool {
 		s.child[i] = unset
 		s.hang(int32(i), root, int32(a), up)
 	}
-	return true
+	return nil
 }
 
 // hang makes u a child of q through arc a (pointing up: from u to q) and
@@ -418,11 +420,4 @@ func (s *networkSession) pivot(ctx context.Context) (Status, int, error) {
 		}
 		s.state[enter] = arcSkip
 	}
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }

@@ -2,14 +2,15 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// netSession returns a fresh network session with its delegation counter
-// reachable.
-func netSession() *networkSession { return Session(Network{}).(*networkSession) }
+// netSession returns a fresh network session.
+func netSession() Solver { return Session(Network{}) }
 
 // agreeWithDense solves p with s and with the dense oracle and checks
 // status, objective and feasibility.
@@ -39,9 +40,10 @@ func agreeWithDense(t *testing.T, label string, s Solver, p *Problem) *Solution 
 	return got
 }
 
-// TestNetworkRecognizer: the pipeline's two LPs are pivoted on the tree;
-// every near-miss of the node-arc incidence shape goes to the tableau
-// delegate and still agrees with the oracle.
+// TestNetworkRecognizer: the pipeline's LPs — a tolerance's ranged
+// supplies included — are pivoted on the tree and agree with the oracle;
+// every near-miss of the node-arc incidence shape is refused with
+// ErrNotFlow naming the offending row or column, never solved wrongly.
 func TestNetworkRecognizer(t *testing.T) {
 	// x0: row0 → row1, x1: row1 → row0, both capped; a feasible exchange.
 	base := func() *Problem {
@@ -53,58 +55,73 @@ func TestNetworkRecognizer(t *testing.T) {
 		return p
 	}
 	cases := []struct {
-		name      string
-		p         *Problem
-		delegated bool
+		name    string
+		p       *Problem
+		refused string // what the ErrNotFlow must name; "" = a flow
 	}{
-		{"paper figure 5 (balance)", paperFig5Problem(), false},
-		{"paper figure 8 (refine)", paperFig8Problem(), false},
-		{"two-node exchange", base(), false},
+		{"paper figure 5 (balance)", paperFig5Problem(), ""},
+		{"paper figure 8 (refine)", paperFig8Problem(), ""},
+		{"two-node exchange", base(), ""},
+		{"ranged supplies (slack arcs to the root)", func() *Problem {
+			p := base()
+			for i := range p.Cons {
+				p.Obj, p.Upper = append(p.Obj, 0), append(p.Upper, 2)
+				p.Cons[i].Terms = append(p.Cons[i].Terms, Term{len(p.Obj) - 1, 1})
+				p.Cons[i].RHS++
+			}
+			return p
+		}(), ""},
 		{"coefficient 2", func() *Problem {
 			p := base()
 			p.Cons[0].Terms[0].Coef = 2
 			return p
-		}(), true},
+		}(), "row 0"},
 		{"a GE row", func() *Problem {
 			p := base()
 			p.Cons[1].Rel = GE
 			return p
-		}(), true},
+		}(), "row 1"},
 		{"a column in three rows", func() *Problem {
 			p := base()
 			p.AddConstraint([]Term{{0, 1}}, EQ, 2)
 			return p
-		}(), true},
+		}(), "column 0"},
 		{"two +1s in one column", func() *Problem {
 			p := base()
 			p.Cons[1].Terms[0].Coef = 1
 			p.Cons[1].RHS = 2
 			return p
-		}(), true},
+		}(), "column 0"},
 		{"both signs in one row", func() *Problem {
 			p := base()
 			p.Cons[0].Terms = []Term{{0, 1}, {0, -1}, {1, -1}}
 			p.Cons[1].Terms = []Term{{1, 1}}
 			return p
-		}(), true},
+		}(), "column 0"},
 		{"negative cost with Inf upper", func() *Problem {
 			p := base()
 			p.Obj[1], p.Upper[1] = -1, Inf
 			return p
-		}(), true},
+		}(), "column 1"},
 		{"a column in no row", func() *Problem {
 			p := base()
 			p.Obj = append(p.Obj, 1)
 			p.Upper = append(p.Upper, 3)
 			return p
-		}(), true},
+		}(), "column 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := netSession()
-			agreeWithDense(t, tc.name, s, tc.p)
-			if got := s.DelegatedSolves() == 1; got != tc.delegated {
-				t.Fatalf("delegated = %v, want %v", got, tc.delegated)
+			if tc.refused == "" {
+				agreeWithDense(t, tc.name, netSession(), tc.p)
+				return
+			}
+			sol, err := netSession().Solve(context.Background(), tc.p)
+			if !errors.Is(err, ErrNotFlow) || sol != nil {
+				t.Fatalf("got (%+v, %v), want a refusal matching ErrNotFlow", sol, err)
+			}
+			if !strings.Contains(err.Error(), tc.refused) {
+				t.Fatalf("error %q does not name %s", err, tc.refused)
 			}
 		})
 	}
@@ -162,7 +179,7 @@ func randomNetworkLP(rng *rand.Rand) *Problem {
 // flow LPs of pipeline-like size, through one long-lived session so stale
 // arena contents of every earlier shape are in play, and checks the
 // solver's two structural promises: integer data gives an exactly
-// integral vertex, and none of these problems is delegated.
+// integral vertex, and none of these problems is refused.
 func TestNetworkAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	s := netSession()
@@ -179,9 +196,6 @@ func TestNetworkAgainstDense(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v is not integral", trial, v, x)
 			}
 		}
-	}
-	if n := s.DelegatedSolves(); n != 0 {
-		t.Fatalf("%d flow LPs were delegated to the tableau", n)
 	}
 	if optimal < 300 {
 		t.Fatalf("only %d of 1500 trials were feasible: the generator lost its feasible branch", optimal)
@@ -217,27 +231,20 @@ func TestNetworkPureFunctionOfProblem(t *testing.T) {
 }
 
 // TestNetworkWarmSolveAllocatesNothing: once a session's arenas have
-// grown to a problem, solving it again — on the tree or through the
-// delegate — allocates nothing.
+// grown to a problem, solving it again allocates nothing.
 func TestNetworkWarmSolveAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
-	flow := randomFlowLP(rand.New(rand.NewSource(3)), 12)
-	generic := randomBoundedLP(rand.New(rand.NewSource(3)))
-	for name, p := range map[string]*Problem{"flow": flow, "delegated": generic} {
-		s := netSession()
+	p := randomFlowLP(rand.New(rand.NewSource(3)), 12)
+	s := netSession()
+	if _, err := s.Solve(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := s.Solve(ctx, p); err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			if _, err := s.Solve(ctx, p); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%s: warm solve allocates %.1f/op, want 0", name, allocs)
-		}
-		if want := name == "delegated"; (s.DelegatedSolves() > 0) != want {
-			t.Errorf("%s: delegated %d solves", name, s.DelegatedSolves())
-		}
+	}); allocs != 0 {
+		t.Errorf("warm solve allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -1,26 +1,25 @@
 // Package lp implements the linear-programming layer of the incremental
-// partitioner: a small modeling API plus three simplex solvers, each
-// registered under a stable name (see registry.go).
+// partitioner: a small modeling API, the one routine that formulates the
+// pipeline's LPs (QuotientFlow, flow.go) and two simplex solvers, each
+// registered under a stable name (see registry.go) — one for production,
+// one independent oracle.
 //
 //   - Network ("network", the default): a bounded-variable network
-//     simplex. The balance and refine LPs are min-cost flows on the
-//     partition quotient graph; it recognizes that shape from the Problem
-//     and pivots on a spanning tree instead of a tableau. Anything that is
-//     not a flow goes to its private Bounded delegate.
-//   - Bounded ("bounded"): a bounded-variable tableau simplex that keeps
-//     0 ≤ x ≤ u implicit instead of materializing upper bounds as rows. It
-//     is the general-LP path, and Network's delegate for problems that
-//     are not flows (a balance tolerance's GE/LE row pairs, for one).
+//     simplex. Every LP the pipeline formulates — balance, refine, and a
+//     balance tolerance's ranged supplies, which are one slack arc per
+//     partition — is a min-cost flow on the partition quotient graph; it
+//     pivots them on a spanning tree instead of a tableau and refuses
+//     anything that is not a flow with ErrNotFlow.
 //   - Dense ("dense"): the classical two-phase dense-tableau simplex, the
 //     solver the paper uses ("We have used a dense version of simplex
-//     algorithm"). It is the slowest on every measured row and stays as
-//     the oracle: it materializes bounds as rows and shares no pivoting
-//     code with the others, so FuzzSolverAgreement holds every registered
-//     solver to it.
+//     algorithm") and the general-LP path. It is the slowest on every
+//     measured row and stays as the oracle: it materializes bounds as
+//     rows and shares no pivoting code with Network, so
+//     FuzzSolverAgreement holds Network to it; its standard form is also
+//     what parallel.SolveLP distributes.
 //
-// All solvers return basic optimal solutions; on the network-flow-shaped
-// problems built by the balance and refine phases those are integral by
-// total unimodularity.
+// Both return basic optimal solutions; on the flow problems built by the
+// balance and refine phases those are integral by total unimodularity.
 package lp
 
 import (

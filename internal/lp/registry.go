@@ -20,7 +20,6 @@ const DefaultSolverName = "network"
 
 func init() {
 	MustRegister("dense", Dense{})
-	MustRegister("bounded", Bounded{})
 	MustRegister("network", Network{})
 }
 
@@ -35,10 +34,10 @@ func Default() Solver {
 }
 
 // SessionSolver is implemented by solvers whose state should be scoped
-// to one solve stream — [Network] and [Bounded], whose sessions reuse
-// their tableau, tree and Solution arenas and are therefore not safe to
-// share. NewSession returns a fresh instance with the same configuration
-// and empty state.
+// to one solve stream — [Network], whose sessions reuse their graph,
+// tree and Solution arenas and are therefore not safe to share.
+// NewSession returns a fresh instance with the same configuration and
+// empty state.
 type SessionSolver interface {
 	Solver
 	// NewSession forks a private instance for one solve stream.

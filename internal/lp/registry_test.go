@@ -17,7 +17,7 @@ func TestRegisterRejections(t *testing.T) {
 		solver  Solver
 		wantErr string // substring of the Register error / MustRegister panic
 	}{
-		{"empty name", "", Bounded{}, "empty solver name"},
+		{"empty name", "", Network{}, "empty solver name"},
 		{"nil solver", "x-nil", nil, "nil solver"},
 		{"duplicate built-in", "dense", Dense{}, "already registered"},
 	}
@@ -55,13 +55,13 @@ func TestRegisterRejections(t *testing.T) {
 // and then resolve.
 func TestMustRegisterAcceptsFreshName(t *testing.T) {
 	const name = "test-must-register-fresh"
-	MustRegister(name, Bounded{})
+	MustRegister(name, Network{})
 	s, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "bounded" {
-		t.Fatalf("resolved %q, want the registered bounded instance", s.Name())
+	if s.Name() != "network" {
+		t.Fatalf("resolved %q, want the registered network instance", s.Name())
 	}
 	found := false
 	for _, n := range Names() {
@@ -92,7 +92,7 @@ func TestRegistryConcurrentLookupDuringRegister(t *testing.T) {
 			<-start
 			for i := 0; i < iterations; i++ {
 				name := fmt.Sprintf("test-race-%d-%d-%d", w, i, testRaceRun)
-				if err := Register(name, Bounded{}); err != nil {
+				if err := Register(name, Network{}); err != nil {
 					t.Errorf("Register(%q): %v", name, err)
 					return
 				}
@@ -105,7 +105,7 @@ func TestRegistryConcurrentLookupDuringRegister(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iterations; i++ {
-				if _, err := Lookup("bounded"); err != nil {
+				if _, err := Lookup("dense"); err != nil {
 					t.Errorf("Lookup: %v", err)
 					return
 				}

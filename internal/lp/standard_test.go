@@ -68,7 +68,7 @@ func TestIterLimitStatus(t *testing.T) {
 	// A solvable problem with MaxIter=1 must stop with IterLimit, not hang
 	// or mis-report.
 	p := paperFig5Problem()
-	for _, s := range []Solver{Dense{MaxIter: 1}, Bounded{MaxIter: 1}, Network{MaxIter: 1}} {
+	for _, s := range []Solver{Dense{MaxIter: 1}, Network{MaxIter: 1}} {
 		sol, err := s.Solve(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)

@@ -36,88 +36,21 @@ import (
 )
 
 // LPArena owns the reusable buffers of the refinement-LP formulation —
-// the Problem's objective/bound/constraint storage and the pair
-// mapping — and of the driver's move log. Buffers grow to the largest round seen and are then reused,
-// so steady-state formulation through a warm engine allocates nothing.
-// The Problem and pair slice returned by Formulate are owned by the
-// arena and invalidated by its next call. The zero value is ready.
+// the shared quotient-flow builder — and of the driver's move log.
+// Buffers grow to the largest round seen and are then reused, so
+// steady-state formulation through a warm engine allocates nothing. The
+// Problem and pair slice returned by Formulate are owned by the arena and
+// invalidated by its next call. The zero value is ready.
 type LPArena struct {
-	prob  lp.Problem
-	pairs [][2]int32
-	terms []lp.Term
-	off   []int // partition j's row is terms[off[j]:off[j+1]]
-	cons  []lp.Constraint
-	undo  []move // Drive's move log (see Drive)
+	flow lp.QuotientFlow
+	undo []move // Drive's move log (see Drive)
 }
 
 // Formulate is the arena-backed form of the package-level [Formulate]:
-// the identical LP, built into reused buffers and without diagnostic
-// variable names.
+// the identical LP — a maximal circulation under the pool sizes b(i,j) —
+// built into reused buffers and without diagnostic variable names.
 func (ar *LPArena) Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
-	ar.pairs = ar.pairs[:0]
-	for i := 0; i < c.P; i++ {
-		for j := 0; j < c.P; j++ {
-			if i != j && c.B[i][j] > 0 {
-				ar.pairs = append(ar.pairs, [2]int32{int32(i), int32(j)})
-			}
-		}
-	}
-	pairs := ar.pairs
-	n := len(pairs)
-	prob := &ar.prob
-	prob.Sense = lp.Maximize
-	prob.Names = nil
-	prob.Obj = lp.GrowFloats(prob.Obj, n)
-	prob.Upper = lp.GrowFloats(prob.Upper, n)
-	for v, pr := range pairs {
-		prob.Obj[v] = 1
-		prob.Upper[v] = float64(c.B[pr[0]][pr[1]])
-	}
-	ar.terms, ar.off = fillRows(ar.terms, ar.off, pairs, c.P)
-	ar.cons = ar.cons[:0]
-	for j := 0; j < c.P; j++ {
-		if terms := ar.terms[ar.off[j]:ar.off[j+1]]; len(terms) > 0 {
-			ar.cons = append(ar.cons, lp.Constraint{Terms: terms, Rel: lp.EQ, RHS: 0})
-		}
-	}
-	prob.Cons = ar.cons
-	return prob, pairs
-}
-
-// fillRows writes the zero-net-flow rows of the pair variables into terms
-// — +1 on the row of a pair's source partition, −1 on its target's — and
-// returns the buffer with the row offsets: partition j's row is
-// terms[off[j]:off[j+1]]. Two counting passes over the pairs, O(pairs + p):
-// the first sizes every row, the second writes the terms in variable
-// order, so each row lists its variables ascending.
-func fillRows(terms []lp.Term, off []int, pairs [][2]int32, p int) ([]lp.Term, []int) {
-	if cap(terms) < 2*len(pairs) {
-		terms = make([]lp.Term, 2*len(pairs))
-	}
-	terms = terms[:2*len(pairs)]
-	if cap(off) < p+2 {
-		off = make([]int, p+2)
-	}
-	off = off[:p+2]
-	for j := range off {
-		off[j] = 0
-	}
-	// off[j+2] counts row j, the running sum turns off[j+1] into its start,
-	// and filling advances off[j+1] to its end — the start of row j+1.
-	for _, pr := range pairs {
-		off[pr[0]+2]++
-		off[pr[1]+2]++
-	}
-	for j := 2; j < len(off); j++ {
-		off[j] += off[j-1]
-	}
-	for v, pr := range pairs {
-		terms[off[pr[0]+1]] = lp.Term{Var: v, Coef: 1}
-		off[pr[0]+1]++
-		terms[off[pr[1]+1]] = lp.Term{Var: v, Coef: -1}
-		off[pr[1]+1]++
-	}
-	return terms, off
+	return ar.flow.Formulate(lp.Maximize, c.B, nil, 0)
 }
 
 // Formulate builds the refinement LP over pairs with b(i,j) > 0. This
@@ -280,10 +213,11 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	})
 	st := &Stats{RoundCuts: curves.cuts[:0], RoundMoved: curves.moved[:0]}
 	st.CutBefore = cutWeight()
-	var undo []move
-	if opt.Arena != nil {
-		undo = opt.Arena.undo[:0]
+	arena := opt.Arena
+	if arena == nil {
+		arena = new(LPArena)
 	}
+	undo := arena.undo[:0]
 	bestCut, bestLen := st.CutBefore, 0 // undo[:bestLen] leads to the best assignment
 	cur := st.CutBefore
 	var abort error
@@ -298,13 +232,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 			abort = err
 			break
 		}
-		var prob *lp.Problem
-		var pairs [][2]int32
-		if opt.Arena != nil {
-			prob, pairs = opt.Arena.Formulate(cands)
-		} else {
-			prob, pairs = Formulate(cands)
-		}
+		prob, pairs := arena.Formulate(cands)
 		if len(pairs) == 0 {
 			break
 		}
@@ -347,9 +275,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 			a.Part[undo[i].v] = undo[i].from
 		}
 	}
-	if opt.Arena != nil {
-		opt.Arena.undo = undo
-	}
+	arena.undo = undo
 	st.CutAfter = st.CutBefore
 	if st.Rounds > 0 {
 		st.CutAfter = cutWeight()

@@ -141,7 +141,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 }
 
 func TestRefineSolverChoiceEquivalent(t *testing.T) {
-	for _, s := range []lp.Solver{lp.Dense{}, lp.Bounded{}} {
+	for _, s := range []lp.Solver{lp.Dense{}, lp.Network{}} {
 		g, a := jaggedStripes()
 		_, err := Refine(g, a, Options{Solver: s})
 		if err != nil {

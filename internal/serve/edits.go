@@ -21,7 +21,7 @@ const (
 	OpRemoveVertex    EditOp = "remove_vertex"     // remove vertex U and its edges
 	OpAddEdge         EditOp = "add_edge"          // add edge {U,V} of weight Weight (0 = 1)
 	OpRemoveEdge      EditOp = "remove_edge"       // remove edge {U,V}
-	OpSetVertexWeight EditOp = "set_vertex_weight" // set U's weight to Weight
+	OpSetVertexWeight EditOp = "set_vertex_weight" // set U's weight to Weight — advisory: the balancer counts live vertices, not weights
 )
 
 // Edit is one graph mutation inside an edit-submission request. The

@@ -103,15 +103,16 @@ func WithRefineRounds(n int) Option {
 }
 
 // WithSolver selects the LP solver by registry name: "network" (the
-// default), "bounded", "dense", or anything added via
-// [RegisterSolver]. Unknown names fail at NewEngine/Repartition time.
+// default), "dense", or anything added via [RegisterSolver]. Unknown
+// names fail at NewEngine/Repartition time with an error listing the
+// registered ones.
 //
 // "network" pivots the balance and refinement LPs — min-cost flows on
-// the partition quotient graph — on a spanning tree rather than a
-// tableau, and hands anything that is not a flow (the GE/LE row pairs of
-// [WithTolerance], say) to "bounded", its tableau delegate;
-// [Stats.LPDelegated] counts those solves. "dense" is the paper's
-// tableau simplex, kept as the oracle the others are tested against.
+// the partition quotient graph, with or without a [WithTolerance]
+// allowance — on a spanning tree rather than a tableau; it has no
+// fallback and refuses a problem that is not a flow. "dense" is the
+// paper's tableau simplex, kept as the oracle "network" is tested
+// against.
 func WithSolver(name string) Option {
 	return func(c *config) error {
 		s, err := lp.Lookup(name)
@@ -126,6 +127,13 @@ func WithSolver(name string) Option {
 // WithTolerance allows partition sizes to deviate from their ideal
 // targets by up to n ≥ 0 vertices (default 0 = the paper's exact
 // balance). Positive values trade residual imbalance for less movement.
+//
+// The allowance stays a min-cost flow: the balance LP keeps one equality
+// row per partition and gains P zero-cost slack columns after the pair
+// columns, 0 ≤ s_j ≤ 2n with a single +1 in row j (an arc from partition
+// j to the root), whose row reads outflow − inflow + s_j = surplus_j + n.
+// That is the [LPProblem] an out-of-tree [Solver] receives under a
+// tolerance.
 func WithTolerance(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -66,8 +66,8 @@ solver_cmp="$(go run ./cmd/igpbench -table solvers -json)"
 echo "$solver_cmp"
 
 # Per-solver phase/pivot rows: the same workload under every registered
-# simplex, so the trajectory records tree and tableau pivot counts
-# side by side. The default solver's row is the record measured above;
+# simplex (network and its dense oracle), so the trajectory records
+# tree and tableau pivot counts side by side. The default solver's row is the record measured above;
 # every other name in the comparison table gets a run of its own.
 echo "== per-solver phase timings =="
 default_solver="$(sed -n 's/.*"solver": "\([^"]*\)".*/\1/p' <<<"$phases")"

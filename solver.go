@@ -12,8 +12,8 @@ import (
 // (wrap the cause from context.Cause) once it is done.
 //
 // Register an implementation with [RegisterSolver] and select it with
-// [WithSolver]; the built-ins ("network", "bounded" and "dense")
-// register themselves at init.
+// [WithSolver]; the built-ins ("network" and "dense") register
+// themselves at init.
 type Solver = lp.Solver
 
 // LPProblem is the linear program handed to a Solver: minimize/maximize
@@ -50,8 +50,8 @@ const (
 func RegisterSolver(name string, s Solver) error { return lp.Register(name, s) }
 
 // SolverNames returns the names of all registered solvers in sorted
-// order: the built-ins "bounded", "dense" and "network" (the default),
-// plus anything added via RegisterSolver.
+// order: the built-ins "dense" and "network" (the default), plus
+// anything added via RegisterSolver.
 func SolverNames() []string { return lp.Names() }
 
 // ErrCanceled is the sentinel every context-driven abort matches:

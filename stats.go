@@ -57,7 +57,8 @@ type Stats struct {
 	// RefineRounds is the number of refinement LP rounds applied.
 	RefineRounds int
 	// LPVars and LPCons are the dense-formulation dimensions of the
-	// largest balance LP (the paper's v and c).
+	// largest balance LP (the paper's v and c). Under [WithTolerance]
+	// they include the P slack columns and their bounds.
 	LPVars, LPCons int
 	// LPIterations is the total simplex pivots across every balance stage
 	// and refinement round.
@@ -105,13 +106,6 @@ type Stats struct {
 	// empty at one worker. Comparing the sum against Elapsed
 	// shows how much of the pipeline actually fanned out.
 	WorkerBusy []time.Duration
-	// LPDelegated counts LP solves during this call that the solver
-	// handed to its tableau delegate because the problem was not a pure
-	// network flow. The default "network" solver pivots the paper's LPs on
-	// a spanning tree, so this reads zero under default options; a
-	// [WithTolerance] allowance turns each balance row into a GE/LE pair,
-	// which is not a flow, and every such solve counts here.
-	LPDelegated int
 	// CSRPatched counts snapshot refreshes during this call served by
 	// the journal-driven partial CSR patch (only the touched rows
 	// rewritten) rather than a full O(n+m) rebuild. On a warm [Engine]
@@ -214,7 +208,6 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 		LPIterations:      st.LPIterations,
 		Parallelism:       st.Parallelism,
 		WorkerBusy:        busy,
-		LPDelegated:       st.LPDelegated,
 		CSRPatched:        st.CSRPatched,
 		CutIncremental:    st.CutIncremental,
 		CutReused:         st.CutReused,
