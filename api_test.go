@@ -587,6 +587,10 @@ func TestPublicStatsClone(t *testing.T) {
 	if moved != st.RefineMoved {
 		t.Fatalf("RoundMoved %v sums to %d, RefineMoved %d", st.RoundMoved, moved, st.RefineMoved)
 	}
+	// Round 1 is always loose and at most two are.
+	if st.RefineStop == "" || st.RefineStrictFrom < 1 || st.RefineStrictFrom > min(2, st.RefineRounds) {
+		t.Fatalf("refinement stopped %q with %d loose rounds of %d", st.RefineStop, st.RefineStrictFrom, st.RefineRounds)
+	}
 	if st.CutIncremental < 1 || st.CutIncremental+st.CutReused != st.RefineRounds+3 {
 		t.Fatalf("a refined flat call of %d rounds made %d cut evaluations and %d reuses, want %d reports, ≥ 1 evaluated",
 			st.RefineRounds, st.CutIncremental, st.CutReused, st.RefineRounds+3)
@@ -597,6 +601,9 @@ func TestPublicStatsClone(t *testing.T) {
 	roundMoved := append([]int(nil), clone.RoundMoved...)
 	perPart := append([]float64(nil), clone.CutAfter.PerPart...)
 	cutAfter := clone.CutAfter.Total
+	if clone.RefineStop != st.RefineStop || clone.RefineStrictFrom != st.RefineStrictFrom {
+		t.Fatal("clone dropped the refinement stop reason")
+	}
 	// Overwrite the arena with a warm second call.
 	v := g.AddVertex(1)
 	if err := g.AddEdge(v, 0, 1); err != nil {

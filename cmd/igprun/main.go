@@ -98,9 +98,9 @@ func main() {
 		if *verbose && st.VCycleSkipped {
 			fmt.Fprintln(os.Stderr, "igprun: v-cycle: skipped (balanced)")
 		}
-		if *verbose && len(st.RoundCuts) > 0 {
-			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g; vertices moved per round %v\n",
-				st.RoundCuts, st.CutAfter.TotalWeight, st.RoundMoved)
+		if *verbose && st.RefineStop != "" {
+			fmt.Fprintf(os.Stderr, "igprun: refine: cut weight after each round %v, kept %g; vertices moved per round %v; %d loose, stop %s\n",
+				st.RoundCuts, st.CutAfter.TotalWeight, st.RoundMoved, st.RefineStrictFrom, st.RefineStop)
 		}
 	default:
 		fail("unknown mode " + *mode)

@@ -117,7 +117,8 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		}
 		agg.CutAfter = st.CutAfter
 		// Accumulate refinement across batches (movement and pivot totals
-		// sum; the LP-size high-water mark and final cut carry the max/last).
+		// sum; the LP-size high-water mark carries the max, the final cut,
+		// strict switch and stop reason the last batch's).
 		if st.Refine != nil {
 			if agg.Refine == nil {
 				cp := *st.Refine
@@ -133,6 +134,7 @@ func RepartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 					agg.Refine.LPVars, agg.Refine.LPCons = st.Refine.LPVars, st.Refine.LPCons
 				}
 				agg.Refine.CutAfter = st.Refine.CutAfter
+				agg.Refine.StrictFrom, agg.Refine.Stop = st.Refine.StrictFrom, st.Refine.Stop
 			}
 		}
 	}

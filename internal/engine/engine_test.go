@@ -871,7 +871,7 @@ func TestKeptCutInvalidation(t *testing.T) {
 // TestRefineRollbackIsReported: Drive rolls a regressing tail back after
 // its last report of the loop — when a cancellation stops it right after
 // a regressing round (seeds 17, 18: round 2 and round 1 regress) and when
-// the round cap does (seed 13 ends 49 → 50) — and that write must reach
+// a 2-cycle ends the loop (seed 13 ends 49 → 50) — and that write must reach
 // the closing report: CutAfter is the oracle's cut of the assignment left
 // behind, which is the best one any round produced.
 func TestRefineRollbackIsReported(t *testing.T) {

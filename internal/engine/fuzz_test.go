@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/lp"
 	"repro/internal/partition"
 	"repro/internal/refine"
+	"repro/internal/spectral"
 )
 
 // FuzzBoundaryExact is the differential fuzz of everything sync tracks:
@@ -479,4 +482,107 @@ func FuzzRefineIncremental(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRefineSchedule: refine.Drive's exits change no result. A warm
+// refining engine at 1, 2 and 4 workers absorbs random edit bursts on a
+// random geometric mesh or a grid, unit or fractional weights; after
+// every call its assignment and refinement CutAfter must equal, bit for
+// bit, those of the same input run through a refine-less engine
+// (assignment and balancing) and then scheduleReference, which applies
+// the same loose-phase rule but runs every round to the cap.
+func FuzzRefineSchedule(f *testing.F) {
+	f.Add(int64(1), uint8(6), false, false)
+	f.Add(int64(7), uint8(6), true, false)
+	f.Add(int64(3), uint8(6), false, true)
+	f.Add(int64(12), uint8(6), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8, frac, grid bool) {
+		p := 2 + int(uint64(seed)%5)
+		var g0 *graph.Graph
+		var a0 *partition.Assignment
+		if grid {
+			side := 6 + int(uint64(seed)%12)
+			g0 = graph.Grid(side, side)
+			part, err := spectral.RSB(g0, p, spectral.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a0 = &partition.Assignment{Part: part, P: p}
+		} else {
+			g0, a0 = editableGraph(t, 60+int(uint64(seed)%300), p, seed)
+		}
+		if frac {
+			fractionalWeights(g0, rand.New(rand.NewSource(seed^0x5c4)))
+		}
+		for _, workers := range []int{1, 2, 4} {
+			g, a, gR, aR := g0.Clone(), a0.Clone(), g0.Clone(), a0.Clone()
+			e := New(g, Options{Refine: true, Parallelism: workers})
+			ref := New(gR, Options{Parallelism: 1})
+			burst := rand.New(rand.NewSource(seed ^ 0x3b))
+			rng, rngR := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := 0; i <= int(steps%12); i++ {
+				for k := i % 2 * (1 + burst.Intn(8)); k > 0; k-- {
+					randomEdit(g, a, rng)
+					randomEdit(gR, aR, rngR)
+				}
+				st, err := e.Repartition(context.Background(), a)
+				_, errR := ref.Repartition(context.Background(), aR)
+				if (err == nil) != (errR == nil) {
+					t.Fatalf("workers=%d step %d: errors %v vs %v", workers, i, err, errR)
+				}
+				if err != nil {
+					break
+				}
+				cut := scheduleReference(t, gR, aR)
+				if !slices.Equal(a.Part, aR.Part) || st.Refine.CutAfter != cut {
+					t.Fatalf("workers=%d step %d: Drive left cut %g (stop %s after %d rounds), the reference %g; assignments equal: %v",
+						workers, i, st.Refine.CutAfter, st.Refine.Stop, st.Refine.Rounds, cut, slices.Equal(a.Part, aR.Part))
+				}
+			}
+		}
+	})
+}
+
+// scheduleReference is refine.Drive without its exits, written from the
+// one-shot pieces: a fresh gain scan per round, partition.Cut after it,
+// the loose phase ended by its second round or by the first loose round
+// whose cut is not below the best one before it, every round run to the
+// default cap of 8 unless one has no candidates or no gain, and the best
+// assignment seen restored at the end. It returns the cut left behind.
+func scheduleReference(t *testing.T, g *graph.Graph, a *partition.Assignment) float64 {
+	best, bestCut := a.Clone(), partition.Cut(g, a).TotalWeight
+	strict, loose := false, 0
+	for round := 0; round < 8; round++ {
+		c, err := refine.Gains(g, a, strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob, pairs := refine.Formulate(c)
+		if len(pairs) == 0 {
+			break
+		}
+		sol, err := lp.Network{}.Solve(context.Background(), prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != lp.Optimal || sol.Objective < 0.5 {
+			break
+		}
+		if _, err := refine.Apply(a, c, pairs, sol.X); err != nil {
+			t.Fatal(err)
+		}
+		cut := partition.Cut(g, a).TotalWeight
+		if !strict {
+			loose++
+			strict = loose == 2 || cut >= bestCut
+		}
+		if cut < bestCut {
+			bestCut = cut
+			copy(best.Part, a.Part)
+		}
+	}
+	if partition.Cut(g, a).TotalWeight > bestCut {
+		copy(a.Part, best.Part)
+	}
+	return partition.Cut(g, a).TotalWeight
 }

@@ -27,8 +27,6 @@ type Options struct {
 	Refine bool
 	// RefineRounds caps refinement rounds (0 = 8).
 	RefineRounds int
-	// StrictAfter switches refinement to strict gains (0 = 2).
-	StrictAfter int
 }
 
 func (o Options) epsMax() float64 {
@@ -50,13 +48,6 @@ func (o Options) refineRounds() int {
 		return 8
 	}
 	return o.RefineRounds
-}
-
-func (o Options) strictAfter() int {
-	if o.StrictAfter <= 0 {
-		return 2
-	}
-	return o.StrictAfter
 }
 
 // Result reports a parallel repartitioning run.
@@ -420,18 +411,18 @@ func migrate(c *comm.Comm, a *partition.Assignment, lay *layering.Result, flows 
 
 // prefine is the parallel phase 4: gains are computed per owned
 // partition, candidate counts b(i,j) all-gathered, the refinement LP
-// solved in parallel, and moves migrated like pbalance. Returns the
-// number of rounds performed.
+// solved in parallel, and moves migrated like pbalance, switching to the
+// strict test where refine.Strict says. Returns the rounds performed.
 func prefine(ctx context.Context, c *comm.Comm, eng *engine.Engine, g *graph.Graph, a *partition.Assignment, opt Options) (int, error) {
 	ranks := c.Size()
 	best := a.Clone()
 	bestCut := partition.Cut(g, a).TotalWeight
+	strict, loose := false, 0
 	rounds := 0
 	for round := 0; round < opt.refineRounds(); round++ {
 		if err := cancel.Check(ctx, "parallel refinement"); err != nil {
 			return rounds, err
 		}
-		strict := round >= opt.strictAfter()
 		cands, err := eng.Gains(a, strict)
 		if err != nil {
 			return rounds, err
@@ -497,6 +488,10 @@ func prefine(ctx context.Context, c *comm.Comm, eng *engine.Engine, g *graph.Gra
 		}
 		rounds++
 		cut := partition.Cut(g, a).TotalWeight
+		if !strict {
+			loose++
+			strict = refine.Strict(loose, cut, bestCut)
+		}
 		if cut < bestCut {
 			bestCut = cut
 			best = a.Clone()

@@ -8,10 +8,10 @@
 //	           outflow(j) − inflow(j) = 0      for every j
 //
 // moves as many of them as possible without disturbing partition sizes.
-// The step is iterated; after a configurable number of rounds the
-// candidate test switches from ≥ to > (the paper's "strict inequality"
-// guard against vertices with zero net gain oscillating between
-// partitions).
+// The step is iterated; the candidate test switches from ≥ to > (the
+// paper's "strict inequality" guard against vertices with zero net gain
+// oscillating between partitions) as Strict says, and Drive stops early
+// where running on could change nothing (Stats.Stop says why it stopped).
 //
 // A round costs what it moves (the FM gain-update rule): Apply logs the
 // vertices it moves with the partitions they left; Drive asks its cut
@@ -26,8 +26,10 @@ package refine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
@@ -103,10 +105,6 @@ func Apply(a *partition.Assignment, c *Candidates, pairs [][2]int32, x []float64
 type Options struct {
 	// MaxRounds caps LP refinement rounds (0 = default 8).
 	MaxRounds int
-	// StrictAfter switches the candidate test to strict inequality after
-	// this many rounds (0 = default 2; the paper recommends the switch
-	// "after a few steps").
-	StrictAfter int
 	// Solver picks the simplex implementation (nil = lp.Default()).
 	Solver lp.Solver
 	// OnRound, if non-nil, is invoked after each applied round with the
@@ -135,13 +133,13 @@ func (o Options) Rounds() int {
 	return o.MaxRounds
 }
 
-// StrictAfterRounds returns StrictAfter with the default applied.
-func (o Options) StrictAfterRounds() int {
-	if o.StrictAfter <= 0 {
-		return 2
-	}
-	return o.StrictAfter
-}
+const looseRounds = 2 // the paper goes strict "after a few steps"
+
+// Strict is the candidate-test schedule Drive and the SPMD simulator share:
+// rounds start loose, and the loose-th loose round, which left cut (best:
+// the lowest cut reported before it), is the last one when Strict is true.
+// Strict rounds stay strict.
+func Strict(loose int, cut, best float64) bool { return loose >= looseRounds || cut >= best }
 
 // ResolveSolver returns Solver with the default applied.
 func (o Options) ResolveSolver() lp.Solver {
@@ -169,6 +167,12 @@ type Stats struct {
 	// RoundPivots lists the pivots of every LP solved, in round order
 	// (including a final round whose solution was not applied).
 	RoundPivots []int
+	// StrictFrom counts the loose rounds: RoundCuts[StrictFrom:] are strict.
+	// Stop says why the loop ended: "cap", "no-candidates", "no-gain",
+	// "cycle" (see Drive), "unsolved" (a pivot cap, or an error other than
+	// cancellation, which Drive returns) or "canceled".
+	StrictFrom int
+	Stop       string
 }
 
 // Refine iteratively improves the cut of assignment a without changing
@@ -197,6 +201,11 @@ func Refine(g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error
 // arena (benchmarks/harness, until ROADMAP item 1(a) may edit it). g must
 // not change while Drive runs.
 //
+// A strict round that puts back exactly what the strict round before it
+// moved makes every later round alternate between two states (a round is a
+// function of the state): the loop ends ("cycle") in the state the cap
+// would leave — the previous one if an odd number of rounds remain.
+//
 // The context is polled before every round and inside the LP solve. An
 // abort rolls back to the best assignment seen so far, so a canceled
 // refinement still leaves a valid (and never-worse) partition behind.
@@ -220,13 +229,15 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	undo := arena.undo[:0]
 	bestCut, bestLen := st.CutBefore, 0 // undo[:bestLen] leads to the best assignment
 	cur := st.CutBefore
+	strict := false
+	last := 0 // undo[last:] is the last round's log
 	var abort error
+	st.Stop = "cap"
 	for round := 0; round < opt.Rounds(); round++ {
 		if err := cancel.Check(ctx, "refinement"); err != nil {
 			abort = err
 			break
 		}
-		strict := round >= opt.StrictAfterRounds()
 		cands, err := gains(strict)
 		if err != nil {
 			abort = err
@@ -234,6 +245,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		}
 		prob, pairs := arena.Formulate(cands)
 		if len(pairs) == 0 {
+			st.Stop = "no-candidates"
 			break
 		}
 		if v, c := lp.DenseSize(prob); v > st.LPVars {
@@ -247,6 +259,10 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		st.Iterations += sol.Iterations
 		st.RoundPivots = append(st.RoundPivots, sol.Iterations)
 		if sol.Status != lp.Optimal || sol.Objective < 0.5 {
+			st.Stop = "no-gain"
+			if sol.Status != lp.Optimal {
+				st.Stop = "unsolved"
+			}
 			break
 		}
 		moved, err := Apply(a, cands, pairs, sol.X)
@@ -262,13 +278,32 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		cur = cutWeight()
 		st.RoundCuts = append(st.RoundCuts, cur)
 		st.RoundMoved = append(st.RoundMoved, moved)
+		start := len(undo)
 		undo = append(undo, cands.log...)
+		if !strict {
+			st.StrictFrom++
+			strict = Strict(st.StrictFrom, cur, bestCut)
+		}
 		if cur < bestCut {
 			bestCut, bestLen = cur, len(undo)
 		}
-		if moved == 0 {
+		if st.Rounds-1 > st.StrictFrom && start-last == moved &&
+			!slices.ContainsFunc(undo[last:start], func(m move) bool { return a.Part[m.v] != m.from }) {
+			st.Stop = "cycle"
+			if (opt.Rounds()-st.Rounds)%2 == 1 {
+				for i := len(undo) - 1; i >= start; i-- {
+					a.Part[undo[i].v] = undo[i].from
+				}
+				undo, cur = undo[:start], st.RoundCuts[st.Rounds-2]
+			}
 			break
 		}
+		last = start
+	}
+	if errors.Is(abort, cancel.ErrCanceled) {
+		st.Stop = "canceled"
+	} else if abort != nil {
+		st.Stop = "unsolved"
 	}
 	if cur > bestCut {
 		for i := len(undo) - 1; i >= bestLen; i-- {

@@ -2,11 +2,14 @@ package refine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/partition"
@@ -282,8 +285,110 @@ func TestDriveRejectsFractionalRound(t *testing.T) {
 	if !reflect.DeepEqual(a.Part, want.Part) {
 		t.Fatal("assignment changed behind the error")
 	}
-	if st.Rounds != 0 || st.Moved != 0 || st.CutAfter != st.CutBefore {
+	if st.Rounds != 0 || st.Moved != 0 || st.CutAfter != st.CutBefore || st.Stop != "unsolved" {
 		t.Fatalf("stats %+v count a round that was rejected", st)
+	}
+}
+
+// swapGadget builds a graph on which every round swaps u = 0 (partition
+// 0) and v = 1 (partition 1), loose or strict, and nothing else moves: u
+// has neighbours v, x (partition 1) and y (partition 0), v has u, w
+// (partition 0) and z (partition 1), and x, y, w, z each sit in a triangle
+// of their own partition, so they are never candidates. The edges u–y and
+// v–z weigh far: at 1 both states cut 3; above 1 (and below 2) the swapped
+// state cuts 1 + 2·far while u and v keep a positive gain in both.
+func swapGadget(far float64) (*graph.Graph, *partition.Assignment) {
+	parts := []int32{0, 1, 1, 0, 0, 1} // u v x y w z
+	g := graph.New(len(parts) * 3)
+	for range parts {
+		g.AddVertex(1)
+	}
+	for _, e := range []struct {
+		u, v graph.Vertex
+		w    float64
+	}{{0, 1, 1}, {0, 2, 1}, {0, 3, far}, {1, 4, 1}, {1, 5, far}} {
+		_ = g.AddEdge(e.u, e.v, e.w)
+	}
+	for anchor := graph.Vertex(2); anchor < 6; anchor++ {
+		t1, t2 := g.AddVertex(1), g.AddVertex(1)
+		_ = g.AddEdge(anchor, t1, 1)
+		_ = g.AddEdge(anchor, t2, 1)
+		_ = g.AddEdge(t1, t2, 1)
+		parts = append(parts, parts[anchor], parts[anchor])
+	}
+	return g, &partition.Assignment{Part: parts, P: 2}
+}
+
+// TestDriveStopReasons forces every Stats.Stop value once. The swap
+// gadget's first (loose) round does not beat the entry cut, so the strict
+// test starts at round 2 (StrictFrom 1), and round 3 undoes round 2: the
+// loop ends there with the state the cap would have left — the entry
+// state when an odd number of rounds remain, the swapped one when an even
+// number does — and only after two strict rounds (cap 2 runs to the cap).
+func TestDriveStopReasons(t *testing.T) {
+	isolated := func() (*graph.Graph, *partition.Assignment) { // two components, one per partition
+		g := graph.New(4)
+		for range 4 {
+			g.AddVertex(1)
+		}
+		_ = g.AddEdge(0, 1, 1)
+		_ = g.AddEdge(2, 3, 1)
+		return g, &partition.Assignment{Part: []int32{0, 0, 1, 1}, P: 2}
+	}
+	oneWay := func() (*graph.Graph, *partition.Assignment) { // only the centre of a 3×3 grid is a candidate
+		g := graph.Grid(3, 3)
+		a := partition.New(g.Order(), 2)
+		for v := range a.Part {
+			a.Part[v] = 1
+		}
+		a.Part[4] = 0
+		return g, a
+	}
+	unit := func() (*graph.Graph, *partition.Assignment) { return swapGadget(1) }
+	for _, tc := range []struct {
+		name               string
+		build              func() (*graph.Graph, *partition.Assignment)
+		opt                Options
+		canceled           bool
+		stop               string
+		rounds, strictFrom int
+		cuts               []float64
+		uPart              int32 // partition of vertex 0 left behind
+	}{
+		{"cycle, 5 rounds left", unit, Options{}, false, "cycle", 3, 1, []float64{3, 3, 3}, 0},
+		{"cycle, 4 rounds left", unit, Options{MaxRounds: 7}, false, "cycle", 3, 1, []float64{3, 3, 3}, 1},
+		{"cycle at the cap", unit, Options{MaxRounds: 3}, false, "cycle", 3, 1, []float64{3, 3, 3}, 1},
+		{"loose round regresses", func() (*graph.Graph, *partition.Assignment) { return swapGadget(1.5) },
+			Options{}, false, "cycle", 3, 1, []float64{4, 3, 4}, 0},
+		{"cap", unit, Options{MaxRounds: 2}, false, "cap", 2, 1, []float64{3, 3}, 0},
+		{"no-candidates", isolated, Options{}, false, "no-candidates", 0, 0, nil, 0},
+		{"no-gain", oneWay, Options{}, false, "no-gain", 0, 0, nil, 1},
+		{"unsolved", unit, Options{Solver: lp.Network{MaxIter: 1}}, false, "unsolved", 0, 0, nil, 0},
+		{"canceled", unit, Options{}, true, "canceled", 0, 0, nil, 0},
+	} {
+		g, a := tc.build()
+		ctx, stop := context.WithCancel(context.Background())
+		if tc.canceled {
+			stop()
+		}
+		var s Scratch
+		c, seeds := g.ToCSR(), g.Vertices()
+		st, _, err := Drive(ctx, g, a, tc.opt, func(strict bool) (*Candidates, error) {
+			return s.GainsSeeded(c, a, strict, seeds)
+		}, nil)
+		stop()
+		if tc.canceled != errors.Is(err, cancel.ErrCanceled) || (!tc.canceled && err != nil) {
+			t.Fatalf("%s: err %v", tc.name, err)
+		}
+		if st.Stop != tc.stop || st.Rounds != tc.rounds || st.StrictFrom != tc.strictFrom ||
+			!slices.Equal(st.RoundCuts, tc.cuts) || a.Part[0] != tc.uPart {
+			t.Fatalf("%s: stop %q after %d rounds (%d loose), cuts %v, u in %d; want %q, %d (%d), %v, %d",
+				tc.name, st.Stop, st.Rounds, st.StrictFrom, st.RoundCuts, a.Part[0],
+				tc.stop, tc.rounds, tc.strictFrom, tc.cuts, tc.uPart)
+		}
+		if after := partition.Cut(g, a).TotalWeight; st.CutAfter != after {
+			t.Fatalf("%s: CutAfter %g, assignment cuts %g", tc.name, st.CutAfter, after)
+		}
 	}
 }
 

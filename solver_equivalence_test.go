@@ -19,13 +19,15 @@ import (
 // mesh.TestGenerationDeterministicInSeed), RSB and every solver are
 // seed-stable. {4,1}, {4,7} and {5,6} left the list when the network
 // simplex arrived: each has one LP on which it reaches a different vertex
-// of the same optimal face than the tableau solvers do.
+// of the same optimal face than the tableau solvers do. {4,3} left when
+// the adaptive strict switch arrived: its second round is strict, and on
+// that refine LP the two solvers again pick different optimal vertices
+// (both cuts 150, PerPart differs).
 var equivalenceConfigs = []struct {
 	p    int
 	seed int64
 }{
 	{3, 1}, {3, 2}, {3, 3},
-	{4, 3},
 	{6, 6},
 }
 

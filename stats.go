@@ -56,6 +56,12 @@ type Stats struct {
 	RefineMoved int
 	// RefineRounds is the number of refinement LP rounds applied.
 	RefineRounds int
+	// RefineStrictFrom counts the loose (≥ 0 gain) rounds; RefineStop says
+	// why refinement ended: "cap", "no-candidates", "no-gain", "cycle" (the
+	// round cap's result, reached early), "unsolved" (an LP hit its pivot
+	// cap) or "canceled". A [WithBatches] run reports the last batch's.
+	RefineStrictFrom int
+	RefineStop       string
 	// LPVars and LPCons are the dense-formulation dimensions of the
 	// largest balance LP (the paper's v and c). Under [WithTolerance]
 	// they include the P slack columns and their bounds.
@@ -233,5 +239,7 @@ func convertStatsInto(dst *Stats, st *core.Stats) {
 	if st.Refine != nil {
 		dst.RefineMoved = st.Refine.Moved
 		dst.RefineRounds = st.Refine.Rounds
+		dst.RefineStrictFrom = st.Refine.StrictFrom
+		dst.RefineStop = st.Refine.Stop
 	}
 }
