@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lp"
 	"repro/internal/partition"
@@ -481,7 +480,7 @@ func TestCustomSolverRegistry(t *testing.T) {
 // public Stats through a warm arena must not allocate, keeping the
 // session loop's bookkeeping off the heap.
 func TestConvertStatsSteadyStateAllocs(t *testing.T) {
-	src := &core.Stats{
+	src := &engine.Stats{
 		NewAssigned:  12,
 		Stages:       []engine.StageStats{{Epsilon: 1, Moved: 4}, {Epsilon: 2, Moved: 2}, {Epsilon: 4}},
 		BalanceMoved: 6,

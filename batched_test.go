@@ -1,19 +1,56 @@
-package core
+package igp
 
 import (
 	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
+// burstGrid builds a rows×cols grid striped into p columns-wise partitions,
+// then grows it by attaching extra vertices in a localized blob on one
+// side — the paper's incremental scenario in miniature.
+func burstGrid(rows, cols, p, extra int, rng *rand.Rand) (*graph.Graph, *partition.Assignment) {
+	g := graph.Grid(rows, cols)
+	a := partition.New(g.Order(), p)
+	w := cols / p
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			q := c / w
+			if q >= p {
+				q = p - 1
+			}
+			a.Part[r*cols+c] = int32(q)
+		}
+	}
+	// Attach new vertices to random vertices in the last two columns.
+	attach := make([]graph.Vertex, 0, 2*rows)
+	for r := 0; r < rows; r++ {
+		attach = append(attach, graph.Vertex(r*cols+cols-1), graph.Vertex(r*cols+cols-2))
+	}
+	prev := attach
+	for k := 0; k < extra; k++ {
+		v := g.AddVertex(1)
+		_ = g.AddEdge(v, prev[rng.Intn(len(prev))], 1)
+		if rng.Intn(2) == 0 && k > 0 {
+			u := graph.Vertex(int(v) - 1 - rng.Intn(min(k, 3)))
+			if g.Alive(u) && !g.HasEdge(v, u) && u != v {
+				_ = g.AddEdge(v, u, 1)
+			}
+		}
+		prev = append(prev, v)
+	}
+	return g, a
+}
+
 func TestBatchedMatchesOneShotBalance(t *testing.T) {
 	for _, batches := range []int{1, 2, 3, 5} {
 		rng := rand.New(rand.NewSource(7))
-		g, a := grownGrid(8, 16, 4, 30, rng)
-		st, err := RepartitionInBatches(context.Background(), g, a, Options{Refine: true}, batches)
+		g, a := burstGrid(8, 16, 4, 30, rng)
+		st, err := repartitionInBatches(context.Background(), g, a, engine.Options{Refine: true}, batches)
 		if err != nil {
 			t.Fatalf("batches=%d: %v", batches, err)
 		}
@@ -35,8 +72,8 @@ func TestBatchedMatchesOneShotBalance(t *testing.T) {
 
 func TestBatchedStagesAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g, a := grownGrid(8, 16, 4, 40, rng)
-	st, err := RepartitionInBatches(context.Background(), g, a, Options{}, 4)
+	g, a := burstGrid(8, 16, 4, 40, rng)
+	st, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +87,11 @@ func TestBatchedArgErrors(t *testing.T) {
 	g := graph.Path(4)
 	a := partition.New(4, 2)
 	a.Part = []int32{0, 0, 1, 1}
-	if _, err := RepartitionInBatches(context.Background(), g, a, Options{}, 0); err == nil {
+	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 0); err == nil {
 		t.Fatal("0 batches must error")
 	}
 	b := partition.New(4, 2)
-	if _, err := RepartitionInBatches(context.Background(), g, b, Options{}, 2); err == nil {
+	if _, err := repartitionInBatches(context.Background(), g, b, engine.Options{}, 2); err == nil {
 		t.Fatal("no old assignment must error")
 	}
 }
@@ -65,7 +102,7 @@ func TestBatchedNoNewVertices(t *testing.T) {
 	for v := 0; v < g.Order(); v++ {
 		a.Part[v] = int32(v % 2)
 	}
-	if _, err := RepartitionInBatches(context.Background(), g, a, Options{}, 3); err != nil {
+	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !partition.Balanced(a.Sizes(g)) {
@@ -75,8 +112,8 @@ func TestBatchedNoNewVertices(t *testing.T) {
 
 func TestBatchedMoreBatchesThanVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g, a := grownGrid(6, 12, 3, 4, rng)
-	if _, err := RepartitionInBatches(context.Background(), g, a, Options{}, 50); err != nil {
+	g, a := burstGrid(6, 12, 3, 4, rng)
+	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 50); err != nil {
 		t.Fatal(err)
 	}
 	if !partition.Balanced(a.Sizes(g)) {
@@ -89,19 +126,19 @@ func TestBatchedSmallerPerStageMovement(t *testing.T) {
 	// with 5 batches should not exceed the one-shot single-stage move.
 	build := func() (*graph.Graph, *partition.Assignment) {
 		rng := rand.New(rand.NewSource(11))
-		return grownGrid(8, 16, 4, 48, rng)
+		return burstGrid(8, 16, 4, 48, rng)
 	}
 	g1, a1 := build()
-	one, err := Repartition(context.Background(), g1, a1, Options{})
+	one, err := engine.New(g1, engine.Options{}).Repartition(context.Background(), a1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2, a2 := build()
-	many, err := RepartitionInBatches(context.Background(), g2, a2, Options{}, 5)
+	many, err := repartitionInBatches(context.Background(), g2, a2, engine.Options{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxStage := func(st *Stats) int {
+	maxStage := func(st *engine.Stats) int {
 		m := 0
 		for _, s := range st.Stages {
 			if s.Moved > m {

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -110,7 +109,7 @@ func benchIGP(b *testing.B, g *graph.Graph, base *partition.Assignment, withRefi
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := base.Clone()
-		if _, err := core.Repartition(context.Background(), g, a, core.Options{Refine: withRefine}); err != nil {
+		if _, err := engine.New(g, engine.Options{Refine: withRefine}).Repartition(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +165,7 @@ func benchSpeedup(b *testing.B, ranks int) {
 			b.Fatal(err)
 		}
 		a := f.base.Clone()
-		res, err := parallel.Repartition(context.Background(), w, g, a, parallel.Options{Refine: true})
+		res, err := parallel.Repartition(context.Background(), w, g, a, engine.Options{Refine: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +188,7 @@ func BenchmarkLPSize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := f.base.Clone()
-		st, err := core.Repartition(context.Background(), g, a, core.Options{})
+		st, err := engine.New(g, engine.Options{}).Repartition(context.Background(), a)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +206,7 @@ func balanceLP(b *testing.B) *lp.Problem {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph
 	a := f.base.Clone()
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	lay, err := layering.Layer(g, a)
@@ -247,7 +246,7 @@ func unrefined(b *testing.B) (*graph.Graph, *partition.Assignment) {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph
 	a := f.base.Clone()
-	if _, err := core.Repartition(context.Background(), g, a, core.Options{}); err != nil {
+	if _, err := engine.New(g, engine.Options{}).Repartition(context.Background(), a); err != nil {
 		b.Fatal(err)
 	}
 	return g, a
@@ -284,7 +283,7 @@ func BenchmarkPhase_Assign(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := f.base.Clone()
-		if _, _, err := core.Assign(g, a); err != nil {
+		if _, _, err := engine.Assign(g, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,7 +298,7 @@ func BenchmarkPhase_Layer(b *testing.B) {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph
 	a := f.base.Clone()
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	eng := engine.New(g, engine.Options{})
@@ -321,7 +320,7 @@ func BenchmarkPhase_LayerOneShot(b *testing.B) {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph
 	a := f.base.Clone()
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -339,7 +338,7 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 	f := meshA(b)
 	g := f.seq.Steps[0].Graph.Clone()
 	a := f.base.Clone()
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	eng := engine.New(g, engine.Options{})
@@ -420,7 +419,7 @@ var benchProcs = []int{1, 2, 4, 8}
 func benchEngineLayerProcs(b *testing.B, g *graph.Graph, base *partition.Assignment, procs int) {
 	b.Helper()
 	a := base.Clone()
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	eng := engine.New(g, engine.Options{Parallelism: procs})
@@ -709,7 +708,7 @@ func benchLayerAt(b *testing.B, n int) {
 	}
 	a := &partition.Assignment{Part: part, P: 32}
 	g := seq.Steps[0].Graph
-	if _, _, err := core.Assign(g, a); err != nil {
+	if _, _, err := engine.Assign(g, a); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -756,7 +755,7 @@ func BenchmarkBatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := f.base.Clone()
-		if _, err := core.RepartitionInBatches(context.Background(), g, a, core.Options{}, 4); err != nil {
+		if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -153,16 +153,10 @@ func FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (
 	return m, nil
 }
 
-// Flows converts an optimal LP solution into integral flows, rejecting
-// non-integral values (which the totally unimodular formulation rules out
-// up to numerical noise).
-func (m *Model) Flows(sol *lp.Solution) ([]Flow, error) {
-	return m.FlowsInto(make([]Flow, 0, len(m.Pairs)), sol)
-}
-
-// FlowsInto is Flows appending into a reusable buffer (dst[:0] is used;
-// its capacity is kept), so a steady-state caller converts solutions
-// without allocating.
+// FlowsInto converts an optimal LP solution into integral flows appended
+// to dst[:0], rejecting non-integral values (which the totally unimodular
+// formulation rules out up to numerical noise). dst's capacity is kept, so
+// a steady-state caller converts solutions without allocating.
 func (m *Model) FlowsInto(dst []Flow, sol *lp.Solution) ([]Flow, error) {
 	flows := dst[:0]
 	for v, x := range sol.X[:len(m.Pairs)] {

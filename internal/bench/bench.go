@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -117,11 +116,11 @@ func runSB(g *graph.Graph, cfg Config) (MethodResult, *partition.Assignment, err
 func runIGP(g *graph.Graph, prev *partition.Assignment, cfg Config, withRefine bool) (MethodResult, *partition.Assignment, error) {
 	a := prev.Clone()
 	t0 := time.Now()
-	st, err := core.Repartition(context.Background(), g, a, core.Options{
+	st, err := engine.New(g, engine.Options{
 		Solver:      cfg.Solver,
 		Refine:      withRefine,
 		Parallelism: cfg.Parallelism,
-	})
+	}).Repartition(context.Background(), a)
 	dur := time.Since(t0)
 	if err != nil {
 		return MethodResult{}, nil, err
@@ -140,7 +139,7 @@ func runIGP(g *graph.Graph, prev *partition.Assignment, cfg Config, withRefine b
 				return 0, err
 			}
 			ap := prev.Clone()
-			r, err := parallel.Repartition(context.Background(), w, g, ap, parallel.Options{Refine: withRefine})
+			r, err := parallel.Repartition(context.Background(), w, g, ap, engine.Options{Refine: withRefine})
 			if err != nil {
 				return 0, err
 			}
@@ -296,7 +295,7 @@ func SpeedupCurve(seq *mesh.Sequence, cfg Config, rankList []int) ([]SpeedupPoin
 			return nil, err
 		}
 		a := baseA.Clone()
-		r, err := parallel.Repartition(context.Background(), w, g, a, parallel.Options{Refine: true})
+		r, err := parallel.Repartition(context.Background(), w, g, a, engine.Options{Refine: true})
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +346,7 @@ func LPSizeTable(sizes []int, cfg Config) ([]LPSizeRow, error) {
 		}
 		a := &partition.Assignment{Part: basePart, P: cfg.P}
 		g := seq.Steps[0].Graph
-		st, err := core.Repartition(context.Background(), g, a, core.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism})
+		st, err := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism}).Repartition(context.Background(), a)
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +470,7 @@ func SolverComparison(seq *mesh.Sequence, cfg Config, names []string) ([]SolverR
 		}
 		a := baseA.Clone()
 		t0 := time.Now()
-		st, err := core.Repartition(context.Background(), g, a, core.Options{Solver: s, Refine: true, Parallelism: cfg.Parallelism})
+		st, err := engine.New(g, engine.Options{Solver: s, Refine: true, Parallelism: cfg.Parallelism}).Repartition(context.Background(), a)
 		dur := time.Since(t0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: solver %s: %w", name, err)
@@ -568,7 +567,7 @@ func IncrementalEdits(cfg Config, baseN int, ks []int, reps int) (*graph.Graph, 
 			return nil, nil, nil, err
 		}
 		a := &partition.Assignment{Part: part, P: cfg.P}
-		e := engine.New(g, core.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism, FullRefresh: full})
+		e := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism, FullRefresh: full})
 		if _, err := e.Repartition(context.Background(), a); err != nil {
 			return nil, nil, nil, err
 		}
@@ -650,13 +649,13 @@ func RefineComparison(seq *mesh.Sequence, cfg Config) (*RefineQuality, error) {
 
 	out := &RefineQuality{}
 	aIGP := baseA.Clone()
-	if _, err := core.Repartition(context.Background(), g, aIGP, core.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism}); err != nil {
+	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism}).Repartition(context.Background(), aIGP); err != nil {
 		return nil, err
 	}
 	out.CutIGP = partition.Cut(g, aIGP).Total
 
 	aIGPR := baseA.Clone()
-	if _, err := core.Repartition(context.Background(), g, aIGPR, core.Options{Solver: cfg.Solver, Refine: true, Parallelism: cfg.Parallelism}); err != nil {
+	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver, Refine: true, Parallelism: cfg.Parallelism}).Repartition(context.Background(), aIGPR); err != nil {
 		return nil, err
 	}
 	out.CutIGPR = partition.Cut(g, aIGPR).Total

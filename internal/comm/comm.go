@@ -16,10 +16,16 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
+
+// ErrAborted is what a blocked Recv returns once another rank of the same
+// World.Run has returned an error: the run is failing, and a rank waiting
+// for a message its failed peer will never send must not wait forever.
+var ErrAborted = errors.New("comm: run aborted by another rank")
 
 // CostModel is a LogP-style machine model.
 type CostModel struct {
@@ -71,6 +77,7 @@ type World struct {
 	clock []time.Duration  // per-rank simulated clocks (owned by the rank)
 	msgs  []int64          // per-rank messages sent
 	bytes []int64          // per-rank bytes sent
+	abort chan struct{}    // closed when a rank of the current Run fails
 }
 
 // NewWorld builds a machine with p ranks.
@@ -98,27 +105,39 @@ func NewWorld(p int, model CostModel) (*World, error) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.p }
 
-// Run executes fn on every rank concurrently and waits for all to finish,
-// returning the first error. Clocks accumulate across calls; use Reset to
-// clear them.
+// Run executes fn on every rank concurrently and waits for all to finish.
+// The first rank to return an error aborts the run: every Recv blocked
+// then, or issued later, returns ErrAborted, so ranks that diverged (one
+// saw a cancellation its peers had not yet seen) all come home. Run
+// reports the lowest-ranked error that is not ErrAborted — the cause, not
+// its echoes. Clocks accumulate across calls; use Reset to clear them.
 func (w *World) Run(fn func(c *Comm) error) error {
 	errs := make([]error, w.p)
+	w.abort = make(chan struct{})
+	var once sync.Once
 	var wg sync.WaitGroup
 	for r := 0; r < w.p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			c := &Comm{w: w, rank: rank}
-			errs[rank] = fn(c)
+			if errs[rank] = fn(c); errs[rank] != nil {
+				once.Do(func() { close(w.abort) })
+			}
 		}(r)
 	}
 	wg.Wait()
+	var first error
 	for r, err := range errs {
-		if err != nil {
-			return fmt.Errorf("comm: rank %d: %w", r, err)
+		if err == nil {
+			continue
+		}
+		err = fmt.Errorf("comm: rank %d: %w", r, err)
+		if first == nil || errors.Is(first, ErrAborted) && !errors.Is(err, ErrAborted) {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Reset clears clocks and counters and drains stray messages.
@@ -221,7 +240,8 @@ func (c *Comm) Send(to, tag int, data any, nbytes int) error {
 }
 
 // Recv blocks until a message with the given tag arrives from rank
-// `from`, advances the clock to its arrival, and returns its payload.
+// `from`, advances the clock to its arrival, and returns its payload. It
+// returns ErrAborted instead once another rank of the run has failed.
 func (c *Comm) Recv(from, tag int) (any, error) {
 	if from < 0 || from >= c.w.p {
 		return nil, fmt.Errorf("comm: recv from rank %d of %d", from, c.w.p)
@@ -241,9 +261,11 @@ func (c *Comm) Recv(from, tag int) (any, error) {
 		}
 	}
 	for {
-		m, ok := <-c.w.mail[from][c.rank]
-		if !ok {
-			return nil, fmt.Errorf("comm: channel %d→%d closed", from, c.rank)
+		var m message
+		select {
+		case m = <-c.w.mail[from][c.rank]:
+		case <-c.w.abort:
+			return nil, ErrAborted
 		}
 		if m.tag == tag {
 			c.deliver(m)

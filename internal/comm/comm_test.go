@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -330,6 +331,50 @@ func TestRunPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("error should propagate")
+	}
+}
+
+// TestRunAbortsBlockedRecv: rank 0 fails while rank 1 waits for a message
+// rank 0 will never send. Rank 1's Recv must return ErrAborted instead of
+// blocking forever, and Run must report rank 0's error, not the echo.
+func TestRunAbortsBlockedRecv(t *testing.T) {
+	w := newTestWorld(t, 2)
+	boom := errors.New("boom")
+	var waited error
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				// Makes "rank 1 already blocked" the likely interleaving;
+				// a Recv issued after the abort must fail the same way.
+				time.Sleep(10 * time.Millisecond)
+				return boom
+			}
+			_, waited = c.Recv(0, 3)
+			return waited
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) || errors.Is(err, ErrAborted) {
+			t.Fatalf("Run returned %v, want rank 0's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung on a rank blocked in Recv")
+	}
+	if !errors.Is(waited, ErrAborted) {
+		t.Fatalf("blocked Recv returned %v, want ErrAborted", waited)
+	}
+	// The world stays usable: the next Run starts unaborted.
+	w.Reset()
+	if err := w.Run(func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 3, nil, 0)
+		}
+		_, err := c.Recv(0, 3)
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -262,12 +262,3 @@ func (c *CSR) RowWeights(v Vertex) []float64 { return c.EW[c.XAdj[v]:c.End[v]] }
 
 // Degree returns the degree of v.
 func (c *CSR) Degree(v Vertex) int { return int(c.End[v] - c.XAdj[v]) }
-
-// WeightedDegree returns the sum of edge weights incident to v.
-func (c *CSR) WeightedDegree(v Vertex) float64 {
-	var s float64
-	for _, w := range c.RowWeights(v) {
-		s += w
-	}
-	return s
-}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/partition"
@@ -153,7 +155,7 @@ func TestParallelRepartitionBalances(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		g, a := grownGrid(8, 16, 4, 24, rng)
 		w := testWorld(t, ranks)
-		res, err := Repartition(context.Background(), w, g, a, Options{Refine: true})
+		res, err := Repartition(context.Background(), w, g, a, engine.Options{Refine: true})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -185,7 +187,7 @@ func TestParallelMatchesAcrossRankCounts(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		g, a := grownGrid(6, 12, 4, 16, rng)
 		w := testWorld(t, ranks)
-		if _, err := Repartition(context.Background(), w, g, a, Options{Refine: true}); err != nil {
+		if _, err := Repartition(context.Background(), w, g, a, engine.Options{Refine: true}); err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
 		results = append(results, append([]int32(nil), a.Part...))
@@ -209,7 +211,7 @@ func TestParallelSpeedupShape(t *testing.T) {
 	for _, ranks := range []int{1, 8} {
 		a := a0.Clone()
 		w := testWorld(t, ranks)
-		res, err := Repartition(context.Background(), w, g, a, Options{Refine: true})
+		res, err := Repartition(context.Background(), w, g, a, engine.Options{Refine: true})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -230,7 +232,7 @@ func TestParallelOrphanClusters(t *testing.T) {
 	a := partition.New(6, 2)
 	a.Part = []int32{0, 0, 0, 1, 1, 1}
 	w := testWorld(t, 2)
-	if _, err := Repartition(context.Background(), w, g, a, Options{}); err != nil {
+	if _, err := Repartition(context.Background(), w, g, a, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Part[v1] < 0 || a.Part[v1] != a.Part[v2] {
@@ -295,4 +297,52 @@ func TestSolveLPPaperFigure8(t *testing.T) {
 			t.Fatalf("ranks=%d: %v obj %g, want optimal 9", ranks, sol.Status, sol.Objective)
 		}
 	}
+}
+
+// FuzzSimulatorMatchesEngine: the simulator runs the product pipeline with
+// the distributed simplex, which pivots like lp.Dense, so on any grown and
+// edited grid, at any rank count, it must leave exactly the assignment —
+// and the error, if any — of a sequential engine with the dense solver.
+func FuzzSimulatorMatchesEngine(f *testing.F) {
+	f.Add(int64(1), uint8(1), true)
+	f.Add(int64(7), uint8(0), false)
+	f.Add(int64(13), uint8(3), true)
+	f.Add(int64(29), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, ranks uint8, refine bool) {
+		rng := rand.New(rand.NewSource(seed))
+		p := 2 + rng.Intn(4)
+		g, a := grownGrid(3+rng.Intn(6), 2*p+rng.Intn(10), p, rng.Intn(30), rng)
+		for k := rng.Intn(8); k > 0; k-- {
+			v := graph.Vertex(rng.Intn(g.Order()))
+			u := graph.Vertex(rng.Intn(g.Order()))
+			if !g.Alive(v) || !g.Alive(u) {
+				continue
+			}
+			switch rng.Intn(3) {
+			case 0:
+				_ = g.RemoveVertex(v)
+			case 1:
+				if u != v {
+					g.AddEdgeIfAbsent(u, v, 1)
+				}
+			case 2:
+				if g.Degree(v) > 0 {
+					_ = g.RemoveEdge(v, g.Neighbors(v)[0])
+				}
+			}
+		}
+		opt := engine.Options{Refine: refine}
+		want := a.Clone()
+		dense := opt
+		dense.Solver = lp.Dense{}
+		_, werr := engine.New(g, dense).Repartition(context.Background(), want)
+		got := a.Clone()
+		_, gerr := Repartition(context.Background(), testWorld(t, 1+int(ranks%4)), g, got, opt)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("engine error %v, simulator error %v", werr, gerr)
+		}
+		if !slices.Equal(got.Part, want.Part) {
+			t.Fatalf("ranks=%d: simulator assignment differs from the dense engine's (engine error %v)", 1+ranks%4, werr)
+		}
+	})
 }

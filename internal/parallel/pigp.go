@@ -1,54 +1,18 @@
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/cancel"
-
-	"repro/internal/balance"
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/layering"
 	"repro/internal/lp"
 	"repro/internal/partition"
-	"repro/internal/refine"
 )
-
-// Options configures the parallel repartitioner.
-type Options struct {
-	// EpsilonMax bounds the balance relaxation factor (0 = 8).
-	EpsilonMax float64
-	// MaxStages caps balancing stages (0 = 16).
-	MaxStages int
-	// Refine enables phase 4 (IGPR).
-	Refine bool
-	// RefineRounds caps refinement rounds (0 = 8).
-	RefineRounds int
-}
-
-func (o Options) epsMax() float64 {
-	if o.EpsilonMax <= 0 {
-		return 8
-	}
-	return o.EpsilonMax
-}
-
-func (o Options) maxStages() int {
-	if o.MaxStages <= 0 {
-		return 16
-	}
-	return o.MaxStages
-}
-
-func (o Options) refineRounds() int {
-	if o.RefineRounds <= 0 {
-		return 8
-	}
-	return o.RefineRounds
-}
 
 // Result reports a parallel repartitioning run.
 type Result struct {
@@ -57,465 +21,265 @@ type Result struct {
 	SimTime time.Duration
 	// Messages and Bytes count all point-to-point traffic.
 	Messages, Bytes int64
-	// Stages is the number of balancing stages used (the paper's IGP(k)).
-	Stages int
-	// RefineRounds is the number of refinement LP rounds performed.
-	RefineRounds int
-	// BalanceMoved counts vertices moved by phase 3.
-	BalanceMoved int
-	// Per-phase simulated clock consumed on rank 0 (diagnostics).
-	AssignSim, LayerSim, BalanceSim, RefineSim time.Duration
+	// Stats is rank 0's engine report, detached from its arenas. Every rank
+	// reports the same pipeline (only the wall-clock fields differ).
+	Stats *engine.Stats
 }
 
-// Repartition runs the SPMD parallel IGP over world w. Every rank
-// executes the same phases on replicated metadata; rank r owns partitions
-// q with q mod ranks == r, is charged simulated compute for its own
-// partitions only, and real messages carry frontier claims, δ rows,
-// simplex pivot columns and migrated vertices. The assignment a is
-// updated in place with the (identical) result; the world's clocks are
-// reset first so Result.SimTime is this call's makespan.
-func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partition.Assignment, opt Options) (*Result, error) {
+// Repartition runs the SPMD parallel IGP over world w. Every rank runs the
+// product pipeline — engine.New(g, opt).Repartition — on its own replica
+// of the assignment; rank r owns the partitions q with q mod ranks == r.
+// The engine already calls out wherever a distributed run communicates,
+// and each rank fills those two seams:
+//
+//   - the LP solver is SolveLP, the column-distributed simplex, so every
+//     balance and refinement LP is solved by all ranks together;
+//   - the observer charges the flop model for the work of owned partitions
+//     and sends the messages a distributed implementation would (see
+//     rank.charge).
+//
+// opt.Solver, opt.RefineOptions.Solver and opt.Parallelism are replaced
+// (a rank models one processor, so its engine runs one worker), and
+// opt.Observer, if set, receives rank 0's events. opt.Multilevel must be
+// off: the V-cycle's events carry no charge. Since SolveLP pivots exactly like lp.Dense, a is updated in
+// place with what engine.New(g, opt) with the dense solver leaves behind,
+// at every rank count. On error a holds rank 0's replica, which the engine
+// never leaves mid-move. The world's clocks are reset first, so
+// Result.SimTime is this call's makespan.
+func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partition.Assignment, opt engine.Options) (*Result, error) {
 	w.Reset()
 	a.Grow(g.Order())
-	res := &Result{}
 	final := make([]*partition.Assignment, w.Size())
-	stats := make([]Result, w.Size())
+	var stats *engine.Stats
 
 	err := w.Run(func(c *comm.Comm) error {
-		mine := a.Clone()
-		st, err := repartitionRank(ctx, c, g, mine, opt)
-		if err != nil {
-			return err
+		r := &rank{c: c, g: g, a: a.Clone(), seen: slices.Clone(a.Part)}
+		final[c.Rank()] = r.a
+		o := opt
+		o.Solver = solver{c}
+		o.RefineOptions.Solver = o.Solver
+		o.Parallelism = 1
+		o.Observer = func(ev engine.Event) {
+			if c.Rank() == 0 && opt.Observer != nil {
+				opt.Observer(ev)
+			}
+			if r.err == nil {
+				r.err = r.charge(ev)
+			}
 		}
-		final[c.Rank()] = mine
-		stats[c.Rank()] = *st
-		// SPMD consistency check: all ranks must agree exactly.
-		var sum int64
-		for v, p := range mine.Part {
-			sum += int64(v+1) * int64(p+2)
+		st, err := engine.New(g, o).Repartition(ctx, r.a)
+		if r.err != nil {
+			err = r.err
 		}
-		mx, err := c.AllreduceInt([]int64{sum}, comm.OpMax)
-		if err != nil {
-			return err
+		if err == nil && c.Rank() == 0 {
+			stats = st.Clone()
 		}
-		mn, err := c.AllreduceInt([]int64{sum}, comm.OpMin)
-		if err != nil {
-			return err
-		}
-		if mx[0] != mn[0] {
-			return fmt.Errorf("parallel: ranks diverged (checksums %d..%d)", mn[0], mx[0])
-		}
-		return nil
+		return err
 	})
+	copy(a.Part, final[0].Part)
 	if err != nil {
 		return nil, err
 	}
-	copy(a.Part, final[0].Part)
-	*res = stats[0]
-	res.SimTime = w.MaxClock()
-	res.Messages = w.TotalMessages()
-	res.Bytes = w.TotalBytes()
-	return res, nil
+	for r, f := range final {
+		if !slices.Equal(f.Part, a.Part) {
+			return nil, fmt.Errorf("parallel: rank %d diverged from rank 0", r)
+		}
+	}
+	return &Result{SimTime: w.MaxClock(), Messages: w.TotalMessages(), Bytes: w.TotalBytes(), Stats: stats}, nil
+}
+
+// solver is a rank's LP seam: every solve is the column-distributed
+// simplex over the rank's communicator.
+type solver struct{ c *comm.Comm }
+
+func (s solver) Name() string { return "parallel" }
+
+func (s solver) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
+	return SolveLP(ctx, s.c, p)
 }
 
 // owner maps a partition to the rank that owns it.
 func owner(q int32, ranks int) int { return int(q) % ranks }
 
-// repartitionRank is the per-rank SPMD body. Each rank owns a private
-// engine: replicated metadata, but snapshots, boundary sets and scratch
-// arenas are reused across the stages and refinement rounds of the run.
-// A rank models one processor of the paper's machine, so its engine runs
-// one worker: the default (GOMAXPROCS) would fork ranks × cores
-// goroutines inside every layering and gains region and oversubscribe
-// the host, while the simulated clock — flop-modelled through
-// comm.Advance — reads the same either way.
-func repartitionRank(ctx context.Context, c *comm.Comm, g *graph.Graph, a *partition.Assignment, opt Options) (*Result, error) {
-	res := &Result{}
-	eng := engine.New(g, engine.Options{Parallelism: 1})
-	t0 := c.Clock()
-	if err := passign(c, g, a); err != nil {
-		return nil, err
-	}
-	res.AssignSim = c.Clock() - t0
+// tagMove is the user tag of migration messages; they travel in one
+// order on every rank, so the per-pair FIFO keeps them matched.
+const tagMove = 1
 
-	targets := partition.Targets(g.NumVertices(), a.P)
-	for stage := 0; stage < opt.maxStages(); stage++ {
-		if err := cancel.Check(ctx, "parallel balance stage"); err != nil {
-			return nil, err
-		}
-		sizes := a.Sizes(g)
-		if maxAbsDev(sizes, targets) == 0 {
-			break
-		}
-		tL := c.Clock()
-		lay, err := player(ctx, c, eng, g, a)
-		if err != nil {
-			return nil, err
-		}
-		res.LayerSim += c.Clock() - tL
-		tB := c.Clock()
-		moved, ok, err := pbalance(ctx, c, g, a, lay, targets, opt.epsMax())
-		if err != nil {
-			return nil, err
-		}
-		res.BalanceSim += c.Clock() - tB
-		if !ok {
-			return nil, fmt.Errorf("parallel: %w", ErrNeedRepartition)
-		}
-		res.Stages++
-		res.BalanceMoved += moved
-		if moved == 0 {
-			break
-		}
-	}
-	if maxAbsDev(a.Sizes(g), targets) > 0 {
-		return nil, fmt.Errorf("parallel: %w", ErrNeedRepartition)
-	}
-
-	if opt.Refine {
-		tR := c.Clock()
-		rounds, err := prefine(ctx, c, eng, g, a, opt)
-		if err != nil {
-			return nil, err
-		}
-		res.RefineSim = c.Clock() - tR
-		res.RefineRounds = rounds
-	}
-	return res, nil
+// move is a vertex leaving partition from for partition to; from is
+// Unassigned for a vertex phase 1 assigned.
+type move struct {
+	v        graph.Vertex
+	from, to int32
 }
 
-// ErrNeedRepartition mirrors core.ErrNeedRepartition for the parallel
-// driver (kept separate to avoid an import cycle with core).
-var ErrNeedRepartition = fmt.Errorf("incremental balance infeasible; repartition from scratch")
+// rank is one simulated processor: its replica of the assignment (written
+// by its engine), the replica as of the last exchange, and the first
+// communication error its observer met, returned after the engine call.
+type rank struct {
+	c    *comm.Comm
+	g    *graph.Graph
+	a    *partition.Assignment
+	seen []int32
+	err  error
+}
 
-// passign is the parallel phase 1: a level-synchronous multi-source BFS.
-// Each round, a rank expands the frontier vertices of partitions it owns
-// and proposes claims on unassigned neighbors; claims are exchanged and
-// applied identically everywhere (smallest partition id wins conflicts).
-func passign(c *comm.Comm, g *graph.Graph, a *partition.Assignment) error {
-	a.Grow(g.Order())
-	for v := 0; v < g.Order(); v++ {
-		if !g.Alive(graph.Vertex(v)) {
-			a.Part[v] = partition.Unassigned
-		}
-	}
-	ranks := c.Size()
-	frontier := make([]graph.Vertex, 0)
-	for v := 0; v < g.Order(); v++ {
-		if g.Alive(graph.Vertex(v)) && a.Part[v] >= 0 {
-			frontier = append(frontier, graph.Vertex(v))
-		}
-	}
-	if len(frontier) == 0 {
-		return fmt.Errorf("parallel: assign: no previously assigned vertices")
-	}
-	for {
-		// Propose claims from owned frontier vertices.
-		type claim struct {
-			V    graph.Vertex
-			Part int32
-		}
-		var mine []claim
-		work := 0
-		for _, v := range frontier {
-			p := a.Part[v]
-			if owner(p, ranks) != c.Rank() {
-				continue
-			}
-			work += g.Degree(v)
-			for _, u := range g.Neighbors(v) {
-				if a.Part[u] < 0 {
-					mine = append(mine, claim{u, p})
-				}
-			}
-		}
-		c.Advance(float64(work + 1))
-		// Exchange claims; every rank sees all claims.
-		all, err := c.Allgather(mine, 8*len(mine))
-		if err != nil {
+// charge is the observer body: it advances the rank's clock by the work
+// its partitions did since the last event and sends what a distributed
+// run exchanges at that point. Work units are those of the flop model
+// (comm.CostModel.FlopTime); "rim" is Σ (deg+1) over the owned boundary
+// vertices, "all" the same over every owned vertex.
+//
+//   - assign end: 1 + Σ (deg+1) over the vertices newly assigned to owned
+//     partitions; the (vertex, partition) claims are all-gathered.
+//   - layer end (a stage's rim pass): 2·rim; the owned δ rows (P values
+//     each) are all-gathered.
+//   - balance end: 2·all·Deepened/P — the expected share of the Deepened
+//     partitions the stage layered to full depth — then migration.
+//   - refine round: rim (the candidate scan); the owned b(i,j) rows are
+//     all-gathered, then migration.
+//   - refine end: migration (a rollback moves vertices back).
+//   - cut report (not a reused copy): rim, then an allreduce of the P
+//     per-partition cut weights.
+//
+// Migration ships each moved vertex list from the source partition's
+// owner to the destination's, charging both its length. The LP solves
+// charge themselves inside SolveLP.
+func (r *rank) charge(ev engine.Event) error {
+	switch {
+	case ev.Kind == engine.EventEnd && ev.Phase == engine.PhaseAssign:
+		return r.claims()
+	case ev.Kind == engine.EventEnd && ev.Phase == engine.PhaseLayer:
+		_, rim, rows := r.walk()
+		r.c.Advance(2 * rim)
+		_, err := r.c.Allgather(rows, 8*r.a.P*len(rows))
+		return err
+	case ev.Kind == engine.EventEnd && ev.Phase == engine.PhaseBalance:
+		all, _, _ := r.walk()
+		r.c.Advance(2 * all * float64(ev.Deepened) / float64(r.a.P))
+		return r.migrate()
+	case ev.Kind == engine.EventRound:
+		_, rim, rows := r.walk()
+		r.c.Advance(rim)
+		if _, err := r.c.Allgather(rows, 8*r.a.P*len(rows)); err != nil {
 			return err
 		}
-		next := frontier[:0]
-		claimed := make(map[graph.Vertex]int32)
-		total := 0
-		for _, payload := range all {
-			cl := payload.([]claim)
-			total += len(cl)
-			for _, cm := range cl {
-				if cur, ok := claimed[cm.V]; !ok || cm.Part < cur {
-					claimed[cm.V] = cm.Part
-				}
+		return r.migrate()
+	case ev.Kind == engine.EventEnd && ev.Phase == engine.PhaseRefine:
+		return r.migrate()
+	case ev.Kind == engine.EventCut && !ev.Reused:
+		_, rim, rows := r.walk()
+		r.c.Advance(rim)
+		cut := make([]float64, r.a.P)
+		for k, row := range rows {
+			for _, wt := range row {
+				cut[r.c.Rank()+k*r.c.Size()] += wt
 			}
 		}
-		if total == 0 {
-			break
-		}
-		c.Advance(float64(total))
-		for v, p := range claimed {
-			if a.Part[v] < 0 {
-				a.Part[v] = p
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	// Orphan clusters (new vertices disconnected from every old vertex):
-	// deterministic on replicated state; charged to rank 0 only.
-	var orphans []graph.Vertex
-	for v := 0; v < g.Order(); v++ {
-		if g.Alive(graph.Vertex(v)) && a.Part[v] < 0 {
-			orphans = append(orphans, graph.Vertex(v))
-		}
-	}
-	if len(orphans) > 0 {
-		sub, _, newToOld := g.InducedSubgraph(orphans)
-		comp, nc := sub.Components()
-		sizes := a.Sizes(g)
-		clusters := make([][]graph.Vertex, nc)
-		for sv, cid := range comp {
-			if cid >= 0 {
-				clusters[cid] = append(clusters[cid], newToOld[sv])
-			}
-		}
-		for _, cluster := range clusters {
-			best := 0
-			for q := 1; q < a.P; q++ {
-				if sizes[q] < sizes[best] {
-					best = q
-				}
-			}
-			for _, v := range cluster {
-				a.Part[v] = int32(best)
-			}
-			sizes[best] += len(cluster)
-		}
-		if c.Rank() == 0 {
-			c.Advance(float64(len(orphans) + a.P))
-		}
-	}
-	return nil
-}
-
-// player is the parallel phase 2: every rank layers the graph (cheap on
-// replicated data, boundary-seeded through its engine) but is charged
-// only for the partitions it owns, then the δ rows of owned partitions
-// are all-gathered — exactly the data a distributed layering would
-// exchange.
-func player(ctx context.Context, c *comm.Comm, eng *engine.Engine, g *graph.Graph, a *partition.Assignment) (*layering.Result, error) {
-	lay, err := eng.Layer(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	ranks := c.Size()
-	work := 0
-	g.ForEachVertex(func(v graph.Vertex) {
-		if owner(a.Part[v], ranks) == c.Rank() {
-			work += g.Degree(v) + 1
-		}
-	})
-	c.Advance(float64(2 * work))
-	// Exchange owned δ rows.
-	var rows [][]int
-	for q := 0; q < a.P; q++ {
-		if owner(int32(q), ranks) == c.Rank() {
-			rows = append(rows, lay.Delta[q])
-		}
-	}
-	if _, err := c.Allgather(rows, 8*a.P*len(rows)); err != nil {
-		return nil, err
-	}
-	return lay, nil
-}
-
-// pbalance is the parallel phase 3: the balance LP is formulated
-// identically everywhere from the replicated δ and solved with the
-// column-distributed parallel simplex; vertex migration is realized with
-// real messages from each source partition's owner to the destination's.
-func pbalance(ctx context.Context, c *comm.Comm, g *graph.Graph, a *partition.Assignment, lay *layering.Result, targets []int, epsMax float64) (moved int, ok bool, err error) {
-	sizes := a.Sizes(g)
-	for eps := 1.0; eps <= epsMax; eps++ {
-		m, err := balance.Formulate(lay.Delta, sizes, targets, eps)
-		if err != nil {
-			return 0, false, err
-		}
-		sol, err := SolveLP(ctx, c, m.Prob)
-		if err != nil {
-			return 0, false, err
-		}
-		if sol.Status != lp.Optimal {
-			continue
-		}
-		flows, err := m.Flows(sol)
-		if err != nil {
-			return 0, false, err
-		}
-		if err := migrate(c, a, lay, flows); err != nil {
-			return 0, false, err
-		}
-		total := 0
-		for _, f := range flows {
-			total += f.Amount
-		}
-		return total, true, nil
-	}
-	return 0, false, nil
-}
-
-// migrate applies flows to the replicated assignment and sends the moved
-// vertex lists from source-partition owners to destination owners,
-// cross-checking that both computed identical pools (an SPMD divergence
-// trap).
-func migrate(c *comm.Comm, a *partition.Assignment, lay *layering.Result, flows []balance.Flow) error {
-	ranks := c.Size()
-	// Real data motion: source owner ships the vertex ids.
-	for fi, f := range flows {
-		src := owner(f.From, ranks)
-		dst := owner(f.To, ranks)
-		pool := lay.Pool(f.From, f.To)
-		if f.Amount > len(pool) {
-			return fmt.Errorf("parallel: flow %d→%d overruns pool", f.From, f.To)
-		}
-		if src != dst {
-			if c.Rank() == src {
-				// Copy out of the engine-owned pool: the send is
-				// asynchronous and the arena is reused by the next
-				// layering, exactly like a real NIC copying a buffer.
-				msg := append([]graph.Vertex(nil), pool[:f.Amount]...)
-				if err := c.Send(dst, 1000+fi, msg, 4*f.Amount); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == dst {
-				got, err := c.Recv(src, 1000+fi)
-				if err != nil {
-					return err
-				}
-				list := got.([]graph.Vertex)
-				for k, v := range list {
-					if v != pool[k] {
-						return fmt.Errorf("parallel: migration list diverged for flow %d→%d", f.From, f.To)
-					}
-				}
-			}
-		}
-		if c.Rank() == src || c.Rank() == dst {
-			c.Advance(float64(f.Amount))
-		}
-	}
-	// All ranks apply identically to stay replicated.
-	if _, err := balance.Apply(a, lay, flows); err != nil {
+		_, err := r.c.AllreduceFloat(cut, comm.OpSum)
 		return err
 	}
 	return nil
 }
 
-// prefine is the parallel phase 4: gains are computed per owned
-// partition, candidate counts b(i,j) all-gathered, the refinement LP
-// solved in parallel, and moves migrated like pbalance, switching to the
-// strict test where refine.Strict says. Returns the rounds performed.
-func prefine(ctx context.Context, c *comm.Comm, eng *engine.Engine, g *graph.Graph, a *partition.Assignment, opt Options) (int, error) {
-	ranks := c.Size()
-	best := a.Clone()
-	bestCut := partition.Cut(g, a).TotalWeight
-	strict, loose := false, 0
-	rounds := 0
-	for round := 0; round < opt.refineRounds(); round++ {
-		if err := cancel.Check(ctx, "parallel refinement"); err != nil {
-			return rounds, err
-		}
-		cands, err := eng.Gains(a, strict)
-		if err != nil {
-			return rounds, err
-		}
-		work := 0
-		g.ForEachVertex(func(v graph.Vertex) {
-			if owner(a.Part[v], ranks) == c.Rank() {
-				work += g.Degree(v)
-			}
-		})
-		c.Advance(float64(work))
-		var rows [][]int
-		for q := 0; q < a.P; q++ {
-			if owner(int32(q), ranks) == c.Rank() {
-				rows = append(rows, cands.B[q])
-			}
-		}
-		if _, err := c.Allgather(rows, 8*a.P*len(rows)); err != nil {
-			return rounds, err
-		}
-
-		prob, pairs := refine.Formulate(cands)
-		if len(pairs) == 0 {
-			break
-		}
-		sol, err := SolveLP(ctx, c, prob)
-		if err != nil {
-			return rounds, err
-		}
-		if sol.Status != lp.Optimal || sol.Objective < 0.5 {
-			break
-		}
-		// Migrate: per-pair messages, then identical local application.
-		for vi, amt := range sol.X {
-			k := int(amt + 0.5)
-			if k == 0 {
-				continue
-			}
-			src := owner(pairs[vi][0], ranks)
-			dst := owner(pairs[vi][1], ranks)
-			if src != dst {
-				pool := cands.Pool(pairs[vi][0], pairs[vi][1])
-				if c.Rank() == src {
-					// Copy out of the engine-owned pool (see migrate).
-					msg := append([]graph.Vertex(nil), pool[:k]...)
-					if err := c.Send(dst, 2000+vi, msg, 4*k); err != nil {
-						return rounds, err
-					}
-				}
-				if c.Rank() == dst {
-					if _, err := c.Recv(src, 2000+vi); err != nil {
-						return rounds, err
-					}
-				}
-			}
-			if c.Rank() == src || c.Rank() == dst {
-				c.Advance(float64(k))
-			}
-		}
-		moved, err := refine.Apply(a, cands, pairs, sol.X)
-		if err != nil {
-			return rounds, err
-		}
-		rounds++
-		cut := partition.Cut(g, a).TotalWeight
-		if !strict {
-			loose++
-			strict = refine.Strict(loose, cut, bestCut)
-		}
-		if cut < bestCut {
-			bestCut = cut
-			best = a.Clone()
-		}
-		if moved == 0 {
-			break
-		}
+// walk visits the vertices of the owned partitions and returns their work
+// (all), the work of the boundary ones among them (rim), and for the k-th
+// owned partition, rank + k·ranks, the weight of its arcs into every
+// partition (rows[k]) — a P-value row, the size of the δ and b(i,j) rows a
+// distributed run exchanges.
+func (r *rank) walk() (all, rim float64, rows [][]float64) {
+	me, ranks := r.c.Rank(), r.c.Size()
+	for q := me; q < r.a.P; q += ranks {
+		rows = append(rows, make([]float64, r.a.P))
 	}
-	if partition.Cut(g, a).TotalWeight > bestCut {
-		copy(a.Part, best.Part)
-	}
-	return rounds, nil
+	r.g.ForEachVertex(func(v graph.Vertex) {
+		p := r.a.Part[v]
+		if p < 0 || owner(p, ranks) != me {
+			return
+		}
+		work := float64(r.g.Degree(v) + 1)
+		all += work
+		ws := r.g.EdgeWeights(v)
+		boundary := false
+		for i, u := range r.g.Neighbors(v) {
+			if pu := r.a.Part[u]; pu >= 0 && pu != p {
+				rows[int(p)/ranks][pu] += ws[i]
+				boundary = true
+			}
+		}
+		if boundary {
+			rim += work
+		}
+	})
+	return all, rim, rows
 }
 
-func maxAbsDev(sizes, targets []int) int {
-	d := 0
-	for i := range sizes {
-		dev := sizes[i] - targets[i]
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > d {
-			d = dev
+// diff lists the vertices whose partition changed since the last diff, in
+// ascending id order, and advances seen.
+func (r *rank) diff() []move {
+	var moves []move
+	for v, p := range r.a.Part {
+		if q := r.seen[v]; q != p {
+			r.seen[v] = p
+			if p >= 0 {
+				moves = append(moves, move{graph.Vertex(v), q, p})
+			}
 		}
 	}
-	return d
+	return moves
+}
+
+// claims charges phase 1 and all-gathers the claims of owned partitions.
+func (r *rank) claims() error {
+	me, ranks := r.c.Rank(), r.c.Size()
+	var mine []move
+	work := 1.0
+	for _, m := range r.diff() {
+		if owner(m.to, ranks) == me {
+			mine = append(mine, m)
+			work += float64(r.g.Degree(m.v) + 1)
+		}
+	}
+	r.c.Advance(work)
+	_, err := r.c.Allgather(mine, 8*len(mine))
+	return err
+}
+
+// migrate ships the vertices that changed partition since the last
+// exchange, one list per (source, destination) pair, from the source
+// partition's owner to the destination's, and checks each list received
+// against the replica's own.
+func (r *rank) migrate() error {
+	moves := r.diff()
+	slices.SortStableFunc(moves, func(x, y move) int {
+		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.to, y.to))
+	})
+	me, ranks := r.c.Rank(), r.c.Size()
+	for lo := 0; lo < len(moves); {
+		hi := lo + 1
+		for hi < len(moves) && moves[hi].from == moves[lo].from && moves[hi].to == moves[lo].to {
+			hi++
+		}
+		list := moves[lo:hi]
+		src, dst := owner(list[0].from, ranks), owner(list[0].to, ranks)
+		switch {
+		case src == dst:
+		case me == src:
+			if err := r.c.Send(dst, tagMove, list, 4*len(list)); err != nil {
+				return err
+			}
+		case me == dst:
+			got, err := r.c.Recv(src, tagMove)
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(got.([]move), list) {
+				return fmt.Errorf("parallel: migration list %d→%d diverged", list[0].from, list[0].to)
+			}
+		}
+		if me == src || me == dst {
+			r.c.Advance(float64(len(list)))
+		}
+		lo = hi
+	}
+	return nil
 }

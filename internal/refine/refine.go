@@ -10,7 +10,7 @@
 // moves as many of them as possible without disturbing partition sizes.
 // The step is iterated; the candidate test switches from ≥ to > (the
 // paper's "strict inequality" guard against vertices with zero net gain
-// oscillating between partitions) as Strict says, and Drive stops early
+// oscillating between partitions) as strictNext says, and Drive stops early
 // where running on could change nothing (Stats.Stop says why it stopped).
 //
 // A round costs what it moves (the FM gain-update rule): Apply logs the
@@ -135,11 +135,11 @@ func (o Options) Rounds() int {
 
 const looseRounds = 2 // the paper goes strict "after a few steps"
 
-// Strict is the candidate-test schedule Drive and the SPMD simulator share:
-// rounds start loose, and the loose-th loose round, which left cut (best:
-// the lowest cut reported before it), is the last one when Strict is true.
-// Strict rounds stay strict.
-func Strict(loose int, cut, best float64) bool { return loose >= looseRounds || cut >= best }
+// strictNext is Drive's candidate-test schedule: rounds start loose, and
+// the loose-th loose round, which left cut (best: the lowest cut reported
+// before it), is the last one when strictNext is true. Strict rounds stay
+// strict.
+func strictNext(loose int, cut, best float64) bool { return loose >= looseRounds || cut >= best }
 
 // ResolveSolver returns Solver with the default applied.
 func (o Options) ResolveSolver() lp.Solver {
@@ -282,7 +282,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		undo = append(undo, cands.log...)
 		if !strict {
 			st.StrictFrom++
-			strict = Strict(st.StrictFrom, cur, bestCut)
+			strict = strictNext(st.StrictFrom, cur, bestCut)
 		}
 		if cur < bestCut {
 			bestCut, bestLen = cur, len(undo)

@@ -3,10 +3,8 @@ package igp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lp"
-	"repro/internal/parallel"
 	"repro/internal/refine"
 )
 
@@ -45,7 +43,7 @@ const (
 
 // config is the validated product of applying functional options.
 type config struct {
-	solver       Solver
+	solver       Solver // nil = the registry default
 	refine       bool
 	epsilonMax   float64
 	maxStages    int
@@ -74,9 +72,6 @@ func buildConfig(opts []Option) (*config, error) {
 		if err := o(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.solver == nil {
-		cfg.solver = lp.Default()
 	}
 	return cfg, nil
 }
@@ -302,9 +297,9 @@ func CoarsenSeed(seed int64) MultilevelOption {
 	}
 }
 
-// coreOptions assembles the internal engine configuration.
-func (c *config) coreOptions() core.Options {
-	return core.Options{
+// engineOptions assembles the internal engine configuration.
+func (c *config) engineOptions() engine.Options {
+	return engine.Options{
 		Solver:      c.solver,
 		EpsilonMax:  c.epsilonMax,
 		MaxStages:   c.maxStages,
@@ -317,15 +312,5 @@ func (c *config) coreOptions() core.Options {
 			Solver:    c.solver,
 		},
 		Observer: c.observer,
-	}
-}
-
-// parallelOptions assembles the SPMD simulator configuration.
-func (c *config) parallelOptions() parallel.Options {
-	return parallel.Options{
-		EpsilonMax:   c.epsilonMax,
-		MaxStages:    c.maxStages,
-		Refine:       c.refine,
-		RefineRounds: c.refineRounds,
 	}
 }

@@ -1,19 +1,25 @@
 package igp
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/cancel"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/partition"
 )
 
 // ErrNeedRepartition is returned when incremental balancing cannot
 // succeed (the paper's advice: repartition from scratch, or add the new
 // vertices in batches — see WithBatches).
-var ErrNeedRepartition = core.ErrNeedRepartition
+var ErrNeedRepartition = engine.ErrNeedRepartition
 
 // ErrEngineClosed is returned by an [Engine] whose session was ended by
 // [Engine.Close]. A closed engine never becomes usable again; create a
@@ -50,11 +56,128 @@ func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (
 }
 
 // runCore dispatches to the single-pass or batched pipeline.
-func runCore(ctx context.Context, g *Graph, a *Assignment, cfg *config) (*core.Stats, error) {
+func runCore(ctx context.Context, g *Graph, a *Assignment, cfg *config) (*engine.Stats, error) {
 	if cfg.batches > 1 {
-		return core.RepartitionInBatches(ctx, g, a, cfg.coreOptions(), cfg.batches)
+		return repartitionInBatches(ctx, g, a, cfg.engineOptions(), cfg.batches)
 	}
-	return core.Repartition(ctx, g, a, cfg.coreOptions())
+	return engine.New(g, cfg.engineOptions()).Repartition(ctx, a)
+}
+
+// repartitionInBatches implements the paper's second fallback for severe
+// incremental changes (§2.3): instead of balancing all new vertices at
+// once, it reveals them in numBatches groups — ordered by graph distance
+// from the previously assigned region, so each batch extends the mesh the
+// way the application grew it — and runs a full Repartition cycle per
+// batch on the subgraph revealed so far. The last batch covers the whole
+// graph, so the final assignment is exactly balanced on g.
+//
+// Stats from the per-batch runs are aggregated; Stages carries the
+// concatenation (its length is the paper's total stage count across
+// batches).
+func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt engine.Options, numBatches int) (*engine.Stats, error) {
+	if numBatches < 1 {
+		return nil, fmt.Errorf("igp: batched repartition needs ≥ 1 batch, got %d", numBatches)
+	}
+	a.Grow(g.Order())
+	var olds, news []graph.Vertex
+	for v := range graph.Vertex(g.Order()) {
+		switch {
+		case !g.Alive(v):
+			a.Part[v] = partition.Unassigned
+		case a.Part[v] >= 0:
+			olds = append(olds, v)
+		default:
+			news = append(news, v)
+		}
+	}
+	if len(olds) == 0 {
+		return nil, fmt.Errorf("igp: batched repartition: no previously assigned vertices")
+	}
+	if numBatches > len(news) && len(news) > 0 {
+		numBatches = len(news)
+	}
+	if len(news) == 0 || numBatches == 1 {
+		return engine.New(g, opt).Repartition(ctx, a)
+	}
+
+	// Order new vertices by distance from the old region; unreachable
+	// (orphan) vertices sort last so the cluster fallback sees them in the
+	// final batch, when the most context is available.
+	_, dist := g.NearestLabeled(a.Part)
+	slices.SortFunc(news, func(x, y graph.Vertex) int {
+		// An unreachable vertex's distance, -1, is the largest as a uint32.
+		return cmp.Or(cmp.Compare(uint32(dist[x]), uint32(dist[y])), cmp.Compare(x, y))
+	})
+
+	agg := &engine.Stats{}
+	revealed := append([]graph.Vertex(nil), olds...)
+	for b := 0; b < numBatches; b++ {
+		if err := cancel.Check(ctx, "batched repartition"); err != nil {
+			return agg, err
+		}
+		lo := b * len(news) / numBatches
+		hi := (b + 1) * len(news) / numBatches
+		revealed = append(revealed, news[lo:hi]...)
+
+		sub, _, newToOld := g.InducedSubgraph(revealed)
+		subA := partition.New(sub.Order(), a.P)
+		for sv, old := range newToOld {
+			subA.Part[sv] = a.Part[old]
+		}
+		st, err := engine.New(sub, opt).Repartition(ctx, subA)
+		if err != nil {
+			return agg, fmt.Errorf("igp: batch %d/%d: %w", b+1, numBatches, err)
+		}
+		for sv, old := range newToOld {
+			a.Part[old] = subA.Part[sv]
+		}
+		agg.NewAssigned += st.NewAssigned
+		agg.ClusterFallbacks += st.ClusterFallbacks
+		agg.Stages = append(agg.Stages, st.Stages...)
+		agg.BalanceMoved += st.BalanceMoved
+		agg.AssignTime += st.AssignTime
+		agg.LayerTime += st.LayerTime
+		agg.BalanceTime += st.BalanceTime
+		agg.RefineTime += st.RefineTime
+		agg.Elapsed += st.Elapsed
+		agg.LPIterations += st.LPIterations
+		agg.CutIncremental += st.CutIncremental
+		agg.CutReused += st.CutReused
+		agg.CSRPatched += st.CSRPatched
+		agg.Parallelism = st.Parallelism
+		for w, d := range st.WorkerBusy {
+			if w == len(agg.WorkerBusy) {
+				agg.WorkerBusy = append(agg.WorkerBusy, 0)
+			}
+			agg.WorkerBusy[w] += d
+		}
+		if b == 0 {
+			agg.CutBefore = st.CutBefore
+		}
+		agg.CutAfter = st.CutAfter
+		// Accumulate refinement across batches (movement and pivot totals
+		// sum; the LP-size high-water mark carries the max, the final cut,
+		// strict switch and stop reason the last batch's).
+		if st.Refine != nil {
+			if agg.Refine == nil {
+				cp := *st.Refine
+				agg.Refine = &cp
+			} else {
+				agg.Refine.Moved += st.Refine.Moved
+				agg.Refine.Rounds += st.Refine.Rounds
+				agg.Refine.Iterations += st.Refine.Iterations
+				agg.Refine.RoundPivots = append(agg.Refine.RoundPivots, st.Refine.RoundPivots...)
+				agg.Refine.RoundCuts = append(agg.Refine.RoundCuts, st.Refine.RoundCuts...)
+				agg.Refine.RoundMoved = append(agg.Refine.RoundMoved, st.Refine.RoundMoved...)
+				if st.Refine.LPVars > agg.Refine.LPVars {
+					agg.Refine.LPVars, agg.Refine.LPCons = st.Refine.LPVars, st.Refine.LPCons
+				}
+				agg.Refine.CutAfter = st.Refine.CutAfter
+				agg.Refine.StrictFrom, agg.Refine.Stop = st.Refine.StrictFrom, st.Refine.Stop
+			}
+		}
+	}
+	return agg, nil
 }
 
 // Engine is a long-lived repartitioning session bound to one graph.
@@ -94,7 +217,7 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: engine.New(g, cfg.coreOptions()), cfg: cfg}, nil
+	return &Engine{eng: engine.New(g, cfg.engineOptions()), cfg: cfg}, nil
 }
 
 // Repartition incrementally updates assignment a to cover the engine's
@@ -108,7 +231,7 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 // fields point into the arena too).
 func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error) {
 	var (
-		st  *core.Stats
+		st  *engine.Stats
 		err error
 	)
 	if e.eng.Closed() {
@@ -121,7 +244,7 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 		// per-batch movement, and its Elapsed/PhaseTimings sum the batches'
 		// pipeline time (subgraph construction between batches is extra).
 		// The session engine is reused again on the next single-pass call.
-		st, err = core.RepartitionInBatches(ctx, e.eng.Graph(), a, e.cfg.coreOptions(), e.cfg.batches)
+		st, err = repartitionInBatches(ctx, e.eng.Graph(), a, e.cfg.engineOptions(), e.cfg.batches)
 	} else {
 		st, err = e.eng.Repartition(ctx, a)
 	}
@@ -157,24 +280,49 @@ type ParallelResult struct {
 	Stages int
 }
 
-// SimulateParallelRepartition runs the SPMD message-passing implementation
-// of the repartitioner on a simulated CM-5-like machine with the given
-// number of ranks, updating a in place (the parallel and sequential
-// results are equally balanced; tie-breaking may differ). The context is
-// polled SPMD-consistently by every rank, including inside the
-// column-distributed simplex. The returned SimTime is the simulated
-// parallel makespan — run with ranks=1 to obtain the simulated sequential
-// time and divide for speedup.
+// SimulateParallelRepartition runs the repartitioner SPMD on a simulated
+// CM-5-like machine with the given number of ranks, updating a in place.
+// Every rank runs the same pipeline as [Repartition] on a replica of a,
+// owns the partitions q with q mod ranks == r, solves each LP with the
+// column-distributed parallel simplex and exchanges real messages wherever
+// a distributed run communicates; the simulated clock charges each rank
+// the work of its own partitions plus a LogP cost per message. Because
+// that simplex pivots exactly like the paper's tableau, a ends up equal,
+// vertex for vertex, to what Repartition with WithSolver("dense") and the
+// same options leaves, at every rank count. The returned SimTime is the
+// simulated parallel makespan — run with ranks=1 to obtain the simulated
+// sequential time and divide for speedup.
+//
+// WithRefine, WithRefineRounds, WithTolerance, WithEpsilonMax,
+// WithMaxStages and WithObserver (fed rank 0's events) are honoured.
+// WithParallelism is accepted and changes nothing: a rank models one
+// processor, so its engine runs one worker, and results are identical at
+// every worker count. Options the simulator cannot honour are errors:
+// WithSolver (its LP is always the distributed simplex), WithMultilevel
+// and WithBatches(k > 1).
+//
+// The context is honoured like Repartition's: a cancellation seen by any
+// rank aborts every rank, the call returns an error matching
+// [ErrCanceled], and a holds rank 0's replica, which is never left
+// mid-move.
 func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, ranks int, opts ...Option) (*ParallelResult, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case cfg.solver != nil:
+		return nil, errors.New("igp: SimulateParallelRepartition: WithSolver is not simulated (the LP is always the distributed simplex)")
+	case cfg.multilevel.Enabled:
+		return nil, errors.New("igp: SimulateParallelRepartition: WithMultilevel is not simulated")
+	case cfg.batches > 1:
+		return nil, fmt.Errorf("igp: SimulateParallelRepartition: WithBatches(%d) is not simulated", cfg.batches)
+	}
 	w, err := comm.NewWorld(ranks, comm.CM5())
 	if err != nil {
 		return nil, err
 	}
-	res, err := parallel.Repartition(ctx, w, g, a, cfg.parallelOptions())
+	res, err := parallel.Repartition(ctx, w, g, a, cfg.engineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +330,6 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 		SimTime:  res.SimTime,
 		Messages: res.Messages,
 		Bytes:    res.Bytes,
-		Stages:   res.Stages,
+		Stages:   len(res.Stats.Stages),
 	}, nil
 }

@@ -3,7 +3,6 @@ package igp
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -183,7 +182,7 @@ func (s *Stats) Clone() *Stats {
 // convertStatsInto fills dst from the engine's internal stats, reusing
 // dst's slice capacities so steady-state conversion through a warm
 // [Engine] allocates nothing.
-func convertStatsInto(dst *Stats, st *core.Stats) {
+func convertStatsInto(dst *Stats, st *engine.Stats) {
 	eps := dst.EpsilonUsed[:0]
 	pivots, deepened, solves := dst.StagePivots[:0], dst.StageDeepened[:0], dst.StageLPSolves[:0]
 	for _, sg := range st.Stages {
