@@ -5,7 +5,7 @@
 //	BenchmarkFig14_*       — Figure 14 rows (mesh B, -short skips)
 //	BenchmarkSpeedup_*     — §4 parallel-speedup claim (simulated CM-5)
 //	BenchmarkLPSize        — §4 LP-size independence claim
-//	BenchmarkSimplex_*     — ablation A1: dense vs bounded
+//	BenchmarkSimplex_*     — ablation A1: network simplex vs its dense oracle
 //	BenchmarkRefine_*      — ablation A2: LP refinement vs greedy KL/FM
 //	BenchmarkPhase_*       — per-phase costs (assign/layer/balance)
 //	BenchmarkMeshGen       — workload generation (Figures 10/12/13)

@@ -23,19 +23,15 @@ type serveLevel struct {
 // and the coalescing ratio (served requests per batch repartition). The
 // service batches only what queues while a repartition runs, so the
 // ratio stays near 1 until the writers outpace the engine.
-// jsonOut emits one JSON row per level — the records scripts/bench.sh
-// folds into BENCH_<n>.json as serve_latency.
-func printServe(seed int64, jsonOut bool) error {
+func printServe(seed int64) error {
 	levels := []serveLevel{
 		{sessions: 1, workers: 1, requests: 80},
 		{sessions: 2, workers: 4, requests: 40},
 		{sessions: 4, workers: 16, requests: 20},
 	}
-	if !jsonOut {
-		fmt.Println("Serve latency under concurrent sessions (mesh 400, P=8, 6 edits/request)")
-		fmt.Printf("  %8s %8s %8s %8s %6s %9s %9s %9s %8s\n",
-			"Sessions", "Workers", "Served", "Reparts", "Coal", "p50", "p90", "p99", "req/s")
-	}
+	fmt.Println("Serve latency under concurrent sessions (mesh 400, P=8, 6 edits/request)")
+	fmt.Printf("  %8s %8s %8s %8s %6s %9s %9s %9s %8s\n",
+		"Sessions", "Workers", "Served", "Reparts", "Coal", "p50", "p90", "p99", "req/s")
 	for _, lv := range levels {
 		srv := serve.New(serve.Config{})
 		ts := httptest.NewServer(srv.Handler())
@@ -73,20 +69,11 @@ func printServe(seed int64, jsonOut bool) error {
 			batches = 1
 		}
 		ratio := float64(res.Served) / float64(batches)
-		if jsonOut {
-			fmt.Printf(`{"sessions": %d, "workers": %d, "requests": %d, "served": %d, "shed": %d, `+
-				`"repartitions": %d, "coalesce_ratio": %.3f, "p50_ns": %d, "p90_ns": %d, "p99_ns": %d, "rps": %.1f}`+"\n",
-				lv.sessions, lv.workers, res.Requests, res.Served, res.Shed,
-				reparts, ratio, res.P50.Nanoseconds(), res.P90.Nanoseconds(), res.P99.Nanoseconds(), res.Throughput)
-			continue
-		}
 		fmt.Printf("  %8d %8d %8d %8d %6.2f %9s %9s %9s %8.0f\n",
 			lv.sessions, lv.workers, res.Served, reparts, ratio,
 			res.P50.Round(time.Microsecond), res.P90.Round(time.Microsecond),
 			res.P99.Round(time.Microsecond), res.Throughput)
 	}
-	if !jsonOut {
-		fmt.Println()
-	}
+	fmt.Println()
 	return nil
 }

@@ -17,7 +17,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -431,199 +430,6 @@ func FormatBaselines(rows []BaselineRow, p int) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-18s %10s %7d %7.0f %7.0f %9v\n",
 			r.Name, fmtDur(r.Time), r.Cut.Total, r.Cut.Max, r.Cut.Min, r.Balance)
-	}
-	return b.String()
-}
-
-// SolverRow is one row of the per-solver pivot/latency comparison: the
-// same IGPR workload run under one registered simplex, with the LP
-// iteration counts broken down per balance stage and refinement round.
-type SolverRow struct {
-	Name         string
-	Time         time.Duration
-	Stages       int
-	LPIterations int
-	StagePivots  []int
-	RoundPivots  []int
-	Cut          partition.CutStats
-	Balanced     bool
-}
-
-// SolverComparison runs IGPR on the first refinement of a sequence
-// under each named solver from the registry and reports the per-solver
-// pivot counts and cut quality — the per-solver evidence the bench
-// trajectory records.
-func SolverComparison(seq *mesh.Sequence, cfg Config, names []string) ([]SolverRow, error) {
-	cfg = cfg.withDefaults()
-	basePart, err := spectral.RSB(seq.Base, cfg.P, spectral.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	baseA := &partition.Assignment{Part: basePart, P: cfg.P}
-	g := seq.Steps[0].Graph
-
-	var rows []SolverRow
-	for _, name := range names {
-		s, err := lp.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		a := baseA.Clone()
-		t0 := time.Now()
-		st, err := engine.New(g, engine.Options{Solver: s, Refine: true, Parallelism: cfg.Parallelism}).Repartition(context.Background(), a)
-		dur := time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: solver %s: %w", name, err)
-		}
-		row := SolverRow{
-			Name:         name,
-			Time:         dur,
-			Stages:       len(st.Stages),
-			LPIterations: st.LPIterations,
-			Cut:          partition.Cut(g, a),
-			Balanced:     partition.Balanced(a.Sizes(g)),
-		}
-		for _, sg := range st.Stages {
-			row.StagePivots = append(row.StagePivots, sg.LPPivots)
-		}
-		if st.Refine != nil {
-			row.RoundPivots = append(row.RoundPivots, st.Refine.RoundPivots...)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// FormatSolvers renders the per-solver comparison.
-func FormatSolvers(rows []SolverRow, p int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Per-solver LP pivots — IGPR, mesh A first refinement (P = %d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %10s %7s %8s %6s %9s  %s\n",
-		"Solver", "Time-s", "Stages", "LPIters", "Cut", "Balanced", "Round pivots")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %10s %7d %8d %6d %9v  %v\n",
-			r.Name, fmtDur(r.Time), r.Stages, r.LPIterations, r.Cut.Total, r.Balanced, r.RoundPivots)
-	}
-	return b.String()
-}
-
-// EditRow is one row of the incremental-edit workload table: the cost
-// of a warm Repartition after a k-edit delta, against the same delta on
-// a FullRefresh engine (the full-recomputation baseline).
-type EditRow struct {
-	K              int           // edits applied before the warm call
-	WarmTime       time.Duration // warm incremental engine, best of reps
-	FullTime       time.Duration // FullRefresh engine, best of reps
-	CSRPatched     int           // Stats.CSRPatched of the last warm call
-	CutIncremental int           // Stats.CutIncremental of the last warm call
-}
-
-// editBurst applies k deterministic small edits: vertex-weight jitter
-// and edge flips (remove + re-add at the same weight). These deltas
-// leave partition sizes intact, so the warm Repartition that follows
-// never enters a balancing stage and the measurement isolates exactly
-// the derived-state refresh the delta pipeline makes edit-proportional:
-// the journal-driven CSR patch, the incremental boundary/size sync and
-// the cut reports summed from the tracked per-vertex terms.
-func editBurst(g *graph.Graph, rng *rand.Rand, k int) {
-	n := g.Order()
-	for i := 0; i < k; i++ {
-		v := graph.Vertex(rng.Intn(n))
-		if !g.Alive(v) {
-			continue
-		}
-		if i%3 == 0 {
-			g.SetVertexWeight(v, 1+rng.Float64())
-		} else if g.Degree(v) > 0 {
-			us := g.Neighbors(v)
-			u := us[rng.Intn(len(us))]
-			w, _ := g.EdgeWeight(v, u)
-			_ = g.RemoveEdge(v, u)
-			_ = g.AddEdge(v, u, w)
-		}
-	}
-}
-
-// IncrementalEdits measures warm Repartition cost as a function of
-// delta size on a ~baseN-vertex mesh workload (the paper's two mesh
-// families are baseN = 1071 and 10166): for each k, a long-lived
-// engine absorbs a k-edit burst and repartitions; a second engine with
-// Options.FullRefresh runs the identical script as the baseline. With
-// the delta pipeline, WarmTime should scale with k (sublinear in n+m)
-// while FullTime stays flat at the full-recomputation cost.
-func IncrementalEdits(cfg Config, baseN int, ks []int, reps int) (*graph.Graph, []EditRow, error) {
-	cfg = cfg.withDefaults()
-	if reps < 1 {
-		reps = 3
-	}
-	build := func(full bool) (*graph.Graph, *engine.Engine, *partition.Assignment, error) {
-		gen, err := mesh.NewGenerator(baseN, cfg.Seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		g := gen.Mesh().Graph()
-		part, err := spectral.RSB(g, cfg.P, spectral.Options{Seed: cfg.Seed})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		a := &partition.Assignment{Part: part, P: cfg.P}
-		e := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism, FullRefresh: full})
-		if _, err := e.Repartition(context.Background(), a); err != nil {
-			return nil, nil, nil, err
-		}
-		return g, e, a, nil
-	}
-	gW, eW, aW, err := build(false)
-	if err != nil {
-		return nil, nil, err
-	}
-	gF, eF, aF, err := build(true)
-	if err != nil {
-		return nil, nil, err
-	}
-	rngW := rand.New(rand.NewSource(cfg.Seed ^ 0xed17))
-	rngF := rand.New(rand.NewSource(cfg.Seed ^ 0xed17))
-	var rows []EditRow
-	for _, k := range ks {
-		row := EditRow{K: k}
-		for rep := 0; rep < reps; rep++ {
-			editBurst(gW, rngW, k)
-			editBurst(gF, rngF, k)
-			t0 := time.Now()
-			stW, err := eW.Repartition(context.Background(), aW)
-			dW := time.Since(t0)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: incremental k=%d: %w", k, err)
-			}
-			t0 = time.Now()
-			if _, err := eF.Repartition(context.Background(), aF); err != nil {
-				return nil, nil, fmt.Errorf("bench: full-refresh k=%d: %w", k, err)
-			}
-			dF := time.Since(t0)
-			if rep == 0 || dW < row.WarmTime {
-				row.WarmTime = dW
-			}
-			if rep == 0 || dF < row.FullTime {
-				row.FullTime = dF
-			}
-			row.CSRPatched = stW.CSRPatched
-			row.CutIncremental = stW.CutIncremental
-		}
-		rows = append(rows, row)
-	}
-	return gW, rows, nil
-}
-
-// FormatIncremental renders the incremental-edit table.
-func FormatIncremental(name string, g *graph.Graph, rows []EditRow, p int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Warm k-edit Repartition cost vs delta size (%s, |V|=%d |E|=%d, P=%d)\n",
-		name, g.NumVertices(), g.NumEdges(), p)
-	fmt.Fprintf(&b, "  %6s %12s %12s %9s %9s %8s\n", "k", "Warm", "FullRefresh", "Patched", "IncCuts", "Ratio")
-	for _, r := range rows {
-		ratio := float64(r.FullTime) / float64(r.WarmTime)
-		fmt.Fprintf(&b, "  %6d %12s %12s %9d %9d %7.1fx\n",
-			r.K, fmtDur(r.WarmTime), fmtDur(r.FullTime), r.CSRPatched, r.CutIncremental, ratio)
 	}
 	return b.String()
 }

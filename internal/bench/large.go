@@ -11,9 +11,7 @@ package bench
 // start, spectral coarsest init), an idle row (a size-preserving edit
 // burst: the call arrives balanced, so the V-cycle is skipped and the
 // hierarchy left alone) and a warm row (a growth burst: the call arrives
-// imbalanced and repairs the hierarchy); the flat RSB from-scratch
-// baseline — minutes per run at 10⁵ — is opt-in and runs on the grid
-// only, which is enough to calibrate the speedup claim.
+// imbalanced and repairs the hierarchy), at each worker count asked for.
 
 import (
 	"context"
@@ -27,14 +25,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/spectral"
 )
 
 // MultilevelRow is one large-graph tier measurement.
 type MultilevelRow struct {
 	Workload string        // "grid" or "powerlaw"
 	N, E     int           // graph size
-	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm", "flat-rsb"
+	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm"
 	Procs    int           // worker count the sharded kernels ran at
 	Time     time.Duration // wall clock of the run
 	Cut      float64       // resulting cut weight
@@ -56,6 +53,29 @@ func largeWorkload(name string, n int, seed int64) (*graph.Graph, error) {
 	return nil, fmt.Errorf("bench: unknown large workload %q", name)
 }
 
+// editBurst applies k deterministic small edits: vertex-weight jitter
+// and edge flips (remove + re-add at the same weight). These deltas
+// leave partition sizes intact, so the call that follows arrives
+// balanced and skips the V-cycle.
+func editBurst(g *graph.Graph, rng *rand.Rand, k int) {
+	n := g.Order()
+	for i := 0; i < k; i++ {
+		v := graph.Vertex(rng.Intn(n))
+		if !g.Alive(v) {
+			continue
+		}
+		if i%3 == 0 {
+			g.SetVertexWeight(v, 1+rng.Float64())
+		} else if g.Degree(v) > 0 {
+			us := g.Neighbors(v)
+			u := us[rng.Intn(len(us))]
+			w, _ := g.EdgeWeight(v, u)
+			_ = g.RemoveEdge(v, u)
+			_ = g.AddEdge(v, u, w)
+		}
+	}
+}
+
 // growthBurst attaches k unassigned unit vertices to random live
 // vertices: phase 1 places them, the partition sizes drift off their
 // targets, and the call that follows runs the V-cycle.
@@ -70,19 +90,51 @@ func growthBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int)
 	a.Grow(g.Order())
 }
 
-// MultilevelTable measures the V-cycle on the large-graph tier: for each
-// workload family it runs a cold multilevel Repartition from a
-// degenerate flood-fill assignment, an idle one after a small
-// size-preserving edit burst and a warm one after a growth burst,
-// asserting validity and exact balance on every row, that the idle call
-// skipped the V-cycle, that the cold and warm calls ran it over a real
-// hierarchy and (grid warm) repaired it — a failed assertion is an
-// error, so the table doubles as the CI check.
-// With includeFlat, the grid family also gets the flat RSB from-scratch
-// baseline row (minutes of wall clock at n = 10⁵).
-func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, error) {
+// MultilevelTable measures the V-cycle on the large-graph tier once per
+// worker count in procsList (0 = GOMAXPROCS): for each workload family it
+// runs a cold multilevel Repartition from a degenerate flood-fill
+// assignment, an idle one after a small size-preserving edit burst and a
+// warm one after a growth burst, asserting validity and exact balance on
+// every row, that the idle call skipped the V-cycle, that the cold and
+// warm calls ran it over a real hierarchy and (grid warm) repaired it.
+// The V-cycle is bit-identical at every worker count, so each count after
+// the first must reproduce the first count's rows in everything but Time
+// (sameOutcome). A failed assertion is an error, so the table doubles as
+// the CI check.
+func MultilevelTable(cfg Config, n int, procsList []int) ([]MultilevelRow, error) {
 	cfg = cfg.withDefaults()
-	procs := cfg.Parallelism
+	var rows []MultilevelRow
+	for _, procs := range procsList {
+		tier, err := multilevelTier(cfg, n, procs)
+		if err != nil {
+			return nil, err
+		}
+		if len(rows) > 0 {
+			if err := sameOutcome(rows[:len(tier)], tier); err != nil {
+				return nil, err
+			}
+		}
+		rows = append(rows, tier...)
+	}
+	return rows, nil
+}
+
+// sameOutcome returns an error naming the first row of tier whose cut,
+// hierarchy depth, repair or skip differs from the row at the same
+// position in first, the first worker count's run.
+func sameOutcome(first, tier []MultilevelRow) error {
+	for i, r := range tier {
+		f := first[i]
+		if r.Cut != f.Cut || r.Levels != f.Levels || r.Repaired != f.Repaired || r.Skipped != f.Skipped {
+			return fmt.Errorf("bench: %s %s differs at procs %d from procs %d: cut %g vs %g, levels %d vs %d, repaired %v vs %v, skipped %v vs %v",
+				r.Workload, r.Mode, r.Procs, f.Procs, r.Cut, f.Cut, r.Levels, f.Levels, r.Repaired, f.Repaired, r.Skipped, f.Skipped)
+		}
+	}
+	return nil
+}
+
+// multilevelTier runs both workload families at one worker count.
+func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
 	if procs == 0 {
 		procs = runtime.GOMAXPROCS(0)
 	}
@@ -99,7 +151,7 @@ func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, erro
 		e := engine.New(g, engine.Options{
 			Solver:      cfg.Solver,
 			Refine:      true,
-			Parallelism: cfg.Parallelism,
+			Parallelism: procs,
 			Multilevel:  engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
 		})
 		// call times one Repartition and checks the row's hard contract.
@@ -149,23 +201,6 @@ func MultilevelTable(cfg Config, n int, includeFlat bool) ([]MultilevelRow, erro
 		}
 		rows = append(rows, row)
 		e.Close()
-
-		if includeFlat && name == "grid" {
-			t0 := time.Now()
-			parts, err := spectral.RSB(g, cfg.P, spectral.Options{Seed: cfg.Seed, Procs: procs})
-			flat := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s flat RSB: %w", name, err)
-			}
-			af := partition.New(g.Order(), cfg.P)
-			copy(af.Part, parts)
-			cut := partition.Cut(g, af)
-			rows = append(rows, MultilevelRow{
-				Workload: name, N: g.NumVertices(), E: g.NumEdges(),
-				Mode: "flat-rsb", Procs: procs, Time: flat, Cut: cut.TotalWeight,
-				Balanced: balancedExactly(g, af),
-			})
-		}
 	}
 	return rows, nil
 }

@@ -100,17 +100,17 @@ import (
 // ErrNeedRepartition reports that incremental balancing is impossible
 // (even maximally relaxed LPs stay infeasible). The paper's remedy is to
 // repartition from scratch or add the new vertices in several batches.
-var ErrNeedRepartition = errors.New("core: incremental balance infeasible; repartition from scratch")
+var ErrNeedRepartition = errors.New("engine: incremental balance infeasible; repartition from scratch")
 
 // errNoOldVertices reports a phase-1 precondition failure: incremental
 // assignment needs at least one previously assigned vertex to grow from.
-var errNoOldVertices = errors.New("core: assign: no previously assigned vertices; use a from-scratch partitioner first")
+var errNoOldVertices = errors.New("engine: assign: no previously assigned vertices; use a from-scratch partitioner first")
 
 // ErrClosed reports a call on an engine whose session was ended by
 // Close. A closed engine never becomes usable again; create a new one.
-var ErrClosed = errors.New("core: engine closed; create a new engine")
+var ErrClosed = errors.New("engine: closed; create a new engine")
 
-// Options configures an Engine (and the core.Repartition wrapper).
+// Options configures an Engine (and the one-shot igp.Repartition wrapper).
 type Options struct {
 	// Solver is the simplex implementation (nil = lp.Default()). A
 	// solver implementing lp.SessionSolver is forked at New: the engine

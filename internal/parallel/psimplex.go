@@ -5,7 +5,8 @@
 // replicated metadata, owns a subset of partitions (and of LP columns),
 // is charged simulated compute only for work on what it owns, and
 // exchanges exactly the data a real distributed implementation would
-// (BFS frontiers, δ rows, simplex pivot columns, migrated vertex lists).
+// (phase-1 claims, δ and b(i,j) rows, simplex pivot columns, migrated
+// vertex lists and the cut allreduce).
 package parallel
 
 import (

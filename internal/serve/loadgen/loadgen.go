@@ -1,8 +1,8 @@
 // Package loadgen drives an igpserve instance over real HTTP: it
 // creates a pool of graph sessions, hammers them with concurrent edit
 // submissions, and reports latency quantiles, throughput, and the shed
-// ledger. It is the workload behind `igpbench -table serve`, the
-// `igpserve -smoke` self-check, and the CI serve job.
+// ledger. It drives `igpbench -table serve` (several writers per
+// session) and the `igpserve -smoke` self-check the CI serve job boots.
 package loadgen
 
 import (
