@@ -1,7 +1,7 @@
 // Parallel demonstrates the paper's headline parallel claim: the whole
-// incremental pipeline — BFS assignment, layering, the balance LP solved
-// with a column-distributed simplex, and LP refinement — runs as an SPMD
-// message-passing program. Here it executes on a simulated CM-5-like
+// incremental pipeline — BFS assignment, layering, the balance LP charged
+// as a column-distributed dense simplex, and LP refinement — runs as an
+// SPMD message-passing program. Here it executes on a simulated CM-5-like
 // machine at 1..32 ranks; the makespan ratio reproduces the paper's
 // "speedup of around 15 to 20 on a 32 node CM-5".
 package main

@@ -14,10 +14,10 @@
 //     (the paper's IGP and IGPR variants);
 //   - two simplex implementations (a network simplex on a spanning
 //     tree for production, the paper's dense tableau as its oracle)
-//     behind a pluggable, named Solver registry, plus a
-//     column-distributed parallel simplex;
+//     behind a pluggable, named Solver registry;
 //   - a message-passing machine simulator calibrated to a 32-node CM-5,
-//     with an SPMD parallel implementation of the whole pipeline; and
+//     with an SPMD parallel implementation of the whole pipeline that
+//     charges each LP as a column-distributed dense simplex; and
 //   - DIME-style adaptive triangular mesh generation (incremental
 //     Delaunay with localized refinement) reproducing the paper's two
 //     experimental mesh families.

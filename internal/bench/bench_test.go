@@ -93,6 +93,23 @@ func TestSpeedupCurveMonotoneShape(t *testing.T) {
 	}
 }
 
+// TestSpeedupInPaperBand asserts the paper's §4 claim, "a speedup of
+// around 15 to 20 on a 32 node CM-5", on the table igpbench -table speedup
+// prints: IGPR on mesh A's first refinement at seed 1994, P = 32.
+func TestSpeedupInPaperBand(t *testing.T) {
+	seq, err := mesh.PaperSequenceA(1994)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := SpeedupCurve(seq, Config{Seed: 1994, P: 32}, []int{1, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pts[1].Speedup; s < 15 || s > 20 {
+		t.Fatalf("32-rank simulated speedup %.2f (T1 %v, T32 %v), want the paper's 15–20", s, pts[0].SimTime, pts[1].SimTime)
+	}
+}
+
 func TestLPSizeIndependence(t *testing.T) {
 	cfg := Config{Seed: 7, P: 8, SkipSim: true}
 	rows, err := LPSizeTable([]int{300, 900}, cfg)

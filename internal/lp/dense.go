@@ -28,10 +28,7 @@ func (d Dense) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t, err := newTableau(p, true)
-	if err != nil {
-		return nil, err
-	}
+	t := newTableau(p)
 	maxIter := d.MaxIter
 	if maxIter == 0 {
 		maxIter = 200000
@@ -62,10 +59,9 @@ type tableau struct {
 	iters    int
 }
 
-// newTableau converts p into standard form. When boundsAsRows is true,
-// finite upper bounds become explicit ≤ rows (the paper's dense
-// formulation).
-func newTableau(p *Problem, boundsAsRows bool) (*tableau, error) {
+// newTableau converts p into standard form; finite upper bounds become
+// explicit ≤ rows (the paper's dense formulation).
+func newTableau(p *Problem) *tableau {
 	n := p.NumVars()
 	type row struct {
 		terms []Term
@@ -76,11 +72,9 @@ func newTableau(p *Problem, boundsAsRows bool) (*tableau, error) {
 	for _, c := range p.Cons {
 		rowsIn = append(rowsIn, row{c.Terms, c.Rel, c.RHS})
 	}
-	if boundsAsRows {
-		for v, u := range p.Upper {
-			if !math.IsInf(u, 1) {
-				rowsIn = append(rowsIn, row{[]Term{{v, 1}}, LE, u})
-			}
+	for v, u := range p.Upper {
+		if !math.IsInf(u, 1) {
+			rowsIn = append(rowsIn, row{[]Term{{v, 1}}, LE, u})
 		}
 	}
 	m := len(rowsIn)
@@ -159,7 +153,7 @@ func newTableau(p *Problem, boundsAsRows bool) (*tableau, error) {
 		}
 		t.origCost[v] = c
 	}
-	return t, nil
+	return t
 }
 
 // reducedCosts returns d_j = c_j − c_B·(B⁻¹A)_j for all columns plus the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -570,6 +571,85 @@ func TestSolversAgreeOnFlowLPs(t *testing.T) {
 					t.Fatalf("trial %d: objective disagreement %v", trial, objs)
 				}
 			}
+		}
+	}
+}
+
+func TestIterLimitStatus(t *testing.T) {
+	// A solvable problem with MaxIter=1 must stop with IterLimit, not hang
+	// or mis-report.
+	p := paperFig5Problem()
+	for _, s := range []Solver{Dense{MaxIter: 1}, Network{MaxIter: 1}} {
+		sol, err := s.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != IterLimit {
+			t.Fatalf("%s: status %v, want iteration-limit", s.Name(), sol.Status)
+		}
+	}
+}
+
+func TestProblemString(t *testing.T) {
+	p := NewProblem(Minimize, 3)
+	p.Names = []string{"l01", "l02", ""}
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 1)
+	p.SetObjective(2, -2)
+	p.SetUpper(0, 9)
+	p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: -1}}, EQ, 8)
+	s := p.String()
+	for _, want := range []string{"minimize", "l01", "l02", "- 2 x2", "l01 - l02 = 8", "0 <= l01 <= 9"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("String() missing %q:\n%s", want, s)
+		}
+	}
+}
+
+func TestProblemStringEmptyAndMax(t *testing.T) {
+	p := NewProblem(Maximize, 1)
+	p.AddConstraint(nil, LE, 5)
+	s := p.String()
+	if !strings.Contains(s, "maximize  0") || !strings.Contains(s, "0 <= 5") {
+		t.Fatalf("degenerate rendering wrong:\n%s", s)
+	}
+}
+
+func TestObjectiveHelper(t *testing.T) {
+	p := NewProblem(Minimize, 2)
+	p.SetObjective(0, 2)
+	p.SetObjective(1, -1)
+	if got := Objective(p, []float64{3, 4}); got != 2 {
+		t.Fatalf("objective = %g, want 2", got)
+	}
+}
+
+func TestCheckFeasibleLengthMismatch(t *testing.T) {
+	p := NewProblem(Minimize, 2)
+	if err := CheckFeasible(p, []float64{1}, 1e-9); err == nil {
+		t.Fatal("length mismatch must error")
+	}
+}
+
+func TestRelString(t *testing.T) {
+	if LE.String() != "<=" || EQ.String() != "=" || GE.String() != ">=" {
+		t.Fatal("relation strings wrong")
+	}
+	if Rel(99).String() != "?" {
+		t.Fatal("unknown relation should render '?'")
+	}
+}
+
+func TestStatusString(t *testing.T) {
+	for s, want := range map[Status]string{
+		Optimal:    "optimal",
+		Infeasible: "infeasible",
+		Unbounded:  "unbounded",
+		IterLimit:  "iteration-limit",
+		Status(99): "unknown",
+	} {
+		if s.String() != want {
+			t.Fatalf("%d → %q, want %q", s, s.String(), want)
 		}
 	}
 }

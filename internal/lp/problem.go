@@ -15,8 +15,8 @@
 //     algorithm") and the general-LP path. It is the slowest on every
 //     measured row and stays as the oracle: it materializes bounds as
 //     rows and shares no pivoting code with Network, so
-//     FuzzSolverAgreement holds Network to it; its standard form is also
-//     what parallel.SolveLP distributes.
+//     FuzzSolverAgreement holds Network to it. The SPMD simulator
+//     (parallel.SolveLP) solves with it too.
 //
 // Both return basic optimal solutions; on the flow problems built by the
 // balance and refine phases those are integral by total unimodularity.

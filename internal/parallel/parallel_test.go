@@ -2,10 +2,12 @@ package parallel
 
 import (
 	"context"
-	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/engine"
@@ -23,101 +25,44 @@ func testWorld(t *testing.T, p int) *comm.World {
 	return w
 }
 
-// solveParallel runs SolveLP on a world of the given size and returns rank
-// 0's solution.
-func solveParallel(t *testing.T, ranks int, prob *lp.Problem) *lp.Solution {
-	t.Helper()
-	w := testWorld(t, ranks)
-	sols := make([]*lp.Solution, ranks)
-	err := w.Run(func(c *comm.Comm) error {
-		sol, err := SolveLP(context.Background(), c, prob)
-		if err != nil {
-			return err
-		}
-		sols[c.Rank()] = sol
-		return nil
-	})
+// TestSolveLPCharge: every rank returns lp.Dense's solution bit for bit,
+// the world carries exactly the column-distributed simplex's messages for
+// that many pivots, and one rank's clock is the closed-form charge.
+func TestSolveLPCharge(t *testing.T) {
+	prob := paperFig5LP()
+	want, err := lp.Dense{}.Solve(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 1; r < ranks; r++ {
-		if sols[r].Status != sols[0].Status {
-			t.Fatalf("rank %d status %v != rank 0 %v", r, sols[r].Status, sols[0].Status)
-		}
-		if sols[r].Status == lp.Optimal && math.Abs(sols[r].Objective-sols[0].Objective) > 1e-9 {
-			t.Fatalf("rank %d objective %g != rank 0 %g", r, sols[r].Objective, sols[0].Objective)
-		}
+	if want.Status != lp.Optimal || want.Iterations == 0 {
+		t.Fatalf("fixture: %v after %d pivots, want an optimum that pivots", want.Status, want.Iterations)
 	}
-	return sols[0]
-}
-
-func TestSolveLPMatchesSequential(t *testing.T) {
-	// max 3x+2y s.t. x+y<=4, x+3y<=6 → 12.
-	p := lp.NewProblem(lp.Maximize, 2)
-	p.SetObjective(0, 3)
-	p.SetObjective(1, 2)
-	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 4)
-	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 3}}, lp.LE, 6)
-	for _, ranks := range []int{1, 2, 3, 5} {
-		sol := solveParallel(t, ranks, p)
-		if sol.Status != lp.Optimal || math.Abs(sol.Objective-12) > 1e-8 {
-			t.Fatalf("ranks=%d: %v obj %g, want optimal 12", ranks, sol.Status, sol.Objective)
-		}
-	}
-}
-
-func TestSolveLPInfeasibleAndUnbounded(t *testing.T) {
-	inf := lp.NewProblem(lp.Minimize, 1)
-	inf.SetObjective(0, 1)
-	inf.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.LE, 1)
-	inf.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.GE, 2)
-	if sol := solveParallel(t, 3, inf); sol.Status != lp.Infeasible {
-		t.Fatalf("status %v, want infeasible", sol.Status)
-	}
-	unb := lp.NewProblem(lp.Maximize, 1)
-	unb.SetObjective(0, 1)
-	unb.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.GE, 1)
-	if sol := solveParallel(t, 3, unb); sol.Status != lp.Unbounded {
-		t.Fatalf("status %v, want unbounded", sol.Status)
-	}
-}
-
-func TestSolveLPRandomAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	dense := lp.Dense{}
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(4)
-		p := lp.NewProblem(lp.Minimize, n)
-		for v := 0; v < n; v++ {
-			p.SetObjective(v, float64(rng.Intn(9)-4))
-			p.SetUpper(v, float64(1+rng.Intn(7)))
-		}
-		for i := 0; i < 1+rng.Intn(3); i++ {
-			var terms []lp.Term
-			for v := 0; v < n; v++ {
-				if cf := rng.Intn(5) - 2; cf != 0 {
-					terms = append(terms, lp.Term{Var: v, Coef: float64(cf)})
-				}
-			}
-			if len(terms) == 0 {
-				terms = []lp.Term{{Var: 0, Coef: 1}}
-			}
-			p.AddConstraint(terms, []lp.Rel{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)], float64(rng.Intn(11)-3))
-		}
-		want, err := dense.Solve(context.Background(), p)
+	n, m := lp.DenseSize(prob)
+	for _, ranks := range []int{1, 3, 8} {
+		w := testWorld(t, ranks)
+		sols := make([]*lp.Solution, ranks)
+		err := w.Run(func(c *comm.Comm) error {
+			sol, err := SolveLP(context.Background(), c, prob)
+			sols[c.Rank()] = sol
+			return err
+		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
-		got := solveParallel(t, 4, p)
-		if got.Status != want.Status {
-			t.Fatalf("trial %d: parallel %v vs dense %v", trial, got.Status, want.Status)
-		}
-		if want.Status == lp.Optimal {
-			if math.Abs(got.Objective-want.Objective) > 1e-6 {
-				t.Fatalf("trial %d: parallel obj %g vs dense %g", trial, got.Objective, want.Objective)
+		for r, sol := range sols {
+			if !reflect.DeepEqual(sol, want) {
+				t.Fatalf("ranks=%d: rank %d solution %+v, want lp.Dense's %+v", ranks, r, sol, want)
 			}
-			if err := lp.CheckFeasible(p, got.X, 1e-6); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
+		}
+		// An argmin is a reduction plus a broadcast, 2·(ranks−1) messages;
+		// a column broadcast is ranks−1.
+		if got, msgs := w.TotalMessages(), int64((3*want.Iterations+2)*(ranks-1)); got != msgs {
+			t.Fatalf("ranks=%d: %d messages for %d pivots, want %d", ranks, got, want.Iterations, msgs)
+		}
+		if ranks == 1 {
+			flops := 2*n*m + want.Iterations*(n+m+n*m+m)
+			if got, clock := w.MaxClock(), time.Duration(flops)*comm.CM5().FlopTime; got != clock {
+				t.Fatalf("1-rank clock %v, want %v (%d flops)", got, clock, flops)
 			}
 		}
 	}
@@ -224,6 +169,16 @@ func TestParallelSpeedupShape(t *testing.T) {
 	}
 }
 
+// TestRepartitionRejectsMultilevel: the V-cycle's events carry no charge,
+// so the simulator refuses it instead of running it uncharged.
+func TestRepartitionRejectsMultilevel(t *testing.T) {
+	g, a := grownGrid(4, 8, 2, 4, rand.New(rand.NewSource(3)))
+	opt := engine.Options{Multilevel: engine.MultilevelOptions{Enabled: true}}
+	if _, err := Repartition(context.Background(), testWorld(t, 2), g, a, opt); err == nil || !strings.Contains(err.Error(), "multilevel") {
+		t.Fatalf("err = %v, want an error naming the multilevel V-cycle", err)
+	}
+}
+
 func TestParallelOrphanClusters(t *testing.T) {
 	g := graph.Path(6)
 	v1 := g.AddVertex(1)
@@ -243,25 +198,23 @@ func TestParallelOrphanClusters(t *testing.T) {
 	}
 }
 
-// paperPairs mirrors the lp package's Figure-5 variable layout.
-var paperPairs = [][2]int{
-	{0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 2},
-	{2, 0}, {2, 1}, {2, 3}, {3, 0}, {3, 2},
-}
-
-func paperLP(maximize bool, upper []float64, surplus []float64) *lp.Problem {
-	sense := lp.Minimize
-	if maximize {
-		sense = lp.Maximize
+// paperFig5LP is the paper's Figure-5 load-balance LP (the lp package's
+// variable layout).
+func paperFig5LP() *lp.Problem {
+	pairs := [][2]int{
+		{0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 2},
+		{2, 0}, {2, 1}, {2, 3}, {3, 0}, {3, 2},
 	}
-	p := lp.NewProblem(sense, len(paperPairs))
-	for v := range paperPairs {
+	upper := []float64{9, 7, 12, 10, 11, 3, 7, 9, 7, 5}
+	surplus := []float64{8, 1, -1, -8}
+	p := lp.NewProblem(lp.Minimize, len(pairs))
+	for v := range pairs {
 		p.SetObjective(v, 1)
 		p.SetUpper(v, upper[v])
 	}
-	for j := 0; j < 4; j++ {
+	for j := range surplus {
 		var terms []lp.Term
-		for v, pr := range paperPairs {
+		for v, pr := range pairs {
 			if pr[0] == j {
 				terms = append(terms, lp.Term{Var: v, Coef: 1})
 			}
@@ -274,35 +227,10 @@ func paperLP(maximize bool, upper []float64, surplus []float64) *lp.Problem {
 	return p
 }
 
-func TestSolveLPPaperFigure5(t *testing.T) {
-	prob := paperLP(false,
-		[]float64{9, 7, 12, 10, 11, 3, 7, 9, 7, 5},
-		[]float64{8, 1, -1, -8})
-	for _, ranks := range []int{1, 3, 8} {
-		sol := solveParallel(t, ranks, prob)
-		if sol.Status != lp.Optimal || math.Abs(sol.Objective-9) > 1e-8 {
-			t.Fatalf("ranks=%d: %v obj %g, want optimal 9", ranks, sol.Status, sol.Objective)
-		}
-	}
-}
-
-func TestSolveLPPaperFigure8(t *testing.T) {
-	prob := paperLP(true,
-		[]float64{1, 1, 1, 2, 1, 0, 1, 1, 2, 1},
-		[]float64{0, 0, 0, 0})
-	for _, ranks := range []int{1, 4} {
-		sol := solveParallel(t, ranks, prob)
-		// True optimum of the printed LP is 9 (see lp package tests).
-		if sol.Status != lp.Optimal || math.Abs(sol.Objective-9) > 1e-8 {
-			t.Fatalf("ranks=%d: %v obj %g, want optimal 9", ranks, sol.Status, sol.Objective)
-		}
-	}
-}
-
 // FuzzSimulatorMatchesEngine: the simulator runs the product pipeline with
-// the distributed simplex, which pivots like lp.Dense, so on any grown and
-// edited grid, at any rank count, it must leave exactly the assignment —
-// and the error, if any — of a sequential engine with the dense solver.
+// lp.Dense on every rank, so on any grown and edited grid, at any rank
+// count, it must leave exactly the assignment — and the error, if any — of
+// a sequential engine with the dense solver.
 func FuzzSimulatorMatchesEngine(f *testing.F) {
 	f.Add(int64(1), uint8(1), true)
 	f.Add(int64(7), uint8(0), false)

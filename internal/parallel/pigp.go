@@ -1,9 +1,18 @@
+// Package parallel implements the distributed-memory version of the
+// incremental partitioner — the paper's actual contribution claim ("all
+// the steps used by our method are inherently parallel"). It runs SPMD
+// over the comm substrate: every rank executes the product pipeline over
+// a replica of the assignment, owns a subset of partitions (and of LP
+// columns), is charged simulated compute only for work on what it owns,
+// and sends the messages a real distributed implementation would.
 package parallel
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -32,8 +41,9 @@ type Result struct {
 // The engine already calls out wherever a distributed run communicates,
 // and each rank fills those two seams:
 //
-//   - the LP solver is SolveLP, the column-distributed simplex, so every
-//     balance and refinement LP is solved by all ranks together;
+//   - the LP solver is SolveLP: every rank solves each balance and
+//     refinement LP with lp.Dense and is charged what the
+//     column-distributed dense simplex costs;
 //   - the observer charges the flop model for the work of owned partitions
 //     and sends the messages a distributed implementation would (see
 //     rank.charge).
@@ -41,12 +51,16 @@ type Result struct {
 // opt.Solver, opt.RefineOptions.Solver and opt.Parallelism are replaced
 // (a rank models one processor, so its engine runs one worker), and
 // opt.Observer, if set, receives rank 0's events. opt.Multilevel must be
-// off: the V-cycle's events carry no charge. Since SolveLP pivots exactly like lp.Dense, a is updated in
-// place with what engine.New(g, opt) with the dense solver leaves behind,
-// at every rank count. On error a holds rank 0's replica, which the engine
-// never leaves mid-move. The world's clocks are reset first, so
-// Result.SimTime is this call's makespan.
+// off, or Repartition returns an error: the V-cycle's events carry no
+// charge. Since SolveLP is lp.Dense, a is updated in place with what
+// engine.New(g, opt) with the dense solver leaves behind, at every rank
+// count. On error a holds rank 0's replica, which the engine never leaves
+// mid-move. The world's clocks are reset first, so Result.SimTime is this
+// call's makespan.
 func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partition.Assignment, opt engine.Options) (*Result, error) {
+	if opt.Multilevel.Enabled {
+		return nil, errors.New("parallel: Repartition: the multilevel V-cycle is not simulated")
+	}
 	w.Reset()
 	a.Grow(g.Order())
 	final := make([]*partition.Assignment, w.Size())
@@ -88,14 +102,57 @@ func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partitio
 	return &Result{SimTime: w.MaxClock(), Messages: w.TotalMessages(), Bytes: w.TotalBytes(), Stats: stats}, nil
 }
 
-// solver is a rank's LP seam: every solve is the column-distributed
-// simplex over the rank's communicator.
+// solver is a rank's LP seam: every solve is SolveLP over the rank's
+// communicator.
 type solver struct{ c *comm.Comm }
 
 func (s solver) Name() string { return "parallel" }
 
 func (s solver) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
 	return SolveLP(ctx, s.c, p)
+}
+
+// SolveLP solves prob with lp.Dense and charges the calling rank what the
+// column-distributed dense simplex the paper parallelizes costs. All ranks
+// must call with an identical problem; lp.Dense is deterministic, so all
+// receive the same solution.
+//
+// The n columns of the dense form (lp.DenseSize) are dealt cyclically, so
+// a rank owns the columns j with j mod ranks == rank. It is charged 2·owned·m
+// for the two reduced-cost resets and, per pivot, owned for the entering
+// scan, m for the ratio test and owned·m + m for the tableau update: the
+// dense profile, every owned column and all m rows ("a dense version of
+// simplex algorithm", O(v·c) per iteration). Each pivot selects the entering
+// column with a global argmin and broadcasts it (m+1 floats) from its
+// owner; lp.Dense does not report which column entered, so pivot k's
+// broadcast is rooted at rank k mod ranks. A final argmin finds no
+// improving column.
+func SolveLP(ctx context.Context, c *comm.Comm, prob *lp.Problem) (*lp.Solution, error) {
+	sol, err := lp.Dense{}.Solve(ctx, prob)
+	if err != nil {
+		return nil, err
+	}
+	n, m := lp.DenseSize(prob)
+	me, ranks := c.Rank(), c.Size()
+	owned := n / ranks
+	if me < n%ranks {
+		owned++
+	}
+	c.Advance(float64(2 * owned * m))
+	for k := 0; k < sol.Iterations; k++ {
+		c.Advance(float64(owned))
+		if _, _, err := c.ArgminIndexed(0, k); err != nil {
+			return nil, err
+		}
+		if _, err := c.Bcast(k%ranks, nil, 8*(m+1)); err != nil {
+			return nil, err
+		}
+		c.Advance(float64(m + owned*m + m))
+	}
+	if _, _, err := c.ArgminIndexed(math.Inf(1), math.MaxInt32); err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
 // owner maps a partition to the rank that owns it.

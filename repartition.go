@@ -284,12 +284,12 @@ type ParallelResult struct {
 // CM-5-like machine with the given number of ranks, updating a in place.
 // Every rank runs the same pipeline as [Repartition] on a replica of a,
 // owns the partitions q with q mod ranks == r, solves each LP with the
-// column-distributed parallel simplex and exchanges real messages wherever
-// a distributed run communicates; the simulated clock charges each rank
-// the work of its own partitions plus a LogP cost per message. Because
-// that simplex pivots exactly like the paper's tableau, a ends up equal,
-// vertex for vertex, to what Repartition with WithSolver("dense") and the
-// same options leaves, at every rank count. The returned SimTime is the
+// paper's dense tableau and exchanges real messages wherever a distributed
+// run communicates; the simulated clock charges each rank the work of its
+// own partitions and its share of the column-distributed dense simplex,
+// plus a LogP cost per message. So a ends up equal, vertex for vertex, to
+// what Repartition with WithSolver("dense") and the same options leaves,
+// at every rank count. The returned SimTime is the
 // simulated parallel makespan — run with ranks=1 to obtain the simulated
 // sequential time and divide for speedup.
 //
@@ -298,7 +298,7 @@ type ParallelResult struct {
 // WithParallelism is accepted and changes nothing: a rank models one
 // processor, so its engine runs one worker, and results are identical at
 // every worker count. Options the simulator cannot honour are errors:
-// WithSolver (its LP is always the distributed simplex), WithMultilevel
+// WithSolver (its LP is always the dense tableau), WithMultilevel
 // and WithBatches(k > 1).
 //
 // The context is honoured like Repartition's: a cancellation seen by any
@@ -312,7 +312,7 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 	}
 	switch {
 	case cfg.solver != nil:
-		return nil, errors.New("igp: SimulateParallelRepartition: WithSolver is not simulated (the LP is always the distributed simplex)")
+		return nil, errors.New("igp: SimulateParallelRepartition: WithSolver is not simulated (the LP is always the dense tableau)")
 	case cfg.multilevel.Enabled:
 		return nil, errors.New("igp: SimulateParallelRepartition: WithMultilevel is not simulated")
 	case cfg.batches > 1:

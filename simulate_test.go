@@ -62,9 +62,9 @@ func orphanGrid() simFixture {
 }
 
 // TestSimulatorMatchesDenseRepartition: the simulator runs the product
-// pipeline with the distributed simplex, which pivots like the dense
-// tableau, so at every rank count it must leave exactly the assignment
-// Repartition leaves under WithSolver("dense") with the same options.
+// pipeline with the dense tableau on every rank, so at every rank count it
+// must leave exactly the assignment Repartition leaves under
+// WithSolver("dense") with the same options.
 func TestSimulatorMatchesDenseRepartition(t *testing.T) {
 	fixtures := []simFixture{paperFirstStep(t, "meshA", PaperMeshA), paperFirstStep(t, "meshB", PaperMeshB), orphanGrid()}
 	for _, f := range fixtures {
