@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -63,6 +64,106 @@ func TestSolveLPCharge(t *testing.T) {
 			flops := 2*n*m + want.Iterations*(n+m+n*m+m)
 			if got, clock := w.MaxClock(), time.Duration(flops)*comm.CM5().FlopTime; got != clock {
 				t.Fatalf("1-rank clock %v, want %v (%d flops)", got, clock, flops)
+			}
+		}
+	}
+}
+
+// solveParallel runs SolveLP on a world of the given size and returns rank
+// 0's solution.
+func solveParallel(t *testing.T, ranks int, prob *lp.Problem) *lp.Solution {
+	t.Helper()
+	w := testWorld(t, ranks)
+	sols := make([]*lp.Solution, ranks)
+	err := w.Run(func(c *comm.Comm) error {
+		sol, err := SolveLP(context.Background(), c, prob)
+		if err != nil {
+			return err
+		}
+		sols[c.Rank()] = sol
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < ranks; r++ {
+		if sols[r].Status != sols[0].Status {
+			t.Fatalf("rank %d status %v != rank 0 %v", r, sols[r].Status, sols[0].Status)
+		}
+		if sols[r].Status == lp.Optimal && math.Abs(sols[r].Objective-sols[0].Objective) > 1e-9 {
+			t.Fatalf("rank %d objective %g != rank 0 %g", r, sols[r].Objective, sols[0].Objective)
+		}
+	}
+	return sols[0]
+}
+
+func TestSolveLPMatchesSequential(t *testing.T) {
+	// max 3x+2y s.t. x+y<=4, x+3y<=6 → 12.
+	p := lp.NewProblem(lp.Maximize, 2)
+	p.SetObjective(0, 3)
+	p.SetObjective(1, 2)
+	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 4)
+	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 3}}, lp.LE, 6)
+	for _, ranks := range []int{1, 2, 3, 5} {
+		sol := solveParallel(t, ranks, p)
+		if sol.Status != lp.Optimal || math.Abs(sol.Objective-12) > 1e-8 {
+			t.Fatalf("ranks=%d: %v obj %g, want optimal 12", ranks, sol.Status, sol.Objective)
+		}
+	}
+}
+
+func TestSolveLPInfeasibleAndUnbounded(t *testing.T) {
+	inf := lp.NewProblem(lp.Minimize, 1)
+	inf.SetObjective(0, 1)
+	inf.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.LE, 1)
+	inf.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.GE, 2)
+	if sol := solveParallel(t, 3, inf); sol.Status != lp.Infeasible {
+		t.Fatalf("status %v, want infeasible", sol.Status)
+	}
+	unb := lp.NewProblem(lp.Maximize, 1)
+	unb.SetObjective(0, 1)
+	unb.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.GE, 1)
+	if sol := solveParallel(t, 3, unb); sol.Status != lp.Unbounded {
+		t.Fatalf("status %v, want unbounded", sol.Status)
+	}
+}
+
+func TestSolveLPRandomAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	dense := lp.Dense{}
+	for trial := 0; trial < 25; trial++ {
+		n := 2 + rng.Intn(4)
+		p := lp.NewProblem(lp.Minimize, n)
+		for v := 0; v < n; v++ {
+			p.SetObjective(v, float64(rng.Intn(9)-4))
+			p.SetUpper(v, float64(1+rng.Intn(7)))
+		}
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			var terms []lp.Term
+			for v := 0; v < n; v++ {
+				if cf := rng.Intn(5) - 2; cf != 0 {
+					terms = append(terms, lp.Term{Var: v, Coef: float64(cf)})
+				}
+			}
+			if len(terms) == 0 {
+				terms = []lp.Term{{Var: 0, Coef: 1}}
+			}
+			p.AddConstraint(terms, []lp.Rel{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)], float64(rng.Intn(11)-3))
+		}
+		want, err := dense.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := solveParallel(t, 4, p)
+		if got.Status != want.Status {
+			t.Fatalf("trial %d: parallel %v vs dense %v", trial, got.Status, want.Status)
+		}
+		if want.Status == lp.Optimal {
+			if math.Abs(got.Objective-want.Objective) > 1e-6 {
+				t.Fatalf("trial %d: parallel obj %g vs dense %g", trial, got.Objective, want.Objective)
+			}
+			if err := lp.CheckFeasible(p, got.X, 1e-6); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
 	}
@@ -198,23 +299,25 @@ func TestParallelOrphanClusters(t *testing.T) {
 	}
 }
 
-// paperFig5LP is the paper's Figure-5 load-balance LP (the lp package's
-// variable layout).
-func paperFig5LP() *lp.Problem {
-	pairs := [][2]int{
-		{0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 2},
-		{2, 0}, {2, 1}, {2, 3}, {3, 0}, {3, 2},
+// paperPairs mirrors the lp package's Figure-5 variable layout.
+var paperPairs = [][2]int{
+	{0, 1}, {0, 2}, {0, 3}, {1, 0}, {1, 2},
+	{2, 0}, {2, 1}, {2, 3}, {3, 0}, {3, 2},
+}
+
+func paperLP(maximize bool, upper []float64, surplus []float64) *lp.Problem {
+	sense := lp.Minimize
+	if maximize {
+		sense = lp.Maximize
 	}
-	upper := []float64{9, 7, 12, 10, 11, 3, 7, 9, 7, 5}
-	surplus := []float64{8, 1, -1, -8}
-	p := lp.NewProblem(lp.Minimize, len(pairs))
-	for v := range pairs {
+	p := lp.NewProblem(sense, len(paperPairs))
+	for v := range paperPairs {
 		p.SetObjective(v, 1)
 		p.SetUpper(v, upper[v])
 	}
-	for j := range surplus {
+	for j := 0; j < 4; j++ {
 		var terms []lp.Term
-		for v, pr := range pairs {
+		for v, pr := range paperPairs {
 			if pr[0] == j {
 				terms = append(terms, lp.Term{Var: v, Coef: 1})
 			}
@@ -225,6 +328,36 @@ func paperFig5LP() *lp.Problem {
 		p.AddConstraint(terms, lp.EQ, surplus[j])
 	}
 	return p
+}
+
+func TestSolveLPPaperFigure5(t *testing.T) {
+	prob := paperFig5LP()
+	for _, ranks := range []int{1, 3, 8} {
+		sol := solveParallel(t, ranks, prob)
+		if sol.Status != lp.Optimal || math.Abs(sol.Objective-9) > 1e-8 {
+			t.Fatalf("ranks=%d: %v obj %g, want optimal 9", ranks, sol.Status, sol.Objective)
+		}
+	}
+}
+
+func TestSolveLPPaperFigure8(t *testing.T) {
+	prob := paperLP(true,
+		[]float64{1, 1, 1, 2, 1, 0, 1, 1, 2, 1},
+		[]float64{0, 0, 0, 0})
+	for _, ranks := range []int{1, 4} {
+		sol := solveParallel(t, ranks, prob)
+		// True optimum of the printed LP is 9 (see lp package tests).
+		if sol.Status != lp.Optimal || math.Abs(sol.Objective-9) > 1e-8 {
+			t.Fatalf("ranks=%d: %v obj %g, want optimal 9", ranks, sol.Status, sol.Objective)
+		}
+	}
+}
+
+// paperFig5LP is the paper's Figure-5 load-balance LP.
+func paperFig5LP() *lp.Problem {
+	return paperLP(false,
+		[]float64{9, 7, 12, 10, 11, 3, 7, 9, 7, 5},
+		[]float64{8, 1, -1, -8})
 }
 
 // FuzzSimulatorMatchesEngine: the simulator runs the product pipeline with
