@@ -363,7 +363,10 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 // BenchmarkPhase_Gains measures the boundary-seeded gain scan through a
 // warm scratch (what a warm engine runs when it cannot patch);
 // BenchmarkPhase_GainsPatched is a warm engine's round after 32 balanced
-// moves — sync, then the pools patched from the re-examined vertices;
+// moves — the sync, whose one row read per re-examined vertex also
+// reclassifies it, then the pools patched from the logged class changes
+// with no row read (TestSteadyStatePatchedRoundAllocs locks it at 0
+// allocs/op);
 // BenchmarkPhase_GainsOneShot is the full scan with fresh pools.
 func BenchmarkPhase_Gains(b *testing.B) {
 	g, a := unrefined(b)

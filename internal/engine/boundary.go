@@ -1,11 +1,11 @@
 // The engine's boundary maintenance: the from-scratch rebuild and the
 // incremental sync (journal pass + assignment-diff scan) that keep the
 // boundary set, the per-vertex cut terms, the per-partition size counters,
-// the pending-unassigned set and the gains patch log exact. Both O(n)
-// passes are split into arc-balanced contiguous vertex shards run on the
-// engine's fork-join group — one shard, inline, at one worker or on a
-// small graph. The
-// incremental sync claims every re-examined vertex through an atomic
+// the pending-unassigned set and — while Gains keeps pools — the
+// refinement classes and their change log exact. Both O(n) passes are
+// split into arc-balanced contiguous vertex shards run on the engine's
+// fork-join group — one shard, inline, at one worker or on a small graph.
+// The incremental sync claims every re-examined vertex through an atomic
 // compare-and-swap on the engine's recompute stamp, so each vertex's
 // verdicts are decided by exactly one worker, into its private lists.
 //
@@ -25,6 +25,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/partition"
+	"repro/internal/refine"
 )
 
 // parBoundaryMin is the snapshot order below which the boundary passes
@@ -77,12 +78,13 @@ func (s *idSet) relist() {
 
 // boundaryWorker is one worker's private arena for boundary passes.
 type boundaryWorker struct {
-	add      []graph.Vertex // vertices that entered the boundary
-	left     []graph.Vertex // vertices that left it
-	seen     []graph.Vertex // boundary vertices re-examined (Gains' patch log)
-	pend     []graph.Vertex // vertices newly collected for phase 1
-	psize    []int          // per-partition size deltas (rebuild: counts)
-	examined bool           // re-examined a vertex: the kept cut report is stale
+	add      []graph.Vertex   // vertices that entered the boundary
+	left     []graph.Vertex   // vertices that left it
+	recs     []refine.Reclass // class changes (Gains' patch log)
+	pend     []graph.Vertex   // vertices newly collected for phase 1
+	psize    []int            // per-partition size deltas (rebuild: counts)
+	row      refine.RowScan   // the row kernel's arena
+	examined bool             // re-examined a vertex: the kept cut report is stale
 }
 
 // shardBoundaryPass shards the snapshot's vertex range by arc count for
@@ -98,7 +100,7 @@ func (e *Engine) shardBoundaryPass(p int) {
 		ws.add = ws.add[:0]
 		ws.left = ws.left[:0]
 		ws.pend = ws.pend[:0]
-		ws.seen = ws.seen[:0]
+		ws.recs = ws.recs[:0]
 		if cap(ws.psize) < p {
 			ws.psize = make([]int, p)
 		}
@@ -117,7 +119,7 @@ func (e *Engine) joinBoundaryWorkers() {
 		ws := &e.bws[w]
 		moved = e.bnd.apply(ws.add, ws.left) || moved
 		collected = e.pending.apply(ws.pend, nil) || collected
-		e.gainDirty = append(e.gainDirty, ws.seen...)
+		e.gainDirty = append(e.gainDirty, ws.recs...)
 		for q, d := range ws.psize {
 			e.partSizes[q] += d
 		}
@@ -194,6 +196,9 @@ func (t *rebuildTask) Do(w int) {
 // region's workers and skipped.
 func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
 	e.growTo(e.csr.Order())
+	if e.gainsValid {
+		e.gain.Reserve(e.csr.Order())
+	}
 	e.stamps.Next()
 	e.shardBoundaryPass(a.P)
 	for _, v := range touched {
@@ -204,9 +209,9 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
 	e.df = diffTask{} // drop the assignment pointer after the region
 	e.joinBoundaryWorkers()
 	if len(e.gainDirty) > len(e.bnd.list) {
-		// Patching would classify more vertices than the boundary-seeded
-		// scan visits: let the next Gains rescan, and stop logging until
-		// it has.
+		// Patching would take more records than the boundary-seeded scan
+		// visits vertices: let the next Gains rescan, and stop classifying
+		// until it has.
 		e.gainsValid = false
 		e.gainDirty = e.gainDirty[:0]
 	}
@@ -234,10 +239,11 @@ func (t *diffTask) Do(w int) {
 }
 
 // recompute re-evaluates v's boundary membership, cut term, size
-// attribution and pending status into ws, at most once per sync: the stamp
-// CAS admits exactly one worker per vertex per sync, so the sizeAttr and
-// term writes are race-free (nobody reads a term before the join); the
-// membership bits are only read (they hold the last sync's).
+// attribution, pending status and — while pools are kept — refinement
+// class into ws, at most once per sync: the stamp CAS admits exactly one
+// worker per vertex per sync, so the sizeAttr, term and class writes are
+// race-free (nobody reads them before the join); the membership bits are
+// only read (they hold the last sync's).
 func (e *Engine) recompute(ws *boundaryWorker, v graph.Vertex, a *partition.Assignment) {
 	if !e.stamps.Claim(v) {
 		return
@@ -246,10 +252,12 @@ func (e *Engine) recompute(ws *boundaryWorker, v graph.Vertex, a *partition.Assi
 	e.moveAttr(v, a, ws.psize)
 	e.collectPending(v, a, &ws.pend)
 	was := e.bnd.has(v)
-	now, ext, n := e.rowTerm(v, a)
-	e.ext[v], e.extN[v] = ext, n
-	if e.gainsValid && (now || was) {
-		ws.seen = append(ws.seen, v)
+	var now bool
+	if e.gainsValid {
+		ws.recs = e.gain.Reclassify(&ws.row, e.csr, a, v, ws.recs)
+		now, e.ext[v], e.extN[v] = ws.row.Foreign, ws.row.Ext, ws.row.ExtN
+	} else {
+		now, e.ext[v], e.extN[v] = e.rowTerm(v, a)
 	}
 	switch {
 	case now && !was:

@@ -49,17 +49,17 @@
 //     skips the O(n) diff.
 //
 //   - The refinement candidate pools are derived state of the same kind,
-//     kept from the first Gains call on: the vertices a sync re-examines
-//     (journaled, partition changed, or next to one whose partition
-//     changed) and finds in the boundary, before or after, are exactly
-//     those whose gain class can have changed, so sync logs them and the
-//     next Gains re-classifies only those and
-//     rebuilds only the pair pools they entered or left
-//     (refine.Scratch.GainsPatched). A boundary rebuild, or a log longer
-//     than the boundary itself, falls back to the boundary-seeded scan.
-//     A refinement round therefore costs O(Σ deg(moved ∪ N(moved))) plus
-//     one report: the driver (refine.Drive) reads the cut after every round
-//     from the tracked terms, and its last report is the call's CutAfter.
+//     kept from the first Gains call on. A vertex's class (pair pool and
+//     gain) can change only when sync re-examines it, so while pools are
+//     kept the row read sync pays per re-examined vertex also yields its
+//     class (refine.Scratch.Reclassify stores it and logs a change), and
+//     the next Gains reads no row: it rebuilds only the pair pools the
+//     logged vertices entered or left (refine.Scratch.GainsPatched). An
+//     engine that never calls Gains never classifies. A boundary rebuild,
+//     or a log longer than the boundary, falls back to the boundary-seeded
+//     scan. A refinement round therefore costs O(Σ deg(moved ∪ N(moved)))
+//     plus one report: the driver (refine.Drive) reads the cut after every
+//     round from the tracked terms; its last report is the call's CutAfter.
 //
 // # Scratch reuse rules
 //
@@ -395,14 +395,14 @@ type Engine struct {
 	asg     assignScratch
 
 	// Candidate-pool cache. Once Gains has run, gainsValid says e.gain
-	// still holds the pools of the state Gains last saw, and gainDirty
-	// logs every vertex sync has re-examined since that was in the
-	// boundary before or after — a candidate is a boundary vertex, so
-	// these are exactly the vertices whose class can have changed — and
-	// the next Gains patches the pools instead of rescanning the boundary.
-	// Nothing is logged (or allocated) before the first Gains call.
+	// holds the pools of the state Gains last saw and every vertex's class
+	// as of the last sync (recompute reclassifies what it re-examines), and
+	// gainDirty logs each class change since, with the pool left, in sync
+	// order: a vertex several syncs reclassify ends in its last class. The
+	// next Gains patches the pools from it. Nothing is classified or logged
+	// before the first Gains call.
 	gainsValid bool
-	gainDirty  []graph.Vertex
+	gainDirty  []refine.Reclass
 
 	// Scratch arenas.
 	lay      layering.Scratch
@@ -631,11 +631,12 @@ func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment, dst *[]
 	}
 }
 
-// rowTerm is the one row scan a sync pays per examined vertex: it reports
-// whether v is a boundary vertex (live with ≥1 neighbor in another
-// partition) and v's cut term — the weights of its arcs to assigned
-// vertices of another partition, added in row order, and their count;
-// zero for a dead or unassigned v.
+// rowTerm is the one row scan a sync pays per examined vertex while no
+// candidate pools are kept (else refine.RowScan.Scan, which also
+// classifies): whether v is a boundary vertex (live with ≥1 neighbor in
+// another partition) and v's cut term — the weights of its arcs to
+// assigned vertices of another partition, added in row order, and their
+// count; zero for a dead or unassigned v.
 func (e *Engine) rowTerm(v graph.Vertex, a *partition.Assignment) (boundary bool, ext float64, n int32) {
 	if !e.csr.Live[v] {
 		return false, 0, 0
@@ -754,12 +755,12 @@ func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.
 
 // Gains returns the refinement candidate pools for a over the engine's
 // snapshot — always exactly what a boundary-seeded scan would build. The
-// first call (and any call after a boundary rebuild, a dirty log longer
+// first call (and any call after a boundary rebuild, a class log longer
 // than the boundary, with vertices pending assignment, or under
-// Options.FullRefresh) is that scan; otherwise
-// the pools of the previous call are patched from the vertices sync has
-// re-examined since. The result is owned by the engine's scratch and
-// invalidated by the next Gains call.
+// Options.FullRefresh) is that scan; otherwise the pools of the previous
+// call are patched from the class changes sync has logged since. The
+// result is owned by the engine's scratch and invalidated by the next
+// Gains call.
 func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates, error) {
 	if e.closed {
 		return nil, ErrClosed

@@ -363,6 +363,36 @@ func TestSteadyStateGainsAllocs(t *testing.T) {
 	})
 }
 
+// TestSteadyStatePatchedRoundAllocs: the patched path — a sync that
+// re-examines and reclassifies what 32 pairwise partition swaps touched,
+// then Gains patching the pools from the class log (the loop of
+// BenchmarkPhase_GainsPatched) — must not allocate once warm.
+func TestSteadyStatePatchedRoundAllocs(t *testing.T) {
+	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
+		boundary := append([]graph.Vertex(nil), e.Boundary(a)...)
+		i := 0
+		round := func() {
+			for k := 0; k < 32; k++ { // sizes stay put
+				u, v := boundary[(i*64+2*k)%len(boundary)], boundary[(i*64+2*k+1)%len(boundary)]
+				a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
+			}
+			i++
+			if _, err := e.Gains(a, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 50 {
+			round()
+		}
+		if !e.gainsValid {
+			t.Fatal("the rounds did not keep the pools patchable")
+		}
+		if allocs := testing.AllocsPerRun(50, round); allocs > 0 {
+			t.Fatalf("steady-state patched round allocates %.1f objects/op, want 0", allocs)
+		}
+	})
+}
+
 // TestSteadyStateSmallEditAllocs: after a small edit, the engine resyncs
 // incrementally; the whole Layer call (sync + kernel) must stay within a
 // small constant allocation budget (the CSR refresh reuses its arrays).

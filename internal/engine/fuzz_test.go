@@ -391,9 +391,12 @@ func FuzzVCycleValidity(f *testing.F) {
 // FuzzRefineIncremental is the differential fuzz of the refinement
 // round's two pieces of derived state. A warm engine (procs 1 and the
 // fuzzed count, side by side) absorbs random edits, random balanced move
-// batches and the loose→strict switch, and after every step its Gains
-// must equal a fresh scan over the brute-force boundary — pools, order, B
-// and Gain, or fail when the scan does. Interleaved full IGPR calls check
+// batches — also two batches with a sync between them and no Gains, the
+// second swapping some of the first's pairs back, so a vertex is
+// classified by two syncs (A→B→A) before the pools are patched — and the
+// loose→strict switch, and after every step its Gains must equal a fresh
+// scan over the brute-force boundary — pools, order, B and Gain, or fail
+// when the scan does. Interleaved full IGPR calls check
 // the cut the driver reads after every applied round, and the CutAfter it
 // leaves, against partition.Cut: bit for bit, on unit weights and on the
 // fractional weights frac turns on alike.
@@ -402,6 +405,7 @@ func FuzzRefineIncremental(f *testing.F) {
 	f.Add(int64(42), uint8(40), uint8(3), true)
 	f.Add(int64(7), uint8(25), uint8(6), false)
 	f.Add(int64(311), uint8(30), uint8(2), true)
+	f.Add(int64(63), uint8(55), uint8(82), true) // a vertex reclassified twice between two Gains
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, procs uint8, frac bool) {
 		n := 60 + int(uint64(seed)%400) // spans parBoundaryMin
 		p := 3 + int(uint64(seed)%5)
@@ -432,9 +436,21 @@ func FuzzRefineIncremental(f *testing.F) {
 					requireSameGains(t, got, want, a.P)
 				}
 			}
+			// swaps is a balanced batch: it swaps the partitions of random
+			// vertex pairs and returns the pairs it swapped.
+			swaps := func() (pairs [][2]graph.Vertex) {
+				for k := rng.Intn(12); k > 0; k-- {
+					u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
+					if g.Alive(u) && g.Alive(v) && a.Part[u] >= 0 && a.Part[v] >= 0 {
+						a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
+						pairs = append(pairs, [2]graph.Vertex{u, v})
+					}
+				}
+				return pairs
+			}
 			checkGains(-1, false)
 			for i := 0; i < int(steps); i++ {
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					randomEdit(g, a, rng)
 				case 1:
@@ -442,18 +458,21 @@ func FuzzRefineIncremental(f *testing.F) {
 					// until the next Repartition: Gains must then fail,
 					// patched or not.
 					randomGrowthEdit(g, a, rng)
-					if i%8 == 1 {
+					if i%10 == 1 {
 						if _, _, err := e.assign(a); err != nil {
 							return // nothing assigned left to grow from
 						}
 					}
 				case 2:
-					// A balanced batch: swap the partitions of vertex pairs.
-					for k := rng.Intn(12); k > 0; k-- {
-						u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
-						if g.Alive(u) && g.Alive(v) && a.Part[u] >= 0 && a.Part[v] >= 0 {
-							a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
-						}
+					swaps()
+				case 3:
+					// Two syncs before the next Gains: the cut report syncs
+					// the first batch, then every other pair goes back.
+					pairs := swaps()
+					e.Cut(a)
+					for k := len(pairs) - 1; k >= 0; k -= 2 {
+						u, v := pairs[k][0], pairs[k][1]
+						a.Part[u], a.Part[v] = a.Part[v], a.Part[u]
 					}
 				default:
 					exact = exact[:0]

@@ -1,6 +1,8 @@
-// The gains kernel: one classifier and one scan path that builds the
-// candidate pools from scratch (GainsSeeded) or patches the pools a
-// previous call left behind (GainsPatched).
+// The gains kernel: the row kernel (RowScan.Scan), Reclassify — which
+// stores a vertex's class from one row read and logs a change — and one
+// pass (patch) rebuilding the pools a class log names. GainsSeeded builds
+// the pools from scratch; GainsPatched updates the previous call's from a
+// log the caller's own row reads produced.
 //
 // A vertex's class — the pair pool it belongs to and its gain — is a pure
 // function of its own partition, its adjacency row and its neighbours'
@@ -8,12 +10,10 @@
 // descending, id ascending). So after a change only the vertices whose
 // inputs changed need re-classifying, only the pools one of them entered
 // or left need rebuilding, and the result equals a from-scratch scan's
-// exactly. The scan is sharded over Procs workers: the deduped vertex
-// list is split into contiguous shards, each worker classifies into a
-// private arena, and the join concatenates per-pair buckets in worker
-// order before the total-order sort — so the produced Candidates are
-// bit-identical for every worker count. Procs <= 1 runs the same code
-// inline through par.Group.Run.
+// exactly. The seeded scan is sharded over Procs workers: contiguous
+// shards of the deduped seeds, private logs joined in worker order, and
+// the total-order sort erases bucket order — so the Candidates are
+// bit-identical for every worker count (Procs <= 1: one inline shard).
 package refine
 
 import (
@@ -75,6 +75,83 @@ func cmpCand(a, b cand) int {
 // on the list length, and the result is worker-count independent anyway.
 const parScanMin = 48
 
+// RowScan is one worker's arena for the row kernel, Scan. The zero value
+// is ready.
+type RowScan struct {
+	// Foreign, Ext and ExtN are the cut term of the vertex Scan read last:
+	// it is live with a neighbour elsewhere or unassigned (a boundary
+	// vertex), and the weights of its arcs to assigned vertices of another
+	// partition, added in row order, and their count (zero for a dead or
+	// unassigned vertex).
+	Foreign bool
+	Ext     float64
+	ExtN    int32
+	out     []float64 // per-partition arc weight out of v; zero between calls
+	touched []int32   // partitions with a nonzero out entry
+}
+
+// Scan is the row kernel: one read of v's row under a yields v's class —
+// its pool under the loose test (i*P+j; -1: none) and gain out(v,j) −
+// in(v) — and leaves its cut term in r. v joins only the pool of its best
+// foreign partition (ties toward the smaller id), so pools are disjoint
+// and Apply never moves a vertex twice, which would break the balance the
+// zero-net-flow rows guarantee; the strict class is the same when the
+// gain is positive, none otherwise. An arc to an unassigned vertex or an
+// out-of-range partition counts toward no pool; only an invalid
+// assignment has one, and both gains paths reject that.
+func (r *RowScan) Scan(c *graph.CSR, a *partition.Assignment, v graph.Vertex) (pair int32, gain float64) {
+	r.Foreign, r.Ext, r.ExtN = false, 0, 0
+	if !c.Live[v] {
+		return -1, 0
+	}
+	if len(r.out) < a.P {
+		r.out = make([]float64, a.P)
+	}
+	pv, out, touched := a.Part[v], r.out[:a.P], r.touched[:0]
+	in, ext, extN, foreign := 0.0, 0.0, int32(0), false
+	wts := c.RowWeights(v)
+	for k, u := range c.Row(v) {
+		pu, w := a.Part[u], wts[k]
+		if pu == pv {
+			in += w
+			continue
+		}
+		foreign = true
+		if pu < 0 || pv < 0 {
+			continue
+		}
+		ext += w
+		extN++
+		if int(pu) < len(out) {
+			if out[pu] == 0 {
+				touched = append(touched, pu)
+			}
+			out[pu] += w
+		}
+	}
+	best := int32(-1)
+	for _, j := range touched {
+		g := out[j] - in
+		out[j] = 0
+		if g >= 0 && (best < 0 || g > gain || (g == gain && j < best)) {
+			best, gain = j, g
+		}
+	}
+	r.touched = touched[:0]
+	r.Foreign, r.Ext, r.ExtN = foreign, ext, extN
+	if best < 0 || int(pv) >= a.P {
+		return -1, 0
+	}
+	return pv*int32(a.P) + best, gain
+}
+
+// Reclass logs one class change: V's class is now the one Reclassify
+// stored, From the pool it left (-1: none).
+type Reclass struct {
+	V    graph.Vertex
+	From int32
+}
+
 // Scratch holds the state of the gains kernel. The zero value is ready
 // to use; buffers grow to the largest graph seen and are reused, so
 // steady-state scans allocate nothing. The Candidates returned by its
@@ -91,27 +168,25 @@ type Scratch struct {
 	pair   []int32 // pair[v] = i*P+j of the pool holding v, -1 for none
 	strict bool    // the test B currently reflects
 
-	// stamp[v] == gen: v was classified this call; gen+1: and its class
-	// changed. Generations advance by two.
+	// stamp[v] == gen+1: v's class changed this call (generations advance
+	// by two, so a mark is odd and ≥ 3); 1: v was seeded (reset zeroes).
 	stamp []uint32
 	gen   uint32
 
 	ownGroup par.Group
-	gws      []gainWorker // gws[0] is also the join's merge target
+	gws      []gainWorker // gws[0].log is also the join's merge target
 	list     []graph.Vertex
 	shards   []par.Range
 	task     gainsTask
-	stale    []int32 // pair pools to rebuild this call
+	buckets  [][]cand // per pool: its new entries this call
+	stale    []int32  // pair pools to rebuild this call
 	isStale  []bool
 }
 
-// gainWorker is one worker's private arena. pairs lists the pools its
-// shard entered or left, so the join touches those instead of all P².
+// gainWorker is one worker's private arena for the seeded scan.
 type gainWorker struct {
-	out     []float64
-	touched []int32
-	buckets [][]cand
-	pairs   []int32
+	row RowScan
+	log []Reclass
 }
 
 // Gains scans every vertex and builds the candidate pools. strict selects
@@ -131,42 +206,101 @@ func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool
 		return nil, fmt.Errorf("refine: %w", err)
 	}
 	s.reset(c.Order(), a.P, strict)
-	return s.scan(c, a, strict, seeds), nil
+	list := s.list[:0]
+	for _, v := range seeds { // dedup: each vertex is one worker's
+		if s.stamp[v] == 0 {
+			s.stamp[v] = 1
+			list = append(list, v)
+		}
+	}
+	s.list = list
+	s.shards = par.Split(s.shards[:0], len(list), par.Workers(s.Procs, len(list), parScanMin))
+	for len(s.gws) < len(s.shards) {
+		s.gws = append(s.gws, gainWorker{})
+	}
+	group := s.Group
+	if group == nil {
+		group = &s.ownGroup
+	}
+	s.task = gainsTask{s: s, c: c, a: a}
+	group.Run(len(s.shards), &s.task)
+	// Drop the snapshot/assignment pointers so a long-lived scratch
+	// never pins a caller's dropped graph state.
+	s.task = gainsTask{}
+	log := s.gws[0].log
+	for w := 1; w < len(s.shards); w++ {
+		log = append(log, s.gws[w].log...)
+	}
+	s.gws[0].log = log
+	return s.patch(log, strict), nil
+}
+
+// gainsTask reclassifies one shard of the deduped seed list into the
+// worker's log; each v is owned by the calling worker.
+type gainsTask struct {
+	s *Scratch
+	c *graph.CSR
+	a *partition.Assignment
+}
+
+func (t *gainsTask) Do(w int) {
+	s := t.s
+	ws, sh := &s.gws[w], s.shards[w]
+	ws.log = ws.log[:0]
+	for _, v := range s.list[sh.Lo:sh.Hi] {
+		ws.log = s.Reclassify(&ws.row, t.c, t.a, v, ws.log)
+	}
 }
 
 // errNotPatchable reports a GainsPatched call the Scratch's previous
 // result cannot serve.
 var errNotPatchable = errors.New("refine: patched gains need this scratch's pools for the same graph and partition count")
 
-// GainsPatched brings the pools of the Scratch's previous call up to
-// date with (c, a) by re-classifying only the dirty vertices. dirty must
-// contain every vertex whose partition, adjacency row or liveness
-// changed since that call, and every neighbour of a vertex whose
-// partition changed — except that a vertex with no foreign neighbour
-// both then and now may be left out: it was and stays unclassified.
-// Duplicates and extras are harmless. The result then equals
-// GainsSeeded's over the current boundary exactly; the strict flag is
-// free to differ from the previous call's. Only the dirty vertices are
-// validated: the caller vouches that every other live vertex is still
-// assigned.
-func (s *Scratch) GainsPatched(c *graph.CSR, a *partition.Assignment, strict bool, dirty []graph.Vertex) (*Candidates, error) {
-	n := c.Order()
-	if a.P != s.cands.P || n < len(s.pair) || len(a.Part) < n {
-		return nil, errNotPatchable
-	}
-	for _, v := range dirty {
-		if p := a.Part[v]; c.Live[v] != (p >= 0) || int(p) >= a.P || p < partition.Unassigned {
-			return nil, fmt.Errorf("refine: %w", a.ValidateCSR(c))
-		}
-	}
-	// New vertex slots start unclassified.
+// Reserve readies the class slots for an order-n snapshot; new slots
+// start unclassified. Reclassify needs a slot for every vertex it reaches.
+func (s *Scratch) Reserve(n int) {
 	if old := len(s.pair); old < n {
 		s.pair, s.cands.Gain, s.stamp = par.Sized(s.pair, n), par.Sized(s.cands.Gain, n), par.Sized(s.stamp, n)
 		for v := old; v < n; v++ {
 			s.pair[v], s.cands.Gain[v], s.stamp[v] = -1, 0, 0
 		}
 	}
-	return s.scan(c, a, strict, dirty), nil
+}
+
+// Reclassify reads v's row once (Scan, which leaves v's cut term in r) and
+// stores v's class. When the class changed — or v's partition is out of
+// range, which GainsPatched must reject — it appends a Reclass to log. The
+// caller owns v (concurrent calls name distinct vertices) and has
+// Reserved its slot.
+func (s *Scratch) Reclassify(r *RowScan, c *graph.CSR, a *partition.Assignment, v graph.Vertex, log []Reclass) []Reclass {
+	k, g := r.Scan(c, a, v)
+	if p := a.Part[v]; k != s.pair[v] || g != s.cands.Gain[v] || p < partition.Unassigned || int(p) >= a.P {
+		log = append(log, Reclass{v, s.pair[v]})
+		s.pair[v], s.cands.Gain[v] = k, g
+	}
+	return log
+}
+
+// GainsPatched brings the previous call's pools up to date with (c, a)
+// from log, the class changes Reclassify stored since, in order; it reads
+// no row. The result equals GainsSeeded's over the current boundary when
+// every vertex whose partition, row or liveness changed, and each
+// neighbour of one whose partition changed, was reclassified since. A
+// vertex reclassified by several syncs (A→B→A) has a record per change:
+// the first names its pool, the stored class (the last) wins. strict may
+// differ from the previous call's. Only logged vertices are validated;
+// after an error the Scratch needs GainsSeeded.
+func (s *Scratch) GainsPatched(c *graph.CSR, a *partition.Assignment, strict bool, log []Reclass) (*Candidates, error) {
+	if n := c.Order(); a.P != s.cands.P || n != len(s.pair) || len(a.Part) < n {
+		return nil, errNotPatchable
+	}
+	for _, r := range log {
+		if p := a.Part[r.V]; c.Live[r.V] != (p >= 0) || int(p) >= a.P || p < partition.Unassigned {
+			s.cands.P = 0 // the stored classes are ahead of the pools now
+			return nil, fmt.Errorf("refine: %w", a.ValidateCSR(c))
+		}
+	}
+	return s.patch(log, strict), nil
 }
 
 // reset empties the pools and unclassifies every vertex.
@@ -190,77 +324,31 @@ func (s *Scratch) reset(n, p int, strict bool) {
 			c.pools[i][j] = c.pools[i][j][:0]
 		}
 	}
-	c.Gain, s.pair, s.stamp = par.Sized(c.Gain, n), par.Sized(s.pair, n), par.Sized(s.stamp, n)
-	for v := range c.Gain {
-		c.Gain[v] = 0
-		s.pair[v] = -1
-	}
-	s.isStale = par.Sized(s.isStale, p*p)
+	s.pair = s.pair[:0]
+	s.Reserve(n)
+	s.isStale, s.buckets = par.Sized(s.isStale, p*p), par.Sized(s.buckets, p*p)
 }
 
-// scan classifies vs against the recorded classes and rebuilds the pools
-// that changed.
-func (s *Scratch) scan(c *graph.CSR, a *partition.Assignment, strict bool, vs []graph.Vertex) *Candidates {
-	p := a.P
+// patch rebuilds the pools log's vertices left or entered and brings B up
+// to date with the strict flag.
+func (s *Scratch) patch(log []Reclass, strict bool) *Candidates {
 	s.gen += 2
 	if s.gen < 2 { // wrapped: the stale stamps are ambiguous, clear them
 		clear(s.stamp[:cap(s.stamp)])
 		s.gen = 2
 	}
-	// Dedup, so each vertex is owned by exactly one worker.
-	list := s.list[:0]
-	for _, v := range vs {
-		if s.stamp[v] >= s.gen {
-			continue
+	for _, r := range log {
+		if s.stamp[r.V] == s.gen+1 {
+			continue // only a vertex's first record names a pool it is in
 		}
-		s.stamp[v] = s.gen
-		list = append(list, v)
-	}
-	s.list = list
-
-	s.shards = par.Split(s.shards[:0], len(list), par.Workers(s.Procs, len(list), parScanMin))
-	for len(s.gws) < len(s.shards) {
-		s.gws = append(s.gws, gainWorker{})
-	}
-	for w := range s.gws[:len(s.shards)] {
-		ws := &s.gws[w]
-		for len(ws.out) < p {
-			ws.out = append(ws.out, 0)
+		s.stamp[r.V] = s.gen + 1
+		s.markStale(r.From)
+		if k := s.pair[r.V]; k >= 0 {
+			s.markStale(k)
+			s.buckets[k] = append(s.buckets[k], cand{r.V, s.cands.Gain[r.V]})
 		}
-		if cap(ws.buckets) < p*p {
-			ws.buckets = make([][]cand, p*p)
-		}
-		ws.buckets = ws.buckets[:p*p]
 	}
-	group := s.Group
-	if group == nil {
-		group = &s.ownGroup
-	}
-	s.task = gainsTask{s: s, c: c, a: a}
-	group.Run(len(s.shards), &s.task)
-	// Drop the snapshot/assignment pointers so a long-lived scratch
-	// never pins a caller's dropped graph state.
-	s.task = gainsTask{}
-
-	// Join: collect the stale pools and concatenate the workers' new
-	// entries into worker 0's buckets. Bucket order is erased by the
-	// total-order sort in rebuild.
-	main := &s.gws[0]
-	for w := range s.shards {
-		ws := &s.gws[w]
-		for _, k := range ws.pairs {
-			if !s.isStale[k] {
-				s.isStale[k] = true
-				s.stale = append(s.stale, k)
-			}
-			if w > 0 {
-				main.buckets[k] = append(main.buckets[k], ws.buckets[k]...)
-				ws.buckets[k] = ws.buckets[k][:0]
-			}
-		}
-		ws.pairs = ws.pairs[:0]
-	}
-	cands := &s.cands
+	cands, p := &s.cands, s.cands.P
 	for _, k := range s.stale {
 		s.rebuild(k)
 		s.isStale[k] = false
@@ -283,86 +371,12 @@ func (s *Scratch) scan(c *graph.CSR, a *partition.Assignment, strict bool, vs []
 	return cands
 }
 
-// gainsTask classifies one shard of the deduped vertex list.
-type gainsTask struct {
-	s *Scratch
-	c *graph.CSR
-	a *partition.Assignment
-}
-
-// Do re-classifies the shard's vertices and records the ones whose class
-// changed: the pool it left and the pool it entered go stale, the new
-// entry lands in the worker's bucket. Each v is owned by the calling
-// worker, so its pair/Gain/stamp writes are race-free; everything else
-// touched is worker-private or a shared read.
-func (t *gainsTask) Do(w int) {
-	s, c := t.s, t.c
-	ws := &s.gws[w]
-	sh := s.shards[w]
-	gain := s.cands.Gain
-	for _, v := range s.list[sh.Lo:sh.Hi] {
-		k, g := int32(-1), 0.0
-		if c.Live[v] {
-			k, g = ws.classify(t.a, v, c.Row(v), c.RowWeights(v))
-		}
-		old := s.pair[v]
-		if k == old && g == gain[v] {
-			continue
-		}
-		s.stamp[v] = s.gen + 1
-		s.pair[v], gain[v] = k, g
-		if old >= 0 {
-			ws.pairs = append(ws.pairs, old)
-		}
-		if k >= 0 {
-			if len(ws.buckets[k]) == 0 {
-				ws.pairs = append(ws.pairs, k)
-			}
-			ws.buckets[k] = append(ws.buckets[k], cand{v, g})
-		}
+// markStale queues pool k (none when negative) for this call's rebuild.
+func (s *Scratch) markStale(k int32) {
+	if k >= 0 && !s.isStale[k] {
+		s.isStale[k] = true
+		s.stale = append(s.stale, k)
 	}
-}
-
-// classify returns the pair pool v belongs to under the loose test (-1:
-// none) and its gain. A vertex may qualify toward several foreign
-// partitions; it joins only the pool of its best one (ties toward the
-// smaller id) so the pools are disjoint and Apply can realize any LP
-// flow without moving a vertex twice — which would silently break the
-// balance the zero-net-flow constraints guarantee. The strict test's
-// class is the same whenever the gain is positive, and none otherwise.
-func (ws *gainWorker) classify(a *partition.Assignment, v graph.Vertex, adj []graph.Vertex, wts []float64) (int32, float64) {
-	pv := a.Part[v]
-	var in float64
-	out := ws.out
-	touched := ws.touched[:0]
-	for k, u := range adj {
-		pu := a.Part[u]
-		if pu == pv {
-			in += wts[k]
-			continue
-		}
-		if out[pu] == 0 {
-			touched = append(touched, pu)
-		}
-		out[pu] += wts[k]
-	}
-	bestJ := int32(-1)
-	var bestGain float64
-	for _, j := range touched {
-		gain := out[j] - in
-		out[j] = 0
-		if gain < 0 {
-			continue
-		}
-		if bestJ < 0 || gain > bestGain || (gain == bestGain && j < bestJ) {
-			bestJ, bestGain = j, gain
-		}
-	}
-	ws.touched = touched[:0]
-	if bestJ < 0 {
-		return -1, 0
-	}
-	return pv*int32(a.P) + bestJ, bestGain
 }
 
 // rebuild brings pool k up to date: the vertices that left it (or
@@ -371,7 +385,7 @@ func (ws *gainWorker) classify(a *partition.Assignment, v graph.Vertex, adj []gr
 // still in pool order.
 func (s *Scratch) rebuild(k int32) {
 	c := &s.cands
-	add := s.gws[0].buckets[k]
+	add := s.buckets[k]
 	slices.SortFunc(add, cmpCand)
 	pool := c.pools[int(k)/c.P][int(k)%c.P]
 	n := 0
@@ -394,7 +408,7 @@ func (s *Scratch) rebuild(k int32) {
 		w--
 	}
 	c.pools[int(k)/c.P][int(k)%c.P] = pool
-	s.gws[0].buckets[k] = add[:0]
+	s.buckets[k] = add[:0]
 }
 
 // shown returns how many of a pool's entries pass the current test: all

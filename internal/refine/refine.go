@@ -14,14 +14,12 @@
 // where running on could change nothing (Stats.Stop says why it stopped).
 //
 // A round costs what it moves (the FM gain-update rule): Apply logs the
-// vertices it moves with the partitions they left; Drive asks its cut
-// evaluator after every applied round — the engine's answers from cut
-// terms it keeps per vertex, re-scanning only the moved vertices and
-// their neighbours — and undoes a regressing tail by rolling the log
-// back; and because only those vertices can change class, the candidate
-// pools of the previous round are patched rather than rebuilt
-// (Scratch.GainsPatched; see gains.go) — with results identical to a
-// from-scratch scan's.
+// vertices it moves with the partitions they left; the engine re-reads
+// only their rows and their neighbours' — one read each, yielding the cut
+// term Drive's evaluator sums after every round and the class the next
+// round's pools are patched from (RowScan, Scratch.GainsPatched; see
+// gains.go), identical to a from-scratch scan's — and Drive undoes a
+// regressing tail by rolling the log back.
 package refine
 
 import (

@@ -444,10 +444,12 @@ func TestDriveRunningCutExact(t *testing.T) {
 	}
 }
 
-// TestGainsPatchedMatchesSeeded: patching the pools from the moved
-// vertices and their neighbours must reproduce a from-scratch scan
-// exactly — pools, order, B and Gain — across move batches, both tests
-// and the switches between them, inline and sharded.
+// TestGainsPatchedMatchesSeeded: patching the pools from the class
+// changes Reclassify logged for the moved vertices and their neighbours
+// must reproduce a from-scratch scan exactly — pools, order, B and Gain —
+// across move batches, two batches between patches (the second putting
+// vertices back), both tests and the switches between them, inline and
+// sharded seeded scans.
 func TestGainsPatchedMatchesSeeded(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		c, a, seeds := parallelFixture(t, 600, 7, 31)
@@ -460,16 +462,34 @@ func TestGainsPatchedMatchesSeeded(t *testing.T) {
 		for v := range all {
 			all[v] = graph.Vertex(v)
 		}
+		var row RowScan
+		var log []Reclass
+		reclassify := func(v graph.Vertex) {
+			log = s.Reclassify(&row, c, a, v, log)
+			for _, u := range c.Row(v) {
+				log = s.Reclassify(&row, c, a, u, log)
+			}
+		}
 		for iter := 0; iter < 60; iter++ {
-			var dirty []graph.Vertex
+			log = log[:0]
+			var moved []graph.Vertex
+			var from []int32
 			for k := rng.Intn(80); k > 0; k-- { // an empty batch now and then
 				v := graph.Vertex(rng.Intn(c.Order()))
+				moved, from = append(moved, v), append(from, a.Part[v])
 				a.Part[v] = int32(rng.Intn(a.P))
-				dirty = append(dirty, v)
-				dirty = append(dirty, c.Row(v)...)
+				reclassify(v)
+			}
+			if iter%2 == 1 { // a second sync before the patch: put some back
+				for k, v := range moved {
+					if k%2 == 0 {
+						a.Part[v] = from[k]
+						reclassify(v)
+					}
+				}
 			}
 			strict := iter%3 == 2
-			got, err := s.GainsPatched(c, a, strict, dirty)
+			got, err := s.GainsPatched(c, a, strict, log)
 			if err != nil {
 				t.Fatal(err)
 			}
