@@ -95,6 +95,10 @@ func main() {
 		pt := st.PhaseTimings
 		fmt.Fprintf(os.Stderr, "igprun: phases: assign=%v layer=%v balance=%v refine=%v\n",
 			pt.Assign, pt.Layer, pt.Balance, pt.Refine)
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "igprun: syncs: %d assignment diffs (the rest followed the write log), %d CSR refreshes patched, %d cut reports summed, %d reused\n",
+				st.SyncDiffs, st.CSRPatched, st.CutIncremental, st.CutReused)
+		}
 		if *verbose && st.VCycleSkipped {
 			fmt.Fprintln(os.Stderr, "igprun: v-cycle: skipped (balanced)")
 		}

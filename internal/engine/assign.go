@@ -118,8 +118,9 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 	// an assignment, drop entries the caller assigned meanwhile, keep
 	// the genuinely new (ascending, as the set lists them). Entries are only
 	// cleared on success, so an errored call retries with nothing lost.
-	// Phase 1 writes only when something is pending.
-	e.dirty = len(e.pending.list) > 0
+	// Phase 1 writes only pending vertices (an orphan cluster's unassigned
+	// region is all pending too), so the list is its write log.
+	e.written = append(e.written, e.pending.list...)
 	seeds := s.seeds[:0]
 	for _, v := range e.pending.list {
 		if !e.csr.Live[v] {

@@ -1,7 +1,7 @@
 // The engine's boundary maintenance: the from-scratch rebuild and the
-// incremental sync (journal pass + assignment-diff scan) that keep the
-// boundary set, the per-vertex cut terms, the per-partition size counters,
-// the pending-unassigned set and — while Gains keeps pools — the
+// incremental sync (journal pass + assignment diff or write-log pass) that
+// keep the boundary set, the per-vertex cut terms, the per-partition size
+// counters, the pending-unassigned set and — while Gains keeps pools — the
 // refinement classes and their change log exact. Both O(n) passes are
 // split into arc-balanced contiguous vertex shards run on the engine's
 // fork-join group — one shard, inline, at one worker or on a small graph.
@@ -190,11 +190,11 @@ func (t *rebuildTask) Do(w int) {
 // touched vertices (an edge flip cannot change a non-endpoint's
 // membership; size attribution and pending collection ride the same
 // re-examination), then every vertex whose partition changed since the
-// last sync plus its neighbors, whose boundary status depends on it. The
-// journal pass runs ahead of the diff region into worker 0's arena, so
-// one join merges both; stamps it claimed are seen as current by the
-// region's workers and skipped.
-func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
+// last sync — found by the diff region or in the engine's write log — plus
+// its neighbors. The journal and log passes run inline into worker 0's
+// arena, so one join merges all; stamps they claimed are seen as current
+// by the region's workers and skipped.
+func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bool) {
 	e.growTo(e.csr.Order())
 	if e.gainsValid {
 		e.gain.Reserve(e.csr.Order())
@@ -204,9 +204,17 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
 	for _, v := range touched {
 		e.recompute(&e.bws[0], v, a)
 	}
-	e.df = diffTask{e: e, a: a}
-	e.group.Run(len(e.shards), &e.df)
-	e.df = diffTask{} // drop the assignment pointer after the region
+	if diff {
+		e.df = diffTask{e: e, a: a}
+		e.group.Run(len(e.shards), &e.df)
+		e.df = diffTask{} // drop the assignment pointer after the region
+	} else {
+		for _, v := range e.written {
+			if a.Part[v] != e.prevPart[v] { // false for a repeat
+				e.reexamine(&e.bws[0], v, a)
+			}
+		}
+	}
 	e.joinBoundaryWorkers()
 	if len(e.gainDirty) > len(e.bnd.list) {
 		// Patching would take more records than the boundary-seeded scan
@@ -217,9 +225,8 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex) {
 	}
 }
 
-// diffTask scans one vertex-range shard for assignment changes,
-// re-examining changed vertices and their neighbors and recording each
-// changed slot — the only prevPart slots a resync has to write.
+// diffTask scans one vertex-range shard for assignment changes and
+// re-examines each changed vertex.
 type diffTask struct {
 	e *Engine
 	a *partition.Assignment
@@ -230,11 +237,18 @@ func (t *diffTask) Do(w int) {
 	ws := &e.bws[w]
 	sh := e.shards[w]
 	for v := e.nextMoved(t.a, sh.Lo, sh.Hi); v < sh.Hi; v = e.nextMoved(t.a, v+1, sh.Hi) {
-		e.prevPart[v] = t.a.Part[v]
-		e.recompute(ws, graph.Vertex(v), t.a)
-		for _, u := range e.csr.Row(graph.Vertex(v)) {
-			e.recompute(ws, u, t.a)
-		}
+		e.reexamine(ws, graph.Vertex(v), t.a)
+	}
+}
+
+// reexamine records the new partition of v, which changed since the last
+// sync (the only prevPart slots a resync writes), and re-examines v and its
+// neighbors: the one path of the diff and the log pass.
+func (e *Engine) reexamine(ws *boundaryWorker, v graph.Vertex, a *partition.Assignment) {
+	e.prevPart[v] = a.Part[v]
+	e.recompute(ws, v, a)
+	for _, u := range e.csr.Row(v) {
+		e.recompute(ws, u, a)
 	}
 }
 

@@ -45,8 +45,8 @@
 //     tracker, the last report is kept and copied at O(P) until a sync
 //     rebuilds or re-examines a vertex (Stats.CutIncremental /
 //     Stats.CutReused), and inside a call — where the engine alone writes
-//     the assignment, and marks its writes — a sync that follows a sync
-//     skips the O(n) diff.
+//     the assignment, and logs its writes — a sync follows that log: a
+//     call pays one O(n) diff, at entry, not one per write (SyncDiffs).
 //
 //   - The refinement candidate pools are derived state of the same kind,
 //     kept from the first Gains call on. A vertex's class (pair pool and
@@ -155,7 +155,7 @@ type Options struct {
 	// FullRefresh disables every delta shortcut in the derived-state
 	// pipeline: CSR snapshots are fully rebuilt instead of patched from
 	// the edit journal, the boundary set is rebuilt from scratch on
-	// every sync and no sync is skipped, cutset statistics and partition
+	// every edit and every sync diffs, cutset statistics and partition
 	// sizes come from partition.Cut's and Sizes' full rescans, the
 	// refinement candidate pools are rescanned from the boundary every
 	// round instead of patched, and phase 1 runs the one-shot Assign
@@ -251,6 +251,9 @@ type Stats struct {
 	// refresh rebuilt (first call, journal overflow, slot overflow, high
 	// churn, or Options.FullRefresh).
 	CSRPatched int
+	// SyncDiffs counts this call's syncs that compared all n assignment
+	// slots (a diff or a boundary rebuild); the rest followed the write log.
+	SyncDiffs int
 	// CutIncremental counts the cut reports this call summed from the
 	// stored per-vertex terms over the maintained boundary list (no arc
 	// visited; partition.Cut rescans them all), CutReused the reports it
@@ -352,11 +355,12 @@ type Engine struct {
 	csr    *graph.CSR
 
 	// Incremental boundary tracker.
-	prevPart []int32    // assignment at the last sync (-2 = never seen)
-	bnd      idSet      // the boundary set, listed ascending
-	stamps   par.Stamps // per-sync recompute dedup / claim marker
-	inCall   bool       // inside Repartition: only the engine writes a
-	dirty    bool       // a may differ from prevPart (see sync)
+	prevPart []int32        // assignment at the last sync (-2 = never seen)
+	bnd      idSet          // the boundary set, listed ascending
+	stamps   par.Stamps     // per-sync recompute dedup / claim marker
+	inCall   bool           // inside Repartition: only the engine writes a,
+	wroteAll bool           // and any slot may differ from prevPart
+	written  []graph.Vertex // or only those it logged since (see sync)
 
 	// Incremental partition-size and cut tracker: partSizes[q] is the
 	// live assigned-vertex count of partition q as of the last sync
@@ -380,10 +384,11 @@ type Engine struct {
 	cutPPQ    []float64 // PerPart arena for the Cut accessor
 
 	// Running delta-pipeline counters since the engine was created;
-	// Repartition reports the per-call delta in Stats.CSRPatched /
-	// CutIncremental / CutReused, so work done through the public accessors
-	// between calls never mutates a previously returned Stats arena.
+	// Repartition reports the per-call deltas in Stats, so work done through
+	// the public accessors between calls never mutates a previously
+	// returned Stats arena.
 	csrPatched int
+	syncDiffs  int
 	cutEvals   int
 	cutReused  int
 
@@ -543,14 +548,16 @@ func (e *Engine) growTo(n int) {
 }
 
 // sync brings the CSR snapshot, the boundary set and the size/cut
-// tracker up to date with the graph and the given assignment. Cost is
-// O(changed region) plus one O(n) assignment diff and, when membership
-// moved, the O(n/64 + boundary) relist; the snapshot refresh is
-// journal-driven (graph.RefreshCSR), so it too rewrites only the touched
-// rows unless the journal overflowed or churn forced a rebuild. Inside a
-// Repartition call a sync with nothing written since the last one (the
-// engine marks its writes: dirty) is O(1), except under FullRefresh, the
-// reference. Nothing is allocated once the arenas have grown.
+// tracker up to date with the graph and the given assignment: it
+// re-examines the journaled vertices and those whose partition changed,
+// with their neighbours. Outside a Repartition call the caller may have
+// written anything, so it diffs all n slots; inside one the engine alone
+// writes and logs its writes (phase 1, balance stages, refinement), so it
+// visits just those — an empty log is O(1) — unless the call just began
+// or ran the V-cycle (wroteAll), the log outgrew n/diffBlock entries or
+// FullRefresh, the reference, is set. A membership change costs the
+// O(n/64 + boundary) relist; the snapshot refresh is journal-driven
+// (graph.RefreshCSR). Nothing is allocated once the arenas have grown.
 func (e *Engine) sync(a *partition.Assignment) {
 	a.Grow(e.g.Order())
 	// With the graph unchanged nothing is journaled: only assignment
@@ -574,15 +581,19 @@ func (e *Engine) sync(a *partition.Assignment) {
 		rebuild = rebuild || !e.synced || !exact
 		e.epoch = e.g.Epoch()
 		e.synced = true
-	} else if e.inCall && !e.dirty && !rebuild && !e.opt.FullRefresh {
+	} else if e.inCall && !e.wroteAll && len(e.written) == 0 && !rebuild && !e.opt.FullRefresh {
 		return
+	}
+	diff := rebuild || !e.inCall || e.wroteAll || e.opt.FullRefresh || len(e.written) > e.csr.Order()/diffBlock
+	if diff {
+		e.syncDiffs++
 	}
 	if rebuild {
 		e.rebuildBoundary(a)
 	} else {
-		e.resync(a, touched)
+		e.resync(a, touched, diff)
 	}
-	e.dirty = false
+	e.wroteAll, e.written = false, e.written[:0]
 }
 
 // attrOf returns the partition v should be size-counted under: its
@@ -659,7 +670,8 @@ func (e *Engine) rowTerm(v graph.Vertex, a *partition.Assignment) (boundary bool
 
 // diffBlock is how many assignment slots nextMoved compares at a time:
 // a fixed-size array comparison compiles to one memequal, so the
-// unchanged bulk of the assignment is skipped at memory speed.
+// unchanged bulk of the assignment is skipped at memory speed — faster
+// than walking a write log of more than n/diffBlock entries.
 const diffBlock = 64
 
 // nextMoved returns the first vertex in [lo, hi) whose partition differs
@@ -804,13 +816,14 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	st := &e.stats
 	opt := e.opt
 	e.group.Reset()
-	basePatched, baseEvals, baseReused := e.csrPatched, e.cutEvals, e.cutReused
-	e.inCall, e.dirty = true, true // the caller may have edited a
+	basePatched, baseDiffs, baseEvals, baseReused := e.csrPatched, e.syncDiffs, e.cutEvals, e.cutReused
+	e.inCall, e.wroteAll = true, true // the caller may have edited a
 	tStart := time.Now()
 	defer func() {
 		e.inCall = false
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
+		st.SyncDiffs = e.syncDiffs - baseDiffs
 		st.CutIncremental = e.cutEvals - baseEvals
 		st.CutReused = e.cutReused - baseReused
 		for _, sg := range st.Stages {
@@ -856,7 +869,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		// coarse LP to move, so the hierarchy is neither consulted nor
 		// repaired (see multilevel.go).
 		if maxAbsDev(e.liveSizes(a), targets) > opt.Tolerance {
-			e.dirty = true
+			e.wroteAll = true // projections and per-level moves: the next sync diffs
 			if err := e.runMultilevel(ctx, a, st); err != nil {
 				return st, err
 			}
@@ -889,7 +902,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		e.emit(Event{Kind: EventStart, Phase: PhaseBalance, Stage: stage + 1})
 		layered := st.LayerTime
 		stageStat, ok, err := e.balanceStage(ctx, a, lay, sizes, targets)
-		e.dirty = true
 		dB := time.Since(tB)
 		st.BalanceTime += dB - (st.LayerTime - layered)
 		// The span closes on every path, so observers pairing start/end
@@ -1005,6 +1017,11 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 					st.Epsilon, st.LPPivots = eps, sol.Iterations
 					st.LPVars, st.LPCons = lp.DenseSize(m.Prob)
 					st.Moved, err = balance.Apply(a, lay, flows)
+					if err == nil { // (an error ends the call; the next one diffs)
+						for _, f := range flows {
+							e.written = append(e.written, lay.Pool(f.From, f.To)[:f.Amount]...)
+						}
+					}
 					return st, err == nil, err
 				}
 			}
@@ -1028,14 +1045,15 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 // engine's reused LP arena. Drive asks for the cut on entry, after every
 // applied round and for the assignment it leaves behind; each report goes
 // into the CutAfter slot, so the last one is the call's CutAfter. Drive
-// writes a — a round, a rollback — only between two reports, so the
-// evaluator is the one place that marks the write; the sync it pays after
-// a round is the one the next Gains then skips.
+// writes a — a round, a rollback — only between two reports, and its
+// arena names those writes, so the evaluator logs them: the sync it pays
+// re-examines what the round moved and their neighbours (nothing on entry
+// or, without a rollback, at the close), and the next Gains skips its own.
 func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) (*refine.Stats, error) {
 	opt.Arena = &e.refArena
 	if !e.opt.FullRefresh {
 		opt.CutWeight = func() float64 {
-			e.dirty = true
+			e.written = e.refArena.AppendWritten(e.written)
 			e.cutStatsInto(&e.stats.CutAfter, &e.cutPPA, a)
 			return e.stats.CutAfter.TotalWeight
 		}

@@ -698,6 +698,89 @@ func TestFullRefreshEquivalence(t *testing.T) {
 	}
 }
 
+// TestInCallSyncsFollowTheLog: inside a call the engine is the
+// assignment's only writer and logs what it writes, so a warm refining
+// call after an 8-edit burst diffs the assignment once — at entry, where
+// the caller may have written anything — however many syncs its rounds
+// pay, and a call that runs the V-cycle once more after it. A FullRefresh
+// engine diffs at every sync, and both leave the same assignment and
+// CutAfter at every worker count.
+func TestInCallSyncsFollowTheLog(t *testing.T) {
+	ctx := context.Background()
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			g, a := burstGrid(64, 64, 4, 0, nil)
+			gF, aF := g.Clone(), a.Clone()
+			e := New(g, Options{Refine: true, Parallelism: procs})
+			eF := New(gF, Options{Refine: true, Parallelism: procs, FullRefresh: true})
+			rng := rand.New(rand.NewSource(8))
+			rounds := 0
+			for call := 0; call < 6; call++ {
+				// The burst: on two stripe boundaries, a vertex on either side
+				// trades an edge into its own stripe for one across, which makes
+				// it a zero-gain candidate — a balanced pair refinement moves.
+				for k := 0; call > 0 && k < 2; k++ {
+					b := 16 * (1 + rng.Intn(3))
+					for _, side := range []int{-1, 1} {
+						v := graph.Vertex(64*rng.Intn(64) + b + min(side, 0))
+						out, in := graph.Vertex(int(v)-2*side), graph.Vertex(int(v)+side)
+						for _, h := range []*graph.Graph{g, gF} {
+							h.AddEdgeIfAbsent(v, out, 1)
+							_ = h.RemoveEdge(v, in)
+						}
+					}
+				}
+				st, err := e.Repartition(ctx, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stF, err := eF.Repartition(ctx, aF)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(a.Part, aF.Part) {
+					t.Fatalf("call %d: the log-fed engine's assignment differs from FullRefresh's", call)
+				}
+				sameCut(t, "CutAfter vs FullRefresh", st.CutAfter, stF.CutAfter)
+				if call > 0 && st.SyncDiffs != 1 {
+					t.Fatalf("call %d (%d rounds moving %v): %d assignment diffs, want 1",
+						call, st.Refine.Rounds, st.Refine.RoundMoved, st.SyncDiffs)
+				}
+				rounds += st.Refine.Rounds
+				// FullRefresh syncs in phase 1, before each stage's rim pass and
+				// in every Gains call (its cut reports rescan instead).
+				gains := len(stF.Refine.RoundPivots)
+				if stF.Refine.Stop == "no-candidates" {
+					gains++
+				}
+				if want := 1 + len(stF.Stages) + gains; stF.SyncDiffs != want {
+					t.Fatalf("call %d: FullRefresh diffed at %d syncs, want all %d", call, stF.SyncDiffs, want)
+				}
+			}
+			if rounds == 0 {
+				t.Fatal("no call refined: the log carried no round")
+			}
+		})
+	}
+	t.Run("vcycle", func(t *testing.T) {
+		g, a := grownGrid(64, 64, 4, 40, 1)
+		e := New(g, Options{Multilevel: MultilevelOptions{Enabled: true}, Parallelism: 1})
+		defer e.Close()
+		if _, err := e.Repartition(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		attachVertices(g, a, rand.New(rand.NewSource(2)), 0, 8)
+		st, err := e.Repartition(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.VCycleSkipped || st.SyncDiffs != 2 {
+			t.Fatalf("warm growth call: V-cycle skipped %v, %d assignment diffs, want it run and 2", st.VCycleSkipped, st.SyncDiffs)
+		}
+		requireExactBalance(t, g, a)
+	})
+}
+
 // TestSteadyStateCutAllocs: a cut evaluation on a warm engine must not
 // allocate. A vertex is flipped between runs so every run evaluates — an
 // unchanged state would only time the copy of the kept report.

@@ -14,12 +14,12 @@
 // where running on could change nothing (Stats.Stop says why it stopped).
 //
 // A round costs what it moves (the FM gain-update rule): Apply logs the
-// vertices it moves with the partitions they left; the engine re-reads
-// only their rows and their neighbours' — one read each, yielding the cut
-// term Drive's evaluator sums after every round and the class the next
-// round's pools are patched from (RowScan, Scratch.GainsPatched; see
-// gains.go), identical to a from-scratch scan's — and Drive undoes a
-// regressing tail by rolling the log back.
+// vertices it moves with the partitions they left; from that log the
+// engine re-reads only their rows and their neighbours' — one read each,
+// yielding the cut term Drive's evaluator sums after every round and the
+// class the next round's pools are patched from (RowScan,
+// Scratch.GainsPatched; see gains.go), identical to a from-scratch scan's
+// — and Drive undoes a regressing tail by rolling the log back.
 package refine
 
 import (
@@ -44,6 +44,18 @@ import (
 type LPArena struct {
 	flow lp.QuotientFlow
 	undo []move // Drive's move log (see Drive)
+	wlo  int    // undo[wlo:whi] (a rollback only shortens undo) is what
+	whi  int    // Drive wrote before its last cut report, since the one before
+}
+
+// AppendWritten appends to dst the vertices Drive wrote — a round, or the
+// moves a rollback undid — since its previous cut report, for the
+// Options.CutWeight evaluator to re-examine.
+func (ar *LPArena) AppendWritten(dst []graph.Vertex) []graph.Vertex {
+	for _, m := range ar.undo[ar.wlo:ar.whi] {
+		dst = append(dst, m.v)
+	}
+	return dst
 }
 
 // Formulate is the arena-backed form of the package-level [Formulate]:
@@ -119,7 +131,8 @@ type Options struct {
 	// engine supplies its tracked cut, which is bit-identical and costs
 	// what the round moved). The driver calls it on entry, after every
 	// applied round, and once more on exit when any round was applied,
-	// after the assignment it leaves behind is in place.
+	// after the assignment it leaves behind is in place; Arena's
+	// AppendWritten names what the driver wrote since the previous call.
 	CutWeight func() float64
 }
 
@@ -192,12 +205,13 @@ func Refine(g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error
 //
 // A round costs what it moves. Every applied move is appended to a log
 // (vertex, partition it left); the cut is evaluated on entry and after
-// every applied round (Options.CutWeight), and a later round that
-// regressed is undone by rolling the log back to the best round instead of
-// copying assignments. buf is not used: it is returned as it came, for the
-// one caller outside the repository's root module that still passes its
-// arena (benchmarks/harness, until ROADMAP item 1(a) may edit it). g must
-// not change while Drive runs.
+// every applied round (Options.CutWeight, told the writes by
+// LPArena.AppendWritten), and a later round that regressed is undone by
+// rolling the log back to the best round instead of copying assignments.
+// buf is not used: it is returned as it came, for the one caller outside
+// the repository's root module that still passes its arena
+// (benchmarks/harness, until ROADMAP item 1(a) may edit it). g must not
+// change while Drive runs.
 //
 // A strict round that puts back exactly what the strict round before it
 // moved makes every later round alternate between two states (a round is a
@@ -219,12 +233,16 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		moved [8]int
 	})
 	st := &Stats{RoundCuts: curves.cuts[:0], RoundMoved: curves.moved[:0]}
-	st.CutBefore = cutWeight()
 	arena := opt.Arena
 	if arena == nil {
 		arena = new(LPArena)
 	}
 	undo := arena.undo[:0]
+	report := func(lo, hi int) float64 { // the cut, after writing undo[lo:hi]
+		arena.undo, arena.wlo, arena.whi = undo, lo, hi
+		return cutWeight()
+	}
+	st.CutBefore = report(0, 0)
 	bestCut, bestLen := st.CutBefore, 0 // undo[:bestLen] leads to the best assignment
 	cur := st.CutBefore
 	strict := false
@@ -273,11 +291,11 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		if opt.OnRound != nil {
 			opt.OnRound(st.Rounds, moved)
 		}
-		cur = cutWeight()
-		st.RoundCuts = append(st.RoundCuts, cur)
-		st.RoundMoved = append(st.RoundMoved, moved)
 		start := len(undo)
 		undo = append(undo, cands.log...)
+		cur = report(start, len(undo))
+		st.RoundCuts = append(st.RoundCuts, cur)
+		st.RoundMoved = append(st.RoundMoved, moved)
 		if !strict {
 			st.StrictFrom++
 			strict = strictNext(st.StrictFrom, cur, bestCut)
@@ -307,11 +325,12 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		for i := len(undo) - 1; i >= bestLen; i-- {
 			a.Part[undo[i].v] = undo[i].from
 		}
+		undo = undo[:bestLen]
+	}
+	st.CutAfter = st.CutBefore
+	if st.Rounds > 0 { // the rollbacks undid undo[len(undo):] up to the last report's end
+		st.CutAfter = report(len(undo), arena.whi)
 	}
 	arena.undo = undo
-	st.CutAfter = st.CutBefore
-	if st.Rounds > 0 {
-		st.CutAfter = cutWeight()
-	}
 	return st, buf, abort
 }

@@ -144,6 +144,7 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		agg.CutIncremental += st.CutIncremental
 		agg.CutReused += st.CutReused
 		agg.CSRPatched += st.CSRPatched
+		agg.SyncDiffs += st.SyncDiffs
 		agg.Parallelism = st.Parallelism
 		for w, d := range st.WorkerBusy {
 			if w == len(agg.WorkerBusy) {
@@ -186,9 +187,10 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 // (patched row-by-row from the graph's edit journal when it has been
 // edited, not rebuilt), maintains the partition-boundary set, the
 // per-partition sizes and the cutset statistics incrementally from that
-// journal plus an assignment diff, seeds phase 1 from the touched set so
-// an unchanged region is never traversed, and reuses all phase scratch
-// memory — so a warm Repartition after a small edit costs work
+// journal plus one assignment diff per call (inside a call it follows
+// its own write log; [Stats.SyncDiffs]), seeds phase 1 from the touched
+// set so an unchanged region is never traversed, and reuses all phase
+// scratch memory — so a warm Repartition after a small edit costs work
 // proportional to the changed region and performs near-zero heap
 // allocation.
 //

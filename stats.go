@@ -118,6 +118,10 @@ type Stats struct {
 	// zero on the first call, after journal overflow, and when churn or
 	// a slot overflow forced a compacting rebuild.
 	CSRPatched int
+	// SyncDiffs counts this call's syncs that compared all n assignment
+	// slots: its entry, after a V-cycle, and any whose log of the engine's
+	// own writes outgrew n/64 entries; the others followed that log.
+	SyncDiffs int
 	// VCycleSkipped reports that [WithMultilevel] is on and the call
 	// arrived balanced (every partition within [WithTolerance] of its
 	// target), so the V-cycle — a balancing stage — did not run and the
@@ -214,6 +218,7 @@ func convertStatsInto(dst *Stats, st *engine.Stats) {
 		Parallelism:       st.Parallelism,
 		WorkerBusy:        busy,
 		CSRPatched:        st.CSRPatched,
+		SyncDiffs:         st.SyncDiffs,
 		CutIncremental:    st.CutIncremental,
 		CutReused:         st.CutReused,
 		CutBefore:         st.CutBefore,
