@@ -3,6 +3,7 @@ package igp
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -78,8 +79,8 @@ func TestBatchedStagesAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each batch that needed movement contributes at least one stage.
-	if len(st.Stages) < 2 {
-		t.Fatalf("stages = %d, want ≥ 2 across 4 batches", len(st.Stages))
+	if st.Stages < 2 || len(st.EpsilonUsed) != st.Stages {
+		t.Fatalf("stages = %d (ε list %v), want ≥ 2 across 4 batches", st.Stages, st.EpsilonUsed)
 	}
 }
 
@@ -138,16 +139,7 @@ func TestBatchedSmallerPerStageMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxStage := func(st *engine.Stats) int {
-		m := 0
-		for _, s := range st.Stages {
-			if s.Moved > m {
-				m = s.Moved
-			}
-		}
-		return m
-	}
-	if maxStage(many) > maxStage(one) {
-		t.Fatalf("batched max stage moved %d > one-shot %d", maxStage(many), maxStage(one))
+	if slices.Max(many.StageMoved) > slices.Max(one.StageMoved) {
+		t.Fatalf("batched max stage moved %d > one-shot %d", slices.Max(many.StageMoved), slices.Max(one.StageMoved))
 	}
 }

@@ -192,7 +192,7 @@ func BenchmarkLPSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vars, cons = st.MaxLPSize()
+		vars, cons = st.LPVars, st.LPCons
 	}
 	b.ReportMetric(float64(vars), "lpvars")
 	b.ReportMetric(float64(cons), "lpcons")

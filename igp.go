@@ -57,6 +57,7 @@ import (
 	"io"
 
 	"repro/internal/balance"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
@@ -77,6 +78,21 @@ type Assignment = partition.Assignment
 
 // CutStats reports cutset quality (the paper's Total/Max/Min columns).
 type CutStats = partition.CutStats
+
+// Stats reports what one Repartition call did: the paper's IGP(k) stage
+// count, the balance LP's v and c, the cut around balancing and
+// refinement, per-phase wall clock, and why the engine took the path it
+// took. The *Stats an [Engine] returns is an arena overwritten by its next
+// call; use Stats.Clone to retain one. The one-shot [Repartition] returns
+// a fresh value every time.
+type Stats = engine.Stats
+
+// PhaseTimings is the per-phase wall-clock breakdown in [Stats].
+type PhaseTimings = engine.PhaseTimings
+
+// LevelStats reports what one [WithMultilevel] Repartition did at one
+// hierarchy level; see Stats.Levels.
+type LevelStats = engine.LevelStats
 
 // Unassigned marks vertices without a partition.
 const Unassigned = partition.Unassigned

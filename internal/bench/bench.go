@@ -126,10 +126,11 @@ func runIGP(g *graph.Graph, prev *partition.Assignment, cfg Config, withRefine b
 	}
 	res := MethodResult{
 		TimeSeq: dur,
-		Stages:  len(st.Stages),
+		Stages:  st.Stages,
+		LPVars:  st.LPVars,
+		LPCons:  st.LPCons,
 		Cut:     partition.Cut(g, a),
 	}
-	res.LPVars, res.LPCons = st.MaxLPSize()
 
 	if !cfg.SkipSim {
 		sim := func(ranks int) (time.Duration, error) {
@@ -349,12 +350,8 @@ func LPSizeTable(sizes []int, cfg Config) ([]LPSizeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := LPSizeRow{V: g.NumVertices(), E: g.NumEdges()}
-		row.LPVars, row.LPCons = st.MaxLPSize()
-		for _, sg := range st.Stages {
-			row.Pivots += sg.LPPivots
-		}
-		out = append(out, row)
+		out = append(out, LPSizeRow{V: g.NumVertices(), E: g.NumEdges(),
+			LPVars: st.LPVars, LPCons: st.LPCons, Pivots: st.LPIterations})
 	}
 	return out, nil
 }

@@ -17,122 +17,23 @@
 // with single decisions, shrinking the number of fine-level stages and
 // refinement rounds on large incremental changes.
 //
-// The entry point built on these kernels is Hierarchy (hierarchy.go):
-// the full V-cycle for large graphs, a journal-repairable stack of
-// coarse graphs the engine keeps alive across Repartition calls behind
-// igp.WithMultilevel.
+// The entry point is Hierarchy (hierarchy.go): the full V-cycle for large
+// graphs, a journal-repairable stack of coarse graphs the engine keeps
+// alive across Repartition calls behind igp.WithMultilevel. Every level is
+// matched and contracted there (build, rematch); CoarseBalance is its
+// coarsest-level balance pass.
 package coarsen
 
 import (
 	"context"
 	"math"
-	"sort"
 
 	"repro/internal/balance"
 	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
-
-// Match computes a heavy-edge matching restricted to pairs within the
-// same partition. match[v] is v's partner (or v itself when unmatched);
-// dead vertices map to themselves. The result is deterministic — rounds
-// of mutual proposals under a fixed total edge order (weight descending,
-// then a symmetric edge hash, then partner id) — and identical at every
-// worker count; Match is the sequential entry point. The returned slice
-// is freshly allocated and caller-owned (unlike Hierarchy's arena-backed
-// returns).
-func Match(g *graph.Graph, a *partition.Assignment) []graph.Vertex {
-	return MatchPar(g, a, nil, 1)
-}
-
-// MatchPar is Match sharded over a worker group: procs <= 1 (or a nil
-// group with procs > 1 falling back to a private group) runs the exact
-// same proposal rounds inline, so the result is bit-identical at every
-// worker count.
-func MatchPar(g *graph.Graph, a *partition.Assignment, group *par.Group, procs int) []graph.Vertex {
-	n := g.Order()
-	match := make([]graph.Vertex, n)
-	for v := range match {
-		match[v] = graph.Vertex(v)
-	}
-	m := matcher{group: group, procs: procs}
-	free := g.Vertices()
-	m.run(g, a.Part, free)
-	for _, v := range free {
-		match[v] = m.mate[v]
-	}
-	return match
-}
-
-// Contract builds the coarse graph for a matching: matched pairs merge
-// into one coarse vertex whose weight is the pair's total; edge weights
-// aggregate (internal pair edges vanish). It returns the coarse graph,
-// the fine→coarse map, and the coarse partition assignment. The coarse
-// graph is deterministic down to adjacency order: aggregated edges are
-// inserted in sorted (min-endpoint, max-endpoint) order, so downstream
-// kernels that walk coarse adjacency see the same float summation order
-// on every run. All three returns are freshly allocated and
-// caller-owned; nothing aliases g or match.
-func Contract(g *graph.Graph, a *partition.Assignment, match []graph.Vertex) (*graph.Graph, []graph.Vertex, *partition.Assignment) {
-	fineToCoarse := make([]graph.Vertex, g.Order())
-	for i := range fineToCoarse {
-		fineToCoarse[i] = -1
-	}
-	gc := graph.New(g.NumVertices())
-	var coarsePart []int32
-	for _, v := range g.Vertices() {
-		if fineToCoarse[v] >= 0 {
-			continue
-		}
-		u := match[v]
-		w := g.VertexWeight(v)
-		if u != v && fineToCoarse[u] < 0 {
-			w += g.VertexWeight(u)
-		}
-		cv := gc.AddVertex(w)
-		fineToCoarse[v] = cv
-		if u != v {
-			fineToCoarse[u] = cv
-		}
-		coarsePart = append(coarsePart, a.Part[v])
-	}
-	// Aggregate edges. The map is only an accumulator: insertion happens
-	// over the sorted key list, never in map-iteration order.
-	type edgeKey struct{ a, b graph.Vertex }
-	agg := make(map[edgeKey]float64)
-	keys := make([]edgeKey, 0, g.NumEdges())
-	for _, v := range g.Vertices() {
-		ws := g.EdgeWeights(v)
-		for i, u := range g.Neighbors(v) {
-			cv, cu := fineToCoarse[v], fineToCoarse[u]
-			if cv == cu || v > u {
-				continue
-			}
-			k := edgeKey{cv, cu}
-			if cv > cu {
-				k = edgeKey{cu, cv}
-			}
-			if _, seen := agg[k]; !seen {
-				keys = append(keys, k)
-			}
-			agg[k] += ws[i]
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	for _, k := range keys {
-		_ = gc.AddEdge(k.a, k.b, agg[k])
-	}
-	ca := &partition.Assignment{Part: coarsePart, P: a.P}
-	return gc, fineToCoarse, ca
-}
 
 // CoarseBalance runs one weighted balance pass on a coarse graph whose
 // vertex weights count fine vertices, moving whole clusters

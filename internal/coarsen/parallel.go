@@ -1,7 +1,7 @@
 package coarsen
 
 // parallel.go holds the hierarchy's sharded kernels: the deterministic
-// mutual-proposal matcher shared by build/rematch/Match, and the
+// mutual-proposal matcher shared by build and rematch, and the
 // fork-join sweeps behind repair (purity detection, free collection +
 // upward projection), connectGroups (coarse-arc aggregation), Uncoarsen
 // (downward projection) and refineLevel (weight totals, seed collection,
@@ -89,8 +89,8 @@ func edgeHash(a, b graph.Vertex) uint64 {
 	return x
 }
 
-// matcher is the deterministic heavy-edge matcher shared by the
-// hierarchy's build/rematch paths and the package-level Match.
+// matcher is the deterministic heavy-edge matcher of the hierarchy's
+// build and rematch paths.
 //
 // A greedy HEM visits vertices in one global order, so any sharding of
 // it changes the result. The matcher instead runs rounds of mutual

@@ -55,9 +55,10 @@ func requireHierarchiesEqual(t *testing.T, h1, h2 *Hierarchy) {
 }
 
 func TestMatchParEquivalence(t *testing.T) {
-	// The matcher's outcome must be a pure function of (graph, partition,
-	// free set): every worker count reproduces the procs=1 result slot
-	// for slot.
+	// The sharded matcher's outcome must be a pure function of (graph,
+	// partition, free set): a hierarchy built at every worker count
+	// reproduces the procs=1 one — every level's matching, coarse graph
+	// and coarse assignment — slot for slot.
 	graphs := []func() (*graph.Graph, *partition.Assignment){
 		func() (*graph.Graph, *partition.Assignment) { return striped(16, 32, 4) },
 		func() (*graph.Graph, *partition.Assignment) { return striped(96, 96, 4) },
@@ -80,19 +81,11 @@ func TestMatchParEquivalence(t *testing.T) {
 			return g, a
 		},
 	}
-	for gi, mk := range graphs {
+	for _, mk := range graphs {
 		g, a := mk()
-		want := Match(g, a)
+		want := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16, Procs: 1})
 		for _, procs := range []int{2, 3, 8} {
-			got := MatchPar(g, a, nil, procs)
-			if len(got) != len(want) {
-				t.Fatalf("graph %d procs %d: len %d != %d", gi, procs, len(got), len(want))
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("graph %d procs %d: match[%d] = %d, want %d", gi, procs, v, got[v], want[v])
-				}
-			}
+			requireHierarchiesEqual(t, want, buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16, Procs: procs}))
 		}
 	}
 }

@@ -5,31 +5,10 @@ import "fmt"
 // Collective tags live in a reserved negative space so user tags ≥ 0 never
 // collide with them.
 const (
-	tagBarrier = -1 - iota
-	tagBcast
+	tagBcast = -1 - iota
 	tagAllreduceF
-	tagAllreduceI
-	tagGather
 	tagAllgather
-	tagAlltoall
 )
-
-// Barrier synchronizes all ranks with the dissemination algorithm
-// (⌈log₂P⌉ rounds of paired messages).
-func (c *Comm) Barrier() error {
-	p := c.w.p
-	for k := 1; k < p; k <<= 1 {
-		to := (c.rank + k) % p
-		from := (c.rank - k + p) % p
-		if err := c.Send(to, tagBarrier, nil, 0); err != nil {
-			return err
-		}
-		if _, err := c.Recv(from, tagBarrier); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Bcast distributes root's data to every rank via a binomial tree and
 // returns it. nbytes is the payload size for the cost model; non-root
@@ -155,27 +134,6 @@ func (c *Comm) AllreduceFloat(x []float64, op ReduceOp) ([]float64, error) {
 	return got.([]float64), nil
 }
 
-// ArgminFloat returns the minimum value across ranks and the rank that
-// held it (smallest rank wins ties) — the global pivot-selection primitive
-// of the parallel simplex.
-func (c *Comm) ArgminFloat(val float64) (minVal float64, minRank int, err error) {
-	acc, err := reduceTree(c, [2]float64{val, float64(c.rank)}, 16, func(a, g [2]float64) [2]float64 {
-		if g[0] < a[0] || (g[0] == a[0] && g[1] < a[1]) {
-			return g
-		}
-		return a
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	got, err := c.Bcast(0, acc, 16)
-	if err != nil {
-		return 0, 0, err
-	}
-	pair := got.([2]float64)
-	return pair[0], int(pair[1]), nil
-}
-
 // ArgminIndexed returns the global minimum of val and the caller-supplied
 // index associated with it; ties prefer the smaller index. Ranks with no
 // candidate pass +Inf. This selects entering columns in the parallel
@@ -196,58 +154,6 @@ func (c *Comm) ArgminIndexed(val float64, idx int) (minVal float64, minIdx int, 
 	}
 	pair := got.([2]float64)
 	return pair[0], int(pair[1]), nil
-}
-
-// AllreduceInt combines x element-wise across ranks with op; all ranks
-// get the result.
-func (c *Comm) AllreduceInt(x []int64, op ReduceOp) ([]int64, error) {
-	acc, err := reduceTree(c, append([]int64(nil), x...), 8*len(x), func(a, g []int64) []int64 {
-		for i := range a {
-			switch op {
-			case OpSum:
-				a[i] += g[i]
-			case OpMax:
-				if g[i] > a[i] {
-					a[i] = g[i]
-				}
-			case OpMin:
-				if g[i] < a[i] {
-					a[i] = g[i]
-				}
-			}
-		}
-		c.Advance(float64(len(a)))
-		return a
-	})
-	if err != nil {
-		return nil, err
-	}
-	got, err := c.Bcast(0, acc, 8*len(x))
-	if err != nil {
-		return nil, err
-	}
-	return got.([]int64), nil
-}
-
-// Gather collects every rank's data at root; root receives a slice
-// indexed by rank (its own entry included), others receive nil.
-func (c *Comm) Gather(root int, data any, nbytes int) ([]any, error) {
-	if c.rank != root {
-		return nil, c.Send(root, tagGather, data, nbytes)
-	}
-	out := make([]any, c.w.p)
-	out[root] = data
-	for r := 0; r < c.w.p; r++ {
-		if r == root {
-			continue
-		}
-		got, err := c.Recv(r, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = got
-	}
-	return out, nil
 }
 
 // gatherPiece carries a set of per-rank contributions up the gather tree.
@@ -297,31 +203,6 @@ func (c *Comm) Allgather(data any, nbytes int) ([]any, error) {
 			return nil, fmt.Errorf("comm: allgather missing contribution from rank %d", r)
 		}
 		out[r] = d
-	}
-	return out, nil
-}
-
-// Alltoall delivers data[r] to rank r and returns the slice of payloads
-// received, indexed by source rank. data[c.Rank()] is passed through
-// locally. nbytes[r] sizes each payload for the cost model.
-func (c *Comm) Alltoall(data []any, nbytes []int) ([]any, error) {
-	p := c.w.p
-	if len(data) != p || len(nbytes) != p {
-		return nil, fmt.Errorf("comm: alltoall needs %d payloads, got %d", p, len(data))
-	}
-	out := make([]any, p)
-	out[c.rank] = data[c.rank]
-	for k := 1; k < p; k++ {
-		to := (c.rank + k) % p
-		from := (c.rank - k + p) % p
-		if err := c.Send(to, tagAlltoall, data[to], nbytes[to]); err != nil {
-			return nil, err
-		}
-		got, err := c.Recv(from, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = got
 	}
 	return out, nil
 }

@@ -1,8 +1,8 @@
 // Package comm is the message-passing substrate standing in for the
 // paper's 32-node CM-5 and its CMMD library. Ranks are goroutines; point
-// to point messages travel over per-pair FIFO channels; collectives
-// (barrier, broadcast, reduce, all-gather, all-to-all) are built from
-// point-to-point messages with the standard tree/dissemination algorithms.
+// to point messages travel over per-pair FIFO channels; the collectives
+// the SPMD pipeline uses (broadcast, all-reduce, argmin, all-gather) are
+// built from point-to-point messages with binomial-tree algorithms.
 //
 // Every rank carries a simulated clock. Compute is charged explicitly
 // (Advance), communication is charged by a LogP-style cost model

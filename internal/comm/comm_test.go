@@ -114,25 +114,6 @@ func TestClockAdvancesWithMessage(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
-	w := newTestWorld(t, 8)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 3 {
-			c.AdvanceTime(50 * time.Millisecond)
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Clock() < 50*time.Millisecond {
-			return fmt.Errorf("rank %d clock %v: barrier did not propagate the straggler", c.Rank(), c.Clock())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBcastFromEveryRoot(t *testing.T) {
 	for root := 0; root < 5; root++ {
 		w := newTestWorld(t, 5)
@@ -196,69 +177,6 @@ func TestAllreduceMaxMin(t *testing.T) {
 	}
 }
 
-func TestAllreduceInt(t *testing.T) {
-	w := newTestWorld(t, 4)
-	err := w.Run(func(c *Comm) error {
-		got, err := c.AllreduceInt([]int64{int64(c.Rank()), 5}, OpSum)
-		if err != nil {
-			return err
-		}
-		if got[0] != 6 || got[1] != 20 {
-			return fmt.Errorf("got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestArgminFloatTieBreaksLowRank(t *testing.T) {
-	w := newTestWorld(t, 6)
-	err := w.Run(func(c *Comm) error {
-		val := 3.0
-		if c.Rank() == 2 || c.Rank() == 4 {
-			val = 1.0
-		}
-		v, r, err := c.ArgminFloat(val)
-		if err != nil {
-			return err
-		}
-		if v != 1.0 || r != 2 {
-			return fmt.Errorf("argmin = (%g, %d), want (1, 2)", v, r)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	w := newTestWorld(t, 5)
-	err := w.Run(func(c *Comm) error {
-		got, err := c.Gather(2, c.Rank()*10, 8)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root got %v", got)
-			}
-			return nil
-		}
-		for r := 0; r < 5; r++ {
-			if got[r].(int) != r*10 {
-				return fmt.Errorf("gather[%d] = %v", r, got[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	w := newTestWorld(t, 6)
 	err := w.Run(func(c *Comm) error {
@@ -269,31 +187,6 @@ func TestAllgather(t *testing.T) {
 		for r := 0; r < 6; r++ {
 			if got[r].(int) != r+100 {
 				return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), r, got[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	w := newTestWorld(t, 4)
-	err := w.Run(func(c *Comm) error {
-		data := make([]any, 4)
-		nbytes := make([]int, 4)
-		for r := 0; r < 4; r++ {
-			data[r] = c.Rank()*10 + r
-			nbytes[r] = 8
-		}
-		got, err := c.Alltoall(data, nbytes)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < 4; r++ {
-			if got[r].(int) != r*10+c.Rank() {
-				return fmt.Errorf("rank %d from %d: %v", c.Rank(), r, got[r])
 			}
 		}
 		return nil
@@ -415,29 +308,17 @@ func TestPropertyAllreduceMatchesSequential(t *testing.T) {
 func TestCollectivesSingleRank(t *testing.T) {
 	w := newTestWorld(t, 1)
 	err := w.Run(func(c *Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
 		if got, err := c.Bcast(0, "x", 1); err != nil || got.(string) != "x" {
 			return fmt.Errorf("bcast: %v %v", got, err)
 		}
 		if got, err := c.AllreduceFloat([]float64{3}, OpSum); err != nil || got[0] != 3 {
 			return fmt.Errorf("allreduce: %v %v", got, err)
 		}
-		if got, err := c.AllreduceInt([]int64{4}, OpMax); err != nil || got[0] != 4 {
-			return fmt.Errorf("allreduceint: %v %v", got, err)
-		}
-		if v, r, err := c.ArgminFloat(5); err != nil || v != 5 || r != 0 {
-			return fmt.Errorf("argmin: %v %v %v", v, r, err)
-		}
 		if v, i, err := c.ArgminIndexed(6, 9); err != nil || v != 6 || i != 9 {
 			return fmt.Errorf("argminindexed: %v %v %v", v, i, err)
 		}
 		if got, err := c.Allgather("me", 2); err != nil || len(got) != 1 || got[0].(string) != "me" {
 			return fmt.Errorf("allgather: %v %v", got, err)
-		}
-		if got, err := c.Alltoall([]any{"self"}, []int{4}); err != nil || got[0].(string) != "self" {
-			return fmt.Errorf("alltoall: %v %v", got, err)
 		}
 		return nil
 	})
@@ -506,8 +387,8 @@ func TestStressRandomPatterns(t *testing.T) {
 					}
 				}
 			}
-			if r%7 == 0 {
-				if err := c.Barrier(); err != nil {
+			if r%7 == 0 { // a collective between rounds shares the mailboxes
+				if _, err := c.AllreduceFloat([]float64{float64(r)}, OpMax); err != nil {
 					return err
 				}
 			}

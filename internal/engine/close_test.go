@@ -53,8 +53,8 @@ func TestClose(t *testing.T) {
 	}
 
 	// The pre-close clone must be untouched by the release.
-	if kept.Stages == nil && len(st.Stages) > 0 {
-		t.Fatal("clone lost stages")
+	if len(kept.EpsilonUsed) != kept.Stages {
+		t.Fatalf("clone lists %d epsilons for %d stages", len(kept.EpsilonUsed), kept.Stages)
 	}
 	if len(kept.CutAfter.PerPart) != a.P {
 		t.Fatalf("clone PerPart len %d, want %d", len(kept.CutAfter.PerPart), a.P)

@@ -196,151 +196,6 @@ func (o Options) procs() int {
 	return o.Parallelism
 }
 
-// StageStats records one balancing stage.
-type StageStats struct {
-	Epsilon  float64 // relaxation factor that produced a feasible LP
-	Moved    int     // vertices moved
-	LPVars   int     // dense-formulation columns (the paper's v)
-	LPCons   int     // dense-formulation rows (the paper's c)
-	LPPivots int     // simplex iterations of the accepted solve
-	// Deepened counts the partitions the stage layered to full depth (the
-	// rest stayed rim-only) and LPSolves the balance LPs it solved: one per
-	// ε tried, plus a re-solve each time the optimum touched an unfinished
-	// partition's bound or was infeasible short of full depth (see
-	// balanceStage), so LPSolves ≤ Deepened + the ε count.
-	Deepened int
-	LPSolves int
-}
-
-// Stats reports everything Repartition did; the benchmark harness turns
-// these into the paper's table columns.
-type Stats struct {
-	NewAssigned      int // vertices assigned in phase 1
-	ClusterFallbacks int // disconnected new-vertex clusters placed by size
-	Stages           []StageStats
-	BalanceMoved     int
-	Refine           *refine.Stats // nil unless Options.Refine
-	CutBefore        partition.CutStats
-	CutAfter         partition.CutStats
-	AssignTime       time.Duration
-	// LayerTime covers every stage's rim pass and the partitions the
-	// balance stage then finished; BalanceTime is the rest of the stage
-	// (formulate, solve, move).
-	LayerTime   time.Duration
-	BalanceTime time.Duration
-	RefineTime  time.Duration
-	// Elapsed is the wall clock of the whole Repartition call, measured
-	// inside the engine so it covers exactly the pipeline (not callers'
-	// option conversion). It is set even when Repartition errors.
-	Elapsed time.Duration
-	// LPIterations is the total simplex pivots across every balance stage
-	// and refinement round.
-	LPIterations int
-	// Parallelism is the worker count the engine's sharded kernels ran
-	// with (1 = every region one shard, run inline).
-	Parallelism int
-	// WorkerBusy is the per-worker busy wall clock summed over every
-	// parallel region of the call (boundary sync, layering BFS, gain
-	// scans); index w is worker w. Empty at one worker. Like
-	// Stages it is an arena reused across calls.
-	WorkerBusy []time.Duration
-	// CSRPatched counts snapshot refreshes during this call that were
-	// served by the journal-driven partial CSR patch (only touched rows
-	// rewritten) rather than a full rebuild. On a warm engine absorbing
-	// small edits it equals the number of refreshes; zero means every
-	// refresh rebuilt (first call, journal overflow, slot overflow, high
-	// churn, or Options.FullRefresh).
-	CSRPatched int
-	// SyncDiffs counts this call's syncs that compared all n assignment
-	// slots (a diff or a boundary rebuild); the rest followed the write log.
-	SyncDiffs int
-	// CutIncremental counts the cut reports this call summed from the
-	// stored per-vertex terms over the maintained boundary list (no arc
-	// visited; partition.Cut rescans them all), CutReused the reports it
-	// copied at O(P) from the kept one. The reports are CutBefore, CutAfter
-	// when refinement is off, and refinement's: entry, one per applied
-	// round, and the closing one (CutAfter) when any round was applied.
-	CutIncremental int
-	CutReused      int
-	// V-cycle reporting (zero unless Options.Multilevel is enabled).
-	// VCycleSkipped reports that multilevel mode is on and the call
-	// arrived within Tolerance of its targets, so — like every other
-	// balancing stage — the V-cycle did not run: the hierarchy was left
-	// as it was, every field below is zero and no PhaseCoarsen or
-	// PhaseUncoarsen event was emitted.
-	VCycleSkipped bool
-	// Levels holds per-level hierarchy statistics, coarsest level last;
-	// like Stages it is an arena reused across calls.
-	Levels []LevelStats
-	// CoarsenTime and UncoarsenTime are the V-cycle's two legs
-	// (hierarchy update + coarsest solve; projection + per-level
-	// refinement). TotalTime includes both.
-	CoarsenTime   time.Duration
-	UncoarsenTime time.Duration
-	// HierarchyRepaired reports that every pre-existing hierarchy level
-	// was journal-repaired this call — the warm V-cycle path. False on
-	// the first call that runs the V-cycle (nothing to repair) and
-	// whenever a level had to be recoarsened (the journal no longer
-	// covers the edits since the hierarchy was last consulted, dead-slot
-	// bloat, partition-count change, coarsening stall).
-	HierarchyRepaired bool
-	// CoarseMoved is the fine-vertex weight the coarsest solve moved;
-	// SpectralInit reports that the coarsest graph was partitioned from
-	// scratch by recursive spectral bisection (degenerate incoming
-	// assignment) rather than rebalanced by the weighted LP.
-	CoarseMoved  int
-	SpectralInit bool
-	// VCycleRefined counts the greedy per-level refinement moves applied
-	// during uncoarsening (all levels).
-	VCycleRefined int
-}
-
-// Clone returns a deep copy of the Stats, detached from the engine's
-// arenas: unlike the value returned by Repartition — which is
-// overwritten by the engine's next call — a clone stays valid forever.
-func (s *Stats) Clone() *Stats {
-	c := *s
-	c.Stages = append([]StageStats(nil), s.Stages...)
-	c.WorkerBusy = append([]time.Duration(nil), s.WorkerBusy...)
-	c.Levels = append([]LevelStats(nil), s.Levels...)
-	c.CutBefore.PerPart = append([]float64(nil), s.CutBefore.PerPart...)
-	c.CutAfter.PerPart = append([]float64(nil), s.CutAfter.PerPart...)
-	if s.Refine != nil {
-		r := *s.Refine
-		r.RoundPivots = append([]int(nil), s.Refine.RoundPivots...)
-		r.RoundCuts = append([]float64(nil), s.Refine.RoundCuts...)
-		r.RoundMoved = append([]int(nil), s.Refine.RoundMoved...)
-		c.Refine = &r
-	}
-	return &c
-}
-
-// TotalTime sums the phase times (including the V-cycle legs when
-// multilevel mode ran).
-func (s *Stats) TotalTime() time.Duration {
-	return s.AssignTime + s.CoarsenTime + s.UncoarsenTime + s.LayerTime + s.BalanceTime + s.RefineTime
-}
-
-// reset readies a Stats arena for reuse, keeping the Stages, WorkerBusy
-// and Levels capacity.
-func (s *Stats) reset() {
-	stages := s.Stages[:0]
-	busy := s.WorkerBusy[:0]
-	levels := s.Levels[:0]
-	*s = Stats{Stages: stages, WorkerBusy: busy, Levels: levels}
-}
-
-// MaxLPSize returns the largest (vars, cons) over all balancing stages —
-// the paper's "v = 188 and c = 126" statistic.
-func (s *Stats) MaxLPSize() (vars, cons int) {
-	for _, st := range s.Stages {
-		if st.LPVars > vars {
-			vars, cons = st.LPVars, st.LPCons
-		}
-	}
-	return vars, cons
-}
-
 // Engine owns the long-lived repartitioning state for one graph. Create
 // with New, then call Repartition after each batch of graph edits. The
 // zero value is not usable.
@@ -418,7 +273,9 @@ type Engine struct {
 	targets  []int
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
 	deepen   []int32        // partitions a stage is about to finish
-	stats    Stats          // reused result arena; see Repartition
+	// The reused result arena (see Repartition), allocated apart from the
+	// engine so a Stats a caller keeps does not keep the engine's arenas.
+	stats *Stats
 
 	// V-cycle hierarchy, created by the first Repartition that runs the
 	// V-cycle and journal-repaired by later ones that do (nil when
@@ -450,7 +307,7 @@ const neverSeen int32 = -2
 // shared with another engine. When the refine solver is the balance
 // solver (the default), both phases share one session and its arenas.
 func New(g *graph.Graph, opt Options) *Engine {
-	e := &Engine{g: g, procs: opt.procs()}
+	e := &Engine{g: g, procs: opt.procs(), stats: new(Stats)}
 	base := opt.solver()
 	session := lp.Session(base)
 	opt.Solver = session
@@ -806,14 +663,14 @@ func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates
 //
 // The returned *Stats is an arena owned by the engine: it is
 // overwritten by the next Repartition call. Use Stats.Clone to retain
-// one (a shallow copy is not enough — Stages, WorkerBusy, the cut
-// PerPart vectors and Refine all point into the arena).
+// one (a shallow copy is not enough — its lists and the cut PerPart
+// vectors point into the arena).
 func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Stats, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	e.stats.reset()
-	st := &e.stats
+	st := e.stats
+	st.reset()
 	opt := e.opt
 	e.group.Reset()
 	basePatched, baseDiffs, baseEvals, baseReused := e.csrPatched, e.syncDiffs, e.cutEvals, e.cutReused
@@ -826,12 +683,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		st.SyncDiffs = e.syncDiffs - baseDiffs
 		st.CutIncremental = e.cutEvals - baseEvals
 		st.CutReused = e.cutReused - baseReused
-		for _, sg := range st.Stages {
-			st.LPIterations += sg.LPPivots
-		}
-		if st.Refine != nil {
-			st.LPIterations += st.Refine.Iterations
-		}
 		st.Parallelism = e.procs
 		if e.procs > 1 {
 			st.WorkerBusy = append(st.WorkerBusy[:0], e.group.Times()...)
@@ -850,8 +701,8 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}
 	st.NewAssigned = assigned
 	st.ClusterFallbacks = fallbacks
-	st.AssignTime = time.Since(t0)
-	e.emit(Event{Kind: EventEnd, Phase: PhaseAssign, Moved: assigned, Elapsed: st.AssignTime})
+	st.PhaseTimings.Assign = time.Since(t0)
+	e.emit(Event{Kind: EventEnd, Phase: PhaseAssign, Moved: assigned, Elapsed: st.PhaseTimings.Assign})
 	if e.opt.FullRefresh {
 		st.CutBefore = partition.Cut(e.g, a)
 	} else {
@@ -870,7 +721,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		// repaired (see multilevel.go).
 		if maxAbsDev(e.liveSizes(a), targets) > opt.Tolerance {
 			e.wroteAll = true // projections and per-level moves: the next sync diffs
-			if err := e.runMultilevel(ctx, a, st); err != nil {
+			if err := e.runMultilevel(ctx, a); err != nil {
 				return st, err
 			}
 		} else {
@@ -892,7 +743,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		e.sync(a)
 		lay, err := e.lay.Rim(e.csr, a, e.bnd.list)
 		dL := time.Since(tL)
-		st.LayerTime += dL
+		st.PhaseTimings.Layer += dL
 		e.emit(Event{Kind: EventEnd, Phase: PhaseLayer, Stage: stage + 1, Elapsed: dL})
 		if err != nil {
 			return st, err
@@ -900,23 +751,21 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 
 		tB := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseBalance, Stage: stage + 1})
-		layered := st.LayerTime
-		stageStat, ok, err := e.balanceStage(ctx, a, lay, sizes, targets)
+		layered := st.PhaseTimings.Layer
+		end, ok, err := e.balanceStage(ctx, a, lay, sizes, targets)
 		dB := time.Since(tB)
-		st.BalanceTime += dB - (st.LayerTime - layered)
+		st.PhaseTimings.Balance += dB - (st.PhaseTimings.Layer - layered)
 		// The span closes on every path, so observers pairing start/end
 		// events never leak an open one.
-		e.emit(Event{Kind: EventEnd, Phase: PhaseBalance, Stage: stage + 1, Epsilon: stageStat.Epsilon,
-			Moved: stageStat.Moved, Deepened: stageStat.Deepened, LPSolves: stageStat.LPSolves, Elapsed: dB})
+		end.Kind, end.Phase, end.Stage, end.Elapsed = EventEnd, PhaseBalance, stage+1, dB
+		e.emit(end)
 		if err != nil {
 			return st, err
 		}
 		if !ok {
 			return st, fmt.Errorf("%w (stage %d, sizes %v)", ErrNeedRepartition, stage, sizes)
 		}
-		st.Stages = append(st.Stages, stageStat)
-		st.BalanceMoved += stageStat.Moved
-		if stageStat.Moved == 0 {
+		if end.Moved == 0 {
 			// A feasible stage that moved nothing makes no progress: either
 			// the targets are met (checked at the top of the loop) or every
 			// residual surplus rounded to zero under the relaxation — in
@@ -926,7 +775,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}
 	sizes := e.liveSizes(a)
 	if maxAbsDev(sizes, targets) > opt.Tolerance {
-		return st, fmt.Errorf("%w (after %d stages, sizes %v)", ErrNeedRepartition, len(st.Stages), sizes)
+		return st, fmt.Errorf("%w (after %d stages, sizes %v)", ErrNeedRepartition, st.Stages, sizes)
 	}
 
 	if opt.Refine {
@@ -940,14 +789,9 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 				e.emit(Event{Kind: EventRound, Phase: PhaseRefine, Stage: round, Moved: moved})
 			}
 		}
-		rst, err := e.runRefine(ctx, a, ro)
-		st.RefineTime = time.Since(tR)
-		st.Refine = rst
-		moved := 0
-		if rst != nil {
-			moved = rst.Moved
-		}
-		e.emit(Event{Kind: EventEnd, Phase: PhaseRefine, Moved: moved, Elapsed: st.RefineTime})
+		err := e.runRefine(ctx, a, ro)
+		st.PhaseTimings.Refine = time.Since(tR)
+		e.emit(Event{Kind: EventEnd, Phase: PhaseRefine, Moved: st.RefineMoved, Elapsed: st.PhaseTimings.Refine})
 		if err != nil {
 			return st, err
 		}
@@ -983,25 +827,26 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 // verdict. The accepted flows have the full-depth stage's ε and
 // objective, and every pool prefix the mover consumes is the full
 // layering's. Formulations go through the engine's reused arena, so a
-// steady-state stage allocates nothing building its LP. The returned
-// counters are filled on every path; completion time goes to
-// Stats.LayerTime.
-func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (StageStats, bool, error) {
-	var st StageStats
+// steady-state stage allocates nothing building its LP. It returns the
+// stage's balance EventEnd measurements (ε, moved, deepened, LP solves),
+// filled on every path, and records an accepted stage in Stats;
+// completion time goes to PhaseTimings.Layer.
+func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (Event, bool, error) {
+	var ev Event
 	for eps := 1.0; eps <= e.opt.epsMax(); eps++ {
 		for {
 			m, err := e.balArena.FormulateTol(lay.Delta, sizes, targets, eps, e.opt.Tolerance)
 			if err != nil {
-				return st, false, err
+				return ev, false, err
 			}
 			flows, sol, err := balance.SolveInto(ctx, m, e.opt.solver(), e.flowBuf)
 			if flows != nil {
 				e.flowBuf = flows // keep the grown backing array for the next stage
 			}
 			if err != nil {
-				return st, false, err
+				return ev, false, err
 			}
-			st.LPSolves++
+			ev.LPSolves++
 			var parts []int32
 			if sol.Status != lp.Optimal { // infeasible: SolveInto errors on anything else
 				parts = e.lay.All()
@@ -1014,30 +859,42 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 				}
 				e.deepen = parts
 				if len(parts) == 0 {
-					st.Epsilon, st.LPPivots = eps, sol.Iterations
-					st.LPVars, st.LPCons = lp.DenseSize(m.Prob)
-					st.Moved, err = balance.Apply(a, lay, flows)
-					if err == nil { // (an error ends the call; the next one diffs)
-						for _, f := range flows {
-							e.written = append(e.written, lay.Pool(f.From, f.To)[:f.Amount]...)
-						}
+					ev.Epsilon = eps
+					ev.Moved, err = balance.Apply(a, lay, flows)
+					if err != nil { // (an error ends the call; the next one diffs)
+						return ev, false, err
 					}
-					return st, err == nil, err
+					for _, f := range flows {
+						e.written = append(e.written, lay.Pool(f.From, f.To)[:f.Amount]...)
+					}
+					st := e.stats
+					st.Stages++
+					st.EpsilonUsed = append(st.EpsilonUsed, eps)
+					st.StageMoved = append(st.StageMoved, ev.Moved)
+					st.StagePivots = append(st.StagePivots, sol.Iterations)
+					st.StageDeepened = append(st.StageDeepened, ev.Deepened)
+					st.StageLPSolves = append(st.StageLPSolves, ev.LPSolves)
+					st.BalanceMoved += ev.Moved
+					st.LPIterations += sol.Iterations
+					if v, c := lp.DenseSize(m.Prob); v > st.LPVars {
+						st.LPVars, st.LPCons = v, c
+					}
+					return ev, true, nil
 				}
 			}
 			tD := time.Now()
 			n, err := e.lay.Complete(ctx, parts)
-			e.stats.LayerTime += time.Since(tD)
+			e.stats.PhaseTimings.Layer += time.Since(tD)
 			if err != nil {
-				return st, false, err
+				return ev, false, err
 			}
-			st.Deepened += n
+			ev.Deepened += n
 			if n == 0 {
 				break // infeasible at full depth: relax further
 			}
 		}
 	}
-	return st, false, nil
+	return ev, false, nil
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed
@@ -1049,7 +906,8 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 // arena names those writes, so the evaluator logs them: the sync it pays
 // re-examines what the round moved and their neighbours (nothing on entry
 // or, without a rollback, at the close), and the next Gains skips its own.
-func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) (*refine.Stats, error) {
+// What Drive reports is copied into the flat refinement fields of Stats.
+func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) error {
 	opt.Arena = &e.refArena
 	if !e.opt.FullRefresh {
 		opt.CutWeight = func() float64 {
@@ -1058,10 +916,17 @@ func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt ref
 			return e.stats.CutAfter.TotalWeight
 		}
 	}
-	st, _, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
+	rst, _, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
 		return e.Gains(a, strict)
 	}, nil)
-	return st, err
+	st := e.stats
+	st.RefineMoved, st.RefineRounds = rst.Moved, rst.Rounds
+	st.RefineStrictFrom, st.RefineStop = rst.StrictFrom, rst.Stop
+	st.RoundPivots = append(st.RoundPivots, rst.RoundPivots...)
+	st.RoundCuts = append(st.RoundCuts, rst.RoundCuts...)
+	st.RoundMoved = append(st.RoundMoved, rst.RoundMoved...)
+	st.LPIterations += rst.Iterations
+	return err
 }
 
 // Assign implements phase 1: every live vertex of g that a leaves

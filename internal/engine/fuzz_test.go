@@ -483,19 +483,15 @@ func FuzzRefineIncremental(f *testing.F) {
 						}
 						t.Fatalf("workers=%d step %d: %v", workers, i, err)
 					}
-					if len(st.Refine.RoundCuts) != len(exact) {
-						t.Fatalf("workers=%d step %d: %d running cuts for %d rounds", workers, i, len(st.Refine.RoundCuts), len(exact))
+					if len(st.RoundCuts) != len(exact) {
+						t.Fatalf("workers=%d step %d: %d running cuts for %d rounds", workers, i, len(st.RoundCuts), len(exact))
 					}
 					for r, want := range exact {
-						if got := st.Refine.RoundCuts[r]; got != want {
+						if got := st.RoundCuts[r]; got != want {
 							t.Fatalf("workers=%d step %d round %d: reported cut %g, partition.Cut %g", workers, i, r+1, got, want)
 						}
 					}
-					want := partition.Cut(g, a)
-					sameCut(t, "CutAfter vs oracle", st.CutAfter, want)
-					if st.Refine.CutAfter != want.TotalWeight {
-						t.Fatalf("workers=%d step %d: refine CutAfter %g, partition.Cut %g", workers, i, st.Refine.CutAfter, want.TotalWeight)
-					}
+					sameCut(t, "CutAfter vs oracle", st.CutAfter, partition.Cut(g, a))
 				}
 				checkGains(i, i%8 >= 4) // loose for four steps, strict for four
 			}
@@ -553,9 +549,9 @@ func FuzzRefineSchedule(f *testing.F) {
 					break
 				}
 				cut := scheduleReference(t, gR, aR)
-				if !slices.Equal(a.Part, aR.Part) || st.Refine.CutAfter != cut {
+				if !slices.Equal(a.Part, aR.Part) || st.CutAfter.TotalWeight != cut {
 					t.Fatalf("workers=%d step %d: Drive left cut %g (stop %s after %d rounds), the reference %g; assignments equal: %v",
-						workers, i, st.Refine.CutAfter, st.Refine.Stop, st.Refine.Rounds, cut, slices.Equal(a.Part, aR.Part))
+						workers, i, st.CutAfter.TotalWeight, st.RefineStop, st.RefineRounds, cut, slices.Equal(a.Part, aR.Part))
 				}
 			}
 		}

@@ -61,7 +61,8 @@ type LevelStats = coarsen.LevelStats
 // solve (weighted balance LP, or spectral init when the assignment is
 // degenerate), and uncoarsening with per-level greedy refinement. The
 // assignment stays valid at every exit, including cancellation.
-func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment, st *Stats) error {
+func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment) error {
+	st := e.stats
 	if e.ml == nil {
 		e.ml = coarsen.NewHierarchy(e.g, coarsen.HierarchyOptions{
 			CoarsenTo:  e.opt.Multilevel.CoarsenTo,
@@ -79,15 +80,15 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment, st 
 	e.emit(Event{Kind: EventStart, Phase: PhaseCoarsen})
 	repaired, err := e.ml.Update(ctx, a)
 	if err != nil {
-		st.CoarsenTime = time.Since(tC)
-		e.emit(Event{Kind: EventEnd, Phase: PhaseCoarsen, Elapsed: st.CoarsenTime})
+		st.PhaseTimings.Coarsen = time.Since(tC)
+		e.emit(Event{Kind: EventEnd, Phase: PhaseCoarsen, Elapsed: st.PhaseTimings.Coarsen})
 		return err
 	}
 	st.HierarchyRepaired = repaired
 	moved, spectralInit, err := e.ml.SolveCoarsest(ctx, e.opt.solver())
 	st.CoarseMoved = moved
 	st.SpectralInit = spectralInit
-	st.CoarsenTime = time.Since(tC)
+	st.PhaseTimings.Coarsen = time.Since(tC)
 	// Per-level spans are synthesized back-to-back after the work (the
 	// hierarchy's sharded regions already report busy time through the
 	// engine group; live span instrumentation would buy nothing), each
@@ -97,7 +98,7 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment, st 
 		e.emit(Event{Kind: EventEnd, Phase: PhaseCoarsen, Stage: l + 1,
 			Moved: ls.Matched, Elapsed: ls.CoarsenTime})
 	}
-	e.emit(Event{Kind: EventEnd, Phase: PhaseCoarsen, Moved: moved, Elapsed: st.CoarsenTime})
+	e.emit(Event{Kind: EventEnd, Phase: PhaseCoarsen, Moved: moved, Elapsed: st.PhaseTimings.Coarsen})
 	if err != nil {
 		return err
 	}
@@ -106,14 +107,14 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment, st 
 	e.emit(Event{Kind: EventStart, Phase: PhaseUncoarsen})
 	refined, err := e.ml.Uncoarsen(ctx, a)
 	st.VCycleRefined = refined
-	st.UncoarsenTime = time.Since(tU)
+	st.PhaseTimings.Uncoarsen = time.Since(tU)
 	for l := e.ml.Depth() - 1; l >= 0; l-- {
 		ls := e.ml.Levels()[l]
 		e.emit(Event{Kind: EventStart, Phase: PhaseUncoarsen, Stage: l + 1})
 		e.emit(Event{Kind: EventEnd, Phase: PhaseUncoarsen, Stage: l + 1,
 			Moved: ls.Refined, Elapsed: ls.UncoarsenTime})
 	}
-	e.emit(Event{Kind: EventEnd, Phase: PhaseUncoarsen, Moved: refined, Elapsed: st.UncoarsenTime})
+	e.emit(Event{Kind: EventEnd, Phase: PhaseUncoarsen, Moved: refined, Elapsed: st.PhaseTimings.Uncoarsen})
 	// Copy the per-level stats only now: Uncoarsen fills the up-leg half
 	// of the same arena Update started.
 	st.Levels = append(st.Levels[:0], e.ml.Levels()...)

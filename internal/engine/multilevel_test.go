@@ -78,9 +78,9 @@ func TestMultilevelColdVCycle(t *testing.T) {
 			t.Fatalf("level %d reports %d vertices", l, ls.Vertices)
 		}
 	}
-	if st.CoarsenTime <= 0 || st.TotalTime() < st.CoarsenTime+st.UncoarsenTime {
+	if pt := st.PhaseTimings; pt.Coarsen <= 0 || pt.Total() < pt.Coarsen+pt.Uncoarsen {
 		t.Fatalf("V-cycle timings not plumbed: coarsen %v uncoarsen %v total %v",
-			st.CoarsenTime, st.UncoarsenTime, st.TotalTime())
+			pt.Coarsen, pt.Uncoarsen, pt.Total())
 	}
 }
 
@@ -205,8 +205,8 @@ func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 	if !st.VCycleSkipped {
 		t.Fatal("balanced warm call ran the V-cycle")
 	}
-	if len(st.Levels) != 0 || st.HierarchyRepaired || st.SpectralInit || st.CoarsenTime != 0 ||
-		st.UncoarsenTime != 0 || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
+	if len(st.Levels) != 0 || st.HierarchyRepaired || st.SpectralInit || st.PhaseTimings.Coarsen != 0 ||
+		st.PhaseTimings.Uncoarsen != 0 || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
 		t.Fatalf("skipped V-cycle leaked stats: %+v", st)
 	}
 	for _, ev := range events {
@@ -288,7 +288,7 @@ func TestMultilevelDeferredRepairCatchesUp(t *testing.T) {
 				if !st.VCycleSkipped {
 					t.Fatalf("call %d: size-preserving edits ran the V-cycle", c)
 				}
-				refined += st.Refine.Moved
+				refined += st.RefineMoved
 			}
 			if refined == 0 {
 				t.Fatal("refinement moved nothing during the deferred window")
@@ -391,7 +391,7 @@ func TestMultilevelDisabledLeavesPipelineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Levels) != 0 || st.CoarsenTime != 0 || st.UncoarsenTime != 0 ||
+	if len(st.Levels) != 0 || st.PhaseTimings.Coarsen != 0 || st.PhaseTimings.Uncoarsen != 0 ||
 		st.HierarchyRepaired || st.SpectralInit || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
 		t.Fatalf("flat pipeline leaked V-cycle stats: %+v", st)
 	}
@@ -443,6 +443,8 @@ func TestMultilevelObserverEventsPaired(t *testing.T) {
 	}
 }
 
+// TestMultilevelStatsCloneDetachesLevels: the clone of a real V-cycle's
+// Stats keeps every hierarchy level and none of the engine's arena.
 func TestMultilevelStatsCloneDetachesLevels(t *testing.T) {
 	g, a := grownGrid(24, 24, 4, 30, 13)
 	e := New(g, Options{Multilevel: MultilevelOptions{Enabled: true}})

@@ -108,7 +108,7 @@ type Event struct {
 	Moved int
 	// Deepened and LPSolves say why a balance stage cost what it did
 	// (balance EventEnd only): the partitions it layered to full depth and
-	// the LPs it solved, see StageStats.
+	// the LPs it solved, see Stats.StageDeepened.
 	Deepened, LPSolves int
 	// Elapsed is the wall-clock duration of the closed span (EventEnd
 	// only).

@@ -155,7 +155,7 @@ func TestParallelRepartitionMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(aS.Part, aPar.Part) {
 				t.Fatalf("procs=%d step %d: parallel assignment diverges", procs, step)
 			}
-			if stS.BalanceMoved != stP.BalanceMoved || len(stS.Stages) != len(stP.Stages) {
+			if stS.BalanceMoved != stP.BalanceMoved || stS.Stages != stP.Stages {
 				t.Fatalf("procs=%d step %d: stats diverge", procs, step)
 			}
 			if stP.Parallelism != procs {

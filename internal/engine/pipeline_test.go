@@ -138,7 +138,7 @@ func TestRepartitionBalancesGrownGrid(t *testing.T) {
 	if st.NewAssigned != 24 {
 		t.Fatalf("assigned %d, want 24", st.NewAssigned)
 	}
-	if len(st.Stages) == 0 {
+	if st.Stages == 0 {
 		t.Fatal("expected at least one balancing stage")
 	}
 }
@@ -161,7 +161,7 @@ func TestRepartitionWithRefinementImprovesCut(t *testing.T) {
 	if cutRef > cutPlain {
 		t.Fatalf("IGPR cut %g worse than IGP cut %g", cutRef, cutPlain)
 	}
-	if stRef.Refine == nil {
+	if stRef.RefineStop == "" {
 		t.Fatal("refine stats missing")
 	}
 	// Refinement must preserve the balance achieved in phase 3.
@@ -288,7 +288,7 @@ func TestStatsLPSizeIndependentOfGraphSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.MaxLPSize()
+		return st.LPVars, st.LPCons
 	}
 	v1, c1 := sizesOf(8, 16)
 	v2, c2 := sizesOf(16, 32) // 4x the vertices

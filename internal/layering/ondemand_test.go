@@ -95,8 +95,9 @@ func fullDepthStage(t *testing.T, delta [][]int, sizes, targets []int, tol int) 
 // requireSameStage runs one demand-driven stage (an engine capped at one
 // stage) on a and requires what the full-depth stage from the same state
 // would have done: the same ε and the same number of vertices moved, by
-// flows that are feasible for the full-depth LP. It returns the stage.
-func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, procs, tol int) *engine.StageStats {
+// flows that are feasible for the full-depth LP. It returns the call's
+// Stats, nil when no stage ran.
+func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, procs, tol int) *engine.Stats {
 	t.Helper()
 	before := a.Clone()
 	sizes, targets := a.Sizes(g), partition.Targets(g.NumVertices(), a.P)
@@ -111,21 +112,20 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 	}
 	eps, m, total, ok := fullDepthStage(t, full.Delta, sizes, targets, tol)
 	if balanced || !ok {
-		if len(st.Stages) != 0 || (!balanced && err == nil) {
-			t.Fatalf("balanced %v, full-depth feasible %v: engine ran %d stages, err %v", balanced, ok, len(st.Stages), err)
+		if st.Stages != 0 || (!balanced && err == nil) {
+			t.Fatalf("balanced %v, full-depth feasible %v: engine ran %d stages, err %v", balanced, ok, st.Stages, err)
 		}
 		return nil
 	}
-	if len(st.Stages) != 1 {
-		t.Fatalf("full-depth stage accepts ε=%g, engine ran %d stages (err %v)", eps, len(st.Stages), err)
+	if st.Stages != 1 {
+		t.Fatalf("full-depth stage accepts ε=%g, engine ran %d stages (err %v)", eps, st.Stages, err)
 	}
-	sg := &st.Stages[0]
-	if sg.Epsilon != eps || sg.Moved != total {
-		t.Fatalf("stage accepted ε=%g and moved %d, full-depth stage ε=%g and %d", sg.Epsilon, sg.Moved, eps, total)
+	if st.EpsilonUsed[0] != eps || st.BalanceMoved != total {
+		t.Fatalf("stage accepted ε=%g and moved %d, full-depth stage ε=%g and %d", st.EpsilonUsed[0], st.BalanceMoved, eps, total)
 	}
 	// Every solve but the last at each ε finishes at least one partition.
-	if sg.LPSolves < 1 || sg.LPSolves > sg.Deepened+int(eps) || sg.Deepened > a.P {
-		t.Fatalf("stage at ε=%g reports %d LP solves, %d of %d partitions deepened", eps, sg.LPSolves, sg.Deepened, a.P)
+	if solves, deepened := st.StageLPSolves[0], st.StageDeepened[0]; solves < 1 || solves > deepened+int(eps) || deepened > a.P {
+		t.Fatalf("stage at ε=%g reports %d LP solves, %d of %d partitions deepened", eps, solves, deepened, a.P)
 	}
 	// Every vertex sits in one pool and moves at most once per stage, so
 	// the assignment diff is the accepted flow.
@@ -151,7 +151,7 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 			t.Fatalf("partition %d: net outflow %d, the full-depth LP at ε=%g wants %d ± %d", i, out[i], eps, m.RHS[i], tol)
 		}
 	}
-	return sg
+	return st
 }
 
 // FuzzLayerOnDemand is the differential fuzz of layering on demand, over
@@ -272,9 +272,9 @@ func TestStageInfeasibleOnTheRim(t *testing.T) {
 			if _, sol, err := balance.Solve(context.Background(), m, lp.Default()); err != nil || sol.Status == lp.Optimal {
 				t.Fatalf("the rim LP at ε=1 must be infeasible for this row to test anything (status %v, err %v)", sol.Status, err)
 			}
-			sg := requireSameStage(t, g, a, full, 1, 0)
-			if sg == nil || sg.Epsilon != 1 || sg.Deepened != a.P || sg.LPSolves != 2 {
-				t.Fatalf("stage %+v, want ε=1 after finishing all %d partitions and one re-solve", sg, a.P)
+			st := requireSameStage(t, g, a, full, 1, 0)
+			if st == nil || st.EpsilonUsed[0] != 1 || st.StageDeepened[0] != a.P || st.StageLPSolves[0] != 2 {
+				t.Fatalf("stage %+v, want ε=1 after finishing all %d partitions and one re-solve", st, a.P)
 			}
 		})
 	}

@@ -172,8 +172,6 @@ type Stats struct {
 	CutAfter   float64
 	RoundCuts  []float64
 	RoundMoved []int
-	LPVars     int // columns of the largest round's dense formulation
-	LPCons     int
 	Iterations int // total simplex pivots
 	// RoundPivots lists the pivots of every LP solved, in round order
 	// (including a final round whose solution was not applied).
@@ -263,9 +261,6 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 		if len(pairs) == 0 {
 			st.Stop = "no-candidates"
 			break
-		}
-		if v, c := lp.DenseSize(prob); v > st.LPVars {
-			st.LPVars, st.LPCons = v, c
 		}
 		sol, err := solver.Solve(ctx, prob)
 		if err != nil {

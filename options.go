@@ -43,22 +43,19 @@ const (
 
 // config is the validated product of applying functional options.
 type config struct {
-	solver       Solver // nil = the registry default
-	refine       bool
-	epsilonMax   float64
-	maxStages    int
-	refineRounds int
-	tolerance    int
-	batches      int
-	parallelism  int
-	observer     func(Event)
-	multilevel   engine.MultilevelOptions
+	solver      Solver // nil = the registry default
+	refine      bool
+	tolerance   int
+	batches     int
+	parallelism int
+	observer    func(Event)
+	multilevel  bool
 }
 
 // An Option configures an [Engine] (or a one-shot [Repartition] call).
 // Options are validated eagerly: a misconfiguration — an unknown solver
-// name, a non-positive stage cap, batches < 1 — is reported by NewEngine
-// or Repartition before any work starts, never mid-run.
+// name, a negative tolerance, batches < 1 — is reported by NewEngine or
+// Repartition before any work starts, never mid-run.
 type Option func(*config) error
 
 // buildConfig applies opts over the defaults, failing on the first
@@ -80,19 +77,6 @@ func buildConfig(opts []Option) (*config, error) {
 func WithRefine() Option {
 	return func(c *config) error {
 		c.refine = true
-		return nil
-	}
-}
-
-// WithRefineRounds enables refinement and caps its LP rounds at n ≥ 1
-// (the default is 8).
-func WithRefineRounds(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("igp: WithRefineRounds(%d): rounds must be ≥ 1", n)
-		}
-		c.refine = true
-		c.refineRounds = n
 		return nil
 	}
 }
@@ -135,29 +119,6 @@ func WithTolerance(n int) Option {
 			return fmt.Errorf("igp: WithTolerance(%d): tolerance must be ≥ 0", n)
 		}
 		c.tolerance = n
-		return nil
-	}
-}
-
-// WithEpsilonMax bounds the balance relaxation factor ε at c ≥ 1 (the
-// paper's upper bound C; default 8).
-func WithEpsilonMax(eps float64) Option {
-	return func(c *config) error {
-		if eps < 1 {
-			return fmt.Errorf("igp: WithEpsilonMax(%g): bound must be ≥ 1", eps)
-		}
-		c.epsilonMax = eps
-		return nil
-	}
-}
-
-// WithMaxStages caps multi-stage balancing at n ≥ 1 stages (default 16).
-func WithMaxStages(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("igp: WithMaxStages(%d): stage cap must be ≥ 1", n)
-		}
-		c.maxStages = n
 		return nil
 	}
 }
@@ -237,62 +198,14 @@ func WithObserver(fn func(Event)) Option {
 // re-match — instead of recoarsening from scratch
 // ([Stats.HierarchyRepaired] reports which path ran; a window the
 // bounded journal no longer covers is rebuilt). Results are
-// bit-identical at every [WithParallelism] value for a fixed
-// [CoarsenSeed].
+// bit-identical at every [WithParallelism] value.
 //
-// Sub-options ([CoarsenTo], [CoarsenLevels], [CoarsenSeed]) tune the
-// hierarchy; WithMultilevel() alone picks sensible defaults.
-func WithMultilevel(opts ...MultilevelOption) Option {
+// Coarsening stops once a level has at most max(64, 16·P) live vertices,
+// after 32 levels, or when a level would keep more than 95 % of its fine
+// vertices.
+func WithMultilevel() Option {
 	return func(c *config) error {
-		c.multilevel.Enabled = true
-		for _, o := range opts {
-			if o == nil {
-				return fmt.Errorf("igp: WithMultilevel: nil sub-option")
-			}
-			if err := o(&c.multilevel); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// A MultilevelOption tunes [WithMultilevel].
-type MultilevelOption func(*engine.MultilevelOptions) error
-
-// CoarsenTo stops coarsening once a level has at most n ≥ 2 live
-// vertices (the default is max(64, 16·P), clamped to at least 2·P).
-// Smaller cores make the coarsest solve cheaper but lean harder on
-// per-level refinement.
-func CoarsenTo(n int) MultilevelOption {
-	return func(o *engine.MultilevelOptions) error {
-		if n < 2 {
-			return fmt.Errorf("igp: CoarsenTo(%d): core size must be ≥ 2", n)
-		}
-		o.CoarsenTo = n
-		return nil
-	}
-}
-
-// CoarsenLevels caps the hierarchy depth at n ≥ 1 levels (default 32;
-// coarsening also stops when it stalls or reaches [CoarsenTo]).
-func CoarsenLevels(n int) MultilevelOption {
-	return func(o *engine.MultilevelOptions) error {
-		if n < 1 {
-			return fmt.Errorf("igp: CoarsenLevels(%d): depth cap must be ≥ 1", n)
-		}
-		o.MaxLevels = n
-		return nil
-	}
-}
-
-// CoarsenSeed fixes the seed of the spectral coarsest-level solve used
-// when the incoming assignment is degenerate (0 keeps the package
-// default). A fixed seed plus a fixed edit history yields bit-identical
-// assignments at every worker count.
-func CoarsenSeed(seed int64) MultilevelOption {
-	return func(o *engine.MultilevelOptions) error {
-		o.Seed = seed
+		c.multilevel = true
 		return nil
 	}
 }
@@ -300,17 +213,12 @@ func CoarsenSeed(seed int64) MultilevelOption {
 // engineOptions assembles the internal engine configuration.
 func (c *config) engineOptions() engine.Options {
 	return engine.Options{
-		Solver:      c.solver,
-		EpsilonMax:  c.epsilonMax,
-		MaxStages:   c.maxStages,
-		Tolerance:   c.tolerance,
-		Refine:      c.refine,
-		Parallelism: c.parallelism,
-		Multilevel:  c.multilevel,
-		RefineOptions: refine.Options{
-			MaxRounds: c.refineRounds,
-			Solver:    c.solver,
-		},
-		Observer: c.observer,
+		Solver:        c.solver,
+		Tolerance:     c.tolerance,
+		Refine:        c.refine,
+		Parallelism:   c.parallelism,
+		Multilevel:    engine.MultilevelOptions{Enabled: c.multilevel},
+		RefineOptions: refine.Options{Solver: c.solver},
+		Observer:      c.observer,
 	}
 }

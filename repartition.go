@@ -46,21 +46,16 @@ func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	st, err := runCore(ctx, g, a, cfg)
+	var st *Stats
+	if cfg.batches > 1 {
+		st, err = repartitionInBatches(ctx, g, a, cfg.engineOptions(), cfg.batches)
+	} else {
+		st, err = engine.New(g, cfg.engineOptions()).Repartition(ctx, a)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := &Stats{}
-	convertStatsInto(out, st)
-	return out, nil
-}
-
-// runCore dispatches to the single-pass or batched pipeline.
-func runCore(ctx context.Context, g *Graph, a *Assignment, cfg *config) (*engine.Stats, error) {
-	if cfg.batches > 1 {
-		return repartitionInBatches(ctx, g, a, cfg.engineOptions(), cfg.batches)
-	}
-	return engine.New(g, cfg.engineOptions()).Repartition(ctx, a)
+	return st, nil
 }
 
 // repartitionInBatches implements the paper's second fallback for severe
@@ -71,9 +66,8 @@ func runCore(ctx context.Context, g *Graph, a *Assignment, cfg *config) (*engine
 // batch on the subgraph revealed so far. The last batch covers the whole
 // graph, so the final assignment is exactly balanced on g.
 //
-// Stats from the per-batch runs are aggregated; Stages carries the
-// concatenation (its length is the paper's total stage count across
-// batches).
+// Stats from the per-batch runs are aggregated by Stats.AddBatch; Stages
+// is the paper's total stage count across batches.
 func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt engine.Options, numBatches int) (*engine.Stats, error) {
 	if numBatches < 1 {
 		return nil, fmt.Errorf("igp: batched repartition needs ≥ 1 batch, got %d", numBatches)
@@ -109,7 +103,7 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		return cmp.Or(cmp.Compare(uint32(dist[x]), uint32(dist[y])), cmp.Compare(x, y))
 	})
 
-	agg := &engine.Stats{}
+	var agg *engine.Stats
 	revealed := append([]graph.Vertex(nil), olds...)
 	for b := 0; b < numBatches; b++ {
 		if err := cancel.Check(ctx, "batched repartition"); err != nil {
@@ -131,51 +125,10 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		for sv, old := range newToOld {
 			a.Part[old] = subA.Part[sv]
 		}
-		agg.NewAssigned += st.NewAssigned
-		agg.ClusterFallbacks += st.ClusterFallbacks
-		agg.Stages = append(agg.Stages, st.Stages...)
-		agg.BalanceMoved += st.BalanceMoved
-		agg.AssignTime += st.AssignTime
-		agg.LayerTime += st.LayerTime
-		agg.BalanceTime += st.BalanceTime
-		agg.RefineTime += st.RefineTime
-		agg.Elapsed += st.Elapsed
-		agg.LPIterations += st.LPIterations
-		agg.CutIncremental += st.CutIncremental
-		agg.CutReused += st.CutReused
-		agg.CSRPatched += st.CSRPatched
-		agg.SyncDiffs += st.SyncDiffs
-		agg.Parallelism = st.Parallelism
-		for w, d := range st.WorkerBusy {
-			if w == len(agg.WorkerBusy) {
-				agg.WorkerBusy = append(agg.WorkerBusy, 0)
-			}
-			agg.WorkerBusy[w] += d
-		}
-		if b == 0 {
-			agg.CutBefore = st.CutBefore
-		}
-		agg.CutAfter = st.CutAfter
-		// Accumulate refinement across batches (movement and pivot totals
-		// sum; the LP-size high-water mark carries the max, the final cut,
-		// strict switch and stop reason the last batch's).
-		if st.Refine != nil {
-			if agg.Refine == nil {
-				cp := *st.Refine
-				agg.Refine = &cp
-			} else {
-				agg.Refine.Moved += st.Refine.Moved
-				agg.Refine.Rounds += st.Refine.Rounds
-				agg.Refine.Iterations += st.Refine.Iterations
-				agg.Refine.RoundPivots = append(agg.Refine.RoundPivots, st.Refine.RoundPivots...)
-				agg.Refine.RoundCuts = append(agg.Refine.RoundCuts, st.Refine.RoundCuts...)
-				agg.Refine.RoundMoved = append(agg.Refine.RoundMoved, st.Refine.RoundMoved...)
-				if st.Refine.LPVars > agg.Refine.LPVars {
-					agg.Refine.LPVars, agg.Refine.LPCons = st.Refine.LPVars, st.Refine.LPCons
-				}
-				agg.Refine.CutAfter = st.Refine.CutAfter
-				agg.Refine.StrictFrom, agg.Refine.Stop = st.Refine.StrictFrom, st.Refine.Stop
-			}
+		if agg == nil {
+			agg = st.Clone()
+		} else {
+			agg.AddBatch(st)
 		}
 	}
 	return agg, nil
@@ -204,9 +157,8 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
-	eng   *engine.Engine
-	cfg   *config
-	stats Stats // reused result arena; see Repartition
+	eng *engine.Engine
+	cfg *config
 }
 
 // NewEngine returns an engine bound to g, validating every option
@@ -233,7 +185,7 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 // fields point into the arena too).
 func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error) {
 	var (
-		st  *engine.Stats
+		st  *Stats
 		err error
 	)
 	if e.eng.Closed() {
@@ -253,8 +205,7 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 	if err != nil {
 		return nil, err
 	}
-	convertStatsInto(&e.stats, st)
-	return &e.stats, nil
+	return st, nil
 }
 
 // Graph returns the graph the engine is bound to (also after Close).
@@ -295,8 +246,8 @@ type ParallelResult struct {
 // simulated parallel makespan — run with ranks=1 to obtain the simulated
 // sequential time and divide for speedup.
 //
-// WithRefine, WithRefineRounds, WithTolerance, WithEpsilonMax,
-// WithMaxStages and WithObserver (fed rank 0's events) are honoured.
+// WithRefine, WithTolerance and WithObserver (fed rank 0's events) are
+// honoured.
 // WithParallelism is accepted and changes nothing: a rank models one
 // processor, so its engine runs one worker, and results are identical at
 // every worker count. Options the simulator cannot honour are errors:
@@ -315,7 +266,7 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 	switch {
 	case cfg.solver != nil:
 		return nil, errors.New("igp: SimulateParallelRepartition: WithSolver is not simulated (the LP is always the dense tableau)")
-	case cfg.multilevel.Enabled:
+	case cfg.multilevel:
 		return nil, errors.New("igp: SimulateParallelRepartition: WithMultilevel is not simulated")
 	case cfg.batches > 1:
 		return nil, fmt.Errorf("igp: SimulateParallelRepartition: WithBatches(%d) is not simulated", cfg.batches)
@@ -332,6 +283,6 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 		SimTime:  res.SimTime,
 		Messages: res.Messages,
 		Bytes:    res.Bytes,
-		Stages:   len(res.Stats.Stages),
+		Stages:   res.Stats.Stages,
 	}, nil
 }
