@@ -24,6 +24,11 @@ import (
 	"repro/internal/partition"
 )
 
+// EpsilonMax is the paper's upper bound C on the relaxation factor: a
+// stage tries ε = 1, 2, … up to it before declaring the balance LP
+// infeasible. The engine's stages and the coarsest V-cycle level share it.
+const EpsilonMax = 8
+
 // Flow is a planned movement of Amount vertices from partition From to To.
 type Flow struct {
 	From, To int32
@@ -106,8 +111,7 @@ type Arena struct {
 
 // FormulateTol is the arena-backed form of the package-level
 // [FormulateTol]: identical formulation (it is what the public wrapper
-// calls), but built into the arena's reused buffers and without
-// diagnostic variable names.
+// calls), but built into the arena's reused buffers.
 func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (*Model, error) {
 	p := len(delta)
 	if len(sizes) != p || len(targets) != p {
@@ -137,20 +141,11 @@ func Formulate(delta [][]int, sizes, targets []int, eps float64) (*Model, error)
 // a flow: Prob gains one zero-cost slack column per partition after the
 // pair columns (see [lp.QuotientFlow]) and keeps equality rows only.
 //
-// This one-shot form allocates a fresh formulation with diagnostic
-// variable names; the engine formulates through a reused [Arena]
-// instead.
+// This one-shot form allocates a fresh formulation; the engine
+// formulates through a reused [Arena] instead.
 func FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (*Model, error) {
 	var ar Arena
-	m, err := ar.FormulateTol(delta, sizes, targets, eps, slack)
-	if err != nil {
-		return nil, err
-	}
-	m.Prob.Names = make([]string, len(m.Pairs))
-	for v, pr := range m.Pairs {
-		m.Prob.Names[v] = fmt.Sprintf("l(%d,%d)", pr[0], pr[1])
-	}
-	return m, nil
+	return ar.FormulateTol(delta, sizes, targets, eps, slack)
 }
 
 // FlowsInto converts an optimal LP solution into integral flows appended

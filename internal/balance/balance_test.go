@@ -387,7 +387,7 @@ func TestFormulateTolSlackSatisfiesBand(t *testing.T) {
 }
 
 // TestArenaFormulateMatchesOneShot: the arena-backed formulation must be
-// the one-shot formulation exactly (modulo diagnostic names), across
+// the one-shot formulation exactly, across
 // repeated reuse with changing ε, slack and sizes.
 func TestArenaFormulateMatchesOneShot(t *testing.T) {
 	g, a := unbalancedStripes()
@@ -496,7 +496,7 @@ func referenceFormulate(delta [][]int, rhs []int, slack int) *lp.Problem {
 // canonical maps p's empty slices to nil, the one difference
 // reflect.DeepEqual sees between a reused arena and a fresh build.
 func canonical(p *lp.Problem) lp.Problem {
-	q := lp.Problem{Sense: p.Sense, Names: p.Names}
+	q := lp.Problem{Sense: p.Sense}
 	q.Obj = append(q.Obj, p.Obj...)
 	q.Upper = append(q.Upper, p.Upper...)
 	for _, c := range p.Cons {

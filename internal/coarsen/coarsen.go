@@ -40,10 +40,10 @@ import (
 // boundary-first. Flows are computed in fine-vertex units from weighted δ
 // bounds and realized greedily without overshooting, so a small residual
 // may remain for a fine-level polish; the escalation ladder relaxes ε up
-// to epsMax before giving up (moved = 0, no error) exactly like the
-// engine's balance stages. targets are the fine-level per-partition
-// vertex-count targets.
-func CoarseBalance(ctx context.Context, gc *graph.Graph, ca *partition.Assignment, targets []int, solver lp.Solver, epsMax float64) (moved int, err error) {
+// to balance.EpsilonMax before giving up (moved = 0, no error) exactly
+// like the engine's balance stages. targets are the fine-level
+// per-partition vertex-count targets.
+func CoarseBalance(ctx context.Context, gc *graph.Graph, ca *partition.Assignment, targets []int, solver lp.Solver) (moved int, err error) {
 	lay, err := layering.Layer(gc, ca)
 	if err != nil {
 		return 0, err
@@ -66,10 +66,7 @@ func CoarseBalance(ctx context.Context, gc *graph.Graph, ca *partition.Assignmen
 	for q, w := range weights {
 		sizes[q] = int(math.Round(w))
 	}
-	if epsMax < 1 {
-		epsMax = 1
-	}
-	for eps := 1.0; eps <= epsMax; eps++ {
+	for eps := 1.0; eps <= balance.EpsilonMax; eps++ {
 		m, err := balance.Formulate(wDelta, sizes, targets, eps)
 		if err != nil {
 			return 0, err

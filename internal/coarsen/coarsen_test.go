@@ -129,7 +129,7 @@ func TestCoarseBalanceMovesWeight(t *testing.T) {
 	lv := firstLevel(t, g, a)
 	gc, ca := lv.gc, lv.ca
 	targets := partition.Targets(g.NumVertices(), a.P)
-	moved, err := CoarseBalance(context.Background(), gc, ca, targets, lp.Network{}, 8)
+	moved, err := CoarseBalance(context.Background(), gc, ca, targets, lp.Network{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,6 @@ type HierarchyOptions struct {
 	// first call after a flood-fill assignment). 0 keeps the spectral
 	// package's fixed default.
 	Seed int64
-	// EpsilonMax bounds the ε escalation of the coarsest weighted
-	// balance LP (0 = 8), mirroring the engine's stage ladder.
-	EpsilonMax float64
 	// Group is the fork-join group the sharded hierarchy kernels run on
 	// (nil = a hierarchy-private group). The engine passes its own group
 	// so V-cycle busy time rolls into Stats.WorkerBusy.
@@ -101,13 +98,6 @@ func (o HierarchyOptions) maxLevels() int {
 		return 32
 	}
 	return o.MaxLevels
-}
-
-func (o HierarchyOptions) epsMax() float64 {
-	if o.EpsilonMax < 1 {
-		return 8
-	}
-	return o.EpsilonMax
 }
 
 // LevelStats reports what one Update/Uncoarsen pass did at one level.
@@ -598,10 +588,10 @@ func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved 
 		}
 	}
 	if !degenerate {
-		moved, err = CoarseBalance(ctx, gc, ca, h.fineTargets(), solver, h.opt.epsMax())
+		moved, err = CoarseBalance(ctx, gc, ca, h.fineTargets(), solver)
 		return moved, false, err
 	}
-	part, rerr := spectral.RSB(gc, h.p, spectral.Options{Seed: h.opt.Seed, Group: h.opt.Group, Procs: h.opt.Procs})
+	part, rerr := spectral.RSB(gc, h.p, spectral.Options{Seed: h.opt.Seed})
 	if rerr != nil {
 		// Spectral failure (e.g. adversarially disconnected coarse
 		// graphs): fall back to a deterministic greedy weight packing.

@@ -82,7 +82,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -117,9 +116,6 @@ type Options struct {
 	// session holds a private instance whose arenas live exactly as long
 	// as the engine.
 	Solver lp.Solver
-	// EpsilonMax is the paper's upper bound C on the relaxation factor;
-	// stages try ε = 1, 2, … up to it (0 = default 8).
-	EpsilonMax float64
 	// MaxStages caps balancing stages (0 = default 16).
 	MaxStages int
 	// Tolerance allows partition sizes to deviate from their targets by
@@ -128,8 +124,6 @@ type Options struct {
 	Tolerance int
 	// Refine enables phase 4 (the IGPR variant).
 	Refine bool
-	// RefineOptions tunes phase 4 when enabled.
-	RefineOptions refine.Options
 	// Observer, if non-nil, receives stage-level Events during
 	// Repartition (see Event for the ordering contract).
 	Observer func(Event)
@@ -170,13 +164,6 @@ func (o Options) solver() lp.Solver {
 		return lp.Default()
 	}
 	return o.Solver
-}
-
-func (o Options) epsMax() float64 {
-	if o.EpsilonMax <= 0 {
-		return 8
-	}
-	return o.EpsilonMax
 }
 
 func (o Options) maxStages() int {
@@ -304,19 +291,11 @@ const neverSeen int32 = -2
 // Session solvers (lp.SessionSolver) are forked here: the engine session
 // owns a private instance whose arenas live exactly as long as the
 // engine, so the state of one engine's balance/refine LP stream is never
-// shared with another engine. When the refine solver is the balance
-// solver (the default), both phases share one session and its arenas.
+// shared with another engine. The balance and refine phases share that
+// one session and its arenas.
 func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{g: g, procs: opt.procs(), stats: new(Stats)}
-	base := opt.solver()
-	session := lp.Session(base)
-	opt.Solver = session
-	switch rs := opt.RefineOptions.Solver; {
-	case rs == nil || sameSolverInstance(rs, base):
-		opt.RefineOptions.Solver = session
-	default:
-		opt.RefineOptions.Solver = lp.Session(rs)
-	}
+	opt.Solver = lp.Session(opt.solver())
 	e.opt = opt
 	// The layering and gains scratches shard over the same worker count
 	// and run their regions on the engine's fork-join group, so
@@ -326,15 +305,6 @@ func New(g *graph.Graph, opt Options) *Engine {
 	e.gain.Procs = e.procs
 	e.gain.Group = &e.group
 	return e
-}
-
-// sameSolverInstance reports whether a and b are the very same solver
-// value — the only case where balance and refine should share one
-// session. The Comparable guard keeps an exotic non-comparable solver
-// type from panicking the interface comparison; such a value simply
-// gets its own session.
-func sameSolverInstance(a, b lp.Solver) bool {
-	return reflect.TypeOf(a).Comparable() && a == b
 }
 
 // Graph returns the graph the engine is bound to (also after Close).
@@ -781,15 +751,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	if opt.Refine {
 		tR := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseRefine})
-		// New already resolved RefineOptions.Solver to a (possibly
-		// shared) session; it is never nil here.
-		ro := opt.RefineOptions
-		if opt.Observer != nil && ro.OnRound == nil {
-			ro.OnRound = func(round, moved int) {
-				e.emit(Event{Kind: EventRound, Phase: PhaseRefine, Stage: round, Moved: moved})
-			}
-		}
-		err := e.runRefine(ctx, a, ro)
+		err := e.runRefine(ctx, a)
 		st.PhaseTimings.Refine = time.Since(tR)
 		e.emit(Event{Kind: EventEnd, Phase: PhaseRefine, Moved: st.RefineMoved, Elapsed: st.PhaseTimings.Refine})
 		if err != nil {
@@ -833,7 +795,7 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 // completion time goes to PhaseTimings.Layer.
 func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (Event, bool, error) {
 	var ev Event
-	for eps := 1.0; eps <= e.opt.epsMax(); eps++ {
+	for eps := 1.0; eps <= balance.EpsilonMax; eps++ {
 		for {
 			m, err := e.balArena.FormulateTol(lay.Delta, sizes, targets, eps, e.opt.Tolerance)
 			if err != nil {
@@ -898,17 +860,24 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed
-// with the engine's patched candidate pools and formulating into the
-// engine's reused LP arena. Drive asks for the cut on entry, after every
-// applied round and for the assignment it leaves behind; each report goes
-// into the CutAfter slot, so the last one is the call's CutAfter. Drive
-// writes a — a round, a rollback — only between two reports, and its
-// arena names those writes, so the evaluator logs them: the sync it pays
-// re-examines what the round moved and their neighbours (nothing on entry
-// or, without a rollback, at the close), and the next Gains skips its own.
-// What Drive reports is copied into the flat refinement fields of Stats.
-func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) error {
-	opt.Arena = &e.refArena
+// with the engine's patched candidate pools, formulating into the
+// engine's reused LP arena, solving on the engine's one LP session and
+// turning each applied round into an EventRound. Drive asks for the cut
+// on entry, after every applied round and for the assignment it leaves
+// behind; each report goes into the CutAfter slot, so the last one is
+// the call's CutAfter. Drive writes a — a round, a rollback — only
+// between two reports, and its arena names those writes, so the
+// evaluator logs them: the sync it pays re-examines what the round moved
+// and their neighbours (nothing on entry or, without a rollback, at the
+// close), and the next Gains skips its own. What Drive reports is copied
+// into the flat refinement fields of Stats.
+func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment) error {
+	opt := refine.Options{Solver: e.opt.Solver, Arena: &e.refArena}
+	if e.opt.Observer != nil {
+		opt.OnRound = func(round, moved int) {
+			e.emit(Event{Kind: EventRound, Phase: PhaseRefine, Stage: round, Moved: moved})
+		}
+	}
 	if !e.opt.FullRefresh {
 		opt.CutWeight = func() float64 {
 			e.written = e.refArena.AppendWritten(e.written)

@@ -464,10 +464,8 @@ func TestSteadyStateRefineFormulateAllocs(t *testing.T) {
 }
 
 // sessionFake is a test-local lp.SessionSolver: a template counts its
-// NewSession calls and every fork remembers its template and carries
-// the template's configuration.
+// NewSession calls and every fork remembers its template.
 type sessionFake struct {
-	tag      int // configuration a fork must keep
 	forks    int // NewSession calls on this template
 	template *sessionFake
 }
@@ -476,7 +474,7 @@ func (s *sessionFake) Name() string { return "session-fake" }
 
 func (s *sessionFake) NewSession() lp.Solver {
 	s.forks++
-	return &sessionFake{tag: s.tag, template: s}
+	return &sessionFake{template: s}
 }
 
 func (s *sessionFake) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
@@ -485,11 +483,10 @@ func (s *sessionFake) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, e
 
 // TestEngineForksSessionSolvers: New must give each engine a private
 // instance of a session solver (its state lives and dies with the
-// engine), and share that one session between the balance and refine
-// phases when they use the same solver.
+// engine), which the balance and refine phases share.
 func TestEngineForksSessionSolvers(t *testing.T) {
 	template := &sessionFake{}
-	g1, _ := editableGraph(t, 100, 4, 3)
+	g1, a1 := editableGraph(t, 100, 4, 3)
 	g2, _ := editableGraph(t, 100, 4, 4)
 	e1 := New(g1, Options{Solver: template, Refine: true})
 	e2 := New(g2, Options{Solver: template, Refine: true})
@@ -503,26 +500,11 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 	if e1.opt.Solver == e2.opt.Solver {
 		t.Fatal("two engines share one solver session")
 	}
-	if e1.opt.RefineOptions.Solver != e1.opt.Solver {
-		t.Fatal("refine phase does not share the engine's solver session")
+	if _, err := e1.Repartition(context.Background(), a1); err != nil {
+		t.Fatal(err)
 	}
 	if template.forks != 2 {
 		t.Fatalf("template forked %d sessions for two engines, want one each", template.forks)
-	}
-	// A distinct refine solver must be sessionized separately — forked,
-	// not passed through, and not replaced by the balance session — even
-	// one sharing the balance solver's type: only the *identical instance*
-	// shares a session, so a differently configured refine solver keeps
-	// its own fork (with its own configuration).
-	tuned := &sessionFake{tag: 1234}
-	e5 := New(g1, Options{Solver: template, Refine: true,
-		RefineOptions: refine.Options{Solver: tuned}})
-	rf, ok := e5.opt.RefineOptions.Solver.(*sessionFake)
-	if !ok || rf == e5.opt.Solver.(*sessionFake) || rf.template != tuned || tuned.forks != 1 {
-		t.Fatal("same-type refine solver was passed through or collapsed into the balance session")
-	}
-	if rf.tag != 1234 {
-		t.Fatalf("refine session lost its configuration: tag %d, want 1234", rf.tag)
 	}
 	// Stateless solvers pass through untouched.
 	e4 := New(g1, Options{Solver: lp.Dense{}})
@@ -998,7 +980,10 @@ func TestRefineRollbackIsReported(t *testing.T) {
 		}
 		ctx, stop := context.WithCancel(context.Background())
 		best, bestCut, last := append([]int32(nil), a.Part...), partition.Cut(g, a).TotalWeight, 0.0
-		e := New(g, Options{Refine: true, RefineOptions: refine.Options{OnRound: func(int, int) {
+		e := New(g, Options{Refine: true, Observer: func(ev Event) {
+			if ev.Kind != EventRound {
+				return
+			}
 			last = partition.Cut(g, a).TotalWeight
 			if last < bestCut {
 				bestCut = last
@@ -1006,7 +991,7 @@ func TestRefineRollbackIsReported(t *testing.T) {
 			} else if last > bestCut && row.cancel {
 				stop()
 			}
-		}}})
+		}})
 		st, err := e.Repartition(ctx, a)
 		stop()
 		if row.cancel != errors.Is(err, cancel.ErrCanceled) || last <= bestCut {

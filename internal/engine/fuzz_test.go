@@ -417,8 +417,10 @@ func FuzzRefineIncremental(f *testing.F) {
 		for _, workers := range []int{1, 2 + int(procs%7)} {
 			g, a := g0.Clone(), a0.Clone()
 			var exact []float64
-			e := New(g, Options{Refine: true, Parallelism: workers, RefineOptions: refine.Options{
-				OnRound: func(int, int) { exact = append(exact, partition.Cut(g, a).TotalWeight) },
+			e := New(g, Options{Refine: true, Parallelism: workers, Observer: func(ev Event) {
+				if ev.Kind == EventRound {
+					exact = append(exact, partition.Cut(g, a).TotalWeight)
+				}
 			}})
 			rng := rand.New(rand.NewSource(seed ^ 0x1c3))
 			checkGains := func(step int, strict bool) {

@@ -43,8 +43,6 @@ type MultilevelOptions struct {
 	// CoarsenTo stops coarsening once a level has at most this many live
 	// vertices (0 = max(64, 16·P); see coarsen.HierarchyOptions).
 	CoarsenTo int
-	// MaxLevels caps the hierarchy depth (0 = 32).
-	MaxLevels int
 	// Seed drives the spectral initial partitioning of the coarsest
 	// graph when the incoming assignment is degenerate (0 = the spectral
 	// package's fixed default). Fixed seed + fixed edit history =>
@@ -65,10 +63,8 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment) err
 	st := e.stats
 	if e.ml == nil {
 		e.ml = coarsen.NewHierarchy(e.g, coarsen.HierarchyOptions{
-			CoarsenTo:  e.opt.Multilevel.CoarsenTo,
-			MaxLevels:  e.opt.Multilevel.MaxLevels,
-			Seed:       e.opt.Multilevel.Seed,
-			EpsilonMax: e.opt.epsMax(),
+			CoarsenTo: e.opt.Multilevel.CoarsenTo,
+			Seed:      e.opt.Multilevel.Seed,
 			// The hierarchy's sharded kernels run on the engine's own
 			// worker group, so WithParallelism covers the V-cycle and its
 			// busy time rolls into Stats.WorkerBusy.

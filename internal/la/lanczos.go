@@ -31,14 +31,6 @@ type LanczosResult struct {
 //
 // The iteration stops early at an invariant subspace (beta ≈ 0).
 func Lanczos(op Operator, n, maxSteps int, start []float64, deflate [][]float64, rng *rand.Rand) (*LanczosResult, error) {
-	return LanczosPar(op, n, maxSteps, start, deflate, rng, nil)
-}
-
-// LanczosPar is Lanczos with its vector kernels sharded over ws (nil or
-// ws.Procs <= 1 runs the sequential kernels). The blocked reductions in
-// Workers make the result bit-identical at every worker count; the
-// operator is responsible for its own determinism.
-func LanczosPar(op Operator, n, maxSteps int, start []float64, deflate [][]float64, rng *rand.Rand, ws *Workers) (*LanczosResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("la: lanczos: n=%d", n)
 	}
@@ -63,9 +55,9 @@ func LanczosPar(op Operator, n, maxSteps int, start []float64, deflate [][]float
 		}
 	}
 	for _, q := range deflate {
-		ws.OrthogonalizeAgainst(v, q)
+		OrthogonalizeAgainst(v, q)
 	}
-	if ws.Normalize(v) == 0 {
+	if Normalize(v) == 0 {
 		return nil, fmt.Errorf("la: lanczos: start vector lies in the deflated subspace")
 	}
 
@@ -75,23 +67,23 @@ func LanczosPar(op Operator, n, maxSteps int, start []float64, deflate [][]float
 		vj := append([]float64(nil), v...)
 		res.V = append(res.V, vj)
 		op(vj, w)
-		alpha := ws.Dot(vj, w)
+		alpha := Dot(vj, w)
 		res.Alpha = append(res.Alpha, alpha)
 		// w <- w - alpha v_j - beta_{j-1} v_{j-1}; then full reorthogonalization.
-		ws.Axpy(-alpha, vj, w)
+		Axpy(-alpha, vj, w)
 		if j > 0 {
-			ws.Axpy(-res.Beta[j-1], res.V[j-1], w)
+			Axpy(-res.Beta[j-1], res.V[j-1], w)
 		}
 		for _, q := range deflate {
-			ws.OrthogonalizeAgainst(w, q)
+			OrthogonalizeAgainst(w, q)
 		}
 		// Two passes of modified Gram–Schmidt against the whole basis.
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range res.V {
-				ws.OrthogonalizeAgainst(w, q)
+				OrthogonalizeAgainst(w, q)
 			}
 		}
-		beta := ws.Norm2(w)
+		beta := Norm2(w)
 		if j == maxSteps-1 {
 			break
 		}
@@ -100,7 +92,7 @@ func LanczosPar(op Operator, n, maxSteps int, start []float64, deflate [][]float
 		}
 		res.Beta = append(res.Beta, beta)
 		copy(v, w)
-		ws.Scale(1/beta, v)
+		Scale(1/beta, v)
 	}
 	return res, nil
 }

@@ -4,6 +4,9 @@
 // tiny systems), the implicit-shift QL iteration for symmetric tridiagonal
 // matrices, and a Lanczos iteration with full reorthogonalization.
 //
+// Every kernel runs on the calling goroutine. RSB, the one caller, runs
+// once per from-scratch partition and otherwise only on the coarsest
+// V-cycle graph, which coarsening keeps at max(64, 16·P) vertices.
 // Everything is stdlib-only and allocation-conscious: hot-path routines
 // accept destination slices.
 package la
@@ -11,15 +14,16 @@ package la
 import "math"
 
 // laBlock is the fixed reduction block: Dot and Norm2 fold per-block
-// partials in ascending block order, so a parallel reduction that
-// assigns whole blocks to workers (parallel.go) produces bit-identical
-// sums at every worker count. Vectors no longer than one block reduce
-// exactly as a straight loop.
+// partials in ascending block order. The association is part of the
+// output, not a tuning knob: RSB labels on graphs over laBlock vertices
+// (the benchmark meshes' and the grid's set-up partitions) depend on it
+// bit for bit, and TestRSBLabelsLocked pins them. Vectors no longer than
+// one block reduce exactly as a straight loop.
 const laBlock = 4096
 
 // Dot returns the inner product of x and y. The slices must have equal
 // length. The sum folds fixed laBlock-sized partials in ascending order
-// — the canonical association every worker count reproduces.
+// (see laBlock).
 func Dot(x, y []float64) float64 {
 	var s float64
 	for lo := 0; lo < len(x); lo += laBlock {
@@ -53,8 +57,7 @@ func Scale(a float64, x []float64) {
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
 // large components. Like Dot, it folds per-block (scale, ssq) partials
-// in ascending block order via norm2Join, so parallel block reductions
-// match bitwise.
+// in ascending block order via norm2Join (see laBlock).
 func Norm2(x []float64) float64 {
 	var scale, ssq float64 = 0, 1
 	for lo := 0; lo < len(x); lo += laBlock {

@@ -60,7 +60,6 @@ func (q *QuotientFlow) Formulate(sense Sense, capa [][]int, supply []int, band i
 	slacks := extra * p
 	prob := &q.prob
 	prob.Sense = sense
-	prob.Names = nil
 	prob.Obj = grow(prob.Obj, n+slacks)
 	prob.Upper = grow(prob.Upper, n+slacks)
 	for v, pr := range pairs {

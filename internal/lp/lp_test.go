@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -587,31 +586,6 @@ func TestIterLimitStatus(t *testing.T) {
 		if sol.Status != IterLimit {
 			t.Fatalf("%s: status %v, want iteration-limit", s.Name(), sol.Status)
 		}
-	}
-}
-
-func TestProblemString(t *testing.T) {
-	p := NewProblem(Minimize, 3)
-	p.Names = []string{"l01", "l02", ""}
-	p.SetObjective(0, 1)
-	p.SetObjective(1, 1)
-	p.SetObjective(2, -2)
-	p.SetUpper(0, 9)
-	p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: -1}}, EQ, 8)
-	s := p.String()
-	for _, want := range []string{"minimize", "l01", "l02", "- 2 x2", "l01 - l02 = 8", "0 <= l01 <= 9"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestProblemStringEmptyAndMax(t *testing.T) {
-	p := NewProblem(Maximize, 1)
-	p.AddConstraint(nil, LE, 5)
-	s := p.String()
-	if !strings.Contains(s, "maximize  0") || !strings.Contains(s, "0 <= 5") {
-		t.Fatalf("degenerate rendering wrong:\n%s", s)
 	}
 }
 

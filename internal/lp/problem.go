@@ -80,7 +80,6 @@ type Problem struct {
 	Obj   []float64    // objective coefficients, len = NumVars
 	Upper []float64    // per-variable upper bounds (Inf if free above)
 	Cons  []Constraint // general constraints
-	Names []string     // optional variable names for diagnostics
 }
 
 // NewProblem returns a problem with n variables, zero objective and no

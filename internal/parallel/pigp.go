@@ -48,9 +48,9 @@ type Result struct {
 //     and sends the messages a distributed implementation would (see
 //     rank.charge).
 //
-// opt.Solver, opt.RefineOptions.Solver and opt.Parallelism are replaced
-// (a rank models one processor, so its engine runs one worker), and
-// opt.Observer, if set, receives rank 0's events. opt.Multilevel must be
+// opt.Solver and opt.Parallelism are replaced (a rank models one
+// processor, so its engine runs one worker), and opt.Observer, if set,
+// receives rank 0's events. opt.Multilevel must be
 // off, or Repartition returns an error: the V-cycle's events carry no
 // charge. Since SolveLP is lp.Dense, a is updated in place with what
 // engine.New(g, opt) with the dense solver leaves behind, at every rank
@@ -71,7 +71,6 @@ func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partitio
 		final[c.Rank()] = r.a
 		o := opt
 		o.Solver = solver{c}
-		o.RefineOptions.Solver = o.Solver
 		o.Parallelism = 1
 		o.Observer = func(ev engine.Event) {
 			if c.Rank() == 0 && opt.Observer != nil {

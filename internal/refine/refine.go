@@ -60,22 +60,17 @@ func (ar *LPArena) AppendWritten(dst []graph.Vertex) []graph.Vertex {
 
 // Formulate is the arena-backed form of the package-level [Formulate]:
 // the identical LP — a maximal circulation under the pool sizes b(i,j) —
-// built into reused buffers and without diagnostic variable names.
+// built into reused buffers.
 func (ar *LPArena) Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 	return ar.flow.Formulate(lp.Maximize, c.B, nil, 0)
 }
 
 // Formulate builds the refinement LP over pairs with b(i,j) > 0. This
-// one-shot form allocates a fresh formulation with diagnostic variable
-// names; the engine formulates through a reused [LPArena] instead.
+// one-shot form allocates a fresh formulation; the engine formulates
+// through a reused [LPArena] instead.
 func Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 	var ar LPArena
-	prob, pairs := ar.Formulate(c)
-	prob.Names = make([]string, len(pairs))
-	for v, pr := range pairs {
-		prob.Names[v] = fmt.Sprintf("l(%d,%d)", pr[0], pr[1])
-	}
-	return prob, pairs
+	return ar.Formulate(c)
 }
 
 // Apply moves the best-gain prefix of each pair's pool per the LP flows,

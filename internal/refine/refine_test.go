@@ -519,7 +519,7 @@ func TestGainsPatchedMatchesSeeded(t *testing.T) {
 }
 
 // TestLPArenaFormulateMatchesOneShot: the arena-backed refinement LP
-// must match the one-shot formulation exactly (modulo names), across
+// must match the one-shot formulation exactly, across
 // reuse with both candidate-test modes.
 func TestLPArenaFormulateMatchesOneShot(t *testing.T) {
 	g, a := jaggedStripes()

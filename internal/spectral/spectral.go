@@ -21,39 +21,18 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/la"
-	"repro/internal/par"
 )
 
 // Options tunes the eigensolver.
 type Options struct {
-	// MaxLanczosSteps caps the Krylov dimension (0 = automatic).
-	MaxLanczosSteps int
 	// Seed drives the random start vector; fixed default keeps runs
 	// reproducible.
 	Seed int64
-	// Group is the fork-join group the Laplacian matvec and the Lanczos
-	// vector kernels shard over (nil = a solve-private group). Results
-	// are bit-identical at every worker count — the reductions fold
-	// fixed-size blocks in a canonical order — so parallelism is purely
-	// a latency property.
-	Group *par.Group
-	// Procs is the worker count for the sharded kernels; <= 1 keeps the
-	// whole solve on the calling goroutine.
-	Procs int
 }
 
-func (o Options) maxSteps(n int) int {
-	if o.MaxLanczosSteps > 0 {
-		return o.MaxLanczosSteps
-	}
-	steps := 2 * isqrt(n)
-	if steps < 30 {
-		steps = 30
-	}
-	if steps > 400 {
-		steps = 400
-	}
-	return steps
+// maxSteps is the Krylov dimension for a graph of n live vertices.
+func maxSteps(n int) int {
+	return min(max(2*isqrt(n), 30), 400)
 }
 
 func isqrt(n int) int {
@@ -80,8 +59,7 @@ func Fiedler(g *graph.Graph, opt Options) ([]float64, error) {
 	if live < 2 {
 		return nil, fmt.Errorf("spectral: fiedler needs at least 2 live vertices, have %d", live)
 	}
-	lap := &lapOp{csr: csr, grp: opt.Group, procs: opt.Procs}
-	op := lap.apply
+	op := func(x, y []float64) { laplacianApply(csr, x, y) }
 	ones := make([]float64, n)
 	for v := 0; v < n; v++ {
 		if csr.Live[v] {
@@ -100,11 +78,7 @@ func Fiedler(g *graph.Graph, opt Options) ([]float64, error) {
 			start[v] = rng.Float64() - 0.5
 		}
 	}
-	var ws *la.Workers
-	if opt.Procs > 1 {
-		ws = &la.Workers{Group: opt.Group, Procs: opt.Procs}
-	}
-	res, err := la.LanczosPar(op, n, opt.maxSteps(live), start, [][]float64{ones}, rng, ws)
+	res, err := la.Lanczos(op, n, maxSteps(live), start, [][]float64{ones}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
@@ -122,71 +96,23 @@ func Fiedler(g *graph.Graph, opt Options) ([]float64, error) {
 	return f, nil
 }
 
-// laplacianApply computes y = L·x restricted to live vertices.
+// laplacianApply computes y = L·x restricted to live vertices (dead
+// slots yield 0). Each row accumulates in adjacency order.
 func laplacianApply(c *graph.CSR, x, y []float64) {
 	for v := 0; v < c.Order(); v++ {
-		y[v] = lapRow(c, x, graph.Vertex(v))
-	}
-}
-
-// lapRow computes one Laplacian row: (L·x)[v], accumulating in row
-// (adjacency) order so every caller sees the same float sums. Dead
-// slots yield 0.
-func lapRow(c *graph.CSR, x []float64, v graph.Vertex) float64 {
-	if !c.Live[v] {
-		return 0
-	}
-	row := c.Row(v)
-	ws := c.RowWeights(v)
-	var acc, deg float64
-	for i, u := range row {
-		w := ws[i]
-		deg += w
-		acc += w * x[u]
-	}
-	return deg*x[v] - acc
-}
-
-// spectralParMin is the minimum live order worth sharding the matvec:
-// the coarsest V-cycle graphs (hundreds of vertices) stay inline.
-const spectralParMin = 4096
-
-// lapOp is the reusable sharded Laplacian matvec. Rows are slot-owned
-// (worker w writes only y[v] for v in its shard) and each row sums in
-// adjacency order, so the result is bit-identical at every worker
-// count; shards are arc-balanced via the CSR row-pointer prefix sums.
-type lapOp struct {
-	csr    *graph.CSR
-	grp    *par.Group
-	own    par.Group
-	procs  int
-	shards []par.Range
-	x, y   []float64
-}
-
-func (o *lapOp) group() *par.Group {
-	if o.grp != nil {
-		return o.grp
-	}
-	return &o.own
-}
-
-func (o *lapOp) apply(x, y []float64) {
-	n := o.csr.Order()
-	if o.procs <= 1 || n < spectralParMin {
-		laplacianApply(o.csr, x, y)
-		return
-	}
-	o.shards = par.SplitByWeight(o.shards[:0], o.csr.XAdj, o.procs)
-	o.x, o.y = x, y
-	o.group().Run(len(o.shards), o)
-	o.x, o.y = nil, nil
-}
-
-func (o *lapOp) Do(w int) {
-	r := o.shards[w]
-	for v := r.Lo; v < r.Hi; v++ {
-		o.y[v] = lapRow(o.csr, o.x, graph.Vertex(v))
+		if !c.Live[v] {
+			y[v] = 0
+			continue
+		}
+		row := c.Row(graph.Vertex(v))
+		ws := c.RowWeights(graph.Vertex(v))
+		var acc, deg float64
+		for i, u := range row {
+			w := ws[i]
+			deg += w
+			acc += w * x[u]
+		}
+		y[v] = deg*x[v] - acc
 	}
 }
 

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -251,6 +252,39 @@ func TestRSBDeterminism(t *testing.T) {
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("RSB with same seed must be deterministic")
+		}
+	}
+}
+
+// TestRSBLabelsLocked pins RSB's labels bit for bit on two graphs larger
+// than la's reduction block, where the Lanczos dot products and norms
+// fold more than one block: the set-up partitions of the benchmark
+// meshes and the grid rest on that association. A changed hash means a
+// change to the eigensolver's arithmetic moved vertices; if the move is
+// intended, record the new hashes with it.
+func TestRSBLabelsLocked(t *testing.T) {
+	pl, err := graph.PowerLaw(10000, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want uint64
+	}{
+		{"Grid(80,80)", graph.Grid(80, 80), 0xf50484152b6b54a5},
+		{"PowerLaw(10^4,4)", pl, 0xe223d6000e63e7f5},
+	} {
+		part, err := RSB(c.g, 8, Options{Seed: 1994})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, l := range part {
+			h.Write([]byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)})
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: label hash %#x, want %#x", c.name, got, c.want)
 		}
 	}
 }

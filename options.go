@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/lp"
-	"repro/internal/refine"
 )
 
 // Event is one stage-level observation streamed to a [WithObserver]
@@ -139,9 +138,9 @@ func WithBatches(k int) Option {
 
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
 // multi-core kernels — the incremental boundary recompute, the layering
-// BFS level expansion, the refinement gain scan, the sorted cut report,
-// the orphan-cluster flood and the V-cycle's coarsening. LP solves are
-// sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
+// BFS level expansion, the refinement gain scan, the orphan-cluster
+// flood and the V-cycle's coarsening. LP solves and the spectral solve
+// are sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
 // kernel has one code path with n as a parameter: n = 1 runs it as one
 // shard, inline on the calling goroutine, with no goroutine spawned.
 //
@@ -213,12 +212,11 @@ func WithMultilevel() Option {
 // engineOptions assembles the internal engine configuration.
 func (c *config) engineOptions() engine.Options {
 	return engine.Options{
-		Solver:        c.solver,
-		Tolerance:     c.tolerance,
-		Refine:        c.refine,
-		Parallelism:   c.parallelism,
-		Multilevel:    engine.MultilevelOptions{Enabled: c.multilevel},
-		RefineOptions: refine.Options{Solver: c.solver},
-		Observer:      c.observer,
+		Solver:      c.solver,
+		Tolerance:   c.tolerance,
+		Refine:      c.refine,
+		Parallelism: c.parallelism,
+		Multilevel:  engine.MultilevelOptions{Enabled: c.multilevel},
+		Observer:    c.observer,
 	}
 }
