@@ -1,10 +1,16 @@
 package bench
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/mesh"
+	"repro/internal/partition"
+	"repro/internal/refine"
+	"repro/internal/spectral"
 )
 
 // smallConfig keeps unit tests fast: small meshes, few partitions, no
@@ -144,6 +150,38 @@ func TestRefineComparison(t *testing.T) {
 	}
 	if q.CutSB <= 0 {
 		t.Fatal("missing SB cut")
+	}
+}
+
+func TestGreedyDeterministic(t *testing.T) {
+	// The greedy baseline row of igpbench -table refine: IGP on mesh A's
+	// first refinement at the table's defaults, then Greedy. Twenty runs
+	// from the same assignment must agree vertex for vertex.
+	cfg := Config{}.withDefaults()
+	seq, err := mesh.PaperSequenceA(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePart, err := spectral.RSB(seq.Base, cfg.P, spectral.Options{Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := seq.Steps[0].Graph
+	aIGP := &partition.Assignment{Part: basePart, P: cfg.P}
+	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver}).Repartition(context.Background(), aIGP); err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for run := 0; run < 20; run++ {
+		a := aIGP.Clone()
+		refine.Greedy(g, a, 0, 1)
+		if want == nil {
+			want = a.Part
+			continue
+		}
+		if !slices.Equal(a.Part, want) {
+			t.Fatalf("run %d: Greedy's assignment differs from run 0", run)
+		}
 	}
 }
 

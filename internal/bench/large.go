@@ -97,8 +97,9 @@ func growthBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int)
 // warm one after a growth burst, asserting validity and exact balance on
 // every row, that the idle call skipped the V-cycle, that the cold and
 // warm calls ran it over a real hierarchy and (grid warm) repaired it.
-// The V-cycle is bit-identical at every worker count, so each count after
-// the first must reproduce the first count's rows in everything but Time
+// The hierarchy runs on one goroutine and the flat kernels around it are
+// bit-identical at every worker count, so each count after the first
+// must reproduce the first count's rows in everything but Time
 // (sameOutcome). A failed assertion is an error, so the table doubles as
 // the CI check.
 func MultilevelTable(cfg Config, n int, procsList []int) ([]MultilevelRow, error) {

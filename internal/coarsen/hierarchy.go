@@ -31,20 +31,19 @@ package coarsen
 // the fine polish moves individual vertices — are dissolved by the next
 // Update's purity sweep.
 //
-// Determinism: every hierarchy operation either iterates sequentially
-// in ascending vertex order (or an explicitly sorted order) or shards
-// over the worker group under the engine's standard discipline —
-// contiguous shards that are pure functions of the input, per-worker
-// buffers merged in shard order, atomic claims deciding membership
-// only, and total-order sorts erasing scheduling (see parallel.go). No
-// map iteration reaches a graph mutation or a float accumulation, and
-// Procs <= 1 runs the identical kernels inline. The V-cycle therefore
-// produces bit-identical assignments at every engine worker count.
+// Determinism: the hierarchy runs on the calling goroutine, and every
+// operation iterates in ascending vertex order or an explicitly sorted
+// one. No map iteration reaches a graph mutation or a float
+// accumulation, so a V-cycle is a pure function of the graph, its edit
+// history and the assignments it is handed — at every engine worker
+// count, since the engine's sharded kernels are themselves bit-identical
+// across counts. TestHierarchyLocked pins its output.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,14 +67,10 @@ type HierarchyOptions struct {
 	// first call after a flood-fill assignment). 0 keeps the spectral
 	// package's fixed default.
 	Seed int64
-	// Group is the fork-join group the sharded hierarchy kernels run on
-	// (nil = a hierarchy-private group). The engine passes its own group
-	// so V-cycle busy time rolls into Stats.WorkerBusy.
-	Group *par.Group
-	// Procs is the worker count for the sharded kernels; <= 1 runs the
-	// exact sequential path. Results are bit-identical at every value —
-	// parallelism is purely a latency property, matching the engine
-	// contract.
+	// Procs is not used: the hierarchy runs on one goroutine. The field
+	// stays for the one caller outside the repository's root module that
+	// still sets it (benchmarks/harness, until ROADMAP item 1(a) may edit
+	// it).
 	Procs int
 }
 
@@ -163,15 +158,17 @@ type Hierarchy struct {
 	targBuf   []int
 	heapBuf   []moveEntry
 
-	// Parallel scratch (parallel.go): the shared matcher, the shard
-	// table, per-worker sweep arenas and the reusable task frames.
-	mt        matcher
-	shards    []par.Range
-	sweeps    []sweepWorker
-	cum       []int32
 	seedMarks par.Stamps
-	swTask    sweepTask
-	cgTask    connectTask
+	// connectGroups' dense accumulator: acc[cw] is the weight the current
+	// group (accSeen's generation) sends to coarse slot cw; ids lists the
+	// slots it hit, pairs and runs hold every group's sorted run.
+	acc     []float64
+	accSeen par.Stamps
+	ids     []graph.Vertex
+	pairs   []cwPair
+	runs    []int32
+
+	mt matcher // match.go
 }
 
 type cwPair struct {
@@ -187,10 +184,7 @@ const stallNum, stallDen = 19, 20
 // NewHierarchy returns an empty hierarchy bound to g. The first Update
 // builds the level stack.
 func NewHierarchy(g *graph.Graph, opt HierarchyOptions) *Hierarchy {
-	h := &Hierarchy{g: g, opt: opt}
-	h.mt.group = opt.Group
-	h.mt.procs = opt.Procs
-	return h
+	return &Hierarchy{g: g, opt: opt}
 }
 
 // Depth returns the number of coarse levels.
@@ -349,24 +343,38 @@ func (h *Hierarchy) repair(l int, lv *level, fg *graph.Graph, fa *partition.Assi
 		dissolved += h.dissolve(lv, v)
 	}
 	// 2. Purity: dissolve pairs whose members' partitions diverged since
-	// the last update (the fine polish moves vertices one by one).
-	// Detection is a sharded pure-predicate sweep over frozen state; the
-	// merged list is in ascending slot order and the dissolves replay
-	// sequentially. A pair is detected at both members and the second
-	// dissolve is a no-op, exactly like the sequential scan's skip of the
-	// already-unmapped partner.
-	for _, v := range h.collectImpure(lv, fg, fa) {
-		dissolved += h.dissolve(lv, v)
+	// the last update (the fine polish moves vertices one by one), in
+	// ascending slot order; a pair's second member is unmapped by then.
+	n := fg.Order()
+	for v := 0; v < n; v++ {
+		vv := graph.Vertex(v)
+		if !fg.Alive(vv) || lv.f2c[v] < 0 {
+			continue
+		}
+		if u := lv.match[v]; u != vv && fa.Part[u] != fa.Part[v] {
+			dissolved += h.dissolve(lv, vv)
+		}
 	}
 	// 3. Collect the freed vertices and project the fine assignment up
-	// through the surviving (pure) groups (sharded; the coarse write is
-	// owned by each group's smallest member).
-	free := h.collectFree(lv, fg, fa)
+	// through the surviving (pure) groups.
+	free := h.freeBuf[:0]
+	for v := 0; v < n; v++ {
+		vv := graph.Vertex(v)
+		if !fg.Alive(vv) {
+			continue
+		}
+		if cv := lv.f2c[v]; cv >= 0 {
+			lv.ca.Part[cv] = fa.Part[v]
+		} else {
+			free = append(free, vv)
+		}
+	}
 	// 4. Re-match the freed vertices among themselves (same-partition
 	// HEM) and wire the new groups into the coarse graph; the recorders
 	// log the insertions into waveCur, which is exactly the touched set
 	// level l+1's repair consumes.
 	matched := h.rematch(l, lv, fg, fa, free)
+	h.freeBuf = free[:0]
 	st.Dissolved = dissolved
 	st.Matched = matched
 	lv.consumed = fg.Epoch()
@@ -408,7 +416,7 @@ func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 }
 
 // rematch heavy-edge-matches the freed vertices among themselves with
-// the deterministic mutual-proposal matcher (parallel.go) and creates
+// the deterministic mutual-proposal matcher (match.go) and creates
 // the new coarse vertices and their aggregated adjacency, one group per
 // matched pair or leftover singleton, representatives in ascending slot
 // order. It returns the number of groups formed.
@@ -504,56 +512,76 @@ func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment, st *
 
 // connectGroups inserts the aggregated coarse adjacency of newly created
 // coarse vertices cvs (reps[i] is the smallest fine member of cvs[i]).
-// Each group's arcs are aggregated into a run sorted by coarse endpoint —
-// never via map iteration — sharded over the group list by arc weight
-// with worker-private buffers (connectTask); the insertions then replay
-// sequentially in ascending group order, so the coarse graph, its
-// adjacency order and the wave log are identical at every worker count.
-// Nothing is probed: a new vertex owns no edge yet and its run names each
-// neighbor once, so an arc to an old vertex goes in where it is met and
-// one between two new groups — met from both sides — once, from the lower
-// id (new ids are the contiguous tail from cvs[0] on: AddVertex only
-// appends). A new vertex ends with exactly its run's arcs, and the
-// aggregation has already reserved that capacity.
+// It runs in two passes. The first aggregates each group on a dense
+// accumulator: each arc of either member adds its weight at its coarse
+// endpoint's slot (in adjacency order, a pure function of the graph),
+// and the touched slots, sorted, become the group's run of (endpoint,
+// weight) pairs — never via map iteration. The run is the new vertex's
+// whole adjacency, reserved there, where it is sized. The second pass
+// inserts the runs in ascending group order. Nothing is probed: a new
+// vertex owns no edge yet and its run names each neighbor once, so an
+// arc to an old vertex goes in where it is met and one between two new
+// groups — met from both sides — once, from the lower id (new ids are
+// the contiguous tail from cvs[0] on: AddVertex only appends). A new
+// vertex ends with exactly its run's arcs, and the first pass has
+// already reserved that capacity.
 func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.Vertex) {
 	if len(cvs) == 0 {
 		return
 	}
-	cum := append(h.cum[:0], 0)
-	t := int32(0)
-	for _, v := range reps {
-		d := fg.Degree(v)
-		if u := lv.match[v]; u != v {
-			d += fg.Degree(u)
-		}
-		t += int32(d) + 1
-		cum = append(cum, t)
+	if n := lv.gc.Order(); len(h.acc) < n {
+		n += n / 8 // headroom: every repair appends a few coarse slots
+		h.acc = make([]float64, n)
+		h.accSeen.Grow(n)
 	}
-	h.cum = cum
-	h.shards = par.SplitByWeight(h.shards[:0], cum, par.Workers(h.opt.Procs, int(t), parConnectArcMin))
-	growSweeps(&h.sweeps, len(h.shards))
-	h.cgTask = connectTask{h: h, fg: fg, lv: lv, reps: reps}
-	h.group().Run(len(h.shards), &h.cgTask)
-	h.cgTask = connectTask{}
-	for wk, sh := range h.shards {
-		ws := &h.sweeps[wk]
-		lo := int32(0)
-		for k, hi := range ws.runs {
-			cv := cvs[sh.Lo+k]
-			for _, pr := range ws.pairs[lo:hi] {
-				if pr.cw < cvs[0] || pr.cw > cv {
-					lv.gc.AddEdgeUnchecked(cv, pr.cw, pr.w)
+	pairs, runs, ids := h.pairs[:0], h.runs[:0], h.ids
+	for i, v := range reps {
+		cv := cvs[i]
+		h.accSeen.Next()
+		ids = ids[:0]
+		members := [2]graph.Vertex{v, lv.match[v]}
+		cnt := 1
+		if members[1] != v {
+			cnt = 2
+		}
+		for _, mb := range members[:cnt] {
+			ews := fg.EdgeWeights(mb)
+			for j, nb := range fg.Neighbors(mb) {
+				cw := lv.f2c[nb]
+				if cw == cv || cw < 0 {
+					continue
 				}
-				if h.recordWave {
-					// An edge insertion touches both endpoints; cv itself
-					// was already recorded at AddVertex.
-					h.waveCur = append(h.waveCur, pr.cw)
+				if h.accSeen.TryMark(cw) {
+					h.acc[cw] = ews[j]
+					ids = append(ids, cw)
+				} else {
+					h.acc[cw] += ews[j]
 				}
 			}
-			lo = hi
 		}
-		ws.pairs, ws.runs = ws.pairs[:0], ws.runs[:0]
+		slices.Sort(ids)
+		lv.gc.ReserveAdjacency(cv, len(ids))
+		for _, cw := range ids {
+			pairs = append(pairs, cwPair{cw, h.acc[cw]})
+		}
+		runs = append(runs, int32(len(pairs)))
 	}
+	lo := int32(0)
+	for k, hi := range runs {
+		cv := cvs[k]
+		for _, pr := range pairs[lo:hi] {
+			if pr.cw < cvs[0] || pr.cw > cv {
+				lv.gc.AddEdgeUnchecked(cv, pr.cw, pr.w)
+			}
+			if h.recordWave {
+				// An edge insertion touches both endpoints; cv itself
+				// was already recorded at AddVertex.
+				h.waveCur = append(h.waveCur, pr.cw)
+			}
+		}
+		lo = hi
+	}
+	h.pairs, h.runs, h.ids = pairs[:0], runs[:0], ids[:0]
 }
 
 // fineTargets returns the per-partition vertex-count targets in level-0
@@ -659,10 +687,19 @@ func (h *Hierarchy) Uncoarsen(ctx context.Context, a *partition.Assignment) (int
 		fg := h.levelGraph(l)
 		fa := h.levelAssign(l, a)
 		lv := h.levels[l]
-		// Downward projection is a sharded slot-owned sweep: each worker
-		// writes only its own shard's fine slots, and the merged changed
-		// list is in ascending slot order (parallel.go).
-		changed := h.projectDown(lv, fg, fa)
+		// Downward projection, collecting the changed vertices in
+		// ascending slot order.
+		changed := h.changeBuf[:0]
+		for v := 0; v < fg.Order(); v++ {
+			vv := graph.Vertex(v)
+			if !fg.Alive(vv) || lv.f2c[v] < 0 {
+				continue
+			}
+			if np := lv.ca.Part[lv.f2c[v]]; fa.Part[v] != np {
+				fa.Part[v] = np
+				changed = append(changed, vv)
+			}
+		}
 		moved := h.refineLevel(l, fg, fa, changed)
 		h.changeBuf = changed[:0]
 		total += moved
@@ -734,10 +771,8 @@ func (h *Hierarchy) heapPop() moveEntry {
 // seeded from the projection-changed vertices and their neighbors,
 // applying strictly positive-gain moves under a weight guard (every
 // partition stays within one max-cluster weight of its level-0 target).
-// The weight and seed-gain scans shard over the worker group with
-// deterministic merges (parallel.go); the move loop itself stays
-// sequential and totally ordered, so results are identical at every
-// engine worker count. Each applied move strictly decreases the cut, so
+// The heap's order is total, so the move sequence is a pure function of
+// the level's state. Each applied move strictly decreases the cut, so
 // the loop terminates (a generous budget guards float pathologies).
 func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment, changed []graph.Vertex) int {
 	if len(changed) == 0 {
@@ -760,11 +795,11 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 	}
 	h.heapBuf = h.heapBuf[:0]
 	// Seed from the changed vertices and their neighborhoods, in
-	// ascending deduplicated order, and scan each seed's moves with
-	// per-worker entry buffers replayed in shard order — the heap
-	// receives the exact push sequence of the sequential scan.
+	// ascending deduplicated order.
 	seeds := h.collectSeeds(fg, changed)
-	h.scanSeeds(fg, fa, seeds)
+	for _, v := range seeds {
+		h.pushMoves(fg, fa, v)
+	}
 	h.orderBuf = seeds[:0]
 
 	moved := 0
@@ -807,6 +842,67 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 	}
 	h.heapBuf = h.heapBuf[:0]
 	return moved
+}
+
+// levelWeights returns the per-partition level-0 cardinality weights
+// (arena: h.wBuf), their total and the heaviest single cluster.
+func (h *Hierarchy) levelWeights(l int, fg *graph.Graph, fa *partition.Assignment) (weights []float64, total, maxW float64) {
+	if cap(h.wBuf) < h.p {
+		h.wBuf = make([]float64, h.p)
+	}
+	weights = h.wBuf[:h.p]
+	for q := range weights {
+		weights[q] = 0
+	}
+	for v := 0; v < fg.Order(); v++ {
+		vv := graph.Vertex(v)
+		if !fg.Alive(vv) {
+			continue
+		}
+		wt := h.levelWeight(l, vv)
+		total += wt
+		if q := fa.Part[v]; q >= 0 {
+			weights[q] += wt
+		}
+		if wt > maxW {
+			maxW = wt
+		}
+	}
+	return weights, total, maxW
+}
+
+// collectSeeds returns the ascending, deduplicated refinement seed set:
+// the changed vertices plus their neighborhoods (arena: h.orderBuf).
+// Two strategies produce the identical list, chosen purely by input
+// size: small changed sets gather and sort; large ones — the cold
+// V-cycle projects a big share of the level — mark membership in a
+// stamp set and collect with an ascending slot scan, which is O(order)
+// and naturally sorted and deduplicated.
+func (h *Hierarchy) collectSeeds(fg *graph.Graph, changed []graph.Vertex) []graph.Vertex {
+	n := fg.Order()
+	seeds := h.orderBuf[:0]
+	if len(changed)*32 < n {
+		seeds = append(seeds, changed...)
+		for _, v := range changed {
+			seeds = append(seeds, fg.Neighbors(v)...)
+		}
+		slices.Sort(seeds)
+		return slices.Compact(seeds)
+	}
+	h.seedMarks.Grow(n)
+	h.seedMarks.Next()
+	for _, v := range changed {
+		h.seedMarks.TryMark(v)
+		for _, u := range fg.Neighbors(v) {
+			h.seedMarks.TryMark(u)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if h.seedMarks.Marked(int32(v)) {
+			seeds = append(seeds, graph.Vertex(v))
+		}
+	}
+	return seeds
 }
 
 // pushMoves pushes every strictly positive-gain move of v onto the heap.

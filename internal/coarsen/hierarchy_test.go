@@ -158,41 +158,7 @@ func TestHierarchyDeterministic(t *testing.T) {
 		}
 		return h
 	}
-	h1, h2 := run(), run()
-	if h1.Depth() != h2.Depth() {
-		t.Fatalf("depth %d != %d", h1.Depth(), h2.Depth())
-	}
-	for l := 0; l < h1.Depth(); l++ {
-		g1, g2 := h1.levels[l].gc, h2.levels[l].gc
-		if g1.Order() != g2.Order() {
-			t.Fatalf("level %d order %d != %d", l, g1.Order(), g2.Order())
-		}
-		for v := 0; v < g1.Order(); v++ {
-			vv := graph.Vertex(v)
-			if g1.Alive(vv) != g2.Alive(vv) {
-				t.Fatalf("level %d vertex %d liveness differs", l, v)
-			}
-			if !g1.Alive(vv) {
-				continue
-			}
-			if g1.VertexWeight(vv) != g2.VertexWeight(vv) {
-				t.Fatalf("level %d vertex %d weight differs", l, v)
-			}
-			n1, n2 := g1.Neighbors(vv), g2.Neighbors(vv)
-			w1, w2 := g1.EdgeWeights(vv), g2.EdgeWeights(vv)
-			if len(n1) != len(n2) {
-				t.Fatalf("level %d vertex %d degree %d != %d", l, v, len(n1), len(n2))
-			}
-			for i := range n1 {
-				if n1[i] != n2[i] || w1[i] != w2[i] {
-					t.Fatalf("level %d vertex %d adjacency diverges at %d", l, v, i)
-				}
-			}
-			if h1.levels[l].ca.Part[v] != h2.levels[l].ca.Part[v] {
-				t.Fatalf("level %d coarse assignment differs at %d", l, v)
-			}
-		}
-	}
+	requireHierarchiesEqual(t, run(), run())
 }
 
 func TestHierarchySolveAndUncoarsen(t *testing.T) {
@@ -405,40 +371,44 @@ func TestHierarchyHubAggregation(t *testing.T) {
 	// Pins the coarse-arc aggregation where it is hardest: on a power-law
 	// graph a hub's group gathers hundreds of arcs that collapse onto far
 	// fewer coarse endpoints, and a repair wires new groups to old ones
-	// and to each other. The oracle recomputes every aggregated weight
-	// after the build and after each repair round (moves that split
-	// groups, edge flips), and the sharded aggregation must reproduce the
-	// inline one slot for slot — adjacency order and weights included.
-	ctx := context.Background()
-	run := func(procs int) *Hierarchy {
-		g, err := graph.PowerLaw(2000, 4, rand.New(rand.NewSource(4)))
-		if err != nil {
+	// and to each other. hubHistory runs the oracle, which recomputes
+	// every aggregated weight, after the build and after each repair
+	// round; TestHierarchyLocked pins the same history's adjacency order
+	// and weights slot for slot.
+	hubHistory(t)
+}
+
+// hubHistory builds a hierarchy over a 2000-vertex power-law graph and
+// runs 20 repair rounds of partition moves that split groups and edge
+// flips, checking the hierarchy after every round.
+func hubHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+	t.Helper()
+	g, err := graph.PowerLaw(2000, 4, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := partition.New(g.Order(), 4)
+	for v := range a.Part {
+		a.Part[v] = int32(v % 4)
+	}
+	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		for k := 0; k < 25; k++ {
+			a.Part[rng.Intn(g.Order())] = int32(rng.Intn(a.P))
+		}
+		for k := 0; k < 10; k++ {
+			u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
+			if !g.AddEdgeIfAbsent(u, v, 1) && u != v {
+				_ = g.RemoveEdge(u, v)
+			}
+		}
+		if _, err := h.Update(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
-		a := partition.New(g.Order(), 4)
-		for v := range a.Part {
-			a.Part[v] = int32(v % 4)
+		if err := h.Check(a); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16, Procs: procs})
-		rng := rand.New(rand.NewSource(5))
-		for round := 0; round < 20; round++ {
-			for k := 0; k < 25; k++ {
-				a.Part[rng.Intn(g.Order())] = int32(rng.Intn(a.P))
-			}
-			for k := 0; k < 10; k++ {
-				u, v := graph.Vertex(rng.Intn(g.Order())), graph.Vertex(rng.Intn(g.Order()))
-				if !g.AddEdgeIfAbsent(u, v, 1) && u != v {
-					_ = g.RemoveEdge(u, v)
-				}
-			}
-			if _, err := h.Update(ctx, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Check(a); err != nil {
-				t.Fatalf("procs %d round %d: %v", procs, round, err)
-			}
-		}
-		return h
 	}
-	requireHierarchiesEqual(t, run(1), run(4))
+	return h, a
 }

@@ -1,0 +1,237 @@
+package coarsen
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/lp"
+	"repro/internal/partition"
+)
+
+// requireHierarchiesEqual asserts two hierarchies are bitwise identical:
+// depth, level-graph structure (order, liveness, vertex weights,
+// adjacency order and edge weights), matchings and coarse assignments.
+func requireHierarchiesEqual(t *testing.T, h1, h2 *Hierarchy) {
+	t.Helper()
+	if h1.Depth() != h2.Depth() {
+		t.Fatalf("depth %d != %d", h1.Depth(), h2.Depth())
+	}
+	for l := 0; l < h1.Depth(); l++ {
+		g1, g2 := h1.levels[l].gc, h2.levels[l].gc
+		if g1.Order() != g2.Order() {
+			t.Fatalf("level %d order %d != %d", l, g1.Order(), g2.Order())
+		}
+		for v := 0; v < g1.Order(); v++ {
+			vv := graph.Vertex(v)
+			if g1.Alive(vv) != g2.Alive(vv) {
+				t.Fatalf("level %d vertex %d liveness differs", l, v)
+			}
+			if !g1.Alive(vv) {
+				continue
+			}
+			if g1.VertexWeight(vv) != g2.VertexWeight(vv) {
+				t.Fatalf("level %d vertex %d weight differs", l, v)
+			}
+			n1, n2 := g1.Neighbors(vv), g2.Neighbors(vv)
+			w1, w2 := g1.EdgeWeights(vv), g2.EdgeWeights(vv)
+			if len(n1) != len(n2) {
+				t.Fatalf("level %d vertex %d degree %d != %d", l, v, len(n1), len(n2))
+			}
+			for i := range n1 {
+				if n1[i] != n2[i] || w1[i] != w2[i] {
+					t.Fatalf("level %d vertex %d adjacency diverges at %d", l, v, i)
+				}
+			}
+			if h1.levels[l].ca.Part[v] != h2.levels[l].ca.Part[v] {
+				t.Fatalf("level %d coarse assignment differs at %d", l, v)
+			}
+			if h1.levels[l].match[v] != h2.levels[l].match[v] {
+				t.Fatalf("level %d match differs at %d", l, v)
+			}
+		}
+	}
+}
+
+// hierarchyHash is an FNV-64a digest of everything a V-cycle produces:
+// every level's coarse graph (order, liveness, vertex weight, adjacency
+// order and edge weights), its match and f2c maps, its coarse assignment,
+// and the final fine assignment a.
+func hierarchyHash(h *Hierarchy, a *partition.Assignment) uint64 {
+	d := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		d.Write(buf[:])
+	}
+	put(uint64(h.Depth()))
+	for _, lv := range h.levels {
+		gc := lv.gc
+		put(uint64(gc.Order()))
+		for v := 0; v < gc.Order(); v++ {
+			vv := graph.Vertex(v)
+			put(uint64(int64(lv.ca.Part[v])))
+			if !gc.Alive(vv) {
+				put(math.MaxUint64)
+				continue
+			}
+			put(math.Float64bits(gc.VertexWeight(vv)))
+			ws := gc.EdgeWeights(vv)
+			put(uint64(len(ws)))
+			for i, u := range gc.Neighbors(vv) {
+				put(uint64(u))
+				put(math.Float64bits(ws[i]))
+			}
+		}
+		put(uint64(len(lv.f2c)))
+		for v := range lv.f2c {
+			put(uint64(int64(lv.match[v])))
+			put(uint64(int64(lv.f2c[v])))
+		}
+	}
+	put(uint64(len(a.Part)))
+	for _, q := range a.Part {
+		put(uint64(int64(q)))
+	}
+	return d.Sum64()
+}
+
+// vcycleHistory drives one full build + edit + drift + repair + solve +
+// uncoarsen history and returns the hierarchy and final assignment.
+func vcycleHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+	t.Helper()
+	g, a := striped(48, 48, 4)
+	h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 16})
+	ctx := context.Background()
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	// Growth edits touch the journal-repair path.
+	rng := rand.New(rand.NewSource(77))
+	prev := g.Vertices()
+	for k := 0; k < 40; k++ {
+		v := g.AddVertex(1)
+		u := prev[rng.Intn(len(prev))]
+		_ = g.AddEdge(v, u, 1)
+		a.Part = append(a.Part, a.Part[u])
+		prev = append(prev, v)
+	}
+	// Partition drift forces purity dissolves.
+	for k := 0; k < 60; k++ {
+		v := graph.Vertex(rng.Intn(g.Order()))
+		if g.Alive(v) {
+			a.Part[v] = int32((int(a.Part[v]) + 1) % a.P)
+		}
+	}
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.SolveCoarsest(ctx, lp.Network{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Uncoarsen(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	return h, a
+}
+
+// settledHistory builds a hierarchy over a striped 96×96 grid, runs one
+// V-cycle, then repairs the drift the V-cycle itself introduced until a
+// warm Update + Uncoarsen is a no-op.
+func settledHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+	t.Helper()
+	g, a := striped(96, 96, 4)
+	h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 16})
+	ctx := context.Background()
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.SolveCoarsest(ctx, lp.Network{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Uncoarsen(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := h.Update(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Uncoarsen(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h, a
+}
+
+// gridHistory is the cold V-cycle at scale: a 316×316 grid flood-filled
+// into one of 8 partitions (the degenerate first call, so the coarsest
+// solve is spectral and nearly every vertex is projected), uncoarsened
+// with the default thresholds, then repaired by one warm Update.
+func gridHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+	t.Helper()
+	g := graph.Grid(316, 316)
+	a := partition.New(g.Order(), 8)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	h := NewHierarchy(g, HierarchyOptions{})
+	ctx := context.Background()
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.SolveCoarsest(ctx, lp.Network{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Uncoarsen(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	return h, a
+}
+
+func TestHierarchyLocked(t *testing.T) {
+	// The V-cycle's output is pinned across changes to the code: the
+	// digests below were recorded while the hierarchy's sweeps still
+	// sharded over a worker group, and any change to matching (edgeHash,
+	// proposal order, the two-hop pairing), aggregation order,
+	// projection or the level refiner moves at least one of them.
+	for _, tc := range []struct {
+		name    string
+		history func(*testing.T) (*Hierarchy, *partition.Assignment)
+		want    uint64
+	}{
+		{"vcycle", vcycleHistory, 0xdbf0a45e832d0864},
+		{"striped96", settledHistory, 0x1f7866e7429539ec},
+		{"hub", hubHistory, 0xc8017818fec2e173},
+		{"grid316", gridHistory, 0xa6bca185b5ad402f},
+	} {
+		h, a := tc.history(t)
+		if got := hierarchyHash(h, a); got != tc.want {
+			t.Errorf("%s: hierarchy digest %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestHierarchyWarmUpdateAllocs(t *testing.T) {
+	// A settled warm Update + Uncoarsen (no edits, no drift) must stay on
+	// the arenas: 0 allocs/op, matching the flat path's locks.
+	h, a := settledHistory(t)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := h.Update(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Uncoarsen(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("settled warm Update+Uncoarsen allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -154,8 +154,10 @@ func FuzzParallelEquivalence(f *testing.F) {
 // partition drift that forces hierarchy purity repairs — drives a
 // one-worker and a multi-worker V-cycle engine, and every full
 // multilevel Repartition must agree bit for bit: the assignment, the
-// hierarchy-repaired flag and the level count. procs=1 runs every
-// kernel as one inline shard; workers are drawn from {2,3,7,16}.
+// hierarchy-repaired flag and the level count. The hierarchy itself is
+// sequential; the flat kernels the call runs around it shard, and
+// procs=1 runs each as one inline shard; workers are drawn from
+// {2,3,7,16}.
 func FuzzVCycleParallelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(0))
 	f.Add(int64(42), uint8(30), uint8(1))

@@ -65,11 +65,6 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment) err
 		e.ml = coarsen.NewHierarchy(e.g, coarsen.HierarchyOptions{
 			CoarsenTo: e.opt.Multilevel.CoarsenTo,
 			Seed:      e.opt.Multilevel.Seed,
-			// The hierarchy's sharded kernels run on the engine's own
-			// worker group, so WithParallelism covers the V-cycle and its
-			// busy time rolls into Stats.WorkerBusy.
-			Group: &e.group,
-			Procs: e.procs,
 		})
 	}
 	tC := time.Now()
@@ -85,9 +80,7 @@ func (e *Engine) runMultilevel(ctx context.Context, a *partition.Assignment) err
 	st.CoarseMoved = moved
 	st.SpectralInit = spectralInit
 	st.PhaseTimings.Coarsen = time.Since(tC)
-	// Per-level spans are synthesized back-to-back after the work (the
-	// hierarchy's sharded regions already report busy time through the
-	// engine group; live span instrumentation would buy nothing), each
+	// Per-level spans are synthesized back-to-back after the work, each
 	// carrying its measured share.
 	for l, ls := range e.ml.Levels() {
 		e.emit(Event{Kind: EventStart, Phase: PhaseCoarsen, Stage: l + 1})

@@ -109,7 +109,8 @@ type Stats struct {
 	Parallelism int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain scans,
-	// the V-cycle); index w is worker w. It is empty at one worker.
+	// the orphan flood; the V-cycle's hierarchy runs inline and is not in
+	// it); index w is worker w. It is empty at one worker.
 	// Comparing the sum against Elapsed shows how much of the pipeline
 	// actually fanned out.
 	WorkerBusy []time.Duration

@@ -17,7 +17,10 @@ import (
 // centralised and inherently sequential where the LP phase is
 // parallelizable.
 //
-// It modifies a in place and returns the number of vertices moved.
+// It modifies a in place and returns the number of vertices moved. The
+// result is a pure function of (g, a): a vertex's connectivity is summed
+// per partition in a P-length slice and its moves pushed in partition
+// order, and the heap breaks gain ties by vertex, then target.
 func Greedy(g *graph.Graph, a *partition.Assignment, maxMoves, maxSkew int) int {
 	if maxMoves <= 0 {
 		maxMoves = g.NumVertices()
@@ -32,23 +35,24 @@ func Greedy(g *graph.Graph, a *partition.Assignment, maxMoves, maxSkew int) int 
 
 	// Max-heap on gain.
 	h := &gainHeap{}
+	out := make([]float64, a.P)
 	push := func(v graph.Vertex) {
 		pv := a.Part[v]
 		var in float64
-		out := map[int32]float64{}
 		ws := g.EdgeWeights(v)
 		for k, u := range g.Neighbors(v) {
 			pu := a.Part[u]
 			if pu == pv {
 				in += ws[k]
-			} else {
+			} else if pu >= 0 {
 				out[pu] += ws[k]
 			}
 		}
 		for j, o := range out {
 			if o-in > 0 {
-				heap.Push(h, gainItem{v, j, o - in})
+				heap.Push(h, gainItem{v, int32(j), o - in})
 			}
+			out[j] = 0
 		}
 	}
 	g.ForEachVertex(push)
@@ -105,10 +109,21 @@ type gainItem struct {
 
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int           { return len(h) }
-func (h gainHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x any)        { *h = append(*h, x.(gainItem)) }
+func (h gainHeap) Len() int { return len(h) }
+
+// Less orders by gain descending, then vertex, then target: a total
+// order, so the pop sequence does not depend on push order.
+func (h gainHeap) Less(i, j int) bool {
+	if h[i].gain != h[j].gain {
+		return h[i].gain > h[j].gain
+	}
+	if h[i].v != h[j].v {
+		return h[i].v < h[j].v
+	}
+	return h[i].to < h[j].to
+}
+func (h gainHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *gainHeap) Push(x any)   { *h = append(*h, x.(gainItem)) }
 func (h *gainHeap) Pop() any {
 	old := *h
 	n := len(old)

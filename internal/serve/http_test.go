@@ -133,15 +133,16 @@ func TestHTTPRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Hostile bodies: one past the size cap, one asking for a graph past
-	// the vertex cap.
+	// Hostile bodies: one past the size cap, specs asking for a graph
+	// past the vertex cap or for more partitions than the P×P arenas may
+	// hold.
 	huge := bytes.Repeat([]byte(" "), maxBodyBytes+1)
 	for _, path := range []string{"/graphs", "/graphs/" + info.ID + "/edits"} {
 		if resp, body := post(path, huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("oversized body to %s: status %d, body %s; want 413", path, resp.StatusCode, body)
 		}
 	}
-	for _, spec := range []GraphSpec{{MeshN: maxGraphVertices + 1, P: 4}, {Vertices: maxGraphVertices + 1, P: 4}} {
+	for _, spec := range []GraphSpec{{MeshN: maxGraphVertices + 1, P: 4}, {Vertices: maxGraphVertices + 1, P: 4}, {Vertices: 65536, P: 65536}} {
 		if resp, body := post("/graphs", spec); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("oversized spec %+v: status %d, body %s; want 400", spec, resp.StatusCode, body)
 		}

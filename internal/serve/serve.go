@@ -158,6 +158,12 @@ type GraphInfo struct {
 // few hundred MB of graph and engine at most, whatever the body says.
 const maxGraphVertices = 1 << 22
 
+// maxPartitions caps a GraphSpec's p: the engine's layering and balance
+// arenas are P×P, so an uncapped p bounded only by the vertex count asks
+// for tens of GB on its first stage; at the cap each P×P arena is about
+// 8 MB.
+const maxPartitions = 1024
+
 // buildGraph materializes the spec.
 func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 	if spec.MeshN > maxGraphVertices || spec.Vertices > maxGraphVertices {
@@ -190,8 +196,8 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 // assignment version 1. The session is neither registered nor running:
 // CreateGraph does both.
 func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
-	if spec.P < 2 {
-		return nil, fmt.Errorf("serve: graph spec: p must be ≥ 2, got %d", spec.P)
+	if spec.P < 2 || spec.P > maxPartitions {
+		return nil, fmt.Errorf("serve: graph spec: p must be in [2, %d], got %d", maxPartitions, spec.P)
 	}
 	g, err := buildGraph(spec)
 	if err != nil {

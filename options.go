@@ -138,9 +138,10 @@ func WithBatches(k int) Option {
 
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
 // multi-core kernels — the incremental boundary recompute, the layering
-// BFS level expansion, the refinement gain scan, the orphan-cluster
-// flood and the V-cycle's coarsening. LP solves and the spectral solve
-// are sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
+// BFS level expansion, the refinement gain scan and the orphan-cluster
+// flood. LP solves, the spectral solve and the V-cycle's hierarchy
+// (coarsening, coarsest solve, uncoarsening) are sequential whatever n
+// is. The default is runtime.GOMAXPROCS(0). Each
 // kernel has one code path with n as a parameter: n = 1 runs it as one
 // shard, inline on the calling goroutine, with no goroutine spawned.
 //
@@ -196,8 +197,9 @@ func WithObserver(fn func(Event)) Option {
 // vertex moves, since the hierarchy was last consulted dissolve and
 // re-match — instead of recoarsening from scratch
 // ([Stats.HierarchyRepaired] reports which path ran; a window the
-// bounded journal no longer covers is rebuilt). Results are
-// bit-identical at every [WithParallelism] value.
+// bounded journal no longer covers is rebuilt). The hierarchy runs on
+// the calling goroutine; the flat kernels around it shard as usual, so
+// results are bit-identical at every [WithParallelism] value.
 //
 // Coarsening stops once a level has at most max(64, 16·P) live vertices,
 // after 32 levels, or when a level would keep more than 95 % of its fine
