@@ -41,6 +41,7 @@ package coarsen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -600,8 +601,10 @@ func (h *Hierarchy) fineTargets() []int {
 // partition holds no weight, e.g. the first call ever, where phase 1
 // flood-filled everything into one partition — the coarsest graph is
 // instead partitioned from scratch by weight-aware recursive spectral
-// bisection with the configured seed. It returns the fine-vertex weight
-// moved and whether the spectral path ran.
+// bisection with the configured seed; a done ctx stops it with its
+// cancellation error, any other spectral failure falls back to greedy
+// weight packing. It returns the fine-vertex weight moved and whether
+// the spectral path ran.
 func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved int, spectralInit bool, err error) {
 	if len(h.levels) == 0 {
 		return 0, false, nil
@@ -619,7 +622,10 @@ func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved 
 		moved, err = CoarseBalance(ctx, gc, ca, h.fineTargets(), solver)
 		return moved, false, err
 	}
-	part, rerr := spectral.RSB(gc, h.p, spectral.Options{Seed: h.opt.Seed})
+	part, rerr := spectral.RSBContext(ctx, gc, h.p, spectral.Options{Seed: h.opt.Seed})
+	if errors.Is(rerr, cancel.ErrCanceled) {
+		return 0, false, rerr
+	}
 	if rerr != nil {
 		// Spectral failure (e.g. adversarially disconnected coarse
 		// graphs): fall back to a deterministic greedy weight packing.

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,6 +57,30 @@ func TestOrthogonalize(t *testing.T) {
 	OrthogonalizeAgainst(x, q)
 	if !almostEq(Dot(x, q), 0, 1e-12) {
 		t.Fatalf("not orthogonal: %v", x)
+	}
+}
+
+// TestAxpyDotMatchesReference pins the fused kernel to Axpy followed by
+// Dot bit for bit, across the block boundaries.
+func TestAxpyDotMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, laBlock - 1, laBlock, laBlock + 1, 2*laBlock - 1, 2 * laBlock, 3*laBlock + 1, 20000} {
+		x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i], y[i], z[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		}
+		a := rng.NormFloat64()
+		ref := append([]float64(nil), y...)
+		Axpy(a, x, ref)
+		want := Dot(z, ref)
+		if got := axpyDot(a, x, y, z); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: axpyDot = %v, Axpy then Dot = %v", n, got, want)
+		}
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("n=%d: y[%d] = %v, Axpy gives %v", n, i, y[i], ref[i])
+			}
+		}
 	}
 }
 
@@ -224,14 +249,11 @@ func TestLanczosRecoversExtremeEigenpairs(t *testing.T) {
 	n := 30
 	a := randSym(n, rng)
 	op := func(x, y []float64) { matVec(a, x, y) }
-	res, err := Lanczos(op, n, n, nil, nil, rng)
+	res, err := Lanczos(context.Background(), op, n, n, nil, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, vecs, err := res.RitzPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals, vec := ritz(t, res)
 	jv, _, err := Jacobi(a)
 	if err != nil {
 		t.Fatal(err)
@@ -246,10 +268,10 @@ func TestLanczosRecoversExtremeEigenpairs(t *testing.T) {
 	}
 	// Residual of the smallest Ritz pair.
 	y := make([]float64, n)
-	matVec(a, vecs[0], y)
+	matVec(a, vec, y)
 	r := 0.0
 	for i := range y {
-		d := y[i] - vals[0]*vecs[0][i]
+		d := y[i] - vals[0]*vec[i]
 		r += d * d
 	}
 	if math.Sqrt(r) > 1e-5 {
@@ -269,40 +291,56 @@ func TestLanczosDeflation(t *testing.T) {
 	q := make([]float64, n)
 	q[0] = 1
 	rng := rand.New(rand.NewSource(2))
-	res, err := Lanczos(op, n, n, nil, [][]float64{q}, rng)
+	res, err := Lanczos(context.Background(), op, n, n, nil, [][]float64{q}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, vecs, err := res.RitzPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals, vec := ritz(t, res)
 	if !almostEq(vals[0], 1, 1e-8) {
 		t.Fatalf("deflated smallest = %g, want 1", vals[0])
 	}
-	if !almostEq(vecs[0][0], 0, 1e-8) {
-		t.Fatalf("deflated eigenvector leaks into deflated space: %v", vecs[0])
+	if !almostEq(vec[0], 0, 1e-8) {
+		t.Fatalf("deflated eigenvector leaks into deflated space: %v", vec)
 	}
+}
+
+// ritz returns every Ritz value of res, ascending, from the tridiagonal
+// factor alone, and the smallest Ritz vector from SmallestRitzPair,
+// whose value must be the first of them.
+func ritz(t *testing.T, res *LanczosResult) (vals, vec []float64) {
+	t.Helper()
+	vals, _, err := SymTridEigen(res.Alpha, res.Beta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, vec, err := res.SmallestRitzPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if val != vals[0] {
+		t.Fatalf("SmallestRitzPair value %g, smallest Ritz value %g", val, vals[0])
+	}
+	return vals, vec
 }
 
 func TestLanczosStartInDeflatedSpace(t *testing.T) {
 	n := 3
 	op := func(x, y []float64) { copy(y, x) }
 	q := []float64{1, 0, 0}
-	if _, err := Lanczos(op, n, n, []float64{2, 0, 0}, [][]float64{q}, nil); err == nil {
+	if _, err := Lanczos(context.Background(), op, n, n, []float64{2, 0, 0}, [][]float64{q}, nil); err == nil {
 		t.Fatal("start vector inside deflated space should error")
 	}
 }
 
 func TestLanczosArgErrors(t *testing.T) {
 	op := func(x, y []float64) { copy(y, x) }
-	if _, err := Lanczos(op, 0, 3, nil, nil, nil); err == nil {
+	if _, err := Lanczos(context.Background(), op, 0, 3, nil, nil, nil); err == nil {
 		t.Fatal("n=0 should error")
 	}
-	if _, err := Lanczos(op, 3, 0, nil, nil, nil); err == nil {
+	if _, err := Lanczos(context.Background(), op, 3, 0, nil, nil, nil); err == nil {
 		t.Fatal("maxSteps=0 should error")
 	}
-	if _, err := Lanczos(op, 3, 3, []float64{1}, nil, nil); err == nil {
+	if _, err := Lanczos(context.Background(), op, 3, 3, []float64{1}, nil, nil); err == nil {
 		t.Fatal("wrong start length should error")
 	}
 }
@@ -313,7 +351,7 @@ func TestPropertyLanczosBasisOrthonormal(t *testing.T) {
 		n := 5 + rng.Intn(15)
 		a := randSym(n, rng)
 		op := func(x, y []float64) { matVec(a, x, y) }
-		res, err := Lanczos(op, n, n/2+2, nil, nil, rng)
+		res, err := Lanczos(context.Background(), op, n, n/2+2, nil, nil, rng)
 		if err != nil {
 			return false
 		}

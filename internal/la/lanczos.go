@@ -1,8 +1,12 @@
 package la
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+
+	"repro/internal/cancel"
 )
 
 // Operator applies a symmetric linear map: y = A·x. Implementations must
@@ -29,8 +33,11 @@ type LanczosResult struct {
 // all-ones vector deflates the trivial null space of a graph Laplacian so
 // the smallest Ritz pair approximates the Fiedler pair.
 //
-// The iteration stops early at an invariant subspace (beta ≈ 0).
-func Lanczos(op Operator, n, maxSteps int, start []float64, deflate [][]float64, rng *rand.Rand) (*LanczosResult, error) {
+// The iteration stops early at an invariant subspace: beta ≤ 1e-12 times
+// the largest |α_j| + β_{j−1} + β_j seen so far, a bound on ‖T‖, so the
+// stop does not depend on the operator's scale. ctx is polled once per
+// step; a done ctx aborts with an error matching cancel.ErrCanceled.
+func Lanczos(ctx context.Context, op Operator, n, maxSteps int, start []float64, deflate [][]float64, rng *rand.Rand) (*LanczosResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("la: lanczos: n=%d", n)
 	}
@@ -63,7 +70,11 @@ func Lanczos(op Operator, n, maxSteps int, start []float64, deflate [][]float64,
 
 	res := &LanczosResult{}
 	w := make([]float64, n)
+	var tNorm float64
 	for j := 0; j < maxSteps; j++ {
+		if err := cancel.Check(ctx, "lanczos"); err != nil {
+			return nil, err
+		}
 		vj := append([]float64(nil), v...)
 		res.V = append(res.V, vj)
 		op(vj, w)
@@ -71,23 +82,21 @@ func Lanczos(op Operator, n, maxSteps int, start []float64, deflate [][]float64,
 		res.Alpha = append(res.Alpha, alpha)
 		// w <- w - alpha v_j - beta_{j-1} v_{j-1}; then full reorthogonalization.
 		Axpy(-alpha, vj, w)
+		var betaPrev float64
 		if j > 0 {
-			Axpy(-res.Beta[j-1], res.V[j-1], w)
+			betaPrev = res.Beta[j-1]
+			Axpy(-betaPrev, res.V[j-1], w)
 		}
 		for _, q := range deflate {
 			OrthogonalizeAgainst(w, q)
 		}
-		// Two passes of modified Gram–Schmidt against the whole basis.
-		for pass := 0; pass < 2; pass++ {
-			for _, q := range res.V {
-				OrthogonalizeAgainst(w, q)
-			}
-		}
+		gramSchmidt(w, res.V)
 		beta := Norm2(w)
 		if j == maxSteps-1 {
 			break
 		}
-		if beta < 1e-12 {
+		tNorm = max(tNorm, math.Abs(alpha)+betaPrev+beta)
+		if beta <= 1e-12*tNorm {
 			break // invariant subspace reached
 		}
 		res.Beta = append(res.Beta, beta)
@@ -97,27 +106,36 @@ func Lanczos(op Operator, n, maxSteps int, start []float64, deflate [][]float64,
 	return res, nil
 }
 
-// RitzPairs diagonalizes the tridiagonal factor and returns all Ritz
-// values in ascending order together with the Ritz vectors mapped back to
-// R^n (vecs[k] approximates the eigenvector for vals[k]).
-func (r *LanczosResult) RitzPairs() (vals []float64, vecs [][]float64, err error) {
-	k := len(r.Alpha)
-	if k == 0 {
-		return nil, nil, fmt.Errorf("la: lanczos: empty factorization")
+// gramSchmidt is full double reorthogonalization: two passes of modified
+// Gram–Schmidt of w against the unit vectors qs (at least one), w −=
+// (q·w)·q for each q in turn. Each step's update sweep also yields the
+// next step's dot (axpyDot), so a step reads w once, and the result is
+// the separate Dot/Axpy steps' bit for bit.
+func gramSchmidt(w []float64, qs [][]float64) {
+	steps := 2 * len(qs)
+	d := Dot(qs[0], w)
+	for k := 1; k < steps; k++ {
+		d = axpyDot(-d, qs[(k-1)%len(qs)], w, qs[k%len(qs)])
+	}
+	Axpy(-d, qs[(steps-1)%len(qs)], w)
+}
+
+// SmallestRitzPair diagonalizes the tridiagonal factor and returns the
+// smallest Ritz value with its Ritz vector mapped back to R^n at unit
+// norm. Only that vector is formed: O(n·k) for a k-step factorization,
+// where mapping every Ritz vector back would cost O(n·k²).
+func (r *LanczosResult) SmallestRitzPair() (val float64, vec []float64, err error) {
+	if len(r.Alpha) == 0 {
+		return 0, nil, fmt.Errorf("la: lanczos: empty factorization")
 	}
 	tVals, tVecs, err := SymTridEigen(r.Alpha, r.Beta, true)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
-	n := len(r.V[0])
-	vecs = make([][]float64, k)
-	for j := 0; j < k; j++ {
-		y := make([]float64, n)
-		for i := 0; i < k; i++ {
-			Axpy(tVecs[j][i], r.V[i], y)
-		}
-		Normalize(y)
-		vecs[j] = y
+	vec = make([]float64, len(r.V[0]))
+	for i, c := range tVecs[0] {
+		Axpy(c, r.V[i], vec)
 	}
-	return tVals, vecs, nil
+	Normalize(vec)
+	return tVals[0], vec, nil
 }

@@ -9,16 +9,22 @@
 // V-cycle graph, which coarsening keeps at max(64, 16·P) vertices.
 // Everything is stdlib-only and allocation-conscious: hot-path routines
 // accept destination slices.
+//
+// Full reorthogonalization is a Lanczos run's cost: two sweeps against
+// the whole basis per step, O(n·k²) for k steps. Each Gram–Schmidt step
+// is one fused sweep (axpyDot: the update and the next step's dot) in
+// laBlock's association, so the basis is bit for bit what separate Dot
+// and Axpy sweeps build. SmallestRitzPair maps back one vector, O(n·k).
 package la
 
 import "math"
 
-// laBlock is the fixed reduction block: Dot and Norm2 fold per-block
-// partials in ascending block order. The association is part of the
-// output, not a tuning knob: RSB labels on graphs over laBlock vertices
-// (the benchmark meshes' and the grid's set-up partitions) depend on it
-// bit for bit, and TestRSBLabelsLocked pins them. Vectors no longer than
-// one block reduce exactly as a straight loop.
+// laBlock is the fixed reduction block: Dot, axpyDot and Norm2 fold
+// per-block partials in ascending block order. The association is part
+// of the output, not a tuning knob: RSB labels on graphs over laBlock
+// vertices (the benchmark meshes' and the grid's set-up partitions)
+// depend on it bit for bit, and TestRSBLabelsLocked pins them. Vectors
+// no longer than one block reduce exactly as a straight loop.
 const laBlock = 4096
 
 // Dot returns the inner product of x and y. The slices must have equal
@@ -113,6 +119,26 @@ func Normalize(x []float64) float64 {
 		Scale(1/n, x)
 	}
 	return n
+}
+
+// axpyDot computes y += a*x and returns Dot(z, y) of the updated y in
+// the same sweep. Each y[i] is rounded as Axpy rounds it and the dot
+// keeps Dot's association (see laBlock), so the result is Axpy followed
+// by Dot bit for bit.
+func axpyDot(a float64, x, y, z []float64) float64 {
+	var s float64
+	for lo := 0; lo < len(x); lo += laBlock {
+		hi := min(lo+laBlock, len(x))
+		xb, yb, zb := x[lo:hi], y[lo:hi], z[lo:hi]
+		var p float64
+		for i, v := range xb {
+			w := yb[i] + a*v
+			yb[i] = w
+			p += zb[i] * w
+		}
+		s += p
+	}
+	return s
 }
 
 // OrthogonalizeAgainst removes from x its component along the unit vector

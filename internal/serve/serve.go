@@ -43,6 +43,7 @@ import (
 	"time"
 
 	igp "repro"
+	"repro/internal/spectral"
 )
 
 // The typed admission-control outcomes. Clients distinguish shed load
@@ -154,9 +155,13 @@ type GraphInfo struct {
 	Version  uint64 `json:"version"`
 }
 
-// maxGraphVertices caps the mesh_n / vertices a GraphSpec may ask for: a
-// few hundred MB of graph and engine at most, whatever the body says.
-const maxGraphVertices = 1 << 22
+// maxGraphVertices caps the mesh_n / vertices a GraphSpec may ask for,
+// whatever the body says, before anything is sized from them. The
+// largest allocation a session makes is the Lanczos basis of its
+// initial RSB partition, spectral.MaxSteps(n) ≤ 400 vectors of n
+// float64s; the cap is the largest n whose basis fits in 1 GiB
+// (TestMaxGraphVerticesBasisBudget).
+const maxGraphVertices = (1 << 30) / (8 * 400)
 
 // maxPartitions caps a GraphSpec's p: the engine's layering and balance
 // arenas are P×P, so an uncapped p bounded only by the vertex count asks
@@ -191,10 +196,10 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 }
 
 // newSession builds the spec'd graph, partitions it from scratch with
-// RSB and primes a fresh engine session with one repartition (bounded by
-// ctx), which pays the engine's first full snapshot build and publishes
-// assignment version 1. The session is neither registered nor running:
-// CreateGraph does both.
+// RSB and primes a fresh engine session with one repartition (both
+// bounded by ctx), which pays the engine's first full snapshot build
+// and publishes assignment version 1. The session is neither registered
+// nor running: CreateGraph does both.
 func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
 	if spec.P < 2 || spec.P > maxPartitions {
 		return nil, fmt.Errorf("serve: graph spec: p must be in [2, %d], got %d", maxPartitions, spec.P)
@@ -206,10 +211,11 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 	if g.NumVertices() < spec.P {
 		return nil, fmt.Errorf("serve: graph spec: %d vertices for p=%d partitions", g.NumVertices(), spec.P)
 	}
-	a, err := igp.PartitionRSB(g, spec.P, spec.Seed)
+	part, err := spectral.RSBContext(ctx, g, spec.P, spectral.Options{Seed: spec.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial partition: %w", err)
 	}
+	a := &igp.Assignment{Part: part, P: spec.P}
 
 	sess := &Session{
 		id:    fmt.Sprintf("g%d", s.nextID.Add(1)),

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	igp "repro"
+	"repro/internal/spectral"
 )
 
 // editScript builds a deterministic burst of edit requests against a
@@ -444,6 +445,34 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if got := srv.Metrics().SessionsActive; got != 0 {
 		t.Fatalf("sessions_active = %d, want 0", got)
+	}
+}
+
+// TestCreateGraphCanceled: a done context stops the initial RSB
+// partition itself (not just the priming repartition after it), and the
+// failed create registers nothing.
+func TestCreateGraphCanceled(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := srv.CreateGraph(ctx, GraphSpec{MeshN: 2000, Seed: 1, P: 16})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, igp.ErrCanceled) || !strings.Contains(err.Error(), "initial partition") {
+		t.Fatalf("CreateGraph with a canceled context: err = %v, want the initial partition canceled", err)
+	}
+	if got := srv.Metrics().SessionsActive; got != 0 {
+		t.Fatalf("sessions_active = %d after a canceled create, want 0", got)
+	}
+}
+
+// TestMaxGraphVerticesBasisBudget: the vertex cap is the largest n whose
+// initial RSB basis, spectral.MaxSteps(n) vectors of n float64s, fits
+// in 1 GiB, so the cap and the solver's Krylov dimension cannot drift
+// apart.
+func TestMaxGraphVerticesBasisBudget(t *testing.T) {
+	basis := func(n int) int { return 8 * n * spectral.MaxSteps(n) }
+	if basis(maxGraphVertices) > 1<<30 || basis(maxGraphVertices+1) <= 1<<30 {
+		t.Fatalf("maxGraphVertices = %d: basis %d B, at one more vertex %d B; want the largest n within 1 GiB", maxGraphVertices, basis(maxGraphVertices), basis(maxGraphVertices+1))
 	}
 }
 

@@ -15,6 +15,7 @@
 package spectral
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -30,8 +31,9 @@ type Options struct {
 	Seed int64
 }
 
-// maxSteps is the Krylov dimension for a graph of n live vertices.
-func maxSteps(n int) int {
+// MaxSteps is the Krylov dimension for a graph of n live vertices: the
+// Lanczos basis of a Fiedler solve holds MaxSteps(n) vectors of length n.
+func MaxSteps(n int) int {
 	return min(max(2*isqrt(n), 30), 400)
 }
 
@@ -46,8 +48,9 @@ func isqrt(n int) int {
 // Fiedler returns the Fiedler vector of the connected graph g, indexed by
 // vertex slot (entries for dead slots are 0). The vector has unit norm and
 // is orthogonal to the constant vector on live vertices. The returned
-// slice is freshly allocated and caller-owned.
-func Fiedler(g *graph.Graph, opt Options) ([]float64, error) {
+// slice is freshly allocated and caller-owned. ctx is polled once per
+// Lanczos step.
+func Fiedler(ctx context.Context, g *graph.Graph, opt Options) ([]float64, error) {
 	csr := g.ToCSR()
 	n := csr.Order()
 	live := 0
@@ -78,15 +81,14 @@ func Fiedler(g *graph.Graph, opt Options) ([]float64, error) {
 			start[v] = rng.Float64() - 0.5
 		}
 	}
-	res, err := la.Lanczos(op, n, maxSteps(live), start, [][]float64{ones}, rng)
+	res, err := la.Lanczos(ctx, op, n, MaxSteps(live), start, [][]float64{ones}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
-	_, vecs, err := res.RitzPairs()
+	_, f, err := res.SmallestRitzPair()
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
-	f := vecs[0]
 	// Clean dead slots (they never mix in, but keep the contract explicit).
 	for v := 0; v < n; v++ {
 		if !csr.Live[v] {
@@ -121,15 +123,15 @@ func laplacianApply(c *graph.CSR, x, y []float64) {
 // value and cutting at the weighted quantile. Ties in Fiedler value are
 // broken by vertex id for determinism. Both returned sides are freshly
 // allocated and caller-owned.
-func Bisect(g *graph.Graph, targetA float64, opt Options) (a, b []graph.Vertex, err error) {
+func Bisect(ctx context.Context, g *graph.Graph, targetA float64, opt Options) (a, b []graph.Vertex, err error) {
 	vs := g.Vertices()
 	if len(vs) < 2 {
 		return nil, nil, fmt.Errorf("spectral: bisect needs at least 2 vertices")
 	}
 	if !g.Connected() {
-		return bisectDisconnected(g, targetA, opt)
+		return bisectDisconnected(ctx, g, targetA, opt)
 	}
-	f, err := Fiedler(g, opt)
+	f, err := Fiedler(ctx, g, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,7 +164,7 @@ func Bisect(g *graph.Graph, targetA float64, opt Options) (a, b []graph.Vertex, 
 // target is itself bisected spectrally to fill the remainder exactly, and
 // everything after that goes to side b. This keeps both sides on target
 // even when component weights are awkward.
-func bisectDisconnected(g *graph.Graph, targetA float64, opt Options) (a, b []graph.Vertex, err error) {
+func bisectDisconnected(ctx context.Context, g *graph.Graph, targetA float64, opt Options) (a, b []graph.Vertex, err error) {
 	comp, nc := g.Components()
 	weights := make([]float64, nc)
 	members := make([][]graph.Vertex, nc)
@@ -199,7 +201,7 @@ func bisectDisconnected(g *graph.Graph, targetA float64, opt Options) (a, b []gr
 			b = append(b, members[c]...)
 			continue
 		}
-		sa, sb, err := Bisect(sub, need, opt)
+		sa, sb, err := Bisect(ctx, sub, need, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -227,6 +229,12 @@ func bisectDisconnected(g *graph.Graph, targetA float64, opt Options) (a, b []gr
 // p need not be a power of two: at each level the part count is split as
 // ⌈p/2⌉ / ⌊p/2⌋ and the weight target proportionally.
 func RSB(g *graph.Graph, p int, opt Options) ([]int32, error) {
+	return RSBContext(context.Background(), g, p, opt)
+}
+
+// RSBContext is RSB bounded by ctx, which every Lanczos step polls: a
+// done ctx aborts with an error matching cancel.ErrCanceled.
+func RSBContext(ctx context.Context, g *graph.Graph, p int, opt Options) ([]int32, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("spectral: rsb: p=%d", p)
 	}
@@ -237,11 +245,11 @@ func RSB(g *graph.Graph, p int, opt Options) ([]int32, error) {
 	for i := range part {
 		part[i] = -1
 	}
-	err := rsbRec(g, g.Vertices(), p, 0, part, opt)
+	err := rsbRec(ctx, g, g.Vertices(), p, 0, part, opt)
 	return part, err
 }
 
-func rsbRec(g *graph.Graph, vs []graph.Vertex, p int, base int32, part []int32, opt Options) error {
+func rsbRec(ctx context.Context, g *graph.Graph, vs []graph.Vertex, p int, base int32, part []int32, opt Options) error {
 	if p == 1 {
 		for _, v := range vs {
 			part[v] = base
@@ -256,7 +264,7 @@ func rsbRec(g *graph.Graph, vs []graph.Vertex, p int, base int32, part []int32, 
 		total += g.VertexWeight(v)
 	}
 	target := total * float64(pa) / float64(p)
-	a, b, err := Bisect(sub, target, opt)
+	a, b, err := Bisect(ctx, sub, target, opt)
 	if err != nil {
 		return err
 	}
@@ -285,8 +293,8 @@ func rsbRec(g *graph.Graph, vs []graph.Vertex, p int, base int32, part []int32, 
 	for i, v := range b {
 		vb[i] = newToOld[v]
 	}
-	if err := rsbRec(g, va, pa, base, part, opt); err != nil {
+	if err := rsbRec(ctx, g, va, pa, base, part, opt); err != nil {
 		return err
 	}
-	return rsbRec(g, vb, pb, base+int32(pa), part, opt)
+	return rsbRec(ctx, g, vb, pb, base+int32(pa), part, opt)
 }

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/la"
+	"repro/internal/mesh"
 	"repro/internal/partition"
 )
 
@@ -15,7 +17,7 @@ func TestFiedlerPathMonotone(t *testing.T) {
 	// The Fiedler vector of a path is a discrete cosine: strictly monotone
 	// along the path.
 	g := graph.Path(20)
-	f, err := Fiedler(g, Options{})
+	f, err := Fiedler(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestFiedlerPathMonotone(t *testing.T) {
 
 func TestFiedlerOrthogonalToOnes(t *testing.T) {
 	g := graph.Grid(6, 6)
-	f, err := Fiedler(g, Options{})
+	f, err := Fiedler(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestFiedlerMatchesDenseEigensolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	lambda2 := vals[1]
-	f, err := Fiedler(g, Options{})
+	f, err := Fiedler(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +100,14 @@ func TestFiedlerMatchesDenseEigensolver(t *testing.T) {
 
 func TestFiedlerErrors(t *testing.T) {
 	g := graph.NewWithVertices(1)
-	if _, err := Fiedler(g, Options{}); err == nil {
+	if _, err := Fiedler(context.Background(), g, Options{}); err == nil {
 		t.Fatal("single vertex should error")
 	}
 }
 
 func TestBisectGridHalves(t *testing.T) {
 	g := graph.Grid(8, 8)
-	a, b, err := Bisect(g, 32, Options{})
+	a, b, err := Bisect(context.Background(), g, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestBisectGridHalves(t *testing.T) {
 
 func TestBisectUnevenTarget(t *testing.T) {
 	g := graph.Grid(6, 6) // 36 vertices
-	a, b, err := Bisect(g, 12, Options{})
+	a, b, err := Bisect(context.Background(), g, 12, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestBisectDisconnectedComponents(t *testing.T) {
 			}
 		}
 	}
-	a, b, err := Bisect(g, 16, Options{})
+	a, b, err := Bisect(context.Background(), g, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,36 +258,75 @@ func TestRSBDeterminism(t *testing.T) {
 	}
 }
 
-// TestRSBLabelsLocked pins RSB's labels bit for bit on two graphs larger
-// than la's reduction block, where the Lanczos dot products and norms
-// fold more than one block: the set-up partitions of the benchmark
-// meshes and the grid rest on that association. A changed hash means a
-// change to the eigensolver's arithmetic moved vertices; if the move is
-// intended, record the new hashes with it.
+// TestRSBLabelsLocked pins RSB's labels bit for bit. The 2000-vertex
+// mesh at P = 16 is a serve session's shape and reduces in one la block;
+// the other graphs are larger than the block, where the Lanczos dot
+// products and norms fold more than one block (Grid(130,130) spans four
+// full blocks). The set-up partitions of the benchmark meshes and the grid rest on that
+// association. A changed hash means a change to the eigensolver's
+// arithmetic moved vertices; if the move is intended, record the new
+// hashes with it.
 func TestRSBLabelsLocked(t *testing.T) {
 	pl, err := graph.PowerLaw(10000, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := mesh.NewGenerator(2000, 1994)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
+		p    int
 		want uint64
 	}{
-		{"Grid(80,80)", graph.Grid(80, 80), 0xf50484152b6b54a5},
-		{"PowerLaw(10^4,4)", pl, 0xe223d6000e63e7f5},
+		{"Grid(80,80)", graph.Grid(80, 80), 8, 0xf50484152b6b54a5},
+		{"PowerLaw(10^4,4)", pl, 8, 0xe223d6000e63e7f5},
+		{"Mesh(2000)", gen.Mesh().Graph(), 16, 0x15fc3acef82bbab5},
+		{"Grid(130,130)", graph.Grid(130, 130), 8, 0xea7ed7a138520c85},
 	} {
-		part, err := RSB(c.g, 8, Options{Seed: 1994})
+		part, err := RSB(c.g, c.p, Options{Seed: 1994})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		for _, l := range part {
-			h.Write([]byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)})
-		}
-		if got := h.Sum64(); got != c.want {
+		if got := labelHash(part); got != c.want {
 			t.Errorf("%s: label hash %#x, want %#x", c.name, got, c.want)
 		}
+	}
+}
+
+// labelHash is the FNV-64a digest of RSB labels, little-endian.
+func labelHash(part []int32) uint64 {
+	h := fnv.New64a()
+	for _, l := range part {
+		h.Write([]byte{byte(l), byte(l >> 8), byte(l >> 16), byte(l >> 24)})
+	}
+	return h.Sum64()
+}
+
+// TestRSBScaleInvariant scales every edge weight of a grid by 2⁻⁴⁴, which
+// scales every Lanczos quantity exactly: the labels must not move. An
+// absolute invariant-subspace test stops such a run after one step and
+// bisects on the random start vector.
+func TestRSBScaleInvariant(t *testing.T) {
+	want, err := RSB(graph.Grid(40, 40), 8, Options{Seed: 1994})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Grid(40, 40)
+	for _, v := range g.Vertices() {
+		for i, w := range g.EdgeWeights(v) { // scaled in place: adjacency order stays
+			g.EdgeWeights(v)[i] = w * 0x1p-44
+		}
+	}
+	got, err := RSB(g, 8, Options{Seed: 1994})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labelHash(got) != labelHash(want) {
+		a, b := &partition.Assignment{Part: want, P: 8}, &partition.Assignment{Part: got, P: 8}
+		t.Fatalf("labels moved under a 2⁻⁴⁴ weight scale: cut %d edges, unit weights %d", partition.Cut(graph.Grid(40, 40), b).Total, partition.Cut(graph.Grid(40, 40), a).Total)
 	}
 }
 
@@ -297,7 +338,7 @@ func TestBisectStraddlingComponent(t *testing.T) {
 		g.AddVertex(1) // 12 isolated vertices
 	}
 	// targetA = 24: grid (36) straddles it.
-	a, b, err := Bisect(g, 24, Options{})
+	a, b, err := Bisect(context.Background(), g, 24, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
