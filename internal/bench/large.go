@@ -39,6 +39,8 @@ type MultilevelRow struct {
 	Repaired bool          // hierarchy journal-repaired (warm rows)
 	Skipped  bool          // call arrived balanced: V-cycle not run (idle rows)
 	Balanced bool          // exact vertex-count balance achieved
+	Allocs   uint64        // heap allocations of the call (MemStats.Mallocs delta)
+	HeapMB   float64       // live heap after the call, vcycle-cold rows only (0 elsewhere)
 }
 
 // largeWorkload builds one named workload of ~n vertices.
@@ -156,14 +158,26 @@ func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
 			Multilevel:  engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
 		})
 		// call times one Repartition and checks the row's hard contract.
+		// The allocation count and the cold row's live heap are read
+		// outside the timed region.
 		call := func(mode string) (MultilevelRow, error) {
-			t0 := time.Now()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs, t0 := ms.Mallocs, time.Now()
 			st, err := e.Repartition(context.Background(), a)
 			d := time.Since(t0)
+			runtime.ReadMemStats(&ms)
 			if err != nil {
 				return MultilevelRow{}, fmt.Errorf("bench: %s %s: %w", name, mode, err)
 			}
-			return multilevelRow(g, a, name, mode, procs, d, st)
+			row, err := multilevelRow(g, a, name, mode, procs, d, st)
+			row.Allocs = ms.Mallocs - mallocs
+			if mode == "vcycle-cold" {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				row.HeapMB = float64(ms.HeapAlloc) / (1 << 20)
+			}
+			return row, err
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x1a26e))
 
@@ -249,11 +263,15 @@ func balancedExactly(g *graph.Graph, a *partition.Assignment) bool {
 func FormatMultilevel(rows []MultilevelRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Large-graph multilevel tier (P=%d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %6s %10s %9s %7s %9s %8s\n",
-		"Workload", "N", "E", "Mode", "Procs", "Time", "Cut", "Levels", "Repaired", "Skipped")
+	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %6s %10s %9s %7s %9s %8s %9s %7s\n",
+		"Workload", "N", "E", "Mode", "Procs", "Time", "Cut", "Levels", "Repaired", "Skipped", "Allocs", "HeapMB")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %6d %10s %9.0f %7d %9v %8v\n",
-			r.Workload, r.N, r.E, r.Mode, r.Procs, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped)
+		heap := "-"
+		if r.Mode == "vcycle-cold" {
+			heap = fmt.Sprintf("%.1f", r.HeapMB)
+		}
+		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %6d %10s %9.0f %7d %9v %8v %9d %7s\n",
+			r.Workload, r.N, r.E, r.Mode, r.Procs, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped, r.Allocs, heap)
 	}
 	return b.String()
 }

@@ -34,6 +34,15 @@ func TestMultilevelTableContract(t *testing.T) {
 		if r.Skipped != (r.Mode == "vcycle-idle") {
 			t.Fatalf("row %d: skipped=%v in mode %s", i, r.Skipped, r.Mode)
 		}
+		// The cold call allocates its hierarchy, and only the cold row
+		// reads the live heap.
+		if cold := r.Mode == "vcycle-cold"; (cold && r.Allocs == 0) || (r.HeapMB > 0) != cold {
+			t.Fatalf("row %d: allocs %d, heap %.1f MB in mode %s", i, r.Allocs, r.HeapMB, r.Mode)
+		}
+	}
+	table := FormatMultilevel(rows, 8)
+	if header := strings.SplitN(table, "\n", 3)[1]; !strings.HasSuffix(strings.TrimSpace(header), "Skipped    Allocs  HeapMB") {
+		t.Fatalf("table header %q does not end in the Allocs and HeapMB columns", header)
 	}
 	if rows[0].Workload != "grid" || rows[3].Workload != "powerlaw" {
 		t.Fatalf("workload order changed: %q, %q", rows[0].Workload, rows[3].Workload)

@@ -22,6 +22,13 @@ package coarsen
 // Update hands that wave to level l+1's repair as its touched set —
 // exact at any scale.
 //
+// Storage: each batch of new coarse vertices (a build's whole level, a
+// repair's regrouped vertices) is one exact-size slab for
+// graph.AppendRows, in the layout TestHierarchyLocked's digests pin: a
+// new row lists new neighbours below, then old ones, then new ones above,
+// each ascending; a new–new arc weighs the lower vertex's aggregate, an
+// arc to an old vertex the new group's; old rows gain arcs in new-id order.
+//
 // Weights: a coarse vertex's weight is the number of *level-0* vertices
 // it represents (every fine vertex counts 1, whatever its application
 // weight), so weighted balance at any level speaks the engine's
@@ -135,6 +142,7 @@ type level struct {
 // returned slices are arenas reused by the next call.
 type Hierarchy struct {
 	g      *graph.Graph
+	a      *partition.Assignment // level 0's assignment, as Update last saw it
 	opt    HierarchyOptions
 	p      int
 	levels []*level
@@ -152,7 +160,7 @@ type Hierarchy struct {
 	freeBuf   []graph.Vertex
 	orderBuf  []graph.Vertex
 	repsBuf   []graph.Vertex
-	cvsBuf    []graph.Vertex
+	vwBuf     []float64
 	changeBuf []graph.Vertex
 	connBuf   []float64
 	wBuf      []float64
@@ -161,20 +169,15 @@ type Hierarchy struct {
 
 	seedMarks par.Stamps
 	// connectGroups' dense accumulator: acc[cw] is the weight the current
-	// group (accSeen's generation) sends to coarse slot cw; ids lists the
-	// slots it hit, pairs and runs hold every group's sorted run.
+	// group (accSeen's generation) sends to coarse slot cw and ids lists
+	// the slots it hit; offBuf and fillBuf index the batch's rows.
 	acc     []float64
 	accSeen par.Stamps
 	ids     []graph.Vertex
-	pairs   []cwPair
-	runs    []int32
+	offBuf  []int
+	fillBuf []int
 
 	mt matcher // match.go
-}
-
-type cwPair struct {
-	cw graph.Vertex
-	w  float64
 }
 
 // stall: a contraction that keeps more than 19/20 of the fine vertices
@@ -242,6 +245,7 @@ func (h *Hierarchy) levelWeight(l int, v graph.Vertex) float64 {
 // stack (repairs grow level graphs, occasionally deepening the
 // hierarchy) do not count against it.
 func (h *Hierarchy) Update(ctx context.Context, a *partition.Assignment) (repaired bool, err error) {
+	h.a = a
 	if a.P != h.p {
 		h.levels = h.levels[:0] // partition-count change: start over
 		h.p = a.P
@@ -417,49 +421,49 @@ func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 }
 
 // rematch heavy-edge-matches the freed vertices among themselves with
-// the deterministic mutual-proposal matcher (match.go) and creates
-// the new coarse vertices and their aggregated adjacency, one group per
-// matched pair or leftover singleton, representatives in ascending slot
-// order. It returns the number of groups formed.
+// the deterministic mutual-proposal matcher (match.go) and appends the
+// new coarse vertices and their aggregated adjacency in one batch, one
+// group per matched pair or leftover singleton, representatives in
+// ascending slot order. It returns the number of groups formed.
 func (h *Hierarchy) rematch(l int, lv *level, fg *graph.Graph, fa *partition.Assignment, free []graph.Vertex) int {
 	if len(free) == 0 {
 		return 0
 	}
 	h.mt.run(fg, fa.Part, free)
-	reps := h.repsBuf[:0]
-	cvs := h.cvsBuf[:0]
+	base := graph.Vertex(lv.gc.Order())
+	reps, vw := h.repsBuf[:0], h.vwBuf[:0]
 	for _, v := range free {
 		if lv.f2c[v] >= 0 {
 			continue // grouped as an earlier vertex's partner
 		}
+		cv := base + graph.Vertex(len(reps))
 		u := h.mt.mate[v]
 		w := h.levelWeight(l, v)
-		if u != v {
-			w += h.levelWeight(l, u)
-		}
-		cv := lv.gc.AddVertex(w)
-		if h.recordWave {
-			h.waveCur = append(h.waveCur, cv)
-		}
-		lv.ca.Grow(lv.gc.Order())
-		lv.ca.Part[cv] = fa.Part[v]
 		lv.f2c[v] = cv
 		if u != v {
+			w += h.levelWeight(l, u)
 			lv.f2c[u] = cv
 			lv.match[v], lv.match[u] = u, v
 		} else {
 			lv.match[v] = v
 		}
+		if h.recordWave {
+			h.waveCur = append(h.waveCur, cv)
+		}
 		reps = append(reps, v)
-		cvs = append(cvs, cv)
+		vw = append(vw, w)
 	}
-	h.connectGroups(fg, lv, reps, cvs)
-	h.repsBuf, h.cvsBuf = reps[:0], cvs[:0]
-	return len(cvs)
+	lv.ca.Part = slices.Grow(lv.ca.Part, len(reps))
+	for _, v := range reps {
+		lv.ca.Part = append(lv.ca.Part, fa.Part[v])
+	}
+	h.connectGroups(fg, lv, reps, vw)
+	h.repsBuf, h.vwBuf = reps[:0], vw[:0]
+	return len(reps)
 }
 
-// build (re)coarsens one whole level from scratch, running the same
-// mutual-proposal matcher as the repair path over all live vertices.
+// build (re)coarsens one whole level from scratch: rematch over every
+// live vertex of an empty level.
 func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment, st *LevelStats) *level {
 	n := fg.Order()
 	free := h.freeBuf[:0]
@@ -468,76 +472,57 @@ func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment, st *
 			free = append(free, graph.Vertex(v))
 		}
 	}
-	h.mt.run(fg, fa.Part, free)
 	match := make([]graph.Vertex, n)
+	f2c := make([]graph.Vertex, n)
 	for i := range match {
 		match[i] = graph.Vertex(i)
-	}
-	f2c := make([]graph.Vertex, n)
-	for i := range f2c {
 		f2c[i] = -1
 	}
-	gc := graph.New(fg.NumVertices())
-	ca := &partition.Assignment{P: h.p}
-	lv := &level{gc: gc, ca: ca, match: match, f2c: f2c}
-	reps := h.repsBuf[:0]
-	cvs := h.cvsBuf[:0]
-	for _, vv := range free {
-		v := int(vv)
-		if f2c[v] >= 0 {
-			continue // grouped as an earlier vertex's partner
-		}
-		u := h.mt.mate[v]
-		w := h.levelWeight(l, vv)
-		if u != vv {
-			w += h.levelWeight(l, u)
-		}
-		cv := gc.AddVertex(w)
-		f2c[v] = cv
-		if u != vv {
-			f2c[u] = cv
-			match[v], match[u] = u, vv
-		}
-		ca.Part = append(ca.Part, fa.Part[v])
-		reps = append(reps, vv)
-		cvs = append(cvs, cv)
-	}
-	h.connectGroups(fg, lv, reps, cvs)
+	lv := &level{gc: &graph.Graph{}, ca: &partition.Assignment{P: h.p}, match: match, f2c: f2c}
+	st.Matched = h.rematch(l, lv, fg, fa, free)
 	h.freeBuf = free[:0]
-	h.repsBuf, h.cvsBuf = reps[:0], cvs[:0]
 	lv.consumed = fg.Epoch()
 	st.Rebuilt = true
-	st.Matched = len(ca.Part)
 	return lv
 }
 
-// connectGroups inserts the aggregated coarse adjacency of newly created
-// coarse vertices cvs (reps[i] is the smallest fine member of cvs[i]).
-// It runs in two passes. The first aggregates each group on a dense
-// accumulator: each arc of either member adds its weight at its coarse
-// endpoint's slot (in adjacency order, a pure function of the graph),
-// and the touched slots, sorted, become the group's run of (endpoint,
-// weight) pairs — never via map iteration. The run is the new vertex's
-// whole adjacency, reserved there, where it is sized. The second pass
-// inserts the runs in ascending group order. Nothing is probed: a new
-// vertex owns no edge yet and its run names each neighbor once, so an
-// arc to an old vertex goes in where it is met and one between two new
-// groups — met from both sides — once, from the lower id (new ids are
-// the contiguous tail from cvs[0] on: AddVertex only appends). A new
-// vertex ends with exactly its run's arcs, and the first pass has
-// already reserved that capacity.
-func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.Vertex) {
-	if len(cvs) == 0 {
+// connectGroups appends the batch of new coarse vertices — group i is
+// reps[i] (its smallest fine member) and its partner, weighs vw[i] and
+// becomes vertex base+i, base the coarse order before the batch — with
+// their aggregated adjacency, in one graph.AppendRows call. Pass 1
+// aggregates each group on a dense accumulator (each arc of either
+// member adds its weight at its coarse endpoint's slot, in adjacency
+// order; never via map iteration) and appends the touched slots, sorted,
+// as the group's run to a transient buffer sized by the members' fine
+// degrees. Pass 2 copies the runs once into an exact-size slab, in the
+// layout the locked digests pin: new vertex cv's row lists its new
+// neighbours below cv, then its old neighbours, then its new neighbours
+// above cv, each ascending (a run sorts old, below, above: the first two
+// blocks swap); an arc between two new vertices carries the lower
+// vertex's aggregate (written into the higher row's below slots as the
+// lower row is laid out) and an arc to an old vertex the new group's.
+// While repair records, the wave gains every run entry in group and run
+// order.
+func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps []graph.Vertex, vw []float64) {
+	if len(reps) == 0 {
 		return
 	}
-	if n := lv.gc.Order(); len(h.acc) < n {
+	base := graph.Vertex(lv.gc.Order())
+	if n := int(base) + len(reps); len(h.acc) < n {
 		n += n / 8 // headroom: every repair appends a few coarse slots
 		h.acc = make([]float64, n)
 		h.accSeen.Grow(n)
 	}
-	pairs, runs, ids := h.pairs[:0], h.runs[:0], h.ids
+	bound := 0 // a singleton counts its degree twice
+	for _, v := range reps {
+		bound += fg.Degree(v) + fg.Degree(lv.match[v])
+	}
+	runV := make([]graph.Vertex, 0, bound)
+	runW := make([]float64, 0, bound)
+	off := append(h.offBuf[:0], 0)
+	ids := h.ids
 	for i, v := range reps {
-		cv := cvs[i]
+		cv := base + graph.Vertex(i)
 		h.accSeen.Next()
 		ids = ids[:0]
 		members := [2]graph.Vertex{v, lv.match[v]}
@@ -561,28 +546,39 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.
 			}
 		}
 		slices.Sort(ids)
-		lv.gc.ReserveAdjacency(cv, len(ids))
+		runV = append(runV, ids...)
 		for _, cw := range ids {
-			pairs = append(pairs, cwPair{cw, h.acc[cw]})
+			runW = append(runW, h.acc[cw])
 		}
-		runs = append(runs, int32(len(pairs)))
+		off = append(off, len(runV))
 	}
-	lo := int32(0)
-	for k, hi := range runs {
-		cv := cvs[k]
-		for _, pr := range pairs[lo:hi] {
-			if pr.cw < cvs[0] || pr.cw > cv {
-				lv.gc.AddEdgeUnchecked(cv, pr.cw, pr.w)
-			}
-			if h.recordWave {
-				// An edge insertion touches both endpoints; cv itself
-				// was already recorded at AddVertex.
-				h.waveCur = append(h.waveCur, pr.cw)
-			}
+	h.ids = ids[:0]
+	if h.recordWave {
+		h.waveCur = append(h.waveCur, runV...)
+	}
+	adj := make([]graph.Vertex, len(runV))
+	ew := make([]float64, len(runV))
+	fill := append(h.fillBuf[:0], off[:len(reps)]...) // next new-below slot per row
+	for i := range reps {
+		cv := base + graph.Vertex(i)
+		lo, hi := off[i], off[i+1]
+		run, rw := runV[lo:hi], runW[lo:hi]
+		o, _ := slices.BinarySearch(run, base) // old neighbours: run[:o]
+		b, _ := slices.BinarySearch(run, cv)   // new-below: run[o:b]
+		row, roww := adj[lo:hi], ew[lo:hi]
+		copy(row, run[o:b])
+		copy(row[b-o:], run[:o])
+		copy(roww[b-o:], rw[:o])
+		copy(row[b:], run[b:])
+		copy(roww[b:], rw[b:])
+		for j := b; j < len(run); j++ {
+			k := run[j] - base
+			ew[fill[k]] = rw[j]
+			fill[k]++
 		}
-		lo = hi
 	}
-	h.pairs, h.runs, h.ids = pairs[:0], runs[:0], ids[:0]
+	h.offBuf, h.fillBuf = off[:0], fill[:0]
+	lv.gc.AppendRows(vw, off, adj, ew)
 }
 
 // fineTargets returns the per-partition vertex-count targets in level-0
@@ -595,30 +591,24 @@ func (h *Hierarchy) fineTargets() []int {
 	return h.targBuf
 }
 
-// SolveCoarsest partitions the coarsest graph. On the warm path the
-// current coarse partition is rebalanced by the weighted balance LP
-// (CoarseBalance, ε-escalated). When the partition is degenerate — some
-// partition holds no weight, e.g. the first call ever, where phase 1
-// flood-filled everything into one partition — the coarsest graph is
-// instead partitioned from scratch by weight-aware recursive spectral
+// SolveCoarsest partitions the coarsest graph after an Update — level 0,
+// the bound graph under the assignment Update was handed, when there is
+// no coarse level. On the warm path the coarse partition is rebalanced by
+// the weighted balance LP (CoarseBalance, ε-escalated), or at level 0
+// left to the caller's flat stages. A degenerate partition — some part
+// holds no weight, e.g. after phase 1 flood-filled a first call into one
+// part — is instead replaced by weight-aware recursive spectral
 // bisection with the configured seed; a done ctx stops it with its
 // cancellation error, any other spectral failure falls back to greedy
-// weight packing. It returns the fine-vertex weight moved and whether
-// the spectral path ran.
+// weight packing. It returns the fine-vertex weight moved and whether the
+// spectral path ran.
 func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved int, spectralInit bool, err error) {
-	if len(h.levels) == 0 {
-		return 0, false, nil
-	}
-	lv := h.levels[len(h.levels)-1]
-	gc, ca := lv.gc, lv.ca
-	weights := ca.Weights(gc)
-	degenerate := len(weights) < h.p
-	for q := 0; !degenerate && q < h.p; q++ {
-		if weights[q] <= 0 {
-			degenerate = true
+	top := len(h.levels)
+	gc, ca := h.levelGraph(top), h.levelAssign(top, h.a)
+	if weights, _, _ := h.levelWeights(top, gc, ca); slices.Min(weights) > 0 {
+		if top == 0 {
+			return 0, false, nil
 		}
-	}
-	if !degenerate {
 		moved, err = CoarseBalance(ctx, gc, ca, h.fineTargets(), solver)
 		return moved, false, err
 	}
@@ -629,24 +619,24 @@ func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved 
 	if rerr != nil {
 		// Spectral failure (e.g. adversarially disconnected coarse
 		// graphs): fall back to a deterministic greedy weight packing.
-		return h.assignByWeight(gc, ca), true, nil
+		return h.assignByWeight(top, ca), true, nil
 	}
 	for v := 0; v < gc.Order(); v++ {
 		if gc.Alive(graph.Vertex(v)) && part[v] != ca.Part[v] {
-			moved += int(math.Round(gc.VertexWeight(graph.Vertex(v))))
+			moved += int(math.Round(h.levelWeight(top, graph.Vertex(v))))
 			ca.Part[v] = part[v]
 		}
 	}
 	return moved, true, nil
 }
 
-// assignByWeight deterministically packs coarse vertices onto the
-// lightest partition, heaviest first — the last-resort coarsest
-// initializer when the spectral solve fails.
-func (h *Hierarchy) assignByWeight(gc *graph.Graph, ca *partition.Assignment) (moved int) {
-	order := gc.Vertices()
+// assignByWeight deterministically packs the vertices of level l's fine
+// side onto the lightest partition, heaviest first — the last-resort
+// coarsest initializer when the spectral solve fails.
+func (h *Hierarchy) assignByWeight(l int, ca *partition.Assignment) (moved int) {
+	order := h.levelGraph(l).Vertices()
 	sort.Slice(order, func(i, j int) bool {
-		wi, wj := gc.VertexWeight(order[i]), gc.VertexWeight(order[j])
+		wi, wj := h.levelWeight(l, order[i]), h.levelWeight(l, order[j])
 		if wi != wj {
 			return wi > wj
 		}
@@ -668,9 +658,9 @@ func (h *Hierarchy) assignByWeight(gc *graph.Graph, ca *partition.Assignment) (m
 		}
 		if ca.Part[v] != int32(best) {
 			ca.Part[v] = int32(best)
-			moved += int(math.Round(gc.VertexWeight(v)))
+			moved += int(math.Round(h.levelWeight(l, v)))
 		}
-		load[best] += gc.VertexWeight(v)
+		load[best] += h.levelWeight(l, v)
 	}
 	return moved
 }

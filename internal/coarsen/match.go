@@ -60,11 +60,17 @@ type matcher struct {
 	pend     []graph.Vertex
 }
 
+// grow extends the per-slot arenas to n slots, one step each.
 func (m *matcher) grow(n int) {
-	for len(m.prop) < n {
-		m.prop = append(m.prop, -1)
-		m.mate = append(m.mate, graph.Vertex(len(m.mate)))
-		m.freeFlag = append(m.freeFlag, false)
+	old := len(m.prop)
+	if n <= old {
+		return
+	}
+	m.prop = slices.Grow(m.prop, n-old)[:n]
+	m.mate = slices.Grow(m.mate, n-old)[:n]
+	m.freeFlag = slices.Grow(m.freeFlag, n-old)[:n]
+	for v := old; v < n; v++ {
+		m.prop[v], m.mate[v], m.freeFlag[v] = -1, graph.Vertex(v), false
 	}
 }
 

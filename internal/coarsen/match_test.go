@@ -195,6 +195,57 @@ func gridHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 	return h, a
 }
 
+// fractionalHistory is the one locked history on non-unit weights: a
+// 40×40 grid with seeded fractional edge weights, striped into 4,
+// built, grown, drifted and repaired. Coarse arcs there sum three or
+// more fractional terms, so the two sides of a new–new arc can round
+// differently and the weight rule (the lower vertex's aggregate) shows.
+func fractionalHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+	t.Helper()
+	const rows, cols = 40, 40
+	rng := rand.New(rand.NewSource(2718))
+	g := graph.NewWithVertices(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := graph.Vertex(r*cols + c)
+			if c+1 < cols {
+				g.AddEdgeUnchecked(v, v+1, 0.25+rng.Float64())
+			}
+			if r+1 < rows {
+				g.AddEdgeUnchecked(v, v+cols, 0.25+rng.Float64())
+			}
+		}
+	}
+	a := partition.New(g.Order(), 4)
+	for v := range a.Part {
+		a.Part[v] = int32((v % cols) / (cols / 4))
+	}
+	h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 16})
+	ctx := context.Background()
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	prev := g.Vertices()
+	for k := 0; k < 40; k++ {
+		v := g.AddVertex(1)
+		u := prev[rng.Intn(len(prev))]
+		_ = g.AddEdge(v, u, 0.25+rng.Float64())
+		a.Part = append(a.Part, a.Part[u])
+		prev = append(prev, v)
+	}
+	for k := 0; k < 60; k++ {
+		v := graph.Vertex(rng.Intn(g.Order()))
+		a.Part[v] = int32((int(a.Part[v]) + 1) % a.P)
+	}
+	if _, err := h.Update(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Check(a); err != nil {
+		t.Fatal(err)
+	}
+	return h, a
+}
+
 func TestHierarchyLocked(t *testing.T) {
 	// The V-cycle's output is pinned across changes to the code: the
 	// digests below were recorded while the hierarchy's sweeps still
@@ -210,6 +261,7 @@ func TestHierarchyLocked(t *testing.T) {
 		{"striped96", settledHistory, 0x1f7866e7429539ec},
 		{"hub", hubHistory, 0xc8017818fec2e173},
 		{"grid316", gridHistory, 0xa6bca185b5ad402f},
+		{"fractional", fractionalHistory, 0x2e8334d54e15ce9d},
 	} {
 		h, a := tc.history(t)
 		if got := hierarchyHash(h, a); got != tc.want {
@@ -234,4 +286,27 @@ func TestHierarchyWarmUpdateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("settled warm Update+Uncoarsen allocates %.1f/op, want 0", allocs)
 	}
+}
+
+func TestHierarchyColdUpdateAllocs(t *testing.T) {
+	// A cold Update lays each level out in one slab: a bounded number of
+	// allocations per level, whatever the level's size.
+	g := graph.Grid(128, 128)
+	a := partition.New(g.Order(), 8)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	ctx := context.Background()
+	depth := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		h := NewHierarchy(g, HierarchyOptions{})
+		if _, err := h.Update(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		depth = h.Depth()
+	})
+	if depth == 0 || allocs > float64(64*depth) {
+		t.Fatalf("cold Update: %.0f allocations over %d levels, want at most 64 per level", allocs, depth)
+	}
+	t.Logf("cold Update: %.0f allocations over %d levels", allocs, depth)
 }

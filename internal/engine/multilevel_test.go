@@ -84,6 +84,41 @@ func TestMultilevelColdVCycle(t *testing.T) {
 	}
 }
 
+func TestMultilevelSmallGraphDegenerateStart(t *testing.T) {
+	// A graph the hierarchy cannot coarsen — at most max(64, 16·P) live
+	// vertices, or a level 0 that stalls for want of edges — has no coarse
+	// level, so the coarsest graph is level 0 itself. A flood-filled first
+	// call must still get the spectral first touch WithMultilevel
+	// promises and end exactly balanced.
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		p    int
+	}{
+		{"grid40x40/p128", graph.Grid(40, 40), 128},
+		{"grid10x10/p8", graph.Grid(10, 10), 8},
+		{"isolated500/p4", graph.NewWithVertices(500), 4},
+	} {
+		a := partition.New(tc.g.Order(), tc.p)
+		for v := range a.Part {
+			a.Part[v] = 0
+		}
+		e := New(tc.g, Options{Multilevel: MultilevelOptions{Enabled: true}})
+		st, err := e.Repartition(context.Background(), a)
+		e.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireExactBalance(t, tc.g, a)
+		if !st.SpectralInit {
+			t.Fatalf("%s: degenerate start did not take the spectral first touch", tc.name)
+		}
+		if len(st.Levels) != 0 {
+			t.Fatalf("%s: %d coarse levels on a graph too small to coarsen", tc.name, len(st.Levels))
+		}
+	}
+}
+
 // attachVertices grows g by k unassigned unit vertices hung in a random
 // tree off vertex at (randomGrowthEdit's cases 0/1, aimed at one spot):
 // phase 1 puts them all in at's partition, so the next call arrives

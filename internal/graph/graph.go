@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -58,16 +59,33 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // touch advances the epoch and journals the given vertices as touched.
 func (g *Graph) touch(vs ...Vertex) {
+	if g.advance(len(vs)) {
+		for _, v := range vs {
+			g.record(v)
+		}
+	}
+}
+
+// advance opens the epoch of a mutation touching n vertices and reports
+// whether to journal them: a journal they would push past maxJournal is
+// dropped to the previous epoch or, when n alone passes it, to the new
+// one with nothing recorded.
+func (g *Graph) advance(n int) bool {
 	g.epoch++
-	if len(g.journalV)+len(vs) > maxJournal {
-		g.journalV = g.journalV[:0]
-		g.journalE = g.journalE[:0]
+	if len(g.journalV)+n > maxJournal {
+		g.journalV, g.journalE = g.journalV[:0], g.journalE[:0]
 		g.journalFloor = g.epoch - 1
+		if n > maxJournal {
+			g.journalFloor = g.epoch
+		}
 	}
-	for _, v := range vs {
-		g.journalV = append(g.journalV, v)
-		g.journalE = append(g.journalE, g.epoch)
-	}
+	return n <= maxJournal
+}
+
+// record journals v as touched at the current epoch.
+func (g *Graph) record(v Vertex) {
+	g.journalV = append(g.journalV, v)
+	g.journalE = append(g.journalE, g.epoch)
 }
 
 // TouchedSince appends to buf the vertices touched by mutations after the
@@ -240,16 +258,48 @@ func (g *Graph) AddEdgeIfAbsent(u, v Vertex, weight float64) bool {
 	return true
 }
 
-// ReserveAdjacency grows v's adjacency and edge-weight capacity to hold
-// at least n arcs, so a builder that knows a vertex's final degree
-// appends to it without regrowing. The graph's content is unchanged:
-// nothing is journaled and the epoch does not move. Only v's own rows
-// are written, so builders may reserve distinct vertices concurrently
-// (with no other mutation in flight).
-func (g *Graph) ReserveAdjacency(v Vertex, n int) {
-	if cap(g.adj[v]) < n {
-		g.adj[v] = append(make([]Vertex, 0, n), g.adj[v]...)
-		g.ew[v] = append(make([]float64, 0, n), g.ew[v]...)
+// AppendRows appends len(vw) vertices in one mutation, the first at
+// Order(): new vertex i weighs vw[i] and its row is adj[off[i]:off[i+1]]
+// with weights ew[off[i]:off[i+1]] (off runs from 0 to len(adj)). The
+// graph keeps adj and ew as one slab of rows, each capped at its end, so
+// a row grown later reallocates alone. An arc between two new vertices is
+// listed in both rows with one weight; an arc to an old vertex is
+// mirrored onto the end of its row, in ascending new id. Nothing is
+// checked (Validate is the oracle). The epoch advances once, and the
+// journal gets the new vertices, then each mirrored arc's old endpoint.
+func (g *Graph) AppendRows(vw []float64, off []int, adj []Vertex, ew []float64) {
+	base, k, old := Vertex(len(g.adj)), len(vw), 0
+	for _, u := range adj {
+		if u < base {
+			old++
+		}
+	}
+	g.adj, g.ew, g.alive = slices.Grow(g.adj, k), slices.Grow(g.ew, k), slices.Grow(g.alive, k)
+	g.vw = append(g.vw, vw...)
+	for i := 0; i < k; i++ {
+		lo, hi := off[i], off[i+1]
+		g.adj = append(g.adj, adj[lo:hi:hi])
+		g.ew = append(g.ew, ew[lo:hi:hi])
+		g.alive = append(g.alive, true)
+	}
+	g.m += (len(adj) + old) / 2
+	rec := g.advance(k + old)
+	if rec {
+		g.journalV, g.journalE = slices.Grow(g.journalV, k+old), slices.Grow(g.journalE, k+old)
+		for i := 0; i < k; i++ {
+			g.record(base + Vertex(i))
+		}
+	}
+	for i := 0; old > 0 && i < k; i++ {
+		for j := off[i]; j < off[i+1]; j++ {
+			if u := adj[j]; u < base {
+				g.adj[u] = append(g.adj[u], base+Vertex(i))
+				g.ew[u] = append(g.ew[u], ew[j])
+				if rec {
+					g.record(u)
+				}
+			}
+		}
 	}
 }
 
@@ -343,34 +393,10 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Compact returns a dense copy with dead vertex slots removed, along with
-// old→new and new→old identifier mappings. old→new is −1 for dead slots.
+// Compact is InducedSubgraph over the live vertices: a dense copy with
+// dead slots removed, plus old→new (−1 for dead slots) and new→old maps.
 func (g *Graph) Compact() (c *Graph, oldToNew []Vertex, newToOld []Vertex) {
-	oldToNew = make([]Vertex, len(g.adj))
-	newToOld = make([]Vertex, 0, g.NumVertices())
-	for v := range g.adj {
-		if g.alive[v] {
-			oldToNew[v] = Vertex(len(newToOld))
-			newToOld = append(newToOld, Vertex(v))
-		} else {
-			oldToNew[v] = -1
-		}
-	}
-	c = New(len(newToOld))
-	for _, old := range newToOld {
-		c.AddVertex(g.vw[old])
-	}
-	for _, old := range newToOld {
-		nu := oldToNew[old]
-		for i, u := range g.adj[old] {
-			nv := oldToNew[u]
-			if nu < nv { // add each undirected edge once
-				// Unchecked: source edges are unique and endpoints live.
-				c.AddEdgeUnchecked(nu, nv, g.ew[old][i])
-			}
-		}
-	}
-	return c, oldToNew, newToOld
+	return g.InducedSubgraph(g.Vertices())
 }
 
 // adjSorter sorts one adjacency list in place, swapping the parallel

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -99,29 +100,78 @@ func TestRemoveVertex(t *testing.T) {
 	}
 }
 
-func TestReserveAdjacency(t *testing.T) {
-	g := NewWithVertices(3)
-	_ = g.AddEdge(0, 1, 2.5)
-	epoch := g.Epoch()
-	g.ReserveAdjacency(0, 8)
-	g.ReserveAdjacency(2, 0) // nothing to grow
-	if c, cw := cap(g.Neighbors(0)), cap(g.EdgeWeights(0)); c < 8 || cw < 8 {
-		t.Fatalf("capacity %d/%d after reserving 8", c, cw)
+func TestAppendRows(t *testing.T) {
+	// Onto an empty graph: rows ascend, each row's capacity ends with it,
+	// and the batch is one epoch journaling its new vertices.
+	g := New(0)
+	g.AppendRows([]float64{1, 2, 3}, []int{0, 2, 3, 4},
+		[]Vertex{1, 2, 0, 0}, []float64{0.5, 1.5, 0.5, 1.5})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if touched, exact := g.TouchedSince(epoch, nil); g.Epoch() != epoch || !exact || len(touched) != 0 {
-		t.Fatalf("reservation journaled: epoch %d→%d, touched %v", epoch, g.Epoch(), touched)
+	if g.Order() != 3 || g.NumEdges() != 2 || g.VertexWeight(2) != 3 || g.Epoch() != 1 {
+		t.Fatalf("order %d, edges %d, weight %g, epoch %d", g.Order(), g.NumEdges(), g.VertexWeight(2), g.Epoch())
 	}
-	if w, ok := g.EdgeWeight(0, 1); !ok || w != 2.5 || g.Degree(0) != 1 {
-		t.Fatalf("reservation changed the adjacency: degree %d, weight %g", g.Degree(0), w)
+	if c, cw := cap(g.Neighbors(0)), cap(g.EdgeWeights(0)); c != 2 || cw != 2 {
+		t.Fatalf("row 0 capacity %d/%d, want 2/2", c, cw)
 	}
-	// Appends up to the reserved length stay in the reserved arrays.
-	row := g.Neighbors(0)[:1]
-	_ = g.AddEdge(0, 2, 1)
-	if &g.Neighbors(0)[0] != &row[0] {
-		t.Fatal("append within the reserved capacity reallocated")
+	if touched, exact := g.TouchedSince(0, nil); !exact || !reflect.DeepEqual(touched, []Vertex{0, 1, 2}) {
+		t.Fatalf("touched %v exact %v, want [0 1 2] exact", touched, exact)
+	}
+
+	// Onto a graph with a dead slot: arcs to old vertices are mirrored at
+	// the end of their rows in ascending new id, and the journal holds the
+	// new vertices, then each mirrored arc's old endpoint.
+	g = NewWithVertices(4)
+	_ = g.AddEdge(0, 1, 1)
+	_ = g.AddEdge(1, 2, 1)
+	_ = g.AddEdge(2, 3, 1)
+	if err := g.RemoveVertex(1); err != nil {
+		t.Fatal(err)
+	}
+	mark := g.Epoch()
+	g.AppendRows([]float64{2, 2}, []int{0, 3, 6},
+		[]Vertex{0, 3, 5, 4, 0, 2}, []float64{1.5, 2.5, 0.5, 0.5, 4, 3.5})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 6 || g.Epoch() != mark+1 {
+		t.Fatalf("edges %d epoch %d, want 6 and %d", g.NumEdges(), g.Epoch(), mark+1)
+	}
+	if got := g.Neighbors(0); !reflect.DeepEqual(got, []Vertex{4, 5}) {
+		t.Fatalf("old row 0 = %v, want [4 5]", got)
+	}
+	if got := g.EdgeWeights(2); !reflect.DeepEqual(got, []float64{1, 3.5}) {
+		t.Fatalf("old row 2 weights = %v, want [1 3.5]", got)
+	}
+	touched, exact := g.TouchedSince(mark, nil)
+	if want := []Vertex{4, 5, 0, 3, 0, 2}; !exact || !reflect.DeepEqual(touched, want) {
+		t.Fatalf("touched %v exact %v, want %v exact", touched, exact, want)
+	}
+	// Growing a slab row later reallocates that row alone.
+	next := &g.Neighbors(5)[0]
+	_ = g.AddEdge(4, 2, 1)
+	if &g.Neighbors(5)[0] != next || g.Degree(4) != 4 {
+		t.Fatal("growing row 4 moved its slab neighbour")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A batch longer than the journal's bound drops the journal to the new
+	// epoch instead of recording it.
+	g = NewWithVertices(1)
+	mark = g.Epoch()
+	n := maxJournal + 1
+	g.AppendRows(make([]float64, n), make([]int, n+1), nil, nil)
+	if _, exact := g.TouchedSince(mark, nil); exact {
+		t.Fatal("an over-long batch left the journal exact")
+	}
+	if touched, exact := g.TouchedSince(g.Epoch(), nil); !exact || len(touched) != 0 || len(g.journalV) != 0 {
+		t.Fatalf("journal after an over-long batch: %v exact %v", touched, exact)
+	}
+	if g.Order() != n+1 || g.NumEdges() != 0 {
+		t.Fatalf("order %d edges %d", g.Order(), g.NumEdges())
 	}
 }
 
