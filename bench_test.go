@@ -370,7 +370,19 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 // BenchmarkPhase_GainsOneShot is the full scan with fresh pools.
 func BenchmarkPhase_Gains(b *testing.B) {
 	g, a := unrefined(b)
-	benchGainsScanProcs(b, g, a, 1)
+	eng := engine.New(g, engine.Options{Parallelism: 1})
+	csr, boundary := eng.Snapshot(a), eng.Boundary(a)
+	var scratch refine.Scratch
+	if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkPhase_GainsPatched(b *testing.B) {
@@ -408,11 +420,11 @@ func BenchmarkPhase_GainsOneShot(b *testing.B) {
 
 // --- Sharded multi-core kernels ------------------------------------------------
 //
-// BenchmarkPhase_LayerPar / BenchmarkPhase_GainsPar measure the
-// steady-state sharded kernels at several worker counts on the mesh-A
-// workload (procs=1 is the same kernel as one inline shard, the baseline
-// for the wall-clock speedup the BENCH trajectory records). The *ParB variants
-// run the 10k-vertex mesh B, where per-region fork-join overhead
+// BenchmarkPhase_LayerPar measures the steady-state sharded layering
+// kernel at several worker counts on the mesh-A workload (procs=1 is the
+// same kernel as one inline shard, the baseline for the wall-clock
+// speedup the BENCH trajectory records). The *ParB variants run the
+// 10k-vertex mesh B, where per-region fork-join overhead
 // amortizes over ~10× the vertex work. Note that the speedup rows are
 // only meaningful on a multi-core host: on a single-CPU machine the
 // workers time-slice one core and procs>1 can only add overhead.
@@ -438,37 +450,11 @@ func benchEngineLayerProcs(b *testing.B, g *graph.Graph, base *partition.Assignm
 	}
 }
 
-func benchGainsScanProcs(b *testing.B, g *graph.Graph, a *partition.Assignment, procs int) {
-	b.Helper()
-	eng := engine.New(g, engine.Options{Parallelism: 1})
-	csr, boundary := eng.Snapshot(a), eng.Boundary(a)
-	scratch := refine.Scratch{Procs: procs}
-	if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPhase_LayerPar(b *testing.B) {
 	f := meshA(b)
 	for _, procs := range benchProcs {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			benchEngineLayerProcs(b, f.seq.Steps[0].Graph, f.base, procs)
-		})
-	}
-}
-
-func BenchmarkPhase_GainsPar(b *testing.B) {
-	g, a := unrefined(b)
-	for _, procs := range benchProcs {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchGainsScanProcs(b, g, a, procs)
 		})
 	}
 }

@@ -30,7 +30,7 @@ import (
 
 // parBoundaryMin is the snapshot order below which the boundary passes
 // run as one shard instead of forking the worker group — the same
-// small-input cutoff the layering and gains kernels apply. The
+// small-input cutoff the layering kernel applies. The
 // threshold depends only on the graph order, and boundary membership
 // is worker-count independent anyway, so determinism is unaffected.
 // (FuzzBoundaryExact and FuzzParallelEquivalence generate graphs on

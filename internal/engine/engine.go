@@ -128,11 +128,11 @@ type Options struct {
 	// Repartition (see Event for the ordering contract).
 	Observer func(Event)
 	// Parallelism is the worker count for the engine's sharded kernels:
-	// the incremental boundary recompute, the phase 1 nearest-labeled
-	// BFS, the layering BFS and the refinement gain scan. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the same kernels as one shard,
-	// inline. Results are bit-identical for every value — parallelism is
-	// purely a latency property.
+	// the incremental boundary recompute and the layering BFS (phase 1,
+	// the refinement gain scan and the LP solves run on one goroutine).
+	// 0 means runtime.GOMAXPROCS(0); 1 runs the same kernels as one
+	// shard, inline. Results are bit-identical for every value —
+	// parallelism is purely a latency property.
 	Parallelism int
 	// Multilevel enables the V-cycle mode for large graphs: coarsen by
 	// same-partition heavy-edge matching down to a cheap size, solve the
@@ -270,9 +270,9 @@ type Engine struct {
 	ml *coarsen.Hierarchy
 
 	// Worker pool for the sharded kernels (see boundary.go): one
-	// fork-join group shared with the layering and gains scratches so
-	// per-worker busy times roll up in one place. Worker goroutines
-	// exist only inside a region — nothing outlives a call.
+	// fork-join group shared with the layering scratch so per-worker
+	// busy times roll up in one place. Worker goroutines exist only
+	// inside a region — nothing outlives a call.
 	procs  int
 	group  par.Group
 	shards []par.Range
@@ -297,13 +297,11 @@ func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{g: g, procs: opt.procs(), stats: new(Stats)}
 	opt.Solver = lp.Session(opt.solver())
 	e.opt = opt
-	// The layering and gains scratches shard over the same worker count
-	// and run their regions on the engine's fork-join group, so
-	// Stats.WorkerBusy aggregates every kernel's per-worker busy time.
+	// The layering scratch shards over the same worker count and runs its
+	// regions on the engine's fork-join group, so Stats.WorkerBusy
+	// aggregates every kernel's per-worker busy time.
 	e.lay.Procs = e.procs
 	e.lay.Group = &e.group
-	e.gain.Procs = e.procs
-	e.gain.Group = &e.group
 	return e
 }
 

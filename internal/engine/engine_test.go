@@ -551,15 +551,83 @@ func randomGrowthEdit(g *graph.Graph, a *partition.Assignment, rng *rand.Rand) {
 	}
 }
 
+// hubBlob adds a 200-vertex hub-and-spoke blob of unassigned vertices,
+// disconnected from the rest of g: one orphan cluster whose second BFS
+// level is all 199 spokes.
+func hubBlob(t testing.TB, g *graph.Graph, a *partition.Assignment) {
+	t.Helper()
+	blob := make([]graph.Vertex, 200)
+	for i := range blob {
+		blob[i] = g.AddVertex(1)
+	}
+	a.Grow(g.Order())
+	for i := 1; i < len(blob); i++ {
+		if err := g.AddEdge(blob[0], blob[i], 1); err != nil {
+			t.Fatal(err)
+		}
+		if j := (i * 7) % len(blob); j != i {
+			g.AddEdgeIfAbsent(blob[i], blob[j], 1)
+		}
+	}
+}
+
+// growthBurst adds a connected burst of 240 unassigned vertices, a random
+// recursive tree hooked to the assigned region at a few dozen points, so
+// phase 1's rim and BFS levels run to tens of vertices. The same seed
+// makes the same edits on two graphs with the same history.
+func growthBurst(g *graph.Graph, a *partition.Assignment, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	var old []graph.Vertex
+	for v := 0; v < g.Order(); v++ {
+		if g.Alive(graph.Vertex(v)) && a.Part[v] >= 0 {
+			old = append(old, graph.Vertex(v))
+		}
+	}
+	burst := make([]graph.Vertex, 240)
+	for i := range burst {
+		burst[i] = g.AddVertex(1)
+		if i > 0 {
+			_ = g.AddEdge(burst[i], burst[rng.Intn(i)], 1)
+		}
+		if i == 0 || rng.Intn(8) == 0 {
+			g.AddEdgeIfAbsent(burst[i], old[rng.Intn(len(old))], 1)
+		}
+	}
+	a.Grow(g.Order())
+}
+
 // TestAssignMatchesOracle drives the delta-aware phase 1 and the
-// one-shot Assign oracle through the same growth-edit sequences and
-// requires identical assignments, counts and errors.
+// one-shot Assign oracle through the same growth-edit sequences, then a
+// disconnected hub-and-spoke blob and a large connected burst, and
+// requires identical assignments, counts and errors. Phase 1 itself is
+// sequential; the worker counts vary the sync that fills its pending set.
 func TestAssignMatchesOracle(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		gE, aE := editableGraph(t, 300, 6, 71)
 		gO := gE.Clone()
 		aO := aE.Clone()
 		e := New(gE, Options{Parallelism: procs})
+		check := func(step string) (assigned, fallbacks int) {
+			t.Helper()
+			asgE, fbE, errE := e.assign(aE)
+			asgO, fbO, errO := Assign(gO, aO)
+			if (errE == nil) != (errO == nil) {
+				t.Fatalf("procs=%d %s: error mismatch: %v vs %v", procs, step, errE, errO)
+			}
+			if asgE != asgO || fbE != fbO {
+				t.Fatalf("procs=%d %s: counts diverge: assigned %d/%d fallbacks %d/%d",
+					procs, step, asgE, asgO, fbE, fbO)
+			}
+			if !reflect.DeepEqual(aE.Part, aO.Part) {
+				for v := range aE.Part {
+					if aE.Part[v] != aO.Part[v] {
+						t.Fatalf("procs=%d %s: assignment diverges at %d: %d vs %d",
+							procs, step, v, aE.Part[v], aO.Part[v])
+					}
+				}
+			}
+			return asgE, fbE
+		}
 		rngE := rand.New(rand.NewSource(73))
 		rngO := rand.New(rand.NewSource(73))
 		for iter := 0; iter < 80; iter++ {
@@ -571,23 +639,17 @@ func TestAssignMatchesOracle(t *testing.T) {
 				randomGrowthEdit(gE, aE, rngE)
 				randomGrowthEdit(gO, aO, rngO)
 			}
-			asgE, fbE, errE := e.assign(aE)
-			asgO, fbO, errO := Assign(gO, aO)
-			if (errE == nil) != (errO == nil) {
-				t.Fatalf("procs=%d iter %d: error mismatch: %v vs %v", procs, iter, errE, errO)
-			}
-			if asgE != asgO || fbE != fbO {
-				t.Fatalf("procs=%d iter %d: counts diverge: assigned %d/%d fallbacks %d/%d",
-					procs, iter, asgE, asgO, fbE, fbO)
-			}
-			if !reflect.DeepEqual(aE.Part, aO.Part) {
-				for v := range aE.Part {
-					if aE.Part[v] != aO.Part[v] {
-						t.Fatalf("procs=%d iter %d: assignment diverges at %d: %d vs %d",
-							procs, iter, v, aE.Part[v], aO.Part[v])
-					}
-				}
-			}
+			check(fmt.Sprintf("iter %d", iter))
+		}
+		hubBlob(t, gE, aE)
+		hubBlob(t, gO, aO)
+		if n, fb := check("hub blob"); n != 200 || fb != 1 {
+			t.Fatalf("procs=%d hub blob: assigned %d in %d fallback clusters, want 200 in 1", procs, n, fb)
+		}
+		growthBurst(gE, aE, 79)
+		growthBurst(gO, aO, 79)
+		if n, fb := check("growth burst"); n != 240 || fb != 0 {
+			t.Fatalf("procs=%d growth burst: assigned %d in %d fallback clusters, want 240 in 0", procs, n, fb)
 		}
 	}
 }

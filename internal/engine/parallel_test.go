@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layering"
-	"repro/internal/partition"
 	"repro/internal/refine"
 )
 
@@ -200,51 +199,6 @@ func TestParallelWorkerBusyReported(t *testing.T) {
 	}
 	if st2.Parallelism != 1 || len(st2.WorkerBusy) != 0 {
 		t.Fatalf("one-worker stats: Parallelism=%d WorkerBusy=%v", st2.Parallelism, st2.WorkerBusy)
-	}
-}
-
-// TestParallelOrphanClusteringEquivalence: a large disconnected cluster
-// of new vertices floods level-synchronously over the worker group; the
-// resulting assignment and fallback count must match the one-worker
-// engine exactly.
-func TestParallelOrphanClusteringEquivalence(t *testing.T) {
-	build := func(procs int) (*partition.Assignment, int, int) {
-		g, a := editableGraph(t, 400, 6, 13)
-		e := New(g, Options{Parallelism: procs})
-		e.sync(a) // warm the journal so the blob arrives as a delta
-		// A hub-and-spoke blob, disconnected from the old region: the
-		// level-1 frontier is all 199 spokes, far above parAsgMin.
-		blob := make([]graph.Vertex, 200)
-		for i := range blob {
-			blob[i] = g.AddVertex(1)
-		}
-		a.Grow(g.Order())
-		for i := 1; i < len(blob); i++ {
-			if err := g.AddEdge(blob[0], blob[i], 1); err != nil {
-				t.Fatal(err)
-			}
-			if j := (i * 7) % len(blob); j != i {
-				g.AddEdgeIfAbsent(blob[i], blob[j], 1)
-			}
-		}
-		assigned, fallbacks, err := e.assign(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, assigned, fallbacks
-	}
-	aSeq, nSeq, fSeq := build(1)
-	if fSeq != 1 {
-		t.Fatalf("one-worker run placed %d fallback clusters, want 1", fSeq)
-	}
-	for _, procs := range []int{2, 3, 7} {
-		a, n, f := build(procs)
-		if n != nSeq || f != fSeq {
-			t.Fatalf("procs=%d: assigned/fallbacks %d/%d, want %d/%d", procs, n, f, nSeq, fSeq)
-		}
-		if !reflect.DeepEqual(a.Part, aSeq.Part) {
-			t.Fatalf("procs=%d: orphan clustering assignment diverges from the one-worker run", procs)
-		}
 	}
 }
 

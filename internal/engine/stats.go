@@ -108,8 +108,8 @@ type Stats struct {
 	// with (1 = every region one shard, run inline).
 	Parallelism int
 	// WorkerBusy is the per-worker busy wall clock summed over every
-	// parallel region of the call (boundary sync, layering BFS, gain scans,
-	// the orphan flood; the V-cycle's hierarchy runs inline and is not in
+	// parallel region of the call (boundary sync and layering BFS; phase 1,
+	// the gain scans and the V-cycle's hierarchy run inline and are not in
 	// it); index w is worker w. It is empty at one worker.
 	// Comparing the sum against Elapsed shows how much of the pipeline
 	// actually fanned out.

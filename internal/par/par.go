@@ -154,8 +154,8 @@ func Sized[T any](s []T, n int) []T {
 //
 // Mixing the forms across phases of one generation is safe when the
 // sequential phase completes before the parallel region starts (the
-// fork establishes the happens-before edge) — the pattern phase 1's
-// orphan flood uses to seed each component.
+// fork establishes the happens-before edge) — the pattern the layering
+// kernel uses to dedup its seeds before the level BFS claims.
 type Stamps struct {
 	s   []uint32
 	gen uint32

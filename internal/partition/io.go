@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 )
 
 // WriteAssignment encodes a as "vertex partition" lines (unassigned slots
@@ -22,7 +23,8 @@ func WriteAssignment(w io.Writer, a *Assignment) error {
 // ReadAssignment decodes an assignment written by WriteAssignment. Files
 // without the header are accepted for interoperability: pass the slot
 // count and partition count explicitly via defaults (order, p); the
-// header, when present, overrides them.
+// header, when present, overrides them. Vertex and partition ids are
+// int32, so an order above 2³¹ or a P above 2³¹−1 is an error.
 func ReadAssignment(r io.Reader, order, p int) (*Assignment, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -42,7 +44,10 @@ func ReadAssignment(r io.Reader, order, p int) (*Assignment, error) {
 			if order <= 0 || p <= 0 {
 				return nil, fmt.Errorf("partition: read assignment: no header and no explicit dimensions")
 			}
-			a = New(order, p)
+			var err error
+			if a, err = newSized(order, p); err != nil {
+				return nil, err
+			}
 		}
 		var v, q int
 		if _, err := fmt.Sscanf(text, "%d %d", &v, &q); err != nil {
@@ -60,7 +65,16 @@ func ReadAssignment(r io.Reader, order, p int) (*Assignment, error) {
 		if order <= 0 || p <= 0 {
 			return nil, fmt.Errorf("partition: read assignment: empty input and no explicit dimensions")
 		}
-		a = New(order, p)
+		return newSized(order, p)
 	}
 	return a, nil
+}
+
+// newSized allocates ReadAssignment's result once the dimensions are
+// known to fit the int32 ids.
+func newSized(order, p int) (*Assignment, error) {
+	if order > math.MaxInt32+1 || p > math.MaxInt32 {
+		return nil, fmt.Errorf("partition: read assignment: order %d / P %d beyond the int32 ids", order, p)
+	}
+	return New(order, p), nil
 }

@@ -288,4 +288,22 @@ func TestAssignmentIOErrors(t *testing.T) {
 	if _, err := ReadAssignment(strings.NewReader("0 1\n"), 0, 0); err == nil {
 		t.Fatal("headerless without dimensions must error")
 	}
+	// Dimensions beyond the int32 ids error before anything is allocated
+	// instead of wrapping int32(q).
+	for _, c := range []struct {
+		in       string
+		order, p int
+	}{
+		{"igp-assignment 4 4294967297\n0 4294967295\n1 2147483648\n", 0, 0},
+		{"igp-assignment 4 2147483648\n0 1\n", 0, 0},
+		{"igp-assignment 2147483649 2\n0 1\n", 0, 0},
+		{"0 1\n", 3, math.MaxInt32 + 1},
+		{"0 1\n", math.MaxInt32 + 2, 2},
+		{"", 3, math.MaxInt32 + 1},
+		{"", math.MaxInt32 + 2, 2},
+	} {
+		if a, err := ReadAssignment(strings.NewReader(c.in), c.order, c.p); err == nil {
+			t.Fatalf("%q (order %d, P %d) decoded to P %d, %v; want an error", c.in, c.order, c.p, a.P, a.Part)
+		}
+	}
 }

@@ -10,10 +10,7 @@
 // descending, id ascending). So after a change only the vertices whose
 // inputs changed need re-classifying, only the pools one of them entered
 // or left need rebuilding, and the result equals a from-scratch scan's
-// exactly. The seeded scan is sharded over Procs workers: contiguous
-// shards of the deduped seeds, private logs joined in worker order, and
-// the total-order sort erases bucket order — so the Candidates are
-// bit-identical for every worker count (Procs <= 1: one inline shard).
+// exactly.
 package refine
 
 import (
@@ -69,11 +66,6 @@ func cmpCand(a, b cand) int {
 	}
 	return cmp.Compare(a.v, b.v)
 }
-
-// parScanMin is the deduped vertex count below which the scan runs as
-// one shard instead of forking the worker group. The cutoff depends only
-// on the list length, and the result is worker-count independent anyway.
-const parScanMin = 48
 
 // RowScan is one worker's arena for the row kernel, Scan. The zero value
 // is ready.
@@ -156,14 +148,7 @@ type Reclass struct {
 // to use; buffers grow to the largest graph seen and are reused, so
 // steady-state scans allocate nothing. The Candidates returned by its
 // methods are owned by the Scratch and invalidated by the next call.
-//
-// Procs is the worker count (<= 1: inline). Group, when non-nil, is the
-// shared fork-join executor (the engine passes its own so per-worker
-// busy times roll up across kernels); nil uses a private one.
 type Scratch struct {
-	Procs int
-	Group *par.Group
-
 	cands  Candidates
 	pair   []int32 // pair[v] = i*P+j of the pool holding v, -1 for none
 	strict bool    // the test B currently reflects
@@ -173,20 +158,11 @@ type Scratch struct {
 	stamp []uint32
 	gen   uint32
 
-	ownGroup par.Group
-	gws      []gainWorker // gws[0].log is also the join's merge target
-	list     []graph.Vertex
-	shards   []par.Range
-	task     gainsTask
-	buckets  [][]cand // per pool: its new entries this call
-	stale    []int32  // pair pools to rebuild this call
-	isStale  []bool
-}
-
-// gainWorker is one worker's private arena for the seeded scan.
-type gainWorker struct {
-	row RowScan
-	log []Reclass
+	row     RowScan   // the seeded scan's row kernel
+	log     []Reclass // the seeded scan's class log
+	buckets [][]cand  // per pool: its new entries this call
+	stale   []int32   // pair pools to rebuild this call
+	isStale []bool
 }
 
 // Gains scans every vertex and builds the candidate pools. strict selects
@@ -206,50 +182,15 @@ func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool
 		return nil, fmt.Errorf("refine: %w", err)
 	}
 	s.reset(c.Order(), a.P, strict)
-	list := s.list[:0]
-	for _, v := range seeds { // dedup: each vertex is one worker's
-		if s.stamp[v] == 0 {
+	log := s.log[:0]
+	for _, v := range seeds {
+		if s.stamp[v] == 0 { // dedup
 			s.stamp[v] = 1
-			list = append(list, v)
+			log = s.Reclassify(&s.row, c, a, v, log)
 		}
 	}
-	s.list = list
-	s.shards = par.Split(s.shards[:0], len(list), par.Workers(s.Procs, len(list), parScanMin))
-	for len(s.gws) < len(s.shards) {
-		s.gws = append(s.gws, gainWorker{})
-	}
-	group := s.Group
-	if group == nil {
-		group = &s.ownGroup
-	}
-	s.task = gainsTask{s: s, c: c, a: a}
-	group.Run(len(s.shards), &s.task)
-	// Drop the snapshot/assignment pointers so a long-lived scratch
-	// never pins a caller's dropped graph state.
-	s.task = gainsTask{}
-	log := s.gws[0].log
-	for w := 1; w < len(s.shards); w++ {
-		log = append(log, s.gws[w].log...)
-	}
-	s.gws[0].log = log
+	s.log = log
 	return s.patch(log, strict), nil
-}
-
-// gainsTask reclassifies one shard of the deduped seed list into the
-// worker's log; each v is owned by the calling worker.
-type gainsTask struct {
-	s *Scratch
-	c *graph.CSR
-	a *partition.Assignment
-}
-
-func (t *gainsTask) Do(w int) {
-	s := t.s
-	ws, sh := &s.gws[w], s.shards[w]
-	ws.log = ws.log[:0]
-	for _, v := range s.list[sh.Lo:sh.Hi] {
-		ws.log = s.Reclassify(&ws.row, t.c, t.a, v, ws.log)
-	}
 }
 
 // errNotPatchable reports a GainsPatched call the Scratch's previous

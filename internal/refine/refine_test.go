@@ -444,77 +444,129 @@ func TestDriveRunningCutExact(t *testing.T) {
 	}
 }
 
+// boundaryFixture builds a connected random geometric graph with an
+// irregular striped assignment and its boundary seed list (duplicated,
+// to exercise the dedup path).
+func boundaryFixture(t testing.TB, n, p int, seed int64) (*graph.CSR, *partition.Assignment, []graph.Vertex) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g, _ := graph.RandomGeometric(n, 0.08, rng)
+	graph.EnsureConnected(g)
+	a := partition.New(g.Order(), p)
+	for v := 0; v < g.Order(); v++ {
+		a.Part[v] = int32(v * p / g.Order())
+	}
+	for i := 0; i < n/10; i++ {
+		a.Part[rng.Intn(g.Order())] = int32(rng.Intn(p))
+	}
+	c := g.ToCSR()
+	var seeds []graph.Vertex
+	for v := 0; v < c.Order(); v++ {
+		for _, u := range c.Row(graph.Vertex(v)) {
+			if a.Part[u] != a.Part[v] {
+				seeds = append(seeds, graph.Vertex(v), graph.Vertex(v))
+				break
+			}
+		}
+	}
+	return c, a, seeds
+}
+
+// TestGainsScratchReuse drives one scratch across different graph and
+// partition sizes — arena reuse (including the P² pair buckets) must
+// never leak candidates between calls.
+func TestGainsScratchReuse(t *testing.T) {
+	var s Scratch
+	for _, cfg := range []struct {
+		n, p int
+		seed int64
+	}{
+		{100, 6, 21}, {400, 3, 22}, {100, 8, 23}, {400, 3, 22},
+	} {
+		c, a, seeds := boundaryFixture(t, cfg.n, cfg.p, cfg.seed)
+		got, err := s.GainsSeeded(c, a, false, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh Scratch
+		want, err := fresh.GainsSeeded(c, a, false, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.B, want.B) || !reflect.DeepEqual(got.Gain, want.Gain) {
+			t.Fatalf("n=%d p=%d: reuse diverges", cfg.n, cfg.p)
+		}
+	}
+}
+
 // TestGainsPatchedMatchesSeeded: patching the pools from the class
 // changes Reclassify logged for the moved vertices and their neighbours
 // must reproduce a from-scratch scan exactly — pools, order, B and Gain —
 // across move batches, two batches between patches (the second putting
-// vertices back), both tests and the switches between them, inline and
-// sharded seeded scans.
+// vertices back), both tests and the switches between them.
 func TestGainsPatchedMatchesSeeded(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		c, a, seeds := parallelFixture(t, 600, 7, 31)
-		rng := rand.New(rand.NewSource(32))
-		s := Scratch{Procs: procs}
-		if _, err := s.GainsSeeded(c, a, false, seeds); err != nil {
+	c, a, seeds := boundaryFixture(t, 600, 7, 31)
+	rng := rand.New(rand.NewSource(32))
+	var s Scratch
+	if _, err := s.GainsSeeded(c, a, false, seeds); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]graph.Vertex, c.Order())
+	for v := range all {
+		all[v] = graph.Vertex(v)
+	}
+	var row RowScan
+	var log []Reclass
+	reclassify := func(v graph.Vertex) {
+		log = s.Reclassify(&row, c, a, v, log)
+		for _, u := range c.Row(v) {
+			log = s.Reclassify(&row, c, a, u, log)
+		}
+	}
+	for iter := 0; iter < 60; iter++ {
+		log = log[:0]
+		var moved []graph.Vertex
+		var from []int32
+		for k := rng.Intn(80); k > 0; k-- { // an empty batch now and then
+			v := graph.Vertex(rng.Intn(c.Order()))
+			moved, from = append(moved, v), append(from, a.Part[v])
+			a.Part[v] = int32(rng.Intn(a.P))
+			reclassify(v)
+		}
+		if iter%2 == 1 { // a second sync before the patch: put some back
+			for k, v := range moved {
+				if k%2 == 0 {
+					a.Part[v] = from[k]
+					reclassify(v)
+				}
+			}
+		}
+		strict := iter%3 == 2
+		got, err := s.GainsPatched(c, a, strict, log)
+		if err != nil {
 			t.Fatal(err)
 		}
-		all := make([]graph.Vertex, c.Order())
-		for v := range all {
-			all[v] = graph.Vertex(v)
+		var fresh Scratch
+		want, err := fresh.GainsSeeded(c, a, strict, all)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var row RowScan
-		var log []Reclass
-		reclassify := func(v graph.Vertex) {
-			log = s.Reclassify(&row, c, a, v, log)
-			for _, u := range c.Row(v) {
-				log = s.Reclassify(&row, c, a, u, log)
-			}
+		if !reflect.DeepEqual(got.B, want.B) || !reflect.DeepEqual(got.Gain, want.Gain) {
+			t.Fatalf("iter %d strict=%v: B or Gain diverges", iter, strict)
 		}
-		for iter := 0; iter < 60; iter++ {
-			log = log[:0]
-			var moved []graph.Vertex
-			var from []int32
-			for k := rng.Intn(80); k > 0; k-- { // an empty batch now and then
-				v := graph.Vertex(rng.Intn(c.Order()))
-				moved, from = append(moved, v), append(from, a.Part[v])
-				a.Part[v] = int32(rng.Intn(a.P))
-				reclassify(v)
-			}
-			if iter%2 == 1 { // a second sync before the patch: put some back
-				for k, v := range moved {
-					if k%2 == 0 {
-						a.Part[v] = from[k]
-						reclassify(v)
-					}
-				}
-			}
-			strict := iter%3 == 2
-			got, err := s.GainsPatched(c, a, strict, log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fresh Scratch
-			want, err := fresh.GainsSeeded(c, a, strict, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.B, want.B) || !reflect.DeepEqual(got.Gain, want.Gain) {
-				t.Fatalf("procs=%d iter %d strict=%v: B or Gain diverges", procs, iter, strict)
-			}
-			for i := int32(0); i < int32(a.P); i++ {
-				for j := int32(0); j < int32(a.P); j++ {
-					if !reflect.DeepEqual(got.Pool(i, j), want.Pool(i, j)) {
-						t.Fatalf("procs=%d iter %d strict=%v: pool(%d,%d) = %v, want %v",
-							procs, iter, strict, i, j, got.Pool(i, j), want.Pool(i, j))
-					}
+		for i := int32(0); i < int32(a.P); i++ {
+			for j := int32(0); j < int32(a.P); j++ {
+				if !reflect.DeepEqual(got.Pool(i, j), want.Pool(i, j)) {
+					t.Fatalf("iter %d strict=%v: pool(%d,%d) = %v, want %v",
+						iter, strict, i, j, got.Pool(i, j), want.Pool(i, j))
 				}
 			}
 		}
-		// A scratch that never scanned this shape has nothing to patch.
-		var cold Scratch
-		if _, err := cold.GainsPatched(c, a, false, nil); err == nil {
-			t.Fatalf("procs=%d: patching an empty scratch must fail", procs)
-		}
+	}
+	// A scratch that never scanned this shape has nothing to patch.
+	var cold Scratch
+	if _, err := cold.GainsPatched(c, a, false, nil); err == nil {
+		t.Fatal("patching an empty scratch must fail")
 	}
 }
 

@@ -137,11 +137,11 @@ func WithBatches(k int) Option {
 }
 
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
-// multi-core kernels — the incremental boundary recompute, the layering
-// BFS level expansion, the refinement gain scan and the orphan-cluster
-// flood. LP solves, the spectral solve and the V-cycle's hierarchy
-// (coarsening, coarsest solve, uncoarsening) are sequential whatever n
-// is. The default is runtime.GOMAXPROCS(0). Each
+// multi-core kernels — the incremental boundary recompute and the
+// layering BFS level expansion. Phase 1 (new-vertex assignment and the
+// orphan-cluster flood), the refinement gain scan, LP solves, the
+// spectral solve and the V-cycle's hierarchy (coarsening, coarsest
+// solve, uncoarsening) are sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
 // kernel has one code path with n as a parameter: n = 1 runs it as one
 // shard, inline on the calling goroutine, with no goroutine spawned.
 //

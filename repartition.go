@@ -162,8 +162,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine bound to g, validating every option
-// eagerly: unknown solver names, non-positive stage caps, batches < 1
-// and nil observers are constructor errors, never mid-run surprises.
+// eagerly: unknown solver names, batches < 1 and nil observers are constructor errors, never mid-run surprises.
 // The first Repartition call pays a full snapshot build; subsequent
 // calls are incremental.
 func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
