@@ -171,6 +171,26 @@ func TestEagerOptionValidation(t *testing.T) {
 	}
 }
 
+// TestWithParallelismValidation: the option is a no-op, but worker counts
+// below 1 are still constructor errors and valid counts are accepted
+// eagerly.
+func TestWithParallelismValidation(t *testing.T) {
+	g, err := NewMeshGraph(200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1, -100} {
+		if _, err := NewEngine(g, WithParallelism(n)); err == nil {
+			t.Fatalf("WithParallelism(%d) accepted", n)
+		}
+	}
+	for _, n := range []int{1, 2, 64} {
+		if _, err := NewEngine(g, WithParallelism(n)); err != nil {
+			t.Fatalf("WithParallelism(%d) rejected: %v", n, err)
+		}
+	}
+}
+
 // TestWithMultilevelVCycle drives the public V-cycle surface end to end:
 // a cold multilevel Repartition on a grown mesh must build a hierarchy
 // (Stats.Levels populated, Coarsen/Uncoarsen timings plumbed through
@@ -486,29 +506,27 @@ func TestCustomSolverRegistry(t *testing.T) {
 // TestConvertStatsSteadyStateAllocs: the public Stats is the engine's
 // own record, so nothing is converted on the way out — a warm public
 // Engine's idle Repartition stays on the engine's arenas, its Stats
-// included, at every worker count.
+// included.
 func TestConvertStatsSteadyStateAllocs(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		g, a := grownMesh(t, 500, 8, 40, 23)
-		eng, err := NewEngine(g, WithParallelism(procs))
-		if err != nil {
+	g, a := grownMesh(t, 500, 8, 40, 23)
+	eng, err := NewEngine(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Repartition(context.Background(), a); err != nil { // balances
+		t.Fatal(err)
+	}
+	var st *Stats
+	allocs := testing.AllocsPerRun(20, func() {
+		if st, err = eng.Repartition(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Repartition(context.Background(), a); err != nil { // balances
-			t.Fatal(err)
-		}
-		var st *Stats
-		allocs := testing.AllocsPerRun(20, func() {
-			if st, err = eng.Repartition(context.Background(), a); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("procs %d: a warm idle public Repartition allocates %.1f objects/op, want 0", procs, allocs)
-		}
-		if st.Parallelism != procs || st.CutReused != 2 || st.PhaseTimings.Total() > st.Elapsed {
-			t.Fatalf("procs %d: idle call reported %+v", procs, st)
-		}
+	})
+	if allocs > 0 {
+		t.Fatalf("a warm idle public Repartition allocates %.1f objects/op, want 0", allocs)
+	}
+	if st.CutReused != 2 || st.PhaseTimings.Total() > st.Elapsed {
+		t.Fatalf("idle call reported %+v", st)
 	}
 }
 
@@ -712,8 +730,8 @@ func TestEveryLPIsAFlow(t *testing.T) {
 		if counted.ranged.Load() == ranged {
 			t.Fatalf("%s: no tolerance LP reached the solver", name)
 		}
-		if st.Parallelism == 0 || st.CutIncremental == 0 {
-			t.Fatalf("%s: Parallelism = %d, CutIncremental = %d: the call's counters were dropped", name, st.Parallelism, st.CutIncremental)
+		if st.Elapsed <= 0 || st.CutIncremental == 0 {
+			t.Fatalf("%s: Elapsed = %v, CutIncremental = %d: the call's counters were dropped", name, st.Elapsed, st.CutIncremental)
 		}
 		if err := a.Validate(g); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -13,7 +13,6 @@ package igp
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -370,7 +369,7 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 // BenchmarkPhase_GainsOneShot is the full scan with fresh pools.
 func BenchmarkPhase_Gains(b *testing.B) {
 	g, a := unrefined(b)
-	eng := engine.New(g, engine.Options{Parallelism: 1})
+	eng := engine.New(g, engine.Options{})
 	csr, boundary := eng.Snapshot(a), eng.Boundary(a)
 	var scratch refine.Scratch
 	if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
@@ -418,56 +417,6 @@ func BenchmarkPhase_GainsOneShot(b *testing.B) {
 	}
 }
 
-// --- Sharded multi-core kernels ------------------------------------------------
-//
-// BenchmarkPhase_LayerPar measures the steady-state sharded layering
-// kernel at several worker counts on the mesh-A workload (procs=1 is the
-// same kernel as one inline shard, the baseline for the wall-clock
-// speedup the BENCH trajectory records). The *ParB variants run the
-// 10k-vertex mesh B, where per-region fork-join overhead
-// amortizes over ~10× the vertex work. Note that the speedup rows are
-// only meaningful on a multi-core host: on a single-CPU machine the
-// workers time-slice one core and procs>1 can only add overhead.
-
-var benchProcs = []int{1, 2, 4, 8}
-
-func benchEngineLayerProcs(b *testing.B, g *graph.Graph, base *partition.Assignment, procs int) {
-	b.Helper()
-	a := base.Clone()
-	if _, _, err := engine.Assign(g, a); err != nil {
-		b.Fatal(err)
-	}
-	eng := engine.New(g, engine.Options{Parallelism: procs})
-	if _, err := eng.Layer(context.Background(), a); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Layer(context.Background(), a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPhase_LayerPar(b *testing.B) {
-	f := meshA(b)
-	for _, procs := range benchProcs {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchEngineLayerProcs(b, f.seq.Steps[0].Graph, f.base, procs)
-		})
-	}
-}
-
-func BenchmarkPhase_LayerParB(b *testing.B) {
-	f := meshB(b)
-	for _, procs := range []int{1, 8} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchEngineLayerProcs(b, f.seq.Steps[0].Graph, f.base, procs)
-		})
-	}
-}
-
 // BenchmarkEngine_SteadyRepartition is the end-to-end steady-state cycle:
 // a long-lived engine repartitions after the assignment is reset to the
 // pre-balance state, reusing snapshot, boundary and scratch each time.
@@ -488,33 +437,6 @@ func BenchmarkEngine_SteadyRepartition(b *testing.B) {
 		if _, err := eng.Repartition(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEngine_SteadyRepartitionPar is the steady-state cycle at each
-// worker count: the allocs/op column must read 0 at every procs value
-// (the per-worker scratch is part of the engine's arenas).
-func BenchmarkEngine_SteadyRepartitionPar(b *testing.B) {
-	f := meshA(b)
-	g := f.seq.Steps[0].Graph
-	for _, procs := range benchProcs {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			eng := engine.New(g, engine.Options{Parallelism: procs})
-			base := f.base.Clone()
-			base.Grow(g.Order())
-			a := base.Clone()
-			if _, err := eng.Repartition(context.Background(), a); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(a.Part, base.Part)
-				if _, err := eng.Repartition(context.Background(), a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -563,7 +485,7 @@ func followStep(b *testing.B, g, to *graph.Graph) {
 
 // BenchmarkEngine_GrowRepartition is the repo benchmark's meshB-grow op
 // (a ~10166-vertex mesh growing by +40 vertices per op, P = 32,
-// refinement on, one worker, one warm engine per 40-op pass) with the
+// refinement on, one warm engine per 40-op pass) with the
 // layering share read off the product's own Stats — the harness's
 // layering.layer_ms times a shadow engine's full-depth Layer and cannot
 // see what a stage did not layer. layer-µs/op is PhaseTimings.Layer,
@@ -592,7 +514,7 @@ func BenchmarkEngine_GrowRepartition(b *testing.B) {
 				eng.Close()
 			}
 			g, a = seq.Base.Clone(), &partition.Assignment{Part: slices.Clone(part), P: 32}
-			if eng, err = NewEngine(g, WithRefine(), WithParallelism(1)); err != nil {
+			if eng, err = NewEngine(g, WithRefine()); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := eng.Repartition(ctx, a); err != nil {
@@ -618,7 +540,7 @@ func BenchmarkEngine_GrowRepartition(b *testing.B) {
 
 // BenchmarkEngine_CutReport is the repo benchmark's meshB-smalledit op
 // reduced to what it consists of: a 16-edit size-preserving burst on mesh
-// B (untimed), then one Engine.Cut at P = 32 and one worker — the CSR
+// B (untimed), then one Engine.Cut at P = 32 — the CSR
 // patch, the sync of the touched rows and one report summed from the
 // stored cut terms. boundary/op is the length of the list a report walks.
 func BenchmarkEngine_CutReport(b *testing.B) {
@@ -627,7 +549,7 @@ func BenchmarkEngine_CutReport(b *testing.B) {
 	}
 	seq, part := meshGrowth()
 	g, a := seq.Base.Clone(), &partition.Assignment{Part: slices.Clone(part), P: 32}
-	eng := engine.New(g, engine.Options{Parallelism: 1})
+	eng := engine.New(g, engine.Options{})
 	defer eng.Close()
 	rng := rand.New(rand.NewSource(1994))
 	boundary := 0

@@ -13,7 +13,7 @@
 //	igpbench -table multilevel            # large-graph V-cycle tier (n=10^5)
 //	igpbench -table all                   # everything
 //
-// Flags -p, -ranks, -seed, -solver, -procs and -skipsim adjust the
+// Flags -p, -ranks, -seed, -solver, -n and -skipsim adjust the
 // experiment. See README.md for example output; the performance record
 // is the repo benchmark (scripts/trajectory.sh).
 package main
@@ -36,10 +36,8 @@ func main() {
 	p := flag.Int("p", 32, "number of partitions")
 	ranks := flag.Int("ranks", 32, "simulated machine size")
 	solver := flag.String("solver", lp.DefaultSolverName, "sequential simplex: "+strings.Join(igp.SolverNames(), "|"))
-	procs := flag.Int("procs", 0, "worker count for the engine's sharded kernels (0 = GOMAXPROCS, 1 = one worker, inline)")
 	skipSim := flag.Bool("skipsim", false, "skip simulated parallel runs (no Time-p/Speedup)")
 	largeN := flag.Int("n", 100000, "large-graph tier size (table: multilevel)")
-	procsList := flag.String("procslist", "", "comma-separated worker counts for the multilevel table (one row set per count, each must reproduce the first; overrides -procs there)")
 	flag.Parse()
 
 	// The registry resolves built-ins and any solver an out-of-tree build
@@ -49,11 +47,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "igpbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *procs < 0 {
-		fmt.Fprintf(os.Stderr, "igpbench: -procs %d: worker count must be ≥ 0 (0 = GOMAXPROCS)\n", *procs)
-		os.Exit(2)
-	}
-	cfg := bench.Config{Seed: *seed, P: *p, Ranks: *ranks, Solver: s, Parallelism: *procs, SkipSim: *skipSim}
+	cfg := bench.Config{Seed: *seed, P: *p, Ranks: *ranks, Solver: s, SkipSim: *skipSim}
 
 	run := func(name string) bool { return *table == name || *table == "all" }
 	ok := false
@@ -103,15 +97,11 @@ func main() {
 	if run("multilevel") {
 		ok = true
 		// Large-graph tier: V-cycle cold/idle/warm rows per workload
-		// family, repeated at each -procslist worker count.
-		// MultilevelTable's own assertions (validity, exact balance, the
-		// idle call skips the V-cycle, the cold and warm calls run it, grid
-		// warm hierarchy repair, every count reproduces the first count's
-		// cut, levels, repair and skip) make the table a CI gate: any
+		// family. MultilevelTable's own assertions (validity, exact
+		// balance, the idle call skips the V-cycle, the cold and warm calls
+		// run it, grid warm hierarchy repair) make the table a CI gate: any
 		// violation exits nonzero via exitOn.
-		counts, err := parseProcsList(*procsList, *procs)
-		exitOn(err)
-		rows, err := bench.MultilevelTable(cfg, *largeN, counts)
+		rows, err := bench.MultilevelTable(cfg, *largeN)
 		exitOn(err)
 		fmt.Print(bench.FormatMultilevel(rows, cfg.P))
 		fmt.Println()
@@ -134,23 +124,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "igpbench: unknown table %q\n", *table)
 		os.Exit(2)
 	}
-}
-
-// parseProcsList parses the -procslist flag into worker counts, falling
-// back to the single -procs value when unset.
-func parseProcsList(list string, procs int) ([]int, error) {
-	if list == "" {
-		return []int{procs}, nil
-	}
-	var counts []int
-	for _, f := range strings.Split(list, ",") {
-		var c int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &c); err != nil || c < 0 {
-			return nil, fmt.Errorf("igpbench: -procslist %q: bad worker count %q", list, f)
-		}
-		counts = append(counts, c)
-	}
-	return counts, nil
 }
 
 func exitOn(err error) {

@@ -114,13 +114,19 @@ func main() {
 	fmt.Fprintf(os.Stderr, "igprun: |V|=%d |E|=%d P=%d cutset total=%d max=%.0f min=%.0f imbalance=%.3f\n",
 		g.NumVertices(), g.NumEdges(), *p, cut.Total, cut.Max, cut.Min, igp.Imbalance(g, a))
 
-	w := os.Stdout
-	if *out != "" {
-		w, err = os.Create(*out)
-		exitOn(err)
-		defer w.Close()
+	if *out == "" {
+		exitOn(igp.WriteAssignment(os.Stdout, a))
+		return
 	}
-	exitOn(igp.WriteAssignment(w, a))
+	w, err := os.Create(*out)
+	exitOn(err)
+	// Close explicitly: a file that fails to close may not hold the
+	// assignment, and that must be an error exit.
+	err = igp.WriteAssignment(w, a)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	exitOn(err)
 }
 
 func fail(msg string) {

@@ -36,6 +36,11 @@ func main() {
 		name = "meshB"
 		seq, err = mesh.PaperSequenceB(*seed)
 	case "":
+		if *steps < 0 || *grow < 0 {
+			fmt.Fprintf(os.Stderr, "meshgen: -steps %d -grow %d: both must be ≥ 0\n", *steps, *grow)
+			flag.Usage()
+			os.Exit(2)
+		}
 		name = "mesh"
 		growth := make([]int, *steps)
 		for i := range growth {
@@ -51,8 +56,13 @@ func main() {
 	write := func(path string, g *graph.Graph) {
 		f, err := os.Create(path)
 		exitOn(err)
-		defer f.Close()
-		exitOn(graph.Write(f, g))
+		// Close explicitly: a file that fails to close may not hold the
+		// graph, and that must be an error exit.
+		err = graph.Write(f, g)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		exitOn(err)
 		fmt.Printf("meshgen: wrote %s (|V|=%d |E|=%d)\n", path, g.NumVertices(), g.NumEdges())
 	}
 	exitOn(os.MkdirAll(*outdir, 0o755))

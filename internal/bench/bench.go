@@ -43,10 +43,6 @@ type Config struct {
 	// Solver is the sequential simplex used by IGP/IGPR (nil = lp.Default();
 	// the paper's own is lp.Dense).
 	Solver lp.Solver
-	// Parallelism is the worker count for the engine's sharded kernels
-	// (0 = GOMAXPROCS, 1 = one inline shard per region). Results are
-	// bit-identical for every value; only Time-s changes.
-	Parallelism int
 	// SkipSim disables the simulated parallel runs (faster; Time-p and
 	// Speedup columns become zero).
 	SkipSim bool
@@ -116,9 +112,8 @@ func runIGP(g *graph.Graph, prev *partition.Assignment, cfg Config, withRefine b
 	a := prev.Clone()
 	t0 := time.Now()
 	st, err := engine.New(g, engine.Options{
-		Solver:      cfg.Solver,
-		Refine:      withRefine,
-		Parallelism: cfg.Parallelism,
+		Solver: cfg.Solver,
+		Refine: withRefine,
 	}).Repartition(context.Background(), a)
 	dur := time.Since(t0)
 	if err != nil {
@@ -346,7 +341,7 @@ func LPSizeTable(sizes []int, cfg Config) ([]LPSizeRow, error) {
 		}
 		a := &partition.Assignment{Part: basePart, P: cfg.P}
 		g := seq.Steps[0].Graph
-		st, err := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism}).Repartition(context.Background(), a)
+		st, err := engine.New(g, engine.Options{Solver: cfg.Solver}).Repartition(context.Background(), a)
 		if err != nil {
 			return nil, err
 		}
@@ -452,13 +447,13 @@ func RefineComparison(seq *mesh.Sequence, cfg Config) (*RefineQuality, error) {
 
 	out := &RefineQuality{}
 	aIGP := baseA.Clone()
-	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver, Parallelism: cfg.Parallelism}).Repartition(context.Background(), aIGP); err != nil {
+	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver}).Repartition(context.Background(), aIGP); err != nil {
 		return nil, err
 	}
 	out.CutIGP = partition.Cut(g, aIGP).Total
 
 	aIGPR := baseA.Clone()
-	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver, Refine: true, Parallelism: cfg.Parallelism}).Repartition(context.Background(), aIGPR); err != nil {
+	if _, err := engine.New(g, engine.Options{Solver: cfg.Solver, Refine: true}).Repartition(context.Background(), aIGPR); err != nil {
 		return nil, err
 	}
 	out.CutIGPR = partition.Cut(g, aIGPR).Total

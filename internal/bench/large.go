@@ -11,7 +11,7 @@ package bench
 // start, spectral coarsest init), an idle row (a size-preserving edit
 // burst: the call arrives balanced, so the V-cycle is skipped and the
 // hierarchy left alone) and a warm row (a growth burst: the call arrives
-// imbalanced and repairs the hierarchy), at each worker count asked for.
+// imbalanced and repairs the hierarchy).
 
 import (
 	"context"
@@ -32,7 +32,6 @@ type MultilevelRow struct {
 	Workload string        // "grid" or "powerlaw"
 	N, E     int           // graph size
 	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm"
-	Procs    int           // worker count the sharded kernels ran at
 	Time     time.Duration // wall clock of the run
 	Cut      float64       // resulting cut weight
 	Levels   int           // hierarchy depth (rows that ran the V-cycle)
@@ -92,55 +91,16 @@ func growthBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int)
 	a.Grow(g.Order())
 }
 
-// MultilevelTable measures the V-cycle on the large-graph tier once per
-// worker count in procsList (0 = GOMAXPROCS): for each workload family it
-// runs a cold multilevel Repartition from a degenerate flood-fill
-// assignment, an idle one after a small size-preserving edit burst and a
-// warm one after a growth burst, asserting validity and exact balance on
-// every row, that the idle call skipped the V-cycle, that the cold and
-// warm calls ran it over a real hierarchy and (grid warm) repaired it.
-// The hierarchy runs on one goroutine and the flat kernels around it are
-// bit-identical at every worker count, so each count after the first
-// must reproduce the first count's rows in everything but Time
-// (sameOutcome). A failed assertion is an error, so the table doubles as
+// MultilevelTable measures the V-cycle on the large-graph tier: for each
+// workload family it runs a cold multilevel Repartition from a degenerate
+// flood-fill assignment, an idle one after a small size-preserving edit
+// burst and a warm one after a growth burst, asserting validity and exact
+// balance on every row, that the idle call skipped the V-cycle, that the
+// cold and warm calls ran it over a real hierarchy and (grid warm)
+// repaired it. A failed assertion is an error, so the table doubles as
 // the CI check.
-func MultilevelTable(cfg Config, n int, procsList []int) ([]MultilevelRow, error) {
+func MultilevelTable(cfg Config, n int) ([]MultilevelRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []MultilevelRow
-	for _, procs := range procsList {
-		tier, err := multilevelTier(cfg, n, procs)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) > 0 {
-			if err := sameOutcome(rows[:len(tier)], tier); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, tier...)
-	}
-	return rows, nil
-}
-
-// sameOutcome returns an error naming the first row of tier whose cut,
-// hierarchy depth, repair or skip differs from the row at the same
-// position in first, the first worker count's run.
-func sameOutcome(first, tier []MultilevelRow) error {
-	for i, r := range tier {
-		f := first[i]
-		if r.Cut != f.Cut || r.Levels != f.Levels || r.Repaired != f.Repaired || r.Skipped != f.Skipped {
-			return fmt.Errorf("bench: %s %s differs at procs %d from procs %d: cut %g vs %g, levels %d vs %d, repaired %v vs %v, skipped %v vs %v",
-				r.Workload, r.Mode, r.Procs, f.Procs, r.Cut, f.Cut, r.Levels, f.Levels, r.Repaired, f.Repaired, r.Skipped, f.Skipped)
-		}
-	}
-	return nil
-}
-
-// multilevelTier runs both workload families at one worker count.
-func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
-	if procs == 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
 	var rows []MultilevelRow
 	for _, name := range []string{"grid", "powerlaw"} {
 		g, err := largeWorkload(name, n, cfg.Seed)
@@ -152,10 +112,9 @@ func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
 			a.Part[v] = 0
 		}
 		e := engine.New(g, engine.Options{
-			Solver:      cfg.Solver,
-			Refine:      true,
-			Parallelism: procs,
-			Multilevel:  engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
+			Solver:     cfg.Solver,
+			Refine:     true,
+			Multilevel: engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
 		})
 		// call times one Repartition and checks the row's hard contract.
 		// The allocation count and the cold row's live heap are read
@@ -170,7 +129,7 @@ func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
 			if err != nil {
 				return MultilevelRow{}, fmt.Errorf("bench: %s %s: %w", name, mode, err)
 			}
-			row, err := multilevelRow(g, a, name, mode, procs, d, st)
+			row, err := multilevelRow(g, a, name, mode, d, st)
 			row.Allocs = ms.Mallocs - mallocs
 			if mode == "vcycle-cold" {
 				runtime.GC()
@@ -224,13 +183,13 @@ func multilevelTier(cfg Config, n, procs int) ([]MultilevelRow, error) {
 // exact balance, and by mode: the idle call skipped the V-cycle, every
 // other call ran it over a hierarchy at least two levels deep) and
 // packages the measurement.
-func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode string, procs int, d time.Duration, st *engine.Stats) (MultilevelRow, error) {
+func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode string, d time.Duration, st *engine.Stats) (MultilevelRow, error) {
 	if err := a.Validate(g); err != nil {
 		return MultilevelRow{}, fmt.Errorf("bench: %s %s left an invalid assignment: %w", workload, mode, err)
 	}
 	row := MultilevelRow{
 		Workload: workload, N: g.NumVertices(), E: g.NumEdges(),
-		Mode: mode, Procs: procs, Time: d, Cut: partition.Cut(g, a).TotalWeight,
+		Mode: mode, Time: d, Cut: partition.Cut(g, a).TotalWeight,
 		Levels: len(st.Levels), Repaired: st.HierarchyRepaired, Skipped: st.VCycleSkipped,
 		Balanced: balancedExactly(g, a),
 	}
@@ -263,15 +222,15 @@ func balancedExactly(g *graph.Graph, a *partition.Assignment) bool {
 func FormatMultilevel(rows []MultilevelRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Large-graph multilevel tier (P=%d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %6s %10s %9s %7s %9s %8s %9s %7s\n",
-		"Workload", "N", "E", "Mode", "Procs", "Time", "Cut", "Levels", "Repaired", "Skipped", "Allocs", "HeapMB")
+	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %10s %9s %7s %9s %8s %9s %7s\n",
+		"Workload", "N", "E", "Mode", "Time", "Cut", "Levels", "Repaired", "Skipped", "Allocs", "HeapMB")
 	for _, r := range rows {
 		heap := "-"
 		if r.Mode == "vcycle-cold" {
 			heap = fmt.Sprintf("%.1f", r.HeapMB)
 		}
-		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %6d %10s %9.0f %7d %9v %8v %9d %7s\n",
-			r.Workload, r.N, r.E, r.Mode, r.Procs, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped, r.Allocs, heap)
+		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %10s %9.0f %7d %9v %8v %9d %7s\n",
+			r.Workload, r.N, r.E, r.Mode, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped, r.Allocs, heap)
 	}
 	return b.String()
 }

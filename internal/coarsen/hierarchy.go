@@ -42,9 +42,8 @@ package coarsen
 // operation iterates in ascending vertex order or an explicitly sorted
 // one. No map iteration reaches a graph mutation or a float
 // accumulation, so a V-cycle is a pure function of the graph, its edit
-// history and the assignments it is handed — at every engine worker
-// count, since the engine's sharded kernels are themselves bit-identical
-// across counts. TestHierarchyLocked pins its output.
+// history and the assignments it is handed. TestHierarchyLocked pins its
+// output.
 
 import (
 	"context"

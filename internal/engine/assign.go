@@ -26,12 +26,6 @@ type assignScratch struct {
 	sizes []int
 }
 
-// clearPending drops every pending entry (they have all been resolved).
-func (e *Engine) clearPending() {
-	e.pending.apply(nil, e.pending.list)
-	e.pending.list = e.pending.list[:0]
-}
-
 // assign is the engine's phase 1: it syncs (collecting the pending set
 // from the journal and the assignment diff), normalizes stale dead
 // assignments, maps every pending live vertex to the partition of the
@@ -42,7 +36,7 @@ func (e *Engine) clearPending() {
 func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int, err error) {
 	e.sync(a)
 	if e.opt.FullRefresh {
-		e.clearPending()
+		e.pending.reset()
 		return Assign(e.g, a)
 	}
 	s := &e.asg
@@ -76,7 +70,7 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 		return 0, 0, errNoOldVertices
 	}
 	if len(seeds) == 0 {
-		e.clearPending()
+		e.pending.reset()
 		return 0, 0, nil
 	}
 
@@ -123,7 +117,7 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 	}
 	s.queue, s.sizes = queue[:0], sizes
 
-	e.clearPending()
+	e.pending.reset()
 	return assigned, clusterFallbacks, nil
 }
 

@@ -35,8 +35,8 @@
 //   - The cut is tracked state. The row scan that decides an examined
 //     vertex's boundary membership also yields its cut term — the weights
 //     of its arcs to assigned vertices of another partition, summed in row
-//     order, and their count — stored by the worker that owns the vertex
-//     and read only after the join. A vertex's term can change only when
+//     order, and their count — stored by the sync that examined the
+//     vertex. A vertex's term can change only when
 //     its row, its partition or a neighbour's partition does, which is
 //     exactly when sync re-examines it, so a cut report is one pass over
 //     the ascending boundary list adding stored terms (evalCut) — the very
@@ -82,7 +82,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/balance"
@@ -127,12 +126,12 @@ type Options struct {
 	// Observer, if non-nil, receives stage-level Events during
 	// Repartition (see Event for the ordering contract).
 	Observer func(Event)
-	// Parallelism is the worker count for the engine's sharded kernels:
-	// the incremental boundary recompute and the layering BFS (phase 1,
-	// the refinement gain scan and the LP solves run on one goroutine).
-	// 0 means runtime.GOMAXPROCS(0); 1 runs the same kernels as one
-	// shard, inline. Results are bit-identical for every value —
-	// parallelism is purely a latency property.
+	// Parallelism is not used: the engine runs on the calling goroutine.
+	// The field stays for the one caller outside the repository's root
+	// module that still sets it (benchmarks/harness, until ROADMAP item
+	// 1(a) may edit it).
+	//
+	// Deprecated: it has no effect.
 	Parallelism int
 	// Multilevel enables the V-cycle mode for large graphs: coarsen by
 	// same-partition heavy-edge matching down to a cheap size, solve the
@@ -173,16 +172,6 @@ func (o Options) maxStages() int {
 	return o.MaxStages
 }
 
-func (o Options) procs() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
-
 // Engine owns the long-lived repartitioning state for one graph. Create
 // with New, then call Repartition after each batch of graph edits. The
 // zero value is not usable.
@@ -199,7 +188,7 @@ type Engine struct {
 	// Incremental boundary tracker.
 	prevPart []int32        // assignment at the last sync (-2 = never seen)
 	bnd      idSet          // the boundary set, listed ascending
-	stamps   par.Stamps     // per-sync recompute dedup / claim marker
+	stamps   par.Stamps     // vertices a sync has re-examined
 	inCall   bool           // inside Repartition: only the engine writes a,
 	wroteAll bool           // and any slot may differ from prevPart
 	written  []graph.Vertex // or only those it logged since (see sync)
@@ -250,6 +239,7 @@ type Engine struct {
 	// before the first Gains call.
 	gainsValid bool
 	gainDirty  []refine.Reclass
+	row        refine.RowScan // the row kernel's arena for Reclassify
 
 	// Scratch arenas.
 	lay      layering.Scratch
@@ -268,17 +258,6 @@ type Engine struct {
 	// V-cycle and journal-repaired by later ones that do (nil when
 	// Options.Multilevel is disabled; dropped by Close).
 	ml *coarsen.Hierarchy
-
-	// Worker pool for the sharded kernels (see boundary.go): one
-	// fork-join group shared with the layering scratch so per-worker
-	// busy times roll up in one place. Worker goroutines exist only
-	// inside a region — nothing outlives a call.
-	procs  int
-	group  par.Group
-	shards []par.Range
-	bws    []boundaryWorker
-	rb     rebuildTask
-	df     diffTask
 }
 
 // neverSeen marks prevPart slots the engine has not synced yet; it never
@@ -294,14 +273,9 @@ const neverSeen int32 = -2
 // shared with another engine. The balance and refine phases share that
 // one session and its arenas.
 func New(g *graph.Graph, opt Options) *Engine {
-	e := &Engine{g: g, procs: opt.procs(), stats: new(Stats)}
+	e := &Engine{g: g, stats: new(Stats)}
 	opt.Solver = lp.Session(opt.solver())
 	e.opt = opt
-	// The layering scratch shards over the same worker count and runs its
-	// regions on the engine's fork-join group, so Stats.WorkerBusy
-	// aggregates every kernel's per-worker busy time.
-	e.lay.Procs = e.procs
-	e.lay.Group = &e.group
 	return e
 }
 
@@ -313,7 +287,7 @@ func (e *Engine) Closed() bool { return e.closed }
 
 // Close ends the engine session and releases everything it owns: the
 // CSR snapshot, the boundary/size/pending trackers, every scratch
-// arena, the worker group, and the sessionized LP solvers with their
+// arena, and the sessionized LP solvers with their
 // arenas. A session pool evicting an idle engine
 // calls Close so the memory is reclaimed deterministically rather than
 // when the GC happens to notice.
@@ -332,7 +306,7 @@ func (e *Engine) Close() error {
 	}
 	// Drop every arena and the LP sessions in one sweep; keep only the
 	// graph binding, the identity bits, and the closed flag.
-	*e = Engine{g: e.g, procs: e.procs, closed: true}
+	*e = Engine{g: e.g, closed: true}
 	return nil
 }
 
@@ -435,35 +409,32 @@ func (e *Engine) attrOf(v graph.Vertex, a *partition.Assignment) int32 {
 }
 
 // moveAttr moves v's size attribution to its current partition,
-// applying the count adjustment to sizes, the calling worker's private
-// delta array. The caller must own v (won claim).
-func (e *Engine) moveAttr(v graph.Vertex, a *partition.Assignment, sizes []int) {
+// adjusting the size counters.
+func (e *Engine) moveAttr(v graph.Vertex, a *partition.Assignment) {
 	want := e.attrOf(v, a)
 	if old := e.sizeAttr[v]; want != old {
 		if old >= 0 {
-			sizes[old]--
+			e.partSizes[old]--
 		}
 		if want >= 0 {
-			sizes[want]++
+			e.partSizes[want]++
 		}
 		e.sizeAttr[v] = want
 	}
 }
 
-// collectPending records v into dst (the calling worker's private
-// buffer) for the next delta-aware assign call when it needs phase-1
-// attention: live but Unassigned (a new vertex), or dead with a stale
-// assignment left behind (to be normalized). The join enters it into the
-// pending set; assign clears it when it consumes the entry. The caller
-// must own v (disjoint shard or won claim).
-func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment, dst *[]graph.Vertex) {
+// collectPending enters v into the pending set for the next delta-aware
+// assign call when it needs phase-1 attention: live but Unassigned (a new
+// vertex), or dead with a stale assignment left behind (to be
+// normalized). assign clears it when it consumes the entry.
+func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment) {
 	if e.pending.has(v) {
 		return
 	}
 	live := e.csr.Live[v]
 	p := a.Part[v]
 	if (live && p < 0) || (!live && p >= 0) {
-		*dst = append(*dst, v)
+		e.pending.add(v)
 	}
 }
 
@@ -640,7 +611,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	st := e.stats
 	st.reset()
 	opt := e.opt
-	e.group.Reset()
 	basePatched, baseDiffs, baseEvals, baseReused := e.csrPatched, e.syncDiffs, e.cutEvals, e.cutReused
 	e.inCall, e.wroteAll = true, true // the caller may have edited a
 	tStart := time.Now()
@@ -651,10 +621,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		st.SyncDiffs = e.syncDiffs - baseDiffs
 		st.CutIncremental = e.cutEvals - baseEvals
 		st.CutReused = e.cutReused - baseReused
-		st.Parallelism = e.procs
-		if e.procs > 1 {
-			st.WorkerBusy = append(st.WorkerBusy[:0], e.group.Times()...)
-		}
 	}()
 
 	if err := cancel.Check(ctx, "repartition"); err != nil {

@@ -312,25 +312,21 @@ func TestEngineRepartitionMatchesOneShot(t *testing.T) {
 	}
 }
 
-// atAllocProcs runs body as a subtest on a warm-able engine at each
-// explicit worker count the steady-state allocation locks cover: one
-// shard inline and a forked group. Options{} would resolve to the host's
-// core count and leave it to the machine which of the two a test locks.
-func atAllocProcs(t *testing.T, body func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine)) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			g, a := editableGraph(t, 500, 8, 5)
-			body(t, g, a, New(g, Options{Parallelism: procs}))
-		})
-	}
+// onOneWorker runs body as the subtest "procs=1" on the graph,
+// assignment and engine the steady-state allocation locks warm up: the
+// engine runs on the calling goroutine, one worker.
+func onOneWorker(t *testing.T, body func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine)) {
+	t.Run("procs=1", func(t *testing.T) {
+		g, a := editableGraph(t, 500, 8, 5)
+		body(t, g, a, New(g, Options{}))
+	})
 }
 
 // TestSteadyStateLayerAllocs is the allocation regression: layering an
-// unchanged graph through a warm engine must not allocate — per-worker
-// scratch lives in the engine's arenas and goroutines are spawned
-// through pre-built thunks.
+// unchanged graph through a warm engine must not allocate — its scratch
+// lives in the engine's arenas.
 func TestSteadyStateLayerAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Layer(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +344,7 @@ func TestSteadyStateLayerAllocs(t *testing.T) {
 // TestSteadyStateGainsAllocs: gain scans on an unchanged graph through a
 // warm engine must not allocate.
 func TestSteadyStateGainsAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Gains(a, false); err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +364,7 @@ func TestSteadyStateGainsAllocs(t *testing.T) {
 // then Gains patching the pools from the class log (the loop of
 // BenchmarkPhase_GainsPatched) — must not allocate once warm.
 func TestSteadyStatePatchedRoundAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		boundary := append([]graph.Vertex(nil), e.Boundary(a)...)
 		i := 0
 		round := func() {
@@ -397,7 +393,7 @@ func TestSteadyStatePatchedRoundAllocs(t *testing.T) {
 // incrementally; the whole Layer call (sync + kernel) must stay within a
 // small constant allocation budget (the CSR refresh reuses its arrays).
 func TestSteadyStateSmallEditAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
 		if _, err := e.Layer(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
@@ -599,58 +595,55 @@ func growthBurst(g *graph.Graph, a *partition.Assignment, seed int64) {
 // TestAssignMatchesOracle drives the delta-aware phase 1 and the
 // one-shot Assign oracle through the same growth-edit sequences, then a
 // disconnected hub-and-spoke blob and a large connected burst, and
-// requires identical assignments, counts and errors. Phase 1 itself is
-// sequential; the worker counts vary the sync that fills its pending set.
+// requires identical assignments, counts and errors.
 func TestAssignMatchesOracle(t *testing.T) {
-	for _, procs := range []int{1, 3} {
-		gE, aE := editableGraph(t, 300, 6, 71)
-		gO := gE.Clone()
-		aO := aE.Clone()
-		e := New(gE, Options{Parallelism: procs})
-		check := func(step string) (assigned, fallbacks int) {
-			t.Helper()
-			asgE, fbE, errE := e.assign(aE)
-			asgO, fbO, errO := Assign(gO, aO)
-			if (errE == nil) != (errO == nil) {
-				t.Fatalf("procs=%d %s: error mismatch: %v vs %v", procs, step, errE, errO)
-			}
-			if asgE != asgO || fbE != fbO {
-				t.Fatalf("procs=%d %s: counts diverge: assigned %d/%d fallbacks %d/%d",
-					procs, step, asgE, asgO, fbE, fbO)
-			}
-			if !reflect.DeepEqual(aE.Part, aO.Part) {
-				for v := range aE.Part {
-					if aE.Part[v] != aO.Part[v] {
-						t.Fatalf("procs=%d %s: assignment diverges at %d: %d vs %d",
-							procs, step, v, aE.Part[v], aO.Part[v])
-					}
+	gE, aE := editableGraph(t, 300, 6, 71)
+	gO := gE.Clone()
+	aO := aE.Clone()
+	e := New(gE, Options{})
+	check := func(step string) (assigned, fallbacks int) {
+		t.Helper()
+		asgE, fbE, errE := e.assign(aE)
+		asgO, fbO, errO := Assign(gO, aO)
+		if (errE == nil) != (errO == nil) {
+			t.Fatalf("%s: error mismatch: %v vs %v", step, errE, errO)
+		}
+		if asgE != asgO || fbE != fbO {
+			t.Fatalf("%s: counts diverge: assigned %d/%d fallbacks %d/%d",
+				step, asgE, asgO, fbE, fbO)
+		}
+		if !reflect.DeepEqual(aE.Part, aO.Part) {
+			for v := range aE.Part {
+				if aE.Part[v] != aO.Part[v] {
+					t.Fatalf("%s: assignment diverges at %d: %d vs %d",
+						step, v, aE.Part[v], aO.Part[v])
 				}
 			}
-			return asgE, fbE
 		}
-		rngE := rand.New(rand.NewSource(73))
-		rngO := rand.New(rand.NewSource(73))
-		for iter := 0; iter < 80; iter++ {
-			edits := rngE.Intn(6)
-			if rngO.Intn(6) != edits { // keep the two streams in lockstep
-				t.Fatal("rng streams desynchronized")
-			}
-			for k := 0; k <= edits; k++ {
-				randomGrowthEdit(gE, aE, rngE)
-				randomGrowthEdit(gO, aO, rngO)
-			}
-			check(fmt.Sprintf("iter %d", iter))
+		return asgE, fbE
+	}
+	rngE := rand.New(rand.NewSource(73))
+	rngO := rand.New(rand.NewSource(73))
+	for iter := 0; iter < 80; iter++ {
+		edits := rngE.Intn(6)
+		if rngO.Intn(6) != edits { // keep the two streams in lockstep
+			t.Fatal("rng streams desynchronized")
 		}
-		hubBlob(t, gE, aE)
-		hubBlob(t, gO, aO)
-		if n, fb := check("hub blob"); n != 200 || fb != 1 {
-			t.Fatalf("procs=%d hub blob: assigned %d in %d fallback clusters, want 200 in 1", procs, n, fb)
+		for k := 0; k <= edits; k++ {
+			randomGrowthEdit(gE, aE, rngE)
+			randomGrowthEdit(gO, aO, rngO)
 		}
-		growthBurst(gE, aE, 79)
-		growthBurst(gO, aO, 79)
-		if n, fb := check("growth burst"); n != 240 || fb != 0 {
-			t.Fatalf("procs=%d growth burst: assigned %d in %d fallback clusters, want 240 in 0", procs, n, fb)
-		}
+		check(fmt.Sprintf("iter %d", iter))
+	}
+	hubBlob(t, gE, aE)
+	hubBlob(t, gO, aO)
+	if n, fb := check("hub blob"); n != 200 || fb != 1 {
+		t.Fatalf("hub blob: assigned %d in %d fallback clusters, want 200 in 1", n, fb)
+	}
+	growthBurst(gE, aE, 79)
+	growthBurst(gO, aO, 79)
+	if n, fb := check("growth burst"); n != 240 || fb != 0 {
+		t.Fatalf("growth burst: assigned %d in %d fallback clusters, want 240 in 0", n, fb)
 	}
 }
 
@@ -679,17 +672,15 @@ func sameCut(t testing.TB, ctx string, got, want partition.CutStats) {
 // partition.Cut oracle across random edit sequences, with fractional edge
 // weights so float equality is actually stressed.
 func TestIncrementalCutExact(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		g, a := editableGraph(t, 350, 7, 83)
-		rng := rand.New(rand.NewSource(89))
-		fractionalWeights(g, rng)
-		e := New(g, Options{Parallelism: procs})
-		for iter := 0; iter < 120; iter++ {
-			for k := 0; k <= rng.Intn(4); k++ {
-				randomEdit(g, a, rng)
-			}
-			sameCut(t, "incremental vs oracle", e.Cut(a), partition.Cut(g, a))
+	g, a := editableGraph(t, 350, 7, 83)
+	rng := rand.New(rand.NewSource(89))
+	fractionalWeights(g, rng)
+	e := New(g, Options{})
+	for iter := 0; iter < 120; iter++ {
+		for k := 0; k <= rng.Intn(4); k++ {
+			randomEdit(g, a, rng)
 		}
+		sameCut(t, "incremental vs oracle", e.Cut(a), partition.Cut(g, a))
 	}
 }
 
@@ -748,67 +739,65 @@ func TestFullRefreshEquivalence(t *testing.T) {
 // the caller may have written anything — however many syncs its rounds
 // pay, and a call that runs the V-cycle once more after it. A FullRefresh
 // engine diffs at every sync, and both leave the same assignment and
-// CutAfter at every worker count.
+// CutAfter.
 func TestInCallSyncsFollowTheLog(t *testing.T) {
 	ctx := context.Background()
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			g, a := burstGrid(64, 64, 4, 0, nil)
-			gF, aF := g.Clone(), a.Clone()
-			e := New(g, Options{Refine: true, Parallelism: procs})
-			eF := New(gF, Options{Refine: true, Parallelism: procs, FullRefresh: true})
-			rng := rand.New(rand.NewSource(8))
-			rounds := 0
-			for call := 0; call < 6; call++ {
-				// The burst: on two stripe boundaries, a vertex on either side
-				// trades an edge into its own stripe for one across, which makes
-				// it a zero-gain candidate — a balanced pair refinement moves.
-				for k := 0; call > 0 && k < 2; k++ {
-					b := 16 * (1 + rng.Intn(3))
-					for _, side := range []int{-1, 1} {
-						v := graph.Vertex(64*rng.Intn(64) + b + min(side, 0))
-						out, in := graph.Vertex(int(v)-2*side), graph.Vertex(int(v)+side)
-						for _, h := range []*graph.Graph{g, gF} {
-							h.AddEdgeIfAbsent(v, out, 1)
-							_ = h.RemoveEdge(v, in)
-						}
+	t.Run("procs=1", func(t *testing.T) {
+		g, a := burstGrid(64, 64, 4, 0, nil)
+		gF, aF := g.Clone(), a.Clone()
+		e := New(g, Options{Refine: true})
+		eF := New(gF, Options{Refine: true, FullRefresh: true})
+		rng := rand.New(rand.NewSource(8))
+		rounds := 0
+		for call := 0; call < 6; call++ {
+			// The burst: on two stripe boundaries, a vertex on either side
+			// trades an edge into its own stripe for one across, which makes
+			// it a zero-gain candidate — a balanced pair refinement moves.
+			for k := 0; call > 0 && k < 2; k++ {
+				b := 16 * (1 + rng.Intn(3))
+				for _, side := range []int{-1, 1} {
+					v := graph.Vertex(64*rng.Intn(64) + b + min(side, 0))
+					out, in := graph.Vertex(int(v)-2*side), graph.Vertex(int(v)+side)
+					for _, h := range []*graph.Graph{g, gF} {
+						h.AddEdgeIfAbsent(v, out, 1)
+						_ = h.RemoveEdge(v, in)
 					}
 				}
-				st, err := e.Repartition(ctx, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stF, err := eF.Repartition(ctx, aF)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(a.Part, aF.Part) {
-					t.Fatalf("call %d: the log-fed engine's assignment differs from FullRefresh's", call)
-				}
-				sameCut(t, "CutAfter vs FullRefresh", st.CutAfter, stF.CutAfter)
-				if call > 0 && st.SyncDiffs != 1 {
-					t.Fatalf("call %d (%d rounds moving %v): %d assignment diffs, want 1",
-						call, st.RefineRounds, st.RoundMoved, st.SyncDiffs)
-				}
-				rounds += st.RefineRounds
-				// FullRefresh syncs in phase 1, before each stage's rim pass and
-				// in every Gains call (its cut reports rescan instead).
-				gains := len(stF.RoundPivots)
-				if stF.RefineStop == "no-candidates" {
-					gains++
-				}
-				if want := 1 + stF.Stages + gains; stF.SyncDiffs != want {
-					t.Fatalf("call %d: FullRefresh diffed at %d syncs, want all %d", call, stF.SyncDiffs, want)
-				}
 			}
-			if rounds == 0 {
-				t.Fatal("no call refined: the log carried no round")
+			st, err := e.Repartition(ctx, a)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			stF, err := eF.Repartition(ctx, aF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.Part, aF.Part) {
+				t.Fatalf("call %d: the log-fed engine's assignment differs from FullRefresh's", call)
+			}
+			sameCut(t, "CutAfter vs FullRefresh", st.CutAfter, stF.CutAfter)
+			if call > 0 && st.SyncDiffs != 1 {
+				t.Fatalf("call %d (%d rounds moving %v): %d assignment diffs, want 1",
+					call, st.RefineRounds, st.RoundMoved, st.SyncDiffs)
+			}
+			rounds += st.RefineRounds
+			// FullRefresh syncs in phase 1, before each stage's rim pass and
+			// in every Gains call (its cut reports rescan instead).
+			gains := len(stF.RoundPivots)
+			if stF.RefineStop == "no-candidates" {
+				gains++
+			}
+			if want := 1 + stF.Stages + gains; stF.SyncDiffs != want {
+				t.Fatalf("call %d: FullRefresh diffed at %d syncs, want all %d", call, stF.SyncDiffs, want)
+			}
+		}
+		if rounds == 0 {
+			t.Fatal("no call refined: the log carried no round")
+		}
+	})
 	t.Run("vcycle", func(t *testing.T) {
 		g, a := grownGrid(64, 64, 4, 40, 1)
-		e := New(g, Options{Multilevel: MultilevelOptions{Enabled: true}, Parallelism: 1})
+		e := New(g, Options{Multilevel: MultilevelOptions{Enabled: true}})
 		defer e.Close()
 		if _, err := e.Repartition(ctx, a); err != nil {
 			t.Fatal(err)
@@ -829,7 +818,7 @@ func TestInCallSyncsFollowTheLog(t *testing.T) {
 // allocate. A vertex is flipped between runs so every run evaluates — an
 // unchanged state would only time the copy of the kept report.
 func TestSteadyStateCutAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, _ *graph.Graph, a *partition.Assignment, e *Engine) {
 		v := graph.Vertex(0)
 		home, away := a.Part[v], (a.Part[v]+1)%int32(a.P)
 		flip := func() {
@@ -875,7 +864,7 @@ func smallEditBurst(g *graph.Graph, rng *rand.Rand) {
 // boundary list — stays on the arenas of a warm engine, and every burst
 // is answered by a fresh sum of the stored terms, not by the kept report.
 func TestCutReportAfterBurstAllocs(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
 		rng := rand.New(rand.NewSource(16))
 		burst := func() {
 			smallEditBurst(g, rng)
@@ -898,7 +887,7 @@ func TestCutReportAfterBurstAllocs(t *testing.T) {
 // stays on the arenas; one that finds an edit and moves nothing — a
 // meshB-smalledit op — evaluates once.
 func TestIdleRepartitionEvaluatesNothing(t *testing.T) {
-	atAllocProcs(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
+	onOneWorker(t, func(t *testing.T, g *graph.Graph, a *partition.Assignment, e *Engine) {
 		ctx := context.Background()
 		if _, err := e.Repartition(ctx, a); err != nil { // balances, and evaluates the result
 			t.Fatal(err)
@@ -944,7 +933,7 @@ func TestIdleRepartitionEvaluatesNothing(t *testing.T) {
 // counters say which path answered.
 func TestKeptCutInvalidation(t *testing.T) {
 	g, a := editableGraph(t, 400, 6, 19)
-	e := New(g, Options{Parallelism: 1})
+	e := New(g, Options{})
 	// A cut edge and an interior vertex to edit around.
 	cutEdge := func() (graph.Vertex, graph.Vertex) {
 		for _, v := range e.Boundary(a) {
@@ -1067,7 +1056,7 @@ func TestRefineRollbackIsReported(t *testing.T) {
 }
 
 // TestStatsClone: Clone detaches every list of Stats from the original —
-// the per-stage and per-round lists, WorkerBusy, Levels and both cuts'
+// the per-stage and per-round lists, Levels and both cuts'
 // PerPart vectors. The lists are found by reflection, so one added to
 // Stats and forgotten in Clone fails here: each is filled, the original is
 // cloned and then overwritten, and the clone must keep what it copied.
@@ -1155,14 +1144,14 @@ func TestPivotCapIsNotInfeasibility(t *testing.T) {
 	if got, want := a.Sizes(g), []int{160, 40, 100, 100}; !slices.Equal(got, want) {
 		t.Fatalf("sizes %v, want %v", got, want)
 	}
-	st, err := New(g, Options{Parallelism: 1}).Repartition(context.Background(), a)
+	st, err := New(g, Options{}).Repartition(context.Background(), a)
 	if err != nil || st.Stages != 1 || !partition.Balanced(a.Sizes(g)) {
 		t.Fatalf("default solver: err %v, stats %+v, sizes %v; want one balancing stage", err, st, a.Sizes(g))
 	}
 
 	g, a = stripes()
 	before := a.Clone()
-	_, err = New(g, Options{Parallelism: 1, Solver: lp.Network{MaxIter: 1}}).Repartition(context.Background(), a)
+	_, err = New(g, Options{Solver: lp.Network{MaxIter: 1}}).Repartition(context.Background(), a)
 	if !errors.Is(err, balance.ErrUnsolved) || errors.Is(err, ErrNeedRepartition) {
 		t.Fatalf("capped solver: err %v, want balance.ErrUnsolved and not ErrNeedRepartition", err)
 	}

@@ -46,7 +46,7 @@ type MultilevelOptions struct {
 	// Seed drives the spectral initial partitioning of the coarsest
 	// graph when the incoming assignment is degenerate (0 = the spectral
 	// package's fixed default). Fixed seed + fixed edit history =>
-	// identical output at every Parallelism.
+	// identical output.
 	Seed int64
 }
 

@@ -380,44 +380,6 @@ func TestMultilevelCutWithinBoundOfFlat(t *testing.T) {
 	}
 }
 
-func TestMultilevelDeterministicAcrossWorkers(t *testing.T) {
-	// The V-cycle is a sequential kernel inside a parallel engine: the
-	// full cold+warm history must be bit-identical at every worker count.
-	run := func(procs int) []int32 {
-		g, a := grownGrid(24, 24, 4, 40, 5)
-		e := New(g, Options{
-			Refine:      true,
-			Parallelism: procs,
-			Multilevel:  MultilevelOptions{Enabled: true, Seed: 11},
-		})
-		defer e.Close()
-		if _, err := e.Repartition(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(17))
-		for k := 0; k < 12; k++ {
-			randomEdit(g, a, rng)
-		}
-		if _, err := e.Repartition(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-		return append([]int32(nil), a.Part...)
-	}
-	p1 := run(1)
-	for _, procs := range []int{2, 4} {
-		pn := run(procs)
-		if len(p1) != len(pn) {
-			t.Fatalf("assignment length differs at %d workers", procs)
-		}
-		for v := range p1 {
-			if p1[v] != pn[v] {
-				t.Fatalf("assignment diverges at vertex %d with %d workers: %d != %d",
-					v, procs, p1[v], pn[v])
-			}
-		}
-	}
-}
-
 func TestMultilevelDisabledLeavesPipelineUntouched(t *testing.T) {
 	g, a := grownGrid(16, 16, 4, 20, 7)
 	e := New(g, Options{})

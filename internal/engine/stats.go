@@ -104,16 +104,6 @@ type Stats struct {
 	// inside the engine so it covers exactly the pipeline (not callers'
 	// option conversion). It is set even when Repartition errors.
 	Elapsed time.Duration
-	// Parallelism is the worker count the engine's sharded kernels ran
-	// with (1 = every region one shard, run inline).
-	Parallelism int
-	// WorkerBusy is the per-worker busy wall clock summed over every
-	// parallel region of the call (boundary sync and layering BFS; phase 1,
-	// the gain scans and the V-cycle's hierarchy run inline and are not in
-	// it); index w is worker w. It is empty at one worker.
-	// Comparing the sum against Elapsed shows how much of the pipeline
-	// actually fanned out.
-	WorkerBusy []time.Duration
 	// CSRPatched counts snapshot refreshes during this call served by the
 	// journal-driven partial CSR patch (only the touched rows rewritten)
 	// rather than a full O(n+m) rebuild. On a warm engine absorbing small
@@ -183,7 +173,6 @@ func (s *Stats) Clone() *Stats {
 	c.RoundMoved = slices.Clone(s.RoundMoved)
 	c.CutBefore.PerPart = slices.Clone(s.CutBefore.PerPart)
 	c.CutAfter.PerPart = slices.Clone(s.CutAfter.PerPart)
-	c.WorkerBusy = slices.Clone(s.WorkerBusy)
 	c.Levels = slices.Clone(s.Levels)
 	return &c
 }
@@ -200,18 +189,17 @@ func (s *Stats) reset() {
 		RoundPivots:   s.RoundPivots[:0],
 		RoundCuts:     s.RoundCuts[:0],
 		RoundMoved:    s.RoundMoved[:0],
-		WorkerBusy:    s.WorkerBusy[:0],
 		Levels:        s.Levels[:0],
 	}
 }
 
 // AddBatch folds b, the Stats of the next batch of a batched repartition
 // (igp.WithBatches, the paper's §2.3 fallback), into s, the batches before
-// it: counters, phase times and per-worker busy times sum, the per-stage
+// it: counters and phase times sum, the per-stage
 // and per-round lists concatenate (so Stages is the total stage count),
 // LPVars/LPCons keep the largest balance LP, CutBefore stays the first
 // batch's, and everything else — CutAfter, the refinement stop,
-// Parallelism, the V-cycle's flags and Levels — is the last batch's. s
+// the V-cycle's flags and Levels — is the last batch's. s
 // must own its lists (a Clone).
 func (s *Stats) AddBatch(b *Stats) {
 	s.NewAssigned += b.NewAssigned
@@ -242,13 +230,6 @@ func (s *Stats) AddBatch(b *Stats) {
 	t.Balance += bt.Balance
 	t.Refine += bt.Refine
 	s.Elapsed += b.Elapsed
-	s.Parallelism = b.Parallelism
-	for w, d := range b.WorkerBusy {
-		if w == len(s.WorkerBusy) {
-			s.WorkerBusy = append(s.WorkerBusy, 0)
-		}
-		s.WorkerBusy[w] += d
-	}
 	s.CSRPatched += b.CSRPatched
 	s.SyncDiffs += b.SyncDiffs
 	s.CutIncremental += b.CutIncremental

@@ -16,8 +16,7 @@ import "slices"
 // patch (RefreshCSR) useful: a touched vertex whose new degree still fits
 // its slot is rewritten in place, so refreshing after a small edit costs
 // work proportional to the touched rows — not to the whole graph. XAdj
-// stays monotone (slack included), so prefix-sum consumers (Shards)
-// keep working unchanged.
+// stays monotone (slack included).
 type CSR struct {
 	XAdj []int32   // slot-start offsets, len Order()+1; XAdj[Order()] = len(Adj)
 	End  []int32   // row-end offsets, len Order(); XAdj[v] ≤ End[v] ≤ XAdj[v+1]
@@ -42,7 +41,7 @@ type CSR struct {
 	// abandoned because a row outgrew its slot, and whether the current
 	// layout was packed with lean headroom. The policy is a pure function
 	// of the snapshot's own refresh history, so identically edited graphs
-	// still produce identical layouts at every worker count.
+	// still produce identical layouts.
 	patchPeak int
 	grewSlot  bool
 	lean      bool

@@ -33,22 +33,15 @@
 // label partition) counted and its levels sorted, so no step scans the
 // whole graph or sorts a vertex no flow will move.
 //
-// # Sharding and determinism
+// # Determinism
 //
-// Figure 3 is level-synchronous, so the kernel is sharded: seed and
-// frontier lists are split into contiguous count-balanced shards, every
-// worker owns a private arena (layerWorker) and the join merges
-// per-worker output in shard order. The worker count is a parameter of
-// that one path — par.Workers gates each region on its size, and one
-// shard runs inline on the calling goroutine. Determinism is structural,
-// not scheduled: labels at level ℓ+1 depend only on the completed level-ℓ
-// labeling, pool layout is a total order over (level, attachment, id),
-// and the only shared mutable state inside a region — the candidate claim
-// stamps — decides membership (deterministic) rather than values. The
-// produced Result is therefore bit-identical for every worker count and
-// every seed order, a property the engine fuzzes
-// (FuzzParallelEquivalence) and the tests here check against a naive
-// Figure-3 reference (FuzzLayerOnDemand).
+// The kernel runs on the calling goroutine. A level-(ℓ+1) label depends
+// only on the level-ℓ labeling, so the BFS writes each label as soon as it
+// computes it: a label written earlier in the same level cannot feed
+// another. Pool layout is a total order over (level, attachment, id), so
+// the Result is a function of the graph and the assignment alone, whatever
+// the seed order — checked against a naive Figure-3 reference
+// (FuzzLayerOnDemand).
 package layering
 
 import (
@@ -166,43 +159,13 @@ func (r *Result) Neighbors(i int32) []int32 {
 // extended in place by Complete and invalidated by the next Rim or
 // LayerSeeded; until then it keeps the snapshot and the assignment it
 // was given.
-//
-// Procs is the worker count the level-0 scan and each BFS level expansion
-// shard over (<= 1: one shard, run inline). Group, when non-nil, is the
-// shared fork-join executor to run regions on (the engine passes its own
-// so per-worker busy times roll up across kernels); nil uses a private
-// one.
 type Scratch struct {
-	Procs int
-	Group *par.Group
-
 	res      Result
-	ownGroup par.Group
-	ws       []layerWorker
-	stamps   par.Stamps
-	seedBuf  []graph.Vertex
 	frontier []graph.Vertex
 	nextBuf  []graph.Vertex
 	parts    []int32
-	shards   []par.Range
-	lz       levelZeroTask
-	lv       levelTask
-}
-
-// candLab is one claimed BFS candidate and its computed label.
-type candLab struct {
-	v   graph.Vertex
-	lab int32
-}
-
-// layerWorker is one worker's private arena: label-count scratch and
-// frontier/candidate output buffers. All grow to the largest call seen
-// and are then reused.
-type layerWorker struct {
-	counts   []int
-	touched  []int32
-	frontier []graph.Vertex
-	cands    []candLab
+	counts   []int   // per-partition label votes; all zero between votes
+	touched  []int32 // partitions with a nonzero count
 }
 
 // bestLabel picks the winning label from a non-empty candidate list:
@@ -260,27 +223,10 @@ func (s *Scratch) grow(n, p int) *Result {
 			r.pools[i][j] = r.pools[i][j][:0]
 		}
 	}
-	s.stamps.Grow(n)
+	for len(s.counts) < p {
+		s.counts = append(s.counts, 0)
+	}
 	return r
-}
-
-// fork runs t once per shard of s.shards on the worker group (a single
-// shard inline), first readying one private arena per shard.
-func (s *Scratch) fork(t par.Task) {
-	for len(s.ws) < len(s.shards) {
-		s.ws = append(s.ws, layerWorker{})
-	}
-	for w := range s.ws[:len(s.shards)] {
-		ws := &s.ws[w]
-		for len(ws.counts) < s.res.P {
-			ws.counts = append(ws.counts, 0)
-		}
-	}
-	g := s.Group
-	if g == nil {
-		g = &s.ownGroup
-	}
-	g.Run(len(s.shards), t)
 }
 
 // enter records v, just labeled, in its pair's pool and in δ.
@@ -331,39 +277,44 @@ func (s *Scratch) Rim(c *graph.CSR, a *partition.Assignment, seeds []graph.Verte
 	r := s.grow(c.Order(), a.P)
 	r.c, r.a = c, a
 
-	// The seed list is deduped first (a sharded pass must own each vertex
-	// exactly once), then sharded by count. Workers classify boundary
-	// vertices into private frontier buffers, entered in shard order.
-	s.stamps.Next()
-	buf := s.seedBuf[:0]
+	// A live seed with foreign neighbors takes the foreign partition it
+	// touches the most (ties toward the smaller partition id) at level 0.
+	// A duplicate seed is already labeled, or finds no foreign neighbor
+	// again.
+	counts := s.counts
 	for _, v := range seeds {
-		if s.stamps.TryMark(v) {
-			buf = append(buf, v)
+		if !c.Live[v] || r.Label[v] >= 0 {
+			continue
 		}
-	}
-	s.seedBuf = buf
-	s.shards = par.Split(s.shards[:0], len(buf), par.Workers(s.Procs, len(buf), parLevelMin))
-	s.lz = levelZeroTask{s}
-	s.fork(&s.lz)
-	for w := range s.shards {
-		for _, v := range s.ws[w].frontier {
-			r.enter(v)
+		pv := a.Part[v]
+		touched := s.touched[:0]
+		for _, u := range c.Row(v) {
+			pu := a.Part[u]
+			if pu != pv {
+				if counts[pu] == 0 {
+					touched = append(touched, pu)
+				}
+				counts[pu]++
+			}
 		}
+		s.touched = touched[:0]
+		if len(touched) == 0 {
+			continue
+		}
+		r.Label[v] = bestLabel(counts, touched)
+		r.Level[v] = 0
+		r.enter(v)
 	}
 	return r, nil
 }
 
 // Complete finishes the listed partitions of the current Result (those
 // not finished yet) and returns how many that was: Figure 3's interior
-// levels, run from their rims only. Workers shard the frontier, claim
-// undiscovered same-partition neighbors through the atomic stamp, and
-// compute each claimed vertex's label immediately — the label inputs are
-// the completed level-ℓ labeling, which nothing writes during the region.
-// The join then applies the labels, enters them in pools and δ, and
-// concatenates the next frontier in worker order. Which worker wins a
-// claim decides only discovery order, and no Result field depends on
-// that. A canceled call leaves the Result unusable and the Scratch ready
-// for the next Rim.
+// levels, run from their rims only. Each level labels the unlabeled
+// same-partition neighbors of its frontier in discovery order from the
+// level-ℓ labeling and enters each in its pool, δ and the next frontier.
+// A canceled call leaves the Result unusable and the Scratch ready for the
+// next Rim.
 func (s *Scratch) Complete(ctx context.Context, parts []int32) (int, error) {
 	r := &s.res
 	frontier, finished := s.frontier[:0], 0
@@ -377,25 +328,25 @@ func (s *Scratch) Complete(ctx context.Context, parts []int32) (int, error) {
 			frontier = append(frontier, pool...)
 		}
 	}
-	s.stamps.Next() // fresh generation: earlier marks must not mask claims
 	next := s.nextBuf[:0]
+	part := r.a.Part
 	var err error
 	for level := int32(0); len(frontier) > 0; level++ {
 		if err = cancel.Check(ctx, "layering BFS"); err != nil {
 			break
 		}
-		// A deep narrow layering must not pay a fork-join per ring:
-		// small frontiers are one shard.
-		s.shards = par.Split(s.shards[:0], len(frontier), par.Workers(s.Procs, len(frontier), parLevelMin))
-		s.lv = levelTask{s: s, frontier: frontier, level: level}
-		s.fork(&s.lv)
 		next = next[:0]
-		for w := range s.shards {
-			for _, cl := range s.ws[w].cands {
-				r.Label[cl.v] = cl.lab
-				r.Level[cl.v] = level + 1
-				r.enter(cl.v)
-				next = append(next, cl.v)
+		for _, v := range frontier {
+			pv := part[v]
+			for _, u := range r.c.Row(v) {
+				if part[u] != pv || r.Label[u] >= 0 {
+					continue
+				}
+				if lab := s.labelFor(u, level); lab >= 0 {
+					r.Label[u], r.Level[u] = lab, level+1
+					r.enter(u)
+					next = append(next, u)
+				}
 			}
 		}
 		frontier, next = next, frontier
@@ -406,84 +357,17 @@ func (s *Scratch) Complete(ctx context.Context, parts []int32) (int, error) {
 	return finished, err
 }
 
-// levelZeroTask classifies one shard of the deduped seed list: a live
-// seed with foreign neighbors takes the foreign partition it touches the
-// most (ties toward the smaller partition id) at level 0 and joins the
-// worker's frontier. Each seed is owned by exactly one worker, so the
-// Label/Level writes are race-free.
-type levelZeroTask struct{ s *Scratch }
-
-func (t *levelZeroTask) Do(w int) {
-	s := t.s
-	r := &s.res
-	c, a := r.c, r.a
-	ws := &s.ws[w]
-	ws.frontier = ws.frontier[:0]
-	counts := ws.counts
-	sh := s.shards[w]
-	for _, v := range s.seedBuf[sh.Lo:sh.Hi] {
-		if !c.Live[v] {
-			continue
-		}
-		pv := a.Part[v]
-		touched := ws.touched[:0]
-		for _, u := range c.Row(v) {
-			pu := a.Part[u]
-			if pu != pv {
-				if counts[pu] == 0 {
-					touched = append(touched, pu)
-				}
-				counts[pu]++
-			}
-		}
-		ws.touched = touched[:0]
-		if len(touched) == 0 {
-			continue
-		}
-		r.Label[v] = bestLabel(counts, touched)
-		r.Level[v] = 0
-		ws.frontier = append(ws.frontier, v)
-	}
-}
-
-// levelTask expands one shard of the current frontier.
-type levelTask struct {
-	s        *Scratch
-	frontier []graph.Vertex
-	level    int32
-}
-
-func (t *levelTask) Do(w int) {
-	s := t.s
-	ws := &s.ws[w]
-	ws.cands = ws.cands[:0]
-	r := &s.res
-	part := r.a.Part
-	sh := s.shards[w]
-	for _, v := range t.frontier[sh.Lo:sh.Hi] {
-		pv := part[v]
-		for _, u := range r.c.Row(v) {
-			if part[u] != pv || r.Label[u] >= 0 || !s.stamps.Claim(u) {
-				continue
-			}
-			if lab := s.labelFor(ws, u, t.level); lab >= 0 {
-				ws.cands = append(ws.cands, candLab{v: u, lab: lab})
-			}
-		}
-	}
-}
-
-// labelFor computes the level-(level+1) label of claimed candidate u:
+// labelFor computes the level-(level+1) label of discovered vertex u:
 // the label most common among its same-partition level-`level`
 // neighbors, ties toward the smaller partition id. It returns -1 when u
-// has no support at that level, which cannot happen for a genuinely
-// discovered candidate.
-func (s *Scratch) labelFor(ws *layerWorker, u graph.Vertex, level int32) int32 {
+// has no support at that level, which cannot happen for a vertex
+// discovered from the level-`level` frontier.
+func (s *Scratch) labelFor(u graph.Vertex, level int32) int32 {
 	r := &s.res
 	part := r.a.Part
 	pu := part[u]
-	counts := ws.counts
-	touched := ws.touched[:0]
+	counts := s.counts
+	touched := s.touched[:0]
 	for _, nb := range r.c.Row(u) {
 		if part[nb] != pu {
 			continue
@@ -496,18 +380,12 @@ func (s *Scratch) labelFor(ws *layerWorker, u graph.Vertex, level int32) int32 {
 			counts[k]++
 		}
 	}
-	ws.touched = touched[:0]
+	s.touched = touched[:0]
 	if len(touched) == 0 {
 		return -1
 	}
 	return bestLabel(counts, touched)
 }
-
-// parLevelMin is the seed/frontier size below which level work runs as
-// one shard. It depends only on input size, so the worker count never
-// changes which regions fork for a given input — and every shard count
-// produces the same Result anyway.
-const parLevelMin = 48
 
 // Validate checks internal consistency of a layering against its graph
 // and assignment; it is used by tests and the property suite.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -275,8 +274,7 @@ func (c *pollCtx) Err() error {
 }
 
 // TestLayerCanceledMidBFS aborts the kernel after k completed levels —
-// labels half-written, claim stamps half-taken, worker buffers full —
-// and requires the next call on the same Scratch to equal a fresh
+// labels half-written, frontier buffers full — and requires the next call on the same Scratch to equal a fresh
 // layering on every field.
 func TestLayerCanceledMidBFS(t *testing.T) {
 	g, a := stripes(40, 60, 3)
@@ -286,19 +284,17 @@ func TestLayerCanceledMidBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, procs := range []int{1, 4} {
-		s := Scratch{Procs: procs}
-		for k := 0; k <= 11; k++ {
-			ctx := &pollCtx{Context: context.Background(), left: k}
-			if _, err := s.LayerSeeded(ctx, csr, a, seeds); !errors.Is(err, cancel.ErrCanceled) {
-				t.Fatalf("procs %d, cancel after %d polls: want ErrCanceled, got %v", procs, k, err)
-			}
-			got, err := s.LayerSeeded(context.Background(), csr, a, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, fmt.Sprintf("procs %d, after abort at poll %d", procs, k), got, want, a.P)
+	var s Scratch
+	for k := 0; k <= 11; k++ {
+		ctx := &pollCtx{Context: context.Background(), left: k}
+		if _, err := s.LayerSeeded(ctx, csr, a, seeds); !errors.Is(err, cancel.ErrCanceled) {
+			t.Fatalf("cancel after %d polls: want ErrCanceled, got %v", k, err)
 		}
+		got, err := s.LayerSeeded(context.Background(), csr, a, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("after abort at poll %d", k), got, want, a.P)
 	}
 }
 
@@ -413,7 +409,7 @@ func requireMatchesFigure3(t *testing.T, tag string, got *Result, want refLayeri
 
 // TestLayerMatchesFigure3Reference checks the kernel against the naive
 // reference on random G(n,m) graphs with deleted vertices and scattered
-// assignments, at several worker counts and for every shape of seed
+// assignments, for every shape of seed
 // list the contract allows: the exact boundary, every vertex (dead
 // slots included), and a shuffled boundary with duplicates.
 func TestLayerMatchesFigure3Reference(t *testing.T) {
@@ -458,15 +454,86 @@ func TestLayerMatchesFigure3Reference(t *testing.T) {
 		rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
 
 		c := g.ToCSR()
-		for _, procs := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-			s := Scratch{Procs: procs}
-			for name, seeds := range map[string][]graph.Vertex{"boundary": boundary, "all": all, "dup": dup} {
-				got, err := s.LayerSeeded(context.Background(), c, a, seeds)
-				if err != nil {
-					t.Fatal(err)
+		var s Scratch
+		for name, seeds := range map[string][]graph.Vertex{"boundary": boundary, "all": all, "dup": dup} {
+			got, err := s.LayerSeeded(context.Background(), c, a, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMatchesFigure3(t, fmt.Sprintf("seed %d, %s seeds", seed, name), got, want, n, p)
+		}
+	}
+}
+
+// randomPartitioned builds a connected random geometric graph with a
+// striped-then-shuffled assignment — irregular boundaries in every
+// partition without needing the spectral package.
+func randomPartitioned(t testing.TB, n, p int, seed int64) (*graph.Graph, *partition.Assignment) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g, _ := graph.RandomGeometric(n, 0.08, rng)
+	graph.EnsureConnected(g)
+	a := partition.New(g.Order(), p)
+	for v := 0; v < g.Order(); v++ {
+		a.Part[v] = int32(v * p / g.Order())
+	}
+	// Scatter a few vertices to roughen the boundaries.
+	for i := 0; i < n/10; i++ {
+		a.Part[rng.Intn(g.Order())] = int32(rng.Intn(p))
+	}
+	return g, a
+}
+
+// requireSameResult asserts two layerings are bit-identical across
+// every exported dimension, pools included.
+func requireSameResult(t *testing.T, tag string, got, want *Result, p int) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Label, want.Label) {
+		t.Fatalf("%s: Label diverges", tag)
+	}
+	if !reflect.DeepEqual(got.Level, want.Level) {
+		t.Fatalf("%s: Level diverges", tag)
+	}
+	if !reflect.DeepEqual(got.Delta, want.Delta) {
+		t.Fatalf("%s: Delta diverges", tag)
+	}
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			gp, wp := got.Pool(int32(i), int32(j)), want.Pool(int32(i), int32(j))
+			if len(gp) != len(wp) {
+				t.Fatalf("%s: pool(%d,%d) length %d, want %d", tag, i, j, len(gp), len(wp))
+			}
+			for k := range gp {
+				if gp[k] != wp[k] {
+					t.Fatalf("%s: pool(%d,%d)[%d] = %d, want %d", tag, i, j, k, gp[k], wp[k])
 				}
-				requireMatchesFigure3(t, fmt.Sprintf("seed %d, procs %d, %s seeds", seed, procs, name), got, want, n, p)
 			}
 		}
+	}
+}
+
+// TestLayerScratchReuse drives one scratch across growing and shrinking
+// graphs and repeated calls — arena reuse must never leak state between
+// calls.
+func TestLayerScratchReuse(t *testing.T) {
+	var s Scratch
+	for _, cfg := range []struct {
+		n, p int
+		seed int64
+	}{
+		{100, 4, 5}, {400, 6, 6}, {100, 3, 7}, {400, 6, 6},
+	} {
+		g, a := randomPartitioned(t, cfg.n, cfg.p, cfg.seed)
+		c := g.ToCSR()
+		got, err := s.LayerSeeded(context.Background(), c, a, g.Vertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq Scratch
+		want, err := seq.LayerSeeded(context.Background(), c, a, g.Vertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, "reuse", got, want, cfg.p)
 	}
 }

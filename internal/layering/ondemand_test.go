@@ -97,11 +97,11 @@ func fullDepthStage(t *testing.T, delta [][]int, sizes, targets []int, tol int) 
 // would have done: the same ε and the same number of vertices moved, by
 // flows that are feasible for the full-depth LP. It returns the call's
 // Stats, nil when no stage ran.
-func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, procs, tol int) *engine.Stats {
+func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, tol int) *engine.Stats {
 	t.Helper()
 	before := a.Clone()
 	sizes, targets := a.Sizes(g), partition.Targets(g.NumVertices(), a.P)
-	eng := engine.New(g, engine.Options{Parallelism: procs, MaxStages: 1, Tolerance: tol})
+	eng := engine.New(g, engine.Options{MaxStages: 1, Tolerance: tol})
 	st, err := eng.Repartition(context.Background(), a)
 	if err != nil && !errors.Is(err, engine.ErrNeedRepartition) {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 }
 
 // FuzzLayerOnDemand is the differential fuzz of layering on demand, over
-// random graphs, assignments, partition subsets and worker counts:
+// random graphs, assignments and partition subsets:
 // (a) Rim + Complete of everything is the naive Figure-3 reference;
 // (b) after finishing a subset, every rim label and everything about a
 // finished partition is the full layering's, and each pool — some asked
@@ -164,13 +164,12 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 // accepts the full-depth stage's ε and Σ flows with flows feasible for
 // the full-depth LP.
 func FuzzLayerOnDemand(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(0b101), uint8(0))
-	f.Add(int64(2), uint8(1), uint16(0b11), uint8(1))
-	f.Add(int64(7), uint8(2), uint16(0xffff), uint8(0))
-	f.Add(int64(12), uint8(3), uint16(0), uint8(2))
-	f.Add(int64(-245), uint8(0x1c), uint16(130), uint8(0x85)) // a stage that accepts a tight rim optimum moves too few here
-	f.Fuzz(func(t *testing.T, seed int64, procsIdx uint8, subset uint16, tol uint8) {
-		procs := []int{1, 2, 3, 7}[procsIdx%4]
+	f.Add(int64(1), uint16(0b101), uint8(0))
+	f.Add(int64(2), uint16(0b11), uint8(1))
+	f.Add(int64(7), uint16(0xffff), uint8(0))
+	f.Add(int64(12), uint16(0), uint8(2))
+	f.Add(int64(-245), uint16(130), uint8(0x85)) // a stage that accepts a tight rim optimum moves too few here
+	f.Fuzz(func(t *testing.T, seed int64, subset uint16, tol uint8) {
 		g, a := onDemandCase(t, seed)
 		n, p := g.Order(), a.P
 		ctx := context.Background()
@@ -178,14 +177,14 @@ func FuzzLayerOnDemand(f *testing.F) {
 		want := layering.Figure3(g, a)
 
 		// (a) at full depth, seeded with every slot.
-		full, err := (&layering.Scratch{Procs: procs}).LayerSeeded(ctx, c, a, g.Vertices())
+		full, err := new(layering.Scratch).LayerSeeded(ctx, c, a, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}
-		layering.RequireMatchesFigure3(t, fmt.Sprintf("seed %d, procs %d", seed, procs), full, want, n, p)
+		layering.RequireMatchesFigure3(t, fmt.Sprintf("seed %d", seed), full, want, n, p)
 
 		// (b) rim, a few pools asked for early, then the subset.
-		s := layering.Scratch{Procs: procs}
+		var s layering.Scratch
 		r, err := s.Rim(c, a, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +228,7 @@ func FuzzLayerOnDemand(f *testing.F) {
 		layering.RequireMatchesFigure3(t, "rim, subset, then the rest", r, want, n, p)
 
 		// (c) the stage.
-		requireSameStage(t, g, a, full, procs, int(tol%3))
+		requireSameStage(t, g, a, full, int(tol%3))
 	})
 }
 
@@ -272,7 +271,7 @@ func TestStageInfeasibleOnTheRim(t *testing.T) {
 			if _, sol, err := balance.Solve(context.Background(), m, lp.Default()); err != nil || sol.Status == lp.Optimal {
 				t.Fatalf("the rim LP at ε=1 must be infeasible for this row to test anything (status %v, err %v)", sol.Status, err)
 			}
-			st := requireSameStage(t, g, a, full, 1, 0)
+			st := requireSameStage(t, g, a, full, 0)
 			if st == nil || st.EpsilonUsed[0] != 1 || st.StageDeepened[0] != a.P || st.StageLPSolves[0] != 2 {
 				t.Fatalf("stage %+v, want ε=1 after finishing all %d partitions and one re-solve", st, a.P)
 			}

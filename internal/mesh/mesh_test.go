@@ -108,6 +108,29 @@ func TestRefineDiskAddsLocalizedVertices(t *testing.T) {
 	}
 }
 
+// TestRefineNegativeCountIsAnError: a negative refinement size is an
+// error from RefineDisk and from both sequence builders, never a panic,
+// and the mesh is left as it was.
+func TestRefineNegativeCountIsAnError(t *testing.T) {
+	gen, err := NewGenerator(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := gen.Mesh().NumVertices()
+	if added, err := gen.RefineDisk(geom.Point{X: 0.5, Y: 0.5}, 0.2, -3); err == nil || added != nil {
+		t.Fatalf("RefineDisk(-3) = %v, %v; want an error", added, err)
+	}
+	if n := gen.Mesh().NumVertices(); n != before {
+		t.Fatalf("a rejected refinement changed the mesh: %d vertices, want %d", n, before)
+	}
+	if _, err := GenerateChained(100, []int{5, -3}, 1); err == nil {
+		t.Fatal("GenerateChained accepted a negative growth step")
+	}
+	if _, err := GenerateFanOut(100, []int{-3}, 1); err == nil {
+		t.Fatal("GenerateFanOut accepted a negative growth step")
+	}
+}
+
 func TestUpdateGraphIncremental(t *testing.T) {
 	gen, err := NewGenerator(200, 5)
 	if err != nil {

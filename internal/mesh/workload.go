@@ -59,8 +59,11 @@ func (g *Generator) Mesh() *Mesh { return g.mesh }
 // each at the centroid of an existing triangle whose centroid lies in the
 // disk (DIME-style localized h-refinement). It retries with jitter on
 // numerically degenerate insertions and returns the ids of the new
-// vertices.
+// vertices. A negative count is an error.
 func (g *Generator) RefineDisk(center geom.Point, radius float64, count int) ([]int, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("mesh: refine count %d is negative", count)
+	}
 	added := make([]int, 0, count)
 	for len(added) < count {
 		// Pick the triangle with the largest circumradius among those in

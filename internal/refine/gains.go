@@ -67,8 +67,8 @@ func cmpCand(a, b cand) int {
 	return cmp.Compare(a.v, b.v)
 }
 
-// RowScan is one worker's arena for the row kernel, Scan. The zero value
-// is ready.
+// RowScan is the arena of the row kernel, Scan. The zero value is
+// ready.
 type RowScan struct {
 	// Foreign, Ext and ExtN are the cut term of the vertex Scan read last:
 	// it is live with a neighbour elsewhere or unassigned (a boundary
@@ -211,8 +211,7 @@ func (s *Scratch) Reserve(n int) {
 // Reclassify reads v's row once (Scan, which leaves v's cut term in r) and
 // stores v's class. When the class changed — or v's partition is out of
 // range, which GainsPatched must reject — it appends a Reclass to log. The
-// caller owns v (concurrent calls name distinct vertices) and has
-// Reserved its slot.
+// caller has Reserved v's slot.
 func (s *Scratch) Reclassify(r *RowScan, c *graph.CSR, a *partition.Assignment, v graph.Vertex, log []Reclass) []Reclass {
 	k, g := r.Scan(c, a, v)
 	if p := a.Part[v]; k != s.pair[v] || g != s.cands.Gain[v] || p < partition.Unassigned || int(p) >= a.P {

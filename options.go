@@ -42,13 +42,12 @@ const (
 
 // config is the validated product of applying functional options.
 type config struct {
-	solver      Solver // nil = the registry default
-	refine      bool
-	tolerance   int
-	batches     int
-	parallelism int
-	observer    func(Event)
-	multilevel  bool
+	solver     Solver // nil = the registry default
+	refine     bool
+	tolerance  int
+	batches    int
+	observer   func(Event)
+	multilevel bool
 }
 
 // An Option configures an [Engine] (or a one-shot [Repartition] call).
@@ -136,25 +135,17 @@ func WithBatches(k int) Option {
 	}
 }
 
-// WithParallelism sets the worker count n ≥ 1 for the engine's sharded
-// multi-core kernels — the incremental boundary recompute and the
-// layering BFS level expansion. Phase 1 (new-vertex assignment and the
-// orphan-cluster flood), the refinement gain scan, LP solves, the
-// spectral solve and the V-cycle's hierarchy (coarsening, coarsest
-// solve, uncoarsening) are sequential whatever n is. The default is runtime.GOMAXPROCS(0). Each
-// kernel has one code path with n as a parameter: n = 1 runs it as one
-// shard, inline on the calling goroutine, with no goroutine spawned.
+// WithParallelism accepts a worker count n ≥ 1 and changes nothing: the
+// engine runs every phase on the calling goroutine. n < 1 is still a
+// constructor error.
 //
-// Parallelism is purely a latency property: results are bit-identical
-// for every worker count (work is sharded deterministically and
-// per-worker results merge in shard order — fuzz-verified). Per-worker busy time is reported in
-// [Stats.WorkerBusy].
+// Deprecated: the engine is sequential; the option is kept only for
+// callers that still pass it and has no effect.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
 			return fmt.Errorf("igp: WithParallelism(%d): workers must be ≥ 1", n)
 		}
-		c.parallelism = n
 		return nil
 	}
 }
@@ -197,9 +188,7 @@ func WithObserver(fn func(Event)) Option {
 // vertex moves, since the hierarchy was last consulted dissolve and
 // re-match — instead of recoarsening from scratch
 // ([Stats.HierarchyRepaired] reports which path ran; a window the
-// bounded journal no longer covers is rebuilt). The hierarchy runs on
-// the calling goroutine; the flat kernels around it shard as usual, so
-// results are bit-identical at every [WithParallelism] value.
+// bounded journal no longer covers is rebuilt).
 //
 // Coarsening stops once a level has at most max(64, 16·P) live vertices,
 // after 32 levels, or when a level would keep more than 95 % of its fine
@@ -214,11 +203,10 @@ func WithMultilevel() Option {
 // engineOptions assembles the internal engine configuration.
 func (c *config) engineOptions() engine.Options {
 	return engine.Options{
-		Solver:      c.solver,
-		Tolerance:   c.tolerance,
-		Refine:      c.refine,
-		Parallelism: c.parallelism,
-		Multilevel:  engine.MultilevelOptions{Enabled: c.multilevel},
-		Observer:    c.observer,
+		Solver:     c.solver,
+		Tolerance:  c.tolerance,
+		Refine:     c.refine,
+		Multilevel: engine.MultilevelOptions{Enabled: c.multilevel},
+		Observer:   c.observer,
 	}
 }

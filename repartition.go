@@ -162,9 +162,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine bound to g, validating every option
-// eagerly: unknown solver names, batches < 1 and nil observers are constructor errors, never mid-run surprises.
-// The first Repartition call pays a full snapshot build; subsequent
-// calls are incremental.
+// eagerly: unknown solver names, batches or worker counts < 1 and nil
+// observers are constructor errors, never mid-run surprises. The engine
+// runs every phase on the calling goroutine. The first Repartition call
+// pays a full snapshot build; subsequent calls are incremental.
 func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -246,10 +247,8 @@ type ParallelResult struct {
 // sequential time and divide for speedup.
 //
 // WithRefine, WithTolerance and WithObserver (fed rank 0's events) are
-// honoured.
-// WithParallelism is accepted and changes nothing: a rank models one
-// processor, so its engine runs one worker, and results are identical at
-// every worker count. Options the simulator cannot honour are errors:
+// honoured; WithParallelism, a no-op, is accepted. Options the simulator
+// cannot honour are errors:
 // WithSolver (its LP is always the dense tableau), WithMultilevel
 // and WithBatches(k > 1).
 //

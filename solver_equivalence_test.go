@@ -114,50 +114,6 @@ func TestSolverEquivalenceInvariants(t *testing.T) {
 	}
 }
 
-// TestSolverEquivalenceAcrossProcs locks the worker-count half of the
-// determinism contract at the pipeline level: for every registered
-// solver, the end-to-end result under WithParallelism(n) must be
-// bit-identical to the one-worker run. P=32 is the paper workload with
-// alternate LP optima; identical results across procs (same solver) are
-// still required, because the worker count may never change which LP a
-// solver is handed.
-func TestSolverEquivalenceAcrossProcs(t *testing.T) {
-	for _, seed := range []int64{1994, 7} {
-		seq, err := PaperMeshA(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := PartitionRSB(seq.Base, 32, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := seq.Steps[0].Graph
-		for _, name := range SolverNames() {
-			aSeq := base.Clone()
-			if _, err := Repartition(context.Background(), g, aSeq,
-				WithRefine(), WithSolver(name), WithParallelism(1)); err != nil {
-				t.Fatalf("seed=%d %s procs=1: %v", seed, name, err)
-			}
-			cutSeq := Cut(g, aSeq)
-			for _, procs := range []int{2, 3, 8} {
-				a := base.Clone()
-				if _, err := Repartition(context.Background(), g, a,
-					WithRefine(), WithSolver(name), WithParallelism(procs)); err != nil {
-					t.Fatalf("seed=%d %s procs=%d: %v", seed, name, procs, err)
-				}
-				if !reflect.DeepEqual(aSeq.Part, a.Part) {
-					t.Errorf("seed=%d %s: procs=%d assignment diverges from sequential",
-						seed, name, procs)
-				}
-				if cut := Cut(g, a); !reflect.DeepEqual(cut, cutSeq) {
-					t.Errorf("seed=%d %s: procs=%d cut %+v != sequential %+v",
-						seed, name, procs, cut, cutSeq)
-				}
-			}
-		}
-	}
-}
-
 // TestEnginePersistenceIsPerformanceOnly: for every registered solver, a
 // long-lived engine (one LP session whose arenas persist across
 // Repartition calls) must produce exactly the assignments of one-shot
