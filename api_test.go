@@ -437,8 +437,7 @@ func TestPhaseTimingsSumToElapsed(t *testing.T) {
 }
 
 // countingSolver wraps the network simplex, counting solves and the
-// shapes of the problems it is handed — the "drop-in out-of-tree solver"
-// the registry seam exists for.
+// shapes of the problems it is handed.
 type countingSolver struct{ *lpRecord }
 
 // lpRecord counts solves, problems with a row that is not an equality,
@@ -447,9 +446,9 @@ type lpRecord struct{ calls, notEQ, ranged atomic.Int64 }
 
 func (s countingSolver) Name() string { return "test-counting" }
 
-func (s countingSolver) Solve(ctx context.Context, p *LPProblem) (*LPSolution, error) {
+func (s countingSolver) Solve(ctx context.Context, p *lp.Problem) (*lp.Solution, error) {
 	s.calls.Add(1)
-	if slices.ContainsFunc(p.Cons, func(c LPConstraint) bool { return c.Rel != lp.EQ }) {
+	if slices.ContainsFunc(p.Cons, func(c lp.Constraint) bool { return c.Rel != lp.EQ }) {
 		s.notEQ.Add(1)
 	}
 	if slices.Contains(p.Obj, 0) {
@@ -460,46 +459,12 @@ func (s countingSolver) Solve(ctx context.Context, p *LPProblem) (*LPSolution, e
 
 var counted lpRecord
 
-func init() {
-	if err := RegisterSolver("test-counting", countingSolver{&counted}); err != nil {
-		panic(err)
-	}
-}
-
-// TestCustomSolverRegistry is the acceptance test for the public solver
-// seam: a custom solver registered via RegisterSolver is selectable by
-// name through WithSolver and actually drives the pipeline.
-func TestCustomSolverRegistry(t *testing.T) {
-	found := false
-	for _, n := range SolverNames() {
-		if n == "test-counting" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered solver missing from SolverNames: %v", SolverNames())
-	}
-	if err := RegisterSolver("test-counting", countingSolver{&counted}); err == nil {
-		t.Fatal("duplicate registration must error")
-	}
-	if err := RegisterSolver("", countingSolver{&counted}); err == nil {
-		t.Fatal("empty name must error")
-	}
-
-	g, a := grownMesh(t, 400, 8, 40, 17)
-	eng, err := NewEngine(g, WithRefine(), WithSolver("test-counting"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := counted.calls.Load()
-	if _, err := eng.Repartition(context.Background(), a); err != nil {
-		t.Fatal(err)
-	}
-	if got := counted.calls.Load() - before; got == 0 {
-		t.Fatal("custom solver was selected but never invoked")
-	}
-	if err := a.Validate(g); err != nil {
-		t.Fatal(err)
+// withCountingSolver injects countingSolver into the engine's solver
+// slot, the place WithSolver fills.
+func withCountingSolver() Option {
+	return func(c *config) error {
+		c.solver = countingSolver{&counted}
+		return nil
 	}
 }
 
@@ -683,7 +648,7 @@ func TestEveryLPIsAFlow(t *testing.T) {
 			prev = v
 		}
 	}
-	recorded := WithSolver("test-counting")
+	recorded := withCountingSolver()
 	for name, opts := range map[string][]Option{
 		"flat":              {recorded},
 		"flat+refine":       {recorded, WithRefine()},

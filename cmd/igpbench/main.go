@@ -22,9 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	igp "repro"
 	"repro/internal/bench"
 	"repro/internal/lp"
 	"repro/internal/mesh"
@@ -35,13 +33,11 @@ func main() {
 	seed := flag.Int64("seed", 1994, "workload seed")
 	p := flag.Int("p", 32, "number of partitions")
 	ranks := flag.Int("ranks", 32, "simulated machine size")
-	solver := flag.String("solver", lp.DefaultSolverName, "sequential simplex: "+strings.Join(igp.SolverNames(), "|"))
+	solver := flag.String("solver", lp.DefaultSolverName, "sequential simplex: network|dense")
 	skipSim := flag.Bool("skipsim", false, "skip simulated parallel runs (no Time-p/Speedup)")
 	largeN := flag.Int("n", 100000, "large-graph tier size (table: multilevel)")
 	flag.Parse()
 
-	// The registry resolves built-ins and any solver an out-of-tree build
-	// registered, so -solver accepts every name SolverNames lists.
 	s, err := lp.Lookup(*solver)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "igpbench: %v\n", err)

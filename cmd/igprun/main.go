@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	igp "repro"
 )
@@ -31,7 +30,7 @@ func main() {
 	p := flag.Int("p", 32, "number of partitions")
 	mode := flag.String("mode", "rsb", "rsb | igp | igpr")
 	seed := flag.Int64("seed", 1, "seed for spectral starts")
-	solver := flag.String("solver", "", "simplex: "+strings.Join(igp.SolverNames(), "|")+" (empty = the default)")
+	solver := flag.String("solver", "", "simplex: network|dense (empty = the default)")
 	tol := flag.Int("tol", 0, "allowed per-partition deviation from the target size")
 	batches := flag.Int("batches", 1, "reveal new vertices in this many batches")
 	timeout := flag.Duration("timeout", 0, "abort the repartition after this long (0 = no limit)")

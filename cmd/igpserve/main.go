@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,7 +44,7 @@ func main() {
 	queue := flag.Int("queue", 0, "per-session queue depth (0 = default 64)")
 	inflight := flag.Int("inflight", 0, "server-wide in-flight request cap (0 = default 1024)")
 	idle := flag.Duration("idle", 0, "evict sessions idle this long (0 = never)")
-	solver := flag.String("solver", "", "LP solver for the engines: "+strings.Join(igp.SolverNames(), "|")+" (empty = default)")
+	solver := flag.String("solver", "", "LP solver for the engines: network|dense (empty = default)")
 	refine := flag.Bool("refine", false, "enable LP refinement (IGPR) in the engines")
 	smoke := flag.Duration("smoke", 0, "self-check mode: boot on 127.0.0.1:0, run loadgen this long, exit")
 	flag.Parse()
@@ -64,6 +63,15 @@ func main() {
 		IdleTimeout:   *idle,
 		EngineOptions: engOpts,
 	}
+
+	// Sessions build their engines on demand; an option error found here
+	// stops the server before it listens instead of failing every create.
+	eng, err := igp.NewEngine(igp.NewGraph(0), engOpts...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "igpserve: %v\n", err)
+		os.Exit(2)
+	}
+	eng.Close()
 
 	if *smoke > 0 {
 		os.Exit(runSmoke(cfg, *smoke))

@@ -13,8 +13,8 @@
 //     load balancing by linear programming, and LP-based cut refinement
 //     (the paper's IGP and IGPR variants);
 //   - two simplex implementations (a network simplex on a spanning
-//     tree for production, the paper's dense tableau as its oracle)
-//     behind a pluggable, named Solver registry;
+//     tree for production, the paper's dense tableau as its oracle),
+//     selected by name with [WithSolver];
 //   - a message-passing machine simulator calibrated to a 32-node CM-5,
 //     with an SPMD parallel implementation of the whole pipeline that
 //     charges each LP as a column-distributed dense simplex; and
@@ -47,9 +47,8 @@
 // One-shot callers use [Repartition], which builds a throwaway engine;
 // severe growth can be absorbed gradually with [WithBatches]. Stage-level
 // progress streams to a [WithObserver] callback, per-phase wall-clock and
-// LP pivot totals land in [Stats], and alternative simplex
-// implementations — including out-of-tree ones added via
-// [RegisterSolver] — are selected by name with [WithSolver].
+// LP pivot totals land in [Stats], and the paper's dense simplex is
+// selected in place of the default network simplex with [WithSolver].
 package igp
 
 import (
@@ -104,6 +103,8 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 func NewGraphWithVertices(n int) *Graph { return graph.NewWithVertices(n) }
 
 // ReadGraph decodes a graph from the textual format written by WriteGraph.
+// An id that does not fit a Vertex, or a negative or non-finite weight,
+// is an error.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 
 // WriteGraph encodes g in a deterministic text format.

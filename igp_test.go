@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -57,17 +55,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPISolverNames pins the built-in set to the network default
-// and the dense oracle: every one constructs, and
-// anything else — the retired names included — is an eager error that
-// lists what is registered.
+// TestPublicAPISolverNames pins the solver set to the network default
+// and the dense oracle: both construct, and anything else — the retired
+// names included — is an eager error that names both.
 func TestPublicAPISolverNames(t *testing.T) {
-	// Tests in this package register "test-…" names; the rest are built in.
-	builtins := slices.DeleteFunc(SolverNames(), func(n string) bool { return strings.HasPrefix(n, "test-") })
-	if want := []string{"dense", "network"}; !slices.Equal(builtins, want) {
-		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
-	}
-	for _, name := range builtins {
+	for _, name := range []string{"", "network", "dense"} {
 		if _, err := NewEngine(NewGraphWithVertices(2), WithSolver(name)); err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}
@@ -77,8 +69,8 @@ func TestPublicAPISolverNames(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%q must error at NewEngine", name)
 		}
-		if listing := fmt.Sprint(SolverNames()); !strings.Contains(err.Error(), listing) {
-			t.Fatalf("%q: error %q does not list the registered names %s", name, err, listing)
+		if !strings.Contains(err.Error(), "network") || !strings.Contains(err.Error(), "dense") {
+			t.Fatalf("%q: error %q does not name both solvers", name, err)
 		}
 		if _, err := Repartition(context.Background(), NewGraphWithVertices(2),
 			&Assignment{Part: []int32{0, 0}, P: 1}, WithSolver(name)); err == nil {

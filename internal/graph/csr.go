@@ -22,7 +22,6 @@ type CSR struct {
 	End  []int32   // row-end offsets, len Order(); XAdj[v] ≤ End[v] ≤ XAdj[v+1]
 	Adj  []Vertex  // concatenated adjacency rows plus slack
 	EW   []float64 // edge weights parallel to Adj
-	VW   []float64 // vertex weights
 	Live []bool    // liveness flags
 	NumV int       // live vertex count
 	NumE int       // undirected edge count
@@ -170,7 +169,6 @@ func (g *Graph) RefreshCSR(c *CSR) (snapshot *CSR, patched bool) {
 			c.EW[i] = 0
 		}
 		c.End[v] = end
-		c.VW[v] = g.vw[v]
 		c.Live[v] = g.alive[v]
 	}
 	// Pass 3: append slots for vertices added since the snapshot. Every
@@ -202,7 +200,6 @@ func (c *CSR) appendSlot(g *Graph, v Vertex) {
 			c.EW = append(c.EW, 0)
 		}
 	}
-	c.VW = append(c.VW, g.vw[v])
 	c.Live = append(c.Live, g.alive[v])
 }
 
@@ -226,7 +223,6 @@ func (g *Graph) buildCSR(c *CSR) *CSR {
 			End:  make([]int32, 0, n),
 			Adj:  make([]Vertex, 0, 2*g.m+csrPad(0)*n),
 			EW:   make([]float64, 0, 2*g.m+csrPad(0)*n),
-			VW:   make([]float64, 0, n),
 			Live: make([]bool, 0, n),
 		}
 	}
@@ -237,7 +233,6 @@ func (g *Graph) buildCSR(c *CSR) *CSR {
 	c.End = c.End[:0]
 	c.Adj = c.Adj[:0]
 	c.EW = c.EW[:0]
-	c.VW = c.VW[:0]
 	c.Live = c.Live[:0]
 	c.NumV = g.NumVertices()
 	c.NumE = g.m

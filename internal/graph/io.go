@@ -43,7 +43,15 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read decodes a graph from the text format produced by Write.
+// parseWeight parses a vertex or edge weight, accepting only finite
+// values ≥ 0.
+func parseWeight(s string) (float64, bool) {
+	w, err := strconv.ParseFloat(s, 64)
+	return w, err == nil && w >= 0 && !math.IsInf(w, 0)
+}
+
+// Read decodes a graph from the text format produced by Write. Ids must
+// fit a Vertex, and weights must be finite and ≥ 0.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -78,9 +86,9 @@ func Read(r io.Reader) (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: read line %d: bad vertex line %q", line, text)
 			}
-			id, err1 := strconv.Atoi(fields[1])
-			w, err2 := strconv.ParseFloat(fields[2], 64)
-			if err1 != nil || err2 != nil || id < 0 || id >= order {
+			id, err1 := strconv.ParseInt(fields[1], 10, 32)
+			w, ok := parseWeight(fields[2])
+			if err1 != nil || !ok || id < 0 || id >= int64(order) {
 				return nil, fmt.Errorf("graph: read line %d: bad vertex line %q", line, text)
 			}
 			live[id] = true
@@ -89,10 +97,10 @@ func Read(r io.Reader) (*Graph, error) {
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("graph: read line %d: bad edge line %q", line, text)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			w, err3 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil {
+			u, err1 := strconv.ParseInt(fields[1], 10, 32)
+			v, err2 := strconv.ParseInt(fields[2], 10, 32)
+			w, ok := parseWeight(fields[3])
+			if err1 != nil || err2 != nil || !ok {
 				return nil, fmt.Errorf("graph: read line %d: bad edge line %q", line, text)
 			}
 			es = append(es, edge{Vertex(u), Vertex(v), w})

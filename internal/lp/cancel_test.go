@@ -1,10 +1,9 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -96,19 +95,11 @@ func TestNetworkPollsContextBetweenPivots(t *testing.T) {
 	}
 }
 
-// TestRegistryRoundTrip: the built-in set is exactly the network default
-// and the dense oracle; built-ins resolve by name
-// (and by the empty default), unknowns — the retired solver names
-// included — fail with a listing. Rejected
-// registrations — including MustRegister's panic contract — are covered
-// by the table in TestRegisterRejections (registry_test.go).
+// TestRegistryRoundTrip: the solver set is exactly the network default
+// and the dense oracle; both resolve by name (and the default by the
+// empty name), and anything else — the retired solver names included —
+// fails with an error naming both.
 func TestRegistryRoundTrip(t *testing.T) {
-	// Other tests leave throwaway "test-…" registrations behind (the
-	// registry has no unregister); everything else is a built-in.
-	builtins := slices.DeleteFunc(Names(), func(n string) bool { return strings.HasPrefix(n, "test-") })
-	if want := []string{"dense", "network"}; !slices.Equal(builtins, want) {
-		t.Fatalf("built-in solvers are %v, want exactly %v", builtins, want)
-	}
 	for _, name := range []string{"dense", "network", ""} {
 		s, err := Lookup(name)
 		if err != nil {
@@ -117,21 +108,20 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if s == nil {
 			t.Fatalf("%q: nil solver", name)
 		}
+		if want := cmp.Or(name, DefaultSolverName); s.Name() != want {
+			t.Fatalf("%q resolved to %q", name, s.Name())
+		}
 	}
-	def, err := Lookup("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Name() != DefaultSolverName || Default() != def {
-		t.Fatalf("default solver is %q (Default() %q), want %q", def.Name(), Default().Name(), DefaultSolverName)
+	if def, _ := Lookup(""); Default() != def {
+		t.Fatalf("Default() is %q, want %q", Default().Name(), DefaultSolverName)
 	}
 	for _, name := range []string{"no-such-solver", "mwu", "revised", "dual-warm", "bounded"} {
 		_, err := Lookup(name)
 		if err == nil {
 			t.Fatalf("%q must not resolve", name)
 		}
-		if listing := fmt.Sprint(Names()); !strings.Contains(err.Error(), listing) {
-			t.Fatalf("%q: error %q does not list the registered names %s", name, err, listing)
+		if !strings.Contains(err.Error(), "network") || !strings.Contains(err.Error(), "dense") {
+			t.Fatalf("%q: error %q does not name both solvers", name, err)
 		}
 	}
 }

@@ -15,10 +15,11 @@ import (
 type Dense struct {
 	// MaxIter bounds total pivots (0 means the default of 200000).
 	MaxIter int
-	// BlandAfter switches from Dantzig to Bland pivoting after this many
-	// pivots to guarantee termination (0 means the default of 5000).
-	BlandAfter int
 }
+
+// blandAfter is the pivot count after which Dense switches from Dantzig's
+// rule to Bland's, which cannot cycle, so a degenerate LP still terminates.
+const blandAfter = 5000
 
 // Name implements Solver.
 func (Dense) Name() string { return "dense" }
@@ -33,11 +34,7 @@ func (d Dense) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if maxIter == 0 {
 		maxIter = 200000
 	}
-	blandAfter := d.BlandAfter
-	if blandAfter == 0 {
-		blandAfter = 5000
-	}
-	return t.solve(ctx, maxIter, blandAfter)
+	return t.solve(ctx, maxIter)
 }
 
 // tableau is a dense simplex tableau in standard form:
@@ -222,7 +219,7 @@ func (t *tableau) pivot(r, c int, d []float64) {
 
 // iterate runs simplex pivots until optimality, unboundedness, context
 // cancellation, or the iteration limit, for the current cost vector.
-func (t *tableau) iterate(ctx context.Context, maxIter, blandAfter int, banArtificials bool) (Status, error) {
+func (t *tableau) iterate(ctx context.Context, maxIter int, banArtificials bool) (Status, error) {
 	d, _ := t.reducedCosts(banArtificials)
 	for {
 		if t.iters >= maxIter {
@@ -276,7 +273,7 @@ func (t *tableau) iterate(ctx context.Context, maxIter, blandAfter int, banArtif
 }
 
 // solve runs the two phases and extracts the solution.
-func (t *tableau) solve(ctx context.Context, maxIter, blandAfter int) (*Solution, error) {
+func (t *tableau) solve(ctx context.Context, maxIter int) (*Solution, error) {
 	// Phase 1: minimize the sum of artificials (skip if none are basic).
 	needPhase1 := false
 	for _, b := range t.basis {
@@ -290,7 +287,7 @@ func (t *tableau) solve(ctx context.Context, maxIter, blandAfter int) (*Solution
 		for j := t.artStart; j < t.nCols; j++ {
 			t.cost[j] = 1
 		}
-		status, err := t.iterate(ctx, maxIter, blandAfter, false)
+		status, err := t.iterate(ctx, maxIter, false)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +308,7 @@ func (t *tableau) solve(ctx context.Context, maxIter, blandAfter int) (*Solution
 
 	// Phase 2.
 	t.cost = t.origCost
-	status, err := t.iterate(ctx, maxIter, blandAfter, true)
+	status, err := t.iterate(ctx, maxIter, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package lp implements the linear-programming layer of the incremental
 // partitioner: a small modeling API, the one routine that formulates the
 // pipeline's LPs (QuotientFlow, flow.go) and two simplex solvers, each
-// registered under a stable name (see registry.go) — one for production,
+// resolved by a stable name (Lookup, registry.go) — one for production,
 // one independent oracle.
 //
 //   - Network ("network", the default): a bounded-variable network

@@ -1,37 +1,13 @@
 package lp
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
-// The solver registry maps stable names to Solver implementations so
-// configuration surfaces (functional options, CLI flags, bench configs)
-// can select a simplex by name — and so out-of-tree solvers can ship as
-// drop-ins via Register.
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Solver{}
-)
+import "fmt"
 
 // DefaultSolverName is the solver used when no name is given.
 const DefaultSolverName = "network"
 
-func init() {
-	MustRegister("dense", Dense{})
-	MustRegister("network", Network{})
-}
-
-// Default returns the registered default solver ([DefaultSolverName]):
-// the one fallback every nil-solver call site resolves through.
-func Default() Solver {
-	s, err := Lookup(DefaultSolverName)
-	if err != nil {
-		panic(err) // unreachable: the default is registered in init
-	}
-	return s
-}
+// Default returns the default solver ([DefaultSolverName]): the one
+// fallback every nil-solver call site resolves through.
+func Default() Solver { return Network{} }
 
 // SessionSolver is implemented by solvers whose state should be scoped
 // to one solve stream — [Network], whose sessions reuse their graph,
@@ -56,54 +32,15 @@ func Session(s Solver) Solver {
 	return s
 }
 
-// Register adds a named solver. Empty names and duplicates are rejected
-// so a typo cannot silently shadow a built-in.
-func Register(name string, s Solver) error {
-	if name == "" {
-		return fmt.Errorf("lp: register: empty solver name")
-	}
-	if s == nil {
-		return fmt.Errorf("lp: register %q: nil solver", name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("lp: register %q: already registered", name)
-	}
-	registry[name] = s
-	return nil
-}
-
-// MustRegister is Register for init-time use; it panics on error.
-func MustRegister(name string, s Solver) {
-	if err := Register(name, s); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup resolves a solver by name; "" selects DefaultSolverName. The
-// error lists the registered names so a typo is self-diagnosing.
+// Lookup resolves one of the two solvers by name: "network" (the
+// production spanning-tree simplex; "" selects it) or "dense" (the
+// paper's tableau, the oracle). Any other name is an error naming both.
 func Lookup(name string) (Solver, error) {
-	if name == "" {
-		name = DefaultSolverName
+	switch name {
+	case "", DefaultSolverName:
+		return Network{}, nil
+	case "dense":
+		return Dense{}, nil
 	}
-	registryMu.RLock()
-	s, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lp: unknown solver %q (registered: %v)", name, Names())
-	}
-	return s, nil
-}
-
-// Names returns the registered solver names in sorted order.
-func Names() []string {
-	registryMu.RLock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	registryMu.RUnlock()
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("lp: unknown solver %q (want network or dense)", name)
 }

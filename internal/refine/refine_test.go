@@ -260,7 +260,7 @@ func TestApplyLeavesNoHalfAppliedRound(t *testing.T) {
 }
 
 // halfSolver answers every LP with 0.5 on each variable — the fractional
-// flow a solver registered from outside could return.
+// flow a solver injected through Options.Solver could return.
 type halfSolver struct{}
 
 func (halfSolver) Name() string { return "half" }

@@ -42,7 +42,7 @@ const (
 
 // config is the validated product of applying functional options.
 type config struct {
-	solver     Solver // nil = the registry default
+	solver     lp.Solver // nil = the default ("network")
 	refine     bool
 	tolerance  int
 	batches    int
@@ -79,10 +79,9 @@ func WithRefine() Option {
 	}
 }
 
-// WithSolver selects the LP solver by registry name: "network" (the
-// default), "dense", or anything added via [RegisterSolver]. Unknown
-// names fail at NewEngine/Repartition time with an error listing the
-// registered ones.
+// WithSolver selects the LP solver by name: "network" (the default;
+// "" selects it too) or "dense". Any other name fails at
+// NewEngine/Repartition time with an error naming both.
 //
 // "network" pivots the balance and refinement LPs — min-cost flows on
 // the partition quotient graph, with or without a [WithTolerance]
@@ -109,8 +108,6 @@ func WithSolver(name string) Option {
 // row per partition and gains P zero-cost slack columns after the pair
 // columns, 0 ≤ s_j ≤ 2n with a single +1 in row j (an arc from partition
 // j to the root), whose row reads outflow − inflow + s_j = surplus_j + n.
-// That is the [LPProblem] an out-of-tree [Solver] receives under a
-// tolerance.
 func WithTolerance(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
