@@ -111,7 +111,7 @@ func main() {
 
 	cut := igp.Cut(g, a)
 	fmt.Fprintf(os.Stderr, "igprun: |V|=%d |E|=%d P=%d cutset total=%d max=%.0f min=%.0f imbalance=%.3f\n",
-		g.NumVertices(), g.NumEdges(), *p, cut.Total, cut.Max, cut.Min, igp.Imbalance(g, a))
+		g.NumVertices(), g.NumEdges(), a.P, cut.Total, cut.Max, cut.Min, igp.Imbalance(g, a))
 
 	if *out == "" {
 		exitOn(igp.WriteAssignment(os.Stdout, a))

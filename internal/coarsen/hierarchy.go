@@ -59,6 +59,7 @@ import (
 	"repro/internal/lp"
 	"repro/internal/par"
 	"repro/internal/partition"
+	"repro/internal/refine"
 	"repro/internal/spectral"
 )
 
@@ -157,14 +158,13 @@ type Hierarchy struct {
 	wavePrev  []graph.Vertex
 	waveCur   []graph.Vertex
 	freeBuf   []graph.Vertex
-	orderBuf  []graph.Vertex
 	repsBuf   []graph.Vertex
 	vwBuf     []float64
 	changeBuf []graph.Vertex
 	connBuf   []float64
 	wBuf      []float64
 	targBuf   []int
-	heapBuf   []moveEntry
+	moves     refine.MoveHeap
 
 	seedMarks par.Stamps
 	// connectGroups' dense accumulator: acc[cw] is the weight the current
@@ -420,10 +420,11 @@ func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 }
 
 // rematch heavy-edge-matches the freed vertices among themselves with
-// the deterministic mutual-proposal matcher (match.go) and appends the
-// new coarse vertices and their aggregated adjacency in one batch, one
-// group per matched pair or leftover singleton, representatives in
-// ascending slot order. It returns the number of groups formed.
+// the greedy matcher (match.go: the suitor pass, then two-hop) and
+// appends the new coarse vertices and their aggregated adjacency in one
+// batch, one group per matched pair or leftover singleton,
+// representatives in ascending slot order. It returns the number of
+// groups formed.
 func (h *Hierarchy) rematch(l int, lv *level, fg *graph.Graph, fa *partition.Assignment, free []graph.Vertex) int {
 	if len(free) == 0 {
 		return 0
@@ -707,61 +708,6 @@ func (h *Hierarchy) Uncoarsen(ctx context.Context, a *partition.Assignment) (int
 	return total, nil
 }
 
-// moveEntry is one candidate refinement move on the lazy heap.
-type moveEntry struct {
-	gain float64
-	v    graph.Vertex
-	to   int32
-}
-
-// entryLess is the heap's strict total order: gain descending, then
-// vertex id, then target partition.
-func entryLess(a, b moveEntry) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	if a.v != b.v {
-		return a.v < b.v
-	}
-	return a.to < b.to
-}
-
-func (h *Hierarchy) heapPush(e moveEntry) {
-	h.heapBuf = append(h.heapBuf, e)
-	i := len(h.heapBuf) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(h.heapBuf[i], h.heapBuf[parent]) {
-			break
-		}
-		h.heapBuf[i], h.heapBuf[parent] = h.heapBuf[parent], h.heapBuf[i]
-		i = parent
-	}
-}
-
-func (h *Hierarchy) heapPop() moveEntry {
-	top := h.heapBuf[0]
-	last := len(h.heapBuf) - 1
-	h.heapBuf[0] = h.heapBuf[last]
-	h.heapBuf = h.heapBuf[:last]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && entryLess(h.heapBuf[c+1], h.heapBuf[c]) {
-			c++
-		}
-		if !entryLess(h.heapBuf[c], h.heapBuf[i]) {
-			break
-		}
-		h.heapBuf[i], h.heapBuf[c] = h.heapBuf[c], h.heapBuf[i]
-		i = c
-	}
-	return top
-}
-
 // refineLevel runs the per-level greedy refinement: a lazy max-gain heap
 // seeded from the projection-changed vertices and their neighbors,
 // applying strictly positive-gain moves under a weight guard (every
@@ -785,57 +731,64 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 		slack = cap
 	}
 	targets := h.fineTargets()
-	if cap(h.connBuf) < p {
-		h.connBuf = make([]float64, p)
+	h.connBuf = par.Sized(h.connBuf, p)
+	conn := h.connBuf
+	// Seed from the changed vertices and their neighborhoods: mark them,
+	// then push their moves in one ascending scan of the slots — O(order),
+	// like the projection that produced changed.
+	h.seedMarks.Grow(fg.Order())
+	h.seedMarks.Next()
+	for _, v := range changed {
+		h.seedMarks.TryMark(v)
+		for _, u := range fg.Neighbors(v) {
+			h.seedMarks.TryMark(u)
+		}
 	}
-	h.heapBuf = h.heapBuf[:0]
-	// Seed from the changed vertices and their neighborhoods, in
-	// ascending deduplicated order.
-	seeds := h.collectSeeds(fg, changed)
-	for _, v := range seeds {
-		h.pushMoves(fg, fa, v)
+	h.moves = h.moves[:0]
+	for v := range graph.Vertex(fg.Order()) {
+		if h.seedMarks.Marked(v) {
+			h.moves.PushMoves(fg, fa.Part, v, conn)
+		}
 	}
-	h.orderBuf = seeds[:0]
 
 	moved := 0
 	budget := 2*fg.NumVertices() + 64
-	for len(h.heapBuf) > 0 && moved < budget {
-		e := h.heapPop()
-		if !fg.Alive(e.v) {
+	for len(h.moves) > 0 && moved < budget {
+		e := h.moves.Pop()
+		if !fg.Alive(e.V) {
 			continue
 		}
-		from := fa.Part[e.v]
-		if from < 0 || from == e.to {
+		from := fa.Part[e.V]
+		if from < 0 || from == e.To {
 			continue
 		}
 		// Recompute the gain: the stored one may be stale. Applying the
 		// fresh gain keeps every applied move strictly cut-reducing.
-		gain := h.gainOf(fg, fa, e.v, e.to)
-		if gain <= 0 {
+		if refine.MoveGain(fg, fa.Part, e.V, e.To) <= 0 {
 			continue
 		}
-		wv := h.levelWeight(l, e.v)
+		wv := h.levelWeight(l, e.V)
 		devBefore := math.Abs(weights[from] - float64(targets[from]))
-		if d := math.Abs(weights[e.to] - float64(targets[e.to])); d > devBefore {
+		if d := math.Abs(weights[e.To] - float64(targets[e.To])); d > devBefore {
 			devBefore = d
 		}
 		devAfter := math.Abs(weights[from] - wv - float64(targets[from]))
-		if d := math.Abs(weights[e.to] + wv - float64(targets[e.to])); d > devAfter {
+		if d := math.Abs(weights[e.To] + wv - float64(targets[e.To])); d > devAfter {
 			devAfter = d
 		}
 		if devAfter > slack && devAfter > devBefore {
 			continue
 		}
-		fa.Part[e.v] = e.to
+		fa.Part[e.V] = e.To
 		weights[from] -= wv
-		weights[e.to] += wv
+		weights[e.To] += wv
 		moved++
-		h.pushMoves(fg, fa, e.v)
-		for _, u := range fg.Neighbors(e.v) {
-			h.pushMoves(fg, fa, u)
+		h.moves.PushMoves(fg, fa.Part, e.V, conn)
+		for _, u := range fg.Neighbors(e.V) {
+			h.moves.PushMoves(fg, fa.Part, u, conn)
 		}
 	}
-	h.heapBuf = h.heapBuf[:0]
+	h.moves = h.moves[:0]
 	return moved
 }
 
@@ -864,85 +817,6 @@ func (h *Hierarchy) levelWeights(l int, fg *graph.Graph, fa *partition.Assignmen
 		}
 	}
 	return weights, total, maxW
-}
-
-// collectSeeds returns the ascending, deduplicated refinement seed set:
-// the changed vertices plus their neighborhoods (arena: h.orderBuf).
-// Two strategies produce the identical list, chosen purely by input
-// size: small changed sets gather and sort; large ones — the cold
-// V-cycle projects a big share of the level — mark membership in a
-// stamp set and collect with an ascending slot scan, which is O(order)
-// and naturally sorted and deduplicated.
-func (h *Hierarchy) collectSeeds(fg *graph.Graph, changed []graph.Vertex) []graph.Vertex {
-	n := fg.Order()
-	seeds := h.orderBuf[:0]
-	if len(changed)*32 < n {
-		seeds = append(seeds, changed...)
-		for _, v := range changed {
-			seeds = append(seeds, fg.Neighbors(v)...)
-		}
-		slices.Sort(seeds)
-		return slices.Compact(seeds)
-	}
-	h.seedMarks.Grow(n)
-	h.seedMarks.Next()
-	for _, v := range changed {
-		h.seedMarks.TryMark(v)
-		for _, u := range fg.Neighbors(v) {
-			h.seedMarks.TryMark(u)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if h.seedMarks.Marked(int32(v)) {
-			seeds = append(seeds, graph.Vertex(v))
-		}
-	}
-	return seeds
-}
-
-// pushMoves pushes every strictly positive-gain move of v onto the heap.
-func (h *Hierarchy) pushMoves(fg *graph.Graph, fa *partition.Assignment, v graph.Vertex) {
-	if !fg.Alive(v) {
-		return
-	}
-	own := fa.Part[v]
-	if own < 0 {
-		return
-	}
-	conn := h.connBuf[:h.p]
-	for q := range conn {
-		conn[q] = 0
-	}
-	ws := fg.EdgeWeights(v)
-	for i, u := range fg.Neighbors(v) {
-		if q := fa.Part[u]; q >= 0 {
-			conn[q] += ws[i]
-		}
-	}
-	base := conn[own]
-	for q := 0; q < h.p; q++ {
-		if int32(q) != own && conn[q] > base {
-			h.heapPush(moveEntry{gain: conn[q] - base, v: v, to: int32(q)})
-		}
-	}
-}
-
-// gainOf recomputes the cut gain of moving v to partition `to`,
-// accumulating in adjacency order (the same order pushMoves used, so
-// values agree bitwise).
-func (h *Hierarchy) gainOf(fg *graph.Graph, fa *partition.Assignment, v graph.Vertex, to int32) float64 {
-	own := fa.Part[v]
-	var connTo, connOwn float64
-	ws := fg.EdgeWeights(v)
-	for i, u := range fg.Neighbors(v) {
-		switch fa.Part[u] {
-		case to:
-			connTo += ws[i]
-		case own:
-			connOwn += ws[i]
-		}
-	}
-	return connTo - connOwn
 }
 
 // Check is the hierarchy's test oracle: it verifies every structural

@@ -1,7 +1,7 @@
 package coarsen
 
-// match.go holds the hierarchy's matcher: the deterministic
-// mutual-proposal heavy-edge matching shared by build and rematch, with
+// match.go holds the hierarchy's matcher: the greedy heavy-edge matching
+// shared by build and rematch, computed by the suitor algorithm, with
 // the two-hop pass for the singletons it strands.
 
 import (
@@ -12,12 +12,12 @@ import (
 )
 
 // edgeHash is a fixed 64-bit mix of an undirected edge's endpoints —
-// the matcher's tie-break among equal-weight candidate edges. A plain
-// id tie-break serializes unit-weight meshes into a wavefront (one
-// mutual pair per round creeping along each row); the hash makes ties
-// locally random so a constant fraction of the remaining free edges is
-// mutual each round, while staying a pure function of the graph and
-// therefore identical on every run.
+// the matcher's tie-break among equal-weight edges, and the one the
+// TestHierarchyLocked digests were recorded under. It is a bijection
+// (the endpoints pack into 64 bits, lower id first, and the
+// xorshift-multiply mix is invertible), so no two edges tie and the
+// edge order is strict; it is a pure function of the graph, so the
+// order is the same on every run.
 func edgeHash(a, b graph.Vertex) uint64 {
 	if a > b {
 		a, b = b, a
@@ -34,44 +34,26 @@ func edgeHash(a, b graph.Vertex) uint64 {
 // matcher is the deterministic heavy-edge matcher of the hierarchy's
 // build and rematch paths.
 //
-// It runs rounds of mutual proposals: every free vertex proposes its
-// best incident free same-partition edge under a total edge order
-// (weight descending, then edgeHash, then endpoint ids), and every
-// mutually-proposing pair matches. The globally best free edge is always
-// mutual, so each round makes progress and the loop terminates with a
-// maximal matching; the hashed tie-break makes a constant fraction of the
-// remaining free edges mutual per round in expectation (the classic
-// local-max matching argument). Only vertices whose proposed target was
-// matched away re-propose — as the free set only shrinks, everyone
-// else's proposal stays optimal — so total work stays near-linear.
-//
-// The outcome is a pure function of (graph, partition, free set):
-// proposals are per-vertex functions of the round's frozen state, and
-// pair application runs over the sorted dirty list.
+// Its first pass is the greedy matching of the free vertices'
+// same-partition edges under a strict total edge order (weight
+// descending, then edgeHash ascending): the edges taken heaviest first,
+// each one matched when both its ends are still free. The suitor
+// algorithm (Manne & Halappanavar, IPDPS 2014) computes it without
+// sorting the edges: every free vertex courts its best neighbour whose
+// current suitor it beats, a displaced suitor courts again, and when no
+// one can court any more the suitor relation is symmetric and its pairs
+// are the greedy matching — the heaviest free edge's ends court each
+// other and keep each other, and the same holds for the rest. Each
+// courtship strictly raises the edge its target is held by, so the loop
+// ends; the result does not depend on the order of the courtships, only
+// on (graph, partition, free set). The second pass is twoHop.
 type matcher struct {
-	prop     []graph.Vertex // current proposal target (per slot)
-	mate     []graph.Vertex // result: partner, self until matched
-	freeFlag []bool         // eligible and not yet matched
-	dirtyA   []graph.Vertex
-	dirtyB   []graph.Vertex
-	matched  []graph.Vertex
-	stamps   par.Stamps // the current dirty set
+	mate     []graph.Vertex // v's suitor (−1: none); on return v's partner, or v
+	bid      []float64      // weight of the edge mate[v] holds v by
+	freeFlag []bool         // eligible; after the suitor pass, eligible and unmatched
+	singles  []graph.Vertex
 	hops     []hopPair
 	pend     []graph.Vertex
-}
-
-// grow extends the per-slot arenas to n slots, one step each.
-func (m *matcher) grow(n int) {
-	old := len(m.prop)
-	if n <= old {
-		return
-	}
-	m.prop = slices.Grow(m.prop, n-old)[:n]
-	m.mate = slices.Grow(m.mate, n-old)[:n]
-	m.freeFlag = slices.Grow(m.freeFlag, n-old)[:n]
-	for v := old; v < n; v++ {
-		m.prop[v], m.mate[v], m.freeFlag[v] = -1, graph.Vertex(v), false
-	}
 }
 
 // run matches the vertices of free (ascending slot order) among
@@ -79,68 +61,72 @@ func (m *matcher) grow(n int) {
 // v's partner (self = unmatched) for every v in free; other slots hold
 // garbage from earlier runs. Scratch grows to fg.Order() and is reused.
 func (m *matcher) run(fg *graph.Graph, part []int32, free []graph.Vertex) {
-	n := fg.Order()
-	m.grow(n)
-	for _, v := range free {
-		m.freeFlag[v] = true
-		m.mate[v] = v
-	}
-	dirty := append(m.dirtyA[:0], free...)
-	next := m.dirtyB[:0]
-	m.stamps.Grow(n)
-	m.stamps.Next()
-	for _, v := range dirty {
-		m.stamps.TryMark(v)
-	}
-	for len(dirty) > 0 {
-		// 1. Re-propose: every dirty vertex recomputes its best free
-		// same-partition edge.
-		for _, v := range dirty {
-			m.propose(fg, part, v)
-		}
-		// 2. Match mutual pairs over the sorted dirty list. Proposals are
-		// frozen here and prop is a function, so mutual pairs are
-		// vertex-disjoint; a pair with both ends dirty is reported by its
-		// smaller end, one with a non-dirty end (whose standing proposal
-		// is still optimal) by the dirty end.
-		matched := m.matched[:0]
-		for _, v := range dirty {
-			u := m.prop[v]
-			if u < 0 || !m.freeFlag[v] || !m.freeFlag[u] {
-				continue
-			}
-			if m.prop[u] == v && (v < u || !m.stamps.Marked(u)) {
-				m.freeFlag[v], m.freeFlag[u] = false, false
-				m.mate[v], m.mate[u] = u, v
-				matched = append(matched, v, u)
-			}
-		}
-		m.matched = matched
-		if len(matched) == 0 {
-			// No mutual pair anywhere implies no free same-partition
-			// edge remains (the globally best one would be mutual, and
-			// every new mutual pair involves a dirty vertex): maximal.
-			break
-		}
-		// 3. Re-dirty: a free vertex re-proposes iff its target was just
-		// matched away; the next round runs in ascending order.
-		m.stamps.Next()
-		next = next[:0]
-		for _, x := range matched {
-			for _, y := range fg.Neighbors(x) {
-				if m.freeFlag[y] && m.prop[y] == x && m.stamps.TryMark(y) {
-					next = append(next, y)
-				}
-			}
-		}
-		slices.Sort(next)
-		dirty, next = next, dirty[:0]
-	}
+	m.suitor(fg, part, free)
 	m.twoHop(fg, part, free)
 	for _, v := range free {
 		m.freeFlag[v] = false
 	}
-	m.dirtyA, m.dirtyB = dirty[:0], next[:0]
+}
+
+// suitor is the greedy pass: on return mate[v] is v's greedy partner,
+// or v, for every v in free, and freeFlag marks the unmatched ones.
+func (m *matcher) suitor(fg *graph.Graph, part []int32, free []graph.Vertex) {
+	n := fg.Order()
+	m.mate, m.bid, m.freeFlag = par.Sized(m.mate, n), par.Sized(m.bid, n), par.Sized(m.freeFlag, n)
+	for _, v := range free {
+		m.freeFlag[v] = true
+		m.mate[v] = -1
+	}
+	for _, u := range free {
+		for cur := u; cur >= 0; {
+			v, w := m.court(fg, part, cur)
+			if v < 0 {
+				break
+			}
+			cur, m.mate[v], m.bid[v] = m.mate[v], cur, w
+		}
+	}
+	for _, v := range free {
+		if m.mate[v] < 0 {
+			m.mate[v] = v
+		} else {
+			m.freeFlag[v] = false
+		}
+	}
+}
+
+// court returns u's best free same-partition neighbour, under the edge
+// order, among those whose current suitor holds them by a worse edge
+// than u's, with that edge's weight; −1 when there is none. u holds no
+// one while it courts, so its edge never ties a suitor's.
+func (m *matcher) court(fg *graph.Graph, part []int32, u graph.Vertex) (graph.Vertex, float64) {
+	var best graph.Vertex = -1
+	var bestW float64
+	var bestH uint64
+	pu := part[u]
+	ws := fg.EdgeWeights(u)
+	for i, v := range fg.Neighbors(u) {
+		if v == u || !m.freeFlag[v] || part[v] != pu {
+			continue
+		}
+		w := ws[i]
+		if best >= 0 && w < bestW {
+			continue
+		}
+		s := m.mate[v]
+		if s >= 0 && w < m.bid[v] {
+			continue
+		}
+		h := edgeHash(u, v)
+		if best >= 0 && w == bestW && h > bestH {
+			continue
+		}
+		if s >= 0 && w == m.bid[v] && h > edgeHash(s, v) {
+			continue
+		}
+		best, bestW, bestH = v, w, h
+	}
+	return best, bestW
 }
 
 // twoHop pairs leftover singletons that share a common neighbor — the
@@ -154,13 +140,13 @@ func (m *matcher) run(fg *graph.Graph, part []int32, free []graph.Vertex) {
 // in ascending order, so the result is a pure function of (graph,
 // partition, free set).
 func (m *matcher) twoHop(fg *graph.Graph, part []int32, free []graph.Vertex) {
-	singles := m.matched[:0]
+	singles := m.singles[:0]
 	for _, v := range free {
 		if m.freeFlag[v] {
 			singles = append(singles, v)
 		}
 	}
-	m.matched = singles
+	m.singles = singles
 	if len(singles) < 2 {
 		return
 	}
@@ -212,28 +198,4 @@ func hopPairCmp(a, b hopPair) int {
 		return int(a.u) - int(b.u)
 	}
 	return int(a.s) - int(b.s)
-}
-
-// propose recomputes v's best incident free same-partition edge under
-// the total edge order (weight desc, edgeHash asc, partner id asc).
-func (m *matcher) propose(fg *graph.Graph, part []int32, v graph.Vertex) {
-	var best graph.Vertex = -1
-	var bestW float64
-	var bestH uint64
-	pv := part[v]
-	ws := fg.EdgeWeights(v)
-	for i, u := range fg.Neighbors(v) {
-		if u == v || !m.freeFlag[u] || part[u] != pv {
-			continue
-		}
-		w := ws[i]
-		if best >= 0 && w < bestW {
-			continue
-		}
-		h := edgeHash(v, u)
-		if best < 0 || w > bestW || h < bestH || (h == bestH && u < best) {
-			best, bestW, bestH = u, w, h
-		}
-	}
-	m.prop[v] = best
 }

@@ -1,11 +1,13 @@
 package coarsen
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -250,7 +252,7 @@ func TestHierarchyLocked(t *testing.T) {
 	// The V-cycle's output is pinned across changes to the code: the
 	// digests below were recorded while the hierarchy's sweeps still
 	// sharded over a worker group, and any change to matching (edgeHash,
-	// proposal order, the two-hop pairing), aggregation order,
+	// edge order, the two-hop pairing), aggregation order,
 	// projection or the level refiner moves at least one of them.
 	for _, tc := range []struct {
 		name    string
@@ -309,4 +311,105 @@ func TestHierarchyColdUpdateAllocs(t *testing.T) {
 		t.Fatalf("cold Update: %.0f allocations over %d levels, want at most 64 per level", allocs, depth)
 	}
 	t.Logf("cold Update: %.0f allocations over %d levels", allocs, depth)
+}
+
+// greedyMatching is the matcher's reference: every same-partition edge
+// between two vertices of free, sorted by the edge order (weight
+// descending, then edgeHash ascending), matched when both its ends are
+// still unmatched. It returns each vertex's partner, itself when none.
+func greedyMatching(g *graph.Graph, part []int32, free []graph.Vertex) []graph.Vertex {
+	type edge struct {
+		u, v graph.Vertex
+		w    float64
+		h    uint64
+	}
+	isFree := make([]bool, g.Order())
+	for _, v := range free {
+		isFree[v] = true
+	}
+	var edges []edge
+	for _, u := range free {
+		ws := g.EdgeWeights(u)
+		for i, v := range g.Neighbors(u) {
+			if u < v && isFree[v] && part[u] == part[v] {
+				edges = append(edges, edge{u, v, ws[i], edgeHash(u, v)})
+			}
+		}
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.h, b.h))
+	})
+	mate := make([]graph.Vertex, g.Order())
+	for v := range mate {
+		mate[v] = graph.Vertex(v)
+	}
+	for _, e := range edges {
+		if mate[e.u] == e.u && mate[e.v] == e.v {
+			mate[e.u], mate[e.v] = e.v, e.u
+		}
+	}
+	return mate
+}
+
+// FuzzMatcherIsGreedy checks the suitor pass, before the two-hop pass,
+// against greedyMatching on random graphs — unit, small-integer or
+// fractional edge weights, deleted vertices, P ≤ 4 and a random free
+// subset of the live vertices — with one matcher reused across several
+// graphs of different orders, as the hierarchy reuses it level to level.
+func FuzzMatcherIsGreedy(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(0))
+	f.Add(int64(7), uint8(200), uint8(1))
+	f.Add(int64(42), uint8(90), uint8(2))
+	f.Add(int64(5), uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, order, kind uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var m matcher
+		for round := 0; round < 4; round++ {
+			n := 2 + (int(order)+round*37)%256
+			g := graph.NewWithVertices(n)
+			for k := n * (1 + rng.Intn(6)) / 2; k > 0; k-- {
+				u, v := graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n))
+				if u == v || g.HasEdge(u, v) {
+					continue
+				}
+				w := 1.0
+				switch (int(kind) + round) % 3 {
+				case 1:
+					w = float64(1 + rng.Intn(3))
+				case 2:
+					w = 0.25 + rng.Float64()
+				}
+				g.AddEdgeUnchecked(u, v, w)
+			}
+			for k := rng.Intn(n/8 + 1); k > 0; k-- {
+				_ = g.RemoveVertex(graph.Vertex(rng.Intn(n)))
+			}
+			p := 1 + rng.Intn(4)
+			part := make([]int32, n)
+			for v := range part {
+				part[v] = int32(rng.Intn(p))
+			}
+			keep := rng.Float64()
+			var free []graph.Vertex
+			for _, v := range g.Vertices() {
+				if rng.Float64() < 0.25+keep {
+					free = append(free, v)
+				}
+			}
+			want := greedyMatching(g, part, free)
+			m.suitor(g, part, free)
+			for _, v := range free {
+				if m.mate[v] != want[v] {
+					t.Fatalf("round %d: vertex %d matched to %d, greedy matches it to %d", round, v, m.mate[v], want[v])
+				}
+				if m.freeFlag[v] != (want[v] == v) {
+					t.Fatalf("round %d: vertex %d left free %v, greedy leaves it free %v", round, v, m.freeFlag[v], want[v] == v)
+				}
+			}
+			m.twoHop(g, part, free)
+			for _, v := range free {
+				m.freeFlag[v] = false
+			}
+		}
+	})
 }

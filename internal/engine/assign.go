@@ -35,6 +35,9 @@ type assignScratch struct {
 // Options.FullRefresh it delegates to the oracle outright.
 func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int, err error) {
 	e.sync(a)
+	if e.badID >= 0 {
+		return 0, 0, CheckID(a, e.badID)
+	}
 	if e.opt.FullRefresh {
 		e.pending.reset()
 		return Assign(e.g, a)

@@ -108,6 +108,27 @@ var errNoOldVertices = errors.New("engine: assign: no previously assigned vertic
 // Close. A closed engine never becomes usable again; create a new one.
 var ErrClosed = errors.New("engine: closed; create a new engine")
 
+// ErrInvalidAssignment is matched by Repartition's error for an
+// assignment with P < 1 or a partition id outside [Unassigned, P).
+var ErrInvalidAssignment = errors.New("engine: invalid assignment")
+
+// CheckP returns an error matching ErrInvalidAssignment when a.P < 1.
+func CheckP(a *partition.Assignment) error {
+	if a.P < 1 {
+		return fmt.Errorf("%w: P = %d, want at least 1", ErrInvalidAssignment, a.P)
+	}
+	return nil
+}
+
+// CheckID returns an error matching ErrInvalidAssignment, naming v, its
+// partition id and P, when the id lies outside [Unassigned, a.P).
+func CheckID(a *partition.Assignment, v graph.Vertex) error {
+	if p := a.Part[v]; p < partition.Unassigned || int(p) >= a.P {
+		return fmt.Errorf("%w: vertex %d has partition %d (P = %d)", ErrInvalidAssignment, v, p, a.P)
+	}
+	return nil
+}
+
 // Options configures an Engine (and the one-shot igp.Repartition wrapper).
 type Options struct {
 	// Solver is the simplex implementation (nil = lp.Default()). A
@@ -203,7 +224,8 @@ type Engine struct {
 	// summed in row order, and their count (see rowTerm). A cut report is a
 	// sum of the terms over the boundary list (evalCut); cut keeps the last
 	// one, and cutValid holds until a sync rebuilds or re-examines a vertex.
-	trackedP  int // partition count the tracker was built for
+	trackedP  int          // partition count the tracker was built for
+	badID     graph.Vertex // a vertex with an out-of-range id the last sync examined, or −1
 	partSizes []int
 	sizeAttr  []int32
 	ext       []float64
@@ -359,6 +381,7 @@ func (e *Engine) growTo(n int) {
 // (graph.RefreshCSR). Nothing is allocated once the arenas have grown.
 func (e *Engine) sync(a *partition.Assignment) {
 	a.Grow(e.g.Order())
+	e.badID = -1
 	// With the graph unchanged nothing is journaled: only assignment
 	// moves can alter the boundary.
 	var touched []graph.Vertex
@@ -393,19 +416,25 @@ func (e *Engine) sync(a *partition.Assignment) {
 		e.resync(a, touched, diff)
 	}
 	e.wroteAll, e.written = false, e.written[:0]
+	if e.badID >= 0 {
+		e.synced = false // the tracker skipped the bad id: rebuild next time
+	}
 }
 
 // attrOf returns the partition v should be size-counted under: its
 // assigned partition when live, none otherwise (partition.SizesInto's
-// exact rule).
+// exact rule). Every vertex a sync examines passes here, so this is
+// where an id outside [Unassigned, P) — p+1 outside [0, P] — is caught:
+// it counts nowhere and is kept in e.badID.
 func (e *Engine) attrOf(v graph.Vertex, a *partition.Assignment) int32 {
+	p := a.Part[v]
+	if uint(p+1) > uint(a.P) {
+		e.badID, p = v, -1
+	}
 	if !e.csr.Live[v] {
 		return -1
 	}
-	if p := a.Part[v]; p >= 0 {
-		return p
-	}
-	return -1
+	return p
 }
 
 // moveAttr moves v's size attribution to its current partition,
@@ -624,6 +653,9 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	}()
 
 	if err := cancel.Check(ctx, "repartition"); err != nil {
+		return st, err
+	}
+	if err := CheckP(a); err != nil {
 		return st, err
 	}
 	t0 := time.Now()

@@ -190,8 +190,9 @@ const feasTol = 1e-9
 const ctxCheckMask = 255
 
 // CheckFeasible verifies that x satisfies all bounds and constraints of p
-// within tol, returning a descriptive error for the first violation. Used
-// by tests and by the movers before acting on an LP solution.
+// within tol, returning a descriptive error for the first violation. It is
+// a test oracle: the lp and parallel tests check solutions with it, and
+// no pipeline code calls it.
 func CheckFeasible(p *Problem, x []float64, tol float64) error {
 	if len(x) != p.NumVars() {
 		return fmt.Errorf("lp: solution has %d values for %d variables", len(x), p.NumVars())

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
@@ -169,6 +170,34 @@ func TestGreedyImprovesJaggedBoundary(t *testing.T) {
 	}
 	if !partition.Balanced(a.Sizes(g)) {
 		t.Fatalf("greedy broke balance: %v", a.Sizes(g))
+	}
+}
+
+func TestMoveHeapPopsInOrder(t *testing.T) {
+	// Pushes with tied gains, vertices and duplicate moves, interleaved
+	// with pops: every pop is the least remaining move under (gain
+	// descending, vertex, target), as a sorted reference says.
+	rng := rand.New(rand.NewSource(3))
+	var h MoveHeap
+	var ref []Move
+	order := func(a, b Move) int {
+		return cmp.Or(cmp.Compare(b.Gain, a.Gain), cmp.Compare(a.V, b.V), cmp.Compare(a.To, b.To))
+	}
+	for i := 0; i < 5000; i++ {
+		if len(h) > 0 && rng.Intn(3) == 0 {
+			slices.SortFunc(ref, order)
+			if got := h.Pop(); got != ref[0] {
+				t.Fatalf("pop %d: got %+v, want %+v", i, got, ref[0])
+			}
+			ref = ref[1:]
+			continue
+		}
+		m := Move{Gain: float64(rng.Intn(4)) / 2, V: graph.Vertex(rng.Intn(20)), To: int32(rng.Intn(3))}
+		h.Push(m)
+		ref = append(ref, m)
+	}
+	if len(h) != len(ref) {
+		t.Fatalf("heap holds %d moves, want %d", len(h), len(ref))
 	}
 }
 

@@ -21,6 +21,11 @@ import (
 // vertices in batches — see WithBatches).
 var ErrNeedRepartition = engine.ErrNeedRepartition
 
+// ErrInvalidAssignment is matched by the error a call returns for an
+// assignment with P < 1 or a partition id outside [Unassigned, P),
+// naming the vertex, its id and P; no in-range entry was changed.
+var ErrInvalidAssignment = engine.ErrInvalidAssignment
+
 // ErrEngineClosed is returned by an [Engine] whose session was ended by
 // [Engine.Close]. A closed engine never becomes usable again; create a
 // new one with [NewEngine].
@@ -72,7 +77,15 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 	if numBatches < 1 {
 		return nil, fmt.Errorf("igp: batched repartition needs ≥ 1 batch, got %d", numBatches)
 	}
+	if err := engine.CheckP(a); err != nil {
+		return nil, err
+	}
 	a.Grow(g.Order())
+	for v := range graph.Vertex(g.Order()) {
+		if err := engine.CheckID(a, v); err != nil {
+			return nil, err
+		}
+	}
 	var olds, news []graph.Vertex
 	for v := range graph.Vertex(g.Order()) {
 		switch {
