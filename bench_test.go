@@ -213,7 +213,7 @@ func balanceLP(b *testing.B) *lp.Problem {
 		b.Fatal(err)
 	}
 	targets := partition.Targets(g.NumVertices(), 32)
-	m, err := balance.Formulate(lay.Delta, a.Sizes(g), targets, 1)
+	m, err := new(balance.Arena).FormulateTol(lay.Delta, a.Sizes(g), targets, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func BenchmarkPhase_LayerSmallEdit(b *testing.B) {
 func BenchmarkPhase_Gains(b *testing.B) {
 	g, a := unrefined(b)
 	eng := engine.New(g, engine.Options{})
-	csr, boundary := eng.Snapshot(a), eng.Boundary(a)
+	csr, boundary := g.ToCSR(), eng.Boundary(a)
 	var scratch refine.Scratch
 	if _, err := scratch.GainsSeeded(csr, a, false, boundary); err != nil {
 		b.Fatal(err)
@@ -411,7 +411,7 @@ func BenchmarkPhase_GainsOneShot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := refine.Gains(g, a, false); err != nil {
+		if _, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices()); err != nil {
 			b.Fatal(err)
 		}
 	}

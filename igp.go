@@ -180,7 +180,7 @@ func DescribeBalanceLP(g *Graph, a *Assignment) (string, error) {
 	}
 	sizes := a.Sizes(g)
 	targets := partition.Targets(g.NumVertices(), a.P)
-	m, err := balance.Formulate(lay.Delta, sizes, targets, 1)
+	m, err := new(balance.Arena).FormulateTol(lay.Delta, sizes, targets, 1, 0)
 	if err != nil {
 		return "", err
 	}

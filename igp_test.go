@@ -172,6 +172,45 @@ func TestPublicAPIErrNeedRepartition(t *testing.T) {
 	}
 }
 
+// TestNoAssignedVertexNeedsRepartition: an assignment with no assigned
+// vertex gives phase 1 nothing to grow from, and every entry point says so
+// with an error matching ErrNeedRepartition.
+func TestNoAssignedVertexNeedsRepartition(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(*Graph, *Assignment) error
+	}{
+		{"Repartition", func(g *Graph, a *Assignment) error { _, err := Repartition(ctx, g, a); return err }},
+		{"Engine.Repartition", func(g *Graph, a *Assignment) error {
+			e, err := NewEngine(g)
+			if err != nil {
+				return err
+			}
+			_, err = e.Repartition(ctx, a)
+			return err
+		}},
+		{"WithMultilevel", func(g *Graph, a *Assignment) error { _, err := Repartition(ctx, g, a, WithMultilevel()); return err }},
+		{"WithBatches", func(g *Graph, a *Assignment) error { _, err := Repartition(ctx, g, a, WithBatches(3)); return err }},
+		{"SimulateParallelRepartition", func(g *Graph, a *Assignment) error {
+			_, err := SimulateParallelRepartition(ctx, g, a, 2)
+			return err
+		}},
+	} {
+		g, err := NewMeshGraph(60, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &Assignment{Part: make([]int32, g.Order()), P: 2}
+		for v := range a.Part {
+			a.Part[v] = Unassigned
+		}
+		if err := tc.run(g, a); !errors.Is(err, ErrNeedRepartition) {
+			t.Errorf("%s: err %v, want one matching ErrNeedRepartition", tc.name, err)
+		}
+	}
+}
+
 func TestPublicAPIBatches(t *testing.T) {
 	g, err := NewMeshGraph(300, 5)
 	if err != nil {

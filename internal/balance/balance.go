@@ -90,12 +90,6 @@ func relaxedRHSInto(dst []int, sizes, targets []int, eps float64) []int {
 	return dst
 }
 
-// relaxedRHS is the allocating form of relaxedRHSInto over a
-// precomputed surplus vector.
-func relaxedRHS(surplus []int, eps float64) []int {
-	return relaxedRHSInto(nil, surplus, make([]int, len(surplus)), eps)
-}
-
 // Arena owns the reusable buffers of the balance-LP formulation: the
 // shared quotient-flow builder (the Problem's storage and the pair
 // mapping) and the RHS vector. Buffers grow to the largest formulation
@@ -109,9 +103,15 @@ type Arena struct {
 	rhs   []int
 }
 
-// FormulateTol is the arena-backed form of the package-level
-// [FormulateTol]: identical formulation (it is what the public wrapper
-// calls), but built into the arena's reused buffers.
+// FormulateTol builds the balance LP for the given layering δ, partition
+// sizes and targets, with relaxation ε ≥ 1 (1 = full single-stage
+// correction), into the arena's reused buffers. Each partition's net
+// outflow may deviate from its surplus by up to slack vertices: slack = 0
+// is the paper's exact per-partition equality (constraint 12); slack > 0
+// (a ParMETIS-style imbalance allowance) trades residual imbalance for
+// less vertex movement. The allowance is a ranged node supply, which is
+// still a flow: Prob gains one zero-cost slack column per partition after
+// the pair columns (see [lp.QuotientFlow]) and keeps equality rows only.
 func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (*Model, error) {
 	p := len(delta)
 	if len(sizes) != p || len(targets) != p {
@@ -124,28 +124,6 @@ func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, 
 	prob, pairs := ar.flow.Formulate(lp.Minimize, delta, ar.rhs, slack)
 	ar.model = Model{Prob: prob, Pairs: pairs, RHS: ar.rhs}
 	return &ar.model, nil
-}
-
-// Formulate builds the balance LP for the given layering δ, partition
-// sizes and targets, with relaxation ε ≥ 1 (1 = full single-stage
-// correction) and exact per-partition equality (the paper's constraint 12).
-func Formulate(delta [][]int, sizes, targets []int, eps float64) (*Model, error) {
-	return FormulateTol(delta, sizes, targets, eps, 0)
-}
-
-// FormulateTol generalizes Formulate with a balance tolerance: each
-// partition's net outflow may deviate from its surplus by up to slack
-// vertices. slack = 0 reproduces the paper exactly; slack > 0 (a
-// ParMETIS-style imbalance allowance) trades residual imbalance for less
-// vertex movement. The allowance is a ranged node supply, which is still
-// a flow: Prob gains one zero-cost slack column per partition after the
-// pair columns (see [lp.QuotientFlow]) and keeps equality rows only.
-//
-// This one-shot form allocates a fresh formulation; the engine
-// formulates through a reused [Arena] instead.
-func FormulateTol(delta [][]int, sizes, targets []int, eps float64, slack int) (*Model, error) {
-	var ar Arena
-	return ar.FormulateTol(delta, sizes, targets, eps, slack)
 }
 
 // FlowsInto converts an optimal LP solution into integral flows appended
@@ -166,24 +144,20 @@ func (m *Model) FlowsInto(dst []Flow, sol *lp.Solution) ([]Flow, error) {
 	return flows, nil
 }
 
-// ErrUnsolved is matched (errors.Is) by the error Solve and SolveInto
-// return when the solver stopped without settling the LP — it hit its
-// pivot cap or found the objective unbounded. That says nothing about the
-// partition: only lp.Infeasible means the correction does not fit the
-// layering's bounds, so only lp.Infeasible may be answered by relaxing ε.
+// ErrUnsolved is matched (errors.Is) by the error SolveInto returns when
+// the solver stopped without settling the LP — it hit its pivot cap or
+// found the objective unbounded. That says nothing about the partition:
+// only lp.Infeasible means the correction does not fit the layering's
+// bounds, so only lp.Infeasible may be answered by relaxing ε.
 var ErrUnsolved = errors.New("balance: LP solve ended without an optimum")
 
-// Solve runs the solver and converts the LP solution to integral flows.
-// The status is Optimal (flows valid) or Infeasible (nil flows, nil
-// error): callers must check it before using the flows. Any other status
-// is an error matching [ErrUnsolved]. A done context aborts the solve with
-// an error matching cancel.ErrCanceled; no flows are produced.
-func Solve(ctx context.Context, m *Model, solver lp.Solver) ([]Flow, *lp.Solution, error) {
-	return SolveInto(ctx, m, solver, nil)
-}
-
-// SolveInto is Solve converting flows into a reusable buffer
-// (see FlowsInto). The returned flows alias buf's backing array.
+// SolveInto runs the solver and converts the LP solution to integral
+// flows in a reusable buffer (see FlowsInto; the returned flows alias
+// buf's backing array, and a nil buf allocates). The status is Optimal
+// (flows valid) or Infeasible (nil flows, nil error): callers must check
+// it before using the flows. Any other status is an error matching
+// [ErrUnsolved]. A done context aborts the solve with an error matching
+// cancel.ErrCanceled; no flows are produced.
 func SolveInto(ctx context.Context, m *Model, solver lp.Solver, buf []Flow) ([]Flow, *lp.Solution, error) {
 	sol, err := solver.Solve(ctx, m.Prob)
 	if err != nil {
@@ -237,11 +211,11 @@ func Apply(a *partition.Assignment, lay *layering.Result, flows []Flow) (int, er
 // LP is infeasible it returns ok=false with nothing applied.
 func Step(ctx context.Context, g *graph.Graph, a *partition.Assignment, lay *layering.Result, targets []int, eps float64, solver lp.Solver) (flows []Flow, sol *lp.Solution, ok bool, err error) {
 	sizes := a.Sizes(g)
-	m, err := Formulate(lay.Delta, sizes, targets, eps)
+	m, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, eps, 0)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	flows, sol, err = Solve(ctx, m, solver)
+	flows, sol, err = SolveInto(ctx, m, solver, nil)
 	if err != nil {
 		return nil, sol, false, err
 	}

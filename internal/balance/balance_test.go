@@ -16,7 +16,7 @@ import (
 )
 
 func TestRelaxedRHSExact(t *testing.T) {
-	rhs := relaxedRHS([]int{8, 1, -1, -8}, 1)
+	rhs := relaxedRHSInto(nil, []int{8, 1, -1, -8}, make([]int, 4), 1)
 	want := []int{8, 1, -1, -8}
 	for i := range want {
 		if rhs[i] != want[i] {
@@ -27,7 +27,7 @@ func TestRelaxedRHSExact(t *testing.T) {
 
 func TestRelaxedRHSZeroSum(t *testing.T) {
 	for _, eps := range []float64{1, 2, 3, 7} {
-		rhs := relaxedRHS([]int{9, 4, -5, -8}, eps)
+		rhs := relaxedRHSInto(nil, []int{9, 4, -5, -8}, make([]int, 4), eps)
 		sum := 0
 		for _, x := range rhs {
 			sum += x
@@ -48,7 +48,7 @@ func TestPropertyRelaxedRHS(t *testing.T) {
 			surplus[p-1] -= surplus[k]
 		}
 		eps := 1 + float64(rng.Intn(4))
-		rhs := relaxedRHS(surplus, eps)
+		rhs := relaxedRHSInto(nil, surplus, make([]int, len(surplus)), eps)
 		sum := 0
 		for j, x := range rhs {
 			sum += x
@@ -95,7 +95,7 @@ func TestFormulateShape(t *testing.T) {
 	}
 	sizes := a.Sizes(g)
 	targets := partition.Targets(g.NumVertices(), 3)
-	m, err := Formulate(lay.Delta, sizes, targets, 1)
+	m, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +225,19 @@ func TestEpsilonReducesMovement(t *testing.T) {
 	}
 	targets := partition.Targets(g.NumVertices(), 3)
 	sizes := a.Sizes(g)
-	m1, err := Formulate(lay.Delta, sizes, targets, 1)
+	m1, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Formulate(lay.Delta, sizes, targets, 2)
+	m2, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, s1, err := Solve(context.Background(), m1, lp.Network{})
+	f1, s1, err := SolveInto(context.Background(), m1, lp.Network{}, nil)
 	if err != nil || s1.Status != lp.Optimal {
 		t.Fatalf("eps=1: %v %v", err, s1.Status)
 	}
-	f2, s2, err := Solve(context.Background(), m2, lp.Network{})
+	f2, s2, err := SolveInto(context.Background(), m2, lp.Network{}, nil)
 	if err != nil || s2.Status != lp.Optimal {
 		t.Fatalf("eps=2: %v %v", err, s2.Status)
 	}
@@ -323,19 +323,19 @@ func TestFormulateTolReducesMovement(t *testing.T) {
 	}
 	targets := partition.Targets(g.NumVertices(), 3)
 	sizes := a.Sizes(g)
-	exact, err := Formulate(lay.Delta, sizes, targets, 1)
+	exact, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := FormulateTol(lay.Delta, sizes, targets, 1, 2)
+	loose, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, se, err := Solve(context.Background(), exact, lp.Network{})
+	fe, se, err := SolveInto(context.Background(), exact, lp.Network{}, nil)
 	if err != nil || se.Status != lp.Optimal {
 		t.Fatalf("exact: %v %v", err, se)
 	}
-	fl, sl, err := Solve(context.Background(), loose, lp.Network{})
+	fl, sl, err := SolveInto(context.Background(), loose, lp.Network{}, nil)
 	if err != nil || sl.Status != lp.Optimal {
 		t.Fatalf("loose: %v %v", err, sl)
 	}
@@ -352,7 +352,7 @@ func TestFormulateTolReducesMovement(t *testing.T) {
 }
 
 func TestFormulateTolRejectsNegative(t *testing.T) {
-	if _, err := FormulateTol([][]int{{0}}, []int{1}, []int{1}, 1, -1); err == nil {
+	if _, err := new(Arena).FormulateTol([][]int{{0}}, []int{1}, []int{1}, 1, -1); err == nil {
 		t.Fatal("negative slack must error")
 	}
 }
@@ -366,11 +366,11 @@ func TestFormulateTolSlackSatisfiesBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := partition.Targets(g.NumVertices(), 3)
-	m, err := FormulateTol(lay.Delta, a.Sizes(g), targets, 1, 2)
+	m, err := new(Arena).FormulateTol(lay.Delta, a.Sizes(g), targets, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, sol, err := Solve(context.Background(), m, lp.Network{})
+	flows, sol, err := SolveInto(context.Background(), m, lp.Network{}, nil)
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, sol)
 	}
@@ -386,9 +386,8 @@ func TestFormulateTolSlackSatisfiesBand(t *testing.T) {
 	}
 }
 
-// TestArenaFormulateMatchesOneShot: the arena-backed formulation must be
-// the one-shot formulation exactly, across
-// repeated reuse with changing ε, slack and sizes.
+// TestArenaFormulateMatchesOneShot: a reused arena must formulate exactly
+// what a fresh one does, across repeated reuse with changing ε and slack.
 func TestArenaFormulateMatchesOneShot(t *testing.T) {
 	g, a := unbalancedStripes()
 	lay, err := layering.Layer(g, a)
@@ -402,7 +401,7 @@ func TestArenaFormulateMatchesOneShot(t *testing.T) {
 		eps   float64
 		slack int
 	}{{1, 0}, {2, 0}, {1, 2}, {4, 1}, {1, 0}} {
-		want, err := FormulateTol(lay.Delta, sizes, targets, tc.eps, tc.slack)
+		want, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, tc.eps, tc.slack)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,11 +613,11 @@ func TestSolveUnsolvedIsNotInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Formulate(lay.Delta, a.Sizes(g), partition.Targets(g.NumVertices(), 3), 1)
+	m, err := new(Arena).FormulateTol(lay.Delta, a.Sizes(g), partition.Targets(g.NumVertices(), 3), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, sol, err := Solve(context.Background(), m, statusSolver{lp.Infeasible})
+	flows, sol, err := SolveInto(context.Background(), m, statusSolver{lp.Infeasible}, nil)
 	if flows != nil || err != nil || sol.Status != lp.Infeasible {
 		t.Fatalf("infeasible: flows %v, sol %+v, err %v", flows, sol, err)
 	}
@@ -630,7 +629,7 @@ func TestSolveUnsolvedIsNotInfeasible(t *testing.T) {
 		{statusSolver{lp.Unbounded}, "unbounded after 7 pivots"},
 		{lp.Network{MaxIter: 1}, "network reports iteration-limit after 1 pivots"},
 	} {
-		flows, _, err := Solve(context.Background(), m, tc.solver)
+		flows, _, err := SolveInto(context.Background(), m, tc.solver, nil)
 		if flows != nil || !errors.Is(err, ErrUnsolved) || !strings.Contains(err.Error(), tc.carries) {
 			t.Fatalf("%s: flows %v, err %v, want an error matching ErrUnsolved that says %q", tc.solver.Name(), flows, err, tc.carries)
 		}

@@ -66,12 +66,13 @@ func CoarseBalance(ctx context.Context, gc *graph.Graph, ca *partition.Assignmen
 	for q, w := range weights {
 		sizes[q] = int(math.Round(w))
 	}
+	var ar balance.Arena
 	for eps := 1.0; eps <= balance.EpsilonMax; eps++ {
-		m, err := balance.Formulate(wDelta, sizes, targets, eps)
+		m, err := ar.FormulateTol(wDelta, sizes, targets, eps, 0)
 		if err != nil {
 			return 0, err
 		}
-		flows, sol, err := balance.Solve(ctx, m, solver)
+		flows, sol, err := balance.SolveInto(ctx, m, solver, nil)
 		if err != nil {
 			return 0, err
 		}

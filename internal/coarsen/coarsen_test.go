@@ -29,13 +29,14 @@ func striped(rows, cols, p int) (*graph.Graph, *partition.Assignment) {
 	return g, a
 }
 
-// firstLevel builds a one-level hierarchy over g and a — one round of
+// firstLevel builds a hierarchy over g and a, checks it against
+// Hierarchy.Check and returns its first level — one round of
 // same-partition heavy-edge matching and its contraction, the step every
-// level repeats — checks it against Hierarchy.Check and returns the level
-// (nil when the matching stalled and no level was kept).
+// level repeats, which deeper levels never change (nil when the matching
+// stalled and no level was kept).
 func firstLevel(t testing.TB, g *graph.Graph, a *partition.Assignment) *level {
 	t.Helper()
-	h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 2, MaxLevels: 1})
+	h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 2})
 	if _, err := h.Update(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}

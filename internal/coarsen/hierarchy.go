@@ -68,8 +68,6 @@ type HierarchyOptions struct {
 	// CoarsenTo stops coarsening once a level has at most this many live
 	// vertices (0 = max(64, 16·P), clamped to at least 2·P).
 	CoarsenTo int
-	// MaxLevels caps the number of coarse levels (0 = 32).
-	MaxLevels int
 	// Seed drives the spectral solve of the coarsest graph when the
 	// current partition is degenerate (some partition empty, e.g. the
 	// first call after a flood-fill assignment). 0 keeps the spectral
@@ -81,6 +79,9 @@ type HierarchyOptions struct {
 	// it).
 	Procs int
 }
+
+// maxLevels caps the number of coarse levels.
+const maxLevels = 32
 
 func (o HierarchyOptions) coarsenTo(p int) int {
 	ct := o.CoarsenTo
@@ -94,13 +95,6 @@ func (o HierarchyOptions) coarsenTo(p int) int {
 		ct = 2 * p
 	}
 	return ct
-}
-
-func (o HierarchyOptions) maxLevels() int {
-	if o.MaxLevels <= 0 {
-		return 32
-	}
-	return o.MaxLevels
 }
 
 // LevelStats reports what one Update/Uncoarsen pass did at one level.
@@ -266,7 +260,7 @@ func (h *Hierarchy) Update(ctx context.Context, a *partition.Assignment) (repair
 		// journal instead.
 		h.wavePrev, h.waveCur = h.waveCur, h.wavePrev[:0]
 		fg := h.levelGraph(l)
-		if l >= h.opt.maxLevels() || fg.NumVertices() <= ct {
+		if l >= maxLevels || fg.NumVertices() <= ct {
 			h.levels = h.levels[:l]
 			break
 		}

@@ -58,34 +58,6 @@ func nextPow2(vr int) int {
 	return m
 }
 
-// ReduceOp combines two float64 values.
-type ReduceOp int
-
-// Supported reductions.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-func applyOp(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	return a + b
-}
-
 // reduceTree runs a binomial-tree reduction to rank 0: combine is called
 // with the local accumulator and each received partial result. It returns
 // the full reduction on rank 0 and partials elsewhere; callers broadcast.
@@ -113,13 +85,13 @@ func reduceTree[T any](c *Comm, acc T, nbytes int, combine func(T, T) T) (T, err
 	return acc, nil
 }
 
-// AllreduceFloat combines x element-wise across ranks with op via a
-// binomial-tree reduction followed by a broadcast (correct for any P);
-// all ranks return the same result. x is not modified.
-func (c *Comm) AllreduceFloat(x []float64, op ReduceOp) ([]float64, error) {
+// AllreduceFloat sums x element-wise across ranks via a binomial-tree
+// reduction followed by a broadcast (correct for any P); all ranks return
+// the same result. x is not modified.
+func (c *Comm) AllreduceFloat(x []float64) ([]float64, error) {
 	acc, err := reduceTree(c, append([]float64(nil), x...), 8*len(x), func(a, g []float64) []float64 {
 		for i := range a {
-			a[i] = applyOp(op, a[i], g[i])
+			a[i] += g[i]
 		}
 		c.Advance(float64(len(a)))
 		return a

@@ -1,8 +1,10 @@
 // Package comm is the message-passing substrate standing in for the
 // paper's 32-node CM-5 and its CMMD library. Ranks are goroutines; point
-// to point messages travel over per-pair FIFO channels; the collectives
-// the SPMD pipeline uses (broadcast, all-reduce, argmin, all-gather) are
-// built from point-to-point messages with binomial-tree algorithms.
+// to point messages travel over per-pair FIFO channels, each made when
+// its pair first communicates, so a world's memory follows the pairs its
+// algorithms use rather than P²; the collectives the SPMD pipeline uses
+// (broadcast, sum all-reduce, argmin, all-gather) are built from
+// point-to-point messages with binomial-tree algorithms.
 //
 // Every rank carries a simulated clock. Compute is charged explicitly
 // (Advance), communication is charged by a LogP-style cost model
@@ -73,11 +75,12 @@ type message struct {
 type World struct {
 	p     int
 	model CostModel
-	mail  [][]chan message // mail[from][to]
-	clock []time.Duration  // per-rank simulated clocks (owned by the rank)
-	msgs  []int64          // per-rank messages sent
-	bytes []int64          // per-rank bytes sent
-	abort chan struct{}    // closed when a rank of the current Run fails
+	mu    sync.Mutex
+	mail  map[[2]int]chan message // [from, to] → mailbox, made on first use
+	clock []time.Duration         // per-rank simulated clocks (owned by the rank)
+	msgs  []int64                 // per-rank messages sent
+	bytes []int64                 // per-rank bytes sent
+	abort chan struct{}           // closed when a rank of the current Run fails
 }
 
 // NewWorld builds a machine with p ranks.
@@ -88,18 +91,25 @@ func NewWorld(p int, model CostModel) (*World, error) {
 	w := &World{
 		p:     p,
 		model: model,
-		mail:  make([][]chan message, p),
+		mail:  make(map[[2]int]chan message),
 		clock: make([]time.Duration, p),
 		msgs:  make([]int64, p),
 		bytes: make([]int64, p),
 	}
-	for i := range w.mail {
-		w.mail[i] = make([]chan message, p)
-		for j := range w.mail[i] {
-			w.mail[i][j] = make(chan message, 4096)
-		}
-	}
 	return w, nil
+}
+
+// mailbox returns the from→to channel, making it on first use.
+func (w *World) mailbox(from, to int) chan message {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := [2]int{from, to}
+	ch, ok := w.mail[k]
+	if !ok {
+		ch = make(chan message, 4096)
+		w.mail[k] = ch
+	}
+	return ch
 }
 
 // Size returns the number of ranks.
@@ -147,16 +157,9 @@ func (w *World) Reset() {
 		w.msgs[i] = 0
 		w.bytes[i] = 0
 	}
-	for i := range w.mail {
-		for j := range w.mail[i] {
-			for {
-				select {
-				case <-w.mail[i][j]:
-				default:
-					goto drained
-				}
-			}
-		drained:
+	for _, ch := range w.mail {
+		for len(ch) > 0 {
+			<-ch
 		}
 	}
 }
@@ -232,7 +235,7 @@ func (c *Comm) Send(to, tag int, data any, nbytes int) error {
 	c.w.msgs[c.rank]++
 	c.w.bytes[c.rank] += int64(nbytes)
 	select {
-	case c.w.mail[c.rank][to] <- message{tag: tag, data: data, arrival: arrival}:
+	case c.w.mailbox(c.rank, to) <- message{tag: tag, data: data, arrival: arrival}:
 		return nil
 	default:
 		return fmt.Errorf("comm: mailbox %d→%d full", c.rank, to)
@@ -260,10 +263,11 @@ func (c *Comm) Recv(from, tag int) (any, error) {
 			return m.data, nil
 		}
 	}
+	mail := c.w.mailbox(from, c.rank)
 	for {
 		var m message
 		select {
-		case m = <-c.w.mail[from][c.rank]:
+		case m = <-mail:
 		case <-c.w.abort:
 			return nil, ErrAborted
 		}

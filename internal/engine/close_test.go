@@ -42,9 +42,6 @@ func TestClose(t *testing.T) {
 	if _, err := e.Gains(a, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Gains after Close: want ErrClosed, got %v", err)
 	}
-	if s := e.Snapshot(a); s != nil {
-		t.Fatal("Snapshot after Close: want nil")
-	}
 	if b := e.Boundary(a); b != nil {
 		t.Fatal("Boundary after Close: want nil")
 	}

@@ -95,14 +95,26 @@ import (
 	"repro/internal/refine"
 )
 
-// ErrNeedRepartition reports that incremental balancing is impossible
-// (even maximally relaxed LPs stay infeasible). The paper's remedy is to
-// repartition from scratch or add the new vertices in several batches.
+// ErrNeedRepartition is matched by the error of a call the incremental
+// pipeline cannot serve: balancing is impossible (even maximally relaxed
+// LPs stay infeasible), or the assignment has no assigned vertex for
+// phase 1 to grow from. The paper's remedy is to repartition from scratch
+// or, for the first case, add the new vertices in several batches.
 var ErrNeedRepartition = errors.New("engine: incremental balance infeasible; repartition from scratch")
 
 // errNoOldVertices reports a phase-1 precondition failure: incremental
 // assignment needs at least one previously assigned vertex to grow from.
-var errNoOldVertices = errors.New("engine: assign: no previously assigned vertices; use a from-scratch partitioner first")
+// It matches ErrNeedRepartition under its own message, which names the
+// cause (balancing was never tried).
+var errNoOldVertices error = noOldVertices{}
+
+type noOldVertices struct{}
+
+func (noOldVertices) Error() string {
+	return "engine: assign: no previously assigned vertices; use a from-scratch partitioner first"
+}
+
+func (noOldVertices) Is(target error) bool { return target == ErrNeedRepartition }
 
 // ErrClosed reports a call on an engine whose session was ended by
 // Close. A closed engine never becomes usable again; create a new one.
@@ -136,8 +148,6 @@ type Options struct {
 	// session holds a private instance whose arenas live exactly as long
 	// as the engine.
 	Solver lp.Solver
-	// MaxStages caps balancing stages (0 = default 16).
-	MaxStages int
 	// Tolerance allows partition sizes to deviate from their targets by
 	// up to this many vertices (0 = the paper's exact balance). Positive
 	// values trade residual imbalance for less vertex movement.
@@ -186,12 +196,8 @@ func (o Options) solver() lp.Solver {
 	return o.Solver
 }
 
-func (o Options) maxStages() int {
-	if o.MaxStages <= 0 {
-		return 16
-	}
-	return o.MaxStages
-}
+// maxStages caps the balancing stages of one Repartition call.
+const maxStages = 16
 
 // Engine owns the long-lived repartitioning state for one graph. Create
 // with New, then call Repartition after each batch of graph edits. The
@@ -316,12 +322,11 @@ func (e *Engine) Closed() bool { return e.closed }
 //
 // Invalidation hazard: everything the engine ever handed out points
 // into those arenas — the *Stats returned by Repartition, Layer and
-// Gains results, Boundary and Snapshot views, and CutStats.PerPart
-// slices are all invalid after Close (clone what must outlive the
-// session first, e.g. Stats.Clone). After Close, Repartition, Layer and
-// Gains fail with an error matching ErrClosed; Snapshot and Boundary
-// return nil. Close is idempotent and always returns nil. The graph is
-// caller-owned and is not touched.
+// Gains results, Boundary views, and CutStats.PerPart slices are all
+// invalid after Close (clone what must outlive the session first, e.g.
+// Stats.Clone). After Close, Repartition, Layer and Gains fail with an
+// error matching ErrClosed; Boundary returns nil. Close is idempotent
+// and always returns nil. The graph is caller-owned and is not touched.
 func (e *Engine) Close() error {
 	if e.closed {
 		return nil
@@ -330,17 +335,6 @@ func (e *Engine) Close() error {
 	// graph binding, the identity bits, and the closed flag.
 	*e = Engine{g: e.g, closed: true}
 	return nil
-}
-
-// Snapshot syncs and returns the engine's CSR view of the graph. The
-// returned snapshot is owned by the engine and valid until the graph
-// mutates (or the engine is closed); it is nil after Close.
-func (e *Engine) Snapshot(a *partition.Assignment) *graph.CSR {
-	if e.closed {
-		return nil
-	}
-	e.sync(a)
-	return e.csr
 }
 
 // Boundary syncs and returns the current partition-boundary vertex set.
@@ -694,7 +688,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 			st.VCycleSkipped = true
 		}
 	}
-	for stage := 0; stage < opt.maxStages(); stage++ {
+	for stage := 0; stage < maxStages; stage++ {
 		if err := cancel.Check(ctx, "balance stage"); err != nil {
 			return st, err
 		}

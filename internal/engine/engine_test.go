@@ -218,7 +218,7 @@ func TestSeededGainsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: engine gains: %v", iter, err)
 		}
-		want, err := refine.Gains(g, a, strict)
+		want, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
 		if err != nil {
 			t.Fatalf("iter %d: full gains: %v", iter, err)
 		}
@@ -259,7 +259,7 @@ func TestGainsSeededDuplicateSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refine.Gains(g, a, false)
+	want, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,8 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 		e := New(g, Options{})
 		rng := rand.New(rand.NewSource(seed ^ 0x9a7c))
 		check := func() {
-			requireSameSnapshot(t, e.Snapshot(a), g.RebuildCSRInto(nil))
+			e.Boundary(a) // syncs e.csr
+			requireSameSnapshot(t, e.csr, g.RebuildCSRInto(nil))
 			sameCut(t, "tracked cut vs oracle", e.Cut(a), partition.Cut(g, a))
 		}
 		check()
@@ -442,7 +443,7 @@ func FuzzRefineIncremental(f *testing.F) {
 				exact = exact[:0]
 				st, err := e.Repartition(context.Background(), a)
 				if err != nil {
-					if errors.Is(err, ErrNeedRepartition) || errors.Is(err, errNoOldVertices) {
+					if errors.Is(err, ErrNeedRepartition) { // errNoOldVertices included
 						continue
 					}
 					t.Fatalf("step %d: %v", i, err)
@@ -529,11 +530,11 @@ func scheduleReference(t *testing.T, g *graph.Graph, a *partition.Assignment) fl
 	best, bestCut := a.Clone(), partition.Cut(g, a).TotalWeight
 	strict, loose := false, 0
 	for round := 0; round < 8; round++ {
-		c, err := refine.Gains(g, a, strict)
+		c, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}
-		prob, pairs := refine.Formulate(c)
+		prob, pairs := new(refine.LPArena).Formulate(c)
 		if len(pairs) == 0 {
 			break
 		}

@@ -43,16 +43,3 @@ func InCircumcircle(a, b, c, p Point) bool {
 func Centroid(a, b, c Point) Point {
 	return Point{(a.X + b.X + c.X) / 3, (a.Y + b.Y + c.Y) / 3}
 }
-
-// Circumradius returns the circumcircle radius of triangle abc (infinite
-// for degenerate triangles).
-func Circumradius(a, b, c Point) float64 {
-	la := b.Dist(c)
-	lb := a.Dist(c)
-	lc := a.Dist(b)
-	area := math.Abs(Orient(a, b, c)) / 2
-	if area == 0 {
-		return math.Inf(1)
-	}
-	return la * lb * lc / (4 * area)
-}

@@ -33,16 +33,6 @@ func TestInCircumcircle(t *testing.T) {
 	}
 }
 
-func TestCircumradius(t *testing.T) {
-	a, b, c := Point{1, 0}, Point{0, 1}, Point{-1, 0}
-	if r := Circumradius(a, b, c); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("r = %g, want 1", r)
-	}
-	if r := Circumradius(a, Point{2, 0}, Point{3, 0}); !math.IsInf(r, 1) {
-		t.Fatalf("degenerate triangle should give +inf, got %g", r)
-	}
-}
-
 func TestCentroidAndDist(t *testing.T) {
 	c := Centroid(Point{0, 0}, Point{3, 0}, Point{0, 3})
 	if c.X != 1 || c.Y != 1 {

@@ -217,16 +217,25 @@ func (g *Graph) RebuildCSRInto(c *CSR) *CSR { return g.buildCSR(c) }
 // overflow or heavy churn since the last rebuild restores full pads.
 func (g *Graph) buildCSR(c *CSR) *CSR {
 	n := g.Order()
-	if c == nil {
+	cold := c == nil
+	if cold {
 		c = &CSR{
 			XAdj: make([]int32, 0, n+1),
 			End:  make([]int32, 0, n),
-			Adj:  make([]Vertex, 0, 2*g.m+csrPad(0)*n),
-			EW:   make([]float64, 0, 2*g.m+csrPad(0)*n),
 			Live: make([]bool, 0, n),
 		}
 	}
 	c.lean = n >= csrLeanOrder && !c.grewSlot && c.patchPeak*csrLeanChurnDiv <= n
+	if cold { // reserve exactly the slots appendSlot will lay out
+		slots := 0
+		for v, row := range g.adj {
+			slots += len(row)
+			if g.alive[v] {
+				slots += c.pad(len(row))
+			}
+		}
+		c.Adj, c.EW = make([]Vertex, 0, slots), make([]float64, 0, slots)
+	}
 	c.patchPeak = 0
 	c.grewSlot = false
 	c.XAdj = c.XAdj[:0]

@@ -141,17 +141,6 @@ func (r *Result) order(vs []graph.Vertex, lab int32) {
 	r.keys = keys[:0]
 }
 
-// Neighbors returns the partitions j with δ(i,j) > 0, in increasing order.
-func (r *Result) Neighbors(i int32) []int32 {
-	var out []int32
-	for j, d := range r.Delta[i] {
-		if d > 0 {
-			out = append(out, int32(j))
-		}
-	}
-	return out
-}
-
 // Scratch holds the reusable state of the layering kernel. The zero value
 // is ready to use; buffers grow to the largest graph seen and are then
 // reused, so repeated layering of a stable-size graph allocates nothing.

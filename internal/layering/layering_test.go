@@ -132,22 +132,6 @@ func TestLayerUnassignedRejected(t *testing.T) {
 	}
 }
 
-func TestNeighborsList(t *testing.T) {
-	g, a := stripes(4, 12, 3)
-	r, err := Layer(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0 := r.Neighbors(0)
-	if len(n0) != 1 || n0[0] != 1 {
-		t.Fatalf("neighbors(0) = %v, want [1]", n0)
-	}
-	n1 := r.Neighbors(1)
-	if len(n1) != 2 {
-		t.Fatalf("neighbors(1) = %v, want [0 2]", n1)
-	}
-}
-
 func TestTieBreakDeterministic(t *testing.T) {
 	// Vertex 0 in partition 2 touches partitions 0 and 1 equally; the tie
 	// must break toward the smaller id (0).

@@ -229,7 +229,7 @@ func (r *rank) charge(ev engine.Event) error {
 				cut[r.c.Rank()+k*r.c.Size()] += wt
 			}
 		}
-		_, err := r.c.AllreduceFloat(cut, comm.OpSum)
+		_, err := r.c.AllreduceFloat(cut)
 		return err
 	}
 	return nil

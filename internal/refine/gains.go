@@ -165,18 +165,12 @@ type Scratch struct {
 	isStale []bool
 }
 
-// Gains scans every vertex and builds the candidate pools. strict selects
-// the > 0 test instead of ≥ 0.
-func Gains(g *graph.Graph, a *partition.Assignment, strict bool) (*Candidates, error) {
-	var s Scratch
-	return s.GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
-}
-
 // GainsSeeded builds the pools from scratch over a CSR snapshot,
-// examining only the seed vertices. Every candidate has at least one
-// foreign edge, so a seed list containing all boundary vertices
-// (duplicates and extras are harmless) yields exactly the candidates a
-// full scan would find.
+// examining only the seed vertices; strict selects the > 0 candidate
+// test instead of ≥ 0. Every candidate has at least one foreign edge, so
+// a seed list containing all boundary vertices (duplicates and extras are
+// harmless) yields exactly the candidates a full scan — seeded with every
+// vertex, g.Vertices() — would find.
 func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool, seeds []graph.Vertex) (*Candidates, error) {
 	if err := a.ValidateCSR(c); err != nil {
 		return nil, fmt.Errorf("refine: %w", err)

@@ -58,19 +58,11 @@ func (ar *LPArena) AppendWritten(dst []graph.Vertex) []graph.Vertex {
 	return dst
 }
 
-// Formulate is the arena-backed form of the package-level [Formulate]:
-// the identical LP — a maximal circulation under the pool sizes b(i,j) —
-// built into reused buffers.
+// Formulate builds the refinement LP — a maximal circulation under the
+// pool sizes b(i,j), over pairs with b(i,j) > 0 — into the arena's reused
+// buffers.
 func (ar *LPArena) Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 	return ar.flow.Formulate(lp.Maximize, c.B, nil, 0)
-}
-
-// Formulate builds the refinement LP over pairs with b(i,j) > 0. This
-// one-shot form allocates a fresh formulation; the engine formulates
-// through a reused [LPArena] instead.
-func Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
-	var ar LPArena
-	return ar.Formulate(c)
 }
 
 // Apply moves the best-gain prefix of each pair's pool per the LP flows,

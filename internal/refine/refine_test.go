@@ -38,7 +38,7 @@ func jaggedStripes() (*graph.Graph, *partition.Assignment) {
 
 func TestGainsBasic(t *testing.T) {
 	g, a := jaggedStripes()
-	c, err := Gains(g, a, false)
+	c, err := new(Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestGainsBasic(t *testing.T) {
 
 func TestGainsStrictSubset(t *testing.T) {
 	g, a := jaggedStripes()
-	loose, err := Gains(g, a, false)
+	loose, err := new(Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Gains(g, a, true)
+	strict, err := new(Scratch).GainsSeeded(g.ToCSR(), a, true, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestGreedyRespectsBalanceGuard(t *testing.T) {
 
 func TestApplyRejectsDoubleMove(t *testing.T) {
 	g, a := jaggedStripes()
-	c, err := Gains(g, a, false)
+	c, err := new(Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pairs := Formulate(c)
+	_, pairs := new(LPArena).Formulate(c)
 	// Construct a bogus flow exceeding a pool.
 	x := make([]float64, len(pairs))
 	for i, pr := range pairs {
@@ -599,18 +599,18 @@ func TestGainsPatchedMatchesSeeded(t *testing.T) {
 	}
 }
 
-// TestLPArenaFormulateMatchesOneShot: the arena-backed refinement LP
-// must match the one-shot formulation exactly, across
-// reuse with both candidate-test modes.
+// TestLPArenaFormulateMatchesOneShot: a reused arena must formulate
+// exactly the refinement LP a fresh one does, across reuse with both
+// candidate-test modes.
 func TestLPArenaFormulateMatchesOneShot(t *testing.T) {
 	g, a := jaggedStripes()
 	var ar LPArena
 	for _, strict := range []bool{false, true, false} {
-		c, err := Gains(g, a, strict)
+		c, err := new(Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantProb, wantPairs := Formulate(c)
+		wantProb, wantPairs := new(LPArena).Formulate(c)
 		gotProb, gotPairs := ar.Formulate(c)
 		if !reflect.DeepEqual(gotPairs, wantPairs) {
 			t.Fatalf("strict=%v: pairs diverge", strict)
@@ -632,7 +632,7 @@ func TestLPArenaFormulateMatchesOneShot(t *testing.T) {
 // candidate shape must not allocate.
 func TestLPArenaSteadyStateAllocs(t *testing.T) {
 	g, a := jaggedStripes()
-	c, err := Gains(g, a, false)
+	c, err := new(Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,11 @@ import (
 	"repro/internal/partition"
 )
 
-// ErrNeedRepartition is returned when incremental balancing cannot
-// succeed (the paper's advice: repartition from scratch, or add the new
-// vertices in batches — see WithBatches).
+// ErrNeedRepartition is matched by the error of a call the incremental
+// pipeline cannot serve: balancing cannot succeed, or the assignment has
+// no assigned vertex to grow from. The paper's advice is to repartition
+// from scratch (PartitionRSB) or, when balancing failed, to add the new
+// vertices in batches (see WithBatches).
 var ErrNeedRepartition = engine.ErrNeedRepartition
 
 // ErrInvalidAssignment is matched by the error a call returns for an
@@ -97,13 +99,10 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 			news = append(news, v)
 		}
 	}
-	if len(olds) == 0 {
-		return nil, fmt.Errorf("igp: batched repartition: no previously assigned vertices")
-	}
 	if numBatches > len(news) && len(news) > 0 {
 		numBatches = len(news)
 	}
-	if len(news) == 0 || numBatches == 1 {
+	if len(olds) == 0 || len(news) == 0 || numBatches == 1 {
 		return engine.New(g, opt).Repartition(ctx, a)
 	}
 
