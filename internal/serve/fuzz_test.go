@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	igp "repro"
@@ -29,22 +30,8 @@ func FuzzServeEdits(f *testing.F) {
 			return
 		}
 		const meshN, p, seed = 60, 4, 5
-		g, err := igp.NewMeshGraph(meshN, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := igp.PartitionRSB(g, p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := igp.NewEngine(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, a, eng := replaySession(t, GraphSpec{MeshN: meshN, Seed: seed, P: p})
 		defer eng.Close()
-		if _, err := eng.Repartition(context.Background(), a); err != nil {
-			t.Fatalf("priming: %v", err)
-		}
 
 		applied, editErr := applyEdits(g, req.Edits)
 		if err := g.Validate(); err != nil {
@@ -77,6 +64,86 @@ func FuzzServeEdits(f *testing.F) {
 			if live := g.Alive(igp.Vertex(v)); part < -1 || int(part) >= a.P || live != (part >= 0) {
 				t.Fatalf("vertex %d (live %v) has part %d, p=%d", v, live, part, a.P)
 			}
+		}
+	})
+}
+
+// specFromBytes decodes fuzz bytes into a small edge-list GraphSpec:
+// data[0] sets n ∈ [1, 256], data[1] sets P ∈ [2, 16], and every later
+// byte pair (u, v) adds the edge {u mod n, v mod n} unless it is a
+// self-loop or already present.
+func specFromBytes(data []byte) (GraphSpec, bool) {
+	if len(data) < 2 {
+		return GraphSpec{}, false
+	}
+	spec := GraphSpec{Vertices: int(data[0]) + 1, P: 2 + int(data[1])%15}
+	seen := make(map[[2]int]bool)
+	for i := 2; i+1 < len(data); i += 2 {
+		u, v := int(data[i])%spec.Vertices, int(data[i+1])%spec.Vertices
+		e := [2]int{min(u, v), max(u, v)}
+		if u == v || seen[e] {
+			continue
+		}
+		seen[e] = true
+		spec.Edges = append(spec.Edges, e)
+	}
+	return spec, true
+}
+
+// specBytes is specFromBytes' inverse for a corpus seed.
+func specBytes(spec GraphSpec) []byte {
+	data := []byte{byte(spec.Vertices - 1), byte(spec.P - 2)}
+	for _, e := range spec.Edges {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	return data
+}
+
+// FuzzCreateGraph creates a session over an arbitrary small edge-list
+// spec. No panic; a success is valid and exactly on partition.Targets; a
+// failure either rejects the spec or happens where the RSB start fails
+// too, so CreateGraph never fails where that start succeeds; and the
+// fallback counter moves exactly when the V-cycle alone cannot balance
+// the graph.
+func FuzzCreateGraph(f *testing.F) {
+	f.Add(specBytes(starSpec(100, 5, 0)))
+	f.Add(specBytes(starSpec(200, 16, 0)))
+	f.Add(specBytes(GraphSpec{Vertices: 64, P: 16}))
+	f.Add(specBytes(GraphSpec{Vertices: 200, P: 5}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, ok := specFromBytes(data)
+		if !ok {
+			return
+		}
+		srv := New(Config{})
+		defer srv.Close()
+		sess, err := srv.newSession(context.Background(), spec)
+		fallbacks := srv.Metrics().ColdStartFallbacks
+		if errors.Is(err, errGraphSpec) {
+			if fallbacks != 0 {
+				t.Fatalf("spec rejected (%v), yet %d fallbacks counted", err, fallbacks)
+			}
+			return
+		}
+		if err == nil {
+			defer sess.eng.Close()
+			checkExactBalance(t, sess.g, sess.a)
+		} else if _, _, perr := rsbStart(spec); perr == nil {
+			t.Fatalf("CreateGraph: %v; the RSB start succeeds", err)
+		}
+
+		g, err := buildGraph(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &igp.Assignment{Part: make([]int32, g.Order()), P: spec.P}
+		_, verr := igp.Repartition(context.Background(), g, a, igp.WithMultilevel(), igp.WithRefine())
+		want := int64(0)
+		if errors.Is(verr, igp.ErrNeedRepartition) {
+			want = 1
+		}
+		if fallbacks != want {
+			t.Fatalf("V-cycle err = %v, yet %d fallbacks counted", verr, fallbacks)
 		}
 	})
 }

@@ -69,6 +69,10 @@ var (
 	ErrServerClosed = errors.New("serve: server closed")
 )
 
+// errGraphSpec is matched by every CreateGraph error that rejects the
+// spec itself, before anything is partitioned.
+var errGraphSpec = errors.New("serve: graph spec")
+
 // isShed reports whether err is an admission-control outcome rather
 // than a hard failure.
 func isShed(err error) bool {
@@ -157,10 +161,11 @@ type GraphInfo struct {
 
 // maxGraphVertices caps the mesh_n / vertices a GraphSpec may ask for,
 // whatever the body says, before anything is sized from them. The
-// largest allocation a session makes is the Lanczos basis of its
-// initial RSB partition, spectral.MaxSteps(n) ≤ 400 vectors of n
-// float64s; the cap is the largest n whose basis fits in 1 GiB
-// (TestMaxGraphVerticesBasisBudget).
+// largest allocation a session can make is the Lanczos basis of the
+// RSB fallback's partition (coldStart), spectral.MaxSteps(n) ≤ 400
+// vectors of n float64s; the cap is the largest n whose basis fits in
+// 1 GiB (TestMaxGraphVerticesBasisBudget). The V-cycle start needs far
+// less, but the fallback can still run at any accepted size.
 const maxGraphVertices = (1 << 30) / (8 * 400)
 
 // maxPartitions caps a GraphSpec's p: the engine's layering and balance
@@ -172,7 +177,7 @@ const maxPartitions = 1024
 // buildGraph materializes the spec.
 func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 	if spec.MeshN > maxGraphVertices || spec.Vertices > maxGraphVertices {
-		return nil, fmt.Errorf("serve: graph spec: more than %d vertices", maxGraphVertices)
+		return nil, fmt.Errorf("%w: more than %d vertices", errGraphSpec, maxGraphVertices)
 	}
 	switch {
 	case spec.MeshN > 0:
@@ -183,39 +188,41 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 			// Checked before the int → int32 conversion, which would
 			// alias an out-of-range id onto a real vertex.
 			if e[0] < 0 || e[0] >= spec.Vertices || e[1] < 0 || e[1] >= spec.Vertices {
-				return nil, fmt.Errorf("serve: graph spec: edge {%d,%d} names a vertex outside [0, %d)", e[0], e[1], spec.Vertices)
+				return nil, fmt.Errorf("%w: edge {%d,%d} names a vertex outside [0, %d)", errGraphSpec, e[0], e[1], spec.Vertices)
 			}
 			if err := g.AddEdge(igp.Vertex(e[0]), igp.Vertex(e[1]), 1); err != nil {
-				return nil, fmt.Errorf("serve: graph spec: %w", err)
+				return nil, fmt.Errorf("%w: %w", errGraphSpec, err)
 			}
 		}
 		return g, nil
 	default:
-		return nil, fmt.Errorf("serve: graph spec: need mesh_n > 0 or vertices > 0")
+		return nil, fmt.Errorf("%w: need mesh_n > 0 or vertices > 0", errGraphSpec)
 	}
 }
 
-// newSession builds the spec'd graph, partitions it from scratch with
-// RSB and primes a fresh engine session with one repartition (both
-// bounded by ctx), which pays the engine's first full snapshot build
-// and publishes assignment version 1. The session is neither registered
-// nor running: CreateGraph does both.
+// newSession builds the spec'd graph, partitions it from scratch
+// (coldStart) and primes a fresh engine session with one repartition
+// (both bounded by ctx), which pays the engine's first full snapshot
+// build and publishes assignment version 1. The session is neither
+// registered nor running: CreateGraph does both.
 func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
 	if spec.P < 2 || spec.P > maxPartitions {
-		return nil, fmt.Errorf("serve: graph spec: p must be in [2, %d], got %d", maxPartitions, spec.P)
+		return nil, fmt.Errorf("%w: p must be in [2, %d], got %d", errGraphSpec, maxPartitions, spec.P)
 	}
 	g, err := buildGraph(spec)
 	if err != nil {
 		return nil, err
 	}
 	if g.NumVertices() < spec.P {
-		return nil, fmt.Errorf("serve: graph spec: %d vertices for p=%d partitions", g.NumVertices(), spec.P)
+		return nil, fmt.Errorf("%w: %d vertices for p=%d partitions", errGraphSpec, g.NumVertices(), spec.P)
 	}
-	part, err := spectral.RSBContext(ctx, g, spec.P, spectral.Options{Seed: spec.Seed})
+	a, fellBack, err := coldStart(ctx, g, spec.P, spec.Seed, s.cfg.EngineOptions)
+	if fellBack {
+		s.metrics.coldStartFallbacks.Add(1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial partition: %w", err)
 	}
-	a := &igp.Assignment{Part: part, P: spec.P}
 
 	sess := &Session{
 		id:    fmt.Sprintf("g%d", s.nextID.Add(1)),
@@ -239,6 +246,29 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 	s.metrics.repartitions.Add(1)
 	sess.publish()
 	return sess, nil
+}
+
+// coldStart partitions a freshly built g into p parts from scratch.
+// Every vertex starts in partition 0 — the degenerate start — and one
+// one-shot multilevel V-cycle with refinement, under the session's
+// engine options, coarsens g, partitions the coarsest graph, uncoarsens
+// and polishes to exact balance, then drops its hierarchy. When that
+// call cannot balance g (igp.ErrNeedRepartition: the partitions'
+// quotient graph cannot carry the balance flow, as on stars, forests
+// and isolated vertices) the start falls back to recursive spectral
+// bisection seeded with seed, and fellBack reports it. A done ctx ends
+// either path with its cancellation error, without falling back.
+func coldStart(ctx context.Context, g *igp.Graph, p int, seed int64, opts []igp.Option) (a *igp.Assignment, fellBack bool, err error) {
+	a = &igp.Assignment{Part: make([]int32, g.Order()), P: p}
+	opts = append(append([]igp.Option(nil), opts...), igp.WithMultilevel(), igp.WithRefine())
+	if _, err := igp.Repartition(ctx, g, a, opts...); !errors.Is(err, igp.ErrNeedRepartition) {
+		return a, false, err
+	}
+	part, err := spectral.RSBContext(ctx, g, p, spectral.Options{Seed: seed})
+	if err != nil {
+		return nil, true, err
+	}
+	return &igp.Assignment{Part: part, P: p}, true, nil
 }
 
 // CreateGraph creates the spec'd session (see newSession), registers it

@@ -135,22 +135,8 @@ func TestCoalescingEquivalence(t *testing.T) {
 			// Private-engine replay: same graph, same initial partition,
 			// same priming call, then the same edits in the same order
 			// with one warm repartition at each batch boundary.
-			g2, err := igp.NewMeshGraph(tc.meshN, tc.seed)
-			if err != nil {
-				t.Fatalf("replay mesh: %v", err)
-			}
-			a2, err := igp.PartitionRSB(g2, tc.p, tc.seed)
-			if err != nil {
-				t.Fatalf("replay RSB: %v", err)
-			}
-			eng2, err := igp.NewEngine(g2, tc.opts...)
-			if err != nil {
-				t.Fatalf("replay engine: %v", err)
-			}
+			g2, a2, eng2 := replaySession(t, GraphSpec{MeshN: tc.meshN, Seed: tc.seed, P: tc.p}, tc.opts...)
 			defer eng2.Close()
-			if _, err := eng2.Repartition(context.Background(), a2); err != nil {
-				t.Fatalf("replay priming: %v", err)
-			}
 			for i, edits := range reqs {
 				for _, e := range edits {
 					if err := ApplyEdit(g2, e); err != nil {
@@ -448,9 +434,9 @@ func TestIdleEviction(t *testing.T) {
 	}
 }
 
-// TestCreateGraphCanceled: a done context stops the initial RSB
-// partition itself (not just the priming repartition after it), and the
-// failed create registers nothing.
+// TestCreateGraphCanceled: a done context stops the cold start itself
+// (not just the priming repartition after it) without falling back to
+// RSB, and the failed create registers nothing.
 func TestCreateGraphCanceled(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -460,15 +446,15 @@ func TestCreateGraphCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, igp.ErrCanceled) || !strings.Contains(err.Error(), "initial partition") {
 		t.Fatalf("CreateGraph with a canceled context: err = %v, want the initial partition canceled", err)
 	}
-	if got := srv.Metrics().SessionsActive; got != 0 {
-		t.Fatalf("sessions_active = %d after a canceled create, want 0", got)
+	if m := srv.Metrics(); m.SessionsActive != 0 || m.ColdStartFallbacks != 0 {
+		t.Fatalf("after a canceled create: sessions_active = %d, cold_start_fallbacks = %d, want 0 and 0", m.SessionsActive, m.ColdStartFallbacks)
 	}
 }
 
 // TestMaxGraphVerticesBasisBudget: the vertex cap is the largest n whose
-// initial RSB basis, spectral.MaxSteps(n) vectors of n float64s, fits
-// in 1 GiB, so the cap and the solver's Krylov dimension cannot drift
-// apart.
+// RSB fallback's basis, spectral.MaxSteps(n) vectors of n float64s,
+// fits in 1 GiB, so the cap and the solver's Krylov dimension cannot
+// drift apart.
 func TestMaxGraphVerticesBasisBudget(t *testing.T) {
 	basis := func(n int) int { return 8 * n * spectral.MaxSteps(n) }
 	if basis(maxGraphVertices) > 1<<30 || basis(maxGraphVertices+1) <= 1<<30 {

@@ -20,7 +20,8 @@ import (
 // pipeline cannot serve: balancing cannot succeed, or the assignment has
 // no assigned vertex to grow from. The paper's advice is to repartition
 // from scratch (PartitionRSB) or, when balancing failed, to add the new
-// vertices in batches (see WithBatches).
+// vertices in batches (see WithBatches). A [WithMultilevel] call from a
+// degenerate start can end here too, on a star for one (see its doc).
 var ErrNeedRepartition = engine.ErrNeedRepartition
 
 // ErrInvalidAssignment is matched by the error a call returns for an
