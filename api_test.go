@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/lp"
+	"repro/internal/mesh"
 	"repro/internal/partition"
 )
 
@@ -594,35 +595,76 @@ func TestPublicStatsClone(t *testing.T) {
 
 // TestStageCountersExplainTheStage: Stats and the balance end events say
 // why each stage cost what it did — how many partitions it layered to
-// full depth and how many LPs it solved — and agree with each other; the
+// full depth, how many LPs it solved and how many tight bounds its
+// reduced costs let stand — and agree with each other; the
 // layering share covers the rim pass and the deepening, so the phases
-// still sum to no more than the call.
+// still sum to no more than the call. A kept bound belongs to a
+// partition the stage left unfinished. The burst's rim LP is infeasible,
+// so its stages finish everything and keep nothing; the mesh step's
+// stage finishes one partition on a bound its optimum binds and accepts
+// with two degenerate-tight bounds standing, each of which the
+// flow == bound rule would have finished.
 func TestStageCountersExplainTheStage(t *testing.T) {
-	g, a := grownMesh(t, 500, 8, 60, 11)
-	var deepened, solves []int
-	eng, err := NewEngine(g, WithObserver(func(ev Event) {
-		if ev.Kind == EventEnd && ev.Phase == PhaseBalance {
-			deepened, solves = append(deepened, ev.Deepened), append(solves, ev.LPSolves)
-		}
-	}))
+	burst, burstA := grownMesh(t, 500, 8, 60, 11)
+	seq, err := mesh.GenerateChained(400, []int{30}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.Repartition(context.Background(), a)
+	stepA, err := PartitionRSB(seq.Base, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stages == 0 || !slices.Equal(st.StageDeepened, deepened) || !slices.Equal(st.StageLPSolves, solves) {
-		t.Fatalf("%d stages: Stats say deepened %v solves %v, the events %v %v",
-			st.Stages, st.StageDeepened, st.StageLPSolves, deepened, solves)
+	step := seq.Steps[0].Graph
+	for len(stepA.Part) < step.Order() {
+		stepA.Part = append(stepA.Part, partition.Unassigned)
 	}
-	for s := range solves {
-		if solves[s] < 1 || deepened[s] < 0 || deepened[s] > a.P || (deepened[s] > 0) != (solves[s] > int(st.EpsilonUsed[s])) {
-			t.Fatalf("stage %d at ε=%g: %d of %d partitions deepened over %d LP solves", s+1, st.EpsilonUsed[s], deepened[s], a.P, solves[s])
+	for _, tc := range []struct {
+		name           string
+		g              *Graph
+		a              *Assignment
+		deepened, kept int  // over the call
+		deepensSome    bool // some stage finishes a proper subset of the partitions
+	}{
+		{"burst", burst, burstA, 8, 0, false},
+		{"mesh step", step, stepA, 1, 2, true},
+	} {
+		var deepened, solves, kept []int
+		eng, err := NewEngine(tc.g, WithObserver(func(ev Event) {
+			if ev.Kind == EventEnd && ev.Phase == PhaseBalance {
+				deepened, solves = append(deepened, ev.Deepened), append(solves, ev.LPSolves)
+				kept = append(kept, ev.TightKept)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if pt := st.PhaseTimings; pt.Layer <= 0 || pt.Balance <= 0 || pt.Total() > st.Elapsed {
-		t.Fatalf("phases %+v of a %v call", pt, st.Elapsed)
+		st, err := eng.Repartition(context.Background(), tc.a)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stages == 0 || !slices.Equal(st.StageDeepened, deepened) || !slices.Equal(st.StageLPSolves, solves) ||
+			!slices.Equal(st.StageTightKept, kept) {
+			t.Fatalf("%s: %d stages: Stats say deepened %v solves %v kept %v, the events %v %v %v", tc.name,
+				st.Stages, st.StageDeepened, st.StageLPSolves, st.StageTightKept, deepened, solves, kept)
+		}
+		p := tc.a.P
+		some, d, k := false, 0, 0
+		for s := range solves {
+			if solves[s] < 1 || deepened[s] < 0 || deepened[s] > p || kept[s] > (p-deepened[s])*(p-1) ||
+				(deepened[s] > 0) != (solves[s] > int(st.EpsilonUsed[s])) {
+				t.Fatalf("%s: stage %d at ε=%g: %d of %d partitions deepened over %d LP solves, %d tight bounds kept",
+					tc.name, s+1, st.EpsilonUsed[s], deepened[s], p, solves[s], kept[s])
+			}
+			some = some || (deepened[s] > 0 && deepened[s] < p)
+			d, k = d+deepened[s], k+kept[s]
+		}
+		if d != tc.deepened || k != tc.kept || some != tc.deepensSome {
+			t.Fatalf("%s: stages deepened %v and kept %v, want %d deepened and %d kept in all", tc.name, deepened, kept, tc.deepened, tc.kept)
+		}
+		if pt := st.PhaseTimings; pt.Layer <= 0 || pt.Balance <= 0 || pt.Total() > st.Elapsed {
+			t.Fatalf("%s: phases %+v of a %v call", tc.name, pt, st.Elapsed)
+		}
 	}
 }
 

@@ -29,8 +29,9 @@
 //
 //   - Layering is on demand: a balancing stage labels only the rim of
 //     every partition, solves its LP on those bounds and layers to full
-//     depth just the partitions whose bound the optimum touches
-//     (balanceStage); a pool is ordered when the mover first asks for it.
+//     depth just the partitions with a bound the optimum binds — reaches
+//     with a strictly negative reduced cost (balanceStage); a pool is
+//     ordered when the mover first asks for it.
 //
 //   - The cut is tracked state. The row scan that decides an examined
 //     vertex's boundary membership also yields its cut term — the weights
@@ -82,6 +83,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/balance"
@@ -769,10 +771,14 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 // balanceStage runs one LP→move stage on lay, the rim layering of the
 // engine's scratch, escalating ε until feasible and deepening the
 // layering only where the LP demands it. The rim bounds are lower bounds
-// on the full-depth δ over the same pairs, so an optimum strictly below
-// every bound of an unfinished partition is optimal for the full-depth LP
-// too (an inactive bound can be dropped from a convex program) and is
-// accepted; otherwise exactly the source partitions whose bound is tight
+// on the full-depth δ over the same pairs, and deepening only raises
+// them. The optimum's reduced costs decide which raise could matter: a
+// bound the flow does not reach, or one it reaches with reduced cost 0
+// (degenerate-tight), keeps the same duals feasible and the same
+// complementary slackness when it grows, so the optimum is optimal for
+// the full-depth LP too. Only a bound at capacity with a strictly
+// negative reduced cost binds (costs are integral, so the test is
+// < −½), and exactly the unfinished source partitions with such a bound
 // are finished and the LP re-solved — every such round finishes at least
 // one more partition, so there are at most P of them. An infeasible solve
 // finishes everything, so ε escalates only on the full-depth LP's
@@ -780,9 +786,9 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 // objective, and every pool prefix the mover consumes is the full
 // layering's. Formulations go through the engine's reused arena, so a
 // steady-state stage allocates nothing building its LP. It returns the
-// stage's balance EventEnd measurements (ε, moved, deepened, LP solves),
-// filled on every path, and records an accepted stage in Stats;
-// completion time goes to PhaseTimings.Layer.
+// stage's balance EventEnd measurements (ε, moved, deepened, LP solves,
+// tight bounds kept), filled on every path, and records an accepted
+// stage in Stats; completion time goes to PhaseTimings.Layer.
 func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (Event, bool, error) {
 	var ev Event
 	for eps := 1.0; eps <= balance.EpsilonMax; eps++ {
@@ -804,13 +810,20 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 				parts = e.lay.All()
 			} else {
 				parts = e.deepen[:0]
-				for _, f := range flows {
-					if !lay.Done(f.From) && f.Amount == lay.Delta[f.From][f.To] {
-						parts = append(parts, f.From)
+				kept := 0
+				for v, pr := range m.Pairs {
+					if lay.Done(pr[0]) || math.Round(sol.X[v]) != float64(lay.Delta[pr[0]][pr[1]]) {
+						continue
+					}
+					if sol.ReducedCost[v] < -0.5 {
+						parts = append(parts, pr[0])
+					} else {
+						kept++
 					}
 				}
 				e.deepen = parts
 				if len(parts) == 0 {
+					ev.TightKept = kept
 					ev.Epsilon = eps
 					ev.Moved, err = balance.Apply(a, lay, flows)
 					if err != nil { // (an error ends the call; the next one diffs)
@@ -826,6 +839,7 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 					st.StagePivots = append(st.StagePivots, sol.Iterations)
 					st.StageDeepened = append(st.StageDeepened, ev.Deepened)
 					st.StageLPSolves = append(st.StageLPSolves, ev.LPSolves)
+					st.StageTightKept = append(st.StageTightKept, ev.TightKept)
 					st.BalanceMoved += ev.Moved
 					st.LPIterations += sol.Iterations
 					if v, c := lp.DenseSize(m.Prob); v > st.LPVars {

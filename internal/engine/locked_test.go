@@ -117,12 +117,16 @@ func TestRepartitionLocked(t *testing.T) {
 	// boundary sync and layering still sharded over a worker group, and
 	// any change to the sync, phase 1, layering's labels or pool order,
 	// the balance mover or refinement moves at least one of them.
+	// mesh-p32 was re-recorded when balance stages began deepening only
+	// partitions whose tight bound has a strictly negative reduced cost:
+	// its stages then accept another vertex of a degenerate optimal face
+	// (same ε and Σ flows), the other two histories did not move.
 	for _, tc := range []struct {
 		name    string
 		history func(*testing.T) uint64
 		want    uint64
 	}{
-		{"mesh-p32", meshGrowthHistory, 0x067814d14501efaa},
+		{"mesh-p32", meshGrowthHistory, 0xb2ad5e35472fcf49},
 		{"burst-grid", burstGridHistory, 0x5ef8490eb05094af},
 		{"powerlaw-p8", powerLawHistory, 0xe4717bea339b7545},
 	} {

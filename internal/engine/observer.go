@@ -84,8 +84,9 @@ func (k EventKind) String() string {
 //	  uncoarsen start, per-level pairs in uncoarsening order (Stage
 //	  descending), uncoarsen end,
 //	then per balancing stage s: layer start/end (Stage=s; the rim pass),
-//	balance start/end (Stage=s, Epsilon, Moved, Deepened, LPSolves; the
-//	partitions the LP asks for are finished inside this span),
+//	balance start/end (Stage=s, Epsilon, Moved, Deepened, LPSolves,
+//	TightKept; the partitions the LP asks for are finished inside this
+//	span),
 //	then if refinement is enabled: refine start, a cut event, refine
 //	rounds, a cut event if any was applied, refine end; else a cut event.
 //
@@ -106,10 +107,11 @@ type Event struct {
 	// Moved counts vertices moved in the closed span (for the assign
 	// phase: vertices newly assigned).
 	Moved int
-	// Deepened and LPSolves say why a balance stage cost what it did
-	// (balance EventEnd only): the partitions it layered to full depth and
-	// the LPs it solved, see Stats.StageDeepened.
-	Deepened, LPSolves int
+	// Deepened, LPSolves and TightKept say why a balance stage cost what
+	// it did (balance EventEnd only): the partitions it layered to full
+	// depth, the LPs it solved and the tight rim bounds its accepted
+	// optimum kept without deepening, see Stats.StageDeepened.
+	Deepened, LPSolves, TightKept int
 	// Elapsed is the wall-clock duration of the closed span (EventEnd
 	// only).
 	Elapsed time.Duration

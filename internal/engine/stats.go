@@ -54,18 +54,24 @@ type Stats struct {
 	EpsilonUsed []float64
 	StageMoved  []int
 	StagePivots []int
-	// StageDeepened and StageLPSolves say, per stage, why it cost what it
-	// did. Layering is on demand: a stage labels only the rim of every
-	// partition, solves the balance LP on those bounds, and layers to full
-	// depth just the partitions whose bound the optimum touches
-	// (everything, before ε may escalate on an infeasible solve),
-	// re-solving after each deepening, so a stage solves at most one LP per
-	// partition it finishes plus one per ε tried. StageDeepened counts the
-	// partitions a stage finished (0 = the rim was enough; P = a full
-	// layering), StageLPSolves its LPs. The accepted flows have the
-	// full-depth LP's ε and objective either way.
-	StageDeepened []int
-	StageLPSolves []int
+	// StageDeepened, StageLPSolves and StageTightKept say, per stage, why
+	// it cost what it did. Layering is on demand: a stage labels only the
+	// rim of every partition, solves the balance LP on those bounds, and
+	// layers to full depth just the partitions with a binding bound — one
+	// the optimum's flow reaches with a strictly negative reduced cost, so
+	// raising it could lower the objective (everything, before ε may
+	// escalate on an infeasible solve) — re-solving after each deepening,
+	// so a stage solves at most one LP per partition it finishes plus one
+	// per ε tried. StageDeepened counts the partitions a stage finished
+	// (0 = the rim was enough; P = a full layering), StageLPSolves its LPs,
+	// and StageTightKept the rim bounds of unfinished partitions its
+	// accepted optimum reaches with reduced cost 0: degenerate-tight, so
+	// the same duals certify the optimum at full depth and they stay
+	// unlayered. The accepted flows have the full-depth LP's ε and
+	// objective either way.
+	StageDeepened  []int
+	StageLPSolves  []int
+	StageTightKept []int
 	// BalanceMoved counts vertices moved for load balance.
 	BalanceMoved int
 	// LPVars and LPCons are the dense-formulation dimensions of the largest
@@ -168,6 +174,7 @@ func (s *Stats) Clone() *Stats {
 	c.StagePivots = slices.Clone(s.StagePivots)
 	c.StageDeepened = slices.Clone(s.StageDeepened)
 	c.StageLPSolves = slices.Clone(s.StageLPSolves)
+	c.StageTightKept = slices.Clone(s.StageTightKept)
 	c.RoundPivots = slices.Clone(s.RoundPivots)
 	c.RoundCuts = slices.Clone(s.RoundCuts)
 	c.RoundMoved = slices.Clone(s.RoundMoved)
@@ -181,15 +188,16 @@ func (s *Stats) Clone() *Stats {
 // (the cut PerPart vectors are the engine's own arenas).
 func (s *Stats) reset() {
 	*s = Stats{
-		EpsilonUsed:   s.EpsilonUsed[:0],
-		StageMoved:    s.StageMoved[:0],
-		StagePivots:   s.StagePivots[:0],
-		StageDeepened: s.StageDeepened[:0],
-		StageLPSolves: s.StageLPSolves[:0],
-		RoundPivots:   s.RoundPivots[:0],
-		RoundCuts:     s.RoundCuts[:0],
-		RoundMoved:    s.RoundMoved[:0],
-		Levels:        s.Levels[:0],
+		EpsilonUsed:    s.EpsilonUsed[:0],
+		StageMoved:     s.StageMoved[:0],
+		StagePivots:    s.StagePivots[:0],
+		StageDeepened:  s.StageDeepened[:0],
+		StageLPSolves:  s.StageLPSolves[:0],
+		StageTightKept: s.StageTightKept[:0],
+		RoundPivots:    s.RoundPivots[:0],
+		RoundCuts:      s.RoundCuts[:0],
+		RoundMoved:     s.RoundMoved[:0],
+		Levels:         s.Levels[:0],
 	}
 }
 
@@ -210,6 +218,7 @@ func (s *Stats) AddBatch(b *Stats) {
 	s.StagePivots = append(s.StagePivots, b.StagePivots...)
 	s.StageDeepened = append(s.StageDeepened, b.StageDeepened...)
 	s.StageLPSolves = append(s.StageLPSolves, b.StageLPSolves...)
+	s.StageTightKept = append(s.StageTightKept, b.StageTightKept...)
 	s.BalanceMoved += b.BalanceMoved
 	if b.LPVars > s.LPVars {
 		s.LPVars, s.LPCons = b.LPVars, b.LPCons

@@ -25,8 +25,8 @@
 // full pool. LayerSeeded is Rim followed by Complete of every partition;
 // Layer is the one-shot wrapper that snapshots the graph and seeds with
 // every live vertex. The engine's balance stage solves its LP on the rim
-// bounds and finishes only the partitions whose bound the optimum
-// touches.
+// bounds and finishes only the partitions with a bound the optimum
+// reaches at a strictly negative reduced cost.
 //
 // Pools are ordered lazily, one pair at a time, the first time Pool(i,j)
 // is asked for: only then are the pair's attachments (edges into the

@@ -49,6 +49,8 @@ type tableau struct {
 	basis    []int       // basic column of each row
 	cost     []float64   // current phase's cost vector
 	origCost []float64   // phase-2 cost (minimization sense)
+	d        []float64   // the last iterate's reduced costs
+	bound    []int       // slack column of each structural's bound row, −1 if none
 	nStruct  int         // structural columns
 	nCols    int
 	artStart int  // first artificial column
@@ -116,9 +118,16 @@ func newTableau(p *Problem) *tableau {
 	t.rhs = make([]float64, m)
 	t.basis = make([]int, m)
 
+	t.bound = make([]int, n)
+	for v := range t.bound {
+		t.bound[v] = -1
+	}
 	slackCol := n
 	artCol := t.artStart
 	for i, r := range rowsIn {
+		if i >= len(p.Cons) { // a bound row: x_v + s = u, never sign-flipped
+			t.bound[r.terms[0].Var] = slackCol
+		}
 		t.rows[i] = make([]float64, t.nCols)
 		for _, tm := range r.terms {
 			t.rows[i][tm.Var] += tm.Coef
@@ -221,6 +230,7 @@ func (t *tableau) pivot(r, c int, d []float64) {
 // cancellation, or the iteration limit, for the current cost vector.
 func (t *tableau) iterate(ctx context.Context, maxIter int, banArtificials bool) (Status, error) {
 	d, _ := t.reducedCosts(banArtificials)
+	t.d = d
 	for {
 		if t.iters >= maxIter {
 			return IterLimit, nil
@@ -367,7 +377,17 @@ func (t *tableau) extract() *Solution {
 	if t.flip {
 		obj = -obj
 	}
-	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: t.iters}
+	// Phase 2's final reduced costs. A materialized bound row x + s = u
+	// has its own dual, −d[s], which d[x] has paid; the column's reduced
+	// cost against the general constraints alone is d[x] − d[s].
+	rc := make([]float64, t.nStruct)
+	for v := range rc {
+		rc[v] = t.d[v]
+		if s := t.bound[v]; s >= 0 {
+			rc[v] -= t.d[s]
+		}
+	}
+	return &Solution{Status: Optimal, X: x, ReducedCost: rc, Objective: obj, Iterations: t.iters}
 }
 
 // DenseSize reports the standard-form dimensions Dense would use for p:

@@ -18,7 +18,8 @@ import (
 // — never a wrong answer. One session of each [SessionSolver] then
 // solves the problem and two same-structure perturbations of it back to
 // back, each held to the oracle's answer for that problem: nothing but
-// arenas may cross a session's solves.
+// arenas may cross a session's solves. On every flow, each solver's
+// ReducedCost must certify its own optimum (requireCertified).
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 200, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{3, 2, 0, 0, 9, 9, 9, 1, 1, 1, 0, 0, 0, 5})
@@ -56,6 +57,9 @@ func FuzzSolverAgreement(f *testing.F) {
 					if flow && x != math.Trunc(x) {
 						t.Fatalf("%s: x[%d] = %v is not integral", label, v, x)
 					}
+				}
+				if flow {
+					requireCertified(t, label, q, sol)
 				}
 			}
 			return sol
@@ -118,6 +122,28 @@ func FuzzSolverAgreement(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requireCertified holds sol.ReducedCost to complementary slackness with
+// sol.X on q's bounds — rc ≥ −tol where x sits at 0, rc ≤ tol where it
+// sits at its upper bound, |rc| ≤ tol strictly between (a zero-capacity
+// column is at both bounds and free) — which, with X feasible, certifies
+// X optimal: the reduced costs are the duals' proof, in minimization
+// sense whatever q's sense.
+func requireCertified(t *testing.T, label string, q *Problem, sol *Solution) {
+	t.Helper()
+	const tol = 1e-6
+	if len(sol.ReducedCost) != len(sol.X) {
+		t.Fatalf("%s: %d reduced costs for %d variables", label, len(sol.ReducedCost), len(sol.X))
+	}
+	for v, x := range sol.X {
+		rc := sol.ReducedCost[v]
+		atLower, atUpper := x < tol, x > q.Upper[v]-tol
+		if (atLower && !atUpper && rc < -tol) || (atUpper && !atLower && rc > tol) ||
+			(!atLower && !atUpper && math.Abs(rc) > tol) {
+			t.Fatalf("%s: x[%d] = %g in [0, %g] with reduced cost %g", label, v, x, q.Upper[v], rc)
+		}
+	}
 }
 
 // perturbLP derives a same-structure problem — identical constraint

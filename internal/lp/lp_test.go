@@ -574,6 +574,34 @@ func TestSolversAgreeOnFlowLPs(t *testing.T) {
 	}
 }
 
+// TestReducedCostMaximizeFlow hand-checks ReducedCost on a Maximize
+// flow: two arcs from one node to the root, max 3·x0 + x1 subject to
+// x0 + x1 = 3, x0 ≤ 2, x1 ≤ 2. The optimum x = (2, 1) has x1 strictly
+// between its bounds, so the node's dual is −1 in minimization sense
+// (costs −3, −1) and the reduced costs are (−3 + 1, −1 + 1) = (−2, 0):
+// x0 sits at a bound worth 2 per unit more capacity, and both solvers
+// report it negated, not in the problem's own sense.
+func TestReducedCostMaximizeFlow(t *testing.T) {
+	p := NewProblem(Maximize, 2)
+	p.SetObjective(0, 3)
+	p.SetObjective(1, 1)
+	p.SetUpper(0, 2)
+	p.SetUpper(1, 2)
+	p.AddConstraint([]Term{{0, 1}, {1, 1}}, EQ, 3)
+	for _, s := range allSolvers {
+		sol, err := s.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if sol.Status != Optimal || sol.X[0] != 2 || sol.X[1] != 1 || sol.Objective != 7 {
+			t.Fatalf("%s: %v x=%v objective %g, want x=[2 1] objective 7", s.Name(), sol.Status, sol.X, sol.Objective)
+		}
+		if rc := sol.ReducedCost; len(rc) != 2 || math.Abs(rc[0]+2) > 1e-9 || math.Abs(rc[1]) > 1e-9 {
+			t.Fatalf("%s: reduced costs %v, want [-2 0]", s.Name(), rc)
+		}
+	}
+}
+
 func TestIterLimitStatus(t *testing.T) {
 	// A solvable problem with MaxIter=1 must stop with IterLimit, not hang
 	// or mis-report.

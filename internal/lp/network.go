@@ -107,15 +107,16 @@ type networkSession struct {
 	prev   []int32
 	stack  []int32
 
-	sol  Solution
-	solX []float64
+	sol   Solution
+	solX  []float64
+	solRC []float64
 }
 
 // Name implements Solver.
 func (s *networkSession) Name() string { return "network" }
 
-// Solve implements Solver. The returned *Solution (including X) is an
-// arena overwritten by this session's next Solve.
+// Solve implements Solver. The returned *Solution (including X and
+// ReducedCost) is an arena overwritten by this session's next Solve.
 func (s *networkSession) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -140,6 +141,13 @@ func (s *networkSession) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	s.solX = grow(s.solX, s.n)
 	copy(s.solX, s.flow)
 	s.sol.X = s.solX
+	// The optimal tree's potentials are the duals: a column's reduced
+	// cost is its arc's, 0 on every tree arc.
+	s.solRC = grow(s.solRC, s.n)
+	for v := range s.solRC {
+		s.solRC[v] = s.cost[v] - s.pi[s.tail[v]] + s.pi[s.head[v]]
+	}
+	s.sol.ReducedCost = s.solRC
 	s.sol.Objective = Objective(p, s.solX)
 	return &s.sol, nil
 }

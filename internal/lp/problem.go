@@ -163,10 +163,17 @@ func (s Status) String() string {
 
 // Solution is the result of a solve.
 type Solution struct {
-	Status     Status
-	X          []float64 // variable values (valid when Status == Optimal)
-	Objective  float64   // objective value in the problem's own sense
-	Iterations int       // simplex pivots performed
+	Status Status
+	X      []float64 // variable values (valid when Status == Optimal)
+	// ReducedCost is, per variable, c − Aᵀy under the optimum's duals y,
+	// in minimization sense (a Maximize problem's −c): ≥ 0 on a variable
+	// at 0, ≤ 0 on one at its upper bound, 0 strictly between. A bound
+	// at capacity with reduced cost 0 can grow without moving the
+	// optimum. Filled, with len(X), whenever Status == Optimal; owned
+	// like X.
+	ReducedCost []float64
+	Objective   float64 // objective value in the problem's own sense
+	Iterations  int     // simplex pivots performed
 }
 
 // Solver is a simplex implementation. Implementations must honor the

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,29 +11,17 @@ import (
 	"repro/internal/spectral"
 )
 
-// replaySession rebuilds newSession's start on a private engine: the
-// spec's graph, coldStart's initial partition and the priming call. Every
-// replay of a session's start goes through it, so a test cannot drift
-// from what CreateGraph does.
+// replaySession rebuilds a session's start on a private engine through
+// newSession itself — the spec's graph, coldStart's initial partition,
+// the priming call and the block start behind it — on a server that is
+// never used again, so a test cannot drift from what CreateGraph does.
 func replaySession(tb testing.TB, spec GraphSpec, opts ...igp.Option) (*igp.Graph, *igp.Assignment, *igp.Engine) {
 	tb.Helper()
-	g, err := buildGraph(spec)
+	sess, err := New(Config{EngineOptions: opts}).newSession(context.Background(), spec)
 	if err != nil {
-		tb.Fatalf("replay graph: %v", err)
+		tb.Fatalf("replay session start: %v", err)
 	}
-	a, _, err := coldStart(context.Background(), g, spec.P, spec.Seed, opts)
-	if err != nil {
-		tb.Fatalf("replay cold start: %v", err)
-	}
-	eng, err := igp.NewEngine(g, opts...)
-	if err != nil {
-		tb.Fatalf("replay engine: %v", err)
-	}
-	if _, err := eng.Repartition(context.Background(), a); err != nil {
-		eng.Close()
-		tb.Fatalf("replay priming: %v", err)
-	}
-	return g, a, eng
+	return sess.g, sess.a, sess.eng
 }
 
 // rsbStart is the start sessions had before the V-cycle cold start, and
@@ -129,10 +116,10 @@ func hostileSpec(shape string, p int) GraphSpec {
 }
 
 // TestCreateGraphHostileShapes: on shapes whose partitions' quotient
-// graph may not carry the balance flow, CreateGraph succeeds wherever the
-// RSB start succeeds (parentOK, recorded from that start), and every
-// success is exactly balanced. Where the RSB start fails too, the error
-// is the engine's ErrNeedRepartition.
+// graph may not carry the balance flow, CreateGraph succeeds on every
+// row, exactly balanced. parentOK records whether the RSB start alone
+// succeeds; the block start (counted in block_starts) serves exactly the
+// rows where it does not.
 func TestCreateGraphHostileShapes(t *testing.T) {
 	rows := []struct {
 		shape    string
@@ -153,16 +140,19 @@ func TestCreateGraphHostileShapes(t *testing.T) {
 		}
 		srv := New(Config{})
 		sess, err := srv.newSession(context.Background(), spec)
-		switch {
-		case err == nil:
-			checkExactBalance(t, sess.g, sess.a)
-			sess.eng.Close()
-		case row.parentOK:
-			t.Errorf("%s p=%d: %v; the RSB start succeeds", row.shape, row.p, err)
-		case !errors.Is(err, igp.ErrNeedRepartition):
-			t.Errorf("%s p=%d: err = %v, want ErrNeedRepartition", row.shape, row.p, err)
+		if err != nil {
+			t.Errorf("%s p=%d: %v", row.shape, row.p, err)
+			continue
 		}
-		srv.Close()
+		checkExactBalance(t, sess.g, sess.a)
+		sess.eng.Close()
+		want := int64(1)
+		if row.parentOK {
+			want = 0
+		}
+		if blocks := srv.Metrics().BlockStarts; blocks != want {
+			t.Errorf("%s p=%d: block_starts = %d, want %d", row.shape, row.p, blocks, want)
+		}
 	}
 }
 
@@ -190,15 +180,16 @@ func TestColdStartCutAgainstRSB(t *testing.T) {
 // TestColdStartFallbacksCounted: a 2000-leaf star at P = 16 is a graph
 // the V-cycle cannot balance but the RSB start can, so CreateGraph
 // succeeds through the fallback and /metrics counts it once; the four
-// serve-mixed sessions of seed 1994 never fall back.
+// serve-mixed sessions of seed 1994 never fall back, and neither start
+// needs the block start.
 func TestColdStartFallbacksCounted(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	if _, err := srv.CreateGraph(context.Background(), starSpec(2000, 16, 3)); err != nil {
 		t.Fatalf("CreateGraph(star): %v", err)
 	}
-	if got := srv.Metrics().ColdStartFallbacks; got != 1 {
-		t.Fatalf("cold_start_fallbacks = %d after the star, want 1", got)
+	if m := srv.Metrics(); m.ColdStartFallbacks != 1 || m.BlockStarts != 0 {
+		t.Fatalf("cold_start_fallbacks = %d, block_starts = %d after the star, want 1 and 0", m.ColdStartFallbacks, m.BlockStarts)
 	}
 
 	meshes := New(Config{})
@@ -211,7 +202,7 @@ func TestColdStartFallbacksCounted(t *testing.T) {
 			t.Fatalf("CreateGraph(mesh %d): %v", c, err)
 		}
 	}
-	if got := meshes.Metrics().ColdStartFallbacks; got != 0 {
-		t.Fatalf("cold_start_fallbacks = %d after the serve-mixed meshes, want 0", got)
+	if m := meshes.Metrics(); m.ColdStartFallbacks != 0 || m.BlockStarts != 0 {
+		t.Fatalf("cold_start_fallbacks = %d, block_starts = %d after the serve-mixed meshes, want 0 and 0", m.ColdStartFallbacks, m.BlockStarts)
 	}
 }

@@ -101,10 +101,11 @@ func specBytes(spec GraphSpec) []byte {
 
 // FuzzCreateGraph creates a session over an arbitrary small edge-list
 // spec. No panic; a success is valid and exactly on partition.Targets; a
-// failure either rejects the spec or happens where the RSB start fails
-// too, so CreateGraph never fails where that start succeeds; and the
-// fallback counter moves exactly when the V-cycle alone cannot balance
-// the graph.
+// valid spec never fails with ErrNeedRepartition (the block start takes
+// what the priming call cannot balance), and any other failure happens
+// where the RSB start fails too, so CreateGraph never fails where that
+// start succeeds; and the fallback counter moves exactly when the
+// V-cycle alone cannot balance the graph.
 func FuzzCreateGraph(f *testing.F) {
 	f.Add(specBytes(starSpec(100, 5, 0)))
 	f.Add(specBytes(starSpec(200, 16, 0)))
@@ -125,11 +126,16 @@ func FuzzCreateGraph(f *testing.F) {
 			}
 			return
 		}
-		if err == nil {
+		switch {
+		case err == nil:
 			defer sess.eng.Close()
 			checkExactBalance(t, sess.g, sess.a)
-		} else if _, _, perr := rsbStart(spec); perr == nil {
-			t.Fatalf("CreateGraph: %v; the RSB start succeeds", err)
+		case errors.Is(err, igp.ErrNeedRepartition):
+			t.Fatalf("CreateGraph on a valid spec: %v", err)
+		default:
+			if _, _, perr := rsbStart(spec); perr == nil {
+				t.Fatalf("CreateGraph: %v; the RSB start succeeds", err)
+			}
 		}
 
 		g, err := buildGraph(spec)

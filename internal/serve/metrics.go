@@ -120,6 +120,9 @@ type serverMetrics struct {
 	// Sessions whose V-cycle cold start could not balance the graph
 	// and fell back to RSB.
 	coldStartFallbacks atomic.Int64
+	// Sessions whose priming call could not balance that start either
+	// and that started from contiguous id blocks.
+	blockStarts atomic.Int64
 }
 
 func (m *serverMetrics) observeBatch(size int) {
@@ -173,6 +176,11 @@ type MetricsSnapshot struct {
 	// graph could not carry the balance flow: stars, forests, isolated
 	// vertices) and so started from recursive spectral bisection.
 	ColdStartFallbacks int64 `json:"cold_start_fallbacks"`
+	// BlockStarts counts CreateGraph calls whose priming repartition
+	// could not balance the cold start either (igp.ErrNeedRepartition)
+	// and so started from contiguous id blocks sized by
+	// partition.Targets, exactly balanced by construction.
+	BlockStarts int64 `json:"block_starts"`
 }
 
 func (m *serverMetrics) snapshot(sessions int) MetricsSnapshot {
@@ -196,5 +204,6 @@ func (m *serverMetrics) snapshot(sessions int) MetricsSnapshot {
 		AssignmentReads:    m.assignmentReads.Load(),
 		SnapshotEncodes:    m.snapshotEncodes.Load(),
 		ColdStartFallbacks: m.coldStartFallbacks.Load(),
+		BlockStarts:        m.blockStarts.Load(),
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	igp "repro"
+	"repro/internal/partition"
 	"repro/internal/spectral"
 )
 
@@ -203,7 +204,10 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 // newSession builds the spec'd graph, partitions it from scratch
 // (coldStart) and primes a fresh engine session with one repartition
 // (both bounded by ctx), which pays the engine's first full snapshot
-// build and publishes assignment version 1. The session is neither
+// build and publishes assignment version 1. When the priming call cannot
+// balance that start (igp.ErrNeedRepartition), the session starts over
+// from blockStart's contiguous id blocks, which are exactly balanced
+// already, and /metrics counts it (block_starts). The session is neither
 // registered nor running: CreateGraph does both.
 func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
 	if spec.P < 2 || spec.P > maxPartitions {
@@ -228,21 +232,22 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 		id:    fmt.Sprintf("g%d", s.nextID.Add(1)),
 		srv:   s,
 		g:     g,
-		a:     a,
 		queue: make(chan *request, s.cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	opts := append(append([]igp.Option(nil), s.cfg.EngineOptions...),
 		igp.WithObserver(func(igp.Event) { sess.events++ }))
-	sess.eng, err = igp.NewEngine(g, opts...)
-	if err != nil {
-		return nil, err
+	sess.eng, err = prime(ctx, g, a, opts)
+	if errors.Is(err, igp.ErrNeedRepartition) {
+		s.metrics.blockStarts.Add(1)
+		a = blockStart(g, spec.P)
+		sess.eng, err = prime(ctx, g, a, opts)
 	}
-	if _, err := sess.eng.Repartition(ctx, a); err != nil {
-		sess.eng.Close()
+	if err != nil {
 		return nil, fmt.Errorf("serve: priming repartition: %w", err)
 	}
+	sess.a = a
 	s.metrics.repartitions.Add(1)
 	sess.publish()
 	return sess, nil
@@ -269,6 +274,38 @@ func coldStart(ctx context.Context, g *igp.Graph, p int, seed int64, opts []igp.
 		return nil, true, err
 	}
 	return &igp.Assignment{Part: part, P: p}, true, nil
+}
+
+// prime binds a fresh engine under opts to g and runs its first
+// repartition of a, closing the engine again if that fails.
+func prime(ctx context.Context, g *igp.Graph, a *igp.Assignment, opts []igp.Option) (*igp.Engine, error) {
+	eng, err := igp.NewEngine(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := eng.Repartition(ctx, a); err != nil {
+		eng.Close()
+		return nil, err
+	}
+	return eng, nil
+}
+
+// blockStart deals the freshly built g's vertices (every slot live) out
+// in id order: partition i gets the next partition.Targets(n, p)[i] of
+// them. Exact balance by construction, whatever g's shape — the last
+// resort for graphs whose partitions' quotient graph cannot carry the
+// balance flow from the V-cycle's or RSB's start (stars, isolated
+// vertices, cliques at large p): the balance LP moves vertices only
+// across partition boundaries.
+func blockStart(g *igp.Graph, p int) *igp.Assignment {
+	a := &igp.Assignment{Part: make([]int32, g.Order()), P: p}
+	v := 0
+	for i, size := range partition.Targets(g.Order(), p) {
+		for end := v + size; v < end; v++ {
+			a.Part[v] = int32(i)
+		}
+	}
+	return a
 }
 
 // CreateGraph creates the spec'd session (see newSession), registers it

@@ -446,8 +446,9 @@ func TestCreateGraphCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, igp.ErrCanceled) || !strings.Contains(err.Error(), "initial partition") {
 		t.Fatalf("CreateGraph with a canceled context: err = %v, want the initial partition canceled", err)
 	}
-	if m := srv.Metrics(); m.SessionsActive != 0 || m.ColdStartFallbacks != 0 {
-		t.Fatalf("after a canceled create: sessions_active = %d, cold_start_fallbacks = %d, want 0 and 0", m.SessionsActive, m.ColdStartFallbacks)
+	if m := srv.Metrics(); m.SessionsActive != 0 || m.ColdStartFallbacks != 0 || m.BlockStarts != 0 {
+		t.Fatalf("after a canceled create: sessions_active = %d, cold_start_fallbacks = %d, block_starts = %d, want 0, 0 and 0",
+			m.SessionsActive, m.ColdStartFallbacks, m.BlockStarts)
 	}
 }
 
