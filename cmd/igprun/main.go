@@ -98,6 +98,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "igprun: syncs: %d assignment diffs (the rest followed the write log), %d CSR refreshes patched, %d cut reports summed, %d reused\n",
 				st.SyncDiffs, st.CSRPatched, st.CutIncremental, st.CutReused)
 		}
+		if *verbose && st.Spilled > 0 {
+			fmt.Fprintf(os.Stderr, "igprun: spill: %d vertices moved where the balance LP could not carry the surplus\n", st.Spilled)
+		}
 		if *verbose && st.VCycleSkipped {
 			fmt.Fprintln(os.Stderr, "igprun: v-cycle: skipped (balanced)")
 		}

@@ -148,8 +148,12 @@ func TestPublicAPIDescribeBalanceLP(t *testing.T) {
 	}
 }
 
+// TestPublicAPIErrNeedRepartition: disconnected growth the balance LP
+// cannot carry — an island placed whole on one partition — is no case for
+// ErrNeedRepartition: the spill balances it exactly. That error is left
+// to an assignment with no assigned vertex
+// (TestNoAssignedVertexNeedsRepartition).
 func TestPublicAPIErrNeedRepartition(t *testing.T) {
-	// Disconnected growth that cannot be balanced incrementally.
 	g := NewGraphWithVertices(6)
 	for i := 0; i < 5; i++ {
 		_ = g.AddEdge(Vertex(i), Vertex(i+1), 1)
@@ -163,12 +167,15 @@ func TestPublicAPIErrNeedRepartition(t *testing.T) {
 	for i := 0; i+1 < len(island); i++ {
 		_ = g.AddEdge(island[i], island[i+1], 1)
 	}
-	_, err := Repartition(context.Background(), g, a)
-	if err == nil {
-		return // balanced via the cluster fallback — acceptable
+	st, err := Repartition(context.Background(), g, a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrNeedRepartition) {
-		t.Fatalf("unexpected error type: %v", err)
+	if sizes := a.Sizes(g); sizes[0] != 7 || sizes[1] != 7 {
+		t.Fatalf("sizes %v, want [7 7]", sizes)
+	}
+	if st.Spilled == 0 {
+		t.Fatal("Spilled = 0: the island should have needed the spill")
 	}
 }
 

@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/cancel"
@@ -593,9 +592,10 @@ func (h *Hierarchy) fineTargets() []int {
 // holds no weight, e.g. after phase 1 flood-filled a first call into one
 // part — is instead replaced by weight-aware recursive spectral
 // bisection with the configured seed; a done ctx stops it with its
-// cancellation error, any other spectral failure falls back to greedy
-// weight packing. It returns the fine-vertex weight moved and whether the
-// spectral path ran.
+// cancellation error, and any other spectral failure leaves the coarsest
+// assignment as it is (the engine's flat stages and spill balance any
+// assignment). It returns the fine-vertex weight moved and
+// whether spectral bisection partitioned the coarsest graph.
 func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved int, spectralInit bool, err error) {
 	top := len(h.levels)
 	gc, ca := h.levelGraph(top), h.levelAssign(top, h.a)
@@ -611,9 +611,7 @@ func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved 
 		return 0, false, rerr
 	}
 	if rerr != nil {
-		// Spectral failure (e.g. adversarially disconnected coarse
-		// graphs): fall back to a deterministic greedy weight packing.
-		return h.assignByWeight(top, ca), true, nil
+		return 0, false, nil
 	}
 	for v := 0; v < gc.Order(); v++ {
 		if gc.Alive(graph.Vertex(v)) && part[v] != ca.Part[v] {
@@ -622,41 +620,6 @@ func (h *Hierarchy) SolveCoarsest(ctx context.Context, solver lp.Solver) (moved 
 		}
 	}
 	return moved, true, nil
-}
-
-// assignByWeight deterministically packs the vertices of level l's fine
-// side onto the lightest partition, heaviest first — the last-resort
-// coarsest initializer when the spectral solve fails.
-func (h *Hierarchy) assignByWeight(l int, ca *partition.Assignment) (moved int) {
-	order := h.levelGraph(l).Vertices()
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := h.levelWeight(l, order[i]), h.levelWeight(l, order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
-	if cap(h.wBuf) < h.p {
-		h.wBuf = make([]float64, h.p)
-	}
-	load := h.wBuf[:h.p]
-	for q := range load {
-		load[q] = 0
-	}
-	for _, v := range order {
-		best := 0
-		for q := 1; q < h.p; q++ {
-			if load[q] < load[best] {
-				best = q
-			}
-		}
-		if ca.Part[v] != int32(best) {
-			ca.Part[v] = int32(best)
-			moved += int(math.Round(h.levelWeight(l, v)))
-		}
-		load[best] += h.levelWeight(l, v)
-	}
-	return moved
 }
 
 // Uncoarsen projects the coarse partition back down the hierarchy,

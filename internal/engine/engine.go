@@ -80,10 +80,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/balance"
@@ -98,16 +100,15 @@ import (
 )
 
 // ErrNeedRepartition is matched by the error of a call the incremental
-// pipeline cannot serve: balancing is impossible (even maximally relaxed
-// LPs stay infeasible), or the assignment has no assigned vertex for
-// phase 1 to grow from. The paper's remedy is to repartition from scratch
-// or, for the first case, add the new vertices in several batches.
-var ErrNeedRepartition = errors.New("engine: incremental balance infeasible; repartition from scratch")
+// pipeline cannot serve: the assignment has no assigned vertex for phase
+// 1 to grow from. Balancing never fails — where the balance LP cannot
+// carry the surplus, the spill pass moves it (see spill) — so the remedy
+// is a from-scratch partition.
+var ErrNeedRepartition = errors.New("engine: no assigned vertex; repartition from scratch")
 
-// errNoOldVertices reports a phase-1 precondition failure: incremental
-// assignment needs at least one previously assigned vertex to grow from.
-// It matches ErrNeedRepartition under its own message, which names the
-// cause (balancing was never tried).
+// errNoOldVertices is the one error matching ErrNeedRepartition:
+// incremental assignment needs at least one previously assigned vertex
+// to grow from. Its message names that cause.
 var errNoOldVertices error = noOldVertices{}
 
 type noOldVertices struct{}
@@ -724,20 +725,18 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		if err != nil {
 			return st, err
 		}
-		if !ok {
-			return st, fmt.Errorf("%w (stage %d, sizes %v)", ErrNeedRepartition, stage, sizes)
-		}
-		if end.Moved == 0 {
-			// A feasible stage that moved nothing makes no progress: either
-			// the targets are met (checked at the top of the loop) or every
-			// residual surplus rounded to zero under the relaxation — in
-			// both cases iterating further changes nothing.
+		if !ok || end.Moved == 0 {
+			// Infeasible at every ε, or a feasible stage that moved nothing
+			// (every residual surplus rounded to zero under the relaxation):
+			// iterating further changes nothing.
 			break
 		}
 	}
-	sizes := e.liveSizes(a)
-	if maxAbsDev(sizes, targets) > opt.Tolerance {
-		return st, fmt.Errorf("%w (after %d stages, sizes %v)", ErrNeedRepartition, st.Stages, sizes)
+	if sizes := e.liveSizes(a); maxAbsDev(sizes, targets) > opt.Tolerance {
+		tS := time.Now()
+		st.Spilled = e.spill(a, sizes, targets)
+		st.BalanceMoved += st.Spilled
+		st.PhaseTimings.Balance += time.Since(tS)
 	}
 
 	if opt.Refine {
@@ -861,6 +860,80 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 		}
 	}
 	return ev, false, nil
+}
+
+// spill ends a stage loop that left a partition off its target by more
+// than the tolerance: the LP was infeasible at every ε, a stage moved
+// nothing, or the stages ran out. Each over-full partition, in id order,
+// gives exactly its surplus — the vertices with the fewest arcs into it
+// first, then by id — and each goes to the short partition it has the
+// most arcs into, ties and vertices with no such arc to the
+// lowest-numbered one. That moves Σ surplus vertices, the least any
+// exact balance can, and always reaches the targets: after phase 1 every
+// live vertex is assigned, so the sizes and the targets have the same sum
+// and a partition with surplus left implies a short one. The writes go
+// into e.written like a balance stage's; refinement polishes the cut. It
+// runs only where a call used to fail, so it may allocate. It returns the
+// vertices moved.
+func (e *Engine) spill(a *partition.Assignment, sizes, targets []int) int {
+	e.sync(a)
+	sizes = slices.Clone(sizes) // e.partSizes catches up at the next sync
+	type mover struct {
+		part  int32
+		inner int // arcs into its own partition
+		v     graph.Vertex
+	}
+	var movers []mover
+	for v := range graph.Vertex(e.csr.Order()) {
+		q := a.Part[v]
+		if !e.csr.Live[v] || q < 0 || sizes[q] <= targets[q] {
+			continue
+		}
+		m := mover{part: q, v: v}
+		for _, u := range e.csr.Row(v) {
+			if a.Part[u] == q {
+				m.inner++
+			}
+		}
+		movers = append(movers, m)
+	}
+	slices.SortFunc(movers, func(x, y mover) int {
+		return cmp.Or(cmp.Compare(x.part, y.part), cmp.Compare(x.inner, y.inner), cmp.Compare(x.v, y.v))
+	})
+	arcs := make([]int, a.P)
+	low, moved := 0, 0 // low: the lowest-numbered short partition
+	for _, m := range movers {
+		q := m.part
+		if sizes[q] == targets[q] {
+			continue // this partition has given its surplus
+		}
+		for sizes[low] >= targets[low] {
+			low++
+		}
+		row := e.csr.Row(m.v)
+		for _, u := range row {
+			if r := a.Part[u]; r >= 0 {
+				arcs[r]++
+			}
+		}
+		to := low
+		for _, u := range row {
+			if r := a.Part[u]; r >= 0 && sizes[r] < targets[r] && (arcs[r] > arcs[to] || arcs[r] == arcs[to] && int(r) < to) {
+				to = int(r)
+			}
+		}
+		for _, u := range row {
+			if r := a.Part[u]; r >= 0 {
+				arcs[r] = 0
+			}
+		}
+		a.Part[m.v] = int32(to)
+		sizes[q]--
+		sizes[to]++
+		e.written = append(e.written, m.v)
+		moved++
+	}
+	return moved
 }
 
 // runRefine is the engine's phase 4: the shared refine.Drive loop fed

@@ -86,13 +86,15 @@ func (k EventKind) String() string {
 //	then per balancing stage s: layer start/end (Stage=s; the rim pass),
 //	balance start/end (Stage=s, Epsilon, Moved, Deepened, LPSolves,
 //	TightKept; the partitions the LP asks for are finished inside this
-//	span),
+//	span; a stage the LP cannot solve at any ε still closes its span),
+//	then the spill, if the stages left the call unbalanced, which emits
+//	nothing (Stats.Spilled),
 //	then if refinement is enabled: refine start, a cut event, refine
 //	rounds, a cut event if any was applied, refine end; else a cut event.
 //
 // The struct is passed by value and is free of engine-owned pointers, so
 // observers may retain it. Spans stay paired on error paths too: an
-// aborted phase (cancellation, infeasibility) still emits its EventEnd —
+// aborted phase (cancellation, a solver error) still emits its EventEnd —
 // carrying the elapsed time but possibly zero Moved/Epsilon — before
 // Repartition returns the error.
 type Event struct {

@@ -1,14 +1,14 @@
 package engine
 
 // The one-shot pipeline's behaviour: phase 1 placement, exact balance on
-// grown and shrunk graphs, refinement never worsening the cut, the
-// ErrNeedRepartition fallback and the paper's LP-size claim — each a
+// grown and shrunk graphs, refinement never worsening the cut, the spill
+// where the balance LP is infeasible and the paper's LP-size claim — each a
 // fresh engine per call, like igp.Repartition.
 
 import (
 	"context"
-	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,7 +218,8 @@ func TestRepartitionLocalizedBurst(t *testing.T) {
 
 func TestRepartitionInfeasibleFallsBack(t *testing.T) {
 	// Two disconnected cliques, new vertices land on the small one but
-	// partitions cannot exchange vertices: must report ErrNeedRepartition.
+	// partitions cannot exchange vertices: the balance LP is infeasible at
+	// every ε, and the spill pass must balance exactly.
 	g := graph.Complete(6)
 	far := make([]graph.Vertex, 0)
 	for i := 0; i < 3; i++ {
@@ -236,9 +237,39 @@ func TestRepartitionInfeasibleFallsBack(t *testing.T) {
 		_ = g.AddEdge(v, prev[len(prev)-1], 1)
 		prev = append(prev, v)
 	}
-	_, err := New(g, Options{}).Repartition(context.Background(), a)
-	if !errors.Is(err, ErrNeedRepartition) {
-		t.Fatalf("err = %v, want ErrNeedRepartition", err)
+	st, err := New(g, Options{}).Repartition(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spilled == 0 || st.BalanceMoved < st.Spilled {
+		t.Fatalf("Spilled %d, BalanceMoved %d: want a spill, counted in BalanceMoved", st.Spilled, st.BalanceMoved)
+	}
+	if sizes, want := a.Sizes(g), partition.Targets(g.NumVertices(), 2); !slices.Equal(sizes, want) {
+		t.Fatalf("sizes %v, want exactly %v", sizes, want)
+	}
+}
+
+// TestSpillRules pins the spill's choices on a path 0–5 in partition 0
+// (surplus 3), vertex 6 in partition 1 and vertices 7, 8 in partition 2,
+// with one arc 5–8. Vertices 0 and 5 have the fewest arcs into partition
+// 0 and go first, 0 before 5 by id; 0 has no arc into a short partition
+// and takes the lowest-numbered one, 1; 5 has one into partition 2 and
+// goes there, which fills it; 1 goes last, to partition 1, the only
+// short partition left.
+func TestSpillRules(t *testing.T) {
+	g := graph.NewWithVertices(9)
+	for v := graph.Vertex(0); v < 5; v++ {
+		_ = g.AddEdge(v, v+1, 1)
+	}
+	_ = g.AddEdge(5, 8, 1)
+	_ = g.AddEdge(7, 8, 1)
+	a := &partition.Assignment{Part: []int32{0, 0, 0, 0, 0, 0, 1, 2, 2}, P: 3}
+	e := New(g, Options{})
+	if moved := e.spill(a, a.Sizes(g), partition.Targets(9, 3)); moved != 3 {
+		t.Fatalf("moved %d, want the surplus, 3", moved)
+	}
+	if want := []int32{1, 1, 0, 0, 0, 2, 1, 2, 2}; !slices.Equal(a.Part, want) {
+		t.Fatalf("assignment %v, want %v", a.Part, want)
 	}
 }
 
@@ -307,9 +338,7 @@ func TestPropertyRepartitionInvariants(t *testing.T) {
 		g, a := burstGrid(rows, cols, p, extra, rng)
 		st, err := New(g, Options{Refine: rng.Intn(2) == 0}).Repartition(context.Background(), a)
 		if err != nil {
-			// Feasibility can genuinely fail on tiny pathological grids;
-			// only structured failures are accepted.
-			return errors.Is(err, ErrNeedRepartition)
+			return false
 		}
 		if a.Validate(g) != nil {
 			return false
@@ -516,10 +545,7 @@ func TestPropertyRepartitionSurvivesRandomEdits(t *testing.T) {
 				}
 			}
 		}
-		if !g.Connected() {
-			return true // disconnection legitimately may need from-scratch
-		}
-		if !repartitionOrRSB(g, a) {
+		if _, err := New(g, Options{Refine: true}).Repartition(context.Background(), a); err != nil {
 			return false
 		}
 		return a.Validate(g) == nil && partition.Balanced(a.Sizes(g))
@@ -527,23 +553,4 @@ func TestPropertyRepartitionSurvivesRandomEdits(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// repartitionOrRSB runs Repartition tolerating the documented structured
-// failure (ErrNeedRepartition) by falling back to RSB, as the paper
-// prescribes; any other failure is a bug.
-func repartitionOrRSB(g *graph.Graph, a *partition.Assignment) bool {
-	_, err := New(g, Options{Refine: true}).Repartition(context.Background(), a)
-	if err == nil {
-		return true
-	}
-	part, rerr := spectral.RSB(g, a.P, spectral.Options{})
-	if rerr != nil {
-		return false
-	}
-	copy(a.Part, part)
-	for len(a.Part) < len(part) {
-		a.Part = append(a.Part, part[len(a.Part)])
-	}
-	return true
 }

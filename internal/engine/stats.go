@@ -74,6 +74,14 @@ type Stats struct {
 	StageTightKept []int
 	// BalanceMoved counts vertices moved for load balance.
 	BalanceMoved int
+	// Spilled counts the vertices the spill pass moved (also counted in
+	// BalanceMoved): nonzero only on a call whose stages left a partition
+	// off its target by more than the tolerance — the balance LP
+	// infeasible at every ε, a stage that moved nothing, or the stage cap
+	// reached — which the pass then balances exactly, moving each
+	// over-full partition's surplus to the short partitions it has the
+	// most arcs into.
+	Spilled int
 	// LPVars and LPCons are the dense-formulation dimensions of the largest
 	// balance LP (the paper's v and c). Under a tolerance they include the
 	// P slack columns and their bounds.
@@ -154,7 +162,9 @@ type Stats struct {
 	HierarchyRepaired bool
 	// SpectralInit reports that the coarsest graph was partitioned from
 	// scratch by recursive spectral bisection (degenerate incoming
-	// assignment) rather than rebalanced by the weighted balance LP.
+	// assignment) rather than rebalanced by the weighted balance LP. It is
+	// false when that bisection failed: the coarsest assignment was then
+	// left as it was, for the flat stages (and the spill) to balance.
 	SpectralInit bool
 	// CoarseMoved is the level-0 vertex weight the coarsest solve moved,
 	// and VCycleRefined counts the greedy refinement moves applied across
@@ -220,6 +230,7 @@ func (s *Stats) AddBatch(b *Stats) {
 	s.StageLPSolves = append(s.StageLPSolves, b.StageLPSolves...)
 	s.StageTightKept = append(s.StageTightKept, b.StageTightKept...)
 	s.BalanceMoved += b.BalanceMoved
+	s.Spilled += b.Spilled
 	if b.LPVars > s.LPVars {
 		s.LPVars, s.LPCons = b.LPVars, b.LPCons
 	}

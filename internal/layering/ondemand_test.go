@@ -6,7 +6,6 @@ package layering_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -95,9 +94,11 @@ func fullDepthStage(t *testing.T, delta [][]int, sizes, targets []int, tol int) 
 // requireSameStage runs the engine on a and requires of its first
 // demand-driven stage what the full-depth stage from the same state would
 // have done: the same ε and the same number of vertices moved, by flows
-// that are feasible for the full-depth LP. The observer captures the
-// assignment at that stage's balance end, before any later stage moves.
-// It returns the call's Stats, nil when no stage ran.
+// that are feasible for the full-depth LP; where the full-depth stage is
+// infeasible at every ε, no stage and an exactly balanced result by the
+// spill. The observer captures the assignment at that stage's balance
+// end, before any later stage moves. It returns the call's Stats, nil
+// when no stage ran.
 func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, tol int) *engine.Stats {
 	t.Helper()
 	before := a.Clone()
@@ -109,7 +110,7 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 		}
 	}})
 	st, err := eng.Repartition(context.Background(), a)
-	if err != nil && !errors.Is(err, engine.ErrNeedRepartition) {
+	if err != nil {
 		t.Fatal(err)
 	}
 	balanced := true
@@ -118,13 +119,16 @@ func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, ful
 	}
 	eps, m, total, ok := fullDepthStage(t, full.Delta, sizes, targets, tol)
 	if balanced || !ok {
-		if st.Stages != 0 || (!balanced && err == nil) {
-			t.Fatalf("balanced %v, full-depth feasible %v: engine ran %d stages, err %v", balanced, ok, st.Stages, err)
+		if st.Stages != 0 || balanced != (st.Spilled == 0) {
+			t.Fatalf("balanced %v, full-depth feasible %v: engine ran %d stages, spilled %d", balanced, ok, st.Stages, st.Spilled)
+		}
+		if got := a.Sizes(g); !balanced && !slices.Equal(got, targets) {
+			t.Fatalf("spilled %d: sizes %v, want exactly %v", st.Spilled, got, targets)
 		}
 		return nil
 	}
 	if st.Stages < 1 {
-		t.Fatalf("full-depth stage accepts ε=%g, engine ran no stage (err %v)", eps, err)
+		t.Fatalf("full-depth stage accepts ε=%g, engine ran no stage", eps)
 	}
 	if st.EpsilonUsed[0] != eps || st.StageMoved[0] != total {
 		t.Fatalf("stage accepted ε=%g and moved %d, full-depth stage ε=%g and %d", st.EpsilonUsed[0], st.StageMoved[0], eps, total)

@@ -12,9 +12,9 @@ import (
 )
 
 // replaySession rebuilds a session's start on a private engine through
-// newSession itself — the spec's graph, coldStart's initial partition,
-// the priming call and the block start behind it — on a server that is
-// never used again, so a test cannot drift from what CreateGraph does.
+// newSession itself — the spec's graph, coldStart's initial partition and
+// the priming call — on a server that is never used again, so a test
+// cannot drift from what CreateGraph does.
 func replaySession(tb testing.TB, spec GraphSpec, opts ...igp.Option) (*igp.Graph, *igp.Assignment, *igp.Engine) {
 	tb.Helper()
 	sess, err := New(Config{EngineOptions: opts}).newSession(context.Background(), spec)
@@ -24,10 +24,10 @@ func replaySession(tb testing.TB, spec GraphSpec, opts ...igp.Option) (*igp.Grap
 	return sess.g, sess.a, sess.eng
 }
 
-// rsbStart is the start sessions had before the V-cycle cold start, and
-// still have on its fallback: recursive spectral bisection of the spec's
-// graph, then one priming call on a fresh default engine. It returns the
-// primed assignment, or the first error.
+// rsbStart is the start sessions had before the V-cycle cold start:
+// recursive spectral bisection of the spec's graph, then one priming call
+// on a fresh default engine. It returns the primed assignment, or the
+// first error.
 func rsbStart(spec GraphSpec) (*igp.Graph, *igp.Assignment, error) {
 	g, err := buildGraph(spec)
 	if err != nil {
@@ -115,44 +115,76 @@ func hostileSpec(shape string, p int) GraphSpec {
 	return spec
 }
 
+// wedgeEdits is a hostile warm step for an n-vertex session: tail
+// attaches a path of 60 % of n new vertices hung off vertex n−1, so the
+// whole tail floods into one partition, and small is a valid batch after
+// it (one vertex attached to vertex 0, vertex 1 removed).
+func wedgeEdits(n int) (tail, small []Edit) {
+	for k := 0; k < 3*n/5; k++ {
+		tail = append(tail, Edit{Op: OpAttachVertex, U: n + k - 1, V: -1})
+	}
+	return tail, []Edit{{Op: OpAttachVertex, U: 0, V: -1}, {Op: OpRemoveVertex, U: 1, V: -1}}
+}
+
 // TestCreateGraphHostileShapes: on shapes whose partitions' quotient
 // graph may not carry the balance flow, CreateGraph succeeds on every
-// row, exactly balanced. parentOK records whether the RSB start alone
-// succeeds; the block start (counted in block_starts) serves exactly the
-// rows where it does not.
+// row, exactly balanced, with a primed cut at most 1.12× parentCut — the
+// cut of the start the service made before the engine's spill existed
+// (a cold V-cycle, RSB where that failed, contiguous id blocks where
+// priming RSB failed too). Then the warm step: wedgeEdits' tail and its
+// small batch must both be served, exactly balanced. Before the spill 16
+// of the 20 rows failed that step and every later batch.
 func TestCreateGraphHostileShapes(t *testing.T) {
 	rows := []struct {
-		shape    string
-		p        int
-		parentOK bool
+		shape     string
+		p         int
+		parentCut float64
 	}{
-		{"star", 2, true}, {"star", 5, true}, {"star", 16, false}, {"star", 64, false},
-		{"isolated", 2, true}, {"isolated", 5, true}, {"isolated", 16, false}, {"isolated", 64, false},
-		{"cliques", 2, true}, {"cliques", 5, true}, {"cliques", 16, false}, {"cliques", 64, false},
-		{"forest", 2, true}, {"forest", 5, true}, {"forest", 16, true}, {"forest", 64, false},
-		{"path", 2, true}, {"path", 5, true}, {"path", 16, true}, {"path", 64, true},
+		{"star", 2, 250}, {"star", 5, 400}, {"star", 16, 469}, {"star", 64, 493},
+		{"isolated", 2, 0}, {"isolated", 5, 0}, {"isolated", 16, 0}, {"isolated", 64, 0},
+		{"cliques", 2, 576}, {"cliques", 5, 1600}, {"cliques", 16, 2824}, {"cliques", 64, 3365},
+		{"forest", 2, 6}, {"forest", 5, 17}, {"forest", 16, 63}, {"forest", 64, 481},
+		{"path", 2, 2}, {"path", 5, 5}, {"path", 16, 18}, {"path", 64, 76},
 	}
+	ctx := context.Background()
 	for _, row := range rows {
 		spec := hostileSpec(row.shape, row.p)
-		_, _, perr := rsbStart(spec)
-		if (perr == nil) != row.parentOK {
-			t.Errorf("%s p=%d: RSB start err = %v, table says parentOK = %v", row.shape, row.p, perr, row.parentOK)
-		}
 		srv := New(Config{})
-		sess, err := srv.newSession(context.Background(), spec)
+		info, err := srv.CreateGraph(ctx, spec)
 		if err != nil {
 			t.Errorf("%s p=%d: %v", row.shape, row.p, err)
+			srv.Close()
 			continue
 		}
-		checkExactBalance(t, sess.g, sess.a)
-		sess.eng.Close()
-		want := int64(1)
-		if row.parentOK {
-			want = 0
+		mirror, err := buildGraph(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if blocks := srv.Metrics().BlockStarts; blocks != want {
-			t.Errorf("%s p=%d: block_starts = %d, want %d", row.shape, row.p, blocks, want)
+		sess, _ := srv.Session(info.ID)
+		_, p, parts := sess.Assignment()
+		a := &igp.Assignment{Part: parts, P: p}
+		checkExactBalance(t, mirror, a)
+		cut := igp.Cut(mirror, a).TotalWeight
+		t.Logf("%s p=%d: cut %g, parent %g", row.shape, row.p, cut, row.parentCut)
+		if cut > 1.12*row.parentCut {
+			t.Errorf("%s p=%d: cut %g, above 1.12× the parent start's %g", row.shape, row.p, cut, row.parentCut)
 		}
+
+		tail, small := wedgeEdits(spec.Vertices)
+		for i, edits := range [][]Edit{tail, small} {
+			if _, err := srv.Submit(ctx, info.ID, edits); err != nil {
+				t.Errorf("%s p=%d: warm batch %d: %v", row.shape, row.p, i+1, err)
+				break
+			}
+			for _, e := range edits {
+				if err := ApplyEdit(mirror, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, p, parts := sess.Assignment()
+			checkExactBalance(t, mirror, &igp.Assignment{Part: parts, P: p})
+		}
+		srv.Close()
 	}
 }
 
@@ -177,32 +209,34 @@ func TestColdStartCutAgainstRSB(t *testing.T) {
 	}
 }
 
-// TestColdStartFallbacksCounted: a 2000-leaf star at P = 16 is a graph
-// the V-cycle cannot balance but the RSB start can, so CreateGraph
-// succeeds through the fallback and /metrics counts it once; the four
-// serve-mixed sessions of seed 1994 never fall back, and neither start
-// needs the block start.
-func TestColdStartFallbacksCounted(t *testing.T) {
-	srv := New(Config{})
-	defer srv.Close()
-	if _, err := srv.CreateGraph(context.Background(), starSpec(2000, 16, 3)); err != nil {
-		t.Fatalf("CreateGraph(star): %v", err)
-	}
-	if m := srv.Metrics(); m.ColdStartFallbacks != 1 || m.BlockStarts != 0 {
-		t.Fatalf("cold_start_fallbacks = %d, block_starts = %d after the star, want 1 and 0", m.ColdStartFallbacks, m.BlockStarts)
-	}
-
-	meshes := New(Config{})
-	defer meshes.Close()
+// TestColdStartServeMixedMeshesDoNotSpill: the four serve-mixed session
+// meshes of seed 1994 are balanced by the cold start's stages alone; the
+// spill never runs on them. The replayed call is coldStart's own: its
+// assignment must equal what coldStart leaves.
+func TestColdStartServeMixedMeshesDoNotSpill(t *testing.T) {
+	ctx := context.Background()
 	sub := rand.New(rand.NewSource(1994))
 	for c := 0; c < 4; c++ {
 		spec := GraphSpec{MeshN: 2000, Seed: sub.Int63(), P: 16}
 		sub.Int63() // the session's edit-stream seed, drawn as benchmarks/harness/serve.go draws it
-		if _, err := meshes.CreateGraph(context.Background(), spec); err != nil {
-			t.Fatalf("CreateGraph(mesh %d): %v", c, err)
+		g, err := buildGraph(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if m := meshes.Metrics(); m.ColdStartFallbacks != 0 || m.BlockStarts != 0 {
-		t.Fatalf("cold_start_fallbacks = %d, block_starts = %d after the serve-mixed meshes, want 0 and 0", m.ColdStartFallbacks, m.BlockStarts)
+		want, err := coldStart(ctx, g, spec.P, nil)
+		if err != nil {
+			t.Fatalf("mesh %d: coldStart: %v", c, err)
+		}
+		a := &igp.Assignment{Part: make([]int32, g.Order()), P: spec.P}
+		st, err := igp.Repartition(ctx, g, a, igp.WithMultilevel(), igp.WithRefine())
+		if err != nil {
+			t.Fatalf("mesh %d: %v", c, err)
+		}
+		if !slices.Equal(a.Part, want.Part) {
+			t.Fatalf("mesh %d: the replayed cold start differs from coldStart's", c)
+		}
+		if st.Spilled != 0 {
+			t.Fatalf("mesh %d: the cold start spilled %d vertices, want 0", c, st.Spilled)
+		}
 	}
 }

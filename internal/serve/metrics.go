@@ -117,12 +117,6 @@ type serverMetrics struct {
 	// encode their snapshot's body first.
 	assignmentReads atomic.Int64
 	snapshotEncodes atomic.Int64
-	// Sessions whose V-cycle cold start could not balance the graph
-	// and fell back to RSB.
-	coldStartFallbacks atomic.Int64
-	// Sessions whose priming call could not balance that start either
-	// and that started from contiguous id blocks.
-	blockStarts atomic.Int64
 }
 
 func (m *serverMetrics) observeBatch(size int) {
@@ -171,39 +165,27 @@ type MetricsSnapshot struct {
 	// pre-encoded body's hit ratio.
 	AssignmentReads int64 `json:"assignment_reads"`
 	SnapshotEncodes int64 `json:"snapshot_encodes"`
-	// ColdStartFallbacks counts CreateGraph calls whose multilevel cold
-	// start ended in igp.ErrNeedRepartition (the partitions' quotient
-	// graph could not carry the balance flow: stars, forests, isolated
-	// vertices) and so started from recursive spectral bisection.
-	ColdStartFallbacks int64 `json:"cold_start_fallbacks"`
-	// BlockStarts counts CreateGraph calls whose priming repartition
-	// could not balance the cold start either (igp.ErrNeedRepartition)
-	// and so started from contiguous id blocks sized by
-	// partition.Targets, exactly balanced by construction.
-	BlockStarts int64 `json:"block_starts"`
 }
 
 func (m *serverMetrics) snapshot(sessions int) MetricsSnapshot {
 	p50, p90, p99 := m.latency.quantiles()
 	return MetricsSnapshot{
-		GraphsCreated:      m.graphs.Load(),
-		SessionsActive:     sessions,
-		RequestsAdmitted:   m.admitted.Load(),
-		RequestsServed:     m.served.Load(),
-		RequestsFailed:     m.failed.Load(),
-		ShedQueueFull:      m.shedQueueFull.Load(),
-		ShedOverloaded:     m.shedOverload.Load(),
-		ShedDeadline:       m.shedDeadline.Load(),
-		RepartitionsRun:    m.repartitions.Load(),
-		CoalescedBatches:   m.coalesced.Load(),
-		EditsApplied:       m.editsApplied.Load(),
-		MaxBatchSize:       m.maxBatch.Load(),
-		LatencyP50:         p50,
-		LatencyP90:         p90,
-		LatencyP99:         p99,
-		AssignmentReads:    m.assignmentReads.Load(),
-		SnapshotEncodes:    m.snapshotEncodes.Load(),
-		ColdStartFallbacks: m.coldStartFallbacks.Load(),
-		BlockStarts:        m.blockStarts.Load(),
+		GraphsCreated:    m.graphs.Load(),
+		SessionsActive:   sessions,
+		RequestsAdmitted: m.admitted.Load(),
+		RequestsServed:   m.served.Load(),
+		RequestsFailed:   m.failed.Load(),
+		ShedQueueFull:    m.shedQueueFull.Load(),
+		ShedOverloaded:   m.shedOverload.Load(),
+		ShedDeadline:     m.shedDeadline.Load(),
+		RepartitionsRun:  m.repartitions.Load(),
+		CoalescedBatches: m.coalesced.Load(),
+		EditsApplied:     m.editsApplied.Load(),
+		MaxBatchSize:     m.maxBatch.Load(),
+		LatencyP50:       p50,
+		LatencyP90:       p90,
+		LatencyP99:       p99,
+		AssignmentReads:  m.assignmentReads.Load(),
+		SnapshotEncodes:  m.snapshotEncodes.Load(),
 	}
 }

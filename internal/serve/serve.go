@@ -43,8 +43,6 @@ import (
 	"time"
 
 	igp "repro"
-	"repro/internal/partition"
-	"repro/internal/spectral"
 )
 
 // The typed admission-control outcomes. Clients distinguish shed load
@@ -161,12 +159,12 @@ type GraphInfo struct {
 }
 
 // maxGraphVertices caps the mesh_n / vertices a GraphSpec may ask for,
-// whatever the body says, before anything is sized from them. The
-// largest allocation a session can make is the Lanczos basis of the
-// RSB fallback's partition (coldStart), spectral.MaxSteps(n) ≤ 400
-// vectors of n float64s; the cap is the largest n whose basis fits in
-// 1 GiB (TestMaxGraphVerticesBasisBudget). The V-cycle start needs far
-// less, but the fallback can still run at any accepted size.
+// whatever the body says, before anything is sized from them. A session
+// start at the cap costs about 240 MB: CreateGraph of a mesh_n = 335,544,
+// p = 16 spec peaked at 239 MB of heap (HeapAlloc sampled every 2 ms; a
+// 240 MB peak RSS) on a 2-CPU x86-64 host. The value, 2³⁰ / (8 · 400),
+// is kept from when an RSB start's Lanczos basis set it, so that no spec
+// accepted then is refused now.
 const maxGraphVertices = (1 << 30) / (8 * 400)
 
 // maxPartitions caps a GraphSpec's p: the engine's layering and balance
@@ -204,10 +202,7 @@ func buildGraph(spec GraphSpec) (*igp.Graph, error) {
 // newSession builds the spec'd graph, partitions it from scratch
 // (coldStart) and primes a fresh engine session with one repartition
 // (both bounded by ctx), which pays the engine's first full snapshot
-// build and publishes assignment version 1. When the priming call cannot
-// balance that start (igp.ErrNeedRepartition), the session starts over
-// from blockStart's contiguous id blocks, which are exactly balanced
-// already, and /metrics counts it (block_starts). The session is neither
+// build and publishes assignment version 1. The session is neither
 // registered nor running: CreateGraph does both.
 func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, error) {
 	if spec.P < 2 || spec.P > maxPartitions {
@@ -220,10 +215,7 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 	if g.NumVertices() < spec.P {
 		return nil, fmt.Errorf("%w: %d vertices for p=%d partitions", errGraphSpec, g.NumVertices(), spec.P)
 	}
-	a, fellBack, err := coldStart(ctx, g, spec.P, spec.Seed, s.cfg.EngineOptions)
-	if fellBack {
-		s.metrics.coldStartFallbacks.Add(1)
-	}
+	a, err := coldStart(ctx, g, spec.P, s.cfg.EngineOptions)
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial partition: %w", err)
 	}
@@ -232,22 +224,20 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 		id:    fmt.Sprintf("g%d", s.nextID.Add(1)),
 		srv:   s,
 		g:     g,
+		a:     a,
 		queue: make(chan *request, s.cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	opts := append(append([]igp.Option(nil), s.cfg.EngineOptions...),
 		igp.WithObserver(func(igp.Event) { sess.events++ }))
-	sess.eng, err = prime(ctx, g, a, opts)
-	if errors.Is(err, igp.ErrNeedRepartition) {
-		s.metrics.blockStarts.Add(1)
-		a = blockStart(g, spec.P)
-		sess.eng, err = prime(ctx, g, a, opts)
-	}
-	if err != nil {
+	if sess.eng, err = igp.NewEngine(g, opts...); err != nil {
 		return nil, fmt.Errorf("serve: priming repartition: %w", err)
 	}
-	sess.a = a
+	if _, err := sess.eng.Repartition(ctx, a); err != nil {
+		sess.eng.Close()
+		return nil, fmt.Errorf("serve: priming repartition: %w", err)
+	}
 	s.metrics.repartitions.Add(1)
 	sess.publish()
 	return sess, nil
@@ -257,55 +247,17 @@ func (s *Server) newSession(ctx context.Context, spec GraphSpec) (*Session, erro
 // Every vertex starts in partition 0 — the degenerate start — and one
 // one-shot multilevel V-cycle with refinement, under the session's
 // engine options, coarsens g, partitions the coarsest graph, uncoarsens
-// and polishes to exact balance, then drops its hierarchy. When that
-// call cannot balance g (igp.ErrNeedRepartition: the partitions'
-// quotient graph cannot carry the balance flow, as on stars, forests
-// and isolated vertices) the start falls back to recursive spectral
-// bisection seeded with seed, and fellBack reports it. A done ctx ends
-// either path with its cancellation error, without falling back.
-func coldStart(ctx context.Context, g *igp.Graph, p int, seed int64, opts []igp.Option) (a *igp.Assignment, fellBack bool, err error) {
-	a = &igp.Assignment{Part: make([]int32, g.Order()), P: p}
-	opts = append(append([]igp.Option(nil), opts...), igp.WithMultilevel(), igp.WithRefine())
-	if _, err := igp.Repartition(ctx, g, a, opts...); !errors.Is(err, igp.ErrNeedRepartition) {
-		return a, false, err
-	}
-	part, err := spectral.RSBContext(ctx, g, p, spectral.Options{Seed: seed})
-	if err != nil {
-		return nil, true, err
-	}
-	return &igp.Assignment{Part: part, P: p}, true, nil
-}
-
-// prime binds a fresh engine under opts to g and runs its first
-// repartition of a, closing the engine again if that fails.
-func prime(ctx context.Context, g *igp.Graph, a *igp.Assignment, opts []igp.Option) (*igp.Engine, error) {
-	eng, err := igp.NewEngine(g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.Repartition(ctx, a); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return eng, nil
-}
-
-// blockStart deals the freshly built g's vertices (every slot live) out
-// in id order: partition i gets the next partition.Targets(n, p)[i] of
-// them. Exact balance by construction, whatever g's shape — the last
-// resort for graphs whose partitions' quotient graph cannot carry the
-// balance flow from the V-cycle's or RSB's start (stars, isolated
-// vertices, cliques at large p): the balance LP moves vertices only
-// across partition boundaries.
-func blockStart(g *igp.Graph, p int) *igp.Assignment {
+// and polishes to exact balance (the engine's spill takes what the
+// balance LP cannot carry, as on stars, forests and isolated vertices),
+// then drops its hierarchy. A done ctx ends it with its cancellation
+// error.
+func coldStart(ctx context.Context, g *igp.Graph, p int, opts []igp.Option) (*igp.Assignment, error) {
 	a := &igp.Assignment{Part: make([]int32, g.Order()), P: p}
-	v := 0
-	for i, size := range partition.Targets(g.Order(), p) {
-		for end := v + size; v < end; v++ {
-			a.Part[v] = int32(i)
-		}
+	opts = append(append([]igp.Option(nil), opts...), igp.WithMultilevel(), igp.WithRefine())
+	if _, err := igp.Repartition(ctx, g, a, opts...); err != nil {
+		return nil, err
 	}
-	return a
+	return a, nil
 }
 
 // CreateGraph creates the spec'd session (see newSession), registers it

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	igp "repro"
-	"repro/internal/spectral"
 )
 
 // editScript builds a deterministic burst of edit requests against a
@@ -435,8 +434,8 @@ func TestIdleEviction(t *testing.T) {
 }
 
 // TestCreateGraphCanceled: a done context stops the cold start itself
-// (not just the priming repartition after it) without falling back to
-// RSB, and the failed create registers nothing.
+// (not just the priming repartition after it), and the failed create
+// registers nothing.
 func TestCreateGraphCanceled(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -446,20 +445,8 @@ func TestCreateGraphCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, igp.ErrCanceled) || !strings.Contains(err.Error(), "initial partition") {
 		t.Fatalf("CreateGraph with a canceled context: err = %v, want the initial partition canceled", err)
 	}
-	if m := srv.Metrics(); m.SessionsActive != 0 || m.ColdStartFallbacks != 0 || m.BlockStarts != 0 {
-		t.Fatalf("after a canceled create: sessions_active = %d, cold_start_fallbacks = %d, block_starts = %d, want 0, 0 and 0",
-			m.SessionsActive, m.ColdStartFallbacks, m.BlockStarts)
-	}
-}
-
-// TestMaxGraphVerticesBasisBudget: the vertex cap is the largest n whose
-// RSB fallback's basis, spectral.MaxSteps(n) vectors of n float64s,
-// fits in 1 GiB, so the cap and the solver's Krylov dimension cannot
-// drift apart.
-func TestMaxGraphVerticesBasisBudget(t *testing.T) {
-	basis := func(n int) int { return 8 * n * spectral.MaxSteps(n) }
-	if basis(maxGraphVertices) > 1<<30 || basis(maxGraphVertices+1) <= 1<<30 {
-		t.Fatalf("maxGraphVertices = %d: basis %d B, at one more vertex %d B; want the largest n within 1 GiB", maxGraphVertices, basis(maxGraphVertices), basis(maxGraphVertices+1))
+	if m := srv.Metrics(); m.SessionsActive != 0 || m.GraphsCreated != 0 {
+		t.Fatalf("after a canceled create: sessions_active = %d, graphs_created = %d, want 0 and 0", m.SessionsActive, m.GraphsCreated)
 	}
 }
 

@@ -167,14 +167,10 @@ func WithObserver(fn func(Event)) Option {
 // core (weighted balance LP, or a spectral bisection when the incoming
 // assignment is degenerate), and projects the decision back down with
 // greedy refinement at every level — the fine stage loop then acts as an
-// exact-balance polish on an already-good configuration. That polish
-// can still fail, from a degenerate start too: the call ends in
-// [ErrNeedRepartition] when the partitions' quotient graph cannot carry
-// the balance flow, as on a star, a forest or isolated vertices, where
-// an overfull partition can have too few edges into the partitions
-// short of vertices. On paper-scale meshes (10⁵–10⁶ vertices) this
-// turns a minutes-long cold partition into seconds while staying within
-// a small factor of the flat pipeline's cut.
+// exact-balance polish on an already-good configuration. On paper-scale
+// meshes (10⁵–10⁶ vertices) this turns a minutes-long cold partition
+// into seconds while staying within a small factor of the flat
+// pipeline's cut.
 //
 // The V-cycle is a balancing stage and runs on demand, under the test
 // that guards every stage: a call that arrives balanced — every

@@ -17,11 +17,11 @@ import (
 )
 
 // ErrNeedRepartition is matched by the error of a call the incremental
-// pipeline cannot serve: balancing cannot succeed, or the assignment has
-// no assigned vertex to grow from. The paper's advice is to repartition
-// from scratch (PartitionRSB) or, when balancing failed, to add the new
-// vertices in batches (see WithBatches). A [WithMultilevel] call from a
-// degenerate start can end here too, on a star for one (see its doc).
+// pipeline cannot serve: the assignment has no assigned vertex to grow
+// from. Partition from scratch first ([PartitionRSB], or every vertex in
+// partition 0 and one [WithMultilevel] call). Balancing itself never
+// fails: where the balance LP cannot carry the surplus, a spill pass
+// moves it ([Stats.Spilled]).
 var ErrNeedRepartition = engine.ErrNeedRepartition
 
 // ErrInvalidAssignment is matched by the error a call returns for an
