@@ -464,7 +464,7 @@ var counted lpRecord
 // slot, the place WithSolver fills.
 func withCountingSolver() Option {
 	return func(c *config) error {
-		c.solver = countingSolver{&counted}
+		c.Solver = countingSolver{&counted}
 		return nil
 	}
 }

@@ -256,7 +256,11 @@ func BenchmarkRefine_LP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := a0.Clone()
-		st, err := refine.Refine(g, a, refine.Options{})
+		var s refine.Scratch
+		c, seeds := g.ToCSR(), g.Vertices()
+		st, _, err := refine.Drive(context.Background(), g, a, refine.Options{}, func(strict bool) (*refine.Candidates, error) {
+			return s.GainsSeeded(c, a, strict, seeds)
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
 	"repro/internal/partition"
@@ -204,26 +203,4 @@ func Apply(a *partition.Assignment, lay *layering.Result, flows []Flow) (int, er
 		}
 	}
 	return moved, nil
-}
-
-// Step runs one complete balancing stage (formulate → solve → apply) with
-// the given ε. It reports the flows applied and the LP solution; when the
-// LP is infeasible it returns ok=false with nothing applied.
-func Step(ctx context.Context, g *graph.Graph, a *partition.Assignment, lay *layering.Result, targets []int, eps float64, solver lp.Solver) (flows []Flow, sol *lp.Solution, ok bool, err error) {
-	sizes := a.Sizes(g)
-	m, err := new(Arena).FormulateTol(lay.Delta, sizes, targets, eps, 0)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	flows, sol, err = SolveInto(ctx, m, solver, nil)
-	if err != nil {
-		return nil, sol, false, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, sol, false, nil
-	}
-	if _, err := Apply(a, lay, flows); err != nil {
-		return flows, sol, false, err
-	}
-	return flows, sol, true, nil
 }

@@ -108,6 +108,22 @@ func TestFormulateShape(t *testing.T) {
 	}
 }
 
+// stage runs one balancing stage the way the engine's stages do —
+// FormulateTol at ε = 1 and no slack, SolveInto, and Apply when the LP is
+// optimal. ok is false, with nothing applied, when it is infeasible.
+func stage(g *graph.Graph, a *partition.Assignment, lay *layering.Result, targets []int, solver lp.Solver) (flows []Flow, sol *lp.Solution, ok bool, err error) {
+	m, err := new(Arena).FormulateTol(lay.Delta, a.Sizes(g), targets, 1, 0)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	flows, sol, err = SolveInto(context.Background(), m, solver, nil)
+	if err != nil || sol.Status != lp.Optimal {
+		return nil, sol, false, err
+	}
+	_, err = Apply(a, lay, flows)
+	return flows, sol, err == nil, err
+}
+
 func TestStepBalancesStripes(t *testing.T) {
 	for _, solver := range []lp.Solver{lp.Dense{}, lp.Network{}} {
 		g, a := unbalancedStripes()
@@ -116,7 +132,7 @@ func TestStepBalancesStripes(t *testing.T) {
 			t.Fatal(err)
 		}
 		targets := partition.Targets(g.NumVertices(), 3)
-		flows, sol, ok, err := Step(context.Background(), g, a, lay, targets, 1, solver)
+		flows, sol, ok, err := stage(g, a, lay, targets, solver)
 		if err != nil {
 			t.Fatalf("%s: %v", solver.Name(), err)
 		}
@@ -151,7 +167,7 @@ func TestStepMovesBoundaryFirst(t *testing.T) {
 	}
 	before := a.Clone()
 	targets := partition.Targets(g.NumVertices(), 3)
-	_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
+	_, _, ok, err := stage(g, a, lay, targets, lp.Network{})
 	if err != nil || !ok {
 		t.Fatalf("step failed: %v ok=%v", err, ok)
 	}
@@ -193,7 +209,7 @@ func TestStepInfeasibleWithoutAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := partition.Targets(8, 2)
-	_, sol, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
+	_, sol, ok, err := stage(g, a, lay, targets, lp.Network{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +301,7 @@ func TestPropertyStepNeverWorsensBalance(t *testing.T) {
 		}
 		targets := partition.Targets(g.NumVertices(), p)
 		imbBefore := maxDev(a.Sizes(g), targets)
-		_, _, ok, err := Step(context.Background(), g, a, lay, targets, 1, lp.Network{})
+		_, _, ok, err := stage(g, a, lay, targets, lp.Network{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

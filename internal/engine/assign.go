@@ -70,7 +70,7 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 		}
 	}
 	if !hasOld {
-		return 0, 0, errNoOldVertices
+		return 0, 0, ErrNeedRepartition
 	}
 	if len(seeds) == 0 {
 		e.pending.reset()

@@ -99,25 +99,12 @@ import (
 	"repro/internal/refine"
 )
 
-// ErrNeedRepartition is matched by the error of a call the incremental
-// pipeline cannot serve: the assignment has no assigned vertex for phase
-// 1 to grow from. Balancing never fails — where the balance LP cannot
-// carry the surplus, the spill pass moves it (see spill) — so the remedy
-// is a from-scratch partition.
+// ErrNeedRepartition is the error of a call the incremental pipeline
+// cannot serve: the assignment has no assigned vertex for phase 1 to
+// grow from, so the remedy is a from-scratch partition. No other error
+// matches it: balancing never fails — where the balance LP cannot carry
+// the surplus, the spill pass moves it (see spill).
 var ErrNeedRepartition = errors.New("engine: no assigned vertex; repartition from scratch")
-
-// errNoOldVertices is the one error matching ErrNeedRepartition:
-// incremental assignment needs at least one previously assigned vertex
-// to grow from. Its message names that cause.
-var errNoOldVertices error = noOldVertices{}
-
-type noOldVertices struct{}
-
-func (noOldVertices) Error() string {
-	return "engine: assign: no previously assigned vertices; use a from-scratch partitioner first"
-}
-
-func (noOldVertices) Is(target error) bool { return target == ErrNeedRepartition }
 
 // ErrClosed reports a call on an engine whose session was ended by
 // Close. A closed engine never becomes usable again; create a new one.
@@ -725,9 +712,8 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		if err != nil {
 			return st, err
 		}
-		if !ok || end.Moved == 0 {
-			// Infeasible at every ε, or a feasible stage that moved nothing
-			// (every residual surplus rounded to zero under the relaxation):
+		if !ok {
+			// Infeasible at every ε, or relaxed until it can move nothing:
 			// iterating further changes nothing.
 			break
 		}
@@ -787,7 +773,10 @@ func (e *Engine) liveSizes(a *partition.Assignment) []int {
 // steady-state stage allocates nothing building its LP. It returns the
 // stage's balance EventEnd measurements (ε, moved, deepened, LP solves,
 // tight bounds kept), filled on every path, and records an accepted
-// stage in Stats; completion time goes to PhaseTimings.Layer.
+// stage in Stats; completion time goes to PhaseTimings.Layer. A
+// relaxation whose supplies are all within the tolerance ends the stage
+// not-ok before its solve, so an accepted stage moves at least one
+// vertex.
 func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Result, sizes, targets []int) (Event, bool, error) {
 	var ev Event
 	for eps := 1.0; eps <= balance.EpsilonMax; eps++ {
@@ -795,6 +784,12 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 			m, err := e.balArena.FormulateTol(lay.Delta, sizes, targets, eps, e.opt.Tolerance)
 			if err != nil {
 				return ev, false, err
+			}
+			tol := e.opt.Tolerance
+			if !slices.ContainsFunc(m.RHS, func(r int) bool { return r > tol || r < -tol }) {
+				// Every supply is within the tolerance: zero flow is the
+				// unique optimum (pair arcs cost 1) and moves nothing.
+				return ev, false, nil
 			}
 			flows, sol, err := balance.SolveInto(ctx, m, e.opt.solver(), e.flowBuf)
 			if flows != nil {
@@ -863,11 +858,11 @@ func (e *Engine) balanceStage(ctx context.Context, a *partition.Assignment, lay 
 }
 
 // spill ends a stage loop that left a partition off its target by more
-// than the tolerance: the LP was infeasible at every ε, a stage moved
-// nothing, or the stages ran out. Each over-full partition, in id order,
-// gives exactly its surplus — the vertices with the fewest arcs into it
-// first, then by id — and each goes to the short partition it has the
-// most arcs into, ties and vertices with no such arc to the
+// than the tolerance: the LP was infeasible at every ε, relaxed until it
+// could move nothing, or the stages ran out. Each over-full partition, in
+// id order, gives exactly its surplus — the vertices with the fewest arcs
+// into it first, then by id — and each goes to the short partition it
+// has the most arcs into, ties and vertices with no such arc to the
 // lowest-numbered one. That moves Σ surplus vertices, the least any
 // exact balance can, and always reaches the targets: after phase 1 every
 // live vertex is assigned, so the sizes and the targets have the same sum
@@ -991,7 +986,7 @@ func Assign(g *graph.Graph, a *partition.Assignment) (assigned, clusterFallbacks
 		}
 	}
 	if !hasOld {
-		return 0, 0, errNoOldVertices
+		return 0, 0, ErrNeedRepartition
 	}
 	// Clear assignments of dead vertices (deleted since last time).
 	for v := 0; v < g.Order(); v++ {

@@ -20,7 +20,7 @@ import (
 // random edit sequences over fractionally weighted random geometric
 // graphs. After every burst —
 // whichever way the sync went: journal patch, journal-overflow rebuild,
-// SortAdjacency, a partition-count change, vertex deletion, vertices left
+// a partition-count change, vertex deletion, vertices left
 // unassigned — the boundary list must be the brute-force set in strictly
 // ascending order, every listed vertex's stored cut term must equal a fresh
 // scan of its row, and Engine.Cut must equal partition.Cut bit for bit.
@@ -42,8 +42,6 @@ func FuzzBoundaryExact(f *testing.F) {
 				for j := 0; j < 1<<14+1; j++ {
 					g.SetVertexWeight(graph.Vertex(j%g.Order()), 1)
 				}
-			case k == 1: // reorders rows and drops the journal
-				g.SortAdjacency()
 			case k == 2: // one more (empty) partition, or the last one folded away
 				if a.P > 3 && rng.Intn(2) == 0 {
 					a.P--
@@ -439,7 +437,7 @@ func FuzzRefineIncremental(f *testing.F) {
 				exact = exact[:0]
 				st, err := e.Repartition(context.Background(), a)
 				if err != nil {
-					if errors.Is(err, errNoOldVertices) {
+					if errors.Is(err, ErrNeedRepartition) {
 						continue
 					}
 					t.Fatalf("step %d: %v", i, err)

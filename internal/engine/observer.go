@@ -86,7 +86,9 @@ func (k EventKind) String() string {
 //	then per balancing stage s: layer start/end (Stage=s; the rim pass),
 //	balance start/end (Stage=s, Epsilon, Moved, Deepened, LPSolves,
 //	TightKept; the partitions the LP asks for are finished inside this
-//	span; a stage the LP cannot solve at any ε still closes its span),
+//	span; a stage the LP cannot solve at any ε, or relaxed until it
+//	could move nothing, still closes its span with Epsilon 0 and Moved 0,
+//	and it is the last; every other stage moves at least one vertex),
 //	then the spill, if the stages left the call unbalanced, which emits
 //	nothing (Stats.Spilled),
 //	then if refinement is enabled: refine start, a cut event, refine

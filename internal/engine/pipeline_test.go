@@ -273,6 +273,51 @@ func TestSpillRules(t *testing.T) {
 	}
 }
 
+// pathAndOrphan builds a 6-vertex path at [0 0 0 1 1 1] beside an
+// unassigned 8-vertex path at P = 2. Phase 1 puts the orphan path on
+// partition 0 (11 against 3, targets 7), and the only way across is the
+// first path: δ(0, 1) is 3, then 1, then 0.
+func pathAndOrphan() (*graph.Graph, *partition.Assignment) {
+	g := graph.NewWithVertices(14)
+	for v := graph.Vertex(0); v < 13; v++ {
+		if v != 5 {
+			_ = g.AddEdge(v, v+1, 1)
+		}
+	}
+	a := partition.New(14, 2)
+	copy(a.Part, []int32{0, 0, 0, 1, 1, 1})
+	return g, a
+}
+
+// TestNoStageMovesNothing: the third stage of pathAndOrphan would relax
+// its surplus of 1 to 0 at ε = 2. Zero flow is the only optimum there,
+// so the stage loop ends before that solve: two stages of 2 and 1
+// vertices, then the spill moves the orphan path's end — under either
+// solver and with refinement, which keeps that assignment.
+func TestNoStageMovesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"network", Options{}},
+		{"dense", Options{Solver: lp.Dense{}}},
+		{"network refined", Options{Refine: true}},
+	} {
+		g, a := pathAndOrphan()
+		st, err := New(g, tc.opt).Repartition(context.Background(), a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Stages != 2 || !slices.Equal(st.EpsilonUsed, []float64{2, 2}) || !slices.Equal(st.StageMoved, []int{2, 1}) || st.Spilled != 1 {
+			t.Fatalf("%s: %d stages at ε %v moving %v, spilled %d; want 2 at [2 2] moving [2 1], spilled 1",
+				tc.name, st.Stages, st.EpsilonUsed, st.StageMoved, st.Spilled)
+		}
+		if want := []int32{1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0}; !slices.Equal(a.Part, want) {
+			t.Fatalf("%s: assignment %v, want %v", tc.name, a.Part, want)
+		}
+	}
+}
+
 func TestRepartitionAfterRSBOnGrownGraph(t *testing.T) {
 	// End-to-end: RSB initial partition, grow the graph, IGP repartition;
 	// quality should stay within 2x of re-running RSB from scratch.

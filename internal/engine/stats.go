@@ -77,8 +77,9 @@ type Stats struct {
 	// Spilled counts the vertices the spill pass moved (also counted in
 	// BalanceMoved): nonzero only on a call whose stages left a partition
 	// off its target by more than the tolerance — the balance LP
-	// infeasible at every ε, a stage that moved nothing, or the stage cap
-	// reached — which the pass then balances exactly, moving each
+	// infeasible at every ε, relaxed until every supply is within the
+	// tolerance (zero flow, so no stage is run or counted), or the stage
+	// cap reached — which the pass then balances exactly, moving each
 	// over-full partition's surplus to the short partitions it has the
 	// most arcs into.
 	Spilled int

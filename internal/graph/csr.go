@@ -30,7 +30,7 @@ type CSR struct {
 	// epoch it reflects. RefreshCSR patches only when both still match up.
 	// The journal-read scratch lives on the snapshot — not on the shared
 	// Graph — so engines that each own a snapshot of one quiescent graph
-	// can refresh concurrently (ToCSRInto stays read-only on the graph).
+	// can refresh concurrently (RefreshCSR stays read-only on the graph).
 	owner     *Graph
 	snapEpoch uint64
 	patchBuf  []Vertex
@@ -86,28 +86,20 @@ func (c *CSR) pad(d int) int {
 // cheaper (and re-establishes every slot's headroom).
 func csrMaxChurn(n int) int { return 32 + n/4 }
 
-// ToCSR builds a CSR snapshot. Rows follow the graph's current adjacency
-// order; call SortAdjacency first for fully deterministic layouts.
+// ToCSR builds a fresh CSR snapshot. Rows follow the graph's current
+// adjacency order.
 func (g *Graph) ToCSR() *CSR {
-	return g.ToCSRInto(nil)
+	return g.buildCSR(nil)
 }
 
-// ToCSRInto refreshes c to a snapshot of the graph's current state,
-// reusing c's arrays when their capacity suffices; c == nil allocates a
-// fresh snapshot. It returns the refreshed snapshot (always c when c is
-// non-nil). Long-lived consumers refresh in place each time the graph's
-// epoch moves and pay no steady-state allocation; when the edit journal
-// still covers the gap since c was last refreshed, only the touched
-// rows are rewritten (see RefreshCSR).
-func (g *Graph) ToCSRInto(c *CSR) *CSR {
-	c, _ = g.RefreshCSR(c)
-	return c
-}
-
-// RefreshCSR is ToCSRInto with the refresh strategy reported: patched is
-// true when the snapshot was brought up to date by the journal-driven
-// partial patch (rewriting only the rows of vertices touched since the
-// snapshot's epoch), false when a full rebuild ran. A full rebuild
+// RefreshCSR brings c up to a snapshot of the graph's current state,
+// reusing c's arrays when their capacity suffices (c == nil allocates a
+// fresh snapshot), and returns it with the refresh strategy: patched is
+// true when the journal-driven partial patch brought it up to date
+// (rewriting only the rows of vertices touched since the snapshot's
+// epoch), false when a full rebuild ran. Long-lived consumers refresh in
+// place each time the graph's epoch moves and pay no steady-state
+// allocation. A full rebuild
 // happens when c is nil or was built from another graph, when the
 // bounded journal no longer reaches back to c's epoch, when a touched
 // row outgrew its slot headroom (the rebuild re-packs every slot with
@@ -203,8 +195,8 @@ func (c *CSR) appendSlot(g *Graph, v Vertex) {
 	c.Live = append(c.Live, g.alive[v])
 }
 
-// RebuildCSRInto is ToCSRInto with the journal-driven patch bypassed:
-// it always performs the full rebuild. The engine's Options.FullRefresh
+// RebuildCSRInto is RefreshCSR with the journal-driven patch bypassed:
+// it always performs the full rebuild into c. The engine's Options.FullRefresh
 // reference path and the patch-equivalence tests use it as the oracle.
 func (g *Graph) RebuildCSRInto(c *CSR) *CSR { return g.buildCSR(c) }
 

@@ -6,8 +6,8 @@
 // the incremental-partitioning problem — are supported directly: vertices
 // and edges may be added or removed at any time. Removed vertices leave a
 // tombstone (they stay addressable but report Alive() == false) so that
-// existing vertex identifiers remain stable across edits; Compact produces
-// a dense copy when stability is no longer needed.
+// existing vertex identifiers remain stable across edits; InducedSubgraph
+// over Vertices() produces a dense copy when stability is no longer needed.
 package graph
 
 import (
@@ -53,8 +53,8 @@ type Graph struct {
 const maxJournal = 1 << 14
 
 // Epoch returns the current edit epoch. It advances on every mutation
-// (vertex/edge insert or delete, weight update, adjacency reorder), so
-// derived snapshots are stale exactly when the epoch has moved.
+// (vertex/edge insert or delete, weight update), so derived snapshots
+// are stale exactly when the epoch has moved.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // touch advances the epoch and journals the given vertices as touched.
@@ -391,47 +391,6 @@ func (g *Graph) Clone() *Graph {
 		c.ew[v] = append([]float64(nil), g.ew[v]...)
 	}
 	return c
-}
-
-// Compact is InducedSubgraph over the live vertices: a dense copy with
-// dead slots removed, plus old→new (−1 for dead slots) and new→old maps.
-func (g *Graph) Compact() (c *Graph, oldToNew []Vertex, newToOld []Vertex) {
-	return g.InducedSubgraph(g.Vertices())
-}
-
-// adjSorter sorts one adjacency list in place, swapping the parallel
-// weight list alongside. A single instance is reused across vertices so
-// the sort.Interface conversion costs one allocation per SortAdjacency
-// call, not per vertex.
-type adjSorter struct {
-	a []Vertex
-	w []float64
-}
-
-func (s *adjSorter) Len() int           { return len(s.a) }
-func (s *adjSorter) Less(i, j int) bool { return s.a[i] < s.a[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.a[i], s.a[j] = s.a[j], s.a[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
-// SortAdjacency sorts every adjacency list (and its weights) in place by
-// neighbor identifier, making iteration order deterministic regardless of
-// edit order. Reordering invalidates CSR snapshots, so the epoch advances.
-func (g *Graph) SortAdjacency() {
-	var s adjSorter
-	for v := range g.adj {
-		s.a, s.w = g.adj[v], g.ew[v]
-		sort.Sort(&s)
-	}
-	// Membership is untouched but every row layout changed without any
-	// vertex being journaled: advance the epoch and drop the journal to
-	// the new floor, so journal consumers (the partial CSR patch) see
-	// the gap as inexact and rebuild rather than trusting stale rows.
-	g.epoch++
-	g.journalV = g.journalV[:0]
-	g.journalE = g.journalE[:0]
-	g.journalFloor = g.epoch
 }
 
 // Validate checks structural invariants, returning the first violation.

@@ -175,6 +175,8 @@ func TestAppendRows(t *testing.T) {
 	}
 }
 
+// TestCompact: InducedSubgraph over the live vertices is a dense copy
+// with the dead slots dropped.
 func TestCompact(t *testing.T) {
 	g := Complete(6)
 	if err := g.RemoveVertex(0); err != nil {
@@ -183,7 +185,7 @@ func TestCompact(t *testing.T) {
 	if err := g.RemoveVertex(3); err != nil {
 		t.Fatal(err)
 	}
-	c, oldToNew, newToOld := g.Compact()
+	c, oldToNew, newToOld := g.InducedSubgraph(g.Vertices())
 	if c.Order() != 4 || c.NumVertices() != 4 {
 		t.Fatalf("compact order %d, want 4", c.Order())
 	}
@@ -371,23 +373,6 @@ func TestCSRMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestSortAdjacencyDeterminism(t *testing.T) {
-	g := NewWithVertices(4)
-	_ = g.AddEdge(0, 3, 1)
-	_ = g.AddEdge(0, 1, 1)
-	_ = g.AddEdge(0, 2, 1)
-	g.SortAdjacency()
-	nbrs := g.Neighbors(0)
-	for i := 1; i < len(nbrs); i++ {
-		if nbrs[i-1] >= nbrs[i] {
-			t.Fatalf("adjacency not sorted: %v", nbrs)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // randomMutatedGraph builds a graph by a random edit script, for property
 // tests.
 func randomMutatedGraph(seed int64, nOps int) *Graph {
@@ -453,7 +438,7 @@ func TestPropertyMutationsPreserveInvariants(t *testing.T) {
 func TestPropertyCompactPreservesStructure(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomMutatedGraph(seed, 40)
-		c, oldToNew, _ := g.Compact()
+		c, oldToNew, _ := g.InducedSubgraph(g.Vertices())
 		if c.NumVertices() != g.NumVertices() || c.NumEdges() != g.NumEdges() {
 			return false
 		}

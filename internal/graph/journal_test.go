@@ -20,11 +20,6 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	if g.Epoch() == e1 {
 		t.Fatal("AddEdge did not advance the epoch")
 	}
-	e2 := g.Epoch()
-	g.SortAdjacency()
-	if g.Epoch() == e2 {
-		t.Fatal("SortAdjacency did not advance the epoch")
-	}
 }
 
 func TestTouchedSince(t *testing.T) {
@@ -143,13 +138,13 @@ func TestForEachVertex(t *testing.T) {
 	}
 }
 
-func TestToCSRIntoReuses(t *testing.T) {
+func TestRefreshCSRReuses(t *testing.T) {
 	g := Grid(10, 10)
 	c := g.ToCSR()
 	_ = g.AddEdge(0, 11, 1)
-	c2 := g.ToCSRInto(c)
+	c2, _ := g.RefreshCSR(c)
 	if c2 != c {
-		t.Fatal("ToCSRInto returned a different snapshot")
+		t.Fatal("RefreshCSR returned a different snapshot")
 	}
 	if c.NumE != g.NumEdges() || c.NumV != g.NumVertices() {
 		t.Fatal("refreshed snapshot out of date")
@@ -161,25 +156,8 @@ func TestToCSRIntoReuses(t *testing.T) {
 		t.Fatalf("refreshed snapshot differs from a fresh one: %v", err)
 	}
 	// Steady state: refreshing an unchanged graph allocates nothing.
-	allocs := testing.AllocsPerRun(10, func() { g.ToCSRInto(c) })
+	allocs := testing.AllocsPerRun(10, func() { g.RefreshCSR(c) })
 	if allocs > 0 {
-		t.Fatalf("ToCSRInto allocates %.1f objects/op on an unchanged graph", allocs)
-	}
-}
-
-func TestSortAdjacencyInPlace(t *testing.T) {
-	g := NewWithVertices(4)
-	_ = g.AddEdge(0, 3, 3)
-	_ = g.AddEdge(0, 1, 1)
-	_ = g.AddEdge(0, 2, 2)
-	g.SortAdjacency()
-	if !reflect.DeepEqual(g.Neighbors(0), []Vertex{1, 2, 3}) {
-		t.Fatalf("adjacency = %v, want sorted", g.Neighbors(0))
-	}
-	if !reflect.DeepEqual(g.EdgeWeights(0), []float64{1, 2, 3}) {
-		t.Fatalf("weights = %v did not follow the sort", g.EdgeWeights(0))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("RefreshCSR allocates %.1f objects/op on an unchanged graph", allocs)
 	}
 }

@@ -70,12 +70,17 @@ func onDemandCase(t *testing.T, seed int64) (*graph.Graph, *partition.Assignment
 
 // fullDepthStage is the balance stage over a complete layering: the LP on
 // the full δ at ε = 1, 2, … until feasible. It returns the accepted ε, its
-// model and Σ flows, or ok = false when every ε is infeasible.
+// model and Σ flows, or ok = false when every ε is infeasible or an ε
+// relaxes every supply to within the tolerance (zero flow: the stage
+// would move nothing).
 func fullDepthStage(t *testing.T, delta [][]int, sizes, targets []int, tol int) (eps float64, m *balance.Model, total int, ok bool) {
 	for eps = 1; eps <= 8; eps++ {
 		m, err := new(balance.Arena).FormulateTol(delta, sizes, targets, eps, tol)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(m.RHS, func(r int) bool { return r > tol || r < -tol }) {
+			return 0, nil, 0, false
 		}
 		flows, sol, err := balance.SolveInto(context.Background(), m, lp.Default(), nil)
 		if err != nil {
@@ -95,10 +100,10 @@ func fullDepthStage(t *testing.T, delta [][]int, sizes, targets []int, tol int) 
 // demand-driven stage what the full-depth stage from the same state would
 // have done: the same ε and the same number of vertices moved, by flows
 // that are feasible for the full-depth LP; where the full-depth stage is
-// infeasible at every ε, no stage and an exactly balanced result by the
-// spill. The observer captures the assignment at that stage's balance
-// end, before any later stage moves. It returns the call's Stats, nil
-// when no stage ran.
+// infeasible at every ε or relaxed to zero flow, no stage and an exactly
+// balanced result by the spill. The observer captures the assignment at
+// that stage's balance end, before any later stage moves. It returns the
+// call's Stats, nil when no stage ran.
 func requireSameStage(t *testing.T, g *graph.Graph, a *partition.Assignment, full *layering.Result, tol int) *engine.Stats {
 	t.Helper()
 	before := a.Clone()
@@ -178,7 +183,8 @@ func FuzzLayerOnDemand(f *testing.F) {
 	f.Add(int64(2), uint16(0b11), uint8(1))
 	f.Add(int64(7), uint16(0xffff), uint8(0))
 	f.Add(int64(12), uint16(0), uint8(2))
-	f.Add(int64(-245), uint16(130), uint8(0x85)) // a stage that accepts a tight rim optimum moves too few here
+	f.Add(int64(-245), uint16(130), uint8(0x85))   // a stage that accepts a tight rim optimum moves too few here
+	f.Add(int64(-262), uint16(65421), uint8(0x9c)) // relaxed to zero flow: no stage, the spill balances
 	f.Fuzz(func(t *testing.T, seed int64, subset uint16, tol uint8) {
 		g, a := onDemandCase(t, seed)
 		n, p := g.Order(), a.P

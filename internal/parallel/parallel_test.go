@@ -305,6 +305,41 @@ var paperPairs = [][2]int{
 	{2, 0}, {2, 1}, {2, 3}, {3, 0}, {3, 2},
 }
 
+// TestParallelShipsTheSpill: a 6-vertex path at [0 0 0 1 1 1] beside an
+// unassigned 8-vertex path, P = 2 on 2 ranks. Phase 1 puts the orphan path
+// on partition 0, two balance stages move 2 and 1 vertices across the
+// first path, and the spill moves the last vertex, 6, from partition 0
+// (rank 0) to partition 1 (rank 1) with no event after it. Without
+// refinement only the closing exchange ships it: one message more than
+// the events alone send. With refinement a round's exchange ships it
+// first, and the closing one has nothing left to send.
+func TestParallelShipsTheSpill(t *testing.T) {
+	for _, tc := range []struct {
+		refine bool
+		msgs   int64
+	}{{false, 55}, {true, 86}} {
+		g := graph.NewWithVertices(14)
+		for v := graph.Vertex(0); v < 13; v++ {
+			if v != 5 {
+				_ = g.AddEdge(v, v+1, 1)
+			}
+		}
+		a := partition.New(14, 2)
+		copy(a.Part, []int32{0, 0, 0, 1, 1, 1})
+		w := testWorld(t, 2)
+		res, err := Repartition(context.Background(), w, g, a, engine.Options{Refine: tc.refine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Spilled != 1 || a.Part[6] != 1 {
+			t.Fatalf("refine %v: spilled %d, vertex 6 in %d; want 1 spilled, to partition 1", tc.refine, res.Stats.Spilled, a.Part[6])
+		}
+		if res.Messages != tc.msgs {
+			t.Fatalf("refine %v: %d messages, want %d", tc.refine, res.Messages, tc.msgs)
+		}
+	}
+}
+
 func paperLP(maximize bool, upper []float64, surplus []float64) *lp.Problem {
 	sense := lp.Minimize
 	if maximize {

@@ -82,6 +82,11 @@ func Repartition(ctx context.Context, w *comm.World, g *graph.Graph, a *partitio
 		if r.err != nil {
 			err = r.err
 		}
+		if err == nil {
+			// The spill emits no event: ship what it moved, unless a
+			// refinement event has already.
+			err = r.migrate()
+		}
 		if err == nil && c.Rank() == 0 {
 			stats = st.Clone()
 		}
@@ -192,6 +197,8 @@ type rank struct {
 //   - refine round: rim (the candidate scan); the owned b(i,j) rows are
 //     all-gathered, then migration.
 //   - refine end: migration (a rollback moves vertices back).
+//   - after the engine call: migration (the spill moves vertices
+//     without an event).
 //   - cut report (not a reused copy): rim, then an allreduce of the P
 //     per-partition cut weights.
 //

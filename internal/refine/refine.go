@@ -171,20 +171,7 @@ type Stats struct {
 	Stop       string
 }
 
-// Refine iteratively improves the cut of assignment a without changing
-// partition sizes. It modifies a in place and keeps the best assignment
-// seen, so the result never has a worse cut than the input.
-func Refine(g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error) {
-	var scratch Scratch // one gains arena reused across rounds
-	c, seeds := g.ToCSR(), g.Vertices()
-	st, _, err := Drive(context.Background(), g, a, opt, func(strict bool) (*Candidates, error) {
-		return scratch.GainsSeeded(c, a, strict, seeds)
-	}, nil)
-	return st, err
-}
-
-// Drive is the iterated refinement loop shared by the one-shot Refine and
-// the engine: each round it calls gains for the candidate pools, solves
+// Drive is the engine's iterated refinement loop: each round it calls gains for the candidate pools, solves
 // the zero-net-flow LP and applies the moves, and at the end it leaves
 // the best assignment seen behind.
 //

@@ -36,6 +36,17 @@ func jaggedStripes() (*graph.Graph, *partition.Assignment) {
 	return g, a
 }
 
+// drive refines a in place the way the engine does, through Drive over
+// one Scratch's GainsSeeded on a snapshot of g with every vertex seeded.
+func drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error) {
+	var s Scratch
+	c, seeds := g.ToCSR(), g.Vertices()
+	st, _, err := Drive(ctx, g, a, opt, func(strict bool) (*Candidates, error) {
+		return s.GainsSeeded(c, a, strict, seeds)
+	}, nil)
+	return st, err
+}
+
 func TestGainsBasic(t *testing.T) {
 	g, a := jaggedStripes()
 	c, err := new(Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
@@ -78,7 +89,7 @@ func TestRefineStraightensBoundary(t *testing.T) {
 	g, a := jaggedStripes()
 	before := partition.Cut(g, a)
 	sizesBefore := a.Sizes(g)
-	st, err := Refine(g, a, Options{})
+	st, err := drive(context.Background(), g, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +130,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 		}
 		before := partition.Cut(g, a).TotalWeight
 		sizesBefore := a.Sizes(g)
-		st, err := Refine(g, a, Options{MaxRounds: 4})
+		st, err := drive(context.Background(), g, a, Options{MaxRounds: 4})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -147,7 +158,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 func TestRefineSolverChoiceEquivalent(t *testing.T) {
 	for _, s := range []lp.Solver{lp.Dense{}, lp.Network{}} {
 		g, a := jaggedStripes()
-		_, err := Refine(g, a, Options{Solver: s})
+		_, err := drive(context.Background(), g, a, Options{Solver: s})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -307,7 +318,7 @@ func (halfSolver) Solve(_ context.Context, p *lp.Problem) (*lp.Solution, error) 
 func TestDriveRejectsFractionalRound(t *testing.T) {
 	g, a := jaggedStripes()
 	want := a.Clone()
-	st, err := Refine(g, a, Options{Solver: halfSolver{}})
+	st, err := drive(context.Background(), g, a, Options{Solver: halfSolver{}})
 	if err == nil {
 		t.Fatal("fractional flow must abort refinement")
 	}
@@ -400,11 +411,7 @@ func TestDriveStopReasons(t *testing.T) {
 		if tc.canceled {
 			stop()
 		}
-		var s Scratch
-		c, seeds := g.ToCSR(), g.Vertices()
-		st, _, err := Drive(ctx, g, a, tc.opt, func(strict bool) (*Candidates, error) {
-			return s.GainsSeeded(c, a, strict, seeds)
-		}, nil)
+		st, err := drive(ctx, g, a, tc.opt)
 		stop()
 		if tc.canceled != errors.Is(err, cancel.ErrCanceled) || (!tc.canceled && err != nil) {
 			t.Fatalf("%s: err %v", tc.name, err)
@@ -447,7 +454,7 @@ func TestDriveRunningCutExact(t *testing.T) {
 			a.Part[v] = int32(rng.Intn(p))
 		}
 		var exact []float64
-		st, err := Refine(g, a, Options{OnRound: func(int, int) {
+		st, err := drive(context.Background(), g, a, Options{OnRound: func(int, int) {
 			exact = append(exact, partition.Cut(g, a).TotalWeight)
 		}})
 		if err != nil {

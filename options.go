@@ -40,14 +40,12 @@ const (
 	PhaseUncoarsen = engine.PhaseUncoarsen
 )
 
-// config is the validated product of applying functional options.
+// config is the validated product of applying functional options: the
+// engine's own Options (a nil Solver is the default, "network") plus
+// the batch count, which the engine never sees.
 type config struct {
-	solver     lp.Solver // nil = the default ("network")
-	refine     bool
-	tolerance  int
-	batches    int
-	observer   func(Event)
-	multilevel bool
+	engine.Options
+	batches int
 }
 
 // An Option configures an [Engine] (or a one-shot [Repartition] call).
@@ -74,7 +72,7 @@ func buildConfig(opts []Option) (*config, error) {
 // WithRefine enables the cut-refinement phase (the paper's IGPR).
 func WithRefine() Option {
 	return func(c *config) error {
-		c.refine = true
+		c.Refine = true
 		return nil
 	}
 }
@@ -95,7 +93,7 @@ func WithSolver(name string) Option {
 		if err != nil {
 			return fmt.Errorf("igp: WithSolver: %w", err)
 		}
-		c.solver = s
+		c.Solver = s
 		return nil
 	}
 }
@@ -113,7 +111,7 @@ func WithTolerance(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("igp: WithTolerance(%d): tolerance must be ≥ 0", n)
 		}
-		c.tolerance = n
+		c.Tolerance = n
 		return nil
 	}
 }
@@ -156,7 +154,7 @@ func WithObserver(fn func(Event)) Option {
 		if fn == nil {
 			return fmt.Errorf("igp: WithObserver(nil): observer must not be nil")
 		}
-		c.observer = fn
+		c.Observer = fn
 		return nil
 	}
 }
@@ -192,18 +190,7 @@ func WithObserver(fn func(Event)) Option {
 // vertices.
 func WithMultilevel() Option {
 	return func(c *config) error {
-		c.multilevel = true
+		c.Multilevel.Enabled = true
 		return nil
-	}
-}
-
-// engineOptions assembles the internal engine configuration.
-func (c *config) engineOptions() engine.Options {
-	return engine.Options{
-		Solver:     c.solver,
-		Tolerance:  c.tolerance,
-		Refine:     c.refine,
-		Multilevel: engine.MultilevelOptions{Enabled: c.multilevel},
-		Observer:   c.observer,
 	}
 }

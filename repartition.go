@@ -16,12 +16,13 @@ import (
 	"repro/internal/partition"
 )
 
-// ErrNeedRepartition is matched by the error of a call the incremental
-// pipeline cannot serve: the assignment has no assigned vertex to grow
-// from. Partition from scratch first ([PartitionRSB], or every vertex in
-// partition 0 and one [WithMultilevel] call). Balancing itself never
-// fails: where the balance LP cannot carry the surplus, a spill pass
-// moves it ([Stats.Spilled]).
+// ErrNeedRepartition is the error (batched calls wrap it with the batch
+// number) of a call the incremental pipeline cannot serve: the
+// assignment has no assigned vertex to grow from. Partition from scratch
+// first ([PartitionRSB], or every vertex in partition 0 and one
+// [WithMultilevel] call). Balancing itself never fails: where the
+// balance LP cannot carry the surplus, a spill pass moves it
+// ([Stats.Spilled]).
 var ErrNeedRepartition = engine.ErrNeedRepartition
 
 // ErrInvalidAssignment is matched by the error a call returns for an
@@ -56,9 +57,9 @@ func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (
 	}
 	var st *Stats
 	if cfg.batches > 1 {
-		st, err = repartitionInBatches(ctx, g, a, cfg.engineOptions(), cfg.batches)
+		st, err = repartitionInBatches(ctx, g, a, cfg.Options, cfg.batches)
 	} else {
-		st, err = engine.New(g, cfg.engineOptions()).Repartition(ctx, a)
+		st, err = engine.New(g, cfg.Options).Repartition(ctx, a)
 	}
 	if err != nil {
 		return nil, err
@@ -184,7 +185,7 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: engine.New(g, cfg.engineOptions()), cfg: cfg}, nil
+	return &Engine{eng: engine.New(g, cfg.Options), cfg: cfg}, nil
 }
 
 // Repartition incrementally updates assignment a to cover the engine's
@@ -211,7 +212,7 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 		// per-batch movement, and its Elapsed/PhaseTimings sum the batches'
 		// pipeline time (subgraph construction between batches is extra).
 		// The session engine is reused again on the next single-pass call.
-		st, err = repartitionInBatches(ctx, e.eng.Graph(), a, e.cfg.engineOptions(), e.cfg.batches)
+		st, err = repartitionInBatches(ctx, e.eng.Graph(), a, e.cfg.Options, e.cfg.batches)
 	} else {
 		st, err = e.eng.Repartition(ctx, a)
 	}
@@ -275,9 +276,9 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 		return nil, err
 	}
 	switch {
-	case cfg.solver != nil:
+	case cfg.Solver != nil:
 		return nil, errors.New("igp: SimulateParallelRepartition: WithSolver is not simulated (the LP is always the dense tableau)")
-	case cfg.multilevel:
+	case cfg.Multilevel.Enabled:
 		return nil, errors.New("igp: SimulateParallelRepartition: WithMultilevel is not simulated")
 	case cfg.batches > 1:
 		return nil, fmt.Errorf("igp: SimulateParallelRepartition: WithBatches(%d) is not simulated", cfg.batches)
@@ -286,7 +287,7 @@ func SimulateParallelRepartition(ctx context.Context, g *Graph, a *Assignment, r
 	if err != nil {
 		return nil, err
 	}
-	res, err := parallel.Repartition(ctx, w, g, a, cfg.engineOptions())
+	res, err := parallel.Repartition(ctx, w, g, a, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
