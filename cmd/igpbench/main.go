@@ -92,11 +92,12 @@ func main() {
 	}
 	if run("multilevel") {
 		ok = true
-		// Large-graph tier: V-cycle cold/idle/warm rows per workload
-		// family. MultilevelTable's own assertions (validity, exact
-		// balance, the idle call skips the V-cycle, the cold and warm calls
-		// run it, grid warm hierarchy repair) make the table a CI gate: any
-		// violation exits nonzero via exitOn.
+		// Large-graph tier: V-cycle cold/idle/warm/local rows per
+		// workload family, each after the cold one beside a flat engine
+		// that got the same edits. MultilevelTable's own assertions
+		// (validity and exact balance of both engines, the idle call skips
+		// the V-cycle, every other call runs it) make the table a CI gate:
+		// any violation exits nonzero via exitOn.
 		rows, err := bench.MultilevelTable(cfg, *largeN)
 		exitOn(err)
 		fmt.Print(bench.FormatMultilevel(rows, cfg.P))

@@ -6,12 +6,16 @@ package bench
 // through the engine's V-cycle mode. Two workload families bracket the
 // coarsening behavior: a √n×√n grid (bounded degree, the paper's mesh
 // regime) and a Barabási–Albert power-law graph (heavy-tailed degrees,
-// adversarial for heavy-edge matching). Each family gets the three
-// calls a user pays for: a cold V-cycle row (degenerate flood-fill
-// start, spectral coarsest init), an idle row (a size-preserving edit
-// burst: the call arrives balanced, so the V-cycle is skipped and the
-// hierarchy left alone) and a warm row (a growth burst: the call arrives
-// imbalanced and repairs the hierarchy).
+// adversarial for heavy-edge matching). Each family gets the calls a
+// user pays for: a cold V-cycle row (degenerate flood-fill start,
+// spectral coarsest init), an idle row (a size-preserving edit burst: the
+// call arrives balanced, so the V-cycle is skipped), a warm row (a small
+// growth burst: the call arrives imbalanced and builds its hierarchy
+// anew) and a local row (a large burst hung off one vertex). Beside every
+// row after the cold one stands a flat engine, kept warm on a clone of
+// the cold row's result that gets the same edits: the trade the V-cycle
+// is kept for is its cut on the local row against its time on the warm
+// one.
 
 import (
 	"context"
@@ -31,11 +35,12 @@ import (
 type MultilevelRow struct {
 	Workload string        // "grid" or "powerlaw"
 	N, E     int           // graph size
-	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm"
+	Mode     string        // "vcycle-cold", "vcycle-idle", "vcycle-warm", "vcycle-local"
 	Time     time.Duration // wall clock of the run
 	Cut      float64       // resulting cut weight
+	FlatTime time.Duration // the flat engine's call on the same edits (0 on cold rows)
+	FlatCut  float64       // the flat engine's cut (0 on cold rows)
 	Levels   int           // hierarchy depth (rows that ran the V-cycle)
-	Repaired bool          // hierarchy journal-repaired (warm rows)
 	Skipped  bool          // call arrived balanced: V-cycle not run (idle rows)
 	Balanced bool          // exact vertex-count balance achieved
 	Allocs   uint64        // heap allocations of the call (MemStats.Mallocs delta)
@@ -91,14 +96,33 @@ func growthBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int)
 	a.Grow(g.Order())
 }
 
+// localBurst hangs a random tree of k unassigned unit vertices off one
+// random live vertex: phase 1 puts them all in its partition, the
+// localized growth where the flat pipeline's cut drifts.
+func localBurst(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int) {
+	at := graph.Vertex(rng.Intn(g.Order()))
+	for !g.Alive(at) {
+		at = graph.Vertex(rng.Intn(g.Order()))
+	}
+	tree := []graph.Vertex{at}
+	for ; k > 0; k-- {
+		v := g.AddVertex(1)
+		_ = g.AddEdge(v, tree[rng.Intn(len(tree))], 1)
+		tree = append(tree, v)
+	}
+	a.Grow(g.Order())
+}
+
 // MultilevelTable measures the V-cycle on the large-graph tier: for each
 // workload family it runs a cold multilevel Repartition from a degenerate
 // flood-fill assignment, an idle one after a small size-preserving edit
-// burst and a warm one after a growth burst, asserting validity and exact
-// balance on every row, that the idle call skipped the V-cycle, that the
-// cold and warm calls ran it over a real hierarchy and (grid warm)
-// repaired it. A failed assertion is an error, so the table doubles as
-// the CI check.
+// burst, a warm one after a 64-vertex growth burst and a local one after
+// an n/20-vertex tree hung off one vertex, and a flat engine on a clone
+// of the cold result takes the same edits and calls. It asserts validity
+// and exact balance on every row, multilevel and flat, that the idle
+// call skipped the V-cycle and that every other call ran it over a real
+// hierarchy. A failed assertion is an error, so the table doubles as the
+// CI check.
 func MultilevelTable(cfg Config, n int) ([]MultilevelRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []MultilevelRow
@@ -111,11 +135,10 @@ func MultilevelTable(cfg Config, n int) ([]MultilevelRow, error) {
 		for v := range a.Part {
 			a.Part[v] = 0
 		}
-		e := engine.New(g, engine.Options{
-			Solver:     cfg.Solver,
-			Refine:     true,
-			Multilevel: engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed},
-		})
+		opt := engine.Options{Solver: cfg.Solver, Refine: true}
+		mlOpt := opt
+		mlOpt.Multilevel = engine.MultilevelOptions{Enabled: true, Seed: cfg.Seed}
+		e := engine.New(g, mlOpt)
 		// call times one Repartition and checks the row's hard contract.
 		// The allocation count and the cold row's live heap are read
 		// outside the timed region.
@@ -138,43 +161,46 @@ func MultilevelTable(cfg Config, n int) ([]MultilevelRow, error) {
 			}
 			return row, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x1a26e))
-
 		row, err := call("vcycle-cold")
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 
-		editBurst(g, rng, 8)
-		if row, err = call("vcycle-idle"); err != nil {
-			return nil, err
+		// The flat engine starts from the cold row's result; each later
+		// row applies one edit to both graphs from two generators on the
+		// same seed, so the two sides see the same edits.
+		gF, aF := g.Clone(), a.Clone()
+		eF := engine.New(gF, opt)
+		seed := cfg.Seed ^ 0x1a26e
+		rng, rngF := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for _, step := range []struct {
+			mode string
+			edit func(*graph.Graph, *partition.Assignment, *rand.Rand)
+		}{
+			{"vcycle-idle", func(g *graph.Graph, _ *partition.Assignment, rng *rand.Rand) { editBurst(g, rng, 8) }},
+			{"vcycle-warm", func(g *graph.Graph, a *partition.Assignment, rng *rand.Rand) { growthBurst(g, a, rng, 64) }},
+			{"vcycle-local", func(g *graph.Graph, a *partition.Assignment, rng *rand.Rand) { localBurst(g, a, rng, n/20) }},
+		} {
+			step.edit(g, a, rng)
+			step.edit(gF, aF, rngF)
+			if row, err = call(step.mode); err != nil {
+				return nil, err
+			}
+			t0 := time.Now()
+			_, err := eF.Repartition(context.Background(), aF)
+			row.FlatTime = time.Since(t0)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s %s flat: %w", name, step.mode, err)
+			}
+			if err := aF.Validate(gF); err != nil || !balancedExactly(gF, aF) {
+				return nil, fmt.Errorf("bench: %s %s flat: invalid (%v) or imbalanced: sizes %v", name, step.mode, err, aF.Sizes(gF))
+			}
+			row.FlatCut = partition.Cut(gF, aF).TotalWeight
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
-
-		// One unmeasured growth call first: the cold polish moved a large
-		// share of the vertices after uncoarsening (stage loop +
-		// refinement), so the first Update after it pays a one-time purity
-		// sweep that dissolves and re-matches every group the polish
-		// split. The warm row then measures the steady state.
-		growthBurst(g, a, rng, 64)
-		if _, err = call("vcycle-warm"); err != nil {
-			return nil, err
-		}
-		growthBurst(g, a, rng, 64)
-		if row, err = call("vcycle-warm"); err != nil {
-			return nil, err
-		}
-		// Full hierarchy repair is the mesh-regime contract: on power-law
-		// graphs a repair at level l dissolves every group adjacent to a
-		// dissolved hub's cluster, and the amplified wave can push an
-		// upper level past the stall or dead-slot guard — those (small,
-		// cheap) levels rebuild and the Repaired flag reports it honestly.
-		if name == "grid" && !row.Repaired {
-			return nil, fmt.Errorf("bench: %s warm V-cycle recoarsened instead of repairing the hierarchy", name)
-		}
-		rows = append(rows, row)
 		e.Close()
+		eF.Close()
 	}
 	return rows, nil
 }
@@ -190,7 +216,7 @@ func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode strin
 	row := MultilevelRow{
 		Workload: workload, N: g.NumVertices(), E: g.NumEdges(),
 		Mode: mode, Time: d, Cut: partition.Cut(g, a).TotalWeight,
-		Levels: len(st.Levels), Repaired: st.HierarchyRepaired, Skipped: st.VCycleSkipped,
+		Levels: len(st.Levels), Skipped: st.VCycleSkipped,
 		Balanced: balancedExactly(g, a),
 	}
 	if !row.Balanced {
@@ -222,15 +248,17 @@ func balancedExactly(g *graph.Graph, a *partition.Assignment) bool {
 func FormatMultilevel(rows []MultilevelRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Large-graph multilevel tier (P=%d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %10s %9s %7s %9s %8s %9s %7s\n",
-		"Workload", "N", "E", "Mode", "Time", "Cut", "Levels", "Repaired", "Skipped", "Allocs", "HeapMB")
+	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %10s %9s %10s %9s %7s %8s %9s %7s\n",
+		"Workload", "N", "E", "Mode", "Time", "Cut", "FlatTime", "FlatCut", "Levels", "Skipped", "Allocs", "HeapMB")
 	for _, r := range rows {
-		heap := "-"
+		heap, flatTime, flatCut := "-", "-", "-"
 		if r.Mode == "vcycle-cold" {
 			heap = fmt.Sprintf("%.1f", r.HeapMB)
+		} else {
+			flatTime, flatCut = fmtDur(r.FlatTime), fmt.Sprintf("%.0f", r.FlatCut)
 		}
-		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %10s %9.0f %7d %9v %8v %9d %7s\n",
-			r.Workload, r.N, r.E, r.Mode, fmtDur(r.Time), r.Cut, r.Levels, r.Repaired, r.Skipped, r.Allocs, heap)
+		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %10s %9.0f %10s %9s %7d %8v %9d %7s\n",
+			r.Workload, r.N, r.E, r.Mode, fmtDur(r.Time), r.Cut, flatTime, flatCut, r.Levels, r.Skipped, r.Allocs, heap)
 	}
 	return b.String()
 }

@@ -18,10 +18,10 @@
 // refinement rounds on large incremental changes.
 //
 // The entry point is Hierarchy (hierarchy.go): the full V-cycle for large
-// graphs, a journal-repairable stack of coarse graphs the engine keeps
-// alive across Repartition calls behind igp.WithMultilevel. Every level is
-// matched and contracted there (build, rematch); CoarseBalance is its
-// coarsest-level balance pass.
+// graphs behind igp.WithMultilevel, a stack of coarse graphs the engine
+// builds when it enters the V-cycle and drops when the call returns.
+// Every level is matched and contracted there (build); CoarseBalance is
+// its coarsest-level balance pass.
 package coarsen
 
 import (

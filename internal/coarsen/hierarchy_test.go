@@ -39,105 +39,14 @@ func TestHierarchyBuildInvariants(t *testing.T) {
 			t.Fatalf("level %d: total weight %g != %d fine vertices",
 				l, gc.TotalVertexWeight(), g.NumVertices())
 		}
-		if !st.Rebuilt {
-			t.Fatalf("level %d of a fresh hierarchy not marked Rebuilt", l)
-		}
 		if st.Vertices != gc.NumVertices() {
 			t.Fatalf("level %d: stats say %d vertices, graph has %d", l, st.Vertices, gc.NumVertices())
 		}
 	}
 }
 
-func TestHierarchyRepairEquivalence(t *testing.T) {
-	// Journal repair after edits must yield a hierarchy that passes the
-	// same structural oracle as a from-scratch rebuild, and the repaired
-	// level graphs must match the rebuilt ones on vertex counts and
-	// per-partition weights (exact: all cardinality weights are integers).
-	g, a := striped(16, 32, 4)
-	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-
-	rng := rand.New(rand.NewSource(9))
-	prev := g.Vertices()
-	for k := 0; k < 25; k++ {
-		v := g.AddVertex(1)
-		u := prev[rng.Intn(len(prev))]
-		_ = g.AddEdge(v, u, 1)
-		a.Part = append(a.Part, a.Part[u])
-		prev = append(prev, v)
-	}
-	for k := 0; k < 5; k++ {
-		_ = g.RemoveVertex(prev[rng.Intn(256)])
-	}
-	for v := 0; v < g.Order(); v++ {
-		if !g.Alive(graph.Vertex(v)) {
-			a.Part[v] = partition.Unassigned
-		}
-	}
-
-	repaired, err := h.Update(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repaired {
-		t.Fatal("small edit batch forced a rebuild instead of a journal repair")
-	}
-	if err := h.Check(a); err != nil {
-		t.Fatalf("repaired hierarchy invalid: %v", err)
-	}
-
-	// Reference: recoarsen the same graph+assignment from scratch.
-	// Depths may differ (repair grows level graphs, so the repaired
-	// hierarchy can run deeper before hitting the threshold); the
-	// invariants must agree level-by-level over the shared prefix.
-	ref := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-	depth := h.Depth()
-	if ref.Depth() < depth {
-		depth = ref.Depth()
-	}
-	if depth == 0 {
-		t.Fatal("no shared levels to compare")
-	}
-	for l := 0; l < depth; l++ {
-		hg, rg := h.levels[l].gc, ref.levels[l].gc
-		if math.Abs(hg.TotalVertexWeight()-rg.TotalVertexWeight()) > 1e-9 {
-			t.Fatalf("level %d: repaired weight %g != rebuilt %g",
-				l, hg.TotalVertexWeight(), rg.TotalVertexWeight())
-		}
-		hw := h.levels[l].ca.Weights(hg)
-		rw := ref.levels[l].ca.Weights(rg)
-		for q := range hw {
-			if math.Abs(hw[q]-rw[q]) > 1e-9 {
-				t.Fatalf("level %d partition %d: repaired weight %g != rebuilt %g", l, q, hw[q], rw[q])
-			}
-		}
-	}
-}
-
-func TestHierarchyRepairAfterPartitionDrift(t *testing.T) {
-	// Moving fine vertices across partitions (as refinement does) makes
-	// groups impure; the next Update must dissolve exactly those and stay
-	// valid — with no graph edits at all.
-	g, a := striped(16, 32, 4)
-	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-	rng := rand.New(rand.NewSource(3))
-	for k := 0; k < 30; k++ {
-		v := graph.Vertex(rng.Intn(g.Order()))
-		a.Part[v] = int32((int(a.Part[v]) + 1) % a.P)
-	}
-	repaired, err := h.Update(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repaired {
-		t.Fatal("pure partition drift forced a rebuild")
-	}
-	if err := h.Check(a); err != nil {
-		t.Fatalf("hierarchy invalid after drift repair: %v", err)
-	}
-}
-
 func TestHierarchyDeterministic(t *testing.T) {
-	// Two identical build+edit+repair histories must produce bitwise
+	// Two identical build+edit+build histories must produce bitwise
 	// identical coarse graphs and assignments.
 	run := func() *Hierarchy {
 		g, a := striped(16, 32, 4)
@@ -213,14 +122,10 @@ func TestHierarchySolveAndUncoarsen(t *testing.T) {
 	if cut <= 0 || cut > float64(3*24*4) {
 		t.Fatalf("implausible V-cycle cut %g on a 24x24 grid", cut)
 	}
-	// Warm path: the V-cycle's own refinement made some groups impure;
-	// Update must repair, not rebuild.
-	repaired, err := h.Update(context.Background(), a)
-	if err != nil {
+	// The V-cycle's own refinement made some groups impure; the next
+	// Update builds over the refined assignment.
+	if _, err := h.Update(context.Background(), a); err != nil {
 		t.Fatal(err)
-	}
-	if !repaired {
-		t.Fatal("post-uncoarsen Update rebuilt instead of repairing")
 	}
 	if err := h.Check(a); err != nil {
 		t.Fatal(err)
@@ -265,7 +170,7 @@ func TestHierarchyCoarsestBalanceWarm(t *testing.T) {
 		t.Fatalf("V-cycle did not shrink imbalance: %g -> %g", before, after)
 	}
 	// The coarse moves and refinement made groups impure; Check is only
-	// valid after the next Update repairs them.
+	// valid after the next Update builds over them.
 	if _, err := h.Update(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
@@ -274,113 +179,19 @@ func TestHierarchyCoarsestBalanceWarm(t *testing.T) {
 	}
 }
 
-func TestHierarchyRepairWaveBeyondJournalWindow(t *testing.T) {
-	// Regression: a warm repair whose own mutations dwarf the graph
-	// journal's bounded window must still repair the levels above it.
-	// Upper levels never consult their fine graph's journal — repair at
-	// level l records its exact mutation wave and Update hands it to
-	// level l+1 — so a drift that dissolves every level-0 group (tens of
-	// thousands of would-be journal entries here) keeps the whole stack
-	// on the repair path. Before wave propagation the overflowing coarse
-	// journals forced every upper level to rebuild.
-	g, a := striped(96, 96, 4)
-	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-	if h.Depth() < 3 {
-		t.Fatalf("need ≥3 levels to observe wave propagation, got depth %d", h.Depth())
-	}
-	// Flip exactly one member of every level-0 pair: each group turns
-	// impure, so the purity sweep dissolves all of them.
-	lv0 := h.levels[0]
-	for v := 0; v < g.Order(); v++ {
-		if u := lv0.match[v]; u > graph.Vertex(v) {
-			a.Part[v] = int32((int(a.Part[v]) + 1) % a.P)
-		}
-	}
-	origDepth := h.Depth()
-	repaired, err := h.Update(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repaired {
-		t.Fatal("oversized repair wave forced a rebuild instead of propagating")
-	}
-	// Levels appended below the repaired stack are built fresh by
-	// definition; only pre-existing levels must have stayed on the
-	// repair path.
-	for l, st := range h.Levels() {
-		if l < origDepth && st.Rebuilt {
-			t.Fatalf("level %d rebuilt under the repair wave", l)
-		}
-	}
-	if h.Depth() > 1 && h.lstats[1].Dissolved == 0 {
-		t.Fatal("no repair wave reached level 1")
-	}
-	if err := h.Check(a); err != nil {
-		t.Fatalf("hierarchy invalid after wave repair: %v", err)
-	}
-}
-
-func TestHierarchyJournalOverflowRebuilds(t *testing.T) {
-	// Blowing past the fine graph's journal capacity makes TouchedSince
-	// inexact; Update must fall back to a rebuild and stay valid.
-	g, a := striped(16, 32, 4)
-	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-	prev := g.Vertices()
-	rng := rand.New(rand.NewSource(13))
-	for k := 0; k < 1<<15; k++ { // > maxJournal edits
-		u := prev[rng.Intn(len(prev))]
-		v := g.AddVertex(1)
-		_ = g.AddEdge(v, u, 1)
-		a.Part = append(a.Part, a.Part[u])
-	}
-	repaired, err := h.Update(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired {
-		t.Fatal("journal overflow still reported a repair")
-	}
-	if err := h.Check(a); err != nil {
-		t.Fatalf("rebuilt hierarchy invalid: %v", err)
-	}
-}
-
-func TestHierarchyPartitionCountChangeRebuilds(t *testing.T) {
-	g, a := striped(16, 32, 4)
-	h := buildHierarchy(t, g, a, HierarchyOptions{CoarsenTo: 16})
-	// Re-stripe the same graph at p=2.
-	a2 := partition.New(g.Order(), 2)
-	for r := 0; r < 16; r++ {
-		for c := 0; c < 32; c++ {
-			a2.Part[r*32+c] = int32(c / 16)
-		}
-	}
-	repaired, err := h.Update(context.Background(), a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired {
-		t.Fatal("partition-count change reported a repair")
-	}
-	if err := h.Check(a2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHierarchyHubAggregation(t *testing.T) {
 	// Pins the coarse-arc aggregation where it is hardest: on a power-law
 	// graph a hub's group gathers hundreds of arcs that collapse onto far
-	// fewer coarse endpoints, and a repair wires new groups to old ones
-	// and to each other. hubHistory runs the oracle, which recomputes
-	// every aggregated weight, after the build and after each repair
-	// round; TestHierarchyLocked pins the same history's adjacency order
+	// fewer coarse endpoints. hubHistory runs the oracle, which recomputes
+	// every aggregated weight, after the first build and after each
+	// round's; TestHierarchyLocked pins the same history's adjacency order
 	// and weights slot for slot.
 	hubHistory(t)
 }
 
 // hubHistory builds a hierarchy over a 2000-vertex power-law graph and
-// runs 20 repair rounds of partition moves that split groups and edge
-// flips, checking the hierarchy after every round.
+// runs 20 rounds of partition moves that split groups and edge flips,
+// each followed by an Update, checking the hierarchy after every round.
 func hubHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 	t.Helper()
 	g, err := graph.PowerLaw(2000, 4, rand.New(rand.NewSource(4)))

@@ -1,7 +1,7 @@
 package coarsen
 
 // match.go holds the hierarchy's matcher: the greedy heavy-edge matching
-// shared by build and rematch, computed by the suitor algorithm, with
+// of the hierarchy's level build, computed by the suitor algorithm, with
 // the two-hop pass for the singletons it strands.
 
 import (
@@ -32,7 +32,7 @@ func edgeHash(a, b graph.Vertex) uint64 {
 }
 
 // matcher is the deterministic heavy-edge matcher of the hierarchy's
-// build and rematch paths.
+// level build.
 //
 // Its first pass is the greedy matching of the free vertices'
 // same-partition edges under a strict total edge order (weight
@@ -134,7 +134,7 @@ func (m *matcher) court(fg *graph.Graph, part []int32, u graph.Vertex) (graph.Ve
 // star whose hub is matched (its only free edge leads to a non-free
 // vertex), and those stars dominate deep coarse levels: without this
 // pass the per-level reduction ratio decays toward 1 and the hierarchy
-// both deepens and trips the stall guard on warm repairs. The
+// both deepens and trips the stall guard. The
 // (center, singleton) pairs are sorted under their total order and
 // consecutive same-partition singletons within each center run pair up
 // in ascending order, so the result is a pure function of (graph,

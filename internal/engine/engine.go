@@ -90,7 +90,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/cancel"
-	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
@@ -161,10 +160,10 @@ type Options struct {
 	// refinement — all between phase 1 and the balancing stage loop,
 	// which becomes the fine polish. It is a balancing stage: a call that
 	// arrives within Tolerance of its targets skips it
-	// (Stats.VCycleSkipped). The hierarchy lives in the engine session
-	// and is journal-repaired by the calls that do consult it (see
-	// Stats.HierarchyRepaired). Disabled (the zero value), the flat
-	// pipeline is untouched.
+	// (Stats.VCycleSkipped). A call that runs it builds its hierarchy
+	// and drops it on return, so a warm engine's output is a fresh
+	// engine's on the same graph and assignment. Disabled (the zero
+	// value), the flat pipeline is untouched.
 	Multilevel MultilevelOptions
 	// FullRefresh disables every delta shortcut in the derived-state
 	// pipeline: CSR snapshots are fully rebuilt instead of patched from
@@ -271,11 +270,6 @@ type Engine struct {
 	// The reused result arena (see Repartition), allocated apart from the
 	// engine so a Stats a caller keeps does not keep the engine's arenas.
 	stats *Stats
-
-	// V-cycle hierarchy, created by the first Repartition that runs the
-	// V-cycle and journal-repaired by later ones that do (nil when
-	// Options.Multilevel is disabled; dropped by Close).
-	ml *coarsen.Hierarchy
 }
 
 // neverSeen marks prevPart slots the engine has not synced yet; it never
@@ -667,8 +661,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	if opt.Multilevel.Enabled {
 		// The V-cycle is a balancing stage and sits under the stage loop's
 		// own test: a call that arrives within tolerance has nothing for the
-		// coarse LP to move, so the hierarchy is neither consulted nor
-		// repaired (see multilevel.go).
+		// coarse LP to move, so no hierarchy is built (see multilevel.go).
 		if maxAbsDev(e.liveSizes(a), targets) > opt.Tolerance {
 			e.wroteAll = true // projections and per-level moves: the next sync diffs
 			if err := e.runMultilevel(ctx, a); err != nil {

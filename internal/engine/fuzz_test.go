@@ -284,7 +284,9 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 // pre-call state, which must succeed exactly balanced too — same-state
 // comparison, because letting two pipelines evolve separately would
 // measure accumulated basin divergence, not per-call quality. The
-// tighter paper-mesh bound is TestMultilevelCutWithinBoundOfFlat.
+// tighter paper-mesh bound is TestMultilevelCutWithinBoundOfFlat. A
+// third clone goes to a fresh multilevel engine, whose assignment the
+// warm one must equal bit for bit after every call.
 func FuzzVCycleValidity(f *testing.F) {
 	f.Add(int64(1), uint8(10))
 	f.Add(int64(42), uint8(30))
@@ -293,34 +295,43 @@ func FuzzVCycleValidity(f *testing.F) {
 		n := 60 + int(uint64(seed)%300)
 		p := 2 + int(uint64(seed)%4)
 		g, a := editableGraph(t, n, p, seed)
-		e := New(g, Options{
+		mlOpt := Options{
 			Refine:     true,
 			Multilevel: MultilevelOptions{Enabled: true, CoarsenTo: 8, Seed: seed},
-		})
+		}
+		e := New(g, mlOpt)
 		defer e.Close()
 		rng := rand.New(rand.NewSource(seed ^ 0x7c1e))
 		check := func() {
 			gF, aF := g.Clone(), a.Clone()
+			gO, aO := g.Clone(), a.Clone()
 			st, err := e.Repartition(context.Background(), a)
 			ranVCycle := len(st.Levels) > 0
 			eF := New(gF, Options{Refine: true})
 			_, errF := eF.Repartition(context.Background(), aF)
 			eF.Close()
+			eO := New(gO, mlOpt)
+			_, errO := eO.Repartition(context.Background(), aO)
+			eO.Close()
 			if err != nil {
 				t.Fatalf("multilevel Repartition: %v", err)
 			}
 			if errF != nil {
 				t.Fatalf("flat Repartition: %v", errF)
 			}
+			if errO != nil {
+				t.Fatalf("one-shot multilevel Repartition: %v", errO)
+			}
 			if verr := a.Validate(g); verr != nil {
 				t.Fatalf("invalid multilevel assignment (err=%v): %v", err, verr)
 			}
+			// The engine keeps nothing of a V-cycle between calls: its
+			// output is a fresh engine's on the same state, bit for bit.
+			if !reflect.DeepEqual(a.Part, aO.Part) {
+				t.Fatal("warm multilevel engine differs from a one-shot one")
+			}
 			if ranVCycle {
-				// Balanced calls skip the V-cycle, so this one repaired a
-				// deferred window of random length: it must have caught up
-				// with every edit and move since the hierarchy was last
-				// consulted.
-				requireHierarchy(t, e, a)
+				requireHierarchy(t, g, a, mlOpt.Multilevel)
 			}
 			targets := partition.Targets(g.NumVertices(), a.P)
 			if dev := maxAbsDev(a.Sizes(g), targets); dev != 0 {

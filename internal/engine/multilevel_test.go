@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -64,16 +65,10 @@ func TestMultilevelColdVCycle(t *testing.T) {
 	if !st.SpectralInit {
 		t.Fatal("degenerate cold start did not take the spectral coarsest init")
 	}
-	if st.HierarchyRepaired {
-		t.Fatal("first call cannot have repaired a hierarchy")
-	}
 	if len(st.Levels) == 0 {
 		t.Fatal("no hierarchy levels reported")
 	}
 	for l, ls := range st.Levels {
-		if !ls.Rebuilt {
-			t.Fatalf("level %d of a cold hierarchy not marked Rebuilt", l)
-		}
 		if ls.Vertices <= 0 {
 			t.Fatalf("level %d reports %d vertices", l, ls.Vertices)
 		}
@@ -153,17 +148,15 @@ func sizePreservingEdit(g *graph.Graph, a *partition.Assignment, rng *rand.Rand)
 	}
 }
 
-// requireHierarchy runs the hierarchy's structural oracle. Check compares
-// against the fine assignment, which the polish after the V-cycle has
-// moved on from, so one more Update absorbs those moves first; an edit or
-// a move the engine's own Update failed to catch up with is not repaired
-// by it (nothing journals it any more) and still fails the oracle.
-func requireHierarchy(t *testing.T, e *Engine, a *partition.Assignment) {
+// requireHierarchy builds the hierarchy the engine's next V-cycle would
+// build over g and a, and runs its structural oracle.
+func requireHierarchy(t *testing.T, g *graph.Graph, a *partition.Assignment, opt MultilevelOptions) {
 	t.Helper()
-	if _, err := e.ml.Update(context.Background(), a); err != nil {
+	h := coarsen.NewHierarchy(g, coarsen.HierarchyOptions{CoarsenTo: opt.CoarsenTo, Seed: opt.Seed})
+	if _, err := h.Update(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ml.Check(a); err != nil {
+	if err := h.Check(a); err != nil {
 		t.Fatalf("hierarchy invalid: %v", err)
 	}
 }
@@ -178,34 +171,10 @@ func requireExactBalance(t *testing.T, g *graph.Graph, a *partition.Assignment) 
 	}
 }
 
-func TestMultilevelWarmRepartitionRepairs(t *testing.T) {
-	// After a cold V-cycle, a small growth batch — a call that arrives
-	// imbalanced, so the V-cycle runs — must take the journal-repair
-	// path: no level recoarsened.
-	g, a := grownGrid(32, 32, 4, 40, 1)
-	e := New(g, Options{Multilevel: MultilevelOptions{Enabled: true}})
-	defer e.Close()
-	if _, err := e.Repartition(context.Background(), a); err != nil {
-		t.Fatal(err)
-	}
-	attachVertices(g, a, rand.New(rand.NewSource(2)), 0, 8)
-	st, err := e.Repartition(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.VCycleSkipped {
-		t.Fatal("imbalanced warm call skipped the V-cycle")
-	}
-	if !st.HierarchyRepaired {
-		t.Fatal("warm small-edit Repartition rebuilt the hierarchy instead of repairing it")
-	}
-	requireExactBalance(t, g, a)
-}
-
 func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 	// A call that arrives balanced runs no balancing stage, the V-cycle
-	// included: the hierarchy is not touched, nothing V-cycle-shaped is
-	// reported, and the result is the flat pipeline's.
+	// included: nothing V-cycle-shaped is reported, and the result is the
+	// flat pipeline's.
 	var events []Event
 	opt := Options{
 		Refine:     true,
@@ -223,9 +192,6 @@ func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 	if st.VCycleSkipped || len(st.Levels) < 2 {
 		t.Fatalf("imbalanced cold call: skipped=%v levels=%d", st.VCycleSkipped, len(st.Levels))
 	}
-	depth := e.ml.Depth()
-	coarsest, _ := e.ml.Coarsest()
-	epoch := coarsest.Epoch()
 
 	rng := rand.New(rand.NewSource(22))
 	for k := 0; k < 8; k++ {
@@ -240,7 +206,7 @@ func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 	if !st.VCycleSkipped {
 		t.Fatal("balanced warm call ran the V-cycle")
 	}
-	if len(st.Levels) != 0 || st.HierarchyRepaired || st.SpectralInit || st.PhaseTimings.Coarsen != 0 ||
+	if len(st.Levels) != 0 || st.SpectralInit || st.PhaseTimings.Coarsen != 0 ||
 		st.PhaseTimings.Uncoarsen != 0 || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
 		t.Fatalf("skipped V-cycle leaked stats: %+v", st)
 	}
@@ -248,10 +214,6 @@ func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 		if ev.Phase == PhaseCoarsen || ev.Phase == PhaseUncoarsen {
 			t.Fatalf("skipped V-cycle emitted %+v", ev)
 		}
-	}
-	if gc, _ := e.ml.Coarsest(); e.ml.Depth() != depth || gc != coarsest || gc.Epoch() != epoch {
-		t.Fatalf("skipped call touched the hierarchy: depth %d→%d, coarsest epoch %d→%d",
-			depth, e.ml.Depth(), epoch, gc.Epoch())
 	}
 	requireExactBalance(t, g, a)
 
@@ -288,64 +250,67 @@ func TestMultilevelBalancedCallSkipsVCycle(t *testing.T) {
 	}
 }
 
-func TestMultilevelDeferredRepairCatchesUp(t *testing.T) {
-	// Skipped calls leave the hierarchy behind; the next call that runs
-	// the V-cycle repairs the whole window it missed — journaled edits and
-	// every group refinement split meanwhile — or, when the bounded graph
-	// journal no longer reaches back that far, rebuilds.
+// scatterVertices grows g by k unassigned unit vertices, each hung off a
+// random live vertex, so phase 1 spreads them over the partitions.
+func scatterVertices(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k int) {
+	n := g.Order()
+	for k > 0 {
+		if u := graph.Vertex(rng.Intn(n)); g.Alive(u) {
+			_ = g.AddEdge(g.AddVertex(1), u, 1)
+			k--
+		}
+	}
+	a.Grow(g.Order())
+}
+
+func TestMultilevelWarmEqualsOneShot(t *testing.T) {
+	// A multilevel engine keeps nothing of the V-cycle between calls, so
+	// after a cold start from everything in partition 0 and every later
+	// burst — localized (a random tree hung off one vertex) or random
+	// (each vertex off a random one), 50 to 850 vertices, with partition
+	// drift and edge edits beside it — the warm engine's assignment and
+	// cut are a fresh engine's on a clone of the same graph and assignment.
+	g := graph.Grid(120, 120)
+	a := partition.New(g.Order(), 8)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	opt := Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true}}
+	e := New(g, opt)
+	defer e.Close()
 	ctx := context.Background()
-	for _, tc := range []struct {
-		name         string
-		calls, edits int
-		wantRebuilt  bool
-	}{
-		{"journal covers the window", 50, 6, false},
-		{"window past the journal", 10, 2000, true}, // ≈ 2.7·10⁴ journal entries > 2¹⁴
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, a := grownGrid(32, 32, 4, 40, 31)
-			e := New(g, Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true, CoarsenTo: 16}})
-			defer e.Close()
-			if _, err := e.Repartition(ctx, a); err != nil {
-				t.Fatal(err)
+	rng := rand.New(rand.NewSource(48))
+	for call := 0; call < 7; call++ {
+		if call > 0 {
+			k := 50 + rng.Intn(801)
+			if call%2 == 1 {
+				attachVertices(g, a, rng, graph.Vertex(rng.Intn(g.Order())), k)
+			} else {
+				scatterVertices(g, a, rng, k)
 			}
-			consulted := g.Epoch()
-			rng := rand.New(rand.NewSource(32))
-			refined := 0
-			for c := 0; c < tc.calls; c++ {
-				for k := 0; k < tc.edits; k++ {
-					sizePreservingEdit(g, a, rng)
-				}
-				st, err := e.Repartition(ctx, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.VCycleSkipped {
-					t.Fatalf("call %d: size-preserving edits ran the V-cycle", c)
-				}
-				refined += st.RefineMoved
+			for d := 0; d < 40; d++ {
+				sizePreservingEdit(g, a, rng)
 			}
-			if refined == 0 {
-				t.Fatal("refinement moved nothing during the deferred window")
-			}
-			attachVertices(g, a, rng, 0, 24)
-			if _, exact := g.TouchedSince(consulted, nil); exact == tc.wantRebuilt {
-				t.Fatalf("journal covers the deferred window: %v", exact)
-			}
-			st, err := e.Repartition(ctx, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.VCycleSkipped || len(st.Levels) == 0 {
-				t.Fatalf("growth burst: skipped=%v levels=%d", st.VCycleSkipped, len(st.Levels))
-			}
-			if st.Levels[0].Rebuilt != tc.wantRebuilt || st.HierarchyRepaired == tc.wantRebuilt {
-				t.Fatalf("level 0 rebuilt=%v repaired=%v, want rebuilt=%v",
-					st.Levels[0].Rebuilt, st.HierarchyRepaired, tc.wantRebuilt)
-			}
-			requireExactBalance(t, g, a)
-			requireHierarchy(t, e, a)
-		})
+		}
+		gF, aF := g.Clone(), a.Clone()
+		st, err := e.Repartition(ctx, a)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if st.VCycleSkipped {
+			t.Fatalf("call %d: the burst arrived balanced", call)
+		}
+		eF := New(gF, opt)
+		stF, err := eF.Repartition(ctx, aF)
+		if err != nil {
+			t.Fatalf("call %d one-shot: %v", call, err)
+		}
+		cut, cutF := st.CutAfter.TotalWeight, stF.CutAfter.TotalWeight
+		eF.Close()
+		if !reflect.DeepEqual(a.Part, aF.Part) || cut != cutF {
+			t.Fatalf("call %d: warm engine (cut %g) differs from a fresh one (cut %g)", call, cut, cutF)
+		}
+		requireExactBalance(t, g, a)
 	}
 }
 
@@ -389,11 +354,8 @@ func TestMultilevelDisabledLeavesPipelineUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(st.Levels) != 0 || st.PhaseTimings.Coarsen != 0 || st.PhaseTimings.Uncoarsen != 0 ||
-		st.HierarchyRepaired || st.SpectralInit || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
+		st.SpectralInit || st.CoarseMoved != 0 || st.VCycleRefined != 0 {
 		t.Fatalf("flat pipeline leaked V-cycle stats: %+v", st)
-	}
-	if e.ml != nil {
-		t.Fatal("flat pipeline created a hierarchy")
 	}
 }
 

@@ -13,8 +13,9 @@ const (
 	PhaseLayer                // phase 2: boundary layering
 	PhaseBalance              // phase 3: the balance LP + moves
 	PhaseRefine               // phase 4: LP cut refinement (IGPR)
-	// PhaseCoarsen is the V-cycle's down-leg: hierarchy update (journal
-	// repair or rebuild per level) plus the coarsest-graph solve.
+	// PhaseCoarsen is the V-cycle's down-leg: the hierarchy build (one
+	// matching and contraction per level, from scratch on every call that
+	// runs the V-cycle) plus the coarsest-graph solve.
 	PhaseCoarsen
 	// PhaseUncoarsen is the V-cycle's up-leg: per-level projection and
 	// greedy refinement back to the fine graph.
@@ -102,14 +103,16 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind  EventKind
 	Phase Phase
-	// Stage is the 1-based balancing stage for layer/balance spans and the
-	// 1-based round for refine EventRound; 0 for whole-phase spans.
+	// Stage is the 1-based balancing stage for layer/balance spans, the
+	// 1-based level for per-level coarsen/uncoarsen spans and the 1-based
+	// round for refine EventRound; 0 for whole-phase spans.
 	Stage int
 	// Epsilon is the relaxation factor that produced a feasible LP
 	// (balance EventEnd only).
 	Epsilon float64
 	// Moved counts vertices moved in the closed span (for the assign
-	// phase: vertices newly assigned).
+	// phase: vertices newly assigned; for a per-level coarsen span: the
+	// groups that level's build formed).
 	Moved int
 	// Deepened, LPSolves and TightKept say why a balance stage cost what
 	// it did (balance EventEnd only): the partitions it layered to full

@@ -12,7 +12,7 @@ import (
 // (every stage's rim pass plus the partitions its balance LP asked to have
 // finished), phase 3 LP balancing (formulate + solve + move, summed over
 // stages) and phase 4 refinement. Under Options.Multilevel
-// (igp.WithMultilevel), Coarsen (hierarchy update plus coarsest solve) and
+// (igp.WithMultilevel), Coarsen (hierarchy build plus coarsest solve) and
 // Uncoarsen (projection plus per-level refinement) cover the V-cycle legs
 // run between assignment and balancing; both are zero otherwise, and on a
 // call that skipped the V-cycle (Stats.VCycleSkipped). For a single-pass
@@ -144,22 +144,21 @@ type Stats struct {
 	CutReused      int
 	// VCycleSkipped reports that Options.Multilevel (igp.WithMultilevel)
 	// is on and the call arrived within Tolerance of its targets, so — like
-	// every other balancing stage — the V-cycle did not run: the hierarchy
-	// was left as it was, the V-cycle fields below and the Coarsen/Uncoarsen
+	// every other balancing stage — the V-cycle did not run: no hierarchy
+	// was built, the V-cycle fields below and the Coarsen/Uncoarsen
 	// timings are zero, and no PhaseCoarsen or PhaseUncoarsen event was
 	// emitted.
 	VCycleSkipped bool
-	// Levels reports the hierarchy bottom-up: sizes, repair-vs-rebuild
-	// outcome and timings of each coarse level. It is empty when the
+	// Levels reports the hierarchy the call built, bottom-up: sizes,
+	// groups formed and timings of each coarse level. It is empty when the
 	// V-cycle is disabled or was skipped.
 	Levels []LevelStats
-	// HierarchyRepaired reports that every pre-existing hierarchy level was
-	// repaired from the graph's edit journal this call — the warm V-cycle
-	// path — instead of any of them being recoarsened (the journal no
-	// longer covers the edits since the hierarchy was last consulted,
-	// dead-slot bloat, a partition-count change, a coarsening stall). The
-	// repair covers everything since the hierarchy was last consulted,
-	// skipped calls included.
+	// HierarchyRepaired is always false: every call that runs the V-cycle
+	// builds its hierarchy from scratch. The field stays for the one
+	// caller outside the repository's root module that still reads it
+	// (benchmarks/harness, until ROADMAP item 1(b) may edit it).
+	//
+	// Deprecated: it is always false.
 	HierarchyRepaired bool
 	// SpectralInit reports that the coarsest graph was partitioned from
 	// scratch by recursive spectral bisection (degenerate incoming
@@ -255,7 +254,7 @@ func (s *Stats) AddBatch(b *Stats) {
 	s.SyncDiffs += b.SyncDiffs
 	s.CutIncremental += b.CutIncremental
 	s.CutReused += b.CutReused
-	s.VCycleSkipped, s.HierarchyRepaired, s.SpectralInit = b.VCycleSkipped, b.HierarchyRepaired, b.SpectralInit
+	s.VCycleSkipped, s.SpectralInit = b.VCycleSkipped, b.SpectralInit
 	s.Levels = append(s.Levels[:0], b.Levels...)
 	s.CoarseMoved += b.CoarseMoved
 	s.VCycleRefined += b.VCycleRefined

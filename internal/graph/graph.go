@@ -260,20 +260,14 @@ func (g *Graph) AddEdgeIfAbsent(u, v Vertex, weight float64) bool {
 
 // AppendRows appends len(vw) vertices in one mutation, the first at
 // Order(): new vertex i weighs vw[i] and its row is adj[off[i]:off[i+1]]
-// with weights ew[off[i]:off[i+1]] (off runs from 0 to len(adj)). The
-// graph keeps adj and ew as one slab of rows, each capped at its end, so
-// a row grown later reallocates alone. An arc between two new vertices is
-// listed in both rows with one weight; an arc to an old vertex is
-// mirrored onto the end of its row, in ascending new id. Nothing is
-// checked (Validate is the oracle). The epoch advances once, and the
-// journal gets the new vertices, then each mirrored arc's old endpoint.
+// with weights ew[off[i]:off[i+1]] (off runs from 0 to len(adj)). Every
+// arc must join two new vertices and be listed in both rows with one
+// weight. The graph keeps adj and ew as one slab of rows, each capped at
+// its end, so a row grown later reallocates alone. Nothing is checked
+// (Validate is the oracle). The epoch advances once, and the journal
+// gets the new vertices.
 func (g *Graph) AppendRows(vw []float64, off []int, adj []Vertex, ew []float64) {
-	base, k, old := Vertex(len(g.adj)), len(vw), 0
-	for _, u := range adj {
-		if u < base {
-			old++
-		}
-	}
+	base, k := Vertex(len(g.adj)), len(vw)
 	g.adj, g.ew, g.alive = slices.Grow(g.adj, k), slices.Grow(g.ew, k), slices.Grow(g.alive, k)
 	g.vw = append(g.vw, vw...)
 	for i := 0; i < k; i++ {
@@ -282,23 +276,11 @@ func (g *Graph) AppendRows(vw []float64, off []int, adj []Vertex, ew []float64) 
 		g.ew = append(g.ew, ew[lo:hi:hi])
 		g.alive = append(g.alive, true)
 	}
-	g.m += (len(adj) + old) / 2
-	rec := g.advance(k + old)
-	if rec {
-		g.journalV, g.journalE = slices.Grow(g.journalV, k+old), slices.Grow(g.journalE, k+old)
+	g.m += len(adj) / 2
+	if g.advance(k) {
+		g.journalV, g.journalE = slices.Grow(g.journalV, k), slices.Grow(g.journalE, k)
 		for i := 0; i < k; i++ {
 			g.record(base + Vertex(i))
-		}
-	}
-	for i := 0; old > 0 && i < k; i++ {
-		for j := off[i]; j < off[i+1]; j++ {
-			if u := adj[j]; u < base {
-				g.adj[u] = append(g.adj[u], base+Vertex(i))
-				g.ew[u] = append(g.ew[u], ew[j])
-				if rec {
-					g.record(u)
-				}
-			}
 		}
 	}
 }

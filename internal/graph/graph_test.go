@@ -119,9 +119,8 @@ func TestAppendRows(t *testing.T) {
 		t.Fatalf("touched %v exact %v, want [0 1 2] exact", touched, exact)
 	}
 
-	// Onto a graph with a dead slot: arcs to old vertices are mirrored at
-	// the end of their rows in ascending new id, and the journal holds the
-	// new vertices, then each mirrored arc's old endpoint.
+	// Onto a graph with a dead slot: the new rows start at Order(), the
+	// old rows are left alone, and the journal holds the new vertices.
 	g = NewWithVertices(4)
 	_ = g.AddEdge(0, 1, 1)
 	_ = g.AddEdge(1, 2, 1)
@@ -130,28 +129,28 @@ func TestAppendRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	mark := g.Epoch()
-	g.AppendRows([]float64{2, 2}, []int{0, 3, 6},
-		[]Vertex{0, 3, 5, 4, 0, 2}, []float64{1.5, 2.5, 0.5, 0.5, 4, 3.5})
+	g.AppendRows([]float64{2, 2, 1}, []int{0, 1, 3, 4},
+		[]Vertex{5, 4, 6, 5}, []float64{0.5, 0.5, 4, 4})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 6 || g.Epoch() != mark+1 {
-		t.Fatalf("edges %d epoch %d, want 6 and %d", g.NumEdges(), g.Epoch(), mark+1)
+	if g.NumEdges() != 3 || g.Epoch() != mark+1 {
+		t.Fatalf("edges %d epoch %d, want 3 and %d", g.NumEdges(), g.Epoch(), mark+1)
 	}
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []Vertex{4, 5}) {
-		t.Fatalf("old row 0 = %v, want [4 5]", got)
+	if got := g.Neighbors(5); !reflect.DeepEqual(got, []Vertex{4, 6}) {
+		t.Fatalf("row 5 = %v, want [4 6]", got)
 	}
-	if got := g.EdgeWeights(2); !reflect.DeepEqual(got, []float64{1, 3.5}) {
-		t.Fatalf("old row 2 weights = %v, want [1 3.5]", got)
+	if got := g.Neighbors(2); !reflect.DeepEqual(got, []Vertex{3}) {
+		t.Fatalf("old row 2 = %v, want [3]", got)
 	}
 	touched, exact := g.TouchedSince(mark, nil)
-	if want := []Vertex{4, 5, 0, 3, 0, 2}; !exact || !reflect.DeepEqual(touched, want) {
+	if want := []Vertex{4, 5, 6}; !exact || !reflect.DeepEqual(touched, want) {
 		t.Fatalf("touched %v exact %v, want %v exact", touched, exact, want)
 	}
 	// Growing a slab row later reallocates that row alone.
 	next := &g.Neighbors(5)[0]
 	_ = g.AddEdge(4, 2, 1)
-	if &g.Neighbors(5)[0] != next || g.Degree(4) != 4 {
+	if &g.Neighbors(5)[0] != next || g.Degree(4) != 2 {
 		t.Fatal("growing row 4 moved its slab neighbour")
 	}
 	if err := g.Validate(); err != nil {

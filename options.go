@@ -177,13 +177,15 @@ func WithObserver(fn func(Event)) Option {
 // skips its stages ([Stats.VCycleSkipped]); size-preserving edits cost
 // what they cost the flat pipeline.
 //
-// Inside an [Engine] the coarse hierarchy is part of the session: a warm
-// Repartition that does run the V-cycle repairs it from the graph's edit
-// journal — only the clusters whose members were touched, or split by
-// vertex moves, since the hierarchy was last consulted dissolve and
-// re-match — instead of recoarsening from scratch
-// ([Stats.HierarchyRepaired] reports which path ran; a window the
-// bounded journal no longer covers is rebuilt).
+// A call that runs the V-cycle builds the coarse hierarchy from scratch
+// and drops it when it returns, so inside an [Engine] a warm
+// Repartition gives bit for bit what a one-shot [Repartition] gives on
+// the same graph and assignment. A small growth burst pays for the whole
+// build: the flat pipeline serves it at an equal cut in a fraction of the
+// time (a 64-vertex burst on a 10⁵-vertex grid costs the V-cycle about
+// ten times what it costs flat). The V-cycle can win on cut on large
+// localized bursts — several percent of the graph hung off one spot —
+// where the flat pipeline's cut drifts.
 //
 // Coarsening stops once a level has at most max(64, 16·P) live vertices,
 // after 32 levels, or when a level would keep more than 95 % of its fine
