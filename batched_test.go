@@ -51,7 +51,7 @@ func TestBatchedMatchesOneShotBalance(t *testing.T) {
 	for _, batches := range []int{1, 2, 3, 5} {
 		rng := rand.New(rand.NewSource(7))
 		g, a := burstGrid(8, 16, 4, 30, rng)
-		st, err := repartitionInBatches(context.Background(), g, a, engine.Options{Refine: true}, batches)
+		st, err := Repartition(context.Background(), g, a, WithBatches(batches), WithRefine())
 		if err != nil {
 			t.Fatalf("batches=%d: %v", batches, err)
 		}
@@ -74,7 +74,7 @@ func TestBatchedMatchesOneShotBalance(t *testing.T) {
 func TestBatchedStagesAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g, a := burstGrid(8, 16, 4, 40, rng)
-	st, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 4)
+	st, err := Repartition(context.Background(), g, a, WithBatches(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestBatchedArgErrors(t *testing.T) {
 	g := graph.Path(4)
 	a := partition.New(4, 2)
 	a.Part = []int32{0, 0, 1, 1}
-	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 0); err == nil {
+	if _, err := Repartition(context.Background(), g, a, WithBatches(0)); err == nil {
 		t.Fatal("0 batches must error")
 	}
 	b := partition.New(4, 2)
-	if _, err := repartitionInBatches(context.Background(), g, b, engine.Options{}, 2); err == nil {
+	if _, err := Repartition(context.Background(), g, b, WithBatches(2)); err == nil {
 		t.Fatal("no old assignment must error")
 	}
 }
@@ -103,7 +103,7 @@ func TestBatchedNoNewVertices(t *testing.T) {
 	for v := 0; v < g.Order(); v++ {
 		a.Part[v] = int32(v % 2)
 	}
-	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 3); err != nil {
+	if _, err := Repartition(context.Background(), g, a, WithBatches(3)); err != nil {
 		t.Fatal(err)
 	}
 	if !partition.Balanced(a.Sizes(g)) {
@@ -114,7 +114,7 @@ func TestBatchedNoNewVertices(t *testing.T) {
 func TestBatchedMoreBatchesThanVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, a := burstGrid(6, 12, 3, 4, rng)
-	if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 50); err != nil {
+	if _, err := Repartition(context.Background(), g, a, WithBatches(50)); err != nil {
 		t.Fatal(err)
 	}
 	if !partition.Balanced(a.Sizes(g)) {
@@ -135,11 +135,62 @@ func TestBatchedSmallerPerStageMovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, a2 := build()
-	many, err := repartitionInBatches(context.Background(), g2, a2, engine.Options{}, 5)
+	many, err := Repartition(context.Background(), g2, a2, WithBatches(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slices.Max(many.StageMoved) > slices.Max(one.StageMoved) {
 		t.Fatalf("batched max stage moved %d > one-shot %d", slices.Max(many.StageMoved), slices.Max(one.StageMoved))
+	}
+}
+
+// TestBatchedEngineServesEditsWarm: a WithBatches(2) engine serves a call
+// with nothing to batch — here, no new vertex — on its session engine, so
+// an edit-only call after the first patches the warm snapshot instead of
+// rebuilding it, and leaves what a WithBatches(1) engine leaves.
+func TestBatchedEngineServesEditsWarm(t *testing.T) {
+	ctx := context.Background()
+	g, err := NewMeshGraph(2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := PartitionRSB(g, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, a1 := g.Clone(), a.Clone()
+	e, err := NewEngine(g, WithRefine(), WithBatches(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := NewEngine(g1, WithRefine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for call := 0; call < 2; call++ {
+		for k := 0; call > 0 && k < 16; k++ {
+			// A chord across two hops, on both graphs.
+			v := graph.Vertex(rng.Intn(g.Order()))
+			u := g.Neighbors(v)[0]
+			w := g.Neighbors(u)[rng.Intn(g.Degree(u))]
+			if w != v {
+				g.AddEdgeIfAbsent(v, w, 1)
+				g1.AddEdgeIfAbsent(v, w, 1)
+			}
+		}
+		st, err := e.Repartition(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if call > 0 && st.CSRPatched < 1 {
+			t.Fatalf("call %d: CSRPatched %d, want ≥ 1: the edit-only call rebuilt its snapshot", call, st.CSRPatched)
+		}
+		if _, err := e1.Repartition(ctx, a1); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Part, a1.Part) {
+			t.Fatalf("call %d: WithBatches(2) and WithBatches(1) engines disagree", call)
+		}
 	}
 }

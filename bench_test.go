@@ -258,7 +258,7 @@ func BenchmarkRefine_LP(b *testing.B) {
 		a := a0.Clone()
 		var s refine.Scratch
 		c, seeds := g.ToCSR(), g.Vertices()
-		st, _, err := refine.Drive(context.Background(), g, a, refine.Options{}, func(strict bool) (*refine.Candidates, error) {
+		st, _, err := refine.Drive(context.Background(), g, a, refine.Options{Solver: lp.Default(), Arena: new(refine.LPArena)}, func(strict bool) (*refine.Candidates, error) {
 			return s.GainsSeeded(c, a, strict, seeds)
 		}, nil)
 		if err != nil {
@@ -670,7 +670,7 @@ func BenchmarkBatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := f.base.Clone()
-		if _, err := repartitionInBatches(context.Background(), g, a, engine.Options{}, 4); err != nil {
+		if _, err := Repartition(context.Background(), g, a, WithBatches(4)); err != nil {
 			b.Fatal(err)
 		}
 	}

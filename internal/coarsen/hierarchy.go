@@ -53,7 +53,7 @@ type HierarchyOptions struct {
 	Seed int64
 	// Procs is not used: the hierarchy runs on one goroutine. The field
 	// stays for the one caller outside the repository's root module that
-	// still sets it (benchmarks/harness, until ROADMAP item 1(a) may edit
+	// still sets it (benchmarks/harness, until ROADMAP item 1(b) may edit
 	// it).
 	Procs int
 }

@@ -31,16 +31,11 @@ type assignScratch struct {
 // assignments, maps every pending live vertex to the partition of the
 // nearest assigned vertex, and places unreachable clusters on the
 // least-loaded partitions — bit-identical to the one-shot Assign oracle,
-// at cost proportional to the new region plus its labeled rim. With
-// Options.FullRefresh it delegates to the oracle outright.
+// at cost proportional to the new region plus its labeled rim.
 func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int, err error) {
 	e.sync(a)
 	if e.badID >= 0 {
 		return 0, 0, CheckID(a, e.badID)
-	}
-	if e.opt.FullRefresh {
-		e.pending.reset()
-		return Assign(e.g, a)
 	}
 	s := &e.asg
 

@@ -149,7 +149,7 @@ type Options struct {
 	// Parallelism is not used: the engine runs on the calling goroutine.
 	// The field stays for the one caller outside the repository's root
 	// module that still sets it (benchmarks/harness, until ROADMAP item
-	// 1(a) may edit it).
+	// 1(b) may edit it).
 	//
 	// Deprecated: it has no effect.
 	Parallelism int
@@ -165,17 +165,6 @@ type Options struct {
 	// engine's on the same graph and assignment. Disabled (the zero
 	// value), the flat pipeline is untouched.
 	Multilevel MultilevelOptions
-	// FullRefresh disables every delta shortcut in the derived-state
-	// pipeline: CSR snapshots are fully rebuilt instead of patched from
-	// the edit journal, the boundary set is rebuilt from scratch on
-	// every edit and every sync diffs, cutset statistics and partition
-	// sizes come from partition.Cut's and Sizes' full rescans, the
-	// refinement candidate pools are rescanned from the boundary every
-	// round instead of patched, and phase 1 runs the one-shot Assign
-	// oracle. Results are bit-identical either way (the incremental paths
-	// are fuzz-verified against these oracles); the switch exists as an
-	// escape hatch and a divergence-debugging lever.
-	FullRefresh bool
 }
 
 func (o Options) solver() lp.Solver {
@@ -353,10 +342,9 @@ func (e *Engine) growTo(n int) {
 // written anything, so it diffs all n slots; inside one the engine alone
 // writes and logs its writes (phase 1, balance stages, refinement), so it
 // visits just those — an empty log is O(1) — unless the call just began
-// or ran the V-cycle (wroteAll), the log outgrew n/diffBlock entries or
-// FullRefresh, the reference, is set. A membership change costs the
-// O(n/64 + boundary) relist; the snapshot refresh is journal-driven
-// (graph.RefreshCSR). Nothing is allocated once the arenas have grown.
+// or ran the V-cycle (wroteAll) or the log outgrew n/diffBlock entries.
+// A membership change costs the O(n/64 + boundary) relist; the snapshot
+// refresh is journal-driven (graph.RefreshCSR). Nothing is allocated once the arenas have grown.
 func (e *Engine) sync(a *partition.Assignment) {
 	a.Grow(e.g.Order())
 	e.badID = -1
@@ -368,23 +356,18 @@ func (e *Engine) sync(a *partition.Assignment) {
 		var exact bool
 		touched, exact = e.g.TouchedSince(e.epoch, e.touchBuf[:0])
 		e.touchBuf = touched[:0]
-		if e.opt.FullRefresh {
-			e.csr = e.g.RebuildCSRInto(e.csr)
-			exact = false // and rebuild the boundary/size tracker too
-		} else {
-			var patched bool
-			e.csr, patched = e.g.RefreshCSR(e.csr)
-			if patched {
-				e.csrPatched++
-			}
+		var patched bool
+		e.csr, patched = e.g.RefreshCSR(e.csr)
+		if patched {
+			e.csrPatched++
 		}
 		rebuild = rebuild || !e.synced || !exact
 		e.epoch = e.g.Epoch()
 		e.synced = true
-	} else if e.inCall && !e.wroteAll && len(e.written) == 0 && !rebuild && !e.opt.FullRefresh {
+	} else if e.inCall && !e.wroteAll && len(e.written) == 0 && !rebuild {
 		return
 	}
-	diff := rebuild || !e.inCall || e.wroteAll || e.opt.FullRefresh || len(e.written) > e.csr.Order()/diffBlock
+	diff := rebuild || !e.inCall || e.wroteAll || len(e.written) > e.csr.Order()/diffBlock
 	if diff {
 		e.syncDiffs++
 	}
@@ -539,17 +522,13 @@ func (e *Engine) evalCut(a *partition.Assignment) {
 }
 
 // Cut syncs and reports cutset statistics for the engine's graph under
-// a, maintained incrementally (or via the full rescan when
-// Options.FullRefresh is set). The result's PerPart is an engine-owned
+// a, maintained incrementally. The result's PerPart is an engine-owned
 // arena overwritten by the next Cut call (a previously returned
 // Stats.CutBefore/CutAfter is not affected); the scalar fields are
 // plain values. It is bit-identical to partition.Cut(e.Graph(), a).
 func (e *Engine) Cut(a *partition.Assignment) partition.CutStats {
 	if e.closed {
 		return partition.CutStats{}
-	}
-	if e.opt.FullRefresh {
-		return partition.Cut(e.g, a)
 	}
 	var st partition.CutStats
 	e.cutStatsInto(&st, &e.cutPPQ, a)
@@ -571,11 +550,10 @@ func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.
 // Gains returns the refinement candidate pools for a over the engine's
 // snapshot — always exactly what a boundary-seeded scan would build. The
 // first call (and any call after a boundary rebuild, a class log longer
-// than the boundary, with vertices pending assignment, or under
-// Options.FullRefresh) is that scan; otherwise the pools of the previous
-// call are patched from the class changes sync has logged since. The
-// result is owned by the engine's scratch and invalidated by the next
-// Gains call.
+// than the boundary, or with vertices pending assignment) is that scan;
+// otherwise the pools of the previous call are patched from the class
+// changes sync has logged since. The result is owned by the engine's
+// scratch and invalidated by the next Gains call.
 func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates, error) {
 	if e.closed {
 		return nil, ErrClosed
@@ -591,7 +569,7 @@ func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates
 		c, err = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.list)
 	}
 	e.gainDirty = e.gainDirty[:0]
-	e.gainsValid = err == nil && !e.opt.FullRefresh
+	e.gainsValid = err == nil
 	return c, err
 }
 
@@ -647,11 +625,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	st.ClusterFallbacks = fallbacks
 	st.PhaseTimings.Assign = time.Since(t0)
 	e.emit(Event{Kind: EventEnd, Phase: PhaseAssign, Moved: assigned, Elapsed: st.PhaseTimings.Assign})
-	if e.opt.FullRefresh {
-		st.CutBefore = partition.Cut(e.g, a)
-	} else {
-		e.cutStatsInto(&st.CutBefore, &e.cutPPB, a)
-	}
+	e.cutStatsInto(&st.CutBefore, &e.cutPPB, a)
 
 	if cap(e.targets) < a.P {
 		e.targets = make([]int, a.P)
@@ -728,20 +702,15 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 			return st, err
 		}
 	}
-	if e.opt.FullRefresh {
-		st.CutAfter = partition.Cut(e.g, a)
-	} else if !opt.Refine { // else runRefine's last report was it
+	if !opt.Refine { // else runRefine's last report was it
 		e.cutStatsInto(&st.CutAfter, &e.cutPPA, a)
 	}
 	return st, nil
 }
 
-// liveSizes returns each partition's live-vertex count under a: the sync
-// tracker's (valid until the next sync) or, under FullRefresh, a recount.
+// liveSizes returns each partition's live-vertex count under a, read
+// from the sync tracker (valid until the next sync).
 func (e *Engine) liveSizes(a *partition.Assignment) []int {
-	if e.opt.FullRefresh {
-		return a.Sizes(e.g)
-	}
 	e.sync(a)
 	return e.partSizes
 }
@@ -937,17 +906,14 @@ func (e *Engine) spill(a *partition.Assignment, sizes, targets []int) int {
 // close), and the next Gains skips its own. What Drive reports is copied
 // into the flat refinement fields of Stats.
 func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment) error {
-	opt := refine.Options{Solver: e.opt.Solver, Arena: &e.refArena}
+	opt := refine.Options{Solver: e.opt.Solver, Arena: &e.refArena, CutWeight: func() float64 {
+		e.written = e.refArena.AppendWritten(e.written)
+		e.cutStatsInto(&e.stats.CutAfter, &e.cutPPA, a)
+		return e.stats.CutAfter.TotalWeight
+	}}
 	if e.opt.Observer != nil {
 		opt.OnRound = func(round, moved int) {
 			e.emit(Event{Kind: EventRound, Phase: PhaseRefine, Stage: round, Moved: moved})
-		}
-	}
-	if !e.opt.FullRefresh {
-		opt.CutWeight = func() float64 {
-			e.written = e.refArena.AppendWritten(e.written)
-			e.cutStatsInto(&e.stats.CutAfter, &e.cutPPA, a)
-			return e.stats.CutAfter.TotalWeight
 		}
 	}
 	rst, _, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {

@@ -684,69 +684,116 @@ func TestIncrementalCutExact(t *testing.T) {
 	}
 }
 
-// TestFullRefreshEquivalence runs the same edit + Repartition sequence
-// through a default engine and a FullRefresh engine: the escape hatch
-// must change nothing but the work done.
-func TestFullRefreshEquivalence(t *testing.T) {
-	gI, aI := editableGraph(t, 300, 6, 91)
-	gF := gI.Clone()
-	aF := aI.Clone()
-	eI := New(gI, Options{Refine: true})
-	eF := New(gF, Options{Refine: true, FullRefresh: true})
-	rngI := rand.New(rand.NewSource(97))
-	rngF := rand.New(rand.NewSource(97))
-	for step := 0; step < 5; step++ {
-		for k := 0; k < 8; k++ {
-			randomGrowthEdit(gI, aI, rngI)
-			randomGrowthEdit(gF, aF, rngF)
-		}
-		stI, errI := eI.Repartition(context.Background(), aI)
-		stF, errF := eF.Repartition(context.Background(), aF)
-		if (errI == nil) != (errF == nil) {
-			t.Fatalf("step %d: error mismatch: %v vs %v", step, errI, errF)
-		}
-		if errI != nil {
-			t.Skipf("step %d: repartition infeasible on this sequence: %v", step, errI)
-		}
-		if !reflect.DeepEqual(aI.Part, aF.Part) {
-			t.Fatalf("step %d: FullRefresh diverges from incremental", step)
-		}
-		sameCut(t, "incremental CutAfter vs FullRefresh", stI.CutAfter, stF.CutAfter)
-		sameCut(t, "incremental CutBefore vs FullRefresh", stI.CutBefore, stF.CutBefore)
-		if stF.CSRPatched != 0 || stF.CutIncremental != 0 || stF.CutReused != 0 {
-			t.Fatalf("step %d: FullRefresh reported incremental work: patched=%d cut evaluations=%d reused=%d",
-				step, stF.CSRPatched, stF.CutIncremental, stF.CutReused)
-		}
-		if step > 0 && stI.CSRPatched == 0 {
-			t.Fatalf("step %d: warm incremental engine never patched its snapshot", step)
-		}
-		// CutBefore, refinement's entry report, one per applied round and —
-		// when any was applied — the closing one, which is CutAfter.
-		want := 2 + stI.RefineRounds
-		if stI.RefineRounds > 0 {
-			want++
-		}
-		if stI.CutIncremental == 0 || stI.CutIncremental+stI.CutReused != want {
-			t.Fatalf("step %d: an edited call of %d rounds made %d cut evaluations and %d reuses, want ≥ 1 and %d reports",
-				step, stI.RefineRounds, stI.CutIncremental, stI.CutReused, want)
+// freshCall runs one Repartition on a fresh engine over clones of g and
+// a: the reference a warm engine's call on the same state must equal,
+// since everything a warm engine keeps between calls is a cache.
+func freshCall(g *graph.Graph, a *partition.Assignment, opt Options) (*Engine, *partition.Assignment, *Stats, error) {
+	gF, aF := g.Clone(), a.Clone()
+	eF := New(gF, opt)
+	st, err := eF.Repartition(context.Background(), aF)
+	return eF, aF, st, err
+}
+
+// TestWarmEqualsOneShot: after every call a warm engine's assignment and
+// cut reports are a fresh engine's on a clone of the same graph and
+// assignment — flat, and under the V-cycle, which keeps nothing of its
+// hierarchy between calls.
+func TestWarmEqualsOneShot(t *testing.T) {
+	ctx := context.Background()
+	// run edits g and a before every call, then checks the warm call
+	// against the reference and hands its stats to check.
+	run := func(t *testing.T, g *graph.Graph, a *partition.Assignment, opt Options, calls int, edit func(call int), check func(call int, st *Stats)) {
+		e := New(g, opt)
+		defer e.Close()
+		for call := 0; call < calls; call++ {
+			edit(call)
+			eF, aF, stF, err := freshCall(g, a, opt)
+			if err != nil {
+				t.Fatalf("call %d one-shot: %v", call, err)
+			}
+			st, err := e.Repartition(ctx, a)
+			if err != nil {
+				t.Fatalf("call %d: %v", call, err)
+			}
+			if !slices.Equal(a.Part, aF.Part) {
+				t.Fatalf("call %d: warm engine (cut %g) differs from a fresh one (cut %g)",
+					call, st.CutAfter.TotalWeight, stF.CutAfter.TotalWeight)
+			}
+			sameCut(t, "CutBefore vs a fresh engine", st.CutBefore, stF.CutBefore)
+			sameCut(t, "CutAfter vs a fresh engine", st.CutAfter, stF.CutAfter)
+			eF.Close()
+			check(call, st)
 		}
 	}
+	t.Run("flat", func(t *testing.T) {
+		g, a := editableGraph(t, 300, 6, 91)
+		rng := rand.New(rand.NewSource(97))
+		run(t, g, a, Options{Refine: true}, 5, func(int) {
+			for k := 0; k < 8; k++ {
+				randomGrowthEdit(g, a, rng)
+			}
+		}, func(call int, st *Stats) {
+			if call > 0 && st.CSRPatched == 0 {
+				t.Fatalf("call %d: warm engine never patched its snapshot", call)
+			}
+			// CutBefore, refinement's entry report, one per applied round and —
+			// when any was applied — the closing one, which is CutAfter.
+			want := 2 + st.RefineRounds
+			if st.RefineRounds > 0 {
+				want++
+			}
+			if st.CutIncremental == 0 || st.CutIncremental+st.CutReused != want {
+				t.Fatalf("call %d: an edited call of %d rounds made %d cut evaluations and %d reuses, want ≥ 1 and %d reports",
+					call, st.RefineRounds, st.CutIncremental, st.CutReused, want)
+			}
+		})
+	})
+	t.Run("vcycle", func(t *testing.T) {
+		// After a cold start from everything in partition 0 and every later
+		// burst — localized (a random tree hung off one vertex) or random
+		// (each vertex off a random one), 50 to 850 vertices, with partition
+		// drift and edge edits beside it.
+		g := graph.Grid(120, 120)
+		a := partition.New(g.Order(), 8)
+		for v := range a.Part {
+			a.Part[v] = 0
+		}
+		rng := rand.New(rand.NewSource(48))
+		opt := Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true}}
+		run(t, g, a, opt, 7, func(call int) {
+			if call == 0 {
+				return
+			}
+			k := 50 + rng.Intn(801)
+			if call%2 == 1 {
+				attachVertices(g, a, rng, graph.Vertex(rng.Intn(g.Order())), k)
+			} else {
+				scatterVertices(g, a, rng, k)
+			}
+			for d := 0; d < 40; d++ {
+				sizePreservingEdit(g, a, rng)
+			}
+		}, func(call int, st *Stats) {
+			if st.VCycleSkipped {
+				t.Fatalf("call %d: the burst arrived balanced", call)
+			}
+			requireExactBalance(t, g, a)
+		})
+	})
 }
 
 // TestInCallSyncsFollowTheLog: inside a call the engine is the
 // assignment's only writer and logs what it writes, so a warm refining
 // call after an 8-edit burst diffs the assignment once — at entry, where
 // the caller may have written anything — however many syncs its rounds
-// pay, and a call that runs the V-cycle once more after it. A FullRefresh
-// engine diffs at every sync, and both leave the same assignment and
-// CutAfter.
+// pay, and a call that runs the V-cycle once more after it. Following
+// the log leaves a fresh engine's assignment and CutAfter.
 func TestInCallSyncsFollowTheLog(t *testing.T) {
 	ctx := context.Background()
 	t.Run("procs=1", func(t *testing.T) {
 		g, a := burstGrid(64, 64, 4, 0, nil)
-		gF, aF := g.Clone(), a.Clone()
-		e := New(g, Options{Refine: true})
-		eF := New(gF, Options{Refine: true, FullRefresh: true})
+		opt := Options{Refine: true}
+		e := New(g, opt)
 		rng := rand.New(rand.NewSource(8))
 		rounds := 0
 		for call := 0; call < 6; call++ {
@@ -758,38 +805,27 @@ func TestInCallSyncsFollowTheLog(t *testing.T) {
 				for _, side := range []int{-1, 1} {
 					v := graph.Vertex(64*rng.Intn(64) + b + min(side, 0))
 					out, in := graph.Vertex(int(v)-2*side), graph.Vertex(int(v)+side)
-					for _, h := range []*graph.Graph{g, gF} {
-						h.AddEdgeIfAbsent(v, out, 1)
-						_ = h.RemoveEdge(v, in)
-					}
+					g.AddEdgeIfAbsent(v, out, 1)
+					_ = g.RemoveEdge(v, in)
 				}
+			}
+			_, aF, stF, err := freshCall(g, a, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
 			st, err := e.Repartition(ctx, a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stF, err := eF.Repartition(ctx, aF)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !slices.Equal(a.Part, aF.Part) {
-				t.Fatalf("call %d: the log-fed engine's assignment differs from FullRefresh's", call)
+				t.Fatalf("call %d: the log-fed engine's assignment differs from a fresh engine's", call)
 			}
-			sameCut(t, "CutAfter vs FullRefresh", st.CutAfter, stF.CutAfter)
+			sameCut(t, "CutAfter vs a fresh engine", st.CutAfter, stF.CutAfter)
 			if call > 0 && st.SyncDiffs != 1 {
 				t.Fatalf("call %d (%d rounds moving %v): %d assignment diffs, want 1",
 					call, st.RefineRounds, st.RoundMoved, st.SyncDiffs)
 			}
 			rounds += st.RefineRounds
-			// FullRefresh syncs in phase 1, before each stage's rim pass and
-			// in every Gains call (its cut reports rescan instead).
-			gains := len(stF.RoundPivots)
-			if stF.RefineStop == "no-candidates" {
-				gains++
-			}
-			if want := 1 + stF.Stages + gains; stF.SyncDiffs != want {
-				t.Fatalf("call %d: FullRefresh diffed at %d syncs, want all %d", call, stF.SyncDiffs, want)
-			}
 		}
 		if rounds == 0 {
 			t.Fatal("no call refined: the log carried no round")

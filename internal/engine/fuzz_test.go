@@ -142,68 +142,73 @@ func requireSameBoundary(t testing.TB, got []graph.Vertex, want map[graph.Vertex
 	}
 }
 
-// FuzzWarmEquivalence is the warm-engine ≡ full-recompute fuzz: the
-// same random edit script drives a warm refining engine — journal-patched
-// snapshot, incremental sync, write-log syncs inside a call, pools patched
-// from the class log — and a FullRefresh engine, the reference that
-// rebuilds every piece of derived state, over one to five Repartition
-// calls. After every call the assignment, the boundary, the layering and
-// the gain candidates must agree bit for bit.
+// FuzzWarmEquivalence is the warm ≡ one-shot fuzz: a random edit script
+// drives a warm refining engine — journal-patched snapshot, incremental
+// sync, write-log syncs inside a call, pools patched from the class log —
+// over one to five Repartition calls, at a tolerance of 0 to 3 (the
+// ranged-supply balance LP). Before every call a fresh engine, which
+// derives everything from scratch, runs the same call on clones. After
+// every call the assignment, the cut reports (CutAfter also against
+// partition.Cut), the boundary (also against the brute-force set), the
+// layering and the gain candidates must agree bit for bit.
 func FuzzWarmEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(2), false)
-	f.Add(int64(9), uint8(20), uint8(4), true)
-	f.Add(int64(23), uint8(14), uint8(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, edits uint8, calls uint8, strict bool) {
+	f.Add(int64(1), uint8(6), uint8(2), false, uint8(0))
+	f.Add(int64(9), uint8(20), uint8(4), true, uint8(2))
+	f.Add(int64(23), uint8(14), uint8(0), false, uint8(1))
+	f.Add(int64(5), uint8(17), uint8(3), true, uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, edits uint8, calls uint8, strict bool, tol uint8) {
 		ctx := context.Background()
 		n := 60 + int(uint64(seed)%400)
 		p := 3 + int(uint64(seed)%5)
-		gW, aW := editableGraph(t, n, p, seed)
-		gF, aF := gW.Clone(), aW.Clone()
-		eW := New(gW, Options{Refine: true})
-		eF := New(gF, Options{Refine: true, FullRefresh: true})
-		rngW := rand.New(rand.NewSource(seed ^ 0xfa11))
-		rngF := rand.New(rand.NewSource(seed ^ 0xfa11))
+		g, a := editableGraph(t, n, p, seed)
+		opt := Options{Refine: true, Tolerance: int(tol % 4)}
+		e := New(g, opt)
+		rng := rand.New(rand.NewSource(seed ^ 0xfa11))
 		for call := 0; call <= int(calls%5); call++ {
 			// Alternate plain and growth edits so the delta-aware phase 1
 			// (unassigned vertices, orphan clusters) is part of the
 			// contract too.
 			for i := 0; i < 1+int(edits)%24; i++ {
 				if i%2 == 0 {
-					randomEdit(gW, aW, rngW)
-					randomEdit(gF, aF, rngF)
+					randomEdit(g, a, rng)
 				} else {
-					randomGrowthEdit(gW, aW, rngW)
-					randomGrowthEdit(gF, aF, rngF)
+					randomGrowthEdit(g, a, rng)
 				}
 			}
-			_, errW := eW.Repartition(ctx, aW)
-			_, errF := eF.Repartition(ctx, aF)
-			if (errW == nil) != (errF == nil) {
-				t.Fatalf("call %d: repartition error mismatch: %v vs %v", call, errW, errF)
+			eF, aF, stF, errF := freshCall(g, a, opt)
+			st, err := e.Repartition(ctx, a)
+			if (err == nil) != (errF == nil) {
+				t.Fatalf("call %d: repartition error mismatch: %v vs %v", call, err, errF)
 			}
-			if !slices.Equal(aW.Part, aF.Part) {
+			if !slices.Equal(a.Part, aF.Part) {
 				t.Fatalf("call %d: assignments diverge", call)
 			}
-			requireSameBoundary(t, eW.Boundary(aW), bruteBoundary(gW, aW))
-			if !slices.Equal(eW.Boundary(aW), eF.Boundary(aF)) {
+			if err == nil {
+				sameCut(t, "CutBefore vs a fresh engine", st.CutBefore, stF.CutBefore)
+				sameCut(t, "CutAfter vs a fresh engine", st.CutAfter, stF.CutAfter)
+				sameCut(t, "CutAfter vs partition.Cut", st.CutAfter, partition.Cut(g, a))
+			}
+			requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
+			if !slices.Equal(e.Boundary(a), eF.Boundary(aF)) {
 				t.Fatalf("call %d: boundaries diverge", call)
 			}
-			layW, errW := eW.Layer(ctx, aW)
+			lay, err := e.Layer(ctx, a)
 			layF, errF := eF.Layer(ctx, aF)
-			if (errW == nil) != (errF == nil) {
-				t.Fatalf("call %d: layer error mismatch: %v vs %v", call, errW, errF)
+			if (err == nil) != (errF == nil) {
+				t.Fatalf("call %d: layer error mismatch: %v vs %v", call, err, errF)
 			}
-			if errW == nil {
-				requireSameLayer(t, layW, layF, aW.P)
+			if err == nil {
+				requireSameLayer(t, lay, layF, a.P)
 			}
-			cW, errW := eW.Gains(aW, strict)
+			c, err := e.Gains(a, strict)
 			cF, errF := eF.Gains(aF, strict)
-			if (errW == nil) != (errF == nil) {
-				t.Fatalf("call %d: gains error mismatch: %v vs %v", call, errW, errF)
+			if (err == nil) != (errF == nil) {
+				t.Fatalf("call %d: gains error mismatch: %v vs %v", call, err, errF)
 			}
-			if errW == nil {
-				requireSameGains(t, cW, cF, aW.P)
+			if err == nil {
+				requireSameGains(t, c, cF, a.P)
 			}
+			eF.Close()
 		}
 	})
 }
@@ -251,7 +256,7 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x9a7c))
 		check := func() {
 			e.Boundary(a) // syncs e.csr
-			requireSameSnapshot(t, e.csr, g.RebuildCSRInto(nil))
+			requireSameSnapshot(t, e.csr, g.ToCSR())
 			sameCut(t, "tracked cut vs oracle", e.Cut(a), partition.Cut(g, a))
 		}
 		check()
@@ -398,7 +403,7 @@ func FuzzRefineIncremental(f *testing.F) {
 				seeds = append(seeds, v)
 			}
 			var fresh refine.Scratch
-			want, errW := fresh.GainsSeeded(g.RebuildCSRInto(nil), a, strict, seeds)
+			want, errW := fresh.GainsSeeded(g.ToCSR(), a, strict, seeds)
 			if (err == nil) != (errW == nil) {
 				t.Fatalf("step %d: gains error mismatch: %v vs %v", step, err, errW)
 			}

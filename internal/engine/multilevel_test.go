@@ -263,57 +263,6 @@ func scatterVertices(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k 
 	a.Grow(g.Order())
 }
 
-func TestMultilevelWarmEqualsOneShot(t *testing.T) {
-	// A multilevel engine keeps nothing of the V-cycle between calls, so
-	// after a cold start from everything in partition 0 and every later
-	// burst — localized (a random tree hung off one vertex) or random
-	// (each vertex off a random one), 50 to 850 vertices, with partition
-	// drift and edge edits beside it — the warm engine's assignment and
-	// cut are a fresh engine's on a clone of the same graph and assignment.
-	g := graph.Grid(120, 120)
-	a := partition.New(g.Order(), 8)
-	for v := range a.Part {
-		a.Part[v] = 0
-	}
-	opt := Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true}}
-	e := New(g, opt)
-	defer e.Close()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(48))
-	for call := 0; call < 7; call++ {
-		if call > 0 {
-			k := 50 + rng.Intn(801)
-			if call%2 == 1 {
-				attachVertices(g, a, rng, graph.Vertex(rng.Intn(g.Order())), k)
-			} else {
-				scatterVertices(g, a, rng, k)
-			}
-			for d := 0; d < 40; d++ {
-				sizePreservingEdit(g, a, rng)
-			}
-		}
-		gF, aF := g.Clone(), a.Clone()
-		st, err := e.Repartition(ctx, a)
-		if err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-		if st.VCycleSkipped {
-			t.Fatalf("call %d: the burst arrived balanced", call)
-		}
-		eF := New(gF, opt)
-		stF, err := eF.Repartition(ctx, aF)
-		if err != nil {
-			t.Fatalf("call %d one-shot: %v", call, err)
-		}
-		cut, cutF := st.CutAfter.TotalWeight, stF.CutAfter.TotalWeight
-		eF.Close()
-		if !reflect.DeepEqual(a.Part, aF.Part) || cut != cutF {
-			t.Fatalf("call %d: warm engine (cut %g) differs from a fresh one (cut %g)", call, cut, cutF)
-		}
-		requireExactBalance(t, g, a)
-	}
-}
-
 func TestMultilevelCutWithinBoundOfFlat(t *testing.T) {
 	// Quality contract on a paper-scale mesh: the V-cycle's final cut
 	// (after the shared fine polish) stays within 1.5x + 16 of the flat

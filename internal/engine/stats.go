@@ -123,8 +123,8 @@ type Stats struct {
 	// journal-driven partial CSR patch (only the touched rows rewritten)
 	// rather than a full O(n+m) rebuild. On a warm engine absorbing small
 	// edits it equals the number of refreshes; zero means every refresh
-	// rebuilt (first call, journal overflow, slot overflow, high churn, or
-	// Options.FullRefresh).
+	// rebuilt (first call, journal overflow, slot overflow or high
+	// churn).
 	CSRPatched int
 	// SyncDiffs counts this call's syncs that compared all n assignment
 	// slots (a diff or a boundary rebuild): its entry, after a V-cycle, and

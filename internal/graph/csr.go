@@ -195,11 +195,6 @@ func (c *CSR) appendSlot(g *Graph, v Vertex) {
 	c.Live = append(c.Live, g.alive[v])
 }
 
-// RebuildCSRInto is RefreshCSR with the journal-driven patch bypassed:
-// it always performs the full rebuild into c. The engine's Options.FullRefresh
-// reference path and the patch-equivalence tests use it as the oracle.
-func (g *Graph) RebuildCSRInto(c *CSR) *CSR { return g.buildCSR(c) }
-
 // buildCSR is the full rebuild: every slot re-packed in vertex order
 // with fresh headroom (dead vertices get none — they can never grow).
 // The headroom policy is adaptive: at paper-scale orders a snapshot

@@ -102,16 +102,14 @@ func Apply(a *partition.Assignment, c *Candidates, pairs [][2]int32, x []float64
 type Options struct {
 	// MaxRounds caps LP refinement rounds (0 = default 8).
 	MaxRounds int
-	// Solver picks the simplex implementation (nil = lp.Default()).
+	// Solver solves every round's LP.
 	Solver lp.Solver
 	// OnRound, if non-nil, is invoked after each applied round with the
 	// 1-based round number and the vertices moved — the observability hook
 	// the engine turns into stage events.
 	OnRound func(round, moved int)
-	// Arena, if non-nil, receives the per-round LP formulations and the
-	// driver's move log (reused buffers, zero steady-state allocation).
-	// The engine passes its own; one-shot callers leave it nil and get
-	// fresh ones.
+	// Arena receives the per-round LP formulations and the driver's move
+	// log (reused buffers, zero steady-state allocation).
 	Arena *LPArena
 	// CutWeight, if non-nil, replaces partition.Cut(g, a).TotalWeight as
 	// the exact evaluator of the current assignment's cut weight (the
@@ -138,14 +136,6 @@ const looseRounds = 2 // the paper goes strict "after a few steps"
 // before it), is the last one when strictNext is true. Strict rounds stay
 // strict.
 func strictNext(loose int, cut, best float64) bool { return loose >= looseRounds || cut >= best }
-
-// ResolveSolver returns Solver with the default applied.
-func (o Options) ResolveSolver() lp.Solver {
-	if o.Solver == nil {
-		return lp.Default()
-	}
-	return o.Solver
-}
 
 // Stats reports what the refinement driver did.
 type Stats struct {
@@ -182,7 +172,7 @@ type Stats struct {
 // rolling the log back to the best round instead of copying assignments.
 // buf is not used: it is returned as it came, for the one caller outside
 // the repository's root module that still passes its arena
-// (benchmarks/harness, until ROADMAP item 1(a) may edit it). g must not
+// (benchmarks/harness, until ROADMAP item 1(b) may edit it). g must not
 // change while Drive runs.
 //
 // A strict round that puts back exactly what the strict round before it
@@ -198,7 +188,6 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	if cutWeight == nil {
 		cutWeight = func() float64 { return partition.Cut(g, a).TotalWeight }
 	}
-	solver := opt.ResolveSolver()
 	// One allocation backs both per-round curves up to the default cap.
 	curves := new(struct {
 		cuts  [8]float64
@@ -206,9 +195,6 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	})
 	st := &Stats{RoundCuts: curves.cuts[:0], RoundMoved: curves.moved[:0]}
 	arena := opt.Arena
-	if arena == nil {
-		arena = new(LPArena)
-	}
 	undo := arena.undo[:0]
 	report := func(lo, hi int) float64 { // the cut, after writing undo[lo:hi]
 		arena.undo, arena.wlo, arena.whi = undo, lo, hi
@@ -236,7 +222,7 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 			st.Stop = "no-candidates"
 			break
 		}
-		sol, err := solver.Solve(ctx, prob)
+		sol, err := opt.Solver.Solve(ctx, prob)
 		if err != nil {
 			abort = fmt.Errorf("refine: %w", err)
 			break

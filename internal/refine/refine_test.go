@@ -37,8 +37,13 @@ func jaggedStripes() (*graph.Graph, *partition.Assignment) {
 }
 
 // drive refines a in place the way the engine does, through Drive over
-// one Scratch's GainsSeeded on a snapshot of g with every vertex seeded.
+// one Scratch's GainsSeeded on a snapshot of g with every vertex seeded,
+// on a fresh arena and, unless opt names one, the default solver.
 func drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Options) (*Stats, error) {
+	if opt.Solver == nil {
+		opt.Solver = lp.Default()
+	}
+	opt.Arena = new(LPArena)
 	var s Scratch
 	c, seeds := g.ToCSR(), g.Vertices()
 	st, _, err := Drive(ctx, g, a, opt, func(strict bool) (*Candidates, error) {

@@ -95,7 +95,7 @@ type Config struct {
 	// without requests. 0 = never evict.
 	IdleTimeout time.Duration
 	// EngineOptions configures every session's engine (solver,
-	// parallelism, refinement, tolerance, …). The server installs its
+	// refinement, tolerance, …). The server installs its
 	// own WithObserver to feed per-request metrics; do not pass one.
 	EngineOptions []igp.Option
 }

@@ -51,20 +51,11 @@ var ErrEngineClosed = engine.ErrClosed
 // Applications that repartition the same graph repeatedly should hold an
 // [Engine].
 func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (*Stats, error) {
-	cfg, err := buildConfig(opts)
+	e, err := NewEngine(g, opts...)
 	if err != nil {
 		return nil, err
 	}
-	var st *Stats
-	if cfg.batches > 1 {
-		st, err = repartitionInBatches(ctx, g, a, cfg.Options, cfg.batches)
-	} else {
-		st, err = engine.New(g, cfg.Options).Repartition(ctx, a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return e.Repartition(ctx, a)
 }
 
 // repartitionInBatches implements the paper's second fallback for severe
@@ -72,15 +63,16 @@ func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (
 // once, it reveals them in numBatches groups — ordered by graph distance
 // from the previously assigned region, so each batch extends the mesh the
 // way the application grew it — and runs a full Repartition cycle per
-// batch on the subgraph revealed so far. The last batch covers the whole
-// graph, so the final assignment is exactly balanced on g.
+// batch on the subgraph revealed so far, each on a fresh engine built
+// with opt. The last batch covers the whole graph, so the final
+// assignment is exactly balanced on it. A call with nothing to batch —
+// no new vertex, no assigned one, or one batch — runs on eng, the
+// engine bound to the whole graph, warm or not.
 //
 // Stats from the per-batch runs are aggregated by Stats.AddBatch; Stages
 // is the paper's total stage count across batches.
-func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt engine.Options, numBatches int) (*engine.Stats, error) {
-	if numBatches < 1 {
-		return nil, fmt.Errorf("igp: batched repartition needs ≥ 1 batch, got %d", numBatches)
-	}
+func repartitionInBatches(ctx context.Context, eng *engine.Engine, a *partition.Assignment, opt engine.Options, numBatches int) (*engine.Stats, error) {
+	g := eng.Graph()
 	if err := engine.CheckP(a); err != nil {
 		return nil, err
 	}
@@ -105,7 +97,7 @@ func repartitionInBatches(ctx context.Context, g *graph.Graph, a *partition.Assi
 		numBatches = len(news)
 	}
 	if len(olds) == 0 || len(news) == 0 || numBatches == 1 {
-		return engine.New(g, opt).Repartition(ctx, a)
+		return eng.Repartition(ctx, a)
 	}
 
 	// Order new vertices by distance from the old region; unreachable
@@ -207,12 +199,12 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 	}
 	if e.cfg.batches > 1 {
 		// Batched reveal re-runs the pipeline over growing subgraphs, which
-		// needs per-batch throwaway engines: a WithBatches(k>1) session
-		// trades the engine's steady-state snapshot/arena reuse for bounded
+		// needs per-batch throwaway engines: a call with new vertices to
+		// batch trades the engine's snapshot/arena reuse for bounded
 		// per-batch movement, and its Elapsed/PhaseTimings sum the batches'
 		// pipeline time (subgraph construction between batches is extra).
-		// The session engine is reused again on the next single-pass call.
-		st, err = repartitionInBatches(ctx, e.eng.Graph(), a, e.cfg.Options, e.cfg.batches)
+		// A call with nothing to batch runs on the session engine.
+		st, err = repartitionInBatches(ctx, e.eng, a, e.cfg.Options, e.cfg.batches)
 	} else {
 		st, err = e.eng.Repartition(ctx, a)
 	}
