@@ -694,91 +694,61 @@ func freshCall(g *graph.Graph, a *partition.Assignment, opt Options) (*Engine, *
 	return eF, aF, st, err
 }
 
-// TestWarmEqualsOneShot: after every call a warm engine's assignment and
-// cut reports are a fresh engine's on a clone of the same graph and
-// assignment — flat, and under the V-cycle, which keeps nothing of its
-// hierarchy between calls.
-func TestWarmEqualsOneShot(t *testing.T) {
+// warmEqualsFresh runs calls Repartitions on one warm engine over g and
+// a, calling edit(call) before each, and checks that after every call the
+// warm engine's assignment and cut reports are a fresh engine's on a clone
+// of the same graph and assignment; it hands each call's stats to check.
+func warmEqualsFresh(t *testing.T, g *graph.Graph, a *partition.Assignment, opt Options, calls int, edit func(call int), check func(call int, st *Stats)) {
+	t.Helper()
 	ctx := context.Background()
-	// run edits g and a before every call, then checks the warm call
-	// against the reference and hands its stats to check.
-	run := func(t *testing.T, g *graph.Graph, a *partition.Assignment, opt Options, calls int, edit func(call int), check func(call int, st *Stats)) {
-		e := New(g, opt)
-		defer e.Close()
-		for call := 0; call < calls; call++ {
-			edit(call)
-			eF, aF, stF, err := freshCall(g, a, opt)
-			if err != nil {
-				t.Fatalf("call %d one-shot: %v", call, err)
-			}
-			st, err := e.Repartition(ctx, a)
-			if err != nil {
-				t.Fatalf("call %d: %v", call, err)
-			}
-			if !slices.Equal(a.Part, aF.Part) {
-				t.Fatalf("call %d: warm engine (cut %g) differs from a fresh one (cut %g)",
-					call, st.CutAfter.TotalWeight, stF.CutAfter.TotalWeight)
-			}
-			sameCut(t, "CutBefore vs a fresh engine", st.CutBefore, stF.CutBefore)
-			sameCut(t, "CutAfter vs a fresh engine", st.CutAfter, stF.CutAfter)
-			eF.Close()
-			check(call, st)
+	e := New(g, opt)
+	defer e.Close()
+	for call := 0; call < calls; call++ {
+		edit(call)
+		eF, aF, stF, err := freshCall(g, a, opt)
+		if err != nil {
+			t.Fatalf("call %d one-shot: %v", call, err)
 		}
+		st, err := e.Repartition(ctx, a)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if !slices.Equal(a.Part, aF.Part) {
+			t.Fatalf("call %d: warm engine (cut %g) differs from a fresh one (cut %g)",
+				call, st.CutAfter.TotalWeight, stF.CutAfter.TotalWeight)
+		}
+		sameCut(t, "CutBefore vs a fresh engine", st.CutBefore, stF.CutBefore)
+		sameCut(t, "CutAfter vs a fresh engine", st.CutAfter, stF.CutAfter)
+		eF.Close()
+		check(call, st)
 	}
-	t.Run("flat", func(t *testing.T) {
-		g, a := editableGraph(t, 300, 6, 91)
-		rng := rand.New(rand.NewSource(97))
-		run(t, g, a, Options{Refine: true}, 5, func(int) {
-			for k := 0; k < 8; k++ {
-				randomGrowthEdit(g, a, rng)
-			}
-		}, func(call int, st *Stats) {
-			if call > 0 && st.CSRPatched == 0 {
-				t.Fatalf("call %d: warm engine never patched its snapshot", call)
-			}
-			// CutBefore, refinement's entry report, one per applied round and —
-			// when any was applied — the closing one, which is CutAfter.
-			want := 2 + st.RefineRounds
-			if st.RefineRounds > 0 {
-				want++
-			}
-			if st.CutIncremental == 0 || st.CutIncremental+st.CutReused != want {
-				t.Fatalf("call %d: an edited call of %d rounds made %d cut evaluations and %d reuses, want ≥ 1 and %d reports",
-					call, st.RefineRounds, st.CutIncremental, st.CutReused, want)
-			}
-		})
-	})
-	t.Run("vcycle", func(t *testing.T) {
-		// After a cold start from everything in partition 0 and every later
-		// burst — localized (a random tree hung off one vertex) or random
-		// (each vertex off a random one), 50 to 850 vertices, with partition
-		// drift and edge edits beside it.
-		g := graph.Grid(120, 120)
-		a := partition.New(g.Order(), 8)
-		for v := range a.Part {
-			a.Part[v] = 0
+}
+
+// TestFullRefreshEquivalence: a warm flat engine that patches its
+// snapshot and keeps its cut reports between calls equals a full refresh
+// — a fresh engine on a clone of the same graph and assignment — after
+// every call of a growth-edit sequence.
+func TestFullRefreshEquivalence(t *testing.T) {
+	g, a := editableGraph(t, 300, 6, 91)
+	rng := rand.New(rand.NewSource(97))
+	warmEqualsFresh(t, g, a, Options{Refine: true}, 5, func(int) {
+		for k := 0; k < 8; k++ {
+			randomGrowthEdit(g, a, rng)
 		}
-		rng := rand.New(rand.NewSource(48))
-		opt := Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true}}
-		run(t, g, a, opt, 7, func(call int) {
-			if call == 0 {
-				return
-			}
-			k := 50 + rng.Intn(801)
-			if call%2 == 1 {
-				attachVertices(g, a, rng, graph.Vertex(rng.Intn(g.Order())), k)
-			} else {
-				scatterVertices(g, a, rng, k)
-			}
-			for d := 0; d < 40; d++ {
-				sizePreservingEdit(g, a, rng)
-			}
-		}, func(call int, st *Stats) {
-			if st.VCycleSkipped {
-				t.Fatalf("call %d: the burst arrived balanced", call)
-			}
-			requireExactBalance(t, g, a)
-		})
+	}, func(call int, st *Stats) {
+		if call > 0 && st.CSRPatched == 0 {
+			t.Fatalf("call %d: warm engine never patched its snapshot", call)
+		}
+		// CutBefore, refinement's entry report, one per applied round and —
+		// when any was applied — the closing one, which is CutAfter.
+		want := 2 + st.RefineRounds
+		if st.RefineRounds > 0 {
+			want++
+		}
+		if st.CutIncremental == 0 || st.CutIncremental+st.CutReused != want {
+			t.Fatalf("call %d: an edited call of %d rounds made %d cut evaluations and %d reuses, want ≥ 1 and %d reports",
+				call, st.RefineRounds, st.CutIncremental, st.CutReused, want)
+		}
 	})
 }
 

@@ -263,6 +263,42 @@ func scatterVertices(g *graph.Graph, a *partition.Assignment, rng *rand.Rand, k 
 	a.Grow(g.Order())
 }
 
+// TestMultilevelWarmEqualsOneShot: a multilevel engine keeps nothing of
+// the V-cycle between calls, so after a cold start from everything in
+// partition 0 and every later burst — localized (a random tree hung off
+// one vertex) or random (each vertex off a random one), 50 to 850
+// vertices, with partition drift and edge edits beside it — the warm
+// engine's assignment and cut reports are a fresh engine's on a clone of
+// the same graph and assignment.
+func TestMultilevelWarmEqualsOneShot(t *testing.T) {
+	g := graph.Grid(120, 120)
+	a := partition.New(g.Order(), 8)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	rng := rand.New(rand.NewSource(48))
+	opt := Options{Refine: true, Multilevel: MultilevelOptions{Enabled: true}}
+	warmEqualsFresh(t, g, a, opt, 7, func(call int) {
+		if call == 0 {
+			return
+		}
+		k := 50 + rng.Intn(801)
+		if call%2 == 1 {
+			attachVertices(g, a, rng, graph.Vertex(rng.Intn(g.Order())), k)
+		} else {
+			scatterVertices(g, a, rng, k)
+		}
+		for d := 0; d < 40; d++ {
+			sizePreservingEdit(g, a, rng)
+		}
+	}, func(call int, st *Stats) {
+		if st.VCycleSkipped {
+			t.Fatalf("call %d: the burst arrived balanced", call)
+		}
+		requireExactBalance(t, g, a)
+	})
+}
+
 func TestMultilevelCutWithinBoundOfFlat(t *testing.T) {
 	// Quality contract on a paper-scale mesh: the V-cycle's final cut
 	// (after the shared fine polish) stays within 1.5x + 16 of the flat
