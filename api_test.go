@@ -144,6 +144,34 @@ func TestCancelExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestCanceledCallReturnsStats: Stats.Elapsed is set even when a call
+// errors, so the public entry points return the engine's Stats with the
+// error — the one-shot Repartition and a held Engine alike.
+func TestCanceledCallReturnsStats(t *testing.T) {
+	g, a := grownMesh(t, 300, 4, 20, 3)
+	eng, err := NewEngine(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		call func() (*Stats, error)
+	}{
+		{"Repartition", func() (*Stats, error) { return Repartition(ctx, g, a) }},
+		{"Engine.Repartition", func() (*Stats, error) { return eng.Repartition(ctx, a) }},
+	} {
+		st, err := c.call()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: want ErrCanceled, got %v", c.name, err)
+		}
+		if st == nil || st.Elapsed <= 0 {
+			t.Fatalf("%s: errored call returned Stats %+v, want one with Elapsed > 0", c.name, st)
+		}
+	}
+}
+
 // TestEagerOptionValidation: misconfigurations are constructor errors,
 // reported by NewEngine (and one-shot Repartition) before any work.
 func TestEagerOptionValidation(t *testing.T) {

@@ -170,9 +170,10 @@ func Cut(g *Graph, a *Assignment) CutStats { return partition.Cut(g, a) }
 // Imbalance returns max/mean partition weight (1.0 = perfectly balanced).
 func Imbalance(g *Graph, a *Assignment) float64 { return partition.Imbalance(g, a) }
 
-// DescribeBalanceLP formats the load-balancing linear program the next
-// Repartition call would solve for (g, a) — the paper's Figure 5 view:
-// movability bounds δ(i,j) and per-partition flow-balance equalities.
+// DescribeBalanceLP formats the paper's Figure 5 load-balancing linear
+// program for (g, a): full-depth movability bounds δ(i,j), ε = 1 and
+// exact per-partition flow-balance equalities. A Repartition stage first
+// solves on the rim's bounds, and under WithTolerance with slack arcs.
 func DescribeBalanceLP(g *Graph, a *Assignment) (string, error) {
 	lay, err := layering.Layer(g, a)
 	if err != nil {

@@ -459,7 +459,7 @@ func RefineComparison(seq *mesh.Sequence, cfg Config) (*RefineQuality, error) {
 	out.CutIGPR = partition.Cut(g, aIGPR).Total
 
 	aGreedy := aIGP.Clone()
-	refine.Greedy(g, aGreedy, 0, 1)
+	refine.Greedy(g, aGreedy, 1)
 	out.CutGreedy = partition.Cut(g, aGreedy).Total
 
 	sb, _, err := runSB(g, cfg)

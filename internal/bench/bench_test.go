@@ -174,7 +174,7 @@ func TestGreedyDeterministic(t *testing.T) {
 	var want []int32
 	for run := 0; run < 20; run++ {
 		a := aIGP.Clone()
-		refine.Greedy(g, a, 0, 1)
+		refine.Greedy(g, a, 1)
 		if want == nil {
 			want = a.Part
 			continue

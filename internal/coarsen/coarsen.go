@@ -42,9 +42,10 @@ import (
 // may remain for a fine-level polish; the escalation ladder relaxes ε up
 // to balance.EpsilonMax before giving up (moved = 0, no error) exactly
 // like the engine's balance stages. targets are the fine-level
-// per-partition vertex-count targets.
+// per-partition vertex-count targets. ca must be complete, as the
+// coarsest level's projection always is; the layering honours ctx.
 func CoarseBalance(ctx context.Context, gc *graph.Graph, ca *partition.Assignment, targets []int, solver lp.Solver) (moved int, err error) {
-	lay, err := layering.Layer(gc, ca)
+	lay, err := new(layering.Scratch).LayerSeeded(ctx, gc.ToCSR(), ca, gc.Vertices())
 	if err != nil {
 		return 0, err
 	}

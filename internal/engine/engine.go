@@ -535,38 +535,64 @@ func (e *Engine) Cut(a *partition.Assignment) partition.CutStats {
 	return st
 }
 
+// syncChecked syncs a and returns an error matching ErrInvalidAssignment
+// unless a is complete: P ≥ 1 (first: sync sizes its counters by it),
+// every live vertex in [0, P), every dead slot Unassigned. It is the one
+// validator of the kernels Layer and Gains feed, and it reads what the
+// sync knows, not all n slots: an out-of-range id the sync examined
+// (badID; meeting one makes the next sync rebuild, so none goes unseen)
+// and the pending set — every live-Unassigned or dead-assigned vertex
+// since phase 1 last consumed it, plus entries fixed since, now valid.
+func (e *Engine) syncChecked(a *partition.Assignment) error {
+	if err := CheckP(a); err != nil {
+		return err
+	}
+	e.sync(a)
+	if e.badID >= 0 {
+		return CheckID(a, e.badID)
+	}
+	for _, v := range e.pending.list {
+		if live := e.csr.Live[v]; live != (a.Part[v] >= 0) {
+			return fmt.Errorf("%w: vertex %d (live %t) has partition %d", ErrInvalidAssignment, v, live, a.Part[v])
+		}
+	}
+	return nil
+}
+
 // Layer runs the boundary-seeded layering kernel to full depth over the
 // engine's snapshot (Repartition's stages layer on demand instead, see
-// balanceStage). The result is owned by the engine's scratch and
-// invalidated by the next Layer or Repartition call.
+// balanceStage). An incomplete assignment is an error matching
+// ErrInvalidAssignment (see syncChecked). The result is owned by the
+// engine's scratch and invalidated by the next Layer or Repartition call.
 func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.Result, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	e.sync(a)
+	if err := e.syncChecked(a); err != nil {
+		return nil, err
+	}
 	return e.lay.LayerSeeded(ctx, e.csr, a, e.bnd.list)
 }
 
 // Gains returns the refinement candidate pools for a over the engine's
 // snapshot — always exactly what a boundary-seeded scan would build. The
 // first call (and any call after a boundary rebuild, a class log longer
-// than the boundary, or with vertices pending assignment) is that scan;
-// otherwise the pools of the previous call are patched from the class
-// changes sync has logged since. The result is owned by the engine's
-// scratch and invalidated by the next Gains call.
+// than the boundary, or an error) is that scan; otherwise the pools of
+// the previous call are patched from the class changes sync has logged
+// since. Errors are Layer's. The result is owned by the engine's scratch
+// and invalidated by the next Gains call.
 func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	e.sync(a)
+	err := e.syncChecked(a)
 	var c *refine.Candidates
-	var err error
-	// A pending (live-unassigned or dead-but-assigned) vertex need not be
-	// in the log; the scan's full validation is what rejects it.
-	if e.gainsValid && len(e.pending.list) == 0 {
+	switch {
+	case err != nil:
+	case e.gainsValid:
 		c, err = e.gain.GainsPatched(e.csr, a, strict, e.gainDirty)
-	} else {
-		c, err = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.list)
+	default:
+		c = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.list)
 	}
 	e.gainDirty = e.gainDirty[:0]
 	e.gainsValid = err == nil
@@ -658,13 +684,10 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		tL := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseLayer, Stage: stage + 1})
 		e.sync(a)
-		lay, err := e.lay.Rim(e.csr, a, e.bnd.list)
+		lay := e.lay.Rim(e.csr, a, e.bnd.list)
 		dL := time.Since(tL)
 		st.PhaseTimings.Layer += dL
 		e.emit(Event{Kind: EventEnd, Phase: PhaseLayer, Stage: stage + 1, Elapsed: dL})
-		if err != nil {
-			return st, err
-		}
 
 		tB := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseBalance, Stage: stage + 1})

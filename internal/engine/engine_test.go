@@ -87,12 +87,18 @@ func fractionalWeights(g *graph.Graph, rng *rand.Rand) {
 }
 
 // requireTrackedCut asserts, after a sync, everything the engine tracks
-// for the cut: the boundary list is the brute-force set, every listed
-// vertex's stored term equals a fresh scan of its row in the graph, and
-// the report equals the partition.Cut oracle bit for bit.
+// for the cut: the engine's verdict on the assignment is Validate's, the
+// boundary list is the brute-force set, every listed vertex's stored term
+// equals a fresh scan of its row in the graph, and — unless an id is out
+// of range, where no cut is defined — the report equals the partition.Cut
+// oracle bit for bit.
 func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partition.Assignment) {
 	t.Helper()
-	bnd := e.Boundary(a)
+	verdict := e.syncChecked(a) // the sync Boundary would pay
+	if want := a.Validate(g); (verdict == nil) != (want == nil) {
+		t.Fatalf("%s: the engine's verdict is %v, Validate's %v", ctx, verdict, want)
+	}
+	bnd := e.bnd.list
 	requireSameBoundary(t, bnd, bruteBoundary(g, a))
 	for _, v := range bnd {
 		ext, n, ws := 0.0, int32(0), g.EdgeWeights(v)
@@ -106,7 +112,9 @@ func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *p
 			t.Fatalf("%s: vertex %d stores term (%g, %d), its row scans to (%g, %d)", ctx, v, e.ext[v], e.extN[v], ext, n)
 		}
 	}
-	sameCut(t, ctx, e.Cut(a), partition.Cut(g, a))
+	if !slices.ContainsFunc(a.Part, func(p int32) bool { return p < partition.Unassigned || int(p) >= a.P }) {
+		sameCut(t, ctx, e.Cut(a), partition.Cut(g, a))
+	}
 }
 
 // bruteBoundary recomputes the boundary set directly from the graph.
@@ -218,10 +226,7 @@ func TestSeededGainsEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: engine gains: %v", iter, err)
 		}
-		want, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
-		if err != nil {
-			t.Fatalf("iter %d: full gains: %v", iter, err)
-		}
+		want := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
 		if !reflect.DeepEqual(got.B, want.B) {
 			t.Fatalf("iter %d: B diverges", iter)
 		}
@@ -247,6 +252,75 @@ func TestSeededGainsEquivalence(t *testing.T) {
 	}
 }
 
+// TestLayerAndGainsRejectInvalid: the sync is the one validator of the
+// kernels Layer and Gains feed. Each way an assignment can be incomplete
+// is an error matching ErrInvalidAssignment from both, on a fresh engine
+// and on a warm one that keeps candidate pools. Once the caller repairs
+// the slot by hand both calls succeed — twice, so the second Gains
+// patches with the repaired vertex still in the pending set — and equal
+// a fresh engine's.
+func TestLayerAndGainsRejectInvalid(t *testing.T) {
+	ctx := context.Background()
+	const v = graph.Vertex(17)
+	for _, c := range []struct {
+		name  string
+		spoil func(g *graph.Graph, a *partition.Assignment)
+	}{
+		{"live Unassigned", func(g *graph.Graph, a *partition.Assignment) { a.Part[v] = partition.Unassigned }},
+		{"dead and assigned", func(g *graph.Graph, a *partition.Assignment) {
+			if err := g.RemoveVertex(v); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"id equal to P", func(g *graph.Graph, a *partition.Assignment) { a.Part[v] = int32(a.P) }},
+		{"id below Unassigned", func(g *graph.Graph, a *partition.Assignment) { a.Part[v] = partition.Unassigned - 1 }},
+	} {
+		for _, warm := range []bool{false, true} {
+			g, a := editableGraph(t, 200, 4, 5)
+			e := New(g, Options{})
+			if warm {
+				if _, err := e.Gains(a, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			old := a.Part[v]
+			c.spoil(g, a)
+			if _, err := e.Layer(ctx, a); !errors.Is(err, ErrInvalidAssignment) {
+				t.Fatalf("%s (warm %t): Layer returned %v, want ErrInvalidAssignment", c.name, warm, err)
+			}
+			if _, err := e.Gains(a, false); !errors.Is(err, ErrInvalidAssignment) {
+				t.Fatalf("%s (warm %t): Gains returned %v, want ErrInvalidAssignment", c.name, warm, err)
+			}
+			if g.Alive(v) {
+				a.Part[v] = old
+			} else {
+				a.Part[v] = partition.Unassigned
+			}
+			fresh := New(g, Options{})
+			for k := 0; k < 2; k++ {
+				lay, err := e.Layer(ctx, a)
+				if err != nil {
+					t.Fatalf("%s (warm %t): Layer after the repair: %v", c.name, warm, err)
+				}
+				want, err := fresh.Layer(ctx, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameLayer(t, lay, want, a.P)
+				gains, err := e.Gains(a, false)
+				if err != nil {
+					t.Fatalf("%s (warm %t): Gains after the repair: %v", c.name, warm, err)
+				}
+				wantG, err := fresh.Gains(a, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameGains(t, gains, wantG, a.P)
+			}
+		}
+	}
+}
+
 // TestGainsSeededDuplicateSeeds feeds the seeded gains kernel a seed list
 // with every vertex repeated and requires the same candidates as the full
 // scan — duplicates must not double-bucket a vertex.
@@ -255,14 +329,8 @@ func TestGainsSeededDuplicateSeeds(t *testing.T) {
 	csr := g.ToCSR()
 	seeds := append(g.Vertices(), g.Vertices()...)
 	var s refine.Scratch
-	got, err := s.GainsSeeded(csr, a, false, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := s.GainsSeeded(csr, a, false, seeds)
+	want := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, false, g.Vertices())
 	if !reflect.DeepEqual(got.B, want.B) {
 		t.Fatal("duplicate seeds changed the candidate counts")
 	}

@@ -21,9 +21,11 @@ import (
 // graphs. After every burst —
 // whichever way the sync went: journal patch, journal-overflow rebuild,
 // a partition-count change, vertex deletion, vertices left
-// unassigned — the boundary list must be the brute-force set in strictly
-// ascending order, every listed vertex's stored cut term must equal a fresh
-// scan of its row, and Engine.Cut must equal partition.Cut bit for bit.
+// unassigned, an out-of-range id written and restored — the engine's
+// verdict on the assignment must be Validate's, the boundary list must be
+// the brute-force set in strictly ascending order, every listed vertex's
+// stored cut term must equal a fresh scan of its row, and Engine.Cut must
+// equal partition.Cut bit for bit.
 func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(42), uint8(40))
@@ -36,12 +38,20 @@ func FuzzBoundaryExact(f *testing.F) {
 		e := New(g, Options{})
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		requireTrackedCut(t, "cold", e, g, a)
+		bad, was := graph.Vertex(-1), int32(0) // a slot holding an out-of-range id, and its id before
 		for i := 0; i < int(edits); i++ {
+			if bad >= 0 { // restored before any other edit can touch the slot
+				a.Part[bad], bad = was, -1
+			}
 			switch k := rng.Intn(24); {
 			case k == 0: // overflow the journal: the next sync rebuilds
 				for j := 0; j < 1<<14+1; j++ {
 					g.SetVertexWeight(graph.Vertex(j%g.Order()), 1)
 				}
+			case k == 1: // an out-of-range id, held for one sync
+				bad = graph.Vertex(rng.Intn(g.Order()))
+				was = a.Part[bad]
+				a.Part[bad] = [2]int32{int32(a.P), partition.Unassigned - 1}[rng.Intn(2)]
 			case k == 2: // one more (empty) partition, or the last one folded away
 				if a.P > 3 && rng.Intn(2) == 0 {
 					a.P--
@@ -65,9 +75,12 @@ func FuzzBoundaryExact(f *testing.F) {
 			default:
 				randomEdit(g, a, rng)
 			}
-			if i%3 == 0 {
+			if i%3 == 0 || bad >= 0 {
 				requireTrackedCut(t, "after a burst", e, g, a)
 			}
+		}
+		if bad >= 0 {
+			a.Part[bad] = was
 		}
 		requireTrackedCut(t, "final", e, g, a)
 	})
@@ -281,29 +294,31 @@ func FuzzCSRPatchEquivalence(f *testing.F) {
 
 // FuzzVCycleValidity is the multilevel quality fuzz: random edit
 // histories drive a V-cycle engine (tiny CoarsenTo so even fuzz-sized
-// graphs build real hierarchies). Every multilevel Repartition must
-// succeed exactly balanced (the spill balances what the stages cannot)
-// with a valid assignment and a hierarchy that passes its structural
-// oracle whenever the V-cycle ran, and its cut must stay within a
-// generous bound (2x + 16) of a flat-pipeline run cloned from the same
-// pre-call state, which must succeed exactly balanced too — same-state
+// graphs build real hierarchies) at a tolerance of 0–3, so the V-cycle's
+// entry test (maxAbsDev > Tolerance) and CoarseBalance, which balances
+// exactly whatever the tolerance, both meet a nonzero one. Every
+// multilevel Repartition must succeed balanced within the tolerance (the
+// spill balances what the stages cannot) with a valid assignment and a
+// hierarchy that passes its structural oracle whenever the V-cycle ran,
+// and its cut must stay within a generous bound (2x + 16) of a
+// flat-pipeline run at the same tolerance cloned from the same pre-call
+// state, which must succeed balanced within it too — same-state
 // comparison, because letting two pipelines evolve separately would
 // measure accumulated basin divergence, not per-call quality. The
 // tighter paper-mesh bound is TestMultilevelCutWithinBoundOfFlat. A
 // third clone goes to a fresh multilevel engine, whose assignment the
 // warm one must equal bit for bit after every call.
 func FuzzVCycleValidity(f *testing.F) {
-	f.Add(int64(1), uint8(10))
-	f.Add(int64(42), uint8(30))
-	f.Add(int64(7), uint8(22))
-	f.Fuzz(func(t *testing.T, seed int64, edits uint8) {
+	f.Add(int64(1), uint8(10), uint8(0))
+	f.Add(int64(42), uint8(30), uint8(2))
+	f.Add(int64(7), uint8(22), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, edits uint8, tol uint8) {
 		n := 60 + int(uint64(seed)%300)
 		p := 2 + int(uint64(seed)%4)
 		g, a := editableGraph(t, n, p, seed)
-		mlOpt := Options{
-			Refine:     true,
-			Multilevel: MultilevelOptions{Enabled: true, CoarsenTo: 8, Seed: seed},
-		}
+		flatOpt := Options{Refine: true, Tolerance: int(tol % 4)}
+		mlOpt := flatOpt
+		mlOpt.Multilevel = MultilevelOptions{Enabled: true, CoarsenTo: 8, Seed: seed}
 		e := New(g, mlOpt)
 		defer e.Close()
 		rng := rand.New(rand.NewSource(seed ^ 0x7c1e))
@@ -312,7 +327,7 @@ func FuzzVCycleValidity(f *testing.F) {
 			gO, aO := g.Clone(), a.Clone()
 			st, err := e.Repartition(context.Background(), a)
 			ranVCycle := len(st.Levels) > 0
-			eF := New(gF, Options{Refine: true})
+			eF := New(gF, flatOpt)
 			_, errF := eF.Repartition(context.Background(), aF)
 			eF.Close()
 			eO := New(gO, mlOpt)
@@ -339,11 +354,11 @@ func FuzzVCycleValidity(f *testing.F) {
 				requireHierarchy(t, g, a, mlOpt.Multilevel)
 			}
 			targets := partition.Targets(g.NumVertices(), a.P)
-			if dev := maxAbsDev(a.Sizes(g), targets); dev != 0 {
-				t.Fatalf("multilevel balance off by %d", dev)
+			if dev := maxAbsDev(a.Sizes(g), targets); dev > flatOpt.Tolerance {
+				t.Fatalf("multilevel balance off by %d at tolerance %d", dev, flatOpt.Tolerance)
 			}
-			if dev := maxAbsDev(aF.Sizes(gF), targets); dev != 0 {
-				t.Fatalf("flat balance off by %d", dev)
+			if dev := maxAbsDev(aF.Sizes(gF), targets); dev > flatOpt.Tolerance {
+				t.Fatalf("flat balance off by %d at tolerance %d", dev, flatOpt.Tolerance)
 			}
 			flat := partition.Cut(gF, aF).TotalWeight
 			if ml := partition.Cut(g, a).TotalWeight; ml > 2*flat+16 {
@@ -398,18 +413,23 @@ func FuzzRefineIncremental(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed ^ 0x1c3))
 		checkGains := func(step int, strict bool) {
 			got, err := e.Gains(a, strict)
+			// The scan trusts its input: an invalid state is the engine's
+			// to reject.
+			if verr := a.Validate(g); verr != nil {
+				if !errors.Is(err, ErrInvalidAssignment) {
+					t.Fatalf("step %d: gains on an invalid assignment (%v) returned %v", step, verr, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("step %d: gains: %v", step, err)
+			}
 			var seeds []graph.Vertex
 			for v := range bruteBoundary(g, a) {
 				seeds = append(seeds, v)
 			}
 			var fresh refine.Scratch
-			want, errW := fresh.GainsSeeded(g.ToCSR(), a, strict, seeds)
-			if (err == nil) != (errW == nil) {
-				t.Fatalf("step %d: gains error mismatch: %v vs %v", step, err, errW)
-			}
-			if err == nil {
-				requireSameGains(t, got, want, a.P)
-			}
+			requireSameGains(t, got, fresh.GainsSeeded(g.ToCSR(), a, strict, seeds), a.P)
 		}
 		// swaps is a balanced batch: it swaps the partitions of random
 		// vertex pairs and returns the pairs it swapped.
@@ -540,10 +560,7 @@ func scheduleReference(t *testing.T, g *graph.Graph, a *partition.Assignment) fl
 	best, bestCut := a.Clone(), partition.Cut(g, a).TotalWeight
 	strict, loose := false, 0
 	for round := 0; round < 8; round++ {
-		c, err := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := new(refine.Scratch).GainsSeeded(g.ToCSR(), a, strict, g.Vertices())
 		prob, pairs := new(refine.LPArena).Formulate(c)
 		if len(pairs) == 0 {
 			break

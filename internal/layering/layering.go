@@ -176,8 +176,12 @@ func bestLabel(counts []int, touched []int32) int32 {
 }
 
 // Layer runs the layering algorithm to full depth over a fresh snapshot
-// of g, seeded with every live vertex. Every live vertex must be assigned.
+// of g, seeded with every live vertex. It is the entry for unchecked
+// input, so it validates a first (partition.Assignment.Validate).
 func Layer(g *graph.Graph, a *partition.Assignment) (*Result, error) {
+	if err := a.Validate(g); err != nil {
+		return nil, fmt.Errorf("layering: %w", err)
+	}
 	var s Scratch
 	return s.LayerSeeded(context.Background(), g.ToCSR(), a, g.Vertices())
 }
@@ -231,10 +235,7 @@ func (r *Result) enter(v graph.Vertex) {
 // level-synchronous traversal); a done context aborts with an error
 // matching cancel.ErrCanceled and leaves the Scratch reusable.
 func (s *Scratch) LayerSeeded(ctx context.Context, c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) (*Result, error) {
-	r, err := s.Rim(c, a, seeds)
-	if err != nil {
-		return nil, err
-	}
+	r := s.Rim(c, a, seeds)
 	if _, err := s.Complete(ctx, s.All()); err != nil {
 		return nil, err
 	}
@@ -258,11 +259,10 @@ func (s *Scratch) All() []int32 {
 // O(Σ deg(seed)) instead of a full scan of every arc: seeds must contain
 // every live vertex with at least one foreign neighbor (extra or
 // duplicate vertices are harmless), and the result then depends on the
-// graph and the assignment alone.
-func (s *Scratch) Rim(c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) (*Result, error) {
-	if err := a.ValidateCSR(c); err != nil {
-		return nil, fmt.Errorf("layering: %w", err)
-	}
+// graph and the assignment alone. The assignment must be complete (as
+// partition.Assignment.Validate requires) and is not checked: the
+// engine's sync decides that before it calls, and Layer validates.
+func (s *Scratch) Rim(c *graph.CSR, a *partition.Assignment, seeds []graph.Vertex) *Result {
 	r := s.grow(c.Order(), a.P)
 	r.c, r.a = c, a
 
@@ -294,7 +294,7 @@ func (s *Scratch) Rim(c *graph.CSR, a *partition.Assignment, seeds []graph.Verte
 		r.Level[v] = 0
 		r.enter(v)
 	}
-	return r, nil
+	return r
 }
 
 // Complete finishes the listed partitions of the current Result (those

@@ -201,10 +201,7 @@ func FuzzLayerOnDemand(f *testing.F) {
 
 		// (b) rim, a few pools asked for early, then the subset.
 		var s layering.Scratch
-		r, err := s.Rim(c, a, g.Vertices())
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := s.Rim(c, a, g.Vertices())
 		var parts []int32
 		for i := int32(0); i < int32(p); i++ {
 			if subset>>i&1 == 1 {
@@ -276,10 +273,7 @@ func TestStageInfeasibleOnTheRim(t *testing.T) {
 			}
 			sizes, targets := a.Sizes(g), partition.Targets(g.NumVertices(), a.P)
 			var rim layering.Scratch
-			r, err := rim.Rim(g.ToCSR(), a, g.Vertices())
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := rim.Rim(g.ToCSR(), a, g.Vertices())
 			m, err := new(balance.Arena).FormulateTol(r.Delta, sizes, targets, 1, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -71,27 +71,6 @@ func (a *Assignment) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// ValidateCSR checks that the assignment covers a CSR snapshot: live
-// slots carry a partition in [0, P), dead slots are Unassigned. It is the
-// snapshot-side counterpart of Validate, used by the CSR kernels.
-func (a *Assignment) ValidateCSR(c *graph.CSR) error {
-	n := c.Order()
-	if len(a.Part) < n {
-		return fmt.Errorf("partition: assignment covers %d slots, snapshot has %d", len(a.Part), n)
-	}
-	for v := 0; v < n; v++ {
-		p := a.Part[v]
-		if c.Live[v] {
-			if p < 0 || int(p) >= a.P {
-				return fmt.Errorf("partition: live vertex %d has partition %d (P=%d)", v, p, a.P)
-			}
-		} else if p != Unassigned {
-			return fmt.Errorf("partition: dead vertex %d has partition %d", v, p)
-		}
-	}
-	return nil
-}
-
 // Weights returns the total vertex weight of each partition. Vertices
 // beyond the assignment's coverage count as Unassigned.
 func (a *Assignment) Weights(g *graph.Graph) []float64 {

@@ -16,7 +16,6 @@ package refine
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -89,8 +88,8 @@ type RowScan struct {
 // and Apply never moves a vertex twice, which would break the balance the
 // zero-net-flow rows guarantee; the strict class is the same when the
 // gain is positive, none otherwise. An arc to an unassigned vertex or an
-// out-of-range partition counts toward no pool; only an invalid
-// assignment has one, and both gains paths reject that.
+// out-of-range partition counts toward no pool, and an out-of-range v has
+// no class: the sync runs Scan before it has validated the input.
 func (r *RowScan) Scan(c *graph.CSR, a *partition.Assignment, v graph.Vertex) (pair int32, gain float64) {
 	r.Foreign, r.Ext, r.ExtN = false, 0, 0
 	if !c.Live[v] {
@@ -170,11 +169,10 @@ type Scratch struct {
 // test instead of ≥ 0. Every candidate has at least one foreign edge, so
 // a seed list containing all boundary vertices (duplicates and extras are
 // harmless) yields exactly the candidates a full scan — seeded with every
-// vertex, g.Vertices() — would find.
-func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool, seeds []graph.Vertex) (*Candidates, error) {
-	if err := a.ValidateCSR(c); err != nil {
-		return nil, fmt.Errorf("refine: %w", err)
-	}
+// vertex, g.Vertices() — would find. The assignment must be complete (as
+// partition.Assignment.Validate requires) and is not checked: the
+// engine's sync decides that before it calls.
+func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool, seeds []graph.Vertex) *Candidates {
 	s.reset(c.Order(), a.P, strict)
 	log := s.log[:0]
 	for _, v := range seeds {
@@ -184,7 +182,7 @@ func (s *Scratch) GainsSeeded(c *graph.CSR, a *partition.Assignment, strict bool
 		}
 	}
 	s.log = log
-	return s.patch(log, strict), nil
+	return s.patch(log, strict)
 }
 
 // errNotPatchable reports a GainsPatched call the Scratch's previous
@@ -203,12 +201,11 @@ func (s *Scratch) Reserve(n int) {
 }
 
 // Reclassify reads v's row once (Scan, which leaves v's cut term in r) and
-// stores v's class. When the class changed — or v's partition is out of
-// range, which GainsPatched must reject — it appends a Reclass to log. The
-// caller has Reserved v's slot.
+// stores v's class. When the class changed it appends a Reclass to log.
+// The caller has Reserved v's slot.
 func (s *Scratch) Reclassify(r *RowScan, c *graph.CSR, a *partition.Assignment, v graph.Vertex, log []Reclass) []Reclass {
 	k, g := r.Scan(c, a, v)
-	if p := a.Part[v]; k != s.pair[v] || g != s.cands.Gain[v] || p < partition.Unassigned || int(p) >= a.P {
+	if k != s.pair[v] || g != s.cands.Gain[v] {
 		log = append(log, Reclass{v, s.pair[v]})
 		s.pair[v], s.cands.Gain[v] = k, g
 	}
@@ -222,17 +219,11 @@ func (s *Scratch) Reclassify(r *RowScan, c *graph.CSR, a *partition.Assignment, 
 // neighbour of one whose partition changed, was reclassified since. A
 // vertex reclassified by several syncs (A→B→A) has a record per change:
 // the first names its pool, the stored class (the last) wins. strict may
-// differ from the previous call's. Only logged vertices are validated;
-// after an error the Scratch needs GainsSeeded.
+// differ from the previous call's. The assignment must be complete, as
+// for GainsSeeded, and is not checked.
 func (s *Scratch) GainsPatched(c *graph.CSR, a *partition.Assignment, strict bool, log []Reclass) (*Candidates, error) {
 	if n := c.Order(); a.P != s.cands.P || n != len(s.pair) || len(a.Part) < n {
 		return nil, errNotPatchable
-	}
-	for _, r := range log {
-		if p := a.Part[r.V]; c.Live[r.V] != (p >= 0) || int(p) >= a.P || p < partition.Unassigned {
-			s.cands.P = 0 // the stored classes are ahead of the pools now
-			return nil, fmt.Errorf("refine: %w", a.ValidateCSR(c))
-		}
 	}
 	return s.patch(log, strict), nil
 }

@@ -18,10 +18,7 @@ import (
 // It modifies a in place and returns the number of vertices moved. The
 // result is a pure function of (g, a): moves are pushed and their gains
 // rechecked by PushMoves and MoveGain, and the heap's order is total.
-func Greedy(g *graph.Graph, a *partition.Assignment, maxMoves, maxSkew int) int {
-	if maxMoves <= 0 {
-		maxMoves = g.NumVertices()
-	}
+func Greedy(g *graph.Graph, a *partition.Assignment, maxSkew int) int {
 	if maxSkew < 1 {
 		maxSkew = 1
 	}
@@ -33,7 +30,7 @@ func Greedy(g *graph.Graph, a *partition.Assignment, maxMoves, maxSkew int) int 
 	var h MoveHeap
 	conn := make([]float64, a.P)
 	g.ForEachVertex(func(v graph.Vertex) { h.PushMoves(g, a.Part, v, conn) })
-	for len(h) > 0 && moved < maxMoves {
+	for len(h) > 0 {
 		it := h.Pop()
 		if lockedMove[it.V] {
 			continue

@@ -188,12 +188,12 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 // The returned *Stats is an arena owned by the engine: it is
 // overwritten by the next Repartition call. Use [Stats.Clone] to retain
 // one across calls (a shallow copy is not enough — the slice-backed
-// fields point into the arena too).
+// fields point into the arena too). A call that errors returns the Stats
+// of the work it did (a batched call: of the batches it finished), or nil
+// when there is none, as on a closed engine.
 func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error) {
-	var (
-		st  *Stats
-		err error
-	)
+	// A closed engine must not reach repartitionInBatches, which would run
+	// fresh per-batch engines.
 	if e.eng.Closed() {
 		return nil, ErrEngineClosed
 	}
@@ -204,14 +204,9 @@ func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error)
 		// per-batch movement, and its Elapsed/PhaseTimings sum the batches'
 		// pipeline time (subgraph construction between batches is extra).
 		// A call with nothing to batch runs on the session engine.
-		st, err = repartitionInBatches(ctx, e.eng, a, e.cfg.Options, e.cfg.batches)
-	} else {
-		st, err = e.eng.Repartition(ctx, a)
+		return repartitionInBatches(ctx, e.eng, a, e.cfg.Options, e.cfg.batches)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return e.eng.Repartition(ctx, a)
 }
 
 // Graph returns the graph the engine is bound to (also after Close).

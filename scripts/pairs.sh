@@ -12,7 +12,9 @@
 # The parent is exported with `git archive` into .bench_build/pairs/<sha>
 # (git-ignored, reused across invocations) and built there by its own
 # benchmarks/run.sh, so nothing outside .bench_build/ is written and
-# benchmarks/ is not touched. Every run is --trace 0.
+# benchmarks/ is not touched. Every run is --trace 0. Fewer than 8 pairs
+# get a closing line saying so: the standing rule (ROADMAP) is at least 8
+# pairs before a shift is called, since host load moves short runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,3 +113,6 @@ awk '
 		}
 		printf "%-16s %-38d %-38d\n", "failed", fp, fr
 	}' BENCHMARK.json "$rows"
+if [ $# -lt 8 ]; then
+	echo "only $# pairs: host load alone has shifted a 5-pair median by 9 %; run at least 8 before calling a shift"
+fi
