@@ -146,10 +146,15 @@ func TestCancelExpiredDeadline(t *testing.T) {
 
 // TestCanceledCallReturnsStats: Stats.Elapsed is set even when a call
 // errors, so the public entry points return the engine's Stats with the
-// error — the one-shot Repartition and a held Engine alike.
+// error — the one-shot Repartition, a held Engine and a batched one
+// (which fails before its first batch) alike.
 func TestCanceledCallReturnsStats(t *testing.T) {
 	g, a := grownMesh(t, 300, 4, 20, 3)
 	eng, err := NewEngine(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := NewEngine(g, WithBatches(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +166,7 @@ func TestCanceledCallReturnsStats(t *testing.T) {
 	}{
 		{"Repartition", func() (*Stats, error) { return Repartition(ctx, g, a) }},
 		{"Engine.Repartition", func() (*Stats, error) { return eng.Repartition(ctx, a) }},
+		{"batched Engine.Repartition", func() (*Stats, error) { return batched.Repartition(ctx, a) }},
 	} {
 		st, err := c.call()
 		if !errors.Is(err, ErrCanceled) {

@@ -460,7 +460,7 @@ var meshGrowth = sync.OnceValues(func() (*mesh.Sequence, []int32) {
 // followStep edits g in place into the next graph of a chained mesh
 // sequence (vertices appended, the edge set reconciled), the way a caller
 // holding one long-lived engine follows a growing mesh.
-func followStep(b *testing.B, g, to *graph.Graph) {
+func followStep(b testing.TB, g, to *graph.Graph) {
 	b.Helper()
 	for g.Order() < to.Order() {
 		g.AddVertex(1)

@@ -95,8 +95,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "igprun: phases: assign=%v layer=%v balance=%v refine=%v\n",
 			pt.Assign, pt.Layer, pt.Balance, pt.Refine)
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "igprun: syncs: %d assignment diffs (the rest followed the write log), %d CSR refreshes patched, %d cut reports summed, %d reused\n",
-				st.SyncDiffs, st.CSRPatched, st.CutIncremental, st.CutReused)
+			ratio := 0.0
+			if st.SyncMovedArcs > 0 {
+				ratio = float64(st.SyncArcsRead) / float64(st.SyncMovedArcs)
+			}
+			fmt.Fprintf(os.Stderr, "igprun: syncs: %d assignment diffs (the rest followed the write log), %d arcs read for %d arcs of moved vertices (%.2f×), %d CSR refreshes patched, %d cut reports summed, %d reused\n",
+				st.SyncDiffs, st.SyncArcsRead, st.SyncMovedArcs, ratio, st.CSRPatched, st.CutIncremental, st.CutReused)
 		}
 		if *verbose && st.Spilled > 0 {
 			fmt.Fprintf(os.Stderr, "igprun: spill: %d vertices moved where the balance LP could not carry the surplus\n", st.Spilled)

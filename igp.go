@@ -104,7 +104,8 @@ func NewGraphWithVertices(n int) *Graph { return graph.NewWithVertices(n) }
 
 // ReadGraph decodes a graph from the textual format written by WriteGraph.
 // An id that does not fit a Vertex, or a negative or non-finite weight,
-// is an error.
+// is an error; so is an edge weight that is not an integer within
+// MaxTotalEdgeWeight, matching ErrEdgeWeight.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 
 // WriteGraph encodes g in a deterministic text format.

@@ -197,12 +197,12 @@ func gridHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 	return h, a
 }
 
-// fractionalHistory is the one locked history on non-unit weights: a
-// 40×40 grid with seeded fractional edge weights, striped into 4,
-// built, grown, drifted and built again. Coarse arcs there sum three or
-// more fractional terms, so the two sides of an arc can round
-// differently and the weight rule (the lower vertex's aggregate) shows.
-func fractionalHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
+// weightedHistory is the one locked history on non-unit weights: a 40×40
+// grid with seeded integer edge weights in [1, 100], striped into 4,
+// built, grown, drifted and built again. The heavy-edge order then rests
+// on the weights rather than on edgeHash's tie-break, and coarse arcs sum
+// three or more distinct weights.
+func weightedHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 	t.Helper()
 	const rows, cols = 40, 40
 	rng := rand.New(rand.NewSource(2718))
@@ -211,10 +211,10 @@ func fractionalHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 		for c := 0; c < cols; c++ {
 			v := graph.Vertex(r*cols + c)
 			if c+1 < cols {
-				g.AddEdgeUnchecked(v, v+1, 0.25+rng.Float64())
+				g.AddEdgeUnchecked(v, v+1, float64(1+rng.Intn(100)))
 			}
 			if r+1 < rows {
-				g.AddEdgeUnchecked(v, v+cols, 0.25+rng.Float64())
+				g.AddEdgeUnchecked(v, v+cols, float64(1+rng.Intn(100)))
 			}
 		}
 	}
@@ -231,7 +231,7 @@ func fractionalHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 	for k := 0; k < 40; k++ {
 		v := g.AddVertex(1)
 		u := prev[rng.Intn(len(prev))]
-		_ = g.AddEdge(v, u, 0.25+rng.Float64())
+		_ = g.AddEdge(v, u, float64(1+rng.Intn(100)))
 		a.Part = append(a.Part, a.Part[u])
 		prev = append(prev, v)
 	}
@@ -253,10 +253,11 @@ func TestHierarchyLocked(t *testing.T) {
 	// change to matching (edgeHash, edge order, the two-hop pairing),
 	// aggregation order, projection or the level refiner moves at least
 	// one of the digests below. striped96's was recorded while the
-	// hierarchy's sweeps still sharded over a worker group; the other
-	// four are what the code before per-call hierarchies gave when each
-	// Update after the first ran on a fresh hierarchy, the build every
-	// Update now is.
+	// hierarchy's sweeps still sharded over a worker group; vcycle, hub
+	// and grid316 are what the code before per-call hierarchies gave when
+	// each Update after the first ran on a fresh hierarchy, the build
+	// every Update now is; weighted's was recorded when its history moved
+	// from fractional to integer edge weights, with the code unchanged.
 	for _, tc := range []struct {
 		name    string
 		history func(*testing.T) (*Hierarchy, *partition.Assignment)
@@ -266,7 +267,7 @@ func TestHierarchyLocked(t *testing.T) {
 		{"striped96", settledHistory, 0x1f7866e7429539ec},
 		{"hub", hubHistory, 0x1c73f9434a1ac82b},
 		{"grid316", gridHistory, 0xaadb4a7fa30a7809},
-		{"fractional", fractionalHistory, 0x7a7a360489636b5c},
+		{"weighted", weightedHistory, 0xac84601e5b700b78},
 	} {
 		h, a := tc.history(t)
 		if got := hierarchyHash(h, a); got != tc.want {
@@ -338,7 +339,7 @@ func greedyMatching(g *graph.Graph, part []int32, free []graph.Vertex) []graph.V
 
 // FuzzMatcherIsGreedy checks the suitor pass, before the two-hop pass,
 // against greedyMatching on random graphs — unit, small-integer or
-// fractional edge weights, deleted vertices, P ≤ 4 and a random free
+// wide-range integer edge weights (zero included), deleted vertices, P ≤ 4 and a random free
 // subset of the live vertices — with one matcher reused across several
 // graphs of different orders, as the hierarchy reuses it level to level.
 func FuzzMatcherIsGreedy(f *testing.F) {
@@ -362,7 +363,7 @@ func FuzzMatcherIsGreedy(f *testing.F) {
 				case 1:
 					w = float64(1 + rng.Intn(3))
 				case 2:
-					w = 0.25 + rng.Float64()
+					w = float64(rng.Intn(1000))
 				}
 				g.AddEdgeUnchecked(u, v, w)
 			}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/refine"
 )
 
 // idSet is a vertex set kept in id order: one membership bit per vertex
@@ -73,9 +74,10 @@ func (s *idSet) relist() {
 	s.list, s.stale = list, false
 }
 
-// rebuildBoundary recomputes the boundary set, the per-vertex cut terms,
-// the per-partition size counters and the pending-unassigned set from
-// scratch over the current snapshot.
+// rebuildBoundary recomputes the boundary set, the connectivity cache,
+// the per-vertex cut terms, the per-partition size counters and the
+// pending-unassigned set from scratch over the current snapshot: the one
+// sync path that reads every row.
 func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	n := e.csr.Order()
 	e.growTo(n)
@@ -89,10 +91,10 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	e.bnd.list = e.bnd.list[:0]
 	e.gainsValid = false // nothing was diffed: the pools need a full scan
 	e.cutValid = false
+	copy(e.prevPart[:n], a.Part[:n])
+	e.arcsRead += e.conn.refill(e.csr, e.prevPart)
 	for v := graph.Vertex(0); int(v) < n; v++ {
-		now, ext, k := e.rowTerm(v, a)
-		e.ext[v], e.extN[v] = ext, k
-		if now {
+		if e.term(v, a) {
 			e.bnd.add(v)
 		}
 		want := e.attrOf(v, a)
@@ -104,24 +106,29 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	}
 	e.bnd.relist()
 	e.pending.relist()
-	copy(e.prevPart[:n], a.Part[:n])
 }
 
-// resync is the incremental sync: it re-examines the structurally
-// touched vertices (an edge flip cannot change a non-endpoint's
-// membership; size attribution and pending collection ride the same
-// re-examination), then every vertex whose partition changed since the
-// last sync — found by the diff or in the engine's write log — plus its
-// neighbors.
+// resync is the incremental sync. It brings the connectivity cache up to
+// date — first the structurally touched vertices, refilled from their own
+// rows, then every vertex whose partition changed since the last sync,
+// found by the diff or in the engine's write log, whose one row read both
+// refills its own entries and patches its neighbours' — and then settles
+// every vertex whose entries or partition changed: boundary membership,
+// cut term, size attribution, pending status and (while pools are kept)
+// refinement class, each from the vertex's own entries.
 func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bool) {
 	n := e.csr.Order()
 	e.growTo(n)
 	if e.gainsValid {
 		e.gain.Reserve(n)
 	}
-	e.stamps.Next()
 	for _, v := range touched {
-		e.recompute(v, a)
+		// A touched vertex that also moved is refilled by the diff below,
+		// which reads its row once for both (touched is empty unless the
+		// graph changed, and then this sync diffs).
+		if e.examine(v) && a.Part[v] == e.prevPart[v] {
+			e.arcsRead += e.conn.fill(e.csr, e.prevPart, v, false, 0)
+		}
 	}
 	if diff {
 		for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
@@ -134,6 +141,13 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 			}
 		}
 	}
+	for _, v := range e.examined.list {
+		e.settle(v, a)
+	}
+	e.examined.reset()
+	if e.conn.wasteful(e.csr) {
+		e.arcsRead += e.conn.refill(e.csr, e.prevPart)
+	}
 	e.bnd.relist()
 	e.pending.relist()
 	if len(e.gainDirty) > len(e.bnd.list) {
@@ -145,40 +159,81 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 	}
 }
 
-// reexamine records the new partition of v, which changed since the last
-// sync (the only prevPart slots a resync writes), and re-examines v and its
-// neighbors: the one path of the diff and the log pass.
-func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
-	e.prevPart[v] = a.Part[v]
-	e.recompute(v, a)
-	for _, u := range e.csr.Row(v) {
-		e.recompute(u, a)
+// examine queues v for this sync's settle pass, reporting whether it was
+// not queued yet.
+func (e *Engine) examine(v graph.Vertex) bool {
+	if e.examined.has(v) {
+		return false
 	}
+	e.examined.bits[v>>6] |= 1 << (uint(v) & 63)
+	e.examined.list = append(e.examined.list, v)
+	return true
 }
 
-// recompute re-evaluates v's boundary membership, cut term, size
-// attribution, pending status and — while pools are kept — refinement
-// class, at most once per sync (the stamp). Any re-examination drops the
-// kept cut report.
-func (e *Engine) recompute(v graph.Vertex, a *partition.Assignment) {
-	if !e.stamps.TryMark(v) {
-		return
+// reexamine applies v's partition change since the last sync (the only
+// prevPart slots a resync writes) to the cache with one read of v's row,
+// and queues v and its neighbours to be settled: the one path of the diff
+// and the log pass.
+func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
+	from := e.prevPart[v]
+	e.prevPart[v] = a.Part[v]
+	e.examine(v)
+	for _, u := range e.csr.Row(v) {
+		e.examine(u)
 	}
+	k := e.conn.fill(e.csr, e.prevPart, v, true, from)
+	e.arcsRead += k
+	e.movedArcs += k
+}
+
+// settle re-derives v's boundary membership, cut term, size attribution,
+// pending status and — while pools are kept — refinement class from its
+// cache entries, once per sync. Any settled vertex drops the kept cut
+// report.
+func (e *Engine) settle(v graph.Vertex, a *partition.Assignment) {
 	e.cutValid = false
 	e.moveAttr(v, a)
 	e.collectPending(v, a)
-	was := e.bnd.has(v)
-	var now bool
-	if e.gainsValid {
-		e.gainDirty = e.gain.Reclassify(&e.row, e.csr, a, v, e.gainDirty)
-		now, e.ext[v], e.extN[v] = e.row.Foreign, e.row.Ext, e.row.ExtN
-	} else {
-		now, e.ext[v], e.extN[v] = e.rowTerm(v, a)
-	}
+	was, now := e.bnd.has(v), e.term(v, a)
 	switch {
 	case now && !was:
 		e.bnd.add(v)
 	case was && !now:
 		e.bnd.remove(v)
 	}
+}
+
+// term stores v's cut term — the weight of its arcs to assigned vertices
+// of another partition and their count, zero for a dead or unassigned v —
+// and, while pools are kept, its refinement class (the best partition by
+// refine.Prefer, as refine.RowScan.Scan would find it), all read from v's
+// cache entries. It reports whether v is a boundary vertex: live, with an
+// arc to another partition or to an unassigned vertex.
+func (e *Engine) term(v graph.Vertex, a *partition.Assignment) bool {
+	lo, hi := e.conn.block(v)
+	pv := a.Part[v]
+	var ext, extN int32
+	best, bestG, in := int32(-1), int64(0), int64(e.conn.in[v])
+	if pv >= 0 {
+		for i := lo; i < hi; i++ {
+			q := e.conn.part[i]
+			if q < 0 {
+				continue
+			}
+			ext += e.conn.wt[i]
+			extN += e.conn.arcs[i]
+			if g := int64(e.conn.wt[i]) - in; int(q) < a.P && refine.Prefer(g, q, bestG, best) {
+				best, bestG = q, g
+			}
+		}
+	}
+	e.ext[v], e.extN[v] = ext, extN
+	if e.gainsValid {
+		k, g := int32(-1), int32(0)
+		if best >= 0 && int(pv) < a.P {
+			k, g = pv*int32(a.P)+best, int32(bestG)
+		}
+		e.gainDirty = e.gain.Store(v, k, g, e.gainDirty)
+	}
+	return hi > lo
 }

@@ -193,7 +193,6 @@ type Engine struct {
 	// Incremental boundary tracker.
 	prevPart []int32        // assignment at the last sync (-2 = never seen)
 	bnd      idSet          // the boundary set, listed ascending
-	stamps   par.Stamps     // vertices a sync has re-examined
 	inCall   bool           // inside Repartition: only the engine writes a,
 	wroteAll bool           // and any slot may differ from prevPart
 	written  []graph.Vertex // or only those it logged since (see sync)
@@ -212,8 +211,10 @@ type Engine struct {
 	badID     graph.Vertex // a vertex with an out-of-range id the last sync examined, or −1
 	partSizes []int
 	sizeAttr  []int32
-	ext       []float64
+	ext       []int32
 	extN      []int32
+	conn      connCache // every vertex's arcs by partition (conn.go)
+	examined  idSet     // the vertices this sync settles, listed in the order it reached them
 	cut       partition.CutStats
 	cutValid  bool
 	cutPPB    []float64 // PerPart arena for Stats.CutBefore
@@ -228,6 +229,8 @@ type Engine struct {
 	syncDiffs  int
 	cutEvals   int
 	cutReused  int
+	arcsRead   int // arcs the syncs read from rows
+	movedArcs  int // Σ deg of the vertices syncs re-examined because their partition changed
 
 	// Pending-unassigned tracker feeding the delta-aware phase 1: every
 	// vertex observed live-but-Unassigned (or dead with a stale
@@ -245,7 +248,6 @@ type Engine struct {
 	// before the first Gains call.
 	gainsValid bool
 	gainDirty  []refine.Reclass
-	row        refine.RowScan // the row kernel's arena for Reclassify
 
 	// Scratch arenas.
 	lay      layering.Scratch
@@ -310,11 +312,13 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Boundary syncs and returns the current partition-boundary vertex set.
-// The slice is owned by the engine, ascending, duplicate-free, and valid
-// until the next engine call; it is nil after Close.
+// Boundary syncs and returns the current partition-boundary vertex set:
+// every live vertex with a neighbour whose partition id differs from its
+// own. The slice is owned by the engine, ascending, duplicate-free, and
+// valid until the next engine call; it is nil after Close and for an
+// assignment with P < 1. An out-of-range id is compared like any other.
 func (e *Engine) Boundary(a *partition.Assignment) []graph.Vertex {
-	if e.closed {
+	if e.closed || a.P < 1 {
 		return nil
 	}
 	e.sync(a)
@@ -330,9 +334,10 @@ func (e *Engine) growTo(n int) {
 		}
 		e.ext, e.extN = par.Sized(e.ext, n), par.Sized(e.extN, n)
 	}
+	e.conn.grow(n)
 	e.bnd.grow(n)
 	e.pending.grow(n)
-	e.stamps.Grow(n)
+	e.examined.grow(n)
 }
 
 // sync brings the CSR snapshot, the boundary set and the size/cut
@@ -428,32 +433,6 @@ func (e *Engine) collectPending(v graph.Vertex, a *partition.Assignment) {
 	}
 }
 
-// rowTerm is the one row scan a sync pays per examined vertex while no
-// candidate pools are kept (else refine.RowScan.Scan, which also
-// classifies): whether v is a boundary vertex (live with ≥1 neighbor in
-// another partition) and v's cut term — the weights of its arcs to
-// assigned vertices of another partition, added in row order, and their
-// count; zero for a dead or unassigned v.
-func (e *Engine) rowTerm(v graph.Vertex, a *partition.Assignment) (boundary bool, ext float64, n int32) {
-	if !e.csr.Live[v] {
-		return false, 0, 0
-	}
-	pv := a.Part[v]
-	ws := e.csr.RowWeights(v)
-	for i, u := range e.csr.Row(v) {
-		pu := a.Part[u]
-		if pu == pv {
-			continue
-		}
-		boundary = true
-		if pu >= 0 && pv >= 0 {
-			ext += ws[i]
-			n++
-		}
-	}
-	return boundary, ext, n
-}
-
 // diffBlock is how many assignment slots nextMoved compares at a time:
 // a fixed-size array comparison compiles to one memequal, so the
 // unchanged bulk of the assignment is skipped at memory speed — faster
@@ -485,6 +464,11 @@ func (e *Engine) nextMoved(a *partition.Assignment, lo, hi int) int {
 // report slot.
 func (e *Engine) cutStatsInto(dst *partition.CutStats, perPart *[]float64, a *partition.Assignment) {
 	e.sync(a)
+	e.report(dst, perPart, a)
+}
+
+// report fills dst from the synced state, as cutStatsInto describes.
+func (e *Engine) report(dst *partition.CutStats, perPart *[]float64, a *partition.Assignment) {
 	reused := e.cutValid
 	if reused {
 		e.cutReused++
@@ -512,8 +496,9 @@ func (e *Engine) evalCut(a *partition.Assignment) {
 	arcs, weight := 0, 0.0
 	for _, v := range e.bnd.list {
 		if pv := a.Part[v]; pv >= 0 {
-			perPart[pv] += e.ext[v]
-			weight += e.ext[v]
+			w := float64(e.ext[v])
+			perPart[pv] += w
+			weight += w
 			arcs += int(e.extN[v])
 		}
 	}
@@ -525,13 +510,18 @@ func (e *Engine) evalCut(a *partition.Assignment) {
 // a, maintained incrementally. The result's PerPart is an engine-owned
 // arena overwritten by the next Cut call (a previously returned
 // Stats.CutBefore/CutAfter is not affected); the scalar fields are
-// plain values. It is bit-identical to partition.Cut(e.Graph(), a).
+// plain values. It is bit-identical to partition.Cut(e.Graph(), a). An
+// assignment with P < 1 or a partition id outside [Unassigned, P) has no
+// cut: the result is the zero CutStats (and after Close).
 func (e *Engine) Cut(a *partition.Assignment) partition.CutStats {
-	if e.closed {
-		return partition.CutStats{}
-	}
 	var st partition.CutStats
-	e.cutStatsInto(&st, &e.cutPPQ, a)
+	if e.closed || a.P < 1 {
+		return st
+	}
+	if e.sync(a); e.badID >= 0 {
+		return st
+	}
+	e.report(&st, &e.cutPPQ, a)
 	return st
 }
 
@@ -623,15 +613,18 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	st.reset()
 	opt := e.opt
 	basePatched, baseDiffs, baseEvals, baseReused := e.csrPatched, e.syncDiffs, e.cutEvals, e.cutReused
+	baseRead, baseMoved := e.arcsRead, e.movedArcs
 	e.inCall, e.wroteAll = true, true // the caller may have edited a
 	tStart := time.Now()
 	defer func() {
 		e.inCall = false
+		e.conn.trim()
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
 		st.SyncDiffs = e.syncDiffs - baseDiffs
 		st.CutIncremental = e.cutEvals - baseEvals
 		st.CutReused = e.cutReused - baseReused
+		st.SyncArcsRead, st.SyncMovedArcs = e.arcsRead-baseRead, e.movedArcs-baseMoved
 	}()
 
 	if err := cancel.Check(ctx, "repartition"); err != nil {

@@ -73,14 +73,15 @@ func randomEdit(g *graph.Graph, a *partition.Assignment, rng *rand.Rand) {
 	}
 }
 
-// fractionalWeights re-weighs every edge of g to a random non-integer, so
-// cut sums stress float equality: a different summation order shows.
-func fractionalWeights(g *graph.Graph, rng *rand.Rand) {
+// randomWeights re-weighs every edge of g to a random integer in [0, 9]:
+// patched connectivity sums must equal row sums on any weights, and a
+// zero-weight arc still puts its ends on the boundary.
+func randomWeights(g *graph.Graph, rng *rand.Rand) {
 	for v := 0; v < g.Order(); v++ {
 		for _, u := range append([]graph.Vertex(nil), g.Neighbors(graph.Vertex(v))...) {
 			if graph.Vertex(v) < u {
 				_ = g.RemoveEdge(graph.Vertex(v), u)
-				_ = g.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
+				_ = g.AddEdge(graph.Vertex(v), u, float64(rng.Intn(10)))
 			}
 		}
 	}
@@ -88,10 +89,11 @@ func fractionalWeights(g *graph.Graph, rng *rand.Rand) {
 
 // requireTrackedCut asserts, after a sync, everything the engine tracks
 // for the cut: the engine's verdict on the assignment is Validate's, the
-// boundary list is the brute-force set, every listed vertex's stored term
-// equals a fresh scan of its row in the graph, and — unless an id is out
-// of range, where no cut is defined — the report equals the partition.Cut
-// oracle bit for bit.
+// boundary list is the brute-force set, every vertex's connectivity-cache
+// entries and in(v) and every listed vertex's stored term equal a fresh
+// scan of its row in the graph, and — unless an id is out of range, where
+// no cut is defined — the report equals the partition.Cut oracle bit for
+// bit.
 func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partition.Assignment) {
 	t.Helper()
 	verdict := e.syncChecked(a) // the sync Boundary would pay
@@ -108,12 +110,47 @@ func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *p
 				n++
 			}
 		}
-		if e.ext[v] != ext || e.extN[v] != n {
-			t.Fatalf("%s: vertex %d stores term (%g, %d), its row scans to (%g, %d)", ctx, v, e.ext[v], e.extN[v], ext, n)
+		if float64(e.ext[v]) != ext || e.extN[v] != n {
+			t.Fatalf("%s: vertex %d stores term (%d, %d), its row scans to (%g, %d)", ctx, v, e.ext[v], e.extN[v], ext, n)
 		}
 	}
+	requireConn(t, ctx, e, g, a)
 	if !slices.ContainsFunc(a.Part, func(p int32) bool { return p < partition.Unassigned || int(p) >= a.P }) {
 		sameCut(t, ctx, e.Cut(a), partition.Cut(g, a))
+	}
+}
+
+// requireConn asserts that every vertex's connectivity-cache entries and
+// in(v) equal a fresh scan of its row in the graph under a, which is the
+// sync's view once it ends.
+func requireConn(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partition.Assignment) {
+	t.Helper()
+	type entry struct{ w, arcs int32 }
+	for v := graph.Vertex(0); int(v) < g.Order(); v++ {
+		if e.prevPart[v] != a.Part[v] {
+			t.Fatalf("%s: vertex %d: the sync's view has partition %d, the assignment %d", ctx, v, e.prevPart[v], a.Part[v])
+		}
+		in, want := int32(0), map[int32]entry{}
+		ws := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if a.Part[u] == a.Part[v] {
+				in += int32(ws[i])
+			} else {
+				x := want[a.Part[u]]
+				want[a.Part[u]] = entry{x.w + int32(ws[i]), x.arcs + 1}
+			}
+		}
+		got := map[int32]entry{}
+		lo, hi := e.conn.block(v)
+		for i := lo; i < hi; i++ {
+			if _, dup := got[e.conn.part[i]]; dup {
+				t.Fatalf("%s: vertex %d lists partition %d twice", ctx, v, e.conn.part[i])
+			}
+			got[e.conn.part[i]] = entry{e.conn.wt[i], e.conn.arcs[i]}
+		}
+		if e.conn.in[v] != in || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: vertex %d caches in %d and %v, its row scans to in %d and %v", ctx, v, e.conn.in[v], got, in, want)
+		}
 	}
 }
 
@@ -736,13 +773,51 @@ func sameCut(t testing.TB, ctx string, got, want partition.CutStats) {
 	}
 }
 
+// TestCutAndBoundaryOnInvalidAssignment: Engine.Cut and Engine.Boundary
+// do not panic on an invalid assignment — P = 4 with an id of 4 or −2, or
+// P = −1 — on a fresh engine or a warm one. Cut reports the zero
+// CutStats; Boundary compares ids as numbers and is nil for P < 1. The
+// valid state's answers come back on the next call.
+func TestCutAndBoundaryOnInvalidAssignment(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		for _, tc := range []struct {
+			name string
+			bad  func(a *partition.Assignment)
+		}{
+			{"id P", func(a *partition.Assignment) { a.Part[3] = int32(a.P) }},
+			{"id -2", func(a *partition.Assignment) { a.Part[5] = partition.Unassigned - 1 }},
+			{"P -1", func(a *partition.Assignment) { a.P = -1 }},
+		} {
+			g, a := editableGraph(t, 120, 4, 11)
+			e := New(g, Options{})
+			if warm {
+				sameCut(t, "warm-up", e.Cut(a), partition.Cut(g, a))
+			}
+			bad := a.Clone()
+			tc.bad(bad)
+			if st := e.Cut(bad); !reflect.DeepEqual(st, partition.CutStats{}) {
+				t.Fatalf("warm %v, %s: Cut = %+v, want the zero CutStats", warm, tc.name, st)
+			}
+			if b := e.Boundary(bad); bad.P < 1 {
+				if b != nil {
+					t.Fatalf("warm %v, %s: Boundary = %v, want nil", warm, tc.name, b)
+				}
+			} else {
+				requireSameBoundary(t, b, bruteBoundary(g, bad))
+			}
+			sameCut(t, tc.name+": valid again", e.Cut(a), partition.Cut(g, a))
+			requireSameBoundary(t, e.Boundary(a), bruteBoundary(g, a))
+		}
+	}
+}
+
 // TestIncrementalCutExact checks the tracked cut against the brute-force
-// partition.Cut oracle across random edit sequences, with fractional edge
-// weights so float equality is actually stressed.
+// partition.Cut oracle across random edit sequences, with random integer
+// edge weights (zero included).
 func TestIncrementalCutExact(t *testing.T) {
 	g, a := editableGraph(t, 350, 7, 83)
 	rng := rand.New(rand.NewSource(89))
-	fractionalWeights(g, rng)
+	randomWeights(g, rng)
 	e := New(g, Options{})
 	for iter := 0; iter < 120; iter++ {
 		for k := 0; k <= rng.Intn(4); k++ {
@@ -1035,7 +1110,7 @@ func TestKeptCutInvalidation(t *testing.T) {
 		reused bool
 	}{
 		{"nothing", func() {}, true},
-		{"edge weight only", func() { reweigh(2.75) }, false},
+		{"edge weight only", func() { reweigh(3) }, false},
 		{"caller flips an interior vertex", func() {
 			bnd := bruteBoundary(g, a)
 			for v := 0; v < g.Order(); v++ {
@@ -1059,11 +1134,11 @@ func TestKeptCutInvalidation(t *testing.T) {
 			a.Grow(g.Order())
 			a.Part[w] = a.Part[v]
 			_ = g.AddEdge(w, v, 1)
-			_ = g.AddEdge(w, u, 1.5)
+			_ = g.AddEdge(w, u, 2)
 		}, false},
 		{"P change", func() { a.P++ }, false},
 		{"journal overflow", func() {
-			reweigh(0.375) // first: picking the edge syncs
+			reweigh(5) // first: picking the edge syncs
 			for i := 0; i < 40000; i++ {
 				g.SetVertexWeight(graph.Vertex(i%g.Order()), 1)
 			}

@@ -17,15 +17,16 @@ import (
 )
 
 // FuzzBoundaryExact is the differential fuzz of everything sync tracks:
-// random edit sequences over fractionally weighted random geometric
-// graphs. After every burst —
+// random edit sequences over random geometric graphs with random integer
+// edge weights, zero included. After every burst —
 // whichever way the sync went: journal patch, journal-overflow rebuild,
 // a partition-count change, vertex deletion, vertices left
 // unassigned, an out-of-range id written and restored — the engine's
 // verdict on the assignment must be Validate's, the boundary list must be
-// the brute-force set in strictly ascending order, every listed vertex's
-// stored cut term must equal a fresh scan of its row, and Engine.Cut must
-// equal partition.Cut bit for bit.
+// the brute-force set in strictly ascending order, every vertex's
+// connectivity-cache entries and in(v) and every listed vertex's stored
+// cut term must equal a fresh scan of its row, and Engine.Cut must equal
+// partition.Cut bit for bit.
 func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(42), uint8(40))
@@ -34,7 +35,7 @@ func FuzzBoundaryExact(f *testing.F) {
 		n := 60 + int(uint64(seed)%400)
 		p := 3 + int(uint64(seed)%4)
 		g, a := editableGraph(t, n, p, seed)
-		fractionalWeights(g, rand.New(rand.NewSource(seed^0xf7ac)))
+		randomWeights(g, rand.New(rand.NewSource(seed^0xf7ac)))
 		e := New(g, Options{})
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		requireTrackedCut(t, "cold", e, g, a)
@@ -63,12 +64,12 @@ func FuzzBoundaryExact(f *testing.F) {
 				} else {
 					a.P++
 				}
-			case k < 6: // re-weigh an edge to another non-integer
+			case k < 6: // re-weigh an edge to another integer
 				u := graph.Vertex(rng.Intn(g.Order()))
 				if g.Alive(u) && g.Degree(u) > 0 {
 					v := g.Neighbors(u)[rng.Intn(g.Degree(u))]
 					_ = g.RemoveEdge(u, v)
-					_ = g.AddEdge(u, v, 0.1+rng.Float64())
+					_ = g.AddEdge(u, v, float64(rng.Intn(10)))
 				}
 			case k < 12: // unassigned vertices, deletions that leave a stale slot
 				randomGrowthEdit(g, a, rng)
@@ -246,7 +247,7 @@ func requireSameSnapshot(t *testing.T, got, want *graph.CSR) {
 		}
 		for i := range wr {
 			if gr[i] != wr[i] || gw[i] != ww[i] {
-				t.Fatalf("vertex %d arc %d: (%d,%g), want (%d,%g)", v, i, gr[i], gw[i], wr[i], ww[i])
+				t.Fatalf("vertex %d arc %d: (%d,%d), want (%d,%d)", v, i, gr[i], gw[i], wr[i], ww[i])
 			}
 		}
 	}
@@ -390,7 +391,7 @@ func FuzzVCycleValidity(f *testing.F) {
 // when the scan does. Interleaved full IGPR calls check
 // the cut the driver reads after every applied round, and the CutAfter it
 // leaves, against partition.Cut: bit for bit, on unit weights and on the
-// fractional weights frac turns on alike.
+// random integer weights frac turns on alike.
 func FuzzRefineIncremental(f *testing.F) {
 	f.Add(int64(1), uint8(12), false)
 	f.Add(int64(42), uint8(40), true)
@@ -402,7 +403,7 @@ func FuzzRefineIncremental(f *testing.F) {
 		p := 3 + int(uint64(seed)%5)
 		g, a := editableGraph(t, n, p, seed)
 		if frac {
-			fractionalWeights(g, rand.New(rand.NewSource(seed^0x6a17)))
+			randomWeights(g, rand.New(rand.NewSource(seed^0x6a17)))
 		}
 		var exact []float64
 		e := New(g, Options{Refine: true, Observer: func(ev Event) {
@@ -495,7 +496,7 @@ func FuzzRefineIncremental(f *testing.F) {
 
 // FuzzRefineSchedule: refine.Drive's exits change no result. A warm
 // refining engine absorbs random edit bursts on a
-// random geometric mesh or a grid, unit or fractional weights; after
+// random geometric mesh or a grid, unit or random integer weights; after
 // every call its assignment and refinement CutAfter must equal, bit for
 // bit, those of the same input run through a refine-less engine
 // (assignment and balancing) and then scheduleReference, which applies
@@ -521,7 +522,7 @@ func FuzzRefineSchedule(f *testing.F) {
 			g, a = editableGraph(t, 60+int(uint64(seed)%300), p, seed)
 		}
 		if frac {
-			fractionalWeights(g, rand.New(rand.NewSource(seed^0x5c4)))
+			randomWeights(g, rand.New(rand.NewSource(seed^0x5c4)))
 		}
 		gR, aR := g.Clone(), a.Clone()
 		e := New(g, Options{Refine: true})

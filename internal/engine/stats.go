@@ -131,6 +131,15 @@ type Stats struct {
 	// any whose log of the engine's own writes outgrew n/64 entries; the
 	// others followed that log.
 	SyncDiffs int
+	// SyncArcsRead counts the arcs this call's syncs read from adjacency
+	// rows, and SyncMovedArcs the degrees summed over the vertices they
+	// re-examined because their partition changed. A sync reads a moved
+	// vertex's row once — it patches the neighbours' connectivity entries
+	// from it — plus the rows of structurally edited vertices, and every
+	// row on a rebuild or a re-pack of the connectivity cache, so on a warm
+	// refining call the ratio is close to 1.
+	SyncArcsRead  int
+	SyncMovedArcs int
 	// CutIncremental counts the cut reports this call summed from the
 	// engine's tracked per-vertex cut terms — one pass over the maintained
 	// partition-boundary list, no arc visited, bit-identical to
@@ -252,6 +261,8 @@ func (s *Stats) AddBatch(b *Stats) {
 	s.Elapsed += b.Elapsed
 	s.CSRPatched += b.CSRPatched
 	s.SyncDiffs += b.SyncDiffs
+	s.SyncArcsRead += b.SyncArcsRead
+	s.SyncMovedArcs += b.SyncMovedArcs
 	s.CutIncremental += b.CutIncremental
 	s.CutReused += b.CutReused
 	s.VCycleSkipped, s.SpectralInit = b.VCycleSkipped, b.SpectralInit

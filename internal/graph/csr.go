@@ -18,13 +18,13 @@ import "slices"
 // work proportional to the touched rows — not to the whole graph. XAdj
 // stays monotone (slack included).
 type CSR struct {
-	XAdj []int32   // slot-start offsets, len Order()+1; XAdj[Order()] = len(Adj)
-	End  []int32   // row-end offsets, len Order(); XAdj[v] ≤ End[v] ≤ XAdj[v+1]
-	Adj  []Vertex  // concatenated adjacency rows plus slack
-	EW   []float64 // edge weights parallel to Adj
-	Live []bool    // liveness flags
-	NumV int       // live vertex count
-	NumE int       // undirected edge count
+	XAdj []int32  // slot-start offsets, len Order()+1; XAdj[Order()] = len(Adj)
+	End  []int32  // row-end offsets, len Order(); XAdj[v] ≤ End[v] ≤ XAdj[v+1]
+	Adj  []Vertex // concatenated adjacency rows plus slack
+	EW   []int32  // edge weights parallel to Adj (integers, see MaxTotalEdgeWeight)
+	Live []bool   // liveness flags
+	NumV int      // live vertex count
+	NumE int      // undirected edge count
 
 	// Patch bookkeeping: the graph that built this snapshot and the edit
 	// epoch it reflects. RefreshCSR patches only when both still match up.
@@ -154,7 +154,9 @@ func (g *Graph) RefreshCSR(c *CSR) (snapshot *CSR, patched bool) {
 		start := c.XAdj[v]
 		row := g.adj[v]
 		n := copy(c.Adj[start:c.XAdj[v+1]], row)
-		copy(c.EW[start:], g.ew[v][:n])
+		for i, w := range g.ew[v][:n] {
+			c.EW[int(start)+i] = int32(w)
+		}
 		end := start + int32(n)
 		for i := end; i < c.XAdj[v+1]; i++ {
 			c.Adj[i] = slackSentinel
@@ -184,7 +186,9 @@ func (g *Graph) RefreshCSR(c *CSR) (snapshot *CSR, patched bool) {
 func (c *CSR) appendSlot(g *Graph, v Vertex) {
 	c.XAdj = append(c.XAdj, int32(len(c.Adj)))
 	c.Adj = append(c.Adj, g.adj[v]...)
-	c.EW = append(c.EW, g.ew[v]...)
+	for _, w := range g.ew[v] {
+		c.EW = append(c.EW, int32(w))
+	}
 	c.End = append(c.End, int32(len(c.Adj)))
 	if g.alive[v] {
 		for pad := c.pad(len(g.adj[v])); pad > 0; pad-- {
@@ -221,7 +225,7 @@ func (g *Graph) buildCSR(c *CSR) *CSR {
 				slots += c.pad(len(row))
 			}
 		}
-		c.Adj, c.EW = make([]Vertex, 0, slots), make([]float64, 0, slots)
+		c.Adj, c.EW = make([]Vertex, 0, slots), make([]int32, 0, slots)
 	}
 	c.patchPeak = 0
 	c.grewSlot = false
@@ -248,7 +252,7 @@ func (c *CSR) Order() int { return len(c.XAdj) - 1 }
 func (c *CSR) Row(v Vertex) []Vertex { return c.Adj[c.XAdj[v]:c.End[v]] }
 
 // RowWeights returns the edge-weight slice of v, parallel to Row(v).
-func (c *CSR) RowWeights(v Vertex) []float64 { return c.EW[c.XAdj[v]:c.End[v]] }
+func (c *CSR) RowWeights(v Vertex) []int32 { return c.EW[c.XAdj[v]:c.End[v]] }
 
 // Degree returns the degree of v.
 func (c *CSR) Degree(v Vertex) int { return int(c.End[v] - c.XAdj[v]) }

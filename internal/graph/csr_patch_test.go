@@ -27,7 +27,7 @@ func sameSnapshot(want, got *CSR) error {
 		ww, gw := want.RowWeights(Vertex(v)), got.RowWeights(Vertex(v))
 		for i := range wr {
 			if wr[i] != gr[i] || ww[i] != gw[i] {
-				return fmt.Errorf("vertex %d arc %d: (%d,%g) vs (%d,%g)", v, i, gr[i], gw[i], wr[i], ww[i])
+				return fmt.Errorf("vertex %d arc %d: (%d,%d) vs (%d,%d)", v, i, gr[i], gw[i], wr[i], ww[i])
 			}
 		}
 	}
@@ -51,7 +51,7 @@ func checkSlots(t *testing.T, c *CSR) {
 		}
 		for i := c.End[v]; i < c.XAdj[v+1]; i++ {
 			if c.Adj[i] != slackSentinel || c.EW[i] != 0 {
-				t.Fatalf("vertex %d: slack slot %d holds (%d,%g), want sentinel", v, i, c.Adj[i], c.EW[i])
+				t.Fatalf("vertex %d: slack slot %d holds (%d,%d), want sentinel", v, i, c.Adj[i], c.EW[i])
 			}
 		}
 	}
@@ -66,14 +66,14 @@ func randomGraphEdit(g *Graph, rng *rand.Rand) {
 		for tries := 0; tries < 10; tries++ {
 			u := Vertex(rng.Intn(g.Order()))
 			if g.Alive(u) && u != v {
-				_ = g.AddEdge(v, u, 1+rng.Float64())
+				_ = g.AddEdge(v, u, float64(1+rng.Intn(9)))
 				return
 			}
 		}
 	case 1, 2: // add an edge
 		u := Vertex(rng.Intn(g.Order()))
 		v := Vertex(rng.Intn(g.Order()))
-		g.AddEdgeIfAbsent(u, v, 1+rng.Float64())
+		g.AddEdgeIfAbsent(u, v, float64(1+rng.Intn(9)))
 	case 3: // remove an edge
 		u := Vertex(rng.Intn(g.Order()))
 		if g.Alive(u) && g.Degree(u) > 1 {
@@ -197,7 +197,7 @@ func TestRefreshCSRPatchedBytesDeterministic(t *testing.T) {
 		}
 		for i := range c1.Adj {
 			if c1.Adj[i] != c2.Adj[i] || c1.EW[i] != c2.EW[i] {
-				t.Fatalf("iter %d: arc %d diverges: (%d,%g) vs (%d,%g)",
+				t.Fatalf("iter %d: arc %d diverges: (%d,%d) vs (%d,%d)",
 					iter, i, c1.Adj[i], c1.EW[i], c2.Adj[i], c2.EW[i])
 			}
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzRead checks that arbitrary input never panics the parser and that
-// anything it accepts round-trips losslessly.
+// anything it accepts — integer edge weights only — validates and
+// round-trips losslessly.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	_ = Write(&seed, Grid(3, 3))
@@ -17,6 +18,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("bogus\n")
 	f.Add("igp-graph -1 0") // negative counts must be rejected before any make
 	f.Add("igp-graph 2 1\nv 0 1\n# comment\nv 1 1\ne 0 1 1\n")
+	f.Add("igp-graph 2 1\nv 0 1\nv 1 1\ne 0 1 0.5\n") // a fractional edge weight is refused
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -11,7 +11,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -19,14 +21,17 @@ import (
 // Vertex is a dense vertex identifier.
 type Vertex = int32
 
-// Graph is a mutable undirected graph with float64 vertex and edge weights.
-// The zero value is an empty graph ready for use.
+// Graph is a mutable undirected graph with float64 vertex weights and
+// integer edge weights (carried as float64 in the public API; see
+// MaxTotalEdgeWeight). The zero value is an empty graph ready for use.
 //
 // Every undirected edge {u,v} is stored twice, once in each endpoint's
 // adjacency list. Invariants (checked by Validate):
 //   - adjacency is symmetric with matching weights,
 //   - no self-loops and no parallel edges,
-//   - dead vertices have empty adjacency.
+//   - dead vertices have empty adjacency,
+//   - every edge weight is an integer ≥ 0, and they sum to at most
+//     MaxTotalEdgeWeight.
 //
 // Every mutation advances an edit epoch and records the touched vertices
 // in a bounded journal, letting long-lived consumers (the repartitioning
@@ -39,12 +44,49 @@ type Graph struct {
 	alive []bool      // tombstone flags
 	m     int         // number of live undirected edges
 	dead  int         // number of dead vertices
+	wsum  float64     // total weight of the live edges (an exact integer)
 
 	epoch        uint64   // advanced by every mutation
 	journalV     []Vertex // touched vertices, parallel to journalE
 	journalE     []uint64 // epoch at which each touch happened
 	journalFloor uint64   // touches at epochs ≤ floor have been dropped
 }
+
+// MaxTotalEdgeWeight bounds the total edge weight of a graph. An edge
+// weight is an integer, so with the total within int32 every weight a CSR
+// snapshot stores — and every sum of them: a vertex's weight toward a
+// partition, a coarse level's aggregated edge, a cut — is an exact int32.
+const MaxTotalEdgeWeight = math.MaxInt32
+
+// ErrEdgeWeight is matched (errors.Is) by the error of an edge weight that
+// is not an integer ≥ 0, or that would raise the graph's total edge weight
+// past MaxTotalEdgeWeight.
+var ErrEdgeWeight = errors.New("graph: edge weight must be a non-negative integer")
+
+// checkEdgeWeight refuses a weight that is not an integer in
+// [0, MaxTotalEdgeWeight] (NaN and ±Inf included).
+func checkEdgeWeight(w float64) error {
+	if !(w >= 0 && w <= MaxTotalEdgeWeight && w == math.Trunc(w)) {
+		return fmt.Errorf("%w: %g", ErrEdgeWeight, w)
+	}
+	return nil
+}
+
+// CheckEdgeWeights returns an error matching ErrEdgeWeight unless k more
+// edges of weight w would be accepted by AddEdge: w an integer ≥ 0 and
+// the total edge weight still within MaxTotalEdgeWeight.
+func (g *Graph) CheckEdgeWeights(w float64, k int) error {
+	if err := checkEdgeWeight(w); err != nil {
+		return err
+	}
+	if g.wsum+float64(k)*w > MaxTotalEdgeWeight {
+		return fmt.Errorf("%w: %d edges of weight %g would raise the total edge weight %g past %d", ErrEdgeWeight, k, w, g.wsum, MaxTotalEdgeWeight)
+	}
+	return nil
+}
+
+// TotalEdgeWeight returns the summed weight of the live edges.
+func (g *Graph) TotalEdgeWeight() float64 { return g.wsum }
 
 // maxJournal bounds the edit journal; once exceeded the journal is reset
 // and TouchedSince reports inexact, forcing consumers to rescan. The bound
@@ -159,9 +201,10 @@ func (g *Graph) RemoveVertex(v Vertex) error {
 	// Detach from all neighbors; the former neighbors are journaled too,
 	// since their boundary status may change with the edges.
 	g.touch(v)
-	for _, u := range g.adj[v] {
+	for i, u := range g.adj[v] {
 		g.removeArc(u, v)
 		g.m--
+		g.wsum -= g.ew[v][i]
 		g.touch(u)
 	}
 	g.adj[v] = nil
@@ -222,8 +265,12 @@ func (g *Graph) EdgeWeight(u, v Vertex) (float64, bool) {
 }
 
 // AddEdge inserts the undirected edge {u,v} with the given weight.
-// Self-loops, dead endpoints and duplicate edges are errors.
+// Self-loops, dead endpoints and duplicate edges are errors, and so is a
+// weight CheckEdgeWeights refuses (matching ErrEdgeWeight).
 func (g *Graph) AddEdge(u, v Vertex, weight float64) error {
+	if err := g.CheckEdgeWeights(weight, 1); err != nil {
+		return fmt.Errorf("graph: add edge {%d,%d}: %w", u, v, err)
+	}
 	if u == v {
 		return fmt.Errorf("graph: add edge: self-loop at %d", u)
 	}
@@ -239,8 +286,9 @@ func (g *Graph) AddEdge(u, v Vertex, weight float64) error {
 
 // AddEdgeUnchecked inserts the undirected edge {u,v} without the duplicate
 // scan AddEdge performs, making bulk construction O(1) per edge instead of
-// O(deg). The caller must guarantee u ≠ v, both endpoints are live, and
-// the edge is not already present — Validate detects violations. Builders
+// O(deg). The caller must guarantee u ≠ v, both endpoints are live, the
+// edge is not already present and the weight passes CheckEdgeWeights —
+// Validate detects violations. Builders
 // that generate each edge exactly once (grids, meshes, subgraph copies)
 // use this path.
 func (g *Graph) AddEdgeUnchecked(u, v Vertex, weight float64) {
@@ -249,7 +297,9 @@ func (g *Graph) AddEdgeUnchecked(u, v Vertex, weight float64) {
 
 // AddEdgeIfAbsent inserts {u,v} if it is not already present, reporting
 // whether it inserted. Unlike the AddEdge error path it performs a single
-// duplicate scan. Self-loops and dead endpoints are never inserted.
+// duplicate scan. Self-loops and dead endpoints are never inserted; the
+// weight is the caller's to check (CheckEdgeWeights), as for
+// AddEdgeUnchecked.
 func (g *Graph) AddEdgeIfAbsent(u, v Vertex, weight float64) bool {
 	if u == v || g.HasEdge(u, v) || !g.Alive(u) || !g.Alive(v) {
 		return false
@@ -262,7 +312,8 @@ func (g *Graph) AddEdgeIfAbsent(u, v Vertex, weight float64) bool {
 // Order(): new vertex i weighs vw[i] and its row is adj[off[i]:off[i+1]]
 // with weights ew[off[i]:off[i+1]] (off runs from 0 to len(adj)). Every
 // arc must join two new vertices and be listed in both rows with one
-// weight. The graph keeps adj and ew as one slab of rows, each capped at
+// weight, and the weights must keep the total edge weight within
+// MaxTotalEdgeWeight. The graph keeps adj and ew as one slab of rows, each capped at
 // its end, so a row grown later reallocates alone. Nothing is checked
 // (Validate is the oracle). The epoch advances once, and the journal
 // gets the new vertices.
@@ -277,6 +328,11 @@ func (g *Graph) AppendRows(vw []float64, off []int, adj []Vertex, ew []float64) 
 		g.alive = append(g.alive, true)
 	}
 	g.m += len(adj) / 2
+	var ws float64
+	for _, w := range ew {
+		ws += w
+	}
+	g.wsum += ws / 2
 	if g.advance(k) {
 		g.journalV, g.journalE = slices.Grow(g.journalV, k), slices.Grow(g.journalE, k)
 		for i := 0; i < k; i++ {
@@ -291,6 +347,7 @@ func (g *Graph) addEdgeRaw(u, v Vertex, weight float64) {
 	g.adj[v] = append(g.adj[v], u)
 	g.ew[v] = append(g.ew[v], weight)
 	g.m++
+	g.wsum += weight
 	g.touch(u, v)
 }
 
@@ -299,25 +356,27 @@ func (g *Graph) RemoveEdge(u, v Vertex) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("graph: remove edge {%d,%d}: not present", u, v)
 	}
-	g.removeArc(u, v)
+	g.wsum -= g.removeArc(u, v)
 	g.removeArc(v, u)
 	g.m--
 	g.touch(u, v)
 	return nil
 }
 
-// removeArc drops v from u's adjacency list (directed half of an edge).
-func (g *Graph) removeArc(u, v Vertex) {
+// removeArc drops v from u's adjacency list (directed half of an edge)
+// and returns the arc's weight.
+func (g *Graph) removeArc(u, v Vertex) float64 {
 	a, w := g.adj[u], g.ew[u]
 	for i, x := range a {
 		if x == v {
-			last := len(a) - 1
+			wt, last := w[i], len(a)-1
 			a[i], w[i] = a[last], w[last]
 			g.adj[u] = a[:last]
 			g.ew[u] = w[:last]
-			return
+			return wt
 		}
 	}
+	return 0
 }
 
 // Vertices returns the identifiers of all live vertices in increasing order.
@@ -363,6 +422,7 @@ func (g *Graph) Clone() *Graph {
 		alive: append([]bool(nil), g.alive...),
 		m:     g.m,
 		dead:  g.dead,
+		wsum:  g.wsum,
 		// The journal is not copied: mark it fully dropped so TouchedSince
 		// on the clone never claims exact knowledge it does not have.
 		epoch:        g.epoch,
@@ -376,8 +436,10 @@ func (g *Graph) Clone() *Graph {
 }
 
 // Validate checks structural invariants, returning the first violation.
+// A weight that is not an integer ≥ 0, or weights summing past
+// MaxTotalEdgeWeight, are errors matching ErrEdgeWeight.
 func (g *Graph) Validate() error {
-	count := 0
+	count, total := 0, 0.0
 	for v := range g.adj {
 		if !g.alive[v] {
 			if len(g.adj[v]) != 0 {
@@ -397,6 +459,9 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: parallel edge {%d,%d}", v, u)
 			}
 			seen[u] = true
+			if err := checkEdgeWeight(g.ew[v][i]); err != nil {
+				return fmt.Errorf("graph: edge {%d,%d}: %w", v, u, err)
+			}
 			w, ok := g.EdgeWeight(u, Vertex(v))
 			if !ok {
 				return fmt.Errorf("graph: asymmetric edge {%d,%d}", v, u)
@@ -404,11 +469,20 @@ func (g *Graph) Validate() error {
 			if w != g.ew[v][i] {
 				return fmt.Errorf("graph: weight mismatch on edge {%d,%d}: %g vs %g", v, u, g.ew[v][i], w)
 			}
+			if Vertex(v) < u {
+				total += w
+			}
 			count++
 		}
 	}
 	if count != 2*g.m {
 		return fmt.Errorf("graph: edge count mismatch: counted %d arcs, expected %d", count, 2*g.m)
+	}
+	if total > MaxTotalEdgeWeight {
+		return fmt.Errorf("%w: total edge weight %g exceeds %d", ErrEdgeWeight, total, MaxTotalEdgeWeight)
+	}
+	if total != g.wsum {
+		return fmt.Errorf("graph: total edge weight %g, tracked %g", total, g.wsum)
 	}
 	return nil
 }

@@ -105,7 +105,7 @@ func TestAppendRows(t *testing.T) {
 	// and the batch is one epoch journaling its new vertices.
 	g := New(0)
 	g.AppendRows([]float64{1, 2, 3}, []int{0, 2, 3, 4},
-		[]Vertex{1, 2, 0, 0}, []float64{0.5, 1.5, 0.5, 1.5})
+		[]Vertex{1, 2, 0, 0}, []float64{5, 15, 5, 15})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAppendRows(t *testing.T) {
 	}
 	mark := g.Epoch()
 	g.AppendRows([]float64{2, 2, 1}, []int{0, 1, 3, 4},
-		[]Vertex{5, 4, 6, 5}, []float64{0.5, 0.5, 4, 4})
+		[]Vertex{5, 4, 6, 5}, []float64{5, 5, 4, 4})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 		}
 		for i, u := range row {
 			w, ok := g.EdgeWeight(Vertex(v), u)
-			if !ok || w != c.RowWeights(Vertex(v))[i] {
+			if !ok || w != float64(c.RowWeights(Vertex(v))[i]) {
 				t.Fatalf("edge weight mismatch at %d->%d", v, u)
 			}
 		}
@@ -393,7 +393,7 @@ func randomMutatedGraph(seed int64, nOps int) *Graph {
 				u := Vertex(rng.Intn(g.Order()))
 				v := Vertex(rng.Intn(g.Order()))
 				if u != v && g.Alive(u) && g.Alive(v) && !g.HasEdge(u, v) {
-					_ = g.AddEdge(u, v, rng.Float64()+0.1)
+					_ = g.AddEdge(u, v, float64(rng.Intn(10)))
 				}
 			}
 		case 2:

@@ -16,7 +16,9 @@ import (
 //	e <u> <v> <weight>         (one line per undirected edge, u < v)
 //
 // Lines beginning with '#' are comments. Vertex ids must be dense in
-// [0, order); ids not listed are dead slots.
+// [0, order); ids not listed are dead slots. A vertex weight is any
+// finite value ≥ 0; an edge weight is an integer ≥ 0 (see
+// MaxTotalEdgeWeight).
 
 // Write encodes g in the text format. Adjacency order does not affect the
 // encoding: edges are emitted with u < v in increasing order.
@@ -43,15 +45,15 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// parseWeight parses a vertex or edge weight, accepting only finite
-// values ≥ 0.
+// parseWeight parses a vertex weight, accepting only finite values ≥ 0.
 func parseWeight(s string) (float64, bool) {
 	w, err := strconv.ParseFloat(s, 64)
 	return w, err == nil && w >= 0 && !math.IsInf(w, 0)
 }
 
 // Read decodes a graph from the text format produced by Write. Ids must
-// fit a Vertex, and weights must be finite and ≥ 0.
+// fit a Vertex and vertex weights must be finite and ≥ 0; an edge weight
+// AddEdge would refuse is an error matching ErrEdgeWeight.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -99,9 +101,12 @@ func Read(r io.Reader) (*Graph, error) {
 			}
 			u, err1 := strconv.ParseInt(fields[1], 10, 32)
 			v, err2 := strconv.ParseInt(fields[2], 10, 32)
-			w, ok := parseWeight(fields[3])
-			if err1 != nil || err2 != nil || !ok {
+			w, err3 := strconv.ParseFloat(fields[3], 64)
+			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("graph: read line %d: bad edge line %q", line, text)
+			}
+			if err := checkEdgeWeight(w); err != nil {
+				return nil, fmt.Errorf("graph: read line %d: %w", line, err)
 			}
 			es = append(es, edge{Vertex(u), Vertex(v), w})
 		default:

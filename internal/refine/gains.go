@@ -36,8 +36,8 @@ type Candidates struct {
 	// first B[i][j] entries.
 	pools [][][]graph.Vertex
 	// Gain[v] is out(v, best j) − in(v) for bookkeeping (0 for
-	// non-candidates).
-	Gain []float64
+	// non-candidates): integer weights, so an exact integer within int32.
+	Gain []int32
 
 	// log is what the last Apply moved, in move order, with the partition
 	// each vertex left.
@@ -54,7 +54,7 @@ func (c *Candidates) Pool(i, j int32) []graph.Vertex { return c.pools[i][j][:c.B
 
 type cand struct {
 	v    graph.Vertex
-	gain float64
+	gain int32
 }
 
 // cmpCand is the pool order: best gain first, vertex id as tiebreak — a
@@ -69,71 +69,65 @@ func cmpCand(a, b cand) int {
 // RowScan is the arena of the row kernel, Scan. The zero value is
 // ready.
 type RowScan struct {
-	// Foreign, Ext and ExtN are the cut term of the vertex Scan read last:
-	// it is live with a neighbour elsewhere or unassigned (a boundary
-	// vertex), and the weights of its arcs to assigned vertices of another
-	// partition, added in row order, and their count (zero for a dead or
-	// unassigned vertex).
-	Foreign bool
-	Ext     float64
-	ExtN    int32
-	out     []float64 // per-partition arc weight out of v; zero between calls
-	touched []int32   // partitions with a nonzero out entry
+	out     []int64 // per-partition arc weight out of v; zero between calls
+	touched []int32 // partitions with a nonzero out entry
 }
 
 // Scan is the row kernel: one read of v's row under a yields v's class —
 // its pool under the loose test (i*P+j; -1: none) and gain out(v,j) −
-// in(v) — and leaves its cut term in r. v joins only the pool of its best
-// foreign partition (ties toward the smaller id), so pools are disjoint
-// and Apply never moves a vertex twice, which would break the balance the
-// zero-net-flow rows guarantee; the strict class is the same when the
-// gain is positive, none otherwise. An arc to an unassigned vertex or an
-// out-of-range partition counts toward no pool, and an out-of-range v has
-// no class: the sync runs Scan before it has validated the input.
-func (r *RowScan) Scan(c *graph.CSR, a *partition.Assignment, v graph.Vertex) (pair int32, gain float64) {
-	r.Foreign, r.Ext, r.ExtN = false, 0, 0
-	if !c.Live[v] {
+// in(v), sums of integer weights. v joins only the pool of its best
+// foreign partition (Prefer), so pools are disjoint and Apply never moves
+// a vertex twice, which would break the balance the zero-net-flow rows
+// guarantee; the strict class is the same when the gain is positive,
+// none otherwise. An arc to an unassigned vertex or an out-of-range
+// partition counts toward no pool, and an unassigned or out-of-range v
+// has no class: the engine's sync validates the input after it has
+// classified.
+func (r *RowScan) Scan(c *graph.CSR, a *partition.Assignment, v graph.Vertex) (pair, gain int32) {
+	pv := a.Part[v]
+	if !c.Live[v] || pv < 0 || int(pv) >= a.P {
 		return -1, 0
 	}
 	if len(r.out) < a.P {
-		r.out = make([]float64, a.P)
+		r.out = make([]int64, a.P)
 	}
-	pv, out, touched := a.Part[v], r.out[:a.P], r.touched[:0]
-	in, ext, extN, foreign := 0.0, 0.0, int32(0), false
+	out, touched := r.out[:a.P], r.touched[:0]
+	var in int64
 	wts := c.RowWeights(v)
 	for k, u := range c.Row(v) {
-		pu, w := a.Part[u], wts[k]
-		if pu == pv {
+		switch pu, w := a.Part[u], int64(wts[k]); {
+		case pu == pv:
 			in += w
-			continue
-		}
-		foreign = true
-		if pu < 0 || pv < 0 {
-			continue
-		}
-		ext += w
-		extN++
-		if int(pu) < len(out) {
-			if out[pu] == 0 {
+		case pu >= 0 && int(pu) < len(out):
+			if out[pu] == 0 { // (a zero weight may list pu twice: harmless)
 				touched = append(touched, pu)
 			}
 			out[pu] += w
 		}
 	}
-	best := int32(-1)
+	best, bestG := int32(-1), int64(0)
 	for _, j := range touched {
 		g := out[j] - in
 		out[j] = 0
-		if g >= 0 && (best < 0 || g > gain || (g == gain && j < best)) {
-			best, gain = j, g
+		if Prefer(g, j, bestG, best) {
+			best, bestG = j, g
 		}
 	}
 	r.touched = touched[:0]
-	r.Foreign, r.Ext, r.ExtN = foreign, ext, extN
-	if best < 0 || int(pv) >= a.P {
+	if best < 0 {
 		return -1, 0
 	}
-	return pv*int32(a.P) + best, gain
+	return pv*int32(a.P) + best, int32(bestG)
+}
+
+// Prefer is the class rule: whether a move to partition j at gain g beats
+// the best so far (bestG at best; best < 0: none yet). Only a gain ≥ 0
+// qualifies, the higher gain wins and a tie goes to the smaller id — a
+// total order, so the winner does not depend on the order partitions are
+// offered in. Scan and the engine's connectivity cache both decide a
+// vertex's class by it.
+func Prefer(g int64, j int32, bestG int64, best int32) bool {
+	return g >= 0 && (best < 0 || g > bestG || g == bestG && j < best)
 }
 
 // Reclass logs one class change: V's class is now the one Reclassify
@@ -200,11 +194,16 @@ func (s *Scratch) Reserve(n int) {
 	}
 }
 
-// Reclassify reads v's row once (Scan, which leaves v's cut term in r) and
-// stores v's class. When the class changed it appends a Reclass to log.
-// The caller has Reserved v's slot.
+// Reclassify reads v's row once (Scan) and stores v's class (Store).
 func (s *Scratch) Reclassify(r *RowScan, c *graph.CSR, a *partition.Assignment, v graph.Vertex, log []Reclass) []Reclass {
 	k, g := r.Scan(c, a, v)
+	return s.Store(v, k, g, log)
+}
+
+// Store stores class (k, g) — Scan's result for v, however it was found —
+// as v's. When the class changed it appends a Reclass to log. The caller
+// has Reserved v's slot.
+func (s *Scratch) Store(v graph.Vertex, k, g int32, log []Reclass) []Reclass {
 	if k != s.pair[v] || g != s.cands.Gain[v] {
 		log = append(log, Reclass{v, s.pair[v]})
 		s.pair[v], s.cands.Gain[v] = k, g

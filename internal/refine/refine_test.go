@@ -58,10 +58,10 @@ func TestGainsBasic(t *testing.T) {
 	// The two swapped vertices are surrounded by the other side: they are
 	// strict candidates to move back.
 	if c.Gain[2*6+2] <= 0 {
-		t.Fatalf("vertex (2,2) gain = %g, want > 0", c.Gain[2*6+2])
+		t.Fatalf("vertex (2,2) gain = %d, want > 0", c.Gain[2*6+2])
 	}
 	if c.Gain[3*6+3] <= 0 {
-		t.Fatalf("vertex (3,3) gain = %g, want > 0", c.Gain[3*6+3])
+		t.Fatalf("vertex (3,3) gain = %d, want > 0", c.Gain[3*6+3])
 	}
 	if c.B[1][0] == 0 || c.B[0][1] == 0 {
 		t.Fatalf("B = %v, want candidates both ways", c.B)
@@ -328,9 +328,10 @@ func TestDriveRejectsFractionalRound(t *testing.T) {
 // has neighbours v, x (partition 1) and y (partition 0), v has u, w
 // (partition 0) and z (partition 1), and x, y, w, z each sit in a triangle
 // of their own partition, so they are never candidates. The edges u–y and
-// v–z weigh far: at 1 both states cut 3; above 1 (and below 2) the swapped
-// state cuts 1 + 2·far while u and v keep a positive gain in both.
-func swapGadget(far float64) (*graph.Graph, *partition.Assignment) {
+// v–z weigh far, the others unit: at far = unit both states cut 3·unit;
+// strictly between unit and 2·unit the swapped state cuts unit + 2·far
+// while u and v keep a positive gain in both.
+func swapGadget(unit, far float64) (*graph.Graph, *partition.Assignment) {
 	parts := []int32{0, 1, 1, 0, 0, 1} // u v x y w z
 	g := graph.New(len(parts) * 3)
 	for range parts {
@@ -339,14 +340,14 @@ func swapGadget(far float64) (*graph.Graph, *partition.Assignment) {
 	for _, e := range []struct {
 		u, v graph.Vertex
 		w    float64
-	}{{0, 1, 1}, {0, 2, 1}, {0, 3, far}, {1, 4, 1}, {1, 5, far}} {
+	}{{0, 1, unit}, {0, 2, unit}, {0, 3, far}, {1, 4, unit}, {1, 5, far}} {
 		_ = g.AddEdge(e.u, e.v, e.w)
 	}
 	for anchor := graph.Vertex(2); anchor < 6; anchor++ {
 		t1, t2 := g.AddVertex(1), g.AddVertex(1)
-		_ = g.AddEdge(anchor, t1, 1)
-		_ = g.AddEdge(anchor, t2, 1)
-		_ = g.AddEdge(t1, t2, 1)
+		_ = g.AddEdge(anchor, t1, unit)
+		_ = g.AddEdge(anchor, t2, unit)
+		_ = g.AddEdge(t1, t2, unit)
 		parts = append(parts, parts[anchor], parts[anchor])
 	}
 	return g, &partition.Assignment{Part: parts, P: 2}
@@ -377,7 +378,7 @@ func TestDriveStopReasons(t *testing.T) {
 		a.Part[4] = 0
 		return g, a
 	}
-	unit := func() (*graph.Graph, *partition.Assignment) { return swapGadget(1) }
+	unit := func() (*graph.Graph, *partition.Assignment) { return swapGadget(1, 1) }
 	for _, tc := range []struct {
 		name               string
 		build              func() (*graph.Graph, *partition.Assignment)
@@ -391,8 +392,8 @@ func TestDriveStopReasons(t *testing.T) {
 		{"cycle, 5 rounds left", unit, Options{}, false, "cycle", 3, 1, []float64{3, 3, 3}, 0},
 		{"cycle, 4 rounds left", unit, Options{MaxRounds: 7}, false, "cycle", 3, 1, []float64{3, 3, 3}, 1},
 		{"cycle at the cap", unit, Options{MaxRounds: 3}, false, "cycle", 3, 1, []float64{3, 3, 3}, 1},
-		{"loose round regresses", func() (*graph.Graph, *partition.Assignment) { return swapGadget(1.5) },
-			Options{}, false, "cycle", 3, 1, []float64{4, 3, 4}, 0},
+		{"loose round regresses", func() (*graph.Graph, *partition.Assignment) { return swapGadget(2, 3) },
+			Options{}, false, "cycle", 3, 1, []float64{8, 6, 8}, 0},
 		{"cap", unit, Options{MaxRounds: 2}, false, "cap", 2, 1, []float64{3, 3}, 0},
 		{"no-candidates", isolated, Options{}, false, "no-candidates", 0, 0, nil, 0},
 		{"no-gain", oneWay, Options{}, false, "no-gain", 0, 0, nil, 1},
@@ -424,8 +425,8 @@ func TestDriveStopReasons(t *testing.T) {
 // TestDriveRunningCutExact: RoundCuts must equal the full evaluation
 // after every applied round, RoundMoved must account for every move, and
 // a regressing tail must be rolled back to the best round — on random
-// assignments of unit-weight grids and of fractionally weighted graphs,
-// bit for bit on both.
+// assignments of unit-weight grids and of grids with random integer
+// weights (zero included), bit for bit on both.
 func TestDriveRunningCutExact(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -436,7 +437,7 @@ func TestDriveRunningCutExact(t *testing.T) {
 				for _, u := range append([]graph.Vertex(nil), g.Neighbors(graph.Vertex(v))...) {
 					if graph.Vertex(v) < u {
 						_ = g.RemoveEdge(graph.Vertex(v), u)
-						_ = g.AddEdge(graph.Vertex(v), u, 0.1+rng.Float64())
+						_ = g.AddEdge(graph.Vertex(v), u, float64(rng.Intn(10)))
 					}
 				}
 			}

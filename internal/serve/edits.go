@@ -17,9 +17,9 @@ type EditOp string
 // graph without having to learn the new vertex id first.
 const (
 	OpAddVertex       EditOp = "add_vertex"        // add an isolated vertex (Weight, 0 = 1)
-	OpAttachVertex    EditOp = "attach_vertex"     // add a vertex with edges to U (and V ≥ 0) of weight Weight (0 = 1)
+	OpAttachVertex    EditOp = "attach_vertex"     // add a vertex of weight Weight with edges to U (and V ≥ 0) of weight Weight (0 = 1), an integer
 	OpRemoveVertex    EditOp = "remove_vertex"     // remove vertex U and its edges
-	OpAddEdge         EditOp = "add_edge"          // add edge {U,V} of weight Weight (0 = 1)
+	OpAddEdge         EditOp = "add_edge"          // add edge {U,V} of weight Weight (0 = 1), an integer
 	OpRemoveEdge      EditOp = "remove_edge"       // remove edge {U,V}
 	OpSetVertexWeight EditOp = "set_vertex_weight" // set U's weight to Weight — advisory: the balancer counts live vertices, not weights
 )
@@ -61,17 +61,24 @@ func vertexID(op EditOp, name string, id int) (igp.Vertex, error) {
 // ApplyEdit applies one edit to g, returning an error (and mutating
 // nothing) when the edit is malformed — an id its op uses outside
 // [0, MaxInt32] (attach_vertex's optional V may be -1), a negative or
-// non-finite weight — or invalid against the graph's current state. The
+// non-finite weight, an edge weight that is not an integer or would raise
+// the graph's total edge weight past its bound (matching
+// igp.ErrEdgeWeight) — or invalid against the graph's current state. The
 // serve session and the coalescing-equivalence tests share this exact
 // function, so "the session applied the batch" and "the edits were
 // applied directly" can never drift apart.
 func ApplyEdit(g *igp.Graph, e Edit) error {
 	w := e.Weight
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("serve: %s: weight %g is negative or not finite", e.Op, w)
-	}
 	if w == 0 {
 		w = 1
+	}
+	switch {
+	case e.Op == OpAttachVertex || e.Op == OpAddEdge: // an edge weight
+		if err := g.CheckEdgeWeights(w, 0); err != nil {
+			return fmt.Errorf("serve: %s: %w", e.Op, err)
+		}
+	case e.Weight < 0 || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0):
+		return fmt.Errorf("serve: %s: weight %g is negative or not finite", e.Op, e.Weight)
 	}
 	if e.Op == OpAddVertex {
 		g.AddVertex(w)
@@ -95,6 +102,13 @@ func ApplyEdit(g *igp.Graph, e Edit) error {
 			if !g.Alive(v) {
 				return fmt.Errorf("serve: attach_vertex: v=%d is not a live vertex", e.V)
 			}
+		}
+		edges := 1
+		if v >= 0 && v != u {
+			edges = 2
+		}
+		if err := g.CheckEdgeWeights(w, edges); err != nil {
+			return fmt.Errorf("serve: attach_vertex: %w", err)
 		}
 		nv := g.AddVertex(w)
 		g.AddEdgeIfAbsent(nv, u, w)

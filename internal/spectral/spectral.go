@@ -110,7 +110,7 @@ func laplacianApply(c *graph.CSR, x, y []float64) {
 		ws := c.RowWeights(graph.Vertex(v))
 		var acc, deg float64
 		for i, u := range row {
-			w := ws[i]
+			w := float64(ws[i])
 			deg += w
 			acc += w * x[u]
 		}

@@ -305,10 +305,11 @@ func labelHash(part []int32) uint64 {
 	return h.Sum64()
 }
 
-// TestRSBScaleInvariant scales every edge weight of a grid by 2⁻⁴⁴, which
-// scales every Lanczos quantity exactly: the labels must not move. An
-// absolute invariant-subspace test stops such a run after one step and
-// bisects on the random start vector.
+// TestRSBScaleInvariant scales every edge weight of a grid by 2¹⁹ — the
+// largest power of two that keeps its 3120 edges within the total edge
+// weight bound — which scales every Lanczos quantity exactly: the labels
+// must not move. An absolute invariant-subspace test (β below a fixed
+// threshold) would see a different β sequence at another scale.
 func TestRSBScaleInvariant(t *testing.T) {
 	want, err := RSB(graph.Grid(40, 40), 8, Options{Seed: 1994})
 	if err != nil {
@@ -317,7 +318,7 @@ func TestRSBScaleInvariant(t *testing.T) {
 	g := graph.Grid(40, 40)
 	for _, v := range g.Vertices() {
 		for i, w := range g.EdgeWeights(v) { // scaled in place: adjacency order stays
-			g.EdgeWeights(v)[i] = w * 0x1p-44
+			g.EdgeWeights(v)[i] = w * 0x1p19
 		}
 	}
 	got, err := RSB(g, 8, Options{Seed: 1994})
@@ -326,7 +327,7 @@ func TestRSBScaleInvariant(t *testing.T) {
 	}
 	if labelHash(got) != labelHash(want) {
 		a, b := &partition.Assignment{Part: want, P: 8}, &partition.Assignment{Part: got, P: 8}
-		t.Fatalf("labels moved under a 2⁻⁴⁴ weight scale: cut %d edges, unit weights %d", partition.Cut(graph.Grid(40, 40), b).Total, partition.Cut(graph.Grid(40, 40), a).Total)
+		t.Fatalf("labels moved under a 2¹⁹ weight scale: cut %d edges, unit weights %d", partition.Cut(graph.Grid(40, 40), b).Total, partition.Cut(graph.Grid(40, 40), a).Total)
 	}
 }
 

@@ -35,6 +35,16 @@ var ErrInvalidAssignment = engine.ErrInvalidAssignment
 // new one with [NewEngine].
 var ErrEngineClosed = engine.ErrClosed
 
+// ErrEdgeWeight is matched (errors.Is) by the error of an edge weight
+// that is not an integer ≥ 0, or that would raise the graph's total edge
+// weight past MaxTotalEdgeWeight: from Graph.AddEdge, ReadGraph,
+// Graph.Validate and the service's edits.
+var ErrEdgeWeight = graph.ErrEdgeWeight
+
+// MaxTotalEdgeWeight bounds the summed edge weight of a graph (2³¹−1), so
+// every weight and every sum of them the engine forms is an exact int32.
+const MaxTotalEdgeWeight = graph.MaxTotalEdgeWeight
+
 // Repartition incrementally updates assignment a to cover graph g:
 // vertices beyond a's coverage (or explicitly Unassigned) are treated as
 // new. On success the partition sizes are balanced within the configured
@@ -73,13 +83,30 @@ func Repartition(ctx context.Context, g *Graph, a *Assignment, opts ...Option) (
 // is the paper's total stage count across batches.
 func repartitionInBatches(ctx context.Context, eng *engine.Engine, a *partition.Assignment, opt engine.Options, numBatches int) (*engine.Stats, error) {
 	g := eng.Graph()
+	// agg is returned on every path: the batches folded so far — the
+	// failed one included — or, when none ran, a record whose Elapsed is
+	// the checks' time.
+	agg, start := new(engine.Stats), time.Now()
+	fold := func(st *engine.Stats, first bool) {
+		if first {
+			agg = st.Clone()
+		} else {
+			agg.AddBatch(st)
+		}
+	}
+	failed := func(err error) (*engine.Stats, error) {
+		if agg.Elapsed == 0 {
+			agg.Elapsed = time.Since(start)
+		}
+		return agg, err
+	}
 	if err := engine.CheckP(a); err != nil {
-		return nil, err
+		return failed(err)
 	}
 	a.Grow(g.Order())
 	for v := range graph.Vertex(g.Order()) {
 		if err := engine.CheckID(a, v); err != nil {
-			return nil, err
+			return failed(err)
 		}
 	}
 	var olds, news []graph.Vertex
@@ -109,11 +136,10 @@ func repartitionInBatches(ctx context.Context, eng *engine.Engine, a *partition.
 		return cmp.Or(cmp.Compare(uint32(dist[x]), uint32(dist[y])), cmp.Compare(x, y))
 	})
 
-	var agg *engine.Stats
 	revealed := append([]graph.Vertex(nil), olds...)
 	for b := 0; b < numBatches; b++ {
 		if err := cancel.Check(ctx, "batched repartition"); err != nil {
-			return agg, err
+			return failed(err)
 		}
 		lo := b * len(news) / numBatches
 		hi := (b + 1) * len(news) / numBatches
@@ -125,16 +151,12 @@ func repartitionInBatches(ctx context.Context, eng *engine.Engine, a *partition.
 			subA.Part[sv] = a.Part[old]
 		}
 		st, err := engine.New(sub, opt).Repartition(ctx, subA)
+		fold(st, b == 0)
 		if err != nil {
-			return agg, fmt.Errorf("igp: batch %d/%d: %w", b+1, numBatches, err)
+			return failed(fmt.Errorf("igp: batch %d/%d: %w", b+1, numBatches, err))
 		}
 		for sv, old := range newToOld {
 			a.Part[old] = subA.Part[sv]
-		}
-		if agg == nil {
-			agg = st.Clone()
-		} else {
-			agg.AddBatch(st)
 		}
 	}
 	return agg, nil
@@ -189,8 +211,9 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 // overwritten by the next Repartition call. Use [Stats.Clone] to retain
 // one across calls (a shallow copy is not enough — the slice-backed
 // fields point into the arena too). A call that errors returns the Stats
-// of the work it did (a batched call: of the batches it finished), or nil
-// when there is none, as on a closed engine.
+// of the work it did — a batched call: of the batches it ran, the failed
+// one included, or, when it failed before the first, a record holding
+// only Elapsed — and nil only on a closed engine.
 func (e *Engine) Repartition(ctx context.Context, a *Assignment) (*Stats, error) {
 	// A closed engine must not reach repartitionInBatches, which would run
 	// fresh per-batch engines.
