@@ -45,9 +45,9 @@ func (e *Engine) assign(a *partition.Assignment) (assigned, clusterFallbacks int
 	// cleared on success, so an errored call retries with nothing lost.
 	// Phase 1 writes only pending vertices (an orphan cluster's unassigned
 	// region is all pending too), so the list is its write log.
-	e.written = append(e.written, e.pending.list...)
+	e.written = append(e.written, e.pending.members()...)
 	seeds := s.seeds[:0]
-	for _, v := range e.pending.list {
+	for _, v := range e.pending.members() {
 		if !e.csr.Live[v] {
 			a.Part[v] = partition.Unassigned
 			continue

@@ -2,10 +2,12 @@
 // incremental sync (journal pass + assignment diff or write-log pass) that
 // keep the boundary set, the per-vertex cut terms, the per-partition size
 // counters, the pending-unassigned set and — while Gains keeps pools — the
-// refinement classes and their change log exact. Both passes are plain
-// loops over the snapshot; the incremental one marks every re-examined
-// vertex in the engine's recompute stamps, so each vertex's verdicts are
-// decided once per sync.
+// refinement classes and their change log exact. The rebuild refills the
+// connectivity cache from every row; the incremental sync patches it from
+// the rows of the vertices that moved and refills the structurally edited
+// ones, queueing every vertex whose entries or partition changed in the
+// examined set, and then decides each queued vertex's verdicts once, from
+// its entries.
 //
 // The boundary and the pending set are id-ordered sets (idSet): a
 // membership bitset written as verdicts are reached, and a member list
@@ -18,15 +20,18 @@ import (
 	"math/bits"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/refine"
 )
 
-// idSet is a vertex set kept in id order: one membership bit per vertex
-// and the members listed ascending.
+// idSet is a vertex set kept in id order: one membership bit per vertex,
+// the member count, and the members listed ascending — the list made
+// again, when membership changed, by the first reader (members).
 type idSet struct {
 	bits  []uint64
 	list  []graph.Vertex
+	size  int  // members
 	stale bool // membership changed since list was made
 }
 
@@ -42,21 +47,31 @@ func (s *idSet) has(v graph.Vertex) bool { return s.bits[v>>6]>>(uint(v)&63)&1 !
 // add enters v, a non-member.
 func (s *idSet) add(v graph.Vertex) {
 	s.bits[v>>6] |= 1 << (uint(v) & 63)
+	s.size++
 	s.stale = true
 }
 
 // remove drops v, a member.
 func (s *idSet) remove(v graph.Vertex) {
 	s.bits[v>>6] &^= 1 << (uint(v) & 63)
+	s.size--
 	s.stale = true
 }
 
-// reset empties a set whose list is current.
+// reset empties the set.
 func (s *idSet) reset() {
+	s.relist()
 	for _, v := range s.list {
 		s.bits[v>>6] &^= 1 << (uint(v) & 63)
 	}
-	s.list = s.list[:0]
+	s.list, s.size = s.list[:0], 0
+}
+
+// members returns the member list, ascending, making it again first if
+// membership changed since.
+func (s *idSet) members() []graph.Vertex {
+	s.relist()
+	return s.list
 }
 
 // relist regenerates the member list from the bitset when membership
@@ -80,15 +95,18 @@ func (s *idSet) relist() {
 // sync path that reads every row.
 func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	n := e.csr.Order()
-	e.growTo(n)
 	e.trackedP = a.P
+	e.growTo(n)
 	if cap(e.partSizes) < a.P {
 		e.partSizes = make([]int, a.P)
 	}
 	e.partSizes = e.partSizes[:a.P]
 	clear(e.partSizes)
+	e.cutPart = par.Sized(e.cutPart, a.P)
+	clear(e.cutPart)
+	e.cutWeight, e.cutArcs = 0, 0
 	clear(e.bnd.bits)
-	e.bnd.list = e.bnd.list[:0]
+	e.bnd.list, e.bnd.size, e.bnd.stale = e.bnd.list[:0], 0, false
 	e.gainsValid = false // nothing was diffed: the pools need a full scan
 	e.cutValid = false
 	copy(e.prevPart[:n], a.Part[:n])
@@ -102,10 +120,9 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 		if want >= 0 {
 			e.partSizes[want]++
 		}
+		e.countCut(v, 1)
 		e.collectPending(v, a)
 	}
-	e.bnd.relist()
-	e.pending.relist()
 }
 
 // resync is the incremental sync. It brings the connectivity cache up to
@@ -123,11 +140,16 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 		e.gain.Reserve(n)
 	}
 	for _, v := range touched {
-		// A touched vertex that also moved is refilled by the diff below,
-		// which reads its row once for both (touched is empty unless the
-		// graph changed, and then this sync diffs).
-		if e.examine(v) && a.Part[v] == e.prevPart[v] {
+		if !e.examine(v) {
+			continue
+		}
+		if a.Part[v] == e.prevPart[v] {
 			e.arcsRead += e.conn.fill(e.csr, e.prevPart, v, false, 0)
+		} else {
+			// It also moved: the diff below refills it, reading its row once
+			// for both (touched is empty unless the graph changed, and then
+			// this sync diffs).
+			e.conn.invalidate(v)
 		}
 	}
 	if diff {
@@ -148,9 +170,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 	if e.conn.wasteful(e.csr) {
 		e.arcsRead += e.conn.refill(e.csr, e.prevPart)
 	}
-	e.bnd.relist()
-	e.pending.relist()
-	if len(e.gainDirty) > len(e.bnd.list) {
+	if len(e.gainDirty) > e.bnd.size {
 		// Patching would take more records than the boundary-seeded scan
 		// visits vertices: let the next Gains rescan, and stop classifying
 		// until it has.
@@ -181,20 +201,22 @@ func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
 	for _, u := range e.csr.Row(v) {
 		e.examine(u)
 	}
-	k := e.conn.fill(e.csr, e.prevPart, v, true, from)
+	k := e.conn.move(e.csr, e.prevPart, v, from)
 	e.arcsRead += k
 	e.movedArcs += k
 }
 
-// settle re-derives v's boundary membership, cut term, size attribution,
-// pending status and — while pools are kept — refinement class from its
-// cache entries, once per sync. Any settled vertex drops the kept cut
-// report.
+// settle re-derives v's boundary membership, cut term (moving it in the
+// cut sums), size attribution, pending status and — while pools are kept —
+// refinement class from its cache entries, once per sync. Any settled
+// vertex drops the kept cut report.
 func (e *Engine) settle(v graph.Vertex, a *partition.Assignment) {
 	e.cutValid = false
+	e.countCut(v, -1)
 	e.moveAttr(v, a)
 	e.collectPending(v, a)
 	was, now := e.bnd.has(v), e.term(v, a)
+	e.countCut(v, 1)
 	switch {
 	case now && !was:
 		e.bnd.add(v)
@@ -210,20 +232,19 @@ func (e *Engine) settle(v graph.Vertex, a *partition.Assignment) {
 // cache entries. It reports whether v is a boundary vertex: live, with an
 // arc to another partition or to an unassigned vertex.
 func (e *Engine) term(v graph.Vertex, a *partition.Assignment) bool {
-	lo, hi := e.conn.block(v)
+	entries := e.conn.entries(v)
 	pv := a.Part[v]
 	var ext, extN int32
-	best, bestG, in := int32(-1), int64(0), int64(e.conn.in[v])
+	best, bestG, in := int32(-1), int64(0), int64(e.conn.vtx[v].in)
 	if pv >= 0 {
-		for i := lo; i < hi; i++ {
-			q := e.conn.part[i]
-			if q < 0 {
+		for _, x := range entries {
+			if x.part < 0 {
 				continue
 			}
-			ext += e.conn.wt[i]
-			extN += e.conn.arcs[i]
-			if g := int64(e.conn.wt[i]) - in; int(q) < a.P && refine.Prefer(g, q, bestG, best) {
-				best, bestG = q, g
+			ext += x.wt
+			extN += x.arcs
+			if g := int64(x.wt) - in; int(x.part) < a.P && refine.Prefer(g, x.part, bestG, best) {
+				best, bestG = x.part, g
 			}
 		}
 	}
@@ -235,5 +256,5 @@ func (e *Engine) term(v graph.Vertex, a *partition.Assignment) bool {
 		}
 		e.gainDirty = e.gain.Store(v, k, g, e.gainDirty)
 	}
-	return hi > lo
+	return len(entries) > 0
 }

@@ -15,43 +15,47 @@ import (
 	"repro/internal/par"
 )
 
-// connCache keeps, for every vertex v, in[v] — the weight of v's arcs
-// into its own partition — and one entry per other partition v's arcs
-// reach: that partition, the arcs' summed weight and their count (a
-// zero-weight arc still makes v a boundary vertex). An interior vertex
-// has no entries. Partitions are the sync's view, e.prevPart: the
-// assignment as far as the sync has applied it, which is the caller's
-// once the sync ends.
+// connCache keeps, for every vertex v, in — the weight of v's arcs into
+// its own partition — and one entry per other partition v's arcs reach:
+// that partition, the arcs' summed weight and their count (a zero-weight
+// arc still makes v a boundary vertex). An interior vertex has no
+// entries. Partitions are the sync's view, e.prevPart: the assignment as
+// far as the sync has applied it, which is the caller's once the sync
+// ends.
 //
 // A vertex's entries are the prefix of one block whose capacity is a
 // function of their count (blockCap), so a block moves only when its
 // count crosses a capacity step. Blocks are never split: a freed block
-// goes on its capacity's free list, linked through its part slot, and is
-// reused before the arena grows. Once the free lists hold more slots than
-// the live blocks, the sync refills the whole cache from rows (refill),
-// which re-packs it in place.
+// goes on its capacity's free list, linked through its first entry's part,
+// and is reused before the arena grows. Once the free lists hold more
+// than the sync can afford to carry, it refills the whole cache from
+// rows (refill), which re-packs it in place.
 type connCache struct {
-	in   []int32 // per vertex: weight of the arcs into its own partition
-	off  []int32 // per vertex: its block's first entry
-	size []int32 // per vertex: its entry count
+	vtx []connVertex // per vertex
+	ent []connEntry  // the blocks
 
-	part []int32 // per entry: a partition other than its vertex's
-	wt   []int32 // per entry: the summed weight of the arcs into it
-	arcs []int32 // per entry: how many arcs those are
-
-	free    []int32 // free[c]: first free block of capacity c, -1 none
-	freeLen int     // slots on the free lists
-	row     []int32 // fill's scratch: the new block as (part, weight, arcs) triples
+	free    []int32     // free[c]: first free block of capacity c, -1 none
+	freeLen int         // slots on the free lists
+	row     []connEntry // fill's scratch: the new block
+	at      []int32     // fill's scratch: at[q+2] = 1 + q's index in row, 0 none; q in [−2, P)
 }
+
+// connVertex is one vertex's slot: its weight into its own partition and
+// its block. off is −1 while the slot is stale (see invalidate).
+type connVertex struct{ in, off, size int32 }
+
+// connEntry is one partition a vertex's arcs reach: their summed weight
+// and count.
+type connEntry struct{ part, wt, arcs int32 }
 
 // blockCap is the capacity of a block holding k entries: k up to 4, then
 // the next of 6, 8, 12, 16, 24, … — at most a third more than it holds.
-func blockCap(k int) int {
+func blockCap(k int32) int32 {
 	if k <= 4 {
 		return k
 	}
-	b := bits.Len(uint(k - 1)) // 1<<b ≥ k
-	if c := 3 << (b - 2); c >= k {
+	b := bits.Len32(uint32(k - 1)) // 1<<b ≥ k
+	if c := int32(3) << (b - 2); c >= k {
 		return c
 	}
 	return 1 << b
@@ -60,136 +64,176 @@ func blockCap(k int) int {
 // grow readies the per-vertex slots for an order-n graph; new vertices
 // have no arcs.
 func (c *connCache) grow(n int) {
-	if old := len(c.in); old < n {
-		c.in, c.off, c.size = par.Sized(c.in, n), par.Sized(c.off, n), par.Sized(c.size, n)
-		for v := old; v < n; v++ {
-			c.in[v], c.off[v], c.size[v] = 0, 0, 0
-		}
+	if old := len(c.vtx); old < n {
+		c.vtx = par.Sized(c.vtx, n)
+		clear(c.vtx[old:])
 	}
 }
 
-// reset drops every block; the per-vertex slots of [0, n) read empty.
-func (c *connCache) reset(n int) {
-	c.grow(n)
-	clear(c.in)
-	clear(c.size)
-	c.part, c.wt, c.arcs = c.part[:0], c.wt[:0], c.arcs[:0]
-	for k := range c.free {
-		c.free[k] = -1
+// reserve readies fill's partition index for ids in [−2, p); fill finds
+// any other id by a scan of its scratch.
+func (c *connCache) reserve(p int) {
+	if len(c.at) < p+2 {
+		c.at = make([]int32, p+2)
 	}
-	c.freeLen = 0
 }
 
-// block returns the bounds of v's entries.
-func (c *connCache) block(v graph.Vertex) (lo, hi int) {
-	lo = int(c.off[v])
-	return lo, lo + int(c.size[v])
+// entries returns v's entries.
+func (c *connCache) entries(v graph.Vertex) []connEntry {
+	x := c.vtx[v]
+	return c.ent[x.off : x.off+x.size]
 }
 
-// alloc returns the first slot of a free block of capacity k > 0.
-func (c *connCache) alloc(k int) int32 {
-	if k < len(c.free) && c.free[k] >= 0 {
+// alloc returns the first entry of a free block of capacity k > 0. The
+// arena grows by an eighth at a time, where append would take a quarter
+// or more.
+func (c *connCache) alloc(k int32) int32 {
+	if int(k) < len(c.free) && c.free[k] >= 0 {
 		b := c.free[k]
-		c.free[k] = c.part[b]
-		c.freeLen -= k
+		c.free[k] = c.ent[b].part
+		c.freeLen -= int(k)
 		return b
 	}
-	b := len(c.part)
-	if b+k > cap(c.part) { // grow by an eighth, where append would take a quarter or more
-		size := b + max(k, b/8, 64)
-		c.part, c.wt, c.arcs = regrow(c.part, size), regrow(c.wt, size), regrow(c.arcs, size)
+	b := len(c.ent)
+	if b+int(k) > cap(c.ent) {
+		grown := make([]connEntry, b, b+max(int(k), b/8, 64))
+		copy(grown, c.ent)
+		c.ent = grown
 	}
-	c.part, c.wt, c.arcs = c.part[:b+k], c.wt[:b+k], c.arcs[:b+k]
+	c.ent = c.ent[:b+int(k)]
 	return int32(b)
-}
-
-// regrow returns s moved to a new array of capacity size.
-func regrow(s []int32, size int) []int32 {
-	return append(make([]int32, 0, size), s...)
 }
 
 // release puts the block at b, of capacity k, on its free list (none
 // when k is 0).
-func (c *connCache) release(b int32, k int) {
+func (c *connCache) release(b, k int32) {
 	if k == 0 {
 		return
 	}
-	for len(c.free) <= k {
+	for len(c.free) <= int(k) {
 		c.free = append(c.free, -1)
 	}
-	c.part[b], c.free[k] = c.free[k], b
-	c.freeLen += k
+	c.ent[b].part, c.free[k] = c.free[k], b
+	c.freeLen += int(k)
 }
 
 // resize gives u room for k entries, moving its block when k needs
 // another capacity; the entries up to min(size, k) are kept.
-func (c *connCache) resize(u graph.Vertex, k int) {
-	old := int(c.size[u])
-	if oc, nc := blockCap(old), blockCap(k); oc != nc {
-		lo := c.off[u]
+func (c *connCache) resize(u graph.Vertex, k int32) {
+	x := &c.vtx[u]
+	if oc, nc := blockCap(x.size), blockCap(k); oc != nc {
 		if nc > 0 {
 			b := c.alloc(nc)
-			if keep := int32(min(old, k)); keep > 0 { // (an empty block's off is stale)
-				copy(c.part[b:], c.part[lo:lo+keep])
-				copy(c.wt[b:], c.wt[lo:lo+keep])
-				copy(c.arcs[b:], c.arcs[lo:lo+keep])
+			if keep := min(x.size, k); keep > 0 { // (an empty block's off is stale)
+				copy(c.ent[b:b+keep], c.ent[x.off:x.off+keep])
 			}
-			c.off[u] = b
+			c.release(x.off, oc)
+			x.off = b
+		} else {
+			c.release(x.off, oc)
 		}
-		c.release(lo, oc)
 	}
-	c.size[u] = int32(k)
+	x.size = k
 }
 
-// add counts one more arc of weight w from u into partition q ≠ u's own.
-func (c *connCache) add(u graph.Vertex, q, w int32) {
-	lo, hi := c.block(u)
-	for i := lo; i < hi; i++ {
-		if c.part[i] == q {
-			c.wt[i] += w
-			c.arcs[i]++
-			return
-		}
-	}
-	c.resize(u, hi-lo+1)
-	i := c.off[u] + c.size[u] - 1
-	c.part[i], c.wt[i], c.arcs[i] = q, w, 1
-}
-
-// sub counts one arc of weight w from u into partition q ≠ u's own less;
-// the entry goes with its last arc.
-func (c *connCache) sub(u graph.Vertex, q, w int32) {
-	lo, hi := c.block(u)
-	for i := lo; i < hi; i++ {
-		if c.part[i] != q {
-			continue
-		}
-		c.wt[i] -= w
-		if c.arcs[i]--; c.arcs[i] == 0 {
-			last := hi - 1
-			c.part[i], c.wt[i], c.arcs[i] = c.part[last], c.wt[last], c.arcs[last]
-			c.resize(u, hi-lo-1)
-		}
-		return
-	}
+// invalidate drops v's entries and marks its slot stale until the next
+// fill: the sync does this to a vertex whose row changed and which also
+// moved, so one read of its row, when its move is applied, refills it —
+// and the neighbours it shares a changed arc with patch nothing into it
+// before then.
+func (c *connCache) invalidate(v graph.Vertex) {
+	c.resize(v, 0)
+	c.vtx[v] = connVertex{off: -1}
 }
 
 // moved patches u's entries for a neighbour, joined by an arc of weight
-// w, that moved from partition from to partition to; pu is u's own.
+// w, that moved from partition from to partition to ≠ from; pu is u's
+// own partition. One scan of u's block finds both entries; the usual
+// case on a boundary — the last arc into from becomes the first into
+// to — relabels an entry in place. A stale slot takes no patch.
 func (c *connCache) moved(u graph.Vertex, pu, from, to, w int32) {
-	if from == pu {
-		c.in[u] -= w
-	} else {
-		c.sub(u, from, w)
+	x := &c.vtx[u]
+	if x.off < 0 {
+		return
+	}
+	fi, ti := int32(-1), int32(-1)
+	for i := x.off; i < x.off+x.size; i++ {
+		switch c.ent[i].part {
+		case from:
+			fi = i
+		case to:
+			ti = i
+		}
 	}
 	if to == pu {
-		c.in[u] += w
-	} else {
-		c.add(u, to, w)
+		x.in += w
+	} else if ti >= 0 {
+		c.ent[ti].wt += w
+		c.ent[ti].arcs++
+	}
+	switch {
+	case from == pu:
+		x.in -= w
+	case c.ent[fi].arcs > 1:
+		c.ent[fi].wt -= w
+		c.ent[fi].arcs--
+	case to != pu && ti < 0:
+		c.ent[fi] = connEntry{to, w, 1}
+		return
+	default: // from's last arc: its entry goes
+		c.ent[fi] = c.ent[x.off+x.size-1]
+		c.resize(u, x.size-1)
+		return
+	}
+	if to != pu && ti < 0 {
+		c.resize(u, x.size+1)
+		c.ent[x.off+x.size-1] = connEntry{to, w, 1}
 	}
 }
 
-// fill rebuilds v's entries and in[v] from its row under the view part.
+// move applies v's move from partition from to part[v] and returns the
+// arcs read: one read of v's row patches every neighbour (moved). v's own
+// entries hold the same partitions as before — its neighbours did not
+// move — so they change in O(entries): the entry of v's new partition
+// becomes in, and the old in, over deg(v) minus the entries' arcs, an
+// entry. A stale v is filled instead.
+func (c *connCache) move(csr *graph.CSR, part []int32, v graph.Vertex, from int32) int {
+	x := &c.vtx[v]
+	if x.off < 0 {
+		return c.fill(csr, part, v, true, from)
+	}
+	to := part[v]
+	ws := csr.RowWeights(v)
+	adj := csr.Row(v)
+	for i, u := range adj {
+		c.moved(u, part[u], from, to, ws[i])
+	}
+	inArcs, ti := int32(len(adj)), int32(-1)
+	for i := x.off; i < x.off+x.size; i++ {
+		inArcs -= c.ent[i].arcs
+		if c.ent[i].part == to {
+			ti = i
+		}
+	}
+	old := connEntry{from, x.in, inArcs}
+	x.in = 0
+	switch {
+	case ti >= 0:
+		x.in = c.ent[ti].wt
+		if inArcs > 0 {
+			c.ent[ti] = old
+		} else {
+			c.ent[ti] = c.ent[x.off+x.size-1]
+			c.resize(v, x.size-1)
+		}
+	case inArcs > 0:
+		c.resize(v, x.size+1)
+		c.ent[x.off+x.size-1] = old
+	}
+	return len(adj)
+}
+
+// fill rebuilds v's entries and in from its row under the view part.
 // When patch is set, v has just moved from partition from to part[v],
 // and the same read patches every neighbour for that move. It returns
 // the row's length: the arcs read.
@@ -207,22 +251,36 @@ func (c *connCache) fill(csr *graph.CSR, part []int32, v graph.Vertex, patch boo
 			continue
 		}
 		j := 0
-		for j < len(row) && row[j] != pu {
-			j += 3
+		if k := uint32(pu + 2); k < uint32(len(c.at)) {
+			if j = int(c.at[k]) - 1; j < 0 {
+				j = len(row)
+				row = append(row, connEntry{part: pu})
+				c.at[k] = int32(j + 1)
+			}
+		} else {
+			for j < len(row) && row[j].part != pu {
+				j++
+			}
+			if j == len(row) {
+				row = append(row, connEntry{part: pu})
+			}
 		}
-		if j == len(row) {
-			row = append(row, pu, 0, 0)
+		row[j].wt += w
+		row[j].arcs++
+	}
+	for _, e := range row {
+		if k := uint32(e.part + 2); k < uint32(len(c.at)) {
+			c.at[k] = 0
 		}
-		row[j+1] += w
-		row[j+2]++
 	}
-	c.in[v], c.row = in, row
-	k := len(row) / 3
-	c.resize(v, k)
-	b := int(c.off[v])
-	for j := 0; j < k; j++ {
-		c.part[b+j], c.wt[b+j], c.arcs[b+j] = row[3*j], row[3*j+1], row[3*j+2]
+	c.row = row
+	x := &c.vtx[v]
+	if x.off < 0 { // stale: it holds no block
+		*x = connVertex{}
 	}
+	c.resize(v, int32(len(row)))
+	x.in = in
+	copy(c.ent[x.off:x.off+x.size], row)
 	return len(adj)
 }
 
@@ -232,7 +290,7 @@ func (c *connCache) fill(csr *graph.CSR, part []int32, v graph.Vertex, patch boo
 // the cache. A warm engine's churn keeps the lists under that; a call
 // that moves most of the graph (a cold start, a V-cycle) passes it.
 func (c *connCache) wasteful(csr *graph.CSR) bool {
-	return 8*c.freeLen > len(c.part)-c.freeLen && 16*c.freeLen > len(c.size)+int(csr.NumE)*2
+	return 8*c.freeLen > len(c.ent)-c.freeLen && 16*c.freeLen > len(c.vtx)+2*csr.NumE
 }
 
 // refill rebuilds every vertex's entries from its row under the view
@@ -241,7 +299,13 @@ func (c *connCache) wasteful(csr *graph.CSR) bool {
 // nothing.
 func (c *connCache) refill(csr *graph.CSR, part []int32) int {
 	n := csr.Order()
-	c.reset(n)
+	c.grow(n)
+	clear(c.vtx[:n])
+	c.ent = c.ent[:0]
+	for k := range c.free {
+		c.free[k] = -1
+	}
+	c.freeLen = 0
 	read := 0
 	for v := graph.Vertex(0); int(v) < n; v++ {
 		read += c.fill(csr, part, v, false, 0)
@@ -249,27 +313,26 @@ func (c *connCache) refill(csr *graph.CSR, part []int32) int {
 	return read
 }
 
-// trim re-packs the live blocks, in vertex order, into arrays an eighth
-// larger than they need when the arena's capacity is over a quarter
+// trim re-packs the live blocks, in vertex order, into an arena an
+// eighth larger than they need when its capacity is over a quarter
 // larger — what a call that moved most of the graph leaves behind. The
 // engine runs it at the end of a call, so a warm call allocates nothing.
 func (c *connCache) trim() {
-	live := len(c.part) - c.freeLen
-	if cap(c.part) <= live+live/4+1024 {
+	live := len(c.ent) - c.freeLen
+	if cap(c.ent) <= live+live/4+1024 {
 		return
 	}
-	size := live + live/8
-	part, wt, arcs := make([]int32, 0, size), make([]int32, 0, size), make([]int32, 0, size)
-	for v := range c.size {
-		lo, hi := c.block(graph.Vertex(v))
-		if hi == lo {
+	ent := make([]connEntry, 0, live+live/8)
+	for v := range c.vtx {
+		x := &c.vtx[v]
+		if x.size == 0 {
 			continue // (an empty block's off is stale)
 		}
-		c.off[v] = int32(len(part))
-		k := blockCap(hi - lo)
-		part, wt, arcs = append(part, c.part[lo:lo+k]...), append(wt, c.wt[lo:lo+k]...), append(arcs, c.arcs[lo:lo+k]...)
+		k := blockCap(x.size)
+		ent = append(ent, c.ent[x.off:x.off+k]...)
+		x.off = int32(len(ent)) - k
 	}
-	c.part, c.wt, c.arcs = part, wt, arcs
+	c.ent = ent
 	for k := range c.free {
 		c.free[k] = -1
 	}

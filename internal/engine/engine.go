@@ -33,16 +33,24 @@
 //     with a strictly negative reduced cost (balanceStage); a pool is
 //     ordered when the mover first asks for it.
 //
-//   - The cut is tracked state. The row scan that decides an examined
-//     vertex's boundary membership also yields its cut term — the weights
-//     of its arcs to assigned vertices of another partition, summed in row
-//     order, and their count — stored by the sync that examined the
-//     vertex. A vertex's term can change only when
-//     its row, its partition or a neighbour's partition does, which is
-//     exactly when sync re-examines it, so a cut report is one pass over
-//     the ascending boundary list adding stored terms (evalCut) — the very
-//     additions partition.Cut performs, in its order, so the two agree bit
-//     for bit on any float weights. Partition sizes are read from the same
+//   - A sync reads the rows that moved. The engine keeps every vertex's
+//     connectivity (conn.go): the weight of its arcs into its own
+//     partition and, per other partition its arcs reach, their weight and
+//     count. When v moves from A to B, the sync reads v's row once and
+//     patches each neighbour by ±w (the FM gain-update rule); a
+//     structurally edited vertex is refilled from its own row, and a
+//     rebuild refills every vertex. Edge weights are integers whose total
+//     fits int32 (graph.MaxTotalEdgeWeight), so every patched sum is exact:
+//     sums of integers, in any order, equal a row scan's.
+//
+//   - The cut is tracked state. A vertex's cut term — the weight of its
+//     arcs to assigned vertices of another partition, and their count —
+//     follows from its connectivity entries and is stored by the sync that
+//     examined the vertex. A vertex's term can change only when its row,
+//     its partition or a neighbour's partition does, which is exactly when
+//     sync re-examines it, so a cut report is one pass over the ascending
+//     boundary list adding stored terms (evalCut) and equals partition.Cut.
+//     Partition sizes are read from the same
 //     tracker, the last report is kept and copied at O(P) until a sync
 //     rebuilds or re-examines a vertex (Stats.CutIncremental /
 //     Stats.CutReused), and inside a call — where the engine alone writes
@@ -52,15 +60,18 @@
 //   - The refinement candidate pools are derived state of the same kind,
 //     kept from the first Gains call on. A vertex's class (pair pool and
 //     gain) can change only when sync re-examines it, so while pools are
-//     kept the row read sync pays per re-examined vertex also yields its
-//     class (refine.Scratch.Reclassify stores it and logs a change), and
-//     the next Gains reads no row: it rebuilds only the pair pools the
-//     logged vertices entered or left (refine.Scratch.GainsPatched). An
-//     engine that never calls Gains never classifies. A boundary rebuild,
-//     or a log longer than the boundary, falls back to the boundary-seeded
-//     scan. A refinement round therefore costs O(Σ deg(moved ∪ N(moved)))
-//     plus one report: the driver (refine.Drive) reads the cut after every
-//     round from the tracked terms; its last report is the call's CutAfter.
+//     kept the sync also derives each re-examined vertex's class from its
+//     connectivity entries — refine.Prefer's rule, as refine.RowScan.Scan
+//     applies it to a row — and stores it (refine.Scratch.Store logs a
+//     change), and the next Gains reads no row: it rebuilds only the pair
+//     pools the logged vertices entered or left
+//     (refine.Scratch.GainsPatched). An engine that never calls Gains never
+//     classifies. A boundary rebuild, or a log longer than the boundary,
+//     falls back to the boundary-seeded scan, Scan's one caller. A
+//     refinement round therefore reads Σ deg(moved) arcs and touches the
+//     entries of N(moved), plus one report: the driver (refine.Drive) reads
+//     the cut after every round from the tracked terms; its last report is
+//     the call's CutAfter.
 //
 // # Scratch reuse rules
 //
@@ -203,8 +214,10 @@ type Engine struct {
 	// same journal/diff re-examination that keeps the boundary exact;
 	// sizeAttr[v] is the partition v is currently counted under (-1 =
 	// none). ext[v] and extN[v] are v's cut term as of that examination:
-	// the weights of its arcs to assigned vertices of another partition,
-	// summed in row order, and their count (see rowTerm). A cut report is a
+	// the weight of its arcs to assigned vertices of another partition and
+	// their count (see term), and cutPart, cutWeight and cutArcs sum the
+	// terms by size attribution (countCut), so a cut report is O(P). A
+	// report is a
 	// sum of the terms over the boundary list (evalCut); cut keeps the last
 	// one, and cutValid holds until a sync rebuilds or re-examines a vertex.
 	trackedP  int          // partition count the tracker was built for
@@ -213,6 +226,9 @@ type Engine struct {
 	sizeAttr  []int32
 	ext       []int32
 	extN      []int32
+	cutPart   []int64 // Σ ext over the vertices counted under each partition
+	cutWeight int64   // Σ cutPart
+	cutArcs   int     // Σ extN over the same vertices
 	conn      connCache // every vertex's arcs by partition (conn.go)
 	examined  idSet     // the vertices this sync settles, listed in the order it reached them
 	cut       partition.CutStats
@@ -322,7 +338,7 @@ func (e *Engine) Boundary(a *partition.Assignment) []graph.Vertex {
 		return nil
 	}
 	e.sync(a)
-	return e.bnd.list
+	return e.bnd.members()
 }
 
 // growTo readies the tracker arrays for an order-n graph.
@@ -335,6 +351,7 @@ func (e *Engine) growTo(n int) {
 		e.ext, e.extN = par.Sized(e.ext, n), par.Sized(e.extN, n)
 	}
 	e.conn.grow(n)
+	e.conn.reserve(e.trackedP)
 	e.bnd.grow(n)
 	e.pending.grow(n)
 	e.examined.grow(n)
@@ -376,6 +393,9 @@ func (e *Engine) sync(a *partition.Assignment) {
 	if diff {
 		e.syncDiffs++
 	}
+	if diff && !rebuild {
+		rebuild = e.massMove(a)
+	}
 	if rebuild {
 		e.rebuildBoundary(a)
 	} else {
@@ -385,6 +405,25 @@ func (e *Engine) sync(a *partition.Assignment) {
 	if e.badID >= 0 {
 		e.synced = false // the tracker skipped the bad id: rebuild next time
 	}
+}
+
+// massMove reports whether the vertices whose partition changed since
+// the last sync hold more than an eighth of the snapshot's arcs —
+// patching their neighbours would then cost more than the rebuild's one
+// read of every row (a cold start, a V-cycle's projection, a caller's new
+// assignment) — and if so counts their arcs as moved.
+func (e *Engine) massMove(a *partition.Assignment) bool {
+	n := e.csr.Order()
+	e.growTo(n)
+	arcs := 0
+	for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
+		arcs += e.csr.Degree(graph.Vertex(v))
+	}
+	if 4*arcs <= 2*e.csr.NumE {
+		return false
+	}
+	e.movedArcs += arcs
+	return true
 }
 
 // attrOf returns the partition v should be size-counted under: its
@@ -485,25 +524,30 @@ func (e *Engine) report(dst *partition.CutStats, perPart *[]float64, a *partitio
 	}
 }
 
-// evalCut sums the stored cut terms over the ascending boundary list into
-// e.cut: O(boundary) loads, no arc is visited. A vertex outside the list
-// has a zero term and every listed vertex's term was written by the sync
-// that last examined it, so these are partition.Cut's additions in
-// partition.Cut's order.
+// countCut adds v's stored cut term, times sign (±1), to the sums of the
+// partition v is size-counted under, if any: a settle takes a vertex's
+// old term out and puts its new one in. Only an assigned live vertex has
+// a nonzero term, and on a valid assignment that is the vertex's own
+// partition — partition.Cut's attribution.
+func (e *Engine) countCut(v graph.Vertex, sign int64) {
+	if q := e.sizeAttr[v]; q >= 0 {
+		w := sign * int64(e.ext[v])
+		e.cutPart[q] += w
+		e.cutWeight += w
+		e.cutArcs += int(sign) * int(e.extN[v])
+	}
+}
+
+// evalCut fills e.cut from the cut sums: O(P), no vertex or arc is
+// visited. The sums are of integers, exact in any order, so the report
+// equals partition.Cut's rescan.
 func (e *Engine) evalCut(a *partition.Assignment) {
 	perPart := par.Sized(e.cut.PerPart, a.P)
-	clear(perPart)
-	arcs, weight := 0, 0.0
-	for _, v := range e.bnd.list {
-		if pv := a.Part[v]; pv >= 0 {
-			w := float64(e.ext[v])
-			perPart[pv] += w
-			weight += w
-			arcs += int(e.extN[v])
-		}
+	for q, w := range e.cutPart {
+		perPart[q] = float64(w)
 	}
 	e.cut.PerPart = perPart
-	e.cut.Finish(arcs, weight, e.partSizes)
+	e.cut.Finish(e.cutArcs, float64(e.cutWeight), e.partSizes)
 }
 
 // Cut syncs and reports cutset statistics for the engine's graph under
@@ -541,7 +585,7 @@ func (e *Engine) syncChecked(a *partition.Assignment) error {
 	if e.badID >= 0 {
 		return CheckID(a, e.badID)
 	}
-	for _, v := range e.pending.list {
+	for _, v := range e.pending.members() {
 		if live := e.csr.Live[v]; live != (a.Part[v] >= 0) {
 			return fmt.Errorf("%w: vertex %d (live %t) has partition %d", ErrInvalidAssignment, v, live, a.Part[v])
 		}
@@ -561,7 +605,7 @@ func (e *Engine) Layer(ctx context.Context, a *partition.Assignment) (*layering.
 	if err := e.syncChecked(a); err != nil {
 		return nil, err
 	}
-	return e.lay.LayerSeeded(ctx, e.csr, a, e.bnd.list)
+	return e.lay.LayerSeeded(ctx, e.csr, a, e.bnd.members())
 }
 
 // Gains returns the refinement candidate pools for a over the engine's
@@ -582,7 +626,7 @@ func (e *Engine) Gains(a *partition.Assignment, strict bool) (*refine.Candidates
 	case e.gainsValid:
 		c, err = e.gain.GainsPatched(e.csr, a, strict, e.gainDirty)
 	default:
-		c = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.list)
+		c = e.gain.GainsSeeded(e.csr, a, strict, e.bnd.members())
 	}
 	e.gainDirty = e.gainDirty[:0]
 	e.gainsValid = err == nil
@@ -677,7 +721,7 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 		tL := time.Now()
 		e.emit(Event{Kind: EventStart, Phase: PhaseLayer, Stage: stage + 1})
 		e.sync(a)
-		lay := e.lay.Rim(e.csr, a, e.bnd.list)
+		lay := e.lay.Rim(e.csr, a, e.bnd.members())
 		dL := time.Since(tL)
 		st.PhaseTimings.Layer += dL
 		e.emit(Event{Kind: EventEnd, Phase: PhaseLayer, Stage: stage + 1, Elapsed: dL})

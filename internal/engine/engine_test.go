@@ -100,7 +100,7 @@ func requireTrackedCut(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *p
 	if want := a.Validate(g); (verdict == nil) != (want == nil) {
 		t.Fatalf("%s: the engine's verdict is %v, Validate's %v", ctx, verdict, want)
 	}
-	bnd := e.bnd.list
+	bnd := e.bnd.members()
 	requireSameBoundary(t, bnd, bruteBoundary(g, a))
 	for _, v := range bnd {
 		ext, n, ws := 0.0, int32(0), g.EdgeWeights(v)
@@ -141,15 +141,14 @@ func requireConn(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partiti
 			}
 		}
 		got := map[int32]entry{}
-		lo, hi := e.conn.block(v)
-		for i := lo; i < hi; i++ {
-			if _, dup := got[e.conn.part[i]]; dup {
-				t.Fatalf("%s: vertex %d lists partition %d twice", ctx, v, e.conn.part[i])
+		for _, x := range e.conn.entries(v) {
+			if _, dup := got[x.part]; dup {
+				t.Fatalf("%s: vertex %d lists partition %d twice", ctx, v, x.part)
 			}
-			got[e.conn.part[i]] = entry{e.conn.wt[i], e.conn.arcs[i]}
+			got[x.part] = entry{x.wt, x.arcs}
 		}
-		if e.conn.in[v] != in || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: vertex %d caches in %d and %v, its row scans to in %d and %v", ctx, v, e.conn.in[v], got, in, want)
+		if e.conn.vtx[v].in != in || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: vertex %d caches in %d and %v, its row scans to in %d and %v", ctx, v, e.conn.vtx[v].in, got, in, want)
 		}
 	}
 }

@@ -26,7 +26,8 @@ import (
 // the brute-force set in strictly ascending order, every vertex's
 // connectivity-cache entries and in(v) and every listed vertex's stored
 // cut term must equal a fresh scan of its row, and Engine.Cut must equal
-// partition.Cut bit for bit.
+// partition.Cut bit for bit. Refining calls among the edits check the
+// cache after every in-call sync too.
 func FuzzBoundaryExact(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(42), uint8(40))
@@ -36,7 +37,15 @@ func FuzzBoundaryExact(f *testing.F) {
 		p := 3 + int(uint64(seed)%4)
 		g, a := editableGraph(t, n, p, seed)
 		randomWeights(g, rand.New(rand.NewSource(seed^0xf7ac)))
-		e := New(g, Options{})
+		// Every cut report inside a call follows a sync — the entry diff,
+		// then the write-log syncs of the balance stages and refinement
+		// rounds — so the cache is checked against the rows at each.
+		var e *Engine
+		e = New(g, Options{Refine: true, Observer: func(ev Event) {
+			if ev.Kind == EventCut {
+				requireConn(t, "in a call", e, g, a)
+			}
+		}})
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		requireTrackedCut(t, "cold", e, g, a)
 		bad, was := graph.Vertex(-1), int32(0) // a slot holding an out-of-range id, and its id before
@@ -63,6 +72,10 @@ func FuzzBoundaryExact(f *testing.F) {
 					}
 				} else {
 					a.P++
+				}
+			case k == 3: // a refining call: in-call syncs follow the write log
+				if _, err := e.Repartition(context.Background(), a); err != nil && !errors.Is(err, ErrNeedRepartition) {
+					t.Fatalf("edit %d: %v", i, err)
 				}
 			case k < 6: // re-weigh an edge to another integer
 				u := graph.Vertex(rng.Intn(g.Order()))

@@ -186,8 +186,10 @@ func (g *Graph) RefreshCSR(c *CSR) (snapshot *CSR, patched bool) {
 func (c *CSR) appendSlot(g *Graph, v Vertex) {
 	c.XAdj = append(c.XAdj, int32(len(c.Adj)))
 	c.Adj = append(c.Adj, g.adj[v]...)
-	for _, w := range g.ew[v] {
-		c.EW = append(c.EW, int32(w))
+	at := len(c.EW)
+	c.EW = slices.Grow(c.EW, len(g.ew[v]))[:at+len(g.ew[v])]
+	for i, w := range g.ew[v] {
+		c.EW[at+i] = int32(w)
 	}
 	c.End = append(c.End, int32(len(c.Adj)))
 	if g.alive[v] {

@@ -8,6 +8,12 @@
 // tombstone (they stay addressable but report Alive() == false) so that
 // existing vertex identifiers remain stable across edits; InducedSubgraph
 // over Vertices() produces a dense copy when stability is no longer needed.
+//
+// Edge weights are integers ≥ 0 whose total is at most MaxTotalEdgeWeight
+// (2³¹−1), carried as float64 in the API and stored as int32 in a CSR
+// snapshot. Every sum a consumer forms over them — a vertex's weight into a
+// partition, a coarse level's aggregated edge, a cut — is a sum of
+// integers within int32: exact, whatever order it is added in.
 package graph
 
 import (

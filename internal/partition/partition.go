@@ -129,12 +129,13 @@ type CutStats struct {
 // that are Unassigned (including any beyond the assignment's coverage)
 // contribute no cut edges.
 //
-// The summation order is part of the contract, because the engine
-// reproduces it bit for bit on arbitrary float weights: each assigned live
-// vertex's cut term — the weights of its arcs to assigned vertices of
-// another partition, added in row order — is added, in ascending vertex
-// order, to its partition's PerPart entry and to the total, and the total
-// (every cut edge seen from both ends) is halved at the end.
+// Each assigned live vertex's cut term — the weight of its arcs to
+// assigned vertices of another partition — is added to its partition's
+// PerPart entry and to the total, and the total (every cut edge seen from
+// both ends) is halved at the end. Edge weights are integers whose total
+// fits int32 (graph.MaxTotalEdgeWeight), so these are sums of integers:
+// exact in any order, which is why the engine's tracked cut, summed from
+// patched per-vertex terms, equals this rescan.
 func Cut(g *graph.Graph, a *Assignment) CutStats {
 	st := CutStats{PerPart: make([]float64, a.P)}
 	arcs, weight := 0, 0.0

@@ -1,8 +1,9 @@
-// The gains kernel: the row kernel (RowScan.Scan), Reclassify — which
-// stores a vertex's class from one row read and logs a change — and one
-// pass (patch) rebuilding the pools a class log names. GainsSeeded builds
-// the pools from scratch; GainsPatched updates the previous call's from a
-// log the caller's own row reads produced.
+// The gains kernel: the row kernel (RowScan.Scan), Store — which stores a
+// vertex's class and logs a change — and one pass (patch) rebuilding the
+// pools a class log names. GainsSeeded builds the pools from scratch with
+// Scan; GainsPatched updates the previous call's from a log of classes the
+// caller found itself (the engine, from its connectivity cache, by
+// Prefer's rule).
 //
 // A vertex's class — the pair pool it belongs to and its gain — is a pure
 // function of its own partition, its adjacency row and its neighbours'
