@@ -226,9 +226,9 @@ type Engine struct {
 	sizeAttr  []int32
 	ext       []int32
 	extN      []int32
-	cutPart   []int64 // Σ ext over the vertices counted under each partition
-	cutWeight int64   // Σ cutPart
-	cutArcs   int     // Σ extN over the same vertices
+	cutPart   []int64   // Σ ext over the vertices counted under each partition
+	cutWeight int64     // Σ cutPart
+	cutArcs   int       // Σ extN over the same vertices
 	conn      connCache // every vertex's arcs by partition (conn.go)
 	examined  idSet     // the vertices this sync settles, listed in the order it reached them
 	cut       partition.CutStats
