@@ -129,11 +129,15 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 // date — first the structurally touched vertices, refilled from their own
 // rows, then every vertex whose partition changed since the last sync,
 // found by the diff or in the engine's write log, whose one row read both
-// refills its own entries and patches its neighbours' — and then settles
+// updates its own entries and patches its neighbours' — and then settles
 // every vertex whose entries or partition changed: boundary membership,
 // cut term, size attribution, pending status and (while pools are kept)
-// refinement class, each from the vertex's own entries.
-func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bool) {
+// refinement class, each from the vertex's own entries. A diff whose
+// moved vertices pass a quarter of the snapshot's arcs gives up and
+// reports false: patching their neighbours would cost more than the
+// rebuild's one read of every row (a cold start, a V-cycle's projection,
+// a caller's new assignment), which the caller then runs.
+func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bool) bool {
 	n := e.csr.Order()
 	e.growTo(n)
 	if e.gainsValid {
@@ -153,7 +157,12 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 		}
 	}
 	if diff {
+		budget := e.csr.NumE / 2 // a quarter of the arcs
 		for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
+			if budget -= e.csr.Degree(graph.Vertex(v)); budget < 0 {
+				e.examined.reset()
+				return false
+			}
 			e.reexamine(graph.Vertex(v), a)
 		}
 	} else {
@@ -177,6 +186,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 		e.gainsValid = false
 		e.gainDirty = e.gainDirty[:0]
 	}
+	return true
 }
 
 // examine queues v for this sync's settle pass, reporting whether it was

@@ -48,9 +48,10 @@
 //     follows from its connectivity entries and is stored by the sync that
 //     examined the vertex. A vertex's term can change only when its row,
 //     its partition or a neighbour's partition does, which is exactly when
-//     sync re-examines it, so a cut report is one pass over the ascending
-//     boundary list adding stored terms (evalCut) and equals partition.Cut.
-//     Partition sizes are read from the same
+//     sync re-examines it; the sync moves the old term out of the
+//     per-partition cut sums and the new one in (countCut), so a cut report
+//     reads P sums (evalCut) and equals partition.Cut. Partition sizes are
+//     read from the same
 //     tracker, the last report is kept and copied at O(P) until a sync
 //     rebuilds or re-examines a vertex (Stats.CutIncremental /
 //     Stats.CutReused), and inside a call — where the engine alone writes
@@ -216,10 +217,9 @@ type Engine struct {
 	// none). ext[v] and extN[v] are v's cut term as of that examination:
 	// the weight of its arcs to assigned vertices of another partition and
 	// their count (see term), and cutPart, cutWeight and cutArcs sum the
-	// terms by size attribution (countCut), so a cut report is O(P). A
-	// report is a
-	// sum of the terms over the boundary list (evalCut); cut keeps the last
-	// one, and cutValid holds until a sync rebuilds or re-examines a vertex.
+	// terms by size attribution (countCut), so a cut report is O(P)
+	// (evalCut); cut keeps the last one, and cutValid holds until a sync
+	// rebuilds or re-examines a vertex.
 	trackedP  int          // partition count the tracker was built for
 	badID     graph.Vertex // a vertex with an out-of-range id the last sync examined, or −1
 	partSizes []int
@@ -393,37 +393,13 @@ func (e *Engine) sync(a *partition.Assignment) {
 	if diff {
 		e.syncDiffs++
 	}
-	if diff && !rebuild {
-		rebuild = e.massMove(a)
-	}
-	if rebuild {
+	if rebuild || !e.resync(a, touched, diff) {
 		e.rebuildBoundary(a)
-	} else {
-		e.resync(a, touched, diff)
 	}
 	e.wroteAll, e.written = false, e.written[:0]
 	if e.badID >= 0 {
 		e.synced = false // the tracker skipped the bad id: rebuild next time
 	}
-}
-
-// massMove reports whether the vertices whose partition changed since
-// the last sync hold more than an eighth of the snapshot's arcs —
-// patching their neighbours would then cost more than the rebuild's one
-// read of every row (a cold start, a V-cycle's projection, a caller's new
-// assignment) — and if so counts their arcs as moved.
-func (e *Engine) massMove(a *partition.Assignment) bool {
-	n := e.csr.Order()
-	e.growTo(n)
-	arcs := 0
-	for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
-		arcs += e.csr.Degree(graph.Vertex(v))
-	}
-	if 4*arcs <= 2*e.csr.NumE {
-		return false
-	}
-	e.movedArcs += arcs
-	return true
 }
 
 // attrOf returns the partition v should be size-counted under: its

@@ -140,11 +140,11 @@ type Stats struct {
 	// refining call the ratio is close to 1.
 	SyncArcsRead  int
 	SyncMovedArcs int
-	// CutIncremental counts the cut reports this call summed from the
-	// engine's tracked per-vertex cut terms — one pass over the maintained
-	// partition-boundary list, no arc visited, bit-identical to
-	// partition.Cut's rescan — and CutReused the reports it copied, at
-	// O(P), from the kept one because nothing they depend on had been
+	// CutIncremental counts the cut reports this call made from the
+	// engine's tracked cut — per-vertex terms whose per-partition sums each
+	// sync keeps current, so a report reads P sums, no vertex or arc, and
+	// equals partition.Cut's rescan — and CutReused the reports it copied
+	// from the kept one because nothing they depend on had been
 	// re-examined. The reports are CutBefore, CutAfter when refinement is
 	// off, and refinement's: one on entry, one after every applied round
 	// (RoundCuts) and the closing one, which is CutAfter, when any round was
