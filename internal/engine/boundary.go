@@ -120,7 +120,7 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 		if want >= 0 {
 			e.partSizes[want]++
 		}
-		e.countCut(v, 1)
+		e.countCut(want, int64(e.ext[v]), int(e.extN[v]))
 		e.collectPending(v, a)
 	}
 }
@@ -201,19 +201,30 @@ func (e *Engine) examine(v graph.Vertex) bool {
 }
 
 // reexamine applies v's partition change since the last sync (the only
-// prevPart slots a resync writes) to the cache with one read of v's row,
-// and queues v and its neighbours to be settled: the one path of the diff
-// and the log pass.
+// prevPart slots a resync writes) to the cache with one read of v's row —
+// patching each neighbour, then v's own entries (or, for a stale v, a
+// fill that does both) — and queues v and its neighbours to be settled:
+// the one path of the diff and the log pass.
 func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
-	from := e.prevPart[v]
-	e.prevPart[v] = a.Part[v]
+	from, to := e.prevPart[v], a.Part[v]
+	e.prevPart[v] = to
 	e.examine(v)
-	for _, u := range e.csr.Row(v) {
-		e.examine(u)
+	row := e.csr.Row(v)
+	if e.conn.stale(v) {
+		for _, u := range row {
+			e.examine(u)
+		}
+		e.conn.fill(e.csr, e.prevPart, v, true, from)
+	} else {
+		ws := e.csr.RowWeights(v)
+		for i, u := range row {
+			e.examine(u)
+			e.conn.moved(u, e.prevPart[u], from, to, ws[i])
+		}
+		e.conn.shift(v, from, to, int32(len(row)))
 	}
-	k := e.conn.move(e.csr, e.prevPart, v, from)
-	e.arcsRead += k
-	e.movedArcs += k
+	e.arcsRead += len(row)
+	e.movedArcs += len(row)
 }
 
 // settle re-derives v's boundary membership, cut term (moving it in the
@@ -222,11 +233,14 @@ func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
 // vertex drops the kept cut report.
 func (e *Engine) settle(v graph.Vertex, a *partition.Assignment) {
 	e.cutValid = false
-	e.countCut(v, -1)
+	q, w, n := e.sizeAttr[v], e.ext[v], e.extN[v]
 	e.moveAttr(v, a)
 	e.collectPending(v, a)
 	was, now := e.bnd.has(v), e.term(v, a)
-	e.countCut(v, 1)
+	if e.sizeAttr[v] != q || e.ext[v] != w || e.extN[v] != n {
+		e.countCut(q, -int64(w), -int(n))
+		e.countCut(e.sizeAttr[v], int64(e.ext[v]), int(e.extN[v]))
+	}
 	switch {
 	case now && !was:
 		e.bnd.add(v)

@@ -191,24 +191,17 @@ func (c *connCache) moved(u graph.Vertex, pu, from, to, w int32) {
 	}
 }
 
-// move applies v's move from partition from to part[v] and returns the
-// arcs read: one read of v's row patches every neighbour (moved). v's own
-// entries hold the same partitions as before — its neighbours did not
-// move — so they change in O(entries): the entry of v's new partition
-// becomes in, and the old in, over deg(v) minus the entries' arcs, an
-// entry. A stale v is filled instead.
-func (c *connCache) move(csr *graph.CSR, part []int32, v graph.Vertex, from int32) int {
+// stale reports whether v's slot waits for a fill (see invalidate).
+func (c *connCache) stale(v graph.Vertex) bool { return c.vtx[v].off < 0 }
+
+// shift applies v's own move from partition from to partition to, its
+// neighbours being patched apart (moved). Its entries hold the same
+// partitions as before — its neighbours did not move — so they change in
+// O(entries): the entry of v's new partition becomes in, and the old in,
+// over deg minus the entries' arcs, becomes an entry.
+func (c *connCache) shift(v graph.Vertex, from, to, deg int32) {
 	x := &c.vtx[v]
-	if x.off < 0 {
-		return c.fill(csr, part, v, true, from)
-	}
-	to := part[v]
-	ws := csr.RowWeights(v)
-	adj := csr.Row(v)
-	for i, u := range adj {
-		c.moved(u, part[u], from, to, ws[i])
-	}
-	inArcs, ti := int32(len(adj)), int32(-1)
+	inArcs, ti := deg, int32(-1)
 	for i := x.off; i < x.off+x.size; i++ {
 		inArcs -= c.ent[i].arcs
 		if c.ent[i].part == to {
@@ -230,7 +223,6 @@ func (c *connCache) move(csr *graph.CSR, part []int32, v graph.Vertex, from int3
 		c.resize(v, x.size+1)
 		c.ent[x.off+x.size-1] = old
 	}
-	return len(adj)
 }
 
 // fill rebuilds v's entries and in from its row under the view part.

@@ -500,17 +500,16 @@ func (e *Engine) report(dst *partition.CutStats, perPart *[]float64, a *partitio
 	}
 }
 
-// countCut adds v's stored cut term, times sign (±1), to the sums of the
-// partition v is size-counted under, if any: a settle takes a vertex's
-// old term out and puts its new one in. Only an assigned live vertex has
-// a nonzero term, and on a valid assignment that is the vertex's own
-// partition — partition.Cut's attribution.
-func (e *Engine) countCut(v graph.Vertex, sign int64) {
-	if q := e.sizeAttr[v]; q >= 0 {
-		w := sign * int64(e.ext[v])
+// countCut adds a cut term of weight w over n arcs to the sums of
+// partition q, if any (q < 0: the vertex is size-counted nowhere): a
+// settle takes a vertex's old term out (negated) and puts its new one in.
+// Only an assigned live vertex has a nonzero term, and on a valid
+// assignment q is its own partition — partition.Cut's attribution.
+func (e *Engine) countCut(q int32, w int64, n int) {
+	if q >= 0 {
 		e.cutPart[q] += w
 		e.cutWeight += w
-		e.cutArcs += int(sign) * int(e.extN[v])
+		e.cutArcs += n
 	}
 }
 
