@@ -10,9 +10,9 @@
 // its entries.
 //
 // The boundary and the pending set are id-ordered sets (idSet): a
-// membership bitset written as verdicts are reached, and a member list
-// regenerated ascending by a word walk at the end of a sync that changed
-// membership. Membership is a pure function of graph + assignment and
+// membership bitset written as verdicts are reached, a member count, and
+// a member list regenerated ascending by a word walk, when a sync has
+// changed membership, by its first reader. Membership is a pure function of graph + assignment and
 // ascending order a property of the set; nothing sorts.
 package engine
 

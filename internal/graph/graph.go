@@ -91,9 +91,6 @@ func (g *Graph) CheckEdgeWeights(w float64, k int) error {
 	return nil
 }
 
-// TotalEdgeWeight returns the summed weight of the live edges.
-func (g *Graph) TotalEdgeWeight() float64 { return g.wsum }
-
 // maxJournal bounds the edit journal; once exceeded the journal is reset
 // and TouchedSince reports inexact, forcing consumers to rescan. The bound
 // keeps bulk loads (which touch every vertex many times) from hoarding
