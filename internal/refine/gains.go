@@ -82,8 +82,7 @@ type RowScan struct {
 // guarantee; the strict class is the same when the gain is positive,
 // none otherwise. An arc to an unassigned vertex or an out-of-range
 // partition counts toward no pool, and an unassigned or out-of-range v
-// has no class: the engine's sync validates the input after it has
-// classified.
+// has no class.
 func (r *RowScan) Scan(c *graph.CSR, a *partition.Assignment, v graph.Vertex) (pair, gain int32) {
 	pv := a.Part[v]
 	if !c.Live[v] || pv < 0 || int(pv) >= a.P {
