@@ -5,9 +5,9 @@
 // refinement classes and their change log exact. The rebuild refills the
 // connectivity cache from every row; the incremental sync patches it from
 // the rows of the vertices that moved and refills the structurally edited
-// ones, queueing every vertex whose entries or partition changed in the
-// examined set, and then decides each queued vertex's verdicts once, from
-// its entries.
+// ones, queueing every vertex whose entries or partition changed (marked
+// in the engine's stamps, so each is queued once), and then decides each
+// queued vertex's verdicts once, from its entries.
 //
 // The boundary and the pending set are id-ordered sets (idSet): a
 // membership bitset written as verdicts are reached, a member count, and
@@ -143,6 +143,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 	if e.gainsValid {
 		e.gain.Reserve(n)
 	}
+	e.stamps.Next()
 	for _, v := range touched {
 		if !e.examine(v) {
 			continue
@@ -160,7 +161,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 		budget := e.csr.NumE / 2 // a quarter of the arcs
 		for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
 			if budget -= e.csr.Degree(graph.Vertex(v)); budget < 0 {
-				e.examined.reset()
+				e.queue = e.queue[:0]
 				return false
 			}
 			e.reexamine(graph.Vertex(v), a)
@@ -172,13 +173,10 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 			}
 		}
 	}
-	for _, v := range e.examined.list {
+	for _, v := range e.queue {
 		e.settle(v, a)
 	}
-	e.examined.reset()
-	if e.conn.wasteful(e.csr) {
-		e.arcsRead += e.conn.refill(e.csr, e.prevPart)
-	}
+	e.queue = e.queue[:0]
 	if len(e.gainDirty) > e.bnd.size {
 		// Patching would take more records than the boundary-seeded scan
 		// visits vertices: let the next Gains rescan, and stop classifying
@@ -192,11 +190,10 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 // examine queues v for this sync's settle pass, reporting whether it was
 // not queued yet.
 func (e *Engine) examine(v graph.Vertex) bool {
-	if e.examined.has(v) {
+	if !e.stamps.TryMark(v) {
 		return false
 	}
-	e.examined.bits[v>>6] |= 1 << (uint(v) & 63)
-	e.examined.list = append(e.examined.list, v)
+	e.queue = append(e.queue, v)
 	return true
 }
 

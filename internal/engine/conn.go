@@ -27,17 +27,17 @@ import (
 // function of their count (blockCap), so a block moves only when its
 // count crosses a capacity step. Blocks are never split: a freed block
 // goes on its capacity's free list, linked through its first entry's part,
-// and is reused before the arena grows. Once the free lists hold more
-// than the sync can afford to carry, it refills the whole cache from
-// rows (refill), which re-packs it in place.
+// and is reused before the arena grows. The arena therefore holds, of
+// each capacity, only as many blocks as were once live at the same time:
+// however long the churn, at most 3.5 times what a fill of every vertex
+// at its largest entry count takes. A rebuild (refill) packs it afresh.
 type connCache struct {
 	vtx []connVertex // per vertex
 	ent []connEntry  // the blocks
 
-	free    []int32     // free[c]: first free block of capacity c, -1 none
-	freeLen int         // slots on the free lists
-	row     []connEntry // fill's scratch: the new block
-	at      []int32     // fill's scratch: at[q+2] = 1 + q's index in row, 0 none; q in [−2, P)
+	free []int32     // free[c]: first free block of capacity c, -1 none
+	row  []connEntry // fill's scratch: the new block
+	at   []int32     // fill's scratch: at[q+2] = 1 + q's index in row, 0 none; q in [−2, P)
 }
 
 // connVertex is one vertex's slot: its weight into its own partition and
@@ -91,7 +91,6 @@ func (c *connCache) alloc(k int32) int32 {
 	if int(k) < len(c.free) && c.free[k] >= 0 {
 		b := c.free[k]
 		c.free[k] = c.ent[b].part
-		c.freeLen -= int(k)
 		return b
 	}
 	b := len(c.ent)
@@ -114,7 +113,6 @@ func (c *connCache) release(b, k int32) {
 		c.free = append(c.free, -1)
 	}
 	c.ent[b].part, c.free[k] = c.free[k], b
-	c.freeLen += int(k)
 }
 
 // resize gives u room for k entries, moving its block when k needs
@@ -276,15 +274,6 @@ func (c *connCache) fill(csr *graph.CSR, part []int32, v graph.Vertex, patch boo
 	return len(adj)
 }
 
-// wasteful reports whether the free lists hold more than an eighth as
-// many slots as the live blocks and more than a refill costs — a
-// sixteenth of the snapshot's vertices and arcs: the sync then refills
-// the cache. A warm engine's churn keeps the lists under that; a call
-// that moves most of the graph (a cold start, a V-cycle) passes it.
-func (c *connCache) wasteful(csr *graph.CSR) bool {
-	return 8*c.freeLen > len(c.ent)-c.freeLen && 16*c.freeLen > len(c.vtx)+2*csr.NumE
-}
-
 // refill rebuilds every vertex's entries from its row under the view
 // part, re-packing the arena in vertex order, and returns the arcs read.
 // The arena keeps its capacity, so a warm engine's refills allocate
@@ -297,36 +286,9 @@ func (c *connCache) refill(csr *graph.CSR, part []int32) int {
 	for k := range c.free {
 		c.free[k] = -1
 	}
-	c.freeLen = 0
 	read := 0
 	for v := graph.Vertex(0); int(v) < n; v++ {
 		read += c.fill(csr, part, v, false, 0)
 	}
 	return read
-}
-
-// trim re-packs the live blocks, in vertex order, into an arena an
-// eighth larger than they need when its capacity is over a quarter
-// larger — what a call that moved most of the graph leaves behind. The
-// engine runs it at the end of a call, so a warm call allocates nothing.
-func (c *connCache) trim() {
-	live := len(c.ent) - c.freeLen
-	if cap(c.ent) <= live+live/4+1024 {
-		return
-	}
-	ent := make([]connEntry, 0, live+live/8)
-	for v := range c.vtx {
-		x := &c.vtx[v]
-		if x.size == 0 {
-			continue // (an empty block's off is stale)
-		}
-		k := blockCap(x.size)
-		ent = append(ent, c.ent[x.off:x.off+k]...)
-		x.off = int32(len(ent)) - k
-	}
-	c.ent = ent
-	for k := range c.free {
-		c.free[k] = -1
-	}
-	c.freeLen = 0
 }

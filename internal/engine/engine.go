@@ -226,11 +226,12 @@ type Engine struct {
 	sizeAttr  []int32
 	ext       []int32
 	extN      []int32
-	cutPart   []int64   // Σ ext over the vertices counted under each partition
-	cutWeight int64     // Σ cutPart
-	cutArcs   int       // Σ extN over the same vertices
-	conn      connCache // every vertex's arcs by partition (conn.go)
-	examined  idSet     // the vertices this sync settles, listed in the order it reached them
+	cutPart   []int64        // Σ ext over the vertices counted under each partition
+	cutWeight int64          // Σ cutPart
+	cutArcs   int            // Σ extN over the same vertices
+	conn      connCache      // every vertex's arcs by partition (conn.go)
+	stamps    par.Stamps     // the vertices this sync queued to settle
+	queue     []graph.Vertex // and those vertices, in the order it reached them
 	cut       partition.CutStats
 	cutValid  bool
 	cutPPB    []float64 // PerPart arena for Stats.CutBefore
@@ -354,7 +355,7 @@ func (e *Engine) growTo(n int) {
 	e.conn.reserve(e.trackedP)
 	e.bnd.grow(n)
 	e.pending.grow(n)
-	e.examined.grow(n)
+	e.stamps.Grow(n)
 }
 
 // sync brings the CSR snapshot, the boundary set and the size/cut
@@ -637,7 +638,6 @@ func (e *Engine) Repartition(ctx context.Context, a *partition.Assignment) (*Sta
 	tStart := time.Now()
 	defer func() {
 		e.inCall = false
-		e.conn.trim()
 		st.Elapsed = time.Since(tStart)
 		st.CSRPatched = e.csrPatched - basePatched
 		st.SyncDiffs = e.syncDiffs - baseDiffs

@@ -72,12 +72,10 @@ func ApplyEdit(g *igp.Graph, e Edit) error {
 	if w == 0 {
 		w = 1
 	}
-	switch {
-	case e.Op == OpAttachVertex || e.Op == OpAddEdge: // an edge weight
-		if err := g.CheckEdgeWeights(w, 0); err != nil {
-			return fmt.Errorf("serve: %s: %w", e.Op, err)
-		}
-	case e.Weight < 0 || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0):
+	// An edge weight is checked once, before anything is mutated: by
+	// AddEdge for add_edge, below for attach_vertex.
+	edgeWeight := e.Op == OpAttachVertex || e.Op == OpAddEdge
+	if !edgeWeight && (e.Weight < 0 || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0)) {
 		return fmt.Errorf("serve: %s: weight %g is negative or not finite", e.Op, e.Weight)
 	}
 	if e.Op == OpAddVertex {
