@@ -5,9 +5,9 @@
 // refinement classes and their change log exact. The rebuild refills the
 // connectivity cache from every row; the incremental sync patches it from
 // the rows of the vertices that moved and refills the structurally edited
-// ones, queueing every vertex whose entries or partition changed (marked
-// in the engine's stamps, so each is queued once), and then decides each
-// queued vertex's verdicts once, from its entries.
+// ones, queueing every vertex whose entries or partition changed (once:
+// a bit marks it queued), and then decides each queued vertex's verdicts
+// once, from its entries.
 //
 // The boundary and the pending set are id-ordered sets (idSet): a
 // membership bitset written as verdicts are reached, a member count, and
@@ -143,7 +143,6 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 	if e.gainsValid {
 		e.gain.Reserve(n)
 	}
-	e.stamps.Next()
 	for _, v := range touched {
 		if !e.examine(v) {
 			continue
@@ -161,7 +160,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 		budget := e.csr.NumE / 2 // a quarter of the arcs
 		for v := e.nextMoved(a, 0, n); v < n; v = e.nextMoved(a, v+1, n) {
 			if budget -= e.csr.Degree(graph.Vertex(v)); budget < 0 {
-				e.queue = e.queue[:0]
+				e.dequeue()
 				return false
 			}
 			e.reexamine(graph.Vertex(v), a)
@@ -176,7 +175,7 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 	for _, v := range e.queue {
 		e.settle(v, a)
 	}
-	e.queue = e.queue[:0]
+	e.dequeue()
 	if len(e.gainDirty) > e.bnd.size {
 		// Patching would take more records than the boundary-seeded scan
 		// visits vertices: let the next Gains rescan, and stop classifying
@@ -190,11 +189,20 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 // examine queues v for this sync's settle pass, reporting whether it was
 // not queued yet.
 func (e *Engine) examine(v graph.Vertex) bool {
-	if !e.stamps.TryMark(v) {
+	if e.queued[v>>6]>>(uint(v)&63)&1 != 0 {
 		return false
 	}
+	e.queued[v>>6] |= 1 << (uint(v) & 63)
 	e.queue = append(e.queue, v)
 	return true
+}
+
+// dequeue empties the settle queue.
+func (e *Engine) dequeue() {
+	for _, v := range e.queue {
+		e.queued[v>>6] &^= 1 << (uint(v) & 63)
+	}
+	e.queue = e.queue[:0]
 }
 
 // reexamine applies v's partition change since the last sync (the only

@@ -230,8 +230,8 @@ type Engine struct {
 	cutWeight int64          // Σ cutPart
 	cutArcs   int            // Σ extN over the same vertices
 	conn      connCache      // every vertex's arcs by partition (conn.go)
-	stamps    par.Stamps     // the vertices this sync queued to settle
-	queue     []graph.Vertex // and those vertices, in the order it reached them
+	queued    []uint64       // a bit per vertex this sync queued to settle
+	queue     []graph.Vertex // those vertices, in the order it reached them
 	cut       partition.CutStats
 	cutValid  bool
 	cutPPB    []float64 // PerPart arena for Stats.CutBefore
@@ -355,7 +355,9 @@ func (e *Engine) growTo(n int) {
 	e.conn.reserve(e.trackedP)
 	e.bnd.grow(n)
 	e.pending.grow(n)
-	e.stamps.Grow(n)
+	for len(e.queued) < (n+63)/64 {
+		e.queued = append(e.queued, 0)
+	}
 }
 
 // sync brings the CSR snapshot, the boundary set and the size/cut

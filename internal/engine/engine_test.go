@@ -826,6 +826,36 @@ func TestIncrementalCutExact(t *testing.T) {
 	}
 }
 
+// TestConnArenaBoundedUnderChurn moves a few vertices at a time on a warm
+// engine, thousands of times, and checks the connectivity cache's arena
+// against conn.go's bound: of each block capacity, only as many blocks as
+// were once live at the same time, so at most, per vertex, one block of
+// every capacity up to the one its largest entry count needs.
+func TestConnArenaBoundedUnderChurn(t *testing.T) {
+	g, a := editableGraph(t, 300, 6, 17)
+	rng := rand.New(rand.NewSource(19))
+	randomWeights(g, rng)
+	e := New(g, Options{})
+	e.Cut(a)
+	for round := 0; round < 3000; round++ {
+		for k := 0; k < 3; k++ {
+			a.Part[rng.Intn(g.Order())] = int32(rng.Intn(a.P))
+		}
+		e.Cut(a)
+	}
+	requireConn(t, "after churn", e, g, a)
+	limit := 0
+	for v := 0; v < g.Order(); v++ {
+		most := blockCap(int32(min(g.Degree(graph.Vertex(v)), a.P-1)))
+		for c := int32(1); c <= most; c = blockCap(c + 1) {
+			limit += int(c)
+		}
+	}
+	if len(e.conn.ent) > limit {
+		t.Fatalf("the arena holds %d entries, past the bound %d", len(e.conn.ent), limit)
+	}
+}
+
 // freshCall runs one Repartition on a fresh engine over clones of g and
 // a: the reference a warm engine's call on the same state must equal,
 // since everything a warm engine keeps between calls is a cache.
