@@ -41,6 +41,7 @@ type MultilevelRow struct {
 	FlatTime time.Duration // the flat engine's call on the same edits (0 on cold rows)
 	FlatCut  float64       // the flat engine's cut (0 on cold rows)
 	Levels   int           // hierarchy depth (rows that ran the V-cycle)
+	ArcsRead int           // arcs the per-level refiners read, summed over the levels (LevelStats.ArcsRead)
 	Skipped  bool          // call arrived balanced: V-cycle not run (idle rows)
 	Balanced bool          // exact vertex-count balance achieved
 	Allocs   uint64        // heap allocations of the call (MemStats.Mallocs delta)
@@ -219,6 +220,9 @@ func multilevelRow(g *graph.Graph, a *partition.Assignment, workload, mode strin
 		Levels: len(st.Levels), Skipped: st.VCycleSkipped,
 		Balanced: balancedExactly(g, a),
 	}
+	for _, ls := range st.Levels {
+		row.ArcsRead += ls.ArcsRead
+	}
 	if !row.Balanced {
 		return MultilevelRow{}, fmt.Errorf("bench: %s %s left imbalance: sizes %v", workload, mode, a.Sizes(g))
 	}
@@ -244,21 +248,22 @@ func balancedExactly(g *graph.Graph, a *partition.Assignment) bool {
 	return true
 }
 
-// FormatMultilevel renders the large-graph tier table.
+// FormatMultilevel renders the large-graph tier table. ArcsRead and
+// HeapMB are shown on the cold rows.
 func FormatMultilevel(rows []MultilevelRow, p int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Large-graph multilevel tier (P=%d)\n", p)
-	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %10s %9s %10s %9s %7s %8s %9s %7s\n",
-		"Workload", "N", "E", "Mode", "Time", "Cut", "FlatTime", "FlatCut", "Levels", "Skipped", "Allocs", "HeapMB")
+	fmt.Fprintf(&b, "  %-10s %8s %9s %-12s %10s %9s %10s %9s %7s %9s %8s %9s %7s\n",
+		"Workload", "N", "E", "Mode", "Time", "Cut", "FlatTime", "FlatCut", "Levels", "ArcsRead", "Skipped", "Allocs", "HeapMB")
 	for _, r := range rows {
-		heap, flatTime, flatCut := "-", "-", "-"
+		arcs, heap, flatTime, flatCut := "-", "-", "-", "-"
 		if r.Mode == "vcycle-cold" {
-			heap = fmt.Sprintf("%.1f", r.HeapMB)
+			arcs, heap = fmt.Sprint(r.ArcsRead), fmt.Sprintf("%.1f", r.HeapMB)
 		} else {
 			flatTime, flatCut = fmtDur(r.FlatTime), fmt.Sprintf("%.0f", r.FlatCut)
 		}
-		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %10s %9.0f %10s %9s %7d %8v %9d %7s\n",
-			r.Workload, r.N, r.E, r.Mode, fmtDur(r.Time), r.Cut, flatTime, flatCut, r.Levels, r.Skipped, r.Allocs, heap)
+		fmt.Fprintf(&b, "  %-10s %8d %9d %-12s %10s %9.0f %10s %9s %7d %9s %8v %9d %7s\n",
+			r.Workload, r.N, r.E, r.Mode, fmtDur(r.Time), r.Cut, flatTime, flatCut, r.Levels, arcs, r.Skipped, r.Allocs, heap)
 	}
 	return b.String()
 }

@@ -19,10 +19,13 @@ package coarsen
 // well-defined partition.
 //
 // Determinism: the hierarchy runs on the calling goroutine, and every
-// operation iterates in ascending vertex order or an explicitly sorted
-// one. No map iteration reaches a graph mutation or a float
-// accumulation, so a V-cycle is a pure function of the graph and the
-// assignment it is handed. TestHierarchyLocked pins its output.
+// operation iterates in ascending vertex order or in an order built by a
+// counting sort over vertex ids (connectGroups' transpose, twoHop's
+// buckets); nothing in a level build sorts by comparison. No map
+// iteration reaches a graph mutation or a float accumulation, and the
+// level refiner's heap order is total, so a V-cycle is a pure function of
+// the graph and the assignment it is handed. TestHierarchyLocked pins its
+// output.
 
 import (
 	"context"
@@ -86,6 +89,12 @@ type LevelStats struct {
 	// coarse decision was projected down; Refined counts the greedy
 	// refinement moves applied at the fine side of this level.
 	Projected, Refined int
+	// ArcsRead counts the arcs that refinement read from the fine side's
+	// rows: a vertex's row when its slot in the connectivity table is
+	// filled (once per level at most) and a mover's row per applied move.
+	// Marking the seeds walks the changed vertices' neighbour lists
+	// besides, which it does not count.
+	ArcsRead int
 	// CoarsenTime and UncoarsenTime are the wall clocks of this level's
 	// Update share and Uncoarsen share.
 	CoarsenTime, UncoarsenTime time.Duration
@@ -119,22 +128,27 @@ type Hierarchy struct {
 	repsBuf   []graph.Vertex
 	vwBuf     []float64
 	changeBuf []graph.Vertex
-	connBuf   []float64
 	wBuf      []float64
 	targBuf   []int
 	moves     refine.MoveHeap
+	conn      refine.Conn // the level refiner's connectivity table, reset per level
 
 	seedMarks par.Stamps
 	// connectGroups' dense accumulator: acc[cw] is the weight the current
-	// group (accSeen's generation) sends to coarse slot cw and ids lists
-	// the slots it hit; offBuf and fillBuf index the level's rows.
+	// group (accSeen's generation) sends to coarse slot cw; offBuf and
+	// fillBuf index the level's rows.
 	acc     []float64
 	accSeen par.Stamps
-	ids     []graph.Vertex
 	offBuf  []int
 	fillBuf []int
 
 	mt matcher // match.go
+
+	// Test hooks, nil outside tests: refineLevel calls onPop with every
+	// popped move that reaches the gain recheck and the gain it read from
+	// the table, and onMove after every applied move.
+	onPop  func(fg *graph.Graph, part []int32, m refine.Move, gain int32)
+	onMove func(fg *graph.Graph, part []int32, v graph.Vertex)
 }
 
 // stall: a contraction that keeps more than 19/20 of the fine vertices
@@ -259,15 +273,21 @@ func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment) *lev
 
 // connectGroups lays out the coarse graph of level lv — group i is
 // reps[i] (its smallest fine member) and its partner, weighs vw[i] and
-// becomes coarse vertex i — in one graph.AppendRows call. Pass 1
-// aggregates each group on a dense accumulator (each arc of either
-// member adds its weight at its coarse endpoint's slot, in adjacency
-// order; never via map iteration) and appends the touched slots, sorted,
-// as the group's row to a transient buffer sized by the members' fine
-// degrees. Pass 2 copies the rows once into an exact-size slab, in the
-// layout the locked digests pin: each row ascending, and an arc carrying
-// its lower endpoint's aggregate (written into the higher row as the
-// lower row is laid out), so both rows hold the same float.
+// becomes coarse vertex i — in one graph.AppendRows call, by a counting
+// transpose. Pass 1 aggregates each group on a dense accumulator (each
+// arc of either member adds its weight at its coarse endpoint's slot, in
+// adjacency order; never via map iteration) and appends the touched slots
+// unsorted, with their sums, as the group's run to a transient buffer
+// sized by the members' fine degrees. A group's run names exactly the
+// groups that name it (the graph is symmetric), so its length is its
+// coarse degree and the runs' offsets are the rows' offsets. Pass 2
+// scatters the runs in group order: group i appends itself, with the
+// weight it sends, to the row of every group its run names, so every row
+// fills ascending, with no sort and no search. That is the layout
+// TestHierarchyLocked's digests pin — each row ascending, and an arc
+// carrying its lower endpoint's aggregate in both rows — exactly: the two
+// aggregates of an arc are sums of the same integer weights, so they are
+// the same float, whichever side's is written.
 func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps []graph.Vertex, vw []float64) {
 	if n := len(reps); len(h.acc) < n {
 		h.acc = make([]float64, n)
@@ -280,11 +300,10 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps []graph.Verte
 	runV := make([]graph.Vertex, 0, bound)
 	runW := make([]float64, 0, bound)
 	off := append(h.offBuf[:0], 0)
-	ids := h.ids
 	for i, v := range reps {
 		cv := graph.Vertex(i)
 		h.accSeen.Next()
-		ids = ids[:0]
+		lo := len(runV)
 		members := [2]graph.Vertex{v, lv.match[v]}
 		cnt := 1
 		if members[1] != v {
@@ -299,31 +318,24 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps []graph.Verte
 				}
 				if h.accSeen.TryMark(cw) {
 					h.acc[cw] = ews[j]
-					ids = append(ids, cw)
+					runV = append(runV, cw)
 				} else {
 					h.acc[cw] += ews[j]
 				}
 			}
 		}
-		slices.Sort(ids)
-		runV = append(runV, ids...)
-		for _, cw := range ids {
+		for _, cw := range runV[lo:] {
 			runW = append(runW, h.acc[cw])
 		}
 		off = append(off, len(runV))
 	}
-	h.ids = ids[:0]
 	adj := make([]graph.Vertex, len(runV))
 	ew := make([]float64, len(runV))
-	copy(adj, runV)
-	fill := append(h.fillBuf[:0], off[:len(reps)]...) // next below-slot per row
+	fill := append(h.fillBuf[:0], off[:len(reps)]...) // next free slot per row
 	for i := range reps {
-		lo, hi := off[i], off[i+1]
-		b, _ := slices.BinarySearch(adj[lo:hi], graph.Vertex(i)) // row i's below: [lo, lo+b)
-		for j := lo + b; j < hi; j++ {
-			k := adj[j]
-			ew[j] = runW[j]
-			ew[fill[k]] = runW[j]
+		for j := off[i]; j < off[i+1]; j++ {
+			k := runV[j]
+			adj[fill[k]], ew[fill[k]] = graph.Vertex(i), runW[j]
 			fill[k]++
 		}
 	}
@@ -410,12 +422,13 @@ func (h *Hierarchy) Uncoarsen(ctx context.Context, a *partition.Assignment) (int
 				changed = append(changed, vv)
 			}
 		}
-		moved := h.refineLevel(l, fg, fa, changed)
+		moved, read := h.refineLevel(l, fg, fa, changed)
 		h.changeBuf = changed[:0]
 		total += moved
 		if l < len(h.lstats) {
 			h.lstats[l].Projected = len(changed)
 			h.lstats[l].Refined = moved
+			h.lstats[l].ArcsRead = read
 			h.lstats[l].UncoarsenTime = time.Since(t0)
 		}
 	}
@@ -426,12 +439,20 @@ func (h *Hierarchy) Uncoarsen(ctx context.Context, a *partition.Assignment) (int
 // seeded from the projection-changed vertices and their neighbors,
 // applying strictly positive-gain moves under a weight guard (every
 // partition stays within one max-cluster weight of its level-0 target).
-// The heap's order is total, so the move sequence is a pure function of
-// the level's state. Each applied move strictly decreases the cut, so
-// the loop terminates (a generous budget guards float pathologies).
-func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment, changed []graph.Vertex) int {
+// Gains come from the level's connectivity table (refine.Conn, reset
+// here): a vertex's slot is filled from its row the first time it is
+// pushed, and each applied move patches its neighbours' entries by ±w
+// over the mover's row, so a push and the recheck of a popped gain read
+// entries, never a row. Every sum is of integer weights, so the entries
+// equal a row scan's sums and the heap gets the moves a row scan would
+// push. The heap's order is total, so the move sequence is a pure
+// function of the level's state. Each applied move strictly decreases the
+// cut, so the loop terminates (a generous budget guards it anyway). It
+// returns the moves applied and the arcs read: slot fills plus the
+// movers' rows.
+func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment, changed []graph.Vertex) (moved, read int) {
 	if len(changed) == 0 {
-		return 0
+		return 0, 0
 	}
 	p := h.p
 	weights, total, slack := h.levelWeights(l, fg, fa)
@@ -445,8 +466,8 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 		slack = cap
 	}
 	targets := h.fineTargets()
-	h.connBuf = par.Sized(h.connBuf, p)
-	conn := h.connBuf
+	h.conn.Reset(fg.Order())
+	h.conn.Reserve(p)
 	// Seed from the changed vertices and their neighborhoods: mark them,
 	// then push their moves in one ascending scan of the slots — O(order),
 	// like the projection that produced changed.
@@ -461,11 +482,10 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 	h.moves = h.moves[:0]
 	for v := range graph.Vertex(fg.Order()) {
 		if h.seedMarks.Marked(v) {
-			h.moves.PushMoves(fg, fa.Part, v, conn)
+			read += h.moves.PushMoves(&h.conn, fg, fa.Part, v)
 		}
 	}
 
-	moved := 0
 	budget := 2*fg.NumVertices() + 64
 	for len(h.moves) > 0 && moved < budget {
 		e := h.moves.Pop()
@@ -476,9 +496,14 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 		if from < 0 || from == e.To {
 			continue
 		}
-		// Recompute the gain: the stored one may be stale. Applying the
-		// fresh gain keeps every applied move strictly cut-reducing.
-		if refine.MoveGain(fg, fa.Part, e.V, e.To) <= 0 {
+		// Recheck the gain: the stored one may be stale. Applying only a
+		// fresh positive gain keeps every applied move strictly
+		// cut-reducing.
+		gain := h.conn.Gain(e.V, e.To)
+		if h.onPop != nil {
+			h.onPop(fg, fa.Part, e, gain)
+		}
+		if gain <= 0 {
 			continue
 		}
 		wv := h.levelWeight(l, e.V)
@@ -493,17 +518,20 @@ func (h *Hierarchy) refineLevel(l int, fg *graph.Graph, fa *partition.Assignment
 		if devAfter > slack && devAfter > devBefore {
 			continue
 		}
-		fa.Part[e.V] = e.To
+		read += h.conn.Move(fg, fa.Part, e.V, e.To)
 		weights[from] -= wv
 		weights[e.To] += wv
 		moved++
-		h.moves.PushMoves(fg, fa.Part, e.V, conn)
+		if h.onMove != nil {
+			h.onMove(fg, fa.Part, e.V)
+		}
+		read += h.moves.PushMoves(&h.conn, fg, fa.Part, e.V)
 		for _, u := range fg.Neighbors(e.V) {
-			h.moves.PushMoves(fg, fa.Part, u, conn)
+			read += h.moves.PushMoves(&h.conn, fg, fa.Part, u)
 		}
 	}
 	h.moves = h.moves[:0]
-	return moved
+	return moved, read
 }
 
 // levelWeights returns the per-partition level-0 cardinality weights

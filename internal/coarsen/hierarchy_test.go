@@ -2,13 +2,17 @@ package coarsen
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/partition"
+	"repro/internal/refine"
 )
 
 // buildHierarchy creates a hierarchy over g+a with small thresholds so
@@ -222,4 +226,174 @@ func hubHistory(t *testing.T) (*Hierarchy, *partition.Assignment) {
 		}
 	}
 	return h, a
+}
+
+// requireLevelTable checks every filled slot of the level refiner's
+// connectivity table against a fresh fill from its row in fg under part.
+func requireLevelTable(t *testing.T, ctx string, h *Hierarchy, fg *graph.Graph, part []int32) {
+	t.Helper()
+	var fresh refine.Conn
+	fresh.Reset(fg.Order())
+	fresh.Reserve(h.p)
+	for v := graph.Vertex(0); int(v) < fg.Order(); v++ {
+		if h.conn.Stale(v) {
+			continue
+		}
+		fresh.FillGraph(fg, part, v)
+		got, want := map[int32]refine.ConnEntry{}, map[int32]refine.ConnEntry{}
+		for _, x := range h.conn.Entries(v) {
+			got[x.Part] = x
+		}
+		for _, x := range fresh.Entries(v) {
+			want[x.Part] = x
+		}
+		if len(got) != len(h.conn.Entries(v)) || h.conn.In(v) != fresh.In(v) || !maps.Equal(got, want) {
+			t.Fatalf("%s: vertex %d holds in %d and %v, its row fills in %d and %v",
+				ctx, v, h.conn.In(v), h.conn.Entries(v), fresh.In(v), fresh.Entries(v))
+		}
+	}
+}
+
+// rowGain is the cut gain of moving v to partition to, from a scan of v's
+// row: its arcs' weight into to less that into its own partition.
+func rowGain(fg *graph.Graph, part []int32, v graph.Vertex, to int32) int32 {
+	var gain int32
+	ws := fg.EdgeWeights(v)
+	for i, u := range fg.Neighbors(v) {
+		switch part[u] {
+		case to:
+			gain += int32(ws[i])
+		case part[v]:
+			gain -= int32(ws[i])
+		}
+	}
+	return gain
+}
+
+// hubGraph is a power-law graph with an extra hub joined to a fifth of
+// the vertices, integer edge weights in [0, 5] (zero included) and a few
+// removed vertices, under an assignment with every live vertex in
+// partition 0 and the dead slots unassigned.
+func hubGraph(t *testing.T, n, p int, seed int64) (*graph.Graph, *partition.Assignment) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g, err := graph.PowerLaw(n, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := g.AddVertex(1)
+	for k := 0; k < n/5; k++ {
+		g.AddEdgeIfAbsent(hub, graph.Vertex(rng.Intn(n)), 1)
+	}
+	for v := graph.Vertex(0); int(v) < g.Order(); v++ {
+		for _, u := range slices.Clone(g.Neighbors(v)) {
+			if v < u {
+				_ = g.RemoveEdge(v, u)
+				_ = g.AddEdge(v, u, float64(rng.Intn(6)))
+			}
+		}
+	}
+	a := partition.New(g.Order(), p)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	for k := 0; k < n/50; k++ {
+		if v := graph.Vertex(rng.Intn(n)); g.Alive(v) {
+			_ = g.RemoveVertex(v)
+			a.Part[v] = partition.Unassigned
+		}
+	}
+	return g, a
+}
+
+// TestLevelTableMatchesRows runs cold and warm V-cycles on graphs with
+// hubs, zero-weight arcs and dead slots, and checks the level refiner's
+// connectivity table against the rows: every popped gain equals a row
+// scan's, and after every applied move every filled slot equals a fresh
+// fill from its row.
+func TestLevelTableMatchesRows(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		p := 2 + int(seed)%5
+		g, a := hubGraph(t, 300+60*int(seed), p, seed)
+		h := NewHierarchy(g, HierarchyOptions{CoarsenTo: 24, Seed: seed})
+		pops, moves := 0, 0
+		h.onPop = func(fg *graph.Graph, part []int32, m refine.Move, gain int32) {
+			pops++
+			if want := rowGain(fg, part, m.V, m.To); gain != want {
+				t.Fatalf("seed %d: popped %+v reads gain %d from the table, %d from its row", seed, m, gain, want)
+			}
+		}
+		h.onMove = func(fg *graph.Graph, part []int32, v graph.Vertex) {
+			moves++
+			requireLevelTable(t, fmt.Sprintf("seed %d, move %d of vertex %d", seed, moves, v), h, fg, part)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for call := 0; call < 2; call++ {
+			if call == 1 { // a growth burst into one partition: the warm, non-degenerate path
+				live := g.Vertices()
+				for k := 0; k < g.NumVertices()/10; k++ {
+					v := g.AddVertex(1)
+					_ = g.AddEdge(v, live[rng.Intn(len(live))], float64(rng.Intn(6)))
+					a.Part = append(a.Part, 1)
+				}
+			}
+			if _, err := h.Update(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := h.SolveCoarsest(context.Background(), lp.Network{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Uncoarsen(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("seed %d: %d pops, %d moves checked", seed, pops, moves)
+		if pops == 0 || moves == 0 {
+			t.Fatalf("seed %d: %d pops and %d moves checked", seed, pops, moves)
+		}
+	}
+}
+
+// TestLevelArcsReadBounded is the level refiner's counted-work lock on a
+// hub-heavy cold V-cycle: at every level the arcs it reads are at most
+// the level's arcs (each slot is filled once) plus the movers' rows. A
+// refiner that rescans a neighbour's row on every push reads a hub's row
+// once per moving neighbour and exceeds it.
+func TestLevelArcsReadBounded(t *testing.T) {
+	g, err := graph.PowerLaw(3000, 4, rand.New(rand.NewSource(1994)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := partition.New(g.Order(), 8)
+	for v := range a.Part {
+		a.Part[v] = 0
+	}
+	h := NewHierarchy(g, HierarchyOptions{Seed: 1994})
+	movedArcs := map[*graph.Graph]int{}
+	h.onMove = func(fg *graph.Graph, _ []int32, v graph.Vertex) { movedArcs[fg] += fg.Degree(v) }
+	if _, err := h.Update(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.SolveCoarsest(context.Background(), lp.Network{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Uncoarsen(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	for l, ls := range h.Levels() {
+		fg := h.levelGraph(l)
+		bound := 2*fg.NumEdges() + movedArcs[fg]
+		t.Logf("level %d: %d vertices, %d arcs, %d moves over %d arcs, %d arcs read", l, fg.NumVertices(), 2*fg.NumEdges(), ls.Refined, movedArcs[fg], ls.ArcsRead)
+		if ls.ArcsRead > bound {
+			t.Fatalf("level %d read %d arcs, past its %d arcs plus %d of moved rows", l, ls.ArcsRead, 2*fg.NumEdges(), movedArcs[fg])
+		}
+		read += ls.ArcsRead
+	}
+	if h.Depth() < 2 || read == 0 {
+		t.Fatalf("depth %d, %d arcs read: the lock measured nothing", h.Depth(), read)
+	}
 }

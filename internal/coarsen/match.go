@@ -5,8 +5,6 @@ package coarsen
 // the two-hop pass for the singletons it strands.
 
 import (
-	"slices"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -52,7 +50,8 @@ type matcher struct {
 	bid      []float64      // weight of the edge mate[v] holds v by
 	freeFlag []bool         // eligible; after the suitor pass, eligible and unmatched
 	singles  []graph.Vertex
-	hops     []hopPair
+	end      []int32        // twoHop: per center, the end of its bucket in hops
+	hops     []graph.Vertex // twoHop: the singletons, bucketed by center
 	pend     []graph.Vertex
 }
 
@@ -134,10 +133,12 @@ func (m *matcher) court(fg *graph.Graph, part []int32, u graph.Vertex) (graph.Ve
 // star whose hub is matched (its only free edge leads to a non-free
 // vertex), and those stars dominate deep coarse levels: without this
 // pass the per-level reduction ratio decays toward 1 and the hierarchy
-// both deepens and trips the stall guard. The
-// (center, singleton) pairs are sorted under their total order and
-// consecutive same-partition singletons within each center run pair up
-// in ascending order, so the result is a pure function of (graph,
+// both deepens and trips the stall guard. The (center, singleton) pairs
+// are bucketed by center with a counting sort; the singletons are visited
+// ascending, so each bucket lists its singletons ascending and the
+// buckets, taken in center order, are the pairs in (center, singleton)
+// order. Consecutive same-partition singletons within each bucket pair
+// up in that order, so the result is a pure function of (graph,
 // partition, free set).
 func (m *matcher) twoHop(fg *graph.Graph, part []int32, free []graph.Vertex) {
 	singles := m.singles[:0]
@@ -150,19 +151,32 @@ func (m *matcher) twoHop(fg *graph.Graph, part []int32, free []graph.Vertex) {
 	if len(singles) < 2 {
 		return
 	}
-	hops := m.hops[:0]
+	// end[u] counts u's hops, then (summed) is where u's bucket starts,
+	// then, once the bucket is filled, where it ends.
+	end := par.Sized(m.end, fg.Order())
+	clear(end)
 	for _, s := range singles {
 		for _, u := range fg.Neighbors(s) {
-			hops = append(hops, hopPair{u, s})
+			end[u]++
 		}
 	}
-	slices.SortFunc(hops, hopPairCmp)
+	total := int32(0)
+	for u, k := range end {
+		end[u] = total
+		total += k
+	}
+	hops := par.Sized(m.hops, int(total))
+	for _, s := range singles {
+		for _, u := range fg.Neighbors(s) {
+			hops[end[u]] = s
+			end[u]++
+		}
+	}
 	pend := m.pend[:0]
-	for i := 0; i < len(hops); {
-		j := i
+	lo := int32(0)
+	for _, hi := range end {
 		pend = pend[:0]
-		for ; j < len(hops) && hops[j].u == hops[i].u; j++ {
-			s := hops[j].s
+		for _, s := range hops[lo:hi] {
 			if !m.freeFlag[s] {
 				continue
 			}
@@ -183,19 +197,7 @@ func (m *matcher) twoHop(fg *graph.Graph, part []int32, free []graph.Vertex) {
 				pend = append(pend, s)
 			}
 		}
-		i = j
+		lo = hi
 	}
-	m.hops, m.pend = hops[:0], pend[:0]
-}
-
-// hopPair links a leftover singleton s to one of its neighbors u (the
-// candidate meeting point of the two-hop pass).
-type hopPair struct{ u, s graph.Vertex }
-
-// hopPairCmp is the total order on hop pairs: center, then singleton.
-func hopPairCmp(a, b hopPair) int {
-	if a.u != b.u {
-		return int(a.u) - int(b.u)
-	}
-	return int(a.s) - int(b.s)
+	m.end, m.hops, m.pend = end, hops[:0], pend[:0]
 }

@@ -3,7 +3,7 @@
 // keep the boundary set, the per-vertex cut terms, the per-partition size
 // counters, the pending-unassigned set and — while Gains keeps pools — the
 // refinement classes and their change log exact. The rebuild refills the
-// connectivity cache from every row; the incremental sync patches it from
+// connectivity cache (refine.Conn) from every row; the incremental sync patches it from
 // the rows of the vertices that moved and refills the structurally edited
 // ones, queueing every vertex whose entries or partition changed (once:
 // a bit marks it queued), and then decides each queued vertex's verdicts
@@ -110,7 +110,7 @@ func (e *Engine) rebuildBoundary(a *partition.Assignment) {
 	e.gainsValid = false // nothing was diffed: the pools need a full scan
 	e.cutValid = false
 	copy(e.prevPart[:n], a.Part[:n])
-	e.arcsRead += e.conn.refill(e.csr, e.prevPart)
+	e.arcsRead += e.conn.Refill(e.csr, e.prevPart)
 	for v := graph.Vertex(0); int(v) < n; v++ {
 		if e.term(v, a) {
 			e.bnd.add(v)
@@ -148,12 +148,12 @@ func (e *Engine) resync(a *partition.Assignment, touched []graph.Vertex, diff bo
 			continue
 		}
 		if a.Part[v] == e.prevPart[v] {
-			e.arcsRead += e.conn.fill(e.csr, e.prevPart, v, false, 0)
+			e.arcsRead += e.conn.Fill(e.csr, e.prevPart, v, false, 0)
 		} else {
 			// It also moved: the diff below refills it, reading its row once
 			// for both (touched is empty unless the graph changed, and then
 			// this sync diffs).
-			e.conn.invalidate(v)
+			e.conn.Invalidate(v)
 		}
 	}
 	if diff {
@@ -215,18 +215,18 @@ func (e *Engine) reexamine(v graph.Vertex, a *partition.Assignment) {
 	e.prevPart[v] = to
 	e.examine(v)
 	row := e.csr.Row(v)
-	if e.conn.stale(v) {
+	if e.conn.Stale(v) {
 		for _, u := range row {
 			e.examine(u)
 		}
-		e.conn.fill(e.csr, e.prevPart, v, true, from)
+		e.conn.Fill(e.csr, e.prevPart, v, true, from)
 	} else {
 		ws := e.csr.RowWeights(v)
 		for i, u := range row {
 			e.examine(u)
-			e.conn.moved(u, e.prevPart[u], from, to, ws[i])
+			e.conn.Moved(u, e.prevPart[u], from, to, ws[i])
 		}
-		e.conn.shift(v, from, to, int32(len(row)))
+		e.conn.Shift(v, from, to, int32(len(row)))
 	}
 	e.arcsRead += len(row)
 	e.movedArcs += len(row)
@@ -261,19 +261,19 @@ func (e *Engine) settle(v graph.Vertex, a *partition.Assignment) {
 // cache entries. It reports whether v is a boundary vertex: live, with an
 // arc to another partition or to an unassigned vertex.
 func (e *Engine) term(v graph.Vertex, a *partition.Assignment) bool {
-	entries := e.conn.entries(v)
+	entries := e.conn.Entries(v)
 	pv := a.Part[v]
 	var ext, extN int32
-	best, bestG, in := int32(-1), int64(0), int64(e.conn.vtx[v].in)
+	best, bestG, in := int32(-1), int64(0), int64(e.conn.In(v))
 	if pv >= 0 {
 		for _, x := range entries {
-			if x.part < 0 {
+			if x.Part < 0 {
 				continue
 			}
-			ext += x.wt
-			extN += x.arcs
-			if g := int64(x.wt) - in; int(x.part) < a.P && refine.Prefer(g, x.part, bestG, best) {
-				best, bestG = x.part, g
+			ext += x.Wt
+			extN += x.Arcs
+			if g := int64(x.Wt) - in; int(x.Part) < a.P && refine.Prefer(g, x.Part, bestG, best) {
+				best, bestG = x.Part, g
 			}
 		}
 	}

@@ -34,7 +34,7 @@
 //     ordered when the mover first asks for it.
 //
 //   - A sync reads the rows that moved. The engine keeps every vertex's
-//     connectivity (conn.go): the weight of its arcs into its own
+//     connectivity (refine.Conn): the weight of its arcs into its own
 //     partition and, per other partition its arcs reach, their weight and
 //     count. When v moves from A to B, the sync reads v's row once and
 //     patches each neighbour by ±w (the FM gain-update rule); a
@@ -229,7 +229,7 @@ type Engine struct {
 	cutPart   []int64        // Σ ext over the vertices counted under each partition
 	cutWeight int64          // Σ cutPart
 	cutArcs   int            // Σ extN over the same vertices
-	conn      connCache      // every vertex's arcs by partition (conn.go)
+	conn      refine.Conn    // every vertex's arcs by partition (refine/conn.go)
 	queued    []uint64       // a bit per vertex this sync queued to settle
 	queue     []graph.Vertex // those vertices, in the order it reached them
 	cut       partition.CutStats
@@ -351,8 +351,8 @@ func (e *Engine) growTo(n int) {
 		}
 		e.ext, e.extN = par.Sized(e.ext, n), par.Sized(e.extN, n)
 	}
-	e.conn.grow(n)
-	e.conn.reserve(e.trackedP)
+	e.conn.Grow(n)
+	e.conn.Reserve(e.trackedP)
 	e.bnd.grow(n)
 	e.pending.grow(n)
 	for len(e.queued) < (n+63)/64 {

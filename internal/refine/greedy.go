@@ -16,8 +16,9 @@ import (
 // parallelizable.
 //
 // It modifies a in place and returns the number of vertices moved. The
-// result is a pure function of (g, a): moves are pushed and their gains
-// rechecked by PushMoves and MoveGain, and the heap's order is total.
+// result is a pure function of (g, a): moves are pushed from a
+// connectivity table (Conn), patched by ±w as each move is applied, and
+// their gains rechecked from it, and the heap's order is total.
 func Greedy(g *graph.Graph, a *partition.Assignment, maxSkew int) int {
 	if maxSkew < 1 {
 		maxSkew = 1
@@ -28,8 +29,10 @@ func Greedy(g *graph.Graph, a *partition.Assignment, maxSkew int) int {
 	lockedMove := make([]bool, g.Order())
 
 	var h MoveHeap
-	conn := make([]float64, a.P)
-	g.ForEachVertex(func(v graph.Vertex) { h.PushMoves(g, a.Part, v, conn) })
+	var c Conn
+	c.Reset(g.Order())
+	c.Reserve(a.P)
+	g.ForEachVertex(func(v graph.Vertex) { h.PushMoves(&c, g, a.Part, v) })
 	for len(h) > 0 {
 		it := h.Pop()
 		if lockedMove[it.V] {
@@ -44,11 +47,11 @@ func Greedy(g *graph.Graph, a *partition.Assignment, maxSkew int) int {
 		if sizes[from]-1 < targets[from]-maxSkew || sizes[it.To]+1 > targets[it.To]+maxSkew {
 			continue
 		}
-		// Gain may be stale; recompute and verify.
-		if MoveGain(g, a.Part, it.V, it.To) <= 0 {
+		// Gain may be stale; recheck it.
+		if c.Gain(it.V, it.To) <= 0 {
 			continue
 		}
-		a.Part[it.V] = it.To
+		c.Move(g, a.Part, it.V, it.To)
 		sizes[from]--
 		sizes[it.To]++
 		lockedMove[it.V] = true
@@ -56,7 +59,7 @@ func Greedy(g *graph.Graph, a *partition.Assignment, maxSkew int) int {
 		// Neighbors' gains changed; repush the unlocked ones.
 		for _, u := range g.Neighbors(it.V) {
 			if !lockedMove[u] {
-				h.PushMoves(g, a.Part, u, conn)
+				h.PushMoves(&c, g, a.Part, u)
 			}
 		}
 	}
@@ -114,42 +117,24 @@ func (h *MoveHeap) Pop() Move {
 	return top
 }
 
-// PushMoves pushes every move of v that lowers the cut, in partition
-// order: the gain of a move to q is the weight of v's arcs into q less
-// that of its arcs into its own partition, each summed in adjacency
-// order. conn is P-long scratch. A dead or unassigned v has no moves.
-func (h *MoveHeap) PushMoves(g *graph.Graph, part []int32, v graph.Vertex, conn []float64) {
-	own := part[v]
-	if !g.Alive(v) || own < 0 {
-		return
+// PushMoves pushes every move of v that lowers the cut, from its entries
+// in c under the view part: the gain of a move to q is the weight of v's
+// arcs into q less that of its arcs into its own partition. A stale slot
+// is first filled from v's row in g. A dead or unassigned v has no moves.
+// It returns the arcs read: v's row when it was filled, else none.
+func (h *MoveHeap) PushMoves(c *Conn, g *graph.Graph, part []int32, v graph.Vertex) int {
+	if !g.Alive(v) || part[v] < 0 {
+		return 0
 	}
-	clear(conn)
-	ws := g.EdgeWeights(v)
-	for i, u := range g.Neighbors(v) {
-		if q := part[u]; q >= 0 {
-			conn[q] += ws[i]
+	read := 0
+	if c.Stale(v) {
+		read = c.FillGraph(g, part, v)
+	}
+	in := c.In(v)
+	for _, x := range c.Entries(v) {
+		if x.Part >= 0 && x.Wt > in {
+			h.Push(Move{Gain: float64(x.Wt - in), V: v, To: x.Part})
 		}
 	}
-	for q, c := range conn {
-		if int32(q) != own && c > conn[own] {
-			h.Push(Move{Gain: c - conn[own], V: v, To: int32(q)})
-		}
-	}
-}
-
-// MoveGain returns the cut gain of moving v to partition to, summed the
-// way PushMoves sums it, so the two agree bit for bit.
-func MoveGain(g *graph.Graph, part []int32, v graph.Vertex, to int32) float64 {
-	own := part[v]
-	var in, out float64
-	ws := g.EdgeWeights(v)
-	for i, u := range g.Neighbors(v) {
-		switch part[u] {
-		case to:
-			out += ws[i]
-		case own:
-			in += ws[i]
-		}
-	}
-	return out - in
+	return read
 }
